@@ -63,10 +63,9 @@ class RemoteServerAdapter:
     """
 
     def __init__(self, host: str, port: int, order: int = 8) -> None:
-        import socket as _socket
-
         from repro.mtree.forest import StoreSpec
-        from repro.net.framing import recv_message, send_message
+        from repro.net.framing import (
+            open_connection, recv_message, send_message)
         from repro.protocols.base import Request, Response
 
         self._send, self._recv = send_message, recv_message
@@ -74,7 +73,7 @@ class RemoteServerAdapter:
         self.spec = StoreSpec.coerce(order)
         self.order = self.spec.order
         try:
-            self._sock = _socket.create_connection((host, port), timeout=10)
+            self._sock = open_connection((host, port), 10, 10)
         except OSError as exc:
             raise CliError(f"cannot reach remote server {host}:{port}: {exc}") from exc
 

@@ -23,6 +23,7 @@ import struct
 import threading
 from dataclasses import dataclass
 
+from repro.net.framing import open_connection, set_nodelay
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 
@@ -213,7 +214,10 @@ class ChaosProxy:
             if _obs.enabled:
                 _CONNECTIONS.inc()
             try:
-                upstream = socket.create_connection(self.upstream, timeout=5.0)
+                # Both legs no-delay: Nagle on either would re-create,
+                # in between, the stall client and server sockets avoid.
+                set_nodelay(downstream)
+                upstream = open_connection(self.upstream, 5.0, 5.0)
             except OSError:
                 # Upstream down (e.g. mid-restart): the client sees a
                 # refused/reset connection, which is exactly the fault

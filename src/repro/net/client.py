@@ -33,7 +33,8 @@ from repro.crypto.hashing import Digest, hash_tagged_state, xor_all
 from repro.mtree.database import DeleteQuery, Query, RangeQuery, ReadQuery, WriteQuery
 from repro.mtree.forest import StoreSpec
 from repro.mtree.proofs import ProofError
-from repro.net.framing import FramingError, recv_message, send_message
+from repro.net.framing import (
+    FramingError, open_connection, recv_message, send_message)
 from repro.storage.atomic import atomic_write
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
@@ -126,12 +127,12 @@ class EndpointConnector:
         for offset in range(len(self.endpoints)):
             index = (self._index + offset) % len(self.endpoints)
             try:
-                sock = socket.create_connection(
-                    self.endpoints[index], timeout=self._connect_timeout)
+                sock = open_connection(
+                    self.endpoints[index], self._connect_timeout,
+                    self._op_timeout)
             except OSError as exc:
                 last_error = exc
                 continue
-            sock.settimeout(self._op_timeout)
             if index != self._index:
                 self.failovers += 1
                 self._index = index
@@ -603,9 +604,8 @@ class RemoteClientP1:
             raise ValueError("quorum_every must be at least 1")
         self._quorum_every = quorum_every
         self._ops_since_quorum = 0
-        self._sock = socket.create_connection((host, port),
-                                              timeout=connect_timeout)
-        self._sock.settimeout(op_timeout)
+        self._sock = open_connection(
+            (host, port), connect_timeout, op_timeout)
 
     def close(self) -> None:
         self._sock.close()

@@ -32,16 +32,51 @@ class FramingError(Exception):
     """Raised on oversized or truncated frames."""
 
 
-def send_message(sock: socket.socket, message: object) -> None:
-    """Encode and send one message."""
+def open_connection(address: tuple[str, int], connect_timeout: float,
+                    op_timeout: float) -> socket.socket:
+    """The connection every client here uses: ``op_timeout`` on each
+    send and receive once established, and :func:`set_nodelay`."""
+    sock = socket.create_connection(address, timeout=connect_timeout)
+    set_nodelay(sock)
+    sock.settimeout(op_timeout)
+    return sock
+
+
+def set_nodelay(sock: socket.socket) -> None:
+    """Nagle's algorithm off, on a connected or accepted socket.  With
+    it on, a second small write waits for the first one's ACK, so the
+    peer's delayed-ACK timer (40 ms) sits inside every write-write-read
+    exchange: a Protocol I follow-up, then the next request."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _frame(message: object) -> bytes:
     payload = encode(message)
     if len(payload) > MAX_FRAME:
         raise FramingError(f"frame of {len(payload)} bytes exceeds the maximum")
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
+    return struct.pack(">I", len(payload)) + payload
+
+
+def _count_sent(frame: bytes) -> None:
+    _FRAMES_SENT.inc()
+    _BYTES_SENT.inc(len(frame))
+    _FRAME_BYTES.observe(len(frame) - 4, direction="out")
+
+
+def send_message(sock: socket.socket, message: object) -> None:
+    """Encode and send one message."""
+    send_messages(sock, (message,))
+
+
+def send_messages(sock: socket.socket, messages) -> None:
+    """The frames of one :func:`send_message` per message, in order, in
+    one ``sendall``: on a no-delay socket each write is its own segment,
+    and a pipelined window should reach the server as one."""
+    frames = [_frame(message) for message in messages]
+    sock.sendall(b"".join(frames))
     if _obs.enabled:
-        _FRAMES_SENT.inc()
-        _BYTES_SENT.inc(4 + len(payload))
-        _FRAME_BYTES.observe(len(payload), direction="out")
+        for frame in frames:
+            _count_sent(frame)
 
 
 def recv_message(sock: socket.socket,
@@ -81,14 +116,10 @@ async def async_send_message(writer: asyncio.StreamWriter,
                              message: object) -> None:
     """Encode and send one message on a stream writer (does not drain;
     the caller decides when to apply backpressure)."""
-    payload = encode(message)
-    if len(payload) > MAX_FRAME:
-        raise FramingError(f"frame of {len(payload)} bytes exceeds the maximum")
-    writer.write(struct.pack(">I", len(payload)) + payload)
+    frame = _frame(message)
+    writer.write(frame)
     if _obs.enabled:
-        _FRAMES_SENT.inc()
-        _BYTES_SENT.inc(4 + len(payload))
-        _FRAME_BYTES.observe(len(payload), direction="out")
+        _count_sent(frame)
 
 
 async def async_recv_message(reader: asyncio.StreamReader,

@@ -47,7 +47,8 @@ from repro.net.client import (
     TransientNetworkError,
     _expect_response,
 )
-from repro.net.framing import FramingError, recv_message, send_message
+from repro.net.framing import (
+    FramingError, recv_message, send_message, send_messages)
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import Followup, Request
@@ -64,51 +65,39 @@ _WINDOW_FULL = _registry.counter(
     "net.pipeline_window_full", "submissions that had to drain a slot first")
 
 
-class PipelinedRemoteClient(RemoteClient):
-    """A Protocol II session keeping up to ``window`` operations in flight.
+class _Window:
+    """The window both pipelined clients keep: operations submitted and
+    not yet answered, oldest first; the newest ``_unsent`` of them are
+    held, not yet written.  The window is written with one ``sendall``
+    when it fills or when the client first blocks on a read: the sockets
+    are no-delay, so each write is its own segment, and one write lets
+    the server find the whole window queued.  The client class supplies
+    ``_drain_one`` and ``_flush`` (its reaction to a failed write)."""
 
-    ``submit(query)`` queues an operation (draining the oldest in-flight
-    one first if the window is full) and returns any answers that
-    completed as a side effect; ``drain()`` completes everything still
-    in flight.  ``execute()`` degrades to submit-and-drain, so the
-    convenience verbs (``get``/``put``/...) still work stop-and-wait.
-    """
-
-    def __init__(self, *args, window: int = DEFAULT_WINDOW, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _open_window(self, window: int) -> None:
         if window < 1:
             raise ValueError("pipeline window must be at least 1")
         self.window = window
         self._inflight: deque[tuple[Query, Request]] = deque()
+        self._unsent = 0
 
     @property
     def inflight(self) -> int:
         return len(self._inflight)
 
-    def submit(self, query: Query) -> list:
-        """Queue one operation; returns answers completed on the way.
-
-        Blocks only when the window is full (drains the oldest slot) or
-        the transport needs recovery.
-        """
-        drained = []
-        while len(self._inflight) >= self.window:
-            if _obs.enabled:
-                _WINDOW_FULL.inc(user=self.user_id)
-            drained.append(self._drain_one())
-        request = Request(query=query, extras={
-            "user": self.user_id, "rid": self._rid(self._seq)})
-        self._seq += 1
+    def _hold(self, query: Query, request: Request) -> None:
+        # A full window goes out now: it is then on the wire while the
+        # caller submits to, or drains, another session.
         self._inflight.append((query, request))
-        if self._sock is None:
-            self._recover_connection()
-        else:
-            try:
-                send_message(self._sock, request)
-            except OSError:
-                self._drop_connection()
-                self._recover_connection()
-        return drained
+        self._unsent += 1
+        if len(self._inflight) >= self.window:
+            self._flush()
+
+    def _write_unsent(self) -> None:
+        if self._unsent:
+            held = list(self._inflight)[-self._unsent:]
+            send_messages(self._sock, [request for _query, request in held])
+            self._unsent = 0
 
     def drain(self) -> list:
         """Complete (and verify) every in-flight operation, in order."""
@@ -123,13 +112,56 @@ class PipelinedRemoteClient(RemoteClient):
         answers.extend(self.drain())
         return answers[-1]
 
+
+class PipelinedRemoteClient(_Window, RemoteClient):
+    """A Protocol II session keeping up to ``window`` operations in flight.
+
+    ``submit(query)`` queues an operation (draining the oldest in-flight
+    one first if the window is full) and returns any answers that
+    completed as a side effect; ``drain()`` completes everything still
+    in flight.  ``execute()`` degrades to submit-and-drain, so the
+    convenience verbs (``get``/``put``/...) still work stop-and-wait.
+    """
+
+    def __init__(self, *args, window: int = DEFAULT_WINDOW, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._open_window(window)
+
+    def submit(self, query: Query) -> list:
+        """Queue one operation; returns answers completed on the way.
+
+        Blocks only when the window is full (drains the oldest slot) or
+        the transport needs recovery.  The request is written no later
+        than the next blocking read or a full window.
+        """
+        drained = []
+        while len(self._inflight) >= self.window:
+            if _obs.enabled:
+                _WINDOW_FULL.inc(user=self.user_id)
+            drained.append(self._drain_one())
+        request = Request(query=query, extras={
+            "user": self.user_id, "rid": self._rid(self._seq)})
+        self._seq += 1
+        self._hold(query, request)
+        return drained
+
+    def _flush(self) -> None:
+        """Put every held frame on the wire, reconnecting if need be."""
+        if self._sock is None:
+            self._recover_connection()
+            return
+        try:
+            self._write_unsent()
+        except OSError:
+            self._drop_connection()
+            self._recover_connection()
+
     def _drain_one(self) -> object:
         policy = self._retry
         failures = 0
         while True:
             try:
-                if self._sock is None:
-                    self._recover_connection()
+                self._flush()
                 self._capture.clear()
                 message = recv_message(self._sock, capture=self._capture)
                 if message is None:
@@ -160,7 +192,8 @@ class PipelinedRemoteClient(RemoteClient):
         return answer
 
     def _recover_connection(self) -> None:
-        """Reconnect and resend every in-flight request verbatim.
+        """Reconnect and resend every in-flight request verbatim, held
+        ones included, in one write.
 
         Any of them may or may not have executed before the connection
         died; identical rids make the resend idempotent (the server's
@@ -173,10 +206,10 @@ class PipelinedRemoteClient(RemoteClient):
         for attempt in range(policy.attempts):
             try:
                 self._connect()
-                for _query, request in self._inflight:
-                    send_message(self._sock, request)
-                    if _obs.enabled:
-                        _RESENDS.inc(user=self.user_id)
+                self._unsent = len(self._inflight)
+                self._write_unsent()
+                if _obs.enabled:
+                    _RESENDS.inc(len(self._inflight), user=self.user_id)
                 return
             except OSError as exc:
                 last_error = exc
@@ -192,7 +225,7 @@ class PipelinedRemoteClient(RemoteClient):
         super().close()
 
 
-class PipelinedRemoteClientP1(RemoteClientP1):
+class PipelinedRemoteClientP1(_Window, RemoteClientP1):
     """A Protocol I session with batched signature verification.
 
     The async server answers a window of W requests as one signing run:
@@ -223,10 +256,7 @@ class PipelinedRemoteClientP1(RemoteClientP1):
                  window: int = DEFAULT_WINDOW, **kwargs) -> None:
         super().__init__(host, port, user_id, signer, verifier,
                          order=order, **kwargs)
-        if window < 1:
-            raise ValueError("pipeline window must be at least 1")
-        self.window = window
-        self._inflight: deque[tuple[Query, Request]] = deque()
+        self._open_window(window)
         self._rid_nonce = os.urandom(4).hex()
         self._next_seq = 0
         #: True when the next response must present a verifiable RSA
@@ -236,12 +266,10 @@ class PipelinedRemoteClientP1(RemoteClientP1):
         self._prev_ctr: int | None = None
         self.followups_sent = 0
 
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
     def submit(self, query: Query) -> list:
-        """Queue one operation; returns answers completed on the way."""
+        """Queue one operation; returns answers completed on the way.
+        The request is written no later than the next blocking read or
+        a full window."""
         drained = []
         while len(self._inflight) >= self.window:
             drained.append(self._drain_one())
@@ -249,30 +277,20 @@ class PipelinedRemoteClientP1(RemoteClientP1):
             "user": self.user_id,
             "rid": f"{self.user_id}:{self._rid_nonce}:{self._next_seq}"})
         self._next_seq += 1
-        self._inflight.append((query, request))
+        self._hold(query, request)
+        return drained
+
+    def _flush(self) -> None:
         try:
-            send_message(self._sock, request)
+            self._write_unsent()
         except (OSError, FramingError) as exc:
             raise TransientNetworkError(
                 f"Protocol I pipelined submit failed in transit: {exc}") from exc
-        return drained
-
-    def drain(self) -> list:
-        """Complete (and verify) every in-flight operation, in order."""
-        answers = []
-        while self._inflight:
-            answers.append(self._drain_one())
-        return answers
-
-    def execute(self, query: Query) -> object:
-        """Stop-and-wait compatibility: submit, then drain everything."""
-        answers = self.submit(query)
-        answers.extend(self.drain())
-        return answers[-1]
 
     def _drain_one(self) -> object:
         from repro.crypto.signatures import Signature
 
+        self._flush()
         try:
             self._capture.clear()
             message = recv_message(self._sock, capture=self._capture)

@@ -478,7 +478,8 @@ class Replicator:
     # -- delivery -----------------------------------------------------------
 
     def _sender(self, index: int) -> None:
-        from repro.net.framing import FramingError, recv_message, send_message
+        from repro.net.framing import (
+            FramingError, open_connection, recv_message, send_message)
         from repro.wire import WireError
 
         endpoint = self._endpoints[index]
@@ -506,9 +507,9 @@ class Replicator:
             batch = list(pending)
             try:
                 if sock is None:
-                    sock = socket.create_connection(
-                        endpoint, timeout=self._connect_timeout)
-                    sock.settimeout(self._op_timeout)
+                    sock = open_connection(
+                        endpoint, self._connect_timeout,
+                        self._op_timeout)
                 send_message(sock, Request(query=None, extras={
                     "user": REPL_USER, DEPOSIT_KEY: batch}))
                 reply = recv_message(sock)
@@ -719,7 +720,8 @@ class QuorumChecker:
     def _fetch(self, wid: str, endpoint, ctrs) -> dict | None:
         """One witness's attestation map, with per-witness
         timeout/retry/backoff; ``None`` when the budget runs out."""
-        from repro.net.framing import FramingError, recv_message, send_message
+        from repro.net.framing import (
+            FramingError, open_connection, recv_message, send_message)
         from repro.wire import WireError
 
         policy = self._retry
@@ -727,9 +729,9 @@ class QuorumChecker:
             sock = self._conns.get(wid)
             try:
                 if sock is None:
-                    sock = socket.create_connection(
-                        endpoint, timeout=self._connect_timeout)
-                    sock.settimeout(self._op_timeout)
+                    sock = open_connection(
+                        endpoint, self._connect_timeout,
+                        self._op_timeout)
                     self._conns[wid] = sock
                 send_message(sock, Request(query=None, extras={
                     "user": f"{REPL_USER}:{self.user_id}",

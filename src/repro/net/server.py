@@ -50,7 +50,8 @@ from repro.protocols.base import (
 )
 from repro.protocols.protocol1 import DEFER_FOLLOWUP_KEY
 from repro.net.core import DEDUP_WINDOW, SNAPSHOT_EVERY, ServerCore
-from repro.net.framing import FramingError, recv_message, send_message
+from repro.net.framing import (
+    FramingError, recv_message, send_message, set_nodelay)
 from repro.wire import WireError
 
 #: how long a handler waits for another client's follow-up signature
@@ -72,6 +73,7 @@ _FOLLOWUPS = _registry.counter(
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         server: TrustedCvsTcpServer = self.server  # type: ignore[assignment]
+        set_nodelay(self.request)
         server._register_connection(self.request)
         try:
             if server._workers is not None:

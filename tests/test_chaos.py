@@ -238,3 +238,64 @@ class TestSelfHealingThroughChaos:
             assert proxy.faults["truncations"] >= 1
         with server.state_lock:
             assert server.state.ctr == 20
+
+
+class TestProxiedProtocol1:
+    """A proxy leg with Nagle on re-creates, between client and server,
+    the write-write-read stall their own sockets avoid."""
+
+    @pytest.fixture
+    def p1_server(self, shared_keys):
+        from repro.mtree.database import VerifiedDatabase
+        from repro.protocols.base import ServerState
+        from repro.protocols.protocol1 import (
+            Protocol1Server, bootstrap_server_state)
+
+        state = ServerState(database=VerifiedDatabase(order=4))
+        bootstrap_server_state(state, shared_keys.signers["alice"])
+        srv = serve_in_thread(protocol=Protocol1Server(), state=state)
+        yield srv
+        srv.stop()
+
+    def test_both_legs_are_no_delay(self, server):
+        from repro.net.chaosproxy import _Pump
+
+        host, port = server.address
+        with ChaosProxy(host, port) as proxy:
+            with RemoteClient(*proxy.address, "alice",
+                              server.initial_root_digest(), order=4) as alice:
+                alice.put(b"k", b"v")
+                legs = {sock for pump in threading.enumerate()
+                        if isinstance(pump, _Pump) and pump._proxy is proxy
+                        for sock in (pump._source, pump._sink)}
+                assert len(legs) == 2
+                for sock in legs:
+                    assert sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY) == 1
+
+    def test_a_turn_of_eight_through_a_fault_free_proxy(self, p1_server,
+                                                        shared_keys):
+        """Seven of the eight operations write a follow-up and then a
+        request with no read between; at 40 ms of delayed ACK each that
+        is 280 ms on either leg.  Fastest of three turns, so that a
+        busy host does not fail it."""
+        import time
+
+        from repro.net import RemoteClientP1, count_sync_check
+
+        host, port = p1_server.address
+        turns = []
+        with ChaosProxy(host, port) as proxy:
+            with RemoteClientP1(*proxy.address, "alice",
+                                shared_keys.signers["alice"],
+                                shared_keys.verifier, order=4) as alice:
+                alice.put(b"warm", b"up")
+                for turn in range(3):
+                    started = time.perf_counter()
+                    for i in range(8):
+                        alice.put(b"k%d" % (i % 3), b"v%d.%d" % (turn, i))
+                    turns.append(time.perf_counter() - started)
+                assert alice.get(b"k1") == b"v2.7"
+                assert count_sync_check({"alice": alice.counts()})
+            assert proxy.faults["connections"] == 1
+        assert min(turns) < 0.2, turns

@@ -8,7 +8,9 @@ import struct
 
 import pytest
 
-from repro.net.framing import FramingError, MAX_FRAME, recv_message, send_message
+from repro.net.framing import (
+    FramingError, MAX_FRAME, open_connection, recv_message, send_message,
+    send_messages)
 from repro.protocols.base import Request
 from repro.mtree.database import ReadQuery
 from repro.wire import encode
@@ -95,3 +97,57 @@ class TestRoundtrip:
         assert recv_message(right) == message
         left.close()
         right.close()
+
+
+class _Recorder:
+    """Stands in for a socket: keeps what each ``sendall`` was given."""
+
+    def __init__(self):
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+
+class TestSendMessages:
+    MESSAGES = [Request(query=ReadQuery(b"key%d" % i),
+                        extras={"user": "alice", "rid": "alice:%d" % i})
+                for i in range(5)]
+
+    def test_one_write_carrying_the_frames_of_send_message(self):
+        one_by_one, together = _Recorder(), _Recorder()
+        for message in self.MESSAGES:
+            send_message(one_by_one, message)
+        send_messages(together, self.MESSAGES)
+        assert len(one_by_one.writes) == len(self.MESSAGES)
+        assert together.writes == [b"".join(one_by_one.writes)]
+
+    def test_receiver_reads_them_back_in_order(self):
+        left, right = _pair()
+        send_messages(left, self.MESSAGES)
+        assert [recv_message(right) for _ in self.MESSAGES] == self.MESSAGES
+        left.close()
+        right.close()
+
+    def test_oversized_frame_rejected_before_anything_is_written(self):
+        recorder = _Recorder()
+        with pytest.raises(FramingError, match="exceeds"):
+            send_messages(recorder, [b"ok", b"x" * (MAX_FRAME + 1)])
+        assert recorder.writes == []
+
+
+class TestOpenConnection:
+    def test_no_delay_and_operation_timeout(self):
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        try:
+            sock = open_connection(listener.getsockname(), 5.0, 1.5)
+            try:
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY) == 1
+                assert sock.gettimeout() == 1.5
+            finally:
+                sock.close()
+        finally:
+            listener.close()

@@ -21,6 +21,10 @@ def connect(server, user_id):
     return RemoteClient(host, port, user_id, server.initial_root_digest(), order=4)
 
 
+def _no_delay(sock) -> bool:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+
 class TestSingleClient:
     def test_put_get_roundtrip(self, server):
         with connect(server, "alice") as alice:
@@ -229,6 +233,36 @@ class TestProtocol1OverTcp:
                     raw=bytes(len(genuine.raw)))
             with pytest.raises(IntegrityError, match="signature"):
                 alice.get(b"k")
+
+    def test_both_client_sockets_are_no_delay(self, p1_setup):
+        from repro.net import PipelinedRemoteClientP1
+
+        server, keys = p1_setup
+        with self.connect_p1(server, keys, "alice") as alice:
+            assert _no_delay(alice._sock)
+        host, port = server.address
+        with PipelinedRemoteClientP1(host, port, "bob", keys.signers["bob"],
+                                     keys.verifier, order=4) as bob:
+            assert _no_delay(bob._sock)
+
+    def test_sixteen_consecutive_operations_never_wait_for_an_ack(self, p1_setup):
+        """The follow-up and the next request are two writes with no
+        read between them.  With Nagle on, the second waited for the
+        server's delayed ACK: 40 ms on each of 15 operations, 600 ms,
+        around some 50 ms of signing and verifying.  The fastest of
+        three turns keeps a busy host from failing this."""
+        import time
+
+        server, keys = p1_setup
+        turns = []
+        with self.connect_p1(server, keys, "alice") as alice:
+            alice.put(b"warm", b"up")
+            for turn in range(3):
+                started = time.perf_counter()
+                for i in range(16):
+                    alice.put(b"k%d" % (i % 4), b"v%d.%d" % (turn, i))
+                turns.append(time.perf_counter() - started)
+        assert min(turns) < 0.3, turns
 
 
 class TestProtocol1Blocking:
@@ -538,3 +572,40 @@ class TestLargeFrames:
         with connect(server, "alice") as alice:
             alice.put(b"blob", big)
             assert alice.get(b"blob") == big
+
+
+class TestNoDelaySockets:
+    """Every TCP socket the package opens or accepts has Nagle off: a
+    write-write-read exchange (a Protocol I follow-up, then the next
+    request) otherwise waits out the peer's delayed-ACK timer."""
+
+    def test_client_and_accepted_connection(self, server):
+        with connect(server, "alice") as alice:
+            alice.put(b"k", b"v")
+            assert _no_delay(alice._sock)
+            with server._connections_lock:
+                accepted = list(server._connections)
+            assert accepted and all(_no_delay(sock) for sock in accepted)
+
+    def test_pipelined_client_after_a_forced_reconnect(self, server):
+        from repro.net import PipelinedRemoteClient
+
+        host, port = server.address
+        with PipelinedRemoteClient(host, port, "alice",
+                                   server.initial_root_digest(),
+                                   order=4) as alice:
+            first = alice._sock
+            assert _no_delay(first)
+            alice._drop_connection()
+            alice.put(b"k", b"v")
+            assert alice._sock is not first and _no_delay(alice._sock)
+
+    def test_cli_remote_adapter(self, server):
+        from repro.cli import RemoteServerAdapter
+
+        adapter = RemoteServerAdapter(*server.address, order=4)
+        try:
+            assert _no_delay(adapter._sock)
+            assert adapter._sock.gettimeout() == 10
+        finally:
+            adapter.close()

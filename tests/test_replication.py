@@ -233,6 +233,45 @@ class TestQuorumEndToEnd:
             for witness in witnesses:
                 witness.stop()
 
+    def test_sender_and_fetch_sockets_are_no_delay(self, monkeypatch):
+        import socket
+
+        from repro.net import framing
+
+        opened = []
+        open_connection = framing.open_connection
+
+        def recording(*args):
+            opened.append(open_connection(*args))
+            return opened[-1]
+
+        # the replication code imports the helper when it first connects
+        monkeypatch.setattr(framing, "open_connection", recording)
+        witnesses, endpoints = _witness_cluster()
+        replicator = Replicator(KEYS.primary,
+                                witnesses=[e for _, e in endpoints])
+        server = serve_in_thread(order=ORDER, replicator=replicator)
+        try:
+            host, port = server.address
+            quorum = _quorum(endpoints)
+            with RemoteClient(host, port, "alice",
+                              server.initial_root_digest(), order=ORDER,
+                              quorum=quorum, quorum_every=2) as alice:
+                for i in range(4):
+                    alice.put(b"k%d" % i, b"v%d" % i)
+                assert replicator.flush(timeout=10)
+                alice.quorum_check(require_all=True)
+                fetchers = list(quorum._conns.values())
+                senders = [sock for sock in opened if sock not in fetchers]
+                assert len(senders) == len(witnesses) and fetchers
+                for sock in senders + fetchers:
+                    assert sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY) == 1
+        finally:
+            server.stop()
+            for witness in witnesses:
+                witness.stop()
+
     def test_async_primary_replicates_per_executed_op(self):
         witnesses, endpoints = _witness_cluster(n=1)
         replicator = Replicator(KEYS.primary,
