@@ -18,6 +18,7 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from bench_common import emit
 from repro.analysis import format_table
 from repro.core import build_simulation
+from repro.protocols import protocol2
 from repro.server.attacks import CounterReplayAttack, ForkAttack
 from repro.simulation.workload import partitionable_workload, steady_workload
 
@@ -70,10 +71,15 @@ def test_ablation_counter_check(capsys, benchmark):
         workload = steady_workload(3, 14, spacing=4, keyspace=6, seed=4)
         attack = CounterReplayAttack(victim="user0", replay_round=workload.horizon() // 3)
         simulation = build_simulation("protocol2", workload, attack=attack, k=50, seed=4)
+        # The ablation takes the counter rule out where
+        # XorRegisters.advance looks it up (as E15b does the tag).
+        counter_rule = protocol2.reject_regression
         if not enforce:
-            for user in simulation.users:
-                user.client._enforce_counter_check = False
-        report = simulation.execute()
+            protocol2.reject_regression = lambda user_id, ctr, gctr: None
+        try:
+            report = simulation.execute()
+        finally:
+            protocol2.reject_regression = counter_rule
         instantly = (report.detected and report.detection_delay_rounds() is not None
                      and report.detection_delay_rounds() <= 3)
         outcomes[enforce] = (report.detected, instantly)

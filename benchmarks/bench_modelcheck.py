@@ -23,6 +23,7 @@ from repro.analysis import format_table
 from repro.analysis import modelcheck
 from repro.analysis.modelcheck import model_check, model_check_protocol1
 from repro.crypto.hashing import hash_bytes, hash_state
+from repro.protocols import protocol2
 
 SPACES = [
     # (users, ops, owner lies)
@@ -74,17 +75,19 @@ def test_exhaustive_theorem42(capsys, benchmark):
 
 def test_ablation_rediscovers_figure3(capsys, benchmark):
     original_fresh = modelcheck._fresh_root
-    original_tag = modelcheck.hash_tagged_state
+    # Ablate the tag where XorRegisters.advance looks it up: the code
+    # the clients run, not a copy the checker keeps.
+    original_tag = protocol2.hash_tagged_state
     modelcheck._fresh_root = (
         lambda parent, op_index: hash_bytes(bytes([parent.ctr + 1])))
     try:
-        modelcheck.hash_tagged_state = lambda root, ctr, owner: hash_state(root, ctr)
+        protocol2.hash_tagged_state = lambda root, ctr, owner: hash_state(root, ctr)
         weakened = model_check(n_users=3, n_ops=3, enumerate_owner_lies=False)
-        modelcheck.hash_tagged_state = original_tag
+        protocol2.hash_tagged_state = original_tag
         full = model_check(n_users=3, n_ops=3, enumerate_owner_lies=False)
     finally:
         modelcheck._fresh_root = original_fresh
-        modelcheck.hash_tagged_state = original_tag
+        protocol2.hash_tagged_state = original_tag
 
     emit(capsys, "E15_modelcheck_fig3", format_table(
         ["register design", "behaviours", "hidden forks (missed)",

@@ -22,6 +22,12 @@ picks, claimed owners) and check, for each behaviour:
 The theorem, in miniature: honest behaviours are always accepted, and
 every deviating behaviour is rejected by the end.  Exhaustiveness is
 what the randomized campaigns cannot give.
+
+The clients in the model are not a re-derivation: each user is the
+:class:`~repro.protocols.protocol2.XorRegisters` (Protocol I:
+:class:`~repro.protocols.protocol1.SignedRootChain`) object the
+simulator and TCP clients run, and the closing verdict is the same
+``sync_check`` / ``count_sync_check`` a deployment calls.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from repro.crypto.hashing import Digest, hash_bytes, hash_tagged_state, xor_all
+from repro.crypto.hashing import Digest, hash_bytes
+from repro.crypto.signatures import Verifier
+from repro.protocols.base import DeviationDetected
+from repro.protocols.protocol1 import SignedRootChain, count_sync_check
+from repro.protocols.protocol2 import XorRegisters, sync_check
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,39 @@ def _fresh_root(parent: _State, op_index: int) -> Digest:
     return hash_bytes(parent.root.value + bytes([op_index]))
 
 
+def _run(user_sequence, picks, claimed_owners, advance, sync) -> BehaviourResult:
+    """Serve each operation from the picked state with the claimed
+    owner (``None``: the protocol has no owner field to lie about) and
+    hand it to ``advance(user, served, claimed, new_state)`` -- the
+    deployed clients' own per-response step; close with ``sync(initial)``,
+    their own predicate.  Ground truth is kept alongside."""
+    initial = _State(root=hash_bytes(b"genesis"), ctr=0, owner="")
+    states: list[_State] = [initial]
+    honest = True
+    rejected = False
+    for op_index, (user, pick) in enumerate(zip(user_sequence, picks)):
+        served = states[pick]
+        claimed = claimed_owners[op_index] if claimed_owners else served.owner
+        if pick != len(states) - 1 or claimed != served.owner:
+            honest = False
+        new_state = _State(root=_fresh_root(served, op_index),
+                           ctr=served.ctr + 1, owner=user)
+        try:
+            advance(user, served, claimed, new_state)
+        except DeviationDetected:
+            rejected = True
+            break
+        states.append(new_state)
+    return BehaviourResult(
+        users=user_sequence,
+        picks=picks,
+        claimed_owners=claimed_owners,
+        honest=honest,
+        rejected_immediately=rejected,
+        sync_passes=not rejected and sync(initial),
+    )
+
+
 def run_behaviour(
     user_sequence: tuple[str, ...],
     picks: tuple[int, ...],
@@ -69,59 +112,19 @@ def run_behaviour(
     all_users: tuple[str, ...],
 ) -> BehaviourResult:
     """Execute one fully specified server behaviour against Protocol II
-    clients and return ground truth plus the protocol verdict."""
-    initial = _State(root=hash_bytes(b"genesis"), ctr=0, owner="")
-    states: list[_State] = [initial]
-    sigma = {u: Digest.zero() for u in all_users}
-    last = {u: Digest.zero() for u in all_users}
-    gctr = {u: 0 for u in all_users}
-    tip = 0
-    honest = True
-    rejected = False
+    clients and return ground truth plus the protocol verdict.
 
-    for op_index, (user, pick, claimed) in enumerate(
-            zip(user_sequence, picks, claimed_owners)):
-        served = states[pick]
-        if pick != tip or claimed != served.owner:
-            honest = False
-
-        # --- client-side per-operation checks (Protocol II step 4) ---
-        if served.ctr < gctr[user]:
-            rejected = True
-            break
-        if served.ctr == 0 and claimed != "":
-            rejected = True
-            break
-
-        old_tag = hash_tagged_state(served.root, served.ctr, claimed)
-        new_state = _State(root=_fresh_root(served, op_index),
-                           ctr=served.ctr + 1, owner=user)
-        new_tag = hash_tagged_state(new_state.root, new_state.ctr, user)
-        sigma[user] = sigma[user] ^ old_tag ^ new_tag
-        last[user] = new_tag
-        gctr[user] = served.ctr + 1
-        states.append(new_state)
-        tip = len(states) - 1
-
-    if rejected:
-        sync_passes = False
-    else:
-        total = xor_all(sigma.values())
-        s0 = hash_tagged_state(initial.root, 0, "")
-        candidates = [l for l in last.values() if l]
-        if candidates:
-            sync_passes = any((s0 ^ l) == total for l in candidates)
-        else:
-            sync_passes = total == Digest.zero()
-
-    return BehaviourResult(
-        users=user_sequence,
-        picks=picks,
-        claimed_owners=claimed_owners,
-        honest=honest,
-        rejected_immediately=rejected,
-        sync_passes=sync_passes,
-    )
+    The clients are the deployed :class:`XorRegisters`, entered at
+    :meth:`~XorRegisters.advance` -- the step minus VO replay, since the
+    model has roots and no tree -- and the verdict at the end is the
+    deployed :func:`sync_check`."""
+    registers = {user: XorRegisters(user) for user in all_users}
+    return _run(
+        user_sequence, picks, claimed_owners,
+        lambda user, served, claimed, new_state: registers[user].advance(
+            served.ctr, claimed, served.root, new_state.root),
+        lambda initial: sync_check(initial.root, {
+            user: state.snapshot() for user, state in registers.items()}))
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,30 @@ class ModelCheckReport:
         return self.honest_rejected == 0 and self.deviating_accepted == 0
 
 
+def _report(results, max_counterexamples: int) -> ModelCheckReport:
+    """Tally behaviours against ground truth; a counterexample is an
+    honest behaviour rejected or a deviating one accepted."""
+    tally = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+    counterexamples: list[BehaviourResult] = []
+    for result in results:
+        tally[result.honest, result.accepted] += 1
+        if result.honest != result.accepted and len(counterexamples) < max_counterexamples:
+            counterexamples.append(result)
+    return ModelCheckReport(
+        behaviours=sum(tally.values()),
+        honest_accepted=tally[True, True],
+        honest_rejected=tally[True, False],
+        deviating_rejected=tally[False, False],
+        deviating_accepted=tally[False, True],
+        counterexamples=tuple(counterexamples),
+    )
+
+
+def _pick_sequences(n_ops: int):
+    """Every way to serve op i from one of the i + 1 states so far."""
+    return product(*(range(i + 1) for i in range(n_ops)))
+
+
 def model_check(
     n_users: int = 2,
     n_ops: int = 4,
@@ -148,48 +175,18 @@ def model_check(
 ) -> ModelCheckReport:
     """Enumerate every server behaviour in the bounded model."""
     users = tuple(f"u{i}" for i in range(n_users))
-    owner_choices = users + ("",) if enumerate_owner_lies else None
 
-    behaviours = honest_accepted = honest_rejected = 0
-    deviating_rejected = deviating_accepted = 0
-    counterexamples: list[BehaviourResult] = []
-
-    pick_spaces = [range(i + 1) for i in range(n_ops)]
-    for user_sequence in product(users, repeat=n_ops):
-        for picks in product(*pick_spaces):
-            if enumerate_owner_lies:
-                owner_space = product(owner_choices, repeat=n_ops)
-            else:
-                owner_space = [None]
-            for owners in owner_space:
-                if owners is None:
-                    # honest owner claims, derived on the fly
-                    owners = _true_owners(user_sequence, picks)
-                result = run_behaviour(user_sequence, picks, tuple(owners), users)
-                behaviours += 1
-                if result.honest:
-                    if result.accepted:
-                        honest_accepted += 1
-                    else:
-                        honest_rejected += 1
-                        if len(counterexamples) < max_counterexamples:
-                            counterexamples.append(result)
+    def results():
+        for user_sequence in product(users, repeat=n_ops):
+            for picks in _pick_sequences(n_ops):
+                if enumerate_owner_lies:
+                    owner_space = product(users + ("",), repeat=n_ops)
                 else:
-                    if result.accepted:
-                        deviating_accepted += 1
-                        if len(counterexamples) < max_counterexamples:
-                            counterexamples.append(result)
-                    else:
-                        deviating_rejected += 1
+                    owner_space = [tuple(_true_owners(user_sequence, picks))]
+                for owners in owner_space:
+                    yield run_behaviour(user_sequence, picks, owners, users)
 
-    return ModelCheckReport(
-        behaviours=behaviours,
-        honest_accepted=honest_accepted,
-        honest_rejected=honest_rejected,
-        deviating_rejected=deviating_rejected,
-        deviating_accepted=deviating_accepted,
-        counterexamples=tuple(counterexamples),
-    )
+    return _report(results(), max_counterexamples)
 
 
 def _true_owners(user_sequence: tuple[str, ...], picks: tuple[int, ...]) -> list[str]:
@@ -216,49 +213,17 @@ def run_behaviour_protocol1(
 
     Signatures bind states completely (the client recomputes the root
     from the VO and verifies the signature over exactly that root and
-    counter), so the server's only freedom is *which* signed state to
-    serve each operation from.  Client checks: counter non-regression
-    per user.  Sync predicate: exists i with gctr_i == sum_k lctr_k.
-    """
-    states: list[_State] = [_State(root=hash_bytes(b"genesis"), ctr=0, owner="")]
-    lctr = {u: 0 for u in all_users}
-    gctr = {u: 0 for u in all_users}
-    tip = 0
-    honest = True
-    rejected = False
-
-    for op_index, (user, pick) in enumerate(zip(user_sequence, picks)):
-        served = states[pick]
-        if pick != tip:
-            honest = False
-        if served.ctr < gctr[user]:
-            rejected = True
-            break
-        new_state = _State(root=_fresh_root(served, op_index),
-                           ctr=served.ctr + 1, owner=user)
-        lctr[user] += 1
-        gctr[user] = served.ctr + 1
-        states.append(new_state)
-        tip = len(states) - 1
-
-    if rejected:
-        sync_passes = False
-    else:
-        total = sum(lctr.values())
-        operated = [u for u in all_users if lctr[u] > 0]
-        if operated:
-            sync_passes = any(gctr[u] == total for u in operated)
-        else:
-            sync_passes = total == 0
-
-    return BehaviourResult(
-        users=user_sequence,
-        picks=picks,
-        claimed_owners=(),
-        honest=honest,
-        rejected_immediately=rejected,
-        sync_passes=sync_passes,
-    )
+    counter) -- that is this model's stated assumption, so the server's
+    only freedom is *which* signed state to serve each operation from.
+    What is left of the deployed :class:`SignedRootChain` step is its
+    counter half, :meth:`~SignedRootChain.advance`; the verdict at the
+    end is the deployed :func:`count_sync_check`."""
+    chains = {user: SignedRootChain(user, Verifier()) for user in all_users}
+    return _run(
+        user_sequence, picks, (),
+        lambda user, served, claimed, new_state: chains[user].advance(served.ctr),
+        lambda initial: count_sync_check({
+            user: state.snapshot() for user, state in chains.items()}))
 
 
 def model_check_protocol1(
@@ -268,34 +233,8 @@ def model_check_protocol1(
 ) -> ModelCheckReport:
     """Enumerate every Protocol I server behaviour in the bounded model."""
     users = tuple(f"u{i}" for i in range(n_users))
-    behaviours = honest_accepted = honest_rejected = 0
-    deviating_rejected = deviating_accepted = 0
-    counterexamples: list[BehaviourResult] = []
-
-    pick_spaces = [range(i + 1) for i in range(n_ops)]
-    for user_sequence in product(users, repeat=n_ops):
-        for picks in product(*pick_spaces):
-            result = run_behaviour_protocol1(user_sequence, picks, users)
-            behaviours += 1
-            if result.honest:
-                if result.accepted:
-                    honest_accepted += 1
-                else:
-                    honest_rejected += 1
-                    if len(counterexamples) < max_counterexamples:
-                        counterexamples.append(result)
-            elif result.accepted:
-                deviating_accepted += 1
-                if len(counterexamples) < max_counterexamples:
-                    counterexamples.append(result)
-            else:
-                deviating_rejected += 1
-
-    return ModelCheckReport(
-        behaviours=behaviours,
-        honest_accepted=honest_accepted,
-        honest_rejected=honest_rejected,
-        deviating_rejected=deviating_rejected,
-        deviating_accepted=deviating_accepted,
-        counterexamples=tuple(counterexamples),
-    )
+    return _report(
+        (run_behaviour_protocol1(user_sequence, picks, users)
+         for user_sequence in product(users, repeat=n_ops)
+         for picks in _pick_sequences(n_ops)),
+        max_counterexamples)

@@ -1,14 +1,19 @@
-"""A verifying TCP client with Protocol II registers.
+"""Verifying TCP clients: the transport around a protocol state object.
 
 Connects to a :class:`~repro.net.server.TrustedCvsTcpServer`, sends
-queries over the wire format, and verifies every response exactly as
-the simulated Protocol II client does: derive the old/new roots from
-the VO, check the counter, accumulate the tagged-state XOR registers.
+queries over the wire format, and hands every response to the same
+per-response step the simulated clients run --
+:class:`~repro.protocols.protocol2.XorRegisters` (Protocol II) or
+:class:`~repro.protocols.protocol1.SignedRootChain` (Protocol I).  No
+verification is written here: this module connects, retries, fails
+over, persists the anchor, captures evidence and records quorum
+entries.
 
 Several clients sharing a server can check their collective view with
-:func:`sync_check` -- the Protocol II synchronisation predicate over
-registers exchanged out-of-band (users trust each other; how they meet
-is outside the server's control, which is the whole point).
+:func:`sync_check` / :func:`count_sync_check` -- the protocols' own
+synchronisation predicates over registers exchanged out-of-band (users
+trust each other; how they meet is outside the server's control, which
+is the whole point).
 
 Self-healing: the client stamps every logical operation with an
 idempotent request id, so when a connection drops (or an operation
@@ -29,19 +34,24 @@ import random
 import socket
 import time
 
-from repro.crypto.hashing import Digest, hash_tagged_state, xor_all
+from repro.crypto.hashing import Digest
 from repro.mtree.database import DeleteQuery, Query, RangeQuery, ReadQuery, WriteQuery
 from repro.mtree.forest import StoreSpec
-from repro.mtree.proofs import ProofError
+from repro.net import evidence
 from repro.net.framing import (
     FramingError, open_connection, recv_message, send_message)
 from repro.storage.atomic import atomic_write
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.protocols.base import ErrorReply, Request, Response
-from repro.protocols.protocol2 import INITIAL_OWNER, initial_state_tag
-from repro.protocols.verify import derive_outcome
-from repro.wire import WireError
+from repro.protocols.base import (
+    DeviationDetected, ErrorReply, Followup, Request, Response)
+# sync_check / count_sync_check are the protocols' own predicates,
+# importable from here (and repro.net) under the names deployments use.
+from repro.protocols.protocol1 import SignedRootChain, count_sync_check
+from repro.protocols.protocol2 import (
+    XorRegisters, initial_state_tag, sync_check)
+from repro.protocols.verify import register
+from repro.wire import WireError, encode
 
 #: default socket timeouts -- a hung server must not block a client
 #: forever; the timeout surfaces as a retryable failure instead.
@@ -176,11 +186,136 @@ def _expect_response(message: object) -> Response:
     return message
 
 
+class _Session:
+    """What a Protocol I and a Protocol II session share around their
+    protocol state object (``self.state``): the step's verdict turned
+    into :class:`IntegrityError` with an evidence bundle, the witness
+    quorum bookkeeping, the request-id format and the convenience verbs.
+    Subclasses name their ``protocol`` and supply ``_evidence_fields``.
+    """
+
+    protocol = ""
+
+    def __init__(self, user_id: str, order: "int | StoreSpec", state,
+                 evidence_dir: str | None, quorum, quorum_every: int) -> None:
+        self.user_id = user_id
+        self._order = order
+        self.state = state
+        self._evidence_dir = evidence_dir
+        self._capture: list[bytes] = []
+        self.quorum = quorum
+        if quorum is not None:
+            quorum.set_order(order)
+        if quorum_every < 1:
+            raise ValueError("quorum_every must be at least 1")
+        self._quorum_every = quorum_every
+        self._ops_since_quorum = 0
+        # Request ids must name a *logical operation* uniquely for as
+        # long as the server's dedup window may remember it.  A bare
+        # ``user:seq`` resets with every anchor-less client object, so
+        # a new session for the same user could collide with the old
+        # session's window; the per-session nonce rules that out.  The
+        # anchor persists it, so a resumed process keeps deduping its
+        # own in-flight retries.
+        self._rid_nonce = os.urandom(4).hex()
+        self._seq = 0
+
+    def _rid(self, seq: int) -> str:
+        """The idempotency token for logical operation ``seq``."""
+        return f"{self.user_id}:{self._rid_nonce}:{seq}"
+
+    def _verify(self, query: Query, request: Request, response: Response):
+        """Run the protocol's step on one response; returns what the
+        step returns.  A deviation becomes :class:`IntegrityError`,
+        evidence captured (against the untouched pre-operation state)
+        before it is raised."""
+        try:
+            return self.state.step(query, response)
+        except DeviationDetected as exc:
+            error = IntegrityError(exc.reason)
+            self._on_detection(error, request)
+            raise error from exc
+
+    # -- witness quorum -----------------------------------------------------
+
+    def _record_quorum(self, new_root: Digest, request: Request) -> None:
+        """Remember a verified op's expected lineage entry: the primary
+        must have deposited exactly ``new_root`` at the counter the step
+        just advanced to."""
+        if self.quorum is None:
+            return
+        self.quorum.record(
+            self.state.gctr, new_root, request_frame=encode(request),
+            response_frame=self._capture[-1] if self._capture else b"")
+
+    def _maybe_quorum_check(self) -> None:
+        """Every ``quorum_every`` verified ops, confirm the pending
+        lineage against a random f+1 witness sample.  Counters no
+        witness holds yet (replication lag) simply stay pending; a
+        proven divergence raises :class:`ReplicationDivergence` out of
+        the operation that triggered the check."""
+        if self.quorum is None:
+            return
+        self._ops_since_quorum += 1
+        if self._ops_since_quorum >= self._quorum_every:
+            self._ops_since_quorum = 0
+            self.quorum.check()
+
+    def quorum_check(self, require_all: bool = False):
+        """Confirm the recorded lineage now; see
+        :meth:`~repro.net.replication.QuorumChecker.check`."""
+        if self.quorum is None:
+            return set()
+        return self.quorum.check(require_all=require_all)
+
+    # -- evidence -----------------------------------------------------------
+
+    def _evidence_fields(self) -> dict:
+        """The protocol's own ``response_bundle`` fields: ``op_index``,
+        ``client_state``, ``anchor`` and, with a PKI, ``verifier_keys``."""
+        raise NotImplementedError
+
+    def _on_detection(self, exc: IntegrityError, request: Request) -> None:
+        """A verification failed: count it and, when an evidence
+        directory is configured, capture a forensic bundle (the verbatim
+        frames, the pre-operation state object, the anchor lineage or
+        key directory) so the deviation is provable offline.  Sets
+        ``exc.evidence_path``."""
+        if _obs.enabled:
+            _DETECTIONS.inc(user=self.user_id, protocol=self.protocol)
+        if self._evidence_dir is None:
+            return
+        fields = self._evidence_fields()
+        bundle = evidence.response_bundle(
+            protocol=self.protocol, user_id=self.user_id, reason=str(exc),
+            order=StoreSpec.coerce(self._order).to_wire(),
+            request_frame=encode(request),
+            response_frame=self._capture[-1] if self._capture else b"",
+            **fields)
+        os.makedirs(self._evidence_dir, exist_ok=True)
+        path = os.path.join(self._evidence_dir,
+                            f"{self.user_id}-{fields['op_index']}.evidence")
+        exc.evidence_path = evidence.write_bundle(path, bundle)
+
+    # convenience verbs
+    def get(self, key: bytes) -> bytes | None:
+        return self.execute(ReadQuery(key))
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.execute(WriteQuery(key, value))
+
+    def delete(self, key: bytes) -> None:
+        self.execute(DeleteQuery(key))
+
+    def scan(self, low: bytes, high: bytes):
+        return self.execute(RangeQuery(low, high))
+
+
 _ANCHOR_MAGIC = "client-anchor 1"
 
 
-class RemoteClient:
-    """One user's verified session against a TCP server.
+class RemoteClient(_Session):
+    """One user's verified Protocol II session against a TCP server.
 
     ``anchor_path`` (optional) persists the trust anchor -- initial
     tag, sigma/last registers, counter, and the request-id sequence --
@@ -197,6 +332,11 @@ class RemoteClient:
     operations (and on demand via :meth:`quorum_check`).
     """
 
+    protocol = "II"
+    sigma = register("sigma")
+    last = register("last")
+    gctr = register("gctr")
+
     def __init__(self, host: str, port: int | None = None,
                  user_id: str = "anonymous",
                  initial_root: Digest | None = None,
@@ -208,8 +348,8 @@ class RemoteClient:
                  evidence_dir: str | None = None,
                  endpoints=None,
                  quorum=None, quorum_every: int = 8) -> None:
-        self.user_id = user_id
-        self._order = order
+        super().__init__(user_id, order, XorRegisters(user_id, order),
+                         evidence_dir, quorum, quorum_every)
         if endpoints is None:
             if port is None and isinstance(host, (list, tuple)):
                 endpoints = list(host)
@@ -220,30 +360,9 @@ class RemoteClient:
         self._host, self._port = self._connector.current
         self._connect_timeout = connect_timeout
         self._op_timeout = op_timeout
-        self.quorum = quorum
-        if quorum is not None:
-            quorum.set_order(order)
-        if quorum_every < 1:
-            raise ValueError("quorum_every must be at least 1")
-        self._quorum_every = quorum_every
-        self._ops_since_quorum = 0
         self._retry = retry or RetryPolicy()
         self._anchor_path = anchor_path
-        self._evidence_dir = evidence_dir
-        self._capture: list[bytes] = []
-        self.sigma = Digest.zero()
-        self.last = Digest.zero()
-        self.gctr = 0
         self.operations = 0
-        self._seq = 0
-        # Request ids must name a *logical operation* uniquely for as
-        # long as the server's dedup window may remember it.  A bare
-        # ``user:seq`` resets with every anchor-less client object, so
-        # a new session for the same user could collide with the old
-        # session's window; the per-session nonce rules that out.  The
-        # anchor persists it, so a resumed process keeps deduping its
-        # own in-flight retries.
-        self._rid_nonce = os.urandom(4).hex()
         self._initial_tag = None
         if anchor_path is not None and os.path.isfile(anchor_path):
             self._load_anchor()
@@ -348,8 +467,7 @@ class RemoteClient:
             self.gctr = int(fields["gctr"])
             self.operations = int(fields["operations"])
             self._seq = int(fields["seq"])
-            # absent in pre-nonce anchors: keep their bare rid format
-            self._rid_nonce = fields.get("nonce", "")
+            self._rid_nonce = fields["nonce"]
         except KeyError as exc:
             corrupt(f"missing field {exc.args[0]!r}", exc)
         except ValueError as exc:
@@ -374,9 +492,8 @@ class RemoteClient:
             f"gctr {self.gctr}",
             f"operations {self.operations}",
             f"seq {self._seq}",
+            f"nonce {self._rid_nonce}",
         ]
-        if self._rid_nonce:
-            lines.append(f"nonce {self._rid_nonce}")
         atomic_write(self._anchor_path,
                      ("\n".join(lines) + "\n").encode("ascii"))
 
@@ -423,12 +540,6 @@ class RemoteClient:
             f"operation failed after {io_failures} connection failure(s) and "
             f"{busy_failures} busy refusal(s): {last_error}") from last_error
 
-    def _rid(self, seq: int) -> str:
-        """The idempotency token for logical operation ``seq``."""
-        if self._rid_nonce:
-            return f"{self.user_id}:{self._rid_nonce}:{seq}"
-        return f"{self.user_id}:{seq}"
-
     def execute(self, query: Query) -> object:
         """Send a query; verify the response; return the trusted answer."""
         started = time.perf_counter_ns() if _obs.enabled else 0
@@ -447,138 +558,50 @@ class RemoteClient:
 
     def _absorb(self, query: Query, request: Request,
                 response: Response) -> object:
-        """Verify one response and fold it into the registers.
-
-        The verification core shared by the stop-and-wait path above
-        and the pipelined client
-        (:class:`~repro.net.pipeline.PipelinedRemoteClient`): counter
-        regression check, VO-derived root transition, tagged-state XOR
-        accumulation, evidence capture on detection.
-        """
-        try:
-            try:
-                ctr = int(response.extras["ctr"])
-                last_user = response.extras["last_user"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IntegrityError("malformed response") from exc
-            if ctr < self.gctr:
-                raise IntegrityError(
-                    f"operation counter regressed: {ctr} after {self.gctr}")
-            if ctr == 0 and last_user != INITIAL_OWNER:
-                raise IntegrityError("initial state attributed to a user")
-            try:
-                outcome = derive_outcome(query, response.result, self._order)
-            except ProofError as exc:
-                raise IntegrityError(
-                    f"verification object rejected: {exc}") from exc
-        except IntegrityError as exc:
-            if isinstance(exc, ServerBusyError):
-                raise
-            self._on_detection(exc, request)
-            raise
-        old_tag = hash_tagged_state(outcome.old_root, ctr, last_user)
-        new_tag = hash_tagged_state(outcome.new_root, ctr + 1, self.user_id)
-        self.sigma = self.sigma ^ old_tag ^ new_tag
-        self.last = new_tag
-        self.gctr = ctr + 1
+        """One verified operation, shared by the stop-and-wait path
+        above and the pipelined client
+        (:class:`~repro.net.pipeline.PipelinedRemoteClient`): the
+        protocol step, then the transport's own bookkeeping."""
+        outcome = self._verify(query, request, response)
         self.operations += 1
-        self._record_quorum(ctr + 1, outcome.new_root, request)
+        self._record_quorum(outcome.new_root, request)
         self._maybe_quorum_check()
         return outcome.answer
 
-    # -- witness quorum -----------------------------------------------------
-
-    def _record_quorum(self, ctr: int, new_root, request: Request) -> None:
-        """Remember a verified op's expected lineage entry: the primary
-        must have deposited exactly ``new_root`` at counter ``ctr``."""
-        if self.quorum is None:
-            return
-        from repro.wire import encode
-
-        self.quorum.record(
-            ctr, new_root, request_frame=encode(request),
-            response_frame=self._capture[-1] if self._capture else b"")
-
-    def _maybe_quorum_check(self) -> None:
-        """Every ``quorum_every`` verified ops, confirm the pending
-        lineage against a random f+1 witness sample.  Counters no
-        witness holds yet (replication lag) simply stay pending; a
-        proven divergence raises :class:`ReplicationDivergence` out of
-        the operation that triggered the check."""
-        if self.quorum is None:
-            return
-        self._ops_since_quorum += 1
-        if self._ops_since_quorum >= self._quorum_every:
-            self._ops_since_quorum = 0
-            self.quorum.check()
-
-    def quorum_check(self, require_all: bool = False):
-        """Confirm the recorded lineage now; see
-        :meth:`~repro.net.replication.QuorumChecker.check`."""
-        if self.quorum is None:
-            return set()
-        return self.quorum.check(require_all=require_all)
-
-    def _on_detection(self, exc: IntegrityError, request: Request) -> None:
-        """A verification failed: count it and, when an evidence
-        directory is configured, capture a forensic bundle (the verbatim
-        frames, the pre-operation registers, the anchor lineage) so the
-        deviation is provable offline.  Sets ``exc.evidence_path``."""
-        if _obs.enabled:
-            _DETECTIONS.inc(user=self.user_id, protocol="II")
-        if self._evidence_dir is None:
-            return
-        from repro.net import evidence
-        from repro.wire import encode
-
-        bundle = evidence.response_bundle(
-            protocol="II", user_id=self.user_id, reason=str(exc),
-            op_index=self.operations,
-            order=StoreSpec.coerce(self._order).to_wire(),
-            request_frame=encode(request),
-            response_frame=self._capture[-1] if self._capture else b"",
-            client_state={"sigma": self.sigma, "last": self.last,
-                          "gctr": self.gctr, "seq": self._seq},
-            anchor=evidence.anchor_lineage(self._initial_tag,
-                                           self._anchor_path))
-        os.makedirs(self._evidence_dir, exist_ok=True)
-        path = os.path.join(self._evidence_dir,
-                            f"{self.user_id}-{self._seq}.evidence")
-        exc.evidence_path = evidence.write_bundle(path, bundle)
-
-    # convenience verbs
-    def get(self, key: bytes) -> bytes | None:
-        return self.execute(ReadQuery(key))
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.execute(WriteQuery(key, value))
-
-    def delete(self, key: bytes) -> None:
-        self.execute(DeleteQuery(key))
-
-    def scan(self, low: bytes, high: bytes):
-        return self.execute(RangeQuery(low, high))
+    def _evidence_fields(self) -> dict:
+        return {
+            "op_index": self.operations,
+            "client_state": {**self.state.snapshot(), "seq": self._seq},
+            "anchor": evidence.anchor_lineage(self._initial_tag,
+                                              self._anchor_path),
+        }
 
     def registers(self) -> dict:
         """This user's contribution to a sync check."""
         return {"sigma": self.sigma, "last": self.last}
 
 
-class RemoteClientP1:
+class RemoteClientP1(_Session):
     """A Protocol I session over TCP: signed roots, blocking follow-up.
 
     Needs a signer (this user's key) and a verifier holding every
-    user's public key (from the PKI); after each verified operation the
-    client sends back ``sign_i(h(new_root || ctr + 1))``, unblocking
-    the server for the next query.
+    user's public key (from the PKI); after each verified operation
+    that closes a signing run the client sends back
+    ``sign_i(h(new_root || ctr + 1))``, unblocking the server for the
+    next query.
 
     Carries the same socket timeouts as :class:`RemoteClient` so a hung
     server cannot park the session forever, but does *not* transparently
     reconnect: Protocol I's blocking follow-up makes a half-done
     operation visible to every other user, so the honest reaction to a
     lost connection is to surface it and let the operator re-establish
-    the session deliberately.
+    the session deliberately.  For the same reason its requests carry
+    no request id.
     """
+
+    protocol = "I"
+    lctr = register("lctr")
+    gctr = register("gctr")
 
     def __init__(self, host: str, port: int, user_id: str,
                  signer, verifier, order: "int | StoreSpec" = 8,
@@ -586,24 +609,13 @@ class RemoteClientP1:
                  op_timeout: float = OP_TIMEOUT_SECONDS,
                  evidence_dir: str | None = None,
                  quorum=None, quorum_every: int = 8) -> None:
-        from repro.crypto.hashing import hash_state
-
-        self._hash_state = hash_state
-        self.user_id = user_id
-        self._order = order
+        super().__init__(user_id, order,
+                         SignedRootChain(user_id, verifier, order),
+                         evidence_dir, quorum, quorum_every)
         self._signer = signer
-        self._verifier = verifier
-        self._evidence_dir = evidence_dir
-        self._capture: list[bytes] = []
-        self.lctr = 0
-        self.gctr = 0
-        self.quorum = quorum
-        if quorum is not None:
-            quorum.set_order(order)
-        if quorum_every < 1:
-            raise ValueError("quorum_every must be at least 1")
-        self._quorum_every = quorum_every
-        self._ops_since_quorum = 0
+        #: signatures produced; against a batching server a pipelined
+        #: session sends ~operations/W of them
+        self.followups_sent = 0
         self._sock = open_connection(
             (host, port), connect_timeout, op_timeout)
 
@@ -619,9 +631,6 @@ class RemoteClientP1:
         self.close()
 
     def execute(self, query: Query) -> object:
-        from repro.crypto.signatures import Signature
-        from repro.protocols.base import Followup
-
         started = time.perf_counter_ns() if _obs.enabled else 0
         request = Request(query=query, extras={"user": self.user_id})
         self._capture.clear()
@@ -632,101 +641,42 @@ class RemoteClientP1:
         except (OSError, FramingError) as exc:
             raise TransientNetworkError(
                 f"Protocol I operation failed in transit: {exc}") from exc
-        try:
-            try:
-                ctr = int(response.extras["ctr"])
-                last_user = response.extras["last_user"]
-                signature = response.extras["sig"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IntegrityError("malformed response") from exc
-            if ctr < self.gctr:
-                raise IntegrityError(
-                    f"operation counter regressed: {ctr} after {self.gctr}")
-            try:
-                outcome = derive_outcome(query, response.result, self._order)
-            except ProofError as exc:
-                raise IntegrityError(
-                    f"verification object rejected: {exc}") from exc
-            expected = self._hash_state(outcome.old_root, ctr)
-            if not isinstance(signature, Signature) or signature.signer_id != last_user \
-                    or not self._verifier.verify(signature, expected):
-                raise IntegrityError("illegitimate state signature")
-        except IntegrityError as exc:
-            if isinstance(exc, ServerBusyError):
-                raise
-            self._on_detection(exc, request)
-            raise
-        self.lctr += 1
-        self.gctr = ctr + 1
-        new_sig = self._signer.sign(self._hash_state(outcome.new_root, ctr + 1))
-        send_message(self._sock, Followup(extras={"sig": new_sig, "user": self.user_id}))
-        self._record_quorum(ctr + 1, outcome.new_root, request)
-        self._maybe_quorum_check()
+        answer = self._absorb(query, request, response)
         if started:
             _CLIENT_OP_MS.observe(
                 (time.perf_counter_ns() - started) / 1e6, user=self.user_id)
+        return answer
+
+    def _absorb(self, query: Query, request: Request,
+                response: Response) -> object:
+        """One verified operation, stop-and-wait or pipelined: the
+        protocol step, the follow-up signature when the step asks for
+        one, then the quorum bookkeeping."""
+        outcome, to_sign = self._verify(query, request, response)
+        if to_sign is not None:
+            try:
+                send_message(self._sock, Followup(extras={
+                    "sig": self._signer.sign(to_sign), "user": self.user_id}))
+            except (OSError, FramingError) as exc:
+                raise TransientNetworkError(
+                    f"Protocol I follow-up failed in transit: {exc}") from exc
+            self.followups_sent += 1
+        # Only after any due follow-up went out: a divergence raised by
+        # the quorum check must not leave the server blocked on us.
+        self._record_quorum(outcome.new_root, request)
+        self._maybe_quorum_check()
         return outcome.answer
 
-    _record_quorum = RemoteClient._record_quorum
-    _maybe_quorum_check = RemoteClient._maybe_quorum_check
-    quorum_check = RemoteClient.quorum_check
-
-    def _on_detection(self, exc: IntegrityError, request: Request) -> None:
-        """Count the detection and capture a forensic bundle carrying
-        the public-key directory, so the signature verdict is
-        reproducible offline without the PKI."""
-        if _obs.enabled:
-            _DETECTIONS.inc(user=self.user_id, protocol="I")
-        if self._evidence_dir is None:
-            return
-        from repro.net import evidence
-        from repro.wire import encode
-
-        bundle = evidence.response_bundle(
-            protocol="I", user_id=self.user_id, reason=str(exc),
-            op_index=self.lctr,
-            order=StoreSpec.coerce(self._order).to_wire(),
-            request_frame=encode(request),
-            response_frame=self._capture[-1] if self._capture else b"",
-            client_state={"lctr": self.lctr, "gctr": self.gctr},
-            anchor=evidence.anchor_lineage(None, None),
-            verifier_keys=evidence.key_directory(self._verifier))
-        os.makedirs(self._evidence_dir, exist_ok=True)
-        path = os.path.join(self._evidence_dir,
-                            f"{self.user_id}-{self.lctr}.evidence")
-        exc.evidence_path = evidence.write_bundle(path, bundle)
-
-    def get(self, key: bytes) -> bytes | None:
-        return self.execute(ReadQuery(key))
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.execute(WriteQuery(key, value))
+    def _evidence_fields(self) -> dict:
+        """The public-key directory rides along, so the signature
+        verdict is reproducible offline without the PKI."""
+        return {
+            "op_index": self.lctr,
+            "client_state": self.state.snapshot(),
+            "anchor": evidence.anchor_lineage(None, None),
+            "verifier_keys": evidence.key_directory(self.state.verifier),
+        }
 
     def counts(self) -> dict:
         """This user's contribution to the Protocol I count sync."""
         return {"lctr": self.lctr, "gctr": self.gctr}
-
-
-def count_sync_check(counts: dict[str, dict]) -> bool:
-    """Protocol I's predicate over exchanged counts: some user's gctr
-    must equal the total of everyone's lctr."""
-    total = sum(entry["lctr"] for entry in counts.values())
-    operated = [entry for entry in counts.values() if entry["lctr"] > 0]
-    if not operated:
-        return total == 0
-    return any(entry["gctr"] == total for entry in operated)
-
-
-def sync_check(initial_root: Digest, registers: dict[str, dict]) -> bool:
-    """The Protocol II predicate over all users' exchanged registers.
-
-    True iff the server's behaviour is consistent with one serial
-    history (Theorem 4.2); exchange the registers over any channel the
-    server does not control.
-    """
-    initial_tag = initial_state_tag(initial_root)
-    total = xor_all(entry["sigma"] for entry in registers.values())
-    lasts = [entry["last"] for entry in registers.values() if entry["last"]]
-    if not lasts:
-        return total == Digest.zero()
-    return any((initial_tag ^ last) == total for last in lasts)

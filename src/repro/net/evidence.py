@@ -8,7 +8,9 @@ needs to re-run the failed verification *offline*:
 
 * the verbatim offending frames (the request as encoded, the response
   payload exactly as it came off the socket -- not a re-encoding);
-* the client's register/counter state immediately before the operation;
+* the client's protocol state object as it stood immediately before
+  the operation (Protocol I: counters *and* the signing-run head, so an
+  in-run response replays by chain membership as it was judged live);
 * the trust-anchor lineage (initial tag and, when the client persists
   an anchor file, its raw contents);
 * for Protocol I, the public-key directory the signature was checked
@@ -19,8 +21,9 @@ A bundle is a single file: an ASCII magic line followed by one
 wire-encoded dict (the codec already covers every type involved, and
 "equal objects encode identically" makes bundles canonical).
 
-:func:`reverify` replays the client-side checks against the recorded
-pre-operation state and answers the only question that matters after
+:func:`reverify` rebuilds the protocol's state object from the recorded
+pre-operation ``client_state``, runs the very step the client ran on
+the recorded frames, and answers the only question that matters after
 the fact: *is this bundle evidence of a genuine deviation, or would the
 response have verified cleanly?*  Four bundle kinds exist:
 
@@ -46,14 +49,15 @@ from __future__ import annotations
 import os
 
 from repro.crypto import rsa
-from repro.crypto.hashing import Digest, hash_state
-from repro.crypto.signatures import Signature
+from repro.crypto.hashing import Digest
+from repro.crypto.signatures import Signature, Verifier
 from repro.mtree.forest import StoreSpec
 from repro.mtree.proofs import ProofError
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.protocols.base import Response
-from repro.protocols.protocol2 import INITIAL_OWNER
+from repro.protocols.base import DeviationDetected, Request, Response
+from repro.protocols.protocol1 import SignedRootChain, count_sync_check
+from repro.protocols.protocol2 import XorRegisters, sync_check
 from repro.protocols.verify import derive_outcome
 from repro.storage.atomic import atomic_write
 from repro.wire import CODEC_VERSION, WireError, decode, encode
@@ -238,69 +242,43 @@ def reverify(bundle: dict) -> tuple[bool, str]:
 
 
 def _reverify_sync(bundle: dict) -> tuple[bool, str]:
-    from repro.net.client import sync_check
-
     if sync_check(bundle["initial_root"], bundle["registers"]):
         return False, "registers satisfy the sync predicate"
     return True, "no serial history explains the exchanged registers"
 
 
 def _reverify_count_sync(bundle: dict) -> tuple[bool, str]:
-    from repro.net.client import count_sync_check
-
     if count_sync_check(bundle["counts"]):
         return False, "counts satisfy the count-sync predicate"
     return True, "no user's gctr accounts for the total of local counters"
 
 
 def _reverify_response(bundle: dict) -> tuple[bool, str]:
+    """Replay rule: rebuild the protocol's state object as the client
+    recorded it before the operation and run the live step on the
+    recorded frames -- the bundle is genuine iff the step raises.  A
+    Protocol I bundle that records a signing run in progress is
+    therefore judged by chain membership, as it was live."""
     try:
         request = decode(bundle["request_frame"])
         response = decode(bundle["response_frame"])
     except WireError as exc:
         return True, f"offending frame does not decode: {exc}"
-    if not isinstance(response, Response):
-        return True, "offending frame is not a protocol response"
-    state = bundle["client_state"]
-    try:
-        ctr = int(response.extras["ctr"])
-        last_user = response.extras["last_user"]
-    except (KeyError, TypeError, ValueError):
-        return True, "response lacks well-formed ctr/last_user extras"
-    if ctr < int(state["gctr"]):
-        return True, (f"operation counter regressed: {ctr} after "
-                      f"recorded gctr {state['gctr']}")
-    if bundle["protocol"] == "II" and ctr == 0 and last_user != INITIAL_OWNER:
-        return True, "initial state attributed to a user"
-    try:
-        outcome = derive_outcome(request.query, response.result,
-                                 StoreSpec.coerce(bundle["order"]))
-    except ProofError as exc:
-        return True, f"verification object rejected: {exc}"
+    if not isinstance(response, Response) or not isinstance(request, Request):
+        return True, "recorded frames are not a protocol request and response"
+    order = StoreSpec.coerce(bundle["order"])
     if bundle["protocol"] == "I":
-        return _reverify_signature(bundle, response, outcome, ctr, last_user)
+        state = SignedRootChain(bundle["user"], Verifier({
+            signer_id: _bundle_key(bundle, signer_id)
+            for signer_id in bundle.get("verifier_keys", {})}), order)
+    else:
+        state = XorRegisters(bundle["user"], order)
+    state.restore(bundle["client_state"])
+    try:
+        state.step(request.query, response)
+    except DeviationDetected as exc:
+        return True, exc.reason
     return False, "response verifies cleanly against the recorded state"
-
-
-def _reverify_signature(bundle, response, outcome, ctr,
-                        last_user) -> tuple[bool, str]:
-    signature = response.extras.get("sig")
-    if not isinstance(signature, Signature):
-        return True, "response carries no state signature"
-    if signature.signer_id != last_user:
-        return True, (f"signature claims {signature.signer_id!r} but the "
-                      f"state is attributed to {last_user!r}")
-    key_info = bundle.get("verifier_keys", {}).get(signature.signer_id)
-    if key_info is None:
-        return True, f"no public key for claimed signer {signature.signer_id!r}"
-    key = rsa.PublicKey(modulus=int(key_info["modulus"], 16),
-                        exponent=int(key_info["exponent"]))
-    expected = hash_state(outcome.old_root, ctr)
-    if signature.digest != expected:
-        return True, "signature covers a different state digest"
-    if not rsa.verify_digest(key, expected, signature.raw):
-        return True, "signature bytes do not verify under the signer's key"
-    return False, "state signature verifies cleanly"
 
 
 def _bundle_key(bundle: dict, signer_id: str):

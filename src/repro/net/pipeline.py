@@ -19,40 +19,31 @@ be at least as deep as the client's pipeline.
 
 Protocol I batching: the async server turns a run of W pipelined
 requests from one user into a *signing run* -- only the last response
-carries ``batch_final=True``.  The client verifies the run's first
-response against the server-presented RSA signature (the newest signed
-root) and each subsequent response by *hash-chain membership*: its
-VO-derived old root must equal the previous operation's derived new
-root with a contiguous counter.  It signs once, over the batch-final
-root, so RSA work drops from one sign + one verify per operation to at
-most one of each per batch -- while a tampered operation anywhere in
-the run still breaks either its VO or the root chain and is detected
-immediately.
+carries ``batch_final=True``.  How a run is verified (signed head, then
+hash-chain membership) is
+:class:`~repro.protocols.protocol1.SignedRootChain`'s business, the same
+object the stop-and-wait client holds; the client signs when the step
+hands it a digest, so RSA work drops from one sign + one verify per
+operation to at most one of each per batch.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 
-from repro.crypto.hashing import Digest
 from repro.mtree.database import Query
-from repro.mtree.proofs import ProofError
 from repro.net.client import (
     IntegrityError,
     RemoteClient,
     RemoteClientP1,
-    ServerBusyError,
     TransientNetworkError,
     _expect_response,
 )
-from repro.net.framing import (
-    FramingError, recv_message, send_message, send_messages)
+from repro.net.framing import FramingError, recv_message, send_messages
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.protocols.base import Followup, Request
-from repro.protocols.verify import derive_outcome
+from repro.protocols.base import Request, Response
 from repro.wire import WireError
 
 #: default pipeline window; the server's dedup window (256) must stay
@@ -85,19 +76,49 @@ class _Window:
     def inflight(self) -> int:
         return len(self._inflight)
 
-    def _hold(self, query: Query, request: Request) -> None:
+    def submit(self, query: Query) -> list:
+        """Queue one operation; returns answers completed on the way.
+
+        Blocks only when the window is full (drains the oldest slot) or
+        the transport needs recovery.  The request is written no later
+        than the next blocking read or a full window.
+        """
+        drained = []
+        while len(self._inflight) >= self.window:
+            if _obs.enabled:
+                _WINDOW_FULL.inc(user=self.user_id)
+            drained.append(self._drain_one())
+        request = Request(query=query, extras={
+            "user": self.user_id, "rid": self._rid(self._seq)})
+        self._seq += 1
         # A full window goes out now: it is then on the wire while the
         # caller submits to, or drains, another session.
         self._inflight.append((query, request))
         self._unsent += 1
         if len(self._inflight) >= self.window:
             self._flush()
+        return drained
 
     def _write_unsent(self) -> None:
         if self._unsent:
             held = list(self._inflight)[-self._unsent:]
             send_messages(self._sock, [request for _query, request in held])
             self._unsent = 0
+
+    def _answered(self, response: Response) -> tuple[Query, Request]:
+        """The operation ``response`` answers: the oldest in flight,
+        which an echoed request id must name."""
+        query, request = self._inflight.popleft()
+        echoed = response.extras.get("rid")
+        if echoed is not None and echoed != request.extras["rid"]:
+            exc = IntegrityError(
+                f"response names request id {echoed!r} but the oldest "
+                f"in-flight operation is {request.extras['rid']!r}: the "
+                "server reordered or dropped operations within one "
+                "connection")
+            self._on_detection(exc, request)
+            raise exc
+        return query, request
 
     def drain(self) -> list:
         """Complete (and verify) every in-flight operation, in order."""
@@ -126,24 +147,6 @@ class PipelinedRemoteClient(_Window, RemoteClient):
     def __init__(self, *args, window: int = DEFAULT_WINDOW, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._open_window(window)
-
-    def submit(self, query: Query) -> list:
-        """Queue one operation; returns answers completed on the way.
-
-        Blocks only when the window is full (drains the oldest slot) or
-        the transport needs recovery.  The request is written no later
-        than the next blocking read or a full window.
-        """
-        drained = []
-        while len(self._inflight) >= self.window:
-            if _obs.enabled:
-                _WINDOW_FULL.inc(user=self.user_id)
-            drained.append(self._drain_one())
-        request = Request(query=query, extras={
-            "user": self.user_id, "rid": self._rid(self._seq)})
-        self._seq += 1
-        self._hold(query, request)
-        return drained
 
     def _flush(self) -> None:
         """Put every held frame on the wire, reconnecting if need be."""
@@ -176,17 +179,7 @@ class PipelinedRemoteClient(_Window, RemoteClient):
                         f"connection failure(s): {exc}") from exc
                 time.sleep(policy.delay(failures - 1))
         response = _expect_response(message)
-        query, request = self._inflight.popleft()
-        echoed = response.extras.get("rid")
-        if echoed is not None and echoed != request.extras["rid"]:
-            exc = IntegrityError(
-                f"response names request id {echoed!r} but the oldest "
-                f"in-flight operation is {request.extras['rid']!r}: the "
-                "server reordered or dropped operations within one "
-                "connection")
-            self._on_detection(exc, request)
-            raise exc
-        answer = self._absorb(query, request, response)
+        answer = self._absorb(*self._answered(response), response)
         if self._anchor_path is not None:
             self.save_anchor()
         return answer
@@ -231,21 +224,14 @@ class PipelinedRemoteClientP1(_Window, RemoteClientP1):
     The async server answers a window of W requests as one signing run:
     intermediate responses carry ``batch_final=False`` and the stored
     (stale) head signature; only the final one demands the client's
-    follow-up signature.  Verification per response:
-
-    * *batch head* (first response after this client sent -- or
-      bootstrap-deposited -- a signature): full RSA verification of the
-      presented signature over ``h(old_root || ctr)``;
-    * *inside a run*: hash-chain membership -- the VO-derived old root
-      must equal the previous operation's derived new root, with
-      ``ctr`` advancing by exactly one.
-
-    Every operation's VO is still independently verified, so a tampered
-    answer or root anywhere in the run raises
-    :class:`~repro.net.client.IntegrityError` (with an evidence bundle
-    when configured) exactly as the unbatched client would.
-    ``followups_sent`` counts signatures produced: against the batching
-    server it is ~operations/W instead of ``operations``.
+    follow-up signature.  The session's
+    :class:`~repro.protocols.protocol1.SignedRootChain` verifies the
+    run -- RSA at the batch head, hash-chain membership inside it, every
+    VO independently -- so a tampered answer or root anywhere in the run
+    raises :class:`~repro.net.client.IntegrityError` (with an evidence
+    bundle when configured) exactly as the unbatched client would.
+    ``followups_sent`` against the batching server is ~operations/W
+    instead of ``operations``.
 
     No transparent reconnect, matching :class:`RemoteClientP1`: a lost
     connection mid-run surfaces as ``TransientNetworkError``.
@@ -257,28 +243,6 @@ class PipelinedRemoteClientP1(_Window, RemoteClientP1):
         super().__init__(host, port, user_id, signer, verifier,
                          order=order, **kwargs)
         self._open_window(window)
-        self._rid_nonce = os.urandom(4).hex()
-        self._next_seq = 0
-        #: True when the next response must present a verifiable RSA
-        #: signature (batch head); False inside a signing run.
-        self._expect_signed = True
-        self._prev_new_root: Digest | None = None
-        self._prev_ctr: int | None = None
-        self.followups_sent = 0
-
-    def submit(self, query: Query) -> list:
-        """Queue one operation; returns answers completed on the way.
-        The request is written no later than the next blocking read or
-        a full window."""
-        drained = []
-        while len(self._inflight) >= self.window:
-            drained.append(self._drain_one())
-        request = Request(query=query, extras={
-            "user": self.user_id,
-            "rid": f"{self.user_id}:{self._rid_nonce}:{self._next_seq}"})
-        self._next_seq += 1
-        self._hold(query, request)
-        return drained
 
     def _flush(self) -> None:
         try:
@@ -288,8 +252,6 @@ class PipelinedRemoteClientP1(_Window, RemoteClientP1):
                 f"Protocol I pipelined submit failed in transit: {exc}") from exc
 
     def _drain_one(self) -> object:
-        from repro.crypto.signatures import Signature
-
         self._flush()
         try:
             self._capture.clear()
@@ -301,70 +263,4 @@ class PipelinedRemoteClientP1(_Window, RemoteClientP1):
                 f"Protocol I pipelined operation failed in transit: "
                 f"{exc}") from exc
         response = _expect_response(message)
-        query, request = self._inflight.popleft()
-        try:
-            echoed = response.extras.get("rid")
-            if echoed is not None and echoed != request.extras["rid"]:
-                raise IntegrityError(
-                    f"response names request id {echoed!r} but the oldest "
-                    f"in-flight operation is {request.extras['rid']!r}")
-            try:
-                ctr = int(response.extras["ctr"])
-                last_user = response.extras["last_user"]
-                signature = response.extras["sig"]
-                final = bool(response.extras.get("batch_final", True))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IntegrityError("malformed response") from exc
-            if ctr < self.gctr:
-                raise IntegrityError(
-                    f"operation counter regressed: {ctr} after {self.gctr}")
-            try:
-                outcome = derive_outcome(query, response.result, self._order)
-            except ProofError as exc:
-                raise IntegrityError(
-                    f"verification object rejected: {exc}") from exc
-            if self._expect_signed:
-                expected = self._hash_state(outcome.old_root, ctr)
-                if (not isinstance(signature, Signature)
-                        or signature.signer_id != last_user
-                        or not self._verifier.verify(signature, expected)):
-                    raise IntegrityError("illegitimate state signature")
-            else:
-                # Inside a signing run: membership in the hash chain
-                # anchored at the batch head's verified signature.
-                if outcome.old_root != self._prev_new_root:
-                    raise IntegrityError(
-                        "batch root chain broken: this operation's "
-                        "pre-state is not the previous operation's "
-                        "post-state")
-                if self._prev_ctr is None or ctr != self._prev_ctr + 1:
-                    raise IntegrityError(
-                        f"batch counter not contiguous: {ctr} after "
-                        f"{self._prev_ctr}")
-        except IntegrityError as exc:
-            if isinstance(exc, ServerBusyError):
-                raise
-            self._on_detection(exc, request)
-            raise
-        self.lctr += 1
-        self.gctr = ctr + 1
-        self._prev_new_root = outcome.new_root
-        self._prev_ctr = ctr
-        if final:
-            new_sig = self._signer.sign(
-                self._hash_state(outcome.new_root, ctr + 1))
-            try:
-                send_message(self._sock, Followup(
-                    extras={"sig": new_sig, "user": self.user_id}))
-            except (OSError, FramingError) as exc:
-                raise TransientNetworkError(
-                    f"Protocol I follow-up failed in transit: {exc}") from exc
-            self.followups_sent += 1
-            self._expect_signed = True
-        else:
-            self._expect_signed = False
-        # Only after any due follow-up went out: a divergence raised by
-        # the quorum check must not leave the server blocked on us.
-        self._record_quorum(ctr + 1, outcome.new_root, request)
-        self._maybe_quorum_check()
-        return outcome.answer
+        return self._absorb(*self._answered(response), response)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.crypto.hashing import Digest
 from repro.protocols.base import ClientContext, DeviationDetected, Response
-from repro.protocols.protocol2 import Protocol2Client
+from repro.protocols.protocol2 import Protocol2Client, sync_holds
 from repro.mtree.database import Query
 
 
@@ -152,10 +152,7 @@ class AggregatedProtocol2Client(Protocol2Client):
         if tag not in self._agg_verdict:
             return
         self._seen_totals.add(tag)
-        if self.last:
-            mine = (self._initial_tag ^ total) == self.last
-        else:
-            mine = total == Digest.zero()
+        mine = sync_holds(self._initial_tag, self.last, total)
         self._agg_verdict[tag] = self._agg_verdict[tag] or mine
         self._maybe_forward_verdict(tag, ctx)
 

@@ -28,10 +28,10 @@ regression test).
 
 from __future__ import annotations
 
-from repro.crypto.hashing import hash_state
+from repro.crypto.hashing import Digest, hash_state
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.mtree.database import Query
-from repro.mtree.proofs import ProofError
+from repro.mtree.forest import StoreSpec
 from repro.protocols.base import (
     ClientContext,
     DeviationDetected,
@@ -42,7 +42,12 @@ from repro.protocols.base import (
     ServerState,
 )
 from repro.protocols.syncbase import SyncingClient
-from repro.protocols.verify import derive_outcome
+from repro.protocols.verify import (
+    VerifiedOutcome,
+    register,
+    reject_regression,
+    verified_outcome,
+)
 
 META_SIG = "p1.sig"
 META_LAST_USER = "p1.last_user"
@@ -111,8 +116,134 @@ class Protocol1Server(ServerProtocol):
         state.meta[META_AWAITING] = False
 
 
+class SignedRootChain:
+    """One user's Protocol I verification state -- ``(lctr, gctr)`` and
+    the head of the current signing run -- and the step every response
+    goes through.
+
+    This is the only place the signed-root check is written; the
+    simulator client, the TCP clients (stop-and-wait and pipelined) and
+    the evidence re-verifier each hold one and call :meth:`step`.  A
+    response is judged one of two ways.  At a *batch head* -- the first
+    response after this user's signature went to the server, and every
+    response of a server that does not batch -- the presented signature
+    must be ``sign_j(h(M(D) || ctr))`` by the claimed last user ``j``.
+    *Inside a signing run* the stored signature is stale by design, so
+    the response must instead continue the hash chain the head
+    anchored: its VO-derived old root is the previous response's
+    derived new root, with the counter advancing by exactly one.
+    """
+
+    def __init__(self, user_id: str, verifier: Verifier,
+                 order: "int | StoreSpec" = 8) -> None:
+        self.user_id = user_id
+        self.verifier = verifier
+        self.order = order
+        self.lctr = 0  # total operations performed by this user
+        self.gctr = 0  # ctr value the *next* response must meet or exceed
+        self.head_expected = True
+        self.prev_root: Digest | None = None
+        self.prev_ctr: int | None = None
+
+    def step(self, query: Query,
+             response: Response) -> tuple[VerifiedOutcome, Digest | None]:
+        """Verify one response and fold it in, or raise
+        :class:`DeviationDetected` leaving the state untouched.
+
+        Returns the outcome and, when the response closes a signing run
+        (absent ``batch_final`` means it does), the digest
+        ``h(M(D') || ctr + 1)`` this user must sign and send back.
+        """
+        try:
+            ctr = int(response.extras["ctr"])
+            last_user = response.extras["last_user"]
+            signature = response.extras["sig"]
+        except (KeyError, TypeError, ValueError):
+            raise DeviationDetected(
+                self.user_id,
+                "malformed response: no well-formed ctr/last_user/sig") from None
+        final = bool(response.extras.get(BATCH_FINAL_KEY, True))
+        # advance() applies the rule again; here it comes first so that a
+        # rewound counter is reported as one, not as the signature over a
+        # different (root, ctr) that it necessarily also is.
+        reject_regression(self.user_id, ctr, self.gctr)
+        outcome = verified_outcome(self.user_id, query, response, self.order)
+        if self.head_expected:
+            self._check_signature(signature, last_user,
+                                  hash_state(outcome.old_root, ctr))
+        elif outcome.old_root != self.prev_root:
+            raise DeviationDetected(
+                self.user_id,
+                "batch root chain broken: this operation's pre-state is "
+                "not the previous operation's post-state")
+        elif self.prev_ctr is None or ctr != self.prev_ctr + 1:
+            raise DeviationDetected(
+                self.user_id,
+                f"batch counter not contiguous: {ctr} after {self.prev_ctr}")
+        self.advance(ctr)
+        self.prev_root, self.prev_ctr = outcome.new_root, ctr
+        self.head_expected = final
+        return outcome, hash_state(outcome.new_root, ctr + 1) if final else None
+
+    def _check_signature(self, signature: object, last_user: str,
+                         expected: Digest) -> None:
+        if not isinstance(signature, Signature) or signature.signer_id != last_user:
+            raise DeviationDetected(
+                self.user_id,
+                "state signature does not name the claimed last user")
+        if signature.digest != expected:
+            raise DeviationDetected(
+                self.user_id,
+                "illegitimate state signature: it covers a different state "
+                "digest than the presented root and counter")
+        if not self.verifier.verify(signature, expected):
+            raise DeviationDetected(
+                self.user_id,
+                "illegitimate state signature: its bytes do not verify "
+                "under the signer's key")
+
+    def advance(self, ctr: int) -> None:
+        """The counter half of the step (all of it, for a model in
+        which signatures bind states by assumption)."""
+        reject_regression(self.user_id, ctr, self.gctr)
+        self.lctr += 1
+        self.gctr = ctr + 1
+
+    def snapshot(self) -> dict:
+        """The state as an evidence bundle's ``client_state``."""
+        return {"lctr": self.lctr, "gctr": self.gctr,
+                "head_expected": self.head_expected,
+                "prev_root": self.prev_root, "prev_ctr": self.prev_ctr}
+
+    def restore(self, snapshot: dict) -> None:
+        """A snapshot without the run-head fields is judged as a batch
+        head."""
+        self.lctr = int(snapshot["lctr"])
+        self.gctr = int(snapshot["gctr"])
+        self.head_expected = bool(snapshot.get("head_expected", True))
+        self.prev_root = snapshot.get("prev_root")
+        self.prev_ctr = snapshot.get("prev_ctr")
+
+
+def count_holds(gctr: int, total: int) -> bool:
+    """One user's count predicate (Theorem 4.1): its ``gctr`` equals
+    the total of everyone's ``lctr``."""
+    return gctr == total
+
+
+def count_sync_check(counts: dict[str, dict]) -> bool:
+    """Protocol I's predicate over exchanged counts: some user that
+    operated must hold a gctr equal to the total of everyone's lctr."""
+    total = sum(entry["lctr"] for entry in counts.values())
+    gctrs = [entry["gctr"] for entry in counts.values() if entry["lctr"] > 0]
+    return any(count_holds(gctr, total) for gctr in gctrs or [0])
+
+
 class Protocol1Client(SyncingClient):
-    """Client half: verify the chain of signed states; sync on counts."""
+    """Client half: :class:`SignedRootChain` plus the count sync."""
+
+    lctr = register("lctr")
+    gctr = register("gctr")
 
     def __init__(
         self,
@@ -127,45 +258,12 @@ class Protocol1Client(SyncingClient):
         if signer.signer_id != user_id:
             raise ValueError("signer identity must match the user id")
         self._signer = signer
-        self._verifier = verifier
-        self._order = order
-        self.lctr = 0  # total operations performed by this user
-        self.gctr = 0  # ctr value the *next* response must meet or exceed
+        self.state = SignedRootChain(user_id, verifier, order)
 
     def _verify_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        try:
-            ctr = int(response.extras["ctr"])
-            last_user = response.extras["last_user"]
-            signature = response.extras["sig"]
-        except (KeyError, TypeError, ValueError):
-            raise DeviationDetected(self.user_id, "malformed Protocol I response") from None
-
-        if ctr < self.gctr:
-            raise DeviationDetected(
-                self.user_id,
-                f"operation counter regressed: server presented ctr={ctr} "
-                f"after this user already advanced it to {self.gctr}",
-            )
-
-        try:
-            outcome = derive_outcome(query, response.result, self._order)
-        except ProofError as exc:
-            raise DeviationDetected(self.user_id, f"verification object rejected: {exc}") from exc
-
-        expected_state = hash_state(outcome.old_root, ctr)
-        if not isinstance(signature, Signature) or signature.signer_id != last_user:
-            raise DeviationDetected(self.user_id, "state signature does not name the claimed last user")
-        if not self._verifier.verify(signature, expected_state):
-            raise DeviationDetected(
-                self.user_id,
-                "illegitimate state signature: the presented root digest and "
-                "counter were never signed by the claimed user",
-            )
-
-        self.lctr += 1
-        self.gctr = ctr + 1
-        new_state = hash_state(outcome.new_root, ctr + 1)
-        ctx.send_to_server(Followup(extras={"sig": self._signer.sign(new_state)}))
+        outcome, to_sign = self.state.step(query, response)
+        if to_sign is not None:
+            ctx.send_to_server(Followup(extras={"sig": self._signer.sign(to_sign)}))
         return outcome.answer
 
     # -- sync ------------------------------------------------------------------
@@ -174,8 +272,8 @@ class Protocol1Client(SyncingClient):
         return {"lctr": self.lctr}
 
     def _evaluate_sync(self, data: dict[str, dict]) -> bool:
-        total = sum(entry["lctr"] for entry in data.values())
-        return self.gctr == total
+        return count_holds(
+            self.gctr, sum(entry["lctr"] for entry in data.values()))
 
     def state_size(self) -> int:
         # lctr, gctr, signer key, sync counters: constant.

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from repro.crypto.hashing import Digest, hash_tagged_state, xor_all
 from repro.mtree.database import Query
-from repro.mtree.proofs import ProofError
+from repro.mtree.forest import StoreSpec
 from repro.protocols.base import (
     ClientContext,
     DeviationDetected,
@@ -43,7 +43,12 @@ from repro.protocols.base import (
 )
 from repro.protocols.localization import CheckpointRing
 from repro.protocols.syncbase import SyncingClient
-from repro.protocols.verify import derive_outcome
+from repro.protocols.verify import (
+    VerifiedOutcome,
+    register,
+    reject_regression,
+    verified_outcome,
+)
 
 META_LAST_USER = "p2.last_user"
 INITIAL_OWNER = ""
@@ -76,8 +81,93 @@ class Protocol2Server(ServerProtocol):
         return response
 
 
+class XorRegisters:
+    """One user's Protocol II verification state -- ``(sigma, last,
+    gctr)`` -- and the step every response goes through.
+
+    This is the only place the register algebra is written.  The
+    simulator clients (Protocols II and III), the TCP clients, the
+    evidence re-verifier and the model checker each hold one of these
+    per user and call :meth:`step` (or, having roots and no VO,
+    :meth:`advance`).
+    """
+
+    def __init__(self, user_id: str, order: "int | StoreSpec" = 8) -> None:
+        self.user_id = user_id
+        self.order = order
+        self.sigma = Digest.zero()
+        self.last = Digest.zero()  # zero means "no operation yet"
+        self.gctr = 0
+
+    def step(self, query: Query, response: Response) -> VerifiedOutcome:
+        """Verify one response and fold it into the registers, or raise
+        :class:`DeviationDetected` leaving them untouched."""
+        try:
+            ctr = int(response.extras["ctr"])
+            last_user = response.extras["last_user"]
+        except (KeyError, TypeError, ValueError):
+            raise DeviationDetected(
+                self.user_id,
+                "malformed response: no well-formed ctr/last_user") from None
+        outcome = verified_outcome(self.user_id, query, response, self.order)
+        self.advance(ctr, last_user, outcome.old_root, outcome.new_root)
+        return outcome
+
+    def advance(self, ctr: int, last_user: str,
+                old_root: Digest, new_root: Digest) -> None:
+        """The step once the VO has yielded its roots: the counter and
+        initial-owner checks, then ``sigma ^= h(M(D)||ctr||j) ^
+        h(M(D')||ctr+1||i)``."""
+        reject_regression(self.user_id, ctr, self.gctr)
+        if ctr == 0 and last_user != INITIAL_OWNER:
+            raise DeviationDetected(
+                self.user_id, "initial state attributed to a user")
+        old_tag = hash_tagged_state(old_root, ctr, last_user)
+        new_tag = hash_tagged_state(new_root, ctr + 1, self.user_id)
+        self.sigma = self.sigma ^ old_tag ^ new_tag
+        self.last = new_tag
+        self.gctr = ctr + 1
+
+    def snapshot(self) -> dict:
+        """The registers as an evidence bundle's ``client_state``."""
+        return {"sigma": self.sigma, "last": self.last, "gctr": self.gctr}
+
+    def restore(self, snapshot: dict) -> None:
+        self.sigma = snapshot["sigma"]
+        self.last = snapshot["last"]
+        self.gctr = int(snapshot["gctr"])
+
+
+def sync_holds(initial_tag: Digest, last: Digest, total: Digest) -> bool:
+    """One user's sync predicate ``S0 ^ last_i == XOR_k sigma_k``, over
+    the XOR ``total`` of everyone's sigma.  A user that never operated
+    succeeds only on the pristine system (nobody operated, zero total)."""
+    if not last:
+        return total == Digest.zero()
+    return (initial_tag ^ total) == last
+
+
+def sync_check(initial_root: Digest, registers: dict[str, dict]) -> bool:
+    """The Protocol II predicate over all users' exchanged registers.
+
+    True iff the server's behaviour is consistent with one serial
+    history (Theorem 4.2): some user that operated holds the ``last``
+    that closes the telescoping XOR.  Exchange the registers over any
+    channel the server does not control.
+    """
+    initial_tag = initial_state_tag(initial_root)
+    total = xor_all(entry["sigma"] for entry in registers.values())
+    lasts = [entry["last"] for entry in registers.values() if entry["last"]]
+    return any(sync_holds(initial_tag, last, total)
+               for last in lasts or [Digest.zero()])
+
+
 class Protocol2Client(SyncingClient):
-    """Client half: accumulate tagged states; sync via XOR telescoping."""
+    """Client half: :class:`XorRegisters` plus the broadcast sync."""
+
+    sigma = register("sigma")
+    last = register("last")
+    gctr = register("gctr")
 
     def __init__(
         self,
@@ -88,18 +178,10 @@ class Protocol2Client(SyncingClient):
         order: int = 8,
         keep_checkpoints: bool = False,
         checkpoint_capacity: int = 64,
-        enforce_counter_check: bool = True,
     ) -> None:
         super().__init__(user_id, user_ids, k)
-        # Ablation switch (benchmarks only): disabling the step-4
-        # regression check re-opens the same-user double-counter hole
-        # in Lemma 4.1's in-degree argument.
-        self._enforce_counter_check = enforce_counter_check
-        self._order = order
         self._initial_tag = initial_state_tag(initial_root)
-        self.sigma = Digest.zero()
-        self.last = Digest.zero()  # zero means "no operation yet"
-        self.gctr = 0
+        self.state = XorRegisters(user_id, order)
         # Optional fault-localisation support (future-work item (1)):
         # snapshot the registers after every operation into a bounded
         # ring; see repro.protocols.localization.  The capacity bounds
@@ -107,34 +189,7 @@ class Protocol2Client(SyncingClient):
         self.checkpoints = CheckpointRing(checkpoint_capacity) if keep_checkpoints else None
 
     def _verify_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        try:
-            ctr = int(response.extras["ctr"])
-            last_user = response.extras["last_user"]
-        except (KeyError, TypeError, ValueError):
-            raise DeviationDetected(self.user_id, "malformed Protocol II response") from None
-
-        # Step 4: the per-user counter regression check.  Without it two
-        # transitions out of the same (state, ctr) could be validated by
-        # the *same* user, breaking the in-degree argument of Lemma 4.1.
-        if self._enforce_counter_check and ctr < self.gctr:
-            raise DeviationDetected(
-                self.user_id,
-                f"operation counter regressed: ctr={ctr} after this user "
-                f"already advanced it to {self.gctr}",
-            )
-        if ctr == 0 and last_user != INITIAL_OWNER:
-            raise DeviationDetected(self.user_id, "initial state attributed to a user")
-
-        try:
-            outcome = derive_outcome(query, response.result, self._order)
-        except ProofError as exc:
-            raise DeviationDetected(self.user_id, f"verification object rejected: {exc}") from exc
-
-        old_tag = hash_tagged_state(outcome.old_root, ctr, last_user)
-        new_tag = hash_tagged_state(outcome.new_root, ctr + 1, self.user_id)
-        self.sigma = self.sigma ^ old_tag ^ new_tag
-        self.last = new_tag
-        self.gctr = ctr + 1
+        outcome = self.state.step(query, response)
         if self.checkpoints is not None:
             self.checkpoints.record(self.gctr, self.sigma, self.last)
         return outcome.answer
@@ -146,11 +201,7 @@ class Protocol2Client(SyncingClient):
 
     def _evaluate_sync(self, data: dict[str, dict]) -> bool:
         total = xor_all(entry["sigma"] for entry in data.values())
-        if not self.last:
-            # A user that never operated succeeds only on the pristine
-            # system (nobody operated, total XOR is zero).
-            return total == Digest.zero()
-        return (self._initial_tag ^ total) == self.last
+        return sync_holds(self._initial_tag, self.last, total)
 
     def state_size(self) -> int:
         # sigma, last, gctr: constant regardless of history length.

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashing import Digest, hash_epoch_snapshot, hash_tagged_state, xor_all
+from repro.crypto.hashing import Digest, hash_epoch_snapshot, xor_all
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.mtree.database import Query, QueryResult
-from repro.mtree.proofs import ProofError
 from repro.protocols.base import (
     ClientContext,
     DeviationDetected,
@@ -44,8 +43,8 @@ from repro.protocols.base import (
     ServerProtocol,
     ServerState,
 )
-from repro.protocols.protocol2 import INITIAL_OWNER, initial_state_tag
-from repro.protocols.verify import derive_outcome
+from repro.protocols.protocol2 import INITIAL_OWNER, XorRegisters, initial_state_tag
+from repro.protocols.verify import register
 from repro.simulation.clock import LocalClock
 
 META_LAST_USER = "p3.last_user"
@@ -120,6 +119,10 @@ class Protocol3Server(ServerProtocol):
 class Protocol3Client(ProtocolClient):
     """Client half: Protocol II registers + epoch deposits + audits."""
 
+    sigma = register("sigma")
+    last = register("last")
+    gctr = register("gctr")
+
     def __init__(
         self,
         user_id: str,
@@ -135,13 +138,10 @@ class Protocol3Client(ProtocolClient):
         super().__init__(user_id)
         self.user_ids = sorted(user_ids)
         self.epoch_length = epoch_length
-        self._order = order
         self._initial_tag = initial_state_tag(initial_root)
         self._signer = signer
         self._verifier = verifier
-        self.sigma = Digest.zero()
-        self.last = Digest.zero()
-        self.gctr = 0
+        self.state = XorRegisters(user_id, order)
         self.current_epoch = 0
         self._pending_deposit: EpochDeposit | None = None
         self._clock = LocalClock(p=p, tick_probability=1.0 if p == 1 else 0.7, seed=clock_seed)
@@ -199,9 +199,9 @@ class Protocol3Client(ProtocolClient):
             answer = self._handle_audit_response(response)
             return answer
         self._observe_epoch(response)
-        answer = self._verify_operation(query, response)
+        outcome = self.state.step(query, response)
         self.completed_transactions += 1
-        return answer
+        return outcome.answer
 
     def _observe_epoch(self, response: Response) -> None:
         epoch = response.extras.get("epoch")
@@ -238,31 +238,6 @@ class Protocol3Client(ProtocolClient):
         )
         self.sigma = Digest.zero()
         self.current_epoch = epoch
-
-    def _verify_operation(self, query: Query, response: Response) -> object:
-        try:
-            ctr = int(response.extras["ctr"])
-            last_user = response.extras["last_user"]
-        except (KeyError, TypeError, ValueError):
-            raise DeviationDetected(self.user_id, "malformed Protocol III response") from None
-        if ctr < self.gctr:
-            raise DeviationDetected(
-                self.user_id,
-                f"operation counter regressed: ctr={ctr} after this user "
-                f"already advanced it to {self.gctr}",
-            )
-        if ctr == 0 and last_user != INITIAL_OWNER:
-            raise DeviationDetected(self.user_id, "initial state attributed to a user")
-        try:
-            outcome = derive_outcome(query, response.result, self._order)
-        except ProofError as exc:
-            raise DeviationDetected(self.user_id, f"verification object rejected: {exc}") from exc
-        old_tag = hash_tagged_state(outcome.old_root, ctr, last_user)
-        new_tag = hash_tagged_state(outcome.new_root, ctr + 1, self.user_id)
-        self.sigma = self.sigma ^ old_tag ^ new_tag
-        self.last = new_tag
-        self.gctr = ctr + 1
-        return outcome.answer
 
     # -- the audit itself ---------------------------------------------------
 

@@ -42,6 +42,7 @@ from repro.mtree.proofs import (
 )
 from repro.obs import runtime as _obs
 from repro.obs.metrics import BYTE_BUCKETS, REGISTRY as _registry
+from repro.protocols.base import DeviationDetected, Response
 from repro.obs.tracing import TRACER as _tracer
 
 _OPS_VERIFIED = _registry.counter(
@@ -95,6 +96,38 @@ def derive_outcome(
     except WireError:  # pragma: no cover - test-local proof stand-ins
         pass
     return outcome
+
+
+def verified_outcome(
+    user_id: str, query: Query, response: Response, order: int | StoreSpec
+) -> VerifiedOutcome:
+    """:func:`derive_outcome` as a protocol step sees it: a VO that
+    does not check out is a deviation by the server."""
+    try:
+        return derive_outcome(query, response.result, order)
+    except ProofError as exc:
+        raise DeviationDetected(
+            user_id, f"verification object rejected: {exc}") from exc
+
+
+def reject_regression(user_id: str, ctr: int, gctr: int) -> None:
+    """The per-user counter rule of all three protocols (Protocol II
+    step 4): a response may not present a counter older than one this
+    user has already advanced.  Without it two transitions out of the
+    same (state, ctr) could be validated by the *same* user, breaking
+    the in-degree argument of Lemma 4.1."""
+    if ctr < gctr:
+        raise DeviationDetected(
+            user_id,
+            f"operation counter regressed: server presented ctr={ctr} "
+            f"after this user already advanced it to {gctr}")
+
+
+def register(name: str) -> property:
+    """A client attribute that is a register of its ``state`` object:
+    ``client.gctr`` reads and assigns ``client.state.gctr``."""
+    return property(lambda self: getattr(self.state, name),
+                    lambda self, value: setattr(self.state, name, value))
 
 
 def _derive_outcome(

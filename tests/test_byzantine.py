@@ -212,6 +212,10 @@ class TestWireAttacksProtocol1:
             assert genuine, why
             assert "verify under the signer's key" in why
             assert inspect(path)[0] == 0
+            # a bundle recording no run head is judged as a batch head
+            bundle["client_state"] = {
+                name: bundle["client_state"][name] for name in ("lctr", "gctr")}
+            assert evidence.reverify(bundle) == (genuine, why)
         finally:
             server.stop()
 
@@ -283,7 +287,9 @@ class TestAsyncBatchedDetection:
                 alice.submit(WriteQuery(f"k{i}".encode(), f"v{i}".encode()))
             alice.drain()
             with pytest.raises(IntegrityError) as exc:
-                for i in range(8):
+                # an absent key is never tampered: the run's head is honest
+                alice.submit(ReadQuery(b"absent"))
+                for i in range(7):
                     alice.submit(ReadQuery(f"k{i % 4}".encode()))
                 alice.drain()
             path = exc.value.evidence_path
@@ -294,8 +300,56 @@ class TestAsyncBatchedDetection:
             assert bundle["protocol"] == "I"
             genuine, why = evidence.reverify(bundle)
             assert genuine, why
+            # replayed by the rule the recorded state calls for: mid-run
+            # (the usual case here) the verdict names the chain or the
+            # VO, not the stale head signature every in-run response has
+            if bundle["client_state"]["head_expected"]:
+                assert "signature" in why
+            else:
+                assert "chain" in why or "verification object" in why
+                assert "signature" not in why
             assert inspect(path)[0] == 0
             alice.close()
+        finally:
+            server.stop()
+
+    def test_honest_in_run_responses_are_not_evidence(
+            self, shared_keys, tmp_path):
+        """Every honest response of a window=8 run, packaged exactly as
+        a detection would package it (frames + the pre-operation state
+        object), re-verifies clean.  The in-run ones carry the stale
+        head signature by design; only a replay that knows the run head
+        can tell that from a forgery."""
+        from repro.net import PipelinedRemoteClientP1
+        from repro.mtree.database import WriteQuery
+
+        class Accuser(PipelinedRemoteClientP1):
+            def _verify(self, query, request, response):
+                self._on_detection(IntegrityError("fabricated"), request)
+                return super()._verify(query, request, response)
+
+        server = self._p1_async_server(
+            shared_keys, attack=WireAttack(HonestBehavior()), batch_max=16)
+        try:
+            host, port = server.address
+            alice = Accuser(host, port, "alice", shared_keys.signers["alice"],
+                            shared_keys.verifier, order=4, window=8,
+                            evidence_dir=str(tmp_path))
+            for i in range(8):
+                alice.submit(WriteQuery(f"k{i}".encode(), b"v"))
+            alice.drain()
+            alice.close()
+            paths = sorted(str(tmp_path / name)
+                           for name in os.listdir(str(tmp_path)))
+            assert len(paths) == 8
+            in_run = 0
+            for path in paths:
+                bundle = evidence.read_bundle(path)
+                in_run += not bundle["client_state"]["head_expected"]
+                genuine, why = evidence.reverify(bundle)
+                assert not genuine, (path, why)
+                assert inspect(path)[0] == 1
+            assert in_run >= 1 and alice.followups_sent == 8 - in_run
         finally:
             server.stop()
 

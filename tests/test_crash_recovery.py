@@ -327,6 +327,9 @@ class TestKillAndRestart:
         rejected(b"\xff\xfe\x00\x01garbage\x80")
         # wrong magic line
         rejected("some-other-format 9\n" + original)
+        # no request-id nonce: a missing field like any other
+        rejected("".join(line for line in original.splitlines(True)
+                         if not line.startswith("nonce ")))
         # restore: an intact anchor still works after all that
         with open(anchor, "w", encoding="ascii") as handle:
             handle.write(original)

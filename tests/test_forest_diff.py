@@ -21,6 +21,7 @@ stores (S in {1, 2, 8}) at three levels:
 """
 
 import random
+import time
 
 import pytest
 
@@ -231,6 +232,15 @@ def _p1_wire_run(shards: int, attack_factory=None, *, k=4, steps=12):
                             replies.append("ack")
                     except IntegrityError:
                         detection = ("response", global_op)
+                    # A follow-up is sent, not acknowledged: wait until the
+                    # server has ticked it (two ticks an op), or the next
+                    # user's request, on its own connection, can be ticked
+                    # first and the deviation's ground-truth tick moves by
+                    # one from run to run.
+                    deadline = time.monotonic() + 5.0
+                    while (not detection and server.core.round < 2 * global_op
+                           and time.monotonic() < deadline):
+                        time.sleep(0.0005)
                     if not detection and global_op % (k * len(users)) == 0:
                         counts = {u: c.counts() for u, c in clients.items()}
                         if not count_sync_check(counts):

@@ -89,14 +89,16 @@ class TestExhaustive:
         the registers.  Restore the tagging and the space is clean."""
         from repro.analysis import modelcheck
         from repro.crypto.hashing import hash_bytes, hash_state
+        from repro.protocols import protocol2
 
         original_fresh = modelcheck._fresh_root
-        original_tag = modelcheck.hash_tagged_state
+        # the tag function where the deployed step looks it up
+        original_tag = protocol2.hash_tagged_state
         # content collisions: the state after op c is determined by c
         modelcheck._fresh_root = (
             lambda parent, op_index: hash_bytes(bytes([parent.ctr + 1])))
         try:
-            modelcheck.hash_tagged_state = (
+            protocol2.hash_tagged_state = (
                 lambda root, ctr, owner: hash_state(root, ctr))
             weakened = model_check(n_users=3, n_ops=3, enumerate_owner_lies=False)
             assert weakened.deviating_accepted > 0
@@ -104,12 +106,12 @@ class TestExhaustive:
             shapes = {c.picks for c in weakened.counterexamples}
             assert (0, 0, 0) in shapes
 
-            modelcheck.hash_tagged_state = original_tag
+            protocol2.hash_tagged_state = original_tag
             full = model_check(n_users=3, n_ops=3, enumerate_owner_lies=False)
             assert full.theorem_holds  # tagging closes the hole
         finally:
             modelcheck._fresh_root = original_fresh
-            modelcheck.hash_tagged_state = original_tag
+            protocol2.hash_tagged_state = original_tag
 
 
 class TestProtocol1Exhaustive:

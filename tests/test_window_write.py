@@ -141,9 +141,13 @@ class TestWindowWrite:
             client._sock = RecordingSocket.adopt(client._sock)
 
         client._connect = recording_connect
-        for query in queries:
-            client.submit(query)
-        first.shutdown(socket.SHUT_RDWR)         # the answers are lost
+        # The server executes under this lock: held, no answer can reach
+        # the socket's buffer before the shutdown, where a read would
+        # still find it.
+        with server.state_lock:
+            for query in queries:
+                client.submit(query)
+            first.shutdown(socket.SHUT_RDWR)     # the answers are lost
         assert len(client.drain()) == WINDOW
         assert client._sock is not first
         assert client._sock.writes == first.writes
