@@ -63,7 +63,6 @@ from repro.net import (  # noqa: E402
     WitnessProtocol,
     count_sync_check,
     make_replica_keys,
-    serve_async_in_thread,
     serve_in_thread,
     sync_check,
 )
@@ -103,17 +102,14 @@ def _sync_evidence(evidence_dir: str, tag: str, bundle: dict) -> str:
 # -- Protocol II runs ------------------------------------------------------
 
 def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
-           chaos=True, verbose=True, use_async=False) -> dict:
+           chaos=True, verbose=True) -> dict:
     """One seeded run: round-robin client fleet through the chaos proxy
     against a (possibly Byzantine) Protocol II server.  Returns the
     per-run record for the campaign report."""
     users = [f"u{i}" for i in range(n_users)]
     wire = WireAttack(attack_factory()) if attack_factory else None
     evidence_dir = tempfile.mkdtemp(prefix=f"byz-{name}-")
-    if use_async:
-        server = serve_async_in_thread(order=ORDER, attack=wire)
-    else:
-        server = serve_in_thread(order=ORDER, attack=wire)
+    server = serve_in_thread(order=ORDER, attack=wire)
     genesis = server.initial_root_digest()
     proxy = None
     host, port = server.address
@@ -197,7 +193,7 @@ def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
 # -- Protocol I runs -------------------------------------------------------
 
 def run_p1(name, attack_factory, *, seed, k=4, steps=10,
-           chaos=True, verbose=True, use_async=False) -> dict:
+           chaos=True, verbose=True) -> dict:
     """Protocol I fleet (alice operates first as the elected signer,
     then round-robin).  The P1 client does not transparently reconnect,
     so benign chaos is delay-only -- loss still reaches the *server
@@ -211,13 +207,8 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
     protocol = Protocol1Server()
     protocol.initialize(state)
     bootstrap_server_state(state, keys.signers["alice"])
-    if use_async:
-        server = serve_async_in_thread(order=ORDER, protocol=protocol,
-                                       state=state, block_timeout=10.0,
-                                       attack=wire)
-    else:
-        server = serve_in_thread(order=ORDER, protocol=protocol, state=state,
-                                 block_timeout=10.0, attack=wire)
+    server = serve_in_thread(order=ORDER, protocol=protocol, state=state,
+                             block_timeout=10.0, attack=wire)
     proxy = None
     host, port = server.address
     if chaos:
@@ -634,7 +625,7 @@ QUICK_P1 = {"p1-fork", "p1-sig-forge"}
 
 
 def run_campaign(seed: int = 2203, quick: bool = False,
-                 verbose: bool = True, use_async: bool = False) -> dict:
+                 verbose: bool = True) -> dict:
     from repro import obs
 
     obs.reset()
@@ -644,23 +635,19 @@ def run_campaign(seed: int = 2203, quick: bool = False,
         p2_steps = 8 if quick else 14
         p1_steps = 8 if quick else 12
         runs.append(run_p2("p2-honest-chaotic", None, seed=seed,
-                           steps=p2_steps, verbose=verbose,
-                           use_async=use_async))
+                           steps=p2_steps, verbose=verbose))
         runs.append(run_p1("p1-honest-chaotic", None, seed=seed + 1,
-                           steps=p1_steps, verbose=verbose,
-                           use_async=use_async))
+                           steps=p1_steps, verbose=verbose))
         for index, (name, factory) in enumerate(P2_ATTACKS):
             if quick and name not in QUICK_P2:
                 continue
             runs.append(run_p2(name, factory, seed=seed + 10 + index,
-                               steps=p2_steps, verbose=verbose,
-                               use_async=use_async))
+                               steps=p2_steps, verbose=verbose))
         for index, (name, factory) in enumerate(P1_ATTACKS):
             if quick and name not in QUICK_P1:
                 continue
             runs.append(run_p1(name, factory, seed=seed + 50 + index,
-                               steps=p1_steps, verbose=verbose,
-                               use_async=use_async))
+                               steps=p1_steps, verbose=verbose))
         obs_counters = {
             name: obs.registry.counter(name).total()
             for name in ("net.attacks_injected", "net.detections",
@@ -813,8 +800,6 @@ def main(argv=None) -> int:
                         help="exit non-zero unless every criterion holds")
     parser.add_argument("--seed", type=int, default=2203)
     parser.add_argument("--json", action="store_true", help="JSON only")
-    parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="run every attack against the asyncio server")
     parser.add_argument("--replicas", type=int, default=0, metavar="N",
                         help="run the N-server replicated campaign instead: "
                              "the gallery on the primary at N witnesses plus "
@@ -829,8 +814,7 @@ def main(argv=None) -> int:
         ok = replicated_campaign_passes(results)
     else:
         results = run_campaign(seed=args.seed, quick=args.quick,
-                               verbose=not args.json,
-                               use_async=args.use_async)
+                               verbose=not args.json)
         ok = campaign_passes(results)
     results["pass"] = ok
     print(json.dumps(results, indent=2))

@@ -50,12 +50,11 @@ from repro.net import (  # noqa: E402
     PipelinedRemoteClient,
     RemoteClient,
     RetryPolicy,
+    ServerCore,
     WalError,
-    serve_async_in_thread,
     serve_in_thread,
     sync_check,
 )
-from repro.net.server import TrustedCvsTcpServer  # noqa: E402
 
 ORDER = 8
 
@@ -81,24 +80,18 @@ def _reference_root(sequence) -> tuple:
     return database.root_digest(), len(sequence)
 
 
-def _start_server(data_dir: str, port: int, snapshot_every: int,
-                  use_async: bool):
-    if use_async:
-        return serve_async_in_thread(order=ORDER, port=port,
-                                     data_dir=data_dir,
-                                     snapshot_every=snapshot_every)
+def _start_server(data_dir: str, port: int, snapshot_every: int):
     return serve_in_thread(order=ORDER, port=port, data_dir=data_dir,
                            snapshot_every=snapshot_every)
 
 
-def _restart_server(data_dir: str, port: int, snapshot_every: int,
-                    use_async: bool = False):
+def _restart_server(data_dir: str, port: int, snapshot_every: int):
     # The freed port can linger in TIME_WAIT bookkeeping for a moment on
     # some platforms; retry briefly rather than flaking the campaign.
     deadline = time.monotonic() + 10.0
     while True:
         try:
-            return _start_server(data_dir, port, snapshot_every, use_async)
+            return _start_server(data_dir, port, snapshot_every)
         except OSError:
             if time.monotonic() > deadline:
                 raise
@@ -109,7 +102,7 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
                  restarts: int = 5, seed: int = 1301,
                  drop_rate: float = 0.012, truncate_rate: float = 0.01,
                  snapshot_every: int = 40, verbose: bool = True,
-                 use_async: bool = False, pipeline_depth: int = 1) -> dict:
+                 pipeline_depth: int = 1) -> dict:
     user_ids = [f"u{i}" for i in range(users)]
     sequence = _workload(user_ids, ops_per_user, keyspace)
     expected_root, expected_ops = _reference_root(sequence)
@@ -123,7 +116,6 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
         "users": users, "ops_per_user": ops_per_user, "keyspace": keyspace,
         "restarts": restarts, "seed": seed, "drop_rate": drop_rate,
         "truncate_rate": truncate_rate, "snapshot_every": snapshot_every,
-        "server": "async" if use_async else "threaded",
         "pipeline_depth": pipeline_depth,
     }}
     integrity_false_positives = 0
@@ -133,7 +125,7 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
 
     obs.reset()
     obs.enable()
-    server = _start_server(data_dir, 0, snapshot_every, use_async)
+    server = _start_server(data_dir, 0, snapshot_every)
     server_port = server.address[1]
     genesis = server.initial_root_digest()
     proxy = ChaosProxy(*server.address, seed=seed, config=ChaosConfig(
@@ -161,7 +153,7 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
             if step in restart_points:
                 server.stop(snapshot=False)  # crash: WAL only
                 server = _restart_server(data_dir, server_port,
-                                         snapshot_every, use_async)
+                                         snapshot_every)
                 wal_replays += server.replayed_records
                 if verbose:
                     print(f"  [step {step}] crash-restart: replayed "
@@ -196,13 +188,8 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
         registers = {user: client.registers()
                      for user, client in clients.items()}
         sync_ok = sync_check(genesis, registers)
-        if use_async:
-            final_root, final_ctr = server.read_state(
-                lambda state: (state.database.root_digest(), state.ctr))
-        else:
-            with server.state_lock:
-                final_root = server.state.database.root_digest()
-                final_ctr = server.state.ctr
+        final_root, final_ctr = server.with_core(
+            lambda core: (core.state.database.root_digest(), core.state.ctr))
     finally:
         for client in clients.values():
             client.close()
@@ -226,7 +213,7 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
         handle.seek(0)
         handle.write(blob)
     try:
-        TrustedCvsTcpServer(order=ORDER, data_dir=data_dir).server_close()
+        ServerCore(order=ORDER, data_dir=data_dir).close_store()
         tamper_detected = False
     except WalError:
         tamper_detected = True
@@ -281,8 +268,6 @@ def main(argv=None) -> int:
                         help="exit non-zero unless every criterion holds")
     parser.add_argument("--seed", type=int, default=1301)
     parser.add_argument("--json", action="store_true", help="JSON only")
-    parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="run the campaign against the asyncio server")
     parser.add_argument("--pipeline-depth", type=int, default=1,
                         help="client pipeline window (1 = stop-and-wait)")
     args = parser.parse_args(argv)
@@ -292,7 +277,6 @@ def main(argv=None) -> int:
                                restarts=2, seed=args.seed,
                                drop_rate=0.02, truncate_rate=0.015,
                                snapshot_every=16, verbose=not args.json,
-                               use_async=args.use_async,
                                pipeline_depth=args.pipeline_depth)
         require_min_faults = False
     else:
@@ -300,7 +284,6 @@ def main(argv=None) -> int:
                                restarts=5, seed=args.seed,
                                drop_rate=0.05, truncate_rate=0.035,
                                snapshot_every=48, verbose=not args.json,
-                               use_async=args.use_async,
                                pipeline_depth=args.pipeline_depth)
         require_min_faults = True
 

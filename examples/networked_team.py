@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Trusted CVS over real sockets: a deployable client/server session.
 
-Starts the TCP server (the untrusted party) in a background thread,
+Starts the TCP server (the untrusted party) on a background event loop,
 connects two verifying clients over localhost, does real work, then
 runs the Protocol II synchronisation check over registers the users
 exchange among themselves.  Finally the server operator "forks" the
@@ -42,15 +42,20 @@ def main() -> None:
           f"{'CONSISTENT' if sync_check(genesis, registers) else 'FORKED'}")
 
     # now the operator turns malicious: bob gets a private fork
-    with server.state_lock:
-        stale = server.state.clone()
+    def swap_state(state):
+        """Serve from ``state`` instead (swapped on the server's loop,
+        between two operations); returns the state served until now."""
+        def swap(core):
+            served, core.state = core.state, state
+            return served
+        return server.with_core(swap)
+
+    stale = server.with_core(lambda core: core.state.clone())
     alice.put(b"src/main.c", b"int main() { return 0; } /* alice v2 */")
-    with server.state_lock:
-        live, server.state = server.state, stale
+    live = swap_state(stale)
     bob.put(b"src/main.c", b"int main() { return 1; } /* bob's world */")
     bob_registers = bob.registers()
-    with server.state_lock:
-        server.state = live
+    swap_state(live)
     alice.get(b"src/main.c")
 
     registers = {"alice": alice.registers(), "bob": bob_registers}
@@ -59,8 +64,7 @@ def main() -> None:
 
     alice.close()
     bob.close()
-    server.shutdown()
-    server.server_close()
+    server.stop()
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ Usage (also via ``python -m repro``)::
     repro -R REPO merge PATH -b BRANCH              merge a branch to trunk
     repro -R REPO update PATH -r BASE --file F      merge head into a working file
     repro -R REPO trust                            show the trust anchor
-    repro -R REPO serve [-p PORT] [--durable] [--async] [--workers N]
+    repro -R REPO serve [-p PORT] [--durable] [--batch-max N]
                                                    host the repository over TCP
     repro --remote HOST:PORT ...                   run any command against a server
     repro obs-report [--protocol P] [--json]       simulate a workload, print obs metrics
@@ -320,8 +320,7 @@ def cmd_serve(args, out) -> int:
     import threading
 
     from repro.mtree.persistence import load_database as _load
-    from repro.net.aserver import serve_async_in_thread
-    from repro.net.server import serve_in_thread
+    from repro.net.aserver import serve_in_thread
     from repro.storage.atomic import LockError
 
     keys = None
@@ -370,31 +369,20 @@ def cmd_serve(args, out) -> int:
     # WAL appends with this one.
     lock = data_dir is not None
     try:
-        if args.use_async:
-            server = serve_async_in_thread(database=database,
-                                           protocol=protocol,
-                                           port=args.port, data_dir=data_dir,
-                                           snapshot_every=args.snapshot_every,
-                                           batch_max=args.batch_max,
-                                           replicator=replicator,
-                                           backend=args.backend, lock=lock)
-            core = f"async event loop, batches <= {args.batch_max}"
-        else:
-            server = serve_in_thread(database=database, protocol=protocol,
-                                     port=args.port, data_dir=data_dir,
-                                     snapshot_every=args.snapshot_every,
-                                     max_workers=args.workers,
-                                     replicator=replicator,
-                                     backend=args.backend, lock=lock)
-            core = "threaded" + (f", <= {args.workers} workers"
-                                 if args.workers else "")
+        server = serve_in_thread(database=database, protocol=protocol,
+                                 port=args.port, data_dir=data_dir,
+                                 snapshot_every=args.snapshot_every,
+                                 batch_max=args.batch_max,
+                                 replicator=replicator,
+                                 backend=args.backend, lock=lock)
     except LockError as exc:
         raise CliError(str(exc)) from exc
     host, port = server.address
     mode = ("in-memory" if not args.durable
             else f"durable (WAL + snapshots, {args.backend} backend)")
-    print(f"serving {args.repo} on {host}:{port}, {mode}, {core}, {role} "
-          "(SIGTERM/Ctrl-C to stop)", file=out)
+    print(f"serving {args.repo} on {host}:{port}, {mode}, "
+          f"batches <= {args.batch_max}, {role} (SIGTERM/Ctrl-C to stop)",
+          file=out)
     if args.durable and server.replayed_records:
         print(f"recovered: replayed {server.replayed_records} WAL record(s)", file=out)
     out.flush()
@@ -415,16 +403,11 @@ def cmd_serve(args, out) -> int:
         pass
     finally:
         # Graceful: quiesce, flush replication, fsync WAL, final
-        # snapshot -- identical sequence for both cores.
+        # snapshot.  The loop is gone after it, so the core is ours.
         clean = server.graceful_stop()
         if db_path is not None:
-            if args.use_async:
-                snapshot = dump_database(server.core.state.database)
-            else:
-                with server.state_lock:
-                    snapshot = dump_database(server.state.database)
             with open(db_path, "wb") as handle:
-                handle.write(snapshot)
+                handle.write(dump_database(server.core.state.database))
         suffix = "" if clean else " (quiesce timed out)"
         print(f"persisted and stopped{suffix}", file=out)
     return 0
@@ -702,13 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "crashes lose no acknowledged write")
     serve.add_argument("--snapshot-every", type=int, default=256,
                        help="ops between snapshots in --durable mode")
-    serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve on the asyncio core (batched root "
-                            "recomputes and signing runs)")
     serve.add_argument("--batch-max", type=int, default=64,
-                       help="max ops per drainer batch with --async")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="cap concurrent handler threads (threaded core)")
+                       help="max ops per drainer batch (one group commit, "
+                            "one root pass, one Protocol I signing run)")
     serve.add_argument("--replicas", type=int, default=0, metavar="N",
                        help="witness count of the replicated deployment "
                             "(fixes the shared keyring with --key-seed)")

@@ -11,7 +11,7 @@ that out-vote a forking primary through witness quorums."""
 from repro.net.aserver import (
     AsyncServerHandle,
     AsyncTrustedCvsServer,
-    serve_async_in_thread,
+    serve_in_thread,
 )
 from repro.net.byzantine import WireAttack, WitnessCollusion
 from repro.net.chaosproxy import ChaosConfig, ChaosProxy
@@ -43,13 +43,15 @@ from repro.net.core import DedupTable, ServerCore
 from repro.net.evidence import EvidenceError, read_bundle, reverify, write_bundle
 from repro.net.framing import FramingError, recv_message, send_message
 from repro.net.pipeline import PipelinedRemoteClient, PipelinedRemoteClientP1
-from repro.net.server import TrustedCvsTcpServer, serve_in_thread
 from repro.net.wal import ServerStore, WalError
+
+# The second name of the one function: benchmarks/e2e/launcher.py and
+# benchmarks/e2e/trace_run.py (frozen by BENCHMARK.json) import both.
+serve_async_in_thread = serve_in_thread
 
 __all__ = [
     "AsyncServerHandle",
     "AsyncTrustedCvsServer",
-    "serve_async_in_thread",
     "DedupTable",
     "ServerCore",
     "PipelinedRemoteClient",
@@ -85,7 +87,6 @@ __all__ = [
     "FramingError",
     "recv_message",
     "send_message",
-    "TrustedCvsTcpServer",
     "serve_in_thread",
     "ServerStore",
     "WalError",

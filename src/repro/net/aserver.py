@@ -1,14 +1,22 @@
-"""The asyncio Trusted-CVS server: one event loop, thousands of
-connections, batched execution.
+"""The Trusted-CVS server: the untrusted party, over real sockets --
+one event loop, thousands of connections, batched execution.
 
-The threaded deployment (:mod:`repro.net.server`) spends a thread and a
-lock handoff per connection and pays one Merkle root recompute -- and,
-for Protocol I, one signature round trip -- per operation.  This server
-multiplexes every connection on a single event loop and runs **one
-drainer task** that owns the :class:`~repro.net.core.ServerCore`
-outright (single-writer: no lock exists at all).  Per loop iteration
-the drainer pulls everything the reader tasks have queued and applies
-it in arrival order as *batches*:
+Runs a :class:`~repro.mtree.database.VerifiedDatabase` behind a server
+protocol -- Protocol II by default (counter + last-user attribution,
+never blocks), or Protocol I (signed roots: the server may not answer
+the next query until the operating client returns its signature over
+the new root).  Speaks the binary wire format, one length-prefixed
+frame per message.  The server needs no keys and is trusted with
+nothing: every response carries the verification object clients check
+(:class:`~repro.net.client.RemoteClient`,
+:class:`~repro.net.client.RemoteClientP1` and their pipelined forms).
+
+Every connection is multiplexed on a single event loop, and **one
+drainer task** owns the :class:`~repro.net.core.ServerCore` outright --
+the paper's serial execution model, as a single writer: no lock exists
+at all.  Per loop iteration the drainer pulls everything the reader
+tasks have queued and applies it in arrival order as *batches* (a
+stop-and-wait client's request is a batch of one):
 
 * every fresh request of a batch is appended to the WAL and made
   durable with a **single fsync** (group commit) before any of them
@@ -27,20 +35,27 @@ verification object, counter, and last-user attribution, and the
 per-op VO chain (old root -> new root) stays contiguous, so k-bounded
 deviation detection and the Lemma 4.1 register algebra apply exactly
 as before.  Dedup, WAL replay, Byzantine attack hooks, and snapshot
-policy are the shared core's -- byte-identical to the threaded server.
+policy are the core's.
 
 Blocking semantics (Protocol I): a request that finds its branch
 awaiting another client's follow-up signature is parked, not refused;
 the drainer retries parked requests the moment a follow-up lands and
 refuses them with a retryable :class:`ErrorReply` when
-``block_timeout`` expires -- the same contract the threaded handler
-implements with its condition variable.
+``block_timeout`` expires, so the waiting client fails fast instead of
+hanging.  Under a Byzantine fork each user waits on *its own* branch's
+outstanding follow-up, like a real forking server would.
 
-Run it with :func:`serve_async_in_thread`: the loop lives in a daemon
-thread and the returned handle exposes the same management surface as
-the threaded server (``address``, ``stop``, ``quiesce``,
-``read_quiesced``, ``consistent_view``, ``initial_root_digest``), each
-bridged onto the loop with ``run_coroutine_threadsafe``.
+Crash safety (``data_dir``): the core keeps a write-ahead log and
+periodic shape-exact snapshots (see :mod:`repro.net.wal`).  A restarted
+server replays to the identical root digest, counters, and request-ID
+dedup table, so clients that retry in-flight operations are answered
+exactly once and resume their verified sessions as if nothing happened.
+
+Run it with :func:`serve_in_thread`: the loop lives in a daemon thread
+and the returned handle is the synchronous management surface
+(``address``, ``stop``, ``graceful_stop``, ``quiesce``,
+``read_quiesced``, ``consistent_view``, ``with_core``), each bridged
+onto the loop with ``run_coroutine_threadsafe``.
 """
 
 from __future__ import annotations
@@ -87,10 +102,12 @@ _FOLLOWUPS = _registry.counter(
     "net.followups", "follow-up signatures absorbed (Protocol I)")
 _BLOCK_WAITS = _registry.counter(
     "net.block_waits", "requests that found the server blocked (Protocol I)")
+_BLOCK_WAIT_MS = _registry.histogram(
+    "net.block_wait_ms", "time spent waiting on another client's follow-up")
 _BLOCK_TIMEOUTS = _registry.counter(
     "net.block_timeouts", "requests refused because the block never cleared")
 _INFLIGHT = _registry.gauge(
-    "net.inflight", "requests accepted but not yet answered (async server)")
+    "net.inflight", "messages accepted but not yet executed or refused")
 
 
 @dataclass
@@ -113,11 +130,11 @@ class _Shutdown:
 
 
 class AsyncTrustedCvsServer:
-    """Event-loop Trusted-CVS server over the shared :class:`ServerCore`.
+    """Event-loop Trusted-CVS server over a :class:`ServerCore`.
 
     Construct it, then run :meth:`start` on an event loop -- or use
-    :func:`serve_async_in_thread`, which owns a loop in a daemon thread
-    and bridges the management surface for synchronous callers.
+    :func:`serve_in_thread`, which owns a loop in a daemon thread and
+    bridges the management surface for synchronous callers.
     """
 
     def __init__(
@@ -168,22 +185,6 @@ class AsyncTrustedCvsServer:
     # -- introspection -----------------------------------------------------
 
     @property
-    def protocol(self) -> ServerProtocol:
-        return self.core.protocol
-
-    @property
-    def states(self) -> dict[str, ServerState]:
-        return self.core.states
-
-    @property
-    def attack(self):
-        return self.core.attack
-
-    @property
-    def replayed_records(self) -> int:
-        return self.core.replayed_records
-
-    @property
     def address(self) -> tuple[str, int]:
         assert self._server is not None, "server not started"
         sock = self._server.sockets[0]
@@ -205,8 +206,6 @@ class AsyncTrustedCvsServer:
         takes its sockets down with it) and nothing is flushed beyond
         what the WAL already holds."""
         self._stopping = True
-        if self._server is not None:
-            self._server.close()
         if self._drainer is not None:
             # Wake the drainer with a sentinel so it exits between
             # batches -- never mid-apply (apply_batch has no awaits, so
@@ -224,7 +223,20 @@ class AsyncTrustedCvsServer:
             transport = writer.transport
             if transport is not None:
                 transport.abort()
+        # The listener closes last, and only in a step that finds no
+        # other task alive.  A connection the loop has accept()ed is a
+        # task before it is a transport, and asyncio (3.10-3.12) drops
+        # it on the floor if its server closes in between: the peer
+        # would hear nothing, neither RST nor FIN, where a SIGKILLed
+        # process takes every socket down with it.  Until then a new
+        # arrival's handler sees ``_stopping`` and closes it.  A task
+        # that outlives the wait is somebody's quiesce waiter.
+        while tasks := asyncio.all_tasks() - {asyncio.current_task()}:
+            _done, pending = await asyncio.wait(tasks, timeout=1.0)
+            if pending:
+                break
         if self._server is not None:
+            self._server.close()
             await self._server.wait_closed()
         if self.core.store is not None and snapshot:
             self.core.snapshot()
@@ -314,10 +326,8 @@ class AsyncTrustedCvsServer:
             try:
                 responses = core.apply_batch(entries)
             except Exception:
-                # A request the protocol cannot execute (the threaded
-                # handler's equivalent is the handler thread dying and
-                # dropping that one connection).  Abort the batch's
-                # connections; the drainer must survive.
+                # A request the protocol cannot execute.  Abort the
+                # batch's connections; the drainer must survive.
                 for work in batch:
                     self._inflight -= 1
                     transport = work.writer.transport
@@ -354,16 +364,18 @@ class AsyncTrustedCvsServer:
                     self._parked = []
                 continue
             if blocking:
+                # An open batch is a signing run: only its own user may
+                # extend it, and it blocks everyone else the moment it
+                # executes.
                 if batch:
-                    if (supports_defer and work.user == batch[0].user
-                            and len(batch) < self.batch_max):
-                        batch.append(work)
-                    else:
-                        self._park(work)
-                    continue
-                if core.blocked_for(work.user):
+                    admitted = (supports_defer and work.user == batch[0].user
+                                and len(batch) < self.batch_max)
+                else:
+                    admitted = not core.blocked_for(work.user)
+                if not admitted:
                     self._park(work)
                     continue
+                self._observe_block_wait(work)
                 batch.append(work)
             else:
                 batch.append(work)
@@ -380,9 +392,16 @@ class AsyncTrustedCvsServer:
                 _BLOCK_WAITS.inc()
         self._parked.append(work)
 
+    def _observe_block_wait(self, work: _Work) -> None:
+        """A once-parked request executes or is refused now."""
+        if work.parked and _obs.enabled:
+            parked_at = work.deadline - self.block_timeout
+            _BLOCK_WAIT_MS.observe((time.monotonic() - parked_at) * 1e3)
+
     async def _expire_parked(self) -> None:
-        """Refuse parked requests whose block never cleared -- the same
-        retryable error frame the threaded handler sends on timeout."""
+        """Refuse parked requests whose block never cleared, with an
+        explicit retryable error frame: the waiting client fails fast
+        instead of hanging on a silently dropped connection."""
         if not self._parked:
             return
         now = time.monotonic()
@@ -392,6 +411,7 @@ class AsyncTrustedCvsServer:
         self._parked = keep
         for work in expired:
             self._inflight -= 1
+            self._observe_block_wait(work)
             if _obs.enabled:
                 _BLOCK_TIMEOUTS.inc()
                 _INFLIGHT.set(self._inflight)
@@ -444,7 +464,13 @@ class AsyncTrustedCvsServer:
     # -- quiescence (on-loop coroutines) ------------------------------------
 
     async def quiesce_async(self, timeout: float | None = None) -> bool:
-        """Wait until no follow-up is outstanding on any branch."""
+        """Wait until every accepted message has executed (or been
+        refused) and no follow-up is outstanding on any branch.
+
+        Clients send their post-operation signature asynchronously, so
+        ``put()`` returning does not mean the server has absorbed it.
+        Quiescing and *then* reading reopens the race this cannot close
+        on its own; use :meth:`read_quiesced_async` for that."""
         if timeout is None:
             timeout = self.block_timeout
         return await self._await_unblocked(timeout)
@@ -465,8 +491,9 @@ class AsyncTrustedCvsServer:
     async def _await_unblocked(self, timeout: float) -> bool:
         deadline = time.monotonic() + timeout
         async with self._state_changed:
-            while not (self.core.all_unblocked() and self._queue.empty()
-                       and not self._parked):
+            # ``_inflight``, not the queue and the park list: a pass
+            # holds what it dequeued in locals across its awaits.
+            while self._inflight or not self.core.all_unblocked():
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -479,12 +506,9 @@ class AsyncTrustedCvsServer:
 
 
 class AsyncServerHandle:
-    """Synchronous facade over a server whose loop runs in a thread.
-
-    Mirrors the management surface of the threaded
-    :class:`~repro.net.server.TrustedCvsTcpServer`, so harnesses (chaos
-    campaigns, benchmarks, tests) can drive either deployment through
-    one code path.
+    """Synchronous facade over a server whose loop runs in a thread:
+    what ``repro serve``, the campaigns, the benchmarks and the tests
+    hold while clients talk to the loop.
     """
 
     def __init__(self, server: AsyncTrustedCvsServer,
@@ -499,34 +523,32 @@ class AsyncServerHandle:
         return self._server.core
 
     @property
-    def protocol(self) -> ServerProtocol:
-        return self._server.protocol
-
-    @property
-    def attack(self):
-        return self._server.attack
-
-    @property
     def replayed_records(self) -> int:
-        return self._server.replayed_records
+        return self.core.replayed_records
 
     @property
     def address(self) -> tuple[str, int]:
         return self._server.address
 
-    @property
-    def block_timeout(self) -> float:
-        return self._server.block_timeout
-
     def _call(self, coroutine, timeout: float | None = None):
         future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
         return future.result(timeout)
 
+    def with_core(self, fn):
+        """Run ``fn(core)`` on the loop and return its result.
+
+        The one way to read or swap server state from another thread:
+        ``apply_batch`` has no ``await`` in it, so ``fn`` runs between
+        batches and never sees one half applied."""
+        async def _run():
+            return fn(self.core)
+        return self._call(_run())
+
     def initial_root_digest(self):
-        """The *current* root digest, read atomically on the loop."""
-        async def _read():
-            return self._server.core.state.database.root_digest()
-        return self._call(_read())
+        """The *current* root digest -- call it before serving any
+        operations to capture the common-knowledge genesis anchor that
+        :func:`~repro.net.client.sync_check` is anchored at."""
+        return self.with_core(lambda core: core.state.database.root_digest())
 
     def quiesce(self, timeout: float | None = None) -> bool:
         if timeout is None:
@@ -541,21 +563,16 @@ class AsyncServerHandle:
                           timeout=timeout + 5.0)
 
     def consistent_view(self, timeout: float | None = None):
+        """An atomic ``(root_digest, ctr, tick)`` triple of the main
+        branch at a quiescent instant, or ``None`` on timeout."""
         return self.read_quiesced(
             lambda state: (state.database.root_digest(), state.ctr,
-                           self._server.core.round),
+                           self.core.round),
             timeout=timeout)
 
-    def read_state(self, reader):
-        """Run ``reader(main_state)`` on the loop (no quiescence wait)."""
-        async def _read():
-            return reader(self._server.core.states["main"])
-        return self._call(_read())
-
     def checkpoint(self) -> None:
-        async def _snap():
-            self._server.core.snapshot()
-        self._call(_snap())
+        """Write a snapshot now (durable mode only); truncates the WAL."""
+        self.with_core(lambda core: core.snapshot())
 
     def stop(self, snapshot: bool = False) -> None:
         """Stop serving; ``snapshot=False`` is crash-equivalent."""
@@ -568,32 +585,37 @@ class AsyncServerHandle:
                 self._loop.close()
 
     def graceful_stop(self, timeout: float | None = None) -> bool:
-        """The operator shutdown, mirroring the threaded server's:
-        quiesce (drains queued batches and parked requests), flush the
-        replicator, fsync the WAL and write a final snapshot on the
-        loop, then stop.  Returns False when a wait timed out (shutdown
-        still proceeds)."""
+        """The operator shutdown: quiesce, drain replication, make the
+        WAL durable, write a final snapshot, *then* stop serving.
+
+        Unlike :meth:`stop` (the crash-equivalent teardown the recovery
+        tests exercise), nothing is lost mid-batch: queued batches and
+        parked requests execute, outstanding Protocol I follow-ups are
+        waited for, the replicator flushes every created deposit to
+        every witness, and the snapshot means a restart replays zero
+        WAL records.  Returns False when the quiesce or the replication
+        flush timed out (shutdown still proceeds -- the WAL keeps its
+        durability promise either way)."""
         if timeout is None:
             timeout = self._server.block_timeout
         clean = self.quiesce(timeout=timeout)
-        replicator = self._server.core.replicator
+        replicator = self.core.replicator
         if replicator is not None:
             # Flushed from this thread: sender threads are independent
             # of the event loop, and the quiesce above already drained
             # every operation that could still create a deposit.
             clean = replicator.flush(timeout=timeout) and clean
 
-        async def _finalise():
-            core = self._server.core
+        def finalise(core: ServerCore) -> None:
             if core.store is not None:
                 core.store.wal_sync()
                 core.snapshot()
-        self._call(_finalise(), timeout=timeout + 5.0)
+        self.with_core(finalise)
         self.stop(snapshot=False)
         return clean
 
 
-def serve_async_in_thread(
+def serve_in_thread(
     order: int = 8,
     database: VerifiedDatabase | None = None,
     port: int = 0,
@@ -612,11 +634,8 @@ def serve_async_in_thread(
     io=None,
     lock: bool = False,
 ) -> AsyncServerHandle:
-    """Start an async server on its own event-loop thread.
-
-    Returns a handle with the threaded server's management surface;
-    call ``handle.stop()`` when done.
-    """
+    """Start a server on its own event-loop thread (an ephemeral port
+    unless ``port`` is given); call ``handle.stop()`` when done."""
     loop = asyncio.new_event_loop()
 
     def _run() -> None:

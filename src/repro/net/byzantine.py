@@ -5,7 +5,7 @@ malicious-server moves -- forks, dropped commits, tampered answers,
 counter replays, forged signatures -- but only ever ran inside the
 in-process simulator.  This module adapts those exact strategies to the
 request/response wire path of
-:class:`~repro.net.server.TrustedCvsTcpServer`, so a real client fleet
+:class:`~repro.net.core.ServerCore`, so a real client fleet
 over sockets can be attacked deterministically and the k-bounded
 deviation-detection guarantees validated end to end.
 

@@ -1,6 +1,6 @@
 """A fault-injecting TCP proxy for chaos-testing the net stack.
 
-Sits between clients and a :class:`~repro.net.server.TrustedCvsTcpServer`
+Sits between clients and a Trusted-CVS server (:mod:`repro.net.aserver`)
 and misbehaves on purpose, at the *byte* level, where real networks
 fail: it severs connections without warning, forwards only a prefix of
 a chunk before killing the link (a frame truncated mid-length-prefix or
@@ -75,13 +75,17 @@ class _Pump(threading.Thread):
     """One direction of one proxied connection."""
 
     def __init__(self, proxy: "ChaosProxy", source: socket.socket,
-                 sink: socket.socket, rng: random.Random, label: str) -> None:
+                 sink: socket.socket, rng: random.Random, label: str,
+                 aborted: threading.Event) -> None:
         super().__init__(daemon=True)
         self._proxy = proxy
         self._source = source
         self._sink = sink
         self._rng = rng
         self._label = label
+        #: shared with the twin pump of the same connection: once set,
+        #: neither pump may end a leg gracefully (a FIN ahead of the RST).
+        self._aborted = aborted
 
     def run(self) -> None:
         config = self._proxy.config
@@ -122,10 +126,11 @@ class _Pump(threading.Thread):
             pass
         finally:
             for sock in (self._source, self._sink):
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
+                if not self._aborted.is_set():
+                    try:
+                        sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass
                 try:
                     sock.close()
                 except OSError:
@@ -134,15 +139,23 @@ class _Pump(threading.Thread):
     def _abort(self) -> None:
         """Close both sockets abruptly: SO_LINGER with a zero timeout
         turns close() into an RST, so the peer's next read fails with
-        ``ECONNRESET`` instead of seeing a graceful end of stream."""
+        ``ECONNRESET`` instead of seeing a graceful end of stream.
+
+        The twin pump is blocked in ``recv()`` on one of these sockets,
+        and a ``close()`` from this thread neither wakes it nor releases
+        the socket, so that leg's RST would wait for somebody's timer.
+        ``shutdown(SHUT_RD)`` wakes the twin and puts nothing on the
+        wire; the flag keeps its ``finally`` from sending a FIN first."""
         hard_close = struct.pack("ii", 1, 0)
         for sock in (self._source, self._sink):
             try:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, hard_close)
             except OSError:
                 pass
+        self._aborted.set()
+        for sock in (self._source, self._sink):
             try:
-                sock.close()
+                sock.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
 
@@ -187,9 +200,11 @@ class ChaosProxy:
     def stop(self) -> None:
         self._running = False
         try:
-            self._listener.close()
+            # close() alone leaves the acceptor blocked in accept().
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
 
@@ -231,10 +246,11 @@ class ChaosProxy:
             # (Integer seeds only: str/tuple hashing is randomised per
             # process, which would break cross-run reproducibility.)
             base = self._seed * 1_000_003 + index * 2
+            aborted = threading.Event()
             _Pump(self, downstream, upstream,
-                  random.Random(base), "c2s").start()
+                  random.Random(base), "c2s", aborted).start()
             _Pump(self, upstream, downstream,
-                  random.Random(base + 1), "s2c").start()
+                  random.Random(base + 1), "s2c", aborted).start()
 
     def _record(self, kind: str, sever: bool = True) -> None:
         with self._lock:

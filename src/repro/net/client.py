@@ -1,6 +1,6 @@
 """Verifying TCP clients: the transport around a protocol state object.
 
-Connects to a :class:`~repro.net.server.TrustedCvsTcpServer`, sends
+Connects to a :class:`~repro.net.aserver.AsyncTrustedCvsServer`, sends
 queries over the wire format, and hands every response to the same
 per-response step the simulated clients run --
 :class:`~repro.protocols.protocol2.XorRegisters` (Protocol II) or

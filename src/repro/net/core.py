@@ -1,22 +1,18 @@
-"""The transport-agnostic server core shared by the threaded and the
-asyncio deployments.
+"""The transport-agnostic server core.
 
 Everything a Trusted-CVS server *is* -- the named state branches, the
 protocol, the request-ID dedup table, the WAL + snapshot store, the
 Byzantine attack hooks, and the tick counter -- lives here, with **no
 locking of its own**.  The caller owns serialisation:
+:class:`~repro.net.aserver.AsyncTrustedCvsServer` funnels every call
+through a single event-loop drainer task (single-writer model), so no
+lock is needed at all.
 
-* :class:`~repro.net.server.TrustedCvsTcpServer` wraps every call in
-  its ``state_cond`` condition variable (thread-per-connection model);
-* :class:`~repro.net.aserver.AsyncTrustedCvsServer` funnels every call
-  through a single event-loop drainer task (single-writer model), so
-  no lock is needed at all.
-
-The core also implements the *batched* execution path the async server
-amortises its work through: :meth:`ServerCore.apply_batch` dedups a
+Requests execute in *batches*: :meth:`ServerCore.apply_batch` dedups a
 whole batch, appends every fresh request to the WAL with **one** fsync
 (group commit), executes them back to back, and recomputes the Merkle
 root **once** over all dirty paths (:meth:`MerkleBPlusTree.refresh_root`).
+One request is the one-entry batch (:meth:`ServerCore.apply_request`).
 For Protocol I a multi-request batch from one user is a *signing run*:
 every request but the last is stamped with the defer-followup marker
 before it is logged, so the server blocks (and the client signs) once
@@ -253,31 +249,12 @@ class ServerCore:
         self.protocol.handle_followup(
             user_id, message, self.state, round_no=round_no)
 
-    # -- single-message application (threaded wire path, replay) ----------
+    # -- message application -------------------------------------------------
 
     def apply_request(self, user_id: str, message: Request) -> Response:
-        """Dedup-check, log, and execute one request (caller serialised)."""
-        rid = request_id(message)
-        if rid is not None:
-            cached = self.dedup.lookup(user_id, rid)
-            if cached is not None:
-                # A retry of an operation that already executed: return
-                # the recorded response so the write is never applied
-                # twice and the client's register chain stays intact.
-                if _obs.enabled:
-                    _DEDUP_HITS.inc(user=user_id)
-                return cached
-        if self.store is not None:
-            self.store.wal_append(message)
-            if _obs.enabled:
-                _WAL_APPENDS.inc()
-        response = self._execute_request(user_id, message)
-        if rid is not None:
-            self.dedup.record(user_id, rid, response)
-        if self.replicator is not None:
-            self.replicator.observe(self)
-        self._after_logged_message()
-        return response
+        """Dedup-check, log, and execute one request: the one-entry
+        batch (caller serialised)."""
+        return self.apply_batch([(user_id, message)])[0]
 
     def apply_followup(self, user_id: str, message: Followup) -> None:
         """Log and absorb one follow-up message (caller serialised)."""
@@ -286,9 +263,7 @@ class ServerCore:
             if _obs.enabled:
                 _WAL_APPENDS.inc()
         self._execute_followup(user_id, message)
-        self._after_logged_message()
-
-    # -- batched application (async wire path) ------------------------------
+        self._after_logged(1)
 
     def apply_batch(self, entries: list[tuple[str, Request]]) -> list[Response]:
         """Execute a batch of requests with amortised durability + hashing.
@@ -315,6 +290,10 @@ class ServerCore:
             if rid is not None:
                 cached = self.dedup.lookup(user_id, rid)
                 if cached is not None:
+                    # A retry of an operation that already executed:
+                    # return the recorded response so the write is never
+                    # applied twice and the client's register chain
+                    # stays intact.
                     if _obs.enabled:
                         _DEDUP_HITS.inc(user=user_id)
                     plan.append(("cached", cached))
@@ -362,8 +341,7 @@ class ServerCore:
                 _BATCHES.inc()
                 _BATCH_SIZE.observe(len(fresh))
                 _BATCH_ROOT_NODES.observe(recomputed)
-            self._ops_since_snapshot += len(fresh)
-            self._maybe_snapshot()
+            self._after_logged(len(fresh))
 
         responses: list[Response] = []
         for kind, payload in plan:
@@ -408,15 +386,10 @@ class ServerCore:
 
     # -- snapshots ---------------------------------------------------------
 
-    def _after_logged_message(self) -> None:
+    def _after_logged(self, messages: int) -> None:
         if self.store is None:
             return
-        self._ops_since_snapshot += 1
-        self._maybe_snapshot()
-
-    def _maybe_snapshot(self) -> None:
-        if self.store is None:
-            return
+        self._ops_since_snapshot += messages
         if self._ops_since_snapshot >= self.snapshot_every:
             try:
                 self.snapshot()

@@ -2,8 +2,8 @@
 
 Both the blocking (:func:`send_message`/:func:`recv_message`) and the
 asyncio (:func:`async_send_message`/:func:`async_recv_message`) halves
-speak the identical frame format, so threaded clients talk to the
-async server and vice versa.
+speak the identical frame format: the clients are blocking-socket
+classes, the server an event loop.
 """
 
 from __future__ import annotations

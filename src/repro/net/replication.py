@@ -11,8 +11,9 @@ mutually untrusted *witness* servers:
   the main branch's post-operation root -- and background sender
   threads (:class:`Replicator`) push it to every witness over the
   ordinary framed TCP wire;
-* a witness is just another :class:`~repro.net.server.TrustedCvsTcpServer`
-  (or async server) running :class:`WitnessProtocol`: it stores every
+* a witness is just another
+  :class:`~repro.net.aserver.AsyncTrustedCvsServer` running
+  :class:`WitnessProtocol`: it stores every
   validly-signed deposit in ``state.meta``, so deposits ride the
   witness's own hash-chained WAL and survive witness crashes, and it
   answers fetches with :class:`RootAttestation` -- the deposit

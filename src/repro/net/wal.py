@@ -187,11 +187,11 @@ def _is_stale_wal(records: list[tuple[bytes, bytes]],
 
 
 class ServerStore:
-    """The durable half of a :class:`~repro.net.server.TrustedCvsTcpServer`.
+    """The durable half of a :class:`~repro.net.core.ServerCore`.
 
     Owns the snapshot and WAL files in ``data_dir`` and the running
-    hash-chain head.  All methods must be called under the server's
-    state lock; the store itself does no locking of calls -- ``lock``
+    hash-chain head.  All methods must be called by the core's one
+    writer; the store itself does no locking of calls -- ``lock``
     guards the *directory* (flock), so a second server process cannot
     interleave appends into the same WAL.
     """

@@ -45,3 +45,13 @@ def run_scenario(protocol, workload, attack=None, max_rounds=4000, **kwargs):
     """Build and execute a simulation; return the report."""
     simulation = build_simulation(protocol, workload, attack=attack, **kwargs)
     return simulation.execute(max_rounds=max_rounds)
+
+
+def swap_state(server, state):
+    """Make a running server serve from ``state`` (the stale-state fork:
+    swapped on its loop, between two client operations); returns the
+    state it served until now."""
+    def swap(core):
+        served, core.state = core.state, state
+        return served
+    return server.with_core(swap)

@@ -1,8 +1,8 @@
-"""The asyncio server core: batched execution over one event loop.
+"""The asyncio server: batched execution over one event loop.
 
-The async server must be *indistinguishable* from the threaded one to
-a verifying client — same wire protocol, same VO chain, same crash
-behaviour — while amortizing the per-op costs (fsync, Merkle root
+Batching must be *invisible* to a verifying client -- same wire
+protocol, same VO chain as an in-process reference run of the same
+operations -- while amortizing the per-op costs (fsync, Merkle root
 pass, Protocol I signature round) across batches.  These tests pin
 both halves: equivalence of what clients observe, and that batching
 actually happens.
@@ -18,7 +18,7 @@ from repro.net import (
     RemoteClient,
     RemoteClientP1,
     count_sync_check,
-    serve_async_in_thread,
+    serve_in_thread,
     sync_check,
 )
 from repro.protocols.base import ServerState
@@ -30,16 +30,16 @@ def p1_async_server(keys, elected="alice", **kwargs):
     protocol = Protocol1Server()
     protocol.initialize(state)
     bootstrap_server_state(state, keys.signers[elected])
-    return serve_async_in_thread(order=4, protocol=protocol, state=state,
+    return serve_in_thread(order=4, protocol=protocol, state=state,
                                  block_timeout=5.0, **kwargs)
 
 
 class TestAsyncServerEquivalence:
     def test_serial_clients_cannot_tell_the_transports_apart(self):
-        """Stop-and-wait RemoteClients run unchanged against the async
-        server: per-op VOs verify, registers sync, final root matches
-        an in-process reference run."""
-        server = serve_async_in_thread(order=4)
+        """Stop-and-wait RemoteClients cannot tell the event loop from
+        the in-process database: per-op VOs verify, registers sync,
+        final root matches an in-process reference run."""
+        server = serve_in_thread(order=4)
         reference = VerifiedDatabase(order=4)
         try:
             host, port = server.address
@@ -56,7 +56,8 @@ class TestAsyncServerEquivalence:
             assert clients["alice"].get(b"bob-3") == b"v3"
             registers = {u: c.registers() for u, c in clients.items()}
             assert sync_check(genesis, registers)
-            final = server.read_state(lambda s: s.database.root_digest())
+            final = server.with_core(
+                lambda core: core.state.database.root_digest())
             assert final == reference.root_digest()
             for client in clients.values():
                 client.close()
@@ -66,7 +67,7 @@ class TestAsyncServerEquivalence:
     def test_pipelined_window_verifies_in_order(self):
         """A full window of in-flight writes drains with every VO
         verified in submission order; answers land in order too."""
-        server = serve_async_in_thread(order=4, batch_max=8)
+        server = serve_in_thread(order=4, batch_max=8)
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
@@ -84,15 +85,14 @@ class TestAsyncServerEquivalence:
             server.stop()
 
     def test_quiesce_gives_a_stable_read(self):
-        server = serve_async_in_thread(order=4)
+        server = serve_in_thread(order=4)
         try:
             host, port = server.address
             with RemoteClient(host, port, "alice",
                               server.initial_root_digest(), order=4) as c:
                 c.put(b"k", b"v")
             assert server.quiesce(timeout=5.0)
-            ctr = server.read_state(lambda s: s.ctr)
-            assert ctr == 1
+            assert server.with_core(lambda core: core.state.ctr) == 1
         finally:
             server.stop()
 
@@ -104,7 +104,7 @@ class TestBatchingAmortization:
         operations, visible in the obs counters."""
         obs.reset()
         obs.enable()
-        server = serve_async_in_thread(order=4, batch_max=32)
+        server = serve_in_thread(order=4, batch_max=32)
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
@@ -151,5 +151,127 @@ class TestBatchingAmortization:
             assert count_sync_check(counts)
             pipelined.close()
             serial.close()
+        finally:
+            server.stop()
+
+
+class TestQuiesceCountsDequeuedWork:
+    def test_a_pass_holding_requests_in_locals_is_not_idle(self):
+        """One pass dequeues six requests at ``batch_max=2`` and awaits
+        the first batch's drain with four still in a local list: the
+        queue and the park list are both empty, and the server is not
+        quiescent."""
+        import asyncio
+
+        from repro.net import AsyncTrustedCvsServer
+        from repro.net.framing import _frame
+        from repro.protocols.base import Request
+
+        async def scenario():
+            server = AsyncTrustedCvsServer(order=4, batch_max=2)
+            await server.start()
+            try:
+                _reader, writer = await asyncio.open_connection(
+                    *server.address)
+                while not server._writers:
+                    await asyncio.sleep(0.001)
+                (accepted,) = server._writers
+                release = asyncio.Event()
+                drain = accepted.drain
+
+                async def held_drain():
+                    await release.wait()
+                    await drain()
+
+                accepted.drain = held_drain
+                writer.write(b"".join(
+                    _frame(Request(query=WriteQuery(b"k%d" % i, b"v"),
+                                   extras={"user": "alice",
+                                           "rid": f"alice:q:{i}"}))
+                    for i in range(6)))
+                await writer.drain()
+                while server.core.state.ctr < 2:
+                    await asyncio.sleep(0.001)
+                # what the queue-and-park-list predicate took for idle
+                assert server._queue.empty() and not server._parked
+                assert server.core.all_unblocked()
+                assert not await server.quiesce_async(0.05)
+                assert server.core.state.ctr == 2
+                release.set()
+                assert await server.quiesce_async(5.0)
+                assert server.core.state.ctr == 6
+                writer.close()
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())
+
+
+class TestBlockingPathObservability:
+    """``net.block_wait_ms`` (DESIGN section 8, Protocol I row): observed
+    when a parked request finally executes, and when it is refused."""
+
+    def _withhold(self, server, keys):
+        from tests.test_net import TestProtocol1Blocking
+
+        return TestProtocol1Blocking._operate_withholding_followup(
+            server, keys.signers["alice"], b"k", b"v1")
+
+    def test_observed_when_a_parked_request_executes(self, shared_keys):
+        import threading
+
+        from repro.net.framing import send_message
+
+        obs.enable()
+        server = p1_async_server(shared_keys)
+        try:
+            sock_a, followup = self._withhold(server, shared_keys)
+            host, port = server.address
+            answers = []
+
+            def bob_reads():
+                with RemoteClientP1(host, port, "bob",
+                                    shared_keys.signers["bob"],
+                                    shared_keys.verifier, order=4) as bob:
+                    answers.append(bob.get(b"k"))
+
+            thread = threading.Thread(target=bob_reads, daemon=True)
+            thread.start()
+            waits = obs.registry.counter("net.block_waits")
+            while not waits.total():
+                thread.join(0.005)
+            thread.join(0.1)                     # parked for 100 ms more
+            send_message(sock_a, followup)
+            thread.join(10.0)
+            assert answers == [b"v1"]
+            waited = obs.registry.get("net.block_wait_ms")
+            assert waited.total_count() == 1
+            assert 100.0 <= waited.sum() < 5000.0
+            assert obs.registry.counter("net.block_timeouts").total() == 0
+            assert obs.registry.counter("net.followups").total() == 2
+            sock_a.close()
+        finally:
+            server.stop()
+
+    def test_observed_when_a_parked_request_is_refused(self, shared_keys):
+        from repro.net import ServerBusyError
+
+        state = ServerState(database=VerifiedDatabase(order=4))
+        bootstrap_server_state(state, shared_keys.signers["alice"])
+        obs.enable()
+        server = serve_in_thread(order=4, protocol=Protocol1Server(),
+                                 state=state, block_timeout=0.2)
+        try:
+            sock_a, _followup = self._withhold(server, shared_keys)
+            host, port = server.address
+            with RemoteClientP1(host, port, "bob", shared_keys.signers["bob"],
+                                shared_keys.verifier, order=4) as bob:
+                with pytest.raises(ServerBusyError):
+                    bob.get(b"k")
+            waited = obs.registry.get("net.block_wait_ms")
+            assert waited.total_count() == 1
+            assert 200.0 <= waited.sum() < 2000.0
+            assert obs.registry.counter("net.block_timeouts").total() == 1
+            sock_a.close()
         finally:
             server.stop()

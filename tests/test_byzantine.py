@@ -2,7 +2,7 @@
 
 The simulator's detection matrix (test_attacks.py) proves the
 protocols' soundness in-process; these tests prove the same guarantees
-survive the TCP deployment -- wire codec, framing, threading, blocking,
+survive the TCP deployment -- wire codec, framing, batching, blocking,
 WAL -- with forensic evidence bundles capturing every detection."""
 
 import io
@@ -236,7 +236,7 @@ class TestWireAttacksProtocol1:
             for i in range(3):
                 alice.put(f"a{i}".encode(), b"v")
                 bob.put(f"b{i}".encode(), b"v")
-            assert "fork" in server.states
+            assert "fork" in server.core.states
             counts = {"alice": alice.counts(), "bob": bob.counts()}
             assert not count_sync_check(counts)
             genuine, why = evidence.reverify(evidence.count_sync_bundle(counts))
@@ -248,21 +248,10 @@ class TestWireAttacksProtocol1:
 
 
 class TestAsyncBatchedDetection:
-    """The async server's signature amortization must not weaken
+    """The server's signature amortization must not weaken
     detection: one signed root covers a whole signing run, so a
     tampered operation *inside* the run has no per-op signature of its
     own -- the hash-chain membership check has to catch it."""
-
-    def _p1_async_server(self, keys, attack, elected="alice", **kwargs):
-        from repro.net import serve_async_in_thread
-
-        state = ServerState(database=VerifiedDatabase(order=4))
-        protocol = Protocol1Server()
-        protocol.initialize(state)
-        bootstrap_server_state(state, keys.signers[elected])
-        return serve_async_in_thread(order=4, protocol=protocol, state=state,
-                                     block_timeout=5.0, attack=attack,
-                                     **kwargs)
 
     def test_tampered_op_inside_signed_batch_detected_with_evidence(
             self, shared_keys, tmp_path):
@@ -276,7 +265,7 @@ class TestAsyncBatchedDetection:
 
         wire = WireAttack(TamperValueAttack(victim="alice", tamper_round=6,
                                             forge_proof=True))
-        server = self._p1_async_server(shared_keys, attack=wire, batch_max=16)
+        server = p1_server(shared_keys, attack=wire, batch_max=16)
         try:
             host, port = server.address
             alice = PipelinedRemoteClientP1(
@@ -328,7 +317,7 @@ class TestAsyncBatchedDetection:
                 self._on_detection(IntegrityError("fabricated"), request)
                 return super()._verify(query, request, response)
 
-        server = self._p1_async_server(
+        server = p1_server(
             shared_keys, attack=WireAttack(HonestBehavior()), batch_max=16)
         try:
             host, port = server.address
@@ -360,7 +349,7 @@ class TestAsyncBatchedDetection:
         from repro.mtree.database import ReadQuery, WriteQuery
 
         wire = WireAttack(HonestBehavior())
-        server = self._p1_async_server(shared_keys, attack=wire, batch_max=16)
+        server = p1_server(shared_keys, attack=wire, batch_max=16)
         try:
             host, port = server.address
             alice = PipelinedRemoteClientP1(
@@ -400,10 +389,11 @@ class TestForkSurvivesWalReplay:
         for i in range(4):
             alice.put(f"a{i}".encode(), b"v")
             bob.put(f"b{i}".encode(), b"v")
-        with server.state_lock:
-            before = {name: state.database.root_digest()
-                      for name, state in server.states.items()}
-            ticks = server._round
+        def branches(core):
+            return ({name: state.database.root_digest()
+                     for name, state in core.states.items()}, core.round)
+
+        before, ticks = server.with_core(branches)
         assert "fork" in before
         alice.close()
         bob.close()
@@ -413,11 +403,7 @@ class TestForkSurvivesWalReplay:
                               snapshot_every=3)
         try:
             assert restarted.replayed_records > 0  # snapshots were suppressed
-            with restarted.state_lock:
-                after = {name: state.database.root_digest()
-                         for name, state in restarted.states.items()}
-                assert restarted._round == ticks
-            assert after == before
+            assert restarted.with_core(branches) == (before, ticks)
             # both users resume against their own branch
             host2, port2 = restarted.address
             alice2 = RemoteClient(host2, port2, "alice", genesis, order=4)

@@ -1,7 +1,9 @@
 """The chaos proxy, and self-healing clients driven through it."""
 
+import errno
 import socket
 import threading
+import time
 
 import pytest
 
@@ -22,8 +24,10 @@ def server():
     srv.stop()
 
 
-def _echo_server():
-    """A raw TCP echo server for proxy-level tests."""
+def _echo_server(ends=None):
+    """A raw TCP echo server for proxy-level tests.  ``ends``, when
+    given, collects how and when each connection ended: ``(errno or
+    None for a clean EOF, time.monotonic())``."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(8)
@@ -35,15 +39,18 @@ def _echo_server():
             except OSError:
                 return
             def pump(conn=conn):
+                ended = None
                 try:
                     while True:
                         chunk = conn.recv(4096)
                         if not chunk:
                             return
                         conn.sendall(chunk)
-                except OSError:
-                    pass
+                except OSError as exc:
+                    ended = exc.errno
                 finally:
+                    if ends is not None:
+                        ends.append((ended, time.monotonic()))
                     conn.close()
             threading.Thread(target=pump, daemon=True).start()
 
@@ -143,6 +150,56 @@ class TestProxyPlumbing:
         assert proxy.faults["truncations"] == 0
         upstream.close()
 
+    def test_reset_reaches_the_client_as_econnreset_at_once(self):
+        """The s2c pump resets while the c2s pump sits in recv() on the
+        client's socket: the client must get its RST now, not when its
+        own 15 s timer fires, and not a clean EOF."""
+        upstream = _echo_server()
+        config = ChaosConfig(reset_rate=0.0, reset_rate_s2c=1.0)
+        with ChaosProxy(*upstream.getsockname(), seed=9, config=config) as proxy:
+            with socket.create_connection(proxy.address, timeout=15) as sock:
+                started = time.monotonic()
+                sock.sendall(b"C" * 500)
+                with pytest.raises(OSError) as excinfo:
+                    while sock.recv(4096):
+                        pass
+                assert excinfo.value.errno == errno.ECONNRESET
+                assert time.monotonic() - started < 1.0
+        upstream.close()
+
+    def test_reset_reaches_the_upstream_leg_as_promptly(self):
+        """Only c2s resets: the twin pump is the one reading from the
+        upstream, whose leg must end with the same RST, as promptly."""
+        ends = []
+        upstream = _echo_server(ends)
+        config = ChaosConfig(reset_rate=1.0, reset_rate_s2c=0.0)
+        with ChaosProxy(*upstream.getsockname(), seed=9, config=config) as proxy:
+            with socket.create_connection(proxy.address, timeout=15) as sock:
+                started = time.monotonic()
+                sock.sendall(b"C" * 500)
+                with pytest.raises(OSError) as excinfo:
+                    while sock.recv(4096):
+                        pass
+                assert excinfo.value.errno == errno.ECONNRESET
+                deadline = started + 1.0
+                while not ends and time.monotonic() < deadline:
+                    time.sleep(0.005)
+        assert ends, "the upstream leg never ended"
+        ended, when = ends[0]
+        assert ended == errno.ECONNRESET
+        assert when - started < 1.0
+        upstream.close()
+
+    def test_stop_wakes_an_idle_acceptor(self):
+        upstream = _echo_server()
+        proxy = ChaosProxy(*upstream.getsockname(), seed=1).start()
+        time.sleep(0.05)                   # the acceptor is in accept()
+        started = time.monotonic()
+        proxy.stop()
+        assert time.monotonic() - started < 0.2
+        assert not proxy._accept_thread.is_alive()
+        upstream.close()
+
     def test_reset_schedule_is_seeded(self):
         """Same seed, same reset pattern across connections."""
         def run(seed):
@@ -200,11 +257,10 @@ class TestSelfHealingThroughChaos:
                 assert sync_check(genesis, {"alice": alice.registers()})
             assert proxy.faults["drops"] >= 1  # chaos actually happened
         # exactly-once despite every retry
-        with server.state_lock:
-            assert server.state.ctr == 30
+        assert server.consistent_view()[1] == 30
 
     def test_client_survives_connection_resets(self, server):
-        """ECONNRESET mid-response is just another transport failure:
+        """ECONNRESET mid-exchange is just another transport failure:
         the client reconnects, resends verbatim, and the dedup table
         keeps every acknowledged write exactly-once."""
         host, port = server.address
@@ -220,10 +276,12 @@ class TestSelfHealingThroughChaos:
                 assert alice.gctr == 20
                 assert sync_check(genesis, {"alice": alice.registers()})
             assert proxy.faults["resets"] >= 1
-        with server.state_lock:
-            assert server.state.ctr == 20
+        assert server.consistent_view()[1] == 20
 
     def test_client_survives_truncated_frames(self, server):
+        """A truncated frame starves the server's reader mid-message;
+        the severed connection must not wedge the drainer or duplicate
+        the retried op."""
         host, port = server.address
         genesis = server.initial_root_digest()
         config = ChaosConfig(truncate_rate=0.2, immune_chunks=0)
@@ -236,8 +294,31 @@ class TestSelfHealingThroughChaos:
                     alice.put(f"k{i % 3}".encode(), f"v{i}".encode())
                 assert alice.gctr == 20
             assert proxy.faults["truncations"] >= 1
-        with server.state_lock:
-            assert server.state.ctr == 20
+        assert server.consistent_view()[1] == 20
+
+
+    def test_combined_resets_and_truncations(self, server):
+        """Both fault classes at once, plus two interleaved users."""
+        host, port = server.address
+        genesis = server.initial_root_digest()
+        config = ChaosConfig(reset_rate=0.1, truncate_rate=0.1,
+                             immune_chunks=0)
+        with ChaosProxy(host, port, seed=53, config=config) as proxy:
+            phost, pport = proxy.address
+            with RemoteClient(phost, pport, "alice", genesis, order=4,
+                              retry=RetryPolicy(attempts=40, base=0.005,
+                                                cap=0.05, seed=2)) as alice, \
+                 RemoteClient(phost, pport, "bob", genesis, order=4,
+                              retry=RetryPolicy(attempts=40, base=0.005,
+                                                cap=0.05, seed=3)) as bob:
+                for i in range(10):
+                    alice.put(f"a{i % 3}".encode(), f"v{i}".encode())
+                    bob.put(f"b{i % 3}".encode(), f"v{i}".encode())
+                registers = {"alice": alice.registers(),
+                             "bob": bob.registers()}
+                assert sync_check(genesis, registers)
+            assert (proxy.faults["resets"] + proxy.faults["truncations"]) >= 1
+        assert server.consistent_view()[1] == 20
 
 
 class TestProxiedProtocol1:

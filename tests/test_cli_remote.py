@@ -9,7 +9,7 @@ import pytest
 from repro.cli import RemoteServerAdapter, main
 from repro.mtree.database import VerifiedDatabase, WriteQuery
 from repro.mtree.persistence import dump_database, load_database
-from repro.net.server import serve_in_thread
+from repro.net import serve_in_thread
 
 
 def run(argv, expect=0):
@@ -24,8 +24,7 @@ def remote_server():
     database = VerifiedDatabase(order=8)
     server = serve_in_thread(database=database)
     yield server
-    server.shutdown()
-    server.server_close()
+    server.stop()
 
 
 @pytest.fixture
@@ -71,9 +70,8 @@ class TestRemoteMode:
         remote = f"{host}:{port}"
         commit_remote(client_dir, remote, "f.txt", "mine\n", author="alice")
         # another client (no shared anchor) writes directly
-        with remote_server.state_lock:
-            remote_server.state.database.execute(
-                WriteQuery(b"\x01unseen", b"sneaky"))
+        remote_server.with_core(lambda core: core.state.database.execute(
+            WriteQuery(b"\x01unseen", b"sneaky")))
         text = run(["-R", client_dir, "-a", "alice", "--remote", remote,
                     "checkout", "f.txt"], expect=3)
         assert "INTEGRITY VIOLATION" in text
@@ -112,11 +110,10 @@ class TestServeRoundtrip:
             client_dir = str(tmp_path / "client")
             os.makedirs(client_dir)
             commit_remote(client_dir, f"{host}:{port}", "f.txt", "persist me\n")
-            with server.state_lock:
-                snapshot = dump_database(server.state.database)
+            snapshot = server.with_core(
+                lambda core: dump_database(core.state.database))
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
         with open(os.path.join(repo, "db.snapshot"), "wb") as handle:
             handle.write(snapshot)
         # local mode now sees the remote commit, fully verified

@@ -20,12 +20,11 @@ from repro.net import (
     RemoteClient,
     RetryPolicy,
     TransientNetworkError,
+    ServerCore,
     WalError,
-    serve_async_in_thread,
     serve_in_thread,
     sync_check,
 )
-from repro.net.server import TrustedCvsTcpServer
 from repro.net.wal import ServerStore, chain_genesis
 from repro.protocols.base import Request, ServerState
 from repro.protocols.protocol2 import Protocol2Server
@@ -159,15 +158,11 @@ class TestDurableServer:
                           retry=_fast_retry()) as alice:
             for i in range(21):
                 alice.put(f"k{i % 5}".encode(), f"v{i}".encode())
-        with server.state_lock:
-            root_before = server.state.database.root_digest()
-            ctr_before = server.state.ctr
+        before = server.consistent_view()[:2]  # (root, ctr)
         server.stop(snapshot=False)  # crash
 
         restarted = serve_in_thread(order=4, data_dir=data_dir, snapshot_every=8)
-        with restarted.state_lock:
-            assert restarted.state.database.root_digest() == root_before
-            assert restarted.state.ctr == ctr_before
+        assert restarted.consistent_view()[:2] == before
         assert restarted.replayed_records > 0
         restarted.stop()
 
@@ -183,8 +178,7 @@ class TestDurableServer:
             send_message(sock, request)  # verbatim retry
             second = recv_message(sock)
         assert first == second  # bit-identical replayed response
-        with server.state_lock:
-            assert server.state.ctr == 1  # applied exactly once
+        assert server.consistent_view()[1] == 1  # applied exactly once
         server.stop()
 
     def test_dedup_table_survives_restart(self, tmp_path):
@@ -208,8 +202,7 @@ class TestDurableServer:
             send_message(sock, request)
             replayed = recv_message(sock)
         assert replayed == first
-        with restarted.state_lock:
-            assert restarted.state.ctr == 1
+        assert restarted.consistent_view()[1] == 1
         restarted.stop()
 
     def test_in_memory_server_unchanged(self):
@@ -221,7 +214,7 @@ class TestDurableServer:
                           order=4) as alice:
             alice.put(b"k", b"v")
             assert alice.get(b"k") == b"v"
-        assert server._store is None
+        assert server.core.store is None
         server.stop()
 
 
@@ -255,9 +248,9 @@ class TestKillAndRestart:
             registers = {user: client.registers()
                          for user, client in clients.items()}
             assert sync_check(genesis, registers)
-            with server.state_lock:
-                assert server.state.database.root_digest() == reference.root_digest()
-                assert server.state.ctr == len(ops)  # no loss, no duplication
+            # no loss, no duplication
+            assert server.consistent_view()[:2] == (reference.root_digest(),
+                                                    len(ops))
         finally:
             for client in clients.values():
                 client.close()
@@ -347,8 +340,8 @@ class TestKillAndRestart:
         number of distinct operations, never the number of sends."""
         window = 8
         data_dir = str(tmp_path / "server")
-        server = serve_async_in_thread(order=4, data_dir=data_dir,
-                                       snapshot_every=1000)
+        server = serve_in_thread(order=4, data_dir=data_dir,
+                                 snapshot_every=1000)
         host, port = server.address
         genesis = server.initial_root_digest()
         client = PipelinedRemoteClient(host, port, "alice", genesis,
@@ -362,8 +355,8 @@ class TestKillAndRestart:
             assert client.inflight == window
             assert server.quiesce(timeout=10.0)
             server.stop(snapshot=False)  # crash: WAL only
-            server = serve_async_in_thread(order=4, data_dir=data_dir,
-                                           port=port, snapshot_every=1000)
+            server = serve_in_thread(order=4, data_dir=data_dir,
+                                     port=port, snapshot_every=1000)
             assert server.replayed_records == window
 
             # drain() hits the dead socket, reconnects, resends all W
@@ -373,7 +366,7 @@ class TestKillAndRestart:
 
             # Exactly-once: one execution per distinct op despite every
             # op having been sent twice.
-            assert server.read_state(lambda s: s.ctr) == window
+            assert server.consistent_view()[1] == window
             for i in range(window):
                 assert client.get(f"k{i}".encode()) == f"v{i}".encode()
             assert sync_check(genesis, {"alice": client.registers()})
@@ -387,8 +380,8 @@ class TestKillAndRestart:
         executions.  Both paths must converge on one application each."""
         window = 6
         data_dir = str(tmp_path / "server")
-        server = serve_async_in_thread(order=4, data_dir=data_dir,
-                                       snapshot_every=1000)
+        server = serve_in_thread(order=4, data_dir=data_dir,
+                                 snapshot_every=1000)
         host, port = server.address
         genesis = server.initial_root_digest()
         client = PipelinedRemoteClient(host, port, "alice", genesis,
@@ -402,10 +395,10 @@ class TestKillAndRestart:
             for i in range(window):
                 client.submit(WriteQuery(f"k{i}".encode(), f"v{i}".encode()))
             server.stop(snapshot=False)
-            server = serve_async_in_thread(order=4, data_dir=data_dir,
-                                           port=port, snapshot_every=1000)
+            server = serve_in_thread(order=4, data_dir=data_dir,
+                                     port=port, snapshot_every=1000)
             client.drain()
-            assert server.read_state(lambda s: s.ctr) == 2 + window
+            assert server.consistent_view()[1] == 2 + window
             for i in range(window):
                 assert client.get(f"k{i}".encode()) == f"v{i}".encode()
             assert sync_check(genesis, {"alice": client.registers()})
@@ -430,7 +423,7 @@ class TestKillAndRestart:
             handle.seek(0)
             handle.write(blob)
         with pytest.raises(WalError):
-            TrustedCvsTcpServer(order=4, data_dir=data_dir)
+            ServerCore(order=4, data_dir=data_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +431,6 @@ class TestKillAndRestart:
 # ---------------------------------------------------------------------------
 
 from repro.mtree.forest import StoreSpec  # noqa: E402
-from repro.net.core import ServerCore  # noqa: E402
 from repro.net.wal import PagedServerStore, open_server_store  # noqa: E402
 from repro.storage.faults import ALWAYS, FaultyIO, SimulatedCrash  # noqa: E402
 
@@ -887,15 +879,13 @@ class TestPagedServerEndToEnd:
                           retry=_fast_retry()) as alice:
             for i in range(21):
                 alice.put(f"e{i}".encode(), f"v{i}".encode())
-        with server.state_lock:
-            root = server.state.database.root_digest()
+        root = server.initial_root_digest()  # the current root
         server.stop(snapshot=False)  # crash
 
         restarted = serve_in_thread(order=4, data_dir=data_dir, port=port,
                                     backend="sqlite", snapshot_every=8,
                                     shards=2)
-        with restarted.state_lock:
-            assert restarted.state.database.root_digest() == root
+        assert restarted.initial_root_digest() == root
         with RemoteClient(host, port, "bob", genesis, order=spec,
                           retry=_fast_retry(1)) as bob:
             assert bob.get(b"e7") == b"v7"  # VO verifies post-recovery

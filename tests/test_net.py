@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from helpers import swap_state
 from repro.net import RemoteClient, serve_in_thread, sync_check
 
 
@@ -12,8 +13,7 @@ from repro.net import RemoteClient, serve_in_thread, sync_check
 def server():
     srv = serve_in_thread(order=4)
     yield srv
-    srv.shutdown()
-    srv.server_close()
+    srv.stop()
 
 
 def connect(server, user_id):
@@ -109,18 +109,15 @@ class TestServerMisbehaviour:
         root = server.initial_root_digest()
         with connect(server, "alice") as alice:
             alice.put(b"k", b"v1")
-            with server.state_lock:
-                stale = server.state.clone()
+            stale = server.with_core(lambda core: core.state.clone())
             alice.put(b"k", b"v2")
 
             # swap the stale state in for bob's session
-            with server.state_lock:
-                live, server.state = server.state, stale
+            live = swap_state(server, stale)
             with connect(server, "bob") as bob:
                 bob.put(b"k", b"bob's view")
                 bob_registers = bob.registers()
-            with server.state_lock:
-                server.state = live
+            swap_state(server, live)
 
             registers = {"alice": alice.registers(), "bob": bob_registers}
         assert not sync_check(root, registers)
@@ -163,8 +160,7 @@ class TestProtocol1OverTcp:
         bootstrap_server_state(state, keys.signers["alice"])
         server = serve_in_thread(protocol=Protocol1Server(), state=state)
         yield server, keys
-        server.shutdown()
-        server.server_close()
+        server.stop()
 
     def connect_p1(self, server, keys, user):
         from repro.net import RemoteClientP1
@@ -200,18 +196,15 @@ class TestProtocol1OverTcp:
         with self.connect_p1(server, keys, "alice") as alice:
             alice.put(b"k", b"v1")
             assert server.quiesce()  # let alice's follow-up signature land
-            with server.state_lock:
-                stale = server.state.clone()
+            stale = server.with_core(lambda core: core.state.clone())
             alice.put(b"k", b"v2")
             assert server.quiesce()
-            with server.state_lock:
-                live, server.state = server.state, stale
+            live = swap_state(server, stale)
             with self.connect_p1(server, keys, "bob") as bob:
                 bob.put(b"k", b"bob world")
                 bob_counts = bob.counts()
             assert server.quiesce()
-            with server.state_lock:
-                server.state = live
+            swap_state(server, live)
             alice.get(b"k")
             counts = {"alice": alice.counts(), "bob": bob_counts}
         assert not count_sync_check(counts)
@@ -226,11 +219,13 @@ class TestProtocol1OverTcp:
             # corrupt the stored signature server-side (a forging server)
             from repro.crypto.signatures import Signature
 
-            with server.state_lock:
-                genuine = server.state.meta["p1.sig"]
-                server.state.meta["p1.sig"] = Signature(
+            def forge(core):
+                genuine = core.state.meta["p1.sig"]
+                core.state.meta["p1.sig"] = Signature(
                     signer_id=genuine.signer_id, digest=genuine.digest,
                     raw=bytes(len(genuine.raw)))
+
+            server.with_core(forge)
             with pytest.raises(IntegrityError, match="signature"):
                 alice.get(b"k")
 
@@ -268,7 +263,7 @@ class TestProtocol1OverTcp:
 class TestProtocol1Blocking:
     """The Protocol I blocking path: the server may not answer the next
     query until the previous operator returns its signature over the
-    new root.  These tests drive the handler with raw frames so the
+    new root.  These tests drive the server with raw frames so the
     follow-up can be withheld deliberately."""
 
     def _start_server(self, keys, block_timeout):
@@ -335,11 +330,10 @@ class TestProtocol1Blocking:
             assert results["answer"] == b"v1"
             sock_a.close()
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
 
     def test_block_timeout_returns_error_frame(self, shared_keys):
-        """When the operator never signs, the handler must refuse the
+        """When the operator never signs, the server must refuse the
         waiting request with an explicit ErrorReply -- a clean failure
         the client surfaces as ServerBusyError -- and the connection
         must stay usable afterwards."""
@@ -362,16 +356,15 @@ class TestProtocol1Blocking:
                 assert bob.get(b"k") == b"v1"
             sock_a.close()
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
 
 
 class TestQuiescedReads:
-    """Regression: quiesce() then re-acquiring the lock to read leaves a
-    window where a queued request executes in between, so out-of-band
-    observers (attack harnesses) could see a torn, mid-transaction root.
-    read_quiesced/consistent_view do the wait *and* the read in one
-    critical section."""
+    """Regression: quiesce() and then a separate read leaves a window
+    where a queued request executes in between, so out-of-band observers
+    (attack harnesses) could see a torn, mid-transaction root.
+    read_quiesced/consistent_view do the wait *and* the read with no
+    await between them."""
 
     _start_server = TestProtocol1Blocking._start_server
     _operate_withholding_followup = staticmethod(
@@ -394,8 +387,7 @@ class TestQuiescedReads:
             assert ctr == 1
             sock_a.close()
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
 
     def test_quiesced_read_sees_signed_roots_only(self, shared_keys):
         """At every quiesced read the stored state signature must cover
@@ -433,8 +425,7 @@ class TestQuiescedReads:
             thread.join(5.0)
             assert not violations, violations
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
 
 
 class TestTimeoutsAndRetries:
@@ -583,8 +574,8 @@ class TestNoDelaySockets:
         with connect(server, "alice") as alice:
             alice.put(b"k", b"v")
             assert _no_delay(alice._sock)
-            with server._connections_lock:
-                accepted = list(server._connections)
+            accepted = [writer.get_extra_info("socket")
+                        for writer in server._server._writers]
             assert accepted and all(_no_delay(sock) for sock in accepted)
 
     def test_pipelined_client_after_a_forced_reconnect(self, server):

@@ -31,7 +31,6 @@ from repro.net import (
     deposit_valid,
     make_deposit,
     make_replica_keys,
-    serve_async_in_thread,
     serve_in_thread,
 )
 from repro.net import evidence
@@ -200,10 +199,9 @@ class TestWitnessWalReplay:
                                     data_dir=data_dir)
         try:
             assert restarted.replayed_records == 1
-            with restarted.state_lock:
-                banked = restarted.state.meta[META_DEPOSITS]
-                assert {ctr: banked[ctr] for ctr in banked} == {
-                    deposit.ctr: deposit for deposit in deposits}
+            banked = restarted.with_core(
+                lambda core: dict(core.state.meta[META_DEPOSITS]))
+            assert banked == {deposit.ctr: deposit for deposit in deposits}
         finally:
             restarted.stop()
 
@@ -276,7 +274,7 @@ class TestQuorumEndToEnd:
         witnesses, endpoints = _witness_cluster(n=1)
         replicator = Replicator(KEYS.primary,
                                 witnesses=[e for _, e in endpoints])
-        handle = serve_async_in_thread(order=ORDER, replicator=replicator)
+        handle = serve_in_thread(order=ORDER, replicator=replicator)
         try:
             host, port = handle.address
             with RemoteClient(host, port, "alice",
@@ -285,10 +283,10 @@ class TestQuorumEndToEnd:
                 for i in range(4):
                     alice.put(b"a%d" % i, b"v%d" % i)
             assert replicator.flush(timeout=10)
-            with witnesses[0].state_lock:
-                banked = witnesses[0].state.meta[META_DEPOSITS]
+            banked = witnesses[0].with_core(
+                lambda core: sorted(core.state.meta[META_DEPOSITS]))
             # one deposit per executed op, even under batched draining
-            assert sorted(banked) == [1, 2, 3, 4]
+            assert banked == [1, 2, 3, 4]
         finally:
             handle.graceful_stop()
             for witness in witnesses:

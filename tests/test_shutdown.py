@@ -1,4 +1,4 @@
-"""Graceful shutdown: quiesce, flush, final snapshot -- on both cores.
+"""Graceful shutdown: quiesce, flush, final snapshot.
 
 ``graceful_stop`` is the operator path: unlike the crash-equivalent
 ``stop(snapshot=False)`` it drains in-flight work, flushes any attached
@@ -19,7 +19,6 @@ from repro.net import (
     Replicator,
     WitnessProtocol,
     make_replica_keys,
-    serve_async_in_thread,
     serve_in_thread,
 )
 from repro.net.replication import META_DEPOSITS, witness_name
@@ -38,26 +37,7 @@ def _run_ops(server, n=5):
             alice.put(b"k%d" % i, b"v%d" % i)
 
 
-class TestGracefulStopThreaded:
-    def test_final_snapshot_means_zero_replay(self, tmp_path):
-        data_dir = str(tmp_path / "server")
-        server = serve_in_thread(order=ORDER, data_dir=data_dir,
-                                 snapshot_every=10_000)
-        _run_ops(server)
-        with server.state_lock:
-            root = server.state.database.root_digest()
-        assert server.graceful_stop()
-
-        restarted = serve_in_thread(order=ORDER, data_dir=data_dir,
-                                    snapshot_every=10_000)
-        try:
-            assert restarted.replayed_records == 0  # snapshot caught up
-            with restarted.state_lock:
-                assert restarted.state.ctr == 5
-                assert restarted.state.database.root_digest() == root
-        finally:
-            restarted.stop()
-
+class TestGracefulStopAsync:
     def test_flushes_replicator_before_stopping(self, tmp_path):
         witness = serve_in_thread(
             order=ORDER, protocol=WitnessProtocol(
@@ -67,28 +47,27 @@ class TestGracefulStopThreaded:
         try:
             _run_ops(server)
             assert server.graceful_stop()
-            with witness.state_lock:
-                banked = witness.state.meta[META_DEPOSITS]
-                assert sorted(banked) == [1, 2, 3, 4, 5]
+            banked = witness.with_core(
+                lambda core: sorted(core.state.meta[META_DEPOSITS]))
+            assert banked == [1, 2, 3, 4, 5]
         finally:
             witness.stop()
 
-
-class TestGracefulStopAsync:
     def test_final_snapshot_means_zero_replay(self, tmp_path):
-        data_dir = str(tmp_path / "aserver")
-        handle = serve_async_in_thread(order=ORDER, data_dir=data_dir,
-                                       snapshot_every=10_000)
+        data_dir = str(tmp_path / "server")
+        handle = serve_in_thread(order=ORDER, data_dir=data_dir,
+                                 snapshot_every=10_000)
         _run_ops(handle)
-        root = handle.read_state(lambda state: state.database.root_digest())
+        root = handle.with_core(lambda core: core.state.database.root_digest())
         assert handle.graceful_stop()
 
-        restarted = serve_async_in_thread(order=ORDER, data_dir=data_dir,
-                                          snapshot_every=10_000)
+        restarted = serve_in_thread(order=ORDER, data_dir=data_dir,
+                                    snapshot_every=10_000)
         try:
-            assert restarted.replayed_records == 0
-            view = restarted.read_state(
-                lambda state: (state.ctr, state.database.root_digest()))
+            assert restarted.replayed_records == 0  # snapshot caught up
+            view = restarted.with_core(
+                lambda core: (core.state.ctr,
+                              core.state.database.root_digest()))
             assert view == (5, root)
         finally:
             restarted.stop()

@@ -141,19 +141,21 @@ class TestWindowWrite:
             client._sock = RecordingSocket.adopt(client._sock)
 
         client._connect = recording_connect
-        # The server executes under this lock: held, no answer can reach
+        # The server executes on its loop: held, no answer can reach
         # the socket's buffer before the shutdown, where a read would
         # still find it.
-        with server.state_lock:
+        def lose_the_answers(_core):
             for query in queries:
                 client.submit(query)
-            first.shutdown(socket.SHUT_RDWR)     # the answers are lost
+            first.shutdown(socket.SHUT_RDWR)
+
+        server.with_core(lose_the_answers)
         assert len(client.drain()) == WINDOW
         assert client._sock is not first
         assert client._sock.writes == first.writes
         assert len(first.writes) == 1
-        with server.state_lock:
-            assert server.state.ctr == WINDOW    # each applied exactly once
+        # each applied exactly once
+        assert server.consistent_view()[1] == WINDOW
         assert sync_check(client.genesis, {"alice": client.registers()})
 
     def test_held_frames_survive_a_connection_lost_before_the_write(
@@ -164,8 +166,7 @@ class TestWindowWrite:
         client._drop_connection()
         assert [client.inflight, client._unsent] == [3, 3]
         assert len(client.drain()) == 3
-        with server.state_lock:
-            assert server.state.ctr == 3
+        assert server.consistent_view()[1] == 3
 
 
 class TestProtocol1WindowWrite:
