@@ -56,7 +56,6 @@ from repro.net import (  # noqa: E402
     RemoteClient,
     Replicator,
     RetryPolicy,
-    ServerBusyError,
     TransientNetworkError,
     WireAttack,
     WitnessCollusion,
@@ -146,8 +145,6 @@ def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
                     else:
                         client.put(f"{user}-{step % 5}".encode(),
                                    f"{user}:{step}".encode())
-                except ServerBusyError:
-                    raise
                 except IntegrityError as exc:
                     if wire is None or wire.first_deviation_op is None:
                         false_alarm = True
@@ -240,8 +237,6 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
                     else:
                         client.put(f"{user}-{step % 5}".encode(),
                                    f"{user}:{step}".encode())
-                except ServerBusyError:
-                    raise
                 except IntegrityError as exc:
                     if wire is None or wire.first_deviation_op is None:
                         false_alarm = True
@@ -404,8 +399,6 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
                         client.put(f"{user}-{step % 5}".encode(),
                                    f"{user}:{step}".encode())
                     completed[user] += 1
-                except ServerBusyError:
-                    raise
                 except IntegrityError as exc:
                     _halt(user, exc)
             if false_alarm:

@@ -71,10 +71,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from bench_common import REPO_ROOT, emit_json  # noqa: E402
 
-from repro.crypto.hashing import Digest, hash_tagged_state  # noqa: E402
 from repro.mtree.database import WriteQuery  # noqa: E402
 from repro.net import (  # noqa: E402
-    PipelinedRemoteClientP1,
     RemoteClient,
     RemoteClientP1,
     serve_in_thread,
@@ -83,8 +81,7 @@ from repro.net import (  # noqa: E402
 from repro.net.aserver import BATCH_MAX  # noqa: E402
 from repro.net.framing import async_recv_message, async_send_message  # noqa: E402
 from repro.protocols.base import Request, Response  # noqa: E402
-from repro.protocols.protocol2 import INITIAL_OWNER  # noqa: E402
-from repro.protocols.verify import derive_outcome  # noqa: E402
+from repro.protocols.protocol2 import XorRegisters  # noqa: E402
 
 ORDER = 8
 BENCH_THROUGHPUT_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
@@ -216,12 +213,11 @@ def run_stop_and_wait(clients: int, ops_per_client: int) -> dict:
 
 # -- pipelined: C windowed sessions in one client event loop --------------
 #
-# The real PipelinedRemoteClient is a blocking-socket class; C of those
+# ``RemoteClient`` is a blocking-socket class; C of those with a window
 # would need C threads, which caps the grid at the stop-and-wait rows'
 # concurrency.  The bench therefore runs a minimal asyncio Protocol II
-# session performing the *identical* verification work per response
-# (rid echo, counter checks, derive_outcome, tagged-state registers) so
-# the two clients are compared op-for-op.
+# transport around the same ``XorRegisters`` step (plus the rid echo
+# check), so the two clients do identical verification work per op.
 
 async def _async_session(host: str, port: int, user: str,
                          ops: int, window: int,
@@ -243,9 +239,7 @@ async def _async_session(host: str, port: int, user: str,
         all_connected.set()
     await start_gate.wait()
     nonce = os.urandom(4).hex()
-    sigma = Digest.zero()
-    last = Digest.zero()
-    gctr = 0
+    registers = XorRegisters(user, ORDER)
     pending: deque = deque()
     sent = 0
     received = 0
@@ -270,22 +264,11 @@ async def _async_session(host: str, port: int, user: str,
             echoed = message.extras.get("rid")
             if echoed is not None and echoed != rid:
                 raise RuntimeError(f"{user}: reordered response {echoed!r}")
-            ctr = int(message.extras["ctr"])
-            last_user = message.extras["last_user"]
-            if ctr < gctr:
-                raise RuntimeError(f"{user}: counter regressed")
-            if ctr == 0 and last_user != INITIAL_OWNER:
-                raise RuntimeError(f"{user}: initial state owned")
-            outcome = derive_outcome(query, message.result, ORDER)
-            old_tag = hash_tagged_state(outcome.old_root, ctr, last_user)
-            new_tag = hash_tagged_state(outcome.new_root, ctr + 1, user)
-            sigma = sigma ^ old_tag ^ new_tag
-            last = new_tag
-            gctr = ctr + 1
+            registers.step(query, message)
             received += 1
     finally:
         writer.close()
-    return {"sigma": sigma, "last": last}
+    return {"sigma": registers.sigma, "last": registers.last}
 
 
 async def _async_cell(host: str, port: int, clients: int, ops_per_client: int,
@@ -341,9 +324,8 @@ def run_pipelined(clients: int, ops_per_client: int, batch: int) -> dict:
 # while the k-bounded detection guarantee is untouched (every VO is
 # still verified per op, and the count sync must still pass).
 
-def _run_p1_side(users: list, signers: dict, batch_max: int,
-                 make_client, pipelined: bool,
-                 ops_per_client: int, keyspace: int) -> dict:
+def _run_p1_side(users: list, signers: dict, verifier, batch_max: int,
+                 window: int, ops_per_client: int, keyspace: int) -> dict:
     from repro.mtree.database import VerifiedDatabase
     from repro.net import count_sync_check
     from repro.protocols.base import ServerState
@@ -355,7 +337,10 @@ def _run_p1_side(users: list, signers: dict, batch_max: int,
                              state=state, batch_max=batch_max,
                              block_timeout=120.0)
     host, port = server.address
-    clients = {user: make_client(host, port, user) for user in users}
+    clients = {user: RemoteClientP1(
+        host, port, user, signers[user], verifier, order=ORDER,
+        op_timeout=300.0, window=window) for user in users}
+    pipelined = window > 1
     barrier = threading.Barrier(len(users) + 1)
     lat_lists: list[list[float]] = [[] for _ in users]
 
@@ -385,8 +370,7 @@ def _run_p1_side(users: list, signers: dict, batch_max: int,
     wall = time.perf_counter() - started
     sync_ok = count_sync_check(
         {user: client.counts() for user, client in clients.items()})
-    signatures = sum(getattr(client, "followups_sent", ops_per_client)
-                     for client in clients.values())
+    signatures = sum(client.followups_sent for client in clients.values())
     for client in clients.values():
         client.close()
     server.stop(snapshot=False)
@@ -413,18 +397,10 @@ def run_p1_pair(clients: int, ops_per_client: int, window: int,
     verifier = Verifier({user: signer.public_key
                          for user, signer in signers.items()})
 
-    stop_and_wait = _run_p1_side(
-        users, signers, batch_max,
-        lambda host, port, user: RemoteClientP1(
-            host, port, user, signers[user], verifier, order=ORDER,
-            op_timeout=300.0),
-        pipelined=False, ops_per_client=ops_per_client, keyspace=keyspace)
-    pipelined = _run_p1_side(
-        users, signers, batch_max,
-        lambda host, port, user: PipelinedRemoteClientP1(
-            host, port, user, signers[user], verifier, order=ORDER,
-            window=window),
-        pipelined=True, ops_per_client=ops_per_client, keyspace=keyspace)
+    stop_and_wait, pipelined = (
+        _run_p1_side(users, signers, verifier, batch_max, side_window,
+                     ops_per_client, keyspace)
+        for side_window in (1, window))
     pipelined["window"] = window
 
     speedup = round(pipelined["ops_per_s"] / stop_and_wait["ops_per_s"], 2) \

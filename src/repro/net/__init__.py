@@ -18,6 +18,7 @@ from repro.net.chaosproxy import ChaosConfig, ChaosProxy
 from repro.net.client import (
     EndpointConnector,
     IntegrityError,
+    PipelinedRemoteClient,
     RemoteClient,
     RemoteClientP1,
     ReplicationDivergence,
@@ -42,7 +43,6 @@ from repro.net.replication import (
 from repro.net.core import DedupTable, ServerCore
 from repro.net.evidence import EvidenceError, read_bundle, reverify, write_bundle
 from repro.net.framing import FramingError, recv_message, send_message
-from repro.net.pipeline import PipelinedRemoteClient, PipelinedRemoteClientP1
 from repro.net.wal import ServerStore, WalError
 
 # The second name of the one function: benchmarks/e2e/launcher.py and
@@ -55,7 +55,6 @@ __all__ = [
     "DedupTable",
     "ServerCore",
     "PipelinedRemoteClient",
-    "PipelinedRemoteClientP1",
     "WireAttack",
     "WitnessCollusion",
     "ChaosConfig",

@@ -9,7 +9,7 @@ the new root).  Speaks the binary wire format, one length-prefixed
 frame per message.  The server needs no keys and is trusted with
 nothing: every response carries the verification object clients check
 (:class:`~repro.net.client.RemoteClient`,
-:class:`~repro.net.client.RemoteClientP1` and their pipelined forms).
+:class:`~repro.net.client.RemoteClientP1`, at any window).
 
 Every connection is multiplexed on a single event loop, and **one
 drainer task** owns the :class:`~repro.net.core.ServerCore` outright --

@@ -1,30 +1,47 @@
-"""Verifying TCP clients: the transport around a protocol state object.
+"""Verifying TCP sessions: the transport around a protocol state object.
 
-Connects to a :class:`~repro.net.aserver.AsyncTrustedCvsServer`, sends
-queries over the wire format, and hands every response to the same
+A session connects to a :class:`~repro.net.aserver.AsyncTrustedCvsServer`,
+sends queries over the wire format, and hands every response to the same
 per-response step the simulated clients run --
-:class:`~repro.protocols.protocol2.XorRegisters` (Protocol II) or
-:class:`~repro.protocols.protocol1.SignedRootChain` (Protocol I).  No
-verification is written here: this module connects, retries, fails
-over, persists the anchor, captures evidence and records quorum
-entries.
+:class:`~repro.protocols.protocol2.XorRegisters` (Protocol II,
+:class:`RemoteClient`) or
+:class:`~repro.protocols.protocol1.SignedRootChain` (Protocol I,
+:class:`RemoteClientP1`).  No verification is written here: this module
+connects, keeps the window, retries, fails over, persists the anchor,
+captures evidence and records quorum entries.
+
+Every session keeps a *window* of operations in flight
+(``submit``/``drain``; ``execute`` is submit-then-drain, and
+stop-and-wait is the window of one).  The server answers each
+connection's requests in order, so responses are matched to the oldest
+in-flight operation, by their echoed request id where there is one, and
+verified one by one exactly as a lone operation would be.  One loop,
+:meth:`_Session._exchange`, moves every frame, under three rules:
+
+* a *transport failure* drops the connection, counts against
+  ``RetryPolicy.attempts``, backs off, reconnects and resends every
+  in-flight request verbatim in one write -- the request id
+  (``user:nonce:seq``) lets the server's dedup table apply each at most
+  once, which is why its window must be at least as deep as the
+  client's.  Out of budget it raises :class:`TransientNetworkError` --
+  explicitly *not* an integrity verdict; nothing about a flaky link
+  implicates the server's honesty -- and the operations *stay in
+  flight*: the next call completes them before anything new;
+* a *refusal* (:class:`ServerBusyError`) is the oldest in-flight
+  operation's answer: the server did not execute it.  Alone in the
+  window it is re-asked on the same connection while
+  ``busy_attempts`` remain; otherwise it leaves the window and the
+  refusal is raised;
+* anything else is the oldest operation's response, and goes to the
+  protocol session's ``_absorb``.
 
 Several clients sharing a server can check their collective view with
 :func:`sync_check` / :func:`count_sync_check` -- the protocols' own
 synchronisation predicates over registers exchanged out-of-band (users
 trust each other; how they meet is outside the server's control, which
-is the whole point).
-
-Self-healing: the client stamps every logical operation with an
-idempotent request id, so when a connection drops (or an operation
-times out) it reconnects with capped exponential backoff + jitter and
-resends the same id -- the server's dedup table guarantees the write is
-applied exactly once whichever side of the failure it landed on.  The
-trust anchor (initial tag, XOR registers, counter) can be persisted to
-a file so a restarted *client* resumes verification where it left off.
-Failures that exhaust the retry budget surface as
-:class:`TransientNetworkError` -- explicitly *not* an integrity
-verdict; nothing about a flaky link implicates the server's honesty.
+is the whole point).  The Protocol II trust anchor (initial tag, XOR
+registers, counter) can be persisted to a file so a restarted *client*
+resumes verification where it left off.
 """
 
 from __future__ import annotations
@@ -33,13 +50,14 @@ import os
 import random
 import socket
 import time
+from collections import deque
 
 from repro.crypto.hashing import Digest
 from repro.mtree.database import DeleteQuery, Query, RangeQuery, ReadQuery, WriteQuery
 from repro.mtree.forest import StoreSpec
 from repro.net import evidence
 from repro.net.framing import (
-    FramingError, open_connection, recv_message, send_message)
+    FramingError, open_connection, recv_message, send_messages)
 from repro.storage.atomic import atomic_write
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
@@ -66,20 +84,14 @@ _RETRIES = _registry.counter(
     "net.retries", "client operation retries, by reason (io/busy)")
 _DETECTIONS = _registry.counter(
     "net.detections", "integrity violations detected by verifying clients")
+_RESENDS = _registry.counter(
+    "net.pipeline_resends", "in-flight requests resent after a reconnect")
+_WINDOW_FULL = _registry.counter(
+    "net.pipeline_window_full", "submissions that had to drain a slot first")
 
 
 class IntegrityError(Exception):
     """The server's response is inconsistent with every honest history."""
-
-
-class ServerBusyError(IntegrityError):
-    """The server refused the request: it stayed blocked on another
-    client's follow-up signature past its block timeout (Protocol I).
-    The session remains usable -- retry once the operator catches up."""
-
-    def __init__(self, reply: ErrorReply) -> None:
-        super().__init__(reply.reason or "server busy")
-        self.reply = reply
 
 
 class TransientNetworkError(Exception):
@@ -87,6 +99,18 @@ class TransientNetworkError(Exception):
     refused/lost, timeout, server busy past the retry budget).  This is
     a *liveness* failure, not an integrity one: retrying later is safe
     because operations carry idempotent request ids."""
+
+
+class ServerBusyError(TransientNetworkError):
+    """The server refused the request: it stayed blocked on another
+    client's follow-up signature past its block timeout (Protocol I).
+    The refused operation was not executed and has left the window; the
+    session remains usable -- retry once the operator catches up."""
+
+    def __init__(self, reply: ErrorReply) -> None:
+        super().__init__(f"server busy: {reply.reason}" if reply.reason
+                         else "server busy")
+        self.reply = reply
 
 
 class ReplicationDivergence(IntegrityError):
@@ -153,11 +177,12 @@ class EndpointConnector:
 class RetryPolicy:
     """Capped exponential backoff with jitter, driven by a seeded RNG.
 
-    ``attempts`` bounds tries per operation (the first try included);
-    the delay before retry ``n`` is ``min(cap, base * 2**n)`` scaled by
-    a uniform jitter factor in ``[1 - jitter, 1]``.  A seeded policy
-    produces a reproducible backoff schedule -- the chaos harness runs
-    on fixed seeds end to end.
+    ``attempts`` bounds the connection failures one call rides out (the
+    first try included) and ``busy_attempts`` the refusals of one
+    operation; the delay before retry ``n`` is ``min(cap, base * 2**n)``
+    scaled by a uniform jitter factor in ``[1 - jitter, 1]``.  A seeded
+    policy produces a reproducible backoff schedule -- the chaos harness
+    runs on fixed seeds end to end.
     """
 
     def __init__(self, attempts: int = 6, base: float = 0.05,
@@ -178,29 +203,50 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter * self._rng.random())
 
 
-def _expect_response(message: object) -> Response:
-    if isinstance(message, ErrorReply):
-        raise ServerBusyError(message)
-    if not isinstance(message, Response):
-        raise IntegrityError("server closed the connection or spoke garbage")
-    return message
-
-
 class _Session:
     """What a Protocol I and a Protocol II session share around their
-    protocol state object (``self.state``): the step's verdict turned
-    into :class:`IntegrityError` with an evidence bundle, the witness
-    quorum bookkeeping, the request-id format and the convenience verbs.
-    Subclasses name their ``protocol`` and supply ``_evidence_fields``.
+    protocol state object (``self.state``): the connection, the window
+    of in-flight operations, the one exchange loop, the step's verdict
+    turned into :class:`IntegrityError` with an evidence bundle, the
+    witness quorum bookkeeping, the request-id format and the
+    convenience verbs.  Subclasses name their ``protocol``, say what one
+    verified response does (``_absorb``) and what their bundle records
+    (``_evidence_fields``).
     """
 
     protocol = ""
+    #: operations kept in flight unless the constructor is given another
+    #: ``window``; stop-and-wait is the window of one.  The server's
+    #: dedup window (256) must stay comfortably above whatever is used.
+    window = 1
+    #: whether a lost connection is replaced by a new one
+    reconnects = True
+    #: whether requests carry a request id (``user:nonce:seq``)
+    _rids = True
 
-    def __init__(self, user_id: str, order: "int | StoreSpec", state,
+    def __init__(self, endpoints, user_id: str, order: "int | StoreSpec",
+                 state, window: int | None, retry: RetryPolicy,
+                 connect_timeout: float, op_timeout: float,
                  evidence_dir: str | None, quorum, quorum_every: int) -> None:
         self.user_id = user_id
         self._order = order
         self.state = state
+        if window is not None:
+            self.window = window
+        if self.window < 1:
+            raise ValueError("pipeline window must be at least 1")
+        #: submitted and not yet answered, oldest first
+        self._inflight: deque[tuple[Query, Request]] = deque()
+        #: messages not yet written.  They go out in one ``sendall``
+        #: when the window fills or the session first blocks on a read:
+        #: the sockets are no-delay, so each write is its own segment,
+        #: and one write lets the server find the whole window queued.
+        self._held: list = []
+        self._retry = retry
+        self._connector = EndpointConnector(
+            endpoints, connect_timeout, op_timeout)
+        self._sock: socket.socket | None = None
+        self._opened = False
         self._evidence_dir = evidence_dir
         self._capture: list[bytes] = []
         self.quorum = quorum
@@ -223,6 +269,177 @@ class _Session:
     def _rid(self, seq: int) -> str:
         """The idempotency token for logical operation ``seq``."""
         return f"{self.user_id}:{self._rid_nonce}:{seq}"
+
+    # -- connection management --------------------------------------------
+
+    def _connect(self) -> None:
+        """Open the session's connection, walking the endpoint list.  A
+        new connection has seen nothing, so every in-flight request is
+        held again and goes out verbatim in the next write.  Any of them
+        may or may not have executed before the old connection died;
+        identical request ids make the resend idempotent (the server's
+        windowed dedup answers executed ones from memory), so the whole
+        window is re-answered in order."""
+        if self._opened and not self.reconnects:
+            raise ConnectionError("the session's one connection is gone")
+        self._sock = self._connector.connect()
+        if self._opened and _obs.enabled:
+            _RECONNECTS.inc(user=self.user_id)
+            _RESENDS.inc(len(self._inflight), user=self.user_id)
+        self._opened = True
+        self._held = [request for _query, request in self._inflight]
+
+    def _drop_connection(self) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+
+    def close(self) -> None:
+        """Drop the connection.  Draining here would mask errors;
+        callers drain explicitly."""
+        self._drop_connection()
+        if self.quorum is not None:
+            self.quorum.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    # -- the window and the one exchange loop -------------------------------
+
+    @property
+    def inflight(self) -> int:
+        return len(self._inflight)
+
+    def _exchange(self, read: bool) -> object:
+        """Connect if need be, put every held message on the wire in one
+        write and, when ``read``, return the server's next response --
+        the module docstring's rules for a transport failure and for a
+        refusal, each stated here and nowhere else.  A connection-level
+        failure may leave the stream desynchronised mid-frame, so the
+        only safe move is a fresh connection and a verbatim resend."""
+        policy = self._retry
+        io_failures = busy_failures = 0
+        while True:
+            try:
+                if self._sock is None:
+                    self._connect()
+                if self._held:
+                    send_messages(self._sock, self._held)
+                    self._held = []
+                if not read:
+                    return None
+                self._capture.clear()
+                message = recv_message(self._sock, capture=self._capture)
+                if message is None:
+                    raise FramingError("server closed the connection")
+            except (OSError, FramingError, WireError) as exc:
+                self._drop_connection()
+                io_failures += 1
+                if _obs.enabled:
+                    _RETRIES.inc(reason="io", user=self.user_id)
+                if io_failures >= policy.attempts:
+                    raise TransientNetworkError(
+                        f"no answer from {self._connector.describe()} after "
+                        f"{io_failures} connection failure(s), "
+                        f"{len(self._inflight)} operation(s) still in "
+                        f"flight: {exc}") from exc
+                time.sleep(policy.delay(io_failures - 1))
+                continue
+            if not isinstance(message, ErrorReply):
+                return message
+            # The session is intact -- the server refused, it did not
+            # vanish -- and the refusal answers the oldest operation.
+            busy_failures += 1
+            if _obs.enabled:
+                _RETRIES.inc(reason="busy", user=self.user_id)
+            if len(self._inflight) > 1 or busy_failures >= policy.busy_attempts:
+                self._inflight.popleft()
+                raise ServerBusyError(message)
+            time.sleep(policy.delay(busy_failures - 1))
+            self._held.append(self._inflight[0][1])
+
+    def submit(self, query: Query) -> list:
+        """Queue one operation; returns answers completed on the way.
+
+        Blocks only when the window is full (drains the oldest slot) or
+        the transport needs recovery.  The request is written no later
+        than the next blocking read or a full window.  The sequence
+        number advances here, for every window: a request id names a
+        submitted operation and is never given to a second one.
+        """
+        drained = []
+        while len(self._inflight) >= self.window:
+            if _obs.enabled:
+                _WINDOW_FULL.inc(user=self.user_id)
+            drained.append(self._drain_one())
+        extras = {"user": self.user_id}
+        if self._rids:
+            extras["rid"] = self._rid(self._seq)
+        request = Request(query=query, extras=extras)
+        self._seq += 1
+        self._inflight.append((query, request))
+        self._held.append(request)
+        # A full window goes out now: it is then on the wire while the
+        # caller submits to, or drains, another session.
+        if len(self._inflight) >= self.window:
+            self._exchange(read=False)
+        return drained
+
+    def _drain_one(self) -> object:
+        """Read, match and verify the oldest in-flight operation's
+        response; returns its trusted answer."""
+        response = self._exchange(read=True)
+        if not isinstance(response, Response):
+            raise IntegrityError("the server's answer is not a response")
+        query, request = self._inflight.popleft()
+        echoed, sent = response.extras.get("rid"), request.extras.get("rid")
+        if echoed is not None and echoed != sent:
+            exc = IntegrityError(
+                f"response names request id {echoed!r} but the oldest "
+                f"in-flight operation is {sent!r}: the server reordered or "
+                "dropped operations within one connection")
+            self._on_detection(exc, request)
+            raise exc
+        return self._absorb(query, request, response)
+
+    def drain(self) -> list:
+        """Complete (and verify) every in-flight operation, in order."""
+        answers = []
+        while self._inflight:
+            answers.append(self._drain_one())
+        return answers
+
+    def execute(self, query: Query) -> object:
+        """Send a query; verify the response; return the trusted answer.
+
+        Submit, then drain everything.  An operation that ends in
+        :class:`TransientNetworkError` *stays in flight* under its
+        request id: the next call -- ``execute``, ``submit`` or
+        ``drain`` -- completes it first, exactly once by the server's
+        dedup, before anything new is sent.  A caller that gives up on
+        it must not assume it was not applied; a caller that repeats it
+        issues a second operation.  A refused one
+        (:class:`ServerBusyError`) was not executed and is gone.
+        """
+        started = time.perf_counter_ns() if _obs.enabled else 0
+        answers = self.submit(query)
+        answers.extend(self.drain())
+        if started:
+            _CLIENT_OP_MS.observe(
+                (time.perf_counter_ns() - started) / 1e6, user=self.user_id)
+        return answers[-1]
+
+    def _absorb(self, query: Query, request: Request,
+                response: Response) -> object:
+        """One verified operation: the protocol step on ``response``,
+        then the session's own bookkeeping; returns the answer."""
+        raise NotImplementedError
 
     def _verify(self, query: Query, request: Request, response: Response):
         """Run the protocol's step on one response; returns what the
@@ -329,7 +546,8 @@ class RemoteClient(_Session):
     a :class:`~repro.net.replication.QuorumChecker`; each verified
     operation's expected ``(ctr, new_root)`` is then recorded and
     confirmed against f+1 random witnesses every ``quorum_every``
-    operations (and on demand via :meth:`quorum_check`).
+    operations (and on demand via :meth:`quorum_check`).  ``window``
+    is the number of operations kept in flight.
     """
 
     protocol = "II"
@@ -347,20 +565,17 @@ class RemoteClient(_Session):
                  anchor_path: str | None = None,
                  evidence_dir: str | None = None,
                  endpoints=None,
-                 quorum=None, quorum_every: int = 8) -> None:
-        super().__init__(user_id, order, XorRegisters(user_id, order),
-                         evidence_dir, quorum, quorum_every)
+                 quorum=None, quorum_every: int = 8,
+                 window: int | None = None) -> None:
         if endpoints is None:
             if port is None and isinstance(host, (list, tuple)):
                 endpoints = list(host)
             else:
                 endpoints = [(host, port)]
-        self._connector = EndpointConnector(
-            endpoints, connect_timeout, op_timeout)
-        self._host, self._port = self._connector.current
-        self._connect_timeout = connect_timeout
-        self._op_timeout = op_timeout
-        self._retry = retry or RetryPolicy()
+        super().__init__(endpoints, user_id, order,
+                         XorRegisters(user_id, order), window,
+                         retry or RetryPolicy(), connect_timeout, op_timeout,
+                         evidence_dir, quorum, quorum_every)
         self._anchor_path = anchor_path
         self.operations = 0
         self._initial_tag = None
@@ -371,54 +586,10 @@ class RemoteClient(_Session):
                 raise ValueError(
                     "initial_root is required unless a saved anchor exists")
             self._initial_tag = initial_state_tag(initial_root)
-        self._sock: socket.socket | None = None
-        self._connect_with_retry()
-
-    # -- connection management --------------------------------------------
-
-    def _connect_with_retry(self) -> None:
-        """The constructor's first connect, under the same retry budget
-        as every other transport failure: a server mid-restart must not
-        kill client construction with a raw OSError."""
-        last_error: Exception | None = None
-        for attempt in range(self._retry.attempts):
-            try:
-                self._connect(first=True)
-                return
-            except OSError as exc:
-                last_error = exc
-                if _obs.enabled:
-                    _RETRIES.inc(reason="io", user=self.user_id)
-                if attempt + 1 < self._retry.attempts:
-                    time.sleep(self._retry.delay(attempt))
-        raise TransientNetworkError(
-            f"could not connect to {self._connector.describe()} after "
-            f"{self._retry.attempts} attempt(s): {last_error}") from last_error
-
-    def _connect(self, first: bool = False) -> None:
-        self._sock = self._connector.connect()
-        self._host, self._port = self._connector.current
-        if not first and _obs.enabled:
-            _RECONNECTS.inc(user=self.user_id)
-
-    def _drop_connection(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def close(self) -> None:
-        self._drop_connection()
-        if self.quorum is not None:
-            self.quorum.close()
-
-    def __enter__(self) -> "RemoteClient":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        # The first connect, under the same retry budget as every other
+        # transport failure: a server mid-restart must not kill client
+        # construction with a raw OSError.
+        self._exchange(read=False)
 
     # -- anchor persistence -------------------------------------------------
 
@@ -497,75 +668,14 @@ class RemoteClient(_Session):
         atomic_write(self._anchor_path,
                      ("\n".join(lines) + "\n").encode("ascii"))
 
-    # -- operations ---------------------------------------------------------
-
-    def _exchange(self, request: Request) -> Response:
-        """Send one request and read its response, reconnecting and
-        retrying on transport failures.  Safe to resend verbatim: the
-        request id makes the server apply it at most once."""
-        policy = self._retry
-        io_failures = 0
-        busy_failures = 0
-        last_error: Exception | None = None
-        while io_failures < policy.attempts and busy_failures < policy.busy_attempts:
-            try:
-                if self._sock is None:
-                    self._connect()
-                send_message(self._sock, request)
-                message = recv_message(self._sock, capture=self._capture)
-                if message is None:
-                    raise FramingError("server closed the connection")
-                return _expect_response(message)
-            except ServerBusyError as exc:
-                # The session is intact -- the server refused, it did
-                # not vanish.  Back off and re-ask without reconnecting.
-                busy_failures += 1
-                last_error = exc
-                if _obs.enabled:
-                    _RETRIES.inc(reason="busy", user=self.user_id)
-                if busy_failures < policy.busy_attempts:
-                    time.sleep(policy.delay(busy_failures - 1))
-            except (OSError, FramingError, WireError) as exc:
-                # Connection-level failure: the stream may be mid-frame
-                # desynchronised, so the only safe move is a fresh
-                # connection and a verbatim resend.
-                io_failures += 1
-                last_error = exc
-                self._drop_connection()
-                if _obs.enabled:
-                    _RETRIES.inc(reason="io", user=self.user_id)
-                if io_failures < policy.attempts:
-                    time.sleep(policy.delay(io_failures - 1))
-        raise TransientNetworkError(
-            f"operation failed after {io_failures} connection failure(s) and "
-            f"{busy_failures} busy refusal(s): {last_error}") from last_error
-
-    def execute(self, query: Query) -> object:
-        """Send a query; verify the response; return the trusted answer."""
-        started = time.perf_counter_ns() if _obs.enabled else 0
-        request = Request(query=query, extras={
-            "user": self.user_id, "rid": self._rid(self._seq)})
-        self._capture.clear()
-        response = self._exchange(request)
-        answer = self._absorb(query, request, response)
-        self._seq += 1
-        if self._anchor_path is not None:
-            self.save_anchor()
-        if started:
-            _CLIENT_OP_MS.observe(
-                (time.perf_counter_ns() - started) / 1e6, user=self.user_id)
-        return answer
-
     def _absorb(self, query: Query, request: Request,
                 response: Response) -> object:
-        """One verified operation, shared by the stop-and-wait path
-        above and the pipelined client
-        (:class:`~repro.net.pipeline.PipelinedRemoteClient`): the
-        protocol step, then the transport's own bookkeeping."""
         outcome = self._verify(query, request, response)
         self.operations += 1
         self._record_quorum(outcome.new_root, request)
         self._maybe_quorum_check()
+        if self._anchor_path is not None:
+            self.save_anchor()
         return outcome.answer
 
     def _evidence_fields(self) -> dict:
@@ -581,6 +691,23 @@ class RemoteClient(_Session):
         return {"sigma": self.sigma, "last": self.last}
 
 
+class PipelinedRemoteClient(RemoteClient):
+    """:class:`RemoteClient` with a default window of 16.  Kept for
+    ``benchmarks/e2e/e2e.py`` (frozen by ``BENCHMARK.json``), its only
+    user; everything else writes ``RemoteClient(..., window=W)``."""
+
+    window = 16
+
+
+#: Protocol I's differences from Protocol II on the transport are this
+#: value and ``reconnects``: no resend, and a refusal surfaces at once.
+#: Its blocking follow-up makes a half-done operation visible to every
+#: other user, so the honest reaction to a lost connection is to
+#: surface it and let the operator re-establish the session
+#: deliberately.
+_P1_POLICY = RetryPolicy(attempts=1, busy_attempts=1)
+
+
 class RemoteClientP1(_Session):
     """A Protocol I session over TCP: signed roots, blocking follow-up.
 
@@ -588,18 +715,23 @@ class RemoteClientP1(_Session):
     user's public key (from the PKI); after each verified operation
     that closes a signing run the client sends back
     ``sign_i(h(new_root || ctr + 1))``, unblocking the server for the
-    next query.
+    next query.  The server answers a window of W requests as one
+    signing run: intermediate responses carry ``batch_final=False`` and
+    the stored (stale) head signature, and only the final one demands
+    the follow-up.  How a run is verified (RSA at its head, hash-chain
+    membership inside it, every VO independently) is
+    :class:`~repro.protocols.protocol1.SignedRootChain`'s business; the
+    session signs when the step hands it a digest, so
+    ``followups_sent`` is ~operations/W.
 
     Carries the same socket timeouts as :class:`RemoteClient` so a hung
-    server cannot park the session forever, but does *not* transparently
-    reconnect: Protocol I's blocking follow-up makes a half-done
-    operation visible to every other user, so the honest reaction to a
-    lost connection is to surface it and let the operator re-establish
-    the session deliberately.  For the same reason its requests carry
-    no request id.
+    server cannot park the session forever, but a session whose
+    connection failed stays failed: every later call raises
+    :class:`TransientNetworkError`.
     """
 
     protocol = "I"
+    reconnects = False
     lctr = register("lctr")
     gctr = register("gctr")
 
@@ -608,58 +740,30 @@ class RemoteClientP1(_Session):
                  connect_timeout: float = CONNECT_TIMEOUT_SECONDS,
                  op_timeout: float = OP_TIMEOUT_SECONDS,
                  evidence_dir: str | None = None,
-                 quorum=None, quorum_every: int = 8) -> None:
-        super().__init__(user_id, order,
-                         SignedRootChain(user_id, verifier, order),
+                 quorum=None, quorum_every: int = 8,
+                 window: int | None = None) -> None:
+        super().__init__([(host, port)], user_id, order,
+                         SignedRootChain(user_id, verifier, order), window,
+                         _P1_POLICY, connect_timeout, op_timeout,
                          evidence_dir, quorum, quorum_every)
+        # A request id is what the echo check matches across a window.
+        # A session that never resends and has one operation in flight
+        # has nothing for it to do, and sending it would put every
+        # response into the server's dedup table, and so into every
+        # snapshot.
+        self._rids = self.window > 1
         self._signer = signer
-        #: signatures produced; against a batching server a pipelined
-        #: session sends ~operations/W of them
+        #: signatures produced
         self.followups_sent = 0
-        self._sock = open_connection(
-            (host, port), connect_timeout, op_timeout)
-
-    def close(self) -> None:
-        self._sock.close()
-        if self.quorum is not None:
-            self.quorum.close()
-
-    def __enter__(self) -> "RemoteClientP1":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def execute(self, query: Query) -> object:
-        started = time.perf_counter_ns() if _obs.enabled else 0
-        request = Request(query=query, extras={"user": self.user_id})
-        self._capture.clear()
-        try:
-            send_message(self._sock, request)
-            response = _expect_response(
-                recv_message(self._sock, capture=self._capture))
-        except (OSError, FramingError) as exc:
-            raise TransientNetworkError(
-                f"Protocol I operation failed in transit: {exc}") from exc
-        answer = self._absorb(query, request, response)
-        if started:
-            _CLIENT_OP_MS.observe(
-                (time.perf_counter_ns() - started) / 1e6, user=self.user_id)
-        return answer
+        self._exchange(read=False)
 
     def _absorb(self, query: Query, request: Request,
                 response: Response) -> object:
-        """One verified operation, stop-and-wait or pipelined: the
-        protocol step, the follow-up signature when the step asks for
-        one, then the quorum bookkeeping."""
         outcome, to_sign = self._verify(query, request, response)
         if to_sign is not None:
-            try:
-                send_message(self._sock, Followup(extras={
-                    "sig": self._signer.sign(to_sign), "user": self.user_id}))
-            except (OSError, FramingError) as exc:
-                raise TransientNetworkError(
-                    f"Protocol I follow-up failed in transit: {exc}") from exc
+            self._held.append(Followup(extras={
+                "sig": self._signer.sign(to_sign), "user": self.user_id}))
+            self._exchange(read=False)
             self.followups_sent += 1
         # Only after any due follow-up went out: a divergence raised by
         # the quorum check must not leave the server blocked on us.

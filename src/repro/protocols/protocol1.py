@@ -122,8 +122,8 @@ class SignedRootChain:
     goes through.
 
     This is the only place the signed-root check is written; the
-    simulator client, the TCP clients (stop-and-wait and pipelined) and
-    the evidence re-verifier each hold one and call :meth:`step`.  A
+    simulator client, the TCP session (at any window) and the evidence
+    re-verifier each hold one and call :meth:`step`.  A
     response is judged one of two ways.  At a *batch head* -- the first
     response after this user's signature went to the server, and every
     response of a server that does not batch -- the presented signature

@@ -13,8 +13,6 @@ import pytest
 from repro import obs
 from repro.mtree.database import VerifiedDatabase, WriteQuery
 from repro.net import (
-    PipelinedRemoteClient,
-    PipelinedRemoteClientP1,
     RemoteClient,
     RemoteClientP1,
     count_sync_check,
@@ -71,8 +69,8 @@ class TestAsyncServerEquivalence:
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
-            client = PipelinedRemoteClient(host, port, "alice", genesis,
-                                           order=4, window=8)
+            client = RemoteClient(host, port, "alice", genesis,
+                                  order=4, window=8)
             for i in range(24):
                 client.submit(WriteQuery(f"k{i % 5}".encode(),
                                          f"v{i}".encode()))
@@ -108,8 +106,8 @@ class TestBatchingAmortization:
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
-            client = PipelinedRemoteClient(host, port, "alice", genesis,
-                                           order=4, window=16)
+            client = RemoteClient(host, port, "alice", genesis,
+                                  order=4, window=16)
             total = 64
             for i in range(total):
                 client.submit(WriteQuery(f"k{i % 7}".encode(), b"v"))
@@ -129,7 +127,7 @@ class TestBatchingAmortization:
         server = p1_async_server(shared_keys, batch_max=16)
         try:
             host, port = server.address
-            pipelined = PipelinedRemoteClientP1(
+            pipelined = RemoteClientP1(
                 host, port, "alice", shared_keys.signers["alice"],
                 shared_keys.verifier, order=4, window=8)
             total = 32

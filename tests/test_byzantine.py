@@ -260,7 +260,6 @@ class TestAsyncBatchedDetection:
         hash chain anchored at the run's signed root.  IntegrityError
         plus an offline-reverifiable evidence bundle, exactly as the
         unbatched client would produce."""
-        from repro.net import PipelinedRemoteClientP1
         from repro.mtree.database import ReadQuery, WriteQuery
 
         wire = WireAttack(TamperValueAttack(victim="alice", tamper_round=6,
@@ -268,7 +267,7 @@ class TestAsyncBatchedDetection:
         server = p1_server(shared_keys, attack=wire, batch_max=16)
         try:
             host, port = server.address
-            alice = PipelinedRemoteClientP1(
+            alice = RemoteClientP1(
                 host, port, "alice", shared_keys.signers["alice"],
                 shared_keys.verifier, order=4, window=8,
                 evidence_dir=str(tmp_path))
@@ -309,10 +308,9 @@ class TestAsyncBatchedDetection:
         object), re-verifies clean.  The in-run ones carry the stale
         head signature by design; only a replay that knows the run head
         can tell that from a forgery."""
-        from repro.net import PipelinedRemoteClientP1
         from repro.mtree.database import WriteQuery
 
-        class Accuser(PipelinedRemoteClientP1):
+        class Accuser(RemoteClientP1):
             def _verify(self, query, request, response):
                 self._on_detection(IntegrityError("fabricated"), request)
                 return super()._verify(query, request, response)
@@ -345,14 +343,13 @@ class TestAsyncBatchedDetection:
     def test_honest_batched_run_never_alarms(self, shared_keys, tmp_path):
         """Control: the same pipelined client over an honest async
         server produces zero bundles and passes count_sync_check."""
-        from repro.net import PipelinedRemoteClientP1
         from repro.mtree.database import ReadQuery, WriteQuery
 
         wire = WireAttack(HonestBehavior())
         server = p1_server(shared_keys, attack=wire, batch_max=16)
         try:
             host, port = server.address
-            alice = PipelinedRemoteClientP1(
+            alice = RemoteClientP1(
                 host, port, "alice", shared_keys.signers["alice"],
                 shared_keys.verifier, order=4, window=8,
                 evidence_dir=str(tmp_path / "ev"))
@@ -431,14 +428,13 @@ class TestEvidenceBundleFormat:
             captured = {}
 
             class Snitch(RemoteClient):
-                def _exchange(self, request):
-                    response = super()._exchange(request)
+                def _absorb(self, query, request, response):
                     captured["request"] = request
                     captured["frame"] = self._capture[-1]
                     captured["state"] = {
                         "sigma": self.sigma, "last": self.last,
                         "gctr": self.gctr, "seq": self._seq}
-                    return response
+                    return super()._absorb(query, request, response)
 
             with Snitch(host, port, "alice", genesis, order=4) as alice:
                 alice.put(b"k", b"v")

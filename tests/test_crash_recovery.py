@@ -16,7 +16,6 @@ import pytest
 
 from repro.mtree.database import VerifiedDatabase, WriteQuery
 from repro.net import (
-    PipelinedRemoteClient,
     RemoteClient,
     RetryPolicy,
     TransientNetworkError,
@@ -344,9 +343,9 @@ class TestKillAndRestart:
                                  snapshot_every=1000)
         host, port = server.address
         genesis = server.initial_root_digest()
-        client = PipelinedRemoteClient(host, port, "alice", genesis,
-                                       order=4, window=window,
-                                       retry=_fast_retry(seed=3))
+        client = RemoteClient(host, port, "alice", genesis,
+                              order=4, window=window,
+                              retry=_fast_retry(seed=3))
         try:
             # Fill the window, let the server execute it all (quiesce),
             # then crash *before the client has read a single reply*.
@@ -384,9 +383,9 @@ class TestKillAndRestart:
                                  snapshot_every=1000)
         host, port = server.address
         genesis = server.initial_root_digest()
-        client = PipelinedRemoteClient(host, port, "alice", genesis,
-                                       order=4, window=window,
-                                       retry=_fast_retry(seed=4))
+        client = RemoteClient(host, port, "alice", genesis,
+                              order=4, window=window,
+                              retry=_fast_retry(seed=4))
         try:
             # Execute (and read) two ops so they are surely in the WAL,
             # then queue a window the server may or may not get to.

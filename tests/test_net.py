@@ -162,12 +162,12 @@ class TestProtocol1OverTcp:
         yield server, keys
         server.stop()
 
-    def connect_p1(self, server, keys, user):
+    def connect_p1(self, server, keys, user, window=None):
         from repro.net import RemoteClientP1
 
         host, port = server.address
         return RemoteClientP1(host, port, user, keys.signers[user],
-                              keys.verifier, order=4)
+                              keys.verifier, order=4, window=window)
 
     def test_signed_roundtrip(self, p1_setup):
         server, keys = p1_setup
@@ -230,14 +230,10 @@ class TestProtocol1OverTcp:
                 alice.get(b"k")
 
     def test_both_client_sockets_are_no_delay(self, p1_setup):
-        from repro.net import PipelinedRemoteClientP1
-
         server, keys = p1_setup
         with self.connect_p1(server, keys, "alice") as alice:
             assert _no_delay(alice._sock)
-        host, port = server.address
-        with PipelinedRemoteClientP1(host, port, "bob", keys.signers["bob"],
-                                     keys.verifier, order=4) as bob:
+        with self.connect_p1(server, keys, "bob", window=16) as bob:
             assert _no_delay(bob._sock)
 
     def test_sixteen_consecutive_operations_never_wait_for_an_ack(self, p1_setup):
@@ -579,12 +575,9 @@ class TestNoDelaySockets:
             assert accepted and all(_no_delay(sock) for sock in accepted)
 
     def test_pipelined_client_after_a_forced_reconnect(self, server):
-        from repro.net import PipelinedRemoteClient
-
         host, port = server.address
-        with PipelinedRemoteClient(host, port, "alice",
-                                   server.initial_root_digest(),
-                                   order=4) as alice:
+        with RemoteClient(host, port, "alice", server.initial_root_digest(),
+                          order=4, window=16) as alice:
             first = alice._sock
             assert _no_delay(first)
             alice._drop_connection()

@@ -17,7 +17,6 @@ from repro.crypto.hashing import Digest
 from repro.mtree.database import VerifiedDatabase
 from repro.net import (
     EndpointConnector,
-    PipelinedRemoteClient,
     QuorumChecker,
     RemoteClient,
     Replicator,
@@ -299,11 +298,11 @@ class TestQuorumEndToEnd:
         server = serve_in_thread(order=ORDER, replicator=replicator)
         try:
             host, port = server.address
-            with PipelinedRemoteClient(host, port, "alice",
-                                       server.initial_root_digest(),
-                                       order=ORDER, window=4,
-                                       quorum=_quorum(endpoints),
-                                       quorum_every=3) as alice:
+            with RemoteClient(host, port, "alice",
+                              server.initial_root_digest(),
+                              order=ORDER, window=4,
+                              quorum=_quorum(endpoints),
+                              quorum_every=3) as alice:
                 for i in range(8):
                     alice.put(b"p%d" % (i % 4), b"v%d" % i)
                 alice.drain()

@@ -33,8 +33,6 @@ from repro.mtree.database import (
 )
 from repro.net import (
     IntegrityError,
-    PipelinedRemoteClient,
-    PipelinedRemoteClientP1,
     RemoteClient,
     RemoteClientP1,
     RetryPolicy,
@@ -312,6 +310,9 @@ def assert_all_agree(reference, expected_at, expected_reason, script, traces,
 
 # -- the tests -------------------------------------------------------------
 
+#: the TCP sites are one session class per protocol at three windows
+TCP_SITES = {"stop-and-wait": 1, "pipelined-3": 3, "pipelined-8": 8}
+
 @pytest.mark.parametrize("name", P2_SCENARIOS)
 def test_protocol2_sites_agree(name, monkeypatch, tmp_path):
     bad_at, mutate, reason = P2_SCENARIOS[name]
@@ -321,17 +322,14 @@ def test_protocol2_sites_agree(name, monkeypatch, tmp_path):
     traces = {"simulator": run_simulator_client(
         Protocol2Client(USER, [USER, "bob"], 100, initial_root, order=ORDER),
         script)}
-    sites = {"stop-and-wait": (RemoteClient, {}, False),
-             "pipelined-3": (PipelinedRemoteClient, {"window": 3}, True),
-             "pipelined-8": (PipelinedRemoteClient, {"window": 8}, True)}
-    for site, (cls, kwargs, pipelined) in sites.items():
+    for site, window in TCP_SITES.items():
         with scripted_peer(monkeypatch, script):
             traces[site] = run_tcp_client(
-                lambda: recording(cls)(
+                lambda: recording(RemoteClient)(
                     "peer", 0, USER, initial_root, order=ORDER,
-                    retry=RetryPolicy(attempts=1),
-                    evidence_dir=str(tmp_path / site), **kwargs),
-                script, pipelined)
+                    retry=RetryPolicy(attempts=1), window=window,
+                    evidence_dir=str(tmp_path / site)),
+                script, pipelined=window > 1)
     replayed = run_reverify(XorRegisters(USER, ORDER), "II", script, None,
                             tmp_path)
     assert_all_agree(reference, bad_at, reason, script, traces, replayed)
@@ -347,16 +345,13 @@ def test_protocol1_sites_agree(name, shared_keys, monkeypatch, tmp_path):
     traces = {"simulator": run_simulator_client(
         Protocol1Client(USER, [USER, "bob"], 100, signer, verifier, order=ORDER),
         script)}
-    sites = {"stop-and-wait": (RemoteClientP1, {}, False),
-             "pipelined-3": (PipelinedRemoteClientP1, {"window": 3}, True),
-             "pipelined-8": (PipelinedRemoteClientP1, {"window": 8}, True)}
-    for site, (cls, kwargs, pipelined) in sites.items():
+    for site, window in TCP_SITES.items():
         with scripted_peer(monkeypatch, script):
             traces[site] = run_tcp_client(
-                lambda: recording(cls)(
+                lambda: recording(RemoteClientP1)(
                     "peer", 0, USER, signer, verifier, order=ORDER,
-                    evidence_dir=str(tmp_path / site), **kwargs),
-                script, pipelined)
+                    window=window, evidence_dir=str(tmp_path / site)),
+                script, pipelined=window > 1)
     replayed = run_reverify(SignedRootChain(USER, verifier, ORDER), "I",
                             script, shared_keys, tmp_path)
     assert_all_agree(reference, bad_at, reason, script, traces, replayed)

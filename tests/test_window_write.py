@@ -1,8 +1,8 @@
-"""The pipelined clients' wire path: a submitted frame is held and the
-window goes out in one ``sendall`` -- when it fills, or when the client
-first blocks on a read.  The sockets are no-delay, so every write is a
+"""The sessions' wire path: a submitted frame is held and the window
+goes out in one ``sendall`` -- when it fills, or when the client first
+blocks on a read.  The sockets are no-delay, so every write is a
 segment of its own, and the frames must stay byte for byte those of one
-``send_message`` per request."""
+``send_message`` per request, at every window."""
 
 import socket
 
@@ -10,8 +10,8 @@ import pytest
 
 from repro.mtree.database import ReadQuery, WriteQuery
 from repro.net import (
-    PipelinedRemoteClient,
-    PipelinedRemoteClientP1,
+    RemoteClient,
+    RemoteClientP1,
     RetryPolicy,
     count_sync_check,
     serve_in_thread,
@@ -54,11 +54,12 @@ class _Sink:
 
 
 def _frames(user, rids, queries) -> list[bytes]:
-    """What one ``send_message`` per request would have written."""
+    """What one ``send_message`` per request would have written; a
+    ``None`` rid is a request that carries none."""
     sink = _Sink()
     for rid, query in zip(rids, queries):
-        send_message(sink, Request(query=query,
-                                   extras={"user": user, "rid": rid}))
+        extras = {"user": user} if rid is None else {"user": user, "rid": rid}
+        send_message(sink, Request(query=query, extras=extras))
     return sink.writes
 
 
@@ -81,7 +82,7 @@ def server():
 @pytest.fixture
 def client(server):
     host, port = server.address
-    pipelined = PipelinedRemoteClient(
+    pipelined = RemoteClient(
         host, port, "alice", server.initial_root_digest(), order=4,
         window=WINDOW, retry=RetryPolicy(attempts=4, base=0.005, cap=0.02,
                                          seed=3))
@@ -164,19 +165,58 @@ class TestWindowWrite:
         for query in queries:
             client.submit(query)
         client._drop_connection()
-        assert [client.inflight, client._unsent] == [3, 3]
+        assert [client.inflight, len(client._held)] == [3, 3]
         assert len(client.drain()) == 3
         assert server.consistent_view()[1] == 3
 
 
+    def test_a_window_of_one_sends_the_same_frames(self, server):
+        """Stop-and-wait requests name user and rid, as a window's do
+        (the first test of this class)."""
+        host, port = server.address
+        with RemoteClient(host, port, "alice", server.initial_root_digest(),
+                          order=4) as alice:
+            alice._sock = RecordingSocket.adopt(alice._sock)
+            queries = _writes(3)
+            for query in queries:
+                alice.execute(query)
+            assert alice._sock.writes == _p2_frames(alice, queries)
+
+
 class TestProtocol1WindowWrite:
+    @pytest.mark.parametrize("window", [1, 8])
+    def test_only_a_window_of_requests_carries_rids(self, shared_keys, window):
+        """Stop-and-wait Protocol I never resends and has one operation
+        in flight: its requests carry no rid, so its responses stay out
+        of the server's dedup table and its snapshots."""
+        server = p1_async_server(shared_keys, batch_max=64)
+        try:
+            host, port = server.address
+            with RemoteClientP1(
+                    host, port, "alice", shared_keys.signers["alice"],
+                    shared_keys.verifier, order=4, window=window) as alice:
+                alice._sock = RecordingSocket.adopt(alice._sock)
+                queries = _writes(window)
+                for query in queries:
+                    alice.submit(query)
+                rids = [alice._rid(seq) if window > 1 else None
+                        for seq in range(window)]
+                assert alice._sock.writes == [
+                    b"".join(_frames("alice", rids, queries))]
+                assert len(alice.drain()) == window
+                dedup = server.with_core(lambda core: core.dedup.export())
+                assert len(dedup.get("alice", [])) == (
+                    window if window > 1 else 0)
+        finally:
+            server.stop()
+
     def test_a_full_window_is_one_write_and_one_signing_run(self, shared_keys):
         """One client, one window: ``bench_throughput``'s amortization
         bound is ceil(ops / window) + 2 signatures per client."""
         server = p1_async_server(shared_keys, batch_max=64)
         try:
             host, port = server.address
-            alice = PipelinedRemoteClientP1(
+            alice = RemoteClientP1(
                 host, port, "alice", shared_keys.signers["alice"],
                 shared_keys.verifier, order=4, window=WINDOW)
             alice._sock = RecordingSocket.adopt(alice._sock)
