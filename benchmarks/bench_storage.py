@@ -1,7 +1,8 @@
-"""Storage robustness -- the crash-point recovery matrix and the
-streaming-restart gate for the disk-backed page store.
+"""Storage robustness -- the crash-point recovery matrix, the
+streaming-restart gate and the incremental-checkpoint counts for the
+disk-backed page store.
 
-Three campaigns against ``--backend sqlite`` (the paged Merkle-forest
+Four campaigns against ``--backend sqlite`` (the paged Merkle-forest
 store):
 
 * **crash matrix** -- kill the server at every announced storage crash
@@ -21,6 +22,15 @@ store):
   materialising the serialised tree (gated on peak resident page
   bytes staying within a few pages while total streamed bytes run to
   tens of MB).
+* **incremental checkpoint** -- 4 shards x 20,000 entries are
+  checkpointed, 50 are overwritten and the store is checkpointed again:
+  the second checkpoint must write at most 50 leaf pages, their bytes
+  under 2 % of the store's page bytes, and leave exactly the rows the
+  manifest's current and previous states name; then the same after 50
+  inserts and 50 deletes (splits and merges).  The ``nodes`` stream of
+  a changed shard is rewritten whole and reported beside it: with
+  entries this small it is the larger number.  Counts, not times: they
+  repeat exactly.
 
 Run ``python benchmarks/bench_storage.py --quick --check`` for the CI
 gate (fixed seed, abridged matrix workload) or without ``--quick`` for
@@ -50,7 +60,7 @@ from repro.net.core import ServerCore
 from repro.net.wal import PagedServerStore, WalError
 from repro.protocols.base import Request, ServerState
 from repro.protocols.protocol2 import Protocol2Server
-from repro.storage.engine import PAGE_BYTES
+from repro.storage.engine import PAGE_BYTES, load_shard_tree
 from repro.storage.faults import FaultyIO, SimulatedCrash
 
 SHARDS = 2
@@ -59,11 +69,13 @@ SNAPSHOT_EVERY = 10
 
 #: every storage crash point, with the occurrence that lands it in the
 #: middle of live traffic (occurrence 1 of the checkpoint points is the
-#: bootstrap snapshot; rotation/GC points first fire at checkpoints 1/2)
+#: bootstrap snapshot, which is also page writes 1-4: a leaf page and a
+#: nodes page for each empty shard; rotation/GC points first fire at
+#: checkpoints 1/2).  ``acked > 0`` in every cell checks the landing.
 CRASH_POINTS = [
     ("wal:append", 17),
     ("file:mid-write", 17),
-    ("pagestore:page-write", 4),
+    ("pagestore:page-write", 7),
     ("pagestore:pre-commit", 2),
     ("pagestore:post-commit", 2),
     ("checkpoint:before-commit", 2),
@@ -153,8 +165,8 @@ def crash_matrix(n_ops, seed, verbose):
             "vos_verify": vo_ok,
             "writable_after_recovery": post_ok,
         }
-        cell["pass"] = (fired and not lost and root_match
-                        and vo_ok and post_ok)
+        cell["pass"] = (fired and len(acked) > 0 and not lost
+                        and root_match and vo_ok and post_ok)
         cells.append(cell)
         if verbose:
             status = "ok" if cell["pass"] else "FAIL"
@@ -304,9 +316,10 @@ def streaming_restart(entries, verbose):
         "streamed_mb": round(stats.bytes / 1e6, 1),
         "pages_streamed": stats.pages,
         "max_resident_page_bytes": stats.max_resident_page_bytes,
-        # one in-flight page per stream, each overshooting the 32 KiB
-        # target by at most one line: "never holds the tree's serialised
-        # form" is the acceptance criterion for million-entry restarts
+        # one nodes page (overshooting the 32 KiB target by at most one
+        # line) plus one leaf page in flight: "never holds the tree's
+        # serialised form" is the acceptance criterion for
+        # million-entry restarts
         "residency_bound_bytes": 4 * PAGE_BYTES,
     }
     result["pass"] = (result["root_matches"]
@@ -322,6 +335,99 @@ def streaming_restart(entries, verbose):
     return result
 
 
+def _rows_match_named_pages(store):
+    """Rows held == pages named by each shard's current + previous state
+    (both loaded through the verifying loader: the repair recipe must
+    not only be accounted for, it must still load)."""
+    for record in store._manifest["shards"]:
+        shard = int(record["shard"])
+        named = {}
+        for gen, root in (("gen", "root"), ("prev_gen", "prev_root")):
+            if int(record[gen]) >= 0:
+                load_shard_tree(store.pages, shard, int(record[gen]),
+                                expected_root=record[root], rows=named)
+        if {(gen, page) for page, gen in named.values()} != \
+                set(store.pages.page_keys("entries", shard)):
+            return False
+    return True
+
+
+def incremental_checkpoint(verbose):
+    """What a checkpoint writes must follow what changed, not what the
+    store holds (counts the page store keeps of its own writes)."""
+    shards, per_shard, touched = 4, 20_000, 50
+    database = VerifiedDatabase(order=8, shards=shards)
+    keys = [b"%08d" % i for i in range(shards * per_shard)]
+    for key in keys:
+        database.mtree.insert(key, b"v0")
+    state = ServerState(database=database)
+    Protocol2Server().initialize(state)
+    data_dir = tempfile.mkdtemp(prefix="bench-storage-inc-")
+    steps = []
+    try:
+        store = PagedServerStore(data_dir, fsync=False)
+
+        def checkpoint(step):
+            store.write_snapshot(state, {})
+            gen = int(store._manifest["gen"])
+            counts = [record["counts"] for record in store._manifest["shards"]
+                      if int(record["gen"]) == gen]
+            row = {
+                "step": step,
+                "leaf_pages_written": sum(c["leaf_pages"] for c in counts),
+                "leaf_bytes_written": sum(c["leaf_bytes"] for c in counts),
+                "nodes_bytes_written": sum(c["nodes_bytes"] for c in counts),
+                "rows_match_named_pages": _rows_match_named_pages(store),
+            }
+            steps.append(row)
+            return row
+
+        full = checkpoint("full")
+        store_bytes = full["leaf_bytes_written"] + full["nodes_bytes_written"]
+        stride = len(keys) // touched
+        for key in keys[::stride][:touched]:
+            database.mtree.insert(key, b"v1-longer-than-before")
+        checkpoint("50 overwrites")
+        for i in range(touched):
+            database.mtree.insert(b"%08d+" % (i * stride), b"new")
+            database.mtree.delete(keys[i * stride + 7])
+        checkpoint("50 inserts + 50 deletes")
+        store.close()
+        fresh = PagedServerStore(data_dir, fsync=False)
+        loaded = fresh.load_snapshot()
+        root_matches = loaded[0].root_digest() == database.root_digest() \
+            and fresh.repaired_shards == []
+        fresh.close()
+    finally:
+        shutil.rmtree(data_dir, ignore_errors=True)
+    overwrite, churn = steps[1], steps[2]
+    result = {
+        "entries": len(keys), "shards": shards, "touched": touched,
+        "store_page_bytes": store_bytes, "steps": steps,
+        "root_matches": root_matches,
+    }
+    # an insert or a delete dirties one leaf, two when it splits or
+    # merges one
+    result["pass"] = (
+        root_matches
+        and all(step["rows_match_named_pages"] for step in steps)
+        and overwrite["leaf_pages_written"] <= touched
+        and overwrite["leaf_bytes_written"] < 0.02 * store_bytes
+        and churn["leaf_pages_written"] <= 4 * touched
+        and churn["leaf_bytes_written"] < 0.02 * store_bytes)
+    if verbose:
+        for step in steps:
+            print(f"  {step['step']:<24} leaf pages written "
+                  f"{step['leaf_pages_written']:>6} "
+                  f"({step['leaf_bytes_written']} B, "
+                  f"{100 * step['leaf_bytes_written'] / store_bytes:.2f} % "
+                  f"of the store's {store_bytes} B), nodes streams "
+                  f"{step['nodes_bytes_written']} B, rows == named pages: "
+                  f"{step['rows_match_named_pages']}")
+        print(f"  incremental checkpoint [{'ok' if result['pass'] else 'FAIL'}]")
+    return result
+
+
 def run_campaign(n_ops, entries, seed, verbose=True):
     if verbose:
         print("crash-point recovery matrix (--backend sqlite):")
@@ -332,19 +438,24 @@ def run_campaign(n_ops, entries, seed, verbose=True):
     if verbose:
         print("streaming restart:")
     streaming = streaming_restart(entries, verbose)
+    if verbose:
+        print("incremental checkpoint (counts):")
+    incremental = incremental_checkpoint(verbose)
     return {
         "config": {"ops": n_ops, "entries": entries, "seed": seed,
                    "shards": SHARDS, "snapshot_every": SNAPSHOT_EVERY},
         "crash_matrix": matrix,
         "tamper_gallery": gallery,
         "streaming_restart": streaming,
+        "incremental_checkpoint": incremental,
     }
 
 
 def campaign_passes(results):
     return (all(cell["pass"] for cell in results["crash_matrix"])
             and all(row["pass"] for row in results["tamper_gallery"])
-            and results["streaming_restart"]["pass"])
+            and results["streaming_restart"]["pass"]
+            and results["incremental_checkpoint"]["pass"])
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,9 @@
 Times the code paths every protocol operation funnels through --
 digest XOR algebra, tagged-state hashing, Merkle VO build+verify
 round-trips, RSA sign/verify, server-state snapshots, wire encoding,
-and an E12-style 32-user Protocol II makespan -- and persists the
-numbers as JSON so the perf trajectory is diffable across PRs.
+the page store's incremental checkpoint and streaming load, and an
+E12-style 32-user Protocol II makespan -- and persists the numbers as
+JSON so the perf trajectory is diffable across PRs.
 
 Usage::
 
@@ -31,7 +32,9 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -42,6 +45,7 @@ from repro.crypto import rsa
 from repro.crypto.hashing import Digest, hash_bytes, hash_tagged_state, xor_all
 from repro.core.scenarios import build_simulation
 from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
+from repro.net.wal import PagedServerStore
 from repro.protocols.base import ServerState
 from repro.protocols.verify import derive_outcome
 from repro.simulation.workload import steady_workload
@@ -150,6 +154,39 @@ def measure(quick: bool = False) -> dict[str, float]:
             wire.encode(response.proof)
     metrics["wire_encode_mb_per_s"] = _rate(
         encode_proof, min_time=min_time, batch=16) * frame_bytes / 1e6
+
+    # -- page store: incremental checkpoint + streaming load ---------------
+    # The shape of the e2e ``p2_mixed_pipelined`` cycle: 8 shards of
+    # 1.5 KB entries, 128 overwrites on a hot tenth of the keys between
+    # checkpoints (sqlite, no fsync: the CPU and the bytes, not the disk).
+    page_rng = random.Random(23)
+    paged = VerifiedDatabase(order=8, shards=8)
+    page_keys = [b"file%05d" % i for i in range(int(8 * 1000 * scale))]
+    for page_key in page_keys:
+        paged.mtree.insert(page_key, page_rng.randbytes(1536))
+    paged_state = ServerState(database=paged)
+    hot = page_keys[:len(page_keys) // 10]
+    with tempfile.TemporaryDirectory(prefix="perf-pagestore-") as data_dir:
+        store = PagedServerStore(data_dir, fsync=False)
+        store.write_snapshot(paged_state, {})
+        checkpoints = []
+        for _ in range(3 if quick else 7):
+            for _ in range(128):
+                paged.mtree.insert(page_rng.choice(hot), page_rng.randbytes(1536))
+            started = time.perf_counter()
+            store.write_snapshot(paged_state, {})
+            checkpoints.append((time.perf_counter() - started) * 1000.0)
+        store.close()
+        loads = []
+        for _ in range(3):
+            store = PagedServerStore(data_dir, fsync=False)
+            started = time.perf_counter()
+            loaded = store.load_snapshot()
+            loads.append((time.perf_counter() - started) * 1000.0)
+            store.close()
+        assert loaded[0].root_digest() == paged.root_digest()
+    metrics["pagestore_incremental_checkpoint_ms"] = statistics.median(checkpoints)
+    metrics["pagestore_load_ms"] = statistics.median(loads)
 
     # -- E12-style makespan wall time --------------------------------------
     n_users = 8 if quick else 32

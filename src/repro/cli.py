@@ -459,6 +459,8 @@ def cmd_store_inspect(args, out) -> int:
                 return 0
             manifest = _decode(blob)
             print("backend: sqlite", file=out)
+            print(f"pages.db: {_file_size(SqlitePageStore.FILE)} bytes",
+                  file=out)
             print(f"checkpoint generation: {manifest['gen']}", file=out)
             print(f"top root: {manifest['root'].hex()}", file=out)
             print(f"spec: {manifest['spec']}", file=out)
@@ -466,15 +468,22 @@ def cmd_store_inspect(args, out) -> int:
             for record in manifest["shards"]:
                 shard = int(record["shard"])
                 gen = int(record["gen"])
+                # A generation holds what its checkpoint *wrote*; the
+                # shard's state is that plus every older leaf page the
+                # nodes stream still names.
                 pages = sum(store.page_count(kind, shard, gen)
                             for kind in ("nodes", "entries"))
                 size = sum(store.page_bytes(kind, shard, gen)
                            for kind in ("nodes", "entries"))
                 prev = int(record["prev_gen"])
                 prev_note = "none" if prev < 0 else str(prev)
-                print(f"shard {shard}: gen {gen} ({pages} pages, "
-                      f"{size} bytes), prev gen {prev_note}, "
+                print(f"shard {shard}: gen {gen}, prev gen {prev_note}, "
                       f"root {record['root'].short()}...", file=out)
+                print(f"  live leaf pages: {record['counts']['leaves']}; "
+                      f"last checkpoint wrote {pages} pages ({size} bytes); "
+                      f"{len(record['superseded'])} superseded awaiting the "
+                      f"next rewrite; next page id {record['next_page']}",
+                      file=out)
             for gen_key in sorted(manifest["segments"], key=int):
                 size = _file_size(
                     f"{SEGMENT_PREFIX}{gen_key}{SEGMENT_SUFFIX}")

@@ -172,11 +172,6 @@ class MerkleForest:
         for index, tree in enumerate(self._shards):
             self._top.insert(shard_key(index), tree.root_digest().to_bytes())
         self._dirty: set[int] = set()
-        #: shards mutated since the storage layer's last checkpoint;
-        #: unlike ``_dirty`` (drained by every ``_sync_top``), this set
-        #: is drained only by the checkpoint writer, which uses it to
-        #: rewrite just the changed shards' pages.
-        self._checkpoint_dirty: set[int] = set()
 
     # -- shape -------------------------------------------------------------
 
@@ -261,7 +256,6 @@ class MerkleForest:
         index = self._route(key)
         created = self._shards[index].insert(key, value)
         self._dirty.add(index)
-        self._checkpoint_dirty.add(index)
         return created
 
     def delete(self, key: bytes) -> bool:
@@ -269,16 +263,7 @@ class MerkleForest:
         removed = self._shards[index].delete(key)
         if removed:
             self._dirty.add(index)
-            self._checkpoint_dirty.add(index)
         return removed
-
-    def checkpoint_dirty_shards(self) -> frozenset[int]:
-        """Shards mutated since :meth:`clear_checkpoint_dirty` last ran."""
-        return frozenset(self._checkpoint_dirty)
-
-    def clear_checkpoint_dirty(self) -> None:
-        """Called by the checkpoint writer once the rewrite is durable."""
-        self._checkpoint_dirty.clear()
 
     def clone(self) -> "MerkleForest":
         """Structural copy sharing immutable entries and cached digests."""
@@ -287,7 +272,6 @@ class MerkleForest:
         twin._shards = [tree.clone() for tree in self._shards]
         twin._top = self._top.clone()
         twin._dirty = set(self._dirty)
-        twin._checkpoint_dirty = set(self._checkpoint_dirty)
         return twin
 
     # -- digests -----------------------------------------------------------

@@ -35,10 +35,6 @@ class MerkleBPlusTree:
     def __init__(self, order: int = DEFAULT_ORDER) -> None:
         self._tree = BPlusTree(order=order)
         self.digest_recomputations = 0
-        #: mutated since the storage layer's last checkpoint drained it;
-        #: independent of the per-node digest cache, which refresh_root
-        #: clears far more often than checkpoints run.
-        self.checkpoint_dirty = False
 
     # -- delegated plain-tree API -----------------------------------------
 
@@ -76,22 +72,17 @@ class MerkleBPlusTree:
 
     def insert(self, key: bytes, value: bytes) -> bool:
         """Insert or overwrite; invalidates digests along the touched path."""
-        self.checkpoint_dirty = True
         return self._tree.insert(key, value)
 
     def delete(self, key: bytes) -> bool:
         """Delete ``key`` if present; invalidates digests along the path."""
-        removed = self._tree.delete(key)
-        if removed:
-            self.checkpoint_dirty = True
-        return removed
+        return self._tree.delete(key)
 
     def clone(self) -> "MerkleBPlusTree":
         """Structural copy sharing immutable entries and cached digests."""
         twin = MerkleBPlusTree.__new__(MerkleBPlusTree)
         twin._tree = self._tree.clone()
         twin.digest_recomputations = self.digest_recomputations
-        twin.checkpoint_dirty = self.checkpoint_dirty
         return twin
 
     # -- digests -------------------------------------------------------------

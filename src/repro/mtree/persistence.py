@@ -45,55 +45,60 @@ def dump_tree(tree: BPlusTree) -> bytes:
     return ("\n".join(out) + "\n").encode("ascii")
 
 
-def iter_tree_stream(tree: BPlusTree):
-    """Stream a tree's exact shape as ``(stream, line)`` pairs.
+def tree_stream_lines(tree: BPlusTree, place_leaf):
+    """Yield the ``nodes`` stream of the paged format, one line at a time.
 
-    The same preorder walk as :func:`dump_tree`, but split into two
-    line streams so the page engine can persist them separately:
-
-    * ``"nodes"`` -- the header plus per-node structure lines (kind,
-      key count, internal separator keys);
-    * ``"entries"`` -- the leaf key/value lines, in leaf order.
-
-    :func:`load_tree_stream` consumes the two streams back and yields
-    the identical shape; memory stays bounded by the tree being built
-    plus one line per stream.
+    The same preorder walk as :func:`dump_tree`, but a leaf's entries
+    are not inlined: ``place_leaf(leaf)`` returns the ``(page,
+    generation)`` of the page holding them (:func:`leaf_page_lines`) and
+    the leaf's line -- ``leaf <count> <page> <generation>`` -- names it.
+    The stream therefore carries the header, the structure and the
+    separator keys only, and an unchanged leaf costs one short line.
     """
-    yield "nodes", f"bplus-snapshot 1 {tree.order} {len(tree)}"
+    yield f"bplus-snapshot 2 {tree.order} {len(tree)}"
     stack = [tree.root]
     while stack:
         node = stack.pop()
         if node.is_leaf:
-            yield "nodes", f"leaf {len(node.keys)}"
-            for key, value in zip(node.keys, node.values):
-                yield "entries", f"{_b64(key)} {_b64(value)}"
+            page, gen = place_leaf(node)
+            yield f"leaf {len(node.keys)} {page} {gen}"
         else:
-            yield "nodes", f"internal {len(node.keys)}"
-            yield "nodes", (" ".join(_b64(key) for key in node.keys)
-                            if node.keys else "")
+            yield f"internal {len(node.keys)}"
+            yield " ".join(_b64(key) for key in node.keys)
             stack.extend(reversed(node.children))
 
 
-def load_tree_stream(nodes_lines, entries_lines) -> BPlusTree:
-    """Reconstruct a tree from :func:`iter_tree_stream`'s two streams.
+def leaf_page_lines(leaf: LeafNode) -> list[str]:
+    """The lines of one leaf's page: its key/value entries, in order."""
+    return [f"{_b64(key)} {_b64(value)}"
+            for key, value in zip(leaf.keys, leaf.values)]
 
-    ``nodes_lines`` and ``entries_lines`` are iterators of text lines;
-    they are consumed incrementally (never materialised), so the caller
-    can feed them page by page.
+
+def load_tree_stream(nodes_lines, read_leaf) -> BPlusTree:
+    """Reconstruct a tree from :func:`tree_stream_lines`' stream.
+
+    ``nodes_lines`` is an iterator of text lines, consumed incrementally
+    (never materialised), so the caller can feed it page by page.
+    ``read_leaf(page, generation)`` yields the lines of the leaf page a
+    leaf line names; it must hold exactly the ``count`` entries the line
+    announces.
     """
     nodes_iter = iter(nodes_lines)
-    entries_iter = iter(entries_lines)
 
-    def next_line(source, what: str) -> str:
+    def next_line() -> str:
         try:
-            return next(source)
+            return next(nodes_iter)
         except StopIteration:
             raise PersistenceError(
-                f"unexpected end of snapshot ({what} stream)") from None
+                "unexpected end of snapshot (nodes stream)") from None
 
-    header = next_line(nodes_iter, "nodes").split(" ")
-    if len(header) != 4 or header[0] != "bplus-snapshot" or header[1] != "1":
+    header = next_line().split(" ")
+    if len(header) != 4 or header[0] != "bplus-snapshot":
         raise PersistenceError("bad snapshot header")
+    if header[1] != "2":
+        raise PersistenceError(
+            f"paged stream format {header[1]!r} is not supported (this "
+            "build reads 'bplus-snapshot 2', one page per leaf)")
     try:
         order, size = int(header[2]), int(header[3])
     except ValueError as exc:
@@ -103,19 +108,23 @@ def load_tree_stream(nodes_lines, entries_lines) -> BPlusTree:
     tree = BPlusTree(order=order)
 
     def read_node():
-        parts = next_line(nodes_iter, "nodes").split(" ")
+        parts = next_line().split(" ")
         if parts[0] == "leaf":
             node = LeafNode()
             try:
-                count = int(parts[1])
-            except (IndexError, ValueError) as exc:
+                _kind, count, page, gen = parts
+                count, page, gen = int(count), int(page), int(gen)
+            except ValueError as exc:
                 raise PersistenceError(f"bad leaf line: {exc}") from exc
-            for _ in range(count):
-                key_text, _, value_text = \
-                    next_line(entries_iter, "entries").partition(" ")
+            for line in read_leaf(page, gen):
+                key_text, _, value_text = line.partition(" ")
                 node.keys.append(_unb64(key_text))
                 node.values.append(_unb64(value_text))
                 node.entry_digests.append(None)
+            if len(node.keys) != count:
+                raise PersistenceError(
+                    f"leaf page {page} (generation {gen}) holds "
+                    f"{len(node.keys)} entries, its leaf line says {count}")
             return node
         if parts[0] == "internal":
             node = InternalNode()
@@ -123,7 +132,7 @@ def load_tree_stream(nodes_lines, entries_lines) -> BPlusTree:
                 key_count = int(parts[1])
             except (IndexError, ValueError) as exc:
                 raise PersistenceError(f"bad internal line: {exc}") from exc
-            key_line = next_line(nodes_iter, "nodes")
+            key_line = next_line()
             if key_count:
                 encoded = key_line.split(" ")
                 if len(encoded) != key_count:
@@ -137,13 +146,12 @@ def load_tree_stream(nodes_lines, entries_lines) -> BPlusTree:
         raise PersistenceError(f"unknown node kind {parts[0]!r}")
 
     root = read_node()
-    for source, what in ((nodes_iter, "nodes"), (entries_iter, "entries")):
-        try:
-            next(source)
-        except StopIteration:
-            pass
-        else:
-            raise PersistenceError(f"trailing data in snapshot ({what} stream)")
+    try:
+        next(nodes_iter)
+    except StopIteration:
+        pass
+    else:
+        raise PersistenceError("trailing data in snapshot (nodes stream)")
 
     def count_entries(node) -> int:
         if node.is_leaf:

@@ -14,14 +14,15 @@ server that property through two interchangeable stores:
     dir-fsync dance (:func:`repro.storage.atomic.atomic_write`).
 :class:`PagedServerStore` (``--backend sqlite``)
     The disk engine for stores too large to rewrite per snapshot: each
-    shard tree is serialised into checksummed 32 KB page streams in a
-    :class:`~repro.storage.pagestore.SqlitePageStore`, a checkpoint
-    rewrites only the shards dirtied since the last one (one sqlite
-    transaction), and the WAL is *rotated* into a retained segment file
-    instead of truncated.  A shard whose pages fail verification on
-    recovery is quarantined and repaired from its previous generation
-    plus a replay of exactly the retained segment that produced it --
-    never trusted as-is, never silently rebuilt.
+    shard tree is a checksummed ``nodes`` stream plus one page per leaf
+    in a :class:`~repro.storage.pagestore.SqlitePageStore`, a checkpoint
+    writes only the leaves whose Merkle digest the store does not hold
+    (one sqlite transaction), and the WAL is *rotated* into a retained
+    segment file instead of truncated.  A shard whose pages fail
+    verification on recovery is quarantined and its last checkpoint
+    redone from its previous state plus a replay of exactly the
+    retained segment that led from there -- never trusted as-is, never
+    silently rebuilt.
 
 Both share the WAL: one record per request accepted since the last
 snapshot, appended and fsynced *before* the request is executed.  Each
@@ -55,7 +56,7 @@ import struct
 
 from repro.crypto.hashing import DIGEST_SIZE, Digest, hash_bytes
 from repro.mtree.database import VerifiedDatabase
-from repro.mtree.forest import MerkleForest, StoreSpec
+from repro.mtree.forest import StoreSpec
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.persistence import PersistenceError, dump_database, load_database
 from repro.obs import runtime as _obs
@@ -63,6 +64,9 @@ from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import Followup, Request
 from repro.storage.atomic import DirLock, atomic_write
 from repro.storage.engine import (
+    KIND_ENTRIES,
+    KIND_NODES,
+    LeafRows,
     LoadStats,
     load_shard_tree,
     replay_data_ops,
@@ -81,7 +85,7 @@ _SNAPSHOT_MAGIC = b"cvs-server-snapshot 1\n"
 _CHAIN_DOMAIN = b"wal-chain"
 _GENESIS_DOMAIN = b"wal-genesis"
 _MANIFEST_KEY = "checkpoint"
-_MANIFEST_FORMAT = "cvs-paged-store 1"
+_MANIFEST_FORMAT = "cvs-paged-store 2"
 
 _CHECKPOINTS = _registry.counter(
     "storage.checkpoints", "paged-store checkpoints committed")
@@ -423,19 +427,27 @@ class PagedServerStore(ServerStore):
 
     The checkpoint/compaction cycle (:meth:`write_snapshot`):
 
-    1. serialise every shard dirtied since the last checkpoint into
-       fresh page streams under generation ``G`` and commit them,
-       together with the updated manifest, in **one** page-store
-       transaction -- a crash anywhere before the commit leaves the
-       previous checkpoint fully intact and the WAL unrotated;
+    1. for every shard whose root differs from the root its manifest
+       record holds, write under generation ``G`` a fresh ``nodes``
+       stream and a page for each leaf whose digest the store does not
+       hold (:func:`~repro.storage.engine.write_shard_pages`), delete
+       the rows only the state *before* the shard's previous one named,
+       and commit all of it together with the updated manifest in
+       **one** page-store transaction -- a crash or a failed commit
+       leaves the previous checkpoint fully intact, the WAL unrotated
+       and this object's view (manifest, leaf rows) where it was;
     2. rotate ``wal.log`` to ``wal-seg.G.log`` (rename + dir fsync) and
        start a fresh log chained from the new genesis;
-    3. drop page generations and WAL segments nothing references any
-       more.  A shard rewritten at ``G`` keeps its previous generation
-       ``P`` and the manifest keeps segment ``G``'s start chain: the
-       shard was clean between its two rewrites, so ``P``'s pages plus
-       segment ``G``'s data operations are exactly the recipe
-       :meth:`load_snapshot` uses to repair it if its pages rot.
+    3. drop the WAL segments nothing references any more.
+
+    A shard written at ``G`` keeps every row its previous state ``P``
+    names (its record lists the ones ``G`` no longer does as
+    ``superseded``) and the manifest keeps segment ``G``'s start chain.
+    The shard had ``P``'s root at every checkpoint in between, so
+    ``P``'s pages plus segment ``G``'s data operations are exactly the
+    recipe :meth:`load_snapshot` uses to redo ``G`` if its pages rot.
+    Invariant: the rows a shard holds are exactly the pages its current
+    and its previous state name -- nothing leaked, nothing missing.
 
     Recovery order of trust: page checksum -> recomputed shard root ->
     manifest root -> WAL chain.  A shard failing any of the first two is
@@ -450,6 +462,11 @@ class PagedServerStore(ServerStore):
         super().__init__(data_dir, fsync=fsync, io=io, lock=lock)
         self.pages = open_page_store(data_dir, fsync=fsync, io=self.io)
         self._manifest: dict | None = self._load_manifest()
+        #: shard -> what the page store holds for the state the manifest
+        #: records: leaf digest -> (page, generation).  Set by a load or
+        #: a *committed* checkpoint, never by the tree: a checkpoint
+        #: compares it, by value, with whatever tree it is handed.
+        self._leaf_rows: dict[int, LeafRows] = {}
         #: streaming-load accounting for the most recent load_snapshot.
         self.load_stats = LoadStats()
         #: shards quarantined + repaired during the most recent load.
@@ -465,9 +482,13 @@ class PagedServerStore(ServerStore):
             manifest = decode(blob)
         except WireError as exc:
             raise WalError(f"corrupt checkpoint manifest: {exc}") from exc
-        if not isinstance(manifest, dict) or \
-                manifest.get("format") != _MANIFEST_FORMAT:
-            raise WalError("corrupt checkpoint manifest: bad format tag")
+        if not isinstance(manifest, dict):
+            raise WalError("corrupt checkpoint manifest: not a dict")
+        if manifest.get("format") != _MANIFEST_FORMAT:
+            raise WalError(
+                f"checkpoint manifest format {manifest.get('format')!r} is "
+                f"not {_MANIFEST_FORMAT!r} (one page per leaf): this build "
+                "does not read directories written by another format")
         return manifest
 
     def _segment_path(self, gen: int) -> str:
@@ -495,54 +516,32 @@ class PagedServerStore(ServerStore):
     # -- checkpoint + compaction -------------------------------------------
 
     def write_snapshot(self, state, dedup: dict) -> None:
-        """Incremental checkpoint: rewrite dirty shards, rotate the WAL."""
+        """Incremental checkpoint: write what changed, rotate the WAL."""
         database = state.database
-        mtree = database.mtree
         spec = database.spec
         root = database.root_digest()
         chain = chain_genesis(root)
         old = self._manifest
         new_gen = 0 if old is None else int(old["gen"]) + 1
-
-        if isinstance(mtree, MerkleForest):
-            shard_trees = [mtree.shard_tree(i) for i in range(spec.shards)]
-            dirty = set(mtree.checkpoint_dirty_shards())
-        else:
-            shard_trees = [mtree]
-            dirty = {0} if mtree.checkpoint_dirty else set()
-        if old is None:
-            dirty = set(range(spec.shards))
-
+        shard_trees = [database.mtree] if spec.shards == 1 else \
+            [database.mtree.shard_tree(i) for i in range(spec.shards)]
         old_shards = {} if old is None else \
             {int(rec["shard"]): rec for rec in old["shards"]}
         shard_records = []
-        dropped: list[tuple[int, int]] = []
+        written: dict[int, LeafRows] = {}
         self.pages.begin()
         try:
-            for index in range(spec.shards):
+            for index, tree in enumerate(shard_trees):
                 previous = old_shards.get(index)
-                if index in dirty or previous is None:
-                    tree = shard_trees[index]
-                    counts = write_shard_pages(
-                        self.pages, index, new_gen, tree.tree)
-                    record = {
-                        "shard": index,
-                        "gen": new_gen,
-                        "root": tree.root_digest(),
-                        "prev_gen": -1 if previous is None
-                        else int(previous["gen"]),
-                        "prev_root": Digest.zero() if previous is None
-                        else previous["root"],
-                        "counts": counts,
-                    }
-                    if previous is not None and int(previous["prev_gen"]) >= 0:
-                        # The generation before the one that just
-                        # became "previous" is now unreachable.
-                        self.pages.drop_generation(
-                            index, int(previous["prev_gen"]))
-                        dropped.append((index, int(previous["prev_gen"])))
-                else:
-                    record = dict(previous)
+                if previous is not None and \
+                        tree.root_digest() == previous["root"]:
+                    # Dirtiness is the comparison itself: the manifest
+                    # advances only after the commit, so a shard a
+                    # failed checkpoint wrote still differs here.
+                    shard_records.append(dict(previous))
+                    continue
+                record, written[index] = self._write_shard(
+                    index, new_gen, tree, previous)
                 shard_records.append(record)
 
             referenced = {int(rec["gen"]) for rec in shard_records}
@@ -578,17 +577,64 @@ class PagedServerStore(ServerStore):
             raise
         self.io.crash_point("checkpoint:after-commit")
 
+        # Only now does the store hold what the walk decided: a failed
+        # commit leaves manifest and leaf rows as they were, so the
+        # retry writes both intervals' leaves.
+        self._leaf_rows.update(written)
+        self._manifest = manifest
         self._rotate_wal(new_gen)
         self._gc_segments({int(k) for k in manifest["segments"]})
-        self._manifest = manifest
         self._prev_chain = self._chain
         self._chain = chain
-        if isinstance(mtree, MerkleForest):
-            mtree.clear_checkpoint_dirty()
-        else:
-            mtree.checkpoint_dirty = False
         if _obs.enabled:
             _CHECKPOINTS.inc()
+
+    def _write_shard(self, index: int, gen: int, tree: MerkleBPlusTree,
+                     previous: dict | None) -> tuple[dict, LeafRows]:
+        """One shard's share of a checkpoint transaction: write the
+        leaves the store does not hold, delete what its state before
+        ``previous`` alone named, and return the manifest record plus
+        the leaf rows to adopt once the transaction commits."""
+        if previous is None:
+            known, next_page = {}, 0
+        else:
+            known, next_page = self._known_rows(previous), \
+                int(previous["next_page"])
+            # ``previous`` becomes the repair recipe; what only *its*
+            # predecessor named is now unreachable.
+            for page, page_gen in previous["superseded"]:
+                self.pages.delete_page(
+                    KIND_ENTRIES, index, int(page_gen), int(page))
+            if int(previous["prev_gen"]) >= 0:
+                self.pages.drop_generation(
+                    KIND_NODES, index, int(previous["prev_gen"]))
+        result = write_shard_pages(
+            self.pages, index, gen, tree, known, next_page)
+        record = {
+            "shard": index,
+            "gen": gen,
+            "root": tree.root_digest(),
+            "prev_gen": -1 if previous is None else int(previous["gen"]),
+            "prev_root": Digest.zero() if previous is None
+            else previous["root"],
+            "next_page": result.next_page,
+            "prev_next_page": next_page,
+            "superseded": [list(row) for row in result.superseded],
+            "counts": result.counts,
+        }
+        return record, result.rows
+
+    def _known_rows(self, record: dict) -> LeafRows:
+        """What the store holds for the state ``record`` describes."""
+        index = int(record["shard"])
+        if index not in self._leaf_rows:
+            # This store object neither loaded nor wrote the shard:
+            # read it back (verified) rather than guess.
+            rows: LeafRows = {}
+            load_shard_tree(self.pages, index, int(record["gen"]),
+                            expected_root=record["root"], rows=rows)
+            self._leaf_rows[index] = rows
+        return self._leaf_rows[index]
 
     def _rotate_wal(self, gen: int) -> None:
         """Rename the just-checkpointed log into its retained segment."""
@@ -687,17 +733,19 @@ class PagedServerStore(ServerStore):
             index = int(record["shard"])
             shard_gen = int(record["gen"])
             expected = record["root"]
+            rows: LeafRows = {}
             try:
                 tree = load_shard_tree(
                     self.pages, index, shard_gen,
-                    expected_root=expected, stats=stats)
+                    expected_root=expected, stats=stats, rows=rows)
             except (StorageError, PersistenceError) as exc:
                 if _obs.enabled:
                     _QUARANTINES.inc(shard=str(index))
-                tree = self._repair_shard(record, spec, manifest, exc)
+                tree, rows = self._repair_shard(record, spec, manifest, exc)
                 self.repaired_shards.append(index)
                 if _obs.enabled:
                     _REPAIRS.inc(shard=str(index))
+            self._leaf_rows[index] = rows
             shard_trees.append(tree)
 
         database = self._assemble_database(spec, shard_trees)
@@ -730,28 +778,40 @@ class PagedServerStore(ServerStore):
         return database
 
     def _repair_shard(self, record: dict, spec: StoreSpec, manifest: dict,
-                      cause: Exception) -> MerkleBPlusTree:
-        """Rebuild a quarantined shard: previous generation + segment replay.
+                      cause: Exception) -> tuple[MerkleBPlusTree, LeafRows]:
+        """Redo a quarantined shard's last checkpoint: load its previous
+        state, replay the segment that led from there, and run the same
+        walk that wrote the damaged pages.
+
+        Covers everything that checkpoint wrote -- the ``nodes`` stream
+        and every leaf page of generation ``gen``.  An older leaf page
+        exists in one copy (the checkpoint that wrote it is the last
+        time it cost anything), and the previous state names it too: if
+        *it* rots, loading the previous state fails and recovery refuses,
+        naming the page.
 
         Raises :class:`WalError` when the recipe cannot reproduce the
-        manifest's recorded shard root -- that is tamper (or a double
-        fault), and it is *reported*, never masked by serving the
-        damaged pages or a silently rebuilt tree.
+        manifest's recorded shard root or page accounting -- that is
+        tamper (or a double fault), and it is *reported*, never masked
+        by serving the damaged pages or a silently rebuilt tree.
         """
         index = int(record["shard"])
         shard_gen = int(record["gen"])
         prev_gen = int(record["prev_gen"])
         expected = record["root"]
+        known: LeafRows = {}
         if prev_gen >= 0:
             try:
                 tree = load_shard_tree(
                     self.pages, index, prev_gen,
-                    expected_root=record["prev_root"], stats=self.load_stats)
+                    expected_root=record["prev_root"], stats=self.load_stats,
+                    rows=known)
             except (StorageError, PersistenceError) as double_fault:
                 raise WalError(
                     f"shard {index} is quarantined ({cause}) and its "
-                    f"previous generation {prev_gen} is also damaged "
-                    f"({double_fault}); cannot repair") from double_fault
+                    f"previous state (generation {prev_gen}) is also "
+                    f"damaged ({double_fault}); cannot repair"
+                ) from double_fault
         else:
             tree = MerkleBPlusTree(order=spec.order)
         segment_path = self._segment_path(shard_gen)
@@ -771,19 +831,30 @@ class PagedServerStore(ServerStore):
                 f"root {actual.short()}..., but the manifest records "
                 f"{expected.short()}...: the pages or the segment were "
                 "tampered with")
-        # Re-materialise the repaired pages so the *next* restart does
-        # not need the segment again.
+        # Redo the checkpoint so the *next* restart does not need the
+        # segment again.  The walk is a pure function of (tree, known
+        # rows, id counter), so it rewrites exactly the rows the damaged
+        # checkpoint wrote and the manifest stays as it is.
         self.pages.begin()
         try:
-            self.pages.drop_generation(index, shard_gen)
-            # drop_generation stages deletes by (shard, gen) pair only;
-            # rewrite the verified pages under the same generation.
-            write_shard_pages(self.pages, index, shard_gen, tree.tree)
+            for kind in (KIND_NODES, KIND_ENTRIES):
+                self.pages.drop_generation(kind, index, shard_gen)
+            result = write_shard_pages(
+                self.pages, index, shard_gen, tree, known,
+                int(record["prev_next_page"]))
+            if (result.next_page, [list(row) for row in result.superseded]) \
+                    != (int(record["next_page"]),
+                        [list(row) for row in record["superseded"]]):
+                raise WalError(
+                    f"shard {index} quarantined ({cause}) and redoing its "
+                    f"checkpoint {shard_gen} does not reproduce the page "
+                    "accounting the manifest records: the manifest or the "
+                    "previous state were tampered with")
             self.pages.commit()
         except BaseException:
             self.pages.rollback()
             raise
-        return tree
+        return tree, result.rows
 
     def _read_segment(self, path: str,
                       start: Digest) -> list[Request | Followup]:

@@ -13,8 +13,9 @@ and the disk layer under the Merkle forest.
   crash-recovery tests drive (torn writes, lying fsync, bit-rot...).
 * :mod:`repro.storage.pagestore` -- checksummed page stores (sqlite +
   in-memory) holding per-shard checkpoint pages.
-* :mod:`repro.storage.engine` -- streaming shard-tree <-> page-stream
-  codec plus the quarantined-shard repair replay.
+* :mod:`repro.storage.engine` -- streaming shard-tree <-> pages codec
+  (one page per Merkle leaf, written when its digest changed) plus the
+  quarantined-shard repair replay.
 """
 
 from repro.storage.atomic import DirLock, LockError, atomic_write

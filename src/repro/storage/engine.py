@@ -1,14 +1,34 @@
-"""The paged snapshot engine: shard trees <-> page streams.
+"""The paged snapshot engine: shard trees <-> pages, one page per leaf.
 
 Sits between the Merkle layer and a :class:`~repro.storage.pagestore.PageStore`.
-Each shard tree is serialised with
-:func:`~repro.mtree.persistence.iter_tree_stream` into two page
-streams -- ``"nodes"`` (structure) and ``"entries"`` (leaf key/value
-lines) -- chunked at :data:`PAGE_BYTES`.  Loading feeds the committed
-pages back through :func:`~repro.mtree.persistence.load_tree_stream`
-one page at a time, so restart memory is bounded by the tree being
-rebuilt plus two pages, never the whole serialised snapshot
-(:class:`LoadStats.max_resident_page_bytes` proves it).
+A shard is stored as
+
+* one ``"nodes"`` page stream per generation that changed it --
+  :func:`~repro.mtree.persistence.tree_stream_lines`: header, structure
+  and separator keys, chunked at :data:`PAGE_BYTES` -- whose leaf lines
+  name the page holding each leaf's entries, and
+* one ``"entries"`` page per leaf, keyed ``(shard, generation, page
+  id)`` and written by the checkpoint that last saw that leaf change.
+
+**Dirtiness is derived, not marked.**  The Merkle layer already keeps a
+digest on every leaf that commits to exactly the bytes of its page, so
+:func:`write_shard_pages` takes what the store holds -- ``leaf digest ->
+(page, generation)`` -- and writes a page only for a leaf whose digest
+the store does not hold; every other leaf is *referenced* at the
+generation that wrote it and is neither encoded nor touched.  A
+checkpoint therefore costs what was written since the last one, not
+what the shard holds.  The walk reads nothing but the tree, that record
+and the id counter, so it is a pure function of them: re-running it on
+the same three reproduces the same rows under the same ids, which is
+what lets recovery *redo* a damaged checkpoint through this very
+function instead of a second serialiser.
+
+Loading feeds the ``nodes`` pages through
+:func:`~repro.mtree.persistence.load_tree_stream` one page at a time
+and fetches each leaf's page as its line arrives, so restart memory is
+bounded by the tree being rebuilt plus two pages, never the whole
+serialised snapshot (:class:`LoadStats.max_resident_page_bytes` proves
+it).
 
 The engine also owns the two *recovery* moves the checkpoint protocol
 leans on:
@@ -19,33 +39,40 @@ leans on:
   chain is page checksum -> recomputed structural root -> recorded root
   -> WAL-chain-anchored top root;
 * :func:`replay_data_ops` re-applies the WAL segment's data operations
-  to a quarantined shard's previous generation, which is exactly the
-  delta that produced the damaged generation (a shard rewritten at
-  checkpoint G was clean since its previous rewrite, so all its
-  operations live in segment G alone).
+  to a quarantined shard's previous state, which is exactly the delta
+  that produced the damaged generation (a shard rewritten at checkpoint
+  G had the root of its previous rewrite -- shape included -- at every
+  checkpoint in between, so segment G alone takes one to the other).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.crypto.hashing import Digest
-from repro.mtree.bplus import BPlusTree
 from repro.mtree.database import DeleteQuery, WriteQuery
 from repro.mtree.forest import shard_for_key
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.persistence import (
     PersistenceError,
-    iter_tree_stream,
+    leaf_page_lines,
     load_tree_stream,
+    tree_stream_lines,
 )
 from repro.protocols.base import Request
 from repro.storage.pagestore import PageStore, StorageError
 
-#: target payload size of one page; a page holds whole lines, so real
-#: pages straddle this by at most one line.
+#: target payload size of one ``nodes`` page; a page holds whole lines,
+#: so real pages straddle this by at most one line.  A leaf page holds
+#: one leaf, whatever its size.
 PAGE_BYTES = 32 * 1024
 
 KIND_NODES = "nodes"
 KIND_ENTRIES = "entries"
+
+#: what a store holds for one shard: leaf digest -> (page id, generation)
+#: of the ``entries`` page with exactly that leaf's entries.
+LeafRows = dict[Digest, tuple[int, int]]
 
 
 class LoadStats:
@@ -68,86 +95,153 @@ class LoadStats:
         self.resident_page_bytes -= size
 
 
+@dataclass
+class ShardWrite:
+    """What one :func:`write_shard_pages` walk wrote and decided."""
+
+    #: every leaf of the tree -> the row holding it; what the store
+    #: holds for the shard *once the transaction commits*.
+    rows: LeafRows
+    #: the id the shard's next new leaf page gets.
+    next_page: int
+    #: ``(page, generation)`` rows the previous state named and this one
+    #: does not: kept as the repair recipe, deleted by the next rewrite.
+    superseded: list[tuple[int, int]]
+    #: pages and bytes written per kind, and the leaves the tree has
+    #: (manifest + ``store-inspect``).
+    counts: dict[str, int]
+
+
 def write_shard_pages(store: PageStore, shard: int, gen: int,
-                      tree: BPlusTree,
-                      page_bytes: int = PAGE_BYTES) -> dict[str, int]:
-    """Serialise one shard tree into the store under ``gen``.
+                      mtree: MerkleBPlusTree, known: LeafRows | None = None,
+                      next_page: int = 0,
+                      page_bytes: int = PAGE_BYTES) -> ShardWrite:
+    """Write what changed of one shard tree into the store under ``gen``.
 
-    Must be called inside an open store transaction.  Returns page and
-    byte counts per stream (recorded in the checkpoint manifest so
-    loads can sanity-check completeness before parsing).
+    ``known`` is what the store already holds for the shard (``None``:
+    nothing) and ``next_page`` its id counter.  The ``nodes`` stream is
+    written whole; a leaf whose digest is in ``known`` is referenced
+    where it lies, any other gets the next id and a page of its own.
+    Must be called inside an open store transaction; the caller adopts
+    the returned record only after that transaction commits.
     """
-    buffers = {KIND_NODES: [], KIND_ENTRIES: []}
-    sizes = {KIND_NODES: 0, KIND_ENTRIES: 0}
-    seqs = {KIND_NODES: 0, KIND_ENTRIES: 0}
-    counts = {"nodes_pages": 0, "entries_pages": 0,
-              "nodes_bytes": 0, "entries_bytes": 0}
+    known = known or {}
+    mtree.root_digest()  # every leaf digest fresh: dirtiness is read off them
+    rows: LeafRows = {}
+    counts = {"nodes_pages": 0, "nodes_bytes": 0,
+              "leaf_pages": 0, "leaf_bytes": 0}
 
-    def flush(kind: str) -> None:
-        if not buffers[kind]:
-            return
-        blob = ("\n".join(buffers[kind]) + "\n").encode("ascii")
-        store.write_page(kind, shard, gen, seqs[kind], blob)
-        seqs[kind] += 1
-        counts[f"{kind}_pages"] += 1
-        counts[f"{kind}_bytes"] += len(blob)
-        buffers[kind].clear()
-        sizes[kind] = 0
+    def place_leaf(leaf) -> tuple[int, int]:
+        nonlocal next_page
+        row = known.get(leaf.digest)
+        if row is None:
+            row = (next_page, gen)
+            next_page += 1
+            blob = "".join(
+                line + "\n" for line in leaf_page_lines(leaf)).encode("ascii")
+            store.write_page(KIND_ENTRIES, shard, gen, row[0], blob)
+            counts["leaf_pages"] += 1
+            counts["leaf_bytes"] += len(blob)
+        rows[leaf.digest] = row
+        return row
 
-    for kind, line in iter_tree_stream(tree):
-        buffers[kind].append(line)
-        sizes[kind] += len(line) + 1
-        if sizes[kind] >= page_bytes:
-            flush(kind)
-    flush(KIND_NODES)
-    flush(KIND_ENTRIES)
-    return counts
+    buffer: list[str] = []
+    size = 0
+
+    def flush() -> None:
+        nonlocal size
+        blob = ("\n".join(buffer) + "\n").encode("ascii")
+        store.write_page(KIND_NODES, shard, gen, counts["nodes_pages"], blob)
+        counts["nodes_pages"] += 1
+        counts["nodes_bytes"] += len(blob)
+        buffer.clear()
+        size = 0
+
+    for line in tree_stream_lines(mtree.tree, place_leaf):
+        buffer.append(line)
+        size += len(line) + 1
+        if size >= page_bytes:
+            flush()
+    if buffer:
+        flush()
+    counts["leaves"] = len(rows)
+    superseded = sorted(set(known.values()) - set(rows.values()))
+    return ShardWrite(rows, next_page, superseded, counts)
 
 
-def _page_lines(store: PageStore, kind: str, shard: int, gen: int,
-                stats: LoadStats):
-    """Yield lines from a committed page stream, one page resident at a
-    time; checksum verification happens inside ``read_pages``."""
-    for blob in store.read_pages(kind, shard, gen):
-        stats.acquire(len(blob))
+def _page_lines(blob: bytes, stats: LoadStats):
+    """Yield one page's lines; the page counts as resident meanwhile."""
+    stats.acquire(len(blob))
+    try:
         try:
             text = blob.decode("ascii")
         except UnicodeDecodeError as exc:
-            stats.release(len(blob))
             raise PersistenceError(f"page is not ascii: {exc}") from exc
         lines = text.split("\n")
-        if lines and lines[-1] == "":
+        if lines[-1] == "":
             lines.pop()
         yield from lines
+    finally:
         stats.release(len(blob))
 
 
 def load_shard_tree(store: PageStore, shard: int, gen: int,
                     expected_root: Digest | None = None,
-                    stats: LoadStats | None = None) -> MerkleBPlusTree:
+                    stats: LoadStats | None = None,
+                    rows: LeafRows | None = None) -> MerkleBPlusTree:
     """Stream one shard's pages back into a Merkle tree and verify it.
+
+    ``rows``, when given, is filled with what the store holds for the
+    loaded state (the ``known`` of the next :func:`write_shard_pages`).
 
     Raises :class:`~repro.storage.pagestore.CorruptPageError` on page
     rot, :class:`~repro.mtree.persistence.PersistenceError` on a
-    malformed stream, and :class:`~repro.storage.pagestore.StorageError`
-    when the recomputed root disagrees with ``expected_root`` -- all
-    three send the caller down the quarantine + repair path.
+    malformed stream or a missing page, and
+    :class:`~repro.storage.pagestore.StorageError` when the recomputed
+    root disagrees with ``expected_root`` -- all three send the caller
+    down the quarantine + repair path.
     """
     stats = stats if stats is not None else LoadStats()
-    tree = load_tree_stream(
-        _page_lines(store, KIND_NODES, shard, gen, stats),
-        _page_lines(store, KIND_ENTRIES, shard, gen, stats))
+    named: dict[int, int] = {}
+
+    def read_leaf(page: int, page_gen: int):
+        if not 0 <= page_gen <= gen:
+            raise PersistenceError(
+                f"leaf page {page} claims generation {page_gen}, outside "
+                f"its stream's 0..{gen}")
+        if page in named:
+            raise PersistenceError(f"two leaves name page {page}")
+        named[page] = page_gen
+        blob = store.read_page(KIND_ENTRIES, shard, page_gen, page)
+        if blob is None:
+            raise PersistenceError(
+                f"page ({KIND_ENTRIES!r}, shard={shard}, gen={page_gen}, "
+                f"seq={page}) is missing")
+        yield from _page_lines(blob, stats)
+
+    # One page resident per kind: checksums are verified inside the
+    # store's reads, page by page, as the parser asks for more.
+    nodes_lines = (line for blob in store.read_pages(KIND_NODES, shard, gen)
+                   for line in _page_lines(blob, stats))
+    tree = load_tree_stream(nodes_lines, read_leaf)
     mtree = MerkleBPlusTree(order=tree.order)
     mtree._tree = tree
-    if expected_root is not None:
+    if expected_root is not None or rows is not None:
         # Recompute every digest from the loaded entries: binds the
         # page bytes to the root the WAL chain anchors, so tampered
         # pages with refreshed checksums are still caught here.
         actual, _nodes = mtree.refresh_root()
-        if actual != expected_root:
+        if expected_root is not None and actual != expected_root:
             raise StorageError(
                 f"shard {shard} gen {gen} hashes to {actual.short()}..., "
                 f"manifest records {expected_root.short()}...")
+    if rows is not None:
+        leaf = tree.root
+        while not leaf.is_leaf:
+            leaf = leaf.children[0]
+        for row in named.items():  # leaf lines arrive in chain order
+            rows[leaf.digest] = row
+            leaf = leaf.next_leaf
     return mtree
 
 

@@ -5,9 +5,10 @@ A :class:`PageStore` holds two things, committed together:
 * **pages** -- opaque blobs keyed ``(kind, shard, generation, seq)``.
   The snapshot engine (:mod:`repro.storage.engine`) serialises each
   shard tree into a ``"nodes"`` page stream (structure + separator
-  keys) and an ``"entries"`` page stream (leaf key/value lines), so a
-  million-entry shard is written and read back page by page instead of
-  as one monolithic blob.
+  keys, read back in ``seq`` order) and one ``"entries"`` page per leaf
+  (``seq`` is the leaf's page id, read back by key), so a million-entry
+  shard is written and read back page by page instead of as one
+  monolithic blob, and a checkpoint writes only the leaves that changed.
 * **meta** -- small key->bytes records (the checkpoint manifest: per
   shard generation + root, the WAL chain heads, protocol state).
 
@@ -78,13 +79,30 @@ def page_checksum(kind: str, shard: int, gen: int, seq: int,
     return hasher.digest()
 
 
+def _verified(io: IoShim, kind: str, shard: int, gen: int, seq: int,
+              blob: bytes, checksum: bytes) -> bytes:
+    """What a read of one stored page returns: the bytes the disk hands
+    back (``io.corrupt_page`` is the bit-rot hook), checked against the
+    checksum stored with them.  Every read path goes through here."""
+    if isinstance(blob, bytes):  # a doctored row may hold any sqlite type
+        blob = io.corrupt_page(kind, shard, gen, seq, blob)
+    if not isinstance(blob, bytes) or \
+            page_checksum(kind, shard, gen, seq, blob) != checksum:
+        if _obs.enabled:
+            _CHECKSUM_FAILURES.inc()
+        raise CorruptPageError(kind, shard, gen, seq)
+    if _obs.enabled:
+        _PAGES_READ.inc()
+    return blob
+
+
 class PageStore:
     """Abstract page + meta store with transactional commit.
 
     Usage protocol: ``begin()``, any number of ``write_page`` /
-    ``put_meta`` / ``drop_generation`` calls, then ``commit()`` (all
-    become visible and durable together) or ``rollback()``.  Reads see
-    only committed state.
+    ``put_meta`` / ``delete_page`` / ``drop_generation`` calls, then
+    ``commit()`` (all become visible and durable together) or
+    ``rollback()``.  Reads see only committed state.
     """
 
     def begin(self) -> None:
@@ -104,14 +122,28 @@ class PageStore:
         """Yield committed page blobs in ``seq`` order, checksum-verified."""
         raise NotImplementedError
 
+    def read_page(self, kind: str, shard: int, gen: int,
+                  seq: int) -> bytes | None:
+        """One committed page, checksum-verified; ``None`` if absent."""
+        raise NotImplementedError
+
     def page_count(self, kind: str, shard: int, gen: int) -> int:
+        raise NotImplementedError
+
+    def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
+        """The ``(generation, seq)`` of every committed ``kind`` page of
+        ``shard``, sorted."""
         raise NotImplementedError
 
     def generations(self, shard: int) -> list[int]:
         """Committed generations holding at least one page for ``shard``."""
         raise NotImplementedError
 
-    def drop_generation(self, shard: int, gen: int) -> None:
+    def delete_page(self, kind: str, shard: int, gen: int, seq: int) -> None:
+        raise NotImplementedError
+
+    def drop_generation(self, kind: str, shard: int, gen: int) -> None:
+        """Delete every ``kind`` page ``shard`` holds under ``gen``."""
         raise NotImplementedError
 
     def put_meta(self, key: str, value: bytes) -> None:
@@ -166,27 +198,31 @@ class MemoryPageStore(PageStore):
             _PAGE_BYTES.inc(len(blob))
 
     def read_pages(self, kind: str, shard: int, gen: int):
-        keys = sorted(k for k in self._pages
-                      if k[:3] == (kind, shard, gen))
-        for key in keys:
-            blob, checksum = self._pages[key]
-            blob = self.io.corrupt_page(kind, shard, gen, key[3], blob)
-            if page_checksum(kind, shard, gen, key[3], blob) != checksum:
-                if _obs.enabled:
-                    _CHECKSUM_FAILURES.inc()
-                raise CorruptPageError(kind, shard, gen, key[3])
-            if _obs.enabled:
-                _PAGES_READ.inc()
-            yield blob
+        for key in sorted(k for k in self._pages
+                          if k[:3] == (kind, shard, gen)):
+            yield self.read_page(*key)
+
+    def read_page(self, kind: str, shard: int, gen: int,
+                  seq: int) -> bytes | None:
+        stored = self._pages.get((kind, shard, gen, seq))
+        if stored is None:
+            return None
+        return _verified(self.io, kind, shard, gen, seq, *stored)
 
     def page_count(self, kind: str, shard: int, gen: int) -> int:
         return sum(1 for k in self._pages if k[:3] == (kind, shard, gen))
 
+    def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
+        return sorted(k[2:] for k in self._pages if k[:2] == (kind, shard))
+
     def generations(self, shard: int) -> list[int]:
         return sorted({k[2] for k in self._pages if k[1] == shard})
 
-    def drop_generation(self, shard: int, gen: int) -> None:
-        doomed = [k for k in self._pages if k[1] == shard and k[2] == gen]
+    def delete_page(self, kind: str, shard: int, gen: int, seq: int) -> None:
+        self._stage(lambda: self._pages.pop((kind, shard, gen, seq), None))
+
+    def drop_generation(self, kind: str, shard: int, gen: int) -> None:
+        doomed = [k for k in self._pages if k[:3] == (kind, shard, gen)]
         self._stage(lambda: [self._pages.pop(k, None) for k in doomed])
 
     def put_meta(self, key: str, value: bytes) -> None:
@@ -307,20 +343,29 @@ class SqlitePageStore(PageStore):
             "WHERE kind=? AND shard=? AND gen=? ORDER BY seq",
             (kind, shard, gen))
         for seq, blob, checksum in cursor:
-            blob = self.io.corrupt_page(kind, shard, gen, seq, bytes(blob))
-            if page_checksum(kind, shard, gen, seq, blob) != bytes(checksum):
-                if _obs.enabled:
-                    _CHECKSUM_FAILURES.inc()
-                raise CorruptPageError(kind, shard, gen, seq)
-            if _obs.enabled:
-                _PAGES_READ.inc()
-            yield blob
+            yield _verified(self.io, kind, shard, gen, seq, blob, checksum)
+
+    def read_page(self, kind: str, shard: int, gen: int,
+                  seq: int) -> bytes | None:
+        row = self._conn.execute(
+            "SELECT blob, checksum FROM pages "
+            "WHERE kind=? AND shard=? AND gen=? AND seq=?",
+            (kind, shard, gen, seq)).fetchone()
+        if row is None:
+            return None
+        return _verified(self.io, kind, shard, gen, seq, *row)
 
     def page_count(self, kind: str, shard: int, gen: int) -> int:
         row = self._conn.execute(
             "SELECT COUNT(*) FROM pages WHERE kind=? AND shard=? AND gen=?",
             (kind, shard, gen)).fetchone()
         return int(row[0])
+
+    def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
+        rows = self._conn.execute(
+            "SELECT gen, seq FROM pages WHERE kind=? AND shard=? "
+            "ORDER BY gen, seq", (kind, shard)).fetchall()
+        return [(int(gen), int(seq)) for gen, seq in rows]
 
     def page_bytes(self, kind: str, shard: int, gen: int) -> int:
         row = self._conn.execute(
@@ -335,11 +380,19 @@ class SqlitePageStore(PageStore):
             (shard,)).fetchall()
         return [int(r[0]) for r in rows]
 
-    def drop_generation(self, shard: int, gen: int) -> None:
+    def delete_page(self, kind: str, shard: int, gen: int, seq: int) -> None:
+        if not self._in_txn:
+            raise StorageError("delete_page outside a transaction")
+        self._conn.execute(
+            "DELETE FROM pages WHERE kind=? AND shard=? AND gen=? AND seq=?",
+            (kind, shard, gen, seq))
+
+    def drop_generation(self, kind: str, shard: int, gen: int) -> None:
         if not self._in_txn:
             raise StorageError("drop_generation outside a transaction")
         self._conn.execute(
-            "DELETE FROM pages WHERE shard=? AND gen=?", (shard, gen))
+            "DELETE FROM pages WHERE kind=? AND shard=? AND gen=?",
+            (kind, shard, gen))
 
     def put_meta(self, key: str, value: bytes) -> None:
         if not self._in_txn:

@@ -146,3 +146,58 @@ class TestObsReport:
         snap = json.loads(text)
         assert snap["reconciliation_ok"] is True
         assert all(check["ok"] for check in snap["reconciliation"].values())
+
+
+class TestStoreInspect:
+    def test_paged_directory_after_two_checkpoints(self, tmp_path):
+        from repro.mtree.database import WriteQuery
+        from repro.net import ServerCore
+        from repro.protocols.base import Request
+
+        data_dir = str(tmp_path / "server")
+        core = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                          fsync=False, shards=2, snapshot_every=10**9)
+
+        def put(seq, key, value):
+            core.apply_request("u", Request(
+                query=WriteQuery(key, value),
+                extras={"user": "u", "rid": f"u:{seq}"}))
+
+        for i in range(60):
+            put(i, b"k%03d" % i, b"one")
+        core.snapshot()
+        put(60, b"k000", b"two")  # one leaf of one shard
+        core.snapshot()
+        manifest = core.store._manifest
+        leaves = []
+        for index in range(2):
+            leaf = core.state.database.mtree.shard_tree(index).tree \
+                .search_path(b"")[-1]
+            leaves.append(0)
+            while leaf is not None:
+                leaves[index] += 1
+                leaf = leaf.next_leaf
+        core.close_store()
+
+        text = run(["store-inspect", data_dir])
+        size = os.path.getsize(os.path.join(data_dir, "pages.db"))
+        assert f"pages.db: {size} bytes" in text
+        assert "checkpoint generation: 2" in text
+        changed, = (r for r in manifest["shards"] if int(r["gen"]) == 2)
+        other, = (r for r in manifest["shards"] if int(r["gen"]) == 1)
+        lines = text.splitlines()
+        at = lines.index(next(l for l in lines if l.startswith(
+            f"shard {changed['shard']}: gen 2, prev gen 1")))
+        # generation 2 wrote one nodes page and one leaf page; the shard
+        # still has all its leaves, most of them written at generation 1
+        assert "last checkpoint wrote 2 pages" in lines[at + 1]
+        assert "1 superseded awaiting the next rewrite" in lines[at + 1]
+        assert f"next page id {changed['next_page']}" in lines[at + 1]
+        assert f"live leaf pages: {leaves[int(changed['shard'])]};" \
+            in lines[at + 1]
+        assert leaves[int(changed["shard"])] > 5
+        assert f"shard {other['shard']}: gen 1, prev gen 0" in text
+        assert "segment 2:" in text and "segment 1:" in text
+
+    def test_not_a_store(self, tmp_path):
+        run(["store-inspect", str(tmp_path / "absent")], expect=2)

@@ -11,6 +11,7 @@ restarted deployment is indistinguishable from an uninterrupted one.
 import os
 import socket
 import struct
+import time
 
 import pytest
 
@@ -352,6 +353,12 @@ class TestKillAndRestart:
             for i in range(window):
                 client.submit(WriteQuery(f"k{i}".encode(), f"v{i}".encode()))
             assert client.inflight == window
+            # quiesce() sees queued work only: a frame still in the
+            # socket is invisible to it, so first wait for the count.
+            deadline = time.monotonic() + 10.0
+            while server.consistent_view()[1] < window and \
+                    time.monotonic() < deadline:
+                time.sleep(0.005)
             assert server.quiesce(timeout=10.0)
             server.stop(snapshot=False)  # crash: WAL only
             server = serve_in_thread(order=4, data_dir=data_dir,
@@ -697,12 +704,16 @@ class TestPagedStoreRoundtrip:
 
 class TestPagedStoreCrashMatrix:
     """Kill the server at every storage crash point; recovery must lose
-    no acked write and land on the uninterrupted reference root."""
+    no acked write and land on the uninterrupted reference root.
+
+    Each occurrence is picked to land in live traffic (the bootstrap
+    checkpoint of two empty shards is page writes 1-4: a leaf page and
+    a ``nodes`` page each); ``acked`` below checks that it did."""
 
     POINTS = [
         ("wal:append", 17),
         ("file:mid-write", 17),
-        ("pagestore:page-write", 4),
+        ("pagestore:page-write", 7),
         ("pagestore:pre-commit", 2),
         ("pagestore:post-commit", 2),
         ("checkpoint:before-commit", 2),
@@ -723,6 +734,7 @@ class TestPagedStoreCrashMatrix:
         acked = _run_ops(core, _OPS)
         assert io.crashed is False and io.crash_count == 1, \
             f"crash point {point} never fired"
+        assert acked, f"crash point {point} fired before any write was acked"
         core.store.close()
         io.simulate_crash()
 

@@ -76,12 +76,49 @@ class TestContract:
     def test_generations_and_drop(self, store):
         _fill(store, gen=0)
         _fill(store, gen=2)
+        store.begin()
+        store.write_page("entries", 0, 0, 0, b"leaf")
+        store.commit()
         assert store.generations(0) == [0, 2]
         store.begin()
-        store.drop_generation(0, 0)
+        store.drop_generation("nodes", 0, 0)
+        store.commit()
+        # only that kind goes: leaf pages outlive their generation's
+        # nodes stream
+        assert list(store.read_pages("nodes", 0, 0)) == []
+        assert store.read_page("entries", 0, 0, 0) == b"leaf"
+        assert store.generations(0) == [0, 2]
+        store.begin()
+        store.drop_generation("entries", 0, 0)
         store.commit()
         assert store.generations(0) == [2]
-        assert list(store.read_pages("nodes", 0, 0)) == []
+
+    def test_point_read(self, store):
+        _fill(store, gen=4)
+        assert store.read_page("nodes", 0, 4, 1) == b"page-1"
+        assert store.read_page("nodes", 0, 4, 3) is None
+        assert store.read_page("nodes", 0, 3, 1) is None
+        assert store.read_page("entries", 0, 4, 1) is None
+        store.begin()
+        store.write_page("nodes", 0, 4, 1, b"uncommitted")
+        store.rollback()
+        assert store.read_page("nodes", 0, 4, 1) == b"page-1"
+
+    def test_point_delete(self, store):
+        _fill(store)
+        _fill(store, shard=1)
+        assert store.page_keys("nodes", 0) == [(0, 0), (0, 1), (0, 2)]
+        store.begin()
+        store.delete_page("nodes", 0, 0, 1)
+        store.delete_page("nodes", 0, 0, 7)  # absent: nothing to do
+        store.commit()
+        assert store.read_page("nodes", 0, 0, 1) is None
+        assert store.page_keys("nodes", 0) == [(0, 0), (0, 2)]
+        assert store.page_keys("nodes", 1) == [(0, 0), (0, 1), (0, 2)]
+        store.begin()
+        store.delete_page("nodes", 0, 0, 0)
+        store.rollback()
+        assert store.read_page("nodes", 0, 0, 0) == b"page-0"
 
     def test_streams_are_independent(self, store):
         store.begin()
@@ -99,6 +136,8 @@ class TestContract:
         # MemoryPageStore reports it at commit-less stage time too
         with pytest.raises(StorageError):
             store.put_meta("k", b"v")
+        with pytest.raises(StorageError):
+            store.delete_page("nodes", 0, 0, 0)
 
 
 class TestChecksums:
@@ -135,6 +174,28 @@ class TestChecksums:
         with pytest.raises(CorruptPageError):
             list(fresh.read_pages("nodes", 0, 0))
         fresh.close()
+
+    def test_point_read_verifies_the_checksum(self, tmp_path):
+        """The point read is a read path like any other: transient rot
+        (the shim) and persistent rot (the stored bytes) both raise."""
+        for store in (MemoryPageStore(io=FaultyIO(bitrot_page=("nodes", 0))),
+                      open_page_store(str(tmp_path / "shim"), fsync=False,
+                                      io=FaultyIO(bitrot_page=("nodes", 0)))):
+            _fill(store)
+            with pytest.raises(CorruptPageError) as excinfo:
+                store.read_page("nodes", 0, 0, 2)
+            assert (excinfo.value.gen, excinfo.value.seq) == (0, 2)
+            assert store.read_page("nodes", 0, 0, 2) == b"page-2"  # rots once
+            store.close()
+        store = open_page_store(str(tmp_path / "disk"), fsync=False)
+        _fill(store)
+        store._conn.execute("UPDATE pages SET blob=? WHERE seq=1", (b"page-X",))
+        store._conn.execute("UPDATE pages SET blob='text' WHERE seq=2")
+        for seq in (1, 2):  # wrong bytes, and not bytes at all
+            with pytest.raises(CorruptPageError):
+                store.read_page("nodes", 0, 0, seq)
+        assert store.read_page("nodes", 0, 0, 0) == b"page-0"
+        store.close()
 
     def test_memory_store_bitrot_detected(self):
         io = FaultyIO(seed=5, bitrot_page=("any", -1))

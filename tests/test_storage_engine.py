@@ -1,11 +1,12 @@
-"""The streaming shard codec: tree <-> page streams, bounded residency,
-root verification, and segment-replay semantics.
+"""The streaming shard codec: tree <-> one ``nodes`` stream plus a page
+per leaf, bounded residency, root verification, what a checkpoint
+writes, what the loader refuses, and segment-replay semantics.
 
 The codec is what makes a million-entry restart possible without
 materialising the serialised tree: pages are parsed as they arrive.
 ``LoadStats.max_resident_page_bytes`` is the proof obligation -- these
-tests pin it to at most two pages (one per stream) regardless of tree
-size.
+tests pin it to one ``nodes`` page plus one leaf page regardless of
+tree size.
 """
 
 import pytest
@@ -16,8 +17,9 @@ from repro.mtree.forest import shard_for_key
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.persistence import (
     PersistenceError,
-    iter_tree_stream,
+    leaf_page_lines,
     load_tree_stream,
+    tree_stream_lines,
 )
 from repro.protocols.base import Followup, Request
 from repro.storage.engine import (
@@ -37,15 +39,25 @@ def _tree(n, order=8, prefix=b"key"):
     return tree
 
 
+def _stream(tree):
+    """The ``nodes`` lines plus ``page -> leaf lines``, numbering the
+    leaves in walk order under generation 0."""
+    pages = {}
+
+    def place_leaf(leaf):
+        pages[len(pages)] = leaf_page_lines(leaf)
+        return len(pages) - 1, 0
+
+    return list(tree_stream_lines(tree.tree, place_leaf)), pages
+
+
 class TestStreamCodec:
     @pytest.mark.parametrize("n", [0, 1, 7, 300])
     def test_roundtrip_identical_root(self, n):
         tree = _tree(n)
         expected, _ = tree.refresh_root()
-        nodes, entries = [], []
-        for stream, line in iter_tree_stream(tree.tree):
-            (nodes if stream == "nodes" else entries).append(line)
-        rebuilt = load_tree_stream(iter(nodes), iter(entries))
+        nodes, pages = _stream(tree)
+        rebuilt = load_tree_stream(iter(nodes), lambda page, gen: pages[page])
         twin = MerkleBPlusTree(order=rebuilt.order)
         twin._tree = rebuilt
         actual, _ = twin.refresh_root()
@@ -53,21 +65,37 @@ class TestStreamCodec:
         assert len(rebuilt) == n
 
     def test_trailing_entries_rejected(self):
-        tree = _tree(10)
-        nodes, entries = [], []
-        for stream, line in iter_tree_stream(tree.tree):
-            (nodes if stream == "nodes" else entries).append(line)
-        entries.append(entries[-1])  # a spliced-in extra leaf line
-        with pytest.raises(PersistenceError, match="trailing"):
-            load_tree_stream(iter(nodes), iter(entries))
+        nodes, pages = _stream(_tree(10))
+        pages[1].append(pages[1][-1])  # a spliced-in extra leaf line
+        with pytest.raises(PersistenceError, match="holds 7 entries, its leaf line says 6"):
+            load_tree_stream(iter(nodes), lambda page, gen: pages[page])
 
     def test_truncated_entries_rejected(self):
-        tree = _tree(10)
-        nodes, entries = [], []
-        for stream, line in iter_tree_stream(tree.tree):
-            (nodes if stream == "nodes" else entries).append(line)
-        with pytest.raises(PersistenceError):
-            load_tree_stream(iter(nodes), iter(entries[:-1]))
+        nodes, pages = _stream(_tree(10))
+        pages[1].pop()
+        with pytest.raises(PersistenceError,
+                           match="holds 5 entries, its leaf line says 6"):
+            load_tree_stream(iter(nodes), lambda page, gen: pages[page])
+
+    def test_trailing_nodes_rejected(self):
+        nodes, pages = _stream(_tree(10))
+        with pytest.raises(PersistenceError, match="trailing"):
+            load_tree_stream(iter(nodes + ["leaf 0 9 0"]),
+                             lambda page, gen: pages.get(page, []))
+
+    def test_other_stream_version_refused(self):
+        nodes, pages = _stream(_tree(3))
+        nodes[0] = nodes[0].replace("bplus-snapshot 2", "bplus-snapshot 1")
+        with pytest.raises(PersistenceError, match="not supported"):
+            load_tree_stream(iter(nodes), lambda page, gen: pages[page])
+
+
+def _checkpoint(store, tree, gen, known=None, next_page=0, shard=0, **kwargs):
+    store.begin()
+    result = write_shard_pages(store, shard, gen, tree, known, next_page,
+                               **kwargs)
+    store.commit()
+    return result
 
 
 class TestShardPages:
@@ -75,49 +103,190 @@ class TestShardPages:
         store = MemoryPageStore()
         tree = _tree(500)
         expected, _ = tree.refresh_root()
-        store.begin()
-        counts = write_shard_pages(store, 3, 7, tree.tree, page_bytes=1024)
-        store.commit()
-        assert counts["entries_pages"] > 1  # really paged, not one blob
-        loaded = load_shard_tree(store, 3, 7, expected_root=expected)
+        result = _checkpoint(store, tree, 7, shard=3, page_bytes=1024)
+        assert result.counts["nodes_pages"] > 1  # really paged, not one blob
+        assert result.counts["leaf_pages"] == len(result.rows) > 70
+        rows = {}
+        loaded = load_shard_tree(store, 3, 7, expected_root=expected,
+                                 rows=rows)
         assert loaded.refresh_root()[0] == expected
         assert len(loaded) == 500
+        assert rows == result.rows  # a load knows what the write knew
 
     def test_load_is_streaming_bounded(self):
-        """Peak page residency must stay ~2 pages (one per stream) no
-        matter how many pages the shard serialised to."""
+        """Peak page residency must stay one ``nodes`` page plus one
+        leaf page no matter how many pages the shard serialised to."""
         store = MemoryPageStore()
         tree = _tree(2000)
-        store.begin()
-        counts = write_shard_pages(store, 0, 0, tree.tree, page_bytes=2048)
-        store.commit()
-        total = counts["nodes_bytes"] + counts["entries_bytes"]
+        counts = _checkpoint(store, tree, 0, page_bytes=2048).counts
+        total = counts["nodes_bytes"] + counts["leaf_bytes"]
         stats = LoadStats()
         load_shard_tree(store, 0, 0, stats=stats)
         assert stats.bytes == total
-        # one page per stream resident at once, each page straddling
-        # the target by at most one line
-        assert stats.max_resident_page_bytes < 3 * 2048
+        assert stats.pages == counts["nodes_pages"] + counts["leaf_pages"]
+        # the nodes page straddles the target by at most one line; a
+        # leaf page here is seven short entries
+        assert stats.max_resident_page_bytes < 2 * 2048
         assert stats.max_resident_page_bytes < total / 4
 
     def test_root_mismatch_raises(self):
         store = MemoryPageStore()
-        tree = _tree(50)
-        store.begin()
-        write_shard_pages(store, 0, 0, tree.tree)
-        store.commit()
+        _checkpoint(store, _tree(50), 0)
         wrong = hash_bytes(b"not the root")
         with pytest.raises(StorageError, match="manifest records"):
             load_shard_tree(store, 0, 0, expected_root=wrong)
 
     def test_default_page_size_used(self):
         store = MemoryPageStore()
-        tree = _tree(30)
+        counts = _checkpoint(store, _tree(30), 0).counts
+        assert counts["nodes_bytes"] < PAGE_BYTES
+        assert counts["nodes_pages"] == 1
+
+    def test_only_changed_leaves_are_written(self):
+        """Proportionality: k overwrites with values of *different
+        lengths* write exactly the touched leaves' pages; every other
+        row is referenced where it lies."""
+        store = MemoryPageStore()
+        tree = _tree(400)
+        first = _checkpoint(store, tree, 0)
+        before = dict(store._pages)
+        touched = set()
+        for i, index in enumerate((3, 150, 151, 399)):
+            key = b"key%06d" % index
+            tree.insert(key, b"x" * (50 * (i + 1)))
+            touched.add(id(tree.tree.search_path(key)[-1]))
+        second = _checkpoint(store, tree, 1, first.rows, first.next_page)
+        assert second.counts["leaf_pages"] == len(touched) == 3
+        assert second.next_page == first.next_page + 3
+        assert len(second.superseded) == 3
+        assert all(store._pages[key] == page for key, page in before.items())
+        new_rows = {key for key in store._pages if key not in before}
+        assert {key[0] for key in new_rows} == {"nodes", "entries"}
+        assert sum(key[0] == "entries" for key in new_rows) == 3
+        expected = tree.root_digest()
+        rows = {}
+        assert load_shard_tree(store, 0, 1, expected_root=expected,
+                               rows=rows).root_digest() == expected
+        assert rows == second.rows
+
+    def test_a_leaf_back_at_an_old_value_is_not_rewritten(self):
+        """Dirtiness is by value: A -> B -> A between two checkpoints
+        leaves nothing to write."""
+        store = MemoryPageStore()
+        tree = _tree(100)
+        first = _checkpoint(store, tree, 0)
+        tree.insert(b"key000050", b"detour")
+        tree.insert(b"key000050", b"value-50")
+        second = _checkpoint(store, tree, 1, first.rows, first.next_page)
+        assert second.counts["leaf_pages"] == 0
+        assert second.superseded == []
+        assert second.rows == first.rows
+
+    def test_redo_reproduces_the_same_rows(self):
+        """The walk is a pure function of (tree, known rows, counter):
+        a twin built the same way, checkpointed against the rows a
+        *load* reports, writes the same pages under the same ids."""
+        def history(tree):
+            for i in range(0, 120, 7):
+                tree.insert(b"key%06d" % i, b"second-%d" % i)
+            for i in range(200, 230):
+                tree.delete(b"key%06d" % i)
+            for i in range(40):
+                tree.insert(b"new%06d" % i, b"n")
+
+        store = MemoryPageStore()
+        tree = _tree(300, order=4)
+        first = _checkpoint(store, tree, 0)
+        history(tree)
+        second = _checkpoint(store, tree, 1, first.rows, first.next_page)
+        written = {key: page for key, page in store._pages.items()
+                   if key[2] == 1}
+        known = {}
+        twin = load_shard_tree(store, 0, 0, rows=known)
+        history(twin)
+        for kind in ("nodes", "entries"):
+            store.begin()
+            store.drop_generation(kind, 0, 1)
+            store.commit()
+        redo = _checkpoint(store, twin, 1, known, first.next_page)
+        assert (redo.rows, redo.next_page, redo.superseded) == \
+            (second.rows, second.next_page, second.superseded)
+        assert {key: page for key, page in store._pages.items()
+                if key[2] == 1} == written
+
+
+class TestLoaderRejections:
+    """The loader trusts nothing a leaf line says."""
+
+    def _store(self):
+        store = MemoryPageStore()
+        tree = _tree(20)
+        _checkpoint(store, tree, 0)
+        tree.insert(b"key000000", b"changed")
+        return store, tree
+
+    def _rewrite_nodes(self, store, gen, edit):
+        (blob,) = store.read_pages("nodes", 0, gen)
+        lines = blob.decode("ascii").split("\n")
         store.begin()
-        counts = write_shard_pages(store, 0, 0, tree.tree)
+        store.write_page("nodes", 0, gen, 0,
+                         "\n".join(edit(lines)).encode("ascii"))
         store.commit()
-        assert counts["entries_bytes"] < PAGE_BYTES
-        assert counts["entries_pages"] == 1
+
+    def test_leaf_generation_beyond_the_stream(self):
+        store, tree = self._store()
+        _checkpoint(store, tree, 5, next_page=100)
+        # the same stream filed under generation 3 names a page of 5
+        store.begin()
+        store.write_page("nodes", 0, 3, 0, *store.read_pages("nodes", 0, 5))
+        store.commit()
+        with pytest.raises(PersistenceError, match="claims generation 5"):
+            load_shard_tree(store, 0, 3)
+
+    def test_negative_leaf_generation(self):
+        store, _tree_ = self._store()
+        self._rewrite_nodes(store, 0, lambda lines: [
+            line[:-1] + "-1" if line.startswith("leaf ") else line
+            for line in lines])
+        with pytest.raises(PersistenceError, match="claims generation -1"):
+            load_shard_tree(store, 0, 0)
+
+    def test_two_leaves_on_one_page(self):
+        store, _tree_ = self._store()
+
+        def alias(lines):
+            leaves = [i for i, line in enumerate(lines)
+                      if line.startswith("leaf ")]
+            lines[leaves[1]] = lines[leaves[0]]
+            return lines
+
+        self._rewrite_nodes(store, 0, alias)
+        with pytest.raises(PersistenceError, match="two leaves name page"):
+            load_shard_tree(store, 0, 0)
+
+    @pytest.mark.parametrize("edit,holds", [
+        (lambda lines: lines[:-1], "holds 3 entries, its leaf line says 4"),
+        (lambda lines: lines + lines[-1:], "holds 5 entries, its leaf line says 4"),
+    ], ids=["short", "over-long"])
+    def test_leaf_page_of_the_wrong_length(self, edit, holds):
+        store, _tree_ = self._store()
+        lines = store.read_page("entries", 0, 0, 1).decode("ascii").split("\n")
+        store.begin()
+        store.write_page("entries", 0, 0, 1,
+                         "\n".join(edit(lines[:-1]) + [""]).encode("ascii"))
+        store.commit()
+        with pytest.raises(PersistenceError, match=holds):
+            load_shard_tree(store, 0, 0)
+
+    def test_missing_page(self):
+        store, _tree_ = self._store()
+        store.begin()
+        store.delete_page("entries", 0, 0, 2)
+        store.commit()
+        with pytest.raises(PersistenceError,
+                           match=r"'entries', shard=0, gen=0, seq=2\) is "
+                                 "missing"):
+            load_shard_tree(store, 0, 0)
 
 
 class TestReplay:
