@@ -2,7 +2,8 @@
 
 Times the code paths every protocol operation funnels through --
 digest XOR algebra, tagged-state hashing, Merkle VO build+verify
-round-trips, RSA sign/verify, server-state snapshots, wire encoding,
+round-trips (one tree and a forest of 8) and the forest's batched root
+refresh, RSA sign/verify, server-state snapshots, wire encoding,
 the page store's incremental checkpoint and streaming load, and an
 E12-style 32-user Protocol II makespan -- and persists the numbers as
 JSON so the perf trajectory is diffable across PRs.
@@ -78,9 +79,10 @@ def _digests(count: int, seed: int = 7) -> list[Digest]:
     return [hash_bytes(rng.randbytes(16)) for _ in range(count)]
 
 
-def _populated_db(entries: int, order: int = 8, seed: int = 11) -> VerifiedDatabase:
+def _populated_db(entries: int, order: int = 8, seed: int = 11,
+                  shards: int = 1) -> VerifiedDatabase:
     rng = random.Random(seed)
-    db = VerifiedDatabase(order=order)
+    db = VerifiedDatabase(order=order, shards=shards)
     for index in range(entries):
         db.execute(WriteQuery(key=f"k{index:05d}".encode(), value=rng.randbytes(24)))
     return db
@@ -108,25 +110,39 @@ def measure(quick: bool = False) -> dict[str, float]:
             hash_tagged_state(root, index, "u%d" % (index % 8))
     metrics["hash_tagged_state_per_s"] = _rate(tagged_states, min_time=min_time, batch=64)
 
-    # -- Merkle VO round-trips --------------------------------------------
+    # -- Merkle VO round-trips: one tree, then a forest of 8 ---------------
     entries = int(512 * scale) or 64
-    db = _populated_db(entries)
-    order = db.order
     read_keys = [f"k{i:05d}".encode() for i in range(0, entries, 7)]
-    def read_roundtrip():
-        for key in read_keys:
-            result = db.execute(ReadQuery(key=key))
-            derive_outcome(ReadQuery(key=key), result, order)
-    metrics["vo_read_roundtrip_per_s"] = _rate(
-        read_roundtrip, min_time=min_time, batch=len(read_keys))
+    stores = {shards: _populated_db(entries, shards=shards) for shards in (1, 8)}
+    for shards, infix in ((1, ""), (8, "forest8_")):
+        db = stores[shards]
+        order = db.order if shards == 1 else db.spec
+        def read_roundtrip():
+            for key in read_keys:
+                result = db.execute(ReadQuery(key=key))
+                derive_outcome(ReadQuery(key=key), result, order)
+        metrics[f"vo_read_{infix}roundtrip_per_s"] = _rate(
+            read_roundtrip, min_time=min_time, batch=len(read_keys))
 
-    write_rng = random.Random(17)
-    def write_roundtrip():
-        key = f"k{write_rng.randrange(entries):05d}".encode()
-        query = WriteQuery(key=key, value=write_rng.randbytes(24))
-        result = db.execute(query)
-        derive_outcome(query, result, order)
-    metrics["vo_update_roundtrip_per_s"] = _rate(write_roundtrip, min_time=min_time)
+        write_rng = random.Random(17)
+        def write_roundtrip():
+            key = f"k{write_rng.randrange(entries):05d}".encode()
+            query = WriteQuery(key=key, value=write_rng.randbytes(24))
+            result = db.execute(query)
+            derive_outcome(query, result, order)
+        metrics[f"vo_update_{infix}roundtrip_per_s"] = _rate(
+            write_roundtrip, min_time=min_time)
+
+    # One server batch on the forest: 16 overwrites wherever they route,
+    # then the one refresh pass (dirty shard paths + the top tree).
+    forest = stores[8].mtree
+    def forest_refresh():
+        for _ in range(16):
+            forest.insert(f"k{write_rng.randrange(entries):05d}".encode(),
+                          write_rng.randbytes(24))
+        forest.refresh_root()
+    metrics["forest8_refresh_root_per_s"] = _rate(forest_refresh, min_time=min_time)
+    db = stores[1]  # the codec row below encodes a single-tree proof
 
     # -- RSA ---------------------------------------------------------------
     key = rsa.generate_keypair(bits=1024, seed=42)

@@ -114,9 +114,8 @@ def build_simulation(
     populate_database(database, populate_from or workload)
     initial_root = database.root_digest()
     state = ServerState(database=database)
-    # Clients verify against the full store spec; when unsharded this
-    # is just the plain branching order, as before.
-    order = database.spec if database.spec.sharded else order
+    # Clients verify against the full store spec.
+    order = database.spec
 
     needs_keys = protocol in ("protocol1", "protocol3", "tokenpass")
     keys = make_keys(user_ids, seed=seed) if needs_keys else None

@@ -12,8 +12,10 @@ Layers, bottom up:
 * :mod:`repro.mtree.forest` -- :class:`MerkleForest`: the store
   partitioned across per-shard Merkle trees whose roots feed a small
   top tree, with two-level verification objects.
-* :mod:`repro.mtree.database` -- :class:`VerifiedDatabase` (server) and
-  :class:`ClientVerifier` (client) tying queries to proofs.
+* :mod:`repro.mtree.database` -- :class:`VerifiedDatabase` (server) and,
+  for the client, :func:`derive_outcome` -- the one place a VO reduces
+  to ``(old root, new root, answer)``, for one tree or a forest -- with
+  :class:`ClientVerifier` tracking a root over it.
 """
 
 from repro.mtree.bplus import DEFAULT_ORDER, BPlusTree
@@ -25,7 +27,9 @@ from repro.mtree.database import (
     RangeQuery,
     ReadQuery,
     VerifiedDatabase,
+    VerifiedOutcome,
     WriteQuery,
+    derive_outcome,
 )
 from repro.mtree.forest import (
     ForestRangeProof,
@@ -34,9 +38,6 @@ from repro.mtree.forest import (
     MerkleForest,
     StoreSpec,
     shard_for_key,
-    verify_forest_range,
-    verify_forest_read,
-    verify_forest_update,
 )
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
@@ -62,7 +63,9 @@ __all__ = [
     "RangeQuery",
     "ReadQuery",
     "VerifiedDatabase",
+    "VerifiedOutcome",
     "WriteQuery",
+    "derive_outcome",
     "MerkleBPlusTree",
     "MerkleForest",
     "StoreSpec",
@@ -70,9 +73,6 @@ __all__ = [
     "ForestReadProof",
     "ForestUpdateProof",
     "shard_for_key",
-    "verify_forest_range",
-    "verify_forest_read",
-    "verify_forest_update",
     "ProofError",
     "RangeProof",
     "ReadProof",

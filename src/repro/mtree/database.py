@@ -31,9 +31,10 @@ from repro.mtree.forest import (
     build_forest_range_proof,
     build_forest_read_proof,
     build_forest_update_proof,
-    verify_forest_range,
-    verify_forest_read,
-    verify_forest_update,
+    derive_forest_update_roots,
+    implied_root_for_forest_range,
+    implied_root_for_forest_read,
+    merkle_store,
 )
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
@@ -44,9 +45,9 @@ from repro.mtree.proofs import (
     build_range_proof,
     build_read_proof,
     build_update_proof,
-    verify_range,
-    verify_read,
-    verify_update,
+    derive_update_roots,
+    implied_root_for_range,
+    implied_root_for_read,
 )
 
 # -- queries -----------------------------------------------------------------
@@ -103,6 +104,18 @@ Proof = (ReadProof | RangeProof | UpdateProof
          | ForestReadProof | ForestRangeProof | ForestUpdateProof)
 
 
+def query_defect(query: object) -> str | None:
+    """Why ``query`` cannot execute whatever the store holds, or
+    ``None``.  A server asks *before* it logs a request: what
+    :meth:`VerifiedDatabase.execute` raises on must not reach a log
+    that replays it."""
+    if not isinstance(query, (ReadQuery, RangeQuery, WriteQuery, DeleteQuery)):
+        return f"unknown query type {type(query).__name__}"
+    if isinstance(query, RangeQuery) and query.low > query.high:
+        return "empty range: low > high"
+    return None
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """A server response: the answer ``Q(D)`` plus the VO ``v(Q, D)``.
@@ -113,6 +126,13 @@ class QueryResult:
 
     answer: object
     proof: Proof | None
+
+
+# -- the server side -----------------------------------------------------------
+
+_PLAIN_BUILDERS = (build_read_proof, build_range_proof, build_update_proof)
+_FOREST_BUILDERS = (build_forest_read_proof, build_forest_range_proof,
+                    build_forest_update_proof)
 
 
 class VerifiedDatabase:
@@ -126,12 +146,29 @@ class VerifiedDatabase:
 
     def __init__(self, order: int = 8, shards: int = 1,
                  top_order: int = DEFAULT_TOP_ORDER) -> None:
-        self._spec = StoreSpec(order=order, shards=shards, top_order=top_order)
-        if shards > 1:
-            self._mtree: MerkleBPlusTree | MerkleForest = MerkleForest(
-                order=order, shards=shards, top_order=top_order)
+        self._adopt(merkle_store(
+            StoreSpec(order=order, shards=shards, top_order=top_order)))
+
+    @classmethod
+    def from_mtree(cls, mtree: MerkleBPlusTree | MerkleForest) -> "VerifiedDatabase":
+        """A database around an existing (loaded or cloned) Merkle store."""
+        database = cls.__new__(cls)
+        database._adopt(mtree)
+        return database
+
+    def _adopt(self, mtree: MerkleBPlusTree | MerkleForest) -> None:
+        """The server side's one-tree/forest fork, once per store."""
+        self._mtree = mtree
+        if isinstance(mtree, MerkleForest):
+            self._spec = mtree.spec
+            self._shard_trees = [mtree.shard_tree(index)
+                                 for index in range(mtree.shard_count)]
+            builders = _FOREST_BUILDERS
         else:
-            self._mtree = MerkleBPlusTree(order=order)
+            self._spec = StoreSpec(order=mtree.order)
+            self._shard_trees = [mtree]
+            builders = _PLAIN_BUILDERS
+        self._build_read, self._build_range, self._build_update = builders
 
     @property
     def order(self) -> int:
@@ -149,12 +186,13 @@ class VerifiedDatabase:
     def mtree(self) -> MerkleBPlusTree | MerkleForest:
         return self._mtree
 
+    def shard_trees(self) -> list[MerkleBPlusTree]:
+        """The per-shard trees in shard order (one, for a single tree)."""
+        return self._shard_trees
+
     def clone(self) -> "VerifiedDatabase":
         """Independent copy (see :meth:`MerkleBPlusTree.clone`)."""
-        twin = VerifiedDatabase.__new__(VerifiedDatabase)
-        twin._spec = self._spec
-        twin._mtree = self._mtree.clone()
-        return twin
+        return VerifiedDatabase.from_mtree(self._mtree.clone())
 
     def __len__(self) -> int:
         return len(self._mtree)
@@ -171,47 +209,123 @@ class VerifiedDatabase:
 
         Update proofs snapshot the search path *before* mutating, per
         Section 4.1 ("recompute the root digest ... before and after
-        the operation").
+        the operation").  Deleting an absent key is a *verified no-op*:
+        the ordinary delete proof, no mutation, and the client derives
+        an unchanged root from the leaf that lacks the key.
         """
-        if isinstance(self._mtree, MerkleForest):
-            return self._execute_forest(self._mtree, query)
+        mtree = self._mtree
         if isinstance(query, ReadQuery):
-            proof = build_read_proof(self._mtree, query.key)
+            proof = self._build_read(mtree, query.key)
             return QueryResult(answer=proof.value, proof=proof)
         if isinstance(query, RangeQuery):
-            proof = build_range_proof(self._mtree, query.low, query.high)
+            proof = self._build_range(mtree, query.low, query.high)
             return QueryResult(answer=proof.entries, proof=proof)
         if isinstance(query, WriteQuery):
-            proof = build_update_proof(self._mtree, "insert", query.key)
-            self._mtree.insert(query.key, query.value)
+            proof = self._build_update(mtree, "insert", query.key)
+            mtree.insert(query.key, query.value)
             return QueryResult(answer=None, proof=proof)
         if isinstance(query, DeleteQuery):
-            if query.key not in self._mtree:
-                raise KeyError(f"cannot delete absent key {query.key!r}")
-            proof = build_update_proof(self._mtree, "delete", query.key)
-            self._mtree.delete(query.key)
+            proof = self._build_update(mtree, "delete", query.key)
+            mtree.delete(query.key)
             return QueryResult(answer=None, proof=proof)
         raise TypeError(f"unknown query type {type(query).__name__}")
 
-    def _execute_forest(self, forest: MerkleForest, query: Query) -> QueryResult:
-        """Forest mode: same answers, two-level proofs."""
-        if isinstance(query, ReadQuery):
-            proof = build_forest_read_proof(forest, query.key)
-            return QueryResult(answer=proof.inner.value, proof=proof)
-        if isinstance(query, RangeQuery):
-            proof = build_forest_range_proof(forest, query.low, query.high)
-            return QueryResult(answer=proof.entries, proof=proof)
-        if isinstance(query, WriteQuery):
-            proof = build_forest_update_proof(forest, "insert", query.key)
-            forest.insert(query.key, query.value)
-            return QueryResult(answer=None, proof=proof)
-        if isinstance(query, DeleteQuery):
-            if query.key not in forest:
-                raise KeyError(f"cannot delete absent key {query.key!r}")
-            proof = build_forest_update_proof(forest, "delete", query.key)
-            forest.delete(query.key)
-            return QueryResult(answer=None, proof=proof)
-        raise TypeError(f"unknown query type {type(query).__name__}")
+
+# -- the client side -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class VerifiedOutcome:
+    """What a VO plus answer, checked for internal consistency, yields."""
+
+    old_root: Digest
+    new_root: Digest
+    answer: object
+
+    @property
+    def is_update(self) -> bool:
+        return self.old_root != self.new_root
+
+
+def _read(implied_root):
+    def reduce(query, proof, spec):
+        root = implied_root(proof, query.key, spec)
+        return root, root, proof.value
+    return reduce
+
+
+def _range(implied_root):
+    def reduce(query, proof, spec):
+        if (proof.low, proof.high) != (query.low, query.high):
+            raise ProofError("range proof covers a different range")
+        root = implied_root(proof, spec)
+        return root, root, proof.entries
+    return reduce
+
+
+def _update(derive_roots):
+    def reduce(query, proof, spec):
+        old_root, new_root = derive_roots(
+            proof, spec, query.key, getattr(query, "value", None))
+        return old_root, new_root, None
+    return reduce
+
+
+_UPDATE = (
+    (UpdateProof, _update(lambda proof, spec, key, value:
+                          derive_update_roots(proof, spec.order, key, value))),
+    (ForestUpdateProof, _update(derive_forest_update_roots)),
+)
+
+#: The client rule of Section 4.1, one row per query kind: what a wrong
+#: proof is called, the operation an update proof must name, and -- the
+#: only one-tree/forest fork of the client side -- for a single tree and
+#: for a forest, the proof type the store answers with and the function
+#: reducing ``(query, proof, spec)`` to ``(old root, new root, answer)``.
+_RULES = {
+    ReadQuery: (
+        "read query answered with a non-read proof", None,
+        (ReadProof, _read(lambda proof, key, spec:
+                          implied_root_for_read(proof, key))),
+        (ForestReadProof, _read(implied_root_for_forest_read))),
+    RangeQuery: (
+        "range query answered with a non-range proof", None,
+        (RangeProof, _range(lambda proof, spec: implied_root_for_range(proof))),
+        (ForestRangeProof, _range(implied_root_for_forest_range))),
+    WriteQuery: ("write query answered with a non-insert proof", "insert", *_UPDATE),
+    DeleteQuery: ("delete query answered with a non-delete proof", "delete", *_UPDATE),
+}
+
+
+def derive_outcome(
+    query: Query, result: QueryResult, spec: int | StoreSpec
+) -> VerifiedOutcome:
+    """From ``v(Q, D)``: the root it vouches for, the root after ``Q``
+    and the trustworthy answer -- or :class:`ProofError`, nothing else.
+
+    For reads the two roots coincide; for updates the new root is
+    *recomputed by the client*, never taken from the server.  The
+    caller authenticates ``old_root`` (:class:`ClientVerifier` against
+    the root it tracks, Protocol I through a signature, II/III through
+    the XOR registers).  ``spec`` is a bare order (single tree) or a
+    :class:`StoreSpec`; a sharded store's roots are top roots.
+    """
+    spec = StoreSpec.coerce(spec)
+    rule = _RULES.get(type(query))
+    if rule is None:
+        raise ProofError(f"unknown query type {type(query).__name__}")
+    if not isinstance(result, QueryResult):
+        raise ProofError("the server's answer is not a query result")
+    wrong_proof, operation, plain, forest = rule
+    proof_type, reduce = forest if spec.sharded else plain
+    proof = result.proof
+    if not isinstance(proof, proof_type) or \
+            (operation is not None and proof.operation != operation):
+        raise ProofError(wrong_proof)
+    old_root, new_root, answer = reduce(query, proof, spec)
+    if result.answer != answer:
+        raise ProofError("server answer disagrees with its own proof")
+    return VerifiedOutcome(old_root=old_root, new_root=new_root, answer=answer)
 
 
 class ClientVerifier:
@@ -226,7 +340,6 @@ class ClientVerifier:
     def __init__(self, root_digest: Digest, order: int | StoreSpec = 8) -> None:
         self._root_digest = root_digest
         self._spec = StoreSpec.coerce(order)
-        self._order = self._spec.order
 
     @property
     def root_digest(self) -> Digest:
@@ -236,71 +349,10 @@ class ClientVerifier:
     def spec(self) -> StoreSpec:
         return self._spec
 
-    def expected_new_root(self, query: Query, proof: Proof) -> Digest:
-        """The root digest an honest server must have after ``query``.
-
-        Reads leave the root unchanged; updates are replayed from the
-        VO.  Does not advance the tracked state.
-        """
-        if isinstance(query, (ReadQuery, RangeQuery)):
-            return self._root_digest
-        if self._spec.sharded:
-            return self._expected_forest_root(query, proof)
-        if isinstance(query, WriteQuery):
-            if not isinstance(proof, UpdateProof) or proof.operation != "insert":
-                raise ProofError("write query answered with a non-insert proof")
-            return verify_update(self._root_digest, proof, self._order, query.key, query.value)
-        if isinstance(query, DeleteQuery):
-            if not isinstance(proof, UpdateProof) or proof.operation != "delete":
-                raise ProofError("delete query answered with a non-delete proof")
-            return verify_update(self._root_digest, proof, self._order, query.key)
-        raise TypeError(f"unknown query type {type(query).__name__}")
-
-    def _expected_forest_root(self, query: Query, proof: Proof) -> Digest:
-        if isinstance(query, WriteQuery):
-            if not isinstance(proof, ForestUpdateProof) or proof.operation != "insert":
-                raise ProofError("write query answered with a non-insert proof")
-            return verify_forest_update(
-                self._root_digest, proof, self._spec, query.key, query.value)
-        if isinstance(query, DeleteQuery):
-            if not isinstance(proof, ForestUpdateProof) or proof.operation != "delete":
-                raise ProofError("delete query answered with a non-delete proof")
-            return verify_forest_update(
-                self._root_digest, proof, self._spec, query.key)
-        raise TypeError(f"unknown query type {type(query).__name__}")
-
     def apply(self, query: Query, result: QueryResult) -> object:
         """Verify a response and advance the tracked root digest."""
-        if isinstance(query, ReadQuery):
-            if self._spec.sharded:
-                if not isinstance(result.proof, ForestReadProof):
-                    raise ProofError("read query answered with a non-read proof")
-                value = verify_forest_read(
-                    self._root_digest, result.proof, query.key, self._spec)
-            else:
-                if not isinstance(result.proof, ReadProof):
-                    raise ProofError("read query answered with a non-read proof")
-                value = verify_read(self._root_digest, result.proof, query.key)
-            if value != result.answer:
-                raise ProofError("server answer disagrees with its own proof")
-            return value
-        if isinstance(query, RangeQuery):
-            if self._spec.sharded:
-                if not isinstance(result.proof, ForestRangeProof):
-                    raise ProofError("range query answered with a non-range proof")
-                if (result.proof.low, result.proof.high) != (query.low, query.high):
-                    raise ProofError("range proof covers a different range")
-                entries = verify_forest_range(
-                    self._root_digest, result.proof, self._spec)
-            else:
-                if not isinstance(result.proof, RangeProof):
-                    raise ProofError("range query answered with a non-range proof")
-                if (result.proof.low, result.proof.high) != (query.low, query.high):
-                    raise ProofError("range proof covers a different range")
-                entries = verify_range(self._root_digest, result.proof)
-            if entries != result.answer:
-                raise ProofError("server answer disagrees with its own proof")
-            return entries
-        new_root = self.expected_new_root(query, result.proof)
-        self._root_digest = new_root
-        return None
+        outcome = derive_outcome(query, result, self._spec)
+        if outcome.old_root != self._root_digest:
+            raise ProofError("proof does not match committed root digest")
+        self._root_digest = outcome.new_root
+        return outcome.answer

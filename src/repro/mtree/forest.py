@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import merge as _sorted_merge
 from typing import Iterator
 
@@ -38,15 +39,16 @@ from repro.mtree.proofs import (
     RangeProof,
     ReadProof,
     UpdateProof,
-    _implied_path_root,
     build_range_proof,
     build_read_proof,
     build_update_proof,
     check_read_answer,
     derive_update_roots,
+    entries_of,
+    fold_path,
     implied_root_for_range,
     implied_root_for_read,
-    verify_update,
+    tuple_of,
 )
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
@@ -100,7 +102,7 @@ class StoreSpec:
         if isinstance(value, StoreSpec):
             return value
         if isinstance(value, int):
-            return cls(order=value)
+            return _single_tree_spec(value)
         if isinstance(value, dict):
             try:
                 return cls(
@@ -120,6 +122,12 @@ class StoreSpec:
             return self.order
         return {"order": self.order, "shards": self.shards,
                 "top_order": self.top_order}
+
+
+@lru_cache(maxsize=64)
+def _single_tree_spec(order: int) -> StoreSpec:
+    """A bare order coerces per verified operation; specs are immutable."""
+    return StoreSpec(order=order)
 
 
 def shard_for_key(key: bytes, shards: int) -> int:
@@ -166,10 +174,26 @@ class MerkleForest:
 
     def __init__(self, order: int = DEFAULT_ORDER, shards: int = 2,
                  top_order: int = DEFAULT_TOP_ORDER) -> None:
-        self._spec = StoreSpec(order=order, shards=shards, top_order=top_order)
-        self._shards = [MerkleBPlusTree(order=order) for _ in range(shards)]
-        self._top = MerkleBPlusTree(order=top_order)
-        for index, tree in enumerate(self._shards):
+        self._adopt([MerkleBPlusTree(order=order) for _ in range(shards)],
+                    StoreSpec(order=order, shards=shards, top_order=top_order))
+
+    @classmethod
+    def from_shards(cls, shard_trees: list[MerkleBPlusTree],
+                    top_order: int = DEFAULT_TOP_ORDER) -> "MerkleForest":
+        """A forest around loaded shard trees, in shard order.  The top
+        tree is never persisted: its shape is a function of the shard
+        count alone, so rebuilding it reproduces the top root."""
+        forest = cls.__new__(cls)
+        forest._adopt(list(shard_trees), StoreSpec(
+            order=shard_trees[0].order, shards=len(shard_trees),
+            top_order=top_order))
+        return forest
+
+    def _adopt(self, shard_trees: list[MerkleBPlusTree], spec: StoreSpec) -> None:
+        self._spec = spec
+        self._shards = shard_trees
+        self._top = MerkleBPlusTree(order=spec.top_order)
+        for index, tree in enumerate(shard_trees):
             self._top.insert(shard_key(index), tree.root_digest().to_bytes())
         self._dirty: set[int] = set()
 
@@ -318,6 +342,22 @@ class MerkleForest:
         return root, recomputed + top_nodes
 
 
+def merkle_store(spec: StoreSpec,
+                 shard_trees: list[MerkleBPlusTree] | None = None,
+                 ) -> "MerkleBPlusTree | MerkleForest":
+    """The Merkle store of shape ``spec``, empty or around loaded
+    ``shard_trees``: the one tree itself, or a forest over them."""
+    if shard_trees is None:
+        shard_trees = [MerkleBPlusTree(order=spec.order)
+                       for _ in range(spec.shards)]
+    if len(shard_trees) != spec.shards or \
+            any(tree.order != spec.order for tree in shard_trees):
+        raise ValueError("shard trees disagree with the store spec")
+    if spec.shards == 1:
+        return shard_trees[0]
+    return MerkleForest.from_shards(shard_trees, spec.top_order)
+
+
 # ---------------------------------------------------------------------------
 # Two-level verification objects
 # ---------------------------------------------------------------------------
@@ -332,9 +372,10 @@ class ForestReadProof:
     inner: ReadProof
     top: ReadProof
 
-    @property
-    def key(self) -> bytes:
-        return self.inner.key
+    def __post_init__(self) -> None:
+        if not (isinstance(self.shard, int) and isinstance(self.inner, ReadProof)
+                and isinstance(self.top, ReadProof)):
+            raise ProofError("malformed forest read proof")
 
     @property
     def value(self) -> bytes | None:
@@ -360,9 +401,11 @@ class ForestUpdateProof:
     inner: UpdateProof
     top: UpdateProof
 
-    @property
-    def key(self) -> bytes:
-        return self.inner.key
+    def __post_init__(self) -> None:
+        if not (isinstance(self.operation, str) and isinstance(self.shard, int)
+                and isinstance(self.inner, UpdateProof)
+                and isinstance(self.top, UpdateProof)):
+            raise ProofError("malformed forest update proof")
 
     def size_digests(self) -> int:
         return self.inner.size_digests() + self.top.size_digests()
@@ -384,6 +427,13 @@ class ForestRangeProof:
     shard_proofs: tuple[RangeProof, ...]
     top: RangeProof
     entries: tuple[tuple[bytes, bytes], ...]
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.low, bytes) and isinstance(self.high, bytes)
+                and tuple_of(self.shard_proofs, RangeProof)
+                and isinstance(self.top, RangeProof)
+                and entries_of(self.entries)):
+            raise ProofError("malformed forest range proof")
 
     def size_digests(self) -> int:
         total = 0
@@ -464,16 +514,7 @@ def implied_root_for_forest_read(
     committed = check_read_answer(proof.top, skey)
     if committed != shard_root.to_bytes():
         raise ProofError("top tree entry disagrees with the shard proof")
-    return _implied_path_root(proof.top.internals, proof.top.leaf, skey)
-
-
-def verify_forest_read(
-    root_digest: Digest, proof: ForestReadProof, key: bytes, spec: StoreSpec
-) -> bytes | None:
-    """Validate a forest read VO against the known (signed) top root."""
-    if implied_root_for_forest_read(proof, key, spec) != root_digest:
-        raise ProofError("read proof does not match committed root digest")
-    return proof.inner.value
+    return fold_path(proof.top.internals, proof.top.leaf, skey)[0]
 
 
 def derive_forest_update_roots(
@@ -506,25 +547,8 @@ def derive_forest_update_roots(
         raise ProofError("top-tree leaf does not contain the shard key") from None
     if proof.top.leaf.entry_digests[position] != hash_leaf(skey, old_shard.to_bytes()):
         raise ProofError("top tree does not commit the shard's pre-update root")
-    old_top = _implied_path_root(proof.top.internals, proof.top.leaf, skey)
-    new_top = verify_update(
-        old_top, proof.top, spec.top_order, skey, new_shard.to_bytes())
-    return old_top, new_top
-
-
-def verify_forest_update(
-    old_root_digest: Digest,
-    proof: ForestUpdateProof,
-    spec: StoreSpec,
-    key: bytes,
-    value: bytes | None = None,
-) -> Digest:
-    """Validate a forest update VO against the known old top root and
-    return the client-derived new top root."""
-    old_top, new_top = derive_forest_update_roots(proof, spec, key, value)
-    if old_top != old_root_digest:
-        raise ProofError("update proof does not match committed root digest")
-    return new_top
+    return derive_update_roots(
+        proof.top, spec.top_order, skey, new_shard.to_bytes())
 
 
 def implied_root_for_forest_range(
@@ -554,13 +578,3 @@ def implied_root_for_forest_range(
     if merged != proof.entries:
         raise ProofError("merged entries disagree with the per-shard proofs")
     return top_root
-
-
-def verify_forest_range(
-    root_digest: Digest, proof: ForestRangeProof, spec: StoreSpec
-) -> tuple[tuple[bytes, bytes], ...]:
-    """Validate a forest range VO against the known top root; returns
-    the proven, globally sorted entries."""
-    if implied_root_for_forest_range(proof, spec) != root_digest:
-        raise ProofError("range proof does not match committed root digest")
-    return proof.entries

@@ -33,7 +33,17 @@ class MerkleBPlusTree:
     """
 
     def __init__(self, order: int = DEFAULT_ORDER) -> None:
-        self._tree = BPlusTree(order=order)
+        self._adopt(BPlusTree(order=order))
+
+    @classmethod
+    def from_tree(cls, tree: BPlusTree) -> "MerkleBPlusTree":
+        """The Merkle layer over an existing (loaded) B+-tree."""
+        mtree = cls.__new__(cls)
+        mtree._adopt(tree)
+        return mtree
+
+    def _adopt(self, tree: BPlusTree) -> None:
+        self._tree = tree
         self.digest_recomputations = 0
 
     # -- delegated plain-tree API -----------------------------------------

@@ -27,45 +27,38 @@ class PersistenceError(Exception):
 
 
 def dump_tree(tree: BPlusTree) -> bytes:
-    """Serialise a B+-tree preserving its exact shape."""
-    out: list[str] = [f"bplus-snapshot 1 {tree.order} {len(tree)}"]
-
-    def walk(node) -> None:
-        if node.is_leaf:
-            out.append(f"leaf {len(node.keys)}")
-            for key, value in zip(node.keys, node.values):
-                out.append(f"{_b64(key)} {_b64(value)}")
-        else:
-            out.append(f"internal {len(node.keys)}")
-            out.append(" ".join(_b64(key) for key in node.keys) if node.keys else "")
-            for child in node.children:
-                walk(child)
-
-    walk(tree.root)
-    return ("\n".join(out) + "\n").encode("ascii")
+    """Serialise a B+-tree preserving its exact shape (leaves inline)."""
+    return "".join(
+        line + "\n" for line in tree_stream_lines(tree)).encode("ascii")
 
 
-def tree_stream_lines(tree: BPlusTree, place_leaf):
-    """Yield the ``nodes`` stream of the paged format, one line at a time.
+def tree_stream_lines(tree: BPlusTree, place_leaf=None):
+    """Yield a tree's snapshot stream, one line at a time: a preorder
+    walk writing, per node, its kind and key count.
 
-    The same preorder walk as :func:`dump_tree`, but a leaf's entries
-    are not inlined: ``place_leaf(leaf)`` returns the ``(page,
-    generation)`` of the page holding them (:func:`leaf_page_lines`) and
-    the leaf's line -- ``leaf <count> <page> <generation>`` -- names it.
-    The stream therefore carries the header, the structure and the
-    separator keys only, and an unchanged leaf costs one short line.
+    Without ``place_leaf`` the format is ``bplus-snapshot 1``: a leaf's
+    entries follow its line.  With it the format is the paged store's
+    ``bplus-snapshot 2``: ``place_leaf(leaf)`` returns the ``(page,
+    generation)`` of the page holding the entries
+    (:func:`leaf_page_lines`) and the leaf's line -- ``leaf <count>
+    <page> <generation>`` -- names it, so the stream carries the header,
+    the structure and the separator keys only, and an unchanged leaf
+    costs one short line.
     """
-    yield f"bplus-snapshot 2 {tree.order} {len(tree)}"
+    yield f"bplus-snapshot {1 if place_leaf is None else 2} {tree.order} {len(tree)}"
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
-            page, gen = place_leaf(node)
-            yield f"leaf {len(node.keys)} {page} {gen}"
-        else:
+        if not node.is_leaf:
             yield f"internal {len(node.keys)}"
             yield " ".join(_b64(key) for key in node.keys)
             stack.extend(reversed(node.children))
+        elif place_leaf is None:
+            yield f"leaf {len(node.keys)}"
+            yield from leaf_page_lines(node)
+        else:
+            page, gen = place_leaf(node)
+            yield f"leaf {len(node.keys)} {page} {gen}"
 
 
 def leaf_page_lines(leaf: LeafNode) -> list[str]:
@@ -74,31 +67,35 @@ def leaf_page_lines(leaf: LeafNode) -> list[str]:
             for key, value in zip(leaf.keys, leaf.values)]
 
 
-def load_tree_stream(nodes_lines, read_leaf) -> BPlusTree:
-    """Reconstruct a tree from :func:`tree_stream_lines`' stream.
+def load_tree_stream(nodes_lines, read_leaf=None) -> BPlusTree:
+    """Reconstruct a tree from its preorder line stream: the one parser.
 
     ``nodes_lines`` is an iterator of text lines, consumed incrementally
-    (never materialised), so the caller can feed it page by page.
-    ``read_leaf(page, generation)`` yields the lines of the leaf page a
-    leaf line names; it must hold exactly the ``count`` entries the line
-    announces.
+    (never materialised), so the caller can feed it page by page.  With
+    ``read_leaf`` the stream is :func:`tree_stream_lines`' (``bplus-
+    snapshot 2``): ``read_leaf(page, generation)`` yields the lines of
+    the leaf page a leaf line names, which must hold exactly the
+    ``count`` entries the line announces.  Without it the stream is
+    :func:`dump_tree`'s (``bplus-snapshot 1``): a leaf's ``count``
+    entries follow its line inline.
     """
     nodes_iter = iter(nodes_lines)
+    version = "1" if read_leaf is None else "2"
 
     def next_line() -> str:
         try:
             return next(nodes_iter)
         except StopIteration:
-            raise PersistenceError(
-                "unexpected end of snapshot (nodes stream)") from None
+            raise PersistenceError("unexpected end of snapshot") from None
 
     header = next_line().split(" ")
     if len(header) != 4 or header[0] != "bplus-snapshot":
         raise PersistenceError("bad snapshot header")
-    if header[1] != "2":
+    if header[1] != version:
         raise PersistenceError(
-            f"paged stream format {header[1]!r} is not supported (this "
-            "build reads 'bplus-snapshot 2', one page per leaf)")
+            f"snapshot format {header[1]!r} is not supported here: this "
+            f"reader takes 'bplus-snapshot {version}' (1: leaves inline, "
+            "2: one page per leaf)")
     try:
         order, size = int(header[2]), int(header[3])
     except ValueError as exc:
@@ -112,19 +109,24 @@ def load_tree_stream(nodes_lines, read_leaf) -> BPlusTree:
         if parts[0] == "leaf":
             node = LeafNode()
             try:
-                _kind, count, page, gen = parts
-                count, page, gen = int(count), int(page), int(gen)
+                count, *place = (int(part) for part in parts[1:])
             except ValueError as exc:
                 raise PersistenceError(f"bad leaf line: {exc}") from exc
-            for line in read_leaf(page, gen):
+            if len(place) != (0 if read_leaf is None else 2):
+                raise PersistenceError("bad leaf line: wrong field count")
+            lines = (next_line() for _ in range(count)) \
+                if read_leaf is None else read_leaf(*place)
+            for line in lines:
                 key_text, _, value_text = line.partition(" ")
                 node.keys.append(_unb64(key_text))
                 node.values.append(_unb64(value_text))
                 node.entry_digests.append(None)
             if len(node.keys) != count:
+                where = "leaf page {} (generation {})".format(*place) \
+                    if place else "inline leaf"
                 raise PersistenceError(
-                    f"leaf page {page} (generation {gen}) holds "
-                    f"{len(node.keys)} entries, its leaf line says {count}")
+                    f"{where} holds {len(node.keys)} entries, its leaf "
+                    f"line says {count}")
             return node
         if parts[0] == "internal":
             node = InternalNode()
@@ -151,20 +153,14 @@ def load_tree_stream(nodes_lines, read_leaf) -> BPlusTree:
     except StopIteration:
         pass
     else:
-        raise PersistenceError("trailing data in snapshot (nodes stream)")
+        raise PersistenceError("trailing data in snapshot")
 
-    def count_entries(node) -> int:
-        if node.is_leaf:
-            return len(node.keys)
-        return sum(count_entries(child) for child in node.children)
-
-    actual = count_entries(root)
+    tree._root = root
+    tree._size = size
+    actual = sum(len(leaf.keys) for leaf in _relink_leaves(tree))
     if actual != size:
         raise PersistenceError(
             f"snapshot header claims {size} entries but the nodes hold {actual}")
-    tree._root = root
-    tree._size = size
-    _relink_leaves(tree)
     try:
         tree.check_invariants()
     except AssertionError as exc:
@@ -178,97 +174,26 @@ def load_tree(blob: bytes) -> BPlusTree:
         lines = blob.decode("ascii").split("\n")
     except UnicodeDecodeError as exc:
         raise PersistenceError(f"snapshot is not ascii: {exc}") from exc
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    position = 0
-
-    def next_line() -> str:
-        nonlocal position
-        if position >= len(lines):
-            raise PersistenceError("unexpected end of snapshot")
-        line = lines[position]
-        position += 1
-        return line
-
-    header = next_line().split(" ")
-    if len(header) != 4 or header[0] != "bplus-snapshot" or header[1] != "1":
-        raise PersistenceError("bad snapshot header")
-    try:
-        order, size = int(header[2]), int(header[3])
-    except ValueError as exc:
-        raise PersistenceError(f"bad snapshot header: {exc}") from exc
-    if order < 3 or size < 0:
-        raise PersistenceError("bad snapshot header: implausible order/size")
-    tree = BPlusTree(order=order)
-
-    def read_node():
-        parts = next_line().split(" ")
-        if parts[0] == "leaf":
-            node = LeafNode()
-            for _ in range(int(parts[1])):
-                key_text, _, value_text = next_line().partition(" ")
-                node.keys.append(_unb64(key_text))
-                node.values.append(_unb64(value_text))
-                node.entry_digests.append(None)
-            return node
-        if parts[0] == "internal":
-            node = InternalNode()
-            key_count = int(parts[1])
-            key_line = next_line()
-            if key_count:
-                encoded = key_line.split(" ")
-                if len(encoded) != key_count:
-                    raise PersistenceError("internal key count mismatch")
-                node.keys = [_unb64(text) for text in encoded]
-            elif key_line:
-                raise PersistenceError("expected empty key line")
-            for _ in range(key_count + 1):
-                node.children.append(read_node())
-            return node
-        raise PersistenceError(f"unknown node kind {parts[0]!r}")
-
-    try:
-        root = read_node()
-    except (IndexError, ValueError) as exc:
-        raise PersistenceError(f"malformed snapshot: {exc}") from exc
-    if position != len(lines):
-        raise PersistenceError("trailing data in snapshot")
-
-    def count_entries(node) -> int:
-        if node.is_leaf:
-            return len(node.keys)
-        return sum(count_entries(child) for child in node.children)
-
-    actual = count_entries(root)
-    if actual != size:
-        raise PersistenceError(
-            f"snapshot header claims {size} entries but the nodes hold {actual}")
-    tree._root = root
-    tree._size = size
-    _relink_leaves(tree)
-    try:
-        tree.check_invariants()
-    except AssertionError as exc:
-        raise PersistenceError(f"snapshot violates tree invariants: {exc}") from exc
-    return tree
+    return load_tree_stream(lines)
 
 
-def _relink_leaves(tree: BPlusTree) -> None:
-    """Rebuild the leaf chain (next_leaf pointers) after a load."""
+def _relink_leaves(tree: BPlusTree) -> list[LeafNode]:
+    """Rebuild the leaf chain (next_leaf pointers) after a load; returns
+    the leaves in key order."""
     leaves: list[LeafNode] = []
-
-    def collect(node) -> None:
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if node.is_leaf:
             leaves.append(node)
         else:
-            for child in node.children:
-                collect(child)
-
-    collect(tree.root)
+            stack.extend(reversed(node.children))
     for left, right in zip(leaves, leaves[1:]):
         left.next_leaf = right
-    if leaves:
-        leaves[-1].next_leaf = None
+    leaves[-1].next_leaf = None
+    return leaves
 
 
 def dump_forest(forest: MerkleForest) -> bytes:
@@ -306,7 +231,7 @@ def load_forest(blob: bytes) -> MerkleForest:
         raise PersistenceError(
             "bad forest snapshot header: implausible order/shard count")
 
-    forest = MerkleForest(order=order, shards=shards, top_order=top_order)
+    shard_trees: list[MerkleBPlusTree] = []
     position = newline + 1
     for expected_index in range(shards):
         line_end = blob.find(b"\n", position)
@@ -335,15 +260,12 @@ def load_forest(blob: bytes) -> MerkleForest:
                 f"shard {index} order {tree.order} disagrees with the "
                 f"forest header order {order}")
         position += size
-        mtree = MerkleBPlusTree(order=order)
-        mtree._tree = tree
-        forest._shards[index] = mtree
-        forest._dirty.add(index)
+        shard_trees.append(MerkleBPlusTree.from_tree(tree))
     if position != len(blob):
         raise PersistenceError("trailing data in forest snapshot")
-    # Fold the restored shard roots into the deterministically shaped
-    # top tree; the routing invariant rides along for free.
-    forest._sync_top()
+    # The deterministically shaped top tree is rebuilt from the restored
+    # shard roots; the routing invariant rides along for free.
+    forest = MerkleForest.from_shards(shard_trees, top_order)
     try:
         forest.check_invariants()
     except AssertionError as exc:
@@ -367,18 +289,9 @@ def load_database(blob: bytes) -> VerifiedDatabase:
     one.
     """
     if blob.startswith(b"forest-snapshot "):
-        forest = load_forest(blob)
-        database = VerifiedDatabase(
-            order=forest.order, shards=forest.shard_count,
-            top_order=forest.top_order)
-        database._mtree = forest
-        return database
-    tree = load_tree(blob)
-    database = VerifiedDatabase(order=tree.order)
-    mtree = MerkleBPlusTree(order=tree.order)
-    mtree._tree = tree
-    database._mtree = mtree
-    return database
+        return VerifiedDatabase.from_mtree(load_forest(blob))
+    return VerifiedDatabase.from_mtree(
+        MerkleBPlusTree.from_tree(load_tree(blob)))
 
 
 def _b64(data: bytes) -> str:

@@ -35,6 +35,19 @@ class ProofError(Exception):
     """Raised when a verification object fails to check out."""
 
 
+def tuple_of(values, kind) -> bool:
+    """Whether ``values`` is a tuple of ``kind`` instances.  Every VO
+    class checks its field types where it is built, so a frame carrying
+    a decodable value of the wrong type is malformed to the codec and
+    never reaches a verification step."""
+    if type(values) is not tuple:
+        return False
+    for value in values:
+        if not isinstance(value, kind):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------
@@ -48,9 +61,12 @@ class LeafSnapshot:
     entry_digests: tuple[Digest, ...]
 
     def digest(self) -> Digest:
-        return hash_leaf_node(list(self.entry_digests))
+        return hash_leaf_node(self.entry_digests)
 
     def __post_init__(self) -> None:
+        if not (tuple_of(self.keys, bytes)
+                and tuple_of(self.entry_digests, Digest)):
+            raise ProofError("malformed leaf snapshot")
         if len(self.keys) != len(self.entry_digests):
             raise ProofError("leaf snapshot arity mismatch")
 
@@ -63,9 +79,12 @@ class InternalSnapshot:
     child_digests: tuple[Digest, ...]
 
     def digest(self) -> Digest:
-        return hash_internal_node(list(self.keys), list(self.child_digests))
+        return hash_internal_node(self.keys, self.child_digests)
 
     def __post_init__(self) -> None:
+        if not (tuple_of(self.keys, bytes)
+                and tuple_of(self.child_digests, Digest)):
+            raise ProofError("malformed internal snapshot")
         if len(self.child_digests) != len(self.keys) + 1:
             raise ProofError("internal snapshot arity mismatch")
 
@@ -85,7 +104,7 @@ def snapshot_leaf(mtree: MerkleBPlusTree, node) -> LeafSnapshot:
 
 
 def snapshot_internal(mtree: MerkleBPlusTree, node) -> InternalSnapshot:
-    child_digests = tuple(mtree.node_digest(child) for child in node.children)
+    child_digests = tuple([mtree.node_digest(child) for child in node.children])
     return InternalSnapshot(keys=tuple(node.keys), child_digests=child_digests)
 
 
@@ -103,6 +122,13 @@ class ReadProof:
     internals: tuple[InternalSnapshot, ...]  # root first, leaf's parent last
     leaf: LeafSnapshot
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.key, bytes)
+                and isinstance(self.value, (bytes, type(None)))
+                and tuple_of(self.internals, InternalSnapshot)
+                and isinstance(self.leaf, LeafSnapshot)):
+            raise ProofError("malformed read proof")
+
     def size_digests(self) -> int:
         """Number of digests carried -- the paper's O(log n) VO size."""
         return sum(len(s.child_digests) for s in self.internals) + len(self.leaf.entry_digests)
@@ -111,57 +137,31 @@ class ReadProof:
 def build_read_proof(mtree: MerkleBPlusTree, key: bytes) -> ReadProof:
     """Server side: assemble the VO for a point read of ``key``."""
     path = mtree.tree.search_path(key)
-    internals = tuple(snapshot_internal(mtree, node) for node in path[:-1])
-    leaf = snapshot_leaf(mtree, path[-1])
-    return ReadProof(key=key, value=mtree.get(key), internals=internals, leaf=leaf)
+    internals = tuple([snapshot_internal(mtree, node) for node in path[:-1]])
+    node = path[-1]
+    value = node.values[node.keys.index(key)] if key in node.keys else None
+    return ReadProof(key=key, value=value, internals=internals,
+                     leaf=snapshot_leaf(mtree, node))
 
 
-def _verify_path(
-    root_digest: Digest,
+def fold_path(
     internals: tuple[InternalSnapshot, ...],
     leaf: LeafSnapshot,
     key: bytes,
-) -> list[int]:
-    """Check the root-to-leaf snapshot chain; returns the route indices.
+) -> tuple[Digest, list[int]]:
+    """Fold a path bottom-up, each snapshot hashed once: ``(the root
+    it implies, the child index taken at each internal)``.
 
-    Each snapshot must hash to the digest its parent committed to, and
-    the chain must follow the deterministic routing rule for ``key`` --
-    otherwise a malicious server could prove non-membership using some
-    unrelated leaf.
-    """
-    child_indices: list[int] = []
-    expected = root_digest
-    for level, snapshot in enumerate(internals):
-        if snapshot.digest() != expected:
-            raise ProofError(f"internal snapshot at level {level} does not match committed digest")
-        if list(snapshot.keys) != sorted(snapshot.keys):
-            raise ProofError(f"internal snapshot at level {level} has unsorted separator keys")
-        index = route_index(snapshot.keys, key)
-        child_indices.append(index)
-        expected = snapshot.child_digests[index]
-    if leaf.digest() != expected:
-        raise ProofError("leaf snapshot does not match committed digest")
-    if list(leaf.keys) != sorted(leaf.keys):
-        raise ProofError("leaf snapshot has unsorted keys")
-    return child_indices
-
-
-def _implied_path_root(
-    internals: tuple[InternalSnapshot, ...],
-    leaf: LeafSnapshot,
-    key: bytes,
-) -> Digest:
-    """Fold a path bottom-up and return the root digest it implies.
-
-    Checks internal linkage (each snapshot must be committed by its
-    parent at the position the routing rule for ``key`` selects) and
-    key ordering, but does *not* compare against a known root -- the
-    multi-user protocols obtain the root through signatures or XOR
-    registers instead of tracking it locally.
+    Each snapshot must be committed by its parent at the position the
+    routing rule for ``key`` selects -- otherwise a malicious server
+    could prove non-membership out of some unrelated leaf -- and keys
+    must be ordered.  Nothing is compared against a known root: callers
+    do, with the root they track or through signatures or registers.
     """
     if list(leaf.keys) != sorted(leaf.keys):
         raise ProofError("leaf snapshot has unsorted keys")
     digest = leaf.digest()
+    indices = [0] * len(internals)
     for level in range(len(internals) - 1, -1, -1):
         snapshot = internals[level]
         if list(snapshot.keys) != sorted(snapshot.keys):
@@ -169,8 +169,9 @@ def _implied_path_root(
         index = route_index(snapshot.keys, key)
         if snapshot.child_digests[index] != digest:
             raise ProofError(f"broken digest chain at level {level}")
+        indices[level] = index
         digest = snapshot.digest()
-    return digest
+    return digest, indices
 
 
 def check_read_answer(proof: ReadProof, key: bytes) -> bytes | None:
@@ -194,7 +195,7 @@ def check_read_answer(proof: ReadProof, key: bytes) -> bytes | None:
 def implied_root_for_read(proof: ReadProof, key: bytes) -> Digest:
     """The root digest a read proof vouches for (after internal checks)."""
     check_read_answer(proof, key)
-    return _implied_path_root(proof.internals, proof.leaf, key)
+    return fold_path(proof.internals, proof.leaf, key)[0]
 
 
 def verify_read(root_digest: Digest, proof: ReadProof, key: bytes) -> bytes | None:
@@ -203,19 +204,8 @@ def verify_read(root_digest: Digest, proof: ReadProof, key: bytes) -> bytes | No
     Returns the proven value (or ``None`` for proven absence).  Raises
     :class:`ProofError` on any inconsistency.
     """
-    if proof.key != key:
-        raise ProofError("proof is for a different key")
-    _verify_path(root_digest, proof.internals, proof.leaf, key)
-    if proof.value is None:
-        if key in proof.leaf.keys:
-            raise ProofError("server claimed absence but the leaf contains the key")
-        return None
-    try:
-        position = proof.leaf.keys.index(key)
-    except ValueError:
-        raise ProofError("server claimed presence but the leaf lacks the key") from None
-    if hash_leaf(key, proof.value) != proof.leaf.entry_digests[position]:
-        raise ProofError("returned value does not match the committed entry digest")
+    if implied_root_for_read(proof, key) != root_digest:
+        raise ProofError("read proof does not match committed root digest")
     return proof.value
 
 
@@ -236,6 +226,17 @@ class FringeNode:
     keys: tuple[bytes, ...]
     children: tuple["FringeNode | LeafSnapshot | Digest", ...]
 
+    def __post_init__(self) -> None:
+        if not (tuple_of(self.keys, bytes) and tuple_of(
+                self.children, (FringeNode, LeafSnapshot, Digest))):
+            raise ProofError("malformed range proof node")
+
+
+def entries_of(value) -> bool:
+    """Whether ``value`` is a tuple of ``(key, value)`` byte pairs."""
+    return tuple_of(value, tuple) and all(
+        len(entry) == 2 and tuple_of(entry, bytes) for entry in value)
+
 
 @dataclass(frozen=True)
 class RangeProof:
@@ -245,6 +246,13 @@ class RangeProof:
     high: bytes
     root: FringeNode | LeafSnapshot
     entries: tuple[tuple[bytes, bytes], ...]
+
+    def __post_init__(self) -> None:
+        # a bare digest as root would "prove" any range empty
+        if not (isinstance(self.low, bytes) and isinstance(self.high, bytes)
+                and isinstance(self.root, (FringeNode, LeafSnapshot))
+                and entries_of(self.entries)):
+            raise ProofError("malformed range proof")
 
 
 def build_range_proof(mtree: MerkleBPlusTree, low: bytes, high: bytes) -> RangeProof:
@@ -307,8 +315,6 @@ def implied_root_for_range(proof: RangeProof) -> Digest:
                 raise ProofError("revealed leaf has unsorted keys")
             revealed.extend(zip(node.keys, node.entry_digests))
             return node.digest()
-        if not isinstance(node, FringeNode):
-            raise ProofError(f"unexpected node type in range proof: {type(node).__name__}")
         if list(node.keys) != sorted(node.keys):
             raise ProofError("revealed internal node has unsorted separator keys")
         if len(node.children) != len(node.keys) + 1:
@@ -321,7 +327,7 @@ def implied_root_for_range(proof: RangeProof) -> Digest:
             if child_must_reveal and isinstance(child, Digest):
                 raise ProofError("server hid a subtree that intersects the queried range")
             child_digests.append(check(child, child_must_reveal))
-        return hash_internal_node(list(node.keys), child_digests)
+        return hash_internal_node(node.keys, child_digests)
 
     implied_root = check(proof.root, True)
 
@@ -346,6 +352,11 @@ class SiblingPair:
     left: "LeafSnapshot | InternalSnapshot | None"
     right: "LeafSnapshot | InternalSnapshot | None"
 
+    def __post_init__(self) -> None:
+        sides = (LeafSnapshot, InternalSnapshot, type(None))
+        if not (isinstance(self.left, sides) and isinstance(self.right, sides)):
+            raise ProofError("malformed sibling pair")
+
 
 @dataclass(frozen=True)
 class UpdateProof:
@@ -361,6 +372,13 @@ class UpdateProof:
     internals: tuple[InternalSnapshot, ...]
     leaf: LeafSnapshot
     siblings: tuple[SiblingPair, ...]
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.operation, str) and isinstance(self.key, bytes)
+                and tuple_of(self.internals, InternalSnapshot)
+                and isinstance(self.leaf, LeafSnapshot)
+                and tuple_of(self.siblings, SiblingPair)):
+            raise ProofError("malformed update proof")
 
     def size_digests(self) -> int:
         total = sum(len(s.child_digests) for s in self.internals)
@@ -521,10 +539,13 @@ class _Replay:
 
     def delete(self, shadows, indices, key: bytes):
         """Apply delete; returns the new shadow root (or a bare digest if
-        the whole tree collapsed to an untouched subtree)."""
+        the whole tree collapsed to an untouched subtree).  The path was
+        folded with the routing rule for ``key``, so a leaf without it
+        proves absence, as for reads: an honest delete changed nothing
+        and the root returned is the one given."""
         leaf = shadows[-1]
         if key not in leaf.keys:
-            raise ProofError("delete replay: key is not present in the proven leaf")
+            return shadows[0]
         position = leaf.keys.index(key)
         del leaf.keys[position]
         del leaf.entries[position]
@@ -599,6 +620,8 @@ class _Replay:
             parent.keys[child_pos] = right.keys.pop(0)
 
     def _merge_children(self, parent: _ShadowInternal, left_pos: int) -> None:
+        if left_pos + 1 >= len(parent.children):
+            raise ProofError("delete replay: an only child has no sibling to merge with")
         left = self._require_shadow(parent.children[left_pos], "left-merge")
         right = self._require_shadow(parent.children[left_pos + 1], "right-merge")
         if left.is_leaf:
@@ -620,29 +643,12 @@ def derive_update_roots(
 ) -> tuple[Digest, Digest]:
     """Derive the (old, new) root digests an update proof vouches for.
 
-    This is the multi-user entry point: the client does not know the
-    current root (another user may have moved it) -- it computes the
-    old root from the VO and authenticates it via the protocol layer
-    (Protocol I: a signature over it; Protocols II/III: the XOR
-    register algebra).
-    """
-    old_root = _implied_path_root(proof.internals, proof.leaf, proof.key)
-    new_root = verify_update(old_root, proof, order, key, value)
-    return old_root, new_root
-
-
-def verify_update(
-    old_root_digest: Digest,
-    proof: UpdateProof,
-    order: int,
-    key: bytes,
-    value: bytes | None = None,
-) -> Digest:
-    """Client side: validate the pre-update VO and *derive* the new root.
-
-    The returned digest is what the root digest must be after an honest
-    server applies exactly this operation; Protocols I--III compare it
-    (or sign it) rather than trusting anything the server claims.
+    The old root is the one :func:`fold_path` implies; the new root is
+    *recomputed* by replaying the operation on shadow nodes built from
+    the folded snapshots -- what the root must be after an honest
+    server applies exactly this operation.  The caller authenticates
+    the old root: against the root it tracks (:func:`verify_update`), or
+    through the protocol layer (a signature, or the XOR registers).
 
     ``value`` is required for inserts and must be ``None`` for deletes.
     """
@@ -655,7 +661,7 @@ def verify_update(
     if len(proof.siblings) != len(proof.internals):
         raise ProofError("sibling list length disagrees with path length")
 
-    indices = _verify_path(old_root_digest, proof.internals, proof.leaf, key)
+    old_root, indices = fold_path(proof.internals, proof.leaf, key)
 
     # Rebuild the path as mutable shadow nodes.
     shadows: list[_ShadowInternal | _ShadowLeaf] = [
@@ -669,18 +675,17 @@ def verify_update(
     for depth, pair in enumerate(proof.siblings):
         parent = shadows[depth]
         index = indices[depth]
-        if pair.left is not None:
-            if index == 0:
-                raise ProofError("left sibling supplied for a leftmost child")
-            if pair.left.digest() != proof.internals[depth].child_digests[index - 1]:
-                raise ProofError("left sibling snapshot does not match committed digest")
-            parent.children[index - 1] = _shadow_from_snapshot(pair.left)
-        if pair.right is not None:
-            if index + 1 >= len(parent.children):
-                raise ProofError("right sibling supplied for a rightmost child")
-            if pair.right.digest() != proof.internals[depth].child_digests[index + 1]:
-                raise ProofError("right sibling snapshot does not match committed digest")
-            parent.children[index + 1] = _shadow_from_snapshot(pair.right)
+        for name, side, at, edge in (("left", pair.left, index - 1, "leftmost"),
+                                     ("right", pair.right, index + 1, "rightmost")):
+            if side is None:
+                continue
+            if not 0 <= at < len(parent.children):
+                raise ProofError(f"{name} sibling supplied for a {edge} child")
+            if side.digest() != proof.internals[depth].child_digests[at]:
+                raise ProofError(f"{name} sibling snapshot does not match committed digest")
+            if isinstance(side, LeafSnapshot) != shadows[depth + 1].is_leaf:
+                raise ProofError(f"{name} sibling is not the kind of node its neighbour is")
+            parent.children[at] = _shadow_from_snapshot(side)
 
     replay = _Replay(order)
     if proof.operation == "insert":
@@ -689,5 +694,20 @@ def verify_update(
         new_root = replay.delete(shadows, indices, key)
 
     if isinstance(new_root, Digest):
-        return new_root
-    return new_root.digest()
+        return old_root, new_root
+    return old_root, new_root.digest()
+
+
+def verify_update(
+    old_root_digest: Digest,
+    proof: UpdateProof,
+    order: int,
+    key: bytes,
+    value: bytes | None = None,
+) -> Digest:
+    """Client side: validate the pre-update VO against the known root
+    digest and return the new root the client derived."""
+    old_root, new_root = derive_update_roots(proof, order, key, value)
+    if old_root != old_root_digest:
+        raise ProofError("update proof does not match committed root digest")
+    return new_root

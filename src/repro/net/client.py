@@ -30,8 +30,9 @@ verified one by one exactly as a lone operation would be.  One loop,
 * a *refusal* (:class:`ServerBusyError`) is the oldest in-flight
   operation's answer: the server did not execute it.  Alone in the
   window it is re-asked on the same connection while
-  ``busy_attempts`` remain; otherwise it leaves the window and the
-  refusal is raised;
+  ``busy_attempts`` remain and the server has not said it would only
+  refuse again (``retryable: False``, a malformed request); otherwise
+  it leaves the window and the refusal is raised;
 * anything else is the oldest operation's response, and goes to the
   protocol session's ``_absorb``.
 
@@ -103,9 +104,11 @@ class TransientNetworkError(Exception):
 
 class ServerBusyError(TransientNetworkError):
     """The server refused the request: it stayed blocked on another
-    client's follow-up signature past its block timeout (Protocol I).
-    The refused operation was not executed and has left the window; the
-    session remains usable -- retry once the operator catches up."""
+    client's follow-up signature past its block timeout (Protocol I),
+    or the request was one no state could execute (an empty range --
+    ``reply.extras["retryable"]`` is then ``False``).  The refused
+    operation was not executed and has left the window; the session
+    remains usable -- retry once the operator catches up."""
 
     def __init__(self, reply: ErrorReply) -> None:
         super().__init__(f"server busy: {reply.reason}" if reply.reason
@@ -358,7 +361,8 @@ class _Session:
             busy_failures += 1
             if _obs.enabled:
                 _RETRIES.inc(reason="busy", user=self.user_id)
-            if len(self._inflight) > 1 or busy_failures >= policy.busy_attempts:
+            if len(self._inflight) > 1 or busy_failures >= policy.busy_attempts \
+                    or message.extras.get("retryable") is False:
                 self._inflight.popleft()
                 raise ServerBusyError(message)
             time.sleep(policy.delay(busy_failures - 1))

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.mtree.database import VerifiedDatabase
+from repro.mtree.database import VerifiedDatabase, query_defect
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import (
+    ErrorReply,
     Followup,
     Request,
     Response,
@@ -265,7 +266,8 @@ class ServerCore:
         self._execute_followup(user_id, message)
         self._after_logged(1)
 
-    def apply_batch(self, entries: list[tuple[str, Request]]) -> list[Response]:
+    def apply_batch(self, entries: list[tuple[str, Request]]
+                    ) -> list[Response | ErrorReply]:
         """Execute a batch of requests with amortised durability + hashing.
 
         ``entries`` is ``[(user_id, request), ...]`` in execution order.
@@ -280,7 +282,10 @@ class ServerCore:
 
         Returns the responses aligned with ``entries``.  Duplicate
         request ids (dedup hits and intra-batch retries) are answered
-        from the recorded response, never re-executed.
+        from the recorded response, never re-executed.  A request no
+        state could execute (:meth:`refusal`) is answered with an
+        :class:`ErrorReply`, not logged: every later recovery replays
+        the log, so only what executes may reach it.
         """
         plan: list[tuple[str, object]] = []
         staged: set[tuple[str, str]] = set()
@@ -298,6 +303,13 @@ class ServerCore:
                         _DEDUP_HITS.inc(user=user_id)
                     plan.append(("cached", cached))
                     continue
+            defect = self.refusal(message)
+            if defect is not None:
+                plan.append(("refused", ErrorReply(
+                    reason=f"malformed request: {defect}",
+                    extras={"retryable": False})))
+                continue
+            if rid is not None:
                 if (user_id, rid) in staged:
                     # The same id twice in one batch (a client retried
                     # while the original was still queued): answer the
@@ -345,14 +357,23 @@ class ServerCore:
 
         responses: list[Response] = []
         for kind, payload in plan:
-            if kind == "cached":
-                responses.append(payload)
-            elif kind == "exec":
+            if kind == "exec":
                 responses.append(executed[payload])
-            else:  # "dup"
+            elif kind == "dup":
                 user_id, rid = payload
                 responses.append(self.dedup.lookup(user_id, rid))
+            else:  # "cached" or "refused": the answer is already in hand
+                responses.append(payload)
         return responses
+
+    def refusal(self, message: Request) -> str | None:
+        """Why ``message`` cannot be executed whatever the state holds,
+        or ``None``: the one shape rule, applied before the log."""
+        if message.query is None:
+            if self.protocol.internal_requests:
+                return None
+            return "this protocol has no internal requests"
+        return query_defect(message.query)
 
     def _is_signing_run(self, fresh: list[tuple[str, Request]]) -> bool:
         """Whether this batch is a Protocol I-style signing run: a

@@ -385,9 +385,12 @@ def _reverify_replication(bundle: dict) -> tuple[bool, str]:
             try:
                 request = decode(bundle["request_frame"])
                 response = decode(bundle["response_frame"])
+                if not isinstance(request, Request) or \
+                        not isinstance(response, Response):
+                    raise ProofError("they are not a request and a response")
                 outcome = derive_outcome(request.query, response.result,
                                          StoreSpec.coerce(bundle["order"]))
-            except (WireError, ProofError, AttributeError) as exc:
+            except (WireError, ProofError) as exc:
                 return False, (f"recorded operation frames do not re-verify: "
                                f"{exc}")
             if outcome.new_root != expected_root:

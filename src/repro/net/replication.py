@@ -280,6 +280,7 @@ class WitnessProtocol(ServerProtocol):
 
     responses_commit_state = False
     blocks_after_request = False
+    internal_requests = True
 
     def __init__(self, witness_id: str, signer: Signer, verifier: Verifier,
                  primary_id: str = PRIMARY_ID, collusion=None) -> None:

@@ -56,7 +56,7 @@ import struct
 
 from repro.crypto.hashing import DIGEST_SIZE, Digest, hash_bytes
 from repro.mtree.database import VerifiedDatabase
-from repro.mtree.forest import StoreSpec
+from repro.mtree.forest import StoreSpec, merkle_store
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.persistence import PersistenceError, dump_database, load_database
 from repro.obs import runtime as _obs
@@ -114,17 +114,24 @@ def _chain_next(head: Digest, payload: bytes) -> Digest:
     return hash_bytes(_CHAIN_DOMAIN + head.to_bytes() + payload)
 
 
-def _dedup_pairs(entry) -> list[tuple]:
-    """Normalise a snapshot dedup entry to ordered (rid, response) pairs.
-
-    Current snapshots store a *window* per user (list of pairs); PR 4
-    snapshots stored exactly one ``[rid, response]`` pair.  Accept both
-    so a server upgraded in place recovers its old snapshot.
-    """
-    entry = list(entry)
-    if entry and isinstance(entry[0], str):
-        return [tuple(entry)]  # legacy single-entry form
-    return [tuple(pair) for pair in entry]
+def _recorded_state(fields: dict, what: str) -> tuple:
+    """``(ctr, meta, dedup, root, chain, prev_chain)`` as a snapshot or
+    a manifest records them.  ``dedup`` maps user -> ordered (rid,
+    response) pairs; ``prev_chain`` is what proves a leftover WAL
+    merely stale, and a record without one is corrupt."""
+    try:
+        ctr, meta = int(fields["ctr"]), dict(fields["meta"])
+        dedup = {user: [tuple(pair) for pair in pairs]
+                 for user, pairs in dict(fields["dedup"]).items()}
+        root, chain, prev_chain = (
+            fields["root"], fields["chain"], fields["prev_chain"])
+        if not isinstance(prev_chain, Digest):
+            raise ValueError("prev_chain is not a digest")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WalError(f"corrupt {what}: {exc}") from exc
+    if chain != chain_genesis(root):
+        raise WalError(f"{what} chain head does not match its root")
+    return ctr, meta, dedup, root, chain, prev_chain
 
 
 def _parse_records(blob: bytes) -> tuple[list[tuple[bytes, bytes]], int]:
@@ -213,9 +220,9 @@ class ServerStore:
         self.wal_path = os.path.join(data_dir, WAL_FILE)
         self._wal_handle = None
         self._chain = Digest.zero()  # set by load()/write_snapshot()
-        #: the pre-snapshot chain head the last loaded snapshot recorded
-        #: (None for snapshots written before this field existed).
-        self._prev_chain: Digest | None = None
+        #: the pre-snapshot chain head the last loaded or written
+        #: snapshot recorded.
+        self._prev_chain = Digest.zero()
         #: how many verified-stale WALs recovery has discarded.
         self.stale_wals_discarded = 0
 
@@ -283,22 +290,11 @@ class ServerStore:
             raise WalError(f"corrupt snapshot: {exc}") from exc
         if not isinstance(fields, dict):
             raise WalError("corrupt snapshot: meta section is not a dict")
-        try:
-            ctr = int(fields["ctr"])
-            meta = dict(fields["meta"])
-            dedup = {user: _dedup_pairs(entry)
-                     for user, entry in dict(fields["dedup"]).items()}
-            root = fields["root"]
-            chain = fields["chain"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WalError(f"corrupt snapshot: {exc}") from exc
+        ctr, meta, dedup, root, chain, self._prev_chain = \
+            _recorded_state(fields, "snapshot")
         if database.root_digest() != root:
             raise WalError(
                 "snapshot tree does not hash to its recorded root digest")
-        if chain != chain_genesis(root):
-            raise WalError("snapshot chain head does not match its root")
-        prev_chain = fields.get("prev_chain")
-        self._prev_chain = prev_chain if isinstance(prev_chain, Digest) else None
         return database, ctr, meta, dedup, chain
 
     # -- write-ahead log ---------------------------------------------------
@@ -373,8 +369,7 @@ class ServerStore:
         try:
             messages, chain = _verify_records(records, chain)
         except WalError:
-            if self._prev_chain is not None and \
-                    _is_stale_wal(records, self._prev_chain):
+            if _is_stale_wal(records, self._prev_chain):
                 # The crash hit between the snapshot rename and the WAL
                 # reset: every record here is already *inside* the
                 # snapshot.  Finish the interrupted reset and recover
@@ -523,8 +518,7 @@ class PagedServerStore(ServerStore):
         chain = chain_genesis(root)
         old = self._manifest
         new_gen = 0 if old is None else int(old["gen"]) + 1
-        shard_trees = [database.mtree] if spec.shards == 1 else \
-            [database.mtree.shard_tree(i) for i in range(spec.shards)]
+        shard_trees = database.shard_trees()
         old_shards = {} if old is None else \
             {int(rec["shard"]): rec for rec in old["shards"]}
         shard_records = []
@@ -708,20 +702,13 @@ class PagedServerStore(ServerStore):
                 "store lost a checkpoint it reported durable")
         if manifest is None:
             return None
+        ctr, meta, dedup, root, chain, prev_chain = \
+            _recorded_state(manifest, "checkpoint manifest")
         try:
             spec = StoreSpec.coerce(manifest["spec"])
-            gen = int(manifest["gen"])
-            root = manifest["root"]
-            chain = manifest["chain"]
-            ctr = int(manifest["ctr"])
-            meta = dict(manifest["meta"])
-            dedup = {user: _dedup_pairs(entry)
-                     for user, entry in dict(manifest["dedup"]).items()}
             shard_records = list(manifest["shards"])
         except (KeyError, TypeError, ValueError) as exc:
             raise WalError(f"corrupt checkpoint manifest: {exc}") from exc
-        if chain != chain_genesis(root):
-            raise WalError("manifest chain head does not match its root")
         if len(shard_records) != spec.shards:
             raise WalError("manifest shard records disagree with the spec")
 
@@ -748,34 +735,15 @@ class PagedServerStore(ServerStore):
             self._leaf_rows[index] = rows
             shard_trees.append(tree)
 
-        database = self._assemble_database(spec, shard_trees)
+        # The top tree is not persisted at all: its shape is a function
+        # of the shard count, so it is rebuilt from the verified shard
+        # roots (exactly as the file backend's ``load_forest`` does).
+        database = VerifiedDatabase.from_mtree(merkle_store(spec, shard_trees))
         if database.root_digest() != root:
             raise WalError(
                 "checkpoint shards do not hash to the manifest's top root")
-        prev_chain = manifest.get("prev_chain")
-        self._prev_chain = prev_chain if isinstance(prev_chain, Digest) else None
+        self._prev_chain = prev_chain
         return database, ctr, meta, dedup, chain
-
-    def _assemble_database(self, spec: StoreSpec,
-                           shard_trees: list[MerkleBPlusTree]) -> VerifiedDatabase:
-        """Rebuild the in-memory store around the loaded shard trees.
-
-        The top tree is not persisted at all: its shape is a
-        deterministic function of the shard count, so it is rebuilt
-        from the verified shard roots (exactly as the file backend's
-        ``load_forest`` does).
-        """
-        database = VerifiedDatabase(
-            order=spec.order, shards=spec.shards, top_order=spec.top_order)
-        if spec.shards == 1:
-            database._mtree = shard_trees[0]
-            return database
-        forest = database.mtree
-        for index, tree in enumerate(shard_trees):
-            forest._shards[index] = tree
-            forest._dirty.add(index)
-        forest._sync_top()
-        return database
 
     def _repair_shard(self, record: dict, spec: StoreSpec, manifest: dict,
                       cause: Exception) -> tuple[MerkleBPlusTree, LeafRows]:

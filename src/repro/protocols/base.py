@@ -97,7 +97,17 @@ def request_id(message: "Request") -> str | None:
 
 
 @dataclass(frozen=True)
-class Request:
+class _Message:
+    """``extras`` is a dict where a frame is built: a decodable frame
+    carrying anything else there is malformed and meets no handler."""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.extras, dict):
+            raise TypeError("message extras must be a dict")
+
+
+@dataclass(frozen=True)
+class Request(_Message):
     """A client->server message carrying one query plus protocol extras."""
 
     query: Query
@@ -105,7 +115,7 @@ class Request:
 
 
 @dataclass(frozen=True)
-class Response:
+class Response(_Message):
     """A server->client message: the answer, the VO, protocol extras."""
 
     result: QueryResult
@@ -113,7 +123,7 @@ class Response:
 
 
 @dataclass(frozen=True)
-class Followup:
+class Followup(_Message):
     """A client->server message sent *after* verifying a response
     (Protocol I's signed new root digest; Protocol III's deposited
     epoch snapshot piggybacks similarly)."""
@@ -122,7 +132,7 @@ class Followup:
 
 
 @dataclass(frozen=True)
-class ErrorReply:
+class ErrorReply(_Message):
     """A server->client failure notice carrying no answer.
 
     Sent in place of a :class:`Response` when the server cannot serve
@@ -235,6 +245,10 @@ class ServerProtocol:
     #: stamped do not block the state, letting one follow-up signature
     #: cover a whole batch from the same user.
     supports_deferred_followup = False
+
+    #: Whether a request may carry no query (an audit fetch, a null
+    #: turn, a deposit); otherwise a server refuses one before the log.
+    internal_requests = False
 
     def initialize(self, state: ServerState) -> None:
         """One-time setup of protocol metadata in ``state.meta``."""

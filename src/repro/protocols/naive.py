@@ -26,8 +26,6 @@ class NaiveServer(ServerProtocol):
     responses_commit_state = False
 
     def handle_request(self, user_id: str, request: Request, state: ServerState, round_no: int) -> Response:
-        if request.query is None:
-            raise ValueError("naive protocol has no internal requests")
         result = state.database.execute(request.query)
         state.ctr += 1
         return Response(result=result)

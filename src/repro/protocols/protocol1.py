@@ -91,8 +91,6 @@ class Protocol1Server(ServerProtocol):
         return bool(state.meta.get(META_AWAITING))
 
     def handle_request(self, user_id: str, request: Request, state: ServerState, round_no: int) -> Response:
-        if request.query is None:
-            raise ValueError("Protocol I has no internal requests")
         result = state.database.execute(request.query)
         final = not request.extras.get(DEFER_FOLLOWUP_KEY)
         response = Response(

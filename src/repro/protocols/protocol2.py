@@ -69,8 +69,6 @@ class Protocol2Server(ServerProtocol):
         state.ctr = 0
 
     def handle_request(self, user_id: str, request: Request, state: ServerState, round_no: int) -> Response:
-        if request.query is None:
-            raise ValueError("Protocol II has no internal requests")
         result = state.database.execute(request.query)
         response = Response(
             result=result,

@@ -70,6 +70,7 @@ class Protocol3Server(ServerProtocol):
     storage, and deposit retrieval for auditors."""
 
     responses_commit_state = True
+    internal_requests = True
 
     def __init__(self, epoch_length: int) -> None:
         if epoch_length < 4:

@@ -56,6 +56,7 @@ class TokenPassServer(ServerProtocol):
     """
 
     responses_commit_state = True
+    internal_requests = True
 
     def blocked(self, state: ServerState) -> bool:
         return bool(state.meta.get(META_AWAITING))

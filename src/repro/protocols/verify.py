@@ -4,42 +4,18 @@ Every protocol's query step boils down to: take the server's answer and
 verification object, derive the (old, new) root digests that the VO
 vouches for, and authenticate the old root through protocol state
 (Protocol I: the previous user's signature; Protocols II/III: the XOR
-register algebra).  This module implements the first half -- deriving
-roots and the trustworthy answer from ``v(Q, D)`` -- once, so the
-protocols only differ in how they authenticate roots.
+register algebra).  The first half -- deriving roots and the
+trustworthy answer from ``v(Q, D)`` -- is :func:`repro.mtree.derive_outcome`;
+this module instruments it and holds what else the protocol steps share,
+so the protocols only differ in how they authenticate roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.crypto.hashing import Digest
-from repro.mtree.database import (
-    DeleteQuery,
-    Query,
-    QueryResult,
-    RangeQuery,
-    ReadQuery,
-    WriteQuery,
-)
-from repro.mtree.forest import (
-    ForestRangeProof,
-    ForestReadProof,
-    ForestUpdateProof,
-    StoreSpec,
-    derive_forest_update_roots,
-    implied_root_for_forest_range,
-    implied_root_for_forest_read,
-)
-from repro.mtree.proofs import (
-    ProofError,
-    RangeProof,
-    ReadProof,
-    UpdateProof,
-    derive_update_roots,
-    implied_root_for_range,
-    implied_root_for_read,
-)
+from repro.mtree.database import Query, QueryResult, VerifiedOutcome
+from repro.mtree.database import derive_outcome as _derive_outcome
+from repro.mtree.forest import StoreSpec
+from repro.mtree.proofs import ProofError
 from repro.obs import runtime as _obs
 from repro.obs.metrics import BYTE_BUCKETS, REGISTRY as _registry
 from repro.protocols.base import DeviationDetected, Response
@@ -54,30 +30,12 @@ _VO_BYTES = _registry.histogram(
     buckets=BYTE_BUCKETS)
 
 
-@dataclass(frozen=True)
-class VerifiedOutcome:
-    """What a VO plus answer, checked for internal consistency, yields."""
-
-    old_root: Digest
-    new_root: Digest
-    answer: object
-
-    @property
-    def is_update(self) -> bool:
-        return self.old_root != self.new_root
-
-
 def derive_outcome(
     query: Query, result: QueryResult, order: int | StoreSpec
 ) -> VerifiedOutcome:
-    """Derive roots and answer from a response, or raise ProofError.
-
-    For reads the old and new roots coincide; for updates the new root
-    is *recomputed by the client* from the pre-update VO, never taken
-    from the server.  ``order`` may be a bare B+-tree order (single
-    tree) or a full :class:`StoreSpec`; in sharded mode the proofs must
-    be the two-level forest kinds and the derived roots are top roots.
-    """
+    """:func:`repro.mtree.database.derive_outcome` -- the rule itself,
+    written once, there -- under the ``protocol.verify_vo`` span and the
+    verified / rejected / VO-size counters."""
     if not _obs.enabled:
         return _derive_outcome(query, result, order)
     kind = type(query).__name__
@@ -128,75 +86,3 @@ def register(name: str) -> property:
     ``client.gctr`` reads and assigns ``client.state.gctr``."""
     return property(lambda self: getattr(self.state, name),
                     lambda self, value: setattr(self.state, name, value))
-
-
-def _derive_outcome(
-    query: Query, result: QueryResult, order: int | StoreSpec
-) -> VerifiedOutcome:
-    spec = StoreSpec.coerce(order)
-    if spec.sharded:
-        return _derive_forest_outcome(query, result, spec)
-    order = spec.order
-    proof = result.proof
-    if isinstance(query, ReadQuery):
-        if not isinstance(proof, ReadProof):
-            raise ProofError("read query answered with a non-read proof")
-        root = implied_root_for_read(proof, query.key)
-        if result.answer != proof.value:
-            raise ProofError("server answer disagrees with its own proof")
-        return VerifiedOutcome(old_root=root, new_root=root, answer=proof.value)
-    if isinstance(query, RangeQuery):
-        if not isinstance(proof, RangeProof):
-            raise ProofError("range query answered with a non-range proof")
-        if (proof.low, proof.high) != (query.low, query.high):
-            raise ProofError("range proof covers a different range")
-        root = implied_root_for_range(proof)
-        if tuple(result.answer) != proof.entries:
-            raise ProofError("server answer disagrees with its own proof")
-        return VerifiedOutcome(old_root=root, new_root=root, answer=proof.entries)
-    if isinstance(query, WriteQuery):
-        if not isinstance(proof, UpdateProof) or proof.operation != "insert":
-            raise ProofError("write query answered with a non-insert proof")
-        old_root, new_root = derive_update_roots(proof, order, query.key, query.value)
-        return VerifiedOutcome(old_root=old_root, new_root=new_root, answer=None)
-    if isinstance(query, DeleteQuery):
-        if not isinstance(proof, UpdateProof) or proof.operation != "delete":
-            raise ProofError("delete query answered with a non-delete proof")
-        old_root, new_root = derive_update_roots(proof, order, query.key)
-        return VerifiedOutcome(old_root=old_root, new_root=new_root, answer=None)
-    raise ProofError(f"unknown query type {type(query).__name__}")
-
-
-def _derive_forest_outcome(
-    query: Query, result: QueryResult, spec: StoreSpec
-) -> VerifiedOutcome:
-    """Sharded stores answer with two-level proofs; roots are top roots."""
-    proof = result.proof
-    if isinstance(query, ReadQuery):
-        if not isinstance(proof, ForestReadProof):
-            raise ProofError("read query answered with a non-read proof")
-        root = implied_root_for_forest_read(proof, query.key, spec)
-        if result.answer != proof.inner.value:
-            raise ProofError("server answer disagrees with its own proof")
-        return VerifiedOutcome(old_root=root, new_root=root, answer=proof.inner.value)
-    if isinstance(query, RangeQuery):
-        if not isinstance(proof, ForestRangeProof):
-            raise ProofError("range query answered with a non-range proof")
-        if (proof.low, proof.high) != (query.low, query.high):
-            raise ProofError("range proof covers a different range")
-        root = implied_root_for_forest_range(proof, spec)
-        if tuple(result.answer) != proof.entries:
-            raise ProofError("server answer disagrees with its own proof")
-        return VerifiedOutcome(old_root=root, new_root=root, answer=proof.entries)
-    if isinstance(query, WriteQuery):
-        if not isinstance(proof, ForestUpdateProof) or proof.operation != "insert":
-            raise ProofError("write query answered with a non-insert proof")
-        old_root, new_root = derive_forest_update_roots(
-            proof, spec, query.key, query.value)
-        return VerifiedOutcome(old_root=old_root, new_root=new_root, answer=None)
-    if isinstance(query, DeleteQuery):
-        if not isinstance(proof, ForestUpdateProof) or proof.operation != "delete":
-            raise ProofError("delete query answered with a non-delete proof")
-        old_root, new_root = derive_forest_update_roots(proof, spec, query.key)
-        return VerifiedOutcome(old_root=old_root, new_root=new_root, answer=None)
-    raise ProofError(f"unknown query type {type(query).__name__}")

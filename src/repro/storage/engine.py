@@ -224,8 +224,7 @@ def load_shard_tree(store: PageStore, shard: int, gen: int,
     nodes_lines = (line for blob in store.read_pages(KIND_NODES, shard, gen)
                    for line in _page_lines(blob, stats))
     tree = load_tree_stream(nodes_lines, read_leaf)
-    mtree = MerkleBPlusTree(order=tree.order)
-    mtree._tree = tree
+    mtree = MerkleBPlusTree.from_tree(tree)
     if expected_root is not None or rows is not None:
         # Recompute every digest from the loaded entries: binds the
         # page bytes to the root the WAL chain anchors, so tampered
@@ -250,8 +249,8 @@ def replay_data_ops(mtree: MerkleBPlusTree, messages, shard: int,
     """Re-apply a WAL segment's data operations routed to ``shard``.
 
     Mirrors :meth:`VerifiedDatabase.execute` semantics exactly: writes
-    insert-or-overwrite verbatim, deletes of absent keys are no-ops
-    (the live execution raised before mutating).  Non-data messages
+    insert-or-overwrite verbatim, deletes of absent keys are no-ops.
+    Non-data messages
     (follow-ups, protocol-internal requests, reads) never touch the
     tree.  Returns the number of operations applied.
     """

@@ -322,28 +322,19 @@ def _decode_value(reader: _Reader) -> object:
                            internals=_decode_value(reader), leaf=_decode_value(reader),
                            siblings=_decode_value(reader))
     if name == "forest_read_proof":
-        shard = _decode_value(reader)
-        inner, top = _decode_value(reader), _decode_value(reader)
-        if not isinstance(shard, int) or not isinstance(inner, ReadProof) \
-                or not isinstance(top, ReadProof):
-            raise WireError("malformed forest read proof")
-        return ForestReadProof(shard=shard, inner=inner, top=top)
+        return ForestReadProof(shard=_decode_value(reader),
+                               inner=_decode_value(reader),
+                               top=_decode_value(reader))
     if name == "forest_update_proof":
-        operation, shard = _decode_value(reader), _decode_value(reader)
-        inner, top = _decode_value(reader), _decode_value(reader)
-        if not isinstance(shard, int) or not isinstance(inner, UpdateProof) \
-                or not isinstance(top, UpdateProof):
-            raise WireError("malformed forest update proof")
-        return ForestUpdateProof(operation=operation, shard=shard,
-                                 inner=inner, top=top)
+        return ForestUpdateProof(operation=_decode_value(reader),
+                                 shard=_decode_value(reader),
+                                 inner=_decode_value(reader),
+                                 top=_decode_value(reader))
     if name == "forest_range_proof":
         low, high = reader.raw(), reader.raw()
         shard_proofs = _decode_value(reader)
         top = _decode_value(reader)
         entries = tuple(tuple(entry) for entry in _decode_value(reader))
-        if not isinstance(top, RangeProof) or not all(
-                isinstance(p, RangeProof) for p in shard_proofs):
-            raise WireError("malformed forest range proof")
         return ForestRangeProof(low=low, high=high, shard_proofs=shard_proofs,
                                 top=top, entries=entries)
     if name == "query_result":

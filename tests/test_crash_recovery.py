@@ -15,19 +15,29 @@ import time
 
 import pytest
 
-from repro.mtree.database import VerifiedDatabase, WriteQuery
+from repro.mtree.database import (
+    DeleteQuery,
+    RangeQuery,
+    ReadQuery,
+    VerifiedDatabase,
+    WriteQuery,
+)
 from repro.net import (
     RemoteClient,
+    RemoteClientP1,
     RetryPolicy,
+    ServerBusyError,
     TransientNetworkError,
     ServerCore,
     WalError,
+    count_sync_check,
     serve_in_thread,
     sync_check,
 )
 from repro.net.wal import ServerStore, chain_genesis
-from repro.protocols.base import Request, ServerState
-from repro.protocols.protocol2 import Protocol2Server
+from repro.protocols.base import ErrorReply, Request, ServerState
+from repro.protocols.protocol1 import Protocol1Server
+from repro.protocols.protocol2 import Protocol2Server, XorRegisters
 
 
 def _request(user, key, value, seq):
@@ -916,3 +926,157 @@ class TestPagedServerEndToEnd:
         assert paged.backend == "sqlite"
         file_store.close()
         paged.close()
+
+
+# -- what may reach the log ---------------------------------------------------
+
+#: requests that once executed into an exception *after* they were
+#: logged and fsynced, so that every later restart died replaying them.
+#: Three are ill-formed whatever the state holds and are refused before
+#: the log; the delete of an absent key depends on the state, so it is
+#: logged like any request and ``execute`` is total on it.
+POISON = {
+    "delete-absent": DeleteQuery(b"never-stored"),
+    "no-query": None,
+    "not-a-query": b"not a query",
+    "empty-range": RangeQuery(b"z", b"a"),
+}
+BACKENDS = ("file", "sqlite")
+
+
+def _poison_request(name, seq):
+    return Request(query=POISON[name],
+                   extras={"user": "alice", "rid": f"alice:{seq}"})
+
+
+class TestPoisonedRequests:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("in_batch", [False, True], ids=["alone", "in-a-batch"])
+    @pytest.mark.parametrize("name", POISON)
+    def test_directory_restarts_to_the_live_root(self, tmp_path, name,
+                                                 in_batch, backend):
+        data_dir = str(tmp_path / "server")
+        core = ServerCore(order=4, data_dir=data_dir, backend=backend,
+                          fsync=False, snapshot_every=1000)
+        genesis = core.state.database.root_digest()
+        registers = XorRegisters("alice", 4)
+        requests = [_request("alice", f"k{i}".encode(), b"v", i) for i in range(6)]
+        for request in requests[:4]:
+            registers.step(request.query, core.apply_request("alice", request))
+
+        poison = _poison_request(name, 100)
+        batch = [requests[4], poison, requests[5]] if in_batch else [poison]
+        wal_before = os.path.getsize(os.path.join(data_dir, "wal.log"))
+        responses = core.apply_batch([("alice", message) for message in batch])
+        # the neighbours are answered and verify; so does the absent delete
+        logged = 0
+        for message, response in zip(batch, responses):
+            if message is poison and name != "delete-absent":
+                assert isinstance(response, ErrorReply)
+                assert response.extras == {"retryable": False}
+                assert "malformed request" in response.reason
+                continue
+            outcome = registers.step(message.query, response)
+            assert (outcome.old_root == outcome.new_root) == (message is poison)
+            logged += 1
+        wal_after = os.path.getsize(os.path.join(data_dir, "wal.log"))
+        assert (wal_after > wal_before) == (logged > 0)  # a refusal logs nothing
+        live = (core.state.database.root_digest(), core.state.ctr)
+        assert live[1] == 4 + logged
+        assert sync_check(genesis, {"alice": registers.snapshot()})
+        core.close_store()
+
+        # every restart of the directory lands on the live root: from
+        # the log alone, then again before and after a checkpoint
+        replayed = 4 + logged
+        for checkpoint in (False, True, False):
+            restarted = ServerCore(order=4, data_dir=data_dir, backend=backend,
+                                   fsync=False, snapshot_every=1000)
+            assert (restarted.state.database.root_digest(),
+                    restarted.state.ctr) == live
+            assert restarted.replayed_records == replayed
+            # a retry is refused again; the executed no-op is deduped
+            again = restarted.apply_request("alice", poison)
+            assert isinstance(again, ErrorReply) == (name != "delete-absent")
+            assert restarted.state.ctr == live[1]
+            if checkpoint:
+                restarted.snapshot()
+                replayed = 0
+            restarted.close_store()
+
+    @pytest.mark.parametrize("window", [1, 8])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_delete_absent_over_tcp(self, tmp_path, backend, window):
+        """The verified no-op through the deployed path: sessions at
+        either window verify it, the registers still sync, and the
+        directory restarts to the root the clients hold."""
+        data_dir = str(tmp_path / "server")
+        server = serve_in_thread(order=4, data_dir=data_dir, backend=backend,
+                                 fsync=False)
+        host, port = server.address
+        genesis = server.initial_root_digest()
+        try:
+            with RemoteClient(host, port, "alice", genesis, order=4,
+                              window=window, retry=_fast_retry()) as alice:
+                queries = [WriteQuery(b"k1", b"v1"), DeleteQuery(b"absent"),
+                           WriteQuery(b"k2", b"v2"), DeleteQuery(b"k1"),
+                           DeleteQuery(b"k1"), ReadQuery(b"k2")]
+                answers = []
+                for query in queries:
+                    answers.extend(alice.submit(query))
+                answers.extend(alice.drain())
+                assert answers == [None, None, None, None, None, b"v2"]
+                assert sync_check(genesis, {"alice": alice.registers()})
+                # a request no state can execute is refused, and the
+                # session goes on
+                with pytest.raises(ServerBusyError, match="empty range"):
+                    alice.execute(RangeQuery(b"z", b"a"))
+                assert alice.get(b"k2") == b"v2"
+                assert sync_check(genesis, {"alice": alice.registers()})
+            before = server.consistent_view()[:2]
+            assert before[1] == len(queries) + 1
+        finally:
+            server.stop(snapshot=False)
+        restarted = serve_in_thread(order=4, data_dir=data_dir, backend=backend,
+                                    fsync=False)
+        try:
+            assert restarted.consistent_view()[:2] == before
+        finally:
+            restarted.stop()
+
+    def test_delete_absent_inside_a_signing_run(self, tmp_path, shared_keys):
+        """Protocol I: the no-op leaves the root where it was and moves
+        the counter, inside a signing run and at its end -- the next
+        batch head's signature check must not raise a false alarm."""
+        from tests.test_async_net import p1_async_server
+
+        data_dir = str(tmp_path / "server")
+        server = p1_async_server(shared_keys, batch_max=64, data_dir=data_dir,
+                                 fsync=False)
+        try:
+            host, port = server.address
+            with RemoteClientP1(
+                    host, port, "alice", shared_keys.signers["alice"],
+                    shared_keys.verifier, order=4, window=4) as alice:
+                runs = [
+                    [WriteQuery(b"k1", b"v"), DeleteQuery(b"absent"),
+                     WriteQuery(b"k2", b"v"), DeleteQuery(b"absent")],
+                    [DeleteQuery(b"absent"), WriteQuery(b"k3", b"v"),
+                     DeleteQuery(b"k1"), DeleteQuery(b"k1")],
+                    [ReadQuery(b"k2")],
+                ]
+                for run in runs:
+                    for query in run:
+                        alice.submit(query)
+                    alice.drain()
+                assert count_sync_check({"alice": alice.counts()})
+            before = server.consistent_view()[:2]
+            assert before[1] == sum(len(run) for run in runs)
+        finally:
+            server.stop(snapshot=False)
+        restarted = serve_in_thread(order=4, protocol=Protocol1Server(),
+                                    data_dir=data_dir, fsync=False)
+        try:
+            assert restarted.consistent_view()[:2] == before
+        finally:
+            restarted.stop()

@@ -13,6 +13,7 @@ from repro.mtree.database import (
     ReadQuery,
     VerifiedDatabase,
     WriteQuery,
+    derive_outcome,
 )
 from repro.mtree.proofs import ProofError
 
@@ -40,10 +41,21 @@ class TestHappyPath:
         client.apply(DeleteQuery(b"k"), db.execute(DeleteQuery(b"k")))
         assert client.apply(ReadQuery(b"k"), db.execute(ReadQuery(b"k"))) is None
 
-    def test_delete_absent_raises_keyerror(self, pair):
-        db, _client = pair
-        with pytest.raises(KeyError):
-            db.execute(DeleteQuery(b"missing"))
+    def test_delete_absent_is_a_verified_noop(self, pair):
+        """A delete of an absent key is total: the ordinary delete proof,
+        no mutation, and the client derives an unchanged root from it."""
+        db, client = pair
+        for i in range(20):
+            q = WriteQuery(f"k{i:02d}".encode(), b"v")
+            client.apply(q, db.execute(q))
+        before = db.root_digest()
+        for key in (b"missing", b"k05x", b"", b"zzz"):
+            q = DeleteQuery(key)
+            result = db.execute(q)
+            assert result.proof.operation == "delete"
+            assert client.apply(q, result) is None
+            assert client.root_digest == db.root_digest() == before
+        assert len(db) == 20
 
     def test_range(self, pair):
         db, client = pair
@@ -72,7 +84,7 @@ class TestHappyPath:
         db, client = pair
         with pytest.raises(TypeError):
             db.execute("not a query")
-        with pytest.raises(TypeError):
+        with pytest.raises(ProofError):
             client.apply("not a query", QueryResult(answer=None, proof=None))
 
 
@@ -122,8 +134,8 @@ class TestDetection:
         q = WriteQuery(b"k", b"v")
         result = db.execute(q)
         before = client.root_digest
-        client.expected_new_root(q, result.proof)
-        assert client.root_digest == before
+        outcome = derive_outcome(q, result, client.spec)
+        assert (outcome.old_root, client.root_digest) == (before, before)
         client.apply(q, result)
         assert client.root_digest != before
         assert client.root_digest == db.root_digest()

@@ -115,9 +115,9 @@ class TestRangeProofEdges:
     def test_unexpected_node_type_rejected(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"k005", b"k010")
-        forged = RangeProof(low=proof.low, high=proof.high,
-                            root="not a node", entries=proof.entries)
         with pytest.raises(ProofError):
+            forged = RangeProof(low=proof.low, high=proof.high,
+                                root="not a node", entries=proof.entries)
             verify_range(mtree.root_digest(), forged)
 
     def test_fringe_arity_mismatch_rejected(self):

@@ -24,9 +24,9 @@ from repro.mtree.forest import (
     build_forest_range_proof,
     build_forest_read_proof,
     build_forest_update_proof,
-    verify_forest_range,
-    verify_forest_read,
-    verify_forest_update,
+    derive_forest_update_roots,
+    implied_root_for_forest_range,
+    implied_root_for_forest_read,
 )
 
 KEYS = st.integers(min_value=0, max_value=30).map(lambda i: f"fkey{i:02d}".encode())
@@ -59,9 +59,8 @@ class MerkleForestMachine(RuleBasedStateMachine):
         old_root = self.forest.root_digest()
         self.forest.insert(key, value)
         new_root = self.forest.refresh_root()[0]
-        derived = verify_forest_update(old_root, proof, self.forest.spec,
-                                       key, value=value)
-        assert derived == new_root
+        assert derive_forest_update_roots(
+            proof, self.forest.spec, key, value=value) == (old_root, new_root)
         self.mirror.insert(key, value)
         self.model[key] = value
 
@@ -73,8 +72,8 @@ class MerkleForestMachine(RuleBasedStateMachine):
         old_root = self.forest.root_digest()
         self.forest.delete(key)
         new_root = self.forest.refresh_root()[0]
-        derived = verify_forest_update(old_root, proof, self.forest.spec, key)
-        assert derived == new_root
+        assert derive_forest_update_roots(
+            proof, self.forest.spec, key) == (old_root, new_root)
         self.mirror.delete(key)
         del self.model[key]
 
@@ -83,8 +82,8 @@ class MerkleForestMachine(RuleBasedStateMachine):
     def read_with_proof(self, key):
         proof = build_forest_read_proof(self.forest, key)
         assert proof.value == self.model.get(key)
-        verify_forest_read(self.forest.root_digest(), proof, key,
-                           self.forest.spec)
+        assert implied_root_for_forest_read(
+            proof, key, self.forest.spec) == self.forest.root_digest()
 
     @precondition(lambda self: self.forest is not None)
     @rule(low=KEYS, high=KEYS)
@@ -96,8 +95,8 @@ class MerkleForestMachine(RuleBasedStateMachine):
                                 if low <= k <= high))
         assert proof.entries == expected
         assert (proof.low, proof.high) == (low, high)
-        verify_forest_range(self.forest.root_digest(), proof,
-                            self.forest.spec)
+        assert implied_root_for_forest_range(
+            proof, self.forest.spec) == self.forest.root_digest()
 
     @precondition(lambda self: self.forest is not None)
     @rule()

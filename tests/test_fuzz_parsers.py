@@ -3,6 +3,9 @@ module's error type -- never crash, hang, or silently succeed with
 garbage semantics."""
 
 import random
+from dataclasses import fields, is_dataclass
+
+import pytest
 
 from repro.mtree.database import VerifiedDatabase, WriteQuery, ReadQuery
 from repro.mtree.persistence import PersistenceError, dump_database, load_database
@@ -113,3 +116,126 @@ class TestWireFuzz:
                 continue
             # verified mutants must agree with the truth
             assert value == original.answer
+
+
+class TestVoTypeFuzz:
+    """Type confusion inside a verification object: every value anywhere
+    in every proof kind is replaced, on the wire, by a well-formed value
+    of another type.  The frame must be refused as malformed, or -- where
+    the substitute happens to be admissible -- the verification step
+    must end in an outcome or a ``ProofError``: nothing else may leave
+    it (an ``AttributeError`` out of the step ends a session with no
+    verdict and no evidence)."""
+
+    @staticmethod
+    def subvalues(value, seen):
+        """Every value reachable inside a VO: dataclass fields, tuple
+        elements, and the containers themselves."""
+        if is_dataclass(value) and not isinstance(value, type):
+            children = [getattr(value, f.name) for f in fields(value)]
+        elif isinstance(value, tuple):
+            children = list(value)
+        else:
+            children = []
+        blob = encode(value)
+        if blob not in seen:
+            seen.add(blob)
+            yield blob
+        for child in children:
+            yield from TestVoTypeFuzz.subvalues(child, seen)
+
+    @pytest.mark.parametrize("shards", [1, 8])
+    def test_type_mutated_proofs_end_in_wire_or_proof_error(self, shards):
+        from repro.mtree import ProofError, derive_outcome
+        from repro.mtree.database import DeleteQuery, QueryResult, RangeQuery
+
+        db = VerifiedDatabase(order=4, shards=shards)
+        for i in range(60):
+            db.execute(WriteQuery(f"k{i:02d}".encode(), f"v{i}".encode()))
+        leaf = db.execute(ReadQuery(b"k07")).proof
+        leaf = getattr(leaf, "inner", leaf).leaf
+        substitutes = [encode(v) for v in (
+            None, True, 7, b"k07", "insert", leaf.entry_digests[0], (),
+            (b"k07",), ((b"k07", b"v7"),), leaf, leaf.entry_digests,
+            db.execute(ReadQuery(b"k08")).proof, {b"k": 1})]
+        decoded = refused = 0
+        for query in (ReadQuery(b"k07"), ReadQuery(b"nope"),
+                      WriteQuery(b"k61", b"v"), DeleteQuery(b"k30"),
+                      DeleteQuery(b"nope"), RangeQuery(b"k10", b"k40")):
+            result = db.clone().execute(query)
+            frame = encode(result)
+            for honest in self.subvalues(result.proof, set()):
+                at = frame.find(honest, len(encode(result.answer)))
+                if at < 0:
+                    continue  # a length-prefixed raw field: it has no wire type
+                for substitute in substitutes:
+                    if substitute[:1] == honest[:1]:
+                        continue  # the same wire type: not a type mutation
+                    mutated = frame[:at] + substitute + frame[at + len(honest):]
+                    try:
+                        forged = decode(mutated)
+                    except WireError:
+                        refused += 1
+                        continue
+                    decoded += 1
+                    assert isinstance(forged, QueryResult)
+                    try:
+                        derive_outcome(query, forged, db.spec)
+                    except ProofError:
+                        pass
+        # the classes refuse nearly everything; what decodes is the odd
+        # admissible substitute (a key for a value, None for a sibling)
+        assert refused > 20 * decoded > 0
+
+
+class TestVoShapeFuzz:
+    """Well-typed VOs of shapes no B+-tree has: a server that controls
+    every snapshot can chain digests over an unbalanced tree, an internal
+    node with one child, a leaf next to an internal node.  The update
+    replay must reject what it cannot follow with ``ProofError`` -- an
+    ``IndexError`` out of a merge is a crash before the root was ever
+    authenticated."""
+
+    def test_update_replay_over_impossible_trees(self):
+        from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode
+        from repro.mtree.merkle import MerkleBPlusTree
+        from repro.mtree.proofs import (
+            ProofError, build_update_proof, derive_update_roots)
+
+        rng = random.Random(5)
+
+        def grow(depth, low, high):
+            if depth == 0 or high - low < 2 or rng.random() < 0.25:
+                leaf = LeafNode()
+                picked = sorted(rng.sample(range(low, high),
+                                           min(high - low, rng.randrange(5))))
+                leaf.keys = [b"k%04d" % k for k in picked]
+                leaf.values = [b"v"] * len(picked)
+                leaf.entry_digests = [None] * len(picked)
+                return leaf
+            node = InternalNode()
+            cuts = sorted(rng.sample(range(low + 1, high),
+                                     min(rng.randrange(4), high - low - 1)))
+            node.keys = [b"k%04d" % cut for cut in cuts]
+            bounds = [low, *cuts, high]
+            node.children = [grow(depth - 1, a, b)
+                             for a, b in zip(bounds, bounds[1:])]
+            return node
+
+        rejected = set()
+        for _ in range(4000):
+            tree = BPlusTree(order=rng.choice([3, 4, 5]))
+            tree._root = grow(rng.randrange(4), 0, 200)
+            mtree = MerkleBPlusTree.from_tree(tree)
+            key = b"k%04d" % rng.randrange(200)
+            operation = rng.choice(["insert", "delete"])
+            proof = build_update_proof(mtree, operation, key)
+            try:
+                derive_update_roots(proof, rng.choice([3, 4, 5, 8]), key,
+                                    b"v" if operation == "insert" else None)
+            except ProofError as exc:
+                rejected.add(
+                    str(exc).removeprefix("left ").removeprefix("right "))
+        assert rejected == {"sibling is not the kind of node its neighbour is",
+                            "delete replay: an only child has no sibling "
+                            "to merge with"}

@@ -11,8 +11,11 @@ from repro.mtree.persistence import (
     PersistenceError,
     dump_database,
     dump_tree,
+    leaf_page_lines,
     load_database,
     load_tree,
+    load_tree_stream,
+    tree_stream_lines,
 )
 
 
@@ -41,11 +44,9 @@ class TestTreeSnapshot:
         from repro.mtree.merkle import MerkleBPlusTree
 
         tree = build_random_tree(2)
-        original = MerkleBPlusTree(order=tree.order)
-        original._tree = tree
+        original = MerkleBPlusTree.from_tree(tree)
         clone = load_tree(dump_tree(tree))
-        restored = MerkleBPlusTree(order=clone.order)
-        restored._tree = clone
+        restored = MerkleBPlusTree.from_tree(clone)
         assert restored.root_digest() == original.root_digest()
 
     def test_empty_tree(self):
@@ -107,10 +108,8 @@ class TestRoundtripAtEveryOrder:
         clone = load_tree(dump_tree(tree))
         clone.check_invariants()
         assert dict(clone.items()) == dict(tree.items())
-        original = MerkleBPlusTree(order=order)
-        original._tree = tree
-        restored = MerkleBPlusTree(order=order)
-        restored._tree = clone
+        original = MerkleBPlusTree.from_tree(tree)
+        restored = MerkleBPlusTree.from_tree(clone)
         assert restored.root_digest() == original.root_digest()
 
     @pytest.mark.parametrize("order", BENCHMARK_ORDERS)
@@ -125,59 +124,120 @@ class TestRoundtripAtEveryOrder:
         assert restored.order == order
 
 
+VERSIONS = (1, 2)
+
+
+def stream_of(tree: BPlusTree, version: int):
+    """``tree`` as the one parser reads it: the stream's lines plus
+    ``page -> entry lines`` -- format 1 keeps a leaf's entries inline
+    (no pages), format 2 names a page per leaf."""
+    if version == 1:
+        return dump_tree(tree).decode("ascii").split("\n")[:-1], {}
+    pages = {}
+
+    def place_leaf(leaf):
+        pages[len(pages)] = leaf_page_lines(leaf)
+        return len(pages) - 1, 0
+
+    return list(tree_stream_lines(tree, place_leaf)), pages
+
+
+def load_stream(lines, pages, version: int) -> BPlusTree:
+    if version == 1:
+        return load_tree("".join(line + "\n" for line in lines).encode("ascii"))
+    return load_tree_stream(iter(lines), lambda page, gen: pages[page])
+
+
+def empty_leaf(version: int):
+    return ("leaf 0", {}) if version == 1 else ("leaf 0 0 0", {0: []})
+
+
 class TestCorruptedSnapshotRejected:
     """Every corruption must surface as PersistenceError -- never a
-    silently different tree, never a raw ValueError/struct garbage."""
+    silently different tree, never a raw ValueError/struct garbage --
+    from either snapshot format: ``bplus-snapshot 1`` (leaves inline)
+    and ``2`` (a page per leaf) go through one parser."""
 
     def test_garbage_header(self):
-        for blob in (b"", b"\n", b"garbage header 4 1\n",
-                     b"bplus-snapshot 2 4 1\nleaf 0\n",
-                     b"bplus-snapshot 1\nleaf 0\n",
-                     b"bplus-snapshot 1 four 1\nleaf 0\n",
-                     b"\xff\xfe not even ascii"):
+        for blob in (b"", b"\n", b"\xff\xfe not even ascii"):
             with pytest.raises(PersistenceError):
                 load_tree(blob)
+        for version in VERSIONS:
+            leaf, pages = empty_leaf(version)
+            other = 3 - version
+            for header in ("", "garbage header 4 1", f"bplus-snapshot {version}",
+                           f"bplus-snapshot {other} 4 0",
+                           f"bplus-snapshot {version} four 0",
+                           f"bplus-snapshot {version} 4 0 0"):
+                with pytest.raises(PersistenceError):
+                    load_stream([header, leaf], pages, version)
+            with pytest.raises(PersistenceError, match="end of snapshot"):
+                load_stream([], pages, version)
+            # the honest header over the other format's leaf line
+            other_leaf, _ = empty_leaf(other)
+            with pytest.raises(PersistenceError, match="bad leaf line"):
+                load_stream([f"bplus-snapshot {version} 4 0", other_leaf],
+                            pages, version)
 
     def test_implausible_order_or_size(self):
-        with pytest.raises(PersistenceError, match="implausible"):
-            load_tree(b"bplus-snapshot 1 2 0\nleaf 0\n")
-        with pytest.raises(PersistenceError, match="implausible"):
-            load_tree(b"bplus-snapshot 1 4 -1\nleaf 0\n")
+        for version in VERSIONS:
+            leaf, pages = empty_leaf(version)
+            for header in (f"bplus-snapshot {version} 2 0",
+                           f"bplus-snapshot {version} 4 -1"):
+                with pytest.raises(PersistenceError, match="implausible"):
+                    load_stream([header, leaf], pages, version)
 
     def test_bad_base64_field(self):
-        blob = dump_tree(build_random_tree(6, ops=20))
-        lines = blob.split(b"\n")
-        for index, line in enumerate(lines):
-            if b" " in line and not line.startswith((b"leaf", b"internal",
-                                                     b"bplus-snapshot")):
-                lines[index] = b"!!!notbase64!!! " + line.split(b" ", 1)[1]
-                break
-        with pytest.raises(PersistenceError, match="base64"):
-            load_tree(b"\n".join(lines))
+        for version in VERSIONS:
+            lines, pages = stream_of(build_random_tree(6, ops=20), version)
+            entries = lines if version == 1 else pages[0]
+            index = next(i for i, line in enumerate(entries)
+                         if " " in line and not line.startswith(
+                             ("leaf", "internal", "bplus-snapshot")))
+            entries[index] = "!!!notbase64!!! " + entries[index].split(" ", 1)[1]
+            with pytest.raises(PersistenceError, match="base64"):
+                load_stream(lines, pages, version)
 
     def test_wrong_node_count_vs_header(self):
         """The header's entry count is validated against what the nodes
         actually hold, so a doctored header cannot smuggle in a tree
         that disagrees with its own metadata."""
-        tree = build_random_tree(7, ops=40)
-        blob = dump_tree(tree)
-        header, rest = blob.split(b"\n", 1)
-        parts = header.split(b" ")
-        parts[3] = str(int(parts[3]) + 1).encode()
-        with pytest.raises(PersistenceError, match="entries"):
-            load_tree(b" ".join(parts) + b"\n" + rest)
+        for version in VERSIONS:
+            lines, pages = stream_of(build_random_tree(7, ops=40), version)
+            parts = lines[0].split(" ")
+            parts[3] = str(int(parts[3]) + 1)
+            lines[0] = " ".join(parts)
+            with pytest.raises(PersistenceError, match="entries"):
+                load_stream(lines, pages, version)
 
     def test_internal_key_count_mismatch(self):
-        tree = build_random_tree(8, ops=120, order=3)  # guarantees internals
-        blob = dump_tree(tree)
-        lines = blob.split(b"\n")
-        for index, line in enumerate(lines):
-            if line.startswith(b"internal "):
-                count = int(line.split(b" ")[1])
-                lines[index] = b"internal %d" % (count + 1)
-                break
-        with pytest.raises(PersistenceError):
-            load_tree(b"\n".join(lines))
+        for version in VERSIONS:
+            # order 3 guarantees internals
+            lines, pages = stream_of(
+                build_random_tree(8, ops=120, order=3), version)
+            index = next(i for i, line in enumerate(lines)
+                         if line.startswith("internal "))
+            count = int(lines[index].split(" ")[1])
+            lines[index] = f"internal {count + 1}"
+            with pytest.raises(PersistenceError):
+                load_stream(lines, pages, version)
+
+    def test_truncated_and_trailing_streams(self):
+        for version in VERSIONS:
+            tree = build_random_tree(9, ops=120, order=3)
+            lines, pages = stream_of(tree, version)
+            assert dict(load_stream(lines, pages, version).items()) \
+                == dict(tree.items())
+            with pytest.raises(PersistenceError, match="end of snapshot"):
+                load_stream(lines[:-1], pages, version)
+            extra = "leaf 0" if version == 1 else f"leaf 0 {len(pages)} 0"
+            with pytest.raises(PersistenceError, match="trailing data"):
+                load_stream(lines + [extra], {**pages, len(pages): []}, version)
+            for bad_leaf in ("leaf", "leaf x", "leaf -1" if version == 1
+                             else "leaf -1 0 0"):
+                with pytest.raises(PersistenceError):
+                    load_stream([lines[0].rsplit(" ", 1)[0] + " 0", bad_leaf],
+                                {0: []}, version)
 
 
 class TestDatabaseSnapshot:

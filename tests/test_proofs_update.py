@@ -112,11 +112,27 @@ class TestDeleteReplay:
             derived, actual = replayed_delete(mtree, f"k{i:03d}".encode())
             assert derived == actual
 
-    def test_delete_absent_key_rejected_in_replay(self):
-        mtree = make_tree(10)
-        proof = build_update_proof(mtree, "delete", b"k999")
+    def test_delete_absent_key_is_a_noop_in_replay(self):
+        """The proven, correctly routed leaf lacks the key: the replay
+        returns the root it was given (at every depth of tree)."""
+        for size in (0, 3, 10, 200):
+            mtree = make_tree(size)
+            root = mtree.root_digest()
+            for key in (b"k999", b"", b"k001x"):
+                proof = build_update_proof(mtree, "delete", key)
+                assert verify_update(root, proof, mtree.order, key) == root
+                assert not mtree.delete(key)
+                assert mtree.root_digest() == root
+
+    def test_delete_absent_key_proof_out_of_another_leaf_rejected(self):
+        """The no-op holds only for the leaf the key routes to."""
+        mtree = make_tree(200)
+        elsewhere = build_update_proof(mtree, "delete", b"k001")
+        forged = UpdateProof(operation="delete", key=b"k150x",
+                             internals=elsewhere.internals, leaf=elsewhere.leaf,
+                             siblings=elsewhere.siblings)
         with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), proof, mtree.order, b"k999")
+            verify_update(mtree.root_digest(), forged, mtree.order, b"k150x")
 
 
 class TestRejections:
@@ -252,3 +268,41 @@ class TestReplayEquivalenceProperty:
                 present.discard(key)
             assert derived == mtree.root_digest()
             mtree.check_invariants()
+
+
+class TestOnePathFold:
+    """An update VO's old root is folded once: every snapshot on the
+    path is hashed exactly once, at one tree and at both levels of a
+    forest (the replay then hashes its own shadow nodes for the new
+    root -- those are not snapshots)."""
+
+    @pytest.mark.parametrize("shards", [1, 8])
+    def test_update_step_hashes_each_path_snapshot_once(self, shards, monkeypatch):
+        from collections import Counter
+
+        from repro.mtree import VerifiedDatabase, WriteQuery, derive_outcome
+        from repro.mtree.proofs import InternalSnapshot, LeafSnapshot
+
+        db = VerifiedDatabase(order=4, shards=shards, top_order=4)
+        for i in range(300):
+            db.execute(WriteQuery(f"k{i:03d}".encode(), b"v"))
+        query = WriteQuery(b"k150", b"new")
+        result = db.execute(query)
+        proof = result.proof
+        parts = [proof.inner, proof.top] if shards > 1 else [proof]
+        assert all(part.internals for part in parts)
+
+        calls = Counter()
+        for cls in (InternalSnapshot, LeafSnapshot):
+            original = cls.digest
+
+            def counted(self, _original=original, _name=cls.__name__):
+                calls[_name] += 1
+                return _original(self)
+            monkeypatch.setattr(cls, "digest", counted)
+
+        outcome = derive_outcome(query, result, db.spec)
+        assert outcome.new_root == db.root_digest()
+        assert calls == {
+            "InternalSnapshot": sum(len(part.internals) for part in parts),
+            "LeafSnapshot": len(parts)}

@@ -58,8 +58,7 @@ class TestStreamCodec:
         expected, _ = tree.refresh_root()
         nodes, pages = _stream(tree)
         rebuilt = load_tree_stream(iter(nodes), lambda page, gen: pages[page])
-        twin = MerkleBPlusTree(order=rebuilt.order)
-        twin._tree = rebuilt
+        twin = MerkleBPlusTree.from_tree(rebuilt)
         actual, _ = twin.refresh_root()
         assert actual == expected
         assert len(rebuilt) == n

@@ -13,9 +13,14 @@ a known operation -- is fed to every place that verifies responses:
 All of them must give the same verdict (the same reason) at the same
 operation index, and hold the same registers after every accepted
 operation.  A live detection's own bundle must replay to the same reason.
+
+The second half does the same one level down, for the rule every step
+starts with -- a VO reduces to (old root, new root, answer) in
+``repro.mtree.derive_outcome`` -- over one tree and two forests.
 """
 
 import socket
+import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import replace
@@ -23,19 +28,26 @@ from dataclasses import replace
 import pytest
 
 from helpers import FakeContext
+from repro.crypto.hashing import Digest, hash_internal_node, hash_state
 from repro.crypto.signatures import Signature
+from repro.mtree import VerifiedOutcome, derive_outcome
 from repro.mtree.database import (
+    ClientVerifier,
     DeleteQuery,
     QueryResult,
+    RangeQuery,
     ReadQuery,
     VerifiedDatabase,
     WriteQuery,
 )
+from repro.mtree.forest import StoreSpec, shard_for_key
+from repro.mtree.proofs import FringeNode, ProofError
 from repro.net import (
     IntegrityError,
     RemoteClient,
     RemoteClientP1,
     RetryPolicy,
+    TransientNetworkError,
     evidence,
 )
 from repro.net import client as client_module
@@ -58,7 +70,7 @@ from repro.protocols.protocol2 import (
     Protocol2Server,
     XorRegisters,
 )
-from repro.wire import encode
+from repro.wire import WireError, decode, encode
 
 ORDER = 4
 USER = "alice"
@@ -230,7 +242,11 @@ def scripted_peer(monkeypatch, script):
                 if message is None:
                     return
                 if isinstance(message, Request):
-                    send_message(theirs, next(responses))
+                    response = next(responses)
+                    if isinstance(response, bytes):  # a verbatim frame
+                        theirs.sendall(struct.pack(">I", len(response)) + response)
+                    else:
+                        send_message(theirs, response)
         except (OSError, FramingError, StopIteration):
             return
 
@@ -355,3 +371,347 @@ def test_protocol1_sites_agree(name, shared_keys, monkeypatch, tmp_path):
     replayed = run_reverify(SignedRootChain(USER, verifier, ORDER), "I",
                             script, shared_keys, tmp_path)
     assert_all_agree(reference, bad_at, reason, script, traces, replayed)
+
+
+# -- the VO sites ----------------------------------------------------------
+#
+# The rule "a VO reduces to (old root, new root, answer)" is written once,
+# in ``repro.mtree.derive_outcome``.  One gallery of VO deviations goes to
+# everything that runs it -- the function itself, ``ClientVerifier``, both
+# protocol state objects and ``evidence.reverify`` for both protocols -- at
+# one tree and at two forests: the same verdict and reason everywhere, and
+# the same roots after every accepted operation.
+
+VO_SHARDS = (1, 2, 8)
+VO_KEYS = [f"k{i:02d}".encode() for i in range(96)]
+
+
+def vo_spec(shards):
+    return StoreSpec(order=ORDER, shards=shards, top_order=ORDER)
+
+
+def vo_store(shards):
+    spec = vo_spec(shards)
+    database = VerifiedDatabase(order=spec.order, shards=shards,
+                                top_order=spec.top_order)
+    for key in VO_KEYS:
+        database.execute(WriteQuery(key, b"v-" + key))
+    return database
+
+
+def neighbour(key, shards, same_shard):
+    """Another stored key, in ``key``'s shard or in a different one."""
+    return next(k for k in VO_KEYS if k != key
+                and (shard_for_key(k, shards) == shard_for_key(key, shards)) == same_shard)
+
+
+#: an overwrite, reads (present, absent), a range, an insert, a delete
+#: down the leftmost path of its tree, a delete of an absent key (the
+#: verified no-op) and a read of what was deleted
+VO_OPS = [WriteQuery(b"k05", b"new"), ReadQuery(b"k10"), ReadQuery(b"k10x"),
+          RangeQuery(b"k08", b"k70"), WriteQuery(b"k96", b"v"),
+          DeleteQuery(b"k00"), DeleteQuery(b"k77x"), ReadQuery(b"k00")]
+VO_WRITE, VO_READ, VO_RANGE, VO_INSERT, VO_DELETE = 0, 1, 3, 4, 5
+
+
+def inner_of(proof):
+    return getattr(proof, "inner", proof)
+
+
+def with_inner(proof, **changes):
+    """``proof`` with fields of its one-tree part changed, at any S."""
+    if hasattr(proof, "inner"):
+        return replace(proof, inner=replace(proof.inner, **changes))
+    return replace(proof, **changes)
+
+
+def served_for(other_query):
+    """The honest response to some other query."""
+    def mutate(before, query, result, shards):
+        return before.execute(other_query(query, shards))
+    return mutate
+
+
+def stale_top(before, query, result, shards):
+    """The shard part comes from a store one hidden write ahead of the
+    one whose top tree the rest of the proof shows."""
+    moved = before.clone()
+    moved.execute(WriteQuery(neighbour(query.key, shards, True), b"hidden"))
+    return QueryResult(result.answer, replace(
+        result.proof, inner=moved.execute(query).proof.inner))
+
+
+def revealed_digest(node):
+    if isinstance(node, FringeNode):
+        return hash_internal_node(
+            node.keys, [revealed_digest(child) for child in node.children])
+    return node if isinstance(node, Digest) else node.digest()
+
+
+def hide_subtree(before, query, result, shards):
+    """One revealed subtree of the queried range goes back to a bare
+    digest (in one shard's proof, at a forest)."""
+    def hide(proof):
+        children = list(proof.root.children)
+        index = next(i for i, child in enumerate(children)
+                     if not isinstance(child, Digest))
+        children[index] = revealed_digest(children[index])
+        return replace(proof, root=FringeNode(proof.root.keys, tuple(children)))
+    proof = result.proof
+    if shards == 1:
+        return QueryResult(result.answer, hide(proof))
+    shard_proofs = list(proof.shard_proofs)
+    index = next(i for i, shard_proof in enumerate(shard_proofs)
+                 if isinstance(shard_proof.root, FringeNode))
+    shard_proofs[index] = hide(shard_proofs[index])
+    return QueryResult(result.answer,
+                       replace(proof, shard_proofs=tuple(shard_proofs)))
+
+
+def swapped_operation(operation):
+    def mutate(before, query, result, shards):
+        proof = with_inner(result.proof, operation=operation)
+        if shards > 1:
+            proof = replace(proof, operation=operation)
+        return QueryResult(result.answer, proof)
+    return mutate
+
+
+def other_answer(before, query, result, shards):
+    answer = result.answer[1:] if isinstance(query, RangeQuery) else b"forged"
+    return QueryResult(answer, result.proof)
+
+
+def edge_sibling(before, query, result, shards):
+    """A left sibling for the leftmost child of the path's first level."""
+    inner = inner_of(result.proof)
+    first = inner.siblings[0]
+    assert first.left is None and first.right is not None
+    siblings = (replace(first, left=first.right),) + inner.siblings[1:]
+    return QueryResult(result.answer, with_inner(result.proof, siblings=siblings))
+
+
+def other_shape(before, query, result, shards):
+    """The proof a store of the other shape would answer with."""
+    other = vo_store(2 if shards == 1 else 1)
+    return other.execute(query)
+
+
+#: name -> (operation, mutation, reason, the S it applies to)
+VO_GALLERY = {
+    "wrong-key-read": (VO_READ, served_for(lambda q, s: ReadQuery(
+        neighbour(q.key, s, True))), "proof is for a different key", VO_SHARDS),
+    "wrong-key-update": (VO_WRITE, served_for(lambda q, s: WriteQuery(
+        neighbour(q.key, s, True), q.value)),
+        "update proof is for a different key", VO_SHARDS),
+    "wrong-shard-read": (VO_READ, served_for(lambda q, s: ReadQuery(
+        neighbour(q.key, s, False))), "served out of the wrong shard", (2, 8)),
+    "wrong-shard-update": (VO_DELETE, served_for(lambda q, s: DeleteQuery(
+        neighbour(q.key, s, False))), "served out of the wrong shard", (2, 8)),
+    "stale-top-entry-read": (VO_READ, stale_top,
+                             "top tree entry disagrees with the shard proof", (2, 8)),
+    "stale-top-entry-update": (VO_WRITE, stale_top,
+                               "does not commit the shard's pre-update root", (2, 8)),
+    "hidden-in-range-subtree": (VO_RANGE, hide_subtree,
+                                "hid a subtree that intersects", VO_SHARDS),
+    "write-answered-with-delete-proof": (
+        VO_WRITE, swapped_operation("delete"), "non-insert proof", VO_SHARDS),
+    "delete-answered-with-insert-proof": (
+        VO_DELETE, swapped_operation("insert"), "non-delete proof", VO_SHARDS),
+    "read-answered-with-update-proof": (VO_READ, served_for(
+        lambda q, s: WriteQuery(q.key, b"v")), "non-read proof", VO_SHARDS),
+    "answer-is-not-the-proofs": (VO_READ, other_answer,
+                                 "disagrees with its own proof", VO_SHARDS),
+    "range-answer-is-not-the-proofs": (VO_RANGE, other_answer,
+                                       "disagrees with its own proof", VO_SHARDS),
+    "range-answer-is-none": (VO_RANGE, lambda before, query, result, shards:
+                             QueryResult(None, result.proof),
+                             "disagrees with its own proof", VO_SHARDS),
+    "range-answer-is-an-int": (VO_RANGE, lambda before, query, result, shards:
+                               QueryResult(7, result.proof),
+                               "disagrees with its own proof", VO_SHARDS),
+    "sibling-for-an-edge-child": (VO_DELETE, edge_sibling,
+                                  "left sibling supplied for a leftmost child",
+                                  VO_SHARDS),
+    "proof-of-the-other-store-shape": (VO_READ, other_shape,
+                                       "non-read proof", VO_SHARDS),
+}
+
+
+def vo_verdict(call):
+    """``("ok", (old root, new root))`` or ``("rejected", reason)``."""
+    try:
+        outcome = call()
+    except ProofError as exc:
+        return "rejected", str(exc)
+    except DeviationDetected as exc:
+        prefix = "verification object rejected: "
+        assert exc.reason.startswith(prefix), exc.reason
+        return "rejected", exc.reason[len(prefix):]
+    if isinstance(outcome, tuple):  # SignedRootChain: (outcome, to_sign)
+        outcome = outcome[0]
+    return "ok", (outcome.old_root, outcome.new_root)
+
+
+def vo_reverify(protocol, state, query, response, spec, keys, tmp_path):
+    bundle = evidence.response_bundle(
+        protocol=protocol, user_id=USER, reason="replay", op_index=0,
+        order=spec.to_wire(), request_frame=encode(Request(query, {"user": USER})),
+        response_frame=encode(response), client_state=state.snapshot(),
+        anchor=evidence.anchor_lineage(None, None),
+        verifier_keys=evidence.key_directory(keys.verifier))
+    path = evidence.write_bundle(str(tmp_path / f"{protocol}.evidence"), bundle)
+    genuine, why = evidence.reverify(evidence.read_bundle(path))
+    prefix = "verification object rejected: "
+    return ("rejected", why[len(prefix):]) if genuine else ("ok", None)
+
+
+def run_vo_sites(shards, keys, tmp_path, bad_at=None, mutate=None):
+    """Every site on every operation; returns the per-operation verdicts
+    of the reference site (``mtree.derive_outcome``) once all agree."""
+    spec = vo_spec(shards)
+    database = vo_store(shards)
+    p2, p2_state = Protocol2Server(), ServerState(database=vo_store(shards))
+    p2.initialize(p2_state)
+    p1, p1_state = Protocol1Server(), ServerState(database=vo_store(shards))
+    p1.initialize(p1_state)
+    bootstrap_server_state(p1_state, keys.signers["bob"])
+    tracked = ClientVerifier(database.root_digest(), spec)
+    registers = XorRegisters(USER, spec)
+    chain = SignedRootChain(USER, keys.verifier, spec)
+    verdicts = []
+    for index, query in enumerate(VO_OPS):
+        before = database.clone()
+        result = database.execute(query)
+        p2_response = p2.handle_request(USER, Request(query), p2_state, index)
+        p1_response = p1.handle_request(USER, Request(query), p1_state, index)
+        assert p2_response.result == result == p1_response.result
+        if index == bad_at:
+            result = mutate(before, query, result, shards)
+            p2_response = replace(p2_response, result=result)
+            p1_response = replace(p1_response, result=result)
+        reference = vo_verdict(lambda: derive_outcome(query, result, spec))
+        replayed = {
+            "reverify-II": vo_reverify("II", registers, query, p2_response,
+                                       spec, keys, tmp_path),
+            "reverify-I": vo_reverify("I", chain, query, p1_response,
+                                      spec, keys, tmp_path),
+        }
+        def tracked_step():
+            old_root = tracked.root_digest
+            answer = tracked.apply(query, result)
+            return VerifiedOutcome(old_root, tracked.root_digest, answer)
+        sites = {
+            "ClientVerifier": vo_verdict(tracked_step),
+            "XorRegisters": vo_verdict(lambda: registers.step(query, p2_response)),
+            "SignedRootChain": vo_verdict(lambda: chain.step(query, p1_response)),
+        }
+        for site, verdict in sites.items():
+            assert verdict == reference, (index, site)
+        for site, verdict in replayed.items():
+            assert verdict[0] == reference[0], (index, site)
+            if verdict[0] == "rejected":
+                assert verdict[1] == reference[1], (index, site)
+        verdicts.append(reference)
+        if reference[0] == "rejected":
+            break
+        # the same roots everywhere, and they are the store's
+        assert reference[1][1] == tracked.root_digest == database.root_digest()
+        p1.handle_followup(USER, Followup({"sig": keys.signers[USER].sign(
+            hash_state(reference[1][1], p1_state.ctr))}), p1_state, index)
+    return verdicts
+
+
+@pytest.mark.parametrize("shards", VO_SHARDS)
+def test_vo_sites_accept_the_honest_store(shards, shared_keys, tmp_path):
+    verdicts = run_vo_sites(shards, shared_keys, tmp_path)
+    assert [kind for kind, _ in verdicts] == ["ok"] * len(VO_OPS)
+    roots = [roots for _kind, roots in verdicts]
+    for (_old, new), (old, _new) in zip(roots, roots[1:]):
+        assert new == old  # each operation starts where the last one ended
+    for index, (old, new) in enumerate(roots):
+        moved = index in (VO_WRITE, VO_INSERT, VO_DELETE)
+        assert (old != new) == moved, index  # the absent delete moved nothing
+
+
+@pytest.mark.parametrize("name,shards", [
+    (name, shards) for name, entry in VO_GALLERY.items() for shards in entry[3]])
+def test_vo_sites_agree_on_the_gallery(name, shards, shared_keys, tmp_path):
+    bad_at, mutate, reason, _applies = VO_GALLERY[name]
+    verdicts = run_vo_sites(shards, shared_keys, tmp_path, bad_at, mutate)
+    assert len(verdicts) == bad_at + 1
+    assert verdicts[-1][0] == "rejected" and reason in verdicts[-1][1], verdicts[-1]
+
+
+# An ill-typed VO -- a decodable value of the wrong wire type in a proof's
+# field -- has one verdict too: it cannot be built.  In process the class
+# refuses it; on the wire the frame is malformed, which a session treats
+# as line noise (never an AttributeError out of the step) and the
+# re-verifier as the deviation it is.
+
+ILL_TYPED = [
+    ("leaf", lambda part: None),
+    ("leaf", lambda part: Digest.zero()),
+    ("internals", lambda part: 7),
+    ("internals", lambda part: (part.leaf,)),
+    ("siblings", lambda part: None),
+    ("siblings", lambda part: (None,) * len(part.siblings)),
+    ("value", lambda part: 7),
+    ("operation", lambda part: 7),
+    ("root", lambda part: Digest.zero()),
+    ("root", lambda part: None),
+    ("entries", lambda part: ((b"k", 7),)),
+    ("entries", lambda part: 7),
+]
+
+
+def ill_typed_frames(shards):
+    """``(query, response frame with one ill-typed field)`` for every
+    field of every proof kind the store answers with.  In process the
+    class refuses the value; the frame is the honest one with that
+    field's bytes replaced by the ill-typed value's."""
+    state = ServerState(database=vo_store(shards))
+    server = Protocol2Server()
+    server.initialize(state)
+    for query in (ReadQuery(b"k10"), WriteQuery(b"k05", b"new"),
+                  DeleteQuery(b"k20"), RangeQuery(b"k08", b"k70")):
+        response = server.handle_request(USER, Request(query), state.clone(), 0)
+        frame = encode(response)
+        proof = response.result.proof
+        part = proof.shard_proofs[0] if hasattr(proof, "shard_proofs") \
+            else inner_of(proof)
+        for name, bad in ILL_TYPED:
+            if not hasattr(part, name):
+                continue
+            with pytest.raises(ProofError, match="malformed"):
+                replace(part, **{name: bad(part)})
+            honest = encode(getattr(part, name))
+            at = frame.rfind(honest)
+            assert at >= 0
+            yield query, (frame[:at] + encode(bad(part))
+                          + frame[at + len(honest):])
+
+
+@pytest.mark.parametrize("shards", (1, 8))
+def test_ill_typed_vo_has_one_verdict(shards, monkeypatch, tmp_path):
+    spec = vo_spec(shards)
+    cases = list(ill_typed_frames(shards))
+    assert len(cases) >= 20
+    for index, (query, frame) in enumerate(cases):
+        with pytest.raises(WireError, match="malformed"):
+            decode(frame)
+        bundle = evidence.response_bundle(
+            protocol="II", user_id=USER, reason="replay", op_index=0,
+            order=spec.to_wire(), request_frame=encode(Request(query)),
+            response_frame=frame,
+            client_state=XorRegisters(USER, spec).snapshot(),
+            anchor=evidence.anchor_lineage(None, None))
+        genuine, why = evidence.reverify(bundle)
+        assert genuine and "does not decode" in why
+        with scripted_peer(monkeypatch, [(query, frame)]):
+            client = RemoteClient(
+                "peer", 0, USER, vo_store(shards).root_digest(), order=spec,
+                retry=RetryPolicy(attempts=1),
+                evidence_dir=str(tmp_path / str(index)))
+            with pytest.raises(TransientNetworkError):
+                client.execute(query)
