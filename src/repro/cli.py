@@ -1,4 +1,4 @@
-"""A command-line Trusted CVS client over a file-backed repository.
+"""A command-line Trusted CVS client: a repository directory, or a server.
 
 Usage (also via ``python -m repro``)::
 
@@ -18,18 +18,24 @@ Usage (also via ``python -m repro``)::
     repro -R REPO serve [-p PORT] [--durable] [--batch-max N]
                                                    host the repository over TCP
     repro --remote HOST:PORT ...                   run any command against a server
+    repro sync GENESIS ANCHOR...                   the users' register exchange
     repro obs-report [--protocol P] [--json]       simulate a workload, print obs metrics
 
 Layout of a repository directory::
 
-    REPO/db.snapshot         the server's Merkle tree (exact shape)
-    REPO/trust/AUTHOR.digest each author's verified root digest
+    REPO/db.snapshot                     the server's Merkle tree (exact shape)
+    REPO/trust/AUTHOR.digest             local mode: the author's verified root
+    REPO/trust/AUTHOR@HOST_PORT.anchor   --remote: the author's registers
+                                         (AUTHOR-N.evidence: a deviation, provable)
 
-The trust anchor is the whole point: every command verifies the
-server's answers against the author's *persisted* digest and advances
-it only through verified updates.  Tamper with ``db.snapshot`` offline
-and the next command fails with an integrity error instead of showing
-you corrupted data.
+The trust anchor is the whole point.  Local mode is the paper's
+Section 4.1 single-user loop: every command verifies ``db.snapshot``
+against the author's *persisted* root digest, so offline tampering is
+an integrity error -- and so is a second author, whom one tracked root
+cannot tell from a fork.  Several authors *serve* the repository and
+work ``--remote``: every verb runs on a Protocol II session, and
+``repro sync`` over the anchors they exchange says whether the server
+showed them all one history.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ from repro.core.facade import CvsClient, CvsServer
 from repro.crypto.hashing import Digest
 from repro.mtree.persistence import dump_database, load_database
 from repro.mtree.proofs import ProofError
+from repro.net.client import (
+    IntegrityError, RemoteClient, TransientNetworkError, read_anchor)
+from repro.storage.annotate import format_annotations
+from repro.storage.atomic import atomic_write
+from repro.storage.merge import render_with_markers
 
 DB_FILE = "db.snapshot"
 TRUST_DIR = "trust"
@@ -52,99 +63,59 @@ class CliError(Exception):
     """User-facing command failure (bad args, unknown repo, ...)."""
 
 
-class RemoteServerAdapter:
-    """Adapts a TCP connection to the ``CvsServer`` surface the facade
-    client expects (``execute``, ``order``, ``root_digest``).
-
-    The facade's :class:`~repro.mtree.database.ClientVerifier` does all
-    the checking; this adapter just moves frames.  ``root_digest`` (used
-    only for trust-on-first-use) derives the current root from a probe
-    read's verification object rather than trusting any claim.
-    """
-
-    def __init__(self, host: str, port: int, order: int = 8) -> None:
-        from repro.mtree.forest import StoreSpec
-        from repro.net.framing import (
-            open_connection, recv_message, send_message)
-        from repro.protocols.base import Request, Response
-
-        self._send, self._recv = send_message, recv_message
-        self._request_cls, self._response_cls = Request, Response
-        self.spec = StoreSpec.coerce(order)
-        self.order = self.spec.order
-        try:
-            self._sock = open_connection((host, port), 10, 10)
-        except OSError as exc:
-            raise CliError(f"cannot reach remote server {host}:{port}: {exc}") from exc
-
-    def execute(self, query):
-        self._send(self._sock, self._request_cls(query=query, extras={"user": "cli"}))
-        response = self._recv(self._sock)
-        if not isinstance(response, self._response_cls):
-            raise CliError("remote server closed the connection")
-        return response.result
-
-    def root_digest(self) -> Digest:
-        from repro.mtree.database import ReadQuery
-        from repro.mtree.proofs import implied_root_for_read
-
-        result = self.execute(ReadQuery(b"\x00__root_probe__"))
-        return implied_root_for_read(result.proof, b"\x00__root_probe__")
-
-    def close(self) -> None:
-        self._sock.close()
+def _anchor_path(repo_dir: str, author: str, remote: str | None) -> str:
+    name = (f"{author}@{remote.replace(':', '_')}.anchor" if remote
+            else f"{author}.digest")
+    return os.path.join(repo_dir, TRUST_DIR, name)
 
 
 class Workspace:
-    """A repository (local directory or remote server) plus one author's
-    trust anchor."""
+    """One author's verifying client over a repository: a local
+    directory (the snapshot, checked against a tracked root) or a
+    remote server (a Protocol II session resumed from the anchor)."""
 
     def __init__(self, repo_dir: str, author: str, remote: str | None = None) -> None:
-        self.repo_dir = repo_dir
-        self.author = author
         self.remote = remote
+        self.db_path = os.path.join(repo_dir, DB_FILE)
+        self.anchor_path = _anchor_path(repo_dir, author, remote)
+        trust_dir = os.path.dirname(self.anchor_path)
         if remote:
-            host, _, port_text = remote.rpartition(":")
-            if not host or not port_text.isdigit():
-                raise CliError(f"--remote expects HOST:PORT, got {remote!r}")
-            os.makedirs(os.path.join(repo_dir, TRUST_DIR), exist_ok=True)
-            self.server = RemoteServerAdapter(host, int(port_text))
-        else:
-            db_path = os.path.join(repo_dir, DB_FILE)
-            if not os.path.isfile(db_path):
-                raise CliError(f"{repo_dir!r} is not a repository (run 'repro init' first)")
-            with open(db_path, "rb") as handle:
-                database = load_database(handle.read())
-            self.server = CvsServer(order=database.order)
-            self.server._database = database
-        anchor = self._load_anchor()
-        if anchor is None:
-            # Trust on first use for this author.
-            anchor = self.server.root_digest()
+            os.makedirs(trust_dir, exist_ok=True)
+            try:
+                self.session = RemoteClient(
+                    _parse_endpoints(remote), user_id=author,
+                    anchor_path=self.anchor_path, evidence_dir=trust_dir)
+            except TransientNetworkError as exc:
+                raise CliError(f"cannot reach remote server {remote}: "
+                               f"{exc.__cause__}") from exc
+            except ValueError as exc:  # the anchor names another user
+                raise CliError(f"{self.anchor_path!r}: {exc}") from exc
+            self.client = CvsClient(self.session, author=author)
+            return
+        if not os.path.isfile(self.db_path):
+            raise CliError(f"{repo_dir!r} is not a repository (run 'repro init' first)")
+        with open(self.db_path, "rb") as handle:
+            self.server = CvsServer.adopt(load_database(handle.read()))
+        anchor = None  # absent: trust on first use for this author
+        if os.path.isfile(self.anchor_path):
+            with open(self.anchor_path, "r", encoding="ascii") as handle:
+                anchor = Digest.from_hex(handle.read().strip())
         self.client = CvsClient(self.server, author=author, trusted_root=anchor)
 
-    # -- anchor persistence --------------------------------------------------
+    def __enter__(self) -> "Workspace":
+        return self
 
-    def _anchor_path(self) -> str:
-        suffix = f"@{self.remote.replace(':', '_')}" if self.remote else ""
-        return os.path.join(self.repo_dir, TRUST_DIR, f"{self.author}{suffix}.digest")
-
-    def _load_anchor(self) -> Digest | None:
-        path = self._anchor_path()
-        if not os.path.isfile(path):
-            return None
-        with open(path, "r", encoding="ascii") as handle:
-            return Digest.from_hex(handle.read().strip())
-
-    def save(self) -> None:
-        """Persist the database snapshot (local mode) and the advanced
-        trust anchor."""
-        if not self.remote:
-            with open(os.path.join(self.repo_dir, DB_FILE), "wb") as handle:
-                handle.write(dump_database(self.server._database))
-        os.makedirs(os.path.join(self.repo_dir, TRUST_DIR), exist_ok=True)
-        with open(self._anchor_path(), "w", encoding="ascii") as handle:
-            handle.write(self.client.root_digest.hex() + "\n")
+    def __exit__(self, failure, *_exc) -> None:
+        """Local mode persists the snapshot and the advanced root, unless
+        the command raised.  A remote session saved its anchor after
+        every verified operation; it has a connection to drop."""
+        if self.remote:
+            self.session.close()
+        elif failure is None:
+            atomic_write(self.db_path, dump_database(self.server.database))
+            os.makedirs(os.path.dirname(self.anchor_path), exist_ok=True)
+            atomic_write(self.anchor_path,
+                         (self.client.root_digest.hex() + "\n").encode("ascii"))
 
 
 # -- commands -------------------------------------------------------------
@@ -156,128 +127,110 @@ def cmd_init(args, out) -> int:
     if os.path.exists(db_path):
         raise CliError(f"repository already exists at {args.repo!r}")
     server = CvsServer()
-    with open(db_path, "wb") as handle:
-        handle.write(dump_database(server._database))
-    os.makedirs(os.path.join(args.repo, TRUST_DIR), exist_ok=True)
+    atomic_write(db_path, dump_database(server.database))
     print(f"initialised empty trusted repository in {args.repo}", file=out)
     print(f"root digest: {server.root_digest().hex()}", file=out)
     return 0
 
 
-def cmd_commit(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
+def _verb(run):
+    """``run(client, args, out) -> exit code`` as a command: the CVS
+    verb on the verifying client of the author's workspace."""
+    def handler(args, out) -> int:
+        with Workspace(args.repo, args.author, remote=args.remote) as workspace:
+            return run(workspace.client, args, out)
+    return handler
+
+
+def _content_lines(args) -> list[str]:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
-    revision = workspace.client.commit(args.path, lines, args.message)
-    workspace.save()
+            return handle.read().splitlines()
+    return sys.stdin.read().splitlines()
+
+
+def cmd_commit(client, args, out) -> int:
+    revision = client.commit(args.path, _content_lines(args), args.message)
     print(f"committed {args.path} {revision.number}", file=out)
     return 0
 
 
-def cmd_checkout(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
-    lines = workspace.client.checkout(args.path, args.revision,
-                                      expand=args.expand)
-    workspace.save()
-    for line in lines:
+def cmd_checkout(client, args, out) -> int:
+    for line in client.checkout(args.path, args.revision, expand=args.expand):
         print(line, file=out)
     return 0
 
 
-def cmd_log(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
-    for revision in workspace.client.log(args.path):
+def cmd_log(client, args, out) -> int:
+    for revision in client.log(args.path):
         flags = " (dead)" if revision.dead else ""
         print(f"{revision.number}  {revision.author:12s} {revision.log_message}{flags}", file=out)
-    workspace.save()
     return 0
 
 
-def cmd_diff(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
-    text = workspace.client.diff(args.path, args.revision, args.to)
-    workspace.save()
-    print(text, end="", file=out)
+def cmd_diff(client, args, out) -> int:
+    print(client.diff(args.path, args.revision, args.to), end="", file=out)
     return 0
 
 
-def cmd_ls(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
-    for path in workspace.client.paths(args.prefix):
+def cmd_ls(client, args, out) -> int:
+    for path in client.paths(args.prefix):
         print(path, file=out)
-    workspace.save()
     return 0
 
 
-def cmd_remove(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
-    revision = workspace.client.remove(args.path, args.message)
-    workspace.save()
+def cmd_remove(client, args, out) -> int:
+    revision = client.remove(args.path, args.message)
     print(f"removed {args.path} ({revision.number})", file=out)
     return 0
 
 
-def cmd_branch(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
+def cmd_branch(client, args, out) -> int:
     if args.list:
-        for branch_id in workspace.client.branches(args.path):
+        for branch_id in client.branches(args.path):
             print(branch_id, file=out)
-        workspace.save()
-        return 0
-    branch_id = workspace.client.branch(args.path, args.revision)
-    workspace.save()
-    print(f"created branch {branch_id} on {args.path}", file=out)
+    else:
+        branch_id = client.branch(args.path, args.revision)
+        print(f"created branch {branch_id} on {args.path}", file=out)
     return 0
 
 
-def cmd_bcommit(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
-    revision = workspace.client.commit_on_branch(args.path, args.branch, lines, args.message)
-    workspace.save()
+def cmd_bcommit(client, args, out) -> int:
+    revision = client.commit_on_branch(args.path, args.branch,
+                                       _content_lines(args), args.message)
     print(f"committed {args.path} {revision.number}", file=out)
     return 0
 
 
-def cmd_merge(args, out) -> int:
-    from repro.storage.merge import render_with_markers
-
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
-    result = workspace.client.merge_branch(args.path, args.branch, args.message)
+def cmd_merge(client, args, out) -> int:
+    result = client.merge_branch(args.path, args.branch, args.message)
     if result.has_conflicts:
         print(f"CONFLICTS merging {args.branch} into trunk of {args.path}:", file=out)
         for line in render_with_markers(result, "trunk", args.branch):
             print(line, file=out)
-        workspace.save()
         return 1
-    workspace.save()
     print(f"merged {args.branch} into trunk of {args.path}", file=out)
     return 0
 
 
-def cmd_update(args, out) -> int:
-    from repro.storage.merge import render_with_markers
-
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
+def cmd_update(client, args, out) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         working = handle.read().splitlines()
-    result = workspace.client.update(args.path, working, args.revision)
+    result = client.update(args.path, working, args.revision)
     merged = (render_with_markers(result, "working copy", "repository")
               if result.has_conflicts else result.lines())
     with open(args.file, "w", encoding="utf-8") as handle:
         handle.write("\n".join(merged) + ("\n" if merged else ""))
-    workspace.save()
     if result.has_conflicts:
         print(f"U {args.file}: {len(result.conflicts())} conflict(s) -- markers written", file=out)
         return 1
     print(f"U {args.file}: merged cleanly", file=out)
+    return 0
+
+
+def cmd_annotate(client, args, out) -> int:
+    for rendered in format_annotations(client.annotate(args.path, args.revision)):
+        print(rendered, file=out)
     return 0
 
 
@@ -319,7 +272,6 @@ def cmd_serve(args, out) -> int:
     import signal
     import threading
 
-    from repro.mtree.persistence import load_database as _load
     from repro.net.aserver import serve_in_thread
     from repro.storage.atomic import LockError
 
@@ -350,7 +302,7 @@ def cmd_serve(args, out) -> int:
         if not os.path.isfile(db_path):
             raise CliError(f"{args.repo!r} is not a repository (run 'repro init' first)")
         with open(db_path, "rb") as handle:
-            database = _load(handle.read())
+            database = load_database(handle.read())
         data_dir = os.path.join(args.repo, SERVER_DIR) if args.durable else None
         role = "standalone"
         if args.replicate_to:
@@ -378,11 +330,16 @@ def cmd_serve(args, out) -> int:
     except LockError as exc:
         raise CliError(str(exc)) from exc
     host, port = server.address
-    mode = ("in-memory" if not args.durable
+    mode = ("in-memory (clients' anchors refuse it after a restart: use --durable)"
+            if not args.durable
             else f"durable (WAL + snapshots, {args.backend} backend)")
     print(f"serving {args.repo} on {host}:{port}, {mode}, "
           f"batches <= {args.batch_max}, {role} (SIGTERM/Ctrl-C to stop)",
           file=out)
+    root, ctr, _tick = server.consistent_view()
+    if database is not None and ctr == 0:
+        print(f"genesis root: {root.hex()} (what `repro sync` is given)",
+              file=out)
     if args.durable and server.replayed_records:
         print(f"recovered: replayed {server.replayed_records} WAL record(s)", file=out)
     out.flush()
@@ -406,8 +363,7 @@ def cmd_serve(args, out) -> int:
         # snapshot.  The loop is gone after it, so the core is ours.
         clean = server.graceful_stop()
         if db_path is not None:
-            with open(db_path, "wb") as handle:
-                handle.write(dump_database(server.core.state.database))
+            atomic_write(db_path, dump_database(server.core.state.database))
         suffix = "" if clean else " (quiesce timed out)"
         print(f"persisted and stopped{suffix}", file=out)
     return 0
@@ -586,25 +542,56 @@ def cmd_evidence_inspect(args, out) -> int:
     return 0 if genuine else 1
 
 
-def cmd_annotate(args, out) -> int:
-    from repro.storage.annotate import format_annotations
-
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
-    lines = workspace.client.annotate(args.path, args.revision)
-    workspace.save()
-    for rendered in format_annotations(lines):
-        print(rendered, file=out)
-    return 0
-
-
 def cmd_trust(args, out) -> int:
-    workspace = Workspace(args.repo, args.author, remote=args.remote)
     print(f"author      : {args.author}", file=out)
+    if args.remote:
+        # Read off the anchor, the file to hand to `repro sync`; no
+        # connection.  A zero initial_tag is "pinned to no genesis root".
+        path = _anchor_path(args.repo, args.author, args.remote)
+        print(f"anchor file : {path}", file=out)
+        registers = read_anchor(path) if os.path.isfile(path) else {}
+        for name, value in registers.items():
+            shown = value.hex() if isinstance(value, Digest) else value
+            print(f"{name:12s}: {shown}", file=out)
+        return 0
+    workspace = Workspace(args.repo, args.author)
     print(f"trust anchor: {workspace.client.root_digest.hex()}", file=out)
     print(f"server root : {workspace.server.root_digest().hex()}", file=out)
     match = workspace.client.root_digest == workspace.server.root_digest()
     print(f"in sync     : {'yes' if match else 'NO - verify before trusting new data'}", file=out)
     return 0
+
+
+def cmd_sync(args, out) -> int:
+    """The register exchange Protocol II assumes, over anchor files the
+    users hand each other out of the server's reach (Theorem 4.2);
+    ``FORKED`` is exit 3 with a bundle ``evidence-inspect`` re-verifies."""
+    from repro.net import evidence
+    from repro.protocols.protocol2 import initial_state_tag, sync_check
+
+    genesis, registers = args.genesis, {}
+    pinned_here = initial_state_tag(genesis)
+    for path in args.anchors:
+        # An unusable input is refused by name, never folded into a verdict.
+        try:
+            anchor = read_anchor(path)
+        except IntegrityError as exc:
+            raise CliError(str(exc)) from exc
+        if anchor["initial_tag"] and anchor["initial_tag"] != pinned_here:
+            raise CliError(f"anchor {path!r} is pinned to another genesis root")
+        if anchor["user"] in registers:
+            raise CliError(f"two anchors of user {anchor['user']!r}")
+        registers[anchor["user"]] = {"sigma": anchor["sigma"], "last": anchor["last"]}
+    users = "the registers of " + ", ".join(sorted(registers))
+    if sync_check(genesis, registers):
+        print(f"CONSISTENT: one serial history explains {users}", file=out)
+        return 0
+    bundle = evidence.write_bundle(
+        os.path.join(os.path.dirname(args.anchors[0]), "sync.evidence"),
+        evidence.sync_bundle(genesis, registers))
+    print(f"FORKED: no serial history explains {users}", file=out)
+    print(f"evidence bundle: {bundle}", file=out)
+    return 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,67 +612,75 @@ def build_parser() -> argparse.ArgumentParser:
     commit.add_argument("path")
     commit.add_argument("-m", "--message", default="")
     commit.add_argument("--file", help="read content from a file instead of stdin")
-    commit.set_defaults(handler=cmd_commit)
+    commit.set_defaults(handler=_verb(cmd_commit))
 
     checkout = commands.add_parser("checkout", help="print a revision")
     checkout.add_argument("path")
     checkout.add_argument("-r", "--revision", default=None)
     checkout.add_argument("--expand", action="store_true",
                           help="expand RCS keywords ($Id$, $Revision$, ...)")
-    checkout.set_defaults(handler=cmd_checkout)
+    checkout.set_defaults(handler=_verb(cmd_checkout))
 
     log = commands.add_parser("log", help="revision history")
     log.add_argument("path")
-    log.set_defaults(handler=cmd_log)
+    log.set_defaults(handler=_verb(cmd_log))
 
     diff = commands.add_parser("diff", help="diff two revisions")
     diff.add_argument("path")
     diff.add_argument("-r", "--revision", required=True)
     diff.add_argument("--to", default=None)
-    diff.set_defaults(handler=cmd_diff)
+    diff.set_defaults(handler=_verb(cmd_diff))
 
     ls = commands.add_parser("ls", help="list live files")
     ls.add_argument("prefix", nargs="?", default="")
-    ls.set_defaults(handler=cmd_ls)
+    ls.set_defaults(handler=_verb(cmd_ls))
 
     remove = commands.add_parser("remove", help="cvs remove")
     remove.add_argument("path")
     remove.add_argument("-m", "--message", default="")
-    remove.set_defaults(handler=cmd_remove)
+    remove.set_defaults(handler=_verb(cmd_remove))
 
     branch = commands.add_parser("branch", help="create or list branches")
     branch.add_argument("path")
     branch.add_argument("-r", "--revision", default=None, help="branch point (default head)")
     branch.add_argument("-l", "--list", action="store_true")
-    branch.set_defaults(handler=cmd_branch)
+    branch.set_defaults(handler=_verb(cmd_branch))
 
     bcommit = commands.add_parser("bcommit", help="commit onto a branch")
     bcommit.add_argument("path")
     bcommit.add_argument("-b", "--branch", required=True)
     bcommit.add_argument("-m", "--message", default="")
     bcommit.add_argument("--file", help="read content from a file instead of stdin")
-    bcommit.set_defaults(handler=cmd_bcommit)
+    bcommit.set_defaults(handler=_verb(cmd_bcommit))
 
     merge = commands.add_parser("merge", help="merge a branch into the trunk")
     merge.add_argument("path")
     merge.add_argument("-b", "--branch", required=True)
     merge.add_argument("-m", "--message", default="")
-    merge.set_defaults(handler=cmd_merge)
+    merge.set_defaults(handler=_verb(cmd_merge))
 
     update = commands.add_parser("update", help="merge the repository head into a working file")
     update.add_argument("path")
     update.add_argument("-r", "--revision", required=True,
                         help="the revision the working file was based on")
     update.add_argument("--file", required=True, help="the working file (rewritten in place)")
-    update.set_defaults(handler=cmd_update)
+    update.set_defaults(handler=_verb(cmd_update))
 
     trust = commands.add_parser("trust", help="show the trust anchor")
     trust.set_defaults(handler=cmd_trust)
 
+    sync = commands.add_parser(
+        "sync", help="evaluate the Protocol II sync predicate over anchor files")
+    sync.add_argument("genesis", type=Digest.from_hex,
+                      help="the genesis root `repro serve` printed (hex)")
+    sync.add_argument("anchors", nargs="+", metavar="ANCHOR",
+                      help="each user's REPO/trust/USER@HOST_PORT.anchor")
+    sync.set_defaults(handler=cmd_sync)
+
     annotate = commands.add_parser("annotate", help="per-line blame")
     annotate.add_argument("path")
     annotate.add_argument("-r", "--revision", default=None)
-    annotate.set_defaults(handler=cmd_annotate)
+    annotate.set_defaults(handler=_verb(cmd_annotate))
 
     serve = commands.add_parser("serve", help="host the repository over TCP")
     serve.add_argument("-p", "--port", type=int, default=7117)
@@ -756,15 +751,20 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args.repo = args.repo_positional
     try:
         return args.handler(args, out)
-    except CliError as exc:
+    except (CliError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=out)
         return 2
-    except ProofError as exc:
+    except (ProofError, IntegrityError) as exc:
         print("INTEGRITY VIOLATION: the repository does not verify against "
               f"your trust anchor: {exc}", file=out)
+        if getattr(exc, "evidence_path", None):
+            print(f"evidence bundle: {exc.evidence_path}", file=out)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=out)
+    except TransientNetworkError as exc:
+        # Liveness (a refusal included), never a verdict on the server.
+        print(f"error: {args.remote}: {exc} -- an operation left unanswered "
+              "may have been applied: it stays in flight under its request id",
+              file=out)
         return 2
 
 

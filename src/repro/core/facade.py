@@ -7,13 +7,16 @@ and a client that checks everything and keeps only a root digest.
 * :class:`CvsServer` stores, per file path, the *entire revision
   history* (an RCS store) as one Merkle-tree value -- so the root
   digest commits not just to head contents but to all of history.
-* :class:`CvsClient` implements the Section 4.1 single-user loop:
-  verify VO, advance the tracked root.  It exposes familiar CVS verbs
-  (checkout, commit, log, diff, remove) and raises
-  :class:`~repro.mtree.proofs.ProofError` on any server misbehaviour.
+* :class:`CvsClient` is the CVS verbs (checkout, commit, log, diff,
+  remove, branches) over a session whose ``execute(query)`` returns a
+  *trusted* answer or raises.  Given a :class:`CvsServer` that is the
+  Section 4.1 single-user loop, in process: verify VO, advance the
+  tracked root, :class:`~repro.mtree.proofs.ProofError` on any server
+  misbehaviour.  Given a :class:`~repro.net.client.RemoteClient` the
+  verbs run Protocol II over TCP (``repro --remote``) -- one tracked
+  root cannot tell a second honest writer from a fork.
 
-Multi-user deployments (where a single tracked root is not enough and
-the paper's protocols take over) are built with
+Simulated multi-user deployments are built with
 :mod:`repro.core.scenarios` instead.
 """
 
@@ -48,9 +51,16 @@ class CvsServer:
     def __init__(self, order: int = 8, shards: int = 1) -> None:
         self._database = VerifiedDatabase(order=order, shards=shards)
 
+    @classmethod
+    def adopt(cls, database: VerifiedDatabase) -> "CvsServer":
+        """A server over an existing (loaded) database, as is."""
+        self = cls.__new__(cls)
+        self._database = database
+        return self
+
     @property
-    def order(self) -> int:
-        return self._database.order
+    def database(self) -> VerifiedDatabase:
+        return self._database
 
     @property
     def spec(self):
@@ -71,31 +81,51 @@ def _branch_revision(store: RevisionStore, number: str) -> Revision:
     return store.branch_log(branch_id)[int(step_text) - 1]
 
 
-class CvsClient:
-    """A verifying CVS client with constant local state (one digest).
+class _TrackedRoot:
+    """Section 4.1's single-user loop around an in-process server: ask,
+    reduce the VO against the tracked root, advance it."""
 
-    ``trusted_root`` pins the client to a previously verified root
-    digest (e.g. one persisted across sessions); by default the client
-    adopts the server's current root -- trust-on-first-use.
-    """
-
-    def __init__(self, server: CvsServer, author: str, trusted_root: Digest | None = None) -> None:
+    def __init__(self, server: CvsServer, trusted_root: Digest | None) -> None:
         self._server = server
-        self.author = author
         initial = trusted_root if trusted_root is not None else server.root_digest()
         self._verifier = ClientVerifier(initial, order=server.spec)
+
+    @property
+    def root_digest(self) -> Digest:
+        return self._verifier.root_digest
+
+    def execute(self, query: Query) -> object:
+        return self._verifier.apply(query, self._server.execute(query))
+
+
+class CvsClient:
+    """The CVS verbs over a verifying session.
+
+    ``server`` is a :class:`CvsServer` -- the client then keeps one
+    digest and checks every answer against it in process;
+    ``trusted_root`` pins it to a previously verified root (e.g. one
+    persisted across sessions), by default it adopts the server's
+    current root, trust-on-first-use -- or any session whose
+    ``execute(query)`` returns the trusted answer, such as a
+    :class:`~repro.net.client.RemoteClient`.
+    """
+
+    def __init__(self, server, author: str, trusted_root: Digest | None = None) -> None:
+        self._session = (_TrackedRoot(server, trusted_root)
+                         if isinstance(server, CvsServer) else server)
+        self.author = author
         self._logical_time = 0
 
     @property
     def root_digest(self) -> Digest:
-        """The tracked root digest (the client's entire trust state)."""
-        return self._verifier.root_digest
+        """The tracked root digest: an in-process client's entire trust
+        state (a remote session keeps registers, not a root)."""
+        return self._session.root_digest
 
     # -- internals ----------------------------------------------------------
 
     def _run(self, query: Query) -> object:
-        result = self._server.execute(query)
-        return self._verifier.apply(query, result)
+        return self._session.execute(query)
 
     def _key(self, path: str) -> bytes:
         return path.encode("utf-8")
@@ -108,6 +138,13 @@ class CvsClient:
 
     def _save_store(self, path: str, store: RevisionStore) -> None:
         self._run(WriteQuery(key=self._key(path), value=store.serialize()))
+
+    def _stamp(self, history: list[Revision]) -> int:
+        """Advance this client's logical clock -- never to behind the
+        history it is about to append to: another author's may be ahead."""
+        newest = history[-1].timestamp if history else 0
+        self._logical_time = max(self._logical_time + 1, newest)
+        return self._logical_time
 
     # -- CVS verbs ------------------------------------------------------------
 
@@ -148,15 +185,12 @@ class CvsClient:
         Expanded RCS keywords are collapsed to their bare form before
         storage, so keyword churn never pollutes deltas or merges.
         """
-        self._logical_time += 1
         lines = collapse_keywords(lines)
         store = self._load_store(path)
         if store is None:
             store = RevisionStore()
-        if store.is_dead:
-            revision = store.resurrect(lines, self.author, log_message, self._logical_time)
-        else:
-            revision = store.commit(lines, self.author, log_message, self._logical_time)
+        append = store.resurrect if store.is_dead else store.commit
+        revision = append(lines, self.author, log_message, self._stamp(store.log()))
         self._save_store(path, store)
         return revision
 
@@ -180,11 +214,10 @@ class CvsClient:
 
     def remove(self, path: str, log_message: str = "") -> Revision:
         """``cvs remove``: mark the file dead (history is preserved)."""
-        self._logical_time += 1
         store = self._load_store(path)
         if store is None:
             raise FileNotFoundError(f"no such file in repository: {path!r}")
-        revision = store.remove(self.author, log_message, self._logical_time)
+        revision = store.remove(self.author, log_message, self._stamp(store.log()))
         self._save_store(path, store)
         return revision
 
@@ -228,12 +261,12 @@ class CvsClient:
     def commit_on_branch(self, path: str, branch_id: str, lines: list[str],
                          log_message: str = "") -> Revision:
         """Commit onto a branch of ``path``."""
-        self._logical_time += 1
         store = self._load_store(path)
         if store is None:
             raise FileNotFoundError(f"no such file in repository: {path!r}")
-        revision = store.commit_on_branch(branch_id, lines, self.author,
-                                          log_message, self._logical_time)
+        revision = store.commit_on_branch(
+            branch_id, lines, self.author, log_message,
+            self._stamp(store.branch_log(branch_id)))
         self._save_store(path, store)
         return revision
 

@@ -59,10 +59,6 @@ class ReadQuery:
 
     key: bytes
 
-    @property
-    def is_update(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class RangeQuery:
@@ -70,10 +66,6 @@ class RangeQuery:
 
     low: bytes
     high: bytes
-
-    @property
-    def is_update(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -83,20 +75,12 @@ class WriteQuery:
     key: bytes
     value: bytes
 
-    @property
-    def is_update(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class DeleteQuery:
     """Removal of an item (e.g. ``cvs remove``)."""
 
     key: bytes
-
-    @property
-    def is_update(self) -> bool:
-        return True
 
 
 Query = ReadQuery | RangeQuery | WriteQuery | DeleteQuery

@@ -26,6 +26,7 @@ from repro.net.client import (
     ServerBusyError,
     TransientNetworkError,
     count_sync_check,
+    read_anchor,
     sync_check,
 )
 from repro.net.replication import (
@@ -82,6 +83,7 @@ __all__ = [
     "ServerBusyError",
     "TransientNetworkError",
     "count_sync_check",
+    "read_anchor",
     "sync_check",
     "FramingError",
     "recv_message",

@@ -132,10 +132,11 @@ class ReplicationDivergence(IntegrityError):
 class EndpointConnector:
     """Sticky failover over an ordered ``[(host, port), ...]`` list.
 
-    One code path for every multi-server client: the operation clients
-    (:class:`RemoteClient` and subclasses) and the witness fetch in
-    :class:`~repro.net.replication.QuorumChecker` both connect through
-    it.  A connect tries the *current* endpoint first -- reconnects
+    The one way a session (:class:`RemoteClient`,
+    :class:`RemoteClientP1`) reaches a server.  (The witness fetch in
+    :class:`~repro.net.replication.QuorumChecker` samples witnesses at
+    random and calls ``open_connection`` itself.)  A connect tries the
+    *current* endpoint first -- reconnects
     prefer the server the session last spoke to, keeping dedup windows
     and blocking state warm -- then rotates through the rest in order.
     One full pass with no listener raises the last ``OSError``, so the
@@ -219,8 +220,9 @@ class _Session:
 
     protocol = ""
     #: operations kept in flight unless the constructor is given another
-    #: ``window``; stop-and-wait is the window of one.  The server's
-    #: dedup window (256) must stay comfortably above whatever is used.
+    #: ``window``; stop-and-wait is the window of one, and what the
+    #: command line runs every CVS verb on.  The server's dedup window
+    #: (256) must stay comfortably above whatever is used.
     window = 1
     #: whether a lost connection is replaced by a new one
     reconnects = True
@@ -347,11 +349,14 @@ class _Session:
                 if _obs.enabled:
                     _RETRIES.inc(reason="io", user=self.user_id)
                 if io_failures >= policy.attempts:
+                    oldest = (self._inflight[0][1].extras.get("rid")
+                              if self._inflight else None)
                     raise TransientNetworkError(
                         f"no answer from {self._connector.describe()} after "
                         f"{io_failures} connection failure(s), "
-                        f"{len(self._inflight)} operation(s) still in "
-                        f"flight: {exc}") from exc
+                        f"{len(self._inflight)} operation(s) still in flight"
+                        + (f" from request id {oldest}" if oldest else "")
+                        + f": {exc}") from exc
                 time.sleep(policy.delay(io_failures - 1))
                 continue
             if not isinstance(message, ErrorReply):
@@ -533,16 +538,68 @@ class _Session:
 
 
 _ANCHOR_MAGIC = "client-anchor 1"
+#: the lines after the magic, ``name value``, with the parser of each
+_ANCHOR_FIELDS = {
+    "user": str, "initial_tag": Digest.from_hex, "sigma": Digest.from_hex,
+    "last": Digest.from_hex, "gctr": int, "operations": int, "seq": int,
+    "nonce": str}
+
+
+def read_anchor(path: str) -> dict:
+    """Parse a persisted Protocol II trust anchor, defensively: the one
+    reader, for the session that resumes from the file and for
+    ``repro sync``, which evaluates the predicate over several.
+
+    The anchor file is the client's root of trust; a corrupted or
+    truncated one must be rejected with an explicit
+    :class:`IntegrityError` -- never a raw parse crash, and never a
+    silent fallback to some partially-read register state.
+    """
+    def corrupt(detail: str, cause: Exception | None = None):
+        error = IntegrityError(
+            f"trust anchor {path!r} is corrupted or truncated: {detail}")
+        raise error from cause
+
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        corrupt("not ASCII text", exc)
+    except OSError as exc:
+        corrupt(f"unreadable ({exc})", exc)
+    if not lines or lines[0] != _ANCHOR_MAGIC:
+        corrupt("missing anchor magic header")
+    fields = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, _, value = line.partition(" ")
+        if not _ or not value:
+            corrupt(f"malformed field line {line!r}")
+        fields[name] = value
+    try:
+        return {name: parse(fields[name])
+                for name, parse in _ANCHOR_FIELDS.items()}
+    except KeyError as exc:
+        corrupt(f"missing field {exc.args[0]!r}", exc)
+    except ValueError as exc:
+        corrupt(f"unparseable field value ({exc})", exc)
 
 
 class RemoteClient(_Session):
-    """One user's verified Protocol II session against a TCP server.
+    """One user's verified Protocol II session against a TCP server --
+    what ``repro --remote`` runs every CVS verb on.
+
+    ``initial_root`` pins the session to the genesis root the users
+    agreed on; it enters only the sync predicate (the registers start
+    from zero whatever the server holds), so it may be omitted: the
+    anchor then records the zero tag, "not pinned", and whoever
+    evaluates the predicate supplies the root.
 
     ``anchor_path`` (optional) persists the trust anchor -- initial
     tag, sigma/last registers, counter, and the request-id sequence --
-    after every verified operation, so a restarted client process can
-    resume the same session: pass the same path and ``initial_root``
-    may be omitted.
+    after every verified operation, so a restarted client process
+    resumes the same session by passing the same path.
 
     ``endpoints`` (optional) replaces the single ``host``/``port`` pair
     with an ordered failover list: every connect and reconnect walks it
@@ -582,14 +639,10 @@ class RemoteClient(_Session):
                          evidence_dir, quorum, quorum_every)
         self._anchor_path = anchor_path
         self.operations = 0
-        self._initial_tag = None
+        self._initial_tag = (Digest.zero() if initial_root is None
+                             else initial_state_tag(initial_root))
         if anchor_path is not None and os.path.isfile(anchor_path):
             self._load_anchor()
-        if self._initial_tag is None:
-            if initial_root is None:
-                raise ValueError(
-                    "initial_root is required unless a saved anchor exists")
-            self._initial_tag = initial_state_tag(initial_root)
         # The first connect, under the same retry budget as every other
         # transport failure: a server mid-restart must not kill client
         # construction with a raw OSError.
@@ -598,55 +651,18 @@ class RemoteClient(_Session):
     # -- anchor persistence -------------------------------------------------
 
     def _load_anchor(self) -> None:
-        """Parse the persisted trust anchor, defensively.
-
-        The anchor file is the client's root of trust; a corrupted or
-        truncated one must be rejected with an explicit
-        :class:`IntegrityError` -- never a raw parse crash, and never a
-        silent fallback to some partially-read register state.  An
-        anchor that parses fine but names a *different* user is a
-        caller mix-up, not corruption: that stays ``ValueError``.
-        """
-        def corrupt(detail: str, cause: Exception | None = None):
-            error = IntegrityError(
-                f"trust anchor {self._anchor_path!r} is corrupted or "
-                f"truncated: {detail}")
-            raise error from cause
-
-        try:
-            with open(self._anchor_path, "r", encoding="ascii") as handle:
-                lines = handle.read().splitlines()
-        except UnicodeDecodeError as exc:
-            corrupt("not ASCII text", exc)
-        except OSError as exc:
-            corrupt(f"unreadable ({exc})", exc)
-        if not lines or lines[0] != _ANCHOR_MAGIC:
-            corrupt("missing anchor magic header")
-        fields = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(" ")
-            if not _ or not value:
-                corrupt(f"malformed field line {line!r}")
-            fields[name] = value
-        if "user" not in fields:
-            corrupt("no user field")
-        if fields["user"] != self.user_id:
+        """Resume from :func:`read_anchor`'s fields.  An anchor that
+        parses fine but names a *different* user is a caller mix-up,
+        not corruption: that is ``ValueError``."""
+        anchor = read_anchor(self._anchor_path)
+        if anchor["user"] != self.user_id:
             raise ValueError(
-                f"anchor belongs to {fields['user']!r}, not {self.user_id!r}")
-        try:
-            self._initial_tag = Digest.from_hex(fields["initial_tag"])
-            self.sigma = Digest.from_hex(fields["sigma"])
-            self.last = Digest.from_hex(fields["last"])
-            self.gctr = int(fields["gctr"])
-            self.operations = int(fields["operations"])
-            self._seq = int(fields["seq"])
-            self._rid_nonce = fields["nonce"]
-        except KeyError as exc:
-            corrupt(f"missing field {exc.args[0]!r}", exc)
-        except ValueError as exc:
-            corrupt(f"unparseable field value ({exc})", exc)
+                f"anchor belongs to {anchor['user']!r}, not {self.user_id!r}")
+        self._initial_tag = anchor["initial_tag"]
+        self.state.restore(anchor)
+        self.operations = anchor["operations"]
+        self._seq = anchor["seq"]
+        self._rid_nonce = anchor["nonce"]
 
     def save_anchor(self) -> None:
         """Persist the trust anchor atomically and durably.

@@ -347,7 +347,11 @@ class WitnessProtocol(ServerProtocol):
         mode = getattr(self.collusion, "mode", None)
         attestations: dict[int, RootAttestation | None] = {}
         for ctr in fetch if isinstance(fetch, (list, tuple)) else []:
-            deposit = store.get(ctr) if isinstance(ctr, int) else None
+            if not isinstance(ctr, int):
+                # Not a counter (and maybe unhashable): the request was
+                # logged before it got here, so it must not raise.
+                continue
+            deposit = store.get(ctr)
             if deposit is None:
                 attestations[ctr] = None
                 continue

@@ -1,12 +1,11 @@
-"""CVS storage substrate: diff engine, RCS revision chains, repository,
-and the disk layer under the Merkle forest.
+"""CVS storage substrate: diff engine, RCS revision chains, and the disk
+layer under the Merkle forest.  (The multi-file verbs over these chains
+are :class:`repro.core.facade.CvsClient`, keyed into the Merkle tree.)
 
 * :mod:`repro.storage.diff` -- Myers O(ND) line diff, delta apply and
   inversion, unified-diff rendering.
 * :mod:`repro.storage.rcs` -- reverse-delta revision stores with a
   deterministic serialisation (so Merkle digests commit to history).
-* :mod:`repro.storage.repository` -- the multi-file repository with
-  checkout/commit/log/status/tags.
 * :mod:`repro.storage.atomic` -- durable file primitives
   (tmp+fsync+rename+dir-fsync writes, flock data-directory locks).
 * :mod:`repro.storage.faults` -- the fault-injecting I/O shim the
@@ -47,7 +46,6 @@ from repro.storage.keywords import (
 )
 from repro.storage.merge import Conflict, MergeResult, merge3, render_with_markers
 from repro.storage.rcs import RcsError, Revision, RevisionStore
-from repro.storage.repository import CommitRecord, Repository, RepositoryError
 
 __all__ = [
     "Delta",
@@ -71,9 +69,6 @@ __all__ = [
     "RcsError",
     "Revision",
     "RevisionStore",
-    "CommitRecord",
-    "Repository",
-    "RepositoryError",
     "DirLock",
     "LockError",
     "atomic_write",

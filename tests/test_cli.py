@@ -119,10 +119,35 @@ class TestTrustAnchor:
         evil_client = CvsClient(doctored, author="mallory")
         evil_client.commit("secret.txt", ["the lie"], "tampered")
         with open(os.path.join(repo, "db.snapshot"), "wb") as handle:
-            handle.write(dump_database(doctored._database))
+            handle.write(dump_database(doctored.database))
 
         text = run(["-R", repo, "checkout", "secret.txt"], expect=3)
         assert "INTEGRITY VIOLATION" in text
+
+    @pytest.mark.parametrize("victim", ["db.snapshot", "alice.digest"])
+    def test_a_crash_mid_save_leaves_the_old_file_whole(self, repo, victim,
+                                                        monkeypatch):
+        """The repository file and the anchor are replaced by rename: a
+        write that dies before it leaves the previous contents, so the
+        next command still verifies (a bare ``open(..., "w")`` would
+        have left a torn file -- or, for the anchor, an empty one)."""
+        commit(repo, "f.txt", "v1\n")
+        real_replace = os.replace
+
+        def dying_replace(source, target):
+            if os.path.basename(target) == victim:
+                raise KeyboardInterrupt("power cut before the rename")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(KeyboardInterrupt):
+            commit(repo, "f.txt", "v2\n")
+        monkeypatch.undo()
+        checkout = ["-R", repo, "-a", "alice", "checkout", "f.txt"]
+        if victim == "db.snapshot":  # neither file moved: still at v1
+            assert run(checkout) == "v1\n"
+        else:  # the snapshot moved on, the anchor did not: refused, not torn
+            assert "INTEGRITY VIOLATION" in run(checkout, expect=3)
 
     def test_separate_authors_separate_anchors(self, repo):
         commit(repo, "f.txt", "x\n", author="alice")

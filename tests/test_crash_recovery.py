@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.crypto.hashing import Digest
 from repro.mtree.database import (
     DeleteQuery,
     RangeQuery,
@@ -30,10 +31,15 @@ from repro.net import (
     TransientNetworkError,
     ServerCore,
     WalError,
+    WitnessProtocol,
     count_sync_check,
+    make_deposit,
+    make_replica_keys,
     serve_in_thread,
     sync_check,
 )
+from repro.net.replication import (
+    ATTEST_KEY, DEPOSIT_KEY, FETCH_KEY, HEAD_KEY, META_DEPOSITS, witness_name)
 from repro.net.wal import ServerStore, chain_genesis
 from repro.protocols.base import ErrorReply, Request, ServerState
 from repro.protocols.protocol1 import Protocol1Server
@@ -999,6 +1005,68 @@ class TestPoisonedRequests:
             again = restarted.apply_request("alice", poison)
             assert isinstance(again, ErrorReply) == (name != "delete-absent")
             assert restarted.state.ctr == live[1]
+            if checkpoint:
+                restarted.snapshot()
+                replayed = 0
+            restarted.close_store()
+
+    #: control requests of the one protocol with ``internal_requests``:
+    #: wire-decodable, ill-typed, and logged before they execute -- so
+    #: the witness must answer each (there is no refusing after the log)
+    WITNESS_POISON = {
+        "fetch-a-dict": {FETCH_KEY: ({"a": 1},)},
+        "fetch-nested-and-mixed": {FETCH_KEY: (({"a": 1},), None, 1.5, b"x", 2)},
+        "fetch-not-a-list": {FETCH_KEY: {"a": 1}},
+        "deposit-a-dict": {DEPOSIT_KEY: ({"a": 1}, 7, None)},
+        "deposit-not-a-list": {DEPOSIT_KEY: "text"},
+    }
+
+    @pytest.mark.parametrize("in_batch", [False, True], ids=["alone", "in-a-batch"])
+    @pytest.mark.parametrize("name", WITNESS_POISON)
+    def test_witness_directory_restarts_to_its_live_state(self, tmp_path, name,
+                                                          in_batch):
+        keys = make_replica_keys(1, 91)
+        data_dir = str(tmp_path / "witness")
+
+        def witness():
+            return ServerCore(
+                order=4, data_dir=data_dir, fsync=False, snapshot_every=1000,
+                protocol=WitnessProtocol(witness_name(0), keys.witnesses[0],
+                                         keys.verifier))
+
+        def control(extras):
+            return Request(query=None, extras={"user": "!repl", **extras})
+
+        core = witness()
+        deposits = [make_deposit(keys.primary, ctr, Digest.zero())
+                    for ctr in (1, 2, 3)]
+        core.apply_request("!repl", control({DEPOSIT_KEY: deposits[:2]}))
+        poison = control(self.WITNESS_POISON[name])
+        deposit, fetch = control({DEPOSIT_KEY: deposits[2:]}), control({FETCH_KEY: (1, 3)})
+        batch = [deposit, poison, fetch] if in_batch else [poison]
+        responses = core.apply_batch([("mallory", message) for message in batch])
+        # the poison is answered: nothing stored, and nothing attested
+        # but the one counter among the junk
+        answer = responses[batch.index(poison)].extras
+        assert set(answer.get(ATTEST_KEY, {})) <= {2}
+        assert answer.get("stored", 0) == 0
+        if in_batch:  # the neighbours are served
+            assert responses[0].extras["stored"] == 1
+            attested = responses[2].extras[ATTEST_KEY]
+            assert [attested[ctr].deposit for ctr in (1, 3)] == [deposits[0], deposits[2]]
+        live = (dict(core.state.meta[META_DEPOSITS]), core.state.ctr)
+        assert sorted(live[0]) == ([1, 2, 3] if in_batch else [1, 2])
+        core.close_store()
+
+        replayed = 1 + len(batch)
+        for checkpoint in (False, True, False):
+            restarted = witness()
+            assert (restarted.state.meta[META_DEPOSITS], restarted.state.ctr) == live
+            assert restarted.replayed_records == replayed
+            head = restarted.apply_request("!repl", control({FETCH_KEY: ()}))
+            assert head.extras[HEAD_KEY] == max(live[0])
+            live = (live[0], live[1] + 1)
+            replayed += 1
             if checkpoint:
                 restarted.snapshot()
                 replayed = 0

@@ -583,13 +583,3 @@ class TestNoDelaySockets:
             alice._drop_connection()
             alice.put(b"k", b"v")
             assert alice._sock is not first and _no_delay(alice._sock)
-
-    def test_cli_remote_adapter(self, server):
-        from repro.cli import RemoteServerAdapter
-
-        adapter = RemoteServerAdapter(*server.address, order=4)
-        try:
-            assert _no_delay(adapter._sock)
-            assert adapter._sock.gettimeout() == 10
-        finally:
-            adapter.close()

@@ -1,146 +1,134 @@
-"""Tests for the multi-file repository."""
+"""The multi-file repository verbs, on the verifying session.
+
+``CvsClient`` needs one thing, ``execute(query) -> trusted answer``.
+Here that is a Protocol II session per author against one served
+repository -- what ``repro --remote`` runs -- so every verb below is
+checked with two writers on one store, which the in-process Section 4.1
+loop of ``tests/test_facade.py`` cannot have.  Every test ends with the
+authors' register exchange: two honest writers never alarm.
+"""
 
 import pytest
 
-from repro.storage.repository import Repository, RepositoryError
+from repro.core.facade import CvsClient
+from repro.net import RemoteClient, serve_in_thread, sync_check
 from repro.storage.rcs import RevisionStore
 
 
 @pytest.fixture
-def repo():
-    repository = Repository()
-    repository.commit(
-        "alice",
+def team():
+    """``(alice, bob)`` on one server; alice has made the initial import."""
+    server = serve_in_thread(order=8)
+    host, port = server.address
+    genesis = server.initial_root_digest()
+    sessions = {name: RemoteClient(host, port, name, genesis)
+                for name in ("alice", "bob")}
+    alice, bob = (CvsClient(session, author=name)
+                  for name, session in sessions.items())
+    alice.commit_many(
         {"src/main.c": ["int main() {}"], "src/common.h": ["#define VERSION 1"]},
-        "initial import",
-        timestamp=0,
-    )
-    return repository
+        "initial import")
+    try:
+        yield alice, bob
+        assert sync_check(genesis, {name: session.registers()
+                                    for name, session in sessions.items()})
+    finally:
+        for session in sessions.values():
+            session.close()
+        server.stop()
 
 
 class TestCommitCheckout:
-    def test_paths(self, repo):
-        assert repo.paths() == ["src/common.h", "src/main.c"]
+    def test_paths(self, team):
+        _alice, bob = team
+        assert bob.paths() == ["src/common.h", "src/main.c"]
 
-    def test_contains(self, repo):
-        assert "src/main.c" in repo
-        assert "unknown.c" not in repo
+    def test_contains(self, team):
+        _alice, bob = team
+        assert "src/main.c" in bob.paths("src/")
+        assert "unknown.c" not in bob.paths()
 
-    def test_checkout_head(self, repo):
-        assert repo.checkout("src/common.h") == ["#define VERSION 1"]
+    def test_checkout_head(self, team):
+        _alice, bob = team
+        assert bob.checkout("src/common.h") == ["#define VERSION 1"]
 
-    def test_checkout_old_revision(self, repo):
-        repo.commit("bob", {"src/common.h": ["#define VERSION 2"]}, "bump", 1)
-        assert repo.checkout("src/common.h") == ["#define VERSION 2"]
-        assert repo.checkout("src/common.h", "1.1") == ["#define VERSION 1"]
+    def test_checkout_old_revision(self, team):
+        alice, bob = team
+        bob.commit("src/common.h", ["#define VERSION 2"], "bump")
+        assert alice.checkout("src/common.h") == ["#define VERSION 2"]
+        assert alice.checkout("src/common.h", "1.1") == ["#define VERSION 1"]
 
-    def test_unknown_path(self, repo):
-        with pytest.raises(RepositoryError):
-            repo.checkout("nope.c")
+    def test_unknown_path(self, team):
+        _alice, bob = team
+        with pytest.raises(FileNotFoundError):
+            bob.checkout("nope.c")
 
-    def test_empty_commit_rejected(self, repo):
-        with pytest.raises(RepositoryError):
-            repo.commit("alice", {}, "empty")
+    def test_empty_commit_rejected(self, team):
+        alice, _bob = team
+        with pytest.raises(ValueError):
+            alice.commit_many({}, "empty")
 
-    def test_checkout_all(self, repo):
-        copy = repo.checkout_all()
-        assert set(copy) == {"src/common.h", "src/main.c"}
+    def test_checkout_all(self, team):
+        _alice, bob = team
+        copy = {path: bob.checkout(path) for path in bob.paths()}
+        assert copy == {"src/common.h": ["#define VERSION 1"],
+                        "src/main.c": ["int main() {}"]}
 
-    def test_multi_file_commit_records_revisions(self, repo):
-        record = repo.commit(
-            "bob",
-            {"src/main.c": ["changed"], "README": ["docs"]},
-            "two files",
-            timestamp=3,
-        )
-        assert set(record.revisions) == {"src/main.c", "README"}
-        assert record.revisions["src/main.c"].number == "1.2"
-        assert record.revisions["README"].number == "1.1"
+    def test_multi_file_commit_records_revisions(self, team):
+        _alice, bob = team
+        revisions = bob.commit_many(
+            {"src/main.c": ["changed"], "README": ["docs"]}, "two files")
+        assert set(revisions) == {"src/main.c", "README"}
+        assert revisions["src/main.c"].number == "1.2"
+        assert revisions["README"].number == "1.1"
 
-    def test_history(self, repo):
-        repo.commit("bob", {"src/main.c": ["x"]}, "edit", 2)
-        history = repo.history()
-        assert len(history) == 2
-        assert history[0].author == "alice"
+    def test_history(self, team):
+        alice, bob = team
+        bob.commit("src/main.c", ["x"], "edit")
+        history = alice.log("src/main.c")
+        assert [revision.author for revision in history] == ["alice", "bob"]
         assert history[1].log_message == "edit"
 
-    def test_head_revision(self, repo):
-        assert repo.head_revision("src/main.c") == "1.1"
+    def test_head_revision(self, team):
+        _alice, bob = team
+        assert bob.log("src/main.c")[-1].number == "1.1"
 
 
 class TestRemove:
-    def test_remove_hides_path(self, repo):
-        repo.commit("alice", {"src/main.c": None}, "drop", 1)
-        assert "src/main.c" not in repo
-        assert repo.paths() == ["src/common.h"]
-        assert repo.paths(include_dead=True) == ["src/common.h", "src/main.c"]
+    def test_remove_hides_path(self, team):
+        alice, bob = team
+        alice.remove("src/main.c", "drop")
+        assert bob.paths() == ["src/common.h"]
 
-    def test_checkout_dead_head_rejected(self, repo):
-        repo.commit("alice", {"src/main.c": None}, "drop", 1)
-        with pytest.raises(RepositoryError):
-            repo.checkout("src/main.c")
+    def test_dead_history_reachable(self, team):
+        alice, bob = team
+        alice.remove("src/main.c", "drop")
+        assert bob.checkout("src/main.c", "1.1") == ["int main() {}"]
 
-    def test_dead_history_reachable(self, repo):
-        repo.commit("alice", {"src/main.c": None}, "drop", 1)
-        assert repo.checkout("src/main.c", "1.1") == ["int main() {}"]
+    def test_resurrect_via_commit(self, team):
+        alice, bob = team
+        alice.remove("src/main.c", "drop")
+        revision = bob.commit("src/main.c", ["reborn"], "revive")
+        assert revision.number == "1.3"
+        assert alice.checkout("src/main.c") == ["reborn"]
+        assert alice.paths() == ["src/common.h", "src/main.c"]
 
-    def test_resurrect_via_commit(self, repo):
-        repo.commit("alice", {"src/main.c": None}, "drop", 1)
-        repo.commit("bob", {"src/main.c": ["reborn"]}, "revive", 2)
-        assert repo.checkout("src/main.c") == ["reborn"]
-
-    def test_remove_unknown_rejected(self, repo):
-        with pytest.raises(RepositoryError):
-            repo.commit("alice", {"ghost.c": None}, "drop")
-
-
-class TestTags:
-    def test_tag_and_checkout(self, repo):
-        repo.tag("release-1.0")
-        repo.commit("bob", {"src/common.h": ["#define VERSION 2"]}, "bump", 1)
-        pinned = repo.checkout_tag("release-1.0")
-        assert pinned["src/common.h"] == ["#define VERSION 1"]
-
-    def test_duplicate_tag_rejected(self, repo):
-        repo.tag("v1")
-        with pytest.raises(RepositoryError):
-            repo.tag("v1")
-
-    def test_unknown_tag(self, repo):
-        with pytest.raises(RepositoryError):
-            repo.checkout_tag("ghost")
-
-    def test_partial_tag(self, repo):
-        repo.tag("headers", paths=["src/common.h"])
-        assert set(repo.checkout_tag("headers")) == {"src/common.h"}
-
-
-class TestStatus:
-    def test_status_categories(self, repo):
-        working = {
-            "src/common.h": ["#define VERSION 1"],  # up-to-date
-            "src/main.c": ["hacked locally"],  # modified
-            "scratch.txt": ["untracked"],  # unknown
-        }
-        report = repo.status(working)
-        assert report == {
-            "src/common.h": "up-to-date",
-            "src/main.c": "modified",
-            "scratch.txt": "unknown",
-        }
-
-    def test_needs_checkout(self, repo):
-        report = repo.status({"src/main.c": ["int main() {}"]})
-        assert report["src/common.h"] == "needs-checkout"
+    def test_remove_unknown_rejected(self, team):
+        _alice, bob = team
+        with pytest.raises(FileNotFoundError):
+            bob.remove("ghost.c", "drop")
 
 
 class TestMerkleIntegration:
-    def test_serialize_file_roundtrip(self, repo):
-        blob = repo.serialize_file("src/main.c")
-        store = Repository.deserialize_file(blob)
-        assert isinstance(store, RevisionStore)
-        assert store.checkout() == ["int main() {}"]
+    """A file's Merkle-tree value is its whole history, keyed by path."""
 
-    def test_serialize_unknown(self, repo):
-        with pytest.raises(RepositoryError):
-            repo.serialize_file("ghost")
+    def test_serialize_file_roundtrip(self, team):
+        _alice, bob = team
+        blob = bob._session.get(b"src/main.c")
+        store = RevisionStore.deserialize(blob)
+        assert store.checkout() == ["int main() {}"]
+        assert store.serialize() == blob
+
+    def test_serialize_unknown(self, team):
+        _alice, bob = team
+        assert bob._session.get(b"ghost") is None

@@ -6,7 +6,9 @@ a known operation -- is fed to every place that verifies responses:
 * the protocol state object itself (``XorRegisters`` / ``SignedRootChain``);
 * the simulator client (``Protocol2Client`` / ``Protocol1Client``);
 * the TCP clients over a socketpair, stop-and-wait and pipelined, through
-  the wire codec;
+  the wire codec -- the command line's ``--remote`` mode is this site (it
+  opens a ``RemoteClient`` and holds no verification of its own:
+  ``test_the_command_line_is_the_tcp_site``);
 * ``evidence.reverify``, on a bundle of each operation packaged with the
   pre-operation state.
 
@@ -349,6 +351,34 @@ def test_protocol2_sites_agree(name, monkeypatch, tmp_path):
     replayed = run_reverify(XorRegisters(USER, ORDER), "II", script, None,
                             tmp_path)
     assert_all_agree(reference, bad_at, reason, script, traces, replayed)
+
+
+def test_the_command_line_is_the_tcp_site(tmp_path):
+    """``repro --remote`` verifies nothing itself: its verbs run on the
+    ``RemoteClient`` site above (``XorRegisters.step`` on every
+    response), and ``cli.py`` names no proof, register, root rule or
+    frame call a second copy would need.  What it prints on a deviation
+    is compared with the step's reason in ``tests/test_cli_remote.py``."""
+    import inspect
+
+    from repro import cli
+    from repro.net import serve_in_thread
+
+    source = inspect.getsource(cli)
+    for name in ("ClientVerifier", "implied_root", "derive_outcome",
+                 "verified_outcome", "hash_tagged_state", "XorRegisters",
+                 "repro.net.framing", "open_connection", "send_message",
+                 "recv_message"):
+        assert name not in source, name
+    server = serve_in_thread(order=8)
+    try:
+        with cli.Workspace(str(tmp_path), USER,
+                           remote="%s:%d" % server.address) as workspace:
+            session = workspace.client._session
+            assert type(session) is RemoteClient and session.window == 1
+            assert type(session.state) is XorRegisters
+    finally:
+        server.stop()
 
 
 @pytest.mark.parametrize("name", P1_SCENARIOS)
