@@ -373,8 +373,9 @@ def cmd_store_inspect(args, out) -> int:
     """Describe a server data directory without starting a server.
 
     For the sqlite backend, decodes the checkpoint manifest and prints
-    the per-shard generation/page layout plus the retained WAL
-    segments; for the file backend, summarises the snapshot and WAL.
+    the per-shard generation/page layout, the remembered responses per
+    user and the retained WAL segments; for the file backend,
+    summarises the snapshot and WAL.
     Read-only: safe to run against a live server's directory.
     """
     from repro.net.wal import (
@@ -382,11 +383,12 @@ def cmd_store_inspect(args, out) -> int:
         SEGMENT_SUFFIX,
         SNAPSHOT_FILE,
         WAL_FILE,
+        _MANIFEST_FORMAT,
         _MANIFEST_KEY,
         _parse_records,
     )
     from repro.storage.pagestore import SqlitePageStore, open_page_store
-    from repro.wire import decode as _decode
+    from repro.wire import decode as _decode, encode as _encode
 
     data_dir = args.data_dir
     if not os.path.isdir(data_dir):
@@ -417,6 +419,10 @@ def cmd_store_inspect(args, out) -> int:
             print("backend: sqlite", file=out)
             print(f"pages.db: {_file_size(SqlitePageStore.FILE)} bytes",
                   file=out)
+            print(f"manifest: {len(blob)} bytes ({manifest['format']})",
+                  file=out)
+            if manifest["format"] != _MANIFEST_FORMAT:
+                raise CliError(f"this build reads only {_MANIFEST_FORMAT!r}")
             print(f"checkpoint generation: {manifest['gen']}", file=out)
             print(f"top root: {manifest['root'].hex()}", file=out)
             print(f"spec: {manifest['spec']}", file=out)
@@ -440,6 +446,10 @@ def cmd_store_inspect(args, out) -> int:
                       f"{len(record['superseded'])} superseded awaiting the "
                       f"next rewrite; next page id {record['next_page']}",
                       file=out)
+            # The dedup table is written whole, inside the manifest.
+            for user, pairs in sorted(manifest["dedup"].items()):
+                print(f"user {user}: {len(pairs)} remembered response(s), "
+                      f"{len(_encode(pairs))} manifest bytes", file=out)
             for gen_key in sorted(manifest["segments"], key=int):
                 size = _file_size(
                     f"{SEGMENT_PREFIX}{gen_key}{SEGMENT_SUFFIX}")

@@ -76,7 +76,7 @@ from repro.protocols.base import (
     ServerState,
 )
 from repro.protocols.protocol1 import DEFER_FOLLOWUP_KEY
-from repro.net.core import DEDUP_WINDOW, SNAPSHOT_EVERY, ServerCore
+from repro.net.core import SNAPSHOT_EVERY, ServerCore
 from repro.net.framing import (
     FramingError,
     async_recv_message,
@@ -150,7 +150,6 @@ class AsyncTrustedCvsServer:
         snapshot_every: int = SNAPSHOT_EVERY,
         fsync: bool = True,
         attack=None,
-        dedup_window: int = DEDUP_WINDOW,
         batch_max: int = BATCH_MAX,
         drain_timeout: float = DRAIN_TIMEOUT_SECONDS,
         shards: int = 1,
@@ -169,8 +168,8 @@ class AsyncTrustedCvsServer:
                                protocol=protocol, state=state,
                                data_dir=data_dir,
                                snapshot_every=snapshot_every, fsync=fsync,
-                               attack=attack, dedup_window=dedup_window,
-                               shards=shards, replicator=replicator,
+                               attack=attack, shards=shards,
+                               replicator=replicator,
                                backend=backend, io=io, lock=lock)
         self._queue: asyncio.Queue = asyncio.Queue()
         self._parked: list[_Work] = []
@@ -627,7 +626,6 @@ def serve_in_thread(
     fsync: bool = True,
     attack=None,
     batch_max: int = BATCH_MAX,
-    dedup_window: int = DEDUP_WINDOW,
     shards: int = 1,
     replicator=None,
     backend: str = "file",
@@ -651,7 +649,7 @@ def serve_in_thread(
             order=order, database=database, port=port, protocol=protocol,
             state=state, block_timeout=block_timeout, data_dir=data_dir,
             snapshot_every=snapshot_every, fsync=fsync, attack=attack,
-            batch_max=batch_max, dedup_window=dedup_window, shards=shards,
+            batch_max=batch_max, shards=shards,
             replicator=replicator, backend=backend, io=io, lock=lock)
         await server.start()
         return server

@@ -63,7 +63,7 @@ from repro.storage.atomic import atomic_write
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import (
-    DeviationDetected, ErrorReply, Followup, Request, Response)
+    DEDUP_WINDOW, DeviationDetected, ErrorReply, Followup, Request, Response)
 # sync_check / count_sync_check are the protocols' own predicates,
 # importable from here (and repro.net) under the names deployments use.
 from repro.protocols.protocol1 import SignedRootChain, count_sync_check
@@ -221,8 +221,9 @@ class _Session:
     protocol = ""
     #: operations kept in flight unless the constructor is given another
     #: ``window``; stop-and-wait is the window of one, and what the
-    #: command line runs every CVS verb on.  The server's dedup window
-    #: (256) must stay comfortably above whatever is used.
+    #: command line runs every CVS verb on.  No window is deeper than
+    #: what the server remembers per user (``DEDUP_WINDOW``): a lost
+    #: connection resends the whole window verbatim.
     window = 1
     #: whether a lost connection is replaced by a new one
     reconnects = True
@@ -240,6 +241,11 @@ class _Session:
             self.window = window
         if self.window < 1:
             raise ValueError("pipeline window must be at least 1")
+        if self.window > DEDUP_WINDOW:
+            raise ValueError(
+                f"pipeline window {self.window} is deeper than the "
+                f"{DEDUP_WINDOW} responses the server remembers per user: "
+                "a resent window could execute twice")
         #: submitted and not yet answered, oldest first
         self._inflight: deque[tuple[Query, Request]] = deque()
         #: messages not yet written.  They go out in one ``sendall``

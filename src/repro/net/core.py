@@ -28,6 +28,7 @@ from repro.mtree.database import VerifiedDatabase, query_defect
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import (
+    DEDUP_WINDOW,
     ErrorReply,
     Followup,
     Request,
@@ -45,12 +46,6 @@ from repro.storage.pagestore import StorageError
 #: write a snapshot (and truncate the WAL) every this many logged
 #: messages; bounds replay work after a crash.
 SNAPSHOT_EVERY = 256
-
-#: how many recent (request id, response) pairs the server remembers
-#: per user.  Must be at least as large as the deepest client pipeline
-#: window, or a reconnecting pipelined client's verbatim resend could
-#: re-execute its oldest in-flight operations.
-DEDUP_WINDOW = 256
 
 _WAL_APPENDS = _registry.counter(
     "server.wal_appends", "messages durably logged before execution")
@@ -81,7 +76,10 @@ class DedupTable:
     in-flight operations that reconnects resends *all* W verbatim, and
     any of them may or may not have executed before the crash.  Keeping
     the last ``window`` responses per user makes the verbatim resend of
-    a whole window answerable without re-execution.
+    a whole window answerable without re-execution.  The server's table
+    holds :data:`~repro.protocols.base.DEDUP_WINDOW`, which is also the
+    deepest window a session will open; another ``window`` is for unit
+    tests.
     """
 
     def __init__(self, window: int = DEDUP_WINDOW) -> None:
@@ -137,7 +135,6 @@ class ServerCore:
         snapshot_every: int = SNAPSHOT_EVERY,
         fsync: bool = True,
         attack=None,
-        dedup_window: int = DEDUP_WINDOW,
         shards: int = 1,
         replicator=None,
         backend: str = "file",
@@ -148,7 +145,7 @@ class ServerCore:
         self._shards = shards
         self.snapshot_every = snapshot_every
         self._round = 0
-        self.dedup = DedupTable(dedup_window)
+        self.dedup = DedupTable()
         self._ops_since_snapshot = 0
         self.store: ServerStore | None = None
         self.replayed_records = 0

@@ -61,7 +61,7 @@ from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.persistence import PersistenceError, dump_database, load_database
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.protocols.base import Followup, Request
+from repro.protocols.base import Followup, Request, Response
 from repro.storage.atomic import DirLock, atomic_write
 from repro.storage.engine import (
     KIND_ENTRIES,
@@ -117,12 +117,21 @@ def _chain_next(head: Digest, payload: bytes) -> Digest:
 def _recorded_state(fields: dict, what: str) -> tuple:
     """``(ctr, meta, dedup, root, chain, prev_chain)`` as a snapshot or
     a manifest records them.  ``dedup`` maps user -> ordered (rid,
-    response) pairs; ``prev_chain`` is what proves a leftover WAL
-    merely stale, and a record without one is corrupt."""
+    response) pairs, and anything else in it is refused here, by name:
+    a table that loaded without it would let that resend execute twice.
+    ``prev_chain`` is what proves a leftover WAL merely stale, and a
+    record without one is corrupt."""
     try:
         ctr, meta = int(fields["ctr"]), dict(fields["meta"])
         dedup = {user: [tuple(pair) for pair in pairs]
                  for user, pairs in dict(fields["dedup"]).items()}
+        for user, pairs in dedup.items():
+            for n, pair in enumerate(pairs):
+                if not (len(pair) == 2 and isinstance(pair[0], str)
+                        and isinstance(pair[1], Response)):
+                    raise ValueError(
+                        f"dedup entry {n} of user {user!r} is not a "
+                        "(request id, response) pair")
         root, chain, prev_chain = (
             fields["root"], fields["chain"], fields["prev_chain"])
         if not isinstance(prev_chain, Digest):
@@ -291,7 +300,7 @@ class ServerStore:
         if not isinstance(fields, dict):
             raise WalError("corrupt snapshot: meta section is not a dict")
         ctr, meta, dedup, root, chain, self._prev_chain = \
-            _recorded_state(fields, "snapshot")
+            _recorded_state(fields, f"snapshot {self.snapshot_path}")
         if database.root_digest() != root:
             raise WalError(
                 "snapshot tree does not hash to its recorded root digest")

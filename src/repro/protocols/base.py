@@ -86,6 +86,14 @@ class ServerState:
 #: replayed id from that table instead of executing the query again.
 RID_KEY = "rid"
 
+#: how many recent (request id, response) pairs the server remembers
+#: per user, and therefore the deepest window a session may open: a
+#: reconnecting session resends its whole window verbatim, and every
+#: one of those ids must still be answerable without re-execution.
+#: Both sides import it -- the server sizes its table with it, the
+#: client refuses to open a window above it.
+DEDUP_WINDOW = 64
+
 #: ``extras`` key naming the requesting user on the wire.
 USER_KEY = "user"
 

@@ -46,6 +46,8 @@ _PAGES_READ = _registry.counter(
     "storage.pages_read", "checkpoint pages read back (checksum verified)")
 _PAGE_BYTES = _registry.counter(
     "storage.page_bytes_written", "page payload bytes written")
+_META_BYTES = _registry.counter(
+    "storage.meta_bytes_written", "meta record bytes written (the manifest)")
 _CHECKSUM_FAILURES = _registry.counter(
     "storage.checksum_failures", "pages rejected by checksum verification")
 
@@ -227,6 +229,8 @@ class MemoryPageStore(PageStore):
 
     def put_meta(self, key: str, value: bytes) -> None:
         self._stage(lambda: self._meta.__setitem__(key, value))
+        if _obs.enabled:
+            _META_BYTES.inc(len(value))
 
     def get_meta(self, key: str) -> bytes | None:
         return self._meta.get(key)
@@ -399,6 +403,8 @@ class SqlitePageStore(PageStore):
             raise StorageError("put_meta outside a transaction")
         self._conn.execute(
             "INSERT OR REPLACE INTO meta VALUES (?,?)", (key, value))
+        if _obs.enabled:
+            _META_BYTES.inc(len(value))
 
     def get_meta(self, key: str) -> bytes | None:
         row = self._conn.execute(

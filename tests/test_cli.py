@@ -223,6 +223,32 @@ class TestStoreInspect:
         assert leaves[int(changed["shard"])] > 5
         assert f"shard {other['shard']}: gen 1, prev gen 0" in text
         assert "segment 2:" in text and "segment 1:" in text
+        assert "bytes (cvs-paged-store 2)" in lines[lines.index(
+            f"pages.db: {size} bytes") + 1]
+        # 61 answers given, the window's worth remembered
+        assert "user u: 61 remembered response(s), " in text
+
+    def test_directory_of_another_format(self, tmp_path):
+        import sqlite3
+
+        from repro.net import ServerCore
+        from repro.wire import decode, encode
+
+        data_dir = str(tmp_path / "server")
+        ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                   fsync=False).close_store()
+        conn = sqlite3.connect(os.path.join(data_dir, "pages.db"))
+        (blob,) = conn.execute(
+            "SELECT value FROM meta WHERE key='checkpoint'").fetchone()
+        manifest = decode(bytes(blob))
+        manifest["format"] = "cvs-paged-store 9"
+        manifest["dedup"] = {"u": [0, 0, 3]}  # no table this build reads
+        conn.execute("UPDATE meta SET value=? WHERE key='checkpoint'",
+                     (encode(manifest),))
+        conn.commit()
+        conn.close()
+        text = run(["store-inspect", data_dir], expect=2)
+        assert "(cvs-paged-store 9)" in text
 
     def test_not_a_store(self, tmp_path):
         run(["store-inspect", str(tmp_path / "absent")], expect=2)

@@ -41,7 +41,7 @@ from repro.net import (
 from repro.net.replication import (
     ATTEST_KEY, DEPOSIT_KEY, FETCH_KEY, HEAD_KEY, META_DEPOSITS, witness_name)
 from repro.net.wal import ServerStore, chain_genesis
-from repro.protocols.base import ErrorReply, Request, ServerState
+from repro.protocols.base import ErrorReply, Request, Response, ServerState
 from repro.protocols.protocol1 import Protocol1Server
 from repro.protocols.protocol2 import Protocol2Server, XorRegisters
 
@@ -60,17 +60,20 @@ class TestServerStore:
         store = ServerStore(str(tmp_path))
         state = ServerState(database=VerifiedDatabase(order=4))
         Protocol2Server().initialize(state)
+        answers = []
         for i in range(30):
-            state.database.execute(WriteQuery(f"k{i}".encode(), b"v"))
+            answers.append(Response(result=state.database.execute(
+                WriteQuery(f"k{i}".encode(), b"v"))))
             state.ctr += 1
-        store.write_snapshot(state, {"alice": [("alice:2", None), ("alice:3", None)]})
+        remembered = {"alice": [("alice:2", answers[2]), ("alice:3", answers[3])]}
+        store.write_snapshot(state, remembered)
         loaded = store.load_snapshot()
         assert loaded is not None
         database, ctr, meta, dedup, chain = loaded
         assert database.root_digest() == state.database.root_digest()
         assert ctr == 30
         assert meta == state.meta
-        assert dedup == {"alice": [("alice:2", None), ("alice:3", None)]}
+        assert dedup == remembered
         assert chain == chain_genesis(state.database.root_digest())
 
     def test_wal_append_and_replay(self, tmp_path):
@@ -763,6 +766,10 @@ class TestPagedStoreCrashMatrix:
         assert executed >= len(acked)
         assert fresh.state.database.root_digest() == \
             _reference_root(executed, _OPS, shards=2)
+        # every response given before the crash is still remembered
+        uninterrupted = ServerCore(order=4, shards=2)
+        _run_ops(uninterrupted, _OPS[:executed])
+        assert fresh.dedup.export() == uninterrupted.dedup.export()
         # and the store keeps working after recovery
         fresh.apply_request("u", _request("u", b"post", b"crash", 999))
         assert fresh.state.database.get(b"post") == b"crash"

@@ -13,6 +13,7 @@ import sqlite3
 
 import pytest
 
+from repro import obs
 from repro.storage.faults import FaultyIO
 from repro.storage.pagestore import (
     CorruptPageError,
@@ -72,6 +73,17 @@ class TestContract:
         store.commit()
         assert store.get_meta("checkpoint") == b"\x00\x01binary"
         assert store.get_meta("absent") is None
+
+    def test_written_bytes_are_counted_by_table(self, store):
+        """``page_bytes_written`` counts pages and never saw a meta
+        record; ``meta_bytes_written`` is where the manifest shows."""
+        obs.enable()
+        store.begin()
+        store.write_page("entries", 3, 0, 7, b"x" * 100)
+        store.put_meta("checkpoint", b"m" * 40)
+        store.commit()
+        assert obs.registry.counter("storage.page_bytes_written").total() == 100
+        assert obs.registry.counter("storage.meta_bytes_written").total() == 40
 
     def test_generations_and_drop(self, store):
         _fill(store, gen=0)
