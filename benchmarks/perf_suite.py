@@ -3,10 +3,10 @@
 Times the code paths every protocol operation funnels through --
 digest XOR algebra, tagged-state hashing, Merkle VO build+verify
 round-trips (one tree and a forest of 8) and the forest's batched root
-refresh, RSA sign/verify, server-state snapshots, wire encoding,
-the page store's incremental checkpoint and streaming load, and an
-E12-style 32-user Protocol II makespan -- and persists the numbers as
-JSON so the perf trajectory is diffable across PRs.
+refresh, RSA sign/verify, server-state snapshots, wire encoding and
+decoding, the page store's incremental checkpoint and streaming load,
+and an E12-style 32-user Protocol II makespan -- and persists the
+numbers as JSON so the perf trajectory is diffable across PRs.
 
 Usage::
 
@@ -47,7 +47,7 @@ from repro.crypto.hashing import Digest, hash_bytes, hash_tagged_state, xor_all
 from repro.core.scenarios import build_simulation
 from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
 from repro.net.wal import PagedServerStore
-from repro.protocols.base import ServerState
+from repro.protocols.base import Response, ServerState
 from repro.protocols.verify import derive_outcome
 from repro.simulation.workload import steady_workload
 from repro import wire
@@ -203,6 +203,16 @@ def measure(quick: bool = False) -> dict[str, float]:
         assert loaded[0].root_digest() == paged.root_digest()
     metrics["pagestore_incremental_checkpoint_ms"] = statistics.median(checkpoints)
     metrics["pagestore_load_ms"] = statistics.median(loads)
+
+    # -- wire decoding: what a p2_mixed_pipelined client reads per op, a
+    # Protocol II answer to a point read on that same 8-shard store --
+    frame = wire.encode(Response(result=paged.execute(ReadQuery(key=hot[0])),
+                                 extras={"ctr": 7, "last_user": "u0"}))
+    def decode_frame():
+        for _ in range(16):
+            wire.decode(frame)
+    metrics["wire_decode_mb_per_s"] = _rate(
+        decode_frame, min_time=min_time, batch=16) * len(frame) / 1e6
 
     # -- E12-style makespan wall time --------------------------------------
     n_users = 8 if quick else 32

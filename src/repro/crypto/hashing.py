@@ -76,9 +76,9 @@ class Digest:
 
     @classmethod
     def _from_hash(cls, value: bytes) -> "Digest":
-        """Fast internal constructor for trusted 32-byte hasher output
-        (skips the public constructor's type/length validation and
-        defensive copy)."""
+        """Fast internal constructor for 32 trusted ``bytes``: hasher
+        output, or a slice the wire decoder has length-checked (skips the
+        public constructor's type/length validation and defensive copy)."""
         digest = object.__new__(cls)
         digest._value = value
         digest._int = int.from_bytes(value, "big")

@@ -15,35 +15,29 @@ them a real byte-level encoding, for two reasons:
 Format: a tagged, length-prefixed TLV encoding.  Every value is
 ``tag(1B) || payload``; variable-length payloads carry a 4-byte
 big-endian length.  Deterministic: equal objects encode identically.
+
+The codec is two dispatch tables.  The encoder looks an encoder up by
+the value's exact type and appends into one ``bytearray``; a type seen
+for the first time is resolved once, in the closed universe's order
+(``bool`` before ``int``, a subclass as its base).  The decoder indexes
+a 256-entry table by the tag byte; every entry maps ``(data, pos,
+depth)`` to ``(value, next pos)``.  Each record type's field layout is
+written once, in ``_RECORDS``, and both tables are built from it.
 """
 
 from __future__ import annotations
 
 import struct
+from operator import attrgetter
 
 from repro.crypto.hashing import DIGEST_SIZE, Digest
 from repro.crypto.signatures import Signature
 from repro.mtree.database import (
-    DeleteQuery,
-    QueryResult,
-    RangeQuery,
-    ReadQuery,
-    WriteQuery,
-)
-from repro.mtree.forest import (
-    ForestRangeProof,
-    ForestReadProof,
-    ForestUpdateProof,
-)
+    DeleteQuery, QueryResult, RangeQuery, ReadQuery, WriteQuery)
+from repro.mtree.forest import ForestRangeProof, ForestReadProof, ForestUpdateProof
 from repro.mtree.proofs import (
-    FringeNode,
-    InternalSnapshot,
-    LeafSnapshot,
-    RangeProof,
-    ReadProof,
-    SiblingPair,
-    UpdateProof,
-)
+    FringeNode, InternalSnapshot, LeafSnapshot, ProofError, RangeProof,
+    ReadProof, SiblingPair, UpdateProof)
 from repro.protocols.base import ErrorReply, Followup, Request, Response
 from repro.protocols.protocol3 import EpochDeposit
 
@@ -56,323 +50,273 @@ class WireError(Exception):
 #: so a future decoder can refuse bytes written by an incompatible one.
 CODEC_VERSION = 1
 
+_MAX_DEPTH = 256  # how deep lists, dicts and records nest: see decode()
+_TRUNCATED = "truncated wire data"
+_TOO_DEEP = f"frame nests deeper than {_MAX_DEPTH} levels"
 
-# One tag byte per type in the closed universe.
-_TAGS = {
-    "none": 0x00, "false": 0x01, "true": 0x02, "int": 0x03, "str": 0x04,
-    "bytes": 0x05, "digest": 0x06, "list": 0x07, "dict": 0x08,
-    "float": 0x09,
-    "read_query": 0x10, "range_query": 0x11, "write_query": 0x12,
-    "delete_query": 0x13,
-    "leaf_snapshot": 0x20, "internal_snapshot": 0x21, "read_proof": 0x22,
-    "range_proof": 0x23, "fringe_node": 0x24, "update_proof": 0x25,
-    "sibling_pair": 0x26, "query_result": 0x27,
-    "forest_read_proof": 0x28, "forest_update_proof": 0x29,
-    "forest_range_proof": 0x2A,
-    "signature": 0x30, "epoch_deposit": 0x31,
-    "root_deposit": 0x32, "root_attestation": 0x33,
-    "request": 0x40, "response": 0x41, "followup": 0x42,
-    "error_reply": 0x43,
-}
-_NAMES = {tag: name for name, tag in _TAGS.items()}
+# Primitive tags: none 0, false 1, true 2, int 3, str 4, bytes 5,
+# digest 6, list 7, dict 8, float 9.  The record tags are in _RECORDS.
+_BYTES, _DIGEST = 5, 6
+
+_U32, _I64, _F64 = struct.Struct(">I"), struct.Struct(">q"), struct.Struct(">d")
+_pack_u32, _unpack_u32 = _U32.pack, _U32.unpack_from
+_from_hash = Digest._from_hash
+
+# Length prefixes of short byte strings, prebuilt: most of a VO is keys.
+_SHORT = 256
+_LENGTHS = tuple(_pack_u32(size) for size in range(_SHORT))
+_BYTES_HEADS = tuple(b"\x05" + length for length in _LENGTHS)
 
 
-def _pack_length(n: int) -> bytes:
-    return struct.pack(">I", n)
+# -- encoding -----------------------------------------------------------------
 
 
-# Single-byte tag frames, prebuilt so the encoder appends constants
-# into one growing bytearray instead of assembling throwaway objects.
-_TAG_BYTES = {name: bytes([tag]) for name, tag in _TAGS.items()}
+def _encode_none(value, out: bytearray) -> None:
+    out += b"\x00"
 
 
-def _encode_raw(data: bytes, out: bytearray) -> None:
-    out += _pack_length(len(data))
+def _encode_bool(value, out: bytearray) -> None:
+    out += b"\x02" if value else b"\x01"
+
+
+def _encode_int(value, out: bytearray) -> None:
+    try:
+        out += b"\x03" + _I64.pack(value)
+    except struct.error:
+        raise WireError(f"int {value} does not fit in 64 bits") from None
+
+
+def _encode_float(value, out: bytearray) -> None:
+    out += b"\x09" + _F64.pack(value)
+
+
+def _encode_str(value, out: bytearray) -> None:
+    data = value.encode("utf-8")
+    out += b"\x04" + _pack_u32(len(data))
     out += data
 
 
-def _encode_value(value: object, out: bytearray) -> None:
-    if value is None:
-        out += _TAG_BYTES["none"]
-    elif value is True:
-        out += _TAG_BYTES["true"]
-    elif value is False:
-        out += _TAG_BYTES["false"]
-    elif isinstance(value, int):
-        out += _TAG_BYTES["int"]
-        out += struct.pack(">q", value)
-    elif isinstance(value, float):
-        out += _TAG_BYTES["float"]
-        out += struct.pack(">d", value)
-    elif isinstance(value, str):
-        out += _TAG_BYTES["str"]
-        _encode_raw(value.encode("utf-8"), out)
-    elif isinstance(value, (bytes, bytearray)):
-        out += _TAG_BYTES["bytes"]
-        _encode_raw(bytes(value), out)
-    elif isinstance(value, Digest):
-        out += _TAG_BYTES["digest"]
-        out += value.value
-    elif isinstance(value, (list, tuple)):
-        out += _TAG_BYTES["list"]
-        out += _pack_length(len(value))
-        for item in value:
-            _encode_value(item, out)
-    elif isinstance(value, dict):
-        out += _TAG_BYTES["dict"]
-        out += _pack_length(len(value))
-        for key in sorted(value, key=repr):
-            _encode_value(key, out)
-            _encode_value(value[key], out)
-    elif isinstance(value, ReadQuery):
-        out += _TAG_BYTES["read_query"]
-        _encode_raw(value.key, out)
-    elif isinstance(value, RangeQuery):
-        out += _TAG_BYTES["range_query"]
-        _encode_raw(value.low, out)
-        _encode_raw(value.high, out)
-    elif isinstance(value, WriteQuery):
-        out += _TAG_BYTES["write_query"]
-        _encode_raw(value.key, out)
-        _encode_raw(value.value, out)
-    elif isinstance(value, DeleteQuery):
-        out += _TAG_BYTES["delete_query"]
-        _encode_raw(value.key, out)
-    elif isinstance(value, LeafSnapshot):
-        out += _TAG_BYTES["leaf_snapshot"]
-        _encode_value(list(value.keys), out)
-        _encode_value(list(value.entry_digests), out)
-    elif isinstance(value, InternalSnapshot):
-        out += _TAG_BYTES["internal_snapshot"]
-        _encode_value(list(value.keys), out)
-        _encode_value(list(value.child_digests), out)
-    elif isinstance(value, ReadProof):
-        out += _TAG_BYTES["read_proof"]
-        _encode_raw(value.key, out)
-        _encode_value(value.value, out)
-        _encode_value(list(value.internals), out)
-        _encode_value(value.leaf, out)
-    elif isinstance(value, FringeNode):
-        out += _TAG_BYTES["fringe_node"]
-        _encode_value(list(value.keys), out)
-        _encode_value(list(value.children), out)
-    elif isinstance(value, RangeProof):
-        out += _TAG_BYTES["range_proof"]
-        _encode_raw(value.low, out)
-        _encode_raw(value.high, out)
-        _encode_value(value.root, out)
-        _encode_value([list(entry) for entry in value.entries], out)
-    elif isinstance(value, SiblingPair):
-        out += _TAG_BYTES["sibling_pair"]
-        _encode_value(value.left, out)
-        _encode_value(value.right, out)
-    elif isinstance(value, UpdateProof):
-        out += _TAG_BYTES["update_proof"]
-        _encode_value(value.operation, out)
-        _encode_raw(value.key, out)
-        _encode_value(list(value.internals), out)
-        _encode_value(value.leaf, out)
-        _encode_value(list(value.siblings), out)
-    elif isinstance(value, ForestReadProof):
-        out += _TAG_BYTES["forest_read_proof"]
-        _encode_value(value.shard, out)
-        _encode_value(value.inner, out)
-        _encode_value(value.top, out)
-    elif isinstance(value, ForestUpdateProof):
-        out += _TAG_BYTES["forest_update_proof"]
-        _encode_value(value.operation, out)
-        _encode_value(value.shard, out)
-        _encode_value(value.inner, out)
-        _encode_value(value.top, out)
-    elif isinstance(value, ForestRangeProof):
-        out += _TAG_BYTES["forest_range_proof"]
-        _encode_raw(value.low, out)
-        _encode_raw(value.high, out)
-        _encode_value(list(value.shard_proofs), out)
-        _encode_value(value.top, out)
-        _encode_value([list(entry) for entry in value.entries], out)
-    elif isinstance(value, QueryResult):
-        out += _TAG_BYTES["query_result"]
-        _encode_value(value.answer, out)
-        _encode_value(value.proof, out)
-    elif isinstance(value, Signature):
-        out += _TAG_BYTES["signature"]
-        _encode_value(value.signer_id, out)
-        _encode_value(value.digest, out)
-        _encode_raw(value.raw, out)
-    elif isinstance(value, EpochDeposit):
-        out += _TAG_BYTES["epoch_deposit"]
-        _encode_value(value.user_id, out)
-        _encode_value(value.epoch, out)
-        _encode_value(value.sigma, out)
-        _encode_value(value.last, out)
-        _encode_value(value.signature, out)
-    elif isinstance(value, RootDeposit):
-        out += _TAG_BYTES["root_deposit"]
-        _encode_value(value.primary_id, out)
-        _encode_value(value.ctr, out)
-        _encode_value(value.root, out)
-        _encode_value(value.signature, out)
-    elif isinstance(value, RootAttestation):
-        out += _TAG_BYTES["root_attestation"]
-        _encode_value(value.witness_id, out)
-        _encode_value(value.deposit, out)
-        _encode_value(value.signature, out)
-    elif isinstance(value, Request):
-        out += _TAG_BYTES["request"]
-        _encode_value(value.query, out)
-        _encode_value(value.extras, out)
-    elif isinstance(value, Response):
-        out += _TAG_BYTES["response"]
-        _encode_value(value.result, out)
-        _encode_value(value.extras, out)
-    elif isinstance(value, Followup):
-        out += _TAG_BYTES["followup"]
-        _encode_value(value.extras, out)
-    elif isinstance(value, ErrorReply):
-        out += _TAG_BYTES["error_reply"]
-        _encode_value(value.reason, out)
-        _encode_value(value.extras, out)
-    else:
-        raise WireError(f"cannot encode {type(value).__name__}")
+def _encode_bytes(value, out: bytearray) -> None:
+    size = len(value)
+    out += _BYTES_HEADS[size] if size < _SHORT else b"\x05" + _pack_u32(size)
+    out += value
+
+
+def _encode_digest(value, out: bytearray) -> None:
+    out += b"\x06"
+    out += value._value
+
+
+def _encode_sequence(value, out: bytearray) -> None:
+    out += b"\x07" + _pack_u32(len(value))
+    for item in value:
+        cls = type(item)
+        if cls is Digest:
+            out += b"\x06"
+            out += item._value
+        elif cls is bytes:
+            size = len(item)
+            out += _BYTES_HEADS[size] if size < _SHORT else b"\x05" + _pack_u32(size)
+            out += item
+        else:
+            _ENCODERS[cls](item, out)
+
+
+def _encode_dict(value, out: bytearray) -> None:
+    out += b"\x08" + _pack_u32(len(value))
+    for key in sorted(value, key=repr):
+        _ENCODERS[type(key)](key, out)
+        item = value[key]
+        _ENCODERS[type(item)](item, out)
+
+
+def _record_encoder(tag: int, names: tuple, raws: tuple):
+    head = bytes((tag,))
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else (lambda value: (get(value),))
+
+    def encode_record(value, out: bytearray) -> None:
+        out += head
+        for raw, field in zip(raws, fields(value)):
+            if raw:
+                size = len(field)
+                out += _LENGTHS[size] if size < _SHORT else _pack_u32(size)
+                out += field
+            else:
+                _ENCODERS[type(field)](field, out)
+
+    def encode_values(value, out: bytearray) -> None:
+        out += head
+        for field in fields(value):
+            _ENCODERS[type(field)](field, out)
+
+    return encode_record if any(raws) else encode_values
+
+
+#: ``(type, encoder)`` in resolution order; the records are appended
+#: where the table is built, below.  No record type subclasses another
+#: or a primitive, so their relative order does not matter.
+_RESOLUTION: list = [
+    (type(None), _encode_none),
+    (bool, _encode_bool),
+    (int, _encode_int),
+    (float, _encode_float),
+    (str, _encode_str),
+    ((bytes, bytearray), _encode_bytes),
+    (Digest, _encode_digest),
+    ((list, tuple), _encode_sequence),
+    (dict, _encode_dict),
+]
+
+
+class _Encoders(dict):
+    """``type -> encoder``, filled on first sight of each type.  What
+    it caches is a pure function of the type, so one table serves every
+    thread and caller."""
+
+    def __missing__(self, cls: type):
+        for kind, encoder in _RESOLUTION:
+            if issubclass(cls, kind):
+                self[cls] = encoder
+                return encoder
+        raise WireError(f"cannot encode {cls.__name__}")
+
+
+_ENCODERS = _Encoders()
 
 
 def encode(message: object) -> bytes:
     """Serialise any message/value in the closed universe."""
     out = bytearray()
-    _encode_value(message, out)
+    _ENCODERS[type(message)](message, out)
     return bytes(out)
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise WireError("truncated wire data")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def length(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def raw(self) -> bytes:
-        return self.take(self.length())
+# -- decoding -----------------------------------------------------------------
 
 
-def _decode_value(reader: _Reader) -> object:
-    tag = reader.take(1)[0]
-    name = _NAMES.get(tag)
-    if name is None:
-        raise WireError(f"unknown wire tag 0x{tag:02x}")
-    if name == "none":
-        return None
-    if name == "true":
-        return True
-    if name == "false":
-        return False
-    if name == "int":
-        return struct.unpack(">q", reader.take(8))[0]
-    if name == "float":
-        return struct.unpack(">d", reader.take(8))[0]
-    if name == "str":
-        return reader.raw().decode("utf-8")
-    if name == "bytes":
-        return reader.raw()
-    if name == "digest":
-        return Digest(reader.take(DIGEST_SIZE))
-    if name == "list":
-        return tuple(_decode_value(reader) for _ in range(reader.length()))
-    if name == "dict":
-        count = reader.length()
-        return {_decode_value(reader): _decode_value(reader) for _ in range(count)}
-    if name == "read_query":
-        return ReadQuery(key=reader.raw())
-    if name == "range_query":
-        return RangeQuery(low=reader.raw(), high=reader.raw())
-    if name == "write_query":
-        return WriteQuery(key=reader.raw(), value=reader.raw())
-    if name == "delete_query":
-        return DeleteQuery(key=reader.raw())
-    if name == "leaf_snapshot":
-        return LeafSnapshot(keys=_decode_value(reader),
-                            entry_digests=_decode_value(reader))
-    if name == "internal_snapshot":
-        return InternalSnapshot(keys=_decode_value(reader),
-                                child_digests=_decode_value(reader))
-    if name == "read_proof":
-        return ReadProof(key=reader.raw(), value=_decode_value(reader),
-                         internals=_decode_value(reader), leaf=_decode_value(reader))
-    if name == "fringe_node":
-        return FringeNode(keys=_decode_value(reader), children=_decode_value(reader))
-    if name == "range_proof":
-        low, high = reader.raw(), reader.raw()
-        root = _decode_value(reader)
-        entries = tuple(tuple(entry) for entry in _decode_value(reader))
-        return RangeProof(low=low, high=high, root=root, entries=entries)
-    if name == "sibling_pair":
-        return SiblingPair(left=_decode_value(reader), right=_decode_value(reader))
-    if name == "update_proof":
-        return UpdateProof(operation=_decode_value(reader), key=reader.raw(),
-                           internals=_decode_value(reader), leaf=_decode_value(reader),
-                           siblings=_decode_value(reader))
-    if name == "forest_read_proof":
-        return ForestReadProof(shard=_decode_value(reader),
-                               inner=_decode_value(reader),
-                               top=_decode_value(reader))
-    if name == "forest_update_proof":
-        return ForestUpdateProof(operation=_decode_value(reader),
-                                 shard=_decode_value(reader),
-                                 inner=_decode_value(reader),
-                                 top=_decode_value(reader))
-    if name == "forest_range_proof":
-        low, high = reader.raw(), reader.raw()
-        shard_proofs = _decode_value(reader)
-        top = _decode_value(reader)
-        entries = tuple(tuple(entry) for entry in _decode_value(reader))
-        return ForestRangeProof(low=low, high=high, shard_proofs=shard_proofs,
-                                top=top, entries=entries)
-    if name == "query_result":
-        return QueryResult(answer=_decode_value(reader), proof=_decode_value(reader))
-    if name == "signature":
-        return Signature(signer_id=_decode_value(reader),
-                         digest=_decode_value(reader), raw=reader.raw())
-    if name == "epoch_deposit":
-        return EpochDeposit(user_id=_decode_value(reader), epoch=_decode_value(reader),
-                            sigma=_decode_value(reader), last=_decode_value(reader),
-                            signature=_decode_value(reader))
-    if name == "root_deposit":
-        primary_id, ctr = _decode_value(reader), _decode_value(reader)
-        root, signature = _decode_value(reader), _decode_value(reader)
-        if not isinstance(primary_id, str) or not isinstance(ctr, int) \
-                or not isinstance(root, Digest) \
-                or not isinstance(signature, Signature):
-            raise WireError("malformed root deposit")
-        return RootDeposit(primary_id=primary_id, ctr=ctr, root=root,
-                           signature=signature)
-    if name == "root_attestation":
-        witness_id, deposit = _decode_value(reader), _decode_value(reader)
-        signature = _decode_value(reader)
-        if not isinstance(witness_id, str) \
-                or not isinstance(deposit, RootDeposit) \
-                or not isinstance(signature, Signature):
-            raise WireError("malformed root attestation")
-        return RootAttestation(witness_id=witness_id, deposit=deposit,
-                               signature=signature)
-    if name == "request":
-        return Request(query=_decode_value(reader), extras=_decode_value(reader))
-    if name == "response":
-        return Response(result=_decode_value(reader), extras=_decode_value(reader))
-    if name == "followup":
-        return Followup(extras=_decode_value(reader))
-    if name == "error_reply":
-        return ErrorReply(reason=_decode_value(reader), extras=_decode_value(reader))
-    raise WireError(f"unhandled tag {name!r}")  # pragma: no cover
+def _decode_unknown(data: bytes, pos: int, depth: int):
+    raise WireError(f"unknown wire tag 0x{data[pos - 1]:02x}")
+
+
+def _constant(value):
+    return lambda data, pos, depth: (value, pos)
+
+
+def _fixed(unpack):
+    def decode_fixed(data: bytes, pos: int, depth: int):
+        if pos + 8 > len(data):
+            raise WireError(_TRUNCATED)
+        return unpack(data, pos)[0], pos + 8
+
+    return decode_fixed
+
+
+def _decode_bytes(data: bytes, pos: int, depth: int):
+    """A length-prefixed byte string: the ``bytes`` payload, and every
+    record field the layout table marks raw."""
+    start = pos + 4
+    if start > len(data):
+        raise WireError(_TRUNCATED)
+    end = start + _unpack_u32(data, pos)[0]
+    if end > len(data):
+        raise WireError(_TRUNCATED)
+    return data[start:end], end
+
+
+def _decode_str(data: bytes, pos: int, depth: int):
+    raw, pos = _decode_bytes(data, pos, depth)
+    return raw.decode("utf-8"), pos
+
+
+def _decode_digest(data: bytes, pos: int, depth: int):
+    end = pos + DIGEST_SIZE
+    if end > len(data):
+        raise WireError(_TRUNCATED)
+    return _from_hash(data[pos:end]), end
+
+
+def _decode_list(data: bytes, pos: int, depth: int):
+    if depth >= _MAX_DEPTH:
+        raise WireError(_TOO_DEEP)
+    size = len(data)
+    if pos + 4 > size:
+        raise WireError(_TRUNCATED)
+    count = _unpack_u32(data, pos)[0]
+    pos += 4
+    depth += 1
+    items = []
+    append = items.append
+    for _ in range(count):
+        if pos >= size:
+            raise WireError(_TRUNCATED)
+        tag = data[pos]
+        if tag == _DIGEST:
+            end = pos + 1 + DIGEST_SIZE
+            if end > size:
+                raise WireError(_TRUNCATED)
+            append(_from_hash(data[pos + 1:end]))
+            pos = end
+        elif tag == _BYTES:
+            start = pos + 5
+            if start > size:
+                raise WireError(_TRUNCATED)
+            pos = start + _unpack_u32(data, pos + 1)[0]
+            if pos > size:
+                raise WireError(_TRUNCATED)
+            append(data[start:pos])
+        else:
+            item, pos = _DECODERS[tag](data, pos + 1, depth)
+            append(item)
+    return tuple(items), pos
+
+
+def _decode_dict(data: bytes, pos: int, depth: int):
+    if depth >= _MAX_DEPTH:
+        raise WireError(_TOO_DEEP)
+    size = len(data)
+    if pos + 4 > size:
+        raise WireError(_TRUNCATED)
+    count = _unpack_u32(data, pos)[0]
+    pos += 4
+    depth += 1
+    result = {}
+    for _ in range(count):
+        if pos >= size:
+            raise WireError(_TRUNCATED)
+        key, pos = _DECODERS[data[pos]](data, pos + 1, depth)
+        if pos >= size:
+            raise WireError(_TRUNCATED)
+        result[key], pos = _DECODERS[data[pos]](data, pos + 1, depth)
+    return result, pos
+
+
+def _record_decoder(cls: type, raws: tuple, check):
+    def decode_record(data: bytes, pos: int, depth: int):
+        if depth >= _MAX_DEPTH:
+            raise WireError(_TOO_DEEP)
+        depth += 1
+        args = []
+        for raw in raws:
+            if raw:
+                field, pos = _decode_bytes(data, pos, depth)
+            elif pos >= len(data):
+                raise WireError(_TRUNCATED)
+            else:
+                field, pos = _DECODERS[data[pos]](data, pos + 1, depth)
+            args.append(field)
+        if check is not None:
+            check(args)
+        return cls(*args), pos
+
+    return decode_record
+
+
+_DECODERS = [_decode_unknown] * 256
+_DECODERS[:10] = (_constant(None), _constant(False), _constant(True),
+                  _fixed(_I64.unpack_from), _decode_str, _decode_bytes,
+                  _decode_digest, _decode_list, _decode_dict,
+                  _fixed(_F64.unpack_from))
 
 
 def decode(data: bytes) -> object:
@@ -382,23 +326,29 @@ def decode(data: bytes) -> object:
     a structured field (a digest where a key tuple belongs); the
     dataclass validators then raise -- all such type confusion is a
     wire-format error and is normalised to :class:`WireError`.
+
+    So is a frame whose lists, dicts and records nest more than 256
+    deep.  The deepest frame the encoder produces is a forest range
+    proof remembered in a checkpoint manifest: two levels per tree
+    level (a fringe node and its children) and nine around them.  At
+    the smallest supported order, 3, a tree of fewer than 2**64 keys is
+    at most 65 levels tall, so no frame the encoder produces nests
+    deeper than 139.  Each level costs one Python frame, so 256 stays
+    far below the interpreter's default recursion limit of 1000.
     """
-    reader = _Reader(data)
+    if type(data) is not bytes:
+        data = bytes(data)  # decoded digests and fields share no buffer
     try:
-        value = _decode_value(reader)
+        if not data:
+            raise WireError(_TRUNCATED)
+        value, pos = _DECODERS[data[0]](data, 1, 0)
     except WireError:
         raise
-    except (TypeError, ValueError, IndexError, struct.error) as exc:
+    except (TypeError, ValueError, IndexError, struct.error, ProofError) as exc:
+        # ProofError: the snapshot and proof classes validate their own
+        # invariants with their module's error type
         raise WireError(f"malformed frame: {exc}") from exc
-    except Exception as exc:
-        # snapshot/proof constructors validate their own invariants
-        # with module-specific error types
-        from repro.mtree.proofs import ProofError
-
-        if isinstance(exc, ProofError):
-            raise WireError(f"malformed frame: {exc}") from exc
-        raise
-    if reader.pos != len(data):
+    if pos != len(data):
         raise WireError("trailing bytes after message")
     return value
 
@@ -414,3 +364,72 @@ def wire_size(message: object) -> int:
 # (wire first or repro.net first) cycle-safe.  replication itself is
 # codec-free at module level for the same reason.
 from repro.net.replication import RootAttestation, RootDeposit  # noqa: E402
+
+
+# -- the record layouts: one table, both directions ---------------------------
+
+#: Each record type's tag and fields in wire order (which is also the
+#: dataclass's field order: decoding builds the record positionally).
+#: A field marked ``:raw`` is a length-prefixed byte string with no tag;
+#: every other field is a tagged value.
+_RECORDS = (
+    (ReadQuery, 0x10, "key:raw"),
+    (RangeQuery, 0x11, "low:raw high:raw"),
+    (WriteQuery, 0x12, "key:raw value:raw"),
+    (DeleteQuery, 0x13, "key:raw"),
+    (LeafSnapshot, 0x20, "keys entry_digests"),
+    (InternalSnapshot, 0x21, "keys child_digests"),
+    (ReadProof, 0x22, "key:raw value internals leaf"),
+    (RangeProof, 0x23, "low:raw high:raw root entries"),
+    (FringeNode, 0x24, "keys children"),
+    (UpdateProof, 0x25, "operation key:raw internals leaf siblings"),
+    (SiblingPair, 0x26, "left right"),
+    (QueryResult, 0x27, "answer proof"),
+    (ForestReadProof, 0x28, "shard inner top"),
+    (ForestUpdateProof, 0x29, "operation shard inner top"),
+    (ForestRangeProof, 0x2A, "low:raw high:raw shard_proofs top entries"),
+    (Signature, 0x30, "signer_id digest raw:raw"),
+    (EpochDeposit, 0x31, "user_id epoch sigma last signature"),
+    (RootDeposit, 0x32, "primary_id ctr root signature"),
+    (RootAttestation, 0x33, "witness_id deposit signature"),
+    (Request, 0x40, "query extras"),
+    (Response, 0x41, "result extras"),
+    (Followup, 0x42, "extras"),
+    (ErrorReply, 0x43, "reason extras"),
+)
+
+
+# What a decoded record's field values (in wire order) go through before
+# its class validates them: the range entries' normalisation and the
+# replication records' type checks.
+
+
+def _range_entries(args: list) -> None:
+    args[-1] = tuple(tuple(entry) for entry in args[-1])
+
+
+def _root_deposit(args: list) -> None:
+    primary_id, ctr, root, signature = args
+    if not isinstance(primary_id, str) or not isinstance(ctr, int) \
+            or not isinstance(root, Digest) \
+            or not isinstance(signature, Signature):
+        raise WireError("malformed root deposit")
+
+
+def _root_attestation(args: list) -> None:
+    witness_id, deposit, signature = args
+    if not isinstance(witness_id, str) \
+            or not isinstance(deposit, RootDeposit) \
+            or not isinstance(signature, Signature):
+        raise WireError("malformed root attestation")
+
+
+_CHECKS = {RangeProof: _range_entries, ForestRangeProof: _range_entries,
+           RootDeposit: _root_deposit, RootAttestation: _root_attestation}
+
+for _cls, _tag, _layout in _RECORDS:
+    _names = tuple(field.partition(":")[0] for field in _layout.split())
+    _raws = tuple(field.endswith(":raw") for field in _layout.split())
+    _RESOLUTION.append((_cls, _record_encoder(_tag, _names, _raws)))
+    _DECODERS[_tag] = _record_decoder(_cls, _raws, _CHECKS.get(_cls))
+del _cls, _tag, _layout, _names, _raws

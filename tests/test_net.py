@@ -1,12 +1,22 @@
 """Tests for the TCP deployment layer (real sockets on localhost)."""
 
+import gc
+import logging
 import socket
+import struct
 import threading
 
 import pytest
 
 from helpers import swap_state
 from repro.net import RemoteClient, serve_in_thread, sync_check
+from repro.net.client import RetryPolicy, TransientNetworkError
+from repro.net.framing import FramingError, recv_message
+from repro.wire import WireError
+
+#: A frame of lists nested 5,000 deep: past the codec's bound of 256,
+#: and past the interpreter's recursion limit for a decoder without one.
+DEEP_FRAME = b"\x07\x00\x00\x00\x01" * 5000 + b"\x00"
 
 
 @pytest.fixture
@@ -133,6 +143,21 @@ class TestServerMisbehaviour:
             alice.put(b"still", b"alive")
             assert alice.get(b"still") == b"alive"
 
+    def test_deeply_nested_frame_is_a_malformed_frame(self, server, caplog):
+        """The codec's error path, not asyncio's unhandled-exception
+        path: the handler drops the connection like any garbage frame
+        and leaves nothing for the loop to report."""
+        host, port = server.address
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection((host, port)) as sock:
+                sock.sendall(struct.pack(">I", len(DEEP_FRAME)) + DEEP_FRAME)
+                assert sock.recv(64) == b""
+            with connect(server, "alice") as alice:
+                alice.put(b"still", b"alive")
+                assert alice.get(b"still") == b"alive"
+            gc.collect()
+        assert not [record for record in caplog.records if record.name == "asyncio"]
+
     def test_sync_check_is_anchored_at_the_initial_root(self, server):
         """The registers are derived entirely from VOs; the initial root
         is the *checker's* trust anchor.  Checking against the true
@@ -146,6 +171,46 @@ class TestServerMisbehaviour:
             registers = {"alice": alice.registers()}
         assert sync_check(true_root, registers)
         assert not sync_check(hash_bytes(b"forged genesis"), registers)
+
+
+class TestMalformedAnswers:
+    @pytest.mark.parametrize("answer", [b"\xfe", DEEP_FRAME],
+                             ids=["garbage", "deeply-nested"])
+    def test_client_treats_the_frame_as_malformed(self, answer):
+        """A server answering every request with ``answer``: the session
+        drops the connection and retries, and when the budget is spent
+        reports a transport failure caused by the codec -- a verdict-free
+        failure it can recover from, never an escaping RecursionError."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+        connections = []
+
+        def serve():  # one connection per attempt
+            for _ in range(3):
+                conn, _ = listener.accept()
+                connections.append(conn)
+                try:
+                    while recv_message(conn) is not None:
+                        conn.sendall(struct.pack(">I", len(answer)) + answer)
+                except (OSError, FramingError):  # the client hung up
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            client = RemoteClient(*listener.getsockname(), "alice",
+                                  retry=RetryPolicy(attempts=3, base=0.001))
+            with pytest.raises(TransientNetworkError, match="3 connection") as info:
+                client.get(b"k")
+            assert isinstance(info.value.__cause__, WireError)
+            client.close()
+        finally:
+            listener.close()
+            thread.join(timeout=5)
+            for conn in connections:
+                conn.close()
+        assert not thread.is_alive()
+        assert len(connections) == 3
 
 
 class TestProtocol1OverTcp:

@@ -1,18 +1,34 @@
 """Tests for the binary wire codec."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import wire
 from repro.crypto.hashing import Digest, hash_bytes
-from repro.crypto.signatures import Signer
+from repro.crypto.signatures import Signature, Signer
 from repro.mtree.database import (
     DeleteQuery,
+    QueryResult,
     RangeQuery,
     ReadQuery,
     VerifiedDatabase,
     WriteQuery,
 )
-from repro.protocols.base import Followup, Request, Response
+from repro.mtree.forest import ForestRangeProof, ForestReadProof, ForestUpdateProof
+from repro.mtree.proofs import (
+    FringeNode,
+    InternalSnapshot,
+    LeafSnapshot,
+    RangeProof,
+    ReadProof,
+    SiblingPair,
+    UpdateProof,
+)
+from repro.net.replication import RootAttestation, RootDeposit
+from repro.protocols.base import ErrorReply, Followup, Request, Response, ServerState
+from repro.protocols.protocol2 import Protocol2Server
 from repro.protocols.protocol3 import EpochDeposit
 from repro.wire import WireError, decode, encode, wire_size
 
@@ -67,6 +83,47 @@ class TestPrimitives:
     def test_garbage_tag_rejected(self):
         with pytest.raises(WireError):
             decode(b"\xfe")
+
+    @pytest.mark.parametrize("value", [2 ** 63 - 1, -2 ** 63])
+    def test_int64_bounds_roundtrip(self, value):
+        roundtrip(value)
+
+    @pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, 2 ** 70])
+    def test_int_outside_int64_rejected(self, value):
+        with pytest.raises(WireError, match="64 bits"):
+            encode(value)
+        with pytest.raises(WireError, match="64 bits"):
+            encode({"ctr": value})
+
+
+class TestNesting:
+    """A frame nested past the decoder's bound is malformed, not a
+    ``RecursionError`` escaping every handler above the codec."""
+
+    @pytest.mark.parametrize("frame", [
+        b"\x07\x00\x00\x00\x01" * 5000 + b"\x00",            # lists
+        b"\x08\x00\x00\x00\x01\x00" * 5000 + b"\x00",        # dict values
+        b"\x26" * 5000,                                     # sibling pairs
+        b"\x41" * 5000,                                     # responses
+    ], ids=["lists", "dicts", "sibling-pairs", "responses"])
+    def test_deep_frame_is_a_wire_error(self, frame):
+        with pytest.raises(WireError, match="nests deeper than 256"):
+            decode(frame)
+
+    def test_the_bound_is_256_levels(self):
+        assert decode(b"\x07\x00\x00\x00\x01" * 256 + b"\x00") is not None
+        with pytest.raises(WireError, match="nests deeper"):
+            decode(b"\x07\x00\x00\x00\x01" * 257 + b"\x00")
+
+    def test_order_3_range_proof_is_far_inside_the_bound(self):
+        """Two levels per tree level: an order-3 tree of 2,048 keys is
+        about 12 levels tall and its full-range proof nests ~27 deep."""
+        db = VerifiedDatabase(order=3)
+        for i in range(2048):
+            db.execute(WriteQuery(b"%06d" % i, b"v"))
+        frame = encode(Response(result=db.execute(RangeQuery(b"0", b"9")),
+                                extras={"ctr": 1}))
+        assert decode(frame).result.proof.entries[-1] == (b"002047", b"v")
 
 
 class TestQueriesAndProofs:
@@ -161,3 +218,327 @@ class TestWireSize:
         assert network.bytes_sent > 0
         ops = sum(report.operations_completed.values())
         assert network.bytes_sent / ops > 100  # VOs dominate
+
+
+# -- the golden corpus: one value per tag, bytes pinned -----------------------
+
+D1, D2, D3 = (Digest(bytes([i]) * 32) for i in (1, 2, 3))
+
+
+def golden_values() -> dict:
+    """One value whose outermost tag is each of the codec's 33 tags."""
+    leaf = LeafSnapshot(keys=(b"a", b"b"), entry_digests=(D1, D2))
+    internal = InternalSnapshot(keys=(b"m",), child_digests=(D1, D2))
+    fringe = FringeNode(keys=(b"f",), children=(leaf, D2))
+    read = ReadProof(key=b"a", value=b"1", internals=(internal,), leaf=leaf)
+    ranged = RangeProof(low=b"a", high=b"b",
+                        root=FringeNode(keys=(b"m",), children=(fringe, D3)),
+                        entries=((b"a", b"1"), (b"b", b"2")))
+    update = UpdateProof(operation="delete", key=b"a", internals=(internal,),
+                         leaf=leaf, siblings=(SiblingPair(left=None, right=leaf),))
+    top = UpdateProof(operation="insert", key=b"shard:00000003", internals=(),
+                      leaf=leaf, siblings=())
+    signature = Signature(signer_id="alice", digest=D3, raw=b"\x5a" * 8)
+    deposit = RootDeposit(primary_id="primary", ctr=7, root=D1, signature=signature)
+    extras = {"ctr": 7, "last_user": "bob", "share": 0.25, "sig": None,
+              "retryable": True, "nested": {"epoch": 2, "users": ("u1", "u2")}}
+    return {
+        "none": None, "false": False, "true": True, "int": -2 ** 40,
+        "str": "héllo", "bytes": b"\x00\xff", "digest": D1,
+        "list": (1, b"x", D2, ("nested",)), "dict": extras, "float": 0.3,
+        "read_query": ReadQuery(b"k"), "range_query": RangeQuery(b"a", b"z"),
+        "write_query": WriteQuery(b"k", b"v"), "delete_query": DeleteQuery(b"k"),
+        "leaf_snapshot": leaf, "internal_snapshot": internal,
+        "read_proof": read, "range_proof": ranged, "fringe_node": fringe,
+        "update_proof": update, "sibling_pair": SiblingPair(left=internal, right=None),
+        "query_result": QueryResult(answer=b"1", proof=read),
+        "forest_read_proof": ForestReadProof(shard=3, inner=read, top=read),
+        "forest_update_proof": ForestUpdateProof(operation="delete", shard=3,
+                                                 inner=update, top=top),
+        "forest_range_proof": ForestRangeProof(
+            low=b"a", high=b"b", shard_proofs=(ranged,),
+            top=RangeProof(low=b"shard:0", high=b"shard:9", root=leaf, entries=()),
+            entries=((b"a", b"1"), (b"b", b"2"))),
+        "signature": signature,
+        "epoch_deposit": EpochDeposit(user_id="u1", epoch=4, sigma=D1, last=D2,
+                                      signature=signature),
+        "root_deposit": deposit,
+        "root_attestation": RootAttestation(witness_id="w1", deposit=deposit,
+                                            signature=signature),
+        "request": Request(query=WriteQuery(b"k", b"v"),
+                           extras={"user": "alice", "rid": "alice:0"}),
+        "response": Response(result=QueryResult(answer=None, proof=update),
+                             extras=extras),
+        "followup": Followup(extras={"sig": signature, "turn": 3}),
+        "error_reply": ErrorReply(reason="busy", extras={"retryable": False}),
+    }
+
+
+#: The bytes of each golden value, as written by the codec before it
+#: became two tables.  A change here is a wire-format change: it needs a
+#: CODEC_VERSION bump.
+GOLDEN_HEX = {
+    "none": "00",
+    "false": "01",
+    "true": "02",
+    "int": "03ffffff0000000000",
+    "str": "040000000668c3a96c6c6f",
+    "bytes": "050000000200ff",
+    "digest": (
+        "0601010101010101010101010101010101010101010101010101010101010101"
+        "01"),
+    "list": (
+        "0700000004030000000000000001050000000178060202020202020202020202"
+        "020202020202020202020202020202020202020202070000000104000000066e"
+        "6573746564"),
+    "dict": (
+        "0800000006040000000363747203000000000000000704000000096c6173745f"
+        "757365720400000003626f6204000000066e6573746564080000000204000000"
+        "0565706f63680300000000000000020400000005757365727307000000020400"
+        "0000027531040000000275320400000009726574727961626c65020400000005"
+        "7368617265093fd0000000000000040000000373696700"),
+    "float": "093fd3333333333333",
+    "read_query": "10000000016b",
+    "range_query": "110000000161000000017a",
+    "write_query": "12000000016b0000000176",
+    "delete_query": "13000000016b",
+    "leaf_snapshot": (
+        "2007000000020500000001610500000001620700000002060101010101010101"
+        "0101010101010101010101010101010101010101010101010602020202020202"
+        "02020202020202020202020202020202020202020202020202"),
+    "internal_snapshot": (
+        "21070000000105000000016d0700000002060101010101010101010101010101"
+        "0101010101010101010101010101010101010602020202020202020202020202"
+        "02020202020202020202020202020202020202"),
+    "read_proof": (
+        "220000000161050000000131070000000121070000000105000000016d070000"
+        "0002060101010101010101010101010101010101010101010101010101010101"
+        "0101010602020202020202020202020202020202020202020202020202020202"
+        "0202020220070000000205000000016105000000016207000000020601010101"
+        "0101010101010101010101010101010101010101010101010101010106020202"
+        "0202020202020202020202020202020202020202020202020202020202"),
+    "range_proof": (
+        "230000000161000000016224070000000105000000016d070000000224070000"
+        "0001050000000166070000000220070000000205000000016105000000016207"
+        "0000000206010101010101010101010101010101010101010101010101010101"
+        "0101010101060202020202020202020202020202020202020202020202020202"
+        "0202020202020602020202020202020202020202020202020202020202020202"
+        "0202020202020206030303030303030303030303030303030303030303030303"
+        "0303030303030303070000000207000000020500000001610500000001310700"
+        "000002050000000162050000000132"),
+    "fringe_node": (
+        "2407000000010500000001660700000002200700000002050000000161050000"
+        "0001620700000002060101010101010101010101010101010101010101010101"
+        "0101010101010101010602020202020202020202020202020202020202020202"
+        "0202020202020202020206020202020202020202020202020202020202020202"
+        "0202020202020202020202"),
+    "update_proof": (
+        "25040000000664656c6574650000000161070000000121070000000105000000"
+        "016d070000000206010101010101010101010101010101010101010101010101"
+        "0101010101010101060202020202020202020202020202020202020202020202"
+        "0202020202020202022007000000020500000001610500000001620700000002"
+        "0601010101010101010101010101010101010101010101010101010101010101"
+        "0106020202020202020202020202020202020202020202020202020202020202"
+        "0202070000000126002007000000020500000001610500000001620700000002"
+        "0601010101010101010101010101010101010101010101010101010101010101"
+        "0106020202020202020202020202020202020202020202020202020202020202"
+        "0202"),
+    "sibling_pair": (
+        "2621070000000105000000016d07000000020601010101010101010101010101"
+        "0101010101010101010101010101010101010106020202020202020202020202"
+        "020202020202020202020202020202020202020200"),
+    "query_result": (
+        "2705000000013122000000016105000000013107000000012107000000010500"
+        "0000016d07000000020601010101010101010101010101010101010101010101"
+        "0101010101010101010106020202020202020202020202020202020202020202"
+        "0202020202020202020202200700000002050000000161050000000162070000"
+        "0002060101010101010101010101010101010101010101010101010101010101"
+        "0101010602020202020202020202020202020202020202020202020202020202"
+        "02020202"),
+    "forest_read_proof": (
+        "2803000000000000000322000000016105000000013107000000012107000000"
+        "0105000000016d07000000020601010101010101010101010101010101010101"
+        "0101010101010101010101010106020202020202020202020202020202020202"
+        "0202020202020202020202020202200700000002050000000161050000000162"
+        "0700000002060101010101010101010101010101010101010101010101010101"
+        "0101010101010602020202020202020202020202020202020202020202020202"
+        "0202020202020222000000016105000000013107000000012107000000010500"
+        "0000016d07000000020601010101010101010101010101010101010101010101"
+        "0101010101010101010106020202020202020202020202020202020202020202"
+        "0202020202020202020202200700000002050000000161050000000162070000"
+        "0002060101010101010101010101010101010101010101010101010101010101"
+        "0101010602020202020202020202020202020202020202020202020202020202"
+        "02020202"),
+    "forest_update_proof": (
+        "29040000000664656c65746503000000000000000325040000000664656c6574"
+        "650000000161070000000121070000000105000000016d070000000206010101"
+        "0101010101010101010101010101010101010101010101010101010101060202"
+        "0202020202020202020202020202020202020202020202020202020202022007"
+        "0000000205000000016105000000016207000000020601010101010101010101"
+        "0101010101010101010101010101010101010101010106020202020202020202"
+        "0202020202020202020202020202020202020202020202070000000126002007"
+        "0000000205000000016105000000016207000000020601010101010101010101"
+        "0101010101010101010101010101010101010101010106020202020202020202"
+        "0202020202020202020202020202020202020202020202250400000006696e73"
+        "6572740000000e73686172643a30303030303030330700000000200700000002"
+        "0500000001610500000001620700000002060101010101010101010101010101"
+        "0101010101010101010101010101010101010602020202020202020202020202"
+        "020202020202020202020202020202020202020700000000"),
+    "forest_range_proof": (
+        "2a00000001610000000162070000000123000000016100000001622407000000"
+        "0105000000016d07000000022407000000010500000001660700000002200700"
+        "0000020500000001610500000001620700000002060101010101010101010101"
+        "0101010101010101010101010101010101010101010602020202020202020202"
+        "0202020202020202020202020202020202020202020206020202020202020202"
+        "0202020202020202020202020202020202020202020202060303030303030303"
+        "0303030303030303030303030303030303030303030303030700000002070000"
+        "0002050000000161050000000131070000000205000000016205000000013223"
+        "0000000773686172643a300000000773686172643a3920070000000205000000"
+        "0161050000000162070000000206010101010101010101010101010101010101"
+        "0101010101010101010101010101060202020202020202020202020202020202"
+        "0202020202020202020202020202020700000000070000000207000000020500"
+        "000001610500000001310700000002050000000162050000000132"),
+    "signature": (
+        "300400000005616c696365060303030303030303030303030303030303030303"
+        "030303030303030303030303000000085a5a5a5a5a5a5a5a"),
+    "epoch_deposit": (
+        "3104000000027531030000000000000004060101010101010101010101010101"
+        "0101010101010101010101010101010101010602020202020202020202020202"
+        "02020202020202020202020202020202020202300400000005616c6963650603"
+        "0303030303030303030303030303030303030303030303030303030303030300"
+        "0000085a5a5a5a5a5a5a5a"),
+    "root_deposit": (
+        "3204000000077072696d61727903000000000000000706010101010101010101"
+        "0101010101010101010101010101010101010101010101300400000005616c69"
+        "6365060303030303030303030303030303030303030303030303030303030303"
+        "030303000000085a5a5a5a5a5a5a5a"),
+    "root_attestation": (
+        "33040000000277313204000000077072696d6172790300000000000000070601"
+        "0101010101010101010101010101010101010101010101010101010101010130"
+        "0400000005616c69636506030303030303030303030303030303030303030303"
+        "0303030303030303030303000000085a5a5a5a5a5a5a5a300400000005616c69"
+        "6365060303030303030303030303030303030303030303030303030303030303"
+        "030303000000085a5a5a5a5a5a5a5a"),
+    "request": (
+        "4012000000016b0000000176080000000204000000037269640400000007616c"
+        "6963653a300400000004757365720400000005616c696365"),
+    "response": (
+        "41270025040000000664656c6574650000000161070000000121070000000105"
+        "000000016d070000000206010101010101010101010101010101010101010101"
+        "0101010101010101010101060202020202020202020202020202020202020202"
+        "0202020202020202020202022007000000020500000001610500000001620700"
+        "0000020601010101010101010101010101010101010101010101010101010101"
+        "0101010106020202020202020202020202020202020202020202020202020202"
+        "0202020202070000000126002007000000020500000001610500000001620700"
+        "0000020601010101010101010101010101010101010101010101010101010101"
+        "0101010106020202020202020202020202020202020202020202020202020202"
+        "0202020202080000000604000000036374720300000000000000070400000009"
+        "6c6173745f757365720400000003626f6204000000066e657374656408000000"
+        "02040000000565706f6368030000000000000002040000000575736572730700"
+        "00000204000000027531040000000275320400000009726574727961626c6502"
+        "04000000057368617265093fd0000000000000040000000373696700"),
+    "followup": (
+        "4208000000020400000003736967300400000005616c69636506030303030303"
+        "0303030303030303030303030303030303030303030303030303000000085a5a"
+        "5a5a5a5a5a5a04000000047475726e030000000000000003"),
+    "error_reply": (
+        "4304000000046275737908000000010400000009726574727961626c6501"),
+}
+
+
+class TestGoldenBytes:
+    def test_corpus_covers_every_tag(self):
+        tags = {bytes.fromhex(hexed)[0] for hexed in GOLDEN_HEX.values()}
+        assert tags == set(range(10)) | {tag for _, tag, _ in wire._RECORDS}
+        assert len(tags) == len(GOLDEN_HEX) == 33
+
+    @pytest.mark.parametrize("name", list(GOLDEN_HEX))
+    def test_encode_writes_the_golden_bytes(self, name):
+        assert encode(golden_values()[name]).hex() == GOLDEN_HEX[name]
+
+    @pytest.mark.parametrize("name", list(GOLDEN_HEX))
+    def test_golden_bytes_decode_to_the_value(self, name):
+        value = golden_values()[name]
+        decoded = decode(bytes.fromhex(GOLDEN_HEX[name]))
+        assert decoded == value and type(decoded) is type(value)
+
+    def test_layouts_are_the_dataclass_field_order(self):
+        """Decoding builds a record positionally from its layout."""
+        for cls, _tag, layout in wire._RECORDS:
+            names = [field.partition(":")[0] for field in layout.split()]
+            assert names == [f.name for f in dataclasses.fields(cls)], cls
+
+
+# -- mutated frames: WireError and nothing else -------------------------------
+
+
+def tag_positions(frame: bytes) -> list[int]:
+    """Offsets of every tag byte in ``frame``: a walk over the format
+    written out here, independent of the decoder's tables."""
+    raws = {tag: [field.endswith(":raw") for field in layout.split()]
+            for _, tag, layout in wire._RECORDS}
+    positions = []
+
+    def raw(pos):
+        return pos + 4 + int.from_bytes(frame[pos:pos + 4], "big")
+
+    def value(pos):
+        positions.append(pos)
+        tag = frame[pos]
+        pos += 1
+        if tag in (0x03, 0x09):
+            return pos + 8
+        if tag == 0x06:
+            return pos + 32
+        if tag in (0x04, 0x05):
+            return raw(pos)
+        if tag in (0x07, 0x08):
+            count = int.from_bytes(frame[pos:pos + 4], "big")
+            pos += 4
+            for _ in range(count * (2 if tag == 0x08 else 1)):
+                pos = value(pos)
+            return pos
+        for is_raw in raws.get(tag, ()):
+            pos = raw(pos) if is_raw else value(pos)
+        return pos
+
+    assert value(0) == len(frame)
+    return positions
+
+
+class TestMutatedFrames:
+    @pytest.fixture(scope="class")
+    def frame(self):
+        """A real Protocol II answer to a write on a forest of 8 shards."""
+        state = ServerState(database=VerifiedDatabase(order=4, shards=8))
+        for i in range(64):
+            state.database.execute(WriteQuery(b"k%03d" % i, b"v%d" % i))
+        server = Protocol2Server()
+        server.initialize(state)
+        request = Request(query=WriteQuery(b"k010", b"new"),
+                          extras={"user": "alice", "rid": "alice:0"})
+        response = server.handle_request("alice", request, state, 0)
+        assert isinstance(response.result.proof, ForestUpdateProof)
+        return encode(response)
+
+    def test_every_proper_prefix_is_a_wire_error(self, frame):
+        for cut in range(len(frame)):
+            with pytest.raises(WireError):
+                decode(frame[:cut])
+
+    def test_every_tag_substitution_fails_only_as_a_wire_error(self, frame):
+        """A substituted tag byte either still spells a frame (an int
+        turned float in the extras) or is a :class:`WireError`: no other
+        exception escapes the codec, whatever the byte."""
+        positions = tag_positions(frame)
+        assert len(positions) > 50
+        refused = 0
+        for pos in positions:
+            for byte in range(256):
+                if byte == frame[pos]:
+                    continue
+                try:
+                    decode(frame[:pos] + bytes((byte,)) + frame[pos + 1:])
+                except WireError:
+                    refused += 1
+        assert refused > 0.99 * len(positions) * 255
