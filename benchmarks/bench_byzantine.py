@@ -3,10 +3,10 @@ benign chaos in the same run, measured against the detection bound.
 
 The simulator's detection matrix proves soundness in-process; the chaos
 campaign proves liveness under benign faults.  This campaign closes the
-remaining gap: a *malicious* server (every wire-adapted attack from
-:mod:`repro.server.attacks`) serving a real client fleet over TCP,
-composed with the chaos proxy's drops/truncations/resets/delays, for
-Protocols I and II.
+remaining gap: a *malicious* server (every attack from
+:mod:`repro.server.attacks`, run by the server core itself) serving a
+real client fleet over TCP, composed with the chaos proxy's
+drops/truncations/resets/delays, for Protocols I and II.
 
 Pass criteria (all checked, printed as JSON):
 
@@ -25,9 +25,10 @@ Pass criteria (all checked, printed as JSON):
   ``repro evidence-inspect`` re-verifies each offline as a genuine
   deviation (exit 0).
 
-Detection latency is measured against the :class:`WireAttack` ground
-truth: the server tick at which a deviating response actually went out,
-converted to global operations.
+Detection latency is measured against the ground truth the server core
+records on the attack (``first_deviation_op``): the server tick at
+which a deviating response actually went out, converted to global
+operations.
 
 Run ``python benchmarks/bench_byzantine.py --quick --check`` for the CI
 gate or without ``--quick`` for the full campaign (every attack class
@@ -57,7 +58,6 @@ from repro.net import (  # noqa: E402
     Replicator,
     RetryPolicy,
     TransientNetworkError,
-    WireAttack,
     WitnessCollusion,
     WitnessProtocol,
     count_sync_check,
@@ -106,9 +106,9 @@ def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
     against a (possibly Byzantine) Protocol II server.  Returns the
     per-run record for the campaign report."""
     users = [f"u{i}" for i in range(n_users)]
-    wire = WireAttack(attack_factory()) if attack_factory else None
+    attack = attack_factory() if attack_factory else None
     evidence_dir = tempfile.mkdtemp(prefix=f"byz-{name}-")
-    server = serve_in_thread(order=ORDER, attack=wire)
+    server = serve_in_thread(order=ORDER, attack=attack)
     genesis = server.initial_root_digest()
     proxy = None
     host, port = server.address
@@ -146,7 +146,7 @@ def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
                         client.put(f"{user}-{step % 5}".encode(),
                                    f"{user}:{step}".encode())
                 except IntegrityError as exc:
-                    if wire is None or wire.first_deviation_op is None:
+                    if attack is None or attack.first_deviation_op is None:
                         false_alarm = True
                         break
                     detection = ("response", global_op,
@@ -156,7 +156,7 @@ def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
                     registers = {u: c.registers()
                                  for u, c in clients.items()}
                     if not sync_check(genesis, registers):
-                        if wire is None or wire.first_deviation_op is None:
+                        if attack is None or attack.first_deviation_op is None:
                             false_alarm = True
                         else:
                             detection = ("sync", global_op, _sync_evidence(
@@ -168,7 +168,7 @@ def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
             sync_rounds += 1
             registers = {u: c.registers() for u, c in clients.items()}
             if not sync_check(genesis, registers):
-                if wire is None or wire.first_deviation_op is None:
+                if attack is None or attack.first_deviation_op is None:
                     false_alarm = True
                 else:
                     detection = ("sync", global_op, _sync_evidence(
@@ -181,7 +181,7 @@ def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
             proxy.stop()
         server.stop()
 
-    return _run_record(name, "II", wire, detection, false_alarm,
+    return _run_record(name, "II", attack, detection, false_alarm,
                        global_op, k, n_users, messages_per_op=1,
                        sync_rounds=sync_rounds, evidence_dir=evidence_dir,
                        proxy=proxy, verbose=verbose)
@@ -197,7 +197,7 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
     side* untouched (the attack layer sits behind the proxy)."""
     users = ["alice", "bob"]
     keys = make_keys(users, seed=KEY_SEED)
-    wire = WireAttack(attack_factory()) if attack_factory else None
+    attack = attack_factory() if attack_factory else None
     evidence_dir = tempfile.mkdtemp(prefix=f"byz-{name}-")
 
     state = ServerState(database=VerifiedDatabase(order=ORDER))
@@ -205,7 +205,7 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
     protocol.initialize(state)
     bootstrap_server_state(state, keys.signers["alice"])
     server = serve_in_thread(order=ORDER, protocol=protocol, state=state,
-                             block_timeout=10.0, attack=wire)
+                             block_timeout=10.0, attack=attack)
     proxy = None
     host, port = server.address
     if chaos:
@@ -238,7 +238,7 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
                         client.put(f"{user}-{step % 5}".encode(),
                                    f"{user}:{step}".encode())
                 except IntegrityError as exc:
-                    if wire is None or wire.first_deviation_op is None:
+                    if attack is None or attack.first_deviation_op is None:
                         false_alarm = True
                         break
                     detection = ("response", global_op,
@@ -247,7 +247,7 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
                     sync_rounds += 1
                     counts = {u: c.counts() for u, c in clients.items()}
                     if not count_sync_check(counts):
-                        if wire is None or wire.first_deviation_op is None:
+                        if attack is None or attack.first_deviation_op is None:
                             false_alarm = True
                         else:
                             detection = ("count-sync", global_op,
@@ -261,7 +261,7 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
             sync_rounds += 1
             counts = {u: c.counts() for u, c in clients.items()}
             if not count_sync_check(counts):
-                if wire is None or wire.first_deviation_op is None:
+                if attack is None or attack.first_deviation_op is None:
                     false_alarm = True
                 else:
                     detection = ("count-sync", global_op, _sync_evidence(
@@ -276,7 +276,7 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
 
     # Each Protocol I operation is two wire messages (request +
     # follow-up signature), so ticks convert to operations at 2:1.
-    return _run_record(name, "I", wire, detection, false_alarm,
+    return _run_record(name, "I", attack, detection, false_alarm,
                        global_op, k, len(users), messages_per_op=2,
                        sync_rounds=sync_rounds, evidence_dir=evidence_dir,
                        proxy=proxy, verbose=verbose)
@@ -312,7 +312,7 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
     users = [f"u{i}" for i in range(n_users)]
     f = (n_witnesses - 1) // 2
     keys = _replica_keys(n_witnesses)
-    wire = WireAttack(attack_factory()) if attack_factory else None
+    attack = attack_factory() if attack_factory else None
     evidence_dir = tempfile.mkdtemp(prefix=f"byz-{name}-")
 
     collusions = {}
@@ -340,7 +340,7 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
         witness_endpoints.append((wid, wproxy.address))
 
     replicator = Replicator(keys.primary, witnesses=deposit_endpoints)
-    server = serve_in_thread(order=ORDER, attack=wire, replicator=replicator)
+    server = serve_in_thread(order=ORDER, attack=attack, replicator=replicator)
     genesis = server.initial_root_digest()
     proxy = ChaosProxy(*server.address, seed=seed, config=ChaosConfig(
         drop_rate=0.015, truncate_rate=0.01, reset_rate=0.01,
@@ -372,7 +372,7 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
 
     def _halt(user, exc):
         nonlocal false_alarm
-        if wire is None or wire.first_deviation_op is None:
+        if attack is None or attack.first_deviation_op is None:
             false_alarm = True
             return
         halted[user] = global_op
@@ -434,7 +434,7 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
     served = {wid: collusion.served for wid, collusion in collusions.items()}
 
     return _replicated_record(
-        name, wire, n_witnesses=n_witnesses, f=f, colluders=sorted(collusions),
+        name, attack, n_witnesses=n_witnesses, f=f, colluders=sorted(collusions),
         collusion_mode=collusion_mode if collusions else None,
         detections=detections, witness_detections=witness_detections,
         excluded=excluded, served=served, false_alarm=false_alarm,
@@ -443,12 +443,12 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
         clients=clients, evidence_dir=evidence_dir, verbose=verbose)
 
 
-def _replicated_record(name, wire, *, n_witnesses, f, colluders,
+def _replicated_record(name, attack, *, n_witnesses, f, colluders,
                        collusion_mode, detections, witness_detections,
                        excluded, served, false_alarm, confirm_failures,
                        halted, completed, steps, global_op, clients,
                        evidence_dir, verbose) -> dict:
-    deviated = wire is not None and wire.first_deviation_op is not None
+    deviated = attack is not None and attack.first_deviation_op is not None
     colluder_set = set(colluders)
 
     def _genuine(path):
@@ -476,7 +476,7 @@ def _replicated_record(name, wire, *, n_witnesses, f, colluders,
     record = {
         "run": name,
         "protocol": "replicated",
-        "attack": wire.name if wire else None,
+        "attack": attack.name if attack else None,
         "witnesses": n_witnesses,
         "f": f,
         "colluders": colluders,
@@ -487,7 +487,7 @@ def _replicated_record(name, wire, *, n_witnesses, f, colluders,
         "confirmed_roots": sum(c.quorum.confirmed for c in clients.values()),
         "false_alarm": false_alarm,
         "deviated": deviated,
-        "injected_responses": wire.injected if wire else 0,
+        "injected_responses": attack.injected if attack else 0,
         "detected": bool(detections),
         "detections": [
             {k: v for k, v in entry.items() if k != "evidence_path"}
@@ -532,26 +532,26 @@ def _replicated_record(name, wire, *, n_witnesses, f, colluders,
 
 # -- shared reporting ------------------------------------------------------
 
-def _run_record(name, protocol, wire, detection, false_alarm, global_op,
+def _run_record(name, protocol, attack, detection, false_alarm, global_op,
                 k, n_users, messages_per_op, sync_rounds, evidence_dir,
                 proxy, verbose) -> dict:
     bound = k * n_users + n_users
-    deviated = wire is not None and wire.first_deviation_op is not None
+    deviated = attack is not None and attack.first_deviation_op is not None
     record = {
         "run": name,
         "protocol": protocol,
-        "attack": wire.name if wire else None,
+        "attack": attack.name if attack else None,
         "operations": global_op,
         "sync_rounds": sync_rounds,
         "false_alarm": false_alarm,
         "deviated": deviated,
-        "injected_responses": wire.injected if wire else 0,
+        "injected_responses": attack.injected if attack else 0,
         "proxy_faults": dict(proxy.faults) if proxy else None,
         "detected": detection is not None,
         "bound_ops": bound,
     }
     if deviated:
-        deviation_op = (wire.first_deviation_op
+        deviation_op = (attack.first_deviation_op
                         + messages_per_op - 1) // messages_per_op
         record["first_deviation_op"] = deviation_op
         if detection:
@@ -700,7 +700,7 @@ REPL_COLLUSION_CONFIGS = [
 def run_replicated_campaign(seed: int = 2203, replicas: int = 3,
                             quick: bool = False,
                             verbose: bool = True) -> dict:
-    """The N-server gauntlet: the full WireAttack gallery on the primary
+    """The N-server gauntlet: the full attack gallery on the primary
     at ``replicas`` witnesses, the f-of-N colluding-witness sweep, a
     withholding colluder (must read as noise, never an accusation), and
     a fork composed with a fabricating colluder."""

@@ -2,18 +2,18 @@
 TCP, speaking the binary wire format of :mod:`repro.wire`, with
 crash-safe server recovery (:mod:`repro.net.wal`), self-healing clients,
 a fault-injecting proxy (:mod:`repro.net.chaosproxy`) for chaos testing,
-a Byzantine attack adapter (:mod:`repro.net.byzantine`) that aims the
-simulator's malicious-server gallery at the wire path, forensic
-evidence bundles (:mod:`repro.net.evidence`) for provable detections,
-and N-server replicated root deposits (:mod:`repro.net.replication`)
-that out-vote a forking primary through witness quorums."""
+forensic evidence bundles (:mod:`repro.net.evidence`) for provable
+detections, and N-server replicated root deposits
+(:mod:`repro.net.replication`) that out-vote a forking primary through
+witness quorums.  Byzantine mode is ``serve_in_thread(attack=...)`` with
+a gallery :class:`~repro.server.attacks.Attack`: the server core runs it
+and records on it the ground truth (``injected``, ``first_deviation_op``)."""
 
 from repro.net.aserver import (
     AsyncServerHandle,
     AsyncTrustedCvsServer,
     serve_in_thread,
 )
-from repro.net.byzantine import WireAttack, WitnessCollusion
 from repro.net.chaosproxy import ChaosConfig, ChaosProxy
 from repro.net.client import (
     EndpointConnector,
@@ -34,6 +34,7 @@ from repro.net.replication import (
     Replicator,
     RootAttestation,
     RootDeposit,
+    WitnessCollusion,
     WitnessProtocol,
     attest,
     attestation_valid,
@@ -56,14 +57,13 @@ __all__ = [
     "DedupTable",
     "ServerCore",
     "PipelinedRemoteClient",
-    "WireAttack",
-    "WitnessCollusion",
     "ChaosConfig",
     "ChaosProxy",
     "QuorumChecker",
     "Replicator",
     "RootAttestation",
     "RootDeposit",
+    "WitnessCollusion",
     "WitnessProtocol",
     "attest",
     "attestation_valid",

@@ -2,11 +2,17 @@
 
 Everything a Trusted-CVS server *is* -- the named state branches, the
 protocol, the request-ID dedup table, the WAL + snapshot store, the
-Byzantine attack hooks, and the tick counter -- lives here, with **no
+Byzantine attack hooks, and the round counter -- lives here, with **no
 locking of its own**.  The caller owns serialisation:
 :class:`~repro.net.aserver.AsyncTrustedCvsServer` funnels every call
 through a single event-loop drainer task (single-writer model), so no
 lock is needed at all.
+
+It is the only code that executes a message, on the wire and in the
+simulator (:class:`~repro.simulation.agents.ServerAgent` adapts it to
+rounds), and it runs a gallery :class:`~repro.server.attacks.Attack`
+directly.  A message's round is the caller's ``clock()`` (the
+simulator's round) or, without one, the message tick.
 
 Requests execute in *batches*: :meth:`ServerCore.apply_batch` dedups a
 whole batch, appends every fresh request to the WAL with **one** fsync
@@ -39,8 +45,8 @@ from repro.protocols.base import (
 )
 from repro.protocols.protocol1 import DEFER_FOLLOWUP_KEY
 from repro.protocols.protocol2 import Protocol2Server
-from repro.net.byzantine import as_wire_attack
 from repro.net.wal import ServerStore, open_server_store
+from repro.server.attacks import Attack
 from repro.storage.pagestore import StorageError
 
 #: write a snapshot (and truncate the WAL) every this many logged
@@ -66,6 +72,9 @@ _DIRTY_SHARDS = _registry.histogram(
 _SNAPSHOT_FAILURES = _registry.counter(
     "server.snapshot_failures",
     "periodic snapshots that failed (ENOSPC/EIO) and will be retried")
+_ATTACKS_INJECTED = _registry.counter(
+    "net.attacks_injected",
+    "deviating responses a Byzantine server put on the wire")
 
 
 class DedupTable:
@@ -134,16 +143,20 @@ class ServerCore:
         data_dir: str | None = None,
         snapshot_every: int = SNAPSHOT_EVERY,
         fsync: bool = True,
-        attack=None,
+        attack: Attack | None = None,
         shards: int = 1,
         replicator=None,
         backend: str = "file",
         io=None,
         lock: bool = False,
+        clock=None,
     ) -> None:
+        if attack is not None and not isinstance(attack, Attack):
+            raise TypeError(f"not an attack strategy: {type(attack).__name__}")
         self.protocol = protocol or Protocol2Server()
         self._shards = shards
         self.snapshot_every = snapshot_every
+        self._clock = clock  # None: every message is its own round
         self._round = 0
         self.dedup = DedupTable()
         self._ops_since_snapshot = 0
@@ -152,7 +165,9 @@ class ServerCore:
         #: named state branches; ``"main"`` is the honest history, other
         #: entries are per-victim forks a Byzantine attack may create.
         self.states: dict[str, ServerState] = {}
-        self.attack = as_wire_attack(attack)
+        self.attack = attack
+        #: the branch the last request executed on
+        self.served_from: ServerState | None = None
         if data_dir is not None:
             self.store = open_server_store(
                 data_dir, backend=backend, fsync=fsync, io=io, lock=lock)
@@ -222,16 +237,27 @@ class ServerCore:
         self._ops_since_snapshot = len(records)
 
     def _execute_request(self, user_id: str, message: Request) -> Response:
-        """Execute a request at the next tick -- honestly, or through the
-        configured attack.  Both the live path and WAL replay come here,
-        so after a crash the per-victim forked branches are deterministically
-        reconstructed (the attack triggers on the same tick indices)."""
+        """Execute a request on the branch that serves its user, and let
+        the attack rewrite the answer.  Both the live path and WAL replay
+        come here, so after a crash the per-victim forked branches are
+        deterministically reconstructed (the attack triggers on the same
+        tick indices)."""
         round_no = self.tick()
+        state = self._branch_for(user_id, round_no)
+        response = self.protocol.handle_request(
+            user_id, message, state, round_no=round_no)
         if self.attack is not None:
-            response = self.attack.apply_request(self, user_id, message, round_no)
-        else:
-            response = self.protocol.handle_request(
-                user_id, message, self.state, round_no=round_no)
+            mutated = self.attack.mutate_response(
+                user_id, message, response, state, round_no)
+            # Ground truth: for a committing protocol, an answer from
+            # another history is itself a differing response.
+            forked = state is not self.state and self.protocol.responses_commit_state
+            if mutated is not response or forked:
+                self.attack.record_injection(round_no)
+                if _obs.enabled:
+                    _ATTACKS_INJECTED.inc(attack=self.attack.name, user=user_id)
+            response = mutated
+        self.served_from = state
         rid = request_id(message)
         if rid is not None:
             # Echo the idempotency token so pipelined clients can match
@@ -241,11 +267,16 @@ class ServerCore:
 
     def _execute_followup(self, user_id: str, message: Followup) -> None:
         round_no = self.tick()
-        if self.attack is not None:
-            self.attack.apply_followup(self, user_id, message, round_no)
-            return
         self.protocol.handle_followup(
-            user_id, message, self.state, round_no=round_no)
+            user_id, message, self._branch_for(user_id, round_no),
+            round_no=round_no)
+
+    def _branch_for(self, user_id: str, round_no: int) -> ServerState:
+        """The history ``user_id`` is served from: main, or the attack's
+        pick (which may fork lazily)."""
+        if self.attack is None:
+            return self.state
+        return self.attack.select_state(user_id, round_no, self)
 
     # -- message application -------------------------------------------------
 
@@ -367,9 +398,7 @@ class ServerCore:
         """Why ``message`` cannot be executed whatever the state holds,
         or ``None``: the one shape rule, applied before the log."""
         if message.query is None:
-            if self.protocol.internal_requests:
-                return None
-            return "this protocol has no internal requests"
+            return self.protocol.internal_defect(message)
         return query_defect(message.query)
 
     def _is_signing_run(self, fresh: list[tuple[str, Request]]) -> bool:
@@ -440,9 +469,19 @@ class ServerCore:
 
     # -- shared plumbing ---------------------------------------------------
 
+    def _next_round(self) -> int:
+        return self._round + 1 if self._clock is None else self._clock()
+
     def tick(self) -> int:
-        self._round += 1
-        return self._round
+        """The round of the message about to execute.  The attack's
+        ``on_round`` fires once each time the round advances, before the
+        first message of that round, whether request or follow-up."""
+        round_no = self._next_round()
+        if round_no != self._round:
+            self._round = round_no
+            if self.attack is not None:
+                self.attack.on_round(self, round_no)
+        return round_no
 
     @property
     def round(self) -> int:
@@ -451,15 +490,12 @@ class ServerCore:
     def blocked_for(self, user_id: str) -> bool:
         """Whether this user's next request must wait.
 
-        Honest servers have one history; a Byzantine server routes the
-        check through the branch the attack would serve this user from,
-        so a forked victim blocks on its own branch's pending follow-up
-        rather than the main branch's.
+        Honest servers have one history; a Byzantine server checks the
+        branch the attack would serve this user from, so a forked victim
+        blocks on its own branch's pending follow-up rather than the
+        main branch's.
         """
-        if self.attack is not None:
-            state = self.attack.route_state(self, user_id, self._round + 1)
-            return self.protocol.blocked(state)
-        return self.protocol.blocked(self.state)
+        return self.protocol.blocked(self._branch_for(user_id, self._next_round()))
 
     def all_unblocked(self) -> bool:
         return all(not self.protocol.blocked(s) for s in self.states.values())

@@ -102,6 +102,8 @@ _QUORUM_CHECKS = _registry.counter(
     "repl.quorum_checks", "client quorum confirmations against f+1 witnesses")
 _DIVERGENCES = _registry.counter(
     "repl.divergences", "cross-replica divergences proven, by deviant replica")
+#: the server core's counter: a colluding witness's lies are injections too
+_ATTACKS_INJECTED = _registry.counter("net.attacks_injected")
 
 
 class ReplicationError(Exception):
@@ -255,6 +257,26 @@ def make_replica_keys(n_witnesses: int, seed: int,
 
 # -- the witness server protocol -------------------------------------------
 
+class WitnessCollusion:
+    """Byzantine behaviour for one *witness* replica, handed to
+    :class:`WitnessProtocol` (which documents the two modes:
+    ``"fabricate"`` and ``"withhold"``).
+
+    ``served`` counts fetches the collusion actually answered
+    dishonestly -- the benchmark's ground truth that a configured
+    colluder was really exercised.  Deposit *storage* stays honest
+    either way: colluders still bank the real lineage.
+    """
+
+    MODES = ("fabricate", "withhold")
+
+    def __init__(self, mode: str = "fabricate") -> None:
+        if mode not in self.MODES:
+            raise ValueError(f"unknown collusion mode {mode!r}")
+        self.mode = mode
+        self.served = 0
+
+
 class WitnessProtocol(ServerProtocol):
     """The server half of a witness: store deposits, answer attestations.
 
@@ -271,16 +293,15 @@ class WitnessProtocol(ServerProtocol):
     double-signing primary leaves its confession on every honest
     witness it reaches.
 
-    ``collusion`` (a :class:`~repro.net.byzantine.WitnessCollusion`)
-    makes this witness Byzantine for harnesses: ``"fabricate"`` serves
+    ``collusion`` (a :class:`WitnessCollusion`) makes this witness Byzantine for harnesses: ``"fabricate"`` serves
     attestations over doctored deposits (valid witness signature,
     invalid primary signature -- the strongest lie a witness can tell
-    without the primary's key), ``"withhold"`` denies having anything.
+    without the primary's key), ``"withhold"`` denies having anything
+    (indistinguishable from lag: the client re-samples, never accuses).
     """
 
     responses_commit_state = False
     blocks_after_request = False
-    internal_requests = True
 
     def __init__(self, witness_id: str, signer: Signer, verifier: Verifier,
                  primary_id: str = PRIMARY_ID, collusion=None) -> None:
@@ -300,6 +321,9 @@ class WitnessProtocol(ServerProtocol):
     def initialize(self, state: ServerState) -> None:
         state.meta.setdefault(META_DEPOSITS, {})
         state.meta.setdefault(META_CONFLICTS, [])
+
+    def internal_defect(self, request: Request) -> str | None:
+        return None  # every request is internal, and none raises
 
     def handle_request(self, user_id: str, request: Request,
                        state: ServerState, round_no: int) -> Response:
@@ -388,7 +412,6 @@ class WitnessProtocol(ServerProtocol):
         fake = RootDeposit(primary_id=deposit.primary_id, ctr=deposit.ctr,
                            root=fake_root, signature=deposit.signature)
         if _obs.enabled:
-            from repro.net.byzantine import _ATTACKS_INJECTED
             _ATTACKS_INJECTED.inc(
                 attack=f"witness-{self.collusion.mode}", user=user_id)
         return self._attestation_for(fake)

@@ -254,9 +254,12 @@ class ServerProtocol:
     #: cover a whole batch from the same user.
     supports_deferred_followup = False
 
-    #: Whether a request may carry no query (an audit fetch, a null
-    #: turn, a deposit); otherwise a server refuses one before the log.
-    internal_requests = False
+    def internal_defect(self, request: Request) -> str | None:
+        """Why a request carrying no query (an audit fetch, a null turn,
+        a deposit) cannot execute here, or ``None``.  A server refuses
+        such a request before the log, so whatever this admits must
+        execute without raising."""
+        return "this protocol has no internal requests"
 
     def initialize(self, state: ServerState) -> None:
         """One-time setup of protocol metadata in ``state.meta``."""

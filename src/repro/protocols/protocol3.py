@@ -43,9 +43,9 @@ from repro.protocols.base import (
     ServerProtocol,
     ServerState,
 )
+from repro.protocols.clock import LocalClock
 from repro.protocols.protocol2 import INITIAL_OWNER, XorRegisters, initial_state_tag
 from repro.protocols.verify import register
-from repro.simulation.clock import LocalClock
 
 META_LAST_USER = "p3.last_user"
 META_DEPOSITS = "p3.deposits"  # {epoch: {user_id: EpochDeposit}}
@@ -70,7 +70,6 @@ class Protocol3Server(ServerProtocol):
     storage, and deposit retrieval for auditors."""
 
     responses_commit_state = True
-    internal_requests = True
 
     def __init__(self, epoch_length: int) -> None:
         if epoch_length < 4:
@@ -85,6 +84,12 @@ class Protocol3Server(ServerProtocol):
     def current_epoch(self, round_no: int) -> int:
         return round_no // self.epoch_length
 
+    def internal_defect(self, request: Request) -> str | None:
+        wanted = request.extras.get("fetch_epochs")
+        if isinstance(wanted, (list, tuple)) and all(type(e) is int for e in wanted):
+            return None
+        return "an audit fetch names its epochs as a list of ints"
+
     def handle_request(self, user_id: str, request: Request, state: ServerState, round_no: int) -> Response:
         epoch = self.current_epoch(round_no)
         deposit = request.extras.get("deposit")
@@ -93,10 +98,9 @@ class Protocol3Server(ServerProtocol):
 
         if request.query is None:
             # Auditor fetch: return the deposits for the requested epochs.
-            wanted = request.extras.get("fetch_epochs", [])
             deposits = {
                 e: dict(state.meta[META_DEPOSITS].get(e, {}))
-                for e in wanted
+                for e in request.extras["fetch_epochs"]
             }
             return Response(
                 result=QueryResult(answer=None, proof=None),

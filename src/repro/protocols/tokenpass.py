@@ -56,7 +56,9 @@ class TokenPassServer(ServerProtocol):
     """
 
     responses_commit_state = True
-    internal_requests = True
+
+    def internal_defect(self, request: Request) -> str | None:
+        return None  # a null operation
 
     def blocked(self, state: ServerState) -> bool:
         return bool(state.meta.get(META_AWAITING))

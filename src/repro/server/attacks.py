@@ -20,7 +20,9 @@ Attacks see the protocol messages exactly as a real malicious server
 would: they may clone whole server states (histories), choose which
 state answers which user, and rewrite any field of a response.  They
 record when they first actually deviate so benchmarks can measure
-detection delay against ground truth.
+detection delay against ground truth.  The one server step that runs
+them, :class:`~repro.net.core.ServerCore`, adds what it saw go out
+(:meth:`Attack.record_injection`).
 """
 
 from __future__ import annotations
@@ -48,13 +50,31 @@ class Attack:
 
     def __init__(self) -> None:
         self.first_deviation_round: int | None = None
+        #: responses the server running this attack sent deviating: from
+        #: a non-main branch under a committing protocol, or mutated
+        self.injected = 0
+        self._first_injected_round: int | None = None
 
     def _mark_deviation(self, round_no: int) -> None:
         if self.first_deviation_round is None:
             self.first_deviation_round = round_no
 
+    def record_injection(self, round_no: int) -> None:
+        """The server sent a deviating response at ``round_no``."""
+        if self._first_injected_round is None:
+            self._first_injected_round = round_no
+        self.injected += 1
+
+    @property
+    def first_deviation_op(self) -> int | None:
+        """Earliest round (on the wire: message tick) at which a deviating
+        response went out, as recorded or self-reported: ground truth."""
+        return min((r for r in (self._first_injected_round, self.first_deviation_round)
+                    if r is not None), default=None)
+
     def on_round(self, server, round_no: int) -> None:
-        """Called once per round before the server processes messages."""
+        """Called once each time the server's round advances, before the
+        first message of that round executes."""
 
     def select_state(self, user_id: str, round_no: int, server) -> ServerState:
         """Which history this user is served from."""

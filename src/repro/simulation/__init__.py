@@ -1,6 +1,7 @@
 """The multi-agent simulation substrate (paper Section 2).
 
-* :mod:`repro.simulation.clock` -- p-partial synchrony.
+* :class:`LocalClock` -- p-partial synchrony (it is the Protocol III
+  client's clock, so it lives in :mod:`repro.protocols.clock`).
 * :mod:`repro.simulation.events` -- runs and Definition 2.1 deviation.
 * :mod:`repro.simulation.channels` -- bounded-delay messaging plus the
   users' broadcast channel.
@@ -11,9 +12,9 @@
   oracle.
 """
 
+from repro.protocols.clock import LocalClock
 from repro.simulation.agents import Alarm, ServerAgent, UserAgent
 from repro.simulation.channels import BROADCAST, SERVER_ID, Envelope, Network
-from repro.simulation.clock import LocalClock
 from repro.simulation.events import (
     Action,
     Run,

@@ -1,8 +1,10 @@
 """User and server agents: the active parties of the multi-agent system.
 
 A :class:`UserAgent` owns a protocol client and a workload schedule; a
-:class:`ServerAgent` owns the server half of the protocol, its state,
-and (optionally) an attack strategy.  Agents communicate exclusively
+:class:`ServerAgent` drives the server step -- the deployment's
+:class:`~repro.net.core.ServerCore`, holding the server half of the
+protocol, its state branches and (optionally) an attack strategy --
+one round at a time.  Agents communicate exclusively
 through the :class:`~repro.simulation.channels.Network` -- the runner
 never lets them touch each other's state, mirroring the paper's
 "no external communication except the broadcast channel" discipline.
@@ -21,6 +23,7 @@ from repro.protocols.base import (
     ServerProtocol,
     ServerState,
 )
+from repro.net.core import ServerCore
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.simulation.channels import SERVER_ID, Network
@@ -271,16 +274,17 @@ class UserAgent:
 
 
 class ServerAgent:
-    """The CVS server: executes requests in arrival order, possibly under
-    the influence of an attack strategy.
+    """The CVS server, one round at a time: an adapter over the
+    deployment's :class:`~repro.net.core.ServerCore` (memory store, the
+    simulator's round as its clock), which executes every message.
 
-    For ground truth, the agent also runs an *oracle*: an honest copy
-    of the database executing the same workload queries in the same
-    arrival order.  The first served response that disagrees with the
-    oracle -- in answer content, or (for protocols whose responses
-    commit to the database state) in post-operation root digest --
-    marks the onset of deviation per Definition 2.1, since the actual
-    arrival order is itself a trusted-system run.
+    The adapter keeps the inbox, a FIFO queue served head-of-line at
+    ``service_rate``, and the ground-truth *oracle*: an honest copy of
+    the database executing the same queries in arrival order.  The first
+    served response that disagrees with it -- in answer, or (for
+    protocols whose responses commit to the state) in the root or
+    counter of the branch the core served it from -- marks the onset of
+    deviation per Definition 2.1, since arrival order is a trusted run.
     """
 
     def __init__(
@@ -290,9 +294,9 @@ class ServerAgent:
         attack=None,
         service_rate: int | None = None,
     ) -> None:
-        self.protocol = protocol
-        self.states: dict[str, ServerState] = {"main": state}
-        self.attack = attack
+        self._round = 0
+        self.core = ServerCore(protocol=protocol, state=state, attack=attack,
+                               clock=lambda: self._round)
         self.service_rate = service_rate
         self.inbox: list[object] = []
         self.request_queue: list[tuple[str, Request]] = []
@@ -301,9 +305,13 @@ class ServerAgent:
         # Global operation ordinal (arrival order) at deviation onset --
         # ground truth for fault-localisation experiments.
         self.observed_deviation_ctr: int | None = None
-        protocol.initialize(state)
         # The oracle only tracks the database, never protocol metadata.
         self._oracle = state.clone()
+
+    @property
+    def states(self) -> dict[str, ServerState]:
+        """The core's branches: ``"main"`` and any the attack forked."""
+        return self.core.states
 
     def busy(self) -> bool:
         return bool(self.request_queue) or bool(self.inbox)
@@ -312,21 +320,17 @@ class ServerAgent:
     def first_deviation_round(self) -> int | None:
         """Earliest known deviation onset: oracle-observed or
         attack-self-reported, whichever came first."""
-        candidates = [self.observed_deviation_round]
-        if self.attack is not None:
-            candidates.append(self.attack.first_deviation_round)
-        rounds = [r for r in candidates if r is not None]
-        return min(rounds) if rounds else None
+        attack = self.core.attack
+        rounds = (self.observed_deviation_round, attack and attack.first_deviation_round)
+        return min((r for r in rounds if r is not None), default=None)
 
     def step(self, round_no: int, network: Network) -> None:
-        if self.attack is not None:
-            self.attack.on_round(self, round_no)
+        self._round = round_no
         inbox, self.inbox = self.inbox, []
         for envelope in inbox:
             payload = envelope.payload
             if isinstance(payload, Followup):
-                state = self._state_for(envelope.sender, round_no)
-                self.protocol.handle_followup(envelope.sender, payload, state, round_no)
+                self.core.apply_followup(envelope.sender, payload)
             elif isinstance(payload, Request):
                 self.request_queue.append((envelope.sender, payload))
             else:
@@ -337,24 +341,16 @@ class ServerAgent:
             if self.service_rate is not None and served >= self.service_rate:
                 break
             user_id, request = self.request_queue[0]
-            state = self._state_for(user_id, round_no)
-            if self.protocol.blocked(state):
+            if self.core.blocked_for(user_id):
                 break
             self.request_queue.pop(0)
-            response = self.protocol.handle_request(user_id, request, state, round_no)
-            if self.attack is not None:
-                response = self.attack.mutate_response(user_id, request, response, state, round_no)
+            response = self.core.apply_request(user_id, request)
             self.operations_served += 1
             served += 1
             if _obs.enabled:
                 _SERVER_OPS.inc()
-            self._check_against_oracle(request, response, state, round_no)
+            self._check_against_oracle(request, response, self.core.served_from, round_no)
             network.send(SERVER_ID, user_id, response, round_no)
-
-    def _state_for(self, user_id: str, round_no: int) -> ServerState:
-        if self.attack is None:
-            return self.states["main"]
-        return self.attack.select_state(user_id, round_no, self)
 
     def _check_against_oracle(self, request: Request, response: Response, state: ServerState, round_no: int) -> None:
         if request.query is None:
@@ -372,7 +368,7 @@ class ServerAgent:
         if oracle_result.answer != response.result.answer:
             flag()
             return
-        if self.protocol.responses_commit_state:
+        if self.core.protocol.responses_commit_state:
             if state.database.root_digest() != self._oracle.database.root_digest():
                 flag()
                 return

@@ -242,6 +242,9 @@ class TestBlockingPathObservability:
             send_message(sock_a, followup)
             thread.join(10.0)
             assert answers == [b"v1"]
+            # bob's follow-up is written, not awaited: get() returns
+            # before the loop has absorbed (and counted) it
+            assert server.quiesce(5.0)
             waited = obs.registry.get("net.block_wait_ms")
             assert waited.total_count() == 1
             assert 100.0 <= waited.sum() < 5000.0

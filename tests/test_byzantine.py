@@ -15,7 +15,6 @@ from repro.mtree.database import VerifiedDatabase
 from repro.net import (
     IntegrityError,
     RemoteClient,
-    WireAttack,
     count_sync_check,
     serve_in_thread,
     sync_check,
@@ -58,8 +57,8 @@ def inspect(path):
 
 class TestWireAttacksProtocol2:
     def test_honest_wire_run_never_alarms(self, tmp_path):
-        wire = WireAttack(HonestBehavior())
-        server = p2_server(attack=wire)
+        attack = HonestBehavior()
+        server = p2_server(attack=attack)
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
@@ -73,8 +72,8 @@ class TestWireAttacksProtocol2:
                 clients["bob"].put(f"b{i}".encode(), b"v")
             registers = {u: c.registers() for u, c in clients.items()}
             assert sync_check(genesis, registers)
-            assert wire.injected == 0
-            assert wire.first_deviation_op is None
+            assert attack.injected == 0
+            assert attack.first_deviation_op is None
             assert not os.path.isdir(str(tmp_path / "ev"))  # no bundles
             for client in clients.values():
                 client.close()
@@ -82,8 +81,8 @@ class TestWireAttacksProtocol2:
             server.stop()
 
     def test_unforged_tamper_detected_instantly_with_evidence(self, tmp_path):
-        wire = WireAttack(TamperValueAttack(victim="alice", tamper_round=4))
-        server = p2_server(attack=wire)
+        attack = TamperValueAttack(victim="alice", tamper_round=4)
+        server = p2_server(attack=attack)
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
@@ -94,7 +93,7 @@ class TestWireAttacksProtocol2:
                     for _ in range(6):
                         alice.get(b"k")
                 path = exc.value.evidence_path
-            assert wire.injected >= 1
+            assert attack.injected >= 1
             bundle = evidence.read_bundle(path)
             assert bundle["kind"] == "response"
             assert bundle["protocol"] == "II"
@@ -107,8 +106,8 @@ class TestWireAttacksProtocol2:
             server.stop()
 
     def test_counter_replay_detected_with_evidence(self, tmp_path):
-        wire = WireAttack(CounterReplayAttack(victim="alice", replay_round=4))
-        server = p2_server(attack=wire)
+        attack = CounterReplayAttack(victim="alice", replay_round=4)
+        server = p2_server(attack=attack)
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
@@ -135,8 +134,8 @@ class TestWireAttacksProtocol2:
         internally consistent) but no serial history explains the union
         of registers: sync_check fails, and the register exchange itself
         is the evidence."""
-        wire = WireAttack(attack_factory())
-        server = p2_server(attack=wire)
+        attack = attack_factory()
+        server = p2_server(attack=attack)
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
@@ -149,7 +148,7 @@ class TestWireAttacksProtocol2:
                 clients["bob"].put(f"b{i}".encode(), b"v")
             registers = {u: c.registers() for u, c in clients.items()}
             assert not sync_check(genesis, registers)
-            assert wire.first_deviation_op is not None
+            assert attack.first_deviation_op is not None
             path = evidence.write_bundle(
                 str(tmp_path / "sync.evidence"),
                 evidence.sync_bundle(genesis, registers))
@@ -162,11 +161,11 @@ class TestWireAttacksProtocol2:
             server.stop()
 
     def test_composite_attack_on_the_wire(self):
-        wire = WireAttack(CompositeAttack([
+        attack = CompositeAttack([
             ForkAttack(victims=["bob"], fork_round=6),
             TamperValueAttack(victim="alice", tamper_round=8),
-        ]))
-        server = p2_server(attack=wire)
+        ])
+        server = p2_server(attack=attack)
         try:
             host, port = server.address
             genesis = server.initial_root_digest()
@@ -183,7 +182,7 @@ class TestWireAttacksProtocol2:
             synced = sync_check(
                 genesis, {"alice": alice.registers(), "bob": bob.registers()})
             assert detected_per_op or not synced
-            assert wire.first_deviation_op is not None
+            assert attack.first_deviation_op is not None
             alice.close()
             bob.close()
         finally:
@@ -193,8 +192,8 @@ class TestWireAttacksProtocol2:
 class TestWireAttacksProtocol1:
     def test_signature_forge_detected_and_reverifiable_offline(
             self, shared_keys, tmp_path):
-        wire = WireAttack(SignatureForgeAttack(forge_round=3))
-        server = p1_server(shared_keys, attack=wire)
+        attack = SignatureForgeAttack(forge_round=3)
+        server = p1_server(shared_keys, attack=attack)
         try:
             host, port = server.address
             with RemoteClientP1(host, port, "alice",
@@ -223,8 +222,8 @@ class TestWireAttacksProtocol1:
         """Each forked branch keeps Protocol I's blocking discipline
         (the victim's follow-ups land on the victim's branch), yet the
         branches' counters can no longer reconcile."""
-        wire = WireAttack(ForkAttack(victims=["bob"], fork_round=4))
-        server = p1_server(shared_keys, attack=wire)
+        attack = ForkAttack(victims=["bob"], fork_round=4)
+        server = p1_server(shared_keys, attack=attack)
         try:
             host, port = server.address
             alice = RemoteClientP1(host, port, "alice",
@@ -262,9 +261,9 @@ class TestAsyncBatchedDetection:
         unbatched client would produce."""
         from repro.mtree.database import ReadQuery, WriteQuery
 
-        wire = WireAttack(TamperValueAttack(victim="alice", tamper_round=6,
-                                            forge_proof=True))
-        server = p1_server(shared_keys, attack=wire, batch_max=16)
+        attack = TamperValueAttack(victim="alice", tamper_round=6,
+                                   forge_proof=True)
+        server = p1_server(shared_keys, attack=attack, batch_max=16)
         try:
             host, port = server.address
             alice = RemoteClientP1(
@@ -281,8 +280,8 @@ class TestAsyncBatchedDetection:
                     alice.submit(ReadQuery(f"k{i % 4}".encode()))
                 alice.drain()
             path = exc.value.evidence_path
-            assert wire.injected >= 1
-            assert wire.first_deviation_op is not None
+            assert attack.injected >= 1
+            assert attack.first_deviation_op is not None
 
             bundle = evidence.read_bundle(path)
             assert bundle["protocol"] == "I"
@@ -316,7 +315,7 @@ class TestAsyncBatchedDetection:
                 return super()._verify(query, request, response)
 
         server = p1_server(
-            shared_keys, attack=WireAttack(HonestBehavior()), batch_max=16)
+            shared_keys, attack=HonestBehavior(), batch_max=16)
         try:
             host, port = server.address
             alice = Accuser(host, port, "alice", shared_keys.signers["alice"],
@@ -345,8 +344,8 @@ class TestAsyncBatchedDetection:
         server produces zero bundles and passes count_sync_check."""
         from repro.mtree.database import ReadQuery, WriteQuery
 
-        wire = WireAttack(HonestBehavior())
-        server = p1_server(shared_keys, attack=wire, batch_max=16)
+        attack = HonestBehavior()
+        server = p1_server(shared_keys, attack=attack, batch_max=16)
         try:
             host, port = server.address
             alice = RemoteClientP1(
@@ -358,7 +357,7 @@ class TestAsyncBatchedDetection:
             for i in range(8):
                 alice.submit(ReadQuery(f"k{i}".encode()))
             alice.drain()
-            assert wire.injected == 0
+            assert attack.injected == 0
             assert not os.path.isdir(str(tmp_path / "ev"))
             assert count_sync_check({"alice": alice.counts()})
             alice.close()
@@ -375,7 +374,7 @@ class TestForkSurvivesWalReplay:
         data_dir = str(tmp_path / "server")
 
         def make_attack():
-            return WireAttack(ForkAttack(victims=["bob"], fork_round=4))
+            return ForkAttack(victims=["bob"], fork_round=4)
 
         server = p2_server(attack=make_attack(), data_dir=data_dir,
                            snapshot_every=3)
@@ -480,9 +479,8 @@ class TestObsCounters:
         obs.reset()
         obs.enable()
         try:
-            wire = WireAttack(TamperValueAttack(victim="alice",
-                                                tamper_round=3))
-            server = p2_server(attack=wire)
+            attack = TamperValueAttack(victim="alice", tamper_round=3)
+            server = p2_server(attack=attack)
             try:
                 host, port = server.address
                 genesis = server.initial_root_digest()

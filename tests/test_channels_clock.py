@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulation.channels import Network
-from repro.simulation.clock import LocalClock
+from repro.simulation import LocalClock
 
 
 class TestNetwork:

@@ -22,7 +22,7 @@ from repro.crypto.hashing import hash_bytes
 from repro.mtree.database import VerifiedDatabase
 from repro.mtree.persistence import dump_database, load_database
 from repro.net import (
-    ChaosConfig, ChaosProxy, RemoteClient, WireAttack, evidence, serve_in_thread)
+    ChaosConfig, ChaosProxy, RemoteClient, evidence, serve_in_thread)
 from repro.protocols.base import DeviationDetected
 from repro.protocols.protocol2 import XorRegisters
 from repro.server.attacks import CounterReplayAttack, TamperValueAttack
@@ -247,7 +247,7 @@ ATTACKS = {
 @pytest.mark.parametrize("name", ATTACKS)
 def test_deviation_is_exit_3_with_a_bundle(name, client_dir):
     make_attack, reason = ATTACKS[name]
-    server = serve_in_thread(order=8, attack=WireAttack(make_attack()))
+    server = serve_in_thread(order=8, attack=make_attack())
     try:
         remote = remote_of(server)
         commit_remote(client_dir, remote, "f.txt", "the truth\n")

@@ -44,6 +44,7 @@ from repro.net.wal import ServerStore, chain_genesis
 from repro.protocols.base import ErrorReply, Request, Response, ServerState
 from repro.protocols.protocol1 import Protocol1Server
 from repro.protocols.protocol2 import Protocol2Server, XorRegisters
+from repro.protocols.protocol3 import EpochDeposit, Protocol3Server
 
 
 def _request(user, key, value, seq):
@@ -1017,7 +1018,47 @@ class TestPoisonedRequests:
                 replayed = 0
             restarted.close_store()
 
-    #: control requests of the one protocol with ``internal_requests``:
+    #: malformed Protocol III audit fetches: ``internal_defect`` refuses
+    #: each before the log (one once raised there, on every replay too)
+    AUDIT_POISON = {
+        "epochs-an-int": {"fetch_epochs": 5},
+        "epochs-mixed": {"fetch_epochs": [0, "one"]},
+        "epochs-a-dict": {"fetch_epochs": {"a": 1}},
+        "no-epochs": {},
+    }
+
+    @pytest.mark.parametrize("name", AUDIT_POISON)
+    def test_malformed_audit_fetch_is_refused_before_the_log(self, tmp_path, name):
+        signer = make_replica_keys(1, 91).primary
+        data_dir = str(tmp_path / "server")
+
+        def server():
+            return ServerCore(order=4, data_dir=data_dir, fsync=False,
+                              snapshot_every=1000, protocol=Protocol3Server(40))
+
+        deposit = EpochDeposit(user_id="alice", epoch=0, sigma=Digest.zero(),
+                               last=Digest.zero(), signature=signer.sign(Digest.zero()))
+        core = server()
+        core.apply_request("alice", Request(query=WriteQuery(b"k", b"v"),
+                                            extras={"deposit": deposit}))
+        wal = os.path.join(data_dir, "wal.log")
+        logged = os.path.getsize(wal)
+        refused = core.apply_request(
+            "alice", Request(query=None, extras=self.AUDIT_POISON[name]))
+        assert isinstance(refused, ErrorReply)
+        assert refused.extras == {"retryable": False}
+        assert "audit fetch" in refused.reason
+        assert os.path.getsize(wal) == logged
+        core.close_store()
+
+        restarted = server()
+        assert restarted.replayed_records == 1
+        fetched = restarted.apply_request(
+            "alice", Request(query=None, extras={"fetch_epochs": [0, 1]}))
+        assert fetched.extras["deposits"] == {0: {"alice": deposit}, 1: {}}
+        restarted.close_store()
+
+    #: control requests of a protocol whose every request is internal:
     #: wire-decodable, ill-typed, and logged before they execute -- so
     #: the witness must answer each (there is no refusing after the log)
     WITNESS_POISON = {

@@ -15,8 +15,8 @@ stores (S in {1, 2, 8}) at three levels:
   codec, framing, and sync machinery over real sockets;
 * the adversarial layer: every attack in ``bench_byzantine``'s gallery
   replayed against single-tree and forest servers, asserting detection
-  in both with the *same first-deviation operation* (the ``WireAttack``
-  ground truth) and the same detection operation -- no attack may
+  in both with the *same first-deviation operation* (the ground truth
+  the server core records on the attack) and the same detection operation -- no attack may
   become easier or harder to catch because the store is sharded.
 """
 
@@ -38,7 +38,6 @@ from repro.mtree.forest import StoreSpec
 from repro.net import (
     IntegrityError,
     RemoteClient,
-    WireAttack,
     count_sync_check,
     serve_in_thread,
     sync_check,
@@ -141,8 +140,8 @@ def _p2_wire_run(shards: int, attack_factory=None, *, n_users=3, k=4,
     round-robin fleet, periodic register syncs, final closing sync.
     Returns the observable trace and the detection record."""
     users = [f"u{i}" for i in range(n_users)]
-    wire = WireAttack(attack_factory()) if attack_factory else None
-    server = serve_in_thread(order=ORDER, shards=shards, attack=wire)
+    attack = attack_factory() if attack_factory else None
+    server = serve_in_thread(order=ORDER, shards=shards, attack=attack)
     replies = []
     detection = None
     global_op = 0
@@ -190,7 +189,7 @@ def _p2_wire_run(shards: int, attack_factory=None, *, n_users=3, k=4,
     return {
         "replies": replies,
         "detection": detection,
-        "deviation_op": wire.first_deviation_op if wire else None,
+        "deviation_op": attack.first_deviation_op if attack else None,
     }
 
 
@@ -198,13 +197,13 @@ def _p1_wire_run(shards: int, attack_factory=None, *, k=4, steps=12):
     """Protocol I differential run (alice elected, then round-robin)."""
     users = ["alice", "bob"]
     keys = make_keys(users, seed=4096)
-    wire = WireAttack(attack_factory()) if attack_factory else None
+    attack = attack_factory() if attack_factory else None
     state = ServerState(database=VerifiedDatabase(order=ORDER, shards=shards))
     protocol = Protocol1Server()
     protocol.initialize(state)
     bootstrap_server_state(state, keys.signers["alice"])
     server = serve_in_thread(order=ORDER, protocol=protocol, state=state,
-                             block_timeout=5.0, attack=wire)
+                             block_timeout=5.0, attack=attack)
     replies = []
     detection = None
     global_op = 0
@@ -259,7 +258,7 @@ def _p1_wire_run(shards: int, attack_factory=None, *, k=4, steps=12):
     return {
         "replies": replies,
         "detection": detection,
-        "deviation_op": wire.first_deviation_op if wire else None,
+        "deviation_op": attack.first_deviation_op if attack else None,
     }
 
 

@@ -22,7 +22,6 @@ from repro.net import (
     Replicator,
     RetryPolicy,
     TransientNetworkError,
-    WireAttack,
     WitnessCollusion,
     WitnessProtocol,
     attest,
@@ -325,8 +324,8 @@ class TestForkDetection:
         witnesses, endpoints = _witness_cluster()
         replicator = Replicator(KEYS.primary,
                                 witnesses=[e for _, e in endpoints])
-        wire = WireAttack(ForkAttack(victims=["alice"], fork_round=3))
-        server = serve_in_thread(order=ORDER, attack=wire,
+        attack = ForkAttack(victims=["alice"], fork_round=3)
+        server = serve_in_thread(order=ORDER, attack=attack,
                                  replicator=replicator)
         evidence_dir = str(tmp_path)
         try:
