@@ -364,7 +364,7 @@ def cmd_serve(args, out) -> int:
         clean = server.graceful_stop()
         if db_path is not None:
             atomic_write(db_path, dump_database(server.core.state.database))
-        suffix = "" if clean else " (quiesce timed out)"
+        suffix = "" if clean else " (quiesce or deposit flush timed out)"
         print(f"persisted and stopped{suffix}", file=out)
     return 0
 

@@ -8,7 +8,10 @@ per-response step the simulated clients run --
 :class:`~repro.protocols.protocol1.SignedRootChain` (Protocol I,
 :class:`RemoteClientP1`).  No verification is written here: this module
 connects, keeps the window, retries, fails over, persists the anchor,
-captures evidence and records quorum entries.
+captures evidence and records quorum entries.  The replication
+witnesses are reached the same way: :class:`WitnessSession` carries the
+primary's root deposits and a client's quorum fetches, and leaves
+their checks to :mod:`repro.net.replication`.
 
 Every session keeps a *window* of operations in flight
 (``submit``/``drain``; ``execute`` is submit-then-drain, and
@@ -133,9 +136,8 @@ class EndpointConnector:
     """Sticky failover over an ordered ``[(host, port), ...]`` list.
 
     The one way a session (:class:`RemoteClient`,
-    :class:`RemoteClientP1`) reaches a server.  (The witness fetch in
-    :class:`~repro.net.replication.QuorumChecker` samples witnesses at
-    random and calls ``open_connection`` itself.)  A connect tries the
+    :class:`RemoteClientP1`, :class:`WitnessSession`) reaches a server;
+    a witness session's list is its one witness.  A connect tries the
     *current* endpoint first -- reconnects
     prefer the server the session last spoke to, keeping dedup windows
     and blocking state warm -- then rotates through the rest in order.
@@ -215,7 +217,8 @@ class _Session:
     witness quorum bookkeeping, the request-id format and the
     convenience verbs.  Subclasses name their ``protocol``, say what one
     verified response does (``_absorb``) and what their bundle records
-    (``_evidence_fields``).
+    (``_evidence_fields``).  A :class:`WitnessSession` uses only the
+    transport: no state object, no evidence, no quorum.
     """
 
     protocol = ""
@@ -379,7 +382,7 @@ class _Session:
             time.sleep(policy.delay(busy_failures - 1))
             self._held.append(self._inflight[0][1])
 
-    def submit(self, query: Query) -> list:
+    def submit(self, query: Query, extras: dict | None = None) -> list:
         """Queue one operation; returns answers completed on the way.
 
         Blocks only when the window is full (drains the oldest slot) or
@@ -387,16 +390,19 @@ class _Session:
         than the next blocking read or a full window.  The sequence
         number advances here, for every window: a request id names a
         submitted operation and is never given to a second one.
+        ``extras`` is merged into the request's extras.
         """
         drained = []
         while len(self._inflight) >= self.window:
             if _obs.enabled:
                 _WINDOW_FULL.inc(user=self.user_id)
             drained.append(self._drain_one())
-        extras = {"user": self.user_id}
+        fields = {"user": self.user_id}
         if self._rids:
-            extras["rid"] = self._rid(self._seq)
-        request = Request(query=query, extras=extras)
+            fields["rid"] = self._rid(self._seq)
+        if extras is not None:
+            fields.update(extras)
+        request = Request(query=query, extras=fields)
         self._seq += 1
         self._inflight.append((query, request))
         self._held.append(request)
@@ -430,7 +436,7 @@ class _Session:
             answers.append(self._drain_one())
         return answers
 
-    def execute(self, query: Query) -> object:
+    def execute(self, query: Query, extras: dict | None = None) -> object:
         """Send a query; verify the response; return the trusted answer.
 
         Submit, then drain everything.  An operation that ends in
@@ -443,7 +449,7 @@ class _Session:
         (:class:`ServerBusyError`) was not executed and is gone.
         """
         started = time.perf_counter_ns() if _obs.enabled else 0
-        answers = self.submit(query)
+        answers = self.submit(query, extras)
         answers.extend(self.drain())
         if started:
             _CLIENT_OP_MS.observe(
@@ -810,3 +816,28 @@ class RemoteClientP1(_Session):
     def counts(self) -> dict:
         """This user's contribution to the Protocol I count sync."""
         return {"lctr": self.lctr, "gctr": self.gctr}
+
+
+class WitnessSession(_Session):
+    """One connection to a replication witness: what the primary's
+    deposits and a client's quorum fetches
+    (:mod:`repro.net.replication`) travel on.
+
+    A request carries no query, only the ``extras`` passed to
+    ``submit``/``execute``; the answer is the reply's extras, checked
+    here for nothing -- signatures and the quorum rule belong to the
+    code that reads them.  The window is one and no request id is sent:
+    a deposit is idempotent and a fetch is a read, so a resend needs no
+    dedup.
+    """
+
+    _rids = False
+
+    def __init__(self, endpoint, user_id: str, retry: RetryPolicy) -> None:
+        super().__init__([endpoint], user_id, 8, None, 1, retry,
+                         CONNECT_TIMEOUT_SECONDS, OP_TIMEOUT_SECONDS,
+                         None, None, 1)
+
+    def _absorb(self, query: Query, request: Request,
+                response: Response) -> dict:
+        return response.extras

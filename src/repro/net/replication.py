@@ -9,8 +9,8 @@ mutually untrusted *witness* servers:
 * after every executed operation the primary signs a
   :class:`RootDeposit` -- ``sign_primary(h(primary, ctr, root))`` over
   the main branch's post-operation root -- and background sender
-  threads (:class:`Replicator`) push it to every witness over the
-  ordinary framed TCP wire;
+  threads (:class:`Replicator`) push it to every witness, each over
+  its own :class:`~repro.net.client.WitnessSession`;
 * a witness is just another
   :class:`~repro.net.aserver.AsyncTrustedCvsServer` running
   :class:`WitnessProtocol`: it stores every
@@ -20,9 +20,9 @@ mutually untrusted *witness* servers:
   countersigned under the witness's key;
 * clients record each verified operation's expected ``(ctr, new_root)``
   and periodically confirm them against a **random quorum of f + 1
-  witnesses** (:class:`QuorumChecker`), with per-witness
-  timeout/retry/backoff.  Any sample of ``f + 1`` witnesses contains at
-  least one honest one, so:
+  witnesses** (:class:`QuorumChecker`), asked together over one
+  session each.  Any sample of ``f + 1`` witnesses contains at least
+  one honest one, so:
 
   - a *forking primary* is out-voted: the victim's VO-derived root
     disagrees with the primary-signed deposit the honest witness holds
@@ -48,17 +48,17 @@ the deviating replica:
 ``witness-fabrication``
     a valid *witness* signature over a deposit the primary never signed.
 
-Transport noise is never an accusation: an unreachable witness or a
-frame that fails the witness-signature check is retried/excluded from
-the sample without writing evidence -- zero false positives under the
-chaos proxy is a campaign gate (``benchmarks/bench_byzantine.py
---replicas N``).
+Transport noise is never an accusation: an unreachable or refusing
+witness, or a frame that fails the witness-signature check, is
+replaced in the sample without writing evidence -- zero false
+positives under the chaos proxy is a campaign gate
+(``benchmarks/bench_byzantine.py --replicas N``).
 
-Import discipline: :mod:`repro.wire` imports the two message
+This module moves no frame itself: the sessions connect, resend and
+back off.  Import discipline: :mod:`repro.wire` imports the two message
 dataclasses from here, so this module keeps its module-level imports
 codec-free (digests are computed from hand-packed bytes, and the
-framing/client/evidence imports happen inside the classes that need
-them).
+client/evidence imports happen inside the classes that need them).
 """
 
 from __future__ import annotations
@@ -66,12 +66,11 @@ from __future__ import annotations
 import os
 import queue
 import random
-import socket
 import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.crypto.signatures import Signature, Signer, Verifier
@@ -426,10 +425,11 @@ class Replicator:
     :meth:`observe` (from whichever thread/task serialises it) after
     every executed request.  When the **main** branch's counter
     advanced, a deposit over its current root is signed and fanned out
-    to one background sender thread per witness.  Senders batch queued
-    deposits into single requests, reconnect with capped backoff, and
-    keep undelivered deposits pending across reconnects -- the witness
-    store is idempotent, so redelivery is always safe.
+    to one sender thread per witness, each batching what queued
+    meanwhile over its own :class:`~repro.net.client.WitnessSession`
+    (a redelivered deposit is harmless: the witness store is
+    idempotent).  A session blocks, so a witness that is down -- up to
+    f may be -- must not share a thread with the live ones.
 
     A *forking* primary deposits only its public (main) lineage -- the
     forked branches it serves to victims are precisely what never
@@ -438,17 +438,15 @@ class Replicator:
     """
 
     def __init__(self, signer: Signer,
-                 witnesses: list[tuple[str, int]],
-                 connect_timeout: float = 5.0,
-                 op_timeout: float = 10.0,
-                 max_backoff: float = 1.0) -> None:
+                 witnesses: list[tuple[str, int]]) -> None:
+        from repro.net.client import RetryPolicy
+
         if not witnesses:
             raise ReplicationError("replicator needs at least one witness")
         self._signer = signer
         self._endpoints = [tuple(endpoint) for endpoint in witnesses]
-        self._connect_timeout = connect_timeout
-        self._op_timeout = op_timeout
-        self._max_backoff = max_backoff
+        #: 0.02 s doubling to 1 s, between reconnects and after a refusal
+        self._retry = RetryPolicy(base=0.02, cap=1.0, jitter=0)
         self._last_ctr: int | None = None
         self.deposits_created = 0
         self._lock = threading.Lock()
@@ -507,66 +505,51 @@ class Replicator:
     # -- delivery -----------------------------------------------------------
 
     def _sender(self, index: int) -> None:
-        from repro.net.framing import (
-            FramingError, open_connection, recv_message, send_message)
-        from repro.wire import WireError
+        """Deliver one witness's deposits, batched, over one session.  A
+        batch a transport failure left in the window is completed first;
+        a refused one is offered again after a backoff."""
+        from repro.net.client import (
+            IntegrityError, ServerBusyError, TransientNetworkError,
+            WitnessSession)
 
-        endpoint = self._endpoints[index]
-        q = self._queues[index]
-        pending: deque[RootDeposit] = deque()
-        sock: socket.socket | None = None
-        failures = 0
+        endpoint, q = self._endpoints[index], self._queues[index]
+        session = WitnessSession(endpoint, REPL_USER, self._retry)
+        batch: list[RootDeposit] = []  # created, not yet banked
+        refusals = 0
         while not self._stop.is_set():
-            if not pending:
-                deposit = q.get()
-                if deposit is None:
-                    break
-                pending.append(deposit)
-            drained = False
-            while not drained:
+            if not session.inflight:
                 try:
-                    deposit = q.get_nowait()
+                    deposit = q.get(block=not batch)
+                    while deposit is not None:
+                        batch.append(deposit)
+                        deposit = q.get_nowait()
+                    self._stop.set()  # close() queued the None
                 except queue.Empty:
-                    drained = True
-                    continue
-                if deposit is None:
-                    self._stop.set()
+                    pass
+                if not batch:
                     break
-                pending.append(deposit)
-            batch = list(pending)
             try:
-                if sock is None:
-                    sock = open_connection(
-                        endpoint, self._connect_timeout,
-                        self._op_timeout)
-                send_message(sock, Request(query=None, extras={
-                    "user": REPL_USER, DEPOSIT_KEY: batch}))
-                reply = recv_message(sock)
-                if reply is None:
-                    raise FramingError("witness closed the connection")
-            except (OSError, FramingError, WireError):
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-                    sock = None
-                failures += 1
-                delay = min(self._max_backoff, 0.02 * (2 ** min(failures, 8)))
-                if self._stop.wait(delay):
+                if session.inflight:
+                    session.drain()
+                else:
+                    session.execute(None, {DEPOSIT_KEY: list(batch)})
+            except (ServerBusyError, IntegrityError):
+                # Refused, or not answered with a response: nothing was
+                # banked.  Offer it again later, on a new connection.
+                session.close()
+                session = WitnessSession(endpoint, REPL_USER, self._retry)
+                refusals = min(refusals + 1, 8)
+                if self._stop.wait(self._retry.delay(refusals - 1)):
                     break
                 continue
-            failures = 0
-            for _ in batch:
-                pending.popleft()
+            except TransientNetworkError:
+                continue  # still in the window: completed next time
+            refusals = 0
             with self._lock:
                 self._delivered[index] += len(batch)
                 self._done.notify_all()
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            batch = []
+        session.close()
 
     def flush(self, timeout: float = 30.0) -> bool:
         """Block until every witness acknowledged every deposit created
@@ -609,12 +592,13 @@ class QuorumChecker:
     (:meth:`record`: the post-operation counter, the VO-derived new
     root, and the verbatim frames for evidence) and calls :meth:`check`
     periodically.  A check samples a random quorum of ``f + 1``
-    non-excluded witnesses, fetches attestations for every pending
-    counter with per-witness timeout/retry/backoff, and classifies each
-    vote:
+    non-excluded witnesses, asks each of them at once for attestations
+    of every pending counter (one :class:`~repro.net.client.WitnessSession`
+    per witness, with its retry budget), and classifies each vote:
 
-    * transport failure / invalid witness signature -> retry, then swap
-      in a replacement witness (noise, never an accusation);
+    * transport failure past the budget, a refusal, a reply without
+      attestations, or an invalid witness signature -> swap in a
+      replacement witness (noise, never an accusation);
     * valid witness signature over an invalid deposit -> the witness is
       the deviant: evidence is written, the witness is excluded, the
       client carries on (this is the out-vote: a lying minority costs
@@ -636,8 +620,6 @@ class QuorumChecker:
                  primary_id: str = PRIMARY_ID,
                  user_id: str = "anonymous",
                  seed: int | None = None,
-                 connect_timeout: float = 5.0,
-                 op_timeout: float = 10.0,
                  retry=None,
                  evidence_dir: str | None = None,
                  order: "int | dict" = 8) -> None:
@@ -652,13 +634,11 @@ class QuorumChecker:
         self.primary_id = primary_id
         self.user_id = user_id
         self._rng = random.Random(seed)
-        self._connect_timeout = connect_timeout
-        self._op_timeout = op_timeout
         self._retry = retry or RetryPolicy(seed=seed)
         self._evidence_dir = evidence_dir
         self._order = 8
         self.set_order(order)
-        self._conns: dict[str, socket.socket] = {}
+        self._sessions: dict = {}  # witness id -> WitnessSession
         self._pending: dict[int, _PendingRoot] = {}
         self.excluded: set[str] = set()
         self.detections: list[dict] = []
@@ -729,60 +709,45 @@ class QuorumChecker:
         return confirmed
 
     def _collect(self, ctrs: list[int]):
-        """Fetch attestations for ``ctrs`` from a random quorum sample,
-        swapping in replacement witnesses for unreachable (or proven
-        deviant) ones until f+1 responded or the pool ran dry."""
+        """Fetch attestations for ``ctrs`` from a random quorum sample.
+        Every sampled witness is asked before any reply is read (a
+        session's window of one is full at once, so its fetch is on the
+        wire); one that cannot be reached, refuses, or answers without
+        attestations -- or is proven deviant -- is replaced from the
+        rest of the sample until f+1 responded or the pool ran dry.
+        Votes are absorbed in sample order."""
+        from repro.net.client import (
+            IntegrityError, TransientNetworkError, WitnessSession)
+
         available = [w for w in self._witnesses if w[0] not in self.excluded]
         self._rng.shuffle(available)
         votes: dict[int, list[RootAttestation]] = {c: [] for c in ctrs}
-        responded = 0
-        for wid, endpoint in available:
-            if responded >= self.quorum:
-                break
-            attestations = self._fetch(wid, endpoint, ctrs)
-            if attestations is None:
-                continue  # unreachable/garbled past the retry budget
-            if self._absorb(wid, attestations, votes):
-                responded += 1
-        return votes, responded
-
-    def _fetch(self, wid: str, endpoint, ctrs) -> dict | None:
-        """One witness's attestation map, with per-witness
-        timeout/retry/backoff; ``None`` when the budget runs out."""
-        from repro.net.framing import (
-            FramingError, open_connection, recv_message, send_message)
-        from repro.wire import WireError
-
-        policy = self._retry
-        for attempt in range(policy.attempts):
-            sock = self._conns.get(wid)
+        spare, asked, responded = iter(available), deque(), 0
+        while True:
+            while responded + len(asked) < self.quorum:
+                wid, endpoint = next(spare, (None, None))
+                if wid is None:
+                    break
+                if wid not in self._sessions:
+                    self._sessions[wid] = WitnessSession(
+                        endpoint, f"{REPL_USER}:{self.user_id}", self._retry)
+                try:
+                    self._sessions[wid].submit(None, {FETCH_KEY: list(ctrs)})
+                    asked.append(wid)
+                except TransientNetworkError:
+                    self._sessions.pop(wid).close()
+            if not asked:
+                return votes, responded
+            wid = asked.popleft()
             try:
-                if sock is None:
-                    sock = open_connection(
-                        endpoint, self._connect_timeout,
-                        self._op_timeout)
-                    self._conns[wid] = sock
-                send_message(sock, Request(query=None, extras={
-                    "user": f"{REPL_USER}:{self.user_id}",
-                    FETCH_KEY: list(ctrs)}))
-                reply = recv_message(sock)
-                if reply is None:
-                    raise FramingError("witness closed the connection")
-                attestations = getattr(reply, "extras", {}).get(ATTEST_KEY) \
-                    if isinstance(getattr(reply, "extras", None), dict) else None
-                if not isinstance(attestations, dict):
-                    raise FramingError("witness reply carries no attestations")
-                return attestations
-            except (OSError, FramingError, WireError):
-                stale = self._conns.pop(wid, None)
-                if stale is not None:
-                    try:
-                        stale.close()
-                    except OSError:
-                        pass
-                if attempt + 1 < policy.attempts:
-                    time.sleep(policy.delay(attempt))
-        return None
+                [extras] = self._sessions[wid].drain()
+            except (TransientNetworkError, IntegrityError):
+                self._sessions.pop(wid).close()
+                continue
+            attestations = extras.get(ATTEST_KEY)
+            if isinstance(attestations, dict) \
+                    and self._absorb(wid, attestations, votes):
+                responded += 1
 
     def _absorb(self, wid: str, attestations: dict, votes: dict) -> bool:
         """Validate one witness's attestations into ``votes``.
@@ -904,9 +869,6 @@ class QuorumChecker:
         raise error
 
     def close(self) -> None:
-        for sock in self._conns.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._conns.clear()
+        for session in self._sessions.values():
+            session.close()
+        self._sessions.clear()

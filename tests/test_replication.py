@@ -231,18 +231,20 @@ class TestQuorumEndToEnd:
 
     def test_sender_and_fetch_sockets_are_no_delay(self, monkeypatch):
         import socket
+        import threading
 
-        from repro.net import framing
+        from repro.net import client
 
-        opened = []
-        open_connection = framing.open_connection
+        opened = []  # (opening thread, address, socket)
+        open_connection = client.open_connection
 
-        def recording(*args):
-            opened.append(open_connection(*args))
-            return opened[-1]
+        def recording(address, *args):
+            sock = open_connection(address, *args)
+            opened.append((threading.current_thread().name, address, sock))
+            return sock
 
-        # the replication code imports the helper when it first connects
-        monkeypatch.setattr(framing, "open_connection", recording)
+        # every session, witness sessions included, connects through it
+        monkeypatch.setattr(client, "open_connection", recording)
         witnesses, endpoints = _witness_cluster()
         replicator = Replicator(KEYS.primary,
                                 witnesses=[e for _, e in endpoints])
@@ -257,9 +259,13 @@ class TestQuorumEndToEnd:
                     alice.put(b"k%d" % i, b"v%d" % i)
                 assert replicator.flush(timeout=10)
                 alice.quorum_check(require_all=True)
-                fetchers = list(quorum._conns.values())
-                senders = [sock for sock in opened if sock not in fetchers]
-                assert len(senders) == len(witnesses) and fetchers
+                senders = [sock for name, _, sock in opened
+                           if name.startswith("repl-sender-")]
+                fetchers = [sock for name, address, sock in opened
+                            if not name.startswith("repl-sender-")
+                            and address in [e for _, e in endpoints]]
+                assert len(senders) == len(witnesses)
+                assert len(fetchers) >= quorum.quorum
                 for sock in senders + fetchers:
                     assert sock.getsockopt(socket.IPPROTO_TCP,
                                            socket.TCP_NODELAY) == 1
@@ -313,6 +319,116 @@ class TestQuorumEndToEnd:
             server.stop()
             for witness in witnesses:
                 witness.stop()
+
+
+def _banked(witness):
+    return witness.with_core(
+        lambda core: sorted(core.state.meta[META_DEPOSITS]))
+
+
+class TestDepositLeg:
+    def test_refused_deposits_are_not_delivered_and_back_off(self):
+        """A replicator pointed at a plain Protocol II server (a mistyped
+        ``--replicate-to`` port): every deposit is refused, so none
+        counts as delivered, and the refusals back off, not spin."""
+        from repro.protocols.protocol2 import Protocol2Server
+
+        class Counting(Protocol2Server):
+            deposits = 0
+
+            def internal_defect(self, request):
+                self.deposits += DEPOSIT_KEY in request.extras
+                return super().internal_defect(request)
+
+        protocol = Counting()
+        plain = serve_in_thread(order=ORDER, protocol=protocol)
+        replicator = Replicator(KEYS.primary, witnesses=[plain.address])
+        server = serve_in_thread(order=ORDER, replicator=replicator)
+        try:
+            host, port = server.address
+            with RemoteClient(host, port, "alice",
+                              server.initial_root_digest(),
+                              order=ORDER) as alice:
+                for i in range(20):
+                    alice.put(b"k%d" % i, b"v%d" % i)
+            assert not replicator.flush(timeout=2)
+            assert 0 < protocol.deposits < 20
+        finally:
+            server.stop()
+            plain.stop()
+
+    def test_a_down_witness_costs_lag_never_progress(self):
+        """One of three witnesses on a dead port (f = 1): the live two
+        bank everything and confirm the whole lineage; only the flush
+        and nothing else waits on the dead one."""
+        import time
+
+        witnesses, endpoints = _witness_cluster(n=2)
+        endpoints.append((witness_name(2), ("127.0.0.1", _dead_port())))
+        replicator = Replicator(KEYS.primary,
+                                witnesses=[e for _, e in endpoints])
+        server = serve_in_thread(order=ORDER, replicator=replicator)
+        try:
+            host, port = server.address
+            with RemoteClient(host, port, "alice",
+                              server.initial_root_digest(), order=ORDER,
+                              quorum=_quorum(endpoints),
+                              quorum_every=2) as alice:
+                for i in range(20):
+                    alice.put(b"k%d" % i, b"v%d" % i)
+                assert not replicator.flush(timeout=1)
+                for witness in witnesses:
+                    assert _banked(witness) == list(range(1, 21))
+                alice.quorum_check(require_all=True)
+                assert alice.quorum.pending == 0
+                assert alice.quorum.confirmed == 20
+        finally:
+            started = time.monotonic()
+            server.stop()
+            stopped = time.monotonic() - started
+            for witness in witnesses:
+                witness.stop()
+        assert stopped < 1.0
+
+    def test_deposits_survive_chaos_and_a_witness_crash(self, tmp_path):
+        """One witness behind a seeded chaos proxy (drops, truncations,
+        resets); a durable one crash-killed and restarted on its port
+        mid-run.  Both end holding exactly the lineage 1..N."""
+        from repro.net.chaosproxy import ChaosConfig, ChaosProxy
+
+        n = 30
+        chaotic = serve_in_thread(order=ORDER, protocol=_witness_protocol(0))
+        proxy = ChaosProxy(*chaotic.address, seed=5, config=ChaosConfig(
+            drop_rate=0.05, truncate_rate=0.05, reset_rate=0.05)).start()
+        data_dir = str(tmp_path / "w1")
+        durable = serve_in_thread(order=ORDER, protocol=_witness_protocol(1),
+                                  data_dir=data_dir)
+        durable_port = durable.address[1]
+        replicator = Replicator(KEYS.primary,
+                                witnesses=[proxy.address, durable.address])
+        server = serve_in_thread(order=ORDER, replicator=replicator)
+        try:
+            host, port = server.address
+            with RemoteClient(host, port, "alice",
+                              server.initial_root_digest(),
+                              order=ORDER) as alice:
+                for i in range(n):
+                    if i == n // 2:
+                        durable.stop(snapshot=False)  # crash
+                        durable = serve_in_thread(
+                            order=ORDER, protocol=_witness_protocol(1),
+                            data_dir=data_dir, port=durable_port)
+                    alice.put(b"k%d" % i, b"v%d" % i)
+            assert replicator.flush(timeout=30)
+            assert _banked(chaotic) == list(range(1, n + 1))
+            assert _banked(durable) == list(range(1, n + 1))
+            faults = proxy.faults
+            assert faults["drops"] + faults["truncations"] + faults["resets"]
+        finally:
+            server.stop()
+            proxy.stop()
+            chaotic.stop()
+            durable.stop()
 
 
 class TestForkDetection:
@@ -473,7 +589,6 @@ class TestEquivocation:
         checker = QuorumChecker(endpoints, KEYS.verifier, 1, user_id="f",
                                 retry=RetryPolicy(attempts=2, base=0.001,
                                                   cap=0.002, seed=1),
-                                connect_timeout=0.5, op_timeout=0.5,
                                 order=ORDER)
         checker.record(1, _root(b"z"))
         with pytest.raises(TransientNetworkError):
