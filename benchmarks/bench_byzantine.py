@@ -38,12 +38,14 @@ against both protocols).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
 import shutil
 import sys
 import tempfile
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -88,50 +90,96 @@ ORDER = 8
 KEY_SEED = 4096
 
 
-def _inspect_ok(path: str) -> bool:
-    """``repro evidence-inspect`` must certify the bundle (exit 0)."""
-    return cli_main(["evidence-inspect", path], out=io.StringIO()) == 0
+def _genuine(path) -> bool:
+    """The bundle at ``path`` re-verifies as a genuine deviation and
+    ``repro evidence-inspect`` certifies it (exit 0)."""
+    return bool(path) and (
+        evidence.reverify(evidence.read_bundle(path))[0]
+        and cli_main(["evidence-inspect", path], out=io.StringIO()) == 0)
 
 
-def _sync_evidence(evidence_dir: str, tag: str, bundle: dict) -> str:
-    path = os.path.join(evidence_dir, f"{tag}.evidence")
-    return evidence.write_bundle(path, bundle)
+# -- Protocol I and II runs ------------------------------------------------
 
+def run_fleet(name, protocol, attack_factory, *, seed, k=4, steps,
+              chaos=True, verbose=True) -> dict:
+    """One seeded run: a round-robin client fleet through the chaos proxy
+    against a (possibly Byzantine) server speaking ``protocol`` ("I" or
+    "II"), with a register (II) or count (I) sync every ``k`` rounds of
+    the fleet and a final one closing the run.  Returns the per-run
+    record for the campaign report.
 
-# -- Protocol II runs ------------------------------------------------------
-
-def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
-           chaos=True, verbose=True) -> dict:
-    """One seeded run: round-robin client fleet through the chaos proxy
-    against a (possibly Byzantine) Protocol II server.  Returns the
-    per-run record for the campaign report."""
-    users = [f"u{i}" for i in range(n_users)]
+    Protocol I: alice operates first, as the elected signer.  Its client
+    does not transparently reconnect, so benign chaos is delay-only --
+    loss still reaches the *server side* untouched (the attack layer
+    sits behind the proxy).  Each of its operations is two wire messages
+    (request + follow-up signature), so ticks convert to operations 2:1.
+    """
     attack = attack_factory() if attack_factory else None
     evidence_dir = tempfile.mkdtemp(prefix=f"byz-{name}-")
-    server = serve_in_thread(order=ORDER, attack=attack)
-    genesis = server.initial_root_digest()
+    if protocol == "I":
+        users = ["alice", "bob"]
+        keys = make_keys(users, seed=KEY_SEED)
+        state = ServerState(database=VerifiedDatabase(order=ORDER))
+        server_protocol = Protocol1Server()
+        server_protocol.initialize(state)
+        bootstrap_server_state(state, keys.signers["alice"])
+        server = serve_in_thread(order=ORDER, protocol=server_protocol,
+                                 state=state, block_timeout=10.0,
+                                 attack=attack)
+        noise = ChaosConfig(delay_rate=0.05, delay_s=0.002)
+
+        def session(index, user, host, port):
+            return RemoteClientP1(host, port, user, keys.signers[user],
+                                  keys.verifier, order=ORDER,
+                                  evidence_dir=evidence_dir)
+        exchange, check = RemoteClientP1.counts, count_sync_check
+        kind, bundle = "count-sync", evidence.count_sync_bundle
+        messages_per_op = 2
+    else:
+        users = ["u0", "u1", "u2"]
+        server = serve_in_thread(order=ORDER, attack=attack)
+        genesis = server.initial_root_digest()
+        noise = ChaosConfig(drop_rate=0.015, truncate_rate=0.01,
+                            reset_rate=0.01, delay_rate=0.02, delay_s=0.002,
+                            immune_chunks=1)
+
+        def session(index, user, host, port):
+            return RemoteClient(
+                host, port, user, genesis, order=ORDER,
+                connect_timeout=5.0, op_timeout=10.0,
+                retry=RetryPolicy(attempts=24, base=0.01, cap=0.25,
+                                  jitter=0.5, seed=seed + index),
+                evidence_dir=evidence_dir)
+        exchange = RemoteClient.registers
+        check = functools.partial(sync_check, genesis)
+        kind, bundle = "sync", functools.partial(evidence.sync_bundle, genesis)
+        messages_per_op = 1
     proxy = None
     host, port = server.address
     if chaos:
-        proxy = ChaosProxy(host, port, seed=seed, config=ChaosConfig(
-            drop_rate=0.015, truncate_rate=0.01, reset_rate=0.01,
-            delay_rate=0.02, delay_s=0.002, immune_chunks=1)).start()
+        proxy = ChaosProxy(host, port, seed=seed, config=noise).start()
         host, port = proxy.address
-
-    clients = {
-        user: RemoteClient(
-            host, port, user, genesis, order=ORDER,
-            connect_timeout=5.0, op_timeout=10.0,
-            retry=RetryPolicy(attempts=24, base=0.01, cap=0.25,
-                              jitter=0.5, seed=seed + index),
-            evidence_dir=evidence_dir)
-        for index, user in enumerate(users)
-    }
+    clients = {user: session(index, user, host, port)
+               for index, user in enumerate(users)}
 
     detection = None  # (kind, global_op, bundle_path)
     false_alarm = False
     sync_rounds = 0
     global_op = 0
+
+    def sync(tag) -> None:
+        nonlocal detection, false_alarm, sync_rounds
+        sync_rounds += 1
+        exchanged = {u: exchange(c) for u, c in clients.items()}
+        if check(exchanged):
+            return
+        if attack is None or attack.first_deviation_op is None:
+            false_alarm = True
+        else:
+            detection = (kind, global_op, evidence.write_bundle(
+                os.path.join(evidence_dir, f"{kind}-{tag}.evidence"),
+                bundle(exchanged)))
+
     try:
         for step in range(steps):
             for user in users:
@@ -151,122 +199,22 @@ def run_p2(name, attack_factory, *, seed, n_users=3, k=4, steps=14,
                         break
                     detection = ("response", global_op,
                                  getattr(exc, "evidence_path", None))
-                if not detection and global_op % (k * n_users) == 0:
-                    sync_rounds += 1
-                    registers = {u: c.registers()
-                                 for u, c in clients.items()}
-                    if not sync_check(genesis, registers):
-                        if attack is None or attack.first_deviation_op is None:
-                            false_alarm = True
-                        else:
-                            detection = ("sync", global_op, _sync_evidence(
-                                evidence_dir, f"sync-{global_op}",
-                                evidence.sync_bundle(genesis, registers)))
-            if detection or false_alarm:
-                break
-        if not detection and not false_alarm:  # final sync closes every run
-            sync_rounds += 1
-            registers = {u: c.registers() for u, c in clients.items()}
-            if not sync_check(genesis, registers):
-                if attack is None or attack.first_deviation_op is None:
-                    false_alarm = True
-                else:
-                    detection = ("sync", global_op, _sync_evidence(
-                        evidence_dir, "sync-final",
-                        evidence.sync_bundle(genesis, registers)))
-    finally:
-        for client in clients.values():
-            client.close()
-        if proxy is not None:
-            proxy.stop()
-        server.stop()
-
-    return _run_record(name, "II", attack, detection, false_alarm,
-                       global_op, k, n_users, messages_per_op=1,
-                       sync_rounds=sync_rounds, evidence_dir=evidence_dir,
-                       proxy=proxy, verbose=verbose)
-
-
-# -- Protocol I runs -------------------------------------------------------
-
-def run_p1(name, attack_factory, *, seed, k=4, steps=10,
-           chaos=True, verbose=True) -> dict:
-    """Protocol I fleet (alice operates first as the elected signer,
-    then round-robin).  The P1 client does not transparently reconnect,
-    so benign chaos is delay-only -- loss still reaches the *server
-    side* untouched (the attack layer sits behind the proxy)."""
-    users = ["alice", "bob"]
-    keys = make_keys(users, seed=KEY_SEED)
-    attack = attack_factory() if attack_factory else None
-    evidence_dir = tempfile.mkdtemp(prefix=f"byz-{name}-")
-
-    state = ServerState(database=VerifiedDatabase(order=ORDER))
-    protocol = Protocol1Server()
-    protocol.initialize(state)
-    bootstrap_server_state(state, keys.signers["alice"])
-    server = serve_in_thread(order=ORDER, protocol=protocol, state=state,
-                             block_timeout=10.0, attack=attack)
-    proxy = None
-    host, port = server.address
-    if chaos:
-        proxy = ChaosProxy(host, port, seed=seed, config=ChaosConfig(
-            delay_rate=0.05, delay_s=0.002)).start()
-        host, port = proxy.address
-
-    clients = {
-        user: RemoteClientP1(host, port, user, keys.signers[user],
-                             keys.verifier, order=ORDER,
-                             evidence_dir=evidence_dir)
-        for user in users
-    }
-
-    detection = None
-    false_alarm = False
-    sync_rounds = 0
-    global_op = 0
-    try:
-        for step in range(steps):
-            for user in users:
-                if detection or false_alarm:
-                    break
-                global_op += 1
-                client = clients[user]
-                try:
-                    if step % 3 == 2:
-                        client.get(f"{user}-{(step - 1) % 5}".encode())
-                    else:
-                        client.put(f"{user}-{step % 5}".encode(),
-                                   f"{user}:{step}".encode())
-                except IntegrityError as exc:
-                    if attack is None or attack.first_deviation_op is None:
-                        false_alarm = True
-                        break
-                    detection = ("response", global_op,
-                                 getattr(exc, "evidence_path", None))
+                # A Protocol I follow-up is sent, not acknowledged: wait
+                # until the server has ticked it, or the next user's
+                # request, on its own connection, can be ticked first and
+                # the deviation's ground-truth tick moves by one from run
+                # to run.  (A Protocol II op is ticked once it is answered.)
+                deadline = time.monotonic() + 5.0
+                while (not detection
+                       and server.core.round < messages_per_op * global_op
+                       and time.monotonic() < deadline):
+                    time.sleep(0.0005)
                 if not detection and global_op % (k * len(users)) == 0:
-                    sync_rounds += 1
-                    counts = {u: c.counts() for u, c in clients.items()}
-                    if not count_sync_check(counts):
-                        if attack is None or attack.first_deviation_op is None:
-                            false_alarm = True
-                        else:
-                            detection = ("count-sync", global_op,
-                                         _sync_evidence(
-                                             evidence_dir,
-                                             f"count-sync-{global_op}",
-                                             evidence.count_sync_bundle(counts)))
+                    sync(global_op)
             if detection or false_alarm:
                 break
-        if not detection and not false_alarm:
-            sync_rounds += 1
-            counts = {u: c.counts() for u, c in clients.items()}
-            if not count_sync_check(counts):
-                if attack is None or attack.first_deviation_op is None:
-                    false_alarm = True
-                else:
-                    detection = ("count-sync", global_op, _sync_evidence(
-                        evidence_dir, "count-sync-final",
-                        evidence.count_sync_bundle(counts)))
+        if not detection and not false_alarm:  # a final sync closes every run
+            sync("final")
     finally:
         for client in clients.values():
             client.close()
@@ -274,10 +222,8 @@ def run_p1(name, attack_factory, *, seed, k=4, steps=10,
             proxy.stop()
         server.stop()
 
-    # Each Protocol I operation is two wire messages (request +
-    # follow-up signature), so ticks convert to operations at 2:1.
-    return _run_record(name, "I", attack, detection, false_alarm,
-                       global_op, k, len(users), messages_per_op=2,
+    return _run_record(name, protocol, attack, detection, false_alarm,
+                       global_op, k, len(users), messages_per_op=messages_per_op,
                        sync_rounds=sync_rounds, evidence_dir=evidence_dir,
                        proxy=proxy, verbose=verbose)
 
@@ -451,10 +397,6 @@ def _replicated_record(name, attack, *, n_witnesses, f, colluders,
     deviated = attack is not None and attack.first_deviation_op is not None
     colluder_set = set(colluders)
 
-    def _genuine(path):
-        return bool(path) and (evidence.reverify(
-            evidence.read_bundle(path))[0] and _inspect_ok(path))
-
     bad_bundles = [entry for entry in detections + witness_detections
                    if not _genuine(entry["evidence_path"])]
     # Attribution: a primary-implicating replication bundle must name
@@ -557,18 +499,13 @@ def _run_record(name, protocol, attack, detection, false_alarm, global_op,
         if detection:
             kind, detect_op, bundle_path = detection
             latency = detect_op - deviation_op
-            genuine = False
-            if bundle_path:
-                genuine = (evidence.reverify(
-                    evidence.read_bundle(bundle_path))[0]
-                    and _inspect_ok(bundle_path))
             record.update({
                 "detection_kind": kind,
                 "detection_op": detect_op,
                 "latency_ops": latency,
                 "within_bound": 0 <= latency <= bound,
                 "evidence_bundle": bundle_path,
-                "evidence_genuine": genuine,
+                "evidence_genuine": _genuine(bundle_path),
             })
     if verbose:
         if detection:
@@ -625,22 +562,19 @@ def run_campaign(seed: int = 2203, quick: bool = False,
     obs.enable()
     runs = []
     try:
-        p2_steps = 8 if quick else 14
-        p1_steps = 8 if quick else 12
-        runs.append(run_p2("p2-honest-chaotic", None, seed=seed,
-                           steps=p2_steps, verbose=verbose))
-        runs.append(run_p1("p1-honest-chaotic", None, seed=seed + 1,
-                           steps=p1_steps, verbose=verbose))
-        for index, (name, factory) in enumerate(P2_ATTACKS):
-            if quick and name not in QUICK_P2:
-                continue
-            runs.append(run_p2(name, factory, seed=seed + 10 + index,
-                               steps=p2_steps, verbose=verbose))
-        for index, (name, factory) in enumerate(P1_ATTACKS):
-            if quick and name not in QUICK_P1:
-                continue
-            runs.append(run_p1(name, factory, seed=seed + 50 + index,
-                               steps=p1_steps, verbose=verbose))
+        steps = {"II": 8 if quick else 14, "I": 8 if quick else 12}
+        runs.append(run_fleet("p2-honest-chaotic", "II", None, seed=seed,
+                              steps=steps["II"], verbose=verbose))
+        runs.append(run_fleet("p1-honest-chaotic", "I", None, seed=seed + 1,
+                              steps=steps["I"], verbose=verbose))
+        for protocol, attacks, subset, offset in (
+                ("II", P2_ATTACKS, QUICK_P2, 10), ("I", P1_ATTACKS, QUICK_P1, 50)):
+            for index, (name, factory) in enumerate(attacks):
+                if quick and name not in subset:
+                    continue
+                runs.append(run_fleet(name, protocol, factory,
+                                      seed=seed + offset + index,
+                                      steps=steps[protocol], verbose=verbose))
         obs_counters = {
             name: obs.registry.counter(name).total()
             for name in ("net.attacks_injected", "net.detections",

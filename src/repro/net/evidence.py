@@ -38,10 +38,13 @@ response have verified cleanly?*  Four bundle kinds exist:
 ``replication``
     a cross-replica divergence proven by witness attestations
     (:mod:`repro.net.replication`), naming the deviating replica --
-    the primary (fork/equivocation) or a fabricating witness.  Unlike
-    ``response`` bundles, the signed attestation frames ARE the proof:
-    a frame that fails to decode or a witness signature that does not
-    verify makes the bundle prove *nothing* (``genuine=False``).
+    the primary (fork/equivocation) or a fabricating witness, and
+    re-judged by the rule the live quorum check runs
+    (:func:`~repro.net.replication.classify`,
+    :func:`~repro.net.replication.contradiction`).  Unlike ``response``
+    bundles, the signed attestation frames ARE the proof: a frame that
+    fails to decode or that the rule calls noise makes the bundle prove
+    *nothing* (``genuine=False``).
 """
 
 from __future__ import annotations
@@ -50,9 +53,18 @@ import os
 
 from repro.crypto import rsa
 from repro.crypto.hashing import Digest
-from repro.crypto.signatures import Signature, Verifier
+from repro.crypto.signatures import Verifier
 from repro.mtree.forest import StoreSpec
 from repro.mtree.proofs import ProofError
+from repro.net.replication import (
+    FABRICATION,
+    NOISE,
+    PRIMARY_ID,
+    REASONS,
+    WITNESS_FABRICATION,
+    classify,
+    contradiction,
+)
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import DeviationDetected, Request, Response
@@ -182,7 +194,7 @@ def count_sync_bundle(counts: dict[str, dict]) -> dict:
 
 def replication_bundle(*, mode: str, deviant: str, user_id: str, ctr: int,
                        reason: str, attestations: list[bytes],
-                       order: int | dict,
+                       order: int | dict, primary: str = PRIMARY_ID,
                        expected_root: Digest | None = None,
                        request_frame: bytes = b"",
                        response_frame: bytes = b"",
@@ -190,7 +202,7 @@ def replication_bundle(*, mode: str, deviant: str, user_id: str, ctr: int,
     """A cross-replica divergence, with the replica it implicates.
 
     ``mode`` is one of ``witness-fabrication`` (a valid witness
-    signature over a deposit the primary never signed),
+    signature over a deposit ``primary`` never signed),
     ``primary-equivocation`` (two valid primary-signed deposits at one
     counter with different roots), or ``primary-fork`` (a valid
     primary-signed deposit contradicting the root this client derived
@@ -208,6 +220,7 @@ def replication_bundle(*, mode: str, deviant: str, user_id: str, ctr: int,
         "reason": reason,
         "mode": mode,
         "deviant": deviant,
+        "primary": primary,
         "ctr": ctr,
         "attestation_frames": list(attestations),
         "expected_root": expected_root,
@@ -268,9 +281,8 @@ def _reverify_response(bundle: dict) -> tuple[bool, str]:
         return True, "recorded frames are not a protocol request and response"
     order = StoreSpec.coerce(bundle["order"])
     if bundle["protocol"] == "I":
-        state = SignedRootChain(bundle["user"], Verifier({
-            signer_id: _bundle_key(bundle, signer_id)
-            for signer_id in bundle.get("verifier_keys", {})}), order)
+        state = SignedRootChain(bundle["user"], _bundle_verifier(bundle),
+                                order)
     else:
         state = XorRegisters(bundle["user"], order)
     state.restore(bundle["client_state"])
@@ -281,125 +293,55 @@ def _reverify_response(bundle: dict) -> tuple[bool, str]:
     return False, "response verifies cleanly against the recorded state"
 
 
-def _bundle_key(bundle: dict, signer_id: str):
-    info = bundle.get("verifier_keys", {}).get(signer_id)
-    if info is None:
-        return None
-    return rsa.PublicKey(modulus=int(info["modulus"], 16),
-                         exponent=int(info["exponent"]))
-
-
-def _signature_holds(bundle: dict, signature, signer_id: str,
-                     expected: Digest) -> bool:
-    if not isinstance(signature, Signature) or signature.signer_id != signer_id:
-        return False
-    key = _bundle_key(bundle, signer_id)
-    if key is None or signature.digest != expected:
-        return False
-    return rsa.verify_digest(key, expected, signature.raw)
+def _bundle_verifier(bundle: dict) -> Verifier:
+    """The public-key directory a bundle carries, as a :class:`Verifier`."""
+    return Verifier({
+        signer_id: rsa.PublicKey(modulus=int(info["modulus"], 16),
+                                 exponent=int(info["exponent"]))
+        for signer_id, info in bundle.get("verifier_keys", {}).items()})
 
 
 def _reverify_replication(bundle: dict) -> tuple[bool, str]:
-    """Re-judge a cross-replica divergence from its signed attestations.
-
-    The polarity is inverted relative to ``response`` bundles: there, a
-    frame that fails to decode is itself the deviation; here the
-    attestation frames carry the *proof*, so anything unverifiable
-    about them means the bundle implicates nobody.
-    """
-    from repro.net.replication import (
-        RootAttestation,
-        attestation_digest,
-        deposit_digest,
-    )
-
-    mode = bundle.get("mode")
-    deviant = bundle.get("deviant")
-    ctr = bundle.get("ctr")
-    attestations = []
-    for frame in bundle.get("attestation_frames", ()):
-        try:
+    """Re-judge a cross-replica divergence with the quorum check's rule:
+    ``classify`` each recorded attestation, ``contradiction`` over the
+    valid ones.  Genuine iff the rule returns the bundle's mode and
+    deviant.  Unlike a ``response`` bundle's, these frames are the
+    *proof*: one that does not decode, or is noise, implicates nobody.
+    A bundle without a ``primary`` is judged against ``PRIMARY_ID``."""
+    primary, ctr = bundle.get("primary", PRIMARY_ID), bundle.get("ctr")
+    expected = bundle.get("expected_root")
+    verifier, valid, verdict = _bundle_verifier(bundle), [], None
+    try:
+        for frame in bundle.get("attestation_frames", ()):
             attestation = decode(frame)
-        except WireError as exc:
-            return False, f"attestation frame does not decode: {exc}"
-        if not isinstance(attestation, RootAttestation):
-            return False, "attestation frame is not a root attestation"
-        expected = attestation_digest(attestation.witness_id,
-                                      attestation.deposit)
-        if not _signature_holds(bundle, attestation.signature,
-                                attestation.witness_id, expected):
-            return False, (f"witness signature by "
-                           f"{attestation.witness_id!r} does not verify: "
-                           "the attestation proves nothing")
-        attestations.append(attestation)
-    if not attestations:
-        return False, "bundle carries no attestations"
-
-    def primary_signed(deposit) -> bool:
-        return _signature_holds(
-            bundle, deposit.signature, deposit.primary_id,
-            deposit_digest(deposit.primary_id, deposit.ctr, deposit.root))
-
-    if mode == "witness-fabrication":
-        attestation = attestations[0]
-        if attestation.witness_id != deviant:
-            return False, (f"bundle names {deviant!r} but the attestation "
-                           f"was signed by {attestation.witness_id!r}")
-        if primary_signed(attestation.deposit):
-            return False, ("the attested deposit was validly signed by the "
-                           "primary: the witness told the truth")
-        return True, (f"witness {deviant!r} validly countersigned a deposit "
-                      "the primary never signed")
-
-    if mode == "primary-equivocation":
-        valid = [a.deposit for a in attestations
-                 if a.deposit.ctr == ctr and primary_signed(a.deposit)]
-        if len(valid) < 2:
-            return False, ("fewer than two validly primary-signed deposits "
-                           f"at counter {ctr}")
-        roots = {deposit.root for deposit in valid}
-        if len(roots) < 2:
-            return False, "the deposits agree on one root: no equivocation"
-        if valid[0].primary_id != deviant:
-            return False, (f"bundle names {deviant!r} but the deposits were "
-                           f"signed by {valid[0].primary_id!r}")
-        return True, (f"primary signed {len(roots)} different roots at "
-                      f"counter {ctr}")
-
-    if mode == "primary-fork":
-        attestation = attestations[0]
-        deposit = attestation.deposit
-        if deposit.ctr != ctr or not primary_signed(deposit):
-            return False, ("the attested deposit is not validly "
-                           f"primary-signed at counter {ctr}")
-        if deposit.primary_id != deviant:
-            return False, (f"bundle names {deviant!r} but the deposit was "
-                           f"signed by {deposit.primary_id!r}")
-        expected_root = bundle.get("expected_root")
-        if not isinstance(expected_root, Digest):
-            return False, "bundle records no expected root to contradict"
-        if bundle.get("request_frame") and bundle.get("response_frame"):
-            # The strong form: re-derive the client's expected root from
-            # the served operation's own VO, rather than trusting the
-            # recorded digest.
-            try:
-                request = decode(bundle["request_frame"])
-                response = decode(bundle["response_frame"])
-                if not isinstance(request, Request) or \
-                        not isinstance(response, Response):
-                    raise ProofError("they are not a request and a response")
-                outcome = derive_outcome(request.query, response.result,
-                                         StoreSpec.coerce(bundle["order"]))
-            except (WireError, ProofError) as exc:
-                return False, (f"recorded operation frames do not re-verify: "
-                               f"{exc}")
-            if outcome.new_root != expected_root:
-                return False, ("recorded frames do not derive the claimed "
-                               "expected root")
-        if deposit.root == expected_root:
-            return False, ("the deposited root matches the VO-derived root: "
-                           "no fork")
-        return True, ("primary signed a deposit contradicting the root it "
-                      f"served this client at counter {ctr}")
-
-    return False, f"unknown replication divergence mode {mode!r}"
+            # A bundle does not record whom the client asked: the
+            # witness the attestation names stands in.
+            witness = getattr(attestation, "witness_id", None)
+            kind = classify(attestation, ctr, witness, primary, verifier)
+            if kind == NOISE:
+                return False, "an attestation is noise: it proves nothing"
+            if kind == FABRICATION:
+                verdict = (WITNESS_FABRICATION, witness)
+                break
+            valid.append(attestation)
+        if verdict is None and bundle.get("request_frame") \
+                and bundle.get("response_frame"):
+            # The expected root, re-derived from the operation's own VO
+            # rather than taken on the bundle's word.
+            request = decode(bundle["request_frame"])
+            response = decode(bundle["response_frame"])
+            if derive_outcome(getattr(request, "query", None),
+                              getattr(response, "result", None),
+                              StoreSpec.coerce(bundle["order"])
+                              ).new_root != expected:
+                return False, "the recorded frames derive another root"
+    except (WireError, ProofError) as exc:
+        return False, f"a recorded frame does not re-verify: {exc}"
+    if verdict is None:
+        found = contradiction(ctr, valid, expected)
+        verdict = found and (found[0], primary)
+    if verdict != (bundle.get("mode"), bundle.get("deviant")):
+        finds = "%s by %s" % verdict if verdict else "no divergence"
+        return False, (f"the quorum rule finds {finds}, not "
+                       f"{bundle.get('mode')} by {bundle.get('deviant')}")
+    return True, REASONS[verdict[0]].format(deviant=verdict[1], ctr=ctr)

@@ -35,8 +35,10 @@ mutually untrusted *witness* servers:
     witness.  The client writes evidence, excludes it, and re-samples.
 
 Attribution is explicit and offline-checkable.  Every divergence
-produces an upgraded evidence bundle (``kind="replication"``) naming
-the deviating replica:
+produces an evidence bundle (``kind="replication"``) naming the
+deviating replica, and :func:`classify` and :func:`contradiction`
+decide it both live and when ``repro evidence-inspect`` re-checks the
+bundle -- one rule, so the two cannot disagree:
 
 ``primary-fork``
     a valid primary-signed deposit whose root contradicts the VO-derived
@@ -48,9 +50,10 @@ the deviating replica:
 ``witness-fabrication``
     a valid *witness* signature over a deposit the primary never signed.
 
-Transport noise is never an accusation: an unreachable or refusing
-witness, or a frame that fails the witness-signature check, is
-replaced in the sample without writing evidence -- zero false
+Noise is never an accusation: an unreachable or refusing witness, or
+an answer that proves nothing (a witness signature that fails, a
+deposit for another counter), is replaced in the sample without
+writing evidence -- zero false
 positives under the chaos proxy is a campaign gate
 (``benchmarks/bench_byzantine.py --replicas N``).
 
@@ -172,13 +175,16 @@ def make_deposit(signer: Signer, ctr: int, root: Digest) -> RootDeposit:
         signature=signer.sign(deposit_digest(signer.signer_id, ctr, root)))
 
 
-def deposit_valid(deposit: RootDeposit, verifier: Verifier) -> bool:
-    """True iff ``deposit`` really was signed by its named primary."""
-    if not isinstance(deposit.signature, Signature):
-        return False
-    if deposit.signature.signer_id != deposit.primary_id:
-        return False
-    return verifier.verify(deposit.signature, deposit.digest())
+def deposit_valid(deposit: RootDeposit, verifier: Verifier,
+                  primary_id: str) -> bool:
+    """True iff ``deposit`` is a :class:`RootDeposit` signed by *that*
+    primary -- a deposit some other key signed under its own name is
+    not one."""
+    return (isinstance(deposit, RootDeposit)
+            and deposit.primary_id == primary_id
+            and isinstance(deposit.signature, Signature)
+            and deposit.signature.signer_id == primary_id
+            and verifier.verify(deposit.signature, deposit.digest()))
 
 
 def attest(signer: Signer, deposit: RootDeposit) -> RootAttestation:
@@ -199,6 +205,64 @@ def attestation_valid(attestation: RootAttestation,
     if attestation.signature.signer_id != attestation.witness_id:
         return False
     return verifier.verify(attestation.signature, attestation.digest())
+
+
+# -- the verdict: one rule, live (QuorumChecker) and offline (evidence) ------
+
+NOISE, FABRICATION, VALID = "noise", "fabrication", "valid"
+WITNESS_FABRICATION = "witness-fabrication"
+PRIMARY_EQUIVOCATION = "primary-equivocation"
+PRIMARY_FORK = "primary-fork"
+
+#: what each divergence mode proves, and against whom
+REASONS = {
+    WITNESS_FABRICATION: ("witness {deviant} countersigned a deposit the "
+                          "primary never signed at counter {ctr}"),
+    PRIMARY_EQUIVOCATION: ("{deviant} signed two different roots at "
+                           "counter {ctr}: an equivocation"),
+    PRIMARY_FORK: ("{deviant} signed a root at counter {ctr} that "
+                   "contradicts the one it served this client: a fork"),
+}
+
+
+def classify(attestation, ctr: int, witness_id: str, primary_id: str,
+             verifier: Verifier) -> str:
+    """Judge ``witness_id``'s answer to a fetch for counter ``ctr``.
+
+    ``NOISE`` proves nothing about anyone: not an attestation, one
+    naming another witness, a witness signature that does not verify,
+    or a deposit for another counter (an attestation does not commit to
+    the counter that was asked for, so no third party could check that
+    claim).  ``FABRICATION`` is a valid witness signature over a deposit
+    ``primary_id`` did not sign: the witness is the deviant, provably.
+    ``VALID`` is a vote.
+    """
+    if (not isinstance(attestation, RootAttestation)
+            or attestation.witness_id != witness_id
+            or not attestation_valid(attestation, verifier)
+            or attestation.deposit.ctr != ctr):
+        return NOISE
+    if not deposit_valid(attestation.deposit, verifier, primary_id):
+        return FABRICATION
+    return VALID
+
+
+def contradiction(ctr: int, valid_votes: list[RootAttestation],
+                  expected_root: Digest | None):
+    """The primary's divergence at ``ctr`` that ``valid_votes`` prove, as
+    ``(mode, attestations)``, or None.  Two deposits that differ are an
+    equivocation, checked first; a deposit whose root is not the
+    ``expected_root`` the client derived from its own VO is a fork (no
+    expected root, no fork)."""
+    by_digest: dict[Digest, RootAttestation] = {}
+    for attestation in valid_votes:
+        by_digest.setdefault(attestation.deposit.digest(), attestation)
+    if len(by_digest) > 1:
+        return PRIMARY_EQUIVOCATION, list(by_digest.values())[:2]
+    if (valid_votes and isinstance(expected_root, Digest)
+            and valid_votes[0].deposit.root != expected_root):
+        return PRIMARY_FORK, valid_votes[:1]
+    return None
 
 
 # -- deployment keys -------------------------------------------------------
@@ -342,9 +406,7 @@ class WitnessProtocol(ServerProtocol):
         store = state.meta[META_DEPOSITS]
         stored = rejected = 0
         for deposit in deposits if isinstance(deposits, (list, tuple)) else []:
-            if (not isinstance(deposit, RootDeposit)
-                    or deposit.primary_id != self.primary_id
-                    or not deposit_valid(deposit, self._verifier)):
+            if not deposit_valid(deposit, self._verifier, self.primary_id):
                 rejected += 1
                 continue
             existing = store.get(deposit.ctr)
@@ -594,15 +656,15 @@ class QuorumChecker:
     periodically.  A check samples a random quorum of ``f + 1``
     non-excluded witnesses, asks each of them at once for attestations
     of every pending counter (one :class:`~repro.net.client.WitnessSession`
-    per witness, with its retry budget), and classifies each vote:
+    per witness, with its retry budget), and judges each vote with
+    :func:`classify` and :func:`contradiction`:
 
     * transport failure past the budget, a refusal, a reply without
-      attestations, or an invalid witness signature -> swap in a
-      replacement witness (noise, never an accusation);
-    * valid witness signature over an invalid deposit -> the witness is
-      the deviant: evidence is written, the witness is excluded, the
-      client carries on (this is the out-vote: a lying minority costs
-      nothing but a re-sample);
+      attestations, or an attestation that is ``NOISE`` -> swap in a
+      replacement witness (never an accusation);
+    * ``FABRICATION`` -> the witness is the deviant: evidence is
+      written, the witness is excluded, the client carries on (this is
+      the out-vote: a lying minority costs nothing but a re-sample);
     * two valid deposits at one counter with different roots ->
       ``primary-equivocation``: raise (with evidence);
     * a valid deposit whose root contradicts the client's own VO-derived
@@ -750,29 +812,22 @@ class QuorumChecker:
                 responded += 1
 
     def _absorb(self, wid: str, attestations: dict, votes: dict) -> bool:
-        """Validate one witness's attestations into ``votes``.
+        """:func:`classify` one witness's attestations into ``votes``.
 
-        Returns False when the witness should not count towards the
-        quorum: its signature did not verify (transport-grade garbage)
-        or it was just proven a fabricating deviant (excluded)."""
+        Returns False when the witness does not count towards the
+        quorum: its reply is noise, or it was just proven a fabricating
+        deviant (named, excluded: the out-vote)."""
         accepted: dict[int, RootAttestation] = {}
         for ctr in votes:
             attestation = attestations.get(ctr)
             if attestation is None:
                 continue
-            if (not isinstance(attestation, RootAttestation)
-                    or attestation.witness_id != wid
-                    or not attestation_valid(attestation, self._verifier)):
-                # Without a valid witness signature nothing is provable
-                # about anyone: treat the reply as line noise.
-                return False
-            deposit = attestation.deposit
-            if (deposit.ctr != ctr
-                    or deposit.primary_id != self.primary_id
-                    or not deposit_valid(deposit, self._verifier)):
-                # A valid witness signature over a deposit the primary
-                # never signed: the witness is the deviant, provably.
-                self._detect_witness(wid, ctr, attestation)
+            verdict = classify(attestation, ctr, wid, self.primary_id,
+                               self._verifier)
+            if verdict == FABRICATION:
+                self.excluded.add(wid)
+                self._convict(WITNESS_FABRICATION, wid, ctr, [attestation])
+            if verdict != VALID:
                 return False
             accepted[ctr] = attestation
         for ctr, attestation in accepted.items():
@@ -780,93 +835,54 @@ class QuorumChecker:
         return True
 
     def _evaluate(self, votes: dict) -> set[int]:
+        from repro.net.client import ReplicationDivergence
+
         confirmed: set[int] = set()
         for ctr, vlist in votes.items():
             if not vlist or ctr not in self._pending:
                 continue
-            by_digest: dict[Digest, RootAttestation] = {}
-            for attestation in vlist:
-                by_digest.setdefault(attestation.deposit.digest(), attestation)
-            if len(by_digest) > 1:
-                first, second, *_ = by_digest.values()
-                self._raise_primary(
-                    "primary-equivocation", ctr,
-                    f"primary signed {len(by_digest)} different roots at "
-                    f"counter {ctr}", [first, second])
-            attestation = vlist[0]
-            expected = self._pending[ctr]
-            if attestation.deposit.root != expected.root:
-                self._raise_primary(
-                    "primary-fork", ctr,
-                    f"quorum-agreed deposit at counter {ctr} carries root "
-                    f"{attestation.deposit.root.short()}… but this client "
-                    f"verified {expected.root.short()}…: the primary served "
-                    "this client a forked history", [attestation])
+            found = contradiction(ctr, vlist, self._pending[ctr].root)
+            if found is not None:
+                mode, attestations = found
+                path = self._convict(mode, self.primary_id, ctr, attestations)
+                raise ReplicationDivergence(
+                    REASONS[mode].format(deviant=self.primary_id, ctr=ctr),
+                    deviant=self.primary_id, evidence_path=path)
             del self._pending[ctr]
             self.confirmed += 1
             confirmed.add(ctr)
         return confirmed
 
-    # -- detections ---------------------------------------------------------
-
-    def _bundle_path(self, tag: str) -> str | None:
-        if self._evidence_dir is None:
-            return None
-        os.makedirs(self._evidence_dir, exist_ok=True)
-        return os.path.join(self._evidence_dir,
-                            f"{self.user_id}-repl-{tag}.evidence")
-
-    def _detect_witness(self, wid: str, ctr: int,
-                        attestation: RootAttestation) -> None:
-        """Name a fabricating witness, write evidence, out-vote it."""
+    def _convict(self, mode: str, deviant: str, ctr: int,
+                 attestations: list[RootAttestation]) -> str | None:
+        """Record a proven divergence and write its evidence bundle (when
+        there is an evidence directory); returns the bundle's path."""
         from repro.net import evidence
         from repro.wire import encode
 
-        self.excluded.add(wid)
         if _obs.enabled:
-            _DIVERGENCES.inc(deviant=wid, user=self.user_id)
-        path = self._bundle_path(f"{wid}-{ctr}")
-        if path is not None:
-            bundle = evidence.replication_bundle(
-                mode="witness-fabrication", deviant=wid,
-                user_id=self.user_id, ctr=ctr,
-                reason=(f"witness {wid} attested a deposit the primary "
-                        f"never signed at counter {ctr}"),
-                attestations=[encode(attestation)],
-                order=self._order,
-                verifier_keys=evidence.key_directory(self._verifier))
-            path = evidence.write_bundle(path, bundle)
-        self.detections.append({
-            "deviant": wid, "mode": "witness-fabrication", "ctr": ctr,
-            "evidence_path": path})
-
-    def _raise_primary(self, mode: str, ctr: int, reason: str,
-                       attestations: list[RootAttestation]) -> None:
-        from repro.net import evidence
-        from repro.net.client import ReplicationDivergence
-        from repro.wire import encode
-
-        if _obs.enabled:
-            _DIVERGENCES.inc(deviant=self.primary_id, user=self.user_id)
-        expected = self._pending.get(ctr)
-        path = self._bundle_path(f"{mode}-{ctr}")
-        if path is not None:
-            bundle = evidence.replication_bundle(
-                mode=mode, deviant=self.primary_id, user_id=self.user_id,
-                ctr=ctr, reason=reason,
-                attestations=[encode(a) for a in attestations],
-                expected_root=expected.root if expected else None,
-                request_frame=expected.request_frame if expected else b"",
-                response_frame=expected.response_frame if expected else b"",
-                order=self._order,
-                verifier_keys=evidence.key_directory(self._verifier))
-            path = evidence.write_bundle(path, bundle)
-        self.detections.append({
-            "deviant": self.primary_id, "mode": mode, "ctr": ctr,
-            "evidence_path": path})
-        error = ReplicationDivergence(reason, deviant=self.primary_id,
-                                      evidence_path=path)
-        raise error
+            _DIVERGENCES.inc(deviant=deviant, user=self.user_id)
+        path = None
+        if self._evidence_dir is not None:
+            os.makedirs(self._evidence_dir, exist_ok=True)
+            pending = self._pending[ctr]
+            path = evidence.write_bundle(
+                os.path.join(self._evidence_dir,
+                             f"{self.user_id}-repl-{mode}-{deviant}-{ctr}"
+                             ".evidence"),
+                evidence.replication_bundle(
+                    mode=mode, deviant=deviant, primary=self.primary_id,
+                    user_id=self.user_id, ctr=ctr,
+                    reason=REASONS[mode].format(deviant=deviant, ctr=ctr),
+                    attestations=[encode(a) for a in attestations],
+                    expected_root=pending.root,
+                    request_frame=pending.request_frame,
+                    response_frame=pending.response_frame,
+                    order=self._order,
+                    verifier_keys=evidence.key_directory(self._verifier)))
+        self.detections.append({"deviant": deviant, "mode": mode, "ctr": ctr,
+                                "evidence_path": path})
+        return path
 
     def close(self) -> None:
         for session in self._sessions.values():

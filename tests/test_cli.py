@@ -173,6 +173,28 @@ class TestObsReport:
         assert all(check["ok"] for check in snap["reconciliation"].values())
 
 
+class TestEvidenceInspect:
+    def test_forged_equivocation_does_not_convict_the_primary(self, tmp_path):
+        """A witness pairs the primary's deposit with one it signed itself
+        at the same counter: no evidence against the primary."""
+        from repro.crypto.hashing import hash_bytes
+        from repro.net import attest, evidence, make_deposit, make_replica_keys
+        from repro.wire import encode
+
+        keys = make_replica_keys(2, 91)
+        genuine = make_deposit(keys.primary, 1, hash_bytes(b"served"))
+        forged = make_deposit(keys.witnesses[0], 1, hash_bytes(b"forged"))
+        path = evidence.write_bundle(
+            str(tmp_path / "forged.evidence"), evidence.replication_bundle(
+                mode="primary-equivocation", deviant="primary", user_id="u",
+                ctr=1, reason="forged", order=4,
+                attestations=[encode(attest(keys.witnesses[1], genuine)),
+                              encode(attest(keys.witnesses[0], forged))],
+                verifier_keys=evidence.key_directory(keys.verifier)))
+        text = run(["evidence-inspect", path], expect=1)
+        assert "NOT evidence" in text
+
+
 class TestStoreInspect:
     def test_paged_directory_after_two_checkpoints(self, tmp_path):
         from repro.mtree.database import WriteQuery

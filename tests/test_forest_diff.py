@@ -136,9 +136,10 @@ def _client_order(shards: int):
 
 def _p2_wire_run(shards: int, attack_factory=None, *, n_users=3, k=4,
                  steps=14):
-    """The ``bench_byzantine.run_p2`` loop, chaos-free and deterministic:
-    round-robin fleet, periodic register syncs, final closing sync.
-    Returns the observable trace and the detection record."""
+    """``bench_byzantine.run_fleet``'s Protocol II loop, chaos-free and
+    deterministic: round-robin fleet, periodic register syncs, final
+    closing sync.  Returns the observable trace and the detection
+    record."""
     users = [f"u{i}" for i in range(n_users)]
     attack = attack_factory() if attack_factory else None
     server = serve_in_thread(order=ORDER, shards=shards, attack=attack)

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.crypto.hashing import Digest
-from repro.mtree.database import VerifiedDatabase
+from repro.mtree.database import VerifiedDatabase, WriteQuery
 from repro.net import (
     EndpointConnector,
     QuorumChecker,
@@ -41,14 +41,15 @@ from repro.net.replication import (
     HEAD_KEY,
     META_CONFLICTS,
     META_DEPOSITS,
+    PRIMARY_ID,
     REPL_USER,
     RootAttestation,
     RootDeposit,
     witness_name,
 )
-from repro.protocols.base import Request, ServerState
+from repro.protocols.base import Request, Response, ServerState
 from repro.server.attacks import ForkAttack
-from repro.wire import decode, encode
+from repro.wire import WireError, decode, encode
 
 ORDER = 4
 KEYS = make_replica_keys(3, 91)  # one keygen for the whole module
@@ -103,11 +104,11 @@ class TestCodec:
 
     def test_signatures_survive_the_wire(self):
         deposit = decode(encode(make_deposit(KEYS.primary, 1, _root(b"c"))))
-        assert deposit_valid(deposit, KEYS.verifier)
+        assert deposit_valid(deposit, KEYS.verifier, PRIMARY_ID)
         tampered = RootDeposit(primary_id=deposit.primary_id, ctr=2,
                                root=deposit.root,
                                signature=deposit.signature)
-        assert not deposit_valid(tampered, KEYS.verifier)
+        assert not deposit_valid(tampered, KEYS.verifier, PRIMARY_ID)
 
 
 # -- the witness protocol, driven directly ---------------------------------
@@ -157,6 +158,15 @@ class TestWitnessBanking:
         assert reply.extras["rejected"] == 1
         assert state.meta[META_DEPOSITS] == {}
         assert protocol.rejected == 1
+
+    def test_deposit_self_signed_under_another_id_rejected(self):
+        """A witness's key over a deposit in its own name is not the
+        primary's signature: counted rejected, never banked."""
+        protocol, state = self._fresh()
+        selfsigned = make_deposit(KEYS.witnesses[1], 1, _root(b"x"))
+        reply = protocol._store_deposits([selfsigned], state)
+        assert reply.extras["rejected"] == 1
+        assert state.meta[META_DEPOSITS] == {}
 
     def test_conflicting_deposit_keeps_first_remembers_confession(self):
         protocol, state = self._fresh()
@@ -641,6 +651,135 @@ class TestReplicationEvidenceNegatives:
             verifier_keys=evidence.key_directory(KEYS.verifier))
         genuine, why = evidence.reverify(bundle)
         assert not genuine
+
+
+# -- one verdict, live and offline ------------------------------------------
+
+CTR = 1
+W0, W1, W2 = (witness_name(i) for i in range(3))
+
+
+def _op(value: bytes):
+    """A verified write's (new root, request frame, response frame)."""
+    database = VerifiedDatabase(order=ORDER)
+    query = WriteQuery(b"k", value)
+    result = database.execute(query)
+    return (database.root_digest(),
+            encode(Request(query=query, extras={})),
+            encode(Response(result=result, extras={})))
+
+
+def _vote(index: int, deposit) -> bytes:
+    return encode(attest(KEYS.witnesses[index], deposit))
+
+
+def _gallery():
+    """shape -> (votes as (witness, frame), the client's pending entry,
+    the verdict, and a hand-built bundle claim (mode, deviant, extra
+    fields) for the shapes the live path writes no bundle for)."""
+    served, other = _op(b"served"), _op(b"other")
+    good = make_deposit(KEYS.primary, CTR, served[0])
+    rival = make_deposit(KEYS.primary, CTR, other[0])
+    flipped = _witness_protocol(0, WitnessCollusion("fabricate"))._fabricate(
+        good, "g")
+    selfsigned = make_deposit(KEYS.witnesses[0], CTR, other[0])
+    fab = ("witness-fabrication", W0)
+    wrong_sig = RootAttestation(W0, rival, attest(KEYS.witnesses[0],
+                                                  good).signature)
+    return {
+        "honest": ([(W0, _vote(0, good)), (W1, _vote(1, good))], served,
+                   None, ("primary-fork", PRIMARY_ID, {})),
+        "collusion-flipped-root": (
+            [(W0, encode(flipped)), (W1, _vote(1, good))], served, fab, None),
+        "self-signed-deposit": (
+            [(W0, _vote(0, selfsigned)), (W1, _vote(1, good))], served, fab,
+            None),
+        "genuine-deposit-other-counter": (
+            [(W0, _vote(0, make_deposit(KEYS.primary, CTR + 1, other[0]))),
+             (W1, _vote(1, good))], served, None, fab + ({},)),
+        "attestation-naming-another-witness": (
+            [(W1, _vote(0, good)), (W2, _vote(2, good))], served, None,
+            ("witness-fabrication", W1, {})),
+        "bad-witness-signature": (
+            [(W0, encode(wrong_sig)), (W1, _vote(1, good))], served, None,
+            fab + ({},)),
+        "truncated-frame": (
+            [(W0, encode(flipped)[:-3]), (W1, _vote(1, good))], served, None,
+            fab + ({},)),
+        "equivocating-pair": (
+            [(W0, _vote(0, good)), (W1, _vote(1, rival))], served,
+            ("primary-equivocation", PRIMARY_ID), None),
+        "fork": ([(W0, _vote(0, rival)), (W1, _vote(1, rival))], served,
+                 ("primary-fork", PRIMARY_ID), None),
+        # The client verified the rival root from its own frames; the
+        # bundle claims it expected another one.
+        "fork-frames-derive-another-root": (
+            [(W0, _vote(0, rival))], other, None,
+            ("primary-fork", PRIMARY_ID, {"expected_root": served[0]})),
+        # One witness pairs the primary's deposit with one it signed
+        # itself: live, that names the witness; as an "equivocation" it
+        # must not convict the primary.
+        "forged-equivocation": (
+            [(W0, _vote(0, selfsigned)), (W1, _vote(1, good))], served, fab,
+            ("primary-equivocation", PRIMARY_ID, {})),
+    }
+
+
+GALLERY = sorted(_gallery())
+
+
+def _live_verdict(votes, pending, evidence_dir):
+    """The quorum check fed in memory; returns (verdict, bundle path)."""
+    checker = QuorumChecker([(W0, ("127.0.0.1", 1)), (W1, ("127.0.0.1", 2)),
+                             (W2, ("127.0.0.1", 3))], KEYS.verifier, 1,
+                            user_id="g", evidence_dir=evidence_dir,
+                            order=ORDER)
+    checker.record(CTR, *pending)
+    ballot = {CTR: []}
+    for wid, frame in votes:
+        try:
+            attestation = decode(frame)
+        except WireError:
+            continue  # the session drops a reply it cannot decode
+        checker._absorb(wid, {CTR: attestation}, ballot)
+    try:
+        checker._evaluate(ballot)
+    except ReplicationDivergence:
+        pass
+    if not checker.detections:
+        return None, None
+    detection = checker.detections[-1]
+    return ((detection["mode"], detection["deviant"]),
+            detection["evidence_path"])
+
+
+def _offline_verdict(bundle):
+    genuine, _ = evidence.reverify(bundle)
+    return (bundle["mode"], bundle["deviant"]) if genuine else None
+
+
+class TestVerdictGallery:
+    """The quorum check and ``evidence.reverify`` give one verdict, with
+    one deviant, on every shape of answer a witness can give."""
+
+    @pytest.mark.parametrize("shape", GALLERY)
+    def test_live_and_offline_agree(self, shape, tmp_path):
+        votes, pending, verdict, claim = _gallery()[shape]
+        live, path = _live_verdict(votes, pending, str(tmp_path))
+        assert live == verdict
+        if path is not None:
+            assert _offline_verdict(evidence.read_bundle(path)) == verdict
+        if claim is not None:
+            mode, deviant, fields = claim
+            assert (mode, deviant) != verdict
+            bundle = evidence.replication_bundle(
+                mode=mode, deviant=deviant, user_id="g", ctr=CTR,
+                reason="hand-built", attestations=[f for _, f in votes],
+                order=ORDER, expected_root=pending[0],
+                request_frame=pending[1], response_frame=pending[2],
+                verifier_keys=evidence.key_directory(KEYS.verifier))
+            bundle.update(fields)
+            assert _offline_verdict(bundle) is None
 
 
 # -- endpoint failover ------------------------------------------------------
