@@ -271,10 +271,11 @@ def measure(quick: bool = False) -> dict[str, float]:
     return {name: round(value, 3) for name, value in metrics.items()}
 
 
-#: Diagnostics that must never enter the regression baseline: counts
-#: and obs-instrumentation numbers whose value depends on the run mode
+#: Diagnostics the regression check never compares: counts and
+#: obs-instrumentation numbers whose value depends on the run mode
 #: (quick fires far fewer hooks than full, which is not a regression)
-#: or that are gated by their own explicit budget instead.
+#: or that are gated by their own explicit budget instead.  The baseline
+#: records them all the same, for the overhead trajectory.
 _DIAGNOSTIC_METRICS = frozenset({
     "obs_hook_fires_e12",
     "obs_disabled_overhead_pct",
@@ -342,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.write_baseline:
         payload = {"suite": "perf_suite", "mode": "quick" if args.quick else "full",
-                   "after": _gateable(metrics)}
+                   "after": metrics}
         if args.before:
             try:
                 with open(args.before, encoding="utf-8") as handle:
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, KeyError, ValueError):
             print("no usable BENCH_perf.json baseline; skipping regression check")
             return 0
-        problems = compare(metrics, baseline)
+        problems = compare(metrics, _gateable(baseline))
         overhead = metrics.get("obs_disabled_overhead_pct")
         if overhead is not None and overhead > OBS_OVERHEAD_LIMIT_PCT:
             problems.append(

@@ -2,13 +2,15 @@
 
 Layers, bottom up:
 
-* :mod:`repro.mtree.bplus` -- the plain B+-tree.
+* :mod:`repro.mtree.bplus` -- the plain B+-tree, and ``route_index``,
+  the one routing rule.
 * :mod:`repro.mtree.merkle` -- per-node digests with lazy O(log n)
   recomputation; the root digest ``M(D)``.
 * :mod:`repro.mtree.proofs` -- verification objects ``v(Q, D)`` for
   point reads, range reads, and updates, with pure client-side
-  verification (update verification replays splits/borrows/merges on a
-  shadow tree and derives the new root digest independently).
+  verification (update verification runs the B+-tree's own insert or
+  delete on the nodes the VO reveals and derives the new root digest
+  independently).
 * :mod:`repro.mtree.forest` -- :class:`MerkleForest`: the store
   partitioned across per-shard Merkle trees whose roots feed a small
   top tree, with two-level verification objects.

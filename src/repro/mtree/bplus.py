@@ -20,10 +20,17 @@ Design notes
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterator
 
 DEFAULT_ORDER = 8
+
+
+def route_index(keys, key: bytes) -> int:
+    """The child a lookup for ``key`` descends into below separator
+    ``keys`` (and where an absent ``key`` goes in a leaf): the one
+    routing rule, for the tree and every client check of a revealed path."""
+    return bisect_right(keys, key)
 
 
 class LeafNode:
@@ -57,7 +64,7 @@ class InternalNode:
     """An internal node: separator keys and child pointers.
 
     ``keys[i]`` is the smallest key reachable in ``children[i + 1]``, so
-    a lookup for ``k`` follows ``children[bisect_right(keys, k)]``.
+    a lookup for ``k`` follows ``children[route_index(keys, k)]``.
     """
 
     __slots__ = ("keys", "children", "digest")
@@ -76,13 +83,19 @@ class InternalNode:
 
 
 class BPlusTree:
-    """A B+-tree mapping ``bytes`` keys to ``bytes`` values."""
+    """A B+-tree mapping ``bytes`` keys to ``bytes`` values.
 
-    def __init__(self, order: int = DEFAULT_ORDER) -> None:
+    ``root`` runs the tree's operations over existing nodes -- the
+    partial tree an update proof reveals, which the client replays the
+    update on; ``len`` then starts from zero.
+    """
+
+    def __init__(self, order: int = DEFAULT_ORDER,
+                 root: LeafNode | InternalNode | None = None) -> None:
         if order < 3:
             raise ValueError("order must be at least 3")
         self._order = order
-        self._root: LeafNode | InternalNode = LeafNode()
+        self._root: LeafNode | InternalNode = LeafNode() if root is None else root
         self._size = 0
 
     # -- basic properties -------------------------------------------------
@@ -115,10 +128,6 @@ class BPlusTree:
 
     # -- lookup ------------------------------------------------------------
 
-    def _child_index(self, node: InternalNode, key: bytes) -> int:
-        """Index of the child to descend into for ``key``."""
-        return bisect_right(node.keys, key)
-
     def search_path(self, key: bytes) -> list[LeafNode | InternalNode]:
         """The root-to-leaf node path a lookup for ``key`` follows."""
         path: list[LeafNode | InternalNode] = []
@@ -127,7 +136,7 @@ class BPlusTree:
             path.append(node)
             if node.is_leaf:
                 return path
-            node = node.children[self._child_index(node, key)]
+            node = node.children[route_index(node.keys, key)]
 
     def get(self, key: bytes) -> bytes | None:
         """The value stored for ``key``, or ``None``."""
@@ -187,7 +196,7 @@ class BPlusTree:
                 leaf.entry_digests[index] = None
                 return False
 
-        position = _sorted_position(leaf.keys, key)
+        position = route_index(leaf.keys, key)  # the key is absent here
         leaf.keys.insert(position, key)
         leaf.values.insert(position, value)
         leaf.entry_digests.insert(position, None)
@@ -451,10 +460,6 @@ class BPlusTree:
             node = node.children[0]
             height += 1
         return height
-
-
-def _sorted_position(keys: list[bytes], key: bytes) -> int:
-    return bisect_left(keys, key)
 
 
 def _check_key_value(key: bytes, value: bytes) -> None:

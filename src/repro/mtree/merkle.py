@@ -105,13 +105,14 @@ class MerkleBPlusTree:
         """
         return self.node_digest(self._tree.root)
 
-    def leaf_entry_digests(self, node: LeafNode) -> list[Digest]:
+    @staticmethod
+    def leaf_entry_digests(node: LeafNode) -> list[Digest]:
         """Per-entry digests of ``node``, re-hashing only dirty entries.
 
         Each slot caches ``hash_leaf(key, value)``; mutations clear only
         the slots they touch, so an update re-hashes one entry instead
         of all ``order - 1``.  The proof layer reads the same cache when
-        snapshotting leaves.
+        snapshotting leaves, and when folding a replayed update proof.
         """
         cache = node.entry_digests
         keys = node.keys

@@ -12,10 +12,12 @@ A client that knows only the current root digest ``M(D)`` can:
 * :func:`verify_range` -- check a range read, including completeness
   (the server cannot silently drop rows);
 * :func:`verify_update` -- *recompute* the post-update root digest from
-  the pre-update verification object, by replaying the insert or delete
-  (including node splits, borrows, and merges) on a partial "shadow"
-  tree built only from verified snapshots.  The client never takes the
-  server's word for the new root: it derives the new root itself.
+  the pre-update verification object: the verified snapshots become
+  real B+-tree nodes, unrevealed subtrees stay their committed digests,
+  and :class:`~repro.mtree.bplus.BPlusTree`'s own insert or delete
+  (splits, borrows and merges included) runs on that partial tree.  The
+  client never takes the server's word for the new root: it derives the
+  new root itself, with the server's code.
 
 Snapshots are verified bottom-up against the known root digest, so any
 tampering with keys, values, or structure is caught as a digest
@@ -24,10 +26,10 @@ mismatch and raised as :class:`ProofError`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest, hash_internal_node, hash_leaf, hash_leaf_node
+from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode, route_index
 from repro.mtree.merkle import MerkleBPlusTree
 
 
@@ -87,15 +89,6 @@ class InternalSnapshot:
             raise ProofError("malformed internal snapshot")
         if len(self.child_digests) != len(self.keys) + 1:
             raise ProofError("internal snapshot arity mismatch")
-
-
-def route_index(keys, key: bytes) -> int:
-    """The child index a B+-tree lookup for ``key`` descends into.
-
-    Must stay in lock-step with ``BPlusTree._child_index`` -- the
-    client-side replay re-routes with this rule.
-    """
-    return bisect_right(keys, key)
 
 
 def snapshot_leaf(mtree: MerkleBPlusTree, node) -> LeafSnapshot:
@@ -401,8 +394,9 @@ def _snapshot_any(mtree: MerkleBPlusTree, node):
 def build_update_proof(mtree: MerkleBPlusTree, operation: str, key: bytes) -> UpdateProof:
     """Server side: snapshot the search path *before* applying the update.
 
-    For deletes, the adjacent siblings at every level are included so
-    the client can replay borrow/merge rebalancing.
+    For deletes, every adjacent sibling at every level is included so
+    the client can replay borrow/merge rebalancing; a delete proof
+    without one is refused.
     """
     if operation not in ("insert", "delete"):
         raise ValueError(f"unknown update operation {operation!r}")
@@ -432,207 +426,45 @@ def build_update_proof(mtree: MerkleBPlusTree, operation: str, key: bytes) -> Up
     )
 
 
-class _ShadowLeaf:
-    """Mutable client-side reconstruction of a leaf during replay."""
-
-    __slots__ = ("keys", "entries")
-    is_leaf = True
-
-    def __init__(self, snapshot: LeafSnapshot) -> None:
-        self.keys = list(snapshot.keys)
-        self.entries = list(snapshot.entry_digests)
-
-    def digest(self) -> Digest:
-        return hash_leaf_node(list(self.entries))
-
-
-class _ShadowInternal:
-    """Mutable client-side reconstruction of an internal node.
-
-    Children are either bare digests (unverified-but-committed subtrees
-    the replay never touches) or other shadow nodes.
-    """
-
-    __slots__ = ("keys", "children")
-    is_leaf = False
-
-    def __init__(self, keys, children) -> None:
-        self.keys = list(keys)
-        self.children = list(children)
-
-    def digest(self) -> Digest:
-        child_digests = [
-            child if isinstance(child, Digest) else child.digest()
-            for child in self.children
-        ]
-        return hash_internal_node(list(self.keys), child_digests)
-
-
-def _shadow_from_snapshot(snapshot):
+def _node_of(snapshot: LeafSnapshot | InternalSnapshot) -> LeafNode | InternalNode:
+    """A B+-tree node holding what ``snapshot`` reveals.  A leaf keeps
+    its entry digests and its values are unknown (``None``), so only an
+    entry the update writes is hashed again; an internal node's children
+    are its committed digests until a revealed node takes a slot."""
     if isinstance(snapshot, LeafSnapshot):
-        return _ShadowLeaf(snapshot)
-    return _ShadowInternal(snapshot.keys, snapshot.child_digests)
-
-
-class _Replay:
-    """Replays one insert/delete on the shadow path, mirroring the exact
-    split/borrow/merge rules of :class:`repro.mtree.bplus.BPlusTree`."""
-
-    def __init__(self, order: int) -> None:
-        if order < 3:
-            raise ProofError("order must be at least 3")
-        self.order = order
-        self.max_entries = order - 1
-        self.min_entries = (order - 1) // 2
-        self.min_children = (order + 1) // 2
-
-    # -- insert ----------------------------------------------------------
-
-    def insert(self, shadows, indices, key: bytes, entry_digest: Digest):
-        """Apply insert/overwrite; returns the new shadow root."""
-        leaf = shadows[-1]
-        if key in leaf.keys:
-            leaf.entries[leaf.keys.index(key)] = entry_digest
-            return shadows[0]
-        position = route_index(leaf.keys, key)
-        leaf.keys.insert(position, key)
-        leaf.entries.insert(position, entry_digest)
-        if len(leaf.keys) <= self.max_entries:
-            return shadows[0]
-        return self._split_up(shadows, indices)
-
-    def _split_up(self, shadows, indices):
-        node = shadows[-1]
-        parents = list(shadows[:-1])
-        parent_indices = list(indices)
-        while True:
-            if node.is_leaf:
-                separator, sibling = self._split_leaf(node)
-            else:
-                separator, sibling = self._split_internal(node)
-            if not parents:
-                return _ShadowInternal([separator], [node, sibling])
-            parent = parents.pop()
-            child_pos = parent_indices.pop()
-            parent.keys.insert(child_pos, separator)
-            parent.children.insert(child_pos + 1, sibling)
-            if len(parent.children) <= self.order:
-                return (parents[0] if parents else parent)
-            node = parent
-
-    def _split_leaf(self, leaf: _ShadowLeaf):
-        middle = (len(leaf.keys) + 1) // 2
-        sibling = _ShadowLeaf(LeafSnapshot(tuple(leaf.keys[middle:]), tuple(leaf.entries[middle:])))
-        leaf.keys = leaf.keys[:middle]
-        leaf.entries = leaf.entries[:middle]
-        return sibling.keys[0], sibling
-
-    def _split_internal(self, node: _ShadowInternal):
-        middle = len(node.keys) // 2
-        separator = node.keys[middle]
-        sibling = _ShadowInternal(node.keys[middle + 1:], node.children[middle + 1:])
-        node.keys = node.keys[:middle]
-        node.children = node.children[:middle + 1]
-        return separator, sibling
-
-    # -- delete ----------------------------------------------------------
-
-    def delete(self, shadows, indices, key: bytes):
-        """Apply delete; returns the new shadow root (or a bare digest if
-        the whole tree collapsed to an untouched subtree).  The path was
-        folded with the routing rule for ``key``, so a leaf without it
-        proves absence, as for reads: an honest delete changed nothing
-        and the root returned is the one given."""
-        leaf = shadows[-1]
-        if key not in leaf.keys:
-            return shadows[0]
-        position = leaf.keys.index(key)
-        del leaf.keys[position]
-        del leaf.entries[position]
-        return self._rebalance_up(shadows, indices)
-
-    def _rebalance_up(self, shadows, indices):
-        node = shadows[-1]
-        parents = list(shadows[:-1])
-        parent_indices = list(indices)
-        root = shadows[0]
-        while parents:
-            parent = parents[-1]
-            if node.is_leaf:
-                underfull = len(node.keys) < self.min_entries
-            else:
-                underfull = len(node.children) < self.min_children
-            if not underfull:
-                return root
-            child_pos = parent_indices[-1]
-            left = parent.children[child_pos - 1] if child_pos > 0 else None
-            right = parent.children[child_pos + 1] if child_pos + 1 < len(parent.children) else None
-            if left is not None and self._can_lend(left):
-                self._borrow_from_left(parent, child_pos)
-                return root
-            if right is not None and self._can_lend(right):
-                self._borrow_from_right(parent, child_pos)
-                return root
-            if child_pos > 0:
-                self._merge_children(parent, child_pos - 1)
-            else:
-                self._merge_children(parent, child_pos)
-            node = parents.pop()
-            parent_indices.pop()
-        # ``node`` is the root.
-        if not node.is_leaf and len(node.children) == 1:
-            return node.children[0]
+        node = LeafNode()
+        node.keys = list(snapshot.keys)
+        node.values = [None] * len(snapshot.keys)
+        node.entry_digests = list(snapshot.entry_digests)
         return node
+    if len(snapshot.child_digests) < 2:
+        raise ProofError("internal snapshot with one child")
+    node = InternalNode()
+    node.keys = list(snapshot.keys)
+    node.children = list(snapshot.child_digests)
+    return node
 
-    def _require_shadow(self, node, role: str):
-        if isinstance(node, Digest):
-            raise ProofError(f"delete replay needs the {role} sibling, but the proof omitted it")
-        return node
 
-    def _can_lend(self, node) -> bool:
-        node = self._require_shadow(node, "adjacent")
+def _fold(root: LeafNode | InternalNode) -> Digest:
+    """The root digest of a replayed partial tree.  A bare ``Digest``
+    child is its own digest and a node whose ``digest`` is set is as it
+    was checked, so only the nodes the update cleared are hashed.  Not
+    ``MerkleBPlusTree.node_digest``: its counters count the server's
+    work."""
+    nodes = [root]
+    for node in nodes:  # breadth first, appending as it goes: children follow parents
+        if node.digest is None and not node.is_leaf:
+            nodes += [child for child in node.children if not isinstance(child, Digest)]
+    for node in reversed(nodes):
+        if node.digest is not None:
+            continue
         if node.is_leaf:
-            return len(node.keys) > self.min_entries
-        return len(node.children) > self.min_children
-
-    def _borrow_from_left(self, parent: _ShadowInternal, child_pos: int) -> None:
-        left = self._require_shadow(parent.children[child_pos - 1], "left")
-        node = parent.children[child_pos]
-        if node.is_leaf:
-            node.keys.insert(0, left.keys.pop())
-            node.entries.insert(0, left.entries.pop())
-            parent.keys[child_pos - 1] = node.keys[0]
+            node.digest = hash_leaf_node(MerkleBPlusTree.leaf_entry_digests(node))
         else:
-            node.keys.insert(0, parent.keys[child_pos - 1])
-            node.children.insert(0, left.children.pop())
-            parent.keys[child_pos - 1] = left.keys.pop()
-
-    def _borrow_from_right(self, parent: _ShadowInternal, child_pos: int) -> None:
-        node = parent.children[child_pos]
-        right = self._require_shadow(parent.children[child_pos + 1], "right")
-        if node.is_leaf:
-            node.keys.append(right.keys.pop(0))
-            node.entries.append(right.entries.pop(0))
-            parent.keys[child_pos] = right.keys[0]
-        else:
-            node.keys.append(parent.keys[child_pos])
-            node.children.append(right.children.pop(0))
-            parent.keys[child_pos] = right.keys.pop(0)
-
-    def _merge_children(self, parent: _ShadowInternal, left_pos: int) -> None:
-        if left_pos + 1 >= len(parent.children):
-            raise ProofError("delete replay: an only child has no sibling to merge with")
-        left = self._require_shadow(parent.children[left_pos], "left-merge")
-        right = self._require_shadow(parent.children[left_pos + 1], "right-merge")
-        if left.is_leaf:
-            left.keys.extend(right.keys)
-            left.entries.extend(right.entries)
-        else:
-            left.keys.append(parent.keys[left_pos])
-            left.keys.extend(right.keys)
-            left.children.extend(right.children)
-        del parent.keys[left_pos]
-        del parent.children[left_pos + 1]
+            node.digest = hash_internal_node(node.keys, [
+                child if isinstance(child, Digest) else child.digest
+                for child in node.children])
+    return root.digest
 
 
 def derive_update_roots(
@@ -643,59 +475,66 @@ def derive_update_roots(
 ) -> tuple[Digest, Digest]:
     """Derive the (old, new) root digests an update proof vouches for.
 
-    The old root is the one :func:`fold_path` implies; the new root is
-    *recomputed* by replaying the operation on shadow nodes built from
-    the folded snapshots -- what the root must be after an honest
-    server applies exactly this operation.  The caller authenticates
-    the old root: against the root it tracks (:func:`verify_update`), or
-    through the protocol layer (a signature, or the XOR registers).
+    The old root is the one :func:`fold_path` implies.  The new root is
+    *recomputed*: the folded snapshots become a partial B+-tree whose
+    unrevealed subtrees are their committed digests, and
+    :class:`BPlusTree`'s own insert or delete runs on it -- what the root
+    must be after an honest server applies exactly this operation.  A
+    delete proof must reveal every adjacent sibling on its path, so a
+    borrow or merge never looks inside a committed subtree.  The caller
+    authenticates the old root: against the root it tracks
+    (:func:`verify_update`), or through the protocol layer (a signature,
+    or the XOR registers).
 
     ``value`` is required for inserts and must be ``None`` for deletes.
     """
     if proof.key != key:
         raise ProofError("update proof is for a different key")
-    if proof.operation == "insert" and value is None:
-        raise ProofError("insert verification requires the new value")
-    if proof.operation == "delete" and value is not None:
+    if proof.operation == "insert":
+        if not isinstance(value, bytes):
+            raise ProofError("insert verification requires the new value")
+    elif proof.operation != "delete":
+        raise ProofError(f"unknown update operation {proof.operation!r}")
+    elif value is not None:
         raise ProofError("delete verification must not carry a value")
     if len(proof.siblings) != len(proof.internals):
         raise ProofError("sibling list length disagrees with path length")
 
     old_root, indices = fold_path(proof.internals, proof.leaf, key)
 
-    # Rebuild the path as mutable shadow nodes.
-    shadows: list[_ShadowInternal | _ShadowLeaf] = [
-        _ShadowInternal(s.keys, s.child_digests) for s in proof.internals
-    ]
-    shadows.append(_ShadowLeaf(proof.leaf))
-    for depth in range(len(shadows) - 1):
-        shadows[depth].children[indices[depth]] = shadows[depth + 1]
-
-    # Splice verified siblings into their parents (delete proofs only).
+    path = [_node_of(snapshot) for snapshot in (*proof.internals, proof.leaf)]
     for depth, pair in enumerate(proof.siblings):
-        parent = shadows[depth]
-        index = indices[depth]
+        parent, index = path[depth], indices[depth]
+        committed = proof.internals[depth].child_digests
+        parent.children[index] = path[depth + 1]
         for name, side, at, edge in (("left", pair.left, index - 1, "leftmost"),
                                      ("right", pair.right, index + 1, "rightmost")):
+            exists = 0 <= at < len(committed)
             if side is None:
+                if exists and proof.operation == "delete":
+                    raise ProofError(f"{name} sibling missing from a delete proof")
                 continue
-            if not 0 <= at < len(parent.children):
+            if not exists:
                 raise ProofError(f"{name} sibling supplied for a {edge} child")
-            if side.digest() != proof.internals[depth].child_digests[at]:
+            if side.digest() != committed[at]:
                 raise ProofError(f"{name} sibling snapshot does not match committed digest")
-            if isinstance(side, LeafSnapshot) != shadows[depth + 1].is_leaf:
+            if isinstance(side, LeafSnapshot) != path[depth + 1].is_leaf:
                 raise ProofError(f"{name} sibling is not the kind of node its neighbour is")
-            parent.children[at] = _shadow_from_snapshot(side)
+            sibling = _node_of(side)
+            sibling.digest = committed[at]
+            parent.children[at] = sibling
 
-    replay = _Replay(order)
+    try:
+        tree = BPlusTree(order, root=path[0])
+    except (TypeError, ValueError) as exc:
+        raise ProofError(f"bad tree order: {exc}") from None
     if proof.operation == "insert":
-        new_root = replay.insert(shadows, indices, key, hash_leaf(key, value))
-    else:
-        new_root = replay.delete(shadows, indices, key)
-
-    if isinstance(new_root, Digest):
-        return old_root, new_root
-    return old_root, new_root.digest()
+        tree.insert(key, value)
+    elif not tree.delete(key):
+        # the path was folded with the routing rule for ``key``, so a
+        # leaf without it proves absence: an honest delete changed nothing
+        return old_root, old_root
+    return old_root, _fold(tree.root)
 
 
 def verify_update(

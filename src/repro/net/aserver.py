@@ -151,7 +151,6 @@ class AsyncTrustedCvsServer:
         fsync: bool = True,
         attack=None,
         batch_max: int = BATCH_MAX,
-        drain_timeout: float = DRAIN_TIMEOUT_SECONDS,
         shards: int = 1,
         replicator=None,
         backend: str = "file",
@@ -163,7 +162,6 @@ class AsyncTrustedCvsServer:
         self._host, self._port = host, port
         self.block_timeout = block_timeout
         self.batch_max = batch_max
-        self.drain_timeout = drain_timeout
         self.core = ServerCore(order=order, database=database,
                                protocol=protocol, state=state,
                                data_dir=data_dir,
@@ -454,7 +452,7 @@ class AsyncTrustedCvsServer:
 
     async def _drain_one(self, writer: asyncio.StreamWriter) -> None:
         try:
-            await asyncio.wait_for(writer.drain(), timeout=self.drain_timeout)
+            await asyncio.wait_for(writer.drain(), timeout=DRAIN_TIMEOUT_SECONDS)
         except (asyncio.TimeoutError, OSError, ConnectionError):
             transport = writer.transport
             if transport is not None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from repro.crypto.hashing import hash_leaf
 from repro.crypto.signatures import Signature
+from repro.mtree.bplus import route_index
 from repro.mtree.database import QueryResult, ReadQuery
 from repro.mtree.forest import ForestReadProof, shard_key
 from repro.mtree.proofs import (
@@ -38,7 +39,6 @@ from repro.mtree.proofs import (
     LeafSnapshot,
     ReadProof,
     implied_root_for_read,
-    route_index,
 )
 from repro.protocols.base import Request, Response, ServerState
 

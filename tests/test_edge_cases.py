@@ -66,7 +66,7 @@ class TestUpdateProofEdges:
         fake = proof.leaf
         pairs = list(proof.siblings)
         level = None
-        from repro.mtree.proofs import route_index
+        from repro.mtree.bplus import route_index
 
         for depth, snapshot in enumerate(proof.internals):
             if route_index(snapshot.keys, b"k000") == 0:
@@ -87,7 +87,7 @@ class TestUpdateProofEdges:
         proof = build_update_proof(mtree, "delete", key)
         if not proof.internals:
             pytest.skip("tree too small")
-        from repro.mtree.proofs import route_index
+        from repro.mtree.bplus import route_index
 
         pairs = list(proof.siblings)
         level = None

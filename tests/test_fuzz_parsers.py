@@ -237,5 +237,4 @@ class TestVoShapeFuzz:
                 rejected.add(
                     str(exc).removeprefix("left ").removeprefix("right "))
         assert rejected == {"sibling is not the kind of node its neighbour is",
-                            "delete replay: an only child has no sibling "
-                            "to merge with"}
+                            "internal snapshot with one child"}

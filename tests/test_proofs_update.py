@@ -1,5 +1,6 @@
 """Tests for update verification objects: client-side replay of
-inserts/deletes (including splits, borrows, merges, root changes)."""
+inserts/deletes (including splits, borrows, merges, root changes) with
+the server's own B+-tree code."""
 
 import random
 
@@ -166,26 +167,25 @@ class TestRejections:
             build_update_proof(mtree, "upsert", b"k000")
 
     def test_missing_sibling_detected(self):
-        """Strip the siblings from a delete proof that needs rebalancing;
-        the replay must refuse rather than guess."""
+        """Strip the siblings from a delete proof: refused whether or not
+        this delete rebalances, since a delete proof reveals every
+        adjacent sibling on its path."""
         mtree = make_tree(9, order=3)
-        key = b"k004"
-        proof = build_update_proof(mtree, "delete", key)
-        stripped = UpdateProof(
-            operation=proof.operation,
-            key=proof.key,
-            internals=proof.internals,
-            leaf=proof.leaf,
-            siblings=tuple(SiblingPair(left=None, right=None) for _ in proof.siblings),
-        )
-        # Either the replay needs a sibling (ProofError) or, if this
-        # particular delete required no rebalance, roots must agree.
-        try:
-            derived = verify_update(mtree.root_digest(), stripped, mtree.order, key)
-        except ProofError:
-            return
-        mtree.delete(key)
-        assert derived == mtree.root_digest()
+        rebalances = set()
+        for i in range(9):
+            key = f"k{i:03d}".encode()
+            proof = build_update_proof(mtree, "delete", key)
+            rebalances.add(len(proof.leaf.keys) == 1)  # order 3: one is the minimum
+            stripped = UpdateProof(
+                operation=proof.operation,
+                key=proof.key,
+                internals=proof.internals,
+                leaf=proof.leaf,
+                siblings=tuple(SiblingPair(left=None, right=None) for _ in proof.siblings),
+            )
+            with pytest.raises(ProofError, match="sibling missing from a delete proof"):
+                verify_update(mtree.root_digest(), stripped, mtree.order, key)
+        assert rebalances == {True, False}
 
     def test_tampered_sibling_rejected(self):
         mtree = make_tree(9, order=3)
@@ -273,7 +273,7 @@ class TestReplayEquivalenceProperty:
 class TestOnePathFold:
     """An update VO's old root is folded once: every snapshot on the
     path is hashed exactly once, at one tree and at both levels of a
-    forest (the replay then hashes its own shadow nodes for the new
+    forest (the replay then hashes its own B+-tree nodes for the new
     root -- those are not snapshots)."""
 
     @pytest.mark.parametrize("shards", [1, 8])
@@ -306,3 +306,36 @@ class TestOnePathFold:
         assert calls == {
             "InternalSnapshot": sum(len(part.internals) for part in parts),
             "LeafSnapshot": len(parts)}
+
+
+class TestClientFoldCountsNoServerWork:
+    """``mtree.node_recomputations`` and ``mtree.digest_cache_hits``
+    count the server's digest work (the end-to-end trace turns them into
+    layer rows); a client deriving new roots must not move them."""
+
+    @pytest.mark.parametrize("shards", [1, 8])
+    def test_deriving_update_vos_leaves_server_counters(self, shards):
+        from repro import obs
+        from repro.mtree import DeleteQuery, VerifiedDatabase, WriteQuery, derive_outcome
+
+        obs.enable()
+        db = VerifiedDatabase(order=3, shards=shards, top_order=3)
+        root = db.root_digest()
+        steps = []
+        for i in range(80):
+            query = WriteQuery(f"k{i:03d}".encode(), b"v")
+            steps.append((query, db.execute(query)))
+        for i in range(0, 80, 2):
+            query = DeleteQuery(f"k{i:03d}".encode())
+            steps.append((query, db.execute(query)))
+        counters = [obs.counter("mtree.node_recomputations"),
+                    obs.counter("mtree.digest_cache_hits")]
+        before = [counter.total() for counter in counters]
+        assert all(before)
+
+        for query, result in steps:
+            outcome = derive_outcome(query, result, db.spec)
+            assert outcome.old_root == root
+            root = outcome.new_root
+        assert [counter.total() for counter in counters] == before
+        assert root == db.root_digest()
