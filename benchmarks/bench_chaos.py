@@ -26,8 +26,9 @@ Pass criteria (all checked, printed as JSON):
   clients it is also the round-robin order of the workload);
 * **register soundness** -- the Protocol II ``sync_check`` passes over
   all clients' registers;
-* **tamper true-positive** -- a byte-flipped WAL refuses to replay
-  (``WalError``), so recovery cannot be used as a forking side door.
+* **tamper true-positive** -- a byte-flipped WAL (or, when the run
+  ended on a checkpoint, page file) refuses to replay (``WalError``),
+  so recovery cannot be used as a forking side door.
 
 Run ``python benchmarks/bench_chaos.py --check`` for the full campaign
 (>= 20 injected connection drops, >= 5 server restarts; two seconds,
@@ -222,8 +223,9 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
 
     # -- tamper true-positive: recovery must refuse a doctored store -----
     wal_path = os.path.join(data_dir, "wal.log")
-    target = wal_path if os.path.getsize(wal_path) > 16 \
-        else os.path.join(data_dir, "state.snapshot")
+    target = wal_path if os.path.isfile(wal_path) \
+        and os.path.getsize(wal_path) > 16 \
+        else os.path.join(data_dir, "pages.log")
     with open(target, "r+b") as handle:
         blob = bytearray(handle.read())
         blob[min(40, len(blob) - 1)] ^= 0xFF

@@ -1,17 +1,20 @@
 """Storage robustness -- the crash-point recovery matrix, the
 streaming-restart gate and the incremental-checkpoint counts for the
-disk-backed page store.
+paged checkpoint engine.
 
-Four campaigns against ``--backend sqlite`` (the paged Merkle-forest
-store):
+Four campaigns; the first two run on both page stores (``--backend
+file``, the append-only ``pages.log``, and ``--backend sqlite``,
+``pages.db``), the last two on sqlite:
 
 * **crash matrix** -- kill the server at every announced storage crash
-  point (mid WAL append, mid page write, either side of the sqlite
-  checkpoint commit, between the WAL rotation rename and the directory
-  fsync, mid segment GC...), restart, and gate on: the crash actually
-  fired, no acknowledged write was lost, the recovered top root is
-  bit-identical to an uninterrupted run of the same prefix, read VOs
-  verify against the recovered root, and the store accepts new writes.
+  point (mid WAL append, mid page write, either side of the checkpoint
+  commit, between the WAL rotation rename and the directory fsync, mid
+  segment GC...), plus on the page file a commit torn before its fsync,
+  a commit whose fsync lied, and either side of a compaction's rename;
+  restart, and gate on: the crash actually fired, no acknowledged write
+  was lost, the recovered top root is bit-identical to an uninterrupted
+  run of the same prefix, read VOs verify against the recovered root,
+  and the store accepts new writes.
 * **tamper gallery** -- faults that must be *detected*, never masked:
   a bit-rotted page (quarantined and repaired from the previous
   generation + segment replay, root re-verified), a doctored replay
@@ -57,11 +60,12 @@ from repro.mtree.database import (
     WriteQuery,
 )
 from repro.net.core import ServerCore
-from repro.net.wal import PagedServerStore, WalError
+from repro.net.wal import ServerStore, WalError
 from repro.protocols.base import Request, ServerState
 from repro.protocols.protocol2 import Protocol2Server
 from repro.storage.engine import PAGE_BYTES, load_shard_tree
 from repro.storage.faults import FaultyIO, SimulatedCrash
+from repro.storage.pagestore import open_page_store
 
 SHARDS = 2
 ORDER = 4
@@ -84,6 +88,21 @@ CRASH_POINTS = [
     ("compaction:between-rename-and-dirfsync", 1),
     ("compaction:mid-segment-gc", 1),
 ]
+
+#: the cells only an append-only page file has: (name, crash point,
+#: occurrence, further faults, least ops).  Checkpoint 1's commit is the
+#: 12th fsync; the page file's first compaction comes at checkpoint 9.
+PAGE_FILE_CELLS = [
+    ("torn-page-log-tail", "pagelog:before-fsync", 2, {}, 0),
+    ("lying-fsync-on-commit", "checkpoint:after-commit", 2,
+     {"lying_fsync": 12}, 0),
+    ("page-log-compaction:before-rename", "atomic:before-rename", 1, {}, 100),
+    ("page-log-compaction:between-rename-and-dirfsync",
+     "atomic:between-rename-and-dirfsync", 1, {}, 100),
+    ("page-log-compaction:after-dirfsync", "atomic:after-dirfsync", 1, {},
+     100),
+]
+BACKENDS = ("file", "sqlite")
 
 
 def _request(key, value, seq):
@@ -123,60 +142,73 @@ def _vos_verify(database, keys):
     return True
 
 
-def crash_matrix(n_ops, seed, verbose):
-    ops = _ops(n_ops)
-    cells = []
-    for point, occurrence in CRASH_POINTS:
-        data_dir = tempfile.mkdtemp(prefix="bench-storage-")
-        try:
-            io = FaultyIO(seed=seed + occurrence,
-                          crash_at={point: occurrence})
-            core = ServerCore(order=ORDER, data_dir=data_dir,
-                              backend="sqlite", fsync=True, shards=SHARDS,
-                              snapshot_every=SNAPSHOT_EVERY, io=io)
-            acked = _run_until_crash(core, ops)
-            fired = io.crash_count == 1
-            core.store.close()
-            io.simulate_crash()
+def _crash_cell(backend, name, point, occurrence, faults, ops, seed):
+    data_dir = tempfile.mkdtemp(prefix="bench-storage-")
+    try:
+        io = FaultyIO(seed=seed + occurrence, crash_at={point: occurrence},
+                      **faults)
+        core = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
+                          fsync=True, shards=SHARDS,
+                          snapshot_every=SNAPSHOT_EVERY, io=io)
+        acked = _run_until_crash(core, ops)
+        fired = io.crash_count == 1 and all(
+            io._hits.get(fault, 0) >= at for fault, at in faults.items())
+        core.store.close()
+        io.simulate_crash()
 
-            fresh = ServerCore(order=ORDER, data_dir=data_dir,
-                               backend="sqlite", fsync=True,
-                               shards=SHARDS, io=io)
-            lost = [key for key, value in acked
-                    if fresh.state.database.get(key) != value]
-            executed = fresh.state.ctr
-            root_match = (executed >= len(acked)
-                          and fresh.state.database.root_digest()
-                          == _reference_root(executed, ops))
-            vo_ok = _vos_verify(fresh.state.database,
-                                [key for key, _ in acked[-5:]] or [b"x"])
-            fresh.apply_request("bench", _request(b"post", b"crash", n_ops))
-            post_ok = fresh.state.database.get(b"post") == b"crash"
-            fresh.close_store()
-        finally:
-            shutil.rmtree(data_dir, ignore_errors=True)
-        cell = {
-            "point": point,
-            "fired": fired,
-            "acked": len(acked),
-            "executed": executed,
-            "acked_lost": len(lost),
-            "root_matches_reference": root_match,
-            "vos_verify": vo_ok,
-            "writable_after_recovery": post_ok,
-        }
-        cell["pass"] = (fired and len(acked) > 0 and not lost
-                        and root_match and vo_ok and post_ok)
-        cells.append(cell)
-        if verbose:
-            status = "ok" if cell["pass"] else "FAIL"
-            print(f"  crash @ {point:<42} acked={len(acked):>3} "
-                  f"executed={executed:>3} lost={len(lost)} [{status}]")
+        fresh = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
+                           fsync=True, shards=SHARDS, io=io)
+        lost = [key for key, value in acked
+                if fresh.state.database.get(key) != value]
+        executed = fresh.state.ctr
+        root_match = (executed >= len(acked)
+                      and fresh.state.database.root_digest()
+                      == _reference_root(executed, ops))
+        vo_ok = _vos_verify(fresh.state.database,
+                            [key for key, _ in acked[-5:]] or [b"x"])
+        fresh.apply_request("bench", _request(b"post", b"crash", len(ops)))
+        post_ok = fresh.state.database.get(b"post") == b"crash"
+        fresh.close_store()
+    finally:
+        shutil.rmtree(data_dir, ignore_errors=True)
+    cell = {
+        "backend": backend,
+        "point": name,
+        "fired": fired,
+        "acked": len(acked),
+        "executed": executed,
+        "acked_lost": len(lost),
+        "root_matches_reference": root_match,
+        "vos_verify": vo_ok,
+        "writable_after_recovery": post_ok,
+    }
+    cell["pass"] = (fired and len(acked) > 0 and not lost
+                    and root_match and vo_ok and post_ok)
+    return cell
+
+
+def crash_matrix(n_ops, seed, verbose):
+    cells = []
+    for backend in BACKENDS:
+        plan = [(point, point, occurrence, {}, 0)
+                for point, occurrence in CRASH_POINTS]
+        if backend == "file":
+            plan += PAGE_FILE_CELLS
+        for name, point, occurrence, faults, least in plan:
+            cell = _crash_cell(backend, name, point, occurrence, faults,
+                               _ops(max(n_ops, least)), seed)
+            cells.append(cell)
+            if verbose:
+                status = "ok" if cell["pass"] else "FAIL"
+                print(f"  {backend:<6} crash @ {name:<48} "
+                      f"acked={cell['acked']:>3} "
+                      f"executed={cell['executed']:>3} "
+                      f"lost={cell['acked_lost']} [{status}]")
     return cells
 
 
-def _populated_dir(n_ops, data_dir):
-    core = ServerCore(order=ORDER, data_dir=data_dir, backend="sqlite",
+def _populated_dir(n_ops, data_dir, backend):
+    core = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
                       fsync=False, shards=SHARDS,
                       snapshot_every=SNAPSHOT_EVERY)
     ops = _ops(n_ops)
@@ -191,21 +223,22 @@ def _populated_dir(n_ops, data_dir):
 def tamper_gallery(n_ops, seed, verbose):
     rows = []
 
-    def scenario(name, run):
+    def scenario(backend, name, run):
         data_dir = tempfile.mkdtemp(prefix="bench-storage-")
         try:
-            root = _populated_dir(n_ops, data_dir)
-            ok, note = run(data_dir, root)
+            root = _populated_dir(n_ops, data_dir, backend)
+            ok, note = run(backend, data_dir, root)
         finally:
             shutil.rmtree(data_dir, ignore_errors=True)
-        rows.append({"scenario": name, "pass": ok, "outcome": note})
+        rows.append({"backend": backend, "scenario": name, "pass": ok,
+                     "outcome": note})
         if verbose:
-            print(f"  tamper: {name:<28} {note} "
+            print(f"  {backend:<6} tamper: {name:<28} {note} "
                   f"[{'ok' if ok else 'FAIL'}]")
 
-    def bitrot(data_dir, root):
+    def bitrot(backend, data_dir, root):
         io = FaultyIO(seed=seed, bitrot_page=("any", -1))
-        core = ServerCore(order=ORDER, data_dir=data_dir, backend="sqlite",
+        core = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
                           fsync=False, shards=SHARDS, io=io)
         repaired = list(core.store.repaired_shards)
         match = core.state.database.root_digest() == root
@@ -214,7 +247,7 @@ def tamper_gallery(n_ops, seed, verbose):
             return True, f"quarantined + repaired shard {repaired[0]}"
         return False, "rot not repaired or root diverged"
 
-    def segment_tamper(data_dir, root):
+    def segment_tamper(backend, data_dir, root):
         segments = sorted(name for name in os.listdir(data_dir)
                           if name.startswith("wal-seg."))
         if not segments:
@@ -227,24 +260,24 @@ def tamper_gallery(n_ops, seed, verbose):
             handle.write(blob)
         io = FaultyIO(seed=seed, bitrot_page=("any", -1))
         try:
-            ServerCore(order=ORDER, data_dir=data_dir, backend="sqlite",
+            ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
                        fsync=False, shards=SHARDS, io=io)
         except WalError:
             return True, "repair refused the doctored segment"
         return False, "tampered segment silently accepted"
 
-    def lost_commit(data_dir, root):
-        # re-run traffic with an engine that lies about one commit
+    def lost_commit(backend, data_dir, root):
+        # re-run traffic with a page store that lies about one commit
         shutil.rmtree(data_dir)
         io = FaultyIO(seed=seed, lose_commit=3)
-        core = ServerCore(order=ORDER, data_dir=data_dir, backend="sqlite",
+        core = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
                           fsync=True, shards=SHARDS,
                           snapshot_every=SNAPSHOT_EVERY, io=io)
         _run_until_crash(core, _ops(n_ops))
         core.store.close()
         io.simulate_crash()
         try:
-            ServerCore(order=ORDER, data_dir=data_dir, backend="sqlite",
+            ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
                        fsync=True, shards=SHARDS, io=io)
         except WalError as exc:
             if "lost a checkpoint" in str(exc):
@@ -252,24 +285,24 @@ def tamper_gallery(n_ops, seed, verbose):
             return True, f"refused: {exc}"
         return False, "lost checkpoint silently served"
 
-    def garbage_manifest(data_dir, root):
-        import sqlite3
-        conn = sqlite3.connect(os.path.join(data_dir, "pages.db"))
-        conn.execute("UPDATE meta SET value=? WHERE key='checkpoint'",
-                     (b"garbage",))
-        conn.commit()
-        conn.close()
+    def garbage_manifest(backend, data_dir, root):
+        pages = open_page_store(data_dir, fsync=False, backend=backend)
+        pages.begin()
+        pages.put_meta("checkpoint", b"garbage")
+        pages.commit()
+        pages.close()
         try:
-            ServerCore(order=ORDER, data_dir=data_dir, backend="sqlite",
+            ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
                        fsync=False, shards=SHARDS)
         except WalError:
             return True, "undecodable manifest refused"
         return False, "garbage manifest accepted"
 
-    scenario("bitrot-page", bitrot)
-    scenario("doctored-segment", segment_tamper)
-    scenario("lying-commit", lost_commit)
-    scenario("garbage-manifest", garbage_manifest)
+    for backend in BACKENDS:
+        scenario(backend, "bitrot-page", bitrot)
+        scenario(backend, "doctored-segment", segment_tamper)
+        scenario(backend, "lying-commit", lost_commit)
+        scenario(backend, "garbage-manifest", garbage_manifest)
     return rows
 
 
@@ -289,14 +322,14 @@ def streaming_restart(entries, verbose):
 
     data_dir = tempfile.mkdtemp(prefix="bench-storage-big-")
     try:
-        store = PagedServerStore(data_dir, fsync=False)
+        store = ServerStore(data_dir, backend="sqlite", fsync=False)
         checkpoint_start = time.time()
         store.write_snapshot(state, {})
         checkpoint_secs = time.time() - checkpoint_start
         store.close()
         db_bytes = os.path.getsize(os.path.join(data_dir, "pages.db"))
 
-        fresh = PagedServerStore(data_dir, fsync=False)
+        fresh = ServerStore(data_dir, backend="sqlite", fsync=False)
         load_start = time.time()
         loaded = fresh.load_snapshot()
         load_secs = time.time() - load_start
@@ -365,7 +398,7 @@ def incremental_checkpoint(verbose):
     data_dir = tempfile.mkdtemp(prefix="bench-storage-inc-")
     steps = []
     try:
-        store = PagedServerStore(data_dir, fsync=False)
+        store = ServerStore(data_dir, backend="sqlite", fsync=False)
 
         def checkpoint(step):
             store.write_snapshot(state, {})
@@ -393,7 +426,7 @@ def incremental_checkpoint(verbose):
             database.mtree.delete(keys[i * stride + 7])
         checkpoint("50 inserts + 50 deletes")
         store.close()
-        fresh = PagedServerStore(data_dir, fsync=False)
+        fresh = ServerStore(data_dir, backend="sqlite", fsync=False)
         loaded = fresh.load_snapshot()
         root_matches = loaded[0].root_digest() == database.root_digest() \
             and fresh.repaired_shards == []
@@ -430,7 +463,7 @@ def incremental_checkpoint(verbose):
 
 def run_campaign(n_ops, entries, seed, verbose=True):
     if verbose:
-        print("crash-point recovery matrix (--backend sqlite):")
+        print("crash-point recovery matrix (both page stores):")
     matrix = crash_matrix(n_ops, seed, verbose)
     if verbose:
         print("tamper gallery (detected, never masked):")

@@ -46,7 +46,7 @@ from repro.crypto import rsa
 from repro.crypto.hashing import Digest, hash_bytes, hash_tagged_state, xor_all
 from repro.core.scenarios import build_simulation
 from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
-from repro.net.wal import PagedServerStore
+from repro.net.wal import ServerStore
 from repro.protocols.base import Response, ServerState
 from repro.protocols.verify import derive_outcome
 from repro.simulation.workload import steady_workload
@@ -183,7 +183,7 @@ def measure(quick: bool = False) -> dict[str, float]:
     paged_state = ServerState(database=paged)
     hot = page_keys[:len(page_keys) // 10]
     with tempfile.TemporaryDirectory(prefix="perf-pagestore-") as data_dir:
-        store = PagedServerStore(data_dir, fsync=False)
+        store = ServerStore(data_dir, backend="sqlite", fsync=False)
         store.write_snapshot(paged_state, {})
         checkpoints = []
         for _ in range(3 if quick else 7):
@@ -195,7 +195,7 @@ def measure(quick: bool = False) -> dict[str, float]:
         store.close()
         loads = []
         for _ in range(3):
-            store = PagedServerStore(data_dir, fsync=False)
+            store = ServerStore(data_dir, backend="sqlite", fsync=False)
             started = time.perf_counter()
             loaded = store.load_snapshot()
             loads.append((time.perf_counter() - started) * 1000.0)

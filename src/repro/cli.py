@@ -372,22 +372,26 @@ def cmd_serve(args, out) -> int:
 def cmd_store_inspect(args, out) -> int:
     """Describe a server data directory without starting a server.
 
-    For the sqlite backend, decodes the checkpoint manifest and prints
-    the per-shard generation/page layout, the remembered responses per
-    user and the retained WAL segments; for the file backend,
-    summarises the snapshot and WAL.
+    Decodes the checkpoint manifest of either page store (``pages.log``
+    or ``pages.db``) and prints the per-shard generation/page layout,
+    the remembered responses per user and the retained WAL segments.
     Read-only: safe to run against a live server's directory.
     """
     from repro.net.wal import (
+        RETIRED_FILES,
         SEGMENT_PREFIX,
         SEGMENT_SUFFIX,
-        SNAPSHOT_FILE,
         WAL_FILE,
         _MANIFEST_FORMAT,
         _MANIFEST_KEY,
-        _parse_records,
     )
-    from repro.storage.pagestore import SqlitePageStore, open_page_store
+    from repro.storage.pagestore import (
+        FilePageStore,
+        SqlitePageStore,
+        StorageError,
+        open_page_store,
+        parse_records,
+    )
     from repro.wire import decode as _decode, encode as _encode
 
     data_dir = args.data_dir
@@ -398,72 +402,76 @@ def cmd_store_inspect(args, out) -> int:
         path = os.path.join(data_dir, name)
         return os.path.getsize(path) if os.path.isfile(path) else None
 
+    for name, format_name in RETIRED_FILES.items():
+        if _file_size(name) is not None:
+            raise CliError(f"{name} is {format_name}, a format this build "
+                           "does not read")
+
     wal_size = _file_size(WAL_FILE)
     if wal_size is not None:
         with open(os.path.join(data_dir, WAL_FILE), "rb") as handle:
-            records, good_end = _parse_records(handle.read())
+            records, good_end = parse_records(handle.read())
         torn = "" if good_end == wal_size else \
             f" + {wal_size - good_end} torn tail byte(s)"
         print(f"wal.log: {wal_size} bytes, {len(records)} record(s){torn}",
               file=out)
 
-    if os.path.isfile(os.path.join(data_dir, SqlitePageStore.FILE)):
-        store = open_page_store(data_dir, readonly=True)
-        try:
-            blob = store.get_meta(_MANIFEST_KEY)
-            if blob is None:
-                print("backend: sqlite (no checkpoint committed yet)",
-                      file=out)
-                return 0
-            manifest = _decode(blob)
-            print("backend: sqlite", file=out)
-            print(f"pages.db: {_file_size(SqlitePageStore.FILE)} bytes",
+    backend = next((name for name, kind in (("file", FilePageStore),
+                                            ("sqlite", SqlitePageStore))
+                    if _file_size(kind.FILE) is not None), None)
+    if backend is None:
+        raise CliError(f"{data_dir!r} holds no page store")
+    try:
+        store = open_page_store(data_dir, readonly=True, backend=backend)
+    except StorageError as exc:
+        raise CliError(str(exc)) from exc
+    try:
+        blob = store.get_meta(_MANIFEST_KEY)
+        if blob is None:
+            print(f"backend: {backend} (no checkpoint committed yet)",
                   file=out)
-            print(f"manifest: {len(blob)} bytes ({manifest['format']})",
+            return 0
+        manifest = _decode(blob)
+        print(f"backend: {backend}", file=out)
+        print(f"{type(store).FILE}: {_file_size(type(store).FILE)} bytes",
+              file=out)
+        print(f"manifest: {len(blob)} bytes ({manifest['format']})",
+              file=out)
+        if manifest["format"] != _MANIFEST_FORMAT:
+            raise CliError(f"this build reads only {_MANIFEST_FORMAT!r}")
+        print(f"checkpoint generation: {manifest['gen']}", file=out)
+        print(f"top root: {manifest['root'].hex()}", file=out)
+        print(f"spec: {manifest['spec']}", file=out)
+        print(f"ops counter: {manifest['ctr']}", file=out)
+        for record in manifest["shards"]:
+            shard = int(record["shard"])
+            gen = int(record["gen"])
+            # A generation holds what its checkpoint *wrote*; the
+            # shard's state is that plus every older leaf page the
+            # nodes stream still names.
+            pages = sum(store.page_count(kind, shard, gen)
+                        for kind in ("nodes", "entries"))
+            size = sum(store.page_bytes(kind, shard, gen)
+                       for kind in ("nodes", "entries"))
+            prev = int(record["prev_gen"])
+            prev_note = "none" if prev < 0 else str(prev)
+            print(f"shard {shard}: gen {gen}, prev gen {prev_note}, "
+                  f"root {record['root'].short()}...", file=out)
+            print(f"  live leaf pages: {record['counts']['leaves']}; "
+                  f"last checkpoint wrote {pages} pages ({size} bytes); "
+                  f"{len(record['superseded'])} superseded awaiting the "
+                  f"next rewrite; next page id {record['next_page']}",
                   file=out)
-            if manifest["format"] != _MANIFEST_FORMAT:
-                raise CliError(f"this build reads only {_MANIFEST_FORMAT!r}")
-            print(f"checkpoint generation: {manifest['gen']}", file=out)
-            print(f"top root: {manifest['root'].hex()}", file=out)
-            print(f"spec: {manifest['spec']}", file=out)
-            print(f"ops counter: {manifest['ctr']}", file=out)
-            for record in manifest["shards"]:
-                shard = int(record["shard"])
-                gen = int(record["gen"])
-                # A generation holds what its checkpoint *wrote*; the
-                # shard's state is that plus every older leaf page the
-                # nodes stream still names.
-                pages = sum(store.page_count(kind, shard, gen)
-                            for kind in ("nodes", "entries"))
-                size = sum(store.page_bytes(kind, shard, gen)
-                           for kind in ("nodes", "entries"))
-                prev = int(record["prev_gen"])
-                prev_note = "none" if prev < 0 else str(prev)
-                print(f"shard {shard}: gen {gen}, prev gen {prev_note}, "
-                      f"root {record['root'].short()}...", file=out)
-                print(f"  live leaf pages: {record['counts']['leaves']}; "
-                      f"last checkpoint wrote {pages} pages ({size} bytes); "
-                      f"{len(record['superseded'])} superseded awaiting the "
-                      f"next rewrite; next page id {record['next_page']}",
-                      file=out)
-            # The dedup table is written whole, inside the manifest.
-            for user, pairs in sorted(manifest["dedup"].items()):
-                print(f"user {user}: {len(pairs)} remembered response(s), "
-                      f"{len(_encode(pairs))} manifest bytes", file=out)
-            for gen_key in sorted(manifest["segments"], key=int):
-                size = _file_size(
-                    f"{SEGMENT_PREFIX}{gen_key}{SEGMENT_SUFFIX}")
-                state = "missing" if size is None else f"{size} bytes"
-                print(f"segment {gen_key}: {state}", file=out)
-        finally:
-            store.close()
-        return 0
-
-    snap_size = _file_size(SNAPSHOT_FILE)
-    if snap_size is None:
-        raise CliError(f"{data_dir!r} holds no snapshot or page store")
-    print("backend: file", file=out)
-    print(f"state.snapshot: {snap_size} bytes", file=out)
+        # The dedup table is written whole, inside the manifest.
+        for user, pairs in sorted(manifest["dedup"].items()):
+            print(f"user {user}: {len(pairs)} remembered response(s), "
+                  f"{len(_encode(pairs))} manifest bytes", file=out)
+        for gen_key in sorted(manifest["segments"], key=int):
+            size = _file_size(f"{SEGMENT_PREFIX}{gen_key}{SEGMENT_SUFFIX}")
+            state = "missing" if size is None else f"{size} bytes"
+            print(f"segment {gen_key}: {state}", file=out)
+    finally:
+        store.close()
     return 0
 
 
@@ -695,10 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser("serve", help="host the repository over TCP")
     serve.add_argument("-p", "--port", type=int, default=7117)
     serve.add_argument("--durable", action="store_true",
-                       help="write-ahead log + snapshots under REPO/server/: "
-                            "crashes lose no acknowledged write")
+                       help="write-ahead log + checkpoints under "
+                            "REPO/server/: crashes lose no acknowledged write")
     serve.add_argument("--snapshot-every", type=int, default=256,
-                       help="ops between snapshots in --durable mode")
+                       help="ops between checkpoints in --durable mode")
     serve.add_argument("--batch-max", type=int, default=64,
                        help="max ops per drainer batch (one group commit, "
                             "one root pass, one Protocol I signing run)")
@@ -715,10 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "these witness endpoints")
     serve.add_argument("--backend", choices=("file", "sqlite"),
                        default="file",
-                       help="durable store engine: 'file' rewrites one "
-                            "snapshot file; 'sqlite' keeps checksummed "
-                            "shard pages and checkpoints incrementally "
-                            "(requires --durable)")
+                       help="page store under the incremental checkpoint: "
+                            "'file' appends to pages.log, 'sqlite' commits "
+                            "to pages.db (requires --durable)")
     serve.set_defaults(handler=cmd_serve)
 
     store_inspect = commands.add_parser(

@@ -46,10 +46,11 @@ hanging.  Under a Byzantine fork each user waits on *its own* branch's
 outstanding follow-up, like a real forking server would.
 
 Crash safety (``data_dir``): the core keeps a write-ahead log and
-periodic shape-exact snapshots (see :mod:`repro.net.wal`).  A restarted
-server replays to the identical root digest, counters, and request-ID
-dedup table, so clients that retry in-flight operations are answered
-exactly once and resume their verified sessions as if nothing happened.
+periodic shape-exact paged checkpoints (see :mod:`repro.net.wal`).  A
+restarted server replays to the identical root digest, counters, and
+request-ID dedup table, so clients that retry in-flight operations are
+answered exactly once and resume their verified sessions as if nothing
+happened.
 
 Run it with :func:`serve_in_thread`: the loop lives in a daemon thread
 and the returned handle is the synchronous management surface
@@ -568,7 +569,7 @@ class AsyncServerHandle:
             timeout=timeout)
 
     def checkpoint(self) -> None:
-        """Write a snapshot now (durable mode only); truncates the WAL."""
+        """Write a checkpoint now (durable mode only); rotates the WAL."""
         self.with_core(lambda core: core.snapshot())
 
     def stop(self, snapshot: bool = False) -> None:

@@ -1,7 +1,7 @@
 """The transport-agnostic server core.
 
 Everything a Trusted-CVS server *is* -- the named state branches, the
-protocol, the request-ID dedup table, the WAL + snapshot store, the
+protocol, the request-ID dedup table, the WAL + checkpoint store, the
 Byzantine attack hooks, and the round counter -- lives here, with **no
 locking of its own**.  The caller owns serialisation:
 :class:`~repro.net.aserver.AsyncTrustedCvsServer` funnels every call
@@ -49,7 +49,7 @@ from repro.net.wal import ServerStore, open_server_store
 from repro.server.attacks import Attack
 from repro.storage.pagestore import StorageError
 
-#: write a snapshot (and truncate the WAL) every this many logged
+#: write a checkpoint (and rotate the WAL) every this many logged
 #: messages; bounds replay work after a crash.
 SNAPSHOT_EVERY = 256
 
@@ -58,7 +58,7 @@ _WAL_APPENDS = _registry.counter(
 _WAL_REPLAYS = _registry.counter(
     "server.wal_replays", "WAL records re-executed during recovery")
 _SNAPSHOTS = _registry.counter(
-    "server.snapshots", "state snapshots written (WAL truncations)")
+    "server.snapshots", "checkpoints written (WAL rotations)")
 _DEDUP_HITS = _registry.counter(
     "server.dedup_hits", "retried requests answered from the dedup table")
 _BATCHES = _registry.counter(
@@ -71,7 +71,7 @@ _DIRTY_SHARDS = _registry.histogram(
     "server.dirty_shards", "shards visited per forest refresh pass")
 _SNAPSHOT_FAILURES = _registry.counter(
     "server.snapshot_failures",
-    "periodic snapshots that failed (ENOSPC/EIO) and will be retried")
+    "periodic checkpoints that failed (ENOSPC/EIO) and will be retried")
 _ATTACKS_INJECTED = _registry.counter(
     "net.attacks_injected",
     "deviating responses a Byzantine server put on the wire")
@@ -202,11 +202,11 @@ class ServerCore:
 
     def _recover(self, order: int, database: VerifiedDatabase | None,
                  state: ServerState | None) -> None:
-        """Restore from snapshot + WAL, or bootstrap a fresh store."""
+        """Restore from checkpoint + WAL, or bootstrap a fresh store."""
         snapshot = self.store.load_snapshot()
         if snapshot is None:
             # First run in this directory: initialise, then anchor the
-            # WAL chain with a genesis snapshot so every later record
+            # WAL chain with a genesis checkpoint so every later record
             # verifies against a recorded head.
             if state is not None:
                 self.state = state
@@ -453,13 +453,13 @@ class ServerCore:
                     self.snapshot_every - max(1, self.snapshot_every // 4))
 
     def snapshot(self) -> None:
-        """Write a snapshot now (durable mode only); truncates the WAL."""
+        """Write a checkpoint now (durable mode only); rotates the WAL."""
         if self.store is None:
             return
         if self.attack is not None:
-            # A snapshot persists only the main branch and truncates the
+            # A checkpoint persists only the main branch and rotates the
             # WAL beneath any Byzantine forks; replaying from it could
-            # not reconstruct them (ticks restart at the snapshot).  In
+            # not reconstruct them (ticks restart at the checkpoint).  In
             # Byzantine mode the genesis-anchored WAL is the sole truth.
             return
         self.store.write_snapshot(self.state, self.dedup.export())

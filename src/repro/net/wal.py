@@ -1,34 +1,31 @@
-"""Crash safety for the TCP server: write-ahead log + snapshots.
+"""Crash safety for the TCP server: write-ahead log + paged checkpoints.
 
 The trust anchor the whole system hangs off is the root digest, and the
 root digest commits to the *exact tree shape* -- so recovery cannot be
 "rebuild from the entry set"; it has to replay the identical operation
-sequence onto the identical starting shape.  This module gives the
-server that property through two interchangeable stores:
+sequence onto the identical starting shape.  :class:`ServerStore` gives
+the server that property with one checkpoint engine over either page
+store (``--backend`` picks it, nothing else):
 
-:class:`ServerStore` (``--backend file``)
-    ``state.snapshot`` -- the whole Merkle store (via
-    :mod:`repro.mtree.persistence`, shape-exact) plus protocol metadata
-    (``ctr``, ``meta``, the request-ID dedup table) and the WAL
-    hash-chain head, written with the full tmp + fsync + rename +
-    dir-fsync dance (:func:`repro.storage.atomic.atomic_write`).
-:class:`PagedServerStore` (``--backend sqlite``)
-    The disk engine for stores too large to rewrite per snapshot: each
-    shard tree is a checksummed ``nodes`` stream plus one page per leaf
-    in a :class:`~repro.storage.pagestore.SqlitePageStore`, a checkpoint
-    writes only the leaves whose Merkle digest the store does not hold
-    (one sqlite transaction), and the WAL is *rotated* into a retained
-    segment file instead of truncated.  A shard whose pages fail
-    verification on recovery is quarantined and its last checkpoint
-    redone from its previous state plus a replay of exactly the
-    retained segment that led from there -- never trusted as-is, never
-    silently rebuilt.
+* ``file`` -- :class:`~repro.storage.pagestore.FilePageStore`, an
+  append-only ``pages.log``;
+* ``sqlite`` -- :class:`~repro.storage.pagestore.SqlitePageStore`,
+  ``pages.db``.
 
-Both share the WAL: one record per request accepted since the last
-snapshot, appended and fsynced *before* the request is executed.  Each
-record is ``len(4B) || wire(Request) || chain(32B)`` where
+Each shard tree is a checksummed ``nodes`` stream plus one page per
+leaf; a checkpoint writes only the leaves whose Merkle digest the store
+does not hold, commits them with a manifest in one page-store
+transaction, and *rotates* the WAL into a retained segment file.  A
+shard whose pages fail verification on recovery is quarantined and its
+last checkpoint redone from its previous state plus a replay of exactly
+the retained segment that led from there -- never trusted as-is, never
+silently rebuilt.
+
+The WAL: one record per request accepted since the last checkpoint,
+appended and fsynced *before* the request is executed.  Each record is
+``len(4B) || wire(Request) || chain(32B)`` where
 ``chain_i = h(chain_{i-1} || payload_i)`` anchors the record to the
-snapshot's recorded chain head.  On recovery the records are
+checkpoint's recorded chain head.  On recovery the records are
 re-executed in order, which -- execution being deterministic --
 reproduces the pre-crash state bit-for-bit, dedup table included.
 
@@ -37,32 +34,34 @@ Failure semantics of the chain:
 * a *truncated tail* record (the process died mid-append) is discarded
   silently -- the request was never acknowledged, so dropping it is
   correct, and the file is trimmed back to the last complete record;
-* a *stale* WAL -- the process died after the snapshot rename but
-  before the WAL reset, so the log still chains from the *previous*
-  snapshot -- is recognised only if the entire file verifies against
-  the ``prev_chain`` head the snapshot recorded, and is then discarded
-  (its every record is already inside the snapshot); anything less than
-  a full match is treated as tamper;
+* a *stale* WAL -- the process died after the checkpoint commit but
+  before the WAL rotation, so the log still chains from the *previous*
+  checkpoint -- is recognised only if the entire file verifies against
+  the ``prev_chain`` head the manifest recorded, and the interrupted
+  rotation is then finished (its every record is already inside the
+  checkpoint); anything less than a full match is treated as tamper;
 * any *other* corruption (bit flips, edited payloads, spliced records)
   breaks the hash chain and raises :class:`WalError`.  Recovery refuses
   to run, so a tampered log cannot be laundered into a "recovered"
-  state that silently forks the history clients have verified.
+  state that silently forks the history clients have verified;
+* a log with no checkpoint to chain from -- the bootstrap checkpoint
+  was lost -- is refused too, as is a directory an older build wrote
+  (:data:`RETIRED_FILES`): neither is ever bootstrapped over.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 
-from repro.crypto.hashing import DIGEST_SIZE, Digest, hash_bytes
+from repro.crypto.hashing import Digest, hash_bytes
 from repro.mtree.database import VerifiedDatabase
 from repro.mtree.forest import StoreSpec, merkle_store
 from repro.mtree.merkle import MerkleBPlusTree
-from repro.mtree.persistence import PersistenceError, dump_database, load_database
+from repro.mtree.persistence import PersistenceError
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import Followup, Request, Response
-from repro.storage.atomic import DirLock, atomic_write
+from repro.storage.atomic import DirLock
 from repro.storage.engine import (
     KIND_ENTRIES,
     KIND_NODES,
@@ -73,15 +72,20 @@ from repro.storage.engine import (
     write_shard_pages,
 )
 from repro.storage.faults import REAL_IO, IoShim
-from repro.storage.pagestore import StorageError, open_page_store
+from repro.storage.pagestore import (
+    StorageError,
+    frame_record,
+    open_page_store,
+    parse_records,
+)
 from repro.wire import WireError, decode, encode
 
-SNAPSHOT_FILE = "state.snapshot"
 WAL_FILE = "wal.log"
 SEGMENT_PREFIX = "wal-seg."
 SEGMENT_SUFFIX = ".log"
+#: files only an older build writes, with the format they hold
+RETIRED_FILES = {"state.snapshot": "cvs-server-snapshot 1"}
 
-_SNAPSHOT_MAGIC = b"cvs-server-snapshot 1\n"
 _CHAIN_DOMAIN = b"wal-chain"
 _GENESIS_DOMAIN = b"wal-genesis"
 _MANIFEST_KEY = "checkpoint"
@@ -102,11 +106,11 @@ _SEGMENTS_DROPPED = _registry.counter(
 
 
 class WalError(Exception):
-    """Raised when the WAL or snapshot cannot be trusted for recovery."""
+    """Raised when the WAL or checkpoint cannot be trusted for recovery."""
 
 
 def chain_genesis(root: Digest) -> Digest:
-    """The chain head a fresh (or freshly snapshotted) log starts from."""
+    """The chain head a fresh (or freshly checkpointed) log starts from."""
     return hash_bytes(_GENESIS_DOMAIN + root.to_bytes())
 
 
@@ -115,10 +119,10 @@ def _chain_next(head: Digest, payload: bytes) -> Digest:
 
 
 def _recorded_state(fields: dict, what: str) -> tuple:
-    """``(ctr, meta, dedup, root, chain, prev_chain)`` as a snapshot or
-    a manifest records them.  ``dedup`` maps user -> ordered (rid,
-    response) pairs, and anything else in it is refused here, by name:
-    a table that loaded without it would let that resend execute twice.
+    """``(ctr, meta, dedup, root, chain, prev_chain)`` as a manifest
+    records them.  ``dedup`` maps user -> ordered (rid, response)
+    pairs, and anything else in it is refused here, by name: a table
+    that loaded without it would let that resend execute twice.
     ``prev_chain`` is what proves a leftover WAL merely stale, and a
     record without one is corrupt."""
     try:
@@ -141,29 +145,6 @@ def _recorded_state(fields: dict, what: str) -> tuple:
     if chain != chain_genesis(root):
         raise WalError(f"{what} chain head does not match its root")
     return ctr, meta, dedup, root, chain, prev_chain
-
-
-def _parse_records(blob: bytes) -> tuple[list[tuple[bytes, bytes]], int]:
-    """Split a WAL blob into complete ``(payload, stored_chain)`` records.
-
-    Returns the records plus the offset where the last complete record
-    ends; bytes past it are a torn tail (the process died mid-append).
-    """
-    records: list[tuple[bytes, bytes]] = []
-    position = 0
-    good_end = 0
-    while position < len(blob):
-        if position + 4 > len(blob):
-            break  # truncated tail: mid length prefix
-        (length,) = struct.unpack_from(">I", blob, position)
-        end = position + 4 + length + DIGEST_SIZE
-        if end > len(blob):
-            break  # truncated tail: mid payload or mid chain digest
-        payload = blob[position + 4:position + 4 + length]
-        stored = blob[position + 4 + length:end]
-        records.append((payload, stored))
-        position = good_end = end
-    return records, good_end
 
 
 def _verify_records(records: list[tuple[bytes, bytes]],
@@ -190,12 +171,12 @@ def _is_stale_wal(records: list[tuple[bytes, bytes]],
                   prev_chain: Digest) -> bool:
     """Whether a chain-mismatched WAL is the *previous* epoch's log.
 
-    A crash between the snapshot becoming durable and the WAL reset
-    leaves the old log in place.  That exact file -- and, by collision
-    resistance, only that file -- satisfies two checks without knowing
-    its genesis: every adjacent pair obeys the chain recurrence, and
-    the final stored head equals the ``prev_chain`` the snapshot
-    recorded.  Anything else is corruption, not staleness.
+    A crash between the checkpoint becoming durable and the WAL
+    rotation leaves the old log in place.  That exact file -- and, by
+    collision resistance, only that file -- satisfies two checks
+    without knowing its genesis: every adjacent pair obeys the chain
+    recurrence, and the final stored head equals the ``prev_chain`` the
+    manifest recorded.  Anything else is corruption, not staleness.
     """
     if not records:
         return False
@@ -207,104 +188,89 @@ def _is_stale_wal(records: list[tuple[bytes, bytes]],
 
 
 class ServerStore:
-    """The durable half of a :class:`~repro.net.core.ServerCore`.
+    """The durable half of a :class:`~repro.net.core.ServerCore`:
+    checksummed shard pages + WAL segment rotation.
 
-    Owns the snapshot and WAL files in ``data_dir`` and the running
-    hash-chain head.  All methods must be called by the core's one
-    writer; the store itself does no locking of calls -- ``lock``
-    guards the *directory* (flock), so a second server process cannot
-    interleave appends into the same WAL.
+    Owns the WAL, its retained segments and the page store in
+    ``data_dir`` and the running hash-chain head.  All methods must be
+    called by the core's one writer; the store itself does no locking
+    of calls -- ``lock`` guards the *directory* (flock), so a second
+    server process cannot interleave appends into the same WAL.
+
+    The checkpoint/compaction cycle (:meth:`write_snapshot`):
+
+    1. for every shard whose root differs from the root its manifest
+       record holds, write under generation ``G`` a fresh ``nodes``
+       stream and a page for each leaf whose digest the store does not
+       hold (:func:`~repro.storage.engine.write_shard_pages`), delete
+       the rows only the state *before* the shard's previous one named,
+       and commit all of it together with the updated manifest in
+       **one** page-store transaction -- a crash or a failed commit
+       leaves the previous checkpoint fully intact, the WAL unrotated
+       and this object's view (manifest, leaf rows) where it was;
+    2. rotate ``wal.log`` to ``wal-seg.G.log`` (rename + dir fsync) and
+       start a fresh log chained from the new genesis;
+    3. drop the WAL segments nothing references any more.
+
+    A shard written at ``G`` keeps every row its previous state ``P``
+    names (its record lists the ones ``G`` no longer does as
+    ``superseded``) and the manifest keeps segment ``G``'s start chain.
+    The shard had ``P``'s root at every checkpoint in between, so
+    ``P``'s pages plus segment ``G``'s data operations are exactly the
+    recipe :meth:`load_snapshot` uses to redo ``G`` if its pages rot.
+    Invariant: the rows a shard holds are exactly the pages its current
+    and its previous state name -- nothing leaked, nothing missing.
+
+    Recovery order of trust: page checksum -> recomputed shard root ->
+    manifest root -> WAL chain.  A shard failing any of the first two is
+    quarantined and repaired; a repair that does not reproduce the
+    manifest's recorded shard root is tamper and recovery refuses.
     """
 
-    backend = "file"
-
-    def __init__(self, data_dir: str, fsync: bool = True,
-                 io: IoShim | None = None, lock: bool = False) -> None:
+    def __init__(self, data_dir: str, backend: str = "file",
+                 fsync: bool = True, io: IoShim | None = None,
+                 lock: bool = False) -> None:
         self.data_dir = data_dir
+        self.backend = backend
         self.fsync = fsync
         self.io = io or REAL_IO
         os.makedirs(data_dir, exist_ok=True)
         self._lock = DirLock(data_dir) if lock else None
-        self.snapshot_path = os.path.join(data_dir, SNAPSHOT_FILE)
         self.wal_path = os.path.join(data_dir, WAL_FILE)
         self._wal_handle = None
-        self._chain = Digest.zero()  # set by load()/write_snapshot()
-        #: the pre-snapshot chain head the last loaded or written
-        #: snapshot recorded.
+        self._chain = Digest.zero()  # set by load_snapshot/write_snapshot
+        #: the pre-checkpoint chain head the last loaded or written
+        #: manifest recorded.
         self._prev_chain = Digest.zero()
         #: how many verified-stale WALs recovery has discarded.
         self.stale_wals_discarded = 0
-
-    # -- snapshot ----------------------------------------------------------
-
-    def write_snapshot(self, state, dedup: dict) -> None:
-        """Atomically persist the full server state; reset the WAL.
-
-        ``state`` is a :class:`~repro.protocols.base.ServerState`;
-        ``dedup`` maps user id -> ordered [(request id, Response), ...]
-        (oldest first), the export format of
-        :class:`~repro.net.core.DedupTable`.
-        """
-        root = state.database.root_digest()
-        chain = chain_genesis(root)
-        tree_blob = dump_database(state.database)
-        meta_blob = encode({
-            "ctr": state.ctr,
-            "meta": state.meta,
-            "dedup": {user: [list(pair) for pair in pairs]
-                      for user, pairs in dedup.items()},
-            "root": root,
-            "chain": chain,
-            # The running head at snapshot time: lets recovery prove a
-            # leftover WAL is merely stale (crash before the reset
-            # below) rather than tampered.
-            "prev_chain": self._chain,
-        })
-        blob = (_SNAPSHOT_MAGIC
-                + struct.pack(">I", len(tree_blob)) + tree_blob
-                + struct.pack(">I", len(meta_blob)) + meta_blob)
-        atomic_write(self.snapshot_path, blob, fsync=self.fsync, io=self.io)
-        self.io.crash_point("snapshot:before-wal-reset")
-        self._reset_wal()
-        self._prev_chain = self._chain
-        self._chain = chain
-
-    def load_snapshot(self):
-        """Read the snapshot; returns ``(database, ctr, meta, dedup, chain)``
-        or ``None`` when no snapshot exists yet."""
-        if not os.path.isfile(self.snapshot_path):
-            return None
-        blob = self.io.read_file(self.snapshot_path)
-        if not blob.startswith(_SNAPSHOT_MAGIC):
-            raise WalError("bad snapshot header")
-        position = len(_SNAPSHOT_MAGIC)
+        self.pages = None
         try:
-            (tree_len,) = struct.unpack_from(">I", blob, position)
-            position += 4
-            tree_blob = blob[position:position + tree_len]
-            if len(tree_blob) != tree_len:
-                raise WalError("truncated snapshot (tree section)")
-            position += tree_len
-            (meta_len,) = struct.unpack_from(">I", blob, position)
-            position += 4
-            meta_blob = blob[position:position + meta_len]
-            if len(meta_blob) != meta_len:
-                raise WalError("truncated snapshot (meta section)")
-        except struct.error as exc:
-            raise WalError(f"truncated snapshot: {exc}") from exc
-        try:
-            database = load_database(tree_blob)
-            fields = decode(meta_blob)
-        except (PersistenceError, WireError) as exc:
-            raise WalError(f"corrupt snapshot: {exc}") from exc
-        if not isinstance(fields, dict):
-            raise WalError("corrupt snapshot: meta section is not a dict")
-        ctr, meta, dedup, root, chain, self._prev_chain = \
-            _recorded_state(fields, f"snapshot {self.snapshot_path}")
-        if database.root_digest() != root:
-            raise WalError(
-                "snapshot tree does not hash to its recorded root digest")
-        return database, ctr, meta, dedup, chain
+            for name, format_name in RETIRED_FILES.items():
+                if os.path.exists(os.path.join(data_dir, name)):
+                    raise WalError(
+                        f"{data_dir!r} holds {name} ({format_name}), a "
+                        "format this build does not read: restore it with "
+                        "the build that wrote it, or start from an empty "
+                        "directory")
+            self.pages = open_page_store(data_dir, fsync=fsync, io=self.io,
+                                         backend=backend)
+            self._manifest: dict | None = self._load_manifest()
+        except StorageError as exc:
+            self.close()
+            raise WalError(f"page store cannot be trusted: {exc}") from exc
+        except BaseException:
+            self.close()
+            raise
+        #: shard -> what the page store holds for the state the manifest
+        #: records: leaf digest -> (page, generation).  Set by a load or
+        #: a *committed* checkpoint, never by the tree: a checkpoint
+        #: compares it, by value, with whatever tree it is handed.
+        self._leaf_rows: dict[int, LeafRows] = {}
+        #: streaming-load accounting for the most recent load_snapshot.
+        self.load_stats = LoadStats()
+        #: shards quarantined + repaired during the most recent load.
+        self.repaired_shards: list[int] = []
 
     # -- write-ahead log ---------------------------------------------------
 
@@ -330,8 +296,7 @@ class ServerStore:
             self._wal_handle = self.io.open(self.wal_path, "ab")
         handle = self._wal_handle
         good_size = handle.tell()
-        record = (struct.pack(">I", len(payload)) + payload
-                  + self._chain.to_bytes())
+        record = frame_record(payload, self._chain.to_bytes())
         self.io.crash_point("wal:append")
         try:
             handle.write(record)
@@ -366,7 +331,7 @@ class ServerStore:
         """Read back every complete, chain-verified record.
 
         A truncated final record (crash mid-append) is trimmed off the
-        file; a whole file proven stale against the snapshot's recorded
+        file; a whole file proven stale against the manifest's recorded
         ``prev_chain`` is discarded; any other inconsistency raises
         :class:`WalError`.
         """
@@ -374,15 +339,15 @@ class ServerStore:
             self._chain = chain
             return []
         blob = self.io.read_file(self.wal_path)
-        records, good_end = _parse_records(blob)
+        records, good_end = parse_records(blob)
         try:
             messages, chain = _verify_records(records, chain)
         except WalError:
             if _is_stale_wal(records, self._prev_chain):
-                # The crash hit between the snapshot rename and the WAL
-                # reset: every record here is already *inside* the
-                # snapshot.  Finish the interrupted reset and recover
-                # with nothing to replay.
+                # The crash hit between the checkpoint commit and the
+                # WAL rotation: every record here is already *inside*
+                # the checkpoint.  Finish the interrupted rotation and
+                # recover with nothing to replay.
                 self._discard_stale_wal()
                 self.stale_wals_discarded += 1
                 if _obs.enabled:
@@ -396,85 +361,6 @@ class ServerStore:
             self.io.truncate_file(self.wal_path, good_end)
         self._chain = chain
         return messages
-
-    def _discard_stale_wal(self) -> None:
-        """Complete the interrupted post-snapshot WAL reset."""
-        self._reset_wal()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def set_chain(self, chain: Digest) -> None:
-        self._chain = chain
-
-    def _reset_wal(self) -> None:
-        if self._wal_handle is not None:
-            self._wal_handle.close()
-            self._wal_handle = None
-        handle = self.io.open(self.wal_path, "wb")
-        try:
-            if self.fsync:
-                handle.fsync()
-        finally:
-            handle.close()
-
-    def close(self) -> None:
-        if self._wal_handle is not None:
-            self._wal_handle.close()
-            self._wal_handle = None
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
-
-
-class PagedServerStore(ServerStore):
-    """Disk-backed store: checksummed shard pages + WAL segment rotation.
-
-    The checkpoint/compaction cycle (:meth:`write_snapshot`):
-
-    1. for every shard whose root differs from the root its manifest
-       record holds, write under generation ``G`` a fresh ``nodes``
-       stream and a page for each leaf whose digest the store does not
-       hold (:func:`~repro.storage.engine.write_shard_pages`), delete
-       the rows only the state *before* the shard's previous one named,
-       and commit all of it together with the updated manifest in
-       **one** page-store transaction -- a crash or a failed commit
-       leaves the previous checkpoint fully intact, the WAL unrotated
-       and this object's view (manifest, leaf rows) where it was;
-    2. rotate ``wal.log`` to ``wal-seg.G.log`` (rename + dir fsync) and
-       start a fresh log chained from the new genesis;
-    3. drop the WAL segments nothing references any more.
-
-    A shard written at ``G`` keeps every row its previous state ``P``
-    names (its record lists the ones ``G`` no longer does as
-    ``superseded``) and the manifest keeps segment ``G``'s start chain.
-    The shard had ``P``'s root at every checkpoint in between, so
-    ``P``'s pages plus segment ``G``'s data operations are exactly the
-    recipe :meth:`load_snapshot` uses to redo ``G`` if its pages rot.
-    Invariant: the rows a shard holds are exactly the pages its current
-    and its previous state name -- nothing leaked, nothing missing.
-
-    Recovery order of trust: page checksum -> recomputed shard root ->
-    manifest root -> WAL chain.  A shard failing any of the first two is
-    quarantined and repaired; a repair that does not reproduce the
-    manifest's recorded shard root is tamper and recovery refuses.
-    """
-
-    backend = "sqlite"
-
-    def __init__(self, data_dir: str, fsync: bool = True,
-                 io: IoShim | None = None, lock: bool = False) -> None:
-        super().__init__(data_dir, fsync=fsync, io=io, lock=lock)
-        self.pages = open_page_store(data_dir, fsync=fsync, io=self.io)
-        self._manifest: dict | None = self._load_manifest()
-        #: shard -> what the page store holds for the state the manifest
-        #: records: leaf digest -> (page, generation).  Set by a load or
-        #: a *committed* checkpoint, never by the tree: a checkpoint
-        #: compares it, by value, with whatever tree it is handed.
-        self._leaf_rows: dict[int, LeafRows] = {}
-        #: streaming-load accounting for the most recent load_snapshot.
-        self.load_stats = LoadStats()
-        #: shards quarantined + repaired during the most recent load.
-        self.repaired_shards: list[int] = []
 
     # -- manifest ----------------------------------------------------------
 
@@ -689,12 +575,11 @@ class PagedServerStore(ServerStore):
         """Stream the checkpoint back; quarantine + repair bad shards.
 
         Returns ``(database, ctr, meta, dedup, chain)`` or ``None`` for
-        a fresh directory, like the base class.  Memory stays bounded:
-        shard pages are parsed as they arrive
-        (:attr:`load_stats` ``.max_resident_page_bytes`` proves it).
+        a fresh directory.  Memory stays bounded: shard pages are parsed
+        as they arrive (:attr:`load_stats` ``.max_resident_page_bytes``
+        proves it).
         """
-        manifest = self._load_manifest()
-        self._manifest = manifest
+        manifest = self._manifest
         # A retained segment is created only by the rotation that
         # *follows* a durable manifest commit -- so a segment newer than
         # the manifest proves the page store lost a checkpoint it
@@ -710,6 +595,16 @@ class PagedServerStore(ServerStore):
                 f"checkpoint manifest (generation {manifest_gen}): the page "
                 "store lost a checkpoint it reported durable")
         if manifest is None:
+            # Every record of a log chains from a committed manifest,
+            # the bootstrap checkpoint's at the latest: a log without
+            # one holds acked writes whose anchor the page store lost.
+            if os.path.isfile(self.wal_path) and \
+                    os.path.getsize(self.wal_path) > 0:
+                raise WalError(
+                    f"{WAL_FILE} holds {os.path.getsize(self.wal_path)} "
+                    "bytes but no checkpoint manifest was committed: the "
+                    "page store lost the bootstrap checkpoint it reported "
+                    "durable")
             return None
         ctr, meta, dedup, root, chain, prev_chain = \
             _recorded_state(manifest, "checkpoint manifest")
@@ -746,7 +641,8 @@ class PagedServerStore(ServerStore):
 
         # The top tree is not persisted at all: its shape is a function
         # of the shard count, so it is rebuilt from the verified shard
-        # roots (exactly as the file backend's ``load_forest`` does).
+        # roots (exactly as :func:`~repro.mtree.persistence.load_forest`
+        # does).
         database = VerifiedDatabase.from_mtree(merkle_store(spec, shard_trees))
         if database.root_digest() != root:
             raise WalError(
@@ -837,7 +733,7 @@ class PagedServerStore(ServerStore):
                       start: Digest) -> list[Request | Followup]:
         """Chain-verify a retained segment from its recorded start head."""
         blob = self.io.read_file(path)
-        records, good_end = _parse_records(blob)
+        records, good_end = parse_records(blob)
         try:
             messages, _chain = _verify_records(records, start)
         except WalError as exc:
@@ -853,36 +749,44 @@ class PagedServerStore(ServerStore):
         shard repair may need it, so it is renamed into place rather
         than truncated (unless the segment somehow already exists).
         """
-        if self._manifest is None:
-            super()._discard_stale_wal()
-            return
         gen = int(self._manifest["gen"])
         segment_path = self._segment_path(gen)
+        if self._wal_handle is not None:
+            self._wal_handle.close()
+            self._wal_handle = None
         if str(gen) in dict(self._manifest["segments"]) and \
                 not os.path.isfile(segment_path):
-            if self._wal_handle is not None:
-                self._wal_handle.close()
-                self._wal_handle = None
             self.io.replace(self.wal_path, segment_path)
             if self.fsync:
                 self.io.fsync_dir(self.data_dir)
-        else:
-            super()._discard_stale_wal()
+            return
+        handle = self.io.open(self.wal_path, "wb")
+        try:
+            if self.fsync:
+                handle.fsync()
+        finally:
+            handle.close()
 
     # -- lifecycle ---------------------------------------------------------
 
+    def set_chain(self, chain: Digest) -> None:
+        self._chain = chain
+
     def close(self) -> None:
-        self.pages.close()
-        super().close()
+        if self.pages is not None:
+            self.pages.close()
+            self.pages = None
+        if self._wal_handle is not None:
+            self._wal_handle.close()
+            self._wal_handle = None
+        if self._lock is not None:
+            self._lock.release()
+            self._lock = None
 
 
 def open_server_store(data_dir: str, backend: str = "file",
                       fsync: bool = True, io: IoShim | None = None,
                       lock: bool = False) -> ServerStore:
-    """Open the durable store for ``data_dir`` with the chosen backend."""
-    if backend == "file":
-        return ServerStore(data_dir, fsync=fsync, io=io, lock=lock)
-    if backend == "sqlite":
-        return PagedServerStore(data_dir, fsync=fsync, io=io, lock=lock)
-    raise ValueError(f"unknown storage backend {backend!r} "
-                     "(expected 'file' or 'sqlite')")
+    """Open the durable store for ``data_dir`` on ``backend``'s page store."""
+    return ServerStore(data_dir, backend=backend, fsync=fsync, io=io,
+                       lock=lock)

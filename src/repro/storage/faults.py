@@ -231,6 +231,8 @@ class FaultyIO(IoShim):
         self._durable: dict[str, bytes | None] = {}
         #: renames whose directory entry is not yet durable
         self._pending_renames: list[tuple[str, str, bytes | None]] = []
+        #: files whose durable image a lost commit froze
+        self._lost: set[str] = set()
         self.crashed = False
         self.crash_count = 0
 
@@ -270,6 +272,8 @@ class FaultyIO(IoShim):
 
     def _make_durable(self, path: str) -> None:
         path = os.path.abspath(path)
+        if path in self._lost:
+            return
         with open(path, "rb") as handle:
             self._durable[path] = handle.read()
 
@@ -315,7 +319,7 @@ class FaultyIO(IoShim):
                     (not dst or os.path.dirname(dst) != directory):
                 remaining.append((src, dst, image))
                 continue
-            if dst:
+            if dst and dst not in self._lost:
                 self._durable[dst] = image
             self._durable[src] = None
         self._pending_renames = remaining
@@ -344,15 +348,17 @@ class FaultyIO(IoShim):
         if self._plan.get("lose_commit") is None:
             return
         if self._armed("lose_commit"):
-            # Model a lying fsync inside the database engine: remember
-            # the pre-commit file image; a crash rolls back to it even
-            # though the engine reported the commit durable.
+            # Model a lying fsync inside the page store: remember the
+            # pre-commit file image; a crash rolls back to it even
+            # though the store reported this commit -- and every later
+            # one -- durable.
             path = os.path.abspath(path)
             if os.path.isfile(path):
                 with open(path, "rb") as handle:
                     self._durable[path] = handle.read()
             else:
                 self._durable[path] = None
+            self._lost.add(path)
 
     def commit_gate(self, path: str) -> None:
         if self._enospc_budget is not None and self._enospc_budget <= 0:
@@ -381,7 +387,8 @@ class FaultyIO(IoShim):
             if current == image:
                 continue
             survivor = image
-            if (self.torn_tail and len(current) > len(image)
+            if (self.torn_tail and path not in self._lost
+                    and len(current) > len(image)
                     and current.startswith(image)):
                 # The un-synced tail of an append-mode file: page
                 # writeback may have persisted any prefix of it.

@@ -18,16 +18,21 @@ under the wrong key) raises :class:`CorruptPageError`, which the
 recovery path turns into shard quarantine + WAL repair rather than a
 silent wrong root.
 
-Two implementations:
+Three implementations:
 
 * :class:`MemoryPageStore` -- dict-backed, transactional, for tests and
   as the reference semantics.
-* :class:`SqlitePageStore` -- the real disk backend (stdlib
-  ``sqlite3``), one transaction per checkpoint, ``synchronous=FULL``
-  when fsync is on.  Fault injection happens at this API boundary (the
-  shim cannot interpose sqlite's own syscalls): commit gates, lying
-  commits, and read-side bit-rot all route through the
+* :class:`SqlitePageStore` -- ``--backend sqlite`` (stdlib ``sqlite3``),
+  one transaction per checkpoint, ``synchronous=FULL`` when fsync is
+  on.  Fault injection happens at this API boundary (the shim cannot
+  interpose sqlite's own syscalls): commit gates, lying commits, and
+  read-side bit-rot all route through the
   :class:`~repro.storage.faults.IoShim` hooks.
+* :class:`FilePageStore` -- ``--backend file``: an append-only page
+  file where one commit is one record, framed like the WAL's
+  (:func:`frame_record` / :func:`parse_records`).  Every byte it
+  writes, reads, trims or renames goes through the shim, so torn
+  tails, short writes and lying fsyncs reach the whole checkpoint.
 """
 
 from __future__ import annotations
@@ -35,9 +40,11 @@ from __future__ import annotations
 import hashlib
 import os
 import sqlite3
+import struct
 
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
+from repro.storage.atomic import atomic_write
 from repro.storage.faults import REAL_IO, IoShim
 
 _PAGES_WRITTEN = _registry.counter(
@@ -50,8 +57,12 @@ _META_BYTES = _registry.counter(
     "storage.meta_bytes_written", "meta record bytes written (the manifest)")
 _CHECKSUM_FAILURES = _registry.counter(
     "storage.checksum_failures", "pages rejected by checksum verification")
+_COMPACTIONS = _registry.counter(
+    "storage.page_log_compactions", "page files rewritten as their live set")
 
 _CHECKSUM_DOMAIN = b"\x0astorage-page"
+_DIGEST_BYTES = 32
+_LENGTH = struct.Struct(">I")
 
 
 class StorageError(Exception):
@@ -79,6 +90,34 @@ def page_checksum(kind: str, shard: int, gen: int, seq: int,
     hasher.update(f"{kind}|{shard}|{gen}|{seq}|{len(blob)}|".encode("ascii"))
     hasher.update(blob)
     return hasher.digest()
+
+
+def frame_record(payload: bytes, digest: bytes) -> bytes:
+    """One log record: ``len(4B) || payload || digest(32B)``."""
+    return _LENGTH.pack(len(payload)) + payload + digest
+
+
+def parse_records(blob: bytes) -> tuple[list[tuple[bytes, bytes]], int]:
+    """Split a log blob into complete ``(payload, stored digest)`` records.
+
+    Returns the records plus the offset where the last complete record
+    ends; bytes past it are a torn tail (the process died mid-append).
+    The WAL and the page file share this framing and this parser.
+    """
+    records: list[tuple[bytes, bytes]] = []
+    position = 0
+    good_end = 0
+    while position < len(blob):
+        if position + 4 > len(blob):
+            break  # truncated tail: mid length prefix
+        (length,) = _LENGTH.unpack_from(blob, position)
+        end = position + 4 + length + _DIGEST_BYTES
+        if end > len(blob):
+            break  # truncated tail: mid payload or mid digest
+        records.append((blob[position + 4:position + 4 + length],
+                        blob[position + 4 + length:end]))
+        position = good_end = end
+    return records, good_end
 
 
 def _verified(io: IoShim, kind: str, shard: int, gen: int, seq: int,
@@ -130,6 +169,10 @@ class PageStore:
         raise NotImplementedError
 
     def page_count(self, kind: str, shard: int, gen: int) -> int:
+        raise NotImplementedError
+
+    def page_bytes(self, kind: str, shard: int, gen: int) -> int:
+        """Payload bytes of the committed ``kind`` pages of ``gen``."""
         raise NotImplementedError
 
     def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
@@ -214,6 +257,10 @@ class MemoryPageStore(PageStore):
     def page_count(self, kind: str, shard: int, gen: int) -> int:
         return sum(1 for k in self._pages if k[:3] == (kind, shard, gen))
 
+    def page_bytes(self, kind: str, shard: int, gen: int) -> int:
+        return sum(len(blob) for k, (blob, _) in self._pages.items()
+                   if k[:3] == (kind, shard, gen))
+
     def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
         return sorted(k[2:] for k in self._pages if k[:2] == (kind, shard))
 
@@ -247,6 +294,9 @@ class SqlitePageStore(PageStore):
     before the commit leaves the previous checkpoint fully intact --
     sqlite's rollback journal provides the page-level atomicity, our
     per-page checksums provide tamper/rot *detection* on top of it.
+    Every statement's ``sqlite3.Error`` (a full disk, an I/O error)
+    surfaces as :class:`StorageError`, the one failure the checkpoint
+    path backs off from.
     """
 
     FILE = "pages.db"
@@ -264,35 +314,64 @@ class SqlitePageStore(PageStore):
                 self._conn = sqlite3.connect(path, isolation_level=None)
         except sqlite3.Error as exc:
             raise StorageError(f"cannot open page store {path!r}: {exc}") from exc
+        if not readonly:
+            # FULL + rollback journal: a committed checkpoint survives
+            # power loss; OFF is the tests' speed mode.
+            what = "cannot initialise page store"
+            self._run(what, f"PRAGMA synchronous={'FULL' if fsync else 'OFF'}")
+            self._run(what, """
+                CREATE TABLE IF NOT EXISTS meta (
+                    key TEXT PRIMARY KEY,
+                    value BLOB NOT NULL)""")
+            self._run(what, """
+                CREATE TABLE IF NOT EXISTS pages (
+                    kind TEXT NOT NULL,
+                    shard INTEGER NOT NULL,
+                    gen INTEGER NOT NULL,
+                    seq INTEGER NOT NULL,
+                    blob BLOB NOT NULL,
+                    checksum BLOB NOT NULL,
+                    PRIMARY KEY (kind, shard, gen, seq))""")
+
+    def _run(self, what: str, sql: str, params: tuple = ()):
         try:
-            if not readonly:
-                # FULL + rollback journal: a committed checkpoint
-                # survives power loss; OFF is the tests' speed mode.
-                self._conn.execute(
-                    f"PRAGMA synchronous={'FULL' if fsync else 'OFF'}")
-                self._conn.execute("""
-                    CREATE TABLE IF NOT EXISTS meta (
-                        key TEXT PRIMARY KEY,
-                        value BLOB NOT NULL)""")
-                self._conn.execute("""
-                    CREATE TABLE IF NOT EXISTS pages (
-                        kind TEXT NOT NULL,
-                        shard INTEGER NOT NULL,
-                        gen INTEGER NOT NULL,
-                        seq INTEGER NOT NULL,
-                        blob BLOB NOT NULL,
-                        checksum BLOB NOT NULL,
-                        PRIMARY KEY (kind, shard, gen, seq))""")
+            return self._conn.execute(sql, params)
         except sqlite3.Error as exc:
-            raise StorageError(f"cannot initialise page store: {exc}") from exc
+            raise StorageError(f"{what}: {exc}") from exc
+
+    def _row(self, what: str, sql: str, params: tuple):
+        try:
+            return self._conn.execute(sql, params).fetchone()
+        except sqlite3.Error as exc:
+            raise StorageError(f"{what}: {exc}") from exc
+
+    def _all(self, what: str, sql: str, params: tuple) -> list:
+        try:
+            return self._conn.execute(sql, params).fetchall()
+        except sqlite3.Error as exc:
+            raise StorageError(f"{what}: {exc}") from exc
+
+    def _rows(self, what: str, sql: str, params: tuple):
+        """Stream rows; only the cursor steps sit inside the wrapper,
+        so a caller abandoning the stream touches no statement."""
+        cursor = self._run(what, sql, params)
+        while True:
+            try:
+                row = next(cursor, None)
+            except sqlite3.Error as exc:
+                raise StorageError(f"{what}: {exc}") from exc
+            if row is None:
+                return
+            yield row
+
+    def _in_transaction(self, call: str) -> None:
+        if not self._in_txn:
+            raise StorageError(f"{call} outside a transaction")
 
     def begin(self) -> None:
         if self._in_txn:
             raise StorageError("transaction already open")
-        try:
-            self._conn.execute("BEGIN IMMEDIATE")
-        except sqlite3.Error as exc:
-            raise StorageError(f"cannot begin transaction: {exc}") from exc
+        self._run("cannot begin transaction", "BEGIN IMMEDIATE")
         self._in_txn = True
 
     def commit(self) -> None:
@@ -323,92 +402,88 @@ class SqlitePageStore(PageStore):
 
     def write_page(self, kind: str, shard: int, gen: int, seq: int,
                    blob: bytes) -> None:
-        if not self._in_txn:
-            raise StorageError("write_page outside a transaction")
+        self._in_transaction("write_page")
         self.io.crash_point("pagestore:page-write")
         try:
             self.io.commit_gate(self.path)  # ENOSPC surfaces at write time
         except OSError as exc:
             raise StorageError(f"page write failed: {exc}") from exc
         checksum = page_checksum(kind, shard, gen, seq, blob)
-        try:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO pages VALUES (?,?,?,?,?,?)",
-                (kind, shard, gen, seq, blob, checksum))
-        except sqlite3.Error as exc:
-            raise StorageError(f"page write failed: {exc}") from exc
+        self._run("page write failed",
+                  "INSERT OR REPLACE INTO pages VALUES (?,?,?,?,?,?)",
+                  (kind, shard, gen, seq, blob, checksum))
         if _obs.enabled:
             _PAGES_WRITTEN.inc()
             _PAGE_BYTES.inc(len(blob))
 
     def read_pages(self, kind: str, shard: int, gen: int):
-        cursor = self._conn.execute(
-            "SELECT seq, blob, checksum FROM pages "
-            "WHERE kind=? AND shard=? AND gen=? ORDER BY seq",
-            (kind, shard, gen))
-        for seq, blob, checksum in cursor:
+        for seq, blob, checksum in self._rows(
+                "page read failed",
+                "SELECT seq, blob, checksum FROM pages "
+                "WHERE kind=? AND shard=? AND gen=? ORDER BY seq",
+                (kind, shard, gen)):
             yield _verified(self.io, kind, shard, gen, seq, blob, checksum)
 
     def read_page(self, kind: str, shard: int, gen: int,
                   seq: int) -> bytes | None:
-        row = self._conn.execute(
+        row = self._row(
+            "page read failed",
             "SELECT blob, checksum FROM pages "
             "WHERE kind=? AND shard=? AND gen=? AND seq=?",
-            (kind, shard, gen, seq)).fetchone()
+            (kind, shard, gen, seq))
         if row is None:
             return None
         return _verified(self.io, kind, shard, gen, seq, *row)
 
     def page_count(self, kind: str, shard: int, gen: int) -> int:
-        row = self._conn.execute(
+        row = self._row(
+            "page count failed",
             "SELECT COUNT(*) FROM pages WHERE kind=? AND shard=? AND gen=?",
-            (kind, shard, gen)).fetchone()
+            (kind, shard, gen))
         return int(row[0])
 
     def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
-        rows = self._conn.execute(
+        return [(int(gen), int(seq)) for gen, seq in self._all(
+            "page listing failed",
             "SELECT gen, seq FROM pages WHERE kind=? AND shard=? "
-            "ORDER BY gen, seq", (kind, shard)).fetchall()
-        return [(int(gen), int(seq)) for gen, seq in rows]
+            "ORDER BY gen, seq", (kind, shard))]
 
     def page_bytes(self, kind: str, shard: int, gen: int) -> int:
-        row = self._conn.execute(
+        row = self._row(
+            "page size query failed",
             "SELECT COALESCE(SUM(LENGTH(blob)), 0) FROM pages "
             "WHERE kind=? AND shard=? AND gen=?",
-            (kind, shard, gen)).fetchone()
+            (kind, shard, gen))
         return int(row[0])
 
     def generations(self, shard: int) -> list[int]:
-        rows = self._conn.execute(
+        return [int(row[0]) for row in self._all(
+            "generation listing failed",
             "SELECT DISTINCT gen FROM pages WHERE shard=? ORDER BY gen",
-            (shard,)).fetchall()
-        return [int(r[0]) for r in rows]
+            (shard,))]
 
     def delete_page(self, kind: str, shard: int, gen: int, seq: int) -> None:
-        if not self._in_txn:
-            raise StorageError("delete_page outside a transaction")
-        self._conn.execute(
-            "DELETE FROM pages WHERE kind=? AND shard=? AND gen=? AND seq=?",
-            (kind, shard, gen, seq))
+        self._in_transaction("delete_page")
+        self._run("page delete failed",
+                  "DELETE FROM pages WHERE kind=? AND shard=? AND gen=? "
+                  "AND seq=?", (kind, shard, gen, seq))
 
     def drop_generation(self, kind: str, shard: int, gen: int) -> None:
-        if not self._in_txn:
-            raise StorageError("drop_generation outside a transaction")
-        self._conn.execute(
-            "DELETE FROM pages WHERE kind=? AND shard=? AND gen=?",
-            (kind, shard, gen))
+        self._in_transaction("drop_generation")
+        self._run("generation drop failed",
+                  "DELETE FROM pages WHERE kind=? AND shard=? AND gen=?",
+                  (kind, shard, gen))
 
     def put_meta(self, key: str, value: bytes) -> None:
-        if not self._in_txn:
-            raise StorageError("put_meta outside a transaction")
-        self._conn.execute(
-            "INSERT OR REPLACE INTO meta VALUES (?,?)", (key, value))
+        self._in_transaction("put_meta")
+        self._run("meta write failed",
+                  "INSERT OR REPLACE INTO meta VALUES (?,?)", (key, value))
         if _obs.enabled:
             _META_BYTES.inc(len(value))
 
     def get_meta(self, key: str) -> bytes | None:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key=?", (key,)).fetchone()
+        row = self._row("meta read failed",
+                        "SELECT value FROM meta WHERE key=?", (key,))
         return None if row is None else bytes(row[0])
 
     def close(self) -> None:
@@ -416,12 +491,357 @@ class SqlitePageStore(PageStore):
         self._conn.close()
 
 
+#: the page file's first bytes: what it is and which record format
+PAGE_LOG_MAGIC = b"cvs-page-log 1\n"
+#: the page file is rewritten as its live set at the first checkpoint
+#: that finds it more than this many times that rewrite's size
+PAGE_LOG_COMPACT_RATIO = 4
+
+_PAGE_LOG_DOMAIN = b"\x0apage-log"
+_META_DOMAIN = b"\x0astorage-meta"
+_LOG_GENESIS = hashlib.sha256(_PAGE_LOG_DOMAIN + PAGE_LOG_MAGIC).digest()
+_PUT, _DELETE, _DROP, _META = b"P", b"D", b"G", b"M"
+#: an op's head: code and name length, the name (a page kind or a meta
+#: key), then shard, generation, seq and body length, then the checksum
+#: of the body.  Every op has every field; what it does not use is 0.
+_HEAD = struct.Struct(">cH")
+_FIELDS = struct.Struct(">IQQI")
+_NO_BODY = (b"", bytes(_DIGEST_BYTES))
+
+
+def _meta_checksum(key: str, value: bytes) -> bytes:
+    """Domain-separated checksum binding a meta value to its key."""
+    hasher = hashlib.sha256(_META_DOMAIN + key.encode("utf-8") + b"|")
+    hasher.update(value)
+    return hasher.digest()
+
+
+def _op_bytes(name: str, body: bytes) -> int:
+    """What one op costs in the page file."""
+    return (_HEAD.size + len(name.encode("utf-8")) + _FIELDS.size
+            + _DIGEST_BYTES + len(body))
+
+
+def _record(chain: bytes, ops) -> tuple[bytes, bytes]:
+    """One commit's record and the digest it stores: a hash chain over
+    every op head since the file was written.  The bodies are bound by
+    the checksums in their heads, so the open-time scan hashes heads
+    only; a body is checked where it is used."""
+    hasher = hashlib.sha256(_PAGE_LOG_DOMAIN + chain)
+    parts = []
+    for code, name, shard, gen, seq, body, checksum in ops:
+        raw = name.encode("utf-8")
+        head = (_HEAD.pack(code, len(raw)) + raw
+                + _FIELDS.pack(shard, gen, seq, len(body)) + checksum)
+        hasher.update(head)
+        parts += (head, body)
+    digest = hasher.digest()
+    return frame_record(b"".join(parts), digest), digest
+
+
+def _decode_ops(payload: memoryview, hasher):
+    """The ops of one commit record, in the order they were staged,
+    feeding each head to ``hasher`` (``payload`` is a view into the
+    file: only what an op keeps is copied out of it)."""
+    position = 0
+    while position < len(payload):
+        start = position
+        code, name_len = _HEAD.unpack_from(payload, position)
+        if code not in (_PUT, _DELETE, _DROP, _META):
+            raise ValueError(f"unknown op {code!r}")
+        position += _HEAD.size
+        name = str(payload[position:position + name_len], "utf-8")
+        shard, gen, seq, length = _FIELDS.unpack_from(
+            payload, position + name_len)
+        position += name_len + _FIELDS.size + _DIGEST_BYTES
+        hasher.update(payload[start:position])
+        checksum = bytes(payload[position - _DIGEST_BYTES:position])
+        body = bytes(payload[position:position + length])
+        position += length
+        yield (code, name, shard, gen, seq, body, checksum)
+    if position != len(payload):
+        raise ValueError("last op runs past the record")
+
+
+class FilePageStore(PageStore):
+    """Append-only page file: the ``--backend file`` disk engine.
+
+    ``pages.log`` is :data:`PAGE_LOG_MAGIC` followed by records framed
+    like the WAL's, ``len(4B) || payload || digest(32B)``; one commit is
+    one record, appended and fsynced once.  The payload is the commit's
+    staged operations in order (put page, delete page, drop generation,
+    put meta), each a head -- what it is, plus the checksum of its body
+    -- and a body (the page's bytes, the meta value).  The digest chains
+    the record's heads to the record before it.  Opening the file scans
+    it once: every record's digest is verified and its operations are
+    applied to the in-memory index reads are served from; a torn final
+    record -- a commit that never returned -- is trimmed off, and any
+    other mismatch is refused.  The scan hashes heads only: a page is
+    checked against its checksum when it is read (:func:`_verified`,
+    like every read path), so rot in a page is quarantined and repaired
+    as in any page store, and the live meta values are checked once
+    the scan ends.
+
+    When the file exceeds :data:`PAGE_LOG_COMPACT_RATIO` times the size
+    of its live set, the next :meth:`begin` rewrites it as that live set
+    (one record) through :func:`~repro.storage.atomic.atomic_write`: a
+    crash on either side of the rename leaves a file holding the same
+    committed state.  The file is found once, at open; after that the
+    store knows its size and never asks the file system again.
+    """
+
+    FILE = "pages.log"
+
+    def __init__(self, path: str, fsync: bool = True,
+                 io: IoShim | None = None, readonly: bool = False) -> None:
+        self.path = path
+        self.fsync = fsync
+        self.io = io or REAL_IO
+        self.readonly = readonly
+        #: (kind, shard, gen) -> seq -> (blob, checksum)
+        self._groups: dict[tuple[str, int, int], dict[int, tuple]] = {}
+        #: key -> (value, checksum)
+        self._meta: dict[str, tuple[bytes, bytes]] = {}
+        self._size = 0          # bytes of the file
+        self._chain = _LOG_GENESIS
+        self._handle = None
+        self._staged: list | None = None
+        if os.path.isfile(path):
+            self._scan(self.io.read_file(path))
+
+    def _scan(self, blob: bytes) -> None:
+        if not blob.startswith(PAGE_LOG_MAGIC):
+            if PAGE_LOG_MAGIC.startswith(blob):
+                self._trim(0)   # the first commit died mid-write
+                return
+            raise StorageError(f"{self.path!r} is not a page file "
+                               f"({PAGE_LOG_MAGIC.strip().decode()})")
+        start = len(PAGE_LOG_MAGIC)
+        records, good_end = parse_records(memoryview(blob)[start:])
+        chain = _LOG_GENESIS
+        offset = start
+        for index, (payload, stored) in enumerate(records):
+            hasher = hashlib.sha256(_PAGE_LOG_DOMAIN + chain)
+            try:
+                for op in _decode_ops(payload, hasher):
+                    self._apply(op)
+            except (ValueError, struct.error, UnicodeDecodeError) as exc:
+                raise StorageError(
+                    f"page file record {index} (offset {offset}) is "
+                    f"malformed: {exc}") from exc
+            chain = hasher.digest()
+            if chain != stored:
+                raise StorageError(
+                    f"page file record {index} (offset {offset}) fails its "
+                    "digest: the page file was corrupted or tampered with")
+            offset += 4 + len(payload) + _DIGEST_BYTES
+        for key, (value, checksum) in self._meta.items():
+            if _meta_checksum(key, value) != checksum:
+                raise StorageError(
+                    f"meta record {key!r} of the page file fails its "
+                    "checksum: the page file was corrupted or tampered with")
+        self._chain = chain
+        self._size = start + good_end
+        if self._size < len(blob):
+            self._trim(self._size)  # a commit that never returned
+
+    def _trim(self, size: int) -> None:
+        self._size = size
+        if not self.readonly:
+            self.io.truncate_file(self.path, size)
+
+    # -- the in-memory index ---------------------------------------------
+
+    def _apply(self, op: tuple) -> None:
+        code, name, shard, gen, seq, body, checksum = op
+        if code == _META:
+            self._meta[name] = (body, checksum)
+        elif code == _DROP:
+            self._groups.pop((name, shard, gen), None)
+        elif code == _PUT:
+            self._groups.setdefault((name, shard, gen), {})[seq] = \
+                (body, checksum)
+        else:
+            group = self._groups.get((name, shard, gen), {})
+            group.pop(seq, None)
+            if not group:
+                self._groups.pop((name, shard, gen), None)
+
+    def rewritten_size(self) -> int:
+        """The file's size once rewritten as its live set."""
+        return (len(PAGE_LOG_MAGIC) + 4 + _DIGEST_BYTES
+                + sum(_op_bytes(key, value)
+                      for key, (value, _) in self._meta.items())
+                + sum(_op_bytes(kind, blob)
+                      for (kind, _, _), group in self._groups.items()
+                      for blob, _ in group.values()))
+
+    def _live_ops(self):
+        for key in sorted(self._meta):
+            yield (_META, key, 0, 0, 0, *self._meta[key])
+        for (kind, shard, gen) in sorted(self._groups):
+            group = self._groups[(kind, shard, gen)]
+            for seq in sorted(group):
+                yield (_PUT, kind, shard, gen, seq, *group[seq])
+
+    # -- transactions ----------------------------------------------------
+
+    def _stage(self, call: str, op: tuple) -> None:
+        if self._staged is None:
+            raise StorageError(f"{call} outside a transaction")
+        self._staged.append(op)
+
+    def begin(self) -> None:
+        if self._staged is not None:
+            raise StorageError("transaction already open")
+        if self.readonly:
+            raise StorageError("page file opened read-only")
+        if self._size > PAGE_LOG_COMPACT_RATIO * self.rewritten_size():
+            self._compact()
+        self._staged = []
+
+    def _compact(self) -> None:
+        """Rewrite the file as its live set: one record, same state."""
+        record, chain = _record(_LOG_GENESIS, self._live_ops())
+        blob = PAGE_LOG_MAGIC + record
+        self._close_handle()
+        try:
+            atomic_write(self.path, blob, fsync=self.fsync, io=self.io)
+        except OSError as exc:
+            raise StorageError(f"page file compaction failed: {exc}") from exc
+        self._size = len(blob)
+        self._chain = chain
+        if _obs.enabled:
+            _COMPACTIONS.inc()
+
+    def commit(self) -> None:
+        if self._staged is None:
+            raise StorageError("no open transaction")
+        staged, self._staged = self._staged, None
+        self.io.pre_commit(self.path)
+        try:
+            self.io.commit_gate(self.path)
+            self.io.crash_point("pagestore:pre-commit")
+            self._append(staged)
+        except OSError as exc:
+            raise StorageError(f"checkpoint commit failed: {exc}") from exc
+        for op in staged:
+            self._apply(op)
+        self.io.crash_point("pagestore:post-commit")
+
+    def _append(self, ops: list) -> None:
+        """One record, one fsync; on failure the file is trimmed back to
+        the last commit so the next one starts at a record boundary."""
+        record, chain = _record(self._chain, ops)
+        if self._size == 0:
+            record = PAGE_LOG_MAGIC + record
+        try:
+            if self._handle is None:
+                self._handle = self.io.open(self.path, "ab")
+            self._handle.write(record)
+            self._handle.flush()
+            self.io.crash_point("pagelog:before-fsync")
+            if self.fsync:
+                self._handle.fsync()
+        except OSError:
+            self._close_handle()
+            try:
+                self.io.truncate_file(self.path, self._size)
+            except OSError:
+                pass
+            raise
+        self._size += len(record)
+        self._chain = chain
+
+    def rollback(self) -> None:
+        self._staged = None
+
+    def write_page(self, kind: str, shard: int, gen: int, seq: int,
+                   blob: bytes) -> None:
+        if self._staged is None:
+            raise StorageError("write_page outside a transaction")
+        self.io.crash_point("pagestore:page-write")
+        try:
+            self.io.commit_gate(self.path)  # ENOSPC surfaces at write time
+        except OSError as exc:
+            raise StorageError(f"page write failed: {exc}") from exc
+        self._staged.append((_PUT, kind, shard, gen, seq, blob,
+                             page_checksum(kind, shard, gen, seq, blob)))
+        if _obs.enabled:
+            _PAGES_WRITTEN.inc()
+            _PAGE_BYTES.inc(len(blob))
+
+    def delete_page(self, kind: str, shard: int, gen: int, seq: int) -> None:
+        self._stage("delete_page", (_DELETE, kind, shard, gen, seq,
+                                    *_NO_BODY))
+
+    def drop_generation(self, kind: str, shard: int, gen: int) -> None:
+        self._stage("drop_generation", (_DROP, kind, shard, gen, 0,
+                                        *_NO_BODY))
+
+    def put_meta(self, key: str, value: bytes) -> None:
+        self._stage("put_meta", (_META, key, 0, 0, 0, value,
+                                 _meta_checksum(key, value)))
+        if _obs.enabled:
+            _META_BYTES.inc(len(value))
+
+    # -- reads (committed state only) --------------------------------------
+
+    def read_pages(self, kind: str, shard: int, gen: int):
+        group = self._groups.get((kind, shard, gen), {})
+        for seq in sorted(group):
+            yield _verified(self.io, kind, shard, gen, seq, *group[seq])
+
+    def read_page(self, kind: str, shard: int, gen: int,
+                  seq: int) -> bytes | None:
+        stored = self._groups.get((kind, shard, gen), {}).get(seq)
+        if stored is None:
+            return None
+        return _verified(self.io, kind, shard, gen, seq, *stored)
+
+    def page_count(self, kind: str, shard: int, gen: int) -> int:
+        return len(self._groups.get((kind, shard, gen), ()))
+
+    def page_bytes(self, kind: str, shard: int, gen: int) -> int:
+        return sum(len(blob) for blob, _ in
+                   self._groups.get((kind, shard, gen), {}).values())
+
+    def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
+        return sorted((gen, seq) for (k, s, gen), group in self._groups.items()
+                      if (k, s) == (kind, shard) for seq in group)
+
+    def generations(self, shard: int) -> list[int]:
+        return sorted({gen for (_k, s, gen) in self._groups if s == shard})
+
+    def get_meta(self, key: str) -> bytes | None:
+        stored = self._meta.get(key)
+        return None if stored is None else stored[0]
+
+    def _close_handle(self) -> None:
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            except OSError:
+                pass
+            self._handle = None
+
+    def close(self) -> None:
+        self._staged = None
+        self._close_handle()
+
+
+_PAGE_STORES = {"sqlite": SqlitePageStore, "file": FilePageStore}
+
+
 def open_page_store(data_dir: str, fsync: bool = True,
-                    io: IoShim | None = None,
-                    readonly: bool = False) -> SqlitePageStore:
-    """Open (creating if needed) the sqlite page store in ``data_dir``."""
+                    io: IoShim | None = None, readonly: bool = False,
+                    backend: str = "sqlite") -> PageStore:
+    """Open (creating if needed) ``backend``'s page store in ``data_dir``."""
+    kind = _PAGE_STORES.get(backend)
+    if kind is None:
+        raise ValueError(f"unknown storage backend {backend!r} "
+                         "(expected 'file' or 'sqlite')")
     if not readonly:
         os.makedirs(data_dir, exist_ok=True)
-    return SqlitePageStore(
-        os.path.join(data_dir, SqlitePageStore.FILE),
-        fsync=fsync, io=io, readonly=readonly)
+    return kind(os.path.join(data_dir, kind.FILE),
+                fsync=fsync, io=io, readonly=readonly)

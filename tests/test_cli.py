@@ -274,3 +274,36 @@ class TestStoreInspect:
 
     def test_not_a_store(self, tmp_path):
         run(["store-inspect", str(tmp_path / "absent")], expect=2)
+
+    def test_page_file_directory_reads_like_a_database_one(self, tmp_path):
+        """One manifest branch: the file backend's directory prints the
+        same layout, off ``pages.log``."""
+        from repro.mtree.database import WriteQuery
+        from repro.net import ServerCore
+        from repro.protocols.base import Request
+
+        data_dir = str(tmp_path / "server")
+        core = ServerCore(order=4, data_dir=data_dir, fsync=False,
+                          snapshot_every=10**9)
+        for i in range(20):
+            core.apply_request("u", Request(
+                query=WriteQuery(b"k%03d" % i, b"v"),
+                extras={"user": "u", "rid": f"u:{i}"}))
+        core.snapshot()
+        core.close_store()
+        text = run(["store-inspect", data_dir])
+        size = os.path.getsize(os.path.join(data_dir, "pages.log"))
+        lines = text.splitlines()
+        assert "backend: file" in lines
+        assert "bytes (cvs-paged-store 2)" in lines[lines.index(
+            f"pages.log: {size} bytes") + 1]
+        assert "checkpoint generation: 1" in lines
+        assert "shard 0: gen 1, prev gen 0" in text
+        assert "user u: 20 remembered response(s), " in text
+
+    def test_whole_state_snapshot_directory_is_named(self, tmp_path):
+        data_dir = tmp_path / "server"
+        data_dir.mkdir()
+        (data_dir / "state.snapshot").write_bytes(b"cvs-server-snapshot 1\n")
+        text = run(["store-inspect", str(data_dir)], expect=2)
+        assert "cvs-server-snapshot 1" in text

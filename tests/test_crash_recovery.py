@@ -158,7 +158,8 @@ class TestServerStore:
         state = ServerState(database=VerifiedDatabase(order=4))
         state.database.execute(WriteQuery(b"k", b"v"))
         store.write_snapshot(state, {})
-        snapshot = os.path.join(str(tmp_path), "state.snapshot")
+        store.close()
+        snapshot = os.path.join(str(tmp_path), "pages.log")
         with open(snapshot, "r+b") as handle:
             blob = bytearray(handle.read())
             blob[30] ^= 0xFF
@@ -457,8 +458,9 @@ class TestKillAndRestart:
 # ---------------------------------------------------------------------------
 
 from repro.mtree.forest import StoreSpec  # noqa: E402
-from repro.net.wal import PagedServerStore, open_server_store  # noqa: E402
+from repro.net.wal import open_server_store  # noqa: E402
 from repro.storage.faults import ALWAYS, FaultyIO, SimulatedCrash  # noqa: E402
+from repro.storage.pagestore import FilePageStore, SqlitePageStore  # noqa: E402
 
 
 def _run_ops(core, ops, start=0):
@@ -491,7 +493,7 @@ class TestStaleWalRecovery:
     proves such a log stale -- and *only* such a log."""
 
     def _crashed_store(self, tmp_path, mutate_wal=None):
-        io = FaultyIO(seed=9, crash_at={"snapshot:before-wal-reset": 2})
+        io = FaultyIO(seed=9, crash_at={"checkpoint:after-commit": 2})
         store = ServerStore(str(tmp_path), io=io)
         state = ServerState(database=VerifiedDatabase(order=4))
         Protocol2Server().initialize(state)
@@ -519,18 +521,20 @@ class TestStaleWalRecovery:
         # reported as tamper
         assert fresh.wal_records(chain) == []
         assert fresh.stale_wals_discarded == 1
-        assert os.path.getsize(os.path.join(str(tmp_path), "wal.log")) == 0
+        # ...it finishes the rotation the crash interrupted
+        assert not os.path.exists(os.path.join(str(tmp_path), "wal.log"))
+        assert os.path.isfile(os.path.join(str(tmp_path), "wal-seg.1.log"))
         fresh.close()
 
     def test_tampered_stale_wal_still_fatal(self, tmp_path):
         """Staleness must be *proven*, not presumed: break the chain
         recurrence inside the leftover log and recovery refuses."""
         def flip(wal):
-            from repro.net.wal import _parse_records
+            from repro.storage.pagestore import parse_records
 
             with open(wal, "r+b") as handle:
                 blob = bytearray(handle.read())
-                records, _ = _parse_records(bytes(blob))
+                records, _ = parse_records(bytes(blob))
                 # record 0's stored chain: every later record's proof
                 # hangs off it
                 offset = 4 + len(records[0][0])
@@ -722,13 +726,24 @@ class TestPagedStoreRoundtrip:
         assert 0 < len(segments) <= 3  # <= shards + the freshest
 
 
+#: enough traffic for the page file's first compaction (checkpoint 9)
+_COMPACTING_OPS = [(b"key%04d" % i, b"val%d" % i) for i in range(100)]
+
+
 class TestPagedStoreCrashMatrix:
-    """Kill the server at every storage crash point; recovery must lose
-    no acked write and land on the uninterrupted reference root.
+    """Kill the server at every storage crash point, on both page
+    stores; recovery must lose no acked write and land on the
+    uninterrupted reference root.
 
     Each occurrence is picked to land in live traffic (the bootstrap
     checkpoint of two empty shards is page writes 1-4: a leaf page and
-    a ``nodes`` page each); ``acked`` below checks that it did."""
+    a ``nodes`` page each); ``acked`` below checks that it did.  The
+    sqlite cells keep their bare ids; the page file runs the same ten
+    plus the cells only an append-only file has: a commit torn before
+    its fsync, a commit whose fsync lied (the 12th fsync is checkpoint
+    1's, the crash comes before the WAL rotates), and a crash on either
+    side of a compaction's rename (before it, between it and the
+    directory fsync -- the old file survives -- and after both)."""
 
     POINTS = [
         ("wal:append", 17),
@@ -742,23 +757,43 @@ class TestPagedStoreCrashMatrix:
         ("compaction:between-rename-and-dirfsync", 1),
         ("compaction:mid-segment-gc", 1),
     ]
+    PAGE_FILE_CELLS = [
+        ("torn-page-log-tail", "pagelog:before-fsync", 2, {}, _OPS),
+        ("lying-fsync-on-commit", "checkpoint:after-commit", 2,
+         {"lying_fsync": 12}, _OPS),
+        ("page-log-compaction:before-rename", "atomic:before-rename", 1, {},
+         _COMPACTING_OPS),
+        ("page-log-compaction:between-rename-and-dirfsync",
+         "atomic:between-rename-and-dirfsync", 1, {}, _COMPACTING_OPS),
+        ("page-log-compaction:after-dirfsync", "atomic:after-dirfsync", 1,
+         {}, _COMPACTING_OPS),
+    ]
+    CELLS = ([(point, "sqlite", point, n, {}, _OPS) for point, n in POINTS]
+             + [(f"file/{point}", "file", point, n, {}, _OPS)
+                for point, n in POINTS]
+             + [(f"file/{name}", "file", *cell)
+                for name, *cell in PAGE_FILE_CELLS])
 
-    @pytest.mark.parametrize("point,occurrence", POINTS,
-                             ids=[p for p, _ in POINTS])
-    def test_crash_point_recovers(self, tmp_path, point, occurrence):
+    @pytest.mark.parametrize("backend,point,occurrence,faults,ops",
+                             [cell[1:] for cell in CELLS],
+                             ids=[cell[0] for cell in CELLS])
+    def test_crash_point_recovers(self, tmp_path, backend, point,
+                                  occurrence, faults, ops):
         data_dir = str(tmp_path / "s")
         io = FaultyIO(seed=len(point) * 7 + occurrence,
-                      crash_at={point: occurrence})
-        core = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                      crash_at={point: occurrence}, **faults)
+        core = ServerCore(order=4, data_dir=data_dir, backend=backend,
                           fsync=True, shards=2, snapshot_every=10, io=io)
-        acked = _run_ops(core, _OPS)
+        acked = _run_ops(core, ops)
         assert io.crashed is False and io.crash_count == 1, \
             f"crash point {point} never fired"
+        for fault, at in faults.items():
+            assert io._hits.get(fault, 0) >= at, f"{fault} never fired"
         assert acked, f"crash point {point} fired before any write was acked"
         core.store.close()
         io.simulate_crash()
 
-        fresh = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+        fresh = ServerCore(order=4, data_dir=data_dir, backend=backend,
                            fsync=True, shards=2, io=io)
         for key, value in acked:
             assert fresh.state.database.get(key) == value, \
@@ -766,10 +801,10 @@ class TestPagedStoreCrashMatrix:
         executed = fresh.state.ctr
         assert executed >= len(acked)
         assert fresh.state.database.root_digest() == \
-            _reference_root(executed, _OPS, shards=2)
+            _reference_root(executed, ops, shards=2)
         # every response given before the crash is still remembered
         uninterrupted = ServerCore(order=4, shards=2)
-        _run_ops(uninterrupted, _OPS[:executed])
+        _run_ops(uninterrupted, ops[:executed])
         assert fresh.dedup.export() == uninterrupted.dedup.export()
         # and the store keeps working after recovery
         fresh.apply_request("u", _request("u", b"post", b"crash", 999))
@@ -801,6 +836,38 @@ class TestPagedStoreCorruption:
                            fsync=False, shards=4)
         assert again.state.database.root_digest() == root
         assert again.store.repaired_shards == []
+        again.close_store()
+
+    def test_rot_in_the_page_file_is_repaired_like_any_page(self, tmp_path):
+        """Persistent rot in a page the last checkpoint appended to
+        ``pages.log``: the scan passes it (heads only), the read's
+        checksum quarantines the shard, and the redo appends it again."""
+        data_dir = str(tmp_path / "s")
+        core = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4,
+                          snapshot_every=10)
+        _run_ops(core, _OPS)
+        root = core.state.database.root_digest()
+        core.snapshot()
+        gen = int(core.store._manifest["gen"])
+        shard, page = next(
+            (int(r["shard"]), core.store.pages.read_page(
+                "entries", int(r["shard"]), gen, int(r["next_page"]) - 1))
+            for r in core.store._manifest["shards"] if int(r["gen"]) == gen)
+        core.close_store()
+        path = os.path.join(data_dir, "pages.log")
+        with open(path, "r+b") as handle:
+            blob = bytearray(handle.read())
+            at = bytes(blob).rfind(page) + len(page) // 2
+            blob[at] ^= 0x10
+            handle.seek(0)
+            handle.write(blob)
+        fresh = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4)
+        assert fresh.state.database.root_digest() == root
+        assert fresh.store.repaired_shards == [shard]
+        fresh.close_store()
+        again = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4)
+        assert again.store.repaired_shards == []
+        assert again.state.database.root_digest() == root
         again.close_store()
 
     def test_tampered_segment_fails_repair_loudly(self, tmp_path):
@@ -849,6 +916,92 @@ class TestPagedStoreCorruption:
         with pytest.raises(WalError, match="manifest"):
             ServerCore(order=4, data_dir=data_dir, backend="sqlite",
                        fsync=False, shards=4)
+
+
+#: how each page store loses the bootstrap checkpoint it reported
+#: durable: sqlite's engine lies about its commit, the page file's
+#: first fsync lies
+_LOST_BOOTSTRAP = {"file": {"lying_fsync": 1}, "sqlite": {"lose_commit": 1}}
+
+
+class TestRefusedDirectories:
+    """Directories recovery must refuse rather than start fresh in: a
+    fresh start would drop acked writes without a word."""
+
+    @pytest.mark.parametrize("backend", _LOST_BOOTSTRAP)
+    def test_log_without_a_checkpoint_is_refused(self, tmp_path, backend):
+        data_dir = str(tmp_path / "s")
+        io = FaultyIO(seed=5, **_LOST_BOOTSTRAP[backend])
+        core = ServerCore(order=4, data_dir=data_dir, backend=backend,
+                          fsync=True, io=io)
+        assert len(_run_ops(core, _OPS[:5])) == 5
+        core.store.close()
+        io.simulate_crash()
+        with pytest.raises(WalError, match="no checkpoint manifest"):
+            ServerCore(order=4, data_dir=data_dir, backend=backend,
+                       fsync=True, io=io)
+        # ...and the log is still there for whoever investigates
+        assert os.path.getsize(os.path.join(data_dir, "wal.log")) > 0
+
+    @pytest.mark.parametrize("backend", _LOST_BOOTSTRAP)
+    def test_directory_of_the_whole_state_snapshot_is_refused_by_name(
+            self, tmp_path, backend):
+        data_dir = tmp_path / "s"
+        data_dir.mkdir()
+        (data_dir / "state.snapshot").write_bytes(
+            b"cvs-server-snapshot 1\n\x00\x00\x00\x00")
+        (data_dir / "wal.log").write_bytes(b"")
+        with pytest.raises(WalError, match="cvs-server-snapshot 1"):
+            ServerCore(order=4, data_dir=str(data_dir), backend=backend)
+        assert sorted(os.listdir(data_dir)) == ["state.snapshot", "wal.log"]
+
+
+class _FullDisk:
+    """A sqlite connection whose manifest insert finds the disk full."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def execute(self, sql, params=()):
+        if sql.startswith("INSERT OR REPLACE INTO meta"):
+            import sqlite3
+
+            raise sqlite3.OperationalError("database or disk is full")
+        return self.conn.execute(sql, params)
+
+    def close(self):
+        self.conn.close()
+
+
+class TestSqliteErrorsBackOff:
+    def test_full_disk_on_the_manifest_is_a_failed_checkpoint(self, tmp_path):
+        """A ``sqlite3.Error`` from any statement is a failed checkpoint:
+        the batch that crossed the interval is served, the failure is
+        counted, and the retry a quarter-interval later succeeds."""
+        from repro import obs
+
+        obs.enable()
+        data_dir = str(tmp_path / "s")
+        core = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                          fsync=False, shards=2, snapshot_every=10)
+        _run_ops(core, _OPS[:5])
+        pages = core.store.pages
+        pages._conn = _FullDisk(pages._conn)
+        batch = [("u", _request("u", key, value, seq))
+                 for seq, (key, value) in enumerate(_OPS[5:15], start=5)]
+        responses = core.apply_batch(batch)
+        assert all(isinstance(r, Response) for r in responses)
+        assert obs.registry.counter("server.snapshot_failures").total() == 1
+        assert obs.registry.counter("server.snapshots").total() == 0
+        pages._conn = pages._conn.conn  # space freed
+        _run_ops(core, _OPS[15:20], start=15)
+        assert obs.registry.counter("server.snapshots").total() == 1
+        root = core.state.database.root_digest()
+        core.close_store()
+        fresh = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                           fsync=False, shards=2)
+        assert fresh.state.database.root_digest() == root
+        fresh.close_store()
 
 
 class TestCompactionRace:
@@ -933,11 +1086,14 @@ class TestPagedServerEndToEnd:
             open_server_store(str(tmp_path), backend="postgres")
 
     def test_store_backends_report_names(self, tmp_path):
+        """One store class; the backend picks only the page store."""
         file_store = open_server_store(str(tmp_path / "a"))
         paged = open_server_store(str(tmp_path / "b"), backend="sqlite")
         assert file_store.backend == "file"
-        assert isinstance(paged, PagedServerStore)
+        assert isinstance(file_store.pages, FilePageStore)
+        assert type(paged) is type(file_store) is ServerStore
         assert paged.backend == "sqlite"
+        assert isinstance(paged.pages, SqlitePageStore)
         file_store.close()
         paged.close()
 

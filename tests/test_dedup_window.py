@@ -122,8 +122,8 @@ class TestIllTypedEntryRefusedByName:
         store = ServerStore(data_dir, fsync=False)
         store.write_snapshot(state, table)
         store.close()
-        with pytest.raises(WalError, match=r"state\.snapshot: dedup entry 1 of "
-                                           r"user 'u' is not a \(request id"):
+        with pytest.raises(WalError, match=r"checkpoint manifest: dedup entry 1 "
+                                           r"of user 'u' is not a \(request id"):
             _core(data_dir, "file")
 
     def test_paged_manifest(self, tmp_path, doctor):

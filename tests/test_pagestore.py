@@ -1,11 +1,13 @@
 """The page-store layer: transactional commit, checksums, generations.
 
-Both implementations (dict-backed reference and sqlite disk engine)
-must satisfy the same contract, so everything here is parametrised over
-the two.  The checksum tests are the important half: a page that rots
-must raise :class:`CorruptPageError` -- never yield wrong bytes --
-because the recovery layer above decides quarantine-or-trust on exactly
-that signal.
+Every implementation (dict-backed reference, the sqlite disk engine and
+the append-only page file) must satisfy the same contract, so the
+contract tests are parametrised over all three.  The checksum tests are
+the important half: a page that rots must raise
+:class:`CorruptPageError` -- never yield wrong bytes -- because the
+recovery layer above decides quarantine-or-trust on exactly that
+signal.  The page file's own tests cover what only an append-only file
+has: the open-time scan, torn tails, failed appends and compaction.
 """
 
 import os
@@ -14,9 +16,12 @@ import sqlite3
 import pytest
 
 from repro import obs
-from repro.storage.faults import FaultyIO
+from repro.storage.faults import FaultyIO, IoShim
 from repro.storage.pagestore import (
+    PAGE_LOG_COMPACT_RATIO,
+    PAGE_LOG_MAGIC,
     CorruptPageError,
+    FilePageStore,
     MemoryPageStore,
     SqlitePageStore,
     StorageError,
@@ -25,12 +30,13 @@ from repro.storage.pagestore import (
 )
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite", "file"])
 def store(request, tmp_path):
     if request.param == "memory":
         yield MemoryPageStore()
     else:
-        store = open_page_store(str(tmp_path), fsync=False)
+        store = open_page_store(str(tmp_path), fsync=False,
+                                backend=request.param)
         yield store
         store.close()
 
@@ -254,3 +260,241 @@ class TestCommitFaults:
         assert ro.page_count("nodes", 0, 0) == 3
         assert ro.get_meta("m") == b"v"
         ro.close()
+
+
+# -- what only an append-only page file has -------------------------------------
+
+
+def _page_file(tmp_path, **options):
+    return open_page_store(str(tmp_path), fsync=False, backend="file",
+                           **options)
+
+
+def _log_path(tmp_path):
+    return os.path.join(str(tmp_path), FilePageStore.FILE)
+
+
+class _InMemoryIo(IoShim):
+    """Every file in a dict: a store on it that asked the file system
+    anything after opening would find nothing there."""
+
+    def __init__(self):
+        self.files = {}
+
+    def open(self, path, mode):
+        if "a" not in mode:
+            self.files[path] = bytearray()
+        return _InMemoryFile(self.files.setdefault(path, bytearray()))
+
+    def read_file(self, path):
+        return bytes(self.files[path])
+
+    def replace(self, src, dst):
+        self.files[dst] = self.files.pop(src)
+
+    def fsync_dir(self, path):
+        pass
+
+    def truncate_file(self, path, size):
+        del self.files[path][size:]
+
+
+class _InMemoryFile:
+    def __init__(self, content):
+        self._content = content
+
+    def write(self, data):
+        self._content += data
+        return len(data)
+
+    def flush(self):
+        pass
+
+    fsync = flush
+
+    def close(self):
+        pass
+
+
+class TestPageFile:
+    def test_reopen_replays_every_commit(self, tmp_path):
+        store = _page_file(tmp_path)
+        _fill(store, gen=0)
+        store.begin()
+        store.drop_generation("nodes", 0, 0)
+        store.write_page("entries", 1, 2, 3, b"leaf")
+        store.delete_page("entries", 1, 2, 3)
+        store.write_page("entries", 1, 2, 4, b"kept")
+        store.put_meta("checkpoint", b"m1")
+        store.commit()
+        store.close()
+        fresh = _page_file(tmp_path)
+        assert fresh.page_count("nodes", 0, 0) == 0
+        assert fresh.page_keys("entries", 1) == [(2, 4)]
+        assert fresh.read_page("entries", 1, 2, 4) == b"kept"
+        assert fresh.get_meta("checkpoint") == b"m1"
+        fresh.close()
+        with open(_log_path(tmp_path), "rb") as handle:
+            assert handle.read().startswith(PAGE_LOG_MAGIC)
+
+    def test_torn_tail_is_trimmed_on_open(self, tmp_path):
+        """A commit that died mid-append never returned: the scan drops
+        it and trims the file back to the last whole record."""
+        store = _page_file(tmp_path)
+        _fill(store)
+        store.close()
+        path = _log_path(tmp_path)
+        committed = os.path.getsize(path)
+        store = _page_file(tmp_path)
+        store.begin()
+        store.write_page("nodes", 0, 1, 0, b"x" * 500)
+        store.commit()
+        store.close()
+        with open(path, "r+b") as handle:
+            handle.truncate(committed + 100)
+        fresh = _page_file(tmp_path)
+        assert fresh.page_count("nodes", 0, 1) == 0
+        assert fresh.page_count("nodes", 0, 0) == 3
+        assert os.path.getsize(path) == committed
+        _fill(fresh, gen=2)  # appends from the record boundary
+        fresh.close()
+        again = _page_file(tmp_path)
+        assert again.generations(0) == [0, 2]
+        again.close()
+
+    def test_first_commit_torn_inside_the_header_is_an_empty_store(
+            self, tmp_path):
+        with open(_log_path(tmp_path), "wb") as handle:
+            handle.write(PAGE_LOG_MAGIC[:5])
+        store = _page_file(tmp_path)
+        assert store.generations(0) == []
+        _fill(store)
+        store.close()
+        assert _page_file(tmp_path).page_count("nodes", 0, 0) == 3
+
+    def _rot(self, tmp_path, offset):
+        path = _log_path(tmp_path)
+        with open(path, "r+b") as handle:
+            blob = bytearray(handle.read())
+            blob[offset] ^= 0x01
+            handle.seek(0)
+            handle.write(blob)
+
+    def test_rot_in_a_record_head_is_refused_at_open(self, tmp_path):
+        store = _page_file(tmp_path)
+        _fill(store)
+        _fill(store, gen=1)
+        store.close()
+        # inside the checksum of the second record's last page
+        self._rot(tmp_path, -32 - len(b"page-2") - 5)
+        with pytest.raises(StorageError, match="record 1 .*digest"):
+            _page_file(tmp_path)
+
+    def test_rot_in_a_page_is_caught_where_it_is_read(self, tmp_path):
+        """The scan hashes heads only; a page's bytes are bound by its
+        checksum and checked by every read, as in any page store."""
+        store = _page_file(tmp_path)
+        _fill(store)
+        store.close()
+        self._rot(tmp_path, -32 - 1)  # the last page's last byte
+        fresh = _page_file(tmp_path)
+        assert fresh.read_page("nodes", 0, 0, 1) == b"page-1"
+        with pytest.raises(CorruptPageError) as excinfo:
+            fresh.read_page("nodes", 0, 0, 2)
+        assert excinfo.value.seq == 2
+        fresh.close()
+
+    def test_rot_in_the_live_meta_is_refused_at_open(self, tmp_path):
+        store = _page_file(tmp_path)
+        store.begin()
+        store.put_meta("checkpoint", b"old manifest")
+        store.commit()
+        store.begin()
+        store.put_meta("checkpoint", b"new manifest")
+        store.commit()
+        store.close()
+        self._rot(tmp_path, -32 - 1)
+        with pytest.raises(StorageError, match="'checkpoint' .*checksum"):
+            _page_file(tmp_path)
+
+    def test_foreign_file_refused(self, tmp_path):
+        with open(_log_path(tmp_path), "wb") as handle:
+            handle.write(b"SQLite format 3\x00")
+        with pytest.raises(StorageError, match="not a page file"):
+            _page_file(tmp_path)
+
+    def test_failed_append_leaves_the_last_commit(self, tmp_path):
+        io = FaultyIO(seed=2)
+        store = _page_file(tmp_path, io=io)
+        _fill(store)
+        size = os.path.getsize(_log_path(tmp_path))
+        io._plan["short_write"] = 1
+        store.begin()
+        store.write_page("nodes", 0, 1, 0, b"y" * 300)
+        with pytest.raises(StorageError, match="commit failed"):
+            store.commit()
+        assert os.path.getsize(_log_path(tmp_path)) == size
+        assert store.page_count("nodes", 0, 1) == 0
+        _fill(store, gen=2)
+        store.close()
+        fresh = _page_file(tmp_path)
+        assert fresh.generations(0) == [0, 2]
+        fresh.close()
+
+    def test_readonly_open_never_trims(self, tmp_path):
+        store = _page_file(tmp_path)
+        _fill(store)
+        store.close()
+        path = _log_path(tmp_path)
+        with open(path, "ab") as handle:
+            handle.write(b"\x00\x00")
+        size = os.path.getsize(path)
+        ro = _page_file(tmp_path, readonly=True)
+        assert ro.page_count("nodes", 0, 0) == 3
+        with pytest.raises(StorageError):
+            ro.begin()
+        assert os.path.getsize(path) == size
+
+    def test_compaction_bounds_the_file_and_keeps_the_state(self, tmp_path):
+        obs.enable()
+        store = _page_file(tmp_path)
+        path = _log_path(tmp_path)
+        for gen in range(60):
+            store.begin()
+            store.write_page("entries", 0, 0, gen % 3, b"%d" % gen * 40)
+            store.put_meta("checkpoint", b"gen %d" % gen)
+            store.commit()
+            # at most one record past the ratio: the check runs at begin
+            assert os.path.getsize(path) <= \
+                PAGE_LOG_COMPACT_RATIO * store.rewritten_size() + 300
+        assert obs.registry.counter(
+            "storage.page_log_compactions").total() >= 2
+        store.close()
+        fresh = _page_file(tmp_path)
+        assert fresh.read_page("entries", 0, 0, 59 % 3) == b"59" * 40
+        assert fresh.page_keys("entries", 0) == [(0, 0), (0, 1), (0, 2)]
+        assert fresh.get_meta("checkpoint") == b"gen 59"
+        fresh.close()
+
+    def test_a_compacted_file_is_never_looked_up_again(self, tmp_path):
+        """After opening, the store keeps its file's size itself: on a
+        shim that holds every file in memory it compacts and goes on
+        appending without the file system ever holding the file."""
+        io = _InMemoryIo()
+        data_dir = str(tmp_path / "nowhere")
+        store = open_page_store(data_dir, fsync=False, io=io,
+                                backend="file")
+        for gen in range(40):
+            store.begin()
+            store.write_page("entries", 0, 0, 0, b"v%d" % gen * 30)
+            store.commit()
+        path = os.path.join(data_dir, FilePageStore.FILE)
+        assert set(io.files) == {path}
+        assert not os.path.exists(path)
+        store.close()
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        (copy / FilePageStore.FILE).write_bytes(bytes(io.files[path]))
+        fresh = _page_file(copy)
+        assert fresh.read_page("entries", 0, 0, 0) == b"v39" * 30
+        fresh.close()
