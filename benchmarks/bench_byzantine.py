@@ -26,9 +26,10 @@ Pass criteria (all checked, printed as JSON):
   deviation (exit 0).
 
 Detection latency is measured against the ground truth the server core
-records on the attack (``first_deviation_op``): the server tick at
-which a deviating response actually went out, converted to global
-operations.
+judges (``core.judge.first_round``, an honest replay of every message
+it executed): the server tick at which a response first differed from
+the honest run's, converted to global operations.  An alarm is false
+iff the judge found no deviation.
 
 Run ``python benchmarks/bench_byzantine.py --quick --check`` for the CI
 gate or without ``--quick`` for the full campaign (every attack class
@@ -96,6 +97,12 @@ def _genuine(path) -> bool:
     return bool(path) and (
         evidence.reverify(evidence.read_bundle(path))[0]
         and cli_main(["evidence-inspect", path], out=io.StringIO()) == 0)
+
+
+def _deviated(judge) -> bool:
+    """Whether a server's judge has seen a response differ from the
+    honest replay's (no attack: no judge, never)."""
+    return judge is not None and judge.first_round is not None
 
 
 # -- Protocol I and II runs ------------------------------------------------
@@ -173,7 +180,7 @@ def run_fleet(name, protocol, attack_factory, *, seed, k=4, steps,
         exchanged = {u: exchange(c) for u, c in clients.items()}
         if check(exchanged):
             return
-        if attack is None or attack.first_deviation_op is None:
+        if not _deviated(server.core.judge):
             false_alarm = True
         else:
             detection = (kind, global_op, evidence.write_bundle(
@@ -194,7 +201,7 @@ def run_fleet(name, protocol, attack_factory, *, seed, k=4, steps,
                         client.put(f"{user}-{step % 5}".encode(),
                                    f"{user}:{step}".encode())
                 except IntegrityError as exc:
-                    if attack is None or attack.first_deviation_op is None:
+                    if not _deviated(server.core.judge):
                         false_alarm = True
                         break
                     detection = ("response", global_op,
@@ -222,8 +229,9 @@ def run_fleet(name, protocol, attack_factory, *, seed, k=4, steps,
             proxy.stop()
         server.stop()
 
-    return _run_record(name, protocol, attack, detection, false_alarm,
-                       global_op, k, len(users), messages_per_op=messages_per_op,
+    return _run_record(name, protocol, attack, server.core.judge, detection,
+                       false_alarm, global_op, k, len(users),
+                       messages_per_op=messages_per_op,
                        sync_rounds=sync_rounds, evidence_dir=evidence_dir,
                        proxy=proxy, verbose=verbose)
 
@@ -318,7 +326,7 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
 
     def _halt(user, exc):
         nonlocal false_alarm
-        if attack is None or attack.first_deviation_op is None:
+        if not _deviated(server.core.judge):
             false_alarm = True
             return
         halted[user] = global_op
@@ -380,7 +388,8 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
     served = {wid: collusion.served for wid, collusion in collusions.items()}
 
     return _replicated_record(
-        name, attack, n_witnesses=n_witnesses, f=f, colluders=sorted(collusions),
+        name, attack, server.core.judge, n_witnesses=n_witnesses, f=f,
+        colluders=sorted(collusions),
         collusion_mode=collusion_mode if collusions else None,
         detections=detections, witness_detections=witness_detections,
         excluded=excluded, served=served, false_alarm=false_alarm,
@@ -389,12 +398,12 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
         clients=clients, evidence_dir=evidence_dir, verbose=verbose)
 
 
-def _replicated_record(name, attack, *, n_witnesses, f, colluders,
+def _replicated_record(name, attack, judge, *, n_witnesses, f, colluders,
                        collusion_mode, detections, witness_detections,
                        excluded, served, false_alarm, confirm_failures,
                        halted, completed, steps, global_op, clients,
                        evidence_dir, verbose) -> dict:
-    deviated = attack is not None and attack.first_deviation_op is not None
+    deviated = _deviated(judge)
     colluder_set = set(colluders)
 
     bad_bundles = [entry for entry in detections + witness_detections
@@ -429,7 +438,7 @@ def _replicated_record(name, attack, *, n_witnesses, f, colluders,
         "confirmed_roots": sum(c.quorum.confirmed for c in clients.values()),
         "false_alarm": false_alarm,
         "deviated": deviated,
-        "injected_responses": attack.injected if attack else 0,
+        "injected_responses": judge.deviations if judge else 0,
         "detected": bool(detections),
         "detections": [
             {k: v for k, v in entry.items() if k != "evidence_path"}
@@ -474,11 +483,11 @@ def _replicated_record(name, attack, *, n_witnesses, f, colluders,
 
 # -- shared reporting ------------------------------------------------------
 
-def _run_record(name, protocol, attack, detection, false_alarm, global_op,
-                k, n_users, messages_per_op, sync_rounds, evidence_dir,
-                proxy, verbose) -> dict:
+def _run_record(name, protocol, attack, judge, detection, false_alarm,
+                global_op, k, n_users, messages_per_op, sync_rounds,
+                evidence_dir, proxy, verbose) -> dict:
     bound = k * n_users + n_users
-    deviated = attack is not None and attack.first_deviation_op is not None
+    deviated = _deviated(judge)
     record = {
         "run": name,
         "protocol": protocol,
@@ -487,15 +496,15 @@ def _run_record(name, protocol, attack, detection, false_alarm, global_op,
         "sync_rounds": sync_rounds,
         "false_alarm": false_alarm,
         "deviated": deviated,
-        "injected_responses": attack.injected if attack else 0,
+        "injected_responses": judge.deviations if judge else 0,
         "proxy_faults": dict(proxy.faults) if proxy else None,
         "detected": detection is not None,
         "bound_ops": bound,
     }
     if deviated:
-        deviation_op = (attack.first_deviation_op
+        deviation_op = (judge.first_round
                         + messages_per_op - 1) // messages_per_op
-        record["first_deviation_op"] = deviation_op
+        record["deviation_op"] = deviation_op
         if detection:
             kind, detect_op, bundle_path = detection
             latency = detect_op - deviation_op
@@ -511,7 +520,7 @@ def _run_record(name, protocol, attack, detection, false_alarm, global_op,
         if detection:
             print(f"  [{name}] detected via {record['detection_kind']} at op "
                   f"{record['detection_op']} (deviated at "
-                  f"{record['first_deviation_op']}, latency "
+                  f"{record['deviation_op']}, latency "
                   f"{record['latency_ops']} <= {bound}), evidence "
                   f"{'re-verified' if record['evidence_genuine'] else 'BAD'}")
         elif deviated:

@@ -35,7 +35,7 @@ def run_localization(seed: int):
     pristine = VerifiedDatabase(order=8)
     populate_database(pristine, workload)
     result = localize_fault(initial_state_tag(pristine.root_digest()), logs)
-    return simulation.server.observed_deviation_ctr, result
+    return simulation.server.core.judge.first_op, result
 
 
 def test_localization_accuracy(capsys, benchmark):

@@ -32,7 +32,7 @@ def main() -> None:
     print(f"detected      : {report.detected} "
           f"(round {report.detection_round}, reason: "
           f"{next(iter(report.alarms.values())).reason[:60]}...)")
-    true_ctr = simulation.server.observed_deviation_ctr
+    true_ctr = simulation.server.core.judge.first_op
     print(f"ground truth  : first deviating response was global operation #{true_ctr}")
     print()
 

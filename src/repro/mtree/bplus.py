@@ -423,7 +423,7 @@ class BPlusTree:
         """Structural copy: fresh nodes, shared immutable contents.
 
         Both the original and the copy may be mutated independently
-        afterwards (attack forks, the simulator's oracle), so every
+        afterwards (attack forks, the deviation judge's replay), so every
         node object is duplicated -- but the byte-string keys/values and
         cached :class:`Digest` objects they hold are immutable and
         therefore shared.  Far cheaper than ``copy.deepcopy``.

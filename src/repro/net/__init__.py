@@ -7,7 +7,9 @@ detections, and N-server replicated root deposits
 (:mod:`repro.net.replication`) that out-vote a forking primary through
 witness quorums.  Byzantine mode is ``serve_in_thread(attack=...)`` with
 a gallery :class:`~repro.server.attacks.Attack`: the server core runs it
-and records on it the ground truth (``injected``, ``first_deviation_op``)."""
+and judges each response against an honest replay; the ground truth is
+``core.judge`` (:class:`~repro.net.core.DeviationJudge`: ``first_round``,
+``first_op``, ``deviations``)."""
 
 from repro.net.aserver import (
     AsyncServerHandle,
@@ -42,7 +44,7 @@ from repro.net.replication import (
     make_deposit,
     make_replica_keys,
 )
-from repro.net.core import DedupTable, ServerCore
+from repro.net.core import DedupTable, DeviationJudge, ServerCore
 from repro.net.evidence import EvidenceError, read_bundle, reverify, write_bundle
 from repro.net.framing import FramingError, recv_message, send_message
 from repro.net.wal import ServerStore, WalError
@@ -55,6 +57,7 @@ __all__ = [
     "AsyncServerHandle",
     "AsyncTrustedCvsServer",
     "DedupTable",
+    "DeviationJudge",
     "ServerCore",
     "PipelinedRemoteClient",
     "ChaosConfig",

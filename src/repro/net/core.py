@@ -2,7 +2,8 @@
 
 Everything a Trusted-CVS server *is* -- the named state branches, the
 protocol, the request-ID dedup table, the WAL + checkpoint store, the
-Byzantine attack hooks, and the round counter -- lives here, with **no
+Byzantine attack hooks with the judge of their deviation, and the round
+counter -- lives here, with **no
 locking of its own**.  The caller owns serialisation:
 :class:`~repro.net.aserver.AsyncTrustedCvsServer` funnels every call
 through a single event-loop drainer task (single-writer model), so no
@@ -74,7 +75,7 @@ _SNAPSHOT_FAILURES = _registry.counter(
     "periodic checkpoints that failed (ENOSPC/EIO) and will be retried")
 _ATTACKS_INJECTED = _registry.counter(
     "net.attacks_injected",
-    "deviating responses a Byzantine server put on the wire")
+    "responses a Byzantine server sent that its judge found deviating")
 
 
 class DedupTable:
@@ -128,6 +129,59 @@ class DedupTable:
         return sum(len(entries) for entries in self._users.values())
 
 
+class DeviationJudge:
+    """When a server deviated (Definition 2.1): an attack-free replay of
+    every message the server executes, in tick order, and each response
+    to a query judged against the replay's.
+
+    A response deviates iff its answer differs from the honest one, or
+    its ``sig`` extra does, or -- for a protocol whose responses commit
+    to the state -- the served branch's root or the ``ctr`` extra does.
+    The replay steps the protocol's class, not the instance, so nothing
+    installed on the live protocol object sees it.  A judge also stands
+    alone: fed a server's messages and responses from outside, it holds
+    the honest run across that server's crash and restart.
+    """
+
+    def __init__(self, protocol: ServerProtocol, state: ServerState) -> None:
+        self._protocol = protocol
+        self._honest = type(protocol)
+        self._replay = state.clone()
+        #: queries judged so far, and how many of them deviated
+        self.judged = 0
+        self.deviations = 0
+        #: the round (tick) of the first deviating response, and the
+        #: number of queries judged before it
+        self.first_round: int | None = None
+        self.first_op: int | None = None
+
+    def followup(self, user_id: str, message: Followup, round_no: int) -> None:
+        self._honest.handle_followup(
+            self._protocol, user_id, message, self._replay, round_no)
+
+    def request(self, user_id: str, message: Request, response: Response,
+                served: ServerState, round_no: int) -> bool:
+        """Replay ``message`` honestly; whether ``response``, served from
+        ``served``, deviates from the honest answer."""
+        honest = self._honest.handle_request(
+            self._protocol, user_id, message, self._replay, round_no)
+        if message.query is None:
+            return False
+        extras = response.extras
+        deviates = (response.result.answer != honest.result.answer
+                    or extras.get("sig") != honest.extras.get("sig"))
+        if not deviates and self._protocol.responses_commit_state:
+            deviates = (extras.get("ctr") != honest.extras.get("ctr")
+                        or served.database.root_digest()
+                        != self._replay.database.root_digest())
+        if deviates:
+            self.deviations += 1
+            if self.first_round is None:
+                self.first_round, self.first_op = round_no, self.judged
+        self.judged += 1
+        return deviates
+
+
 class ServerCore:
     """State, durability, and execution for one Trusted-CVS server.
 
@@ -166,8 +220,9 @@ class ServerCore:
         #: entries are per-victim forks a Byzantine attack may create.
         self.states: dict[str, ServerState] = {}
         self.attack = attack
-        #: the branch the last request executed on
-        self.served_from: ServerState | None = None
+        #: ground truth under an attack: the honest replay each response
+        #: is judged against (``None`` with no attack)
+        self.judge: DeviationJudge | None = None
         if data_dir is not None:
             self.store = open_server_store(
                 data_dir, backend=backend, fsync=fsync, io=io, lock=lock)
@@ -180,6 +235,7 @@ class ServerCore:
                     database=database or VerifiedDatabase(
                         order=order, shards=shards))
             self.protocol.initialize(self.state)
+            self._start_judge()
         #: primary-side replication: deposits the main branch's signed
         #: root lineage to the witness group after every executed
         #: request (see :mod:`repro.net.replication`).  Priming after
@@ -221,6 +277,7 @@ class ServerCore:
             self.state = ServerState(database=restored_db, ctr=ctr, meta=meta)
             self.dedup.load(dedup)
             self.store.set_chain(chain)
+        self._start_judge()
         records = self.store.wal_records(self.store._chain)
         for message in records:
             user_id = message.extras.get("user", "anonymous")
@@ -236,28 +293,29 @@ class ServerCore:
         self.replayed_records = len(records)
         self._ops_since_snapshot = len(records)
 
+    def _start_judge(self) -> None:
+        """Under an attack, start the honest replay where the main state
+        starts: on a fresh start, or at the loaded checkpoint before WAL
+        replay (which the judge then sees too)."""
+        if self.attack is not None:
+            self.judge = DeviationJudge(self.protocol, self.state)
+
     def _execute_request(self, user_id: str, message: Request) -> Response:
-        """Execute a request on the branch that serves its user, and let
-        the attack rewrite the answer.  Both the live path and WAL replay
-        come here, so after a crash the per-victim forked branches are
-        deterministically reconstructed (the attack triggers on the same
-        tick indices)."""
+        """Execute a request on the branch that serves its user, let the
+        attack rewrite the answer, and judge what goes out.  Both the
+        live path and WAL replay come here, so after a crash the
+        per-victim forked branches are deterministically reconstructed
+        (the attack triggers on the same tick indices)."""
         round_no = self.tick()
         state = self._branch_for(user_id, round_no)
         response = self.protocol.handle_request(
             user_id, message, state, round_no=round_no)
         if self.attack is not None:
-            mutated = self.attack.mutate_response(
+            response = self.attack.mutate_response(
                 user_id, message, response, state, round_no)
-            # Ground truth: for a committing protocol, an answer from
-            # another history is itself a differing response.
-            forked = state is not self.state and self.protocol.responses_commit_state
-            if mutated is not response or forked:
-                self.attack.record_injection(round_no)
-                if _obs.enabled:
-                    _ATTACKS_INJECTED.inc(attack=self.attack.name, user=user_id)
-            response = mutated
-        self.served_from = state
+            if (self.judge.request(user_id, message, response, state, round_no)
+                    and _obs.enabled):
+                _ATTACKS_INJECTED.inc(attack=self.attack.name, user=user_id)
         rid = request_id(message)
         if rid is not None:
             # Echo the idempotency token so pipelined clients can match
@@ -270,6 +328,8 @@ class ServerCore:
         self.protocol.handle_followup(
             user_id, message, self._branch_for(user_id, round_no),
             round_no=round_no)
+        if self.judge is not None:
+            self.judge.followup(user_id, message, round_no)
 
     def _branch_for(self, user_id: str, round_no: int) -> ServerState:
         """The history ``user_id`` is served from: main, or the attack's

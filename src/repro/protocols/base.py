@@ -238,7 +238,7 @@ class ServerProtocol:
     """Base class for the server half of a protocol."""
 
     #: Whether responses commit to the database state (root digests,
-    #: counters).  Used by the simulator's ground-truth oracle: for
+    #: counters).  Read by the server core's deviation judge: for
     #: committing protocols, serving from a diverged state is itself a
     #: differing response action per Definition 2.1.
     responses_commit_state = True

@@ -19,10 +19,9 @@ Each attack realises one class of integrity/availability violation:
 Attacks see the protocol messages exactly as a real malicious server
 would: they may clone whole server states (histories), choose which
 state answers which user, and rewrite any field of a response.  They
-record when they first actually deviate so benchmarks can measure
-detection delay against ground truth.  The one server step that runs
-them, :class:`~repro.net.core.ServerCore`, adds what it saw go out
-(:meth:`Attack.record_injection`).
+do not say when they deviated: the one server step that runs them,
+:class:`~repro.net.core.ServerCore`, judges every response against an
+honest replay (:class:`~repro.net.core.DeviationJudge`).
 """
 
 from __future__ import annotations
@@ -47,30 +46,6 @@ class Attack:
     """Base strategy: perfectly honest behaviour."""
 
     name = "honest"
-
-    def __init__(self) -> None:
-        self.first_deviation_round: int | None = None
-        #: responses the server running this attack sent deviating: from
-        #: a non-main branch under a committing protocol, or mutated
-        self.injected = 0
-        self._first_injected_round: int | None = None
-
-    def _mark_deviation(self, round_no: int) -> None:
-        if self.first_deviation_round is None:
-            self.first_deviation_round = round_no
-
-    def record_injection(self, round_no: int) -> None:
-        """The server sent a deviating response at ``round_no``."""
-        if self._first_injected_round is None:
-            self._first_injected_round = round_no
-        self.injected += 1
-
-    @property
-    def first_deviation_op(self) -> int | None:
-        """Earliest round (on the wire: message tick) at which a deviating
-        response went out, as recorded or self-reported: ground truth."""
-        return min((r for r in (self._first_injected_round, self.first_deviation_round)
-                    if r is not None), default=None)
 
     def on_round(self, server, round_no: int) -> None:
         """Called once each time the server's round advances, before the
@@ -119,7 +94,6 @@ class ForkAttack(Attack):
     name = "fork"
 
     def __init__(self, victims: list[str], fork_round: int) -> None:
-        super().__init__()
         self.victims = set(victims)
         self.fork_round = fork_round
 
@@ -155,7 +129,6 @@ class DropCommitAttack(Attack):
     name = "drop-commit"
 
     def __init__(self, victim: str, drop_round: int) -> None:
-        super().__init__()
         self.victim = victim
         self.drop_round = drop_round
         self._branched = False
@@ -187,7 +160,6 @@ class TamperValueAttack(Attack):
     name = "tamper-value"
 
     def __init__(self, victim: str, tamper_round: int, forge_proof: bool = False) -> None:
-        super().__init__()
         self.victim = victim
         self.tamper_round = tamper_round
         self.forge_proof = forge_proof
@@ -199,7 +171,6 @@ class TamperValueAttack(Attack):
             return response
         if response.result.answer is None:
             return response
-        self._mark_deviation(round_no)
         corrupted = b"/* backdoored */ " + bytes(response.result.answer)
         proof = response.result.proof
         if self.forge_proof and isinstance(proof, ReadProof):
@@ -258,7 +229,6 @@ class CounterReplayAttack(Attack):
     name = "counter-replay"
 
     def __init__(self, victim: str, replay_round: int) -> None:
-        super().__init__()
         self.victim = victim
         self.replay_round = replay_round
         self._seen_ctr: int | None = None
@@ -272,7 +242,6 @@ class CounterReplayAttack(Attack):
         if self._seen_ctr is None:
             self._seen_ctr = response.extras["ctr"]
             return response
-        self._mark_deviation(round_no)
         extras = dict(response.extras)
         extras["ctr"] = self._seen_ctr
         return Response(result=response.result, extras=extras)
@@ -289,14 +258,12 @@ class SignatureForgeAttack(Attack):
     name = "signature-forge"
 
     def __init__(self, forge_round: int) -> None:
-        super().__init__()
         self.forge_round = forge_round
 
     def mutate_response(self, user_id, request, response, state, round_no):
         signature = response.extras.get("sig")
         if round_no < self.forge_round or not isinstance(signature, Signature):
             return response
-        self._mark_deviation(round_no)
         extras = dict(response.extras)
         extras["sig"] = Signature(
             signer_id=signature.signer_id,
@@ -319,7 +286,6 @@ class StaleRootReplayAttack(Attack):
     name = "stale-root-replay"
 
     def __init__(self, victim: str, freeze_round: int) -> None:
-        super().__init__()
         self.victim = victim
         self.freeze_round = freeze_round
 
@@ -337,29 +303,15 @@ class CompositeAttack(Attack):
     """Several strategies at once: a thorough adversary.
 
     State selection takes the first non-main choice any sub-attack
-    makes; response mutations apply in order.  Deviation onset is the
-    earliest any component reports.
+    makes; response mutations apply in order.
     """
 
     name = "composite"
 
     def __init__(self, attacks: list[Attack]) -> None:
-        super().__init__()
         if not attacks:
             raise ValueError("composite attack needs at least one component")
         self.attacks = list(attacks)
-
-    @property
-    def first_deviation_round(self) -> int | None:
-        rounds = [a.first_deviation_round for a in self.attacks
-                  if a.first_deviation_round is not None]
-        if self._own_deviation_round is not None:
-            rounds.append(self._own_deviation_round)
-        return min(rounds) if rounds else None
-
-    @first_deviation_round.setter
-    def first_deviation_round(self, value: int | None) -> None:
-        self._own_deviation_round = value
 
     def on_round(self, server, round_no: int) -> None:
         for attack in self.attacks:
@@ -385,7 +337,6 @@ class RandomizedAttackSchedule(Attack):
     name = "randomized"
 
     def __init__(self, user_ids: list[str], horizon: int, seed: int) -> None:
-        super().__init__()
         import random as _random
 
         rng = _random.Random(seed)
@@ -407,14 +358,6 @@ class RandomizedAttackSchedule(Attack):
         ]
         self.inner = rng.choice(factories)()
         self.chosen = f"{self.inner.name}@{trigger} vs {victim}"
-
-    @property
-    def first_deviation_round(self) -> int | None:
-        return self.inner.first_deviation_round
-
-    @first_deviation_round.setter
-    def first_deviation_round(self, value: int | None) -> None:
-        pass  # delegated entirely to the inner attack
 
     def on_round(self, server, round_no: int) -> None:
         self.inner.on_round(server, round_no)

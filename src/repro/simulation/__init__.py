@@ -8,8 +8,8 @@
 * :mod:`repro.simulation.workload` -- CVS workload generators,
   including the partitionable workloads of Section 3.1.
 * :mod:`repro.simulation.agents` / :mod:`repro.simulation.runner` --
-  the round-driven execution engine with a ground-truth deviation
-  oracle.
+  the round-driven execution engine; deviation onset is judged by
+  the server core it drives.
 """
 
 from repro.protocols.clock import LocalClock

@@ -278,13 +278,9 @@ class ServerAgent:
     deployment's :class:`~repro.net.core.ServerCore` (memory store, the
     simulator's round as its clock), which executes every message.
 
-    The adapter keeps the inbox, a FIFO queue served head-of-line at
-    ``service_rate``, and the ground-truth *oracle*: an honest copy of
-    the database executing the same queries in arrival order.  The first
-    served response that disagrees with it -- in answer, or (for
-    protocols whose responses commit to the state) in the root or
-    counter of the branch the core served it from -- marks the onset of
-    deviation per Definition 2.1, since arrival order is a trusted run.
+    The adapter keeps the inbox and a FIFO queue served head-of-line at
+    ``service_rate``.  Deviation onset is the core's to judge
+    (``core.judge``, present under an attack).
     """
 
     def __init__(
@@ -301,12 +297,6 @@ class ServerAgent:
         self.inbox: list[object] = []
         self.request_queue: list[tuple[str, Request]] = []
         self.operations_served = 0
-        self.observed_deviation_round: int | None = None
-        # Global operation ordinal (arrival order) at deviation onset --
-        # ground truth for fault-localisation experiments.
-        self.observed_deviation_ctr: int | None = None
-        # The oracle only tracks the database, never protocol metadata.
-        self._oracle = state.clone()
 
     @property
     def states(self) -> dict[str, ServerState]:
@@ -315,14 +305,6 @@ class ServerAgent:
 
     def busy(self) -> bool:
         return bool(self.request_queue) or bool(self.inbox)
-
-    @property
-    def first_deviation_round(self) -> int | None:
-        """Earliest known deviation onset: oracle-observed or
-        attack-self-reported, whichever came first."""
-        attack = self.core.attack
-        rounds = (self.observed_deviation_round, attack and attack.first_deviation_round)
-        return min((r for r in rounds if r is not None), default=None)
 
     def step(self, round_no: int, network: Network) -> None:
         self._round = round_no
@@ -349,33 +331,4 @@ class ServerAgent:
             served += 1
             if _obs.enabled:
                 _SERVER_OPS.inc()
-            self._check_against_oracle(request, response, self.core.served_from, round_no)
             network.send(SERVER_ID, user_id, response, round_no)
-
-    def _check_against_oracle(self, request: Request, response: Response, state: ServerState, round_no: int) -> None:
-        if request.query is None:
-            return
-        oracle_result = self._oracle.database.execute(request.query)
-        oracle_ctr_before = self._oracle.ctr
-        self._oracle.ctr += 1
-        if self.observed_deviation_round is not None:
-            return
-
-        def flag() -> None:
-            self.observed_deviation_round = round_no
-            self.observed_deviation_ctr = oracle_ctr_before
-
-        if oracle_result.answer != response.result.answer:
-            flag()
-            return
-        if self.core.protocol.responses_commit_state:
-            if state.database.root_digest() != self._oracle.database.root_digest():
-                flag()
-                return
-            # A committed operation counter that disagrees with the
-            # arrival-order count is itself a differing response action
-            # (a forked branch betrays itself through ctr before its
-            # data diverges).
-            served_ctr = response.extras.get("ctr")
-            if isinstance(served_ctr, int) and served_ctr != oracle_ctr_before:
-                flag()

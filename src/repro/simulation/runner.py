@@ -181,11 +181,12 @@ class Simulation:
         return report
 
     def _build_report(self, rounds_executed: int) -> SimulationReport:
+        judge = self.server.core.judge
         return SimulationReport(
             rounds_executed=rounds_executed,
             run=self.run,
             alarms={u.user_id: u.alarm for u in self.users if u.alarm is not None},
-            first_deviation_round=self.server.first_deviation_round,
+            first_deviation_round=judge.first_round if judge else None,
             operations_completed={u.user_id: len(u.completion_rounds) for u in self.users},
             completion_rounds={u.user_id: list(u.completion_rounds) for u in self.users},
             issue_rounds={u.user_id: list(u.issue_rounds) for u in self.users},

@@ -8,6 +8,9 @@ run."""
 import pytest
 
 from helpers import run_scenario
+from repro.mtree.database import ReadQuery, WriteQuery
+from repro.net import ServerCore
+from repro.protocols.base import Request
 from repro.server.attacks import (
     Attack,
     CompositeAttack,
@@ -125,12 +128,10 @@ class _TaggingAttack(Attack):
     """Test double: appends its tag to a response extra and logs calls,
     so composite ordering is observable."""
 
-    def __init__(self, tag, log, own_state=None, deviate_at=None):
-        super().__init__()
+    def __init__(self, tag, log, own_state=None):
         self.tag = tag
         self.log = log
         self.own_state = own_state
-        self.deviate_at = deviate_at
 
     def select_state(self, user_id, round_no, server):
         if self.own_state is not None:
@@ -141,15 +142,13 @@ class _TaggingAttack(Attack):
         from repro.protocols.base import Response
 
         self.log.append(self.tag)
-        if self.deviate_at is not None and round_no >= self.deviate_at:
-            self._mark_deviation(round_no)
         extras = dict(response.extras)
         extras["trace"] = extras.get("trace", "") + self.tag
         return Response(result=response.result, extras=extras)
 
 
 class TestCompositeAttack:
-    """Ordering semantics and first_deviation_round propagation."""
+    """Ordering semantics, and a composite's judged deviation onset."""
 
     @staticmethod
     def _server_stub():
@@ -194,31 +193,43 @@ class TestCompositeAttack:
         assert composite.select_state("u", 1, server) is server.states["main"]
 
     def test_first_deviation_round_is_min_over_components(self):
-        log = []
-        late = _TaggingAttack("l", log, deviate_at=9)
-        early = _TaggingAttack("e", log, deviate_at=4)
-        composite = CompositeAttack([late, early])
-        server = self._server_stub()
-        assert composite.first_deviation_round is None
-        for round_no in range(1, 12):
-            composite.mutate_response("u", None, self._response(),
-                                      server.states["main"], round_no)
-        assert late.first_deviation_round == 9
-        assert early.first_deviation_round == 4
-        assert composite.first_deviation_round == 4
+        """Every response before the earliest component's first
+        deviating one equals the honest run's, so the runs agree up to
+        there and the composite's judged onset is that component's."""
+        fork = lambda r: ForkAttack(victims=["user1"], fork_round=r)
+        tamper = lambda r: TamperValueAttack(victim="user2", tamper_round=r + 5)
+        onsets = [run("protocol2", fork).first_deviation_round,
+                  run("protocol2", tamper).first_deviation_round]
+        assert None not in onsets and onsets[0] != onsets[1]
+        composite = run("protocol2", lambda r: CompositeAttack([fork(r), tamper(r)]))
+        assert composite.first_deviation_round == min(onsets)
 
-    def test_own_deviation_round_merges_with_components(self):
-        log = []
-        component = _TaggingAttack("c", log, deviate_at=7)
-        composite = CompositeAttack([component])
-        composite._mark_deviation(3)  # the composite's own deviation
-        server = self._server_stub()
-        for round_no in range(1, 9):
-            composite.mutate_response("u", None, self._response(),
-                                      server.states["main"], round_no)
-        assert composite.first_deviation_round == 3
-        # the setter routes to the composite's own slot, not a component
-        assert component.first_deviation_round == 7
+    @staticmethod
+    def _core_onset(attack):
+        """The judged onset on a bare server core: u0..u2 in turn, a
+        read of one's own key every third step, writes otherwise."""
+        core = ServerCore(order=4, attack=attack)
+        for step in range(8):
+            for user in ("u0", "u1", "u2"):
+                key = f"{user}-{step % 2}".encode()
+                query = (ReadQuery(key) if step % 3 == 2
+                         else WriteQuery(key, f"{user}:{step}".encode()))
+                core.apply_request(user, Request(query=query))
+        return core.judge.first_round
+
+    def test_judged_onset_merges_branch_and_mutation_components(self):
+        """A component that picks the branch and one that rewrites the
+        answer, each the earlier in one case: the composite's onset is
+        the earlier component's, in either component order, and no
+        component reports anything."""
+        for fork_round, tamper_round, expected in [(4, 10, 6), (14, 1, 7)]:
+            fork = lambda: ForkAttack(victims=["u2"], fork_round=fork_round)
+            tamper = lambda: TamperValueAttack(victim="u0",
+                                               tamper_round=tamper_round)
+            onsets = {self._core_onset(fork()), self._core_onset(tamper())}
+            assert len(onsets) == 2 and min(onsets) == expected
+            for components in ([fork(), tamper()], [tamper(), fork()]):
+                assert self._core_onset(CompositeAttack(components)) == expected
 
     def test_empty_composite_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -11,18 +11,21 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
-from repro.mtree.database import VerifiedDatabase
+from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
 from repro.net import (
+    DeviationJudge,
     IntegrityError,
     RemoteClient,
+    ServerCore,
     count_sync_check,
     serve_in_thread,
     sync_check,
 )
 from repro.net import evidence
 from repro.net.client import RemoteClientP1
-from repro.protocols.base import ServerState
+from repro.protocols.base import DeviationDetected, Request, ServerState
 from repro.protocols.protocol1 import Protocol1Server, bootstrap_server_state
+from repro.protocols.protocol2 import XorRegisters
 from repro.server.attacks import (
     CompositeAttack,
     CounterReplayAttack,
@@ -33,6 +36,7 @@ from repro.server.attacks import (
     StaleRootReplayAttack,
     TamperValueAttack,
 )
+from repro.storage.faults import ALWAYS, FaultyIO
 
 
 def p2_server(attack=None, **kwargs):
@@ -72,8 +76,8 @@ class TestWireAttacksProtocol2:
                 clients["bob"].put(f"b{i}".encode(), b"v")
             registers = {u: c.registers() for u, c in clients.items()}
             assert sync_check(genesis, registers)
-            assert attack.injected == 0
-            assert attack.first_deviation_op is None
+            assert server.core.judge.deviations == 0
+            assert server.core.judge.first_round is None
             assert not os.path.isdir(str(tmp_path / "ev"))  # no bundles
             for client in clients.values():
                 client.close()
@@ -93,7 +97,7 @@ class TestWireAttacksProtocol2:
                     for _ in range(6):
                         alice.get(b"k")
                 path = exc.value.evidence_path
-            assert attack.injected >= 1
+            assert server.core.judge.deviations >= 1
             bundle = evidence.read_bundle(path)
             assert bundle["kind"] == "response"
             assert bundle["protocol"] == "II"
@@ -148,7 +152,7 @@ class TestWireAttacksProtocol2:
                 clients["bob"].put(f"b{i}".encode(), b"v")
             registers = {u: c.registers() for u, c in clients.items()}
             assert not sync_check(genesis, registers)
-            assert attack.first_deviation_op is not None
+            assert server.core.judge.first_round is not None
             path = evidence.write_bundle(
                 str(tmp_path / "sync.evidence"),
                 evidence.sync_bundle(genesis, registers))
@@ -182,7 +186,7 @@ class TestWireAttacksProtocol2:
             synced = sync_check(
                 genesis, {"alice": alice.registers(), "bob": bob.registers()})
             assert detected_per_op or not synced
-            assert attack.first_deviation_op is not None
+            assert server.core.judge.first_round is not None
             alice.close()
             bob.close()
         finally:
@@ -259,8 +263,6 @@ class TestAsyncBatchedDetection:
         hash chain anchored at the run's signed root.  IntegrityError
         plus an offline-reverifiable evidence bundle, exactly as the
         unbatched client would produce."""
-        from repro.mtree.database import ReadQuery, WriteQuery
-
         attack = TamperValueAttack(victim="alice", tamper_round=6,
                                    forge_proof=True)
         server = p1_server(shared_keys, attack=attack, batch_max=16)
@@ -280,8 +282,8 @@ class TestAsyncBatchedDetection:
                     alice.submit(ReadQuery(f"k{i % 4}".encode()))
                 alice.drain()
             path = exc.value.evidence_path
-            assert attack.injected >= 1
-            assert attack.first_deviation_op is not None
+            assert server.core.judge.deviations >= 1
+            assert server.core.judge.first_round is not None
 
             bundle = evidence.read_bundle(path)
             assert bundle["protocol"] == "I"
@@ -307,8 +309,6 @@ class TestAsyncBatchedDetection:
         object), re-verifies clean.  The in-run ones carry the stale
         head signature by design; only a replay that knows the run head
         can tell that from a forgery."""
-        from repro.mtree.database import WriteQuery
-
         class Accuser(RemoteClientP1):
             def _verify(self, query, request, response):
                 self._on_detection(IntegrityError("fabricated"), request)
@@ -342,8 +342,6 @@ class TestAsyncBatchedDetection:
     def test_honest_batched_run_never_alarms(self, shared_keys, tmp_path):
         """Control: the same pipelined client over an honest async
         server produces zero bundles and passes count_sync_check."""
-        from repro.mtree.database import ReadQuery, WriteQuery
-
         attack = HonestBehavior()
         server = p1_server(shared_keys, attack=attack, batch_max=16)
         try:
@@ -357,12 +355,113 @@ class TestAsyncBatchedDetection:
             for i in range(8):
                 alice.submit(ReadQuery(f"k{i}".encode()))
             alice.drain()
-            assert attack.injected == 0
+            assert server.core.judge.deviations == 0
             assert not os.path.isdir(str(tmp_path / "ev"))
             assert count_sync_check({"alice": alice.counts()})
             alice.close()
         finally:
             server.stop()
+
+
+def _p2_fleet(server, steps):
+    """``bench_byzantine.run_fleet``'s Protocol II loop without chaos or
+    syncs: u0, u1, u2 in turn, a read every third step, writes
+    otherwise.  Yields after each operation, which is one server tick."""
+    host, port = server.address
+    genesis = server.initial_root_digest()
+    users = ["u0", "u1", "u2"]
+    clients = {user: RemoteClient(host, port, user, genesis, order=4)
+               for user in users}
+    try:
+        for step in range(steps):
+            for user in users:
+                if step % 3 == 2:
+                    clients[user].get(f"{user}-{(step - 1) % 5}".encode())
+                else:
+                    clients[user].put(f"{user}-{step % 5}".encode(),
+                                      f"{user}:{step}".encode())
+                yield
+    finally:
+        for client in clients.values():
+            client.close()
+
+
+class TestDeviationJudge:
+    """Ground truth is the core's judge: a response deviates iff it
+    differs from the honest replay's, whatever branch served it."""
+
+    @pytest.mark.parametrize("attack_factory,branch,branched_at,onset", [
+        (lambda: DropCommitAttack(victim="u1", drop_round=10),
+         "victim", 11, 12),
+        (lambda: CompositeAttack([
+            ForkAttack(victims=["u2"], fork_round=12),
+            TamperValueAttack(victim="u0", tamper_round=18)]),
+         "fork", 12, 13),
+    ], ids=["p2-drop-commit", "p2-composite"])
+    def test_an_identical_answer_is_not_a_deviation(
+            self, attack_factory, branch, branched_at, onset):
+        """The campaign's two runs whose first answer from another
+        branch equals the honest one: the victim's write lands on a
+        fresh clone of main, so answer, root and counter all match the
+        honest run.  Onset is the next response, the first that
+        differs."""
+        server = p2_server(attack=attack_factory())
+        try:
+            first_private = None
+            for tick, _ in enumerate(_p2_fleet(server, steps=5), start=1):
+                assert server.core.round == tick
+                if first_private is None and branch in server.core.states:
+                    first_private = tick
+                    assert server.core.judge.first_round is None
+            assert first_private == branched_at
+            assert server.core.judge.first_round == onset
+            assert server.core.judge.first_op == onset - 1
+        finally:
+            server.stop()
+
+    def test_a_disk_lie_no_attack_reports(self, tmp_path):
+        """No attack, so no self-report and no judge in the core: a disk
+        whose every fsync lies loses the acked writes in a crash, and
+        the restarted server answers from genesis.  A judge held across
+        the restart marks the first response after it, and a Protocol
+        II register fed the same responses detects there, not before."""
+        data_dir = str(tmp_path / "server")
+        io_ = FaultyIO(lying_fsync=ALWAYS, torn_tail=False)
+        core = ServerCore(order=4, data_dir=data_dir, io=io_)
+        assert core.judge is None
+        judge = DeviationJudge(core.protocol, core.state)
+        registers = XorRegisters("alice", order=4)
+        detected_at = None
+        ops = 0
+
+        def op(core, query):
+            nonlocal detected_at, ops
+            ops += 1
+            request = Request(query=query)
+            response = core.apply_request("alice", request)
+            judge.request("alice", request, response, core.state, ops)
+            try:
+                registers.step(query, response)
+            except DeviationDetected:
+                if detected_at is None:
+                    detected_at = ops
+
+        for i in range(4):
+            op(core, WriteQuery(f"k{i}".encode(), f"v{i}".encode()))
+        assert judge.first_round is None and detected_at is None
+        core.close_store()
+        io_.simulate_crash()
+
+        restarted = ServerCore(order=4, data_dir=data_dir)
+        try:
+            assert restarted.state.ctr == 0  # four acked writes are gone
+            op(restarted, ReadQuery(b"k1"))  # acked as v1, answered None
+            op(restarted, WriteQuery(b"k9", b"v9"))
+        finally:
+            restarted.close_store()
+        assert (judge.first_round, judge.first_op) == (5, 4)
+        assert judge.deviations == 2
+        assert detected_at is not None and detected_at >= judge.first_round
 
 
 class TestForkSurvivesWalReplay:

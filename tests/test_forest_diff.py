@@ -16,7 +16,7 @@ stores (S in {1, 2, 8}) at three levels:
 * the adversarial layer: every attack in ``bench_byzantine``'s gallery
   replayed against single-tree and forest servers, asserting detection
   in both with the *same first-deviation operation* (the ground truth
-  the server core records on the attack) and the same detection operation -- no attack may
+  the server core's judge records) and the same detection operation -- no attack may
   become easier or harder to catch because the store is sharded.
 """
 
@@ -190,7 +190,7 @@ def _p2_wire_run(shards: int, attack_factory=None, *, n_users=3, k=4,
     return {
         "replies": replies,
         "detection": detection,
-        "deviation_op": attack.first_deviation_op if attack else None,
+        "deviation_op": server.core.judge and server.core.judge.first_round,
     }
 
 
@@ -259,7 +259,7 @@ def _p1_wire_run(shards: int, attack_factory=None, *, k=4, steps=12):
     return {
         "replies": replies,
         "detection": detection,
-        "deviation_op": attack.first_deviation_op if attack else None,
+        "deviation_op": server.core.judge and server.core.judge.first_round,
     }
 
 

@@ -72,9 +72,14 @@ class TestCompositeAttack:
     def test_deviation_round_is_earliest_component(self):
         workload = steady_workload(3, 16, spacing=4, keyspace=6,
                                    write_ratio=0.5, seed=7)
-        tamper = TamperValueAttack(victim="user0", tamper_round=10)
-        fork = ForkAttack(victims=["user1"], fork_round=60)
-        composite = CompositeAttack([fork, tamper])
-        run_scenario("protocol2", workload, attack=composite, k=500, seed=7)
-        if tamper.first_deviation_round is not None:
-            assert composite.first_deviation_round <= tamper.first_deviation_round
+
+        def onset(attack):
+            return run_scenario("protocol2", workload, attack=attack,
+                                k=500, seed=7).first_deviation_round
+
+        tamper = lambda: TamperValueAttack(victim="user0", tamper_round=10)
+        fork = lambda: ForkAttack(victims=["user1"], fork_round=60)
+        onsets = [onset(tamper()), onset(fork())]
+        assert onsets[0] is not None
+        assert onset(CompositeAttack([fork(), tamper()])) == min(
+            r for r in onsets if r is not None)

@@ -129,7 +129,7 @@ class TestEndToEndLocalization:
     def test_fork_localized_in_simulation(self):
         """Run the partition attack with checkpointing clients, pool the
         logs after the alarm, and check the bracket contains the true
-        fault ordinal the oracle recorded."""
+        fault ordinal the judge recorded."""
         workload = steady_workload(3, 16, spacing=4, keyspace=6,
                                    write_ratio=0.6, seed=5)
         attack = ForkAttack(victims=["user1"], fork_round=workload.horizon() // 2)
@@ -137,7 +137,7 @@ class TestEndToEndLocalization:
                                       k=4, seed=5, keep_checkpoints=True)
         report = simulation.execute()
         assert report.detected
-        true_fault_ctr = simulation.server.observed_deviation_ctr
+        true_fault_ctr = simulation.server.core.judge.first_op
         assert true_fault_ctr is not None
 
         logs = {
@@ -156,8 +156,8 @@ class TestEndToEndLocalization:
         result = localize_fault(initial, logs)
         assert result.fault_found
         lower, upper = result.bracket()
-        # The bracket lives in register-counter space while the oracle
-        # counts arrival-order ordinals; on a fork the victim's branch
+        # The bracket lives in register-counter space while the judge
+        # counts execution-order ordinals; on a fork the victim's branch
         # counter lags the global ordinal by the main-branch operations
         # that raced it, so allow a few operations of slack.
         assert lower <= true_fault_ctr + 1

@@ -3,12 +3,12 @@
 Every protocol against every gallery attack, on one tree and on a
 forest of four shards, over a clean and a lossy network, with the two
 service rates and an offline user spread across the grid.  Each run is
-reduced to a fingerprint -- the report's fields, the oracle's counter,
+reduced to a fingerprint -- the report's fields, the judge's counters,
 a digest of every user's view transcript and of the recorded run, and
 every state branch's root and counter -- and compared with
 ``sim_fingerprints.json``.
 
-A change to the server step, the attack hooks or the oracle that moves
+A change to the server step, the attack hooks or the judge that moves
 any simulated run fails here.  A deliberate change regenerates the file:
 
     PYTHONPATH=src python tests/test_sim_fingerprints.py --write
@@ -87,13 +87,14 @@ def fingerprint(protocol: str, attack_name: str, setting: str) -> dict:
         network=network, offline={"user2": {9, 10, 11}} if offline else None)
     report = simulation.execute(max_rounds=400)
     server = simulation.server
+    judge = server.core.judge
     return {
         "rounds": report.rounds_executed,
         "alarms": {user: [alarm.round, alarm.reason]
                    for user, alarm in sorted(report.alarms.items())},
         "first_deviation_round": report.first_deviation_round,
-        "deviation_ctr": server.observed_deviation_ctr,
-        "oracle_ctr": server._oracle.ctr,
+        "deviation_ctr": judge.first_op,
+        "oracle_ctr": judge.judged,
         "completion_rounds": report.completion_rounds,
         "issue_rounds": report.issue_rounds,
         "messages": [report.messages_sent, report.broadcasts_sent],

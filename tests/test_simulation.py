@@ -1,9 +1,9 @@
 """Tests for the simulation engine itself: agents, timing bounds,
-report metrics, oracle accounting."""
+report metrics, the judge's accounting."""
 
 from repro.core.scenarios import build_simulation
 from repro.protocols.base import ProtocolClient, Response
-from repro.server.attacks import Attack, ForkAttack
+from repro.server.attacks import ForkAttack
 from repro.simulation.agents import Alarm, UserAgent
 from repro.simulation.channels import Network
 from repro.simulation.events import Run
@@ -24,16 +24,6 @@ class TestBoundedTransactionTime:
                 assert completed - issued <= 3
 
     def test_withheld_response_raises_timeout_alarm(self):
-        class StallAttack(Attack):
-            name = "stall"
-
-            def mutate_response(self, user_id, request, response, state, round_no):
-                self._mark_deviation(round_no)
-                return None  # swallowed below
-
-        class SwallowServer:
-            pass
-
         workload = steady_workload(1, 2, seed=2)
         simulation = build_simulation("protocol2", workload, k=100, seed=2)
 
@@ -141,8 +131,8 @@ class TestUserAgent:
 class TestOracleAccounting:
     def test_fork_flagged_even_when_data_matches(self):
         """Post-fork ops on a not-yet-diverged branch still carry a
-        branch-local ctr that disagrees with arrival order -- the
-        oracle must flag it for state-committing protocols."""
+        branch-local ctr that disagrees with the honest run's -- the
+        judge must flag it for state-committing protocols."""
         workload = steady_workload(3, 10, spacing=4, keyspace=16,
                                    write_ratio=0.3, seed=4)
         attack = ForkAttack(victims=["user1"], fork_round=workload.horizon() // 2)
