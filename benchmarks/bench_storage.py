@@ -7,7 +7,8 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
 ``pages.db``), the last two on sqlite:
 
 * **crash matrix** -- kill the server at every announced storage crash
-  point (mid WAL append, mid page write, either side of the checkpoint
+  point (mid WAL append, mid page write, between a leaf's value pages
+  and its leaf page, either side of the checkpoint
   commit, between the WAL rotation rename and the directory fsync, mid
   segment GC...), plus on the page file a commit torn before its fsync,
   a commit whose fsync lied, and either side of a compaction's rename;
@@ -27,13 +28,15 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
   tens of MB).
 * **incremental checkpoint** -- 4 shards x 20,000 entries are
   checkpointed, 50 are overwritten and the store is checkpointed again:
-  the second checkpoint must write at most 50 leaf pages, their bytes
-  under 2 % of the store's page bytes, and leave exactly the rows the
-  manifest's current and previous states name; then the same after 50
-  inserts and 50 deletes (splits and merges).  The ``nodes`` stream of
-  a changed shard is rewritten whole and reported beside it: with
-  entries this small it is the larger number.  Counts, not times: they
-  repeat exactly.
+  the second checkpoint must write at most 50 value pages and at most 50
+  leaf pages, at most 50 x (the new value's bytes + the largest leaf
+  page of the first checkpoint) bytes of them, and leave exactly the
+  rows the manifest's current and previous states name; then, after 50
+  inserts and 50 deletes (splits and merges), at most 50 value pages
+  and 200 leaf pages, their bytes under 2 % of the store's page bytes.
+  The ``nodes`` stream of a changed shard is rewritten whole and
+  reported beside it: with entries this small it is the larger number.
+  Counts, not times: they repeat exactly.
 
 Run ``python benchmarks/bench_storage.py --quick --check`` for the CI
 gate (fixed seed, abridged matrix workload) or without ``--quick`` for
@@ -63,7 +66,12 @@ from repro.net.core import ServerCore
 from repro.net.wal import ServerStore, WalError
 from repro.protocols.base import Request, ServerState
 from repro.protocols.protocol2 import Protocol2Server
-from repro.storage.engine import PAGE_BYTES, load_shard_tree
+from repro.storage.engine import (
+    PAGE_BYTES,
+    PageRows,
+    load_shard_tree,
+    row_fields,
+)
 from repro.storage.faults import FaultyIO, SimulatedCrash
 from repro.storage.pagestore import open_page_store
 
@@ -75,11 +83,14 @@ SNAPSHOT_EVERY = 10
 #: middle of live traffic (occurrence 1 of the checkpoint points is the
 #: bootstrap snapshot, which is also page writes 1-4: a leaf page and a
 #: nodes page for each empty shard; rotation/GC points first fire at
-#: checkpoints 1/2).  ``acked > 0`` in every cell checks the landing.
+#: checkpoints 1/2; leaf page 3 is checkpoint 1's first, written after
+#: the value pages it names).  ``acked > 0`` in every cell checks the
+#: landing.
 CRASH_POINTS = [
     ("wal:append", 17),
     ("file:mid-write", 17),
     ("pagestore:page-write", 7),
+    ("pagestore:leaves-page-write", 3),
     ("pagestore:pre-commit", 2),
     ("pagestore:post-commit", 2),
     ("checkpoint:before-commit", 2),
@@ -306,8 +317,11 @@ def tamper_gallery(n_ops, seed, verbose):
     return rows
 
 
-def streaming_restart(entries, verbose):
-    """Checkpoint a large store, reload it, gate on bounded residency."""
+def _checkpointed_store(entries, data_dir):
+    """Build an ``entries``-entry store and checkpoint it into
+    ``data_dir``; returns ``(root, build_secs, checkpoint_secs)``.  The
+    tree and the writer's page rows die with this call, so the restart
+    that follows is the only tree in memory."""
     database = VerifiedDatabase(order=64, shards=4)
     forest = database.mtree
     build_start = time.time()
@@ -319,14 +333,20 @@ def streaming_restart(entries, verbose):
     state = ServerState(database=database)
     Protocol2Server().initialize(state)
     state.ctr = entries
+    store = ServerStore(data_dir, backend="sqlite", fsync=False)
+    checkpoint_start = time.time()
+    store.write_snapshot(state, {})
+    checkpoint_secs = time.time() - checkpoint_start
+    store.close()
+    return root, build_secs, checkpoint_secs
 
+
+def streaming_restart(entries, verbose):
+    """Checkpoint a large store, reload it, gate on bounded residency."""
     data_dir = tempfile.mkdtemp(prefix="bench-storage-big-")
     try:
-        store = ServerStore(data_dir, backend="sqlite", fsync=False)
-        checkpoint_start = time.time()
-        store.write_snapshot(state, {})
-        checkpoint_secs = time.time() - checkpoint_start
-        store.close()
+        root, build_secs, checkpoint_secs = \
+            _checkpointed_store(entries, data_dir)
         db_bytes = os.path.getsize(os.path.join(data_dir, "pages.db"))
 
         fresh = ServerStore(data_dir, backend="sqlite", fsync=False)
@@ -350,7 +370,7 @@ def streaming_restart(entries, verbose):
         "pages_streamed": stats.pages,
         "max_resident_page_bytes": stats.max_resident_page_bytes,
         # one nodes page (overshooting the 32 KiB target by at most one
-        # line) plus one leaf page in flight: "never holds the tree's
+        # line) plus one leaf's pages in flight: "never holds the tree's
         # serialised form" is the acceptance criterion for
         # million-entry restarts
         "residency_bound_bytes": 4 * PAGE_BYTES,
@@ -374,15 +394,20 @@ def _rows_match_named_pages(store):
     not only be accounted for, it must still load)."""
     for record in store._manifest["shards"]:
         shard = int(record["shard"])
-        named = {}
+        named = PageRows()
         for gen, root in (("gen", "root"), ("prev_gen", "prev_root")):
             if int(record[gen]) >= 0:
                 load_shard_tree(store.pages, shard, int(record[gen]),
                                 expected_root=record[root], rows=named)
-        if {(gen, page) for page, gen in named.values()} != \
-                set(store.pages.page_keys("entries", shard)):
+        if set(map(row_fields, named.values())) != {
+                (kind, page, gen) for kind in ("leaves", "entries")
+                for gen, page in store.pages.page_keys(kind, shard)}:
             return False
     return True
+
+
+#: what the incremental checkpoint's 50 overwrites write
+OVERWRITE = b"v1-longer-than-before"
 
 
 def incremental_checkpoint(verbose):
@@ -405,21 +430,24 @@ def incremental_checkpoint(verbose):
             gen = int(store._manifest["gen"])
             counts = [record["counts"] for record in store._manifest["shards"]
                       if int(record["gen"]) == gen]
-            row = {
-                "step": step,
-                "leaf_pages_written": sum(c["leaf_pages"] for c in counts),
-                "leaf_bytes_written": sum(c["leaf_bytes"] for c in counts),
-                "nodes_bytes_written": sum(c["nodes_bytes"] for c in counts),
-                "rows_match_named_pages": _rows_match_named_pages(store),
-            }
+            row = {"step": step}
+            for name in ("value", "leaf", "nodes"):
+                for unit in ("pages", "bytes"):
+                    row[f"{name}_{unit}_written"] = \
+                        sum(c[f"{name}_{unit}"] for c in counts)
+            row["rows_match_named_pages"] = _rows_match_named_pages(store)
             steps.append(row)
             return row
 
         full = checkpoint("full")
-        store_bytes = full["leaf_bytes_written"] + full["nodes_bytes_written"]
+        store_bytes = sum(full[f"{name}_bytes_written"]
+                          for name in ("value", "leaf", "nodes"))
+        leaf_page_max = max(len(page) for shard in range(shards)
+                            for page in store.pages.read_pages(
+                                "leaves", shard, 0))
         stride = len(keys) // touched
         for key in keys[::stride][:touched]:
-            database.mtree.insert(key, b"v1-longer-than-before")
+            database.mtree.insert(key, OVERWRITE)
         checkpoint("50 overwrites")
         for i in range(touched):
             database.mtree.insert(b"%08d+" % (i * stride), b"new")
@@ -436,27 +464,39 @@ def incremental_checkpoint(verbose):
     overwrite, churn = steps[1], steps[2]
     result = {
         "entries": len(keys), "shards": shards, "touched": touched,
-        "store_page_bytes": store_bytes, "steps": steps,
-        "root_matches": root_matches,
+        "store_page_bytes": store_bytes, "leaf_page_max": leaf_page_max,
+        "steps": steps, "root_matches": root_matches,
     }
-    # an insert or a delete dirties one leaf, two when it splits or
-    # merges one
+
+    def written(step):
+        return step["value_bytes_written"] + step["leaf_bytes_written"]
+
+    # an overwrite writes its value and its leaf's keys; an insert
+    # writes its value, and an insert or a delete dirties one leaf, two
+    # when it splits or merges one
     result["pass"] = (
         root_matches
         and all(step["rows_match_named_pages"] for step in steps)
+        and overwrite["value_pages_written"] <= touched
         and overwrite["leaf_pages_written"] <= touched
-        and overwrite["leaf_bytes_written"] < 0.02 * store_bytes
+        and written(overwrite) <= touched * (len(OVERWRITE) + leaf_page_max)
+        and churn["value_pages_written"] <= touched
         and churn["leaf_pages_written"] <= 4 * touched
-        and churn["leaf_bytes_written"] < 0.02 * store_bytes)
+        and written(churn) < 0.02 * store_bytes)
     if verbose:
         for step in steps:
-            print(f"  {step['step']:<24} leaf pages written "
+            print(f"  {step['step']:<24} value pages written "
+                  f"{step['value_pages_written']:>6} "
+                  f"({step['value_bytes_written']} B), leaf pages "
                   f"{step['leaf_pages_written']:>6} "
-                  f"({step['leaf_bytes_written']} B, "
-                  f"{100 * step['leaf_bytes_written'] / store_bytes:.2f} % "
+                  f"({step['leaf_bytes_written']} B; together "
+                  f"{100 * written(step) / store_bytes:.2f} % "
                   f"of the store's {store_bytes} B), nodes streams "
                   f"{step['nodes_bytes_written']} B, rows == named pages: "
                   f"{step['rows_match_named_pages']}")
+        print(f"  50 overwrites: {written(overwrite)} B written, bound "
+              f"{touched} x ({len(OVERWRITE)} + {leaf_page_max}) = "
+              f"{touched * (len(OVERWRITE) + leaf_page_max)} B")
         print(f"  incremental checkpoint [{'ok' if result['pass'] else 'FAIL'}]")
     return result
 

@@ -31,9 +31,14 @@ root digest; a compromised server raises
 checkout.
 """
 
+from repro._lazy import exports
+
 __version__ = "1.0.0"
 
-from repro.core import CvsClient, CvsServer, build_simulation
-from repro.protocols import DeviationDetected
-
-__all__ = ["CvsClient", "CvsServer", "build_simulation", "DeviationDetected", "__version__"]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "CvsClient": ".core",
+    "CvsServer": ".core",
+    "build_simulation": ".core",
+    "DeviationDetected": ".protocols",
+})
+__all__.append("__version__")

@@ -1,25 +1,16 @@
 """Analysis helpers: metrics for the paper's desiderata and table
 rendering for the benchmark harness."""
 
-from repro.analysis.metrics import (
-    DetectionMetrics,
-    OverheadMetrics,
-    detection_metrics,
-    overhead_metrics,
-    preservation_factor,
-    user_gaps,
-)
-from repro.analysis.tables import format_series, format_table
-from repro.analysis.timeline import render_timeline
+from repro._lazy import exports
 
-__all__ = [
-    "DetectionMetrics",
-    "OverheadMetrics",
-    "detection_metrics",
-    "overhead_metrics",
-    "preservation_factor",
-    "user_gaps",
-    "format_series",
-    "format_table",
-    "render_timeline",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "DetectionMetrics": ".metrics",
+    "OverheadMetrics": ".metrics",
+    "detection_metrics": ".metrics",
+    "overhead_metrics": ".metrics",
+    "preservation_factor": ".metrics",
+    "user_gaps": ".metrics",
+    "format_series": ".tables",
+    "format_table": ".tables",
+    "render_timeline": ".timeline",
+})

@@ -385,6 +385,7 @@ def cmd_store_inspect(args, out) -> int:
         _MANIFEST_FORMAT,
         _MANIFEST_KEY,
     )
+    from repro.storage.engine import KIND_ENTRIES, KIND_LEAVES, KIND_NODES
     from repro.storage.pagestore import (
         FilePageStore,
         SqlitePageStore,
@@ -446,21 +447,29 @@ def cmd_store_inspect(args, out) -> int:
         for record in manifest["shards"]:
             shard = int(record["shard"])
             gen = int(record["gen"])
-            # A generation holds what its checkpoint *wrote*; the
-            # shard's state is that plus every older leaf page the
-            # nodes stream still names.
-            pages = sum(store.page_count(kind, shard, gen)
-                        for kind in ("nodes", "entries"))
-            size = sum(store.page_bytes(kind, shard, gen)
-                       for kind in ("nodes", "entries"))
+            counts = record["counts"]
             prev = int(record["prev_gen"])
             prev_note = "none" if prev < 0 else str(prev)
             print(f"shard {shard}: gen {gen}, prev gen {prev_note}, "
                   f"root {record['root'].short()}...", file=out)
-            print(f"  live leaf pages: {record['counts']['leaves']}; "
-                  f"last checkpoint wrote {pages} pages ({size} bytes); "
-                  f"{len(record['superseded'])} superseded awaiting the "
-                  f"next rewrite; next page id {record['next_page']}",
+            # A generation holds what its checkpoint *wrote*; the
+            # shard's state is that plus every older page it still
+            # names, and the store also holds what only the previous
+            # state names (the repair recipe).
+            for label, kind, live in (("value", KIND_ENTRIES, "entries"),
+                                      ("leaf", KIND_LEAVES, "leaves")):
+                held = store.page_keys(kind, shard)
+                held_bytes = sum(store.page_bytes(kind, shard, page_gen)
+                                 for page_gen in {g for g, _ in held})
+                print(f"  {label} pages: {counts[live]} live, {len(held)} held "
+                      f"({held_bytes} bytes); last checkpoint wrote "
+                      f"{store.page_count(kind, shard, gen)} "
+                      f"({store.page_bytes(kind, shard, gen)} bytes)",
+                      file=out)
+            print(f"  nodes stream: {store.page_count(KIND_NODES, shard, gen)}"
+                  f" page(s) ({store.page_bytes(KIND_NODES, shard, gen)} "
+                  f"bytes); {len(record['superseded'])} superseded awaiting "
+                  f"the next rewrite; next page id {record['next_page']}",
                   file=out)
         # The dedup table is written whole, inside the manifest.
         for user, pairs in sorted(manifest["dedup"].items()):

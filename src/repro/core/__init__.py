@@ -7,23 +7,15 @@
   simulations with Protocols I/II/III, baselines, and attacks.
 """
 
-from repro.core.facade import CvsClient, CvsServer
-from repro.core.scenarios import (
-    PROTOCOLS,
-    SIM_KEY_BITS,
-    ScenarioKeys,
-    build_simulation,
-    make_keys,
-    populate_database,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "CvsClient",
-    "CvsServer",
-    "PROTOCOLS",
-    "SIM_KEY_BITS",
-    "ScenarioKeys",
-    "build_simulation",
-    "make_keys",
-    "populate_database",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "CvsClient": ".facade",
+    "CvsServer": ".facade",
+    "PROTOCOLS": ".scenarios",
+    "SIM_KEY_BITS": ".scenarios",
+    "ScenarioKeys": ".scenarios",
+    "build_simulation": ".scenarios",
+    "make_keys": ".scenarios",
+    "populate_database": ".scenarios",
+})

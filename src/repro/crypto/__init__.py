@@ -11,60 +11,32 @@ Public surface:
   distribution for Protocol I.
 """
 
-from repro.crypto.hashing import (
-    DIGEST_SIZE,
-    Digest,
-    hash_bytes,
-    hash_epoch_snapshot,
-    hash_internal_node,
-    hash_leaf,
-    hash_leaf_node,
-    hash_node,
-    hash_state,
-    hash_tagged_state,
-    xor_all,
-)
-from repro.crypto.pki import (
-    Certificate,
-    CertificateAuthority,
-    CertificateError,
-    build_verifier,
-    verify_certificate,
-)
-from repro.crypto.rsa import (
-    PrivateKey,
-    PublicKey,
-    SignatureError,
-    generate_keypair,
-    sign_digest,
-    verify_digest,
-)
-from repro.crypto.signatures import Signature, Signer, Verifier
+from repro._lazy import exports
 
-__all__ = [
-    "DIGEST_SIZE",
-    "Digest",
-    "hash_bytes",
-    "hash_epoch_snapshot",
-    "hash_internal_node",
-    "hash_leaf",
-    "hash_leaf_node",
-    "hash_node",
-    "hash_state",
-    "hash_tagged_state",
-    "xor_all",
-    "Certificate",
-    "CertificateAuthority",
-    "CertificateError",
-    "build_verifier",
-    "verify_certificate",
-    "PrivateKey",
-    "PublicKey",
-    "SignatureError",
-    "generate_keypair",
-    "sign_digest",
-    "verify_digest",
-    "Signature",
-    "Signer",
-    "Verifier",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "DIGEST_SIZE": ".hashing",
+    "Digest": ".hashing",
+    "hash_bytes": ".hashing",
+    "hash_epoch_snapshot": ".hashing",
+    "hash_internal_node": ".hashing",
+    "hash_leaf": ".hashing",
+    "hash_leaf_node": ".hashing",
+    "hash_node": ".hashing",
+    "hash_state": ".hashing",
+    "hash_tagged_state": ".hashing",
+    "xor_all": ".hashing",
+    "Certificate": ".pki",
+    "CertificateAuthority": ".pki",
+    "CertificateError": ".pki",
+    "build_verifier": ".pki",
+    "verify_certificate": ".pki",
+    "PrivateKey": ".rsa",
+    "PublicKey": ".rsa",
+    "SignatureError": ".rsa",
+    "generate_keypair": ".rsa",
+    "sign_digest": ".rsa",
+    "verify_digest": ".rsa",
+    "Signature": ".signatures",
+    "Signer": ".signatures",
+    "Verifier": ".signatures",
+})

@@ -20,69 +20,36 @@ Layers, bottom up:
   :class:`ClientVerifier` tracking a root over it.
 """
 
-from repro.mtree.bplus import DEFAULT_ORDER, BPlusTree
-from repro.mtree.database import (
-    ClientVerifier,
-    DeleteQuery,
-    Query,
-    QueryResult,
-    RangeQuery,
-    ReadQuery,
-    VerifiedDatabase,
-    VerifiedOutcome,
-    WriteQuery,
-    derive_outcome,
-)
-from repro.mtree.forest import (
-    ForestRangeProof,
-    ForestReadProof,
-    ForestUpdateProof,
-    MerkleForest,
-    StoreSpec,
-    shard_for_key,
-)
-from repro.mtree.merkle import MerkleBPlusTree
-from repro.mtree.proofs import (
-    ProofError,
-    RangeProof,
-    ReadProof,
-    UpdateProof,
-    build_range_proof,
-    build_read_proof,
-    build_update_proof,
-    verify_range,
-    verify_read,
-    verify_update,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "BPlusTree",
-    "ClientVerifier",
-    "DeleteQuery",
-    "Query",
-    "QueryResult",
-    "RangeQuery",
-    "ReadQuery",
-    "VerifiedDatabase",
-    "VerifiedOutcome",
-    "WriteQuery",
-    "derive_outcome",
-    "MerkleBPlusTree",
-    "MerkleForest",
-    "StoreSpec",
-    "ForestRangeProof",
-    "ForestReadProof",
-    "ForestUpdateProof",
-    "shard_for_key",
-    "ProofError",
-    "RangeProof",
-    "ReadProof",
-    "UpdateProof",
-    "build_range_proof",
-    "build_read_proof",
-    "build_update_proof",
-    "verify_range",
-    "verify_read",
-    "verify_update",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "DEFAULT_ORDER": ".bplus",
+    "BPlusTree": ".bplus",
+    "ClientVerifier": ".database",
+    "DeleteQuery": ".database",
+    "Query": ".database",
+    "QueryResult": ".database",
+    "RangeQuery": ".database",
+    "ReadQuery": ".database",
+    "VerifiedDatabase": ".database",
+    "VerifiedOutcome": ".database",
+    "WriteQuery": ".database",
+    "derive_outcome": ".database",
+    "ForestRangeProof": ".forest",
+    "ForestReadProof": ".forest",
+    "ForestUpdateProof": ".forest",
+    "MerkleForest": ".forest",
+    "StoreSpec": ".forest",
+    "shard_for_key": ".forest",
+    "MerkleBPlusTree": ".merkle",
+    "ProofError": ".proofs",
+    "RangeProof": ".proofs",
+    "ReadProof": ".proofs",
+    "UpdateProof": ".proofs",
+    "build_range_proof": ".proofs",
+    "build_read_proof": ".proofs",
+    "build_update_proof": ".proofs",
+    "verify_range": ".proofs",
+    "verify_read": ".proofs",
+    "verify_update": ".proofs",
+})

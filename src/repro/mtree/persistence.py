@@ -15,6 +15,7 @@ binary-safe via urlsafe base64.
 from __future__ import annotations
 
 import base64
+import binascii
 
 from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode
 from repro.mtree.database import VerifiedDatabase
@@ -39,11 +40,10 @@ def tree_stream_lines(tree: BPlusTree, place_leaf=None):
     Without ``place_leaf`` the format is ``bplus-snapshot 1``: a leaf's
     entries follow its line.  With it the format is the paged store's
     ``bplus-snapshot 2``: ``place_leaf(leaf)`` returns the ``(page,
-    generation)`` of the page holding the entries
-    (:func:`leaf_page_lines`) and the leaf's line -- ``leaf <count>
-    <page> <generation>`` -- names it, so the stream carries the header,
-    the structure and the separator keys only, and an unchanged leaf
-    costs one short line.
+    generation)`` of the leaf's page (:func:`leaf_page_lines`) and the
+    leaf's line -- ``leaf <count> <page> <generation>`` -- names it, so
+    the stream carries the header, the structure and the separator keys
+    only, and an unchanged leaf costs one short line.
     """
     yield f"bplus-snapshot {1 if place_leaf is None else 2} {tree.order} {len(tree)}"
     stack = [tree.root]
@@ -55,16 +55,33 @@ def tree_stream_lines(tree: BPlusTree, place_leaf=None):
             stack.extend(reversed(node.children))
         elif place_leaf is None:
             yield f"leaf {len(node.keys)}"
-            yield from leaf_page_lines(node)
+            for key, value in zip(node.keys, node.values):
+                yield f"{_b64(key)} {_b64(value)}"
         else:
             page, gen = place_leaf(node)
             yield f"leaf {len(node.keys)} {page} {gen}"
 
 
-def leaf_page_lines(leaf: LeafNode) -> list[str]:
-    """The lines of one leaf's page: its key/value entries, in order."""
-    return [f"{_b64(key)} {_b64(value)}"
-            for key, value in zip(leaf.keys, leaf.values)]
+def leaf_page_lines(keys, refs) -> list[str]:
+    """The lines of one leaf's page: each key, in order, and the
+    ``(page, generation)`` of the page holding its value's raw bytes."""
+    return [f"{_b64(key)} {page} {gen}" for key, (page, gen) in zip(keys, refs)]
+
+
+def parse_leaf_page(lines) -> tuple[list[bytes], list[tuple[int, int]]]:
+    """The keys of a :func:`leaf_page_lines` page and the ``(page,
+    generation)`` of each one's value, in order."""
+    keys, refs = [], []
+    for line in lines:
+        fields = line.split(" ")
+        if len(fields) != 3:
+            raise PersistenceError("bad leaf page line: wrong field count")
+        try:
+            refs.append((int(fields[1]), int(fields[2])))
+        except ValueError as exc:
+            raise PersistenceError(f"bad leaf page line: {exc}") from exc
+        keys.append(_unb64(fields[0]))
+    return keys, refs
 
 
 def load_tree_stream(nodes_lines, read_leaf=None) -> BPlusTree:
@@ -73,11 +90,11 @@ def load_tree_stream(nodes_lines, read_leaf=None) -> BPlusTree:
     ``nodes_lines`` is an iterator of text lines, consumed incrementally
     (never materialised), so the caller can feed it page by page.  With
     ``read_leaf`` the stream is :func:`tree_stream_lines`' (``bplus-
-    snapshot 2``): ``read_leaf(page, generation)`` yields the lines of
-    the leaf page a leaf line names, which must hold exactly the
-    ``count`` entries the line announces.  Without it the stream is
-    :func:`dump_tree`'s (``bplus-snapshot 1``): a leaf's ``count``
-    entries follow its line inline.
+    snapshot 2``): ``read_leaf(page, generation)`` yields the ``(key,
+    value)`` entries of the leaf a leaf line names, which must be
+    exactly the ``count`` entries the line announces.  Without it the
+    stream is :func:`dump_tree`'s (``bplus-snapshot 1``): a leaf's
+    ``count`` entries follow its line inline.
     """
     nodes_iter = iter(nodes_lines)
     version = "1" if read_leaf is None else "2"
@@ -95,7 +112,7 @@ def load_tree_stream(nodes_lines, read_leaf=None) -> BPlusTree:
         raise PersistenceError(
             f"snapshot format {header[1]!r} is not supported here: this "
             f"reader takes 'bplus-snapshot {version}' (1: leaves inline, "
-            "2: one page per leaf)")
+            "2: leaves paged)")
     try:
         order, size = int(header[2]), int(header[3])
     except ValueError as exc:
@@ -114,12 +131,11 @@ def load_tree_stream(nodes_lines, read_leaf=None) -> BPlusTree:
                 raise PersistenceError(f"bad leaf line: {exc}") from exc
             if len(place) != (0 if read_leaf is None else 2):
                 raise PersistenceError("bad leaf line: wrong field count")
-            lines = (next_line() for _ in range(count)) \
+            entries = (_inline_entry(next_line()) for _ in range(count)) \
                 if read_leaf is None else read_leaf(*place)
-            for line in lines:
-                key_text, _, value_text = line.partition(" ")
-                node.keys.append(_unb64(key_text))
-                node.values.append(_unb64(value_text))
+            for key, value in entries:
+                node.keys.append(key)
+                node.values.append(value)
                 node.entry_digests.append(None)
             if len(node.keys) != count:
                 where = "leaf page {} (generation {})".format(*place) \
@@ -294,12 +310,22 @@ def load_database(blob: bytes) -> VerifiedDatabase:
         MerkleBPlusTree.from_tree(load_tree(blob)))
 
 
+def _inline_entry(line: str) -> tuple[bytes, bytes]:
+    key_text, _, value_text = line.partition(" ")
+    return _unb64(key_text), _unb64(value_text)
+
+
 def _b64(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).decode("ascii")
 
 
+_URLSAFE_ALPHABET = bytes.maketrans(b"-_", b"+/")
+
+
 def _unb64(text: str) -> bytes:
+    # base64.urlsafe_b64decode, without its layers of argument checks
     try:
-        return base64.urlsafe_b64decode(text.encode("ascii"))
-    except Exception as exc:  # noqa: BLE001
+        return binascii.a2b_base64(
+            text.encode("ascii").translate(_URLSAFE_ALPHABET))
+    except (binascii.Error, UnicodeEncodeError) as exc:
         raise PersistenceError("bad base64 field") from exc

@@ -11,87 +11,51 @@ and judges each response against an honest replay; the ground truth is
 ``core.judge`` (:class:`~repro.net.core.DeviationJudge`: ``first_round``,
 ``first_op``, ``deviations``)."""
 
-from repro.net.aserver import (
-    AsyncServerHandle,
-    AsyncTrustedCvsServer,
-    serve_in_thread,
-)
-from repro.net.chaosproxy import ChaosConfig, ChaosProxy
-from repro.net.client import (
-    EndpointConnector,
-    IntegrityError,
-    PipelinedRemoteClient,
-    RemoteClient,
-    RemoteClientP1,
-    ReplicationDivergence,
-    RetryPolicy,
-    ServerBusyError,
-    TransientNetworkError,
-    count_sync_check,
-    read_anchor,
-    sync_check,
-)
-from repro.net.replication import (
-    QuorumChecker,
-    Replicator,
-    RootAttestation,
-    RootDeposit,
-    WitnessCollusion,
-    WitnessProtocol,
-    attest,
-    attestation_valid,
-    deposit_valid,
-    make_deposit,
-    make_replica_keys,
-)
-from repro.net.core import DedupTable, DeviationJudge, ServerCore
-from repro.net.evidence import EvidenceError, read_bundle, reverify, write_bundle
-from repro.net.framing import FramingError, recv_message, send_message
-from repro.net.wal import ServerStore, WalError
+from repro._lazy import exports
 
-# The second name of the one function: benchmarks/e2e/launcher.py and
-# benchmarks/e2e/trace_run.py (frozen by BENCHMARK.json) import both.
-serve_async_in_thread = serve_in_thread
-
-__all__ = [
-    "AsyncServerHandle",
-    "AsyncTrustedCvsServer",
-    "DedupTable",
-    "DeviationJudge",
-    "ServerCore",
-    "PipelinedRemoteClient",
-    "ChaosConfig",
-    "ChaosProxy",
-    "QuorumChecker",
-    "Replicator",
-    "RootAttestation",
-    "RootDeposit",
-    "WitnessCollusion",
-    "WitnessProtocol",
-    "attest",
-    "attestation_valid",
-    "deposit_valid",
-    "make_deposit",
-    "make_replica_keys",
-    "EndpointConnector",
-    "ReplicationDivergence",
-    "EvidenceError",
-    "read_bundle",
-    "reverify",
-    "write_bundle",
-    "IntegrityError",
-    "RemoteClient",
-    "RemoteClientP1",
-    "RetryPolicy",
-    "ServerBusyError",
-    "TransientNetworkError",
-    "count_sync_check",
-    "read_anchor",
-    "sync_check",
-    "FramingError",
-    "recv_message",
-    "send_message",
-    "serve_in_thread",
-    "ServerStore",
-    "WalError",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "AsyncServerHandle": ".aserver",
+    "AsyncTrustedCvsServer": ".aserver",
+    "serve_in_thread": ".aserver",
+    "ChaosConfig": ".chaosproxy",
+    "ChaosProxy": ".chaosproxy",
+    "EndpointConnector": ".client",
+    "IntegrityError": ".client",
+    "PipelinedRemoteClient": ".client",
+    "RemoteClient": ".client",
+    "RemoteClientP1": ".client",
+    "ReplicationDivergence": ".client",
+    "RetryPolicy": ".client",
+    "ServerBusyError": ".client",
+    "TransientNetworkError": ".client",
+    "count_sync_check": ".client",
+    "read_anchor": ".client",
+    "sync_check": ".client",
+    "QuorumChecker": ".replication",
+    "Replicator": ".replication",
+    "RootAttestation": ".replication",
+    "RootDeposit": ".replication",
+    "WitnessCollusion": ".replication",
+    "WitnessProtocol": ".replication",
+    "attest": ".replication",
+    "attestation_valid": ".replication",
+    "deposit_valid": ".replication",
+    "make_deposit": ".replication",
+    "make_replica_keys": ".replication",
+    "DedupTable": ".core",
+    "DeviationJudge": ".core",
+    "ServerCore": ".core",
+    "EvidenceError": ".evidence",
+    "read_bundle": ".evidence",
+    "reverify": ".evidence",
+    "write_bundle": ".evidence",
+    "FramingError": ".framing",
+    "recv_message": ".framing",
+    "send_message": ".framing",
+    "ServerStore": ".wal",
+    "WalError": ".wal",
+    # The second name of the one function: benchmarks/e2e/launcher.py
+    # and benchmarks/e2e/trace_run.py (frozen by BENCHMARK.json) import
+    # both.
+    "serve_async_in_thread": ".aserver:serve_in_thread",
+})

@@ -13,9 +13,10 @@ store (``--backend`` picks it, nothing else):
   ``pages.db``.
 
 Each shard tree is a checksummed ``nodes`` stream plus one page per
-leaf; a checkpoint writes only the leaves whose Merkle digest the store
-does not hold, commits them with a manifest in one page-store
-transaction, and *rotates* the WAL into a retained segment file.  A
+leaf (its keys) and one per entry (its value); a checkpoint writes only
+the entries and leaves whose Merkle digest the store does not hold,
+commits them with a manifest in one page-store transaction, and
+*rotates* the WAL into a retained segment file.  A
 shard whose pages fail verification on recovery is quarantined and its
 last checkpoint redone from its previous state plus a replay of exactly
 the retained segment that led from there -- never trusted as-is, never
@@ -64,9 +65,10 @@ from repro.protocols.base import Followup, Request, Response
 from repro.storage.atomic import DirLock
 from repro.storage.engine import (
     KIND_ENTRIES,
+    KIND_LEAVES,
     KIND_NODES,
-    LeafRows,
     LoadStats,
+    PageRows,
     load_shard_tree,
     replay_data_ops,
     write_shard_pages,
@@ -89,7 +91,7 @@ RETIRED_FILES = {"state.snapshot": "cvs-server-snapshot 1"}
 _CHAIN_DOMAIN = b"wal-chain"
 _GENESIS_DOMAIN = b"wal-genesis"
 _MANIFEST_KEY = "checkpoint"
-_MANIFEST_FORMAT = "cvs-paged-store 2"
+_MANIFEST_FORMAT = "cvs-paged-store 3"
 
 _CHECKPOINTS = _registry.counter(
     "storage.checkpoints", "paged-store checkpoints committed")
@@ -201,13 +203,14 @@ class ServerStore:
 
     1. for every shard whose root differs from the root its manifest
        record holds, write under generation ``G`` a fresh ``nodes``
-       stream and a page for each leaf whose digest the store does not
-       hold (:func:`~repro.storage.engine.write_shard_pages`), delete
+       stream and a page for each entry and each leaf whose digest the
+       store does not hold
+       (:func:`~repro.storage.engine.write_shard_pages`), delete
        the rows only the state *before* the shard's previous one named,
        and commit all of it together with the updated manifest in
        **one** page-store transaction -- a crash or a failed commit
        leaves the previous checkpoint fully intact, the WAL unrotated
-       and this object's view (manifest, leaf rows) where it was;
+       and this object's view (manifest, page rows) where it was;
     2. rotate ``wal.log`` to ``wal-seg.G.log`` (rename + dir fsync) and
        start a fresh log chained from the new genesis;
     3. drop the WAL segments nothing references any more.
@@ -263,10 +266,11 @@ class ServerStore:
             self.close()
             raise
         #: shard -> what the page store holds for the state the manifest
-        #: records: leaf digest -> (page, generation).  Set by a load or
-        #: a *committed* checkpoint, never by the tree: a checkpoint
-        #: compares it, by value, with whatever tree it is handed.
-        self._leaf_rows: dict[int, LeafRows] = {}
+        #: records: entry or leaf digest -> the row of its page.  Set by a
+        #: load or a *committed* checkpoint, never by the tree: a
+        #: checkpoint compares it, by value, with whatever tree it is
+        #: handed.
+        self._page_rows: dict[int, PageRows] = {}
         #: streaming-load accounting for the most recent load_snapshot.
         self.load_stats = LoadStats()
         #: shards quarantined + repaired during the most recent load.
@@ -377,7 +381,7 @@ class ServerStore:
         if manifest.get("format") != _MANIFEST_FORMAT:
             raise WalError(
                 f"checkpoint manifest format {manifest.get('format')!r} is "
-                f"not {_MANIFEST_FORMAT!r} (one page per leaf): this build "
+                f"not {_MANIFEST_FORMAT!r} (one page per entry): this build "
                 "does not read directories written by another format")
         return manifest
 
@@ -417,7 +421,7 @@ class ServerStore:
         old_shards = {} if old is None else \
             {int(rec["shard"]): rec for rec in old["shards"]}
         shard_records = []
-        written: dict[int, LeafRows] = {}
+        written: dict[int, PageRows] = {}
         self.pages.begin()
         try:
             for index, tree in enumerate(shard_trees):
@@ -467,9 +471,9 @@ class ServerStore:
         self.io.crash_point("checkpoint:after-commit")
 
         # Only now does the store hold what the walk decided: a failed
-        # commit leaves manifest and leaf rows as they were, so the
-        # retry writes both intervals' leaves.
-        self._leaf_rows.update(written)
+        # commit leaves manifest and page rows as they were, so the
+        # retry writes both intervals' entries and leaves.
+        self._page_rows.update(written)
         self._manifest = manifest
         self._rotate_wal(new_gen)
         self._gc_segments({int(k) for k in manifest["segments"]})
@@ -479,21 +483,22 @@ class ServerStore:
             _CHECKPOINTS.inc()
 
     def _write_shard(self, index: int, gen: int, tree: MerkleBPlusTree,
-                     previous: dict | None) -> tuple[dict, LeafRows]:
+                     previous: dict | None) -> tuple[dict, PageRows]:
         """One shard's share of a checkpoint transaction: write the
-        leaves the store does not hold, delete what its state before
-        ``previous`` alone named, and return the manifest record plus
-        the leaf rows to adopt once the transaction commits."""
+        entries and leaves the store does not hold, delete what its
+        state before ``previous`` alone named, and return the manifest
+        record plus the page rows to adopt once the transaction
+        commits."""
         if previous is None:
-            known, next_page = {}, 0
+            known, next_page = None, 0
         else:
             known, next_page = self._known_rows(previous), \
                 int(previous["next_page"])
             # ``previous`` becomes the repair recipe; what only *its*
             # predecessor named is now unreachable.
-            for page, page_gen in previous["superseded"]:
+            for kind, page, page_gen in previous["superseded"]:
                 self.pages.delete_page(
-                    KIND_ENTRIES, index, int(page_gen), int(page))
+                    kind, index, int(page_gen), int(page))
             if int(previous["prev_gen"]) >= 0:
                 self.pages.drop_generation(
                     KIND_NODES, index, int(previous["prev_gen"]))
@@ -513,17 +518,17 @@ class ServerStore:
         }
         return record, result.rows
 
-    def _known_rows(self, record: dict) -> LeafRows:
+    def _known_rows(self, record: dict) -> PageRows:
         """What the store holds for the state ``record`` describes."""
         index = int(record["shard"])
-        if index not in self._leaf_rows:
+        if index not in self._page_rows:
             # This store object neither loaded nor wrote the shard:
             # read it back (verified) rather than guess.
-            rows: LeafRows = {}
+            rows = PageRows()
             load_shard_tree(self.pages, index, int(record["gen"]),
                             expected_root=record["root"], rows=rows)
-            self._leaf_rows[index] = rows
-        return self._leaf_rows[index]
+            self._page_rows[index] = rows
+        return self._page_rows[index]
 
     def _rotate_wal(self, gen: int) -> None:
         """Rename the just-checkpointed log into its retained segment."""
@@ -624,7 +629,7 @@ class ServerStore:
             index = int(record["shard"])
             shard_gen = int(record["gen"])
             expected = record["root"]
-            rows: LeafRows = {}
+            rows = PageRows()
             try:
                 tree = load_shard_tree(
                     self.pages, index, shard_gen,
@@ -636,7 +641,7 @@ class ServerStore:
                 self.repaired_shards.append(index)
                 if _obs.enabled:
                     _REPAIRS.inc(shard=str(index))
-            self._leaf_rows[index] = rows
+            self._page_rows[index] = rows
             shard_trees.append(tree)
 
         # The top tree is not persisted at all: its shape is a function
@@ -651,17 +656,17 @@ class ServerStore:
         return database, ctr, meta, dedup, chain
 
     def _repair_shard(self, record: dict, spec: StoreSpec, manifest: dict,
-                      cause: Exception) -> tuple[MerkleBPlusTree, LeafRows]:
+                      cause: Exception) -> tuple[MerkleBPlusTree, PageRows]:
         """Redo a quarantined shard's last checkpoint: load its previous
         state, replay the segment that led from there, and run the same
         walk that wrote the damaged pages.
 
         Covers everything that checkpoint wrote -- the ``nodes`` stream
-        and every leaf page of generation ``gen``.  An older leaf page
-        exists in one copy (the checkpoint that wrote it is the last
-        time it cost anything), and the previous state names it too: if
-        *it* rots, loading the previous state fails and recovery refuses,
-        naming the page.
+        and every leaf and entry page of generation ``gen``.  An older
+        page exists in one copy (the checkpoint that wrote it is the
+        last time it cost anything), and the previous state names it
+        too: if *it* rots, loading the previous state fails and recovery
+        refuses, naming the page.
 
         Raises :class:`WalError` when the recipe cannot reproduce the
         manifest's recorded shard root or page accounting -- that is
@@ -672,7 +677,7 @@ class ServerStore:
         shard_gen = int(record["gen"])
         prev_gen = int(record["prev_gen"])
         expected = record["root"]
-        known: LeafRows = {}
+        known = PageRows()
         if prev_gen >= 0:
             try:
                 tree = load_shard_tree(
@@ -710,7 +715,7 @@ class ServerStore:
         # checkpoint wrote and the manifest stays as it is.
         self.pages.begin()
         try:
-            for kind in (KIND_NODES, KIND_ENTRIES):
+            for kind in (KIND_NODES, KIND_LEAVES, KIND_ENTRIES):
                 self.pages.drop_generation(kind, index, shard_gen)
             result = write_shard_pages(
                 self.pages, index, shard_gen, tree, known,

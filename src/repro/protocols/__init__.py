@@ -12,64 +12,39 @@
 * :mod:`repro.protocols.graph` -- the Lemma 4.1 seen-state graph.
 """
 
-from repro.protocols.aggregation import AggregatedProtocol2Client
-from repro.protocols.base import (
-    ClientContext,
-    DeviationDetected,
-    Followup,
-    ProtocolClient,
-    Request,
-    Response,
-    ServerProtocol,
-    ServerState,
-)
-from repro.protocols.localization import (
-    Checkpoint,
-    CheckpointRing,
-    FaultLocalization,
-    localize_fault,
-    prefix_consistent,
-)
-from repro.protocols.graph import StateGraph, Transition, lemma41_path_theorem
-from repro.protocols.naive import NaiveClient, NaiveServer
-from repro.protocols.protocol1 import Protocol1Client, Protocol1Server
-from repro.protocols.protocol2 import Protocol2Client, Protocol2Server, initial_state_tag
-from repro.protocols.protocol3 import EpochDeposit, Protocol3Client, Protocol3Server
-from repro.protocols.syncbase import SyncingClient
-from repro.protocols.tokenpass import TokenPassClient, TokenPassServer
-from repro.protocols.verify import VerifiedOutcome, derive_outcome
+from repro._lazy import exports
 
-__all__ = [
-    "AggregatedProtocol2Client",
-    "Checkpoint",
-    "CheckpointRing",
-    "FaultLocalization",
-    "localize_fault",
-    "prefix_consistent",
-    "ClientContext",
-    "DeviationDetected",
-    "Followup",
-    "ProtocolClient",
-    "Request",
-    "Response",
-    "ServerProtocol",
-    "ServerState",
-    "StateGraph",
-    "Transition",
-    "lemma41_path_theorem",
-    "NaiveClient",
-    "NaiveServer",
-    "Protocol1Client",
-    "Protocol1Server",
-    "Protocol2Client",
-    "Protocol2Server",
-    "initial_state_tag",
-    "EpochDeposit",
-    "Protocol3Client",
-    "Protocol3Server",
-    "SyncingClient",
-    "TokenPassClient",
-    "TokenPassServer",
-    "VerifiedOutcome",
-    "derive_outcome",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "AggregatedProtocol2Client": ".aggregation",
+    "ClientContext": ".base",
+    "DeviationDetected": ".base",
+    "Followup": ".base",
+    "ProtocolClient": ".base",
+    "Request": ".base",
+    "Response": ".base",
+    "ServerProtocol": ".base",
+    "ServerState": ".base",
+    "Checkpoint": ".localization",
+    "CheckpointRing": ".localization",
+    "FaultLocalization": ".localization",
+    "localize_fault": ".localization",
+    "prefix_consistent": ".localization",
+    "StateGraph": ".graph",
+    "Transition": ".graph",
+    "lemma41_path_theorem": ".graph",
+    "NaiveClient": ".naive",
+    "NaiveServer": ".naive",
+    "Protocol1Client": ".protocol1",
+    "Protocol1Server": ".protocol1",
+    "Protocol2Client": ".protocol2",
+    "Protocol2Server": ".protocol2",
+    "initial_state_tag": ".protocol2",
+    "EpochDeposit": ".protocol3",
+    "Protocol3Client": ".protocol3",
+    "Protocol3Server": ".protocol3",
+    "SyncingClient": ".syncbase",
+    "TokenPassClient": ".tokenpass",
+    "TokenPassServer": ".tokenpass",
+    "VerifiedOutcome": ".verify",
+    "derive_outcome": ".verify",
+})

@@ -3,30 +3,18 @@
 strategies a compromised server can mount.
 """
 
-from repro.server.attacks import (
-    ALL_ATTACKS,
-    Attack,
-    CompositeAttack,
-    CounterReplayAttack,
-    DropCommitAttack,
-    ForkAttack,
-    HonestBehavior,
-    RandomizedAttackSchedule,
-    SignatureForgeAttack,
-    StaleRootReplayAttack,
-    TamperValueAttack,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "ALL_ATTACKS",
-    "Attack",
-    "CompositeAttack",
-    "CounterReplayAttack",
-    "DropCommitAttack",
-    "ForkAttack",
-    "HonestBehavior",
-    "RandomizedAttackSchedule",
-    "SignatureForgeAttack",
-    "StaleRootReplayAttack",
-    "TamperValueAttack",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "ALL_ATTACKS": ".attacks",
+    "Attack": ".attacks",
+    "CompositeAttack": ".attacks",
+    "CounterReplayAttack": ".attacks",
+    "DropCommitAttack": ".attacks",
+    "ForkAttack": ".attacks",
+    "HonestBehavior": ".attacks",
+    "RandomizedAttackSchedule": ".attacks",
+    "SignatureForgeAttack": ".attacks",
+    "StaleRootReplayAttack": ".attacks",
+    "TamperValueAttack": ".attacks",
+})

@@ -12,56 +12,33 @@
   the server core it drives.
 """
 
-from repro.protocols.clock import LocalClock
-from repro.simulation.agents import Alarm, ServerAgent, UserAgent
-from repro.simulation.channels import BROADCAST, SERVER_ID, Envelope, Network
-from repro.simulation.events import (
-    Action,
-    Run,
-    TimedAction,
-    describe_query,
-    deviates_from_all,
-    prefix_deviates,
-)
-from repro.simulation.runner import Simulation, SimulationReport
-from repro.simulation.workload import (
-    Intent,
-    Workload,
-    back_to_back_workload,
-    bursty_workload,
-    epoch_workload,
-    partitionable_workload,
-    seed_queries,
-    sleepy_workload,
-    steady_workload,
-    timezone_workload,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "Alarm",
-    "ServerAgent",
-    "UserAgent",
-    "BROADCAST",
-    "SERVER_ID",
-    "Envelope",
-    "Network",
-    "LocalClock",
-    "Action",
-    "Run",
-    "TimedAction",
-    "describe_query",
-    "deviates_from_all",
-    "prefix_deviates",
-    "Simulation",
-    "SimulationReport",
-    "Intent",
-    "Workload",
-    "back_to_back_workload",
-    "bursty_workload",
-    "epoch_workload",
-    "partitionable_workload",
-    "seed_queries",
-    "sleepy_workload",
-    "steady_workload",
-    "timezone_workload",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "LocalClock": "repro.protocols.clock",
+    "Alarm": ".agents",
+    "ServerAgent": ".agents",
+    "UserAgent": ".agents",
+    "BROADCAST": ".channels",
+    "SERVER_ID": ".channels",
+    "Envelope": ".channels",
+    "Network": ".channels",
+    "Action": ".events",
+    "Run": ".events",
+    "TimedAction": ".events",
+    "describe_query": ".events",
+    "deviates_from_all": ".events",
+    "prefix_deviates": ".events",
+    "Simulation": ".runner",
+    "SimulationReport": ".runner",
+    "Intent": ".workload",
+    "Workload": ".workload",
+    "back_to_back_workload": ".workload",
+    "bursty_workload": ".workload",
+    "epoch_workload": ".workload",
+    "partitionable_workload": ".workload",
+    "seed_queries": ".workload",
+    "sleepy_workload": ".workload",
+    "steady_workload": ".workload",
+    "timezone_workload": ".workload",
+})

@@ -10,77 +10,50 @@ are :class:`repro.core.facade.CvsClient`, keyed into the Merkle tree.)
   (tmp+fsync+rename+dir-fsync writes, flock data-directory locks).
 * :mod:`repro.storage.faults` -- the fault-injecting I/O shim the
   crash-recovery tests drive (torn writes, lying fsync, bit-rot...).
-* :mod:`repro.storage.pagestore` -- checksummed page stores (sqlite +
-  in-memory) holding per-shard checkpoint pages.
+* :mod:`repro.storage.pagestore` -- checksummed page stores (sqlite,
+  the append-only page file, in-memory) holding per-shard checkpoint
+  pages.
 * :mod:`repro.storage.engine` -- streaming shard-tree <-> pages codec
-  (one page per Merkle leaf, written when its digest changed) plus the
-  quarantined-shard repair replay.
+  (one page per entry and one per Merkle leaf, each written when its
+  digest changed) plus the quarantined-shard repair replay.
 """
 
-from repro.storage.atomic import DirLock, LockError, atomic_write
-from repro.storage.faults import ALWAYS, REAL_IO, FaultyIO, IoShim, SimulatedCrash
-from repro.storage.pagestore import (
-    CorruptPageError,
-    MemoryPageStore,
-    PageStore,
-    SqlitePageStore,
-    StorageError,
-    open_page_store,
-)
+from repro._lazy import exports
 
-from repro.storage.diff import (
-    Delta,
-    Hunk,
-    PatchError,
-    apply_delta,
-    delta_size,
-    diff,
-    invert_delta,
-    unified_diff,
-)
-from repro.storage.annotate import AnnotatedLine, annotate, format_annotations
-from repro.storage.keywords import (
-    collapse_keywords,
-    contains_keywords,
-    expand_keywords,
-)
-from repro.storage.merge import Conflict, MergeResult, merge3, render_with_markers
-from repro.storage.rcs import RcsError, Revision, RevisionStore
-
-__all__ = [
-    "Delta",
-    "Hunk",
-    "PatchError",
-    "apply_delta",
-    "delta_size",
-    "diff",
-    "invert_delta",
-    "unified_diff",
-    "AnnotatedLine",
-    "annotate",
-    "format_annotations",
-    "collapse_keywords",
-    "contains_keywords",
-    "expand_keywords",
-    "Conflict",
-    "MergeResult",
-    "merge3",
-    "render_with_markers",
-    "RcsError",
-    "Revision",
-    "RevisionStore",
-    "DirLock",
-    "LockError",
-    "atomic_write",
-    "ALWAYS",
-    "REAL_IO",
-    "FaultyIO",
-    "IoShim",
-    "SimulatedCrash",
-    "CorruptPageError",
-    "MemoryPageStore",
-    "PageStore",
-    "SqlitePageStore",
-    "StorageError",
-    "open_page_store",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "DirLock": ".atomic",
+    "LockError": ".atomic",
+    "atomic_write": ".atomic",
+    "ALWAYS": ".faults",
+    "REAL_IO": ".faults",
+    "FaultyIO": ".faults",
+    "IoShim": ".faults",
+    "SimulatedCrash": ".faults",
+    "CorruptPageError": ".pagestore",
+    "MemoryPageStore": ".pagestore",
+    "PageStore": ".pagestore",
+    "SqlitePageStore": ".pagestore",
+    "StorageError": ".pagestore",
+    "open_page_store": ".pagestore",
+    "Delta": ".diff",
+    "Hunk": ".diff",
+    "PatchError": ".diff",
+    "apply_delta": ".diff",
+    "delta_size": ".diff",
+    "diff": ".diff",
+    "invert_delta": ".diff",
+    "unified_diff": ".diff",
+    "AnnotatedLine": ".annotate",
+    "annotate": ".annotate",
+    "format_annotations": ".annotate",
+    "collapse_keywords": ".keywords",
+    "contains_keywords": ".keywords",
+    "expand_keywords": ".keywords",
+    "Conflict": ".merge",
+    "MergeResult": ".merge",
+    "merge3": ".merge",
+    "render_with_markers": ".merge",
+    "RcsError": ".rcs",
+    "Revision": ".rcs",
+    "RevisionStore": ".rcs",
+})

@@ -5,10 +5,11 @@ A :class:`PageStore` holds two things, committed together:
 * **pages** -- opaque blobs keyed ``(kind, shard, generation, seq)``.
   The snapshot engine (:mod:`repro.storage.engine`) serialises each
   shard tree into a ``"nodes"`` page stream (structure + separator
-  keys, read back in ``seq`` order) and one ``"entries"`` page per leaf
-  (``seq`` is the leaf's page id, read back by key), so a million-entry
-  shard is written and read back page by page instead of as one
-  monolithic blob, and a checkpoint writes only the leaves that changed.
+  keys, read back in ``seq`` order), one ``"leaves"`` page per leaf and
+  one ``"entries"`` page per entry (``seq`` is the page id, read back
+  by key), so a million-entry shard is written and read back page by
+  page instead of as one monolithic blob, and a checkpoint writes only
+  the entries and leaves that changed.
 * **meta** -- small key->bytes records (the checkpoint manifest: per
   shard generation + root, the WAL chain heads, protocol state).
 
@@ -85,11 +86,9 @@ class CorruptPageError(StorageError):
 def page_checksum(kind: str, shard: int, gen: int, seq: int,
                   blob: bytes) -> bytes:
     """Domain-separated checksum binding the payload to its full key."""
-    hasher = hashlib.sha256()
-    hasher.update(_CHECKSUM_DOMAIN)
-    hasher.update(f"{kind}|{shard}|{gen}|{seq}|{len(blob)}|".encode("ascii"))
-    hasher.update(blob)
-    return hasher.digest()
+    return hashlib.sha256(b"%s%s|%d|%d|%d|%d|%s" % (
+        _CHECKSUM_DOMAIN, kind.encode("ascii"), shard, gen, seq, len(blob),
+        blob)).digest()
 
 
 def frame_record(payload: bytes, digest: bytes) -> bytes:
@@ -168,6 +167,14 @@ class PageStore:
         """One committed page, checksum-verified; ``None`` if absent."""
         raise NotImplementedError
 
+    def read_many(self, kind: str, shard: int,
+                  keys: list[tuple[int, int]]) -> list[bytes | None]:
+        """The committed pages at ``keys`` (``(generation, seq)`` pairs),
+        checksum-verified and in that order, ``None`` where absent: one
+        batched read.  A store that reads from an in-memory index
+        answers key by key."""
+        return [self.read_page(kind, shard, gen, seq) for gen, seq in keys]
+
     def page_count(self, kind: str, shard: int, gen: int) -> int:
         raise NotImplementedError
 
@@ -235,6 +242,7 @@ class MemoryPageStore(PageStore):
     def write_page(self, kind: str, shard: int, gen: int, seq: int,
                    blob: bytes) -> None:
         self.io.crash_point("pagestore:page-write")
+        self.io.crash_point(f"pagestore:{kind}-page-write")
         checksum = page_checksum(kind, shard, gen, seq, blob)
         self._stage(lambda: self._pages.__setitem__(
             (kind, shard, gen, seq), (blob, checksum)))
@@ -286,6 +294,16 @@ class MemoryPageStore(PageStore):
         self._staged = None
 
 
+#: keys per statement of a batched sqlite read (two bound parameters
+#: each, well under sqlite's oldest limit of 999), and page rows per
+#: batched insert
+_BATCH_KEYS = 256
+
+
+def _marks(values: list) -> str:
+    return "?" + ",?" * (len(values) - 1)
+
+
 class SqlitePageStore(PageStore):
     """SQLite-backed page store: the ``--backend sqlite`` disk engine.
 
@@ -306,6 +324,8 @@ class SqlitePageStore(PageStore):
         self.path = path
         self.io = io or REAL_IO
         self._in_txn = False
+        #: rows ``write_page`` staged, inserted before the next statement
+        self._pending: list[tuple] = []
         try:
             if readonly:
                 uri = f"file:{path}?mode=ro"
@@ -333,21 +353,34 @@ class SqlitePageStore(PageStore):
                     checksum BLOB NOT NULL,
                     PRIMARY KEY (kind, shard, gen, seq))""")
 
+    def _flush(self) -> None:
+        """Insert the page rows ``write_page`` staged: a checkpoint
+        inserts its pages with ``executemany``, not a statement each."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO pages VALUES (?,?,?,?,?,?)", pending)
+
+    def _execute(self, sql: str, params: tuple = ()):
+        """One statement, after the page rows staged before it."""
+        self._flush()
+        return self._conn.execute(sql, params)
+
     def _run(self, what: str, sql: str, params: tuple = ()):
         try:
-            return self._conn.execute(sql, params)
+            return self._execute(sql, params)
         except sqlite3.Error as exc:
             raise StorageError(f"{what}: {exc}") from exc
 
     def _row(self, what: str, sql: str, params: tuple):
         try:
-            return self._conn.execute(sql, params).fetchone()
+            return self._execute(sql, params).fetchone()
         except sqlite3.Error as exc:
             raise StorageError(f"{what}: {exc}") from exc
 
     def _all(self, what: str, sql: str, params: tuple) -> list:
         try:
-            return self._conn.execute(sql, params).fetchall()
+            return self._execute(sql, params).fetchall()
         except sqlite3.Error as exc:
             raise StorageError(f"{what}: {exc}") from exc
 
@@ -381,7 +414,7 @@ class SqlitePageStore(PageStore):
         try:
             self.io.commit_gate(self.path)
             self.io.crash_point("pagestore:pre-commit")
-            self._conn.execute("COMMIT")
+            self._execute("COMMIT")
         except (OSError, sqlite3.Error) as exc:
             self._rollback_quietly()
             raise StorageError(f"checkpoint commit failed: {exc}") from exc
@@ -390,6 +423,7 @@ class SqlitePageStore(PageStore):
         self.io.crash_point("pagestore:post-commit")
 
     def _rollback_quietly(self) -> None:
+        self._pending = []
         try:
             self._conn.execute("ROLLBACK")
         except sqlite3.Error:
@@ -404,14 +438,18 @@ class SqlitePageStore(PageStore):
                    blob: bytes) -> None:
         self._in_transaction("write_page")
         self.io.crash_point("pagestore:page-write")
+        self.io.crash_point(f"pagestore:{kind}-page-write")
         try:
             self.io.commit_gate(self.path)  # ENOSPC surfaces at write time
         except OSError as exc:
             raise StorageError(f"page write failed: {exc}") from exc
-        checksum = page_checksum(kind, shard, gen, seq, blob)
-        self._run("page write failed",
-                  "INSERT OR REPLACE INTO pages VALUES (?,?,?,?,?,?)",
-                  (kind, shard, gen, seq, blob, checksum))
+        self._pending.append((kind, shard, gen, seq, blob,
+                              page_checksum(kind, shard, gen, seq, blob)))
+        if len(self._pending) >= _BATCH_KEYS:
+            try:
+                self._flush()
+            except sqlite3.Error as exc:
+                raise StorageError(f"page write failed: {exc}") from exc
         if _obs.enabled:
             _PAGES_WRITTEN.inc()
             _PAGE_BYTES.inc(len(blob))
@@ -434,6 +472,28 @@ class SqlitePageStore(PageStore):
         if row is None:
             return None
         return _verified(self.io, kind, shard, gen, seq, *row)
+
+    def read_many(self, kind: str, shard: int,
+                  keys: list[tuple[int, int]]) -> list[bytes | None]:
+        # One statement: ``gen IN .. AND seq IN ..`` walks the primary
+        # key (a row-value ``(gen, seq) IN`` would scan the shard), and
+        # the few pairs it finds that were not asked for are dropped.
+        found: dict[tuple[int, int], bytes] = {}
+        for start in range(0, len(keys), _BATCH_KEYS):
+            batch = keys[start:start + _BATCH_KEYS]
+            gens = sorted({gen for gen, _ in batch})
+            seqs = sorted({seq for _, seq in batch})
+            wanted = set(batch)
+            for gen, seq, blob, checksum in self._all(
+                    "page read failed",
+                    "SELECT gen, seq, blob, checksum FROM pages "
+                    f"WHERE kind=? AND shard=? AND gen IN ({_marks(gens)}) "
+                    f"AND seq IN ({_marks(seqs)})",
+                    (kind, shard, *gens, *seqs)):
+                if (gen, seq) in wanted:
+                    found[(gen, seq)] = _verified(
+                        self.io, kind, shard, gen, seq, blob, checksum)
+        return [found.get(key) for key in keys]
 
     def page_count(self, kind: str, shard: int, gen: int) -> int:
         row = self._row(
@@ -761,6 +821,7 @@ class FilePageStore(PageStore):
         if self._staged is None:
             raise StorageError("write_page outside a transaction")
         self.io.crash_point("pagestore:page-write")
+        self.io.crash_point(f"pagestore:{kind}-page-write")
         try:
             self.io.commit_gate(self.path)  # ENOSPC surfaces at write time
         except OSError as exc:

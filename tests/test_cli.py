@@ -216,10 +216,11 @@ class TestStoreInspect:
         put(60, b"k000", b"two")  # one leaf of one shard
         core.snapshot()
         manifest = core.store._manifest
-        leaves = []
+        leaves, entries = [], []
         for index in range(2):
-            leaf = core.state.database.mtree.shard_tree(index).tree \
-                .search_path(b"")[-1]
+            tree = core.state.database.mtree.shard_tree(index)
+            entries.append(len(tree))
+            leaf = tree.tree.search_path(b"")[-1]
             leaves.append(0)
             while leaf is not None:
                 leaves[index] += 1
@@ -235,17 +236,25 @@ class TestStoreInspect:
         lines = text.splitlines()
         at = lines.index(next(l for l in lines if l.startswith(
             f"shard {changed['shard']}: gen 2, prev gen 1")))
-        # generation 2 wrote one nodes page and one leaf page; the shard
-        # still has all its leaves, most of them written at generation 1
-        assert "last checkpoint wrote 2 pages" in lines[at + 1]
-        assert "1 superseded awaiting the next rewrite" in lines[at + 1]
-        assert f"next page id {changed['next_page']}" in lines[at + 1]
-        assert f"live leaf pages: {leaves[int(changed['shard'])]};" \
-            in lines[at + 1]
-        assert leaves[int(changed["shard"])] > 5
+        # generation 2 wrote one value page (b"two"), one leaf page and
+        # one nodes page; the shard still has all its entries and
+        # leaves, most of them written at generation 1, and holds the
+        # value and the leaf page they replaced until the next rewrite
+        index = int(changed["shard"])
+        assert lines[at + 1].startswith(
+            f"  value pages: {entries[index]} live, {entries[index] + 1} "
+            "held (")
+        assert lines[at + 1].endswith("last checkpoint wrote 1 (3 bytes)")
+        assert lines[at + 2].startswith(
+            f"  leaf pages: {leaves[index]} live, {leaves[index] + 1} held (")
+        assert "last checkpoint wrote 1 (" in lines[at + 2]
+        assert lines[at + 3].startswith("  nodes stream: 1 page(s) (")
+        assert "2 superseded awaiting the next rewrite" in lines[at + 3]
+        assert f"next page id {changed['next_page']}" in lines[at + 3]
+        assert leaves[index] > 5
         assert f"shard {other['shard']}: gen 1, prev gen 0" in text
         assert "segment 2:" in text and "segment 1:" in text
-        assert "bytes (cvs-paged-store 2)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 3)" in lines[lines.index(
             f"pages.db: {size} bytes") + 1]
         # 61 answers given, the window's worth remembered
         assert "user u: 61 remembered response(s), " in text
@@ -295,11 +304,43 @@ class TestStoreInspect:
         size = os.path.getsize(os.path.join(data_dir, "pages.log"))
         lines = text.splitlines()
         assert "backend: file" in lines
-        assert "bytes (cvs-paged-store 2)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 3)" in lines[lines.index(
             f"pages.log: {size} bytes") + 1]
         assert "checkpoint generation: 1" in lines
         assert "shard 0: gen 1, prev gen 0" in text
         assert "user u: 20 remembered response(s), " in text
+
+    def test_value_and_leaf_pages_are_counted_apart(self, tmp_path):
+        """A value page holds the value's raw bytes, so a shard's value
+        bytes are exactly the bytes of its values; its leaf pages,
+        keys and page ids, are counted on their own line."""
+        from repro.mtree.database import WriteQuery
+        from repro.net import ServerCore
+        from repro.protocols.base import Request
+
+        data_dir = str(tmp_path / "server")
+        core = ServerCore(order=4, data_dir=data_dir, fsync=False,
+                          snapshot_every=10**9)
+        values = [b"\x00\xff" * (i + 1) for i in range(20)]
+        for i, value in enumerate(values):
+            core.apply_request("u", Request(
+                query=WriteQuery(b"k%03d" % i, value),
+                extras={"user": "u", "rid": f"u:{i}"}))
+        core.snapshot()
+        record = core.store._manifest["shards"][0]
+        core.close_store()
+        lines = run(["store-inspect", data_dir]).splitlines()
+        at = lines.index(next(l for l in lines if l.startswith("shard 0:")))
+        total = sum(map(len, values))
+        assert lines[at + 1] == (
+            f"  value pages: 20 live, 20 held ({total} bytes); last "
+            f"checkpoint wrote 20 ({total} bytes)")
+        leaves = record["counts"]["leaves"]
+        leaf_bytes = record["counts"]["leaf_bytes"]
+        # held: the bootstrap's empty leaf too, until the next rewrite
+        assert lines[at + 2] == (
+            f"  leaf pages: {leaves} live, {leaves + 1} held ({leaf_bytes} "
+            f"bytes); last checkpoint wrote {leaves} ({leaf_bytes} bytes)")
 
     def test_whole_state_snapshot_directory_is_named(self, tmp_path):
         data_dir = tmp_path / "server"

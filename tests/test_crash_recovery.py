@@ -460,7 +460,11 @@ class TestKillAndRestart:
 from repro.mtree.forest import StoreSpec  # noqa: E402
 from repro.net.wal import open_server_store  # noqa: E402
 from repro.storage.faults import ALWAYS, FaultyIO, SimulatedCrash  # noqa: E402
-from repro.storage.pagestore import FilePageStore, SqlitePageStore  # noqa: E402
+from repro.storage.pagestore import (  # noqa: E402
+    FilePageStore,
+    SqlitePageStore,
+    page_checksum,
+)
 
 
 def _run_ops(core, ops, start=0):
@@ -738,8 +742,11 @@ class TestPagedStoreCrashMatrix:
     Each occurrence is picked to land in live traffic (the bootstrap
     checkpoint of two empty shards is page writes 1-4: a leaf page and
     a ``nodes`` page each); ``acked`` below checks that it did.  The
-    sqlite cells keep their bare ids; the page file runs the same ten
-    plus the cells only an append-only file has: a commit torn before
+    third leaf page written is the first of checkpoint 1, whose values
+    are all new: that cell dies between a leaf's value pages and the
+    leaf page naming them.  The sqlite cells keep their bare ids; the
+    page file runs the same eleven plus the cells only an append-only
+    file has: a commit torn before
     its fsync, a commit whose fsync lied (the 12th fsync is checkpoint
     1's, the crash comes before the WAL rotates), and a crash on either
     side of a compaction's rename (before it, between it and the
@@ -749,6 +756,7 @@ class TestPagedStoreCrashMatrix:
         ("wal:append", 17),
         ("file:mid-write", 17),
         ("pagestore:page-write", 7),
+        ("pagestore:leaves-page-write", 3),
         ("pagestore:pre-commit", 2),
         ("pagestore:post-commit", 2),
         ("checkpoint:before-commit", 2),
@@ -841,23 +849,30 @@ class TestPagedStoreCorruption:
     def test_rot_in_the_page_file_is_repaired_like_any_page(self, tmp_path):
         """Persistent rot in a page the last checkpoint appended to
         ``pages.log``: the scan passes it (heads only), the read's
-        checksum quarantines the shard, and the redo appends it again."""
-        data_dir = str(tmp_path / "s")
+        checksum quarantines the shard, and the redo appends it again --
+        a leaf page or a value page alike."""
+        for kind in ("leaves", "entries"):
+            self._page_file_rot(str(tmp_path / kind), kind)
+
+    def _page_file_rot(self, data_dir, kind):
         core = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4,
                           snapshot_every=10)
         _run_ops(core, _OPS)
         root = core.state.database.root_digest()
         core.snapshot()
         gen = int(core.store._manifest["gen"])
-        shard, page = next(
-            (int(r["shard"]), core.store.pages.read_page(
-                "entries", int(r["shard"]), gen, int(r["next_page"]) - 1))
-            for r in core.store._manifest["shards"] if int(r["gen"]) == gen)
+        shard = next(int(r["shard"]) for r in core.store._manifest["shards"]
+                     if int(r["gen"]) == gen)
+        seq = max(s for g, s in core.store.pages.page_keys(kind, shard)
+                  if g == gen)
+        page = core.store.pages.read_page(kind, shard, gen, seq)
         core.close_store()
         path = os.path.join(data_dir, "pages.log")
         with open(path, "r+b") as handle:
             blob = bytearray(handle.read())
-            at = bytes(blob).rfind(page) + len(page) // 2
+            # a page's body follows the checksum that ends its op head
+            checksum = page_checksum(kind, shard, gen, seq, page)
+            at = bytes(blob).rfind(checksum) + len(checksum) + len(page) // 2
             blob[at] ^= 0x10
             handle.seek(0)
             handle.write(blob)
@@ -968,6 +983,9 @@ class _FullDisk:
 
             raise sqlite3.OperationalError("database or disk is full")
         return self.conn.execute(sql, params)
+
+    def executemany(self, sql, rows):
+        return self.conn.executemany(sql, rows)
 
     def close(self):
         self.conn.close()

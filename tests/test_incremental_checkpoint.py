@@ -1,11 +1,12 @@
 """The paged store's checkpoints cost what was written: one page per
-Merkle leaf, dirtiness read off the digests the tree already keeps.
+entry and one per Merkle leaf, dirtiness read off the digests the tree
+already keeps.
 
 What is pinned here, at the level of :class:`PagedServerStore` and a
 real ``pages.db``:
 
-* **proportionality** -- a checkpoint writes the leaves that changed
-  and touches no other row;
+* **proportionality** -- a checkpoint writes the values and the leaves
+  that changed and touches no other row;
 * **exact accounting** -- the rows a shard holds are exactly the pages
   its current and its previous state name, under random
   insert/overwrite/delete traffic, restarts and failed commits;
@@ -13,7 +14,8 @@ real ``pages.db``:
   retry carries both intervals;
 * **repair is a redo** -- persistent rot in anything the shard's last
   checkpoint wrote is repaired through the same walk; persistent rot in
-  an older leaf page, which exists in one copy, is refused by name.
+  an older leaf or value page, which exists in one copy, is refused by
+  name.
 """
 
 import os
@@ -27,7 +29,7 @@ from repro.mtree.forest import shard_for_key
 from repro.net import ServerCore, WalError
 from repro.net.wal import open_server_store
 from repro.protocols.base import Request
-from repro.storage.engine import load_shard_tree
+from repro.storage.engine import PageRows, load_shard_tree, row_fields
 from repro.storage.faults import FaultyIO
 from repro.storage.pagestore import StorageError
 from repro.wire import decode, encode
@@ -64,12 +66,12 @@ def _rows(store):
 
 
 def _named(store, shard, gen, root):
-    """The ``(page, generation)`` rows the state at ``gen`` names --
+    """The ``(kind, page, generation)`` rows the state at ``gen`` names --
     through the real loader, so the state is also shown to load and to
     hash to the root the manifest records for it."""
-    rows = {}
+    rows = PageRows()
     load_shard_tree(store.pages, shard, gen, expected_root=root, rows=rows)
-    return set(rows.values())
+    return set(map(row_fields, rows.values()))
 
 
 def _check_accounting(store):
@@ -82,15 +84,16 @@ def _check_accounting(store):
         current = _named(store, shard, gen, record["root"])
         previous = set() if prev < 0 else \
             _named(store, shard, prev, record["prev_root"])
-        held = {(page, page_gen) for page_gen, page
-                in store.pages.page_keys("entries", shard)}
+        held = {(kind, page, page_gen) for kind in ("leaves", "entries")
+                for page_gen, page in store.pages.page_keys(kind, shard)}
         assert held == current | previous, f"shard {shard} leaks or lacks rows"
         assert {tuple(row) for row in record["superseded"]} == \
             previous - current
         assert {g for g, _seq in store.pages.page_keys("nodes", shard)} == \
             {gen, prev} - {-1}
-        assert all(page < int(record["next_page"]) for page, _ in held)
-        assert len(current) == record["counts"]["leaves"]
+        assert all(page < int(record["next_page"]) for _, page, _ in held)
+        assert len(current) == \
+            record["counts"]["leaves"] + record["counts"]["entries"]
 
 
 class TestProportionality:
@@ -104,9 +107,9 @@ class TestProportionality:
             traffic.write(core, key, b"rev-1b")
         core.snapshot()
         before = _rows(core.store)
-        doomed = {("entries", int(record["shard"]), int(gen), int(page))
+        doomed = {(kind, int(record["shard"]), int(gen), int(page))
                   for record in core.store._manifest["shards"]
-                  for page, gen in record["superseded"]}
+                  for kind, page, gen in record["superseded"]}
         touched = set()
         for n, i in enumerate((7, 8, 150, 299)):
             key = b"file%04d" % i
@@ -121,7 +124,9 @@ class TestProportionality:
         assert {row[1:5] for row in before - after} == \
             doomed | {("nodes", 0, 1, 0), ("nodes", 1, 1, 0)}
         fresh = after - before
-        assert sum(row[1] == "entries" for row in fresh) == len(touched)
+        assert sum(row[1] == "leaves" for row in fresh) == len(touched)
+        assert sorted(len(row[5]) for row in fresh if row[1] == "entries") \
+            == [5, 45, 85, 125]
         assert {row[3] for row in fresh} == {int(core.store._manifest["gen"])}
         _check_accounting(core.store)
         core.close_store()
@@ -235,14 +240,18 @@ def _rot(data_dir, kind, shard, gen, seq):
 
 
 class TestRepairIsARedo:
-    @pytest.mark.parametrize("kind", ["entries", "nodes"])
+    @pytest.mark.parametrize("kind", ["entries", "leaves", "nodes"])
     def test_rot_in_what_the_last_checkpoint_wrote(self, tmp_path, kind):
         data_dir = str(tmp_path)
         manifest, root = _two_checkpoints(data_dir)
         record = manifest["shards"][1]
         gen = int(record["gen"])
         assert gen == int(manifest["gen"]) and record["counts"]["leaf_pages"]
-        seq = 0 if kind == "nodes" else int(record["next_page"]) - 1
+        conn = sqlite3.connect(os.path.join(data_dir, "pages.db"))
+        (seq,) = conn.execute(
+            "SELECT MAX(seq) FROM pages WHERE kind=? AND shard=1 AND gen=?",
+            (kind, gen)).fetchone()
+        conn.close()
         _rot(data_dir, kind, 1, gen, seq)
         conn = sqlite3.connect(os.path.join(data_dir, "pages.db"))
         rows_before = set(conn.execute(
@@ -290,8 +299,10 @@ class TestRepairIsARedo:
         record = core.store._manifest["shards"][0]
         assert int(record["prev_gen"]) == 1 and int(record["gen"]) == 3
         assert record["counts"]["leaf_pages"] == 1
+        assert record["counts"]["value_pages"] == 1
         core.close_store()
-        _rot(data_dir, "entries", 0, 3, int(record["next_page"]) - 1)
+        # a leaf's page is written after its values: the last id
+        _rot(data_dir, "leaves", 0, 3, int(record["next_page"]) - 1)
         fresh = _core(data_dir, shards=1)
         assert fresh.store.repaired_shards == [0]
         assert fresh.state.database.root_digest() == \
@@ -299,25 +310,33 @@ class TestRepairIsARedo:
         _check_accounting(fresh.store)
         fresh.close_store()
 
-    def test_rot_in_an_older_live_leaf_page_is_refused_by_name(self, tmp_path):
-        data_dir = str(tmp_path)
+    def test_rot_in_an_older_live_leaf_page_is_refused_by_name(self,
+                                                               tmp_path):
+        self._older_page_rots(str(tmp_path), "leaves")
+
+    def test_rot_in_an_older_live_value_page_is_refused_by_name(self,
+                                                                tmp_path):
+        self._older_page_rots(str(tmp_path), "entries")
+
+    def _older_page_rots(self, data_dir, kind):
         manifest, _root = _two_checkpoints(data_dir)
         gen = int(manifest["gen"])
         conn = sqlite3.connect(os.path.join(data_dir, "pages.db"))
         named = dict(conn.execute(
-            "SELECT seq, gen FROM pages WHERE kind='entries' AND shard=1"))
+            "SELECT seq, gen FROM pages WHERE kind=? AND shard=1", (kind,)))
         conn.close()
-        # a leaf both states name: written before the last checkpoint
+        # a page both states name: written before the last checkpoint
         # and not superseded by it
-        superseded = {int(page) for page, _ in manifest["shards"][1]["superseded"]}
+        superseded = {int(page) for _kind, page, _gen
+                      in manifest["shards"][1]["superseded"]}
         page = next(p for p, g in sorted(named.items())
                     if g < gen and p not in superseded)
-        _rot(data_dir, "entries", 1, named[page], page)
+        _rot(data_dir, kind, 1, named[page], page)
         with pytest.raises(WalError) as excinfo:
             _core(data_dir, shards=2)
         message = str(excinfo.value)
         assert "cannot repair" in message
-        assert f"'entries', shard=1, gen={named[page]}, seq={page}" in message
+        assert f"'{kind}', shard=1, gen={named[page]}, seq={page}" in message
 
 
 class TestForeignTrees:
@@ -337,7 +356,8 @@ class TestForeignTrees:
         core.snapshot()
         after = _rows(core.store)
         assert {row[3] for row in before - after} == {0}  # the bootstrap's
-        assert sum(row[1] == "entries" for row in after - before) == 1
+        assert sorted(row[1] for row in after - before
+                      if row[1] != "nodes") == ["entries", "leaves"]
         _check_accounting(core.store)
         core.close_store()
         fresh = _core(data_dir, shards=2)
@@ -360,6 +380,8 @@ class TestForeignTrees:
         core.snapshot()
         record = core.store._manifest["shards"][0]
         assert record["counts"]["leaf_pages"] == record["counts"]["leaves"] > 10
+        assert record["counts"]["value_pages"] == record["counts"]["entries"] \
+            == 40
         _check_accounting(core.store)
         core.snapshot()  # nothing changed: nothing written, nothing dropped
         assert core.store._manifest["shards"][0] == record
@@ -381,25 +403,29 @@ class TestForeignTrees:
         before = _rows(store)
         store.write_snapshot(state, {})
         written = _rows(store) - before
-        assert sum(row[1] == "entries" for row in written) == 1
+        assert sorted(row[1] for row in written if row[1] != "nodes") == \
+            ["entries", "leaves"]
         _check_accounting(store)
         store.close()
 
 
 class TestOldFormatRefused:
     def test_manifest_of_another_format(self, tmp_path):
-        data_dir = str(tmp_path)
+        # 2: one page per leaf, values inside it
+        for old in ("cvs-paged-store 1", "cvs-paged-store 2"):
+            self._refused(str(tmp_path / old.replace(" ", "-")), old)
+
+    def _refused(self, data_dir, old):
         core = _core(data_dir, shards=1)
         core.close_store()
         conn = sqlite3.connect(os.path.join(data_dir, "pages.db"))
         (blob,) = conn.execute(
             "SELECT value FROM meta WHERE key='checkpoint'").fetchone()
         manifest = decode(bytes(blob))
-        manifest["format"] = "cvs-paged-store 1"
+        manifest["format"] = old
         conn.execute("UPDATE meta SET value=? WHERE key='checkpoint'",
                      (encode(manifest),))
         conn.commit()
         conn.close()
-        with pytest.raises(WalError, match="cvs-paged-store 1.*one page per "
-                                           "leaf"):
+        with pytest.raises(WalError, match=f"{old}.*one page per entry"):
             _core(data_dir, shards=1)

@@ -122,6 +122,27 @@ class TestContract:
         store.rollback()
         assert store.read_page("nodes", 0, 4, 1) == b"page-1"
 
+    def test_batched_read(self, store):
+        """One call, the pages in the order asked, ``None`` where there
+        is none -- and a page that merely shares a generation with one
+        asked for and a seq with another is not handed back."""
+        _fill(store, gen=0)
+        _fill(store, gen=4)
+        store.begin()
+        store.write_page("entries", 0, 4, 0, b"other kind")
+        store.commit()
+        assert store.read_many("nodes", 0, [(4, 2), (0, 1), (4, 9), (0, 0)]) \
+            == [b"page-2", b"page-1", None, b"page-0"]
+        assert store.read_many("nodes", 0, [(0, 2), (4, 1)]) == \
+            [b"page-2", b"page-1"]
+        assert store.read_many("entries", 0, [(4, 0), (0, 0)]) == \
+            [b"other kind", None]
+        assert store.read_many("nodes", 1, [(0, 0)]) == [None]
+        assert store.read_many("nodes", 0, []) == []
+        many = [(0, seq % 3) for seq in range(600)]  # past one statement
+        assert store.read_many("nodes", 0, many) == \
+            [b"page-%d" % (seq % 3) for seq in range(600)]
+
     def test_point_delete(self, store):
         _fill(store)
         _fill(store, shard=1)
@@ -213,6 +234,8 @@ class TestChecksums:
             with pytest.raises(CorruptPageError):
                 store.read_page("nodes", 0, 0, seq)
         assert store.read_page("nodes", 0, 0, 0) == b"page-0"
+        with pytest.raises(CorruptPageError):  # the batched read too
+            store.read_many("nodes", 0, [(0, 0), (0, 1)])
         store.close()
 
     def test_memory_store_bitrot_detected(self):

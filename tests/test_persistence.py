@@ -15,6 +15,7 @@ from repro.mtree.persistence import (
     load_database,
     load_tree,
     load_tree_stream,
+    parse_leaf_page,
     tree_stream_lines,
 )
 
@@ -129,14 +130,20 @@ VERSIONS = (1, 2)
 
 def stream_of(tree: BPlusTree, version: int):
     """``tree`` as the one parser reads it: the stream's lines plus
-    ``page -> entry lines`` -- format 1 keeps a leaf's entries inline
-    (no pages), format 2 names a page per leaf."""
+    ``page -> contents`` -- format 1 keeps a leaf's entries inline (no
+    pages), format 2 names a page per leaf (its lines: keys and the
+    pages of their values) and a page per value (its bytes), numbered
+    from one counter."""
     if version == 1:
         return dump_tree(tree).decode("ascii").split("\n")[:-1], {}
     pages = {}
 
     def place_leaf(leaf):
-        pages[len(pages)] = leaf_page_lines(leaf)
+        refs = []
+        for value in leaf.values:
+            pages[len(pages)] = value
+            refs.append((len(pages) - 1, 0))
+        pages[len(pages)] = leaf_page_lines(leaf.keys, refs)
         return len(pages) - 1, 0
 
     return list(tree_stream_lines(tree, place_leaf)), pages
@@ -145,7 +152,13 @@ def stream_of(tree: BPlusTree, version: int):
 def load_stream(lines, pages, version: int) -> BPlusTree:
     if version == 1:
         return load_tree("".join(line + "\n" for line in lines).encode("ascii"))
-    return load_tree_stream(iter(lines), lambda page, gen: pages[page])
+
+    def read_leaf(page, gen):
+        keys, refs = parse_leaf_page(pages[page])
+        return [(key, pages[value_page])
+                for key, (value_page, _gen) in zip(keys, refs)]
+
+    return load_tree_stream(iter(lines), read_leaf)
 
 
 def empty_leaf(version: int):
@@ -190,7 +203,9 @@ class TestCorruptedSnapshotRejected:
     def test_bad_base64_field(self):
         for version in VERSIONS:
             lines, pages = stream_of(build_random_tree(6, ops=20), version)
-            entries = lines if version == 1 else pages[0]
+            entries = lines if version == 1 else next(
+                page for page in pages.values()
+                if isinstance(page, list) and page)
             index = next(i for i, line in enumerate(entries)
                          if " " in line and not line.startswith(
                              ("leaf", "internal", "bplus-snapshot")))

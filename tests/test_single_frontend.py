@@ -191,3 +191,33 @@ class TestNetworkedExample:
         assert done.returncode == 0, done.stdout + done.stderr
         assert "registers: CONSISTENT" in done.stdout
         assert "FORKED -- server busted" in done.stdout
+
+
+class TestTheServerLoadsOnlyTheServer:
+    """The package ``__init__``s resolve their exports on first use, so
+    a server process imports the server, not the simulator, the
+    analysis helpers or the in-process facade."""
+
+    def test_no_simulation_analysis_or_core_in_a_server_process(self):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        code = ("import repro.net.aserver, repro.net.wal, sys; "
+                "print(' '.join(sorted(name for name in sys.modules if "
+                "name.split('.')[:2] in (['repro', 'simulation'], "
+                "['repro', 'analysis'], ['repro', 'core'])))); "
+                "import repro.net; print(repro.net.ServerCore.__module__)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n") == ["", "repro.net.core", ""]
+
+    def test_every_exported_name_resolves(self):
+        for package in ("repro", "repro.net", "repro.protocols",
+                        "repro.mtree", "repro.storage", "repro.crypto",
+                        "repro.server", "repro.simulation", "repro.core",
+                        "repro.analysis"):
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                assert getattr(module, name) is not None, (package, name)
+            assert set(module.__all__) <= set(dir(module))
+            with pytest.raises(AttributeError):
+                module.no_such_name  # noqa: B018
