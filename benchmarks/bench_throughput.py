@@ -75,12 +75,12 @@ from repro.mtree.database import WriteQuery  # noqa: E402
 from repro.net import (  # noqa: E402
     RemoteClient,
     RemoteClientP1,
+    SessionCore,
     serve_in_thread,
     sync_check,
 )
 from repro.net.aserver import BATCH_MAX  # noqa: E402
 from repro.net.framing import async_recv_message, async_send_message  # noqa: E402
-from repro.protocols.base import Request, Response  # noqa: E402
 from repro.protocols.protocol2 import XorRegisters  # noqa: E402
 
 ORDER = 8
@@ -216,8 +216,9 @@ def run_stop_and_wait(clients: int, ops_per_client: int) -> dict:
 # ``RemoteClient`` is a blocking-socket class; C of those with a window
 # would need C threads, which caps the grid at the stop-and-wait rows'
 # concurrency.  The bench therefore runs a minimal asyncio Protocol II
-# transport around the same ``XorRegisters`` step (plus the rid echo
-# check), so the two clients do identical verification work per op.
+# transport around the same ``SessionCore`` (window, rid, the rules and
+# the ``XorRegisters`` step), so the two clients do identical
+# verification work per op.
 
 async def _async_session(host: str, port: int, user: str,
                          ops: int, window: int,
@@ -238,37 +239,26 @@ async def _async_session(host: str, port: int, user: str,
     if len(connected) == total:
         all_connected.set()
     await start_gate.wait()
-    nonce = os.urandom(4).hex()
-    registers = XorRegisters(user, ORDER)
-    pending: deque = deque()
+    core = SessionCore(user, XorRegisters(user, ORDER), ORDER,
+                       nonce=os.urandom(4).hex())
+    started: deque = deque()
     sent = 0
-    received = 0
     try:
-        while received < ops:
-            while sent < ops and len(pending) < window:
-                query = WriteQuery(f"{user}-{sent % 8}".encode(),
-                                   f"{user}:{sent}".encode())
-                rid = f"{user}:{nonce}:{sent}"
-                await async_send_message(writer, Request(
-                    query=query, extras={"user": user, "rid": rid}))
-                pending.append((query, rid, time.perf_counter()))
+        while core.operations < ops:
+            while sent < ops and len(core.inflight) < window:
+                await async_send_message(writer, core.submit(WriteQuery(
+                    f"{user}-{sent % 8}".encode(), f"{user}:{sent}".encode())))
+                started.append(time.perf_counter())
                 sent += 1
             await writer.drain()
             message = await async_recv_message(reader)
             if message is None:
                 raise RuntimeError(f"{user}: server closed mid-window")
-            if not isinstance(message, Response):
-                raise RuntimeError(f"{user}: unexpected reply {message!r}")
-            query, rid, started = pending.popleft()
-            latencies.append((time.perf_counter() - started) * 1000.0)
-            echoed = message.extras.get("rid")
-            if echoed is not None and echoed != rid:
-                raise RuntimeError(f"{user}: reordered response {echoed!r}")
-            registers.step(query, message)
-            received += 1
+            latencies.append((time.perf_counter() - started.popleft()) * 1000.0)
+            core.receive(message)
     finally:
         writer.close()
-    return {"sigma": registers.sigma, "last": registers.last}
+    return {"sigma": core.state.sigma, "last": core.state.last}
 
 
 async def _async_cell(host: str, port: int, clients: int, ops_per_client: int,

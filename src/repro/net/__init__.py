@@ -20,14 +20,11 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "ChaosConfig": ".chaosproxy",
     "ChaosProxy": ".chaosproxy",
     "EndpointConnector": ".client",
-    "IntegrityError": ".client",
     "PipelinedRemoteClient": ".client",
     "RemoteClient": ".client",
     "RemoteClientP1": ".client",
     "ReplicationDivergence": ".client",
     "RetryPolicy": ".client",
-    "ServerBusyError": ".client",
-    "TransientNetworkError": ".client",
     "count_sync_check": ".client",
     "read_anchor": ".client",
     "sync_check": ".client",
@@ -52,6 +49,10 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "FramingError": ".framing",
     "recv_message": ".framing",
     "send_message": ".framing",
+    "IntegrityError": ".session",
+    "ServerBusyError": ".session",
+    "SessionCore": ".session",
+    "TransientNetworkError": ".session",
     "ServerStore": ".wal",
     "WalError": ".wal",
     # The second name of the one function: benchmarks/e2e/launcher.py

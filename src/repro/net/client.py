@@ -1,51 +1,40 @@
-"""Verifying TCP sessions: the transport around a protocol state object.
+"""Verifying TCP sessions: the transport around one session core.
 
-A session connects to a :class:`~repro.net.aserver.AsyncTrustedCvsServer`,
-sends queries over the wire format, and hands every response to the same
-per-response step the simulated clients run --
-:class:`~repro.protocols.protocol2.XorRegisters` (Protocol II,
-:class:`RemoteClient`) or
-:class:`~repro.protocols.protocol1.SignedRootChain` (Protocol I,
-:class:`RemoteClientP1`).  No verification is written here: this module
-connects, keeps the window, retries, fails over, persists the anchor,
-captures evidence and records quorum entries.  The replication
-witnesses are reached the same way: :class:`WitnessSession` carries the
-primary's root deposits and a client's quorum fetches, and leaves
-their checks to :mod:`repro.net.replication`.
+A session connects to a :class:`~repro.net.aserver.AsyncTrustedCvsServer`
+and hands every answer to its :class:`~repro.net.session.SessionCore`,
+the step the simulated clients and the evidence re-verifier run too --
+over :class:`~repro.protocols.protocol2.XorRegisters` in
+:class:`RemoteClient` (Protocol II) and
+:class:`~repro.protocols.protocol1.SignedRootChain` in
+:class:`RemoteClientP1` (Protocol I).  Nothing is decided here: this
+module connects, retries, fails over, resends, persists the anchor,
+writes the evidence the core captured and asks the witness quorum.
+:class:`WitnessSession` carries the primary's root deposits and a
+client's quorum fetches the same way, and leaves their checks to
+:mod:`repro.net.replication`.
 
-Every session keeps a *window* of operations in flight
-(``submit``/``drain``; ``execute`` is submit-then-drain, and
-stop-and-wait is the window of one).  The server answers each
-connection's requests in order, so responses are matched to the oldest
-in-flight operation, by their echoed request id where there is one, and
-verified one by one exactly as a lone operation would be.  One loop,
-:meth:`_Session._exchange`, moves every frame, under three rules:
+A session keeps a *window* of operations in flight (``submit`` /
+``drain``; ``execute`` is submit-then-drain, stop-and-wait the window
+of one).  One loop, :meth:`_Session._exchange`, moves every frame under
+two rules of its own:
 
 * a *transport failure* drops the connection, counts against
   ``RetryPolicy.attempts``, backs off, reconnects and resends every
-  in-flight request verbatim in one write -- the request id
-  (``user:nonce:seq``) lets the server's dedup table apply each at most
-  once, which is why its window must be at least as deep as the
-  client's.  Out of budget it raises :class:`TransientNetworkError` --
-  explicitly *not* an integrity verdict; nothing about a flaky link
-  implicates the server's honesty -- and the operations *stay in
-  flight*: the next call completes them before anything new;
-* a *refusal* (:class:`ServerBusyError`) is the oldest in-flight
-  operation's answer: the server did not execute it.  Alone in the
-  window it is re-asked on the same connection while
-  ``busy_attempts`` remain and the server has not said it would only
-  refuse again (``retryable: False``, a malformed request); otherwise
-  it leaves the window and the refusal is raised;
-* anything else is the oldest operation's response, and goes to the
-  protocol session's ``_absorb``.
+  in-flight request verbatim in one write -- the request id lets the
+  server's dedup table apply each at most once, which is why its window
+  must be at least as deep as the client's.  Out of budget it raises
+  :class:`TransientNetworkError`, *not* an integrity verdict, and the
+  operations *stay in flight*: the next call completes them first;
+* a *refusal* alone in the window is re-asked on the same connection
+  while ``busy_attempts`` remain, unless the server said it would only
+  refuse again (``retryable: False``).  Otherwise the core takes it as
+  the oldest operation's answer: :class:`ServerBusyError`.
 
-Several clients sharing a server can check their collective view with
-:func:`sync_check` / :func:`count_sync_check` -- the protocols' own
-synchronisation predicates over registers exchanged out-of-band (users
-trust each other; how they meet is outside the server's control, which
-is the whole point).  The Protocol II trust anchor (initial tag, XOR
-registers, counter) can be persisted to a file so a restarted *client*
-resumes verification where it left off.
+:func:`sync_check` / :func:`count_sync_check` are the protocols' own
+synchronisation predicates over registers the users exchange on a
+channel the server does not control.  The Protocol II trust anchor can
+be persisted to a file so a restarted *client* resumes where it left
+off.
 """
 
 from __future__ import annotations
@@ -54,7 +43,6 @@ import os
 import random
 import socket
 import time
-from collections import deque
 
 from repro.crypto.hashing import Digest
 from repro.mtree.database import DeleteQuery, Query, RangeQuery, ReadQuery, WriteQuery
@@ -62,18 +50,19 @@ from repro.mtree.forest import StoreSpec
 from repro.net import evidence
 from repro.net.framing import (
     FramingError, open_connection, recv_message, send_messages)
+from repro.net.session import (
+    IntegrityError, ServerBusyError, SessionCore, TransientNetworkError)
 from repro.storage.atomic import atomic_write
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.protocols.base import (
-    DEDUP_WINDOW, DeviationDetected, ErrorReply, Followup, Request, Response)
+from repro.protocols.base import DEDUP_WINDOW, ErrorReply, Request, Response
 # sync_check / count_sync_check are the protocols' own predicates,
 # importable from here (and repro.net) under the names deployments use.
 from repro.protocols.protocol1 import SignedRootChain, count_sync_check
 from repro.protocols.protocol2 import (
     XorRegisters, initial_state_tag, sync_check)
 from repro.protocols.verify import register
-from repro.wire import WireError, encode
+from repro.wire import WireError
 
 #: default socket timeouts -- a hung server must not block a client
 #: forever; the timeout surfaces as a retryable failure instead.
@@ -86,37 +75,10 @@ _RECONNECTS = _registry.counter(
     "net.reconnects", "client reconnections after a lost/failed connection")
 _RETRIES = _registry.counter(
     "net.retries", "client operation retries, by reason (io/busy)")
-_DETECTIONS = _registry.counter(
-    "net.detections", "integrity violations detected by verifying clients")
 _RESENDS = _registry.counter(
     "net.pipeline_resends", "in-flight requests resent after a reconnect")
 _WINDOW_FULL = _registry.counter(
     "net.pipeline_window_full", "submissions that had to drain a slot first")
-
-
-class IntegrityError(Exception):
-    """The server's response is inconsistent with every honest history."""
-
-
-class TransientNetworkError(Exception):
-    """The operation could not complete over the network (connection
-    refused/lost, timeout, server busy past the retry budget).  This is
-    a *liveness* failure, not an integrity one: retrying later is safe
-    because operations carry idempotent request ids."""
-
-
-class ServerBusyError(TransientNetworkError):
-    """The server refused the request: it stayed blocked on another
-    client's follow-up signature past its block timeout (Protocol I),
-    or the request was one no state could execute (an empty range --
-    ``reply.extras["retryable"]`` is then ``False``).  The refused
-    operation was not executed and has left the window; the session
-    remains usable -- retry once the operator catches up."""
-
-    def __init__(self, reply: ErrorReply) -> None:
-        super().__init__(f"server busy: {reply.reason}" if reply.reason
-                         else "server busy")
-        self.reply = reply
 
 
 class ReplicationDivergence(IntegrityError):
@@ -210,18 +172,12 @@ class RetryPolicy:
 
 
 class _Session:
-    """What a Protocol I and a Protocol II session share around their
-    protocol state object (``self.state``): the connection, the window
-    of in-flight operations, the one exchange loop, the step's verdict
-    turned into :class:`IntegrityError` with an evidence bundle, the
-    witness quorum bookkeeping, the request-id format and the
-    convenience verbs.  Subclasses name their ``protocol``, say what one
-    verified response does (``_absorb``) and what their bundle records
-    (``_evidence_fields``).  A :class:`WitnessSession` uses only the
-    transport: no state object, no evidence, no quorum.
-    """
+    """The transport around a :class:`~repro.net.session.SessionCore`
+    (``self.core``, built by the subclass for its protocol): the
+    connection, the exchange loop, the evidence files, the quorum check
+    and the convenience verbs.  ``_absorb`` is where an answer meets the
+    core."""
 
-    protocol = ""
     #: operations kept in flight unless the constructor is given another
     #: ``window``; stop-and-wait is the window of one, and what the
     #: command line runs every CVS verb on.  No window is deeper than
@@ -230,16 +186,15 @@ class _Session:
     window = 1
     #: whether a lost connection is replaced by a new one
     reconnects = True
-    #: whether requests carry a request id (``user:nonce:seq``)
-    _rids = True
+    #: the persisted trust anchor (Protocol II sessions may keep one)
+    _anchor_path: str | None = None
 
-    def __init__(self, endpoints, user_id: str, order: "int | StoreSpec",
-                 state, window: int | None, retry: RetryPolicy,
-                 connect_timeout: float, op_timeout: float,
-                 evidence_dir: str | None, quorum, quorum_every: int) -> None:
-        self.user_id = user_id
-        self._order = order
-        self.state = state
+    def __init__(self, endpoints, core: SessionCore, window: int | None,
+                 retry: RetryPolicy, connect_timeout: float,
+                 op_timeout: float, evidence_dir: str | None,
+                 quorum_every: int) -> None:
+        self.core = core
+        self.user_id = core.user_id
         if window is not None:
             self.window = window
         if self.window < 1:
@@ -249,8 +204,6 @@ class _Session:
                 f"pipeline window {self.window} is deeper than the "
                 f"{DEDUP_WINDOW} responses the server remembers per user: "
                 "a resent window could execute twice")
-        #: submitted and not yet answered, oldest first
-        self._inflight: deque[tuple[Query, Request]] = deque()
         #: messages not yet written.  They go out in one ``sendall``
         #: when the window fills or the session first blocks on a read:
         #: the sockets are no-delay, so each write is its own segment,
@@ -263,26 +216,20 @@ class _Session:
         self._opened = False
         self._evidence_dir = evidence_dir
         self._capture: list[bytes] = []
-        self.quorum = quorum
-        if quorum is not None:
-            quorum.set_order(order)
+        #: follow-up signatures sent (Protocol I)
+        self.followups_sent = 0
+        self.quorum = core.quorum
+        if self.quorum is not None:
+            self.quorum.set_order(core.order)
         if quorum_every < 1:
             raise ValueError("quorum_every must be at least 1")
         self._quorum_every = quorum_every
         self._ops_since_quorum = 0
-        # Request ids must name a *logical operation* uniquely for as
-        # long as the server's dedup window may remember it.  A bare
-        # ``user:seq`` resets with every anchor-less client object, so
-        # a new session for the same user could collide with the old
-        # session's window; the per-session nonce rules that out.  The
-        # anchor persists it, so a resumed process keeps deduping its
-        # own in-flight retries.
-        self._rid_nonce = os.urandom(4).hex()
-        self._seq = 0
 
-    def _rid(self, seq: int) -> str:
-        """The idempotency token for logical operation ``seq``."""
-        return f"{self.user_id}:{self._rid_nonce}:{seq}"
+    @property
+    def state(self):
+        """The core's protocol state object."""
+        return self.core.state
 
     # -- connection management --------------------------------------------
 
@@ -299,9 +246,9 @@ class _Session:
         self._sock = self._connector.connect()
         if self._opened and _obs.enabled:
             _RECONNECTS.inc(user=self.user_id)
-            _RESENDS.inc(len(self._inflight), user=self.user_id)
+            _RESENDS.inc(len(self.core.inflight), user=self.user_id)
         self._opened = True
-        self._held = [request for _query, request in self._inflight]
+        self._held = [request for _query, request in self.core.inflight]
 
     def _drop_connection(self) -> None:
         if self._sock is not None:
@@ -328,15 +275,16 @@ class _Session:
 
     @property
     def inflight(self) -> int:
-        return len(self._inflight)
+        return len(self.core.inflight)
 
     def _exchange(self, read: bool) -> object:
         """Connect if need be, put every held message on the wire in one
-        write and, when ``read``, return the server's next response --
-        the module docstring's rules for a transport failure and for a
-        refusal, each stated here and nowhere else.  A connection-level
-        failure may leave the stream desynchronised mid-frame, so the
-        only safe move is a fresh connection and a verbatim resend."""
+        write and, when ``read``, return the server's next message --
+        the module docstring's rules for a transport failure and for
+        re-asking a refusal, each stated here and nowhere else.  A
+        connection-level failure may leave the stream desynchronised
+        mid-frame, so the only safe move is a fresh connection and a
+        verbatim resend."""
         policy = self._retry
         io_failures = busy_failures = 0
         while True:
@@ -358,12 +306,12 @@ class _Session:
                 if _obs.enabled:
                     _RETRIES.inc(reason="io", user=self.user_id)
                 if io_failures >= policy.attempts:
-                    oldest = (self._inflight[0][1].extras.get("rid")
-                              if self._inflight else None)
+                    inflight = self.core.inflight
+                    oldest = inflight[0][1].extras.get("rid") if inflight else None
                     raise TransientNetworkError(
                         f"no answer from {self._connector.describe()} after "
                         f"{io_failures} connection failure(s), "
-                        f"{len(self._inflight)} operation(s) still in flight"
+                        f"{len(inflight)} operation(s) still in flight"
                         + (f" from request id {oldest}" if oldest else "")
                         + f": {exc}") from exc
                 time.sleep(policy.delay(io_failures - 1))
@@ -371,68 +319,47 @@ class _Session:
             if not isinstance(message, ErrorReply):
                 return message
             # The session is intact -- the server refused, it did not
-            # vanish -- and the refusal answers the oldest operation.
+            # vanish.  Alone in the window, a refusal is asked again.
             busy_failures += 1
             if _obs.enabled:
                 _RETRIES.inc(reason="busy", user=self.user_id)
-            if len(self._inflight) > 1 or busy_failures >= policy.busy_attempts \
+            if len(self.core.inflight) > 1 or busy_failures >= policy.busy_attempts \
                     or message.extras.get("retryable") is False:
-                self._inflight.popleft()
-                raise ServerBusyError(message)
+                return message
             time.sleep(policy.delay(busy_failures - 1))
-            self._held.append(self._inflight[0][1])
+            self._held.append(self.core.inflight[0][1])
 
     def submit(self, query: Query, extras: dict | None = None) -> list:
         """Queue one operation; returns answers completed on the way.
 
         Blocks only when the window is full (drains the oldest slot) or
         the transport needs recovery.  The request is written no later
-        than the next blocking read or a full window.  The sequence
-        number advances here, for every window: a request id names a
-        submitted operation and is never given to a second one.
-        ``extras`` is merged into the request's extras.
+        than the next blocking read or a full window.  ``extras`` is
+        merged into the request's extras.
         """
         drained = []
-        while len(self._inflight) >= self.window:
+        while len(self.core.inflight) >= self.window:
             if _obs.enabled:
                 _WINDOW_FULL.inc(user=self.user_id)
             drained.append(self._drain_one())
-        fields = {"user": self.user_id}
-        if self._rids:
-            fields["rid"] = self._rid(self._seq)
-        if extras is not None:
-            fields.update(extras)
-        request = Request(query=query, extras=fields)
-        self._seq += 1
-        self._inflight.append((query, request))
-        self._held.append(request)
+        self._held.append(self.core.submit(query, extras))
         # A full window goes out now: it is then on the wire while the
         # caller submits to, or drains, another session.
-        if len(self._inflight) >= self.window:
+        if len(self.core.inflight) >= self.window:
             self._exchange(read=False)
         return drained
 
     def _drain_one(self) -> object:
-        """Read, match and verify the oldest in-flight operation's
-        response; returns its trusted answer."""
-        response = self._exchange(read=True)
-        if not isinstance(response, Response):
-            raise IntegrityError("the server's answer is not a response")
-        query, request = self._inflight.popleft()
-        echoed, sent = response.extras.get("rid"), request.extras.get("rid")
-        if echoed is not None and echoed != sent:
-            exc = IntegrityError(
-                f"response names request id {echoed!r} but the oldest "
-                f"in-flight operation is {sent!r}: the server reordered or "
-                "dropped operations within one connection")
-            self._on_detection(exc, request)
-            raise exc
-        return self._absorb(query, request, response)
+        """Read the oldest in-flight operation's answer and absorb it;
+        returns its trusted answer."""
+        message = self._exchange(read=True)
+        query, request = self.core.inflight[0]
+        return self._absorb(query, request, message)
 
     def drain(self) -> list:
         """Complete (and verify) every in-flight operation, in order."""
         answers = []
-        while self._inflight:
+        while self.core.inflight:
             answers.append(self._drain_one())
         return answers
 
@@ -458,46 +385,36 @@ class _Session:
 
     def _absorb(self, query: Query, request: Request,
                 response: Response) -> object:
-        """One verified operation: the protocol step on ``response``,
-        then the session's own bookkeeping; returns the answer."""
-        raise NotImplementedError
-
-    def _verify(self, query: Query, request: Request, response: Response):
-        """Run the protocol's step on one response; returns what the
-        step returns.  A deviation becomes :class:`IntegrityError`,
-        evidence captured (against the untouched pre-operation state)
-        before it is raised."""
+        """The oldest operation's (``query``, sent as ``request``)
+        answer through the core, then the follow-up, the quorum check
+        and the anchor; returns the trusted answer.  A verdict's
+        evidence is written before it is raised."""
         try:
-            return self.state.step(query, response)
-        except DeviationDetected as exc:
-            error = IntegrityError(exc.reason)
-            self._on_detection(error, request)
-            raise error from exc
+            answer, followup = self.core.receive(
+                response, self._capture[-1] if self._capture else b"")
+        except IntegrityError as exc:
+            self._write_evidence(exc)
+            raise
+        if followup is not None:
+            self._held.append(followup)
+            self._exchange(read=False)
+            self.followups_sent += 1
+        # Every ``quorum_every`` verified ops, and only after any due
+        # follow-up went out (a divergence raised by the check must not
+        # leave the server blocked on us): confirm the lineage the core
+        # recorded against f+1 random witnesses.  Counters no witness
+        # holds yet stay pending; a proven divergence raises
+        # ReplicationDivergence out of this operation.
+        if self.quorum is not None:
+            self._ops_since_quorum += 1
+            if self._ops_since_quorum >= self._quorum_every:
+                self._ops_since_quorum = 0
+                self.quorum.check()
+        if self._anchor_path is not None:
+            self.save_anchor()
+        return answer
 
     # -- witness quorum -----------------------------------------------------
-
-    def _record_quorum(self, new_root: Digest, request: Request) -> None:
-        """Remember a verified op's expected lineage entry: the primary
-        must have deposited exactly ``new_root`` at the counter the step
-        just advanced to."""
-        if self.quorum is None:
-            return
-        self.quorum.record(
-            self.state.gctr, new_root, request_frame=encode(request),
-            response_frame=self._capture[-1] if self._capture else b"")
-
-    def _maybe_quorum_check(self) -> None:
-        """Every ``quorum_every`` verified ops, confirm the pending
-        lineage against a random f+1 witness sample.  Counters no
-        witness holds yet (replication lag) simply stay pending; a
-        proven divergence raises :class:`ReplicationDivergence` out of
-        the operation that triggered the check."""
-        if self.quorum is None:
-            return
-        self._ops_since_quorum += 1
-        if self._ops_since_quorum >= self._quorum_every:
-            self._ops_since_quorum = 0
-            self.quorum.check()
 
     def quorum_check(self, require_all: bool = False):
         """Confirm the recorded lineage now; see
@@ -508,31 +425,17 @@ class _Session:
 
     # -- evidence -----------------------------------------------------------
 
-    def _evidence_fields(self) -> dict:
-        """The protocol's own ``response_bundle`` fields: ``op_index``,
-        ``client_state``, ``anchor`` and, with a PKI, ``verifier_keys``."""
-        raise NotImplementedError
-
-    def _on_detection(self, exc: IntegrityError, request: Request) -> None:
-        """A verification failed: count it and, when an evidence
-        directory is configured, capture a forensic bundle (the verbatim
-        frames, the pre-operation state object, the anchor lineage or
-        key directory) so the deviation is provable offline.  Sets
+    def _write_evidence(self, exc: IntegrityError) -> None:
+        """When an evidence directory is configured, write the bundle
+        the core captured, with the anchor file's contents, and set
         ``exc.evidence_path``."""
-        if _obs.enabled:
-            _DETECTIONS.inc(user=self.user_id, protocol=self.protocol)
-        if self._evidence_dir is None:
+        if self._evidence_dir is None or exc.bundle is None:
             return
-        fields = self._evidence_fields()
-        bundle = evidence.response_bundle(
-            protocol=self.protocol, user_id=self.user_id, reason=str(exc),
-            order=StoreSpec.coerce(self._order).to_wire(),
-            request_frame=encode(request),
-            response_frame=self._capture[-1] if self._capture else b"",
-            **fields)
+        bundle = {**exc.bundle, "anchor": evidence.anchor_lineage(
+            self.core.initial_tag, self._anchor_path)}
         os.makedirs(self._evidence_dir, exist_ok=True)
         path = os.path.join(self._evidence_dir,
-                            f"{self.user_id}-{fields['op_index']}.evidence")
+                            f"{self.user_id}-{bundle['op_index']}.evidence")
         exc.evidence_path = evidence.write_bundle(path, bundle)
 
     # convenience verbs
@@ -623,7 +526,6 @@ class RemoteClient(_Session):
     is the number of operations kept in flight.
     """
 
-    protocol = "II"
     sigma = register("sigma")
     last = register("last")
     gctr = register("gctr")
@@ -645,14 +547,19 @@ class RemoteClient(_Session):
                 endpoints = list(host)
             else:
                 endpoints = [(host, port)]
-        super().__init__(endpoints, user_id, order,
-                         XorRegisters(user_id, order), window,
-                         retry or RetryPolicy(), connect_timeout, op_timeout,
-                         evidence_dir, quorum, quorum_every)
+        # The per-session nonce keeps a new session's request ids apart
+        # from an old session's still in the server's dedup window; the
+        # anchor persists it, so a resumed process keeps deduping its
+        # own in-flight retries.
+        core = SessionCore(
+            user_id, XorRegisters(user_id, order), order, protocol="II",
+            nonce=os.urandom(4).hex(), quorum=quorum,
+            initial_tag=(Digest.zero() if initial_root is None
+                         else initial_state_tag(initial_root)))
+        super().__init__(endpoints, core, window, retry or RetryPolicy(),
+                         connect_timeout, op_timeout, evidence_dir,
+                         quorum_every)
         self._anchor_path = anchor_path
-        self.operations = 0
-        self._initial_tag = (Digest.zero() if initial_root is None
-                             else initial_state_tag(initial_root))
         if anchor_path is not None and os.path.isfile(anchor_path):
             self._load_anchor()
         # The first connect, under the same retry budget as every other
@@ -670,11 +577,12 @@ class RemoteClient(_Session):
         if anchor["user"] != self.user_id:
             raise ValueError(
                 f"anchor belongs to {anchor['user']!r}, not {self.user_id!r}")
-        self._initial_tag = anchor["initial_tag"]
-        self.state.restore(anchor)
-        self.operations = anchor["operations"]
-        self._seq = anchor["seq"]
-        self._rid_nonce = anchor["nonce"]
+        self.core.restore(anchor)
+
+    @property
+    def operations(self) -> int:
+        """Operations this session verified (an anchor carries them)."""
+        return self.core.operations
 
     def save_anchor(self) -> None:
         """Persist the trust anchor atomically and durably.
@@ -686,37 +594,12 @@ class RemoteClient(_Session):
         """
         if self._anchor_path is None:
             return
-        lines = [
-            _ANCHOR_MAGIC,
-            f"user {self.user_id}",
-            f"initial_tag {self._initial_tag.hex()}",
-            f"sigma {self.sigma.hex()}",
-            f"last {self.last.hex()}",
-            f"gctr {self.gctr}",
-            f"operations {self.operations}",
-            f"seq {self._seq}",
-            f"nonce {self._rid_nonce}",
-        ]
+        fields = {**self.core.snapshot(), "user": self.user_id}
+        lines = [_ANCHOR_MAGIC] + [
+            f"{name} {value.hex() if isinstance(value, Digest) else value}"
+            for name, value in ((name, fields[name]) for name in _ANCHOR_FIELDS)]
         atomic_write(self._anchor_path,
                      ("\n".join(lines) + "\n").encode("ascii"))
-
-    def _absorb(self, query: Query, request: Request,
-                response: Response) -> object:
-        outcome = self._verify(query, request, response)
-        self.operations += 1
-        self._record_quorum(outcome.new_root, request)
-        self._maybe_quorum_check()
-        if self._anchor_path is not None:
-            self.save_anchor()
-        return outcome.answer
-
-    def _evidence_fields(self) -> dict:
-        return {
-            "op_index": self.operations,
-            "client_state": {**self.state.snapshot(), "seq": self._seq},
-            "anchor": evidence.anchor_lineage(self._initial_tag,
-                                              self._anchor_path),
-        }
 
     def registers(self) -> dict:
         """This user's contribution to a sync check."""
@@ -762,7 +645,6 @@ class RemoteClientP1(_Session):
     :class:`TransientNetworkError`.
     """
 
-    protocol = "I"
     reconnects = False
     lctr = register("lctr")
     gctr = register("gctr")
@@ -774,44 +656,20 @@ class RemoteClientP1(_Session):
                  evidence_dir: str | None = None,
                  quorum=None, quorum_every: int = 8,
                  window: int | None = None) -> None:
-        super().__init__([(host, port)], user_id, order,
-                         SignedRootChain(user_id, verifier, order), window,
-                         _P1_POLICY, connect_timeout, op_timeout,
-                         evidence_dir, quorum, quorum_every)
         # A request id is what the echo check matches across a window.
         # A session that never resends and has one operation in flight
         # has nothing for it to do, and sending it would put every
         # response into the server's dedup table, and so into every
         # snapshot.
-        self._rids = self.window > 1
-        self._signer = signer
-        #: signatures produced
-        self.followups_sent = 0
+        rids = (self.window if window is None else window) > 1
+        core = SessionCore(
+            user_id, SignedRootChain(user_id, verifier, order), order,
+            protocol="I", nonce=os.urandom(4).hex(), rids=rids,
+            signer=signer, quorum=quorum)
+        super().__init__([(host, port)], core, window, _P1_POLICY,
+                         connect_timeout, op_timeout, evidence_dir,
+                         quorum_every)
         self._exchange(read=False)
-
-    def _absorb(self, query: Query, request: Request,
-                response: Response) -> object:
-        outcome, to_sign = self._verify(query, request, response)
-        if to_sign is not None:
-            self._held.append(Followup(extras={
-                "sig": self._signer.sign(to_sign), "user": self.user_id}))
-            self._exchange(read=False)
-            self.followups_sent += 1
-        # Only after any due follow-up went out: a divergence raised by
-        # the quorum check must not leave the server blocked on us.
-        self._record_quorum(outcome.new_root, request)
-        self._maybe_quorum_check()
-        return outcome.answer
-
-    def _evidence_fields(self) -> dict:
-        """The public-key directory rides along, so the signature
-        verdict is reproducible offline without the PKI."""
-        return {
-            "op_index": self.lctr,
-            "client_state": self.state.snapshot(),
-            "anchor": evidence.anchor_lineage(None, None),
-            "verifier_keys": evidence.key_directory(self.state.verifier),
-        }
 
     def counts(self) -> dict:
         """This user's contribution to the Protocol I count sync."""
@@ -824,20 +682,14 @@ class WitnessSession(_Session):
     (:mod:`repro.net.replication`) travel on.
 
     A request carries no query, only the ``extras`` passed to
-    ``submit``/``execute``; the answer is the reply's extras, checked
-    here for nothing -- signatures and the quorum rule belong to the
+    ``submit``/``execute``; the answer is the reply's extras (its core
+    has no state object), checked here for nothing -- signatures and the quorum rule belong to the
     code that reads them.  The window is one and no request id is sent:
     a deposit is idempotent and a fetch is a read, so a resend needs no
     dedup.
     """
 
-    _rids = False
-
     def __init__(self, endpoint, user_id: str, retry: RetryPolicy) -> None:
-        super().__init__([endpoint], user_id, 8, None, 1, retry,
-                         CONNECT_TIMEOUT_SECONDS, OP_TIMEOUT_SECONDS,
-                         None, None, 1)
-
-    def _absorb(self, query: Query, request: Request,
-                response: Response) -> dict:
-        return response.extras
+        super().__init__([endpoint], SessionCore(user_id, None, rids=False),
+                         1, retry, CONNECT_TIMEOUT_SECONDS,
+                         OP_TIMEOUT_SECONDS, None, 1)

@@ -21,9 +21,11 @@ A bundle is a single file: an ASCII magic line followed by one
 wire-encoded dict (the codec already covers every type involved, and
 "equal objects encode identically" makes bundles canonical).
 
-:func:`reverify` rebuilds the protocol's state object from the recorded
-pre-operation ``client_state``, runs the very step the client ran on
-the recorded frames, and answers the only question that matters after
+:func:`reverify` restores the session core the client ran
+(:class:`~repro.net.session.SessionCore`) to the recorded pre-operation
+``client_state`` with the recorded request in flight, hands it the
+recorded response -- every rule the live session applied, the
+request-id echo included -- and answers the only question that matters after
 the fact: *is this bundle evidence of a genuine deviation, or would the
 response have verified cleanly?*  Four bundle kinds exist:
 
@@ -65,9 +67,10 @@ from repro.net.replication import (
     classify,
     contradiction,
 )
+from repro.net.session import IntegrityError, ServerBusyError, SessionCore
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.protocols.base import DeviationDetected, Request, Response
+from repro.protocols.base import Request
 from repro.protocols.protocol1 import SignedRootChain, count_sync_check
 from repro.protocols.protocol2 import XorRegisters, sync_check
 from repro.protocols.verify import derive_outcome
@@ -267,29 +270,31 @@ def _reverify_count_sync(bundle: dict) -> tuple[bool, str]:
 
 
 def _reverify_response(bundle: dict) -> tuple[bool, str]:
-    """Replay rule: rebuild the protocol's state object as the client
-    recorded it before the operation and run the live step on the
-    recorded frames -- the bundle is genuine iff the step raises.  A
-    Protocol I bundle that records a signing run in progress is
-    therefore judged by chain membership, as it was live."""
+    """Replay rule: the session core the client ran, restored to the
+    state it recorded before the operation with the recorded request in
+    flight, receives the recorded response -- the bundle is genuine iff
+    the core raises its verdict.  Every rule the live session applied
+    applies again: the request-id echo, the not-a-response rule, and a
+    Protocol I signing run in progress judged by chain membership."""
     try:
         request = decode(bundle["request_frame"])
         response = decode(bundle["response_frame"])
     except WireError as exc:
         return True, f"offending frame does not decode: {exc}"
-    if not isinstance(response, Response) or not isinstance(request, Request):
+    if not isinstance(request, Request):
         return True, "recorded frames are not a protocol request and response"
-    order = StoreSpec.coerce(bundle["order"])
-    if bundle["protocol"] == "I":
-        state = SignedRootChain(bundle["user"], _bundle_verifier(bundle),
-                                order)
-    else:
-        state = XorRegisters(bundle["user"], order)
-    state.restore(bundle["client_state"])
+    user, order = bundle["user"], StoreSpec.coerce(bundle["order"])
+    state = (SignedRootChain(user, _bundle_verifier(bundle), order)
+             if bundle["protocol"] == "I" else XorRegisters(user, order))
+    core = SessionCore(user, state, order, protocol=bundle["protocol"],
+                       counted=False)
+    core.restore(bundle["client_state"], [request])
     try:
-        state.step(request.query, response)
-    except DeviationDetected as exc:
-        return True, exc.reason
+        core.receive(response, bundle["response_frame"])
+    except IntegrityError as exc:
+        return True, str(exc)
+    except ServerBusyError:
+        return False, "the server refused the operation: a refusal accuses nobody"
     return False, "response verifies cleanly against the recorded state"
 
 

@@ -27,9 +27,8 @@ exactly the flat protocol's quantities).
 from __future__ import annotations
 
 from repro.crypto.hashing import Digest
-from repro.protocols.base import ClientContext, DeviationDetected, Response
+from repro.protocols.base import ClientContext, DeviationDetected
 from repro.protocols.protocol2 import Protocol2Client, sync_holds
-from repro.mtree.database import Query
 
 
 class AggregatedProtocol2Client(Protocol2Client):
@@ -44,10 +43,7 @@ class AggregatedProtocol2Client(Protocol2Client):
         self._agg_verdict: dict[str, bool] = {}
         self._verdict_children_left: dict[str, int] = {}
         self._self_contributed: set[str] = set()
-        self._deferred_tags: set[str] = set()
         self._seen_totals: set[str] = set()
-        # Stragglers from completed syncs must not resurrect them.
-        self._finished: set[str] = set()
         self.sync_messages_received = 0
 
     # -- tree topology -----------------------------------------------------
@@ -75,16 +71,6 @@ class AggregatedProtocol2Client(Protocol2Client):
 
     def may_start_transaction(self, ctx: ClientContext) -> bool:
         return not self._agg_sigma
-
-    def handle_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        answer = self._verify_response(query, response, ctx)
-        if query is not None:
-            self.completed_transactions += 1
-            self.ops_since_sync += 1
-        for tag in sorted(self._deferred_tags):
-            self._contribute_self(tag, ctx)
-        self._deferred_tags.clear()
-        return answer
 
     def wants_sync(self) -> bool:
         return self.ops_since_sync >= self.k and not self._agg_sigma
@@ -120,11 +106,14 @@ class AggregatedProtocol2Client(Protocol2Client):
         self._agg_verdict[tag] = False
         self._verdict_children_left[tag] = len(self._children())
         if getattr(ctx, "has_pending", None) is not None and ctx.has_pending():
-            self._deferred_tags.add(tag)
+            self._deferred_data.add(tag)
         else:
-            self._contribute_self(tag, ctx)
+            self._send_sync_data(tag, ctx)
 
-    def _contribute_self(self, tag: str, ctx: ClientContext) -> None:
+    def _send_sync_data(self, tag: str, ctx: ClientContext) -> None:
+        """This user's part of a sync: its sigma into the subtree XOR
+        (also what a deferred contribution sends once the transaction
+        in flight completes)."""
         if tag in self._self_contributed or tag not in self._agg_sigma:
             return
         self._self_contributed.add(tag)
@@ -152,7 +141,7 @@ class AggregatedProtocol2Client(Protocol2Client):
         if tag not in self._agg_verdict:
             return
         self._seen_totals.add(tag)
-        mine = sync_holds(self._initial_tag, self.last, total)
+        mine = sync_holds(self.core.initial_tag, self.last, total)
         self._agg_verdict[tag] = self._agg_verdict[tag] or mine
         self._maybe_forward_verdict(tag, ctx)
 
@@ -193,7 +182,7 @@ class AggregatedProtocol2Client(Protocol2Client):
                       self._agg_verdict, self._verdict_children_left):
             table.pop(tag, None)
         self._self_contributed.discard(tag)
-        self._deferred_tags.discard(tag)
+        self._deferred_data.discard(tag)
         self._seen_totals.discard(tag)
         if not ok:
             raise DeviationDetected(

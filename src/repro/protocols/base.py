@@ -79,11 +79,11 @@ class ServerState:
         )
 
 
-#: ``extras`` key carrying a request's idempotency token.  A client
-#: that may retry an operation stamps each *logical* operation with one
-#: id (``"<user>:<sequence>"``) and reuses it verbatim on every retry;
-#: the server keeps its latest (id, response) per user and answers a
-#: replayed id from that table instead of executing the query again.
+#: ``extras`` key carrying a request's idempotency token: one id per
+#: *logical* operation (``user:nonce:seq``, made by
+#: :class:`repro.net.session.SessionCore`), reused verbatim on every
+#: resend; the server answers a remembered id from its dedup table
+#: instead of executing the query again.
 RID_KEY = "rid"
 
 #: how many recent (request id, response) pairs the server remembers
@@ -93,9 +93,6 @@ RID_KEY = "rid"
 #: Both sides import it -- the server sizes its table with it, the
 #: client refuses to open a window above it.
 DEDUP_WINDOW = 64
-
-#: ``extras`` key naming the requesting user on the wire.
-USER_KEY = "user"
 
 
 def request_id(message: "Request") -> str | None:

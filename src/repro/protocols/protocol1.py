@@ -33,7 +33,6 @@ from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.mtree.database import Query
 from repro.mtree.forest import StoreSpec
 from repro.protocols.base import (
-    ClientContext,
     DeviationDetected,
     Followup,
     Request,
@@ -255,14 +254,10 @@ class Protocol1Client(SyncingClient):
         super().__init__(user_id, user_ids, k)
         if signer.signer_id != user_id:
             raise ValueError("signer identity must match the user id")
-        self._signer = signer
-        self.state = SignedRootChain(user_id, verifier, order)
-
-    def _verify_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        outcome, to_sign = self.state.step(query, response)
-        if to_sign is not None:
-            ctx.send_to_server(Followup(extras={"sig": self._signer.sign(to_sign)}))
-        return outcome.answer
+        # One slot in flight and no resend: no request ids, as for a
+        # TCP session at window 1.
+        self._open_session(SignedRootChain(user_id, verifier, order), order,
+                           protocol="I", rids=False, signer=signer)
 
     # -- sync ------------------------------------------------------------------
 

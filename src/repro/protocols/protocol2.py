@@ -34,7 +34,6 @@ from repro.crypto.hashing import Digest, hash_tagged_state, xor_all
 from repro.mtree.database import Query
 from repro.mtree.forest import StoreSpec
 from repro.protocols.base import (
-    ClientContext,
     DeviationDetected,
     Request,
     Response,
@@ -178,19 +177,17 @@ class Protocol2Client(SyncingClient):
         checkpoint_capacity: int = 64,
     ) -> None:
         super().__init__(user_id, user_ids, k)
-        self._initial_tag = initial_state_tag(initial_root)
-        self.state = XorRegisters(user_id, order)
+        self._open_session(XorRegisters(user_id, order), order, protocol="II",
+                           initial_tag=initial_state_tag(initial_root))
         # Optional fault-localisation support (future-work item (1)):
         # snapshot the registers after every operation into a bounded
         # ring; see repro.protocols.localization.  The capacity bounds
         # both memory and how far back a fault can be localised.
         self.checkpoints = CheckpointRing(checkpoint_capacity) if keep_checkpoints else None
 
-    def _verify_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        outcome = self.state.step(query, response)
+    def _verified(self) -> None:
         if self.checkpoints is not None:
             self.checkpoints.record(self.gctr, self.sigma, self.last)
-        return outcome.answer
 
     # -- sync ------------------------------------------------------------------
 
@@ -199,7 +196,7 @@ class Protocol2Client(SyncingClient):
 
     def _evaluate_sync(self, data: dict[str, dict]) -> bool:
         total = xor_all(entry["sigma"] for entry in data.values())
-        return sync_holds(self._initial_tag, self.last, total)
+        return sync_holds(self.core.initial_tag, self.last, total)
 
     def state_size(self) -> int:
         # sigma, last, gctr: constant regardless of history length.

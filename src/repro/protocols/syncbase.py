@@ -14,13 +14,22 @@ Both protocols run the same sync choreography (Section 4.2/4.3):
 Subclasses provide only the payload (:meth:`_sync_payload`) and the
 predicate (:meth:`_evaluate_sync`); Protocol I contributes operation
 counts, Protocol II contributes XOR registers.
+
+A response goes through the deployment's session core
+(:class:`~repro.net.session.SessionCore`, opened by the subclass with
+:meth:`SyncingClient._open_session`): the TCP sessions' window, request
+ids and rules, with one operation in flight.
 """
 
 from __future__ import annotations
 
+import hashlib
+
+from repro.net.session import IntegrityError, ServerBusyError, SessionCore
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.protocols.base import ClientContext, DeviationDetected, ProtocolClient, Response
+from repro.protocols.base import (
+    ClientContext, DeviationDetected, ProtocolClient, Request, Response)
 from repro.mtree.database import Query
 
 _SYNCS_STARTED = _registry.counter(
@@ -58,11 +67,32 @@ class SyncingClient(ProtocolClient):
         # never complete.
         self._finished: set[str] = set()
 
+    def _open_session(self, state, order, **options) -> None:
+        """Run this user's responses through a session core over
+        ``state``.  Its request-id nonce depends only on the user id, so
+        a run replays and two runs' views compare."""
+        nonce = hashlib.sha256(self.user_id.encode()).hexdigest()[:8]
+        self.core = SessionCore(self.user_id, state, order, nonce=nonce,
+                                **options)
+
+    @property
+    def state(self):
+        """The session core's protocol state object."""
+        return self.core.state
+
     # -- hooks for subclasses ------------------------------------------------
 
-    def _verify_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        """Protocol-specific response verification; returns the answer."""
-        raise NotImplementedError
+    def _verified(self) -> None:
+        """Called once a response verified, before the sync bookkeeping."""
+
+    def _flush_deferred(self, ctx: ClientContext) -> None:
+        """"After completing their current transactions": send the sync
+        data owed while the transaction was in flight (through
+        :meth:`_send_sync_data`, the hook a tree-aggregated sync
+        overrides)."""
+        for tag in sorted(self._deferred_data):
+            self._send_sync_data(tag, ctx)
+        self._deferred_data.clear()
 
     def _sync_payload(self) -> dict:
         """The registers this user contributes to a sync."""
@@ -74,16 +104,27 @@ class SyncingClient(ProtocolClient):
 
     # -- transaction lifecycle --------------------------------------------
 
+    def make_request(self, query: Query) -> Request:
+        return self.core.submit(query)
+
     def handle_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        answer = self._verify_response(query, response, ctx)
-        if query is not None:
-            self.completed_transactions += 1
-            self.ops_since_sync += 1
-        # "after completing their current transactions": flush any sync
-        # data we owed while the transaction was in flight.
-        for tag in sorted(self._deferred_data):
-            self._send_sync_data(tag, ctx)
-        self._deferred_data.clear()
+        """The core's rules on ``response`` (the in-flight operation's
+        answer), the follow-up out, then the sync bookkeeping.  A
+        refusal (:class:`~repro.net.session.ServerBusyError`) ends the
+        transaction uncompleted and propagates."""
+        try:
+            answer, followup = self.core.receive(response)
+        except IntegrityError as exc:
+            raise DeviationDetected(self.user_id, str(exc)) from exc
+        except ServerBusyError:
+            self._flush_deferred(ctx)
+            raise
+        if followup is not None:
+            ctx.send_to_server(followup)
+        self._verified()
+        self.completed_transactions += 1
+        self.ops_since_sync += 1
+        self._flush_deferred(ctx)
         return answer
 
     def wants_sync(self) -> bool:

@@ -19,11 +19,11 @@ from repro.protocols.base import (
     Followup,
     ProtocolClient,
     Request,
-    Response,
     ServerProtocol,
     ServerState,
 )
 from repro.net.core import ServerCore
+from repro.net.session import ServerBusyError
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.simulation.channels import SERVER_ID, Network
@@ -199,12 +199,19 @@ class UserAgent:
         self._maybe_issue(round_no, run)
 
     def _handle_server_message(self, payload: object) -> None:
-        if not isinstance(payload, Response):
-            raise TypeError(f"unexpected server payload {type(payload).__name__}")
         pending, self.pending = self.pending, None
         if pending is None:
             raise DeviationDetected(self.user_id, "unsolicited response from server")
-        answer = self.client.handle_response(pending.query, payload, self)
+        try:
+            answer = self.client.handle_response(pending.query, payload, self)
+        except ServerBusyError as refused:
+            # The server executed nothing: the transaction ends without
+            # completing, and accuses nobody.
+            self._run.record(Action(
+                kind="refusal", user_id=self.user_id, txn_id=pending.txn_id,
+                description=describe_query(pending.query),
+                answer_digest=str(refused)[:64]), self._round)
+            return
         if pending.query is not None:
             if _obs.enabled:
                 _OPS_COMPLETED.inc(user=self.user_id)

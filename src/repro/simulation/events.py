@@ -33,7 +33,7 @@ class Action:
     because such response actions are not "identical".
     """
 
-    kind: str  # "query" | "response"
+    kind: str  # "query" | "response" | "refusal" (the server executed nothing)
     user_id: str
     txn_id: int
     description: str

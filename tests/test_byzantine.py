@@ -310,9 +310,10 @@ class TestAsyncBatchedDetection:
         head signature by design; only a replay that knows the run head
         can tell that from a forgery."""
         class Accuser(RemoteClientP1):
-            def _verify(self, query, request, response):
-                self._on_detection(IntegrityError("fabricated"), request)
-                return super()._verify(query, request, response)
+            def _absorb(self, query, request, response):
+                self._write_evidence(self.core._detected(
+                    "fabricated", request, response, self._capture[-1]))
+                return super()._absorb(query, request, response)
 
         server = p1_server(
             shared_keys, attack=HonestBehavior(), batch_max=16)
@@ -529,9 +530,7 @@ class TestEvidenceBundleFormat:
                 def _absorb(self, query, request, response):
                     captured["request"] = request
                     captured["frame"] = self._capture[-1]
-                    captured["state"] = {
-                        "sigma": self.sigma, "last": self.last,
-                        "gctr": self.gctr, "seq": self._seq}
+                    captured["state"] = self.core.snapshot()
                     return super()._absorb(query, request, response)
 
             with Snitch(host, port, "alice", genesis, order=4) as alice:

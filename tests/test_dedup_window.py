@@ -62,7 +62,7 @@ class TestTheWindowIsAFact:
                 for n in range(DEDUP_WINDOW + 10):
                     session.submit(WriteQuery(b"k%d" % n, b"v"))
                 session.drain()
-                rids = [session._rid(n) for n in range(DEDUP_WINDOW + 10)]
+                rids = [session.core.rid(n) for n in range(DEDUP_WINDOW + 10)]
             table = server.with_core(lambda core: core.dedup.export())
             assert [rid for rid, _answer in table["u"]] == rids[10:]
         finally:

@@ -4,6 +4,8 @@ A scripted response sequence -- honest, or honest up to one deviation at
 a known operation -- is fed to every place that verifies responses:
 
 * the protocol state object itself (``XorRegisters`` / ``SignedRootChain``);
+* the session core (``SessionCore``), the script fed straight to
+  ``receive`` with no socket -- the rules every site below runs;
 * the simulator client (``Protocol2Client`` / ``Protocol1Client``);
 * the TCP clients over a socketpair, stop-and-wait and pipelined, through
   the wire codec -- the command line's ``--remote`` mode is this site (it
@@ -14,7 +16,9 @@ a known operation -- is fed to every place that verifies responses:
 
 All of them must give the same verdict (the same reason) at the same
 operation index, and hold the same registers after every accepted
-operation.  A live detection's own bundle must replay to the same reason.
+operation.  A live detection's own bundle must replay to the same reason,
+including for the rules the session adds to the step: a response that
+echoes another operation's request id, and a frame that is no response.
 
 The second half does the same one level down, for the rule every step
 starts with -- a VO reduces to (old root, new root, answer) in
@@ -54,6 +58,7 @@ from repro.net import (
 )
 from repro.net import client as client_module
 from repro.net.framing import FramingError, recv_message, send_message
+from repro.net.session import SessionCore
 from repro.protocols.base import (
     DeviationDetected,
     Followup,
@@ -216,9 +221,25 @@ def run_state_object(state, script):
     return accepted, None
 
 
+def run_core(core, script):
+    """Every script entry submitted and received; a detection's bundle
+    (never written to disk) must replay to the same reason."""
+    accepted = []
+    for index, (query, response) in enumerate(script):
+        core.submit(query)
+        try:
+            core.receive(response)
+        except IntegrityError as exc:
+            assert evidence.reverify(exc.bundle) == (True, str(exc))
+            return accepted, (index, str(exc))
+        accepted.append(registers_of(core.state))
+    return accepted, None
+
+
 def run_simulator_client(client, script):
     accepted = []
     for index, (query, response) in enumerate(script):
+        client.make_request(query)
         try:
             client.handle_response(query, response, FakeContext())
         except DeviationDetected as exc:
@@ -337,9 +358,12 @@ def test_protocol2_sites_agree(name, monkeypatch, tmp_path):
     initial_root, script = p2_script(bad_at, mutate)
     reference = run_state_object(XorRegisters(USER, ORDER), script)
 
-    traces = {"simulator": run_simulator_client(
-        Protocol2Client(USER, [USER, "bob"], 100, initial_root, order=ORDER),
-        script)}
+    traces = {
+        "core": run_core(SessionCore(USER, XorRegisters(USER, ORDER), ORDER,
+                                     protocol="II"), script),
+        "simulator": run_simulator_client(
+            Protocol2Client(USER, [USER, "bob"], 100, initial_root,
+                            order=ORDER), script)}
     for site, window in TCP_SITES.items():
         with scripted_peer(monkeypatch, script):
             traces[site] = run_tcp_client(
@@ -351,6 +375,59 @@ def test_protocol2_sites_agree(name, monkeypatch, tmp_path):
     replayed = run_reverify(XorRegisters(USER, ORDER), "II", script, None,
                             tmp_path)
     assert_all_agree(reference, bad_at, reason, script, traces, replayed)
+
+
+def gets_with_a_foreign_rid():
+    """Two honest answers to two gets; the second names a request id
+    the session never sent."""
+    state = ServerState(database=VerifiedDatabase(order=ORDER))
+    server = Protocol2Server()
+    server.initialize(state)
+    initial_root = state.database.root_digest()
+    script = [(query, server.handle_request(USER, Request(query), state, index))
+              for index, query in enumerate([ReadQuery(b"k0")] * 2)]
+    query, honest = script[1]
+    script[1] = (query, replace(honest, extras={**honest.extras,
+                                                "rid": "alice:x:99"}))
+    return initial_root, script
+
+
+@pytest.mark.parametrize("window", [1, 4])
+def test_a_rid_mismatch_bundle_proves_itself(window, monkeypatch, tmp_path):
+    """The rid rule is a session rule, and the bundle replays it."""
+    initial_root, script = gets_with_a_foreign_rid()
+    with scripted_peer(monkeypatch, script):
+        client = RemoteClient("peer", 0, USER, initial_root, order=ORDER,
+                              retry=RetryPolicy(attempts=1), window=window,
+                              evidence_dir=str(tmp_path))
+        with pytest.raises(IntegrityError, match="reordered or dropped") as live:
+            for query, _response in script:
+                client.submit(query)
+            client.drain()
+    assert client.operations == 1
+    bundle = evidence.read_bundle(live.value.evidence_path)
+    assert evidence.reverify(bundle) == (True, str(live.value))
+
+
+def test_a_frame_that_is_not_a_response_is_a_detection(monkeypatch, tmp_path):
+    """Counted, captured and out of the window like any other verdict."""
+    from repro import obs
+
+    initial_root, script = p2_script(None, None)
+    script = [(script[0][0], Followup({"user": "bob"}))] + script[:1]
+    obs.enable()
+    with scripted_peer(monkeypatch, script):
+        client = RemoteClient("peer", 0, USER, initial_root, order=ORDER,
+                              retry=RetryPolicy(attempts=1),
+                              evidence_dir=str(tmp_path))
+        with pytest.raises(IntegrityError, match="not a response") as live:
+            client.execute(script[0][0])
+        assert client.inflight == 0
+        assert obs.registry.counter("net.detections").total() == 1
+        bundle = evidence.read_bundle(live.value.evidence_path)
+        assert evidence.reverify(bundle) == (True, str(live.value))
+        # the next operation reads its own answer, not the stale frame's
+        assert client.execute(script[1][0]) is None and client.operations == 1
 
 
 def test_the_command_line_is_the_tcp_site(tmp_path):
@@ -388,9 +465,13 @@ def test_protocol1_sites_agree(name, shared_keys, monkeypatch, tmp_path):
     signer, verifier = shared_keys.signers[USER], shared_keys.verifier
     reference = run_state_object(SignedRootChain(USER, verifier, ORDER), script)
 
-    traces = {"simulator": run_simulator_client(
-        Protocol1Client(USER, [USER, "bob"], 100, signer, verifier, order=ORDER),
-        script)}
+    traces = {
+        "core": run_core(SessionCore(
+            USER, SignedRootChain(USER, verifier, ORDER), ORDER, protocol="I",
+            signer=signer), script),
+        "simulator": run_simulator_client(
+            Protocol1Client(USER, [USER, "bob"], 100, signer, verifier,
+                            order=ORDER), script)}
     for site, window in TCP_SITES.items():
         with scripted_peer(monkeypatch, script):
             traces[site] = run_tcp_client(

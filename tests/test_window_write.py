@@ -65,7 +65,7 @@ def _frames(user, rids, queries) -> list[bytes]:
 
 def _p2_frames(client, queries) -> list[bytes]:
     return _frames(client.user_id,
-                   [client._rid(seq) for seq in range(len(queries))], queries)
+                   [client.core.rid(seq) for seq in range(len(queries))], queries)
 
 
 def _writes(n):
@@ -199,7 +199,7 @@ class TestProtocol1WindowWrite:
                 queries = _writes(window)
                 for query in queries:
                     alice.submit(query)
-                rids = [alice._rid(seq) if window > 1 else None
+                rids = [alice.core.rid(seq) if window > 1 else None
                         for seq in range(window)]
                 assert alice._sock.writes == [
                     b"".join(_frames("alice", rids, queries))]
@@ -225,7 +225,7 @@ class TestProtocol1WindowWrite:
                 alice.submit(query)
             assert alice._sock.writes == []
             alice.submit(queries[-1])
-            rids = [f"alice:{alice._rid_nonce}:{seq}"
+            rids = [f"alice:{alice.core.nonce}:{seq}"
                     for seq in range(WINDOW)]
             assert alice._sock.writes == [
                 b"".join(_frames("alice", rids, queries))]
