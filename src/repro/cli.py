@@ -2,7 +2,7 @@
 
 Usage (also via ``python -m repro``)::
 
-    repro init REPO                                create a repository
+    repro init REPO [--backend file|sqlite]        create a repository
     repro -R REPO commit PATH -m MSG [-a AUTHOR]   commit stdin/--file
     repro -R REPO checkout PATH [-r REV] [--expand] print a revision
     repro -R REPO log PATH                         revision history
@@ -15,48 +15,59 @@ Usage (also via ``python -m repro``)::
     repro -R REPO merge PATH -b BRANCH              merge a branch to trunk
     repro -R REPO update PATH -r BASE --file F      merge head into a working file
     repro -R REPO trust                            show the trust anchor
-    repro -R REPO serve [-p PORT] [--durable] [--batch-max N]
-                                                   host the repository over TCP
+    repro -R REPO serve [-p PORT] [--batch-max N]  host the repository over TCP
     repro --remote HOST:PORT ...                   run any command against a server
     repro sync GENESIS ANCHOR...                   the users' register exchange
     repro obs-report [--protocol P] [--json]       simulate a workload, print obs metrics
 
 Layout of a repository directory::
 
-    REPO/db.snapshot                     the server's Merkle tree (exact shape)
-    REPO/trust/AUTHOR.digest             local mode: the author's verified root
+    REPO/server/                         the repository: the server's WAL and
+                                         paged checkpoints (``store-inspect`` it)
+    REPO/trust/AUTHOR.anchor             local mode: the author's registers
     REPO/trust/AUTHOR@HOST_PORT.anchor   --remote: the author's registers
-                                         (AUTHOR-N.evidence: a deviation, provable)
+                                         (AUTHOR-N.evidence, sync.evidence:
+                                         a deviation, provable)
 
-The trust anchor is the whole point.  Local mode is the paper's
-Section 4.1 single-user loop: every command verifies ``db.snapshot``
-against the author's *persisted* root digest, so offline tampering is
-an integrity error -- and so is a second author, whom one tracked root
-cannot tell from a fork.  Several authors *serve* the repository and
-work ``--remote``: every verb runs on a Protocol II session, and
-``repro sync`` over the anchors they exchange says whether the server
-showed them all one history.
+The trust anchor is the whole point: every verb runs the author's
+Protocol II session resumed from it -- locally against the repository's
+server core, opened in process under the lock ``serve`` takes, and
+``--remote`` over TCP.  After every local operation the sync predicate
+is evaluated over every anchor in ``REPO/trust/`` (the users' broadcast
+channel), pinned to the empty repository's root; ``repro sync``
+evaluates it over the anchors the users exchange.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
+from collections import Counter
 
-from repro.core.facade import CvsClient, CvsServer
+from repro.core.facade import CvsClient
 from repro.crypto.hashing import Digest
-from repro.mtree.persistence import dump_database, load_database
-from repro.mtree.proofs import ProofError
+from repro.mtree.database import VerifiedDatabase
+from repro.mtree.forest import merkle_store
 from repro.net.client import (
-    IntegrityError, RemoteClient, TransientNetworkError, read_anchor)
+    IntegrityError, RemoteClient, TransientNetworkError, protocol2_core,
+    read_anchor, write_anchor)
+from repro.net.core import ServerCore
+from repro.net.session import InlineSession
+from repro.net.wal import WalError
 from repro.storage.annotate import format_annotations
-from repro.storage.atomic import atomic_write
+from repro.storage.atomic import LockError
 from repro.storage.merge import render_with_markers
+from repro.storage.pagestore import FilePageStore, SqlitePageStore, StorageError
 
-DB_FILE = "db.snapshot"
 TRUST_DIR = "trust"
 SERVER_DIR = "server"
+#: what an older build kept in a repository directory, refused by name
+RETIRED_FILES = {"db.snapshot": "bplus-snapshot 1", "trust/*.digest": "a root digest"}
+#: local operations between checkpoints of the store (a commit is two):
+#: a command replays the WAL records written since the last one
+CHECKPOINT_EVERY = 16
 
 
 class CliError(Exception):
@@ -64,27 +75,97 @@ class CliError(Exception):
 
 
 def _anchor_path(repo_dir: str, author: str, remote: str | None) -> str:
-    name = (f"{author}@{remote.replace(':', '_')}.anchor" if remote
-            else f"{author}.digest")
-    return os.path.join(repo_dir, TRUST_DIR, name)
+    name = f"{author}@{remote.replace(':', '_')}" if remote else author
+    return os.path.join(repo_dir, TRUST_DIR, name + ".anchor")
+
+
+def _backend_of(data_dir: str) -> str | None:
+    """The page store a data directory holds, by its file; ``None``: none."""
+    return next((name for name, kind in (("file", FilePageStore),
+                                         ("sqlite", SqlitePageStore))
+                 if os.path.isfile(os.path.join(data_dir, kind.FILE))), None)
+
+
+def _refuse_retired(directory: str, retired: dict = RETIRED_FILES) -> None:
+    for pattern, format_name in retired.items():
+        for path in glob.glob(os.path.join(directory, pattern)):
+            raise CliError(f"{path!r} is {format_name}, a format this build "
+                           "does not read: restore it with the build that "
+                           "wrote it, or start from an empty directory")
+
+
+def _repository(repo_dir: str) -> tuple[str, str]:
+    """A repository's server directory and its page store's backend."""
+    _refuse_retired(repo_dir)
+    data_dir = os.path.join(repo_dir, SERVER_DIR)
+    backend = _backend_of(data_dir)
+    if backend is None:
+        raise CliError(f"{repo_dir!r} is not a repository (run 'repro init' first)")
+    return data_dir, backend
+
+
+def _genesis(spec) -> Digest:
+    """The empty repository's root: what every anchor is pinned to."""
+    return VerifiedDatabase.from_mtree(merkle_store(spec)).root_digest()
+
+
+def _anchors(trust_dir: str) -> list[str]:
+    return sorted(glob.glob(os.path.join(trust_dir, "*.anchor")))
+
+
+def _read_anchors(paths: list[str]) -> list[tuple[str, dict]]:
+    """Each anchor file with its fields; an unusable one is exit 2."""
+    try:
+        return [(path, read_anchor(path)) for path in paths]
+    except IntegrityError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def sync_verdict(genesis: Digest,
+                 anchors: list[tuple[str, dict]]) -> tuple[str, str | None]:
+    """The Protocol II sync predicate over ``(anchor file, fields)``
+    pairs: ``(whose registers, the sync bundle written beside the first
+    file if it fails, or None)``.  Each anchor is one session's: an
+    author who worked locally and ``--remote`` has two, by nonce."""
+    from repro.net import evidence
+    from repro.protocols.protocol2 import initial_state_tag, sync_check
+
+    per_user = Counter(anchor["user"] for _path, anchor in anchors)
+    registers, pinned_here = {}, initial_state_tag(genesis)
+    for path, anchor in anchors:
+        user = anchor["user"]
+        if anchor["initial_tag"] and anchor["initial_tag"] != pinned_here:
+            raise CliError(f"anchor {path!r} is pinned to another genesis root")
+        session = user if per_user[user] == 1 else f"{user}/{anchor['nonce']}"
+        if session in registers:
+            raise CliError(f"two anchors of user {user!r} hold one session: "
+                           f"{path!r} is a copy")
+        if anchor["pending"] is not None:
+            raise CliError(f"anchor {path!r} has an operation in flight: "
+                           f"run a command as {user!r} first")
+        registers[session] = {"sigma": anchor["sigma"], "last": anchor["last"]}
+    users = "the registers of " + ", ".join(sorted(registers))
+    if sync_check(genesis, registers):
+        return users, None
+    return users, evidence.write_bundle(
+        os.path.join(os.path.dirname(anchors[0][0]), "sync.evidence"),
+        evidence.sync_bundle(genesis, registers))
 
 
 class Workspace:
-    """One author's verifying client over a repository: a local
-    directory (the snapshot, checked against a tracked root) or a
-    remote server (a Protocol II session resumed from the anchor)."""
+    """One author's Protocol II session, resumed from their anchor, on
+    the repository's server core in this process or on a remote server."""
 
     def __init__(self, repo_dir: str, author: str, remote: str | None = None) -> None:
         self.remote = remote
-        self.db_path = os.path.join(repo_dir, DB_FILE)
         self.anchor_path = _anchor_path(repo_dir, author, remote)
-        trust_dir = os.path.dirname(self.anchor_path)
+        self.trust_dir = os.path.dirname(self.anchor_path)
+        os.makedirs(self.trust_dir, exist_ok=True)
         if remote:
-            os.makedirs(trust_dir, exist_ok=True)
             try:
                 self.session = RemoteClient(
                     _parse_endpoints(remote), user_id=author,
-                    anchor_path=self.anchor_path, evidence_dir=trust_dir)
+                    anchor_path=self.anchor_path, evidence_dir=self.trust_dir)
             except TransientNetworkError as exc:
                 raise CliError(f"cannot reach remote server {remote}: "
                                f"{exc.__cause__}") from exc
@@ -92,44 +173,88 @@ class Workspace:
                 raise CliError(f"{self.anchor_path!r}: {exc}") from exc
             self.client = CvsClient(self.session, author=author)
             return
-        if not os.path.isfile(self.db_path):
-            raise CliError(f"{repo_dir!r} is not a repository (run 'repro init' first)")
-        with open(self.db_path, "rb") as handle:
-            self.server = CvsServer.adopt(load_database(handle.read()))
-        anchor = None  # absent: trust on first use for this author
-        if os.path.isfile(self.anchor_path):
-            with open(self.anchor_path, "r", encoding="ascii") as handle:
-                anchor = Digest.from_hex(handle.read().strip())
-        self.client = CvsClient(self.server, author=author, trusted_root=anchor)
+        data_dir, backend = _repository(repo_dir)
+        try:
+            self.server = ServerCore(data_dir=data_dir, backend=backend,
+                                     snapshot_every=CHECKPOINT_EVERY, lock=True)
+        except (LockError, WalError) as exc:  # served, or a store refusal
+            raise CliError(f"{repo_dir!r} cannot be opened: {exc}") from exc
+        try:
+            self.genesis = _genesis(self.server.state.database.spec)
+            # A command that died mid-operation left its request on its
+            # author's anchor: settle every such request first.
+            for path, anchor in _read_anchors(_anchors(self.trust_dir)):
+                if path != self.anchor_path and anchor["pending"]:
+                    self._resume(path, anchor["user"])
+            self.session = self._resume(self.anchor_path, author)
+            self.check_sync()
+        except BaseException:
+            self.server.close_store()
+            raise
+        self.client = CvsClient(self, author=author)
+
+    def _resume(self, path: str, user: str) -> InlineSession:
+        """``user``'s session on the server core, anchored at ``path``."""
+        try:
+            core = protocol2_core(user, self.server.state.database.spec,
+                                  self.genesis, path)
+        except ValueError as exc:  # the anchor names another user
+            raise CliError(f"{path!r}: {exc}") from exc
+
+        session = InlineSession(self.server, core, lambda requests: write_anchor(
+            path, {**core.snapshot(), "user": user,
+                   "pending": requests[0] if requests else None}))
+        session.resume()
+        return session
+
+    def execute(self, query) -> object:
+        """One verified local operation, then the sync check."""
+        answer = self.session.execute(query)
+        self.check_sync()
+        return answer
+
+    def check_sync(self) -> None:
+        """:func:`sync_verdict` over ``trust/``, the author's registers
+        as the session holds them; failing, an :class:`IntegrityError`."""
+        core = self.session.core
+        mine = {**core.snapshot(), "user": core.user_id, "pending": None}
+        others = [path for path in _anchors(self.trust_dir)
+                  if path != self.anchor_path]
+        users, bundle = sync_verdict(
+            self.genesis, [(self.anchor_path, mine)] + _read_anchors(others))
+        if bundle is not None:
+            error = IntegrityError(f"no serial history explains {users}")
+            error.evidence_path = bundle
+            raise error
 
     def __enter__(self) -> "Workspace":
         return self
 
-    def __exit__(self, failure, *_exc) -> None:
-        """Local mode persists the snapshot and the advanced root, unless
-        the command raised.  A remote session saved its anchor after
-        every verified operation; it has a connection to drop."""
-        if self.remote:
+    def __exit__(self, *_exc) -> None:
+        """Close the session (locally: its anchor records the last
+        answers), then release the server core and its lock."""
+        try:
             self.session.close()
-        elif failure is None:
-            atomic_write(self.db_path, dump_database(self.server.database))
-            os.makedirs(os.path.dirname(self.anchor_path), exist_ok=True)
-            atomic_write(self.anchor_path,
-                         (self.client.root_digest.hex() + "\n").encode("ascii"))
+        finally:
+            if not self.remote:
+                self.server.close_store()
 
 
 # -- commands -------------------------------------------------------------
 
 
 def cmd_init(args, out) -> int:
-    os.makedirs(args.repo, exist_ok=True)
-    db_path = os.path.join(args.repo, DB_FILE)
-    if os.path.exists(db_path):
+    data_dir = os.path.join(args.repo, SERVER_DIR)
+    if os.path.exists(data_dir):
         raise CliError(f"repository already exists at {args.repo!r}")
-    server = CvsServer()
-    atomic_write(db_path, dump_database(server.database))
-    print(f"initialised empty trusted repository in {args.repo}", file=out)
-    print(f"root digest: {server.root_digest().hex()}", file=out)
+    _refuse_retired(args.repo)
+    core = ServerCore(data_dir=data_dir, backend=args.backend, lock=True)
+    root = core.state.database.root_digest()
+    core.close_store()
+    os.makedirs(os.path.join(args.repo, TRUST_DIR), exist_ok=True)
+    print(f"initialised empty trusted repository in {args.repo} "
+          f"({args.backend} store)", file=out)
+    print(f"root digest: {root.hex()}", file=out)
     return 0
 
 
@@ -253,14 +378,14 @@ def _parse_endpoints(text: str) -> list[tuple[str, int]]:
 def cmd_serve(args, out) -> int:
     """Host a local repository over TCP (SIGTERM/Ctrl-C to stop).
 
-    With ``--durable`` the server keeps a write-ahead log + periodic
-    snapshots under ``REPO/server/``: a crash (power cut, SIGKILL)
-    loses no acknowledged write, and the next ``serve`` replays to the
-    identical root digest so clients' trust anchors still verify.
+    The server runs on the repository's store, ``REPO/server/``, under
+    its lock: a crash (power cut, SIGKILL) loses no acknowledged write,
+    and the next ``serve`` or local command replays to the identical
+    root digest.
 
     Shutdown is graceful: SIGTERM and SIGINT quiesce in-flight work,
     flush the replicator (if any), fsync the WAL, and write a final
-    snapshot before exiting -- never dying mid-batch.
+    checkpoint before exiting -- never dying mid-batch.
 
     Replication: ``--replicas N --key-seed S`` fixes a deterministic
     keyring shared by the whole deployment.  A primary adds
@@ -273,15 +398,12 @@ def cmd_serve(args, out) -> int:
     import threading
 
     from repro.net.aserver import serve_in_thread
-    from repro.storage.atomic import LockError
 
     keys = None
     if args.replicas:
         from repro.net.replication import make_replica_keys
 
         keys = make_replica_keys(args.replicas, args.key_seed)
-    database = None
-    db_path = None
     protocol = None
     replicator = None
     if args.witness is not None:
@@ -294,16 +416,11 @@ def cmd_serve(args, out) -> int:
         wid = witness_name(args.witness)
         protocol = WitnessProtocol(wid, keys.witnesses[args.witness],
                                    keys.verifier)
-        data_dir = (os.path.join(args.repo, f"witness-{wid}")
-                    if args.durable else None)
+        data_dir = os.path.join(args.repo, f"witness-{wid}")
+        backend = _backend_of(data_dir) or "file"
         role = f"witness {wid} (1 of {args.replicas})"
     else:
-        db_path = os.path.join(args.repo, DB_FILE)
-        if not os.path.isfile(db_path):
-            raise CliError(f"{args.repo!r} is not a repository (run 'repro init' first)")
-        with open(db_path, "rb") as handle:
-            database = load_database(handle.read())
-        data_dir = os.path.join(args.repo, SERVER_DIR) if args.durable else None
+        data_dir, backend = _repository(args.repo)
         role = "standalone"
         if args.replicate_to:
             from repro.net.replication import Replicator
@@ -314,56 +431,39 @@ def cmd_serve(args, out) -> int:
             endpoints = _parse_endpoints(args.replicate_to)
             replicator = Replicator(keys.primary, witnesses=endpoints)
             role = f"primary depositing to {len(endpoints)} witness(es)"
-    if args.backend != "file" and not args.durable:
-        raise CliError("--backend sqlite requires --durable")
-    # The flock guard only matters when a data directory is in play; it
-    # stops a second `serve` pointed at the same REPO from interleaving
-    # WAL appends with this one.
-    lock = data_dir is not None
     try:
-        server = serve_in_thread(database=database, protocol=protocol,
-                                 port=args.port, data_dir=data_dir,
+        server = serve_in_thread(protocol=protocol, port=args.port,
+                                 data_dir=data_dir,
                                  snapshot_every=args.snapshot_every,
                                  batch_max=args.batch_max,
                                  replicator=replicator,
-                                 backend=args.backend, lock=lock)
-    except LockError as exc:
+                                 backend=backend, lock=True)
+    except (LockError, WalError) as exc:
         raise CliError(str(exc)) from exc
     host, port = server.address
-    mode = ("in-memory (clients' anchors refuse it after a restart: use --durable)"
-            if not args.durable
-            else f"durable (WAL + snapshots, {args.backend} backend)")
-    print(f"serving {args.repo} on {host}:{port}, {mode}, "
+    print(f"serving {args.repo} on {host}:{port}, {backend} store, "
           f"batches <= {args.batch_max}, {role} (SIGTERM/Ctrl-C to stop)",
           file=out)
-    root, ctr, _tick = server.consistent_view()
-    if database is not None and ctr == 0:
-        print(f"genesis root: {root.hex()} (what `repro sync` is given)",
+    if args.witness is None:
+        genesis = _genesis(server.with_core(lambda core: core.state.database.spec))
+        print(f"genesis root: {genesis.hex()} (what `repro sync` is given)",
               file=out)
-    if args.durable and server.replayed_records:
+    if server.replayed_records:
         print(f"recovered: replayed {server.replayed_records} WAL record(s)", file=out)
     out.flush()
-    stop = threading.Event()
-    # Signal handlers are only legal on the main thread; test harnesses
-    # that call cli_main from a worker thread set args.stop_event
-    # instead (or rely on KeyboardInterrupt injection).
+    # Signal handlers are only legal on the main thread; a caller on a
+    # worker thread sets args.stop_event (or injects KeyboardInterrupt).
+    stop = getattr(args, "stop_event", None) or threading.Event()
     if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, lambda *_: stop.set())
-    external = getattr(args, "stop_event", None)
     try:
-        if external is not None:
-            external.wait()
-        else:
-            stop.wait()
+        stop.wait()
     except KeyboardInterrupt:
         pass
     finally:
-        # Graceful: quiesce, flush replication, fsync WAL, final
-        # snapshot.  The loop is gone after it, so the core is ours.
+        # quiesce, flush replication, fsync the WAL, final checkpoint
         clean = server.graceful_stop()
-        if db_path is not None:
-            atomic_write(db_path, dump_database(server.core.state.database))
         suffix = "" if clean else " (quiesce or deposit flush timed out)"
         print(f"persisted and stopped{suffix}", file=out)
     return 0
@@ -377,22 +477,11 @@ def cmd_store_inspect(args, out) -> int:
     the remembered responses per user and the retained WAL segments.
     Read-only: safe to run against a live server's directory.
     """
+    from repro.net import wal
     from repro.net.wal import (
-        RETIRED_FILES,
-        SEGMENT_PREFIX,
-        SEGMENT_SUFFIX,
-        WAL_FILE,
-        _MANIFEST_FORMAT,
-        _MANIFEST_KEY,
-    )
+        SEGMENT_PREFIX, SEGMENT_SUFFIX, WAL_FILE, _MANIFEST_FORMAT, _MANIFEST_KEY)
     from repro.storage.engine import KIND_ENTRIES, KIND_LEAVES, KIND_NODES
-    from repro.storage.pagestore import (
-        FilePageStore,
-        SqlitePageStore,
-        StorageError,
-        open_page_store,
-        parse_records,
-    )
+    from repro.storage.pagestore import open_page_store, parse_records
     from repro.wire import decode as _decode, encode as _encode
 
     data_dir = args.data_dir
@@ -403,11 +492,7 @@ def cmd_store_inspect(args, out) -> int:
         path = os.path.join(data_dir, name)
         return os.path.getsize(path) if os.path.isfile(path) else None
 
-    for name, format_name in RETIRED_FILES.items():
-        if _file_size(name) is not None:
-            raise CliError(f"{name} is {format_name}, a format this build "
-                           "does not read")
-
+    _refuse_retired(data_dir, wal.RETIRED_FILES)
     wal_size = _file_size(WAL_FILE)
     if wal_size is not None:
         with open(os.path.join(data_dir, WAL_FILE), "rb") as handle:
@@ -417,9 +502,7 @@ def cmd_store_inspect(args, out) -> int:
         print(f"wal.log: {wal_size} bytes, {len(records)} record(s){torn}",
               file=out)
 
-    backend = next((name for name, kind in (("file", FilePageStore),
-                                            ("sqlite", SqlitePageStore))
-                    if _file_size(kind.FILE) is not None), None)
+    backend = _backend_of(data_dir)
     if backend is None:
         raise CliError(f"{data_dir!r} holds no page store")
     try:
@@ -570,22 +653,21 @@ def cmd_evidence_inspect(args, out) -> int:
 
 
 def cmd_trust(args, out) -> int:
+    """The author's anchor, read off the file (remotely, with no
+    connection); locally after the sync predicate held."""
     print(f"author      : {args.author}", file=out)
-    if args.remote:
-        # Read off the anchor, the file to hand to `repro sync`; no
-        # connection.  A zero initial_tag is "pinned to no genesis root".
-        path = _anchor_path(args.repo, args.author, args.remote)
-        print(f"anchor file : {path}", file=out)
-        registers = read_anchor(path) if os.path.isfile(path) else {}
-        for name, value in registers.items():
+    path = _anchor_path(args.repo, args.author, args.remote)
+    if not args.remote:
+        with Workspace(args.repo, args.author):
+            print("in sync     : yes -- one serial history explains every "
+                  "anchor in trust/", file=out)
+    print(f"anchor file : {path}", file=out)
+    # A zero initial_tag is "pinned to no genesis root".
+    registers = read_anchor(path) if os.path.isfile(path) else {}
+    for name, value in registers.items():
+        if value is not None:
             shown = value.hex() if isinstance(value, Digest) else value
             print(f"{name:12s}: {shown}", file=out)
-        return 0
-    workspace = Workspace(args.repo, args.author)
-    print(f"trust anchor: {workspace.client.root_digest.hex()}", file=out)
-    print(f"server root : {workspace.server.root_digest().hex()}", file=out)
-    match = workspace.client.root_digest == workspace.server.root_digest()
-    print(f"in sync     : {'yes' if match else 'NO - verify before trusting new data'}", file=out)
     return 0
 
 
@@ -593,29 +675,10 @@ def cmd_sync(args, out) -> int:
     """The register exchange Protocol II assumes, over anchor files the
     users hand each other out of the server's reach (Theorem 4.2);
     ``FORKED`` is exit 3 with a bundle ``evidence-inspect`` re-verifies."""
-    from repro.net import evidence
-    from repro.protocols.protocol2 import initial_state_tag, sync_check
-
-    genesis, registers = args.genesis, {}
-    pinned_here = initial_state_tag(genesis)
-    for path in args.anchors:
-        # An unusable input is refused by name, never folded into a verdict.
-        try:
-            anchor = read_anchor(path)
-        except IntegrityError as exc:
-            raise CliError(str(exc)) from exc
-        if anchor["initial_tag"] and anchor["initial_tag"] != pinned_here:
-            raise CliError(f"anchor {path!r} is pinned to another genesis root")
-        if anchor["user"] in registers:
-            raise CliError(f"two anchors of user {anchor['user']!r}")
-        registers[anchor["user"]] = {"sigma": anchor["sigma"], "last": anchor["last"]}
-    users = "the registers of " + ", ".join(sorted(registers))
-    if sync_check(genesis, registers):
+    users, bundle = sync_verdict(args.genesis, _read_anchors(args.anchors))
+    if bundle is None:
         print(f"CONSISTENT: one serial history explains {users}", file=out)
         return 0
-    bundle = evidence.write_bundle(
-        os.path.join(os.path.dirname(args.anchors[0]), "sync.evidence"),
-        evidence.sync_bundle(genesis, registers))
     print(f"FORKED: no serial history explains {users}", file=out)
     print(f"evidence bundle: {bundle}", file=out)
     return 3
@@ -628,11 +691,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-a", "--author", default=os.environ.get("USER", "anon"),
                         help="author identity (owns a trust anchor)")
     parser.add_argument("--remote", default=None, metavar="HOST:PORT",
-                        help="operate against a TCP server instead of the local snapshot")
+                        help="operate against a TCP server instead of the "
+                             "repository directory")
     commands = parser.add_subparsers(dest="command", required=True)
 
     init = commands.add_parser("init", help="create a repository")
     init.add_argument("repo_positional", nargs="?", default=None)
+    init.add_argument("--backend", choices=("file", "sqlite"), default="file",
+                      help="page store under the repository's checkpoints: "
+                           "'file' appends to pages.log, 'sqlite' commits "
+                           "to pages.db")
     init.set_defaults(handler=cmd_init)
 
     commit = commands.add_parser("commit", help="commit a file")
@@ -711,11 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser("serve", help="host the repository over TCP")
     serve.add_argument("-p", "--port", type=int, default=7117)
-    serve.add_argument("--durable", action="store_true",
-                       help="write-ahead log + checkpoints under "
-                            "REPO/server/: crashes lose no acknowledged write")
     serve.add_argument("--snapshot-every", type=int, default=256,
-                       help="ops between checkpoints in --durable mode")
+                       help="ops between checkpoints")
     serve.add_argument("--batch-max", type=int, default=64,
                        help="max ops per drainer batch (one group commit, "
                             "one root pass, one Protocol I signing run)")
@@ -730,11 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replicate-to", default=None, metavar="H:P,...",
                        help="primary mode: deposit every signed root with "
                             "these witness endpoints")
-    serve.add_argument("--backend", choices=("file", "sqlite"),
-                       default="file",
-                       help="page store under the incremental checkpoint: "
-                            "'file' appends to pages.log, 'sqlite' commits "
-                            "to pages.db (requires --durable)")
     serve.set_defaults(handler=cmd_serve)
 
     store_inspect = commands.add_parser(
@@ -780,7 +840,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (CliError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=out)
         return 2
-    except (ProofError, IntegrityError) as exc:
+    except IntegrityError as exc:
         print("INTEGRITY VIOLATION: the repository does not verify against "
               f"your trust anchor: {exc}", file=out)
         if getattr(exc, "evidence_path", None):

@@ -12,9 +12,9 @@ and a client that checks everything and keeps only a root digest.
   *trusted* answer or raises.  Given a :class:`CvsServer` that is the
   Section 4.1 single-user loop, in process: verify VO, advance the
   tracked root, :class:`~repro.mtree.proofs.ProofError` on any server
-  misbehaviour.  Given a :class:`~repro.net.client.RemoteClient` the
-  verbs run Protocol II over TCP (``repro --remote``) -- one tracked
-  root cannot tell a second honest writer from a fork.
+  misbehaviour.  Given a Protocol II session (``repro``'s local verbs,
+  or a :class:`~repro.net.client.RemoteClient` over TCP) they run
+  Protocol II: one tracked root cannot tell a second writer from a fork.
 
 Simulated multi-user deployments are built with
 :mod:`repro.core.scenarios` instead.
@@ -51,13 +51,6 @@ class CvsServer:
     def __init__(self, order: int = 8, shards: int = 1) -> None:
         self._database = VerifiedDatabase(order=order, shards=shards)
 
-    @classmethod
-    def adopt(cls, database: VerifiedDatabase) -> "CvsServer":
-        """A server over an existing (loaded) database, as is."""
-        self = cls.__new__(cls)
-        self._database = database
-        return self
-
     @property
     def database(self) -> VerifiedDatabase:
         return self._database
@@ -85,10 +78,9 @@ class _TrackedRoot:
     """Section 4.1's single-user loop around an in-process server: ask,
     reduce the VO against the tracked root, advance it."""
 
-    def __init__(self, server: CvsServer, trusted_root: Digest | None) -> None:
+    def __init__(self, server: CvsServer) -> None:
         self._server = server
-        initial = trusted_root if trusted_root is not None else server.root_digest()
-        self._verifier = ClientVerifier(initial, order=server.spec)
+        self._verifier = ClientVerifier(server.root_digest(), order=server.spec)
 
     @property
     def root_digest(self) -> Digest:
@@ -101,18 +93,15 @@ class _TrackedRoot:
 class CvsClient:
     """The CVS verbs over a verifying session.
 
-    ``server`` is a :class:`CvsServer` -- the client then keeps one
-    digest and checks every answer against it in process;
-    ``trusted_root`` pins it to a previously verified root (e.g. one
-    persisted across sessions), by default it adopts the server's
-    current root, trust-on-first-use -- or any session whose
-    ``execute(query)`` returns the trusted answer, such as a
-    :class:`~repro.net.client.RemoteClient`.
+    ``server`` is a :class:`CvsServer` -- the client then adopts its
+    current root and checks every answer against it in process -- or
+    any session whose ``execute(query)`` returns the trusted answer,
+    such as a :class:`~repro.net.client.RemoteClient`.
     """
 
-    def __init__(self, server, author: str, trusted_root: Digest | None = None) -> None:
-        self._session = (_TrackedRoot(server, trusted_root)
-                         if isinstance(server, CvsServer) else server)
+    def __init__(self, server, author: str) -> None:
+        self._session = (_TrackedRoot(server) if isinstance(server, CvsServer)
+                         else server)
         self.author = author
         self._logical_time = 0
 

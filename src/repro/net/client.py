@@ -33,8 +33,8 @@ two rules of its own:
 :func:`sync_check` / :func:`count_sync_check` are the protocols' own
 synchronisation predicates over registers the users exchange on a
 channel the server does not control.  The Protocol II trust anchor can
-be persisted to a file so a restarted *client* resumes where it left
-off.
+be persisted to a file (:func:`write_anchor`) so a restarted *client*
+resumes where it left off (:func:`protocol2_core`).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from repro.protocols.protocol1 import SignedRootChain, count_sync_check
 from repro.protocols.protocol2 import (
     XorRegisters, initial_state_tag, sync_check)
 from repro.protocols.verify import register
-from repro.wire import WireError
+from repro.wire import WireError, decode, encode
 
 #: default socket timeouts -- a hung server must not block a client
 #: forever; the timeout surfaces as a retryable failure instead.
@@ -411,7 +411,8 @@ class _Session:
                 self._ops_since_quorum = 0
                 self.quorum.check()
         if self._anchor_path is not None:
-            self.save_anchor()
+            write_anchor(self._anchor_path,
+                         {**self.core.snapshot(), "user": self.user_id})
         return answer
 
     # -- witness quorum -----------------------------------------------------
@@ -460,10 +461,26 @@ _ANCHOR_FIELDS = {
     "nonce": str}
 
 
+def write_anchor(path: str, fields: dict) -> None:
+    """Persist a Protocol II trust anchor -- the client's entire defence
+    against a forking server -- with :func:`atomic_write`: the one
+    writer, beside :func:`read_anchor`.  ``fields`` holds
+    :data:`_ANCHOR_FIELDS` and, optionally, ``pending``: the request in
+    flight, written last as its wire bytes in hex."""
+    values = [(name, fields[name]) for name in _ANCHOR_FIELDS]
+    if fields.get("pending") is not None:
+        values.append(("pending", encode(fields["pending"])))
+    lines = [_ANCHOR_MAGIC] + [
+        f"{name} {value.hex() if isinstance(value, (Digest, bytes)) else value}"
+        for name, value in values]
+    atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+
+
 def read_anchor(path: str) -> dict:
     """Parse a persisted Protocol II trust anchor, defensively: the one
     reader, for the session that resumes from the file and for
     ``repro sync``, which evaluates the predicate over several.
+    ``pending`` is the recorded request in flight, or ``None``.
 
     The anchor file is the client's root of trust; a corrupted or
     truncated one must be rejected with an explicit
@@ -493,12 +510,43 @@ def read_anchor(path: str) -> dict:
             corrupt(f"malformed field line {line!r}")
         fields[name] = value
     try:
-        return {name: parse(fields[name])
-                for name, parse in _ANCHOR_FIELDS.items()}
+        anchor = {name: parse(fields[name])
+                  for name, parse in _ANCHOR_FIELDS.items()}
+        anchor["pending"] = pending = (decode(bytes.fromhex(fields["pending"]))
+                                       if "pending" in fields else None)
+        if pending is not None and not isinstance(pending, Request):
+            corrupt("the pending field is not a request")
+        return anchor
     except KeyError as exc:
         corrupt(f"missing field {exc.args[0]!r}", exc)
-    except ValueError as exc:
+    except (ValueError, WireError) as exc:
         corrupt(f"unparseable field value ({exc})", exc)
+
+
+def protocol2_core(user_id: str, order: "int | StoreSpec" = 8,
+                   initial_root: Digest | None = None,
+                   anchor_path: str | None = None,
+                   quorum=None) -> SessionCore:
+    """One user's Protocol II session core, resumed from the anchor at
+    ``anchor_path`` if there is one, its recorded request back in
+    flight.  An anchor of another user is a caller mix-up, not
+    corruption: ``ValueError``."""
+    # The per-session nonce keeps a new session's request ids apart
+    # from an old session's still in the server's dedup window; the
+    # anchor persists it, so a resumed process keeps deduping its own
+    # in-flight retries.
+    core = SessionCore(
+        user_id, XorRegisters(user_id, order), order, protocol="II",
+        nonce=os.urandom(4).hex(), quorum=quorum,
+        initial_tag=(Digest.zero() if initial_root is None
+                     else initial_state_tag(initial_root)))
+    if anchor_path is not None and os.path.isfile(anchor_path):
+        anchor = read_anchor(anchor_path)
+        if anchor["user"] != user_id:
+            raise ValueError(
+                f"anchor belongs to {anchor['user']!r}, not {user_id!r}")
+        core.restore(anchor, [anchor["pending"]] if anchor["pending"] else [])
+    return core
 
 
 class RemoteClient(_Session):
@@ -547,59 +595,21 @@ class RemoteClient(_Session):
                 endpoints = list(host)
             else:
                 endpoints = [(host, port)]
-        # The per-session nonce keeps a new session's request ids apart
-        # from an old session's still in the server's dedup window; the
-        # anchor persists it, so a resumed process keeps deduping its
-        # own in-flight retries.
-        core = SessionCore(
-            user_id, XorRegisters(user_id, order), order, protocol="II",
-            nonce=os.urandom(4).hex(), quorum=quorum,
-            initial_tag=(Digest.zero() if initial_root is None
-                         else initial_state_tag(initial_root)))
+        core = protocol2_core(user_id, order, initial_root, anchor_path,
+                              quorum)
         super().__init__(endpoints, core, window, retry or RetryPolicy(),
                          connect_timeout, op_timeout, evidence_dir,
                          quorum_every)
         self._anchor_path = anchor_path
-        if anchor_path is not None and os.path.isfile(anchor_path):
-            self._load_anchor()
         # The first connect, under the same retry budget as every other
         # transport failure: a server mid-restart must not kill client
         # construction with a raw OSError.
         self._exchange(read=False)
 
-    # -- anchor persistence -------------------------------------------------
-
-    def _load_anchor(self) -> None:
-        """Resume from :func:`read_anchor`'s fields.  An anchor that
-        parses fine but names a *different* user is a caller mix-up,
-        not corruption: that is ``ValueError``."""
-        anchor = read_anchor(self._anchor_path)
-        if anchor["user"] != self.user_id:
-            raise ValueError(
-                f"anchor belongs to {anchor['user']!r}, not {self.user_id!r}")
-        self.core.restore(anchor)
-
     @property
     def operations(self) -> int:
         """Operations this session verified (an anchor carries them)."""
         return self.core.operations
-
-    def save_anchor(self) -> None:
-        """Persist the trust anchor atomically and durably.
-
-        The anchor is the client's entire defence against a forking
-        server; it gets the full tmp + fsync + rename + dir-fsync
-        sequence so a crash can never leave a torn or resurrected-stale
-        anchor behind.
-        """
-        if self._anchor_path is None:
-            return
-        fields = {**self.core.snapshot(), "user": self.user_id}
-        lines = [_ANCHOR_MAGIC] + [
-            f"{name} {value.hex() if isinstance(value, Digest) else value}"
-            for name, value in ((name, fields[name]) for name in _ANCHOR_FIELDS)]
-        atomic_write(self._anchor_path,
-                     ("\n".join(lines) + "\n").encode("ascii"))
 
     def registers(self) -> dict:
         """This user's contribution to a sync check."""

@@ -111,6 +111,12 @@ class DedupTable:
         while len(entries) > self.window:
             entries.popitem(last=False)
 
+    def forget(self, user_id: str, prefix: str) -> None:
+        """Drop the responses whose request ids start with ``prefix``."""
+        entries = self._users.get(user_id, {})
+        for rid in [rid for rid in entries if rid.startswith(prefix)]:
+            del entries[rid]
+
     def export(self) -> dict[str, list[tuple[str, Response]]]:
         """Snapshot-serialisable form: user -> ordered (rid, response)."""
         return {user: list(entries.items())

@@ -8,9 +8,10 @@ once: the window of in-flight operations, the request ids
 signer, and the evidence of a detection.  It reads no socket, clock or
 random source; its callers hand it each message and send what it hands
 back: the TCP sessions (:mod:`repro.net.client`), the simulator's
-Protocol I/II users (:mod:`repro.protocols.syncbase`) and
+Protocol I/II users (:mod:`repro.protocols.syncbase`),
 :func:`repro.net.evidence.reverify`, which restores a bundle's recorded
-state and request and receives its recorded response.
+state and request and receives its recorded response, and
+:class:`InlineSession`, the command line's local verbs' in-process driver.
 
 :meth:`SessionCore.receive` takes the oldest in-flight operation out of
 the window and judges the message as its answer, in this order:
@@ -108,9 +109,13 @@ class SessionCore:
         self.seq = 0
         self.operations = 0
 
+    @property
+    def rid_prefix(self) -> str:
+        return f"{self.user_id}:{self.nonce}:"
+
     def rid(self, seq: int) -> str:
         """The request id of operation ``seq``."""
-        return f"{self.user_id}:{self.nonce}:{seq}"
+        return f"{self.rid_prefix}{seq}"
 
     def submit(self, query: Query, extras: dict | None = None) -> Request:
         """Put one operation in flight; returns the request to send.
@@ -212,3 +217,69 @@ class SessionCore:
         self.seq = int(snapshot.get("seq", self.seq))
         self.nonce = snapshot.get("nonce", self.nonce)
         self.inflight = deque((request.query, request) for request in inflight)
+
+
+class InlineSession:
+    """A session core and a server core in one process: no socket.
+
+    Each window goes to ``server.apply_batch`` (a
+    :class:`~repro.net.core.ServerCore`, by duck typing) as one batch,
+    each answer through :meth:`SessionCore.receive`.  ``anchor`` is told
+    each window's requests before they reach the server, and by
+    :meth:`close` the last answers; each time, the dedup table forgets
+    the session's answers: none is asked for again.
+    """
+
+    def __init__(self, server, core: SessionCore, anchor=None) -> None:
+        self.server, self.core = server, core
+        self.anchor = anchor or (lambda requests: None)
+        self._untold = False  # answers taken since the anchor was told
+
+    def execute(self, query: Query) -> object:
+        return self.window([query])[0]
+
+    def window(self, queries) -> list:
+        for query in queries:
+            self.core.submit(query)
+        requests = [request for _query, request in self.core.inflight]
+        self._tell(requests)
+        return self._take(self.server.apply_batch(
+            [(self.core.user_id, request) for request in requests]))
+
+    def resume(self) -> list:
+        """Take the answers the dedup table holds for a restored
+        anchor's requests in flight, executing none: the server logs a
+        batch in order, so the rest never reached it and are dropped."""
+        if not self.core.inflight:
+            return []
+        remembered = []
+        for _query, request in self.core.inflight:
+            response = self.server.dedup.lookup(self.core.user_id,
+                                                request.extras.get("rid"))
+            if response is None:
+                break
+            remembered.append(response)
+        while len(self.core.inflight) > len(remembered):
+            self.core.inflight.pop()
+        answers = self._take(remembered)
+        self._tell([])
+        return answers
+
+    def close(self) -> None:
+        if self._untold and not self.core.inflight:
+            self._tell([])
+
+    def _tell(self, requests: list[Request]) -> None:
+        self.anchor(requests)
+        self._untold = False
+        self.server.dedup.forget(self.core.user_id, self.core.rid_prefix)
+
+    def _take(self, responses: list) -> list:
+        answers = []
+        for response in responses:
+            self._untold = True  # the operation leaves the window, answered or not
+            answer, followup = self.core.receive(response)
+            if followup is not None:
+                self.server.apply_followup(self.core.user_id, followup)
+            answers.append(answer)
+        return answers

@@ -645,10 +645,12 @@ class ServerStore:
             shard_trees.append(tree)
 
         # The top tree is not persisted at all: its shape is a function
-        # of the shard count, so it is rebuilt from the verified shard
-        # roots (exactly as :func:`~repro.mtree.persistence.load_forest`
-        # does).
-        database = VerifiedDatabase.from_mtree(merkle_store(spec, shard_trees))
+        # of the shard count, so it is rebuilt from the verified shards.
+        try:
+            database = VerifiedDatabase.from_mtree(
+                merkle_store(spec, shard_trees))
+        except ValueError as exc:
+            raise WalError(f"corrupt checkpoint manifest: {exc}") from exc
         if database.root_digest() != root:
             raise WalError(
                 "checkpoint shards do not hash to the manifest's top root")

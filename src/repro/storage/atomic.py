@@ -81,12 +81,12 @@ def atomic_write(path: str, data: bytes, fsync: bool = True, io=None) -> None:
 class DirLock:
     """An ``flock``-based exclusive lock on a data directory.
 
-    Two servers pointed at the same ``data_dir`` would interleave WAL
-    appends and corrupt the hash chain; the second opener must fail
-    loudly instead.  The lock file records the owning pid so the error
-    message can name the conflicting process.  The lock is released by
-    :meth:`release` or automatically when the process exits (flock
-    semantics), so a crashed server never wedges its directory.
+    Two writers on one ``data_dir`` (servers, local commands) would
+    interleave WAL appends and corrupt the hash chain; the second opener
+    must fail loudly instead.  The lock file records the owning pid so
+    the error message can name the conflicting process.  The lock is
+    released by :meth:`release` or automatically when the process exits
+    (flock semantics), so a crashed server never wedges its directory.
     """
 
     LOCK_FILE = "data.lock"
@@ -105,7 +105,7 @@ class DirLock:
             self._handle = None
             raise LockError(
                 f"data directory {data_dir!r} is already locked by another "
-                f"server ({owner}); two servers must never share a WAL"
+                f"process ({owner}); two writers must never share a WAL"
             ) from exc
         self._handle.seek(0)
         self._handle.truncate()

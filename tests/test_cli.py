@@ -1,11 +1,20 @@
-"""Tests for the command-line client (trust anchors on disk)."""
+"""Tests for the command-line client (trust anchors on disk).
 
+A local verb runs the author's Protocol II session against the
+repository's own server core, in process, and evaluates the sync
+predicate over every anchor in ``REPO/trust/`` after each operation.
+"""
+
+import contextlib
 import io
 import os
+import re
+import shutil
+import threading
 
 import pytest
 
-from repro.cli import main
+from repro.cli import Workspace, build_parser, cmd_serve, main
 
 
 def run(argv, expect=0):
@@ -39,7 +48,12 @@ class TestInit:
         repo_dir = str(tmp_path / "new")
         text = run(["init", repo_dir])
         assert "initialised" in text
-        assert os.path.isfile(os.path.join(repo_dir, "db.snapshot"))
+        assert os.path.isfile(os.path.join(repo_dir, "server", "pages.log"))
+        sqlite_dir = str(tmp_path / "sqlite")
+        assert "(sqlite store)" in run(["init", sqlite_dir, "--backend", "sqlite"])
+        assert os.path.isfile(os.path.join(sqlite_dir, "server", "pages.db"))
+        commit(sqlite_dir, "f.txt", "on sqlite\n")
+        assert run(["-R", sqlite_dir, "checkout", "f.txt"]) == "on sqlite\n"
 
     def test_double_init_fails(self, repo):
         text = run(["init", repo], expect=2)
@@ -102,59 +116,244 @@ class TestTrustAnchor:
         # a fresh process (new Workspace) keeps verifying
         out = run(["-R", repo, "checkout", "f.txt"])
         assert out == "session 1\n"
-        anchor = os.path.join(repo, "trust", "alice.digest")
-        assert os.path.isfile(anchor)
+        anchor = os.path.join(repo, "trust", "alice.anchor")
+        assert open(anchor).readline() == "client-anchor 1\n"
 
-    def test_offline_tampering_detected(self, repo):
-        """Rewrite the snapshot behind the client's back: the next
-        command must refuse with an integrity violation."""
+    def test_offline_tampering_detected(self, repo, tmp_path):
+        """Swap a doctored, well-formed repository in behind the
+        client's back: the next command must refuse with an integrity
+        violation."""
         commit(repo, "secret.txt", "the truth\n")
         run(["-R", repo, "checkout", "secret.txt"])  # anchor now set
 
         # the server operator swaps in a doctored repository
-        from repro.core.facade import CvsClient, CvsServer
-        from repro.mtree.persistence import dump_database
-
-        doctored = CvsServer()
-        evil_client = CvsClient(doctored, author="mallory")
-        evil_client.commit("secret.txt", ["the lie"], "tampered")
-        with open(os.path.join(repo, "db.snapshot"), "wb") as handle:
-            handle.write(dump_database(doctored.database))
+        doctored = str(tmp_path / "doctored")
+        run(["init", doctored])
+        commit(doctored, "secret.txt", "the lie\n", "tampered", author="mallory")
+        shutil.rmtree(os.path.join(repo, "server"))
+        shutil.copytree(os.path.join(doctored, "server"),
+                        os.path.join(repo, "server"))
 
         text = run(["-R", repo, "checkout", "secret.txt"], expect=3)
         assert "INTEGRITY VIOLATION" in text
 
-    @pytest.mark.parametrize("victim", ["db.snapshot", "alice.digest"])
-    def test_a_crash_mid_save_leaves_the_old_file_whole(self, repo, victim,
-                                                        monkeypatch):
-        """The repository file and the anchor are replaced by rename: a
-        write that dies before it leaves the previous contents, so the
-        next command still verifies (a bare ``open(..., "w")`` would
-        have left a torn file -- or, for the anchor, an empty one)."""
+    def test_a_byte_flip_in_the_store_is_a_named_refusal(self, repo):
+        """Rot is not a verdict on the server: the store refuses itself
+        by name, exit 2."""
         commit(repo, "f.txt", "v1\n")
-        real_replace = os.replace
+        pages = os.path.join(repo, "server", "pages.log")
+        blob = bytearray(open(pages, "rb").read())
+        blob[-3] ^= 0x40  # inside the last checkpoint's manifest
+        open(pages, "wb").write(bytes(blob))
+        text = run(["-R", repo, "checkout", "f.txt"], expect=2)
+        assert "cannot be opened" in text
 
-        def dying_replace(source, target):
-            if os.path.basename(target) == victim:
-                raise KeyboardInterrupt("power cut before the rename")
-            real_replace(source, target)
+    @pytest.mark.parametrize("crash", ["before-the-core", "after-the-core"])
+    def test_a_crash_mid_operation_is_resumed(self, repo, crash, monkeypatch):
+        """The anchor records the request before it reaches the core and
+        drops it once the answer is absorbed.  A command that dies in
+        between -- here once the core logged and executed the write, or
+        before it saw it -- leaves the request on record: the next
+        command looks it up in the dedup table, takes the answer of an
+        executed one, drops one that never executed, and verifies."""
+        from repro.mtree.database import WriteQuery
+        from repro.net.core import ServerCore
 
-        monkeypatch.setattr(os, "replace", dying_replace)
+        commit(repo, "f.txt", "v1\n")
+        real = ServerCore.apply_batch
+
+        def power_cut(core, batch):
+            if isinstance(batch[0][1].query, WriteQuery):
+                if crash == "after-the-core":
+                    real(core, batch)
+                raise KeyboardInterrupt("power cut")
+            return real(core, batch)
+
+        monkeypatch.setattr(ServerCore, "apply_batch", power_cut)
         with pytest.raises(KeyboardInterrupt):
             commit(repo, "f.txt", "v2\n")
         monkeypatch.undo()
-        checkout = ["-R", repo, "-a", "alice", "checkout", "f.txt"]
-        if victim == "db.snapshot":  # neither file moved: still at v1
-            assert run(checkout) == "v1\n"
-        else:  # the snapshot moved on, the anchor did not: refused, not torn
-            assert "INTEGRITY VIOLATION" in run(checkout, expect=3)
+        anchor = os.path.join(repo, "trust", "alice.anchor")
+        assert "\npending " in open(anchor).read()
+        genesis = run(["init", os.path.join(repo, "empty")]).split()[-1]
+        assert "in flight" in run(["sync", genesis, anchor], expect=2)
+        # another author's command settles alice's request first
+        executed = crash == "after-the-core"
+        assert run(["-R", repo, "-a", "bob", "checkout", "f.txt"]) \
+            == ("v2\n" if executed else "v1\n")
+        assert "pending" not in open(anchor).read()
+        assert ("1.2" in run(["-R", repo, "-a", "alice", "log", "f.txt"])) \
+            == executed
+
+    def test_a_foreign_anchor_that_does_not_parse_is_refused_by_name(self, repo):
+        """A bad file in trust/ is a local fault, exit 2 naming it: never
+        a verdict on the repository."""
+        commit(repo, "f.txt", "x\n")
+        torn = os.path.join(repo, "trust", "mallory.anchor")
+        with open(torn, "w") as handle:
+            handle.write("client-anchor 1\nuser mallory\n")
+        text = run(["-R", repo, "ls"], expect=2)
+        assert torn in text and "corrupted or truncated" in text
+        assert "INTEGRITY VIOLATION" not in text
+        os.unlink(torn)
+        assert run(["-R", repo, "ls"]) == "f.txt\n"
 
     def test_separate_authors_separate_anchors(self, repo):
+        """Two local authors interleaving never alarm, and the anchors
+        they leave in trust/ are the register exchange `repro sync`
+        evaluates."""
+        for author, content in (("alice", "a\n"), ("bob", "b\n"), ("alice", "c\n")):
+            commit(repo, "f.txt", content, author=author)
+        assert run(["-R", repo, "-a", "bob", "checkout", "f.txt"]) == "c\n"
+        trust = os.path.join(repo, "trust")
+        assert sorted(os.listdir(trust)) == ["alice.anchor", "bob.anchor"]
+        genesis = run(["init", os.path.join(repo, "empty")]).split()[-1]
+        text = run(["sync", genesis, os.path.join(trust, "alice.anchor"),
+                    os.path.join(trust, "bob.anchor")])
+        assert text.startswith("CONSISTENT: one serial history explains "
+                               "the registers of alice, bob")
+
+    def test_an_anchor_kept_elsewhere_fails_the_sync_check(self, repo, tmp_path):
+        """An author whose anchor is not in trust/ leaves operations no
+        anchor there explains: exit 3 with a sync bundle, until it is
+        handed in."""
         commit(repo, "f.txt", "x\n", author="alice")
-        # bob joins later: trust-on-first-use at the current root
-        out = run(["-R", repo, "-a", "bob", "checkout", "f.txt"])
-        assert out == "x\n"
-        assert os.path.isfile(os.path.join(repo, "trust", "bob.digest"))
+        elsewhere = str(tmp_path / "alice.anchor")
+        shutil.move(os.path.join(repo, "trust", "alice.anchor"), elsewhere)
+        text = run(["-R", repo, "-a", "bob", "ls"], expect=3)
+        assert "no serial history explains the registers of bob" in text
+        assert "sync.evidence" in text
+        shutil.move(elsewhere, os.path.join(repo, "trust", "alice.anchor"))
+        assert run(["-R", repo, "-a", "bob", "ls"]) == "f.txt\n"
+
+
+@contextlib.contextmanager
+def serving(repo):
+    """``repro serve`` on ``repo`` in a thread: yields its ``HOST:PORT``
+    and output, and stops it on exit."""
+    args = build_parser().parse_args(["-R", repo, "serve", "-p", "0"])
+    args.stop_event = threading.Event()
+    out = io.StringIO()
+    thread = threading.Thread(target=cmd_serve, args=(args, out))
+    thread.start()
+    try:
+        for _ in range(200):
+            if "serving" in out.getvalue():
+                break
+            threading.Event().wait(0.05)
+        yield re.search(r" on (\S+:\d+),", out.getvalue()).group(1), out
+    finally:
+        args.stop_event.set()
+        thread.join(timeout=30)
+    assert "persisted and stopped" in out.getvalue()
+
+
+def remote_commit(client_dir, remote, author, path, content):
+    os.makedirs(client_dir, exist_ok=True)
+    source = os.path.join(client_dir, "content.txt")
+    with open(source, "w") as handle:
+        handle.write(content)
+    return run(["-R", client_dir, "--remote", remote, "-a", author,
+                "commit", path, "-m", "remote", "--file", source])
+
+
+def hand_in(client_dir, repo):
+    """The anchors a remote author kept, copied into the repository's
+    trust/ (the users' broadcast channel)."""
+    trust = os.path.join(client_dir, "trust")
+    for name in os.listdir(trust):
+        if name.endswith(".anchor"):
+            shutil.copy(os.path.join(trust, name), os.path.join(repo, "trust"))
+
+
+class TestOneRepository:
+    """``REPO/server/`` is the only copy of the repository: a local
+    command opens it under the lock ``serve`` holds."""
+
+    def test_local_commit_while_serving_is_refused(self, repo, tmp_path):
+        commit(repo, "f.txt", "v1\n")
+        with serving(repo):
+            try:
+                text = commit(repo, "f.txt", "v2\n", tmp_dir=str(tmp_path))
+            except AssertionError as exc:
+                text = str(exc)
+        assert "cannot be opened" in text and "already locked" in text
+        # nothing acked was lost, nothing accused
+        assert run(["-R", repo, "checkout", "f.txt"]) == "v1\n"
+        assert "1.1" in run(["-R", repo, "log", "f.txt"])
+
+    def test_a_request_that_never_reached_the_core_is_never_run_late(
+            self, repo, tmp_path, monkeypatch):
+        """A command dies before its write reaches the core; the
+        repository is then served and another author commits over TCP.
+        The dead command's request is dropped when its author next runs
+        a command, never executed over the remote commit."""
+        from repro.mtree.database import WriteQuery
+        from repro.net.core import ServerCore
+
+        commit(repo, "f.txt", "v1\n")
+        real = ServerCore.apply_batch
+
+        def power_cut(core, batch):
+            if isinstance(batch[0][1].query, WriteQuery):
+                raise KeyboardInterrupt("power cut")
+            return real(core, batch)
+
+        monkeypatch.setattr(ServerCore, "apply_batch", power_cut)
+        with pytest.raises(KeyboardInterrupt):
+            commit(repo, "f.txt", "stale\n")
+        monkeypatch.undo()
+        client_dir = str(tmp_path / "bob")
+        with serving(repo) as (remote, _out):
+            assert "committed f.txt 1.2" in remote_commit(
+                client_dir, remote, "bob", "f.txt", "by bob\n")
+        hand_in(client_dir, repo)
+        assert run(["-R", repo, "-a", "alice", "checkout", "f.txt"]) == "by bob\n"
+        log = run(["-R", repo, "-a", "alice", "log", "f.txt"])
+        assert "1.2  bob" in log and "1.3" not in log
+
+    def test_one_author_local_and_remote(self, repo, tmp_path):
+        """An author who works both locally and ``--remote`` holds two
+        sessions, two anchors: once both are in trust/, local mode
+        verifies."""
+        commit(repo, "f.txt", "local\n")
+        client_dir = str(tmp_path / "alice")
+        with serving(repo) as (remote, _out):
+            remote_commit(client_dir, remote, "alice", "f.txt", "remote\n")
+        text = run(["-R", repo, "-a", "alice", "ls"], expect=3)
+        assert "no serial history explains the registers of alice" in text
+        hand_in(client_dir, repo)
+        assert run(["-R", repo, "-a", "alice", "checkout", "f.txt"]) == "remote\n"
+        commit(repo, "f.txt", "local again\n")
+        assert run(["-R", repo, "-a", "bob", "log", "f.txt"]).count("alice") == 3
+
+    def test_a_failed_checkpoint_loses_nothing(self, repo, monkeypatch):
+        """A local command checkpoints the store every
+        ``CHECKPOINT_EVERY`` operations; a full disk there is
+        survivable: the WAL holds the command's operations."""
+        from repro.net.core import ServerCore
+
+        def full_disk(core):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.cli.CHECKPOINT_EVERY", 1)
+        monkeypatch.setattr(ServerCore, "snapshot", full_disk)
+        assert "committed f.txt 1.1" in commit(repo, "f.txt", "v1\n")
+        monkeypatch.undo()
+        assert run(["-R", repo, "checkout", "f.txt"]) == "v1\n"
+
+    def test_two_local_commands_at_once(self, repo):
+        with Workspace(repo, "alice"):
+            text = run(["-R", repo, "-a", "bob", "ls"], expect=2)
+        assert "already locked" in text
+        assert run(["-R", repo, "-a", "bob", "ls"]) == ""
+
+    @pytest.mark.parametrize("name", ["db.snapshot", "trust/alice.digest"])
+    def test_an_older_repository_is_refused_by_name(self, repo, name):
+        with open(os.path.join(repo, name), "w") as handle:
+            handle.write("from an older build\n")
+        text = run(["-R", repo, "ls"], expect=2)
+        assert name.split("/")[-1] in text and "does not read" in text
 
 
 class TestObsReport:

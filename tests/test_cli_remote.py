@@ -11,6 +11,7 @@ re-verifies offline, and a flaky link is exit 2, never a verdict.
 import io
 import os
 import re
+import shutil
 import socket
 import struct
 import threading
@@ -20,7 +21,6 @@ import pytest
 from repro.cli import main
 from repro.crypto.hashing import hash_bytes
 from repro.mtree.database import VerifiedDatabase
-from repro.mtree.persistence import dump_database, load_database
 from repro.net import (
     ChaosConfig, ChaosProxy, RemoteClient, evidence, serve_in_thread)
 from repro.protocols.base import DeviationDetected
@@ -377,25 +377,22 @@ class TestServerRestart:
 
 class TestServeRoundtrip:
     def test_served_repository_persists(self, tmp_path):
-        """The serve machinery end to end: init a repo on disk, host its
-        database, mutate over TCP, persist, reload -- the snapshot holds
-        the remote commits and reloads to the same root."""
+        """The serve machinery end to end: init a repo on disk, serve its
+        store, mutate over TCP, stop -- local mode then reads the remote
+        commit off the same store, fully verified once the remote
+        author's anchor is handed in."""
         repo = str(tmp_path / "repo")
         run(["init", repo])
-        with open(os.path.join(repo, "db.snapshot"), "rb") as handle:
-            database = load_database(handle.read())
-        server = serve_in_thread(database=database)
+        server = serve_in_thread(data_dir=os.path.join(repo, "server"),
+                                 lock=True)
         try:
             client_dir = str(tmp_path / "client")
             os.makedirs(client_dir)
             commit_remote(client_dir, remote_of(server), "f.txt", "persist me\n")
-            snapshot = server.with_core(
-                lambda core: dump_database(core.state.database))
         finally:
-            server.stop()
-        with open(os.path.join(repo, "db.snapshot"), "wb") as handle:
-            handle.write(snapshot)
-        # local mode now sees the remote commit, fully verified
+            server.graceful_stop()
+        for path in anchors(client_dir):
+            shutil.copy(path, os.path.join(repo, "trust"))
         out = run(["-R", repo, "checkout", "f.txt"])
         assert out == "persist me\n"
         text = run(["-R", repo, "checkout", "ghost.c"], expect=2)

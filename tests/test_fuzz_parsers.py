@@ -8,7 +8,11 @@ from dataclasses import fields, is_dataclass
 import pytest
 
 from repro.mtree.database import VerifiedDatabase, WriteQuery, ReadQuery
-from repro.mtree.persistence import PersistenceError, dump_database, load_database
+from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.persistence import (
+    PersistenceError, leaf_page_lines, load_tree_stream, parse_leaf_page,
+    tree_stream_lines)
+from repro.storage.engine import _page_lines
 from repro.storage.rcs import RcsError, RevisionStore
 from repro.wire import WireError, decode, encode
 
@@ -61,20 +65,62 @@ class TestRcsFuzz:
 
 
 class TestSnapshotFuzz:
-    def test_corrupted_snapshots_never_crash(self):
-        db = VerifiedDatabase(order=4)
-        for i in range(25):
-            db.execute(WriteQuery(f"k{i:02d}".encode(), f"v{i}".encode()))
-        blob = dump_database(db)
-        for mutated in mutations(blob, seed=2):
-            try:
-                restored = load_database(mutated)
-            except (PersistenceError, UnicodeDecodeError, ValueError, AssertionError):
-                continue
-            # survivors must be structurally valid trees
-            restored.mtree.check_invariants()
-            restored.root_digest()
+    """The paged store's two parsers: a shard's ``nodes`` stream
+    (:func:`load_tree_stream`) and a leaf page (:func:`parse_leaf_page`),
+    each fed mutated bytes as :mod:`repro.storage.engine` reads them."""
 
+    def _pages(self):
+        tree = MerkleBPlusTree(order=4)
+        for i in range(25):
+            tree.insert(f"k{i:02d}".encode(), f"v{i}".encode())
+        pages, leaves = {}, []
+
+        def place_leaf(leaf):
+            refs = []
+            for value in leaf.values:
+                pages[len(pages)] = value
+                refs.append((len(pages) - 1, 0))
+            leaves.append(len(pages))
+            pages[len(pages)] = "".join(
+                line + "\n" for line in leaf_page_lines(leaf.keys, refs)
+            ).encode("ascii")
+            return leaves[-1], 0
+
+        nodes = "".join(line + "\n" for line in
+                        tree_stream_lines(tree.tree, place_leaf))
+        return nodes.encode("ascii"), pages, leaves
+
+    @staticmethod
+    def _load(nodes: bytes, pages: dict):
+        def read_leaf(page, gen):
+            if page not in pages:
+                raise PersistenceError(f"page {page} is missing")
+            keys, refs = parse_leaf_page(_page_lines(pages[page]))
+            for key, (value_page, _gen) in zip(keys, refs):
+                if value_page not in pages:
+                    raise PersistenceError(f"page {value_page} is missing")
+                yield key, pages[value_page]
+
+        return load_tree_stream(iter(_page_lines(nodes)), read_leaf)
+
+    def test_corrupted_snapshots_never_crash(self):
+        nodes, pages, leaves = self._pages()
+        survivors = []
+        for mutated in mutations(nodes, seed=2):
+            try:
+                survivors.append(self._load(mutated, pages))
+            except PersistenceError:
+                continue
+        for n, page in enumerate(leaves):
+            for mutated in mutations(pages[page], seed=10 + n, count=30):
+                try:
+                    survivors.append(self._load(nodes, {**pages, page: mutated}))
+                except PersistenceError:
+                    continue
+        # survivors must be structurally valid trees
+        for tree in survivors:
+            tree.check_invariants()
+        assert len(survivors) < N_MUTATIONS / 2
 
 class TestWireFuzz:
     def test_corrupted_frames_never_crash(self):

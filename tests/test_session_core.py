@@ -1,52 +1,26 @@
 """The session core without a socket.
 
-``InlineSession`` drives a :class:`~repro.net.session.SessionCore`
-against a :class:`~repro.net.core.ServerCore` in process: each window
-goes to ``apply_batch`` as the one batch the event loop would drain
-from a full window, and every answer goes back through ``receive``.
-Two cases that otherwise need TCP are covered this way, and a refusal
-reaching the simulator's Protocol I/II users is a liveness event there
-too.
+:class:`~repro.net.session.InlineSession` drives a
+:class:`~repro.net.session.SessionCore` against a
+:class:`~repro.net.core.ServerCore` in process: each window goes to
+``apply_batch`` as the one batch the event loop would drain from a full
+window, and every answer goes back through ``receive``.  Two cases
+that otherwise need TCP are covered this way, and a refusal reaching
+the simulator's Protocol I/II users is a liveness event there too.
 """
 
 import pytest
 
-from repro import obs
 from repro.mtree.database import RangeQuery, ReadQuery, VerifiedDatabase, WriteQuery
 from repro.net.core import ServerCore
-from repro.net.session import SessionCore
+from repro.net.session import InlineSession, SessionCore
 from repro.protocols.base import ServerState
 from repro.protocols.protocol1 import (
     Protocol1Server, SignedRootChain, bootstrap_server_state)
 from repro.protocols.protocol2 import XorRegisters, initial_state_tag, sync_check
 from repro.simulation.workload import Intent, steady_workload
-from repro.wire import encode
 
 from helpers import run_scenario
-
-
-class InlineSession:
-    """A session core and a server core in one process: no socket."""
-
-    def __init__(self, server: ServerCore, core: SessionCore) -> None:
-        self.server, self.core = server, core
-        self.followups = 0
-
-    def window(self, queries, resend: bool = False) -> list:
-        """One window: its requests as one batch, answered in order.
-        ``resend`` loses the answers and sends the window again, verbatim."""
-        batch = [(self.core.user_id, self.core.submit(query)) for query in queries]
-        responses = self.server.apply_batch(batch)
-        if resend:
-            responses = self.server.apply_batch(batch)
-        answers = []
-        for response in responses:
-            answer, followup = self.core.receive(response, encode(response))
-            if followup is not None:
-                self.server.apply_followup(self.core.user_id, followup)
-                self.followups += 1
-            answers.append(answer)
-        return answers
 
 
 WRITES = [WriteQuery(b"k%d" % i, b"v%d" % i) for i in range(4)]
@@ -54,33 +28,62 @@ READS = [ReadQuery(b"k%d" % i) for i in range(4)]
 
 
 def test_protocol2_window_resent_is_answered_from_dedup():
+    """A window the server executed but whose answers were lost (the
+    client died) is answered from the dedup table on resume."""
     server = ServerCore(order=4)
     genesis = server.state.database.root_digest()
     core = SessionCore("alice", XorRegisters("alice", 4), 4, protocol="II",
                        nonce="n0", initial_tag=initial_state_tag(genesis))
     session = InlineSession(server, core)
-    obs.enable()
-    assert session.window(WRITES, resend=True) == [None] * 4
-    assert obs.registry.counter("server.dedup_hits").total() == 4
+    server.apply_batch([("alice", core.submit(query)) for query in WRITES])
+    assert session.resume() == [None] * 4
     assert server.state.ctr == 4                  # nothing executed twice
     assert session.window(READS) == [b"v0", b"v1", b"v2", b"v3"]
     assert server.state.ctr == core.operations == 8 and not core.inflight
+    session.close()
+    assert len(server.dedup) == 0  # every answer the anchor holds is forgotten
+    assert sync_check(genesis, {"alice": {"sigma": core.state.sigma,
+                                          "last": core.state.last}})
+
+
+def test_protocol2_resume_drops_what_never_reached_the_server():
+    """A request the dedup table does not remember never executed: it
+    leaves the window unanswered, and is never executed late."""
+    server = ServerCore(order=4)
+    genesis = server.state.database.root_digest()
+    core = SessionCore("alice", XorRegisters("alice", 4), 4, protocol="II",
+                       nonce="n0", initial_tag=initial_state_tag(genesis))
+    recorded = []
+    session = InlineSession(server, core, recorded.append)
+    server.apply_batch([("alice", core.submit(WRITES[0]))])
+    core.submit(WRITES[1])
+    assert session.resume() == [None]
+    assert recorded == [[]] and not core.inflight
+    assert server.state.ctr == core.operations == 1
+    assert session.execute(READS[1]) is None
     assert sync_check(genesis, {"alice": {"sigma": core.state.sigma,
                                           "last": core.state.last}})
 
 
 def test_protocol1_window_is_one_signing_run_with_one_followup(shared_keys):
+    followups = []
+
+    class Server(ServerCore):
+        def apply_followup(self, user_id, message):
+            followups.append(user_id)
+            super().apply_followup(user_id, message)
+
     state = ServerState(database=VerifiedDatabase(order=4))
     bootstrap_server_state(state, shared_keys.signers["bob"])
-    server = ServerCore(protocol=Protocol1Server(), state=state)
+    server = Server(protocol=Protocol1Server(), state=state)
     core = SessionCore("alice", SignedRootChain("alice", shared_keys.verifier, 4),
                        4, protocol="I", nonce="n0",
                        signer=shared_keys.signers["alice"])
     session = InlineSession(server, core)
     assert session.window(WRITES) == [None] * 4
-    assert session.followups == 1 and not server.blocked_for("alice")
+    assert followups == ["alice"] and not server.blocked_for("alice")
     assert session.window(READS) == [b"v0", b"v1", b"v2", b"v3"]
-    assert session.followups == 2 and core.state.lctr == server.state.ctr == 8
+    assert len(followups) == 2 and core.state.lctr == server.state.ctr == 8
 
 
 @pytest.mark.parametrize("protocol", ["protocol1", "protocol2"])

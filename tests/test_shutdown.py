@@ -8,6 +8,7 @@ through it (tested against a real subprocess).
 """
 
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -92,9 +93,10 @@ class TestServeCommandSignals:
         probe.close()
         return port
 
-    def test_sigterm_persists_and_exits_cleanly(self, tmp_path):
-        """``repro serve`` under SIGTERM: graceful shutdown, final
-        snapshot, and the committed data survives into db.snapshot."""
+    def _serve_and_commit(self, tmp_path):
+        """Init ``REPO``, serve it in a subprocess, and commit one file
+        over TCP from another directory; returns the server process and
+        what the local verbs need."""
         repo = str(tmp_path / "repo")
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         assert subprocess.run(
@@ -103,7 +105,7 @@ class TestServeCommandSignals:
         port = self._free_port()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "-R", repo, "serve",
-             "-p", str(port), "--durable"],
+             "-p", str(port)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True)
         try:
@@ -115,16 +117,45 @@ class TestServeCommandSignals:
                 env=env, input="hello graceful world\n",
                 capture_output=True, text=True)
             assert commit.returncode == 0, commit.stdout + commit.stderr
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            output, _ = proc.communicate(timeout=30)
+        except BaseException:
+            proc.kill()
+            proc.communicate(timeout=30)
+            raise
+        # The remote author hands their anchor in: REPO/trust/ is the
+        # channel local mode's sync check reads.
+        anchor = f"ana@127.0.0.1_{port}.anchor"
+        os.makedirs(os.path.join(repo, "trust"), exist_ok=True)
+        shutil.copy(os.path.join(tmp_path, "ws", "trust", anchor),
+                    os.path.join(repo, "trust", anchor))
+        return proc, repo, env
+
+    def _local(self, repo, env, *verb):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "-R", repo, "-a", "reader", *verb],
+            env=env, capture_output=True, text=True)
+
+    def test_sigterm_persists_and_exits_cleanly(self, tmp_path):
+        """``repro serve`` under SIGTERM: graceful shutdown, final
+        checkpoint, and a local ``log`` in the repository reads the
+        commit off the store the server ran on."""
+        proc, repo, env = self._serve_and_commit(tmp_path)
+        proc.send_signal(signal.SIGTERM)
+        output, _ = proc.communicate(timeout=30)
         assert proc.returncode == 0, output
         assert "persisted and stopped" in output
 
-        # The commit survived the shutdown into the repo snapshot.
-        log = subprocess.run(
-            [sys.executable, "-m", "repro", "-R", repo, "-a", "reader",
-             "log", "hello.txt"],
-            env=env, capture_output=True, text=True)
+        log = self._local(repo, env, "log", "hello.txt")
         assert log.returncode == 0, log.stdout + log.stderr
         assert "hi" in log.stdout
+
+    def test_sigkill_loses_no_acked_commit(self, tmp_path):
+        """A server killed outright never stops gracefully: the acked
+        commit is in its WAL, and the next local command replays it --
+        no stale read of a copy the server never wrote back."""
+        proc, repo, env = self._serve_and_commit(tmp_path)
+        proc.kill()
+        proc.communicate(timeout=30)
+
+        ls = self._local(repo, env, "ls")
+        assert ls.returncode == 0, ls.stdout + ls.stderr
+        assert ls.stdout == "hello.txt\n"
