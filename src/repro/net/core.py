@@ -35,6 +35,7 @@ from repro.mtree.database import VerifiedDatabase, query_defect
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import (
+    ACK_KEY,
     DEDUP_WINDOW,
     ErrorReply,
     Followup,
@@ -62,6 +63,10 @@ _SNAPSHOTS = _registry.counter(
     "server.snapshots", "checkpoints written (WAL rotations)")
 _DEDUP_HITS = _registry.counter(
     "server.dedup_hits", "retried requests answered from the dedup table")
+_DEDUP_ENTRIES = _registry.gauge(
+    "server.dedup_entries", "responses the dedup table holds after a batch")
+_DEDUP_RELEASED = _registry.counter(
+    "server.dedup_released", "dedup entries dropped by a session's ack")
 _BATCHES = _registry.counter(
     "server.batches", "request batches executed (group commit + one root pass)")
 _BATCH_SIZE = _registry.histogram(
@@ -78,16 +83,47 @@ _ATTACKS_INJECTED = _registry.counter(
     "responses a Byzantine server sent that its judge found deviating")
 
 
+def _session_seq(rid: str) -> tuple[str, int] | None:
+    """A ``user:nonce:seq`` request id as ``("user:nonce:", seq)``, or
+    ``None`` for an id of another shape.  The seq is written as a
+    session writes it -- no leading zero, so one id names one seq, and
+    at most 18 digits, so parsing it is cheap."""
+    prefix, colon, seq = rid.rpartition(":")
+    if ":" not in prefix or not (seq.isascii() and seq.isdigit()) \
+            or len(seq) > 18 or (seq[0] == "0" and seq != "0"):
+        return None
+    return prefix + colon, int(seq)
+
+
+def _ack_defect(message: Request) -> str | None:
+    """Why ``message``'s ``ack`` is malformed, or ``None`` (also for a
+    request without one): the rule :meth:`ServerCore.refusal` refuses
+    by and WAL replay releases by."""
+    if ACK_KEY not in message.extras:
+        return None
+    ack, rid = message.extras[ACK_KEY], request_id(message)
+    session = None if rid is None else _session_seq(rid)
+    if type(ack) is not int or ack < 0:
+        return "an ack is a non-negative int"
+    if session is None:
+        return "an ack comes with a user:nonce:seq request id"
+    if ack > session[1]:
+        return "an ack beyond its own request"
+    return None
+
+
 class DedupTable:
     """Windowed per-user memory of (request id -> response).
 
-    PR 4's table kept exactly one entry per user, which suffices for a
-    stop-and-wait client but not for a pipelined one: a client with W
-    in-flight operations that reconnects resends *all* W verbatim, and
-    any of them may or may not have executed before the crash.  Keeping
-    the last ``window`` responses per user makes the verbatim resend of
-    a whole window answerable without re-execution.  The server's table
-    holds :data:`~repro.protocols.base.DEDUP_WINDOW`, which is also the
+    A session with W operations in flight that reconnects resends *all*
+    W verbatim, and any of them may or may not have executed before the
+    crash, so each must be answerable without re-execution.  A session
+    says which answers it can still ask for: a request's ``ack`` is the
+    seq of its oldest operation in flight, and :meth:`release` drops
+    that session's answers below it -- a stop-and-wait session leaves
+    one, a window of W at most W.  Whatever no ack releases is capped
+    at the last ``window`` responses per user: the server's table holds
+    :data:`~repro.protocols.base.DEDUP_WINDOW`, which is also the
     deepest window a session will open; another ``window`` is for unit
     tests.
     """
@@ -96,40 +132,62 @@ class DedupTable:
         if window < 1:
             raise ValueError("dedup window must hold at least one entry")
         self.window = window
-        self._users: dict[str, OrderedDict[str, Response]] = {}
+        #: user -> request id -> (its ``_session_seq``, response)
+        self._users: dict[str, OrderedDict[
+            str, tuple[tuple[str, int] | None, Response]]] = {}
 
     def lookup(self, user_id: str, rid: str) -> Response | None:
-        entries = self._users.get(user_id)
-        if entries is None:
-            return None
-        return entries.get(rid)
+        entry = self._users.get(user_id, {}).get(rid)
+        return None if entry is None else entry[1]
 
     def record(self, user_id: str, rid: str, response: Response) -> None:
         entries = self._users.setdefault(user_id, OrderedDict())
-        entries[rid] = response
+        entries[rid] = (_session_seq(rid), response)
         entries.move_to_end(rid)
         while len(entries) > self.window:
             entries.popitem(last=False)
 
-    def forget(self, user_id: str, prefix: str) -> None:
-        """Drop the responses whose request ids start with ``prefix``."""
-        entries = self._users.get(user_id, {})
-        for rid in [rid for rid in entries if rid.startswith(prefix)]:
-            del entries[rid]
+    def _seqs(self, user_id: str, prefix: str) -> list[tuple[int, str]]:
+        """The remembered ``(seq, rid)`` of session ``prefix``."""
+        return [(session[1], rid)
+                for rid, (session, _response) in self._users.get(
+                    user_id, {}).items()
+                if session is not None and session[0] == prefix]
+
+    def superseded(self, user_id: str, rid: str) -> bool:
+        """Whether a later operation of ``rid``'s session is remembered.
+        A session sends its operations in order, so an id the table
+        does not hold was then executed and released (or refused), and
+        the frame is a late copy -- off a dead connection -- that
+        executing would apply twice."""
+        session = _session_seq(rid)
+        return session is not None and any(
+            seq > session[1] for seq, _rid in self._seqs(user_id, session[0]))
+
+    def release(self, user_id: str, prefix: str, ack: int) -> None:
+        """Drop the answers of session ``prefix`` (``user:nonce:``)
+        numbered below ``ack``: it has verified them and asks for none
+        again."""
+        released = [rid for seq, rid in self._seqs(user_id, prefix)
+                    if seq < ack]
+        for rid in released:
+            del self._users[user_id][rid]
+        if released and _obs.enabled:
+            _DEDUP_RELEASED.inc(len(released), user=user_id)
 
     def export(self) -> dict[str, list[tuple[str, Response]]]:
         """Snapshot-serialisable form: user -> ordered (rid, response)."""
-        return {user: list(entries.items())
+        return {user: [(rid, response)
+                       for rid, (_session, response) in entries.items()]
                 for user, entries in self._users.items()}
 
     def load(self, data: dict) -> None:
         """Restore from :meth:`export` output (oldest first per user)."""
         self._users.clear()
         for user, pairs in data.items():
-            entries = OrderedDict()
-            for rid, response in pairs:
-                entries[rid] = response
-            self._users[user] = entries
+            self._users[user] = OrderedDict(
+                (rid, (_session_seq(rid), response))
+                for rid, response in pairs)
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._users.values())
@@ -290,10 +348,8 @@ class ServerCore:
             if isinstance(message, Followup):
                 self._execute_followup(user_id, message)
             else:
-                response = self._execute_request(user_id, message)
-                rid = request_id(message)
-                if rid is not None:
-                    self.dedup.record(user_id, rid, response)
+                self._remember(user_id, message,
+                               self._execute_request(user_id, message))
             if _obs.enabled:
                 _WAL_REPLAYS.inc()
         self.replayed_records = len(records)
@@ -377,12 +433,13 @@ class ServerCore:
         Returns the responses aligned with ``entries``.  Duplicate
         request ids (dedup hits and intra-batch retries) are answered
         from the recorded response, never re-executed.  A request no
-        state could execute (:meth:`refusal`) is answered with an
+        state could execute (:meth:`refusal`), or one its session has
+        moved past (:meth:`DedupTable.superseded`), is answered with an
         :class:`ErrorReply`, not logged: every later recovery replays
         the log, so only what executes may reach it.
         """
         plan: list[tuple[str, object]] = []
-        staged: set[tuple[str, str]] = set()
+        staged: dict[tuple[str, str], int] = {}
         fresh: list[tuple[str, Request]] = []
         for user_id, message in entries:
             rid = request_id(message)
@@ -404,13 +461,18 @@ class ServerCore:
                     extras={"retryable": False})))
                 continue
             if rid is not None:
+                if self.dedup.superseded(user_id, rid):
+                    plan.append(("refused", ErrorReply(
+                        reason="stale request: its session has moved past it",
+                        extras={"retryable": False})))
+                    continue
                 if (user_id, rid) in staged:
                     # The same id twice in one batch (a client retried
-                    # while the original was still queued): answer the
-                    # second from the table after the first executes.
-                    plan.append(("dup", (user_id, rid)))
+                    # while the original was still queued): the second
+                    # gets the first's answer.
+                    plan.append(("exec", staged[(user_id, rid)]))
                     continue
-                staged.add((user_id, rid))
+                staged[(user_id, rid)] = len(fresh)
             plan.append(("exec", len(fresh)))
             fresh.append((user_id, message))
 
@@ -430,9 +492,7 @@ class ServerCore:
         executed: list[Response] = []
         for user_id, message in fresh:
             response = self._execute_request(user_id, message)
-            rid = request_id(message)
-            if rid is not None:
-                self.dedup.record(user_id, rid, response)
+            self._remember(user_id, message, response)
             # Replication deposits are per-operation (a client confirms
             # each verified (ctr, root) pair), so in replicated mode the
             # batch pays one lazy dirty-path root recompute per op here
@@ -447,22 +507,34 @@ class ServerCore:
                 _BATCHES.inc()
                 _BATCH_SIZE.observe(len(fresh))
                 _BATCH_ROOT_NODES.observe(recomputed)
+                _DEDUP_ENTRIES.set(len(self.dedup))
             self._after_logged(len(fresh))
 
-        responses: list[Response] = []
-        for kind, payload in plan:
-            if kind == "exec":
-                responses.append(executed[payload])
-            elif kind == "dup":
-                user_id, rid = payload
-                responses.append(self.dedup.lookup(user_id, rid))
-            else:  # "cached" or "refused": the answer is already in hand
-                responses.append(payload)
-        return responses
+        return [executed[payload] if kind == "exec" else payload
+                for kind, payload in plan]
+
+    def _remember(self, user_id: str, message: Request,
+                  response: Response) -> None:
+        """Record an executed request's response under its id, then
+        release what its ``ack`` says the session will not ask for
+        again: the live batch and WAL replay both come here, so a
+        recovered table is the live one."""
+        rid = request_id(message)
+        if rid is None:
+            return
+        self.dedup.record(user_id, rid, response)
+        # An ack the live server would refuse can reach only an older
+        # build's log, which kept the window instead: so does replay.
+        if ACK_KEY in message.extras and _ack_defect(message) is None:
+            self.dedup.release(user_id, _session_seq(rid)[0],
+                               message.extras[ACK_KEY])
 
     def refusal(self, message: Request) -> str | None:
         """Why ``message`` cannot be executed whatever the state holds,
         or ``None``: the one shape rule, applied before the log."""
+        defect = _ack_defect(message)
+        if defect is not None:
+            return defect
         if message.query is None:
             return self.protocol.internal_defect(message)
         return query_defect(message.query)

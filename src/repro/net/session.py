@@ -38,7 +38,7 @@ from repro.mtree.forest import StoreSpec
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import (
-    DeviationDetected, ErrorReply, Followup, Request, Response)
+    ACK_KEY, DeviationDetected, ErrorReply, Followup, Request, Response)
 
 _DETECTIONS = _registry.counter(
     "net.detections", "integrity violations detected by verifying clients")
@@ -120,10 +120,16 @@ class SessionCore:
     def submit(self, query: Query, extras: dict | None = None) -> Request:
         """Put one operation in flight; returns the request to send.
         The sequence number advances for every submitted operation: a
-        request id names one operation and is never given to another."""
+        request id names one operation and is never given to another.
+        A request with an id also carries ``ack``, the seq of the
+        oldest operation in flight."""
         fields = {"user": self.user_id}
         if self.rids:
             fields["rid"] = self.rid(self.seq)
+            # The oldest operation in flight (the window is contiguous):
+            # every answer before it is verified, so the server may
+            # forget it.
+            fields[ACK_KEY] = self.seq - len(self.inflight)
         if extras is not None:
             fields.update(extras)
         request = Request(query=query, extras=fields)
@@ -226,8 +232,9 @@ class InlineSession:
     :class:`~repro.net.core.ServerCore`, by duck typing) as one batch,
     each answer through :meth:`SessionCore.receive`.  ``anchor`` is told
     each window's requests before they reach the server, and by
-    :meth:`close` the last answers; each time, the dedup table forgets
-    the session's answers: none is asked for again.
+    :meth:`close` the last answers.  The session's next request's
+    ``ack`` lets the dedup table forget what the anchor holds, as on a
+    TCP session.
     """
 
     def __init__(self, server, core: SessionCore, anchor=None) -> None:
@@ -272,7 +279,6 @@ class InlineSession:
     def _tell(self, requests: list[Request]) -> None:
         self.anchor(requests)
         self._untold = False
-        self.server.dedup.forget(self.core.user_id, self.core.rid_prefix)
 
     def _take(self, responses: list) -> list:
         answers = []

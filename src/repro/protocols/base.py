@@ -86,6 +86,13 @@ class ServerState:
 #: instead of executing the query again.
 RID_KEY = "rid"
 
+#: ``extras`` key carrying, beside a ``user:nonce:seq`` request id, the
+#: seq of the session's oldest operation still in flight: the session
+#: has verified every answer before it and will never resend one, so
+#: the server's dedup table may forget them.  A request without one
+#: leaves the table's window as it is.
+ACK_KEY = "ack"
+
 #: how many recent (request id, response) pairs the server remembers
 #: per user, and therefore the deepest window a session may open: a
 #: reconnecting session resends its whole window verbatim, and every

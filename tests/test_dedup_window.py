@@ -8,6 +8,11 @@ What is pinned here:
   table, counter advanced by 0;
 * **bounded** -- a checkpoint never records more than the window for a
   session, however long it has run;
+* **acknowledged** -- a request's ``ack`` releases its session's answers
+  below it, live and on WAL replay alike: a stop-and-wait session's
+  checkpoint records one response, a window's at most the window; a
+  late copy of a released request is refused, not executed again, and
+  an ``ack`` of the wrong shape is refused before the log, by name;
 * **refused by name** -- a snapshot or manifest whose dedup entry is not
   ``(str, Response)`` is a ``WalError`` saying which, not a bare
   ``ValueError`` out of ``DedupTable.load``.
@@ -17,14 +22,16 @@ import os
 import sqlite3
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import Digest
 from repro.mtree.database import WriteQuery
 from repro.net import (
     RemoteClient, RemoteClientP1, ServerCore, WalError, serve_in_thread)
+from repro.net.client import protocol2_core
 from repro.net.core import DedupTable
 from repro.net.wal import ServerStore
-from repro.protocols.base import DEDUP_WINDOW, Request
+from repro.protocols.base import DEDUP_WINDOW, ErrorReply, Request
 from repro.wire import decode, encode
 
 
@@ -100,6 +107,210 @@ class TestTheWindowIsAFact:
             assert len(core.store._manifest["dedup"]["u"]) == \
                 min(DEDUP_WINDOW, 30 * (checkpoint + 1))
         core.close_store()
+
+
+def _rids(core, user="u"):
+    return [rid for rid, _answer in core.dedup.export().get(user, [])]
+
+
+class TestTheAckReleases:
+    @pytest.mark.parametrize("backend", ["file", "sqlite"])
+    def test_a_sessions_window_killed_after_a_checkpoint_is_answered_whole(
+            self, tmp_path, backend):
+        data_dir = str(tmp_path)
+        core = _core(data_dir, backend)
+        session = protocol2_core("u", core.state.database.spec)
+        verified = [session.submit(WriteQuery(b"k%d" % n, b"v"))
+                    for n in range(16)]
+        for answer in core.apply_batch([("u", r) for r in verified]):
+            session.receive(answer)
+        window = [session.submit(WriteQuery(b"k%d" % n, b"w"))
+                  for n in range(16, 32)]
+        assert {request.extras["ack"] for request in window} == {16}
+        answers = core.apply_batch([("u", request) for request in window])
+        core.snapshot()
+        assert _rids(core) == [session.rid(n) for n in range(16, 32)]
+        table = core.dedup.export()
+        core.store.close()  # kill -9: nothing else runs
+        fresh = _core(data_dir, backend)
+        assert fresh.replayed_records == 0  # the checkpoint is all there is
+        assert fresh.dedup.export() == table
+        assert fresh.apply_batch([("u", r) for r in window]) == answers
+        assert fresh.state.ctr == 32  # advanced by 0
+        for answer in answers:
+            session.receive(answer)
+        fresh.close_store()
+
+    def test_a_stop_and_wait_sessions_checkpoint_records_one_response(
+            self, tmp_path):
+        core = _core(str(tmp_path), "sqlite")
+        session = protocol2_core("u", core.state.database.spec)
+        for n in range(100):
+            session.receive(core.apply_request(
+                "u", session.submit(WriteQuery(b"k%d" % n, b"v"))))
+        core.snapshot()
+        assert [rid for rid, _answer in core.store._manifest["dedup"]["u"]] \
+            == [session.rid(99)]
+        core.close_store()
+
+    def test_wal_replay_releases_as_the_live_server_did(self, tmp_path):
+        data_dir = str(tmp_path)
+        core = _core(data_dir, "file")
+        sessions = [protocol2_core("u", core.state.database.spec)
+                    for _ in range(2)]
+        _run(core, "u", 0, 3)  # an ack-less session keeps its window
+        for n in range(40):
+            session = sessions[n % 2]
+            session.receive(core.apply_request(
+                "u", session.submit(WriteQuery(b"k%d" % n, b"v"))))
+        live = core.dedup.export()
+        assert _rids(core) == ["u:0", "u:1", "u:2", sessions[0].rid(19),
+                               sessions[1].rid(19)]
+        core.store.close()
+        fresh = _core(data_dir, "file")
+        assert fresh.replayed_records == 43
+        assert fresh.dedup.export() == live
+        fresh.close_store()
+
+    def test_a_late_copy_of_a_released_request_is_refused_not_executed(self):
+        core = ServerCore(order=4)
+        session = protocol2_core("u", 4)
+        first = session.submit(WriteQuery(b"a", b"1"))
+        session.receive(core.apply_request("u", first))
+        session.receive(core.apply_request(
+            "u", session.submit(WriteQuery(b"b", b"1"))))
+        assert _rids(core) == [session.rid(1)]
+        late = core.apply_request("u", first)  # off a dead connection
+        assert isinstance(late, ErrorReply)
+        assert late.extras == {"retryable": False}
+        assert "stale request" in late.reason
+        assert core.state.ctr == 2  # not applied twice
+
+    def test_an_id_twice_in_one_batch_is_answered_past_an_ack(self):
+        core = ServerCore(order=4)
+        first, second = (
+            Request(query=WriteQuery(b"k%d" % seq, b"v"),
+                    extras={"user": "u", "rid": f"u:n:{seq}", "ack": seq})
+            for seq in range(2))
+        answers = core.apply_batch([("u", first), ("u", second), ("u", first)])
+        assert answers[2] is answers[0] and core.state.ctr == 2
+
+
+#: request ids of two sessions of one user, and of no session at all
+_RIDS = st.sampled_from(["u:a:", "u:b:", "u:", "u:a:0"]).flatmap(
+    lambda prefix: st.just(prefix) if prefix == "u:a:0"
+    else st.integers(0, 9).map(lambda seq: f"{prefix}{seq}"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["record", "release", "superseded"]),
+                          _RIDS, st.integers(0, 10)), max_size=40))
+def test_the_table_is_a_window_filtered_by_acks(steps):
+    """Against the table as a list scanned whole: record keeps the last
+    four per user, release filters one session's ids below the ack,
+    superseded asks for a later id of the same session."""
+    table, model = DedupTable(window=4), []
+
+    def sessions(rid):
+        prefix, _colon, seq = rid.rpartition(":")
+        return (prefix + ":", int(seq)) if ":" in prefix else None
+
+    for step, rid, ack in steps:
+        if step == "record":
+            table.record("u", rid, rid.upper())
+            model = [pair for pair in model if pair[0] != rid][-3:] \
+                + [(rid, rid.upper())]
+        elif step == "release" and sessions(rid) is not None:
+            prefix = sessions(rid)[0]
+            table.release("u", prefix, ack)
+            model = [(known, answer) for known, answer in model
+                     if sessions(known) is None
+                     or sessions(known)[0] != prefix or sessions(known)[1] >= ack]
+        elif step == "superseded":
+            mine = sessions(rid)
+            assert table.superseded("u", rid) == (mine is not None and any(
+                sessions(known) is not None and sessions(known)[0] == mine[0]
+                and sessions(known)[1] > mine[1] for known, _answer in model))
+        assert table.export().get("u", []) == model
+    restored = DedupTable(window=4)
+    restored.load(table.export())
+    assert restored.export().get("u", []) == model
+    for rid in ["u:a:5", "u:b:5", "u:a:0"]:
+        assert restored.superseded("u", rid) == table.superseded("u", rid)
+
+
+#: an ``ack`` no session sends, beside a rid whose seq is 5
+_MALFORMED_ACK = {
+    "a-bool": {"rid": "u:n:5", "ack": True},
+    "a-str": {"rid": "u:n:5", "ack": "3"},
+    "a-float": {"rid": "u:n:5", "ack": 3.0},
+    "none": {"rid": "u:n:5", "ack": None},
+    "negative": {"rid": "u:n:5", "ack": -1},
+    "beyond-its-request": {"rid": "u:n:5", "ack": 6},
+    "no-rid": {"ack": 0},
+    "rid-without-a-nonce": {"rid": "u:5", "ack": 0},
+    "rid-seq-not-a-number": {"rid": "u:n:five", "ack": 0},
+}
+
+
+class TestMalformedAckRefusedByName:
+    @pytest.mark.parametrize("extras", _MALFORMED_ACK.values(),
+                             ids=_MALFORMED_ACK)
+    def test_refused_before_the_log(self, tmp_path, extras):
+        data_dir = str(tmp_path)
+        core = _core(data_dir, "file")
+        for seq in range(5):
+            core.apply_request("u", Request(
+                query=WriteQuery(b"k%d" % seq, b"v"),
+                extras={"user": "u", "rid": f"u:n:{seq}", "ack": 0}))
+        table = core.dedup.export()
+        wal = os.path.join(data_dir, "wal.log")
+        logged = os.path.getsize(wal)
+        refused = core.apply_request("u", Request(
+            query=WriteQuery(b"k", b"v"), extras={"user": "u", **extras}))
+        assert isinstance(refused, ErrorReply)
+        assert refused.extras == {"retryable": False}
+        assert "malformed request: an ack" in refused.reason
+        assert os.path.getsize(wal) == logged and core.state.ctr == 5
+        assert core.dedup.export() == table
+        core.store.close()
+        assert _core(data_dir, "file").dedup.export() == table
+
+    @pytest.mark.parametrize("extras", [
+        {"rid": "x", "ack": "3"}, {"rid": "u:n:5", "ack": "3"},
+        {"rid": "u:n:5", "ack": True}, {"rid": "u:n:5", "ack": 7}],
+        ids=["a-str-beside-a-bare-rid", "a-str", "a-bool",
+             "beyond-its-request"])
+    def test_an_older_logs_malformed_ack_replays_and_releases_nothing(
+            self, tmp_path, extras):
+        # An older server checked nothing about ``ack``: it logged and
+        # executed such a request and kept its window.
+        data_dir = str(tmp_path)
+        core = _core(data_dir, "file")
+        for seq in range(5):
+            core.store.wal_append(Request(
+                query=WriteQuery(b"k%d" % seq, b"v"),
+                extras={"user": "u", "rid": f"u:n:{seq}"}))
+        core.store.wal_append(Request(
+            query=WriteQuery(b"k", b"v"), extras={"user": "u", **extras}))
+        core.store.close()
+        fresh = _core(data_dir, "file")
+        assert fresh.replayed_records == 6 and fresh.state.ctr == 6
+        assert _rids(fresh) == [f"u:n:{seq}" for seq in range(5)] \
+            + [extras["rid"]]
+        fresh.close_store()
+
+    @pytest.mark.parametrize("ack", [0, 3, 5])
+    def test_an_ack_up_to_its_own_request_is_taken(self, ack):
+        core = ServerCore(order=4)
+        for seq in range(5):
+            core.apply_request("u", Request(
+                query=WriteQuery(b"k%d" % seq, b"v"),
+                extras={"user": "u", "rid": f"u:n:{seq}"}))
+        core.apply_request("u", Request(
+            query=WriteQuery(b"k", b"v"),
+            extras={"user": "u", "rid": "u:n:5", "ack": ack}))
+        assert _rids(core) == [f"u:n:{seq}" for seq in range(ack, 6)]
 
 
 #: what a dedup entry must not be, and may have been before the check

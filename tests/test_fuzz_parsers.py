@@ -6,6 +6,7 @@ import random
 from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mtree.database import VerifiedDatabase, WriteQuery, ReadQuery
 from repro.mtree.merkle import MerkleBPlusTree
@@ -284,3 +285,44 @@ class TestVoShapeFuzz:
                     str(exc).removeprefix("left ").removeprefix("right "))
         assert rejected == {"sibling is not the kind of node its neighbour is",
                             "internal snapshot with one child"}
+
+
+class TestAckFuzz:
+    """A request's ``ack`` and ``rid`` as a fuzzed frame may carry them:
+    the server executes the request and releases what the ack names, or
+    refuses it before the log -- never a crash, and never the entry it
+    is recording dropped."""
+
+    INT64 = st.integers(-2**63, 2**63 - 1)  # what a frame can carry
+
+    @settings(max_examples=200, deadline=None)
+    @given(ack=st.one_of(st.none(), st.booleans(), INT64,
+                         st.floats(allow_nan=False), st.text(max_size=4),
+                         st.binary(max_size=4), st.lists(INT64, max_size=2)),
+           rid=st.one_of(st.none(), st.integers(0, 9), st.text(max_size=8),
+                         st.sampled_from(["u:n:5", "u:n:2", "u:n:9", "u:5",
+                                          "u:n:", "u::5", "u:n:-1", "u:n:٣",
+                                          "u:n:" + "9" * 40])))
+    def test_an_ack_is_taken_or_refused(self, ack, rid):
+        from repro.net.core import ServerCore
+        from repro.protocols.base import ErrorReply, Request, request_id
+
+        core = ServerCore(order=4)
+        for seq in range(5):
+            core.apply_request("u", Request(
+                query=WriteQuery(b"k%d" % seq, b"v"),
+                extras={"user": "u", "rid": f"u:n:{seq}", "ack": 0}))
+        table = core.dedup.export()
+        extras = {"user": "u", "ack": ack}
+        if rid is not None:
+            extras["rid"] = rid
+        request = decode(encode(Request(query=WriteQuery(b"k", b"v"),
+                                        extras=extras)))
+        response = core.apply_request("u", request)
+        if isinstance(response, ErrorReply):
+            assert response.extras == {"retryable": False}
+            assert core.state.ctr == 5 and core.dedup.export() == table
+        elif core.state.ctr == 6:
+            assert core.dedup.lookup("u", request_id(request)) is response
+        else:  # a retry of a remembered request, answered from memory
+            assert core.dedup.export() == table

@@ -7,14 +7,19 @@
 window, and every answer goes back through ``receive``.  Two cases
 that otherwise need TCP are covered this way, and a refusal reaching
 the simulator's Protocol I/II users is a liveness event there too.
+Each request's ``ack`` is the oldest operation in flight, and every
+answer the session may still ask for stays in the server's table.
 """
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mtree.database import RangeQuery, ReadQuery, VerifiedDatabase, WriteQuery
 from repro.net.core import ServerCore
-from repro.net.session import InlineSession, SessionCore
-from repro.protocols.base import ServerState
+from repro.net.session import InlineSession, ServerBusyError, SessionCore
+from repro.protocols.base import ErrorReply, ServerState
 from repro.protocols.protocol1 import (
     Protocol1Server, SignedRootChain, bootstrap_server_state)
 from repro.protocols.protocol2 import XorRegisters, initial_state_tag, sync_check
@@ -41,7 +46,12 @@ def test_protocol2_window_resent_is_answered_from_dedup():
     assert session.window(READS) == [b"v0", b"v1", b"v2", b"v3"]
     assert server.state.ctr == core.operations == 8 and not core.inflight
     session.close()
-    assert len(server.dedup) == 0  # every answer the anchor holds is forgotten
+    # the last window stays until the session's next request acks it
+    assert [rid for rid, _answer in server.dedup.export()["alice"]] \
+        == [core.rid(seq) for seq in range(4, 8)]
+    assert session.execute(READS[0]) == b"v0"
+    assert [rid for rid, _answer in server.dedup.export()["alice"]] \
+        == [core.rid(8)]
     assert sync_check(genesis, {"alice": {"sigma": core.state.sigma,
                                           "last": core.state.last}})
 
@@ -101,3 +111,50 @@ def test_a_refusal_reaching_the_simulator_is_no_alarm(protocol):
     assert [(action.user_id, action.description) for action in refusals] \
         == [("user0", "RangeQuery:z:a")]
     assert "empty range" in refusals[0].answer_digest
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(["submit", "refused", "receive", "restore"]),
+                max_size=40))
+def test_an_ack_is_the_oldest_operation_in_flight(steps):
+    """Across submits, answers, refusals leaving the window and a
+    restore, a request's ``ack`` is the seq of the oldest operation in
+    flight (its own when the window is empty), and the server's table
+    still answers every executed operation in flight."""
+    server = ServerCore(order=4)
+
+    def session():
+        return SessionCore("alice", XorRegisters("alice", 4), 4,
+                           protocol="II", nonce="n0")
+
+    def seq(request):
+        return int(request.extras["rid"].rsplit(":", 1)[1])
+
+    core = session()
+    answers = deque()  # the server's answers, aligned with the window
+    for n, step in enumerate(steps):
+        if step in ("submit", "refused") and len(core.inflight) < 8:
+            oldest = seq(core.inflight[0][1]) if core.inflight else core.seq
+            query = (WriteQuery(b"k%d" % n, b"v") if step == "submit"
+                     else RangeQuery(b"z", b"a"))  # no state executes it
+            request = core.submit(query)
+            assert request.extras["ack"] == oldest <= seq(request)
+            answers.append(server.apply_request("alice", request))
+        elif step == "receive" and core.inflight:
+            answer = answers.popleft()
+            if isinstance(answer, ErrorReply):
+                with pytest.raises(ServerBusyError):
+                    core.receive(answer)
+            else:
+                core.receive(answer)
+        elif step == "restore":
+            resumed = session()
+            resumed.restore(core.snapshot(),
+                            [request for _query, request in core.inflight])
+            core = resumed
+        for (_query, request), answer in zip(core.inflight, answers):
+            if not isinstance(answer, ErrorReply):
+                assert server.dedup.lookup("alice", request.extras["rid"]) \
+                    is answer
+    assert core.operations == server.state.ctr - len(
+        [a for a in answers if not isinstance(a, ErrorReply)])

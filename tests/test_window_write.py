@@ -53,19 +53,23 @@ class _Sink:
         self.writes.append(bytes(data))
 
 
-def _frames(user, rids, queries) -> list[bytes]:
+def _frames(user, rids, queries, acks) -> list[bytes]:
     """What one ``send_message`` per request would have written; a
-    ``None`` rid is a request that carries none."""
+    ``None`` rid is a request that carries none, and no ack.  An ack is
+    the seq of the oldest operation in flight when the request was
+    submitted."""
     sink = _Sink()
-    for rid, query in zip(rids, queries):
-        extras = {"user": user} if rid is None else {"user": user, "rid": rid}
+    for rid, query, ack in zip(rids, queries, acks):
+        extras = ({"user": user} if rid is None
+                  else {"user": user, "rid": rid, "ack": ack})
         send_message(sink, Request(query=query, extras=extras))
     return sink.writes
 
 
-def _p2_frames(client, queries) -> list[bytes]:
+def _p2_frames(client, queries, acks) -> list[bytes]:
     return _frames(client.user_id,
-                   [client.core.rid(seq) for seq in range(len(queries))], queries)
+                   [client.core.rid(seq) for seq in range(len(queries))],
+                   queries, acks)
 
 
 def _writes(n):
@@ -100,7 +104,8 @@ class TestWindowWrite:
             assert client.submit(query) == []
         assert sock.writes == []                 # held, nothing blocked yet
         client.submit(queries[-1])
-        assert sock.writes == [b"".join(_p2_frames(client, queries))]
+        assert sock.writes == [b"".join(_p2_frames(client, queries,
+                                                   [0] * WINDOW))]
         assert len(client.drain()) == WINDOW
         assert len(sock.writes) == 1             # drain had nothing to add
 
@@ -111,7 +116,7 @@ class TestWindowWrite:
             client.submit(query)
         assert sock.writes == [] and client.inflight == 5
         assert len(client.drain()) == 5
-        assert sock.writes == [b"".join(_p2_frames(client, queries))]
+        assert sock.writes == [b"".join(_p2_frames(client, queries, [0] * 5))]
         assert sync_check(client.genesis, {"alice": client.registers()})
 
     def test_the_seventeenth_submit_drains_one_slot(self, client):
@@ -122,7 +127,8 @@ class TestWindowWrite:
             assert client.inflight <= WINDOW
         drained = client.submit(queries[WINDOW])
         assert len(drained) == 1 and client.inflight == WINDOW
-        frames = _p2_frames(client, queries)
+        # the seventeenth went out after the first answer was taken
+        frames = _p2_frames(client, queries, [0] * WINDOW + [1])
         assert sock.writes == [b"".join(frames[:WINDOW]), frames[WINDOW]]
         assert len(client.drain()) == WINDOW
 
@@ -180,7 +186,7 @@ class TestWindowWrite:
             queries = _writes(3)
             for query in queries:
                 alice.execute(query)
-            assert alice._sock.writes == _p2_frames(alice, queries)
+            assert alice._sock.writes == _p2_frames(alice, queries, range(3))
 
 
 class TestProtocol1WindowWrite:
@@ -202,7 +208,7 @@ class TestProtocol1WindowWrite:
                 rids = [alice.core.rid(seq) if window > 1 else None
                         for seq in range(window)]
                 assert alice._sock.writes == [
-                    b"".join(_frames("alice", rids, queries))]
+                    b"".join(_frames("alice", rids, queries, [0] * window))]
                 assert len(alice.drain()) == window
                 dedup = server.with_core(lambda core: core.dedup.export())
                 assert len(dedup.get("alice", [])) == (
@@ -228,7 +234,7 @@ class TestProtocol1WindowWrite:
             rids = [f"alice:{alice.core.nonce}:{seq}"
                     for seq in range(WINDOW)]
             assert alice._sock.writes == [
-                b"".join(_frames("alice", rids, queries))]
+                b"".join(_frames("alice", rids, queries, [0] * WINDOW))]
             answers = alice.drain()
             assert len(answers) == WINDOW
             assert 1 <= alice.followups_sent <= 1 + 2
