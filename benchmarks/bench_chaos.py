@@ -169,7 +169,7 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
     try:
         for step, (user, key, value) in enumerate(sequence):
             if step in restart_points:
-                server.stop(snapshot=False)  # crash: WAL only
+                server.stop()  # crash: WAL only
                 server = _restart_server(data_dir, server_port,
                                          snapshot_every)
                 wal_replays += server.replayed_records
@@ -212,7 +212,7 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
         for client in clients.values():
             client.close()
         proxy.stop()
-        server.stop(snapshot=False)
+        server.stop()
         obs_counters = {
             name: obs.registry.counter(name).total()
             for name in ("net.reconnects", "net.retries",

@@ -204,7 +204,7 @@ def run_stop_and_wait(clients: int, ops_per_client: int) -> dict:
     sync_ok = sync_check(genesis, registers)
     for session in sessions:
         session.close()
-    server.stop(snapshot=False)
+    server.stop()
     shutil.rmtree(data_dir, ignore_errors=True)
     latencies = [value for lat in lat_lists for value in lat]
     return _stats("stop-and-wait", clients, BATCH_MAX,
@@ -296,7 +296,7 @@ def run_pipelined(clients: int, ops_per_client: int, batch: int) -> dict:
             host, port, clients, ops_per_client, window, latencies))
         sync_ok = sync_check(genesis, registers)
     finally:
-        handle.stop(snapshot=False)
+        handle.stop()
         shutil.rmtree(data_dir, ignore_errors=True)
     return _stats("pipelined", clients, batch, clients * ops_per_client,
                   wall, latencies, sync_ok)
@@ -363,7 +363,7 @@ def _run_p1_side(users: list, signers: dict, verifier, batch_max: int,
     signatures = sum(client.followups_sent for client in clients.values())
     for client in clients.values():
         client.close()
-    server.stop(snapshot=False)
+    server.stop()
     total_ops = len(users) * ops_per_client
     row = _stats("p1-pipelined" if pipelined else "p1-stop-and-wait",
                  len(users), batch_max, total_ops, wall,

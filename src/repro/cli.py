@@ -59,7 +59,7 @@ from repro.net.wal import WalError
 from repro.storage.annotate import format_annotations
 from repro.storage.atomic import LockError
 from repro.storage.merge import render_with_markers
-from repro.storage.pagestore import FilePageStore, SqlitePageStore, StorageError
+from repro.storage.pagestore import StorageError, backend_of
 
 TRUST_DIR = "trust"
 SERVER_DIR = "server"
@@ -79,13 +79,6 @@ def _anchor_path(repo_dir: str, author: str, remote: str | None) -> str:
     return os.path.join(repo_dir, TRUST_DIR, name + ".anchor")
 
 
-def _backend_of(data_dir: str) -> str | None:
-    """The page store a data directory holds, by its file; ``None``: none."""
-    return next((name for name, kind in (("file", FilePageStore),
-                                         ("sqlite", SqlitePageStore))
-                 if os.path.isfile(os.path.join(data_dir, kind.FILE))), None)
-
-
 def _refuse_retired(directory: str, retired: dict = RETIRED_FILES) -> None:
     for pattern, format_name in retired.items():
         for path in glob.glob(os.path.join(directory, pattern)):
@@ -98,7 +91,7 @@ def _repository(repo_dir: str) -> tuple[str, str]:
     """A repository's server directory and its page store's backend."""
     _refuse_retired(repo_dir)
     data_dir = os.path.join(repo_dir, SERVER_DIR)
-    backend = _backend_of(data_dir)
+    backend = backend_of(data_dir)
     if backend is None:
         raise CliError(f"{repo_dir!r} is not a repository (run 'repro init' first)")
     return data_dir, backend
@@ -417,7 +410,7 @@ def cmd_serve(args, out) -> int:
         protocol = WitnessProtocol(wid, keys.witnesses[args.witness],
                                    keys.verifier)
         data_dir = os.path.join(args.repo, f"witness-{wid}")
-        backend = _backend_of(data_dir) or "file"
+        backend = backend_of(data_dir) or "file"
         role = f"witness {wid} (1 of {args.replicas})"
     else:
         data_dir, backend = _repository(args.repo)
@@ -502,7 +495,7 @@ def cmd_store_inspect(args, out) -> int:
         print(f"wal.log: {wal_size} bytes, {len(records)} record(s){torn}",
               file=out)
 
-    backend = _backend_of(data_dir)
+    backend = backend_of(data_dir)
     if backend is None:
         raise CliError(f"{data_dir!r} holds no page store")
     try:

@@ -14,7 +14,6 @@ and judges each response against an honest replay; the ground truth is
 from repro._lazy import exports
 
 __getattr__, __dir__, __all__ = exports(__name__, {
-    "AsyncServerHandle": ".aserver",
     "AsyncTrustedCvsServer": ".aserver",
     "serve_in_thread": ".aserver",
     "ChaosConfig": ".chaosproxy",

@@ -52,11 +52,17 @@ request-ID dedup table, so clients that retry in-flight operations are
 answered exactly once and resume their verified sessions as if nothing
 happened.
 
-Run it with :func:`serve_in_thread`: the loop lives in a daemon thread
-and the returned handle is the synchronous management surface
-(``address``, ``stop``, ``graceful_stop``, ``quiesce``,
-``read_quiesced``, ``consistent_view``, ``with_core``), each bridged
-onto the loop with ``run_coroutine_threadsafe``.
+The server object is built over a :class:`~repro.net.core.ServerCore`
+and configures only the front-end: where it listens, how long a parked
+request waits (``block_timeout``) and how many requests one batch may
+hold (``batch_max``).  What the server stores and executes -- protocol,
+state, data directory, checkpoint cadence, shards, attack, replicator
+-- is the core's, declared once there.  :func:`serve_in_thread` builds
+the core on a loop thread it starts and returns the server, whose
+synchronous surface (``address``, ``stop``, ``graceful_stop``,
+``quiesce``, ``read_quiesced``, ``consistent_view``, ``checkpoint``,
+``with_core``) is bridged onto that loop with
+``run_coroutine_threadsafe``.
 """
 
 from __future__ import annotations
@@ -66,18 +72,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.mtree.database import VerifiedDatabase
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.protocols.base import (
-    ErrorReply,
-    Followup,
-    Request,
-    ServerProtocol,
-    ServerState,
-)
-from repro.protocols.protocol1 import DEFER_FOLLOWUP_KEY
-from repro.net.core import SNAPSHOT_EVERY, ServerCore
+from repro.protocols.base import ErrorReply, Followup, Request
+from repro.net.core import ServerCore
 from repro.net.framing import (
     FramingError,
     async_recv_message,
@@ -131,45 +129,28 @@ class _Shutdown:
 
 
 class AsyncTrustedCvsServer:
-    """Event-loop Trusted-CVS server over a :class:`ServerCore`.
+    """Event-loop Trusted-CVS server over a built :class:`ServerCore`.
 
-    Construct it, then run :meth:`start` on an event loop -- or use
-    :func:`serve_in_thread`, which owns a loop in a daemon thread and
-    bridges the management surface for synchronous callers.
+    Run :meth:`start` on an event loop -- or use :func:`serve_in_thread`,
+    which starts one in a daemon thread.  The loop :meth:`start` runs on
+    is the server's: the synchronous methods below bridge onto it from
+    any other thread, and :meth:`stop` ends it.
     """
 
     def __init__(
         self,
+        core: ServerCore,
         host: str = "127.0.0.1",
         port: int = 0,
-        order: int = 8,
-        database: VerifiedDatabase | None = None,
-        protocol: ServerProtocol | None = None,
-        state: ServerState | None = None,
         block_timeout: float = BLOCK_TIMEOUT_SECONDS,
-        data_dir: str | None = None,
-        snapshot_every: int = SNAPSHOT_EVERY,
-        fsync: bool = True,
-        attack=None,
         batch_max: int = BATCH_MAX,
-        shards: int = 1,
-        replicator=None,
-        backend: str = "file",
-        io=None,
-        lock: bool = False,
     ) -> None:
         if batch_max < 1:
             raise ValueError("batch_max must be at least 1")
+        self.core = core
         self._host, self._port = host, port
         self.block_timeout = block_timeout
         self.batch_max = batch_max
-        self.core = ServerCore(order=order, database=database,
-                               protocol=protocol, state=state,
-                               data_dir=data_dir,
-                               snapshot_every=snapshot_every, fsync=fsync,
-                               attack=attack, shards=shards,
-                               replicator=replicator,
-                               backend=backend, io=io, lock=lock)
         self._queue: asyncio.Queue = asyncio.Queue()
         self._parked: list[_Work] = []
         self._writers: set[asyncio.StreamWriter] = set()
@@ -179,6 +160,7 @@ class AsyncTrustedCvsServer:
         self._state_changed: asyncio.Condition = asyncio.Condition()
         self._stopping = False
         self.loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
 
     # -- introspection -----------------------------------------------------
 
@@ -189,20 +171,24 @@ class AsyncTrustedCvsServer:
         name = sock.getsockname()
         return name[0], name[1]
 
+    @property
+    def replayed_records(self) -> int:
+        return self.core.replayed_records
+
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
         """Bind, start accepting, and launch the drainer task."""
         self.loop = asyncio.get_running_loop()
+        self._thread = threading.current_thread()
         self._server = await asyncio.start_server(
             self._serve_connection, self._host, self._port)
         self._drainer = asyncio.ensure_future(self._drain())
 
-    async def shutdown(self, snapshot: bool = False) -> None:
-        """Stop serving.  With ``snapshot=False`` this is the crash-
-        equivalent shutdown: transports are aborted (a SIGKILLed process
-        takes its sockets down with it) and nothing is flushed beyond
-        what the WAL already holds."""
+    async def shutdown(self) -> None:
+        """Stop serving, crash-equivalent: transports are aborted (a
+        SIGKILLed process takes its sockets down with it) and nothing is
+        flushed beyond what the WAL already holds."""
         self._stopping = True
         if self._drainer is not None:
             # Wake the drainer with a sentinel so it exits between
@@ -236,8 +222,6 @@ class AsyncTrustedCvsServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self.core.store is not None and snapshot:
-            self.core.snapshot()
         self.core.close_store()
 
     # -- connection handling -----------------------------------------------
@@ -255,10 +239,6 @@ class AsyncTrustedCvsServer:
                     return  # clean EOF
                 if not isinstance(message, (Request, Followup)):
                     return  # protocol violation: drop the connection
-                if isinstance(message, Request):
-                    # The defer-followup marker is server-internal; a
-                    # client that sets it would skip its signing duty.
-                    message.extras.pop(DEFER_FOLLOWUP_KEY, None)
                 user_id = message.extras.get("user", "anonymous")
                 self._inflight += 1
                 if _obs.enabled:
@@ -459,34 +439,14 @@ class AsyncTrustedCvsServer:
             if transport is not None:
                 transport.abort()
 
-    # -- quiescence (on-loop coroutines) ------------------------------------
-
-    async def quiesce_async(self, timeout: float | None = None) -> bool:
-        """Wait until every accepted message has executed (or been
-        refused) and no follow-up is outstanding on any branch.
-
-        Clients send their post-operation signature asynchronously, so
-        ``put()`` returning does not mean the server has absorbed it.
-        Quiescing and *then* reading reopens the race this cannot close
-        on its own; use :meth:`read_quiesced_async` for that."""
-        if timeout is None:
-            timeout = self.block_timeout
-        return await self._await_unblocked(timeout)
-
-    async def read_quiesced_async(self, reader, timeout: float | None = None):
-        """Run ``reader(main_state)`` at a quiescent instant.
+    async def _await_unblocked(self, timeout: float, reader):
+        """``reader(main_state)`` at the first instant every accepted
+        message has executed (or been refused) and no follow-up is
+        outstanding on any branch; ``None`` on timeout.
 
         Atomic with respect to the drainer: between the predicate
         turning true and ``reader`` returning there is no ``await``, and
-        the drainer only runs at loop yield points.
-        """
-        if timeout is None:
-            timeout = self.block_timeout
-        if not await self._await_unblocked(timeout):
-            return None
-        return reader(self.core.states["main"])
-
-    async def _await_unblocked(self, timeout: float) -> bool:
+        the drainer only runs at loop yield points."""
         deadline = time.monotonic() + timeout
         async with self._state_changed:
             # ``_inflight``, not the queue and the park list: a pass
@@ -494,42 +454,18 @@ class AsyncTrustedCvsServer:
             while self._inflight or not self.core.all_unblocked():
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    return False
+                    return None
                 try:
                     await asyncio.wait_for(self._state_changed.wait(),
                                            timeout=remaining)
                 except asyncio.TimeoutError:
-                    return False
-            return True
+                    return None
+            return reader(self.core.states["main"])
 
-
-class AsyncServerHandle:
-    """Synchronous facade over a server whose loop runs in a thread:
-    what ``repro serve``, the campaigns, the benchmarks and the tests
-    hold while clients talk to the loop.
-    """
-
-    def __init__(self, server: AsyncTrustedCvsServer,
-                 loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread) -> None:
-        self._server = server
-        self._loop = loop
-        self._thread = thread
-
-    @property
-    def core(self) -> ServerCore:
-        return self._server.core
-
-    @property
-    def replayed_records(self) -> int:
-        return self.core.replayed_records
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.address
+    # -- the synchronous surface (from any thread but the loop's) ----------
 
     def _call(self, coroutine, timeout: float | None = None):
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        future = asyncio.run_coroutine_threadsafe(coroutine, self.loop)
         return future.result(timeout)
 
     def with_core(self, fn):
@@ -548,17 +484,21 @@ class AsyncServerHandle:
         :func:`~repro.net.client.sync_check` is anchored at."""
         return self.with_core(lambda core: core.state.database.root_digest())
 
-    def quiesce(self, timeout: float | None = None) -> bool:
+    def read_quiesced(self, reader, timeout: float | None = None):
+        """Run ``reader(main_state)`` at a quiescent instant (see
+        :meth:`_await_unblocked`), or return ``None`` on timeout.
+
+        Clients send their post-operation signature asynchronously, so
+        ``put()`` returning does not mean the server has absorbed it;
+        quiescing and *then* reading would reopen that race."""
         if timeout is None:
-            timeout = self._server.block_timeout
-        return self._call(self._server.quiesce_async(timeout),
+            timeout = self.block_timeout
+        return self._call(self._await_unblocked(timeout, reader),
                           timeout=timeout + 5.0)
 
-    def read_quiesced(self, reader, timeout: float | None = None):
-        if timeout is None:
-            timeout = self._server.block_timeout
-        return self._call(self._server.read_quiesced_async(reader, timeout),
-                          timeout=timeout + 5.0)
+    def quiesce(self, timeout: float | None = None) -> bool:
+        """Wait until the server is quiescent; False on timeout."""
+        return bool(self.read_quiesced(lambda _state: True, timeout))
 
     def consistent_view(self, timeout: float | None = None):
         """An atomic ``(root_digest, ctr, tick)`` triple of the main
@@ -572,30 +512,31 @@ class AsyncServerHandle:
         """Write a checkpoint now (durable mode only); rotates the WAL."""
         self.with_core(lambda core: core.snapshot())
 
-    def stop(self, snapshot: bool = False) -> None:
-        """Stop serving; ``snapshot=False`` is crash-equivalent."""
+    def stop(self) -> None:
+        """Stop serving, crash-equivalent (:meth:`shutdown`), and end
+        the loop."""
         try:
-            self._call(self._server.shutdown(snapshot=snapshot), timeout=30.0)
+            self._call(self.shutdown(), timeout=30.0)
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
+            self.loop.call_soon_threadsafe(self.loop.stop)
             self._thread.join(timeout=10.0)
-            if not self._loop.is_running():
-                self._loop.close()
+            if not self.loop.is_running():
+                self.loop.close()
 
     def graceful_stop(self, timeout: float | None = None) -> bool:
         """The operator shutdown: quiesce, drain replication, make the
-        WAL durable, write a final snapshot, *then* stop serving.
+        WAL durable, write a final checkpoint, *then* stop serving.
 
         Unlike :meth:`stop` (the crash-equivalent teardown the recovery
         tests exercise), nothing is lost mid-batch: queued batches and
         parked requests execute, outstanding Protocol I follow-ups are
         waited for, the replicator flushes every created deposit to
-        every witness, and the snapshot means a restart replays zero
+        every witness, and the checkpoint means a restart replays zero
         WAL records.  Returns False when the quiesce or the replication
         flush timed out (shutdown still proceeds -- the WAL keeps its
         durability promise either way)."""
         if timeout is None:
-            timeout = self._server.block_timeout
+            timeout = self.block_timeout
         clean = self.quiesce(timeout=timeout)
         replicator = self.core.replicator
         if replicator is not None:
@@ -609,30 +550,19 @@ class AsyncServerHandle:
                 core.store.wal_sync()
                 core.snapshot()
         self.with_core(finalise)
-        self.stop(snapshot=False)
+        self.stop()
         return clean
 
 
 def serve_in_thread(
-    order: int = 8,
-    database: VerifiedDatabase | None = None,
     port: int = 0,
-    protocol: ServerProtocol | None = None,
-    state: ServerState | None = None,
     block_timeout: float = BLOCK_TIMEOUT_SECONDS,
-    data_dir: str | None = None,
-    snapshot_every: int = SNAPSHOT_EVERY,
-    fsync: bool = True,
-    attack=None,
     batch_max: int = BATCH_MAX,
-    shards: int = 1,
-    replicator=None,
-    backend: str = "file",
-    io=None,
-    lock: bool = False,
-) -> AsyncServerHandle:
+    **core_options,
+) -> AsyncTrustedCvsServer:
     """Start a server on its own event-loop thread (an ephemeral port
-    unless ``port`` is given); call ``handle.stop()`` when done."""
+    unless ``port`` is given) over ``ServerCore(**core_options)``, built
+    on that thread; call ``server.stop()`` when done."""
     loop = asyncio.new_event_loop()
 
     def _run() -> None:
@@ -644,20 +574,21 @@ def serve_in_thread(
     thread.start()
 
     async def _build() -> AsyncTrustedCvsServer:
-        server = AsyncTrustedCvsServer(
-            order=order, database=database, port=port, protocol=protocol,
-            state=state, block_timeout=block_timeout, data_dir=data_dir,
-            snapshot_every=snapshot_every, fsync=fsync, attack=attack,
-            batch_max=batch_max, shards=shards,
-            replicator=replicator, backend=backend, io=io, lock=lock)
-        await server.start()
+        core = ServerCore(**core_options)
+        try:
+            server = AsyncTrustedCvsServer(
+                core, port=port, block_timeout=block_timeout,
+                batch_max=batch_max)
+            await server.start()
+        except BaseException:
+            core.close_store()  # the store's lock, too
+            raise
         return server
 
     future = asyncio.run_coroutine_threadsafe(_build(), loop)
     try:
-        server = future.result(timeout=30.0)
+        return future.result(timeout=30.0)
     except Exception:
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=5.0)
         raise
-    return AsyncServerHandle(server, loop, thread)

@@ -564,8 +564,8 @@ class RemoteClient(_Session):
     after every verified operation, so a restarted client process
     resumes the same session by passing the same path.
 
-    ``endpoints`` (optional) replaces the single ``host``/``port`` pair
-    with an ordered failover list: every connect and reconnect walks it
+    ``host`` may be an ordered failover list of ``(host, port)`` pairs
+    instead (``port`` omitted): every connect and reconnect walks it
     through one shared :class:`EndpointConnector`.  ``quorum`` attaches
     a :class:`~repro.net.replication.QuorumChecker`; each verified
     operation's expected ``(ctr, new_root)`` is then recorded and
@@ -587,14 +587,12 @@ class RemoteClient(_Session):
                  retry: RetryPolicy | None = None,
                  anchor_path: str | None = None,
                  evidence_dir: str | None = None,
-                 endpoints=None,
                  quorum=None, quorum_every: int = 8,
                  window: int | None = None) -> None:
-        if endpoints is None:
-            if port is None and isinstance(host, (list, tuple)):
-                endpoints = list(host)
-            else:
-                endpoints = [(host, port)]
+        if port is None and isinstance(host, (list, tuple)):
+            endpoints = list(host)
+        else:
+            endpoints = [(host, port)]
         core = protocol2_core(user_id, order, initial_root, anchor_path,
                               quorum)
         super().__init__(endpoints, core, window, retry or RetryPolicy(),

@@ -442,6 +442,9 @@ class ServerCore:
         staged: dict[tuple[str, str], int] = {}
         fresh: list[tuple[str, Request]] = []
         for user_id, message in entries:
+            # The defer-followup marker is the server's to set (below):
+            # a client that sets it would skip its signing duty.
+            message.extras.pop(DEFER_FOLLOWUP_KEY, None)
             rid = request_id(message)
             if rid is not None:
                 cached = self.dedup.lookup(user_id, rid)

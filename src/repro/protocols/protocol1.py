@@ -57,8 +57,9 @@ META_AWAITING = "p1.awaiting_sig"
 #: block after a deferred request, so one follow-up signature -- over
 #: the batch-final root -- covers the whole run.  The marker is written
 #: into the request before it is WAL-logged (replay reconstructs the
-#: identical run) and is stripped from wire-received requests by the
-#: server, so a client cannot smuggle it in to skip its signing duty.
+#: identical run) and is stripped from every request the server core's
+#: ``apply_batch`` is handed, so a client cannot smuggle it in to skip
+#: its signing duty.
 DEFER_FOLLOWUP_KEY = "p1.defer_followup"
 
 #: Response ``extras`` flag telling the client whether this response

@@ -21,19 +21,20 @@ silent wrong root.
 
 Three implementations:
 
-* :class:`MemoryPageStore` -- dict-backed, transactional, for tests and
-  as the reference semantics.
+* :class:`MemoryPageStore` -- the committed index, dict-backed and
+  transactional: the reference semantics, for tests, and the one index
+  the page file is read through.
 * :class:`SqlitePageStore` -- ``--backend sqlite`` (stdlib ``sqlite3``),
   one transaction per checkpoint, ``synchronous=FULL`` when fsync is
   on.  Fault injection happens at this API boundary (the shim cannot
   interpose sqlite's own syscalls): commit gates, lying commits, and
   read-side bit-rot all route through the
   :class:`~repro.storage.faults.IoShim` hooks.
-* :class:`FilePageStore` -- ``--backend file``: an append-only page
-  file where one commit is one record, framed like the WAL's
-  (:func:`frame_record` / :func:`parse_records`).  Every byte it
-  writes, reads, trims or renames goes through the shim, so torn
-  tails, short writes and lying fsyncs reach the whole checkpoint.
+* :class:`FilePageStore` -- ``--backend file``: that index over an
+  append-only page file where one commit is one record, framed like
+  the WAL's (:func:`frame_record` / :func:`parse_records`).  Every
+  byte it writes, reads, trims or renames goes through the shim, so
+  torn tails, short writes and lying fsyncs reach the whole checkpoint.
 """
 
 from __future__ import annotations
@@ -136,6 +137,20 @@ def _verified(io: IoShim, kind: str, shard: int, gen: int, seq: int,
     return blob
 
 
+#: what a transaction stages, and a page file records: put page,
+#: delete page, drop generation, put meta
+_PUT, _DELETE, _DROP, _META = b"P", b"D", b"G", b"M"
+_NO_BODY = (b"", bytes(_DIGEST_BYTES))
+_META_DOMAIN = b"\x0astorage-meta"
+
+
+def _meta_checksum(key: str, value: bytes) -> bytes:
+    """Domain-separated checksum binding a meta value to its key."""
+    hasher = hashlib.sha256(_META_DOMAIN + key.encode("utf-8") + b"|")
+    hasher.update(value)
+    return hasher.digest()
+
+
 class PageStore:
     """Abstract page + meta store with transactional commit.
 
@@ -209,86 +224,123 @@ class PageStore:
 
 
 class MemoryPageStore(PageStore):
-    """Dict-backed reference implementation (transactional, volatile)."""
+    """The committed index, dict-backed and transactional: the reference
+    semantics, and what :class:`FilePageStore` keeps over its page file.
+
+    A transaction stages op tuples -- put page, delete page, drop
+    generation, put meta -- and :meth:`commit` applies them in order
+    after :meth:`_persist` (nothing here: the store is volatile)."""
 
     def __init__(self, io: IoShim | None = None) -> None:
         self.io = io or REAL_IO
-        self._pages: dict[tuple[str, int, int, int], tuple[bytes, bytes]] = {}
-        self._meta: dict[str, bytes] = {}
+        #: (kind, shard, gen) -> seq -> (blob, checksum)
+        self._groups: dict[tuple[str, int, int], dict[int, tuple]] = {}
+        #: key -> (value, checksum)
+        self._meta: dict[str, tuple[bytes, bytes]] = {}
         self._staged: list | None = None
+
+    def _stage(self, call: str, op: tuple) -> None:
+        if self._staged is None:
+            raise StorageError(f"{call} outside a transaction")
+        self._staged.append(op)
 
     def begin(self) -> None:
         if self._staged is not None:
             raise StorageError("transaction already open")
         self._staged = []
 
-    def _stage(self, op) -> None:
-        if self._staged is None:
-            raise StorageError("no open transaction")
-        self._staged.append(op)
-
     def commit(self) -> None:
         if self._staged is None:
             raise StorageError("no open transaction")
-        self.io.crash_point("pagestore:pre-commit")
-        for op in self._staged:
-            op()
-        self._staged = None
+        staged, self._staged = self._staged, None
+        self._persist(staged)
+        for op in staged:
+            self._apply(op)
         self.io.crash_point("pagestore:post-commit")
+
+    def _persist(self, ops: list) -> None:
+        """Make a commit's ops durable before they apply."""
+        self.io.crash_point("pagestore:pre-commit")
 
     def rollback(self) -> None:
         self._staged = None
 
+    def _apply(self, op: tuple) -> None:
+        code, name, shard, gen, seq, body, checksum = op
+        if code == _META:
+            self._meta[name] = (body, checksum)
+        elif code == _DROP:
+            self._groups.pop((name, shard, gen), None)
+        elif code == _PUT:
+            self._groups.setdefault((name, shard, gen), {})[seq] = \
+                (body, checksum)
+        else:
+            group = self._groups.get((name, shard, gen), {})
+            group.pop(seq, None)
+            if not group:
+                self._groups.pop((name, shard, gen), None)
+
+    def _admit_page(self) -> None:
+        """Refuse a page the store has no room for (a store on disk)."""
+
     def write_page(self, kind: str, shard: int, gen: int, seq: int,
                    blob: bytes) -> None:
+        if self._staged is None:
+            raise StorageError("write_page outside a transaction")
         self.io.crash_point("pagestore:page-write")
         self.io.crash_point(f"pagestore:{kind}-page-write")
-        checksum = page_checksum(kind, shard, gen, seq, blob)
-        self._stage(lambda: self._pages.__setitem__(
-            (kind, shard, gen, seq), (blob, checksum)))
+        self._admit_page()
+        self._staged.append((_PUT, kind, shard, gen, seq, blob,
+                             page_checksum(kind, shard, gen, seq, blob)))
         if _obs.enabled:
             _PAGES_WRITTEN.inc()
             _PAGE_BYTES.inc(len(blob))
 
+    def delete_page(self, kind: str, shard: int, gen: int, seq: int) -> None:
+        self._stage("delete_page", (_DELETE, kind, shard, gen, seq,
+                                    *_NO_BODY))
+
+    def drop_generation(self, kind: str, shard: int, gen: int) -> None:
+        self._stage("drop_generation", (_DROP, kind, shard, gen, 0,
+                                        *_NO_BODY))
+
+    def put_meta(self, key: str, value: bytes) -> None:
+        self._stage("put_meta", (_META, key, 0, 0, 0, value,
+                                 _meta_checksum(key, value)))
+        if _obs.enabled:
+            _META_BYTES.inc(len(value))
+
+    # -- reads (committed state only) --------------------------------------
+
     def read_pages(self, kind: str, shard: int, gen: int):
-        for key in sorted(k for k in self._pages
-                          if k[:3] == (kind, shard, gen)):
-            yield self.read_page(*key)
+        group = self._groups.get((kind, shard, gen), {})
+        for seq in sorted(group):
+            yield _verified(self.io, kind, shard, gen, seq, *group[seq])
 
     def read_page(self, kind: str, shard: int, gen: int,
                   seq: int) -> bytes | None:
-        stored = self._pages.get((kind, shard, gen, seq))
+        stored = self._groups.get((kind, shard, gen), {}).get(seq)
         if stored is None:
             return None
         return _verified(self.io, kind, shard, gen, seq, *stored)
 
     def page_count(self, kind: str, shard: int, gen: int) -> int:
-        return sum(1 for k in self._pages if k[:3] == (kind, shard, gen))
+        return len(self._groups.get((kind, shard, gen), ()))
 
     def page_bytes(self, kind: str, shard: int, gen: int) -> int:
-        return sum(len(blob) for k, (blob, _) in self._pages.items()
-                   if k[:3] == (kind, shard, gen))
+        return sum(len(blob) for blob, _ in
+                   self._groups.get((kind, shard, gen), {}).values())
 
     def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
-        return sorted(k[2:] for k in self._pages if k[:2] == (kind, shard))
+        return sorted((gen, seq) for (k, s, gen), group in self._groups.items()
+                      if (k, s) == (kind, shard) for seq in group)
 
     def generations(self, shard: int) -> list[int]:
-        return sorted({k[2] for k in self._pages if k[1] == shard})
-
-    def delete_page(self, kind: str, shard: int, gen: int, seq: int) -> None:
-        self._stage(lambda: self._pages.pop((kind, shard, gen, seq), None))
-
-    def drop_generation(self, kind: str, shard: int, gen: int) -> None:
-        doomed = [k for k in self._pages if k[:3] == (kind, shard, gen)]
-        self._stage(lambda: [self._pages.pop(k, None) for k in doomed])
-
-    def put_meta(self, key: str, value: bytes) -> None:
-        self._stage(lambda: self._meta.__setitem__(key, value))
-        if _obs.enabled:
-            _META_BYTES.inc(len(value))
+        return sorted({gen for (_k, s, gen) in self._groups if s == shard})
 
     def get_meta(self, key: str) -> bytes | None:
-        return self._meta.get(key)
+        stored = self._meta.get(key)
+        return None if stored is None else stored[0]
 
     def close(self) -> None:
         self._staged = None
@@ -558,22 +610,12 @@ PAGE_LOG_MAGIC = b"cvs-page-log 1\n"
 PAGE_LOG_COMPACT_RATIO = 4
 
 _PAGE_LOG_DOMAIN = b"\x0apage-log"
-_META_DOMAIN = b"\x0astorage-meta"
 _LOG_GENESIS = hashlib.sha256(_PAGE_LOG_DOMAIN + PAGE_LOG_MAGIC).digest()
-_PUT, _DELETE, _DROP, _META = b"P", b"D", b"G", b"M"
 #: an op's head: code and name length, the name (a page kind or a meta
 #: key), then shard, generation, seq and body length, then the checksum
 #: of the body.  Every op has every field; what it does not use is 0.
 _HEAD = struct.Struct(">cH")
 _FIELDS = struct.Struct(">IQQI")
-_NO_BODY = (b"", bytes(_DIGEST_BYTES))
-
-
-def _meta_checksum(key: str, value: bytes) -> bytes:
-    """Domain-separated checksum binding a meta value to its key."""
-    hasher = hashlib.sha256(_META_DOMAIN + key.encode("utf-8") + b"|")
-    hasher.update(value)
-    return hasher.digest()
 
 
 def _op_bytes(name: str, body: bytes) -> int:
@@ -623,7 +665,7 @@ def _decode_ops(payload: memoryview, hasher):
         raise ValueError("last op runs past the record")
 
 
-class FilePageStore(PageStore):
+class FilePageStore(MemoryPageStore):
     """Append-only page file: the ``--backend file`` disk engine.
 
     ``pages.log`` is :data:`PAGE_LOG_MAGIC` followed by records framed
@@ -634,7 +676,8 @@ class FilePageStore(PageStore):
     -- and a body (the page's bytes, the meta value).  The digest chains
     the record's heads to the record before it.  Opening the file scans
     it once: every record's digest is verified and its operations are
-    applied to the in-memory index reads are served from; a torn final
+    applied to the committed index reads are served from (the
+    :class:`MemoryPageStore` this class is); a torn final
     record -- a commit that never returned -- is trimmed off, and any
     other mismatch is refused.  The scan hashes heads only: a page is
     checked against its checksum when it is read (:func:`_verified`,
@@ -654,18 +697,13 @@ class FilePageStore(PageStore):
 
     def __init__(self, path: str, fsync: bool = True,
                  io: IoShim | None = None, readonly: bool = False) -> None:
+        super().__init__(io)
         self.path = path
         self.fsync = fsync
-        self.io = io or REAL_IO
         self.readonly = readonly
-        #: (kind, shard, gen) -> seq -> (blob, checksum)
-        self._groups: dict[tuple[str, int, int], dict[int, tuple]] = {}
-        #: key -> (value, checksum)
-        self._meta: dict[str, tuple[bytes, bytes]] = {}
         self._size = 0          # bytes of the file
         self._chain = _LOG_GENESIS
         self._handle = None
-        self._staged: list | None = None
         if os.path.isfile(path):
             self._scan(self.io.read_file(path))
 
@@ -710,22 +748,7 @@ class FilePageStore(PageStore):
         if not self.readonly:
             self.io.truncate_file(self.path, size)
 
-    # -- the in-memory index ---------------------------------------------
-
-    def _apply(self, op: tuple) -> None:
-        code, name, shard, gen, seq, body, checksum = op
-        if code == _META:
-            self._meta[name] = (body, checksum)
-        elif code == _DROP:
-            self._groups.pop((name, shard, gen), None)
-        elif code == _PUT:
-            self._groups.setdefault((name, shard, gen), {})[seq] = \
-                (body, checksum)
-        else:
-            group = self._groups.get((name, shard, gen), {})
-            group.pop(seq, None)
-            if not group:
-                self._groups.pop((name, shard, gen), None)
+    # -- compaction ------------------------------------------------------
 
     def rewritten_size(self) -> int:
         """The file's size once rewritten as its live set."""
@@ -746,19 +769,13 @@ class FilePageStore(PageStore):
 
     # -- transactions ----------------------------------------------------
 
-    def _stage(self, call: str, op: tuple) -> None:
-        if self._staged is None:
-            raise StorageError(f"{call} outside a transaction")
-        self._staged.append(op)
-
     def begin(self) -> None:
-        if self._staged is not None:
-            raise StorageError("transaction already open")
         if self.readonly:
             raise StorageError("page file opened read-only")
-        if self._size > PAGE_LOG_COMPACT_RATIO * self.rewritten_size():
+        if self._staged is None and \
+                self._size > PAGE_LOG_COMPACT_RATIO * self.rewritten_size():
             self._compact()
-        self._staged = []
+        super().begin()
 
     def _compact(self) -> None:
         """Rewrite the file as its live set: one record, same state."""
@@ -774,20 +791,14 @@ class FilePageStore(PageStore):
         if _obs.enabled:
             _COMPACTIONS.inc()
 
-    def commit(self) -> None:
-        if self._staged is None:
-            raise StorageError("no open transaction")
-        staged, self._staged = self._staged, None
+    def _persist(self, ops: list) -> None:
         self.io.pre_commit(self.path)
         try:
             self.io.commit_gate(self.path)
             self.io.crash_point("pagestore:pre-commit")
-            self._append(staged)
+            self._append(ops)
         except OSError as exc:
             raise StorageError(f"checkpoint commit failed: {exc}") from exc
-        for op in staged:
-            self._apply(op)
-        self.io.crash_point("pagestore:post-commit")
 
     def _append(self, ops: list) -> None:
         """One record, one fsync; on failure the file is trimmed back to
@@ -813,70 +824,11 @@ class FilePageStore(PageStore):
         self._size += len(record)
         self._chain = chain
 
-    def rollback(self) -> None:
-        self._staged = None
-
-    def write_page(self, kind: str, shard: int, gen: int, seq: int,
-                   blob: bytes) -> None:
-        if self._staged is None:
-            raise StorageError("write_page outside a transaction")
-        self.io.crash_point("pagestore:page-write")
-        self.io.crash_point(f"pagestore:{kind}-page-write")
+    def _admit_page(self) -> None:
         try:
             self.io.commit_gate(self.path)  # ENOSPC surfaces at write time
         except OSError as exc:
             raise StorageError(f"page write failed: {exc}") from exc
-        self._staged.append((_PUT, kind, shard, gen, seq, blob,
-                             page_checksum(kind, shard, gen, seq, blob)))
-        if _obs.enabled:
-            _PAGES_WRITTEN.inc()
-            _PAGE_BYTES.inc(len(blob))
-
-    def delete_page(self, kind: str, shard: int, gen: int, seq: int) -> None:
-        self._stage("delete_page", (_DELETE, kind, shard, gen, seq,
-                                    *_NO_BODY))
-
-    def drop_generation(self, kind: str, shard: int, gen: int) -> None:
-        self._stage("drop_generation", (_DROP, kind, shard, gen, 0,
-                                        *_NO_BODY))
-
-    def put_meta(self, key: str, value: bytes) -> None:
-        self._stage("put_meta", (_META, key, 0, 0, 0, value,
-                                 _meta_checksum(key, value)))
-        if _obs.enabled:
-            _META_BYTES.inc(len(value))
-
-    # -- reads (committed state only) --------------------------------------
-
-    def read_pages(self, kind: str, shard: int, gen: int):
-        group = self._groups.get((kind, shard, gen), {})
-        for seq in sorted(group):
-            yield _verified(self.io, kind, shard, gen, seq, *group[seq])
-
-    def read_page(self, kind: str, shard: int, gen: int,
-                  seq: int) -> bytes | None:
-        stored = self._groups.get((kind, shard, gen), {}).get(seq)
-        if stored is None:
-            return None
-        return _verified(self.io, kind, shard, gen, seq, *stored)
-
-    def page_count(self, kind: str, shard: int, gen: int) -> int:
-        return len(self._groups.get((kind, shard, gen), ()))
-
-    def page_bytes(self, kind: str, shard: int, gen: int) -> int:
-        return sum(len(blob) for blob, _ in
-                   self._groups.get((kind, shard, gen), {}).values())
-
-    def page_keys(self, kind: str, shard: int) -> list[tuple[int, int]]:
-        return sorted((gen, seq) for (k, s, gen), group in self._groups.items()
-                      if (k, s) == (kind, shard) for seq in group)
-
-    def generations(self, shard: int) -> list[int]:
-        return sorted({gen for (_k, s, gen) in self._groups if s == shard})
-
-    def get_meta(self, key: str) -> bytes | None:
-        stored = self._meta.get(key)
-        return None if stored is None else stored[0]
 
     def _close_handle(self) -> None:
         if self._handle is not None:
@@ -887,11 +839,17 @@ class FilePageStore(PageStore):
             self._handle = None
 
     def close(self) -> None:
-        self._staged = None
+        super().close()
         self._close_handle()
 
 
-_PAGE_STORES = {"sqlite": SqlitePageStore, "file": FilePageStore}
+_PAGE_STORES = {"file": FilePageStore, "sqlite": SqlitePageStore}
+
+
+def backend_of(data_dir: str) -> str | None:
+    """The backend whose page store ``data_dir`` holds; ``None``: none."""
+    return next((name for name, kind in _PAGE_STORES.items()
+                 if os.path.isfile(os.path.join(data_dir, kind.FILE))), None)
 
 
 def open_page_store(data_dir: str, fsync: bool = True,

@@ -161,48 +161,54 @@ class TestQuiesceCountsDequeuedWork:
         quiescent."""
         import asyncio
 
-        from repro.net import AsyncTrustedCvsServer
         from repro.net.framing import _frame
         from repro.protocols.base import Request
 
-        async def scenario():
-            server = AsyncTrustedCvsServer(order=4, batch_max=2)
-            await server.start()
-            try:
-                _reader, writer = await asyncio.open_connection(
-                    *server.address)
-                while not server._writers:
-                    await asyncio.sleep(0.001)
-                (accepted,) = server._writers
-                release = asyncio.Event()
-                drain = accepted.drain
+        server = serve_in_thread(order=4, batch_max=2)
 
-                async def held_drain():
-                    await release.wait()
-                    await drain()
+        def on_loop(coroutine):
+            return asyncio.run_coroutine_threadsafe(
+                coroutine, server.loop).result(5.0)
 
-                accepted.drain = held_drain
-                writer.write(b"".join(
-                    _frame(Request(query=WriteQuery(b"k%d" % i, b"v"),
-                                   extras={"user": "alice",
-                                           "rid": f"alice:q:{i}"}))
-                    for i in range(6)))
-                await writer.drain()
-                while server.core.state.ctr < 2:
-                    await asyncio.sleep(0.001)
-                # what the queue-and-park-list predicate took for idle
-                assert server._queue.empty() and not server._parked
-                assert server.core.all_unblocked()
-                assert not await server.quiesce_async(0.05)
-                assert server.core.state.ctr == 2
-                release.set()
-                assert await server.quiesce_async(5.0)
-                assert server.core.state.ctr == 6
-                writer.close()
-            finally:
-                await server.shutdown()
+        async def hold_six_requests():
+            _reader, writer = await asyncio.open_connection(*server.address)
+            while not server._writers:
+                await asyncio.sleep(0.001)
+            (accepted,) = server._writers
+            release = asyncio.Event()
+            drain = accepted.drain
 
-        asyncio.run(scenario())
+            async def held_drain():
+                await release.wait()
+                await drain()
+
+            accepted.drain = held_drain
+            writer.write(b"".join(
+                _frame(Request(query=WriteQuery(b"k%d" % i, b"v"),
+                               extras={"user": "alice",
+                                       "rid": f"alice:q:{i}"}))
+                for i in range(6)))
+            await writer.drain()
+            while server.core.state.ctr < 2:
+                await asyncio.sleep(0.001)
+            return writer, release
+
+        async def idle_by_queue_and_park_list():
+            return server._queue.empty() and not server._parked
+
+        try:
+            writer, release = on_loop(hold_six_requests())
+            # what the queue-and-park-list predicate took for idle
+            assert on_loop(idle_by_queue_and_park_list())
+            assert server.with_core(lambda core: core.all_unblocked())
+            assert not server.quiesce(0.05)
+            assert server.core.state.ctr == 2
+            server.loop.call_soon_threadsafe(release.set)
+            assert server.quiesce(5.0)
+            assert server.core.state.ctr == 6
+            server.loop.call_soon_threadsafe(writer.close)
+        finally:
+            server.stop()
 
 
 class TestBlockingPathObservability:

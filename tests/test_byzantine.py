@@ -493,7 +493,7 @@ class TestForkSurvivesWalReplay:
         assert "fork" in before
         alice.close()
         bob.close()
-        server.stop(snapshot=False)  # crash-equivalent
+        server.stop()  # crash-equivalent
 
         restarted = p2_server(attack=make_attack(), data_dir=data_dir,
                               snapshot_every=3)

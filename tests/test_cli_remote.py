@@ -348,7 +348,7 @@ class TestServerRestart:
         remote = remote_of(server)
         port = server.address[1]
         commit_remote(client_dir, remote, "f.txt", "before\n")
-        server.stop(snapshot=False)  # crash
+        server.stop()  # crash
         server = serve_in_thread(order=8, port=port, data_dir=data_dir, fsync=False)
         try:
             assert cvs(client_dir, remote, "alice", "checkout", "f.txt") == "before\n"

@@ -180,7 +180,7 @@ class TestDurableServer:
             for i in range(21):
                 alice.put(f"k{i % 5}".encode(), f"v{i}".encode())
         before = server.consistent_view()[:2]  # (root, ctr)
-        server.stop(snapshot=False)  # crash
+        server.stop()  # crash
 
         restarted = serve_in_thread(order=4, data_dir=data_dir, snapshot_every=8)
         assert restarted.consistent_view()[:2] == before
@@ -215,7 +215,7 @@ class TestDurableServer:
         with socket.create_connection((host, port)) as sock:
             send_message(sock, request)
             first = recv_message(sock)
-        server.stop(snapshot=False)  # crash: the ack may never have left
+        server.stop()  # crash: the ack may never have left
 
         restarted = serve_in_thread(order=4, data_dir=data_dir,
                                     port=port)
@@ -262,7 +262,7 @@ class TestKillAndRestart:
         try:
             for step, (user, key, value) in enumerate(ops):
                 if step in (13, 27):  # two crashes mid-workload
-                    server.stop(snapshot=False)
+                    server.stop()
                     server = serve_in_thread(order=4, data_dir=data_dir,
                                              port=port, snapshot_every=12)
                 clients[user].put(key, value)
@@ -381,7 +381,7 @@ class TestKillAndRestart:
                     time.monotonic() < deadline:
                 time.sleep(0.005)
             assert server.quiesce(timeout=10.0)
-            server.stop(snapshot=False)  # crash: WAL only
+            server.stop()  # crash: WAL only
             server = serve_in_thread(order=4, data_dir=data_dir,
                                      port=port, snapshot_every=1000)
             assert server.replayed_records == window
@@ -421,7 +421,7 @@ class TestKillAndRestart:
             client.put(b"warm1", b"w")
             for i in range(window):
                 client.submit(WriteQuery(f"k{i}".encode(), f"v{i}".encode()))
-            server.stop(snapshot=False)
+            server.stop()
             server = serve_in_thread(order=4, data_dir=data_dir,
                                      port=port, snapshot_every=1000)
             client.drain()
@@ -441,7 +441,7 @@ class TestKillAndRestart:
                           order=4) as alice:
             for i in range(5):
                 alice.put(f"k{i}".encode(), b"v")
-        server.stop(snapshot=False)
+        server.stop()
 
         wal = os.path.join(data_dir, "wal.log")
         with open(wal, "r+b") as handle:
@@ -1086,7 +1086,7 @@ class TestPagedServerEndToEnd:
             for i in range(21):
                 alice.put(f"e{i}".encode(), f"v{i}".encode())
         root = server.initial_root_digest()  # the current root
-        server.stop(snapshot=False)  # crash
+        server.stop()  # crash
 
         restarted = serve_in_thread(order=4, data_dir=data_dir, port=port,
                                     backend="sqlite", snapshot_every=8,
@@ -1326,7 +1326,7 @@ class TestPoisonedRequests:
             before = server.consistent_view()[:2]
             assert before[1] == len(queries) + 1
         finally:
-            server.stop(snapshot=False)
+            server.stop()
         restarted = serve_in_thread(order=4, data_dir=data_dir, backend=backend,
                                     fsync=False)
         try:
@@ -1363,7 +1363,7 @@ class TestPoisonedRequests:
             before = server.consistent_view()[:2]
             assert before[1] == sum(len(run) for run in runs)
         finally:
-            server.stop(snapshot=False)
+            server.stop()
         restarted = serve_in_thread(order=4, protocol=Protocol1Server(),
                                     data_dir=data_dir, fsync=False)
         try:

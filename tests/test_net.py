@@ -636,7 +636,7 @@ class TestNoDelaySockets:
             alice.put(b"k", b"v")
             assert _no_delay(alice._sock)
             accepted = [writer.get_extra_info("socket")
-                        for writer in server._server._writers]
+                        for writer in server._writers]
             assert accepted and all(_no_delay(sock) for sock in accepted)
 
     def test_pipelined_client_after_a_forced_reconnect(self, server):

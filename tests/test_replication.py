@@ -200,7 +200,7 @@ class TestWitnessWalReplay:
             send_message(sock, Request(query=None, extras={
                 "user": REPL_USER, DEPOSIT_KEY: deposits}))
             assert recv_message(sock).extras["stored"] == 3
-        server.stop(snapshot=False)  # crash: WAL only
+        server.stop()  # crash: WAL only
 
         restarted = serve_in_thread(order=ORDER,
                                     protocol=_witness_protocol(0),
@@ -424,7 +424,7 @@ class TestDepositLeg:
                               order=ORDER) as alice:
                 for i in range(n):
                     if i == n // 2:
-                        durable.stop(snapshot=False)  # crash
+                        durable.stop()  # crash
                         durable = serve_in_thread(
                             order=ORDER, protocol=_witness_protocol(1),
                             data_dir=data_dir, port=durable_port)

@@ -1,7 +1,7 @@
 """Graceful shutdown: quiesce, flush, final snapshot.
 
 ``graceful_stop`` is the operator path: unlike the crash-equivalent
-``stop(snapshot=False)`` it drains in-flight work, flushes any attached
+``stop()`` it drains in-flight work, flushes any attached
 replicator, fsyncs the WAL and writes a final snapshot, so the next
 start replays zero records.  ``repro serve`` routes SIGTERM/SIGINT
 through it (tested against a real subprocess).

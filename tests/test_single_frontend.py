@@ -4,8 +4,9 @@ Every wire test, crash test and attack gallery now runs against the one
 server, so these pin the seams the second front-end used to cover: the
 frozen benchmark's second name for the one ``serve`` function, the
 options that are gone, ``apply_request`` as the one-entry batch, the
-listening port across a crash-restart, and the on-loop accessor the
-stale-state forks are built from.
+listening port across a crash-restart, the on-loop accessor the
+stale-state forks are built from, and the one server object: the loop
+over a built core, which alone sets the defer-followup marker.
 """
 
 import importlib
@@ -18,7 +19,7 @@ import pytest
 from helpers import swap_state
 from repro import net
 from repro.cli import main as cli_main
-from repro.mtree.database import ReadQuery, WriteQuery
+from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
 from repro.net import RemoteClient, RetryPolicy, ServerCore, sync_check
 from repro.net.wal import open_server_store
 from repro.protocols.base import Request
@@ -112,7 +113,7 @@ class TestRestartOnTheSamePort:
                 for client in clients:
                     client.put(b"k-" + client.user_id.encode(),
                                b"v%d" % round_no)
-                server.stop(snapshot=False)     # sessions still open
+                server.stop()  # sessions still open
                 server = net.serve_in_thread(order=4, data_dir=data_dir,
                                              port=port)
                 assert server.address == (host, port)
@@ -138,7 +139,7 @@ class TestCrashStopSeversEveryConnection:
             server = net.serve_in_thread(order=4)
             peers = [socket.create_connection(server.address, timeout=5.0)
                      for _ in range(2)]
-            server.stop(snapshot=False)
+            server.stop()
             for peer in peers:
                 try:
                     assert peer.recv(16) == b""     # FIN ...
@@ -221,3 +222,73 @@ class TestTheServerLoadsOnlyTheServer:
             assert set(module.__all__) <= set(dir(module))
             with pytest.raises(AttributeError):
                 module.no_such_name  # noqa: B018
+
+
+class TestOneServerObject:
+    """The event loop is built over a :class:`ServerCore` and configures
+    only the front-end; the core's options are declared once, by the
+    core, and every page store reads through one committed index."""
+
+    def test_the_front_end_takes_a_built_core(self):
+        import inspect
+
+        from repro.net.aserver import AsyncTrustedCvsServer
+
+        assert list(inspect.signature(AsyncTrustedCvsServer).parameters) \
+            == ["core", "host", "port", "block_timeout", "batch_max"]
+        for method in (AsyncTrustedCvsServer.stop,
+                       AsyncTrustedCvsServer.shutdown):
+            assert "snapshot" not in inspect.signature(method).parameters
+        assert "endpoints" not in inspect.signature(RemoteClient).parameters
+
+    def test_serve_in_thread_passes_the_core_its_keywords(self, tmp_path):
+        from repro.storage.pagestore import SqlitePageStore
+
+        server = net.serve_in_thread(
+            shards=2, backend="sqlite", data_dir=str(tmp_path / "server"),
+            snapshot_every=8, fsync=False)
+        try:
+            core = server.core
+            assert core.state.database.shards == 2
+            assert core.store.backend == "sqlite"
+            assert isinstance(core.store.pages, SqlitePageStore)
+            assert core.store.data_dir == str(tmp_path / "server")
+            assert core.snapshot_every == 8
+            assert core.store.fsync is False
+        finally:
+            server.stop()
+
+    def test_the_page_file_adds_only_the_file(self):
+        from repro.storage.pagestore import FilePageStore, MemoryPageStore
+
+        assert issubclass(FilePageStore, MemoryPageStore)
+        own = set(vars(FilePageStore))
+        for name in ("read_pages", "read_page", "read_many", "page_count",
+                     "page_bytes", "page_keys", "generations", "get_meta",
+                     "write_page", "put_meta", "_apply"):
+            assert name not in own, name
+
+
+class TestTheDeferMarkerIsTheCoresToSet:
+    def test_a_client_set_marker_is_ignored_in_process(self, shared_keys):
+        """A Protocol I request handed to ``apply_batch`` with the
+        defer-followup marker already set is answered as the batch's
+        final request: the client must sign, and the state blocks."""
+        from repro.protocols.base import ServerState
+        from repro.protocols.protocol1 import (
+            BATCH_FINAL_KEY,
+            DEFER_FOLLOWUP_KEY,
+            Protocol1Server,
+            bootstrap_server_state,
+        )
+
+        state = ServerState(database=VerifiedDatabase(order=4))
+        bootstrap_server_state(state, shared_keys.signers["alice"])
+        core = ServerCore(order=4, protocol=Protocol1Server(), state=state)
+        request = Request(query=WriteQuery(b"k", b"v"),
+                          extras={"user": "alice", "rid": "alice:t:0",
+                                  DEFER_FOLLOWUP_KEY: True})
+        (response,) = core.apply_batch([("alice", request)])
+        assert response.extras[BATCH_FINAL_KEY] is True
+        assert core.blocked_for("bob")
+        assert not core.all_unblocked()

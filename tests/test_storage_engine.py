@@ -124,6 +124,14 @@ class TestStreamCodec:
                 parse_leaf_page([bad])
 
 
+def _flat_pages(store):
+    """Every committed page of a memory store: ``(kind, shard, gen, seq)
+    -> (blob, checksum)``."""
+    return {(*group_key, seq): page
+            for group_key, group in store._groups.items()
+            for seq, page in group.items()}
+
+
 def _checkpoint(store, tree, gen, known=None, next_page=0, shard=0, **kwargs):
     store.begin()
     result = write_shard_pages(store, shard, gen, tree, known, next_page,
@@ -189,7 +197,7 @@ class TestShardPages:
         store = MemoryPageStore()
         tree = _tree(400)
         first = _checkpoint(store, tree, 0)
-        before = dict(store._pages)
+        before = _flat_pages(store)
         touched = set()
         for i, index in enumerate((3, 150, 151, 399)):
             key = b"key%06d" % index
@@ -201,8 +209,9 @@ class TestShardPages:
         assert second.counts["value_bytes"] == 50 * (1 + 2 + 3 + 4)
         assert second.next_page == first.next_page + 7
         assert len(second.superseded) == 7
-        assert all(store._pages[key] == page for key, page in before.items())
-        new_rows = {key for key in store._pages if key not in before}
+        after = _flat_pages(store)
+        assert all(after[key] == page for key, page in before.items())
+        new_rows = {key for key in after if key not in before}
         assert {key[0] for key in new_rows} == {"nodes", "leaves", "entries"}
         assert sum(key[0] == "leaves" for key in new_rows) == 3
         assert sum(key[0] == "entries" for key in new_rows) == 4
@@ -242,7 +251,7 @@ class TestShardPages:
         first = _checkpoint(store, tree, 0)
         history(tree)
         second = _checkpoint(store, tree, 1, first.rows, first.next_page)
-        written = {key: page for key, page in store._pages.items()
+        written = {key: page for key, page in _flat_pages(store).items()
                    if key[2] == 1}
         known = PageRows()
         twin = load_shard_tree(store, 0, 0, rows=known)
@@ -254,7 +263,7 @@ class TestShardPages:
         redo = _checkpoint(store, twin, 1, known, first.next_page)
         assert (redo.rows, redo.next_page, redo.superseded) == \
             (second.rows, second.next_page, second.superseded)
-        assert {key: page for key, page in store._pages.items()
+        assert {key: page for key, page in _flat_pages(store).items()
                 if key[2] == 1} == written
 
 
