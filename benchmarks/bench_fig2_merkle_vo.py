@@ -54,8 +54,9 @@ def test_fig2_vo_scaling(capsys, benchmark):
         key = f"{n // 2:08d}".encode()
 
         read_proof = build_read_proof(mtree, key)
+        value = mtree.get(key)
         read_sizes[n] = read_proof.size_digests()
-        read_us = _time(lambda: verify_read(root, read_proof, key))
+        read_us = _time(lambda: verify_read(root, read_proof, key, value))
 
         update_proof = build_update_proof(mtree, "insert", key)
         update_us = _time(
@@ -87,7 +88,8 @@ def test_fig2_vo_scaling(capsys, benchmark):
     root = mtree.root_digest()
     key = b"00032768"
     proof = build_read_proof(mtree, key)
-    benchmark(lambda: verify_read(root, proof, key))
+    value = mtree.get(key)
+    benchmark(lambda: verify_read(root, proof, key, value))
 
 
 def test_fig2_update_verify_kernel(capsys, benchmark):

@@ -22,7 +22,7 @@ from repro.mtree.database import (
     VerifiedDatabase,
     WriteQuery,
 )
-from repro.mtree.proofs import LeafSnapshot, ProofError, RangeProof, ReadProof
+from repro.mtree.proofs import LeafSnapshot, ProofError, ReadProof
 
 
 def load_customers(db, client):
@@ -63,24 +63,21 @@ def main() -> None:
     entry_digests = list(result.proof.leaf.entry_digests)
     entry_digests[position] = hash_leaf(b"cust:0001", forged_value)
     forged = ReadProof(
-        key=result.proof.key, value=forged_value,
-        internals=result.proof.internals,
+        key=result.proof.key, internals=result.proof.internals,
         leaf=LeafSnapshot(keys=result.proof.leaf.keys, entry_digests=tuple(entry_digests)),
     )
     try:
         from repro.mtree.proofs import verify_read
-        verify_read(owner.root_digest, forged, b"cust:0001")
+        verify_read(owner.root_digest, forged, b"cust:0001", forged_value)
         print("attack 1 (tampered row)     : MISSED -- this must never print")
     except ProofError as exc:
         print(f"attack 1 (tampered row)     : caught -> {exc}")
 
     # -- attack 2: rows hidden from a range scan -------------------------------
     honest = vendor.execute(RangeQuery(b"cust:0001", b"cust:0005"))
-    hidden = RangeProof(low=honest.proof.low, high=honest.proof.high,
-                        root=honest.proof.root, entries=honest.proof.entries[:-2])
     try:
         from repro.mtree.proofs import verify_range
-        verify_range(owner.root_digest, hidden)
+        verify_range(owner.root_digest, honest.proof, honest.answer[:-2])
         print("attack 2 (hidden rows)      : MISSED -- this must never print")
     except ProofError as exc:
         print(f"attack 2 (hidden rows)      : caught -> {exc}")

@@ -472,10 +472,10 @@ def cmd_store_inspect(args, out) -> int:
     """
     from repro.net import wal
     from repro.net.wal import (
-        SEGMENT_PREFIX, SEGMENT_SUFFIX, WAL_FILE, _MANIFEST_FORMAT, _MANIFEST_KEY)
+        SEGMENT_PREFIX, SEGMENT_SUFFIX, WAL_FILE, _MANIFEST_KEY)
     from repro.storage.engine import KIND_ENTRIES, KIND_LEAVES, KIND_NODES
     from repro.storage.pagestore import open_page_store, parse_records
-    from repro.wire import decode as _decode, encode as _encode
+    from repro.wire import encode as _encode
 
     data_dir = args.data_dir
     if not os.path.isdir(data_dir):
@@ -508,14 +508,15 @@ def cmd_store_inspect(args, out) -> int:
             print(f"backend: {backend} (no checkpoint committed yet)",
                   file=out)
             return 0
-        manifest = _decode(blob)
         print(f"backend: {backend}", file=out)
         print(f"{type(store).FILE}: {_file_size(type(store).FILE)} bytes",
               file=out)
+        try:
+            manifest = wal.load_manifest(blob)
+        except WalError as exc:
+            raise CliError(f"manifest: {len(blob)} bytes: {exc}") from exc
         print(f"manifest: {len(blob)} bytes ({manifest['format']})",
               file=out)
-        if manifest["format"] != _MANIFEST_FORMAT:
-            raise CliError(f"this build reads only {_MANIFEST_FORMAT!r}")
         print(f"checkpoint generation: {manifest['gen']}", file=out)
         print(f"top root: {manifest['root'].hex()}", file=out)
         print(f"spec: {manifest['spec']}", file=out)

@@ -200,10 +200,11 @@ class VerifiedDatabase:
         mtree = self._mtree
         if isinstance(query, ReadQuery):
             proof = self._build_read(mtree, query.key)
-            return QueryResult(answer=proof.value, proof=proof)
+            return QueryResult(answer=mtree.get(query.key), proof=proof)
         if isinstance(query, RangeQuery):
             proof = self._build_range(mtree, query.low, query.high)
-            return QueryResult(answer=proof.entries, proof=proof)
+            return QueryResult(answer=tuple(mtree.range(query.low, query.high)),
+                               proof=proof)
         if isinstance(query, WriteQuery):
             proof = self._build_update(mtree, "insert", query.key)
             mtree.insert(query.key, query.value)
@@ -232,26 +233,26 @@ class VerifiedOutcome:
 
 
 def _read(implied_root):
-    def reduce(query, proof, spec):
-        root = implied_root(proof, query.key, spec)
-        return root, root, proof.value
+    def reduce(query, proof, answer, spec):
+        root = implied_root(proof, query.key, answer, spec)
+        return root, root
     return reduce
 
 
 def _range(implied_root):
-    def reduce(query, proof, spec):
+    def reduce(query, proof, answer, spec):
         if (proof.low, proof.high) != (query.low, query.high):
             raise ProofError("range proof covers a different range")
-        root = implied_root(proof, spec)
-        return root, root, proof.entries
+        root = implied_root(proof, answer, spec)
+        return root, root
     return reduce
 
 
 def _update(derive_roots):
-    def reduce(query, proof, spec):
-        old_root, new_root = derive_roots(
-            proof, spec, query.key, getattr(query, "value", None))
-        return old_root, new_root, None
+    def reduce(query, proof, answer, spec):
+        if answer is not None:
+            raise ProofError("an update's answer must be None")
+        return derive_roots(proof, spec, query.key, getattr(query, "value", None))
     return reduce
 
 
@@ -265,16 +266,17 @@ _UPDATE = (
 #: proof is called, the operation an update proof must name, and -- the
 #: only one-tree/forest fork of the client side -- for a single tree and
 #: for a forest, the proof type the store answers with and the function
-#: reducing ``(query, proof, spec)`` to ``(old root, new root, answer)``.
+#: reducing ``(query, proof, answer, spec)`` to ``(old root, new root)``.
 _RULES = {
     ReadQuery: (
         "read query answered with a non-read proof", None,
-        (ReadProof, _read(lambda proof, key, spec:
-                          implied_root_for_read(proof, key))),
+        (ReadProof, _read(lambda proof, key, answer, spec:
+                          implied_root_for_read(proof, key, answer))),
         (ForestReadProof, _read(implied_root_for_forest_read))),
     RangeQuery: (
         "range query answered with a non-range proof", None,
-        (RangeProof, _range(lambda proof, spec: implied_root_for_range(proof))),
+        (RangeProof, _range(lambda proof, answer, spec:
+                            implied_root_for_range(proof, answer))),
         (ForestRangeProof, _range(implied_root_for_forest_range))),
     WriteQuery: ("write query answered with a non-insert proof", "insert", *_UPDATE),
     DeleteQuery: ("delete query answered with a non-delete proof", "delete", *_UPDATE),
@@ -284,15 +286,20 @@ _RULES = {
 def derive_outcome(
     query: Query, result: QueryResult, spec: int | StoreSpec
 ) -> VerifiedOutcome:
-    """From ``v(Q, D)``: the root it vouches for, the root after ``Q``
-    and the trustworthy answer -- or :class:`ProofError`, nothing else.
+    """From ``Q(D)`` and ``v(Q, D)``: the root they vouch for, the root
+    after ``Q`` and the trustworthy answer -- or :class:`ProofError`,
+    nothing else.
 
-    For reads the two roots coincide; for updates the new root is
-    *recomputed by the client*, never taken from the server.  The
-    caller authenticates ``old_root`` (:class:`ClientVerifier` against
-    the root it tracks, Protocol I through a signature, II/III through
-    the XOR registers).  ``spec`` is a bare order (single tree) or a
-    :class:`StoreSpec`; a sharded store's roots are top roots.
+    The answer is the verifier's input, not a second copy inside the
+    proof: a read's value must be the entry digest's preimage (or
+    ``None`` beside a leaf without the key), a range's rows must be
+    exactly the revealed leaves' in-range entries, an update's answer
+    ``None``.  For reads the two roots coincide; for updates the new
+    root is *recomputed by the client*, never taken from the server.
+    The caller authenticates ``old_root`` (:class:`ClientVerifier`
+    against the root it tracks, Protocol I through a signature, II/III
+    through the XOR registers).  ``spec`` is a bare order (single tree)
+    or a :class:`StoreSpec`; a sharded store's roots are top roots.
     """
     spec = StoreSpec.coerce(spec)
     rule = _RULES.get(type(query))
@@ -306,10 +313,8 @@ def derive_outcome(
     if not isinstance(proof, proof_type) or \
             (operation is not None and proof.operation != operation):
         raise ProofError(wrong_proof)
-    old_root, new_root, answer = reduce(query, proof, spec)
-    if result.answer != answer:
-        raise ProofError("server answer disagrees with its own proof")
-    return VerifiedOutcome(old_root=old_root, new_root=new_root, answer=answer)
+    old_root, new_root = reduce(query, proof, result.answer, spec)
+    return VerifiedOutcome(old_root=old_root, new_root=new_root, answer=result.answer)
 
 
 class ClientVerifier:

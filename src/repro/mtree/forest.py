@@ -35,6 +35,7 @@ from repro.crypto.hashing import Digest, hash_leaf
 from repro.mtree.bplus import DEFAULT_ORDER
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
+    NOT_ENTRIES,
     ProofError,
     RangeProof,
     ReadProof,
@@ -42,7 +43,6 @@ from repro.mtree.proofs import (
     build_range_proof,
     build_read_proof,
     build_update_proof,
-    check_read_answer,
     derive_update_roots,
     entries_of,
     fold_path,
@@ -377,10 +377,6 @@ class ForestReadProof:
                 and isinstance(self.top, ReadProof)):
             raise ProofError("malformed forest read proof")
 
-    @property
-    def value(self) -> bytes | None:
-        return self.inner.value
-
     def size_digests(self) -> int:
         return self.inner.size_digests() + self.top.size_digests()
 
@@ -417,22 +413,20 @@ class ForestRangeProof:
     a top-tree range proof covering every shard root.
 
     Hash routing scatters adjacent keys across shards, so completeness
-    for ``[low, high]`` requires every shard to prove its slice; the
-    top proof pins each shard proof's implied root to the signed top
-    root, and ``entries`` is the sorted merge the client re-derives.
+    for ``[low, high]`` requires every shard to prove its slice of the
+    answer; the top proof pins each shard proof's implied root to the
+    signed top root.
     """
 
     low: bytes
     high: bytes
     shard_proofs: tuple[RangeProof, ...]
     top: RangeProof
-    entries: tuple[tuple[bytes, bytes], ...]
 
     def __post_init__(self) -> None:
         if not (isinstance(self.low, bytes) and isinstance(self.high, bytes)
                 and tuple_of(self.shard_proofs, RangeProof)
-                and isinstance(self.top, RangeProof)
-                and entries_of(self.entries)):
+                and isinstance(self.top, RangeProof)):
             raise ProofError("malformed forest range proof")
 
     def size_digests(self) -> int:
@@ -490,30 +484,43 @@ def build_forest_range_proof(
     )
     top = build_range_proof(
         forest.top_tree, shard_key(0), shard_key(forest.shard_count - 1))
-    entries = tuple(_sorted_merge(*(proof.entries for proof in shard_proofs)))
-    return ForestRangeProof(
-        low=low, high=high, shard_proofs=shard_proofs, top=top, entries=entries)
+    return ForestRangeProof(low=low, high=high, shard_proofs=shard_proofs, top=top)
 
 
 # -- verification (client side) ----------------------------------------------
 
 
+def _check_top_entry(top: ReadProof | UpdateProof, skey: bytes,
+                     shard_root: Digest, mismatch: str) -> None:
+    """The level binding: the top half of a forest VO is for ``skey``
+    and its leaf commits ``hash_leaf(skey, shard_root)`` -- the shard
+    root the client derived from the inner half."""
+    if top.key != skey:
+        raise ProofError("top-tree proof is for a different shard key")
+    try:
+        position = top.leaf.keys.index(skey)
+    except ValueError:
+        raise ProofError("top-tree leaf does not contain the shard key") from None
+    if top.leaf.entry_digests[position] != hash_leaf(skey, shard_root.to_bytes()):
+        raise ProofError(mismatch)
+
+
 def implied_root_for_forest_read(
-    proof: ForestReadProof, key: bytes, spec: StoreSpec
+    proof: ForestReadProof, key: bytes, value: object, spec: StoreSpec
 ) -> Digest:
-    """The *top* root a forest read proof vouches for.
+    """The *top* root a forest read proof vouches for, with ``value``
+    as the answer.
 
     Checks (a) the proof comes from the shard ``key`` routes to, (b)
-    the inner proof's membership claim and path, and (c) the top tree
-    commits exactly the shard root the inner proof implies.
+    the answer against the inner proof's leaf, and its path, and (c)
+    the top tree commits exactly the shard root the inner proof implies.
     """
     if proof.shard != shard_for_key(key, spec.shards):
         raise ProofError("read proof was served out of the wrong shard")
-    shard_root = implied_root_for_read(proof.inner, key)
+    shard_root = implied_root_for_read(proof.inner, key, value)
     skey = shard_key(proof.shard)
-    committed = check_read_answer(proof.top, skey)
-    if committed != shard_root.to_bytes():
-        raise ProofError("top tree entry disagrees with the shard proof")
+    _check_top_entry(proof.top, skey, shard_root,
+                     "top tree entry disagrees with the shard proof")
     return fold_path(proof.top.internals, proof.top.leaf, skey)[0]
 
 
@@ -538,43 +545,40 @@ def derive_forest_update_roots(
     if proof.top.operation != "insert":
         raise ProofError("top-tree half of a forest update must be an overwrite")
     skey = shard_key(proof.shard)
-    if proof.top.key != skey:
-        raise ProofError("top-tree proof is for a different shard key")
     old_shard, new_shard = derive_update_roots(proof.inner, spec.order, key, value)
-    try:
-        position = proof.top.leaf.keys.index(skey)
-    except ValueError:
-        raise ProofError("top-tree leaf does not contain the shard key") from None
-    if proof.top.leaf.entry_digests[position] != hash_leaf(skey, old_shard.to_bytes()):
-        raise ProofError("top tree does not commit the shard's pre-update root")
+    _check_top_entry(proof.top, skey, old_shard,
+                     "top tree does not commit the shard's pre-update root")
     return derive_update_roots(
         proof.top, spec.top_order, skey, new_shard.to_bytes())
 
 
 def implied_root_for_forest_range(
-    proof: ForestRangeProof, spec: StoreSpec
+    proof: ForestRangeProof, entries: object, spec: StoreSpec
 ) -> Digest:
-    """The top root a forest range proof vouches for.
+    """The top root a forest range proof vouches for, with ``entries``
+    as the answer.
 
-    Every shard must prove its slice (completeness), every shard
-    proof's implied root must be the exact entry the top tree commits,
-    and ``entries`` must be the sorted merge of the per-shard slices.
+    The answer must be in key order.  Its rows are split by
+    ``shard_for_key``, every shard must prove its slice (completeness),
+    and the top tree's range proof must commit each shard root so
+    implied -- the top rows are ``(shard_key(i), shard root i)``.
     """
     if len(proof.shard_proofs) != spec.shards:
         raise ProofError("range proof does not cover every shard")
     if (proof.top.low, proof.top.high) != (shard_key(0), shard_key(spec.shards - 1)):
         raise ProofError("top-tree range proof does not span the shard keys")
-    top_root = implied_root_for_range(proof.top)
-    if [key for key, _ in proof.top.entries] != \
-            [shard_key(i) for i in range(spec.shards)]:
-        raise ProofError("top-tree range proof reveals the wrong shard set")
+    if not entries_of(entries):
+        raise ProofError(NOT_ENTRIES)
+    keys = [key for key, _ in entries]
+    if any(left >= right for left, right in zip(keys, keys[1:])):
+        raise ProofError("range answer is not in key order")
+    slices: list[list] = [[] for _ in range(spec.shards)]
+    for entry in entries:
+        slices[shard_for_key(entry[0], spec.shards)].append(entry)
+    shard_roots = []
     for index, shard_proof in enumerate(proof.shard_proofs):
         if (shard_proof.low, shard_proof.high) != (proof.low, proof.high):
             raise ProofError(f"shard {index} proof covers a different range")
-        implied = implied_root_for_range(shard_proof)
-        if proof.top.entries[index][1] != implied.to_bytes():
-            raise ProofError(f"top tree entry disagrees with shard {index} proof")
-    merged = tuple(_sorted_merge(*(p.entries for p in proof.shard_proofs)))
-    if merged != proof.entries:
-        raise ProofError("merged entries disagree with the per-shard proofs")
-    return top_root
+        implied = implied_root_for_range(shard_proof, tuple(slices[index]))
+        shard_roots.append((shard_key(index), implied.to_bytes()))
+    return implied_root_for_range(proof.top, tuple(shard_roots))

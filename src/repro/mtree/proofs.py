@@ -108,16 +108,16 @@ def snapshot_internal(mtree: MerkleBPlusTree, node) -> InternalSnapshot:
 
 @dataclass(frozen=True)
 class ReadProof:
-    """Membership or non-membership proof for a single key."""
+    """Membership or non-membership proof for a single key: the path to
+    the leaf ``key`` routes to.  The value is not in it -- it is the
+    answer, which the verifier binds to the leaf's entry digest."""
 
     key: bytes
-    value: bytes | None
     internals: tuple[InternalSnapshot, ...]  # root first, leaf's parent last
     leaf: LeafSnapshot
 
     def __post_init__(self) -> None:
         if not (isinstance(self.key, bytes)
-                and isinstance(self.value, (bytes, type(None)))
                 and tuple_of(self.internals, InternalSnapshot)
                 and isinstance(self.leaf, LeafSnapshot)):
             raise ProofError("malformed read proof")
@@ -131,10 +131,7 @@ def build_read_proof(mtree: MerkleBPlusTree, key: bytes) -> ReadProof:
     """Server side: assemble the VO for a point read of ``key``."""
     path = mtree.tree.search_path(key)
     internals = tuple([snapshot_internal(mtree, node) for node in path[:-1]])
-    node = path[-1]
-    value = node.values[node.keys.index(key)] if key in node.keys else None
-    return ReadProof(key=key, value=value, internals=internals,
-                     leaf=snapshot_leaf(mtree, node))
+    return ReadProof(key=key, internals=internals, leaf=snapshot_leaf(mtree, path[-1]))
 
 
 def fold_path(
@@ -167,39 +164,44 @@ def fold_path(
     return digest, indices
 
 
-def check_read_answer(proof: ReadProof, key: bytes) -> bytes | None:
-    """Validate the membership/non-membership claim inside a read proof
-    (independent of the root digest)."""
+def check_read_answer(proof: ReadProof, key: bytes, value: object) -> None:
+    """Bind a read's answer to the leaf its proof reveals (independent
+    of the root digest): ``None`` to a leaf without ``key``, a value to
+    the entry digest ``hash_leaf(key, value)``."""
     if proof.key != key:
         raise ProofError("proof is for a different key")
-    if proof.value is None:
+    if value is None:
         if key in proof.leaf.keys:
             raise ProofError("server claimed absence but the leaf contains the key")
-        return None
+        return
+    if not isinstance(value, bytes):
+        raise ProofError("read answer is neither a value nor None")
     try:
         position = proof.leaf.keys.index(key)
     except ValueError:
         raise ProofError("server claimed presence but the leaf lacks the key") from None
-    if hash_leaf(key, proof.value) != proof.leaf.entry_digests[position]:
+    if hash_leaf(key, value) != proof.leaf.entry_digests[position]:
         raise ProofError("returned value does not match the committed entry digest")
-    return proof.value
 
 
-def implied_root_for_read(proof: ReadProof, key: bytes) -> Digest:
-    """The root digest a read proof vouches for (after internal checks)."""
-    check_read_answer(proof, key)
+def implied_root_for_read(proof: ReadProof, key: bytes, value: object) -> Digest:
+    """The root digest a read proof vouches for, with ``value`` as the
+    answer (after the answer check)."""
+    check_read_answer(proof, key, value)
     return fold_path(proof.internals, proof.leaf, key)[0]
 
 
-def verify_read(root_digest: Digest, proof: ReadProof, key: bytes) -> bytes | None:
-    """Client side: validate a read VO against the known root digest.
+def verify_read(root_digest: Digest, proof: ReadProof, key: bytes,
+                value: bytes | None) -> bytes | None:
+    """Client side: validate the answer ``value`` to a read of ``key``
+    (``None`` for absence) and its VO against the known root digest.
 
-    Returns the proven value (or ``None`` for proven absence).  Raises
-    :class:`ProofError` on any inconsistency.
+    Returns the proven value.  Raises :class:`ProofError` on any
+    inconsistency.
     """
-    if implied_root_for_read(proof, key) != root_digest:
+    if implied_root_for_read(proof, key, value) != root_digest:
         raise ProofError("read proof does not match committed root digest")
-    return proof.value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +233,24 @@ def entries_of(value) -> bool:
         len(entry) == 2 and tuple_of(entry, bytes) for entry in value)
 
 
+#: why a range answer of any other shape is refused
+NOT_ENTRIES = "range answer is not a tuple of (key, value) entries"
+
+
 @dataclass(frozen=True)
 class RangeProof:
-    """Completeness-carrying proof for a range query ``[low, high]``."""
+    """Completeness-carrying proof for a range query ``[low, high]``:
+    the subtrees intersecting the range, revealed.  The rows are the
+    answer, bound to the revealed leaves by the verifier."""
 
     low: bytes
     high: bytes
     root: FringeNode | LeafSnapshot
-    entries: tuple[tuple[bytes, bytes], ...]
 
     def __post_init__(self) -> None:
         # a bare digest as root would "prove" any range empty
         if not (isinstance(self.low, bytes) and isinstance(self.high, bytes)
-                and isinstance(self.root, (FringeNode, LeafSnapshot))
-                and entries_of(self.entries)):
+                and isinstance(self.root, (FringeNode, LeafSnapshot))):
             raise ProofError("malformed range proof")
 
 
@@ -266,8 +272,7 @@ def build_range_proof(mtree: MerkleBPlusTree, low: bytes, high: bytes) -> RangeP
                 children.append(mtree.node_digest(child))
         return FringeNode(keys=tuple(node.keys), children=tuple(children))
 
-    entries = tuple(mtree.range(low, high))
-    return RangeProof(low=low, high=high, root=reveal(mtree.tree.root), entries=entries)
+    return RangeProof(low=low, high=high, root=reveal(mtree.tree.root))
 
 
 def _intersects(lower: bytes | None, upper: bytes | None, low: bytes, high: bytes) -> bool:
@@ -279,25 +284,29 @@ def _intersects(lower: bytes | None, upper: bytes | None, low: bytes, high: byte
     return True
 
 
-def verify_range(root_digest: Digest, proof: RangeProof) -> tuple[tuple[bytes, bytes], ...]:
-    """Client side: validate a range VO; returns the proven entries.
+def verify_range(root_digest: Digest, proof: RangeProof,
+                 entries: tuple[tuple[bytes, bytes], ...]) -> tuple[tuple[bytes, bytes], ...]:
+    """Client side: validate the answer ``entries`` to a range read and
+    its VO; returns the proven entries.
 
     Checks (a) every revealed snapshot hashes into the committed root,
     (b) every subtree that could intersect the range *is* revealed (so
-    no row can be silently dropped), and (c) the returned entries match
-    the revealed leaves exactly.
+    no row can be silently dropped), and (c) the entries match the
+    revealed leaves exactly.
     """
-    if implied_root_for_range(proof) != root_digest:
+    if implied_root_for_range(proof, entries) != root_digest:
         raise ProofError("range proof does not match committed root digest")
-    return proof.entries
+    return entries
 
 
-def implied_root_for_range(proof: RangeProof) -> Digest:
-    """The root digest a range proof vouches for (after completeness
-    and content checks)."""
+def implied_root_for_range(proof: RangeProof, entries: object) -> Digest:
+    """The root digest a range proof vouches for, with ``entries`` as
+    the answer (after completeness and content checks)."""
     low, high = proof.low, proof.high
     if low > high:
         raise ProofError("malformed range proof: low > high")
+    if not entries_of(entries):
+        raise ProofError(NOT_ENTRIES)
     revealed: list[tuple[bytes, Digest]] = []
 
     def check(node, must_reveal_range: bool) -> Digest:
@@ -325,9 +334,9 @@ def implied_root_for_range(proof: RangeProof) -> Digest:
     implied_root = check(proof.root, True)
 
     in_range = [(key, digest) for key, digest in revealed if low <= key <= high]
-    if [key for key, _ in in_range] != [key for key, _ in proof.entries]:
+    if [key for key, _ in in_range] != [key for key, _ in entries]:
         raise ProofError("returned keys disagree with revealed leaves")
-    for (key, value), (_proven_key, entry_digest) in zip(proof.entries, in_range):
+    for (key, value), (_proven_key, entry_digest) in zip(entries, in_range):
         if hash_leaf(key, value) != entry_digest:
             raise ProofError(f"returned value for {key!r} does not match committed entry digest")
     return implied_root

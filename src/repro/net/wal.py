@@ -91,7 +91,8 @@ RETIRED_FILES = {"state.snapshot": "cvs-server-snapshot 1"}
 _CHAIN_DOMAIN = b"wal-chain"
 _GENESIS_DOMAIN = b"wal-genesis"
 _MANIFEST_KEY = "checkpoint"
-_MANIFEST_FORMAT = "cvs-paged-store 3"
+_MANIFEST_FORMAT = "cvs-paged-store 4"
+_FORMAT_KEY = encode("format")
 
 _CHECKPOINTS = _registry.counter(
     "storage.checkpoints", "paged-store checkpoints committed")
@@ -109,6 +110,46 @@ _SEGMENTS_DROPPED = _registry.counter(
 
 class WalError(Exception):
     """Raised when the WAL or checkpoint cannot be trusted for recovery."""
+
+
+def load_manifest(blob: bytes) -> dict:
+    """The checkpoint manifest ``blob`` holds, or a :class:`WalError`.
+    A manifest another format wrote is refused by that format's name,
+    even one this codec cannot decode (:func:`_written_format`)."""
+    try:
+        manifest = decode(blob)
+    except WireError as exc:
+        written = _written_format(blob)
+        if written in (None, _MANIFEST_FORMAT):
+            raise WalError(f"corrupt checkpoint manifest: {exc}") from exc
+        manifest = {"format": written}
+    if not isinstance(manifest, dict):
+        raise WalError("corrupt checkpoint manifest: not a dict")
+    if manifest.get("format") != _MANIFEST_FORMAT:
+        raise WalError(
+            f"checkpoint manifest format {manifest.get('format')!r} is "
+            f"not {_MANIFEST_FORMAT!r} (one page per entry, proofs without "
+            "the answer): this build does not read directories written by "
+            "another format")
+    return manifest
+
+
+def _written_format(blob: bytes) -> str | None:
+    """The format an undecodable manifest names, or ``None``.  Format
+    3 remembers responses whose proofs carry the answer a second time,
+    which this codec does not decode.  The name is the str after the
+    last ``"format"`` key -- every field sorted after that key is the
+    store's own -- and serves the refusal alone."""
+    at = blob.rfind(_FORMAT_KEY)
+    if at < 0:
+        return None
+    start = at + len(_FORMAT_KEY)  # a str: tag, 4-byte length, utf-8
+    end = start + 5 + int.from_bytes(blob[start + 1:start + 5], "big")
+    try:
+        written = decode(blob[start:end])
+    except WireError:
+        return None
+    return written if isinstance(written, str) else None
 
 
 def chain_genesis(root: Digest) -> Digest:
@@ -370,20 +411,7 @@ class ServerStore:
 
     def _load_manifest(self) -> dict | None:
         blob = self.pages.get_meta(_MANIFEST_KEY)
-        if blob is None:
-            return None
-        try:
-            manifest = decode(blob)
-        except WireError as exc:
-            raise WalError(f"corrupt checkpoint manifest: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise WalError("corrupt checkpoint manifest: not a dict")
-        if manifest.get("format") != _MANIFEST_FORMAT:
-            raise WalError(
-                f"checkpoint manifest format {manifest.get('format')!r} is "
-                f"not {_MANIFEST_FORMAT!r} (one page per entry): this build "
-                "does not read directories written by another format")
-        return manifest
+        return None if blob is None else load_manifest(blob)
 
     def _segment_path(self, gen: int) -> str:
         return os.path.join(

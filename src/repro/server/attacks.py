@@ -150,11 +150,12 @@ class DropCommitAttack(Attack):
 class TamperValueAttack(Attack):
     """Corrupt the answer to the victim's reads from ``tamper_round`` on.
 
-    With ``forge_proof=False`` the VO still covers the true value, so
-    the answer/proof mismatch is caught instantly.  With
-    ``forge_proof=True`` the server also rebuilds the read proof around
-    the corrupted value -- internally consistent, but the implied root
-    digest no longer matches any signed/accumulated state.
+    With ``forge_proof=False`` the VO is the honest path, whose leaf
+    commits the true value's entry digest, so the corrupted answer is
+    caught instantly by that digest.  With ``forge_proof=True`` the
+    server also rebuilds the read proof around the corrupted value --
+    internally consistent, but the implied root digest no longer
+    matches any signed/accumulated state.
     """
 
     name = "tamper-value"
@@ -182,7 +183,8 @@ class TamperValueAttack(Attack):
             # internally consistent -- only the final top root betrays it.
             forged_inner = self._forge_read_proof(
                 proof.inner, request.query.key, corrupted)
-            shard_root = implied_root_for_read(forged_inner, request.query.key)
+            shard_root = implied_root_for_read(
+                forged_inner, request.query.key, corrupted)
             forged_top = self._forge_read_proof(
                 proof.top, shard_key(proof.shard), shard_root.to_bytes())
             proof = ForestReadProof(shard=proof.shard, inner=forged_inner,
@@ -213,8 +215,8 @@ class TamperValueAttack(Attack):
             forged_internals.append(patched)
             digest = patched.digest()
         forged_internals.reverse()
-        return ReadProof(key=proof.key, value=value,
-                         internals=tuple(forged_internals), leaf=forged_leaf)
+        return ReadProof(key=proof.key, internals=tuple(forged_internals),
+                         leaf=forged_leaf)
 
 
 class CounterReplayAttack(Attack):

@@ -48,7 +48,7 @@ class WireError(Exception):
 
 #: codec revision, recorded in persisted artefacts (evidence bundles)
 #: so a future decoder can refuse bytes written by an incompatible one.
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 _MAX_DEPTH = 256  # how deep lists, dicts and records nest: see decode()
 _TRUNCATED = "truncated wire data"
@@ -379,15 +379,15 @@ _RECORDS = (
     (DeleteQuery, 0x13, "key:raw"),
     (LeafSnapshot, 0x20, "keys entry_digests"),
     (InternalSnapshot, 0x21, "keys child_digests"),
-    (ReadProof, 0x22, "key:raw value internals leaf"),
-    (RangeProof, 0x23, "low:raw high:raw root entries"),
+    (ReadProof, 0x22, "key:raw internals leaf"),
+    (RangeProof, 0x23, "low:raw high:raw root"),
     (FringeNode, 0x24, "keys children"),
     (UpdateProof, 0x25, "operation key:raw internals leaf siblings"),
     (SiblingPair, 0x26, "left right"),
     (QueryResult, 0x27, "answer proof"),
     (ForestReadProof, 0x28, "shard inner top"),
     (ForestUpdateProof, 0x29, "operation shard inner top"),
-    (ForestRangeProof, 0x2A, "low:raw high:raw shard_proofs top entries"),
+    (ForestRangeProof, 0x2A, "low:raw high:raw shard_proofs top"),
     (Signature, 0x30, "signer_id digest raw:raw"),
     (EpochDeposit, 0x31, "user_id epoch sigma last signature"),
     (RootDeposit, 0x32, "primary_id ctr root signature"),
@@ -400,12 +400,7 @@ _RECORDS = (
 
 
 # What a decoded record's field values (in wire order) go through before
-# its class validates them: the range entries' normalisation and the
-# replication records' type checks.
-
-
-def _range_entries(args: list) -> None:
-    args[-1] = tuple(tuple(entry) for entry in args[-1])
+# its class validates them: the replication records' type checks.
 
 
 def _root_deposit(args: list) -> None:
@@ -424,8 +419,7 @@ def _root_attestation(args: list) -> None:
         raise WireError("malformed root attestation")
 
 
-_CHECKS = {RangeProof: _range_entries, ForestRangeProof: _range_entries,
-           RootDeposit: _root_deposit, RootAttestation: _root_attestation}
+_CHECKS = {RootDeposit: _root_deposit, RootAttestation: _root_attestation}
 
 for _cls, _tag, _layout in _RECORDS:
     _names = tuple(field.partition(":")[0] for field in _layout.split())

@@ -453,7 +453,7 @@ class TestStoreInspect:
         assert leaves[index] > 5
         assert f"shard {other['shard']}: gen 1, prev gen 0" in text
         assert "segment 2:" in text and "segment 1:" in text
-        assert "bytes (cvs-paged-store 3)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 4)" in lines[lines.index(
             f"pages.db: {size} bytes") + 1]
         # 61 answers given, the window's worth remembered
         assert "user u: 61 remembered response(s), " in text
@@ -478,7 +478,7 @@ class TestStoreInspect:
         conn.commit()
         conn.close()
         text = run(["store-inspect", data_dir], expect=2)
-        assert "(cvs-paged-store 9)" in text
+        assert "format 'cvs-paged-store 9'" in text
 
     def test_not_a_store(self, tmp_path):
         run(["store-inspect", str(tmp_path / "absent")], expect=2)
@@ -503,7 +503,7 @@ class TestStoreInspect:
         size = os.path.getsize(os.path.join(data_dir, "pages.log"))
         lines = text.splitlines()
         assert "backend: file" in lines
-        assert "bytes (cvs-paged-store 3)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 4)" in lines[lines.index(
             f"pages.log: {size} bytes") + 1]
         assert "checkpoint generation: 1" in lines
         assert "shard 0: gen 1, prev gen 0" in text
@@ -547,3 +547,107 @@ class TestStoreInspect:
         (data_dir / "state.snapshot").write_bytes(b"cvs-server-snapshot 1\n")
         text = run(["store-inspect", str(data_dir)], expect=2)
         assert "cvs-server-snapshot 1" in text
+
+
+class TestCodec1ArtefactsRefused:
+    """What a codec-1 build wrote -- proofs that carried the answer a
+    second time, in a ``cvs-paged-store 3`` directory -- is refused by
+    the name of its format, never reported as corrupt."""
+
+    @staticmethod
+    def codec1_response(response):
+        """A read ``Response`` as codec 1 wrote it: the read proof's
+        layout was ``key:raw value internals leaf``."""
+        from repro.wire import encode
+
+        answer, proof = response.result.answer, response.result.proof
+        old_proof = (b"\x22" + len(proof.key).to_bytes(4, "big") + proof.key
+                     + encode(answer) + encode(proof.internals)
+                     + encode(proof.leaf))
+        return (b"\x41\x27" + encode(answer) + old_proof
+                + encode(response.extras))
+
+    @staticmethod
+    def rewrite_manifest(data_dir, backend, rewrite):
+        from repro.net.wal import _MANIFEST_KEY
+        from repro.storage.pagestore import open_page_store
+
+        store = open_page_store(data_dir, fsync=False, backend=backend)
+        store.begin()
+        store.put_meta(_MANIFEST_KEY, rewrite(store.get_meta(_MANIFEST_KEY)))
+        store.commit()
+        store.close()
+
+    def test_format_3_directory_remembering_a_read(self, tmp_path):
+        from repro.mtree.database import ReadQuery, WriteQuery
+        from repro.net import ServerCore
+        from repro.net.wal import WalError
+        from repro.protocols.base import Request
+        from repro.wire import WireError, decode, encode
+
+        data_dir = str(tmp_path / "server")
+        core = ServerCore(order=4, data_dir=data_dir, fsync=False,
+                          snapshot_every=10**9)
+        for seq, query in enumerate((WriteQuery(b"f.txt", b"1.1 text"),
+                                     ReadQuery(b"f.txt"))):
+            core.apply_request("u", Request(query=query, extras={
+                "user": "u", "rid": f"u:n:{seq}", "ack": seq}))
+        core.snapshot()
+        core.close_store()
+        marker = b"the remembered read response"
+
+        def as_codec1(blob):
+            manifest = decode(blob)
+            (rid, response), = manifest["dedup"]["u"]
+            assert response.result.answer == b"1.1 text"
+            manifest["format"] = "cvs-paged-store 3"
+            manifest["dedup"]["u"] = [[rid, marker]]
+            blob = encode(manifest).replace(
+                encode(marker), self.codec1_response(response))
+            with pytest.raises(WireError):  # this codec cannot read it at all
+                decode(blob)
+            return blob
+
+        self.rewrite_manifest(data_dir, "file", as_codec1)
+        with pytest.raises(WalError, match="format 'cvs-paged-store 3' is not") as caught:
+            ServerCore(order=4, data_dir=data_dir, fsync=False)
+        assert "corrupt" not in str(caught.value)
+        text = run(["store-inspect", data_dir], expect=2)
+        assert "format 'cvs-paged-store 3'" in text and "corrupt" not in text
+
+    def test_repository_written_by_codec_1(self, tmp_path):
+        from repro.wire import decode, encode
+
+        repo_dir = str(tmp_path / "repo")
+        run(["init", repo_dir])
+
+        def as_format_3(blob):
+            manifest = decode(blob)
+            manifest["format"] = "cvs-paged-store 3"
+            return encode(manifest)
+
+        self.rewrite_manifest(os.path.join(repo_dir, "server"), "file",
+                              as_format_3)
+        text = run(["-R", repo_dir, "-a", "alice", "log", "f.txt"], expect=2)
+        assert "cannot be opened" in text
+        assert "format 'cvs-paged-store 3'" in text and "corrupt" not in text
+
+    def test_codec_1_evidence_bundle(self, tmp_path):
+        from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
+        from repro.net import evidence
+        from repro.protocols.base import Request, Response
+        from repro.wire import encode
+
+        database = VerifiedDatabase(order=4)
+        database.execute(WriteQuery(b"f.txt", b"1.1 text"))
+        response = Response(result=database.execute(ReadQuery(b"f.txt")),
+                            extras={"ctr": 2, "last_user": "u"})
+        bundle = evidence.response_bundle(
+            protocol="II", user_id="u", reason="replay", op_index=0, order=4,
+            request_frame=encode(Request(ReadQuery(b"f.txt"), {"user": "u"})),
+            response_frame=self.codec1_response(response), client_state={},
+            anchor=evidence.anchor_lineage(None, None))
+        bundle["codec"] = 1
+        path = evidence.write_bundle(str(tmp_path / "old.evidence"), bundle)
+        text = run(["evidence-inspect", path], expect=2)
+        assert "written by codec 1, this decoder is 2" in text

@@ -117,8 +117,9 @@ class TestRangeProofEdges:
         proof = build_range_proof(mtree, b"k005", b"k010")
         with pytest.raises(ProofError):
             forged = RangeProof(low=proof.low, high=proof.high,
-                                root="not a node", entries=proof.entries)
-            verify_range(mtree.root_digest(), forged)
+                                root="not a node")
+            verify_range(mtree.root_digest(), forged,
+                         tuple(mtree.range(proof.low, proof.high)))
 
     def test_fringe_arity_mismatch_rejected(self):
         mtree = make_tree()
@@ -127,10 +128,10 @@ class TestRangeProofEdges:
             pytest.skip("single-leaf tree")
         forged_root = FringeNode(keys=proof.root.keys + (b"zzz",),
                                  children=proof.root.children)
-        forged = RangeProof(low=proof.low, high=proof.high,
-                            root=forged_root, entries=proof.entries)
+        forged = RangeProof(low=proof.low, high=proof.high, root=forged_root)
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged)
+            verify_range(mtree.root_digest(), forged,
+                         tuple(mtree.range(proof.low, proof.high)))
 
 
 class TestDeriveOutcomeEdges:

@@ -81,9 +81,10 @@ class MerkleForestMachine(RuleBasedStateMachine):
     @rule(key=KEYS)
     def read_with_proof(self, key):
         proof = build_forest_read_proof(self.forest, key)
-        assert proof.value == self.model.get(key)
+        assert self.forest.get(key) == self.model.get(key)
         assert implied_root_for_forest_read(
-            proof, key, self.forest.spec) == self.forest.root_digest()
+            proof, key, self.model.get(key), self.forest.spec) \
+            == self.forest.root_digest()
 
     @precondition(lambda self: self.forest is not None)
     @rule(low=KEYS, high=KEYS)
@@ -93,10 +94,10 @@ class MerkleForestMachine(RuleBasedStateMachine):
         proof = build_forest_range_proof(self.forest, low, high)
         expected = tuple(sorted((k, v) for k, v in self.model.items()
                                 if low <= k <= high))
-        assert proof.entries == expected
+        assert tuple(self.forest.range(low, high)) == expected
         assert (proof.low, proof.high) == (low, high)
         assert implied_root_for_forest_range(
-            proof, self.forest.spec) == self.forest.root_digest()
+            proof, expected, self.forest.spec) == self.forest.root_digest()
 
     @precondition(lambda self: self.forest is not None)
     @rule()

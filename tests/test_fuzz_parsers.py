@@ -158,7 +158,7 @@ class TestWireFuzz:
             if not isinstance(decoded, QueryResult) or mutated == blob:
                 continue
             try:
-                value = verify_read(root, decoded.proof, b"k07")
+                value = verify_read(root, decoded.proof, b"k07", decoded.answer)
             except (ProofError, AttributeError, TypeError):
                 continue
             # verified mutants must agree with the truth

@@ -22,33 +22,38 @@ def make_tree(n=60, order=4):
     return mtree
 
 
+def rows(mtree, proof):
+    """The honest answer beside ``proof``: the rows it covers."""
+    return tuple(mtree.range(proof.low, proof.high))
+
+
 class TestCorrectness:
     def test_simple_range(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"k010", b"k020")
-        entries = verify_range(mtree.root_digest(), proof)
+        entries = verify_range(mtree.root_digest(), proof, rows(mtree, proof))
         assert [k for k, _ in entries] == [f"k{i:03d}".encode() for i in range(10, 21)]
 
     def test_empty_range(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"a", b"b")
-        assert verify_range(mtree.root_digest(), proof) == ()
+        assert verify_range(mtree.root_digest(), proof, ()) == ()
 
     def test_full_range(self):
         mtree = make_tree(30)
         proof = build_range_proof(mtree, b"", b"\xff")
-        assert len(verify_range(mtree.root_digest(), proof)) == 30
+        assert len(verify_range(mtree.root_digest(), proof, rows(mtree, proof))) == 30
 
     def test_single_key_range(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"k007", b"k007")
-        entries = verify_range(mtree.root_digest(), proof)
+        entries = verify_range(mtree.root_digest(), proof, ((b"k007", b"v7"),))
         assert entries == ((b"k007", b"v7"),)
 
     def test_empty_tree(self):
         mtree = MerkleBPlusTree()
         proof = build_range_proof(mtree, b"a", b"z")
-        assert verify_range(mtree.root_digest(), proof) == ()
+        assert verify_range(mtree.root_digest(), proof, ()) == ()
 
     def test_inverted_range_rejected_at_build(self):
         mtree = make_tree()
@@ -58,7 +63,7 @@ class TestCorrectness:
     def test_implied_root(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"k000", b"k030")
-        assert implied_root_for_range(proof) == mtree.root_digest()
+        assert implied_root_for_range(proof, rows(mtree, proof)) == mtree.root_digest()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -71,9 +76,8 @@ class TestCorrectness:
         mtree = make_tree(n, order)
         low, high = f"k{lo:03d}".encode(), f"k{lo + span:03d}".encode()
         proof = build_range_proof(mtree, low, high)
-        entries = verify_range(mtree.root_digest(), proof)
         expected = tuple(mtree.range(low, high))
-        assert entries == expected
+        assert verify_range(mtree.root_digest(), proof, expected) == expected
 
 
 class TestCompleteness:
@@ -104,45 +108,40 @@ class TestCompleteness:
         proof = build_range_proof(mtree, b"k010", b"k040")
         forged_root, dropped = self._drop_one_leaf(proof.root)
         assert dropped
-        forged = RangeProof(low=proof.low, high=proof.high, root=forged_root, entries=proof.entries)
+        forged = RangeProof(low=proof.low, high=proof.high, root=forged_root)
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged)
+            verify_range(mtree.root_digest(), forged, rows(mtree, proof))
 
     def test_dropped_entries_rejected(self):
         mtree = make_tree(60)
         proof = build_range_proof(mtree, b"k010", b"k040")
-        forged = RangeProof(low=proof.low, high=proof.high, root=proof.root,
-                            entries=proof.entries[:-3])
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged)
+            verify_range(mtree.root_digest(), proof, rows(mtree, proof)[:-3])
 
     def test_tampered_entry_value_rejected(self):
         mtree = make_tree(60)
         proof = build_range_proof(mtree, b"k010", b"k040")
-        entries = list(proof.entries)
+        entries = list(rows(mtree, proof))
         entries[2] = (entries[2][0], b"EVIL")
-        forged = RangeProof(low=proof.low, high=proof.high, root=proof.root,
-                            entries=tuple(entries))
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged)
+            verify_range(mtree.root_digest(), proof, tuple(entries))
 
     def test_extra_entry_rejected(self):
         mtree = make_tree(60)
         proof = build_range_proof(mtree, b"k010", b"k012")
-        forged = RangeProof(low=proof.low, high=proof.high, root=proof.root,
-                            entries=proof.entries + ((b"k011a", b"ghost"),))
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged)
+            verify_range(mtree.root_digest(), proof,
+                         rows(mtree, proof) + ((b"k011a", b"ghost"),))
 
     def test_wrong_root_rejected(self):
         mtree = make_tree(60)
         proof = build_range_proof(mtree, b"k010", b"k040")
         with pytest.raises(ProofError):
-            verify_range(hash_bytes(b"not the root"), proof)
+            verify_range(hash_bytes(b"not the root"), proof, rows(mtree, proof))
 
     def test_malformed_low_high_rejected(self):
         mtree = make_tree(10)
         proof = build_range_proof(mtree, b"k001", b"k005")
-        forged = RangeProof(low=b"z", high=b"a", root=proof.root, entries=proof.entries)
+        forged = RangeProof(low=b"z", high=b"a", root=proof.root)
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged)
+            verify_range(mtree.root_digest(), forged, rows(mtree, proof))

@@ -28,44 +28,44 @@ def mtree():
 class TestMembership:
     def test_present_key_verifies(self, mtree):
         proof = build_read_proof(mtree, b"k042")
-        assert verify_read(mtree.root_digest(), proof, b"k042") == b"v42"
+        assert verify_read(mtree.root_digest(), proof, b"k042", b"v42") == b"v42"
 
     def test_absent_key_verifies_none(self, mtree):
         proof = build_read_proof(mtree, b"k043")
-        assert verify_read(mtree.root_digest(), proof, b"k043") is None
+        assert verify_read(mtree.root_digest(), proof, b"k043", None) is None
 
     def test_all_keys_verify(self, mtree):
         root = mtree.root_digest()
         for i in range(0, 100, 2):
             key = f"k{i:03d}".encode()
-            assert verify_read(root, build_read_proof(mtree, key), key) == f"v{i}".encode()
+            value = f"v{i}".encode()
+            assert verify_read(root, build_read_proof(mtree, key), key, value) == value
 
     def test_empty_tree_absence(self):
         mtree = MerkleBPlusTree()
         proof = build_read_proof(mtree, b"anything")
-        assert verify_read(mtree.root_digest(), proof, b"anything") is None
+        assert verify_read(mtree.root_digest(), proof, b"anything", None) is None
 
     def test_implied_root_matches(self, mtree):
         proof = build_read_proof(mtree, b"k010")
-        assert implied_root_for_read(proof, b"k010") == mtree.root_digest()
+        assert implied_root_for_read(proof, b"k010", b"v10") == mtree.root_digest()
 
 
 class TestRejections:
     def test_wrong_root_rejected(self, mtree):
         proof = build_read_proof(mtree, b"k042")
         with pytest.raises(ProofError):
-            verify_read(hash_bytes(b"wrong root"), proof, b"k042")
+            verify_read(hash_bytes(b"wrong root"), proof, b"k042", b"v42")
 
     def test_key_mismatch_rejected(self, mtree):
         proof = build_read_proof(mtree, b"k042")
         with pytest.raises(ProofError):
-            verify_read(mtree.root_digest(), proof, b"k044")
+            verify_read(mtree.root_digest(), proof, b"k044", b"v42")
 
     def test_tampered_value_rejected(self, mtree):
         proof = build_read_proof(mtree, b"k042")
-        tampered = ReadProof(key=proof.key, value=b"EVIL", internals=proof.internals, leaf=proof.leaf)
-        with pytest.raises(ProofError):
-            verify_read(mtree.root_digest(), tampered, b"k042")
+        with pytest.raises(ProofError, match="committed entry digest"):
+            verify_read(mtree.root_digest(), proof, b"k042", b"EVIL")
 
     def test_tampered_leaf_rejected(self, mtree):
         proof = build_read_proof(mtree, b"k042")
@@ -74,41 +74,40 @@ class TestRejections:
         entry_digests[position] = hash_leaf(b"k042", b"EVIL")
         forged = ReadProof(
             key=proof.key,
-            value=b"EVIL",
             internals=proof.internals,
             leaf=LeafSnapshot(keys=proof.leaf.keys, entry_digests=tuple(entry_digests)),
         )
         # Internally consistent, but no longer hashes to the real root.
         with pytest.raises(ProofError):
-            verify_read(mtree.root_digest(), forged, b"k042")
+            verify_read(mtree.root_digest(), forged, b"k042", b"EVIL")
 
     def test_false_absence_rejected(self, mtree):
         """Server claims the key is absent but proves the leaf that
         contains it -- the contradiction must be caught."""
         proof = build_read_proof(mtree, b"k042")
-        lying = ReadProof(key=proof.key, value=None, internals=proof.internals, leaf=proof.leaf)
-        with pytest.raises(ProofError):
-            verify_read(mtree.root_digest(), lying, b"k042")
+        with pytest.raises(ProofError, match="claimed absence"):
+            verify_read(mtree.root_digest(), proof, b"k042", None)
 
     def test_false_presence_rejected(self, mtree):
         proof = build_read_proof(mtree, b"k043")  # absent key
-        lying = ReadProof(key=proof.key, value=b"ghost", internals=proof.internals, leaf=proof.leaf)
-        with pytest.raises(ProofError):
-            verify_read(mtree.root_digest(), lying, b"k043")
+        with pytest.raises(ProofError, match="claimed presence"):
+            verify_read(mtree.root_digest(), proof, b"k043", b"ghost")
 
     def test_wrong_leaf_rejected(self, mtree):
         """Absence 'proved' with an unrelated leaf fails the routing check."""
         absent = build_read_proof(mtree, b"k001")
         other = build_read_proof(mtree, b"k090")
-        spliced = ReadProof(key=b"k090", value=None, internals=other.internals, leaf=absent.leaf)
+        spliced = ReadProof(key=b"k090", internals=other.internals, leaf=absent.leaf)
         with pytest.raises(ProofError):
-            verify_read(mtree.root_digest(), spliced, b"k090")
+            verify_read(mtree.root_digest(), spliced, b"k090", None)
 
     def test_answer_check_standalone(self, mtree):
         proof = build_read_proof(mtree, b"k042")
-        assert check_read_answer(proof, b"k042") == b"v42"
+        check_read_answer(proof, b"k042", b"v42")
         with pytest.raises(ProofError):
-            check_read_answer(proof, b"k040")
+            check_read_answer(proof, b"k040", b"v40")
+        with pytest.raises(ProofError):
+            check_read_answer(proof, b"k042", 42)
 
 
 class TestSize:

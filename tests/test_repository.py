@@ -11,6 +11,7 @@ authors' register exchange: two honest writers never alarm.
 import pytest
 
 from repro.core.facade import CvsClient
+from repro.mtree.database import WriteQuery
 from repro.net import RemoteClient, serve_in_thread, sync_check
 from repro.storage.rcs import RevisionStore
 
@@ -132,3 +133,45 @@ class TestMerkleIntegration:
     def test_serialize_unknown(self, team):
         _alice, bob = team
         assert bob._session.get(b"ghost") is None
+
+
+class _CommitsBeforeMyWrite:
+    """A session that lets another author commit between this author's
+    read of a file and the write that follows it: two authors who both
+    checked out the same head, racing."""
+
+    def __init__(self, session, other_commit) -> None:
+        self._session = session
+        self._other_commit = other_commit
+
+    def execute(self, query):
+        if isinstance(query, WriteQuery) and self._other_commit is not None:
+            self._other_commit, commit = None, self._other_commit
+            commit()
+        return self._session.execute(query)
+
+
+class TestLostUpdate:
+    """ROADMAP item 17: a commit reads the file's history and writes the
+    whole history back, with no condition between the two, so of two
+    authors who both read 1.1 the second overwrites the first.  Every
+    check passes -- the server was honest and the history is legal --
+    which makes it the one known silent defect (DESIGN section 9).  When
+    the up-to-date check of item 17(a) lands, this test passes and the
+    strict xfail flips."""
+
+    @pytest.mark.xfail(strict=True, reason="item 17: a commit can lose an "
+                       "acked update (no up-to-date check)")
+    def test_racing_commits_keep_both_revisions(self, team):
+        alice, bob = team
+        alice.commit("f.txt", ["1.1 text"], "import")
+        racing_bob = CvsClient(_CommitsBeforeMyWrite(
+            bob._session,
+            lambda: alice.commit("f.txt", ["alice's 1.2"], "alice's edit")),
+            author="bob")
+        try:
+            racing_bob.commit("f.txt", ["bob's 1.2"], "bob's edit")
+        except Exception:  # refused as not up to date: that is the fix
+            pass
+        history = [(rev.number, rev.author) for rev in alice.log("f.txt")]
+        assert ("1.2", "alice") in history, history

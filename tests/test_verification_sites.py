@@ -632,15 +632,29 @@ VO_GALLERY = {
     "read-answered-with-update-proof": (VO_READ, served_for(
         lambda q, s: WriteQuery(q.key, b"v")), "non-read proof", VO_SHARDS),
     "answer-is-not-the-proofs": (VO_READ, other_answer,
-                                 "disagrees with its own proof", VO_SHARDS),
+                                 "does not match the committed entry digest",
+                                 VO_SHARDS),
+    "answer-is-an-int": (VO_READ, lambda before, query, result, shards:
+                         QueryResult(7, result.proof),
+                         "read answer is neither a value nor None", VO_SHARDS),
     "range-answer-is-not-the-proofs": (VO_RANGE, other_answer,
-                                       "disagrees with its own proof", VO_SHARDS),
+                                       "returned keys disagree with revealed leaves",
+                                       VO_SHARDS),
     "range-answer-is-none": (VO_RANGE, lambda before, query, result, shards:
                              QueryResult(None, result.proof),
-                             "disagrees with its own proof", VO_SHARDS),
+                             "range answer is not a tuple of (key, value) entries",
+                             VO_SHARDS),
     "range-answer-is-an-int": (VO_RANGE, lambda before, query, result, shards:
                                QueryResult(7, result.proof),
-                               "disagrees with its own proof", VO_SHARDS),
+                               "range answer is not a tuple of (key, value) entries",
+                               VO_SHARDS),
+    "range-answer-out-of-order": (VO_RANGE, lambda before, query, result, shards:
+                                  QueryResult(result.answer[1::-1] + result.answer[2:],
+                                              result.proof),
+                                  "range answer is not in key order", (2, 8)),
+    "update-answered-with-a-value": (VO_WRITE, lambda before, query, result, shards:
+                                     QueryResult(b"v", result.proof),
+                                     "an update's answer must be None", VO_SHARDS),
     "sibling-for-an-edge-child": (VO_DELETE, edge_sibling,
                                   "left sibling supplied for a leftmost child",
                                   VO_SHARDS),

@@ -123,7 +123,7 @@ class TestNesting:
             db.execute(WriteQuery(b"%06d" % i, b"v"))
         frame = encode(Response(result=db.execute(RangeQuery(b"0", b"9")),
                                 extras={"ctr": 1}))
-        assert decode(frame).result.proof.entries[-1] == (b"002047", b"v")
+        assert decode(frame).result.answer[-1] == (b"002047", b"v")
 
 
 class TestQueriesAndProofs:
@@ -158,7 +158,43 @@ class TestQueriesAndProofs:
 
         result = db.execute(ReadQuery(b"k010"))
         decoded = decode(encode(result))
-        assert verify_read(db.root_digest(), decoded.proof, b"k010") == db.get(b"k010")
+        assert verify_read(db.root_digest(), decoded.proof, b"k010",
+                           decoded.answer) == db.get(b"k010")
+
+
+class TestAnswerCrossesOnce:
+    """A response carries each value it answers with exactly once, in
+    ``QueryResult.answer``: a VO is the path, never a second copy of
+    the value.  Every stored value is distinctive, so counting its
+    bytes in the encoded response counts its copies."""
+
+    VALUES = {b"k%02d" % i: b"distinctive value %02d " % i * 4 for i in range(40)}
+
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    @pytest.mark.parametrize("query", [
+        ReadQuery(b"k17"), ReadQuery(b"k17x"), RangeQuery(b"k05", b"k31"),
+        WriteQuery(b"k23", b"new value"), DeleteQuery(b"k29")],
+        ids=["read", "absent-read", "range", "write", "delete"])
+    def test_each_value_once_and_only_in_the_answer(self, shards, query):
+        from repro.net import ServerCore
+
+        core = ServerCore(order=4, shards=shards)
+        for key, value in self.VALUES.items():
+            core.apply_request("u", Request(WriteQuery(key, value), {"user": "u"}))
+        response = core.apply_request("u", Request(query, {"user": "u"}))
+        answer = response.result.answer
+        if isinstance(query, RangeQuery):
+            answered = dict(answer)
+            assert len(answered) == 27
+        else:
+            answered = {query.key: answer} if answer is not None else {}
+        assert answered == {key: value for key, value in self.VALUES.items()
+                            if key in answered}
+        frame = encode(response)
+        for key, value in self.VALUES.items():
+            assert frame.count(value) == (key in answered), key
+        if isinstance(query, WriteQuery):
+            assert frame.count(query.value) == 0  # the request carried it
 
 
 class TestProtocolEnvelopes:
@@ -230,10 +266,9 @@ def golden_values() -> dict:
     leaf = LeafSnapshot(keys=(b"a", b"b"), entry_digests=(D1, D2))
     internal = InternalSnapshot(keys=(b"m",), child_digests=(D1, D2))
     fringe = FringeNode(keys=(b"f",), children=(leaf, D2))
-    read = ReadProof(key=b"a", value=b"1", internals=(internal,), leaf=leaf)
+    read = ReadProof(key=b"a", internals=(internal,), leaf=leaf)
     ranged = RangeProof(low=b"a", high=b"b",
-                        root=FringeNode(keys=(b"m",), children=(fringe, D3)),
-                        entries=((b"a", b"1"), (b"b", b"2")))
+                        root=FringeNode(keys=(b"m",), children=(fringe, D3)))
     update = UpdateProof(operation="delete", key=b"a", internals=(internal,),
                          leaf=leaf, siblings=(SiblingPair(left=None, right=leaf),))
     top = UpdateProof(operation="insert", key=b"shard:00000003", internals=(),
@@ -257,8 +292,7 @@ def golden_values() -> dict:
                                                  inner=update, top=top),
         "forest_range_proof": ForestRangeProof(
             low=b"a", high=b"b", shard_proofs=(ranged,),
-            top=RangeProof(low=b"shard:0", high=b"shard:9", root=leaf, entries=()),
-            entries=((b"a", b"1"), (b"b", b"2"))),
+            top=RangeProof(low=b"shard:0", high=b"shard:9", root=leaf)),
         "signature": signature,
         "epoch_deposit": EpochDeposit(user_id="u1", epoch=4, sigma=D1, last=D2,
                                       signature=signature),
@@ -276,7 +310,9 @@ def golden_values() -> dict:
 
 #: The bytes of each golden value, as written by the codec before it
 #: became two tables.  A change here is a wire-format change: it needs a
-#: CODEC_VERSION bump.
+#: CODEC_VERSION bump.  CODEC_VERSION 2 re-pinned the five that held a
+#: read or range proof, which no longer carries the answer: read_proof,
+#: range_proof, query_result, forest_read_proof and forest_range_proof.
 GOLDEN_HEX = {
     "none": "00",
     "false": "01",
@@ -311,12 +347,12 @@ GOLDEN_HEX = {
         "0101010101010101010101010101010101010602020202020202020202020202"
         "02020202020202020202020202020202020202"),
     "read_proof": (
-        "220000000161050000000131070000000121070000000105000000016d070000"
-        "0002060101010101010101010101010101010101010101010101010101010101"
-        "0101010602020202020202020202020202020202020202020202020202020202"
-        "0202020220070000000205000000016105000000016207000000020601010101"
-        "0101010101010101010101010101010101010101010101010101010106020202"
-        "0202020202020202020202020202020202020202020202020202020202"),
+        "220000000161070000000121070000000105000000016d070000000206010101"
+        "0101010101010101010101010101010101010101010101010101010101060202"
+        "0202020202020202020202020202020202020202020202020202020202022007"
+        "0000000205000000016105000000016207000000020601010101010101010101"
+        "0101010101010101010101010101010101010101010106020202020202020202"
+        "0202020202020202020202020202020202020202020202"),
     "range_proof": (
         "230000000161000000016224070000000105000000016d070000000224070000"
         "0001050000000166070000000220070000000205000000016105000000016207"
@@ -324,8 +360,7 @@ GOLDEN_HEX = {
         "0101010101060202020202020202020202020202020202020202020202020202"
         "0202020202020602020202020202020202020202020202020202020202020202"
         "0202020202020206030303030303030303030303030303030303030303030303"
-        "0303030303030303070000000207000000020500000001610500000001310700"
-        "000002050000000162050000000132"),
+        "0303030303030303"),
     "fringe_node": (
         "2407000000010500000001660700000002200700000002050000000161050000"
         "0001620700000002060101010101010101010101010101010101010101010101"
@@ -348,27 +383,25 @@ GOLDEN_HEX = {
         "0101010101010101010101010101010101010106020202020202020202020202"
         "020202020202020202020202020202020202020200"),
     "query_result": (
-        "2705000000013122000000016105000000013107000000012107000000010500"
-        "0000016d07000000020601010101010101010101010101010101010101010101"
-        "0101010101010101010106020202020202020202020202020202020202020202"
-        "0202020202020202020202200700000002050000000161050000000162070000"
-        "0002060101010101010101010101010101010101010101010101010101010101"
-        "0101010602020202020202020202020202020202020202020202020202020202"
-        "02020202"),
+        "27050000000131220000000161070000000121070000000105000000016d0700"
+        "0000020601010101010101010101010101010101010101010101010101010101"
+        "0101010106020202020202020202020202020202020202020202020202020202"
+        "0202020202200700000002050000000161050000000162070000000206010101"
+        "0101010101010101010101010101010101010101010101010101010101060202"
+        "020202020202020202020202020202020202020202020202020202020202"),
     "forest_read_proof": (
-        "2803000000000000000322000000016105000000013107000000012107000000"
-        "0105000000016d07000000020601010101010101010101010101010101010101"
-        "0101010101010101010101010106020202020202020202020202020202020202"
-        "0202020202020202020202020202200700000002050000000161050000000162"
-        "0700000002060101010101010101010101010101010101010101010101010101"
-        "0101010101010602020202020202020202020202020202020202020202020202"
-        "0202020202020222000000016105000000013107000000012107000000010500"
-        "0000016d07000000020601010101010101010101010101010101010101010101"
-        "0101010101010101010106020202020202020202020202020202020202020202"
-        "0202020202020202020202200700000002050000000161050000000162070000"
-        "0002060101010101010101010101010101010101010101010101010101010101"
-        "0101010602020202020202020202020202020202020202020202020202020202"
-        "02020202"),
+        "2803000000000000000322000000016107000000012107000000010500000001"
+        "6d07000000020601010101010101010101010101010101010101010101010101"
+        "0101010101010106020202020202020202020202020202020202020202020202"
+        "0202020202020202200700000002050000000161050000000162070000000206"
+        "0101010101010101010101010101010101010101010101010101010101010101"
+        "0602020202020202020202020202020202020202020202020202020202020202"
+        "02220000000161070000000121070000000105000000016d0700000002060101"
+        "0101010101010101010101010101010101010101010101010101010101010602"
+        "0202020202020202020202020202020202020202020202020202020202020220"
+        "0700000002050000000161050000000162070000000206010101010101010101"
+        "0101010101010101010101010101010101010101010101060202020202020202"
+        "020202020202020202020202020202020202020202020202"),
     "forest_update_proof": (
         "29040000000664656c65746503000000000000000325040000000664656c6574"
         "650000000161070000000121070000000105000000016d070000000206010101"
@@ -391,13 +424,11 @@ GOLDEN_HEX = {
         "0101010101010101010101010101010101010101010602020202020202020202"
         "0202020202020202020202020202020202020202020206020202020202020202"
         "0202020202020202020202020202020202020202020202060303030303030303"
-        "0303030303030303030303030303030303030303030303030700000002070000"
-        "0002050000000161050000000131070000000205000000016205000000013223"
-        "0000000773686172643a300000000773686172643a3920070000000205000000"
-        "0161050000000162070000000206010101010101010101010101010101010101"
-        "0101010101010101010101010101060202020202020202020202020202020202"
-        "0202020202020202020202020202020700000000070000000207000000020500"
-        "000001610500000001310700000002050000000162050000000132"),
+        "0303030303030303030303030303030303030303030303032300000007736861"
+        "72643a300000000773686172643a392007000000020500000001610500000001"
+        "6207000000020601010101010101010101010101010101010101010101010101"
+        "0101010101010106020202020202020202020202020202020202020202020202"
+        "0202020202020202"),
     "signature": (
         "300400000005616c696365060303030303030303030303030303030303030303"
         "030303030303030303030303000000085a5a5a5a5a5a5a5a"),
