@@ -222,7 +222,7 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
         obs.disable()
 
     # -- tamper true-positive: recovery must refuse a doctored store -----
-    wal_path = os.path.join(data_dir, "wal.log")
+    wal_path = server.core.store.wal_path  # the live log recovery replays
     target = wal_path if os.path.isfile(wal_path) \
         and os.path.getsize(wal_path) > 16 \
         else os.path.join(data_dir, "pages.log")

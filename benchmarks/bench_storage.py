@@ -8,10 +8,10 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
 
 * **crash matrix** -- kill the server at every announced storage crash
   point (mid WAL append, mid page write, between a leaf's value pages
-  and its leaf page, either side of the checkpoint
-  commit, between the WAL rotation rename and the directory fsync, mid
-  segment GC...), plus on the page file a commit torn before its fsync,
-  a commit whose fsync lied, and either side of a compaction's rename;
+  and its leaf page, either side of the checkpoint commit, between a
+  new log's creation and the directory fsync naming it, mid segment
+  GC...), plus on the page file a commit torn before its fsync, a
+  commit whose fsync lied, and either side of a compaction's rename;
   restart, and gate on: the crash actually fired, no acknowledged write
   was lost, the recovered top root is bit-identical to an uninterrupted
   run of the same prefix, read VOs verify against the recovered root,
@@ -20,7 +20,7 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
   a bit-rotted page (quarantined and repaired from the previous
   generation + segment replay, root re-verified), a doctored replay
   segment (refused), a page store that lied about commit durability
-  (refused), a garbage manifest (refused).
+  with appends after it (refused), a garbage manifest (refused).
 * **streaming restart** -- a million-entry store is checkpointed and
   reloaded; the loader must parse pages as they arrive, never
   materialising the serialised tree (gated on peak resident page
@@ -63,7 +63,7 @@ from repro.mtree.database import (
     WriteQuery,
 )
 from repro.net.core import ServerCore
-from repro.net.wal import ServerStore, WalError
+from repro.net.wal import ServerStore, WalError, log_gens, log_name
 from repro.protocols.base import Request, ServerState
 from repro.protocols.protocol2 import Protocol2Server
 from repro.storage.engine import (
@@ -82,10 +82,11 @@ SNAPSHOT_EVERY = 10
 #: every storage crash point, with the occurrence that lands it in the
 #: middle of live traffic (occurrence 1 of the checkpoint points is the
 #: bootstrap snapshot, which is also page writes 1-4: a leaf page and a
-#: nodes page for each empty shard; rotation/GC points first fire at
-#: checkpoints 1/2; leaf page 3 is checkpoint 1's first, written after
-#: the value pages it names).  ``acked > 0`` in every cell checks the
-#: landing.
+#: nodes page for each empty shard; a new log is first named before any
+#: write (``wal.1.log``), so its cell dies naming ``wal.2.log``, and GC
+#: first fires at checkpoint 2; leaf page 3 is checkpoint 1's first,
+#: written after the value pages it names).  ``acked > 0`` in every cell
+#: checks the landing.
 CRASH_POINTS = [
     ("wal:append", 17),
     ("file:mid-write", 17),
@@ -95,18 +96,19 @@ CRASH_POINTS = [
     ("pagestore:post-commit", 2),
     ("checkpoint:before-commit", 2),
     ("checkpoint:after-commit", 2),
-    ("compaction:before-rotate", 1),
-    ("compaction:between-rename-and-dirfsync", 1),
+    ("wal:new-log", 2),
     ("compaction:mid-segment-gc", 1),
 ]
 
 #: the cells only an append-only page file has: (name, crash point,
 #: occurrence, further faults, least ops).  Checkpoint 1's commit is the
-#: 12th fsync; the page file's first compaction comes at checkpoint 9.
+#: 14th fsync (after the bootstrap commit, the directory fsyncs naming
+#: pages.log and wal.1.log, and ten appends); the page file's first
+#: compaction comes at checkpoint 9.
 PAGE_FILE_CELLS = [
     ("torn-page-log-tail", "pagelog:before-fsync", 2, {}, 0),
     ("lying-fsync-on-commit", "checkpoint:after-commit", 2,
-     {"lying_fsync": 12}, 0),
+     {"lying_fsync": 14}, 0),
     ("page-log-compaction:before-rename", "atomic:before-rename", 1, {}, 100),
     ("page-log-compaction:between-rename-and-dirfsync",
      "atomic:between-rename-and-dirfsync", 1, {}, 100),
@@ -259,11 +261,10 @@ def tamper_gallery(n_ops, seed, verbose):
         return False, "rot not repaired or root diverged"
 
     def segment_tamper(backend, data_dir, root):
-        segments = sorted(name for name in os.listdir(data_dir)
-                          if name.startswith("wal-seg."))
+        segments = log_gens(data_dir)  # all retained: nothing is live
         if not segments:
             return False, "no retained segment to tamper"
-        path = os.path.join(data_dir, segments[-1])
+        path = os.path.join(data_dir, log_name(segments[-1]))
         with open(path, "r+b") as handle:
             blob = bytearray(handle.read())
             blob[9] ^= 0x20

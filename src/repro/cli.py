@@ -467,12 +467,12 @@ def cmd_store_inspect(args, out) -> int:
 
     Decodes the checkpoint manifest of either page store (``pages.log``
     or ``pages.db``) and prints the per-shard generation/page layout,
-    the remembered responses per user and the retained WAL segments.
-    Read-only: safe to run against a live server's directory.
+    the remembered responses per user and every ``wal.<G>.log`` by
+    generation and role.  Read-only: safe to run against a live
+    server's directory.
     """
     from repro.net import wal
-    from repro.net.wal import (
-        SEGMENT_PREFIX, SEGMENT_SUFFIX, WAL_FILE, _MANIFEST_KEY)
+    from repro.net.wal import _MANIFEST_KEY, log_gens, log_name
     from repro.storage.engine import KIND_ENTRIES, KIND_LEAVES, KIND_NODES
     from repro.storage.pagestore import open_page_store, parse_records
     from repro.wire import encode as _encode
@@ -485,16 +485,28 @@ def cmd_store_inspect(args, out) -> int:
         path = os.path.join(data_dir, name)
         return os.path.getsize(path) if os.path.isfile(path) else None
 
-    _refuse_retired(data_dir, wal.RETIRED_FILES)
-    wal_size = _file_size(WAL_FILE)
-    if wal_size is not None:
-        with open(os.path.join(data_dir, WAL_FILE), "rb") as handle:
-            records, good_end = parse_records(handle.read())
-        torn = "" if good_end == wal_size else \
-            f" + {wal_size - good_end} torn tail byte(s)"
-        print(f"wal.log: {wal_size} bytes, {len(records)} record(s){torn}",
-              file=out)
+    def _logs(manifest: dict | None) -> None:
+        """Each log by generation: the live one (with its records and
+        torn tail), a retained segment, or one nothing references."""
+        live = 0 if manifest is None else int(manifest["gen"]) + 1
+        retained = set() if manifest is None else \
+            {int(gen) for gen in manifest["segments"]}
+        for gen in sorted(set(log_gens(data_dir)) | retained):
+            name = log_name(gen)
+            size = _file_size(name)
+            if gen == live:
+                with open(os.path.join(data_dir, name), "rb") as handle:
+                    records, good_end = parse_records(handle.read())
+                torn = "" if good_end == size else \
+                    f" + {size - good_end} torn tail byte(s)"
+                role = f"live, {len(records)} record(s){torn}"
+            else:
+                role = "retained segment" if gen in retained \
+                    else "unreferenced"
+            state = "absent" if size is None else f"{size} bytes"
+            print(f"{name}: {state}, {role}", file=out)
 
+    _refuse_retired(data_dir, wal.RETIRED_FILES)
     backend = backend_of(data_dir)
     if backend is None:
         raise CliError(f"{data_dir!r} holds no page store")
@@ -507,6 +519,7 @@ def cmd_store_inspect(args, out) -> int:
         if blob is None:
             print(f"backend: {backend} (no checkpoint committed yet)",
                   file=out)
+            _logs(None)
             return 0
         print(f"backend: {backend}", file=out)
         print(f"{type(store).FILE}: {_file_size(type(store).FILE)} bytes",
@@ -552,10 +565,7 @@ def cmd_store_inspect(args, out) -> int:
         for user, pairs in sorted(manifest["dedup"].items()):
             print(f"user {user}: {len(pairs)} remembered response(s), "
                   f"{len(_encode(pairs))} manifest bytes", file=out)
-        for gen_key in sorted(manifest["segments"], key=int):
-            size = _file_size(f"{SEGMENT_PREFIX}{gen_key}{SEGMENT_SUFFIX}")
-            state = "missing" if size is None else f"{size} bytes"
-            print(f"segment {gen_key}: {state}", file=out)
+        _logs(manifest)
     finally:
         store.close()
     return 0

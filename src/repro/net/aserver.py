@@ -509,7 +509,7 @@ class AsyncTrustedCvsServer:
             timeout=timeout)
 
     def checkpoint(self) -> None:
-        """Write a checkpoint now (durable mode only); rotates the WAL."""
+        """Write a checkpoint now (durable mode only); starts the next log."""
         self.with_core(lambda core: core.snapshot())
 
     def stop(self) -> None:

@@ -51,7 +51,7 @@ from repro.net.wal import ServerStore, open_server_store
 from repro.server.attacks import Attack
 from repro.storage.pagestore import StorageError
 
-#: write a checkpoint (and rotate the WAL) every this many logged
+#: write a checkpoint (and start the next log) every this many logged
 #: messages; bounds replay work after a crash.
 SNAPSHOT_EVERY = 256
 
@@ -60,7 +60,7 @@ _WAL_APPENDS = _registry.counter(
 _WAL_REPLAYS = _registry.counter(
     "server.wal_replays", "WAL records re-executed during recovery")
 _SNAPSHOTS = _registry.counter(
-    "server.snapshots", "checkpoints written (WAL rotations)")
+    "server.snapshots", "checkpoints written (one log each)")
 _DEDUP_HITS = _registry.counter(
     "server.dedup_hits", "retried requests answered from the dedup table")
 _DEDUP_ENTRIES = _registry.gauge(
@@ -594,12 +594,12 @@ class ServerCore:
                     self.snapshot_every - max(1, self.snapshot_every // 4))
 
     def snapshot(self) -> None:
-        """Write a checkpoint now (durable mode only); rotates the WAL."""
+        """Write a checkpoint now (durable mode only); starts the next log."""
         if self.store is None:
             return
         if self.attack is not None:
-            # A checkpoint persists only the main branch and rotates the
-            # WAL beneath any Byzantine forks; replaying from it could
+            # A checkpoint persists only the main branch and retires
+            # the log beneath any Byzantine forks; replaying from it could
             # not reconstruct them (ticks restart at the checkpoint).  In
             # Byzantine mode the genesis-anchored WAL is the sole truth.
             return

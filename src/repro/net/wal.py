@@ -5,21 +5,17 @@ root digest commits to the *exact tree shape* -- so recovery cannot be
 "rebuild from the entry set"; it has to replay the identical operation
 sequence onto the identical starting shape.  :class:`ServerStore` gives
 the server that property with one checkpoint engine over either page
-store (``--backend`` picks it, nothing else):
-
-* ``file`` -- :class:`~repro.storage.pagestore.FilePageStore`, an
-  append-only ``pages.log``;
-* ``sqlite`` -- :class:`~repro.storage.pagestore.SqlitePageStore`,
-  ``pages.db``.
+store: ``file``'s append-only ``pages.log``
+(:class:`~repro.storage.pagestore.FilePageStore`) or ``sqlite``'s
+``pages.db``.
 
 Each shard tree is a checksummed ``nodes`` stream plus one page per
 leaf (its keys) and one per entry (its value); a checkpoint writes only
-the entries and leaves whose Merkle digest the store does not hold,
-commits them with a manifest in one page-store transaction, and
-*rotates* the WAL into a retained segment file.  A
+the entries and leaves whose Merkle digest the store does not hold and
+commits them with a manifest in one page-store transaction.  A
 shard whose pages fail verification on recovery is quarantined and its
 last checkpoint redone from its previous state plus a replay of exactly
-the retained segment that led from there -- never trusted as-is, never
+the retained log that led from there -- never trusted as-is, never
 silently rebuilt.
 
 The WAL: one record per request accepted since the last checkpoint,
@@ -30,24 +26,26 @@ checkpoint's recorded chain head.  On recovery the records are
 re-executed in order, which -- execution being deterministic --
 reproduces the pre-crash state bit-for-bit, dedup table included.
 
-Failure semantics of the chain:
+A log is never renamed.  The requests that lead to checkpoint ``G`` go
+to ``wal.G.log`` (:func:`log_name`), opened by the first append after
+checkpoint ``G - 1`` committed and named durably (one directory fsync)
+before its first record; once ``G`` commits, that file *is* retained
+segment ``G``.  Failure semantics:
 
 * a *truncated tail* record (the process died mid-append) is discarded
   silently -- the request was never acknowledged, so dropping it is
   correct, and the file is trimmed back to the last complete record;
-* a *stale* WAL -- the process died after the checkpoint commit but
-  before the WAL rotation, so the log still chains from the *previous*
-  checkpoint -- is recognised only if the entire file verifies against
-  the ``prev_chain`` head the manifest recorded, and the interrupted
-  rotation is then finished (its every record is already inside the
-  checkpoint); anything less than a full match is treated as tamper;
 * any *other* corruption (bit flips, edited payloads, spliced records)
   breaks the hash chain and raises :class:`WalError`.  Recovery refuses
   to run, so a tampered log cannot be laundered into a "recovered"
   state that silently forks the history clients have verified;
-* a log with no checkpoint to chain from -- the bootstrap checkpoint
-  was lost -- is refused too, as is a directory an older build wrote
-  (:data:`RETIRED_FILES`): neither is ever bootstrapped over.
+* a log *newer* than the live one that holds records exists only if
+  the page store lost a checkpoint it reported durable (the bootstrap
+  one included), and those acked writes lost the head they chain from:
+  refused.  A lost checkpoint nothing was appended after costs nothing
+  -- its requests are all in the live log, and replay rebuilds it;
+* a directory an older build wrote (:data:`RETIRED_FILES`) is refused
+  by name, never bootstrapped over.
 """
 
 from __future__ import annotations
@@ -55,8 +53,8 @@ from __future__ import annotations
 import os
 
 from repro.crypto.hashing import Digest, hash_bytes
-from repro.mtree.database import VerifiedDatabase
-from repro.mtree.forest import StoreSpec, merkle_store
+from repro.mtree.database import DeleteQuery, VerifiedDatabase, WriteQuery
+from repro.mtree.forest import StoreSpec, merkle_store, shard_for_key
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.persistence import PersistenceError
 from repro.obs import runtime as _obs
@@ -70,7 +68,6 @@ from repro.storage.engine import (
     LoadStats,
     PageRows,
     load_shard_tree,
-    replay_data_ops,
     write_shard_pages,
 )
 from repro.storage.faults import REAL_IO, IoShim
@@ -82,24 +79,18 @@ from repro.storage.pagestore import (
 )
 from repro.wire import WireError, decode, encode
 
-WAL_FILE = "wal.log"
-SEGMENT_PREFIX = "wal-seg."
-SEGMENT_SUFFIX = ".log"
+_LOG_PREFIX, _LOG_SUFFIX = "wal.", ".log"
 #: files only an older build writes, with the format they hold
-RETIRED_FILES = {"state.snapshot": "cvs-server-snapshot 1"}
+RETIRED_FILES = {"state.snapshot": "cvs-server-snapshot 1", "wal.log": "a cvs-paged-store 4 log"}
 
 _CHAIN_DOMAIN = b"wal-chain"
 _GENESIS_DOMAIN = b"wal-genesis"
 _MANIFEST_KEY = "checkpoint"
-_MANIFEST_FORMAT = "cvs-paged-store 4"
+_MANIFEST_FORMAT = "cvs-paged-store 5"
 _FORMAT_KEY = encode("format")
 
 _CHECKPOINTS = _registry.counter(
     "storage.checkpoints", "paged-store checkpoints committed")
-_WAL_ROTATIONS = _registry.counter(
-    "storage.wal_rotations", "WAL files rotated into retained segments")
-_STALE_WALS = _registry.counter(
-    "storage.stale_wals", "verified-stale WALs discarded during recovery")
 _QUARANTINES = _registry.counter(
     "storage.quarantines", "shards quarantined after failing verification")
 _REPAIRS = _registry.counter(
@@ -129,8 +120,8 @@ def load_manifest(blob: bytes) -> dict:
         raise WalError(
             f"checkpoint manifest format {manifest.get('format')!r} is "
             f"not {_MANIFEST_FORMAT!r} (one page per entry, proofs without "
-            "the answer): this build does not read directories written by "
-            "another format")
+            "the answer, one log per checkpoint generation): this build "
+            "does not read directories written by another format")
     return manifest
 
 
@@ -161,13 +152,24 @@ def _chain_next(head: Digest, payload: bytes) -> Digest:
     return hash_bytes(_CHAIN_DOMAIN + head.to_bytes() + payload)
 
 
+def log_name(gen: int) -> str:
+    """The file of the log that leads to checkpoint ``gen``."""
+    return f"{_LOG_PREFIX}{gen}{_LOG_SUFFIX}"
+
+
+def log_gens(data_dir: str) -> list[int]:
+    """The generations of the logs in ``data_dir``, oldest first."""
+    middles = (name[len(_LOG_PREFIX):-len(_LOG_SUFFIX)]
+               for name in os.listdir(data_dir)
+               if name.startswith(_LOG_PREFIX) and name.endswith(_LOG_SUFFIX))
+    return sorted(int(middle) for middle in middles if middle.isdigit())
+
+
 def _recorded_state(fields: dict, what: str) -> tuple:
-    """``(ctr, meta, dedup, root, chain, prev_chain)`` as a manifest
-    records them.  ``dedup`` maps user -> ordered (rid, response)
-    pairs, and anything else in it is refused here, by name: a table
-    that loaded without it would let that resend execute twice.
-    ``prev_chain`` is what proves a leftover WAL merely stale, and a
-    record without one is corrupt."""
+    """``(ctr, meta, dedup, root, chain)`` as a manifest records them.
+    ``dedup`` maps user -> ordered (rid, response) pairs, and anything
+    else in it is refused here, by name: a table that loaded without it
+    would let that resend execute twice."""
     try:
         ctr, meta = int(fields["ctr"]), dict(fields["meta"])
         dedup = {user: [tuple(pair) for pair in pairs]
@@ -179,66 +181,55 @@ def _recorded_state(fields: dict, what: str) -> tuple:
                     raise ValueError(
                         f"dedup entry {n} of user {user!r} is not a "
                         "(request id, response) pair")
-        root, chain, prev_chain = (
-            fields["root"], fields["chain"], fields["prev_chain"])
-        if not isinstance(prev_chain, Digest):
-            raise ValueError("prev_chain is not a digest")
+        root, chain = fields["root"], fields["chain"]
     except (KeyError, TypeError, ValueError) as exc:
         raise WalError(f"corrupt {what}: {exc}") from exc
     if chain != chain_genesis(root):
         raise WalError(f"{what} chain head does not match its root")
-    return ctr, meta, dedup, root, chain, prev_chain
+    return ctr, meta, dedup, root, chain
 
 
-def _verify_records(records: list[tuple[bytes, bytes]],
-                    chain: Digest) -> tuple[list[Request | Followup], Digest]:
-    """Chain-verify and decode parsed records starting from ``chain``."""
+def _verify_records(records: list[tuple[bytes, bytes]], chain: Digest,
+                    name: str) -> tuple[list[Request | Followup], Digest]:
+    """Chain-verify and decode log ``name``'s records from ``chain``."""
     messages: list[Request | Followup] = []
     for index, (payload, stored) in enumerate(records):
         chain = _chain_next(chain, payload)
         if chain.to_bytes() != stored:
             raise WalError(
-                f"WAL record {index} breaks the hash chain: "
+                f"{name} record {index} breaks the hash chain: "
                 "the log was corrupted or tampered with")
         try:
             message = decode(payload)
         except WireError as exc:
-            raise WalError(f"WAL record {index} undecodable: {exc}") from exc
+            raise WalError(f"{name} record {index} undecodable: {exc}") from exc
         if not isinstance(message, (Request, Followup)):
-            raise WalError(f"WAL record {index} is not a request")
+            raise WalError(f"{name} record {index} is not a request")
         messages.append(message)
     return messages, chain
 
 
-def _is_stale_wal(records: list[tuple[bytes, bytes]],
-                  prev_chain: Digest) -> bool:
-    """Whether a chain-mismatched WAL is the *previous* epoch's log.
-
-    A crash between the checkpoint becoming durable and the WAL
-    rotation leaves the old log in place.  That exact file -- and, by
-    collision resistance, only that file -- satisfies two checks
-    without knowing its genesis: every adjacent pair obeys the chain
-    recurrence, and the final stored head equals the ``prev_chain`` the
-    manifest recorded.  Anything else is corruption, not staleness.
-    """
-    if not records:
-        return False
-    for (_, prev_stored), (payload, stored) in zip(records, records[1:]):
-        expected = _chain_next(Digest(prev_stored), payload)
-        if expected.to_bytes() != stored:
-            return False
-    return records[-1][1] == prev_chain.to_bytes()
+def _replay_shard(tree: MerkleBPlusTree, messages, shard: int,
+                  shards: int) -> None:
+    """Re-execute the logged writes and deletes routed to ``shard`` on
+    ``tree``, through the server's own :meth:`VerifiedDatabase.execute`."""
+    database = VerifiedDatabase.from_mtree(tree)
+    for message in messages:
+        query = message.query if isinstance(message, Request) else None
+        if isinstance(query, (WriteQuery, DeleteQuery)) and \
+                shard_for_key(query.key, shards) == shard:
+            database.execute(query)
 
 
 class ServerStore:
     """The durable half of a :class:`~repro.net.core.ServerCore`:
-    checksummed shard pages + WAL segment rotation.
+    checksummed shard pages + one log per checkpoint generation.
 
-    Owns the WAL, its retained segments and the page store in
-    ``data_dir`` and the running hash-chain head.  All methods must be
-    called by the core's one writer; the store itself does no locking
-    of calls -- ``lock`` guards the *directory* (flock), so a second
-    server process cannot interleave appends into the same WAL.
+    Owns the logs and the page store in ``data_dir`` and the running
+    hash-chain head.  All methods must be called by the core's one
+    writer; the store itself does no locking of calls -- ``lock`` guards
+    the *directory* (flock), so a second server process cannot
+    interleave appends into the same WAL.
 
     The checkpoint/compaction cycle (:meth:`write_snapshot`):
 
@@ -250,11 +241,11 @@ class ServerStore:
        the rows only the state *before* the shard's previous one named,
        and commit all of it together with the updated manifest in
        **one** page-store transaction -- a crash or a failed commit
-       leaves the previous checkpoint fully intact, the WAL unrotated
-       and this object's view (manifest, page rows) where it was;
-    2. rotate ``wal.log`` to ``wal-seg.G.log`` (rename + dir fsync) and
-       start a fresh log chained from the new genesis;
-    3. drop the WAL segments nothing references any more.
+       leaves the previous checkpoint fully intact, the live log still
+       live and this object's view (manifest, page rows) where it was;
+    2. close ``wal.G.log``, which is now retained segment ``G``; the
+       next append opens ``wal.G+1.log`` chained from the new genesis;
+    3. drop the logs nothing references any more.
 
     A shard written at ``G`` keeps every row its previous state ``P``
     names (its record lists the ones ``G`` no longer does as
@@ -280,14 +271,8 @@ class ServerStore:
         self.io = io or REAL_IO
         os.makedirs(data_dir, exist_ok=True)
         self._lock = DirLock(data_dir) if lock else None
-        self.wal_path = os.path.join(data_dir, WAL_FILE)
         self._wal_handle = None
         self._chain = Digest.zero()  # set by load_snapshot/write_snapshot
-        #: the pre-checkpoint chain head the last loaded or written
-        #: manifest recorded.
-        self._prev_chain = Digest.zero()
-        #: how many verified-stale WALs recovery has discarded.
-        self.stale_wals_discarded = 0
         self.pages = None
         try:
             for name, format_name in RETIRED_FILES.items():
@@ -319,6 +304,16 @@ class ServerStore:
 
     # -- write-ahead log ---------------------------------------------------
 
+    @property
+    def live_gen(self) -> int:
+        """The generation of the live log: the next checkpoint's."""
+        return 0 if self._manifest is None else int(self._manifest["gen"]) + 1
+
+    @property
+    def wal_path(self) -> str:
+        """The live log, which the next checkpoint retains as is."""
+        return os.path.join(self.data_dir, log_name(self.live_gen))
+
     def wal_append(self, message: Request | Followup, sync: bool = True) -> None:
         """Durably log a request or follow-up *before* it is executed.
 
@@ -335,10 +330,10 @@ class ServerStore:
         append.
         """
         payload = encode(message)
+        if self._wal_handle is None:
+            self._wal_handle = self._open_log()
         previous_chain = self._chain
         self._chain = _chain_next(self._chain, payload)
-        if self._wal_handle is None:
-            self._wal_handle = self.io.open(self.wal_path, "ab")
         handle = self._wal_handle
         good_size = handle.tell()
         record = frame_record(payload, self._chain.to_bytes())
@@ -353,16 +348,30 @@ class ServerStore:
             # Roll back: whatever prefix of the record reached the file
             # must not poison the next append's chain arithmetic.
             self._chain = previous_chain
-            try:
-                handle.close()
-            except OSError:
-                pass
-            self._wal_handle = None
+            self._close_log()
             try:
                 self.io.truncate_file(self.wal_path, good_size)
             except OSError:
                 pass
             raise
+
+    def _open_log(self):
+        """Open the live log and make its name durable before its first
+        record: a record fsynced into a file a crash can unname was
+        never durable."""
+        handle = self.io.open(self.wal_path, "ab")
+        self.io.crash_point("wal:new-log")
+        if self.fsync:
+            self.io.fsync_dir(self.data_dir)
+        return handle
+
+    def _close_log(self) -> None:
+        if self._wal_handle is not None:
+            try:
+                self._wal_handle.close()
+            except OSError:
+                pass
+            self._wal_handle = None
 
     def wal_sync(self) -> None:
         """Flush (and fsync) everything appended with ``sync=False``."""
@@ -373,39 +382,27 @@ class ServerStore:
             self._wal_handle.fsync()
 
     def wal_records(self, chain: Digest) -> list[Request | Followup]:
-        """Read back every complete, chain-verified record.
+        """Read back the live log's complete, chain-verified records."""
+        messages, self._chain = self._read_log(self.live_gen, chain)
+        return messages
 
-        A truncated final record (crash mid-append) is trimmed off the
-        file; a whole file proven stale against the manifest's recorded
-        ``prev_chain`` is discarded; any other inconsistency raises
-        :class:`WalError`.
-        """
-        if not os.path.isfile(self.wal_path):
-            self._chain = chain
-            return []
-        blob = self.io.read_file(self.wal_path)
+    def _read_log(self, gen: int, chain: Digest
+                  ) -> tuple[list[Request | Followup], Digest]:
+        """Chain-verify log ``gen`` from ``chain``: its messages and the
+        head they end at.  A truncated final record (crash mid-append)
+        is trimmed off the file; any other inconsistency raises
+        :class:`WalError`.  An absent log holds no records."""
+        path = os.path.join(self.data_dir, log_name(gen))
+        if not os.path.isfile(path):
+            return [], chain
+        blob = self.io.read_file(path)
         records, good_end = parse_records(blob)
-        try:
-            messages, chain = _verify_records(records, chain)
-        except WalError:
-            if _is_stale_wal(records, self._prev_chain):
-                # The crash hit between the checkpoint commit and the
-                # WAL rotation: every record here is already *inside*
-                # the checkpoint.  Finish the interrupted rotation and
-                # recover with nothing to replay.
-                self._discard_stale_wal()
-                self.stale_wals_discarded += 1
-                if _obs.enabled:
-                    _STALE_WALS.inc()
-                self._chain = chain
-                return []
-            raise
+        messages, chain = _verify_records(records, chain, log_name(gen))
         if good_end < len(blob):
             # Trim the torn tail so the next append starts at a record
             # boundary (the request it held was never acknowledged).
-            self.io.truncate_file(self.wal_path, good_end)
-        self._chain = chain
-        return messages
+            self.io.truncate_file(path, good_end)
+        return messages, chain
 
     # -- manifest ----------------------------------------------------------
 
@@ -413,38 +410,16 @@ class ServerStore:
         blob = self.pages.get_meta(_MANIFEST_KEY)
         return None if blob is None else load_manifest(blob)
 
-    def _segment_path(self, gen: int) -> str:
-        return os.path.join(
-            self.data_dir, f"{SEGMENT_PREFIX}{gen}{SEGMENT_SUFFIX}")
-
-    def _newest_segment_gen(self) -> int:
-        """Highest generation with a retained segment file on disk."""
-        newest = -1
-        try:
-            names = os.listdir(self.data_dir)
-        except OSError:
-            return newest
-        for name in names:
-            if not (name.startswith(SEGMENT_PREFIX)
-                    and name.endswith(SEGMENT_SUFFIX)):
-                continue
-            try:
-                gen = int(name[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)])
-            except ValueError:
-                continue
-            newest = max(newest, gen)
-        return newest
-
     # -- checkpoint + compaction -------------------------------------------
 
     def write_snapshot(self, state, dedup: dict) -> None:
-        """Incremental checkpoint: write what changed, rotate the WAL."""
+        """Incremental checkpoint: write what changed, retain the log."""
         database = state.database
         spec = database.spec
         root = database.root_digest()
         chain = chain_genesis(root)
         old = self._manifest
-        new_gen = 0 if old is None else int(old["gen"]) + 1
+        new_gen = self.live_gen
         shard_trees = database.shard_trees()
         old_shards = {} if old is None else \
             {int(rec["shard"]): rec for rec in old["shards"]}
@@ -470,8 +445,8 @@ class ServerStore:
             segments = {key: value for key, value in old_segments.items()
                         if int(key) in referenced}
             if old is not None:
-                # The log being rotated becomes segment ``new_gen``; it
-                # chains from the previous checkpoint's genesis head.
+                # The live log becomes segment ``new_gen``; it chains
+                # from the previous checkpoint's genesis head.
                 segments[str(new_gen)] = old["chain"]
 
             manifest = {
@@ -479,7 +454,6 @@ class ServerStore:
                 "gen": new_gen,
                 "root": root,
                 "chain": chain,
-                "prev_chain": self._chain,
                 "spec": spec.to_wire(),
                 "ctr": state.ctr,
                 "meta": state.meta,
@@ -503,9 +477,8 @@ class ServerStore:
         # retry writes both intervals' entries and leaves.
         self._page_rows.update(written)
         self._manifest = manifest
-        self._rotate_wal(new_gen)
-        self._gc_segments({int(k) for k in manifest["segments"]})
-        self._prev_chain = self._chain
+        self._close_log()  # wal.<new_gen>.log is retained segment new_gen
+        self._gc_logs({int(k) for k in manifest["segments"]})
         self._chain = chain
         if _obs.enabled:
             _CHECKPOINTS.inc()
@@ -558,42 +531,15 @@ class ServerStore:
             self._page_rows[index] = rows
         return self._page_rows[index]
 
-    def _rotate_wal(self, gen: int) -> None:
-        """Rename the just-checkpointed log into its retained segment."""
-        if self._wal_handle is not None:
-            self._wal_handle.close()
-            self._wal_handle = None
-        if not os.path.isfile(self.wal_path) or \
-                os.path.getsize(self.wal_path) == 0:
-            return  # nothing to retain (manual checkpoint with no ops)
-        self.io.crash_point("compaction:before-rotate")
-        self.io.replace(self.wal_path, self._segment_path(gen))
-        self.io.crash_point("compaction:between-rename-and-dirfsync")
-        if self.fsync:
-            self.io.fsync_dir(self.data_dir)
-        if _obs.enabled:
-            _WAL_ROTATIONS.inc()
-
-    def _gc_segments(self, referenced: set[int]) -> None:
-        """Delete retained segments no shard's repair recipe needs."""
-        try:
-            names = os.listdir(self.data_dir)
-        except OSError:
-            return
+    def _gc_logs(self, referenced: set[int]) -> None:
+        """Delete the retained logs no shard's repair recipe needs."""
         removed = False
-        for name in names:
-            if not (name.startswith(SEGMENT_PREFIX)
-                    and name.endswith(SEGMENT_SUFFIX)):
-                continue
-            try:
-                gen = int(name[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)])
-            except ValueError:
-                continue
-            if gen in referenced:
+        for gen in log_gens(self.data_dir):
+            if gen in referenced or gen >= self.live_gen:
                 continue
             self.io.crash_point("compaction:mid-segment-gc")
             try:
-                self.io.remove(os.path.join(self.data_dir, name))
+                self.io.remove(os.path.join(self.data_dir, log_name(gen)))
                 removed = True
                 if _obs.enabled:
                     _SEGMENTS_DROPPED.inc()
@@ -613,33 +559,10 @@ class ServerStore:
         proves it).
         """
         manifest = self._manifest
-        # A retained segment is created only by the rotation that
-        # *follows* a durable manifest commit -- so a segment newer than
-        # the manifest proves the page store lost a checkpoint it
-        # reported committed (a lying disk).  The acked writes of that
-        # epoch live in the newer segment, but the chain head needed to
-        # trust them went down with the manifest: refuse loudly instead
-        # of silently serving the older root.
-        newest_segment = self._newest_segment_gen()
-        manifest_gen = -1 if manifest is None else int(manifest["gen"])
-        if newest_segment > manifest_gen:
-            raise WalError(
-                f"retained WAL segment {newest_segment} is newer than the "
-                f"checkpoint manifest (generation {manifest_gen}): the page "
-                "store lost a checkpoint it reported durable")
+        self._refuse_newer_logs()
         if manifest is None:
-            # Every record of a log chains from a committed manifest,
-            # the bootstrap checkpoint's at the latest: a log without
-            # one holds acked writes whose anchor the page store lost.
-            if os.path.isfile(self.wal_path) and \
-                    os.path.getsize(self.wal_path) > 0:
-                raise WalError(
-                    f"{WAL_FILE} holds {os.path.getsize(self.wal_path)} "
-                    "bytes but no checkpoint manifest was committed: the "
-                    "page store lost the bootstrap checkpoint it reported "
-                    "durable")
             return None
-        ctr, meta, dedup, root, chain, prev_chain = \
+        ctr, meta, dedup, root, chain = \
             _recorded_state(manifest, "checkpoint manifest")
         try:
             spec = StoreSpec.coerce(manifest["spec"])
@@ -682,8 +605,29 @@ class ServerStore:
         if database.root_digest() != root:
             raise WalError(
                 "checkpoint shards do not hash to the manifest's top root")
-        self._prev_chain = prev_chain
         return database, ctr, meta, dedup, chain
+
+    def _refuse_newer_logs(self) -> None:
+        """A log opens only after the checkpoint before it committed, so
+        a log past the live one that holds records proves the page store
+        lost a checkpoint it reported durable -- with no manifest, every
+        log does.  Those acked writes lost the head they chain from:
+        refuse loudly instead of silently serving the older root.  A
+        newer log that holds no record was never acked into: drop it."""
+        manifest = self._manifest
+        for gen in log_gens(self.data_dir):
+            if manifest is not None and gen <= self.live_gen:
+                continue
+            path = os.path.join(self.data_dir, log_name(gen))
+            records, _end = parse_records(self.io.read_file(path))
+            if records:
+                anchor = "no checkpoint manifest" if manifest is None else \
+                    f"the checkpoint manifest (generation {manifest['gen']})"
+                raise WalError(
+                    f"{log_name(gen)} holds {len(records)} record(s) newer "
+                    f"than {anchor}: the page store lost a checkpoint it "
+                    "reported durable")
+            self.io.remove(path)
 
     def _repair_shard(self, record: dict, spec: StoreSpec, manifest: dict,
                       cause: Exception) -> tuple[MerkleBPlusTree, PageRows]:
@@ -722,15 +666,14 @@ class ServerStore:
                 ) from double_fault
         else:
             tree = MerkleBPlusTree(order=spec.order)
-        segment_path = self._segment_path(shard_gen)
-        if os.path.isfile(segment_path):
+        if os.path.isfile(os.path.join(self.data_dir, log_name(shard_gen))):
             start = dict(manifest["segments"]).get(str(shard_gen))
             if not isinstance(start, Digest):
                 raise WalError(
                     f"shard {index} needs segment {shard_gen} for repair "
                     "but the manifest records no start chain for it")
-            messages = self._read_segment(segment_path, start)
-            replay_data_ops(tree, messages, index, spec.shards)
+            messages, _chain = self._read_log(shard_gen, start)
+            _replay_shard(tree, messages, index, spec.shards)
         actual, _nodes = tree.refresh_root()
         if actual != expected:
             raise WalError(
@@ -764,44 +707,6 @@ class ServerStore:
             raise
         return tree, result.rows
 
-    def _read_segment(self, path: str,
-                      start: Digest) -> list[Request | Followup]:
-        """Chain-verify a retained segment from its recorded start head."""
-        blob = self.io.read_file(path)
-        records, good_end = parse_records(blob)
-        try:
-            messages, _chain = _verify_records(records, start)
-        except WalError as exc:
-            raise WalError(
-                f"retained WAL segment {os.path.basename(path)} fails "
-                f"verification: {exc}") from exc
-        return messages
-
-    def _discard_stale_wal(self) -> None:
-        """Finish the rotation a crash interrupted instead of discarding.
-
-        The stale log *is* the current generation's retained segment --
-        shard repair may need it, so it is renamed into place rather
-        than truncated (unless the segment somehow already exists).
-        """
-        gen = int(self._manifest["gen"])
-        segment_path = self._segment_path(gen)
-        if self._wal_handle is not None:
-            self._wal_handle.close()
-            self._wal_handle = None
-        if str(gen) in dict(self._manifest["segments"]) and \
-                not os.path.isfile(segment_path):
-            self.io.replace(self.wal_path, segment_path)
-            if self.fsync:
-                self.io.fsync_dir(self.data_dir)
-            return
-        handle = self.io.open(self.wal_path, "wb")
-        try:
-            if self.fsync:
-                handle.fsync()
-        finally:
-            handle.close()
-
     # -- lifecycle ---------------------------------------------------------
 
     def set_chain(self, chain: Digest) -> None:
@@ -811,9 +716,7 @@ class ServerStore:
         if self.pages is not None:
             self.pages.close()
             self.pages = None
-        if self._wal_handle is not None:
-            self._wal_handle.close()
-            self._wal_handle = None
+        self._close_log()
         if self._lock is not None:
             self._lock.release()
             self._lock = None

@@ -38,19 +38,14 @@ memory is bounded by the tree being rebuilt plus one ``nodes`` page and
 one leaf's pages, never the whole serialised snapshot
 (:class:`LoadStats.max_resident_page_bytes` proves it).
 
-The engine also owns the two *recovery* moves the checkpoint protocol
-leans on:
-
-* :func:`load_shard_tree` verifies page checksums while streaming and
-  then recomputes the shard's Merkle root from scratch, comparing it to
-  the root the checkpoint manifest recorded -- the full verification
-  chain is page checksum -> recomputed structural root -> recorded root
-  -> WAL-chain-anchored top root;
-* :func:`replay_data_ops` re-applies the WAL segment's data operations
-  to a quarantined shard's previous state, which is exactly the delta
-  that produced the damaged generation (a shard rewritten at checkpoint
-  G had the root of its previous rewrite -- shape included -- at every
-  checkpoint in between, so segment G alone takes one to the other).
+The engine also owns the verifying half of recovery:
+:func:`load_shard_tree` checks page checksums while streaming and then
+recomputes the shard's Merkle root from scratch, comparing it to the
+root the checkpoint manifest recorded -- the full verification chain is
+page checksum -> recomputed structural root -> recorded root ->
+WAL-chain-anchored top root.  Repairing a shard that fails it replays
+the retained log through :meth:`VerifiedDatabase.execute`
+(:mod:`repro.net.wal`), so write and delete mean one thing everywhere.
 """
 
 from __future__ import annotations
@@ -58,8 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest
-from repro.mtree.database import DeleteQuery, WriteQuery
-from repro.mtree.forest import shard_for_key
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.persistence import (
     PersistenceError,
@@ -68,7 +61,6 @@ from repro.mtree.persistence import (
     parse_leaf_page,
     tree_stream_lines,
 )
-from repro.protocols.base import Request
 from repro.storage.pagestore import PageStore, StorageError
 
 #: target payload size of one ``nodes`` page; a page holds whole lines,
@@ -345,29 +337,3 @@ def load_shard_tree(store: PageStore, shard: int, gen: int,
             rows.members[leaf.digest] = tuple(leaf.entry_digests)
             at, leaf = end, leaf.next_leaf
     return mtree
-
-
-def replay_data_ops(mtree: MerkleBPlusTree, messages, shard: int,
-                    shards: int) -> int:
-    """Re-apply a WAL segment's data operations routed to ``shard``.
-
-    Mirrors :meth:`VerifiedDatabase.execute` semantics exactly: writes
-    insert-or-overwrite verbatim, deletes of absent keys are no-ops.
-    Non-data messages
-    (follow-ups, protocol-internal requests, reads) never touch the
-    tree.  Returns the number of operations applied.
-    """
-    applied = 0
-    for message in messages:
-        if not isinstance(message, Request):
-            continue
-        query = message.query
-        if isinstance(query, WriteQuery):
-            if shard_for_key(query.key, shards) == shard:
-                mtree.insert(query.key, query.value)
-                applied += 1
-        elif isinstance(query, DeleteQuery):
-            if shard_for_key(query.key, shards) == shard:
-                if mtree.delete(query.key):
-                    applied += 1
-    return applied

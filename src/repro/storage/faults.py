@@ -20,7 +20,10 @@ those things on purpose:
 The model is a *durable image* per file: writes hit the real filesystem
 immediately (the running process sees its own writes, like an OS page
 cache), but the shim's durable image advances only on a successful,
-honest ``fsync``/``fsync_dir``.  :meth:`FaultyIO.simulate_crash`
+honest ``fsync``/``fsync_dir``.  A name belongs to its directory: a
+file created since the directory's last honest ``fsync_dir`` is absent
+after a crash, however often its own bytes were fsynced (and a rename or
+unlink not yet synced is undone).  :meth:`FaultyIO.simulate_crash`
 rewrites every touched file back to its durable image -- precisely what
 power loss does to un-synced state -- after which the recovery path runs
 against the survivors.
@@ -231,6 +234,8 @@ class FaultyIO(IoShim):
         self._durable: dict[str, bytes | None] = {}
         #: renames whose directory entry is not yet durable
         self._pending_renames: list[tuple[str, str, bytes | None]] = []
+        #: files created since their directory's last fsync_dir
+        self._unnamed: set[str] = set()
         #: files whose durable image a lost commit froze
         self._lost: set[str] = set()
         self.crashed = False
@@ -279,7 +284,10 @@ class FaultyIO(IoShim):
 
     def open(self, path: str, mode: str) -> _FaultyFile:
         self._track(path)
-        return _FaultyFile(self, os.path.abspath(path), open(path, mode))
+        path = os.path.abspath(path)
+        if not mode.startswith("r") and not os.path.exists(path):
+            self._unnamed.add(path)
+        return _FaultyFile(self, path, open(path, mode))
 
     def read_file(self, path: str) -> bytes:
         with open(path, "rb") as handle:
@@ -313,6 +321,8 @@ class FaultyIO(IoShim):
             return
         super().fsync_dir(path)
         directory = os.path.abspath(path)
+        self._unnamed = {name for name in self._unnamed
+                         if os.path.dirname(name) != directory}
         remaining: list[tuple[str, str, bytes | None]] = []
         for src, dst, image in self._pending_renames:
             if os.path.dirname(src) != directory and \
@@ -374,9 +384,10 @@ class FaultyIO(IoShim):
         but un-synced tails)."""
         self.crashed = True
         self._pending_renames = []
+        unnamed, self._unnamed = self._unnamed, set()
         for path, image in self._durable.items():
             exists = os.path.isfile(path)
-            if image is None:
+            if image is None or path in unnamed:
                 if exists:
                     os.remove(path)
                 continue

@@ -670,11 +670,13 @@ class FilePageStore(MemoryPageStore):
 
     ``pages.log`` is :data:`PAGE_LOG_MAGIC` followed by records framed
     like the WAL's, ``len(4B) || payload || digest(32B)``; one commit is
-    one record, appended and fsynced once.  The payload is the commit's
-    staged operations in order (put page, delete page, drop generation,
-    put meta), each a head -- what it is, plus the checksum of its body
-    -- and a body (the page's bytes, the meta value).  The digest chains
-    the record's heads to the record before it.  Opening the file scans
+    one record, appended and fsynced once (the first also fsyncs the
+    directory: the file's name is as durable as its bytes).  The payload
+    is the commit's staged operations in order (put page, delete page,
+    drop generation, put meta), each a head -- what it is, plus the
+    checksum of its body -- and a body (the page's bytes, the meta
+    value).  The digest chains the record's heads to the record before
+    it.  Opening the file scans
     it once: every record's digest is verified and its operations are
     applied to the committed index reads are served from (the
     :class:`MemoryPageStore` this class is); a torn final
@@ -814,6 +816,8 @@ class FilePageStore(MemoryPageStore):
             self.io.crash_point("pagelog:before-fsync")
             if self.fsync:
                 self._handle.fsync()
+                if self._size == 0:  # a new file: its name, too
+                    self.io.fsync_dir(os.path.dirname(self.path) or ".")
         except OSError:
             self._close_handle()
             try:

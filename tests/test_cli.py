@@ -414,6 +414,7 @@ class TestStoreInspect:
         core.snapshot()
         put(60, b"k000", b"two")  # one leaf of one shard
         core.snapshot()
+        put(61, b"k001", b"three")  # the live log, wal.3.log
         manifest = core.store._manifest
         leaves, entries = [], []
         for index in range(2):
@@ -425,6 +426,13 @@ class TestStoreInspect:
                 leaves[index] += 1
                 leaf = leaf.next_leaf
         core.close_store()
+        live = os.path.join(data_dir, "wal.3.log")
+        logged = os.path.getsize(live)
+        with open(live, "ab") as handle:
+            handle.write(b"\x00\x00")  # a torn tail
+        # a log no manifest names, as a crash in the middle of dropping
+        # the unreferenced ones leaves it
+        open(os.path.join(data_dir, "wal.0.log"), "wb").close()
 
         text = run(["store-inspect", data_dir])
         size = os.path.getsize(os.path.join(data_dir, "pages.db"))
@@ -452,8 +460,15 @@ class TestStoreInspect:
         assert f"next page id {changed['next_page']}" in lines[at + 3]
         assert leaves[index] > 5
         assert f"shard {other['shard']}: gen 1, prev gen 0" in text
-        assert "segment 2:" in text and "segment 1:" in text
-        assert "bytes (cvs-paged-store 4)" in lines[lines.index(
+        # each log by generation: the ones a shard's repair may need,
+        # the live one, and one nothing references
+        for gen in (1, 2):
+            size_of = os.path.getsize(os.path.join(data_dir, f"wal.{gen}.log"))
+            assert f"wal.{gen}.log: {size_of} bytes, retained segment" in lines
+        assert f"wal.3.log: {logged + 2} bytes, live, 1 record(s) + 2 torn " \
+            "tail byte(s)" in lines
+        assert "wal.0.log: 0 bytes, unreferenced" in lines
+        assert "bytes (cvs-paged-store 5)" in lines[lines.index(
             f"pages.db: {size} bytes") + 1]
         # 61 answers given, the window's worth remembered
         assert "user u: 61 remembered response(s), " in text
@@ -503,7 +518,7 @@ class TestStoreInspect:
         size = os.path.getsize(os.path.join(data_dir, "pages.log"))
         lines = text.splitlines()
         assert "backend: file" in lines
-        assert "bytes (cvs-paged-store 4)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 5)" in lines[lines.index(
             f"pages.log: {size} bytes") + 1]
         assert "checkpoint generation: 1" in lines
         assert "shard 0: gen 1, prev gen 0" in text

@@ -40,7 +40,7 @@ from repro.net import (
 )
 from repro.net.replication import (
     ATTEST_KEY, DEPOSIT_KEY, FETCH_KEY, HEAD_KEY, META_DEPOSITS, witness_name)
-from repro.net.wal import ServerStore, chain_genesis
+from repro.net.wal import ServerStore, chain_genesis, log_gens, log_name
 from repro.protocols.base import ErrorReply, Request, Response, ServerState
 from repro.protocols.protocol1 import Protocol1Server
 from repro.protocols.protocol2 import Protocol2Server, XorRegisters
@@ -100,7 +100,7 @@ class TestServerStore:
         store.wal_append(_request("alice", b"b", b"2", 1))
         store.close()
 
-        wal = os.path.join(str(tmp_path), "wal.log")
+        wal = store.wal_path
         intact = os.path.getsize(wal)
         with open(wal, "r+b") as handle:
             handle.truncate(intact - 7)
@@ -119,7 +119,7 @@ class TestServerStore:
         store.wal_append(_request("alice", b"b", b"payload", 1))
         store.close()
 
-        wal = os.path.join(str(tmp_path), "wal.log")
+        wal = store.wal_path
         with open(wal, "r+b") as handle:
             blob = bytearray(handle.read())
             blob[10] ^= 0x01  # flip one bit inside the first payload
@@ -138,11 +138,11 @@ class TestServerStore:
         state = ServerState(database=VerifiedDatabase(order=4))
         store.write_snapshot(state, {})
         store.wal_append(_request("alice", b"a", b"1", 0))
-        boundary = os.path.getsize(os.path.join(str(tmp_path), "wal.log"))
+        boundary = os.path.getsize(store.wal_path)
         store.wal_append(_request("alice", b"b", b"2", 1))
         store.close()
 
-        wal = os.path.join(str(tmp_path), "wal.log")
+        wal = store.wal_path
         with open(wal, "rb") as handle:
             blob = handle.read()
         with open(wal, "wb") as handle:
@@ -443,8 +443,7 @@ class TestKillAndRestart:
                 alice.put(f"k{i}".encode(), b"v")
         server.stop()
 
-        wal = os.path.join(data_dir, "wal.log")
-        with open(wal, "r+b") as handle:
+        with open(server.core.store.wal_path, "r+b") as handle:
             blob = bytearray(handle.read())
             blob[12] ^= 0xFF
             handle.seek(0)
@@ -459,7 +458,12 @@ class TestKillAndRestart:
 
 from repro.mtree.forest import StoreSpec  # noqa: E402
 from repro.net.wal import open_server_store  # noqa: E402
-from repro.storage.faults import ALWAYS, FaultyIO, SimulatedCrash  # noqa: E402
+from repro.storage.faults import (  # noqa: E402
+    ALWAYS,
+    FaultyIO,
+    IoShim,
+    SimulatedCrash,
+)
 from repro.storage.pagestore import (  # noqa: E402
     FilePageStore,
     SqlitePageStore,
@@ -488,87 +492,6 @@ def _reference_root(n_ops, ops, order=4, shards=1):
 
 
 _OPS = [(b"key%04d" % i, b"val%d" % i) for i in range(35)]
-
-
-class TestStaleWalRecovery:
-    """The pre-existing crash hole: dying between the snapshot rename
-    and the WAL reset used to leave an old-genesis log that recovery
-    mistook for tamper.  The snapshot's recorded ``prev_chain`` now
-    proves such a log stale -- and *only* such a log."""
-
-    def _crashed_store(self, tmp_path, mutate_wal=None):
-        io = FaultyIO(seed=9, crash_at={"checkpoint:after-commit": 2})
-        store = ServerStore(str(tmp_path), io=io)
-        state = ServerState(database=VerifiedDatabase(order=4))
-        Protocol2Server().initialize(state)
-        store.write_snapshot(state, {})  # bootstrap (occurrence 1)
-        for i in range(4):
-            store.wal_append(_request("u", b"k%d" % i, b"v", i))
-            state.database.execute(WriteQuery(b"k%d" % i, b"v"))
-            state.ctr += 1
-        with pytest.raises(SimulatedCrash):
-            store.write_snapshot(state, {})
-        store.close()
-        io.simulate_crash()
-        if mutate_wal is not None:
-            mutate_wal(os.path.join(str(tmp_path), "wal.log"))
-        return state
-
-    def test_stale_wal_discarded_not_fatal(self, tmp_path):
-        state = self._crashed_store(tmp_path)
-        fresh = ServerStore(str(tmp_path))
-        database, ctr, _meta, _dedup, chain = fresh.load_snapshot()
-        assert database.root_digest() == state.database.root_digest()
-        assert ctr == 4
-        # the old-epoch log is proven stale and dropped, not replayed
-        # (its every record is already inside the snapshot) and not
-        # reported as tamper
-        assert fresh.wal_records(chain) == []
-        assert fresh.stale_wals_discarded == 1
-        # ...it finishes the rotation the crash interrupted
-        assert not os.path.exists(os.path.join(str(tmp_path), "wal.log"))
-        assert os.path.isfile(os.path.join(str(tmp_path), "wal-seg.1.log"))
-        fresh.close()
-
-    def test_tampered_stale_wal_still_fatal(self, tmp_path):
-        """Staleness must be *proven*, not presumed: break the chain
-        recurrence inside the leftover log and recovery refuses."""
-        def flip(wal):
-            from repro.storage.pagestore import parse_records
-
-            with open(wal, "r+b") as handle:
-                blob = bytearray(handle.read())
-                records, _ = parse_records(bytes(blob))
-                # record 0's stored chain: every later record's proof
-                # hangs off it
-                offset = 4 + len(records[0][0])
-                blob[offset] ^= 0x04
-                handle.seek(0)
-                handle.write(blob)
-
-        self._crashed_store(tmp_path, mutate_wal=flip)
-        fresh = ServerStore(str(tmp_path))
-        _, _, _, _, chain = fresh.load_snapshot()
-        with pytest.raises(WalError, match="chain"):
-            fresh.wal_records(chain)
-        assert fresh.stale_wals_discarded == 0
-        fresh.close()
-
-    def test_truncated_stale_wal_still_fatal(self, tmp_path):
-        """A stale log missing its tail cannot prove it reaches the
-        snapshot's recorded head -- refused, because discarding it
-        would mask whatever removed the records."""
-        def chop(wal):
-            size = os.path.getsize(wal)
-            with open(wal, "r+b") as handle:
-                handle.truncate(size - 40)
-
-        self._crashed_store(tmp_path, mutate_wal=chop)
-        fresh = ServerStore(str(tmp_path))
-        _, _, _, _, chain = fresh.load_snapshot()
-        with pytest.raises(WalError):
-            fresh.wal_records(chain)
-        fresh.close()
 
 
 class TestWalFaults:
@@ -717,7 +640,7 @@ class TestPagedStoreRoundtrip:
         core.close_store()
 
     def test_segment_retention_is_bounded(self, tmp_path):
-        """Old WAL segments are garbage-collected as soon as no shard's
+        """Retained logs are garbage-collected as soon as no shard's
         repair recipe references them: retention stays O(shards)."""
         data_dir = str(tmp_path / "s")
         core = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
@@ -725,8 +648,8 @@ class TestPagedStoreRoundtrip:
         ops = [(b"g%04d" % i, b"v") for i in range(200)]
         _run_ops(core, ops)
         core.close_store()
-        segments = [n for n in os.listdir(data_dir)
-                    if n.startswith("wal-seg.")]
+        segments = log_gens(data_dir)  # the last op checkpointed: no live log
+        assert segments[-1] == core.store._manifest["gen"]
         assert 0 < len(segments) <= 3  # <= shards + the freshest
 
 
@@ -744,13 +667,17 @@ class TestPagedStoreCrashMatrix:
     a ``nodes`` page each); ``acked`` below checks that it did.  The
     third leaf page written is the first of checkpoint 1, whose values
     are all new: that cell dies between a leaf's value pages and the
-    leaf page naming them.  The sqlite cells keep their bare ids; the
-    page file runs the same eleven plus the cells only an append-only
-    file has: a commit torn before
-    its fsync, a commit whose fsync lied (the 12th fsync is checkpoint
-    1's, the crash comes before the WAL rotates), and a crash on either
-    side of a compaction's rename (before it, between it and the
-    directory fsync -- the old file survives -- and after both)."""
+    leaf page naming them.  ``wal:new-log`` 2 dies between creating
+    ``wal.2.log`` and the directory fsync that names it, after
+    checkpoint 1 committed: the log is lost, and held nothing.  The
+    sqlite cells keep their bare ids; the page file runs the same ten
+    plus the cells only an append-only file has: a commit torn before
+    its fsync, a commit whose fsync lied (the 14th fsync is checkpoint
+    1's -- after the bootstrap commit, the directory fsyncs naming
+    ``pages.log`` and ``wal.1.log`` and ten appends -- and the crash
+    comes before the next log opens), and a crash on either side of a
+    compaction's rename (before it, between it and the directory fsync
+    -- the old file survives -- and after both)."""
 
     POINTS = [
         ("wal:append", 17),
@@ -761,14 +688,13 @@ class TestPagedStoreCrashMatrix:
         ("pagestore:post-commit", 2),
         ("checkpoint:before-commit", 2),
         ("checkpoint:after-commit", 2),
-        ("compaction:before-rotate", 1),
-        ("compaction:between-rename-and-dirfsync", 1),
+        ("wal:new-log", 2),
         ("compaction:mid-segment-gc", 1),
     ]
     PAGE_FILE_CELLS = [
         ("torn-page-log-tail", "pagelog:before-fsync", 2, {}, _OPS),
         ("lying-fsync-on-commit", "checkpoint:after-commit", 2,
-         {"lying_fsync": 12}, _OPS),
+         {"lying_fsync": 14}, _OPS),
         ("page-log-compaction:before-rename", "atomic:before-rename", 1, {},
          _COMPACTING_OPS),
         ("page-log-compaction:between-rename-and-dirfsync",
@@ -890,10 +816,9 @@ class TestPagedStoreCorruption:
         cannot reproduce the manifest root, and recovery refuses --
         tamper is reported, never masked by serving the wrong data."""
         data_dir, _root = self._populated(tmp_path)
-        segments = sorted(n for n in os.listdir(data_dir)
-                          if n.startswith("wal-seg."))
+        segments = log_gens(data_dir)  # all retained: nothing is live
         assert segments
-        path = os.path.join(data_dir, segments[-1])
+        path = os.path.join(data_dir, log_name(segments[-1]))
         with open(path, "r+b") as handle:
             blob = bytearray(handle.read())
             blob[9] ^= 0x20
@@ -906,9 +831,9 @@ class TestPagedStoreCorruption:
 
     def test_lost_commit_detected_not_masked(self, tmp_path):
         """A page store that *lies* about commit durability loses the
-        checkpoint on crash.  The retained segment it rotated afterwards
-        outlives the manifest -- recovery notices the mismatch and
-        refuses to silently serve the older root."""
+        checkpoint on crash.  The logs opened after it outlive the
+        manifest -- recovery notices the mismatch and refuses to
+        silently serve the older root."""
         data_dir = str(tmp_path / "s")
         io = FaultyIO(seed=23, lose_commit=3)  # bootstrap=1, cp1=2, cp2=3
         core = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
@@ -956,7 +881,7 @@ class TestRefusedDirectories:
             ServerCore(order=4, data_dir=data_dir, backend=backend,
                        fsync=True, io=io)
         # ...and the log is still there for whoever investigates
-        assert os.path.getsize(os.path.join(data_dir, "wal.log")) > 0
+        assert os.path.getsize(os.path.join(data_dir, log_name(1))) > 0
 
     @pytest.mark.parametrize("backend", _LOST_BOOTSTRAP)
     def test_directory_of_the_whole_state_snapshot_is_refused_by_name(
@@ -969,6 +894,177 @@ class TestRefusedDirectories:
         with pytest.raises(WalError, match="cvs-server-snapshot 1"):
             ServerCore(order=4, data_dir=str(data_dir), backend=backend)
         assert sorted(os.listdir(data_dir)) == ["state.snapshot", "wal.log"]
+
+    def test_a_log_the_renaming_build_left_is_refused_by_name(self, tmp_path):
+        """That build's directory after a lost bootstrap is a non-empty
+        ``wal.log`` and nothing else; its format-4 manifest is refused
+        by ``TestOldFormatRefused``.  Starting fresh here would drop
+        the log's acked writes without a word."""
+        data_dir = tmp_path / "s"
+        data_dir.mkdir()
+        (data_dir / "wal.log").write_bytes(b"\x00\x00\x00\x05hello" + bytes(32))
+        with pytest.raises(WalError, match="wal.log .a cvs-paged-store 4 log"):
+            ServerCore(order=4, data_dir=str(data_dir))
+        assert sorted(os.listdir(data_dir)) == ["wal.log"]
+
+
+class _DirFsyncs(IoShim):
+    """Real I/O, counting directory fsyncs."""
+
+    count = 0
+
+    def fsync_dir(self, path):
+        self.count += 1
+        super().fsync_dir(path)
+
+
+#: how each page store loses checkpoint 1 while reporting it durable:
+#: sqlite's engine lies about its second commit; the page file's 14th
+#: fsync (after the bootstrap commit, the directory fsyncs naming
+#: ``pages.log`` and ``wal.1.log``, and ten appends) lies, and none of
+#: its record survives
+_LOST_CHECKPOINT_1 = {"file": {"lying_fsync": 14, "torn_tail": False},
+                      "sqlite": {"lose_commit": 2}}
+
+
+class TestOneLogPerCheckpoint:
+    """The requests that lead to checkpoint G go to ``wal.G.log``,
+    opened after checkpoint G - 1 committed and named durably before
+    its first record; a log is never renamed, so there is no state
+    between a commit and a rename to recover from."""
+
+    def test_a_new_file_is_unnamed_until_its_directory_is_synced(
+            self, tmp_path):
+        io = FaultyIO(seed=1)
+        path = str(tmp_path / "new.log")
+        for body, sync_dir in ((b"lost", False), (b"kept", True)):
+            handle = io.open(path, "ab")
+            handle.write(body)
+            handle.fsync()
+            handle.close()
+            if sync_dir:
+                io.fsync_dir(str(tmp_path))
+            io.simulate_crash()
+            assert os.path.exists(path) == sync_dir
+        with open(path, "rb") as handle:
+            assert handle.read() == b"kept"
+
+    def test_a_log_that_cannot_be_named_fails_only_its_append(self, tmp_path):
+        """The chain advances only once the new log's name is durable:
+        an append whose directory fsync failed leaves nothing behind,
+        and its retry lands in a log that verifies."""
+        data_dir = str(tmp_path / "s")
+        # sqlite's own fsyncs bypass the shim: the first names wal.1.log
+        store = ServerStore(data_dir, backend="sqlite",
+                            io=FaultyIO(seed=6, fail_fsync=1))
+        store.write_snapshot(ServerState(database=VerifiedDatabase(order=4)),
+                             {})
+        request = _request("u", b"k", b"v", 0)
+        with pytest.raises(OSError, match="directory fsync failed"):
+            store.wal_append(request)
+        store.wal_append(request)
+        store.close()
+        fresh = ServerStore(data_dir, backend="sqlite")
+        *_, chain = fresh.load_snapshot()
+        assert fresh.wal_records(chain) == [request]
+        fresh.close()
+
+    def test_acked_writes_survive_a_crash_after_the_bootstrap(self, tmp_path):
+        """``pages.log`` and ``wal.1.log`` are both born here, and an
+        fsynced record in a file whose name a crash can undo was never
+        durable."""
+        data_dir = str(tmp_path / "s")
+        io = FaultyIO(seed=3)
+        core = ServerCore(order=4, data_dir=data_dir, backend="file",
+                          fsync=True, io=io)
+        acked = _run_ops(core, _OPS[:5])
+        core.store.close()
+        io.simulate_crash()
+        fresh = ServerCore(order=4, data_dir=data_dir, backend="file",
+                           fsync=True, io=io)
+        for key, value in acked:
+            assert fresh.state.database.get(key) == value
+        assert fresh.state.database.root_digest() == _reference_root(5, _OPS)
+        fresh.close_store()
+
+    def _lose_checkpoint_1(self, tmp_path, backend, ops):
+        data_dir = str(tmp_path / "s")
+        io = FaultyIO(seed=4, **_LOST_CHECKPOINT_1[backend])
+        core = ServerCore(order=4, data_dir=data_dir, backend=backend,
+                          fsync=True, shards=2, snapshot_every=10, io=io)
+        acked = _run_ops(core, ops)
+        assert int(core.store._manifest["gen"]) == 1
+        live = (core.state.database.root_digest(), core.state.ctr)
+        core.store.close()
+        io.simulate_crash()
+        return data_dir, io, acked, live
+
+    @pytest.mark.parametrize("backend", _LOST_CHECKPOINT_1)
+    def test_a_lying_commit_no_append_followed_loses_nothing(
+            self, tmp_path, backend):
+        """Every request of the lost checkpoint is still in the live
+        log, ``wal.1.log``: replay rebuilds it, root and all."""
+        data_dir, io, acked, live = self._lose_checkpoint_1(
+            tmp_path, backend, _OPS[:10])
+        fresh = ServerCore(order=4, data_dir=data_dir, backend=backend,
+                           fsync=True, shards=2, io=io)
+        assert int(fresh.store._manifest["gen"]) == 0  # checkpoint 1 is gone
+        assert fresh.replayed_records == 10
+        assert (fresh.state.database.root_digest(), fresh.state.ctr) == live
+        for key, value in acked:
+            assert fresh.state.database.get(key) == value
+        fresh.close_store()
+
+    def test_a_newer_log_that_holds_no_record_is_dropped(self, tmp_path):
+        """A torn first append after a lost checkpoint acked nothing; the
+        log it left is removed, or the next epoch would append to it
+        after the torn bytes."""
+        data_dir, io, acked, live = self._lose_checkpoint_1(
+            tmp_path, "sqlite", _OPS[:10])
+        with open(os.path.join(data_dir, log_name(2)), "wb") as handle:
+            handle.write(b"\x00\x00\x01")  # a record's length, torn
+        fresh = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                           fsync=True, shards=2, snapshot_every=10, io=io)
+        assert (fresh.state.database.root_digest(), fresh.state.ctr) == live
+        assert log_gens(data_dir) == [1]
+        acked += _run_ops(fresh, _OPS[10:25], start=10)
+        fresh.close_store()
+        again = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                           fsync=True, shards=2, io=io)
+        assert again.state.ctr == 25 and again.replayed_records > 0
+        for key, value in acked:
+            assert again.state.database.get(key) == value
+        again.close_store()
+
+    @pytest.mark.parametrize("backend", _LOST_CHECKPOINT_1)
+    def test_a_lying_commit_appends_followed_is_refused(
+            self, tmp_path, backend):
+        """The five acked writes in ``wal.2.log`` chain from the head
+        the lost checkpoint took down with it."""
+        data_dir, io, _acked, _live = self._lose_checkpoint_1(
+            tmp_path, backend, _OPS[:15])
+        with pytest.raises(WalError, match=r"wal\.2\.log holds 5 record\(s\) "
+                           r"newer than the checkpoint manifest \(generation "
+                           r"0\): the page store lost a checkpoint"):
+            ServerCore(order=4, data_dir=data_dir, backend=backend,
+                       fsync=True, shards=2, io=io)
+
+    @pytest.mark.parametrize("backend", _LOST_CHECKPOINT_1)
+    def test_directory_fsyncs_per_checkpoint_are_unchanged(
+            self, tmp_path, backend):
+        """Naming a new log costs the directory fsync a rename into a
+        retained segment did: over three checkpoints, three of them and
+        one per pass that dropped an unreferenced log -- five, as the
+        renaming build counted on this traffic."""
+        io = _DirFsyncs()
+        core = ServerCore(order=4, data_dir=str(tmp_path / "s"),
+                          backend=backend, fsync=True, shards=2,
+                          snapshot_every=10, io=io)
+        io.count = 0  # the bootstrap's own: naming pages.log
+        _run_ops(core, _OPS[:30])
+        assert int(core.store._manifest["gen"]) == 3
+        assert io.count == 5
+        core.close_store()
 
 
 class _FullDisk:
@@ -1024,7 +1120,7 @@ class TestSqliteErrorsBackOff:
 
 class TestCompactionRace:
     def test_checkpoints_race_concurrent_writes(self, tmp_path):
-        """Writes keep flowing while checkpoint/rotation/GC cycles run
+        """Writes keep flowing while checkpoint/new-log/GC cycles run
         between them; every acked write must survive a crash landing in
         the middle of the churn."""
         data_dir = str(tmp_path / "s")
@@ -1154,7 +1250,7 @@ class TestPoisonedRequests:
 
         poison = _poison_request(name, 100)
         batch = [requests[4], poison, requests[5]] if in_batch else [poison]
-        wal_before = os.path.getsize(os.path.join(data_dir, "wal.log"))
+        wal_before = os.path.getsize(core.store.wal_path)
         responses = core.apply_batch([("alice", message) for message in batch])
         # the neighbours are answered and verify; so does the absent delete
         logged = 0
@@ -1167,7 +1263,7 @@ class TestPoisonedRequests:
             outcome = registers.step(message.query, response)
             assert (outcome.old_root == outcome.new_root) == (message is poison)
             logged += 1
-        wal_after = os.path.getsize(os.path.join(data_dir, "wal.log"))
+        wal_after = os.path.getsize(core.store.wal_path)
         assert (wal_after > wal_before) == (logged > 0)  # a refusal logs nothing
         live = (core.state.database.root_digest(), core.state.ctr)
         assert live[1] == 4 + logged
@@ -1215,7 +1311,7 @@ class TestPoisonedRequests:
         core = server()
         core.apply_request("alice", Request(query=WriteQuery(b"k", b"v"),
                                             extras={"deposit": deposit}))
-        wal = os.path.join(data_dir, "wal.log")
+        wal = core.store.wal_path
         logged = os.path.getsize(wal)
         refused = core.apply_request(
             "alice", Request(query=None, extras=self.AUDIT_POISON[name]))

@@ -264,7 +264,7 @@ class TestMalformedAckRefusedByName:
                 query=WriteQuery(b"k%d" % seq, b"v"),
                 extras={"user": "u", "rid": f"u:n:{seq}", "ack": 0}))
         table = core.dedup.export()
-        wal = os.path.join(data_dir, "wal.log")
+        wal = core.store.wal_path
         logged = os.path.getsize(wal)
         refused = core.apply_request("u", Request(
             query=WriteQuery(b"k", b"v"), extras={"user": "u", **extras}))

@@ -201,7 +201,7 @@ class TestFailedCommit:
         _check_accounting(core.store)
         core.close_store()
         # The retried checkpoint alone: no log left to lean on.
-        assert not os.path.exists(os.path.join(data_dir, "wal.log"))
+        assert not os.path.exists(core.store.wal_path)
         fresh = _core(data_dir, shards=2)
         assert fresh.replayed_records == 0
         assert fresh.state.database.root_digest() == \
@@ -411,8 +411,10 @@ class TestForeignTrees:
 
 class TestOldFormatRefused:
     def test_manifest_of_another_format(self, tmp_path):
-        # 2: one page per leaf, values inside it
-        for old in ("cvs-paged-store 1", "cvs-paged-store 2"):
+        # 2: one page per leaf, values inside it; 4: one log renamed
+        # into a retained segment at each checkpoint
+        for old in ("cvs-paged-store 1", "cvs-paged-store 2",
+                    "cvs-paged-store 4"):
             self._refused(str(tmp_path / old.replace(" ", "-")), old)
 
     def _refused(self, data_dir, old):

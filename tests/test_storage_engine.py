@@ -1,7 +1,7 @@
 """The streaming shard codec: tree <-> one ``nodes`` stream plus a page
 per leaf and a page per entry, bounded residency, root verification,
-what a checkpoint writes, what the loader refuses, and segment-replay
-semantics.
+what a checkpoint writes, what the loader refuses, and what a shard
+repair's replay of a retained log executes.
 
 The codec is what makes a million-entry restart possible without
 materialising the serialised tree: pages are parsed as they arrive.
@@ -13,7 +13,7 @@ tree size.
 import pytest
 
 from repro.crypto.hashing import hash_bytes
-from repro.mtree.database import DeleteQuery, WriteQuery
+from repro.mtree.database import DeleteQuery, VerifiedDatabase, WriteQuery
 from repro.mtree.forest import shard_for_key
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.persistence import (
@@ -23,6 +23,7 @@ from repro.mtree.persistence import (
     parse_leaf_page,
     tree_stream_lines,
 )
+from repro.net.wal import _replay_shard
 from repro.protocols.base import Followup, Request
 from repro.storage.engine import (
     PAGE_BYTES,
@@ -30,7 +31,6 @@ from repro.storage.engine import (
     PageRows,
     load_shard_tree,
     row_fields,
-    replay_data_ops,
     write_shard_pages,
 )
 from repro.storage.pagestore import (
@@ -421,37 +421,47 @@ class TestLoaderRejections:
 
 
 class TestReplay:
+    """Shard repair replays a retained log through the server's own
+    ``VerifiedDatabase.execute``: a replayed shard is the shard live
+    execution built."""
+
     def _request(self, query):
         return Request(query=query, extras={"user": "u"})
+
+    def _live(self, messages, shard, shards):
+        """The shard live execution of ``messages`` leaves behind."""
+        live = VerifiedDatabase(order=8, shards=shards)
+        for message in messages:
+            query = getattr(message, "query", None)
+            if isinstance(query, (WriteQuery, DeleteQuery)):
+                live.execute(query)
+        return live.shard_trees()[shard]
 
     def test_replay_mirrors_live_execution(self):
         shards = 4
         shard = 1
         tree = MerkleBPlusTree(order=8)
-        messages = []
-        mirror = {}
-        for i in range(200):
-            key = b"rk%04d" % i
-            messages.append(self._request(WriteQuery(key, b"v%d" % i)))
-            if shard_for_key(key, shards) == shard:
-                mirror[key] = b"v%d" % i
-        applied = replay_data_ops(tree, messages, shard, shards)
-        assert applied == len(mirror)
-        assert dict(tree.items()) == mirror
+        messages = [self._request(WriteQuery(b"rk%04d" % i, b"v%d" % i))
+                    for i in range(200)]
+        messages += [self._request(DeleteQuery(b"rk%04d" % i))
+                     for i in range(0, 200, 3)]
+        _replay_shard(tree, messages, shard, shards)
+        live = self._live(messages, shard, shards)
+        assert dict(tree.items()) == dict(live.items())
+        assert all(shard_for_key(key, shards) == shard for key, _ in tree.items())
+        assert tree.refresh_root()[0] == live.refresh_root()[0]
 
     def test_delete_of_absent_key_is_noop(self):
-        """Live execution raises KeyError *before* mutating on a delete
-        of an absent key -- so replay must treat it as a no-op, not an
-        error and not a tamper signal."""
-        shards = 1
+        """Live execution of a delete of an absent key is a verified
+        no-op -- so replay must treat it as one, not an error and not a
+        tamper signal."""
         tree = MerkleBPlusTree(order=8)
         tree.insert(b"present", b"x")
-        messages = [
-            self._request(DeleteQuery(b"never-existed")),
-            self._request(DeleteQuery(b"present")),
-        ]
-        applied = replay_data_ops(tree, messages, 0, shards)
-        assert applied == 1
+        before = tree.refresh_root()[0]
+        _replay_shard(tree, [self._request(DeleteQuery(b"never-existed"))],
+                      0, 1)
+        assert tree.refresh_root()[0] == before
+        _replay_shard(tree, [self._request(DeleteQuery(b"present"))], 0, 1)
         assert b"present" not in tree
 
     def test_non_data_messages_ignored(self):
@@ -461,8 +471,8 @@ class TestReplay:
             self._request(None),  # protocol-internal request
             self._request(WriteQuery(b"k", b"v")),
         ]
-        assert replay_data_ops(tree, messages, 0, 1) == 1
-        assert tree.get(b"k") == b"v"
+        _replay_shard(tree, messages, 0, 1)
+        assert dict(tree.items()) == {b"k": b"v"}
 
     def test_overwrite_keeps_latest(self):
         tree = MerkleBPlusTree(order=8)
@@ -470,5 +480,5 @@ class TestReplay:
             self._request(WriteQuery(b"k", b"first")),
             self._request(WriteQuery(b"k", b"second")),
         ]
-        replay_data_ops(tree, messages, 0, 1)
+        _replay_shard(tree, messages, 0, 1)
         assert tree.get(b"k") == b"second"
