@@ -11,16 +11,22 @@ binary wire codec and billed.  Two views:
   Protocol II on the same workload, beside the same operations' bare
   queries and answers.  The naive server ships the same VO as Protocol
   II, so naive-to-answers-only is the VO's price on the wire and
-  naive-to-Protocol-II the price of the counters and registers.
+  naive-to-Protocol-II the price of the counters and registers;
+* what one read VO and one update VO are made of, on the end-to-end
+  benchmark's key shape: digests, the key bytes sent, the key prefix
+  bytes front-coding saved, tags and lengths, and copies of the query.
 """
 
 import sys
+from dataclasses import fields
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from bench_common import emit
+from repro import wire
 from repro.analysis import format_table
 from repro.core.scenarios import build_simulation
+from repro.crypto.hashing import Digest
 from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
 from repro.simulation.channels import Network
 from repro.simulation.workload import steady_workload
@@ -124,3 +130,86 @@ def test_wire_protocol_bandwidth(capsys, benchmark):
                                 network=network).execute()
 
     benchmark.pedantic(kernel, rounds=3, iterations=1)
+
+
+#: proof fields that would repeat what the query says (none is left)
+QUERY_FIELDS = ("key", "operation", "shard", "low", "high")
+
+
+def shared_prefix(left: bytes, right: bytes) -> int:
+    size = 0
+    for a, b in zip(left, right):
+        if a != b:
+            break
+        size += 1
+    return size
+
+
+def composition(proof) -> dict:
+    """The bytes of ``proof`` on the wire, by what they carry.  Keys
+    are front-coded from codec 3 on; before it every key was sent
+    whole, and a proof carried copies of its query's fields."""
+    parts = dict.fromkeys(("digests", "key bytes", "prefix saved",
+                           "query fields"), 0)
+    front_coded = wire.CODEC_VERSION >= 3
+
+    def walk(value):
+        if isinstance(value, Digest):
+            parts["digests"] += 32
+        elif isinstance(value, tuple):
+            for item in value:
+                walk(item)
+        elif hasattr(value, "__dataclass_fields__"):
+            for field in fields(value):
+                item = getattr(value, field.name)
+                if field.name in QUERY_FIELDS:
+                    parts["query fields"] += len(wire.encode(item)) - (
+                        isinstance(item, bytes))  # raw: a length, no tag
+                elif field.name == "keys":
+                    previous = b""
+                    for key in item:
+                        shared = shared_prefix(previous, key) if front_coded else 0
+                        parts["key bytes"] += len(key) - shared
+                        parts["prefix saved"] += shared
+                        previous = key
+                else:
+                    walk(item)
+
+    walk(proof)
+    total = wire_size(proof)
+    parts["tags and lengths"] = (total - parts["digests"] - parts["key bytes"]
+                                 - parts["query fields"])
+    parts["VO bytes"] = total
+    return parts
+
+
+def e2e_key(index: int) -> bytes:
+    """The end-to-end benchmark's file names (benchmarks/e2e/streams.py)."""
+    return b"src/mod%03d/file%05d.c,v" % (index % 97, index)
+
+
+def test_wire_vo_composition(capsys, benchmark):
+    columns = ["digests", "key bytes", "prefix saved", "tags and lengths",
+               "query fields", "VO bytes"]
+    rows = []
+    for shards in (1, 8):
+        db = VerifiedDatabase(order=8, shards=shards)
+        for index in range(2000):
+            db.execute(WriteQuery(e2e_key(index), b"x" * 32))
+        for kind, query in (("read", ReadQuery(e2e_key(1000))),
+                            ("update", WriteQuery(e2e_key(1000), b"y" * 32))):
+            parts = composition(db.execute(query).proof)
+            rows.append([kind, shards] + [parts[name] for name in columns])
+            assert parts["query fields"] == 0  # a VO repeats nothing the query says
+            assert parts["prefix saved"] > parts["key bytes"] / 2
+
+    emit(capsys, "E13_vo_composition", format_table(
+        ["VO", "S"] + columns, rows,
+        title="E13c: one VO's bytes by what they carry "
+              "(order 8, 2,000 keys of the end-to-end shape)",
+    ))
+    db = VerifiedDatabase(order=8)
+    for index in range(2000):
+        db.execute(WriteQuery(e2e_key(index), b"x" * 32))
+    proof = db.execute(ReadQuery(e2e_key(1000))).proof
+    benchmark(lambda: wire.decode(wire.encode(proof)))

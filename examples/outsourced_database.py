@@ -63,7 +63,7 @@ def main() -> None:
     entry_digests = list(result.proof.leaf.entry_digests)
     entry_digests[position] = hash_leaf(b"cust:0001", forged_value)
     forged = ReadProof(
-        key=result.proof.key, internals=result.proof.internals,
+        internals=result.proof.internals,
         leaf=LeafSnapshot(keys=result.proof.leaf.keys, entry_digests=tuple(entry_digests)),
     )
     try:
@@ -77,7 +77,8 @@ def main() -> None:
     honest = vendor.execute(RangeQuery(b"cust:0001", b"cust:0005"))
     try:
         from repro.mtree.proofs import verify_range
-        verify_range(owner.root_digest, honest.proof, honest.answer[:-2])
+        verify_range(owner.root_digest, honest.proof, b"cust:0001", b"cust:0005",
+                     honest.answer[:-2])
         print("attack 2 (hidden rows)      : MISSED -- this must never print")
     except ProofError as exc:
         print(f"attack 2 (hidden rows)      : caught -> {exc}")

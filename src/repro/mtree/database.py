@@ -241,14 +241,14 @@ def _read(implied_root):
 
 def _range(implied_root):
     def reduce(query, proof, answer, spec):
-        if (proof.low, proof.high) != (query.low, query.high):
-            raise ProofError("range proof covers a different range")
-        root = implied_root(proof, answer, spec)
+        root = implied_root(proof, query.low, query.high, answer, spec)
         return root, root
     return reduce
 
 
 def _update(derive_roots):
+    """A write's value is bytes, a delete has none: the query type is
+    the operation the proof is replayed with."""
     def reduce(query, proof, answer, spec):
         if answer is not None:
             raise ProofError("an update's answer must be None")
@@ -263,23 +263,24 @@ _UPDATE = (
 )
 
 #: The client rule of Section 4.1, one row per query kind: what a wrong
-#: proof is called, the operation an update proof must name, and -- the
-#: only one-tree/forest fork of the client side -- for a single tree and
-#: for a forest, the proof type the store answers with and the function
-#: reducing ``(query, proof, answer, spec)`` to ``(old root, new root)``.
+#: proof is called and -- the only one-tree/forest fork of the client
+#: side -- for a single tree and for a forest, the proof type the store
+#: answers with and the function reducing ``(query, proof, answer,
+#: spec)`` to ``(old root, new root)``.  A proof repeats nothing the
+#: query says: the key, the range and the operation are the query's.
 _RULES = {
     ReadQuery: (
-        "read query answered with a non-read proof", None,
+        "read query answered with a non-read proof",
         (ReadProof, _read(lambda proof, key, answer, spec:
                           implied_root_for_read(proof, key, answer))),
         (ForestReadProof, _read(implied_root_for_forest_read))),
     RangeQuery: (
-        "range query answered with a non-range proof", None,
-        (RangeProof, _range(lambda proof, answer, spec:
-                            implied_root_for_range(proof, answer))),
+        "range query answered with a non-range proof",
+        (RangeProof, _range(lambda proof, low, high, answer, spec:
+                            implied_root_for_range(proof, low, high, answer))),
         (ForestRangeProof, _range(implied_root_for_forest_range))),
-    WriteQuery: ("write query answered with a non-insert proof", "insert", *_UPDATE),
-    DeleteQuery: ("delete query answered with a non-delete proof", "delete", *_UPDATE),
+    WriteQuery: ("write query answered with a non-update proof", *_UPDATE),
+    DeleteQuery: ("delete query answered with a non-update proof", *_UPDATE),
 }
 
 
@@ -307,11 +308,10 @@ def derive_outcome(
         raise ProofError(f"unknown query type {type(query).__name__}")
     if not isinstance(result, QueryResult):
         raise ProofError("the server's answer is not a query result")
-    wrong_proof, operation, plain, forest = rule
+    wrong_proof, plain, forest = rule
     proof_type, reduce = forest if spec.sharded else plain
     proof = result.proof
-    if not isinstance(proof, proof_type) or \
-            (operation is not None and proof.operation != operation):
+    if not isinstance(proof, proof_type):
         raise ProofError(wrong_proof)
     old_root, new_root = reduce(query, proof, result.answer, spec)
     return VerifiedOutcome(old_root=old_root, new_root=new_root, answer=result.answer)

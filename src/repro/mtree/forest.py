@@ -13,9 +13,10 @@ Verification objects become two-level: the proof for a key carries the
 ordinary path inside its shard *plus* the shard-root path in the top
 tree, and the client folds both -- the inner proof's implied shard root
 must be the exact value the top tree commits for that shard.  Routing
-is part of the trust base: the client recomputes ``shard_for_key`` and
-rejects proofs from any other shard, otherwise a malicious server could
-prove non-membership out of a shard the key never routes to.
+is part of the trust base: the proof names no shard, the client
+recomputes ``shard_for_key`` and checks the inner half against that
+shard's top entry, so a malicious server cannot prove non-membership
+out of a shard the key never routes to.
 
 :class:`StoreSpec` carries ``(order, shards, top_order)`` through every
 parameter slot that used to hold a bare B+-tree order, so the protocol
@@ -134,7 +135,7 @@ def shard_for_key(key: bytes, shards: int) -> int:
     """Deterministic key -> shard routing (domain-separated SHA-256).
 
     Both sides compute this: the server to place writes, the client to
-    reject proofs served out of the wrong shard.
+    pick the top entry a proof's inner half must match.
     """
     if shards <= 1:
         return 0
@@ -365,16 +366,14 @@ def merkle_store(spec: StoreSpec,
 
 @dataclass(frozen=True)
 class ForestReadProof:
-    """Point-read VO: leaf path inside the shard + shard-root path in
-    the top tree."""
+    """Point-read VO: leaf path inside the key's shard + shard-root path
+    in the top tree."""
 
-    shard: int
     inner: ReadProof
     top: ReadProof
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.shard, int) and isinstance(self.inner, ReadProof)
-                and isinstance(self.top, ReadProof)):
+        if not (isinstance(self.inner, ReadProof) and isinstance(self.top, ReadProof)):
             raise ProofError("malformed forest read proof")
 
     def size_digests(self) -> int:
@@ -386,21 +385,17 @@ class ForestUpdateProof:
     """Update VO: pre-update path in the shard + pre-update shard-root
     path in the top tree.
 
-    The top half is always an ``insert`` proof for the shard key -- the
+    The top half is always an insert proof for the shard key -- the
     shard's entry in the top tree is *overwritten* with the new shard
     root, never created or removed, so the replay can never split the
     top tree and its shape stays deterministic.
     """
 
-    operation: str  # "insert" or "delete" (the inner, user-level op)
-    shard: int
     inner: UpdateProof
     top: UpdateProof
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.operation, str) and isinstance(self.shard, int)
-                and isinstance(self.inner, UpdateProof)
-                and isinstance(self.top, UpdateProof)):
+        if not (isinstance(self.inner, UpdateProof) and isinstance(self.top, UpdateProof)):
             raise ProofError("malformed forest update proof")
 
     def size_digests(self) -> int:
@@ -418,14 +413,11 @@ class ForestRangeProof:
     signed top root.
     """
 
-    low: bytes
-    high: bytes
     shard_proofs: tuple[RangeProof, ...]
     top: RangeProof
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.low, bytes) and isinstance(self.high, bytes)
-                and tuple_of(self.shard_proofs, RangeProof)
+        if not (tuple_of(self.shard_proofs, RangeProof)
                 and isinstance(self.top, RangeProof)):
             raise ProofError("malformed forest range proof")
 
@@ -455,7 +447,6 @@ def build_forest_read_proof(forest: MerkleForest, key: bytes) -> ForestReadProof
     forest._sync_top()
     index = forest._route(key)
     return ForestReadProof(
-        shard=index,
         inner=build_read_proof(forest.shard_tree(index), key),
         top=build_read_proof(forest.top_tree, shard_key(index)),
     )
@@ -467,8 +458,6 @@ def build_forest_update_proof(
     forest._sync_top()
     index = forest._route(key)
     return ForestUpdateProof(
-        operation=operation,
-        shard=index,
         inner=build_update_proof(forest.shard_tree(index), operation, key),
         top=build_update_proof(forest.top_tree, "insert", shard_key(index)),
     )
@@ -484,7 +473,7 @@ def build_forest_range_proof(
     )
     top = build_range_proof(
         forest.top_tree, shard_key(0), shard_key(forest.shard_count - 1))
-    return ForestRangeProof(low=low, high=high, shard_proofs=shard_proofs, top=top)
+    return ForestRangeProof(shard_proofs=shard_proofs, top=top)
 
 
 # -- verification (client side) ----------------------------------------------
@@ -492,11 +481,10 @@ def build_forest_range_proof(
 
 def _check_top_entry(top: ReadProof | UpdateProof, skey: bytes,
                      shard_root: Digest, mismatch: str) -> None:
-    """The level binding: the top half of a forest VO is for ``skey``
-    and its leaf commits ``hash_leaf(skey, shard_root)`` -- the shard
-    root the client derived from the inner half."""
-    if top.key != skey:
-        raise ProofError("top-tree proof is for a different shard key")
+    """The level binding: the leaf of the top half of a forest VO
+    commits ``hash_leaf(skey, shard_root)`` -- the shard root the client
+    derived from the inner half, under the key's own shard.  An inner
+    half from another shard implies another root, and fails here."""
     try:
         position = top.leaf.keys.index(skey)
     except ValueError:
@@ -511,14 +499,12 @@ def implied_root_for_forest_read(
     """The *top* root a forest read proof vouches for, with ``value``
     as the answer.
 
-    Checks (a) the proof comes from the shard ``key`` routes to, (b)
-    the answer against the inner proof's leaf, and its path, and (c)
-    the top tree commits exactly the shard root the inner proof implies.
+    Checks (a) the answer against the inner proof's leaf, and its path,
+    and (b) the top tree commits exactly the shard root the inner proof
+    implies at the entry of the shard ``key`` routes to.
     """
-    if proof.shard != shard_for_key(key, spec.shards):
-        raise ProofError("read proof was served out of the wrong shard")
     shard_root = implied_root_for_read(proof.inner, key, value)
-    skey = shard_key(proof.shard)
+    skey = shard_key(shard_for_key(key, spec.shards))
     _check_top_entry(proof.top, skey, shard_root,
                      "top tree entry disagrees with the shard proof")
     return fold_path(proof.top.internals, proof.top.leaf, skey)[0]
@@ -536,15 +522,10 @@ def derive_forest_update_roots(
     must commit ``hash_leaf(shard_key, old_shard_root)`` where
     ``old_shard_root`` is what the inner proof implies -- then the new
     top root is derived by replaying the overwrite of that entry with
-    the client-recomputed new shard root.
+    the client-recomputed new shard root.  The top replay is an insert
+    of a key its leaf holds: an overwrite, which never restructures.
     """
-    if proof.shard != shard_for_key(key, spec.shards):
-        raise ProofError("update proof was served out of the wrong shard")
-    if proof.inner.operation != proof.operation:
-        raise ProofError("forest update proof disagrees with its inner operation")
-    if proof.top.operation != "insert":
-        raise ProofError("top-tree half of a forest update must be an overwrite")
-    skey = shard_key(proof.shard)
+    skey = shard_key(shard_for_key(key, spec.shards))
     old_shard, new_shard = derive_update_roots(proof.inner, spec.order, key, value)
     _check_top_entry(proof.top, skey, old_shard,
                      "top tree does not commit the shard's pre-update root")
@@ -553,20 +534,20 @@ def derive_forest_update_roots(
 
 
 def implied_root_for_forest_range(
-    proof: ForestRangeProof, entries: object, spec: StoreSpec
+    proof: ForestRangeProof, low: bytes, high: bytes, entries: object,
+    spec: StoreSpec,
 ) -> Digest:
     """The top root a forest range proof vouches for, with ``entries``
-    as the answer.
+    as the answer to ``[low, high]``.
 
     The answer must be in key order.  Its rows are split by
-    ``shard_for_key``, every shard must prove its slice (completeness),
-    and the top tree's range proof must commit each shard root so
-    implied -- the top rows are ``(shard_key(i), shard root i)``.
+    ``shard_for_key``, every shard must prove its slice of the range
+    (completeness), and the top tree's range proof over every shard key
+    must commit each shard root so implied -- the top rows are
+    ``(shard_key(i), shard root i)``.
     """
     if len(proof.shard_proofs) != spec.shards:
         raise ProofError("range proof does not cover every shard")
-    if (proof.top.low, proof.top.high) != (shard_key(0), shard_key(spec.shards - 1)):
-        raise ProofError("top-tree range proof does not span the shard keys")
     if not entries_of(entries):
         raise ProofError(NOT_ENTRIES)
     keys = [key for key, _ in entries]
@@ -577,8 +558,7 @@ def implied_root_for_forest_range(
         slices[shard_for_key(entry[0], spec.shards)].append(entry)
     shard_roots = []
     for index, shard_proof in enumerate(proof.shard_proofs):
-        if (shard_proof.low, shard_proof.high) != (proof.low, proof.high):
-            raise ProofError(f"shard {index} proof covers a different range")
-        implied = implied_root_for_range(shard_proof, tuple(slices[index]))
+        implied = implied_root_for_range(shard_proof, low, high, tuple(slices[index]))
         shard_roots.append((shard_key(index), implied.to_bytes()))
-    return implied_root_for_range(proof.top, tuple(shard_roots))
+    return implied_root_for_range(proof.top, shard_key(0),
+                                  shard_key(spec.shards - 1), tuple(shard_roots))

@@ -109,16 +109,15 @@ def snapshot_internal(mtree: MerkleBPlusTree, node) -> InternalSnapshot:
 @dataclass(frozen=True)
 class ReadProof:
     """Membership or non-membership proof for a single key: the path to
-    the leaf ``key`` routes to.  The value is not in it -- it is the
-    answer, which the verifier binds to the leaf's entry digest."""
+    the leaf the key routes to.  Neither the key nor the value is in it:
+    the key is the query's and the value the answer's, and the verifier
+    takes both as input, binding the value to the leaf's entry digest."""
 
-    key: bytes
     internals: tuple[InternalSnapshot, ...]  # root first, leaf's parent last
     leaf: LeafSnapshot
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.key, bytes)
-                and tuple_of(self.internals, InternalSnapshot)
+        if not (tuple_of(self.internals, InternalSnapshot)
                 and isinstance(self.leaf, LeafSnapshot)):
             raise ProofError("malformed read proof")
 
@@ -131,7 +130,7 @@ def build_read_proof(mtree: MerkleBPlusTree, key: bytes) -> ReadProof:
     """Server side: assemble the VO for a point read of ``key``."""
     path = mtree.tree.search_path(key)
     internals = tuple([snapshot_internal(mtree, node) for node in path[:-1]])
-    return ReadProof(key=key, internals=internals, leaf=snapshot_leaf(mtree, path[-1]))
+    return ReadProof(internals=internals, leaf=snapshot_leaf(mtree, path[-1]))
 
 
 def fold_path(
@@ -168,8 +167,6 @@ def check_read_answer(proof: ReadProof, key: bytes, value: object) -> None:
     """Bind a read's answer to the leaf its proof reveals (independent
     of the root digest): ``None`` to a leaf without ``key``, a value to
     the entry digest ``hash_leaf(key, value)``."""
-    if proof.key != key:
-        raise ProofError("proof is for a different key")
     if value is None:
         if key in proof.leaf.keys:
             raise ProofError("server claimed absence but the leaf contains the key")
@@ -240,17 +237,15 @@ NOT_ENTRIES = "range answer is not a tuple of (key, value) entries"
 @dataclass(frozen=True)
 class RangeProof:
     """Completeness-carrying proof for a range query ``[low, high]``:
-    the subtrees intersecting the range, revealed.  The rows are the
-    answer, bound to the revealed leaves by the verifier."""
+    the subtrees intersecting the range, revealed.  The bounds are the
+    query's and the rows the answer's, both the verifier's input; it
+    binds the rows to the revealed leaves."""
 
-    low: bytes
-    high: bytes
     root: FringeNode | LeafSnapshot
 
     def __post_init__(self) -> None:
         # a bare digest as root would "prove" any range empty
-        if not (isinstance(self.low, bytes) and isinstance(self.high, bytes)
-                and isinstance(self.root, (FringeNode, LeafSnapshot))):
+        if not isinstance(self.root, (FringeNode, LeafSnapshot)):
             raise ProofError("malformed range proof")
 
 
@@ -272,7 +267,7 @@ def build_range_proof(mtree: MerkleBPlusTree, low: bytes, high: bytes) -> RangeP
                 children.append(mtree.node_digest(child))
         return FringeNode(keys=tuple(node.keys), children=tuple(children))
 
-    return RangeProof(low=low, high=high, root=reveal(mtree.tree.root))
+    return RangeProof(root=reveal(mtree.tree.root))
 
 
 def _intersects(lower: bytes | None, upper: bytes | None, low: bytes, high: bytes) -> bool:
@@ -284,27 +279,28 @@ def _intersects(lower: bytes | None, upper: bytes | None, low: bytes, high: byte
     return True
 
 
-def verify_range(root_digest: Digest, proof: RangeProof,
+def verify_range(root_digest: Digest, proof: RangeProof, low: bytes, high: bytes,
                  entries: tuple[tuple[bytes, bytes], ...]) -> tuple[tuple[bytes, bytes], ...]:
-    """Client side: validate the answer ``entries`` to a range read and
-    its VO; returns the proven entries.
+    """Client side: validate the answer ``entries`` to a range read of
+    ``[low, high]`` and its VO; returns the proven entries.
 
     Checks (a) every revealed snapshot hashes into the committed root,
     (b) every subtree that could intersect the range *is* revealed (so
     no row can be silently dropped), and (c) the entries match the
     revealed leaves exactly.
     """
-    if implied_root_for_range(proof, entries) != root_digest:
+    if implied_root_for_range(proof, low, high, entries) != root_digest:
         raise ProofError("range proof does not match committed root digest")
     return entries
 
 
-def implied_root_for_range(proof: RangeProof, entries: object) -> Digest:
+def implied_root_for_range(proof: RangeProof, low: bytes, high: bytes,
+                           entries: object) -> Digest:
     """The root digest a range proof vouches for, with ``entries`` as
-    the answer (after completeness and content checks)."""
-    low, high = proof.low, proof.high
+    the answer to ``[low, high]`` (after completeness and content
+    checks)."""
     if low > high:
-        raise ProofError("malformed range proof: low > high")
+        raise ProofError("empty range: low > high")
     if not entries_of(entries):
         raise ProofError(NOT_ENTRIES)
     revealed: list[tuple[bytes, Digest]] = []
@@ -364,20 +360,18 @@ class SiblingPair:
 class UpdateProof:
     """Pre-update VO from which the client derives the new root digest.
 
+    The key and the operation are the query's.  A delete proof's
     ``siblings[i]`` carries the adjacent siblings of the path node at
-    depth ``i + 1`` (the child inside ``internals[i]``); insert proofs
-    carry empty pairs since splits never consult siblings.
+    depth ``i + 1`` (the child inside ``internals[i]``); an insert
+    proof carries none, since splits never consult siblings.
     """
 
-    operation: str  # "insert" or "delete"
-    key: bytes
     internals: tuple[InternalSnapshot, ...]
     leaf: LeafSnapshot
     siblings: tuple[SiblingPair, ...]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.operation, str) and isinstance(self.key, bytes)
-                and tuple_of(self.internals, InternalSnapshot)
+        if not (tuple_of(self.internals, InternalSnapshot)
                 and isinstance(self.leaf, LeafSnapshot)
                 and tuple_of(self.siblings, SiblingPair)):
             raise ProofError("malformed update proof")
@@ -412,7 +406,7 @@ def build_update_proof(mtree: MerkleBPlusTree, operation: str, key: bytes) -> Up
     path = mtree.tree.search_path(key)
     internals = tuple(snapshot_internal(mtree, node) for node in path[:-1])
     leaf = snapshot_leaf(mtree, path[-1])
-    siblings: list[SiblingPair] = []
+    siblings = []
     if operation == "delete":
         for depth, parent in enumerate(path[:-1]):
             child = path[depth + 1]
@@ -424,15 +418,7 @@ def build_update_proof(mtree: MerkleBPlusTree, operation: str, key: bytes) -> Up
                 else None
             )
             siblings.append(SiblingPair(left=left, right=right))
-    else:
-        siblings = [SiblingPair(left=None, right=None) for _ in path[:-1]]
-    return UpdateProof(
-        operation=operation,
-        key=key,
-        internals=internals,
-        leaf=leaf,
-        siblings=tuple(siblings),
-    )
+    return UpdateProof(internals=internals, leaf=leaf, siblings=tuple(siblings))
 
 
 def _node_of(snapshot: LeafSnapshot | InternalSnapshot) -> LeafNode | InternalNode:
@@ -490,37 +476,32 @@ def derive_update_roots(
     :class:`BPlusTree`'s own insert or delete runs on it -- what the root
     must be after an honest server applies exactly this operation.  A
     delete proof must reveal every adjacent sibling on its path, so a
-    borrow or merge never looks inside a committed subtree.  The caller
-    authenticates the old root: against the root it tracks
-    (:func:`verify_update`), or through the protocol layer (a signature,
-    or the XOR registers).
+    borrow or merge never looks inside a committed subtree, and an
+    insert proof reveals none.  The caller authenticates the old root:
+    against the root it tracks (:func:`verify_update`), or through the
+    protocol layer (a signature, or the XOR registers).
 
-    ``value`` is required for inserts and must be ``None`` for deletes.
+    ``value`` is the inserted value, or ``None`` for a delete.
     """
-    if proof.key != key:
-        raise ProofError("update proof is for a different key")
-    if proof.operation == "insert":
-        if not isinstance(value, bytes):
-            raise ProofError("insert verification requires the new value")
-    elif proof.operation != "delete":
-        raise ProofError(f"unknown update operation {proof.operation!r}")
-    elif value is not None:
-        raise ProofError("delete verification must not carry a value")
-    if len(proof.siblings) != len(proof.internals):
-        raise ProofError("sibling list length disagrees with path length")
+    delete = value is None
+    if not delete and not isinstance(value, bytes):
+        raise ProofError("insert verification requires the new value")
+    if len(proof.siblings) != (len(proof.internals) if delete else 0):
+        raise ProofError("sibling list length disagrees with the operation")
 
     old_root, indices = fold_path(proof.internals, proof.leaf, key)
 
     path = [_node_of(snapshot) for snapshot in (*proof.internals, proof.leaf)]
+    for depth, index in enumerate(indices):
+        path[depth].children[index] = path[depth + 1]
     for depth, pair in enumerate(proof.siblings):
         parent, index = path[depth], indices[depth]
         committed = proof.internals[depth].child_digests
-        parent.children[index] = path[depth + 1]
         for name, side, at, edge in (("left", pair.left, index - 1, "leftmost"),
                                      ("right", pair.right, index + 1, "rightmost")):
             exists = 0 <= at < len(committed)
             if side is None:
-                if exists and proof.operation == "delete":
+                if exists:
                     raise ProofError(f"{name} sibling missing from a delete proof")
                 continue
             if not exists:
@@ -537,7 +518,7 @@ def derive_update_roots(
         tree = BPlusTree(order, root=path[0])
     except (TypeError, ValueError) as exc:
         raise ProofError(f"bad tree order: {exc}") from None
-    if proof.operation == "insert":
+    if not delete:
         tree.insert(key, value)
     elif not tree.delete(key):
         # the path was folded with the routing rule for ``key``, so a

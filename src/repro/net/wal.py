@@ -86,7 +86,7 @@ RETIRED_FILES = {"state.snapshot": "cvs-server-snapshot 1", "wal.log": "a cvs-pa
 _CHAIN_DOMAIN = b"wal-chain"
 _GENESIS_DOMAIN = b"wal-genesis"
 _MANIFEST_KEY = "checkpoint"
-_MANIFEST_FORMAT = "cvs-paged-store 5"
+_MANIFEST_FORMAT = "cvs-paged-store 6"
 _FORMAT_KEY = encode("format")
 
 _CHECKPOINTS = _registry.counter(
@@ -120,15 +120,15 @@ def load_manifest(blob: bytes) -> dict:
         raise WalError(
             f"checkpoint manifest format {manifest.get('format')!r} is "
             f"not {_MANIFEST_FORMAT!r} (one page per entry, proofs without "
-            "the answer, one log per checkpoint generation): this build "
-            "does not read directories written by another format")
+            "the answer or the query, one log per checkpoint generation): "
+            "this build does not read directories written by another format")
     return manifest
 
 
 def _written_format(blob: bytes) -> str | None:
-    """The format an undecodable manifest names, or ``None``.  Format
-    3 remembers responses whose proofs carry the answer a second time,
-    which this codec does not decode.  The name is the str after the
+    """The format an undecodable manifest names, or ``None``.  Formats
+    3 and 5 remember responses whose proofs carry the answer or the
+    query a second time, which this codec does not decode.  The name is the str after the
     last ``"format"`` key -- every field sorted after that key is the
     store's own -- and serves the refusal alone."""
     at = blob.rfind(_FORMAT_KEY)

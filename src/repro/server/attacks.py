@@ -32,7 +32,7 @@ from repro.crypto.hashing import hash_leaf
 from repro.crypto.signatures import Signature
 from repro.mtree.bplus import route_index
 from repro.mtree.database import QueryResult, ReadQuery
-from repro.mtree.forest import ForestReadProof, shard_key
+from repro.mtree.forest import ForestReadProof, shard_for_key, shard_key
 from repro.mtree.proofs import (
     InternalSnapshot,
     LeafSnapshot,
@@ -185,10 +185,11 @@ class TamperValueAttack(Attack):
                 proof.inner, request.query.key, corrupted)
             shard_root = implied_root_for_read(
                 forged_inner, request.query.key, corrupted)
+            skey = shard_key(shard_for_key(request.query.key,
+                                           state.database.shards))
             forged_top = self._forge_read_proof(
-                proof.top, shard_key(proof.shard), shard_root.to_bytes())
-            proof = ForestReadProof(shard=proof.shard, inner=forged_inner,
-                                    top=forged_top)
+                proof.top, skey, shard_root.to_bytes())
+            proof = ForestReadProof(inner=forged_inner, top=forged_top)
         return Response(
             result=QueryResult(answer=corrupted, proof=proof),
             extras=response.extras,
@@ -215,8 +216,7 @@ class TamperValueAttack(Attack):
             forged_internals.append(patched)
             digest = patched.digest()
         forged_internals.reverse()
-        return ReadProof(key=proof.key, internals=tuple(forged_internals),
-                         leaf=forged_leaf)
+        return ReadProof(internals=tuple(forged_internals), leaf=forged_leaf)
 
 
 class CounterReplayAttack(Attack):

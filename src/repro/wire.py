@@ -14,7 +14,10 @@ them a real byte-level encoding, for two reasons:
 
 Format: a tagged, length-prefixed TLV encoding.  Every value is
 ``tag(1B) || payload``; variable-length payloads carry a 4-byte
-big-endian length.  Deterministic: equal objects encode identically.
+big-endian length.  Inside a record a field may instead be one of three
+untagged kinds: a raw byte string (4-byte length), a node's keys
+front-coded, or a node's digests packed (both counted by varints).
+Deterministic: equal objects encode identically.
 
 The codec is two dispatch tables.  The encoder looks an encoder up by
 the value's exact type and appends into one ``bytearray``; a type seen
@@ -48,7 +51,7 @@ class WireError(Exception):
 
 #: codec revision, recorded in persisted artefacts (evidence bundles)
 #: so a future decoder can refuse bytes written by an incompatible one.
-CODEC_VERSION = 2
+CODEC_VERSION = 3
 
 _MAX_DEPTH = 256  # how deep lists, dicts and records nest: see decode()
 _TRUNCATED = "truncated wire data"
@@ -56,13 +59,13 @@ _TOO_DEEP = f"frame nests deeper than {_MAX_DEPTH} levels"
 
 # Primitive tags: none 0, false 1, true 2, int 3, str 4, bytes 5,
 # digest 6, list 7, dict 8, float 9.  The record tags are in _RECORDS.
-_BYTES, _DIGEST = 5, 6
 
 _U32, _I64, _F64 = struct.Struct(">I"), struct.Struct(">q"), struct.Struct(">d")
 _pack_u32, _unpack_u32 = _U32.pack, _U32.unpack_from
 _from_hash = Digest._from_hash
+_from_bytes = int.from_bytes
 
-# Length prefixes of short byte strings, prebuilt: most of a VO is keys.
+# Length prefixes of short byte strings, prebuilt: values and answers.
 _SHORT = 256
 _LENGTHS = tuple(_pack_u32(size) for size in range(_SHORT))
 _BYTES_HEADS = tuple(b"\x05" + length for length in _LENGTHS)
@@ -110,16 +113,7 @@ def _encode_digest(value, out: bytearray) -> None:
 def _encode_sequence(value, out: bytearray) -> None:
     out += b"\x07" + _pack_u32(len(value))
     for item in value:
-        cls = type(item)
-        if cls is Digest:
-            out += b"\x06"
-            out += item._value
-        elif cls is bytes:
-            size = len(item)
-            out += _BYTES_HEADS[size] if size < _SHORT else b"\x05" + _pack_u32(size)
-            out += item
-        else:
-            _ENCODERS[cls](item, out)
+        _ENCODERS[type(item)](item, out)
 
 
 def _encode_dict(value, out: bytearray) -> None:
@@ -130,27 +124,80 @@ def _encode_dict(value, out: bytearray) -> None:
         _ENCODERS[type(item)](item, out)
 
 
-def _record_encoder(tag: int, names: tuple, raws: tuple):
+# The untagged field kinds of a record (``_RECORDS``): how each writes.
+
+
+def _put_varint(value: int, out: bytearray) -> None:
+    """LEB128: seven bits a byte, low first, the high bit "more"."""
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _put_raw(field: bytes, out: bytearray) -> None:
+    size = len(field)
+    out += _LENGTHS[size] if size < _SHORT else _pack_u32(size)
+    out += field
+
+
+#: A key shares at most this many bytes per byte of the rest it carries,
+#: plus as many again: so decoding stays linear in the frame (n keys
+#: each one byte longer than the last would otherwise decode to n**2/2
+#: bytes), and no key that differs from its neighbour before its last
+#: ~6 % is affected.
+_SHARE_PER_BYTE = 16
+
+
+def _put_keys(keys: tuple, out: bytearray) -> None:
+    """A node's keys, front-coded: a varint count, then per key the
+    length of the prefix it shares with the previous key, the length of
+    the rest, and the rest.  The shared prefix ends at the top set bit
+    of the XOR of the two keys' common-length heads as big-endian ints,
+    capped at ``_SHARE_PER_BYTE * (rest + 1)``."""
+    _put_varint(len(keys), out)
+    previous = b""
+    for key in keys:
+        size = len(key)
+        shared = size if size < len(previous) else len(previous)
+        differ = (_from_bytes(previous[:shared], "big")
+                  ^ _from_bytes(key[:shared], "big"))
+        shared -= (differ.bit_length() + 7) >> 3
+        cap = _SHARE_PER_BYTE * (size + 1) // (_SHARE_PER_BYTE + 1)
+        if shared > cap:
+            shared = cap
+        _put_varint(shared, out)
+        _put_varint(size - shared, out)
+        out += key[shared:]
+        previous = key
+
+
+def _put_digests(digests: tuple, out: bytearray) -> None:
+    """A node's digests: a varint count, then the 32-byte digests."""
+    _put_varint(len(digests), out)
+    for digest in digests:
+        out += digest._value
+
+
+def _record_encoder(tag: int, names: tuple, writers: tuple):
     head = bytes((tag,))
     get = attrgetter(*names)
     fields = get if len(names) > 1 else (lambda value: (get(value),))
 
     def encode_record(value, out: bytearray) -> None:
         out += head
-        for raw, field in zip(raws, fields(value)):
-            if raw:
-                size = len(field)
-                out += _LENGTHS[size] if size < _SHORT else _pack_u32(size)
-                out += field
-            else:
+        for write, field in zip(writers, fields(value)):
+            if write is None:
                 _ENCODERS[type(field)](field, out)
+            else:
+                write(field, out)
 
     def encode_values(value, out: bytearray) -> None:
         out += head
         for field in fields(value):
             _ENCODERS[type(field)](field, out)
 
-    return encode_record if any(raws) else encode_values
+    return encode_record if any(writers) else encode_values
 
 
 #: ``(type, encoder)`` in resolution order; the records are appended
@@ -224,6 +271,59 @@ def _decode_bytes(data: bytes, pos: int, depth: int):
     return data[start:end], end
 
 
+def _take_varint(data: bytes, pos: int):
+    """The varint at ``pos`` and the position after it.  One spelling
+    per value: a longer one (a final zero byte) and one of more than
+    nine bytes (63 bits) are refused."""
+    if pos < len(data) and data[pos] < 0x80:
+        return data[pos], pos + 1
+    value = shift = 0
+    for at in range(pos, min(pos + 9, len(data))):
+        value |= (data[at] & 0x7F) << shift
+        if data[at] < 0x80:
+            if not data[at]:
+                raise WireError("overlong varint")
+            return value, at + 1
+        shift += 7
+    raise WireError(_TRUNCATED if pos + 9 > len(data) else "overlong varint")
+
+
+def _decode_keys(data: bytes, pos: int, depth: int):
+    """Inverse of :func:`_put_keys`, which shares the longest prefix
+    the cap allows: a longer one is refused, and a shorter one is
+    another spelling of the same keys, refused too."""
+    count, pos = _take_varint(data, pos)
+    keys = []
+    previous = b""
+    for _ in range(count):
+        shared, pos = _take_varint(data, pos)
+        rest, pos = _take_varint(data, pos)
+        end = pos + rest
+        if end > len(data):
+            raise WireError(_TRUNCATED)
+        if shared > _SHARE_PER_BYTE * (rest + 1):
+            raise WireError("key shares more than its rest allows")
+        if shared > len(previous):
+            raise WireError("key shares more than the previous key holds")
+        if shared < len(previous) and rest and data[pos] == previous[shared] \
+                and shared < _SHARE_PER_BYTE * rest:
+            raise WireError("key shares more than its prefix length says")
+        previous = previous[:shared] + data[pos:end]
+        keys.append(previous)
+        pos = end
+    return tuple(keys), pos
+
+
+def _decode_digests(data: bytes, pos: int, depth: int):
+    """Inverse of :func:`_put_digests`."""
+    count, pos = _take_varint(data, pos)
+    end = pos + count * DIGEST_SIZE
+    if end > len(data):
+        raise WireError(_TRUNCATED)
+    return tuple([_from_hash(data[at:at + DIGEST_SIZE])
+                  for at in range(pos, end, DIGEST_SIZE)]), end
+
+
 def _decode_str(data: bytes, pos: int, depth: int):
     raw, pos = _decode_bytes(data, pos, depth)
     return raw.decode("utf-8"), pos
@@ -250,24 +350,8 @@ def _decode_list(data: bytes, pos: int, depth: int):
     for _ in range(count):
         if pos >= size:
             raise WireError(_TRUNCATED)
-        tag = data[pos]
-        if tag == _DIGEST:
-            end = pos + 1 + DIGEST_SIZE
-            if end > size:
-                raise WireError(_TRUNCATED)
-            append(_from_hash(data[pos + 1:end]))
-            pos = end
-        elif tag == _BYTES:
-            start = pos + 5
-            if start > size:
-                raise WireError(_TRUNCATED)
-            pos = start + _unpack_u32(data, pos + 1)[0]
-            if pos > size:
-                raise WireError(_TRUNCATED)
-            append(data[start:pos])
-        else:
-            item, pos = _DECODERS[tag](data, pos + 1, depth)
-            append(item)
+        item, pos = _DECODERS[data[pos]](data, pos + 1, depth)
+        append(item)
     return tuple(items), pos
 
 
@@ -291,15 +375,15 @@ def _decode_dict(data: bytes, pos: int, depth: int):
     return result, pos
 
 
-def _record_decoder(cls: type, raws: tuple, check):
+def _record_decoder(cls: type, readers: tuple, check):
     def decode_record(data: bytes, pos: int, depth: int):
         if depth >= _MAX_DEPTH:
             raise WireError(_TOO_DEEP)
         depth += 1
         args = []
-        for raw in raws:
-            if raw:
-                field, pos = _decode_bytes(data, pos, depth)
+        for read in readers:
+            if read is not None:
+                field, pos = read(data, pos, depth)
             elif pos >= len(data):
                 raise WireError(_TRUNCATED)
             else:
@@ -370,24 +454,26 @@ from repro.net.replication import RootAttestation, RootDeposit  # noqa: E402
 
 #: Each record type's tag and fields in wire order (which is also the
 #: dataclass's field order: decoding builds the record positionally).
-#: A field marked ``:raw`` is a length-prefixed byte string with no tag;
-#: every other field is a tagged value.
+#: A field is a tagged value unless its kind says otherwise: ``:raw`` is
+#: a length-prefixed byte string, ``:keys`` a node's keys front-coded
+#: and ``:digests`` a node's digests packed, all three with no tag.  A
+#: proof (0x20-0x2F) carries nothing the query it answers says.
 _RECORDS = (
     (ReadQuery, 0x10, "key:raw"),
     (RangeQuery, 0x11, "low:raw high:raw"),
     (WriteQuery, 0x12, "key:raw value:raw"),
     (DeleteQuery, 0x13, "key:raw"),
-    (LeafSnapshot, 0x20, "keys entry_digests"),
-    (InternalSnapshot, 0x21, "keys child_digests"),
-    (ReadProof, 0x22, "key:raw internals leaf"),
-    (RangeProof, 0x23, "low:raw high:raw root"),
-    (FringeNode, 0x24, "keys children"),
-    (UpdateProof, 0x25, "operation key:raw internals leaf siblings"),
+    (LeafSnapshot, 0x20, "keys:keys entry_digests:digests"),
+    (InternalSnapshot, 0x21, "keys:keys child_digests:digests"),
+    (ReadProof, 0x22, "internals leaf"),
+    (RangeProof, 0x23, "root"),
+    (FringeNode, 0x24, "keys:keys children"),
+    (UpdateProof, 0x25, "internals leaf siblings"),
     (SiblingPair, 0x26, "left right"),
     (QueryResult, 0x27, "answer proof"),
-    (ForestReadProof, 0x28, "shard inner top"),
-    (ForestUpdateProof, 0x29, "operation shard inner top"),
-    (ForestRangeProof, 0x2A, "low:raw high:raw shard_proofs top"),
+    (ForestReadProof, 0x28, "inner top"),
+    (ForestUpdateProof, 0x29, "inner top"),
+    (ForestRangeProof, 0x2A, "shard_proofs top"),
     (Signature, 0x30, "signer_id digest raw:raw"),
     (EpochDeposit, 0x31, "user_id epoch sigma last signature"),
     (RootDeposit, 0x32, "primary_id ctr root signature"),
@@ -421,9 +507,14 @@ def _root_attestation(args: list) -> None:
 
 _CHECKS = {RootDeposit: _root_deposit, RootAttestation: _root_attestation}
 
+#: field kind -> (writer, reader); a tagged value has none
+_KINDS = {"": (None, None), "raw": (_put_raw, _decode_bytes),
+          "keys": (_put_keys, _decode_keys),
+          "digests": (_put_digests, _decode_digests)}
+
 for _cls, _tag, _layout in _RECORDS:
-    _names = tuple(field.partition(":")[0] for field in _layout.split())
-    _raws = tuple(field.endswith(":raw") for field in _layout.split())
-    _RESOLUTION.append((_cls, _record_encoder(_tag, _names, _raws)))
-    _DECODERS[_tag] = _record_decoder(_cls, _raws, _CHECKS.get(_cls))
-del _cls, _tag, _layout, _names, _raws
+    _names, _kinds = zip(*(field.partition(":")[::2] for field in _layout.split()))
+    _writers, _readers = zip(*(_KINDS[kind] for kind in _kinds))
+    _RESOLUTION.append((_cls, _record_encoder(_tag, _names, _writers)))
+    _DECODERS[_tag] = _record_decoder(_cls, _readers, _CHECKS.get(_cls))
+del _cls, _tag, _layout, _names, _kinds, _writers, _readers

@@ -468,7 +468,7 @@ class TestStoreInspect:
         assert f"wal.3.log: {logged + 2} bytes, live, 1 record(s) + 2 torn " \
             "tail byte(s)" in lines
         assert "wal.0.log: 0 bytes, unreferenced" in lines
-        assert "bytes (cvs-paged-store 5)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 6)" in lines[lines.index(
             f"pages.db: {size} bytes") + 1]
         # 61 answers given, the window's worth remembered
         assert "user u: 61 remembered response(s), " in text
@@ -518,7 +518,7 @@ class TestStoreInspect:
         size = os.path.getsize(os.path.join(data_dir, "pages.log"))
         lines = text.splitlines()
         assert "backend: file" in lines
-        assert "bytes (cvs-paged-store 5)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 6)" in lines[lines.index(
             f"pages.log: {size} bytes") + 1]
         assert "checkpoint generation: 1" in lines
         assert "shard 0: gen 1, prev gen 0" in text
@@ -570,16 +570,40 @@ class TestCodec1ArtefactsRefused:
     the name of its format, never reported as corrupt."""
 
     @staticmethod
-    def codec1_response(response):
+    def old_path(proof):
+        """A read proof's internals and leaf as codecs 1 and 2 wrote
+        them: each node's keys and digests as tagged lists."""
+        from repro.wire import encode
+
+        def node(tag, keys, digests):
+            return tag + encode(keys) + encode(digests)
+
+        return (b"\x07" + len(proof.internals).to_bytes(4, "big")
+                + b"".join(node(b"\x21", internal.keys, internal.child_digests)
+                           for internal in proof.internals)
+                + node(b"\x20", proof.leaf.keys, proof.leaf.entry_digests))
+
+    @classmethod
+    def codec1_response(cls, response, key):
         """A read ``Response`` as codec 1 wrote it: the read proof's
         layout was ``key:raw value internals leaf``."""
         from repro.wire import encode
 
         answer, proof = response.result.answer, response.result.proof
-        old_proof = (b"\x22" + len(proof.key).to_bytes(4, "big") + proof.key
-                     + encode(answer) + encode(proof.internals)
-                     + encode(proof.leaf))
+        old_proof = (b"\x22" + len(key).to_bytes(4, "big") + key
+                     + encode(answer) + cls.old_path(proof))
         return (b"\x41\x27" + encode(answer) + old_proof
+                + encode(response.extras))
+
+    @classmethod
+    def codec2_response(cls, response, key):
+        """A read ``Response`` as codec 2 wrote it: the read proof's
+        layout was ``key:raw internals leaf``."""
+        from repro.wire import encode
+
+        old_proof = (b"\x22" + len(key).to_bytes(4, "big") + key
+                     + cls.old_path(response.result.proof))
+        return (b"\x41\x27" + encode(response.result.answer) + old_proof
                 + encode(response.extras))
 
     @staticmethod
@@ -618,7 +642,7 @@ class TestCodec1ArtefactsRefused:
             manifest["format"] = "cvs-paged-store 3"
             manifest["dedup"]["u"] = [[rid, marker]]
             blob = encode(manifest).replace(
-                encode(marker), self.codec1_response(response))
+                encode(marker), self.codec1_response(response, b"f.txt"))
             with pytest.raises(WireError):  # this codec cannot read it at all
                 decode(blob)
             return blob
@@ -660,9 +684,76 @@ class TestCodec1ArtefactsRefused:
         bundle = evidence.response_bundle(
             protocol="II", user_id="u", reason="replay", op_index=0, order=4,
             request_frame=encode(Request(ReadQuery(b"f.txt"), {"user": "u"})),
-            response_frame=self.codec1_response(response), client_state={},
-            anchor=evidence.anchor_lineage(None, None))
+            response_frame=self.codec1_response(response, b"f.txt"),
+            client_state={}, anchor=evidence.anchor_lineage(None, None))
         bundle["codec"] = 1
         path = evidence.write_bundle(str(tmp_path / "old.evidence"), bundle)
         text = run(["evidence-inspect", path], expect=2)
-        assert "written by codec 1, this decoder is 2" in text
+        assert "written by codec 1, this decoder is 3" in text
+
+
+class TestCodec2ArtefactsRefused:
+    """What a codec-2 build wrote -- proofs that repeated the query's
+    key, range and operation and sent each key and digest tagged, in a
+    ``cvs-paged-store 5`` directory -- is refused by the name of its
+    format, never reported as corrupt."""
+
+    codec2_response = TestCodec1ArtefactsRefused.codec2_response
+    rewrite_manifest = staticmethod(TestCodec1ArtefactsRefused.rewrite_manifest)
+
+    def test_format_5_directory_remembering_a_read(self, tmp_path):
+        from repro.mtree.database import ReadQuery, WriteQuery
+        from repro.net import ServerCore
+        from repro.net.wal import WalError
+        from repro.protocols.base import Request
+        from repro.wire import WireError, decode, encode
+
+        data_dir = str(tmp_path / "server")
+        core = ServerCore(order=4, data_dir=data_dir, fsync=False,
+                          snapshot_every=10**9)
+        for seq, query in enumerate([WriteQuery(b"f%d.txt" % i, b"1.1 text")
+                                     for i in range(8)] + [ReadQuery(b"f3.txt")]):
+            core.apply_request("u", Request(query=query, extras={
+                "user": "u", "rid": f"u:n:{seq}", "ack": seq}))
+        core.snapshot()
+        core.close_store()
+        marker = b"the remembered read response"
+
+        def as_codec2(blob):
+            manifest = decode(blob)
+            (rid, response), = manifest["dedup"]["u"]
+            assert response.result.proof.internals  # a path, not one leaf
+            manifest["format"] = "cvs-paged-store 5"
+            manifest["dedup"]["u"] = [[rid, marker]]
+            blob = encode(manifest).replace(
+                encode(marker), self.codec2_response(response, b"f3.txt"))
+            with pytest.raises(WireError):  # this codec cannot read it at all
+                decode(blob)
+            return blob
+
+        self.rewrite_manifest(data_dir, "file", as_codec2)
+        with pytest.raises(WalError, match="format 'cvs-paged-store 5' is not") as caught:
+            ServerCore(order=4, data_dir=data_dir, fsync=False)
+        assert "corrupt" not in str(caught.value)
+        text = run(["store-inspect", data_dir], expect=2)
+        assert "format 'cvs-paged-store 5'" in text and "corrupt" not in text
+
+    def test_codec_2_evidence_bundle(self, tmp_path):
+        from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
+        from repro.net import evidence
+        from repro.protocols.base import Request, Response
+        from repro.wire import encode
+
+        database = VerifiedDatabase(order=4)
+        database.execute(WriteQuery(b"f.txt", b"1.1 text"))
+        response = Response(result=database.execute(ReadQuery(b"f.txt")),
+                            extras={"ctr": 2, "last_user": "u"})
+        bundle = evidence.response_bundle(
+            protocol="II", user_id="u", reason="replay", op_index=0, order=4,
+            request_frame=encode(Request(ReadQuery(b"f.txt"), {"user": "u"})),
+            response_frame=self.codec2_response(response, b"f.txt"),
+            client_state={}, anchor=evidence.anchor_lineage(None, None))
+        bundle["codec"] = 2
+        path = evidence.write_bundle(str(tmp_path / "old.evidence"), bundle)
+        text = run(["evidence-inspect", path], expect=2)
+        assert "written by codec 2, this decoder is 3" in text

@@ -52,7 +52,7 @@ class TestHappyPath:
         for key in (b"missing", b"k05x", b"", b"zzz"):
             q = DeleteQuery(key)
             result = db.execute(q)
-            assert result.proof.operation == "delete"
+            assert len(result.proof.siblings) == len(result.proof.internals)
             assert client.apply(q, result) is None
             assert client.root_digest == db.root_digest() == before
         assert len(db) == 20
@@ -122,9 +122,12 @@ class TestDetection:
             client.apply(WriteQuery(b"k", b"v2"), QueryResult(answer=None, proof=read_result.proof))
 
     def test_range_bounds_mismatch(self, pair):
+        """The bounds are the query's: the proof and rows of a wider
+        range hold a row the narrower one must not."""
         db, client = pair
-        q = WriteQuery(b"k1", b"v")
-        client.apply(q, db.execute(q))
+        for key in (b"k1", b"k7"):
+            q = WriteQuery(key, b"v")
+            client.apply(q, db.execute(q))
         result = db.execute(RangeQuery(b"k0", b"k9"))
         with pytest.raises(ProofError):
             client.apply(RangeQuery(b"k0", b"k5"), result)

@@ -75,8 +75,7 @@ class TestUpdateProofEdges:
         if level is None:
             pytest.skip("no leftmost level")
         pairs[level] = SiblingPair(left=fake, right=pairs[level].right)
-        forged = UpdateProof(operation="delete", key=proof.key,
-                             internals=proof.internals, leaf=proof.leaf,
+        forged = UpdateProof(internals=proof.internals, leaf=proof.leaf,
                              siblings=tuple(pairs))
         with pytest.raises(ProofError):
             verify_update(mtree.root_digest(), forged, mtree.order, b"k000")
@@ -98,8 +97,7 @@ class TestUpdateProofEdges:
         if level is None:
             pytest.skip("no rightmost level")
         pairs[level] = SiblingPair(left=pairs[level].left, right=proof.leaf)
-        forged = UpdateProof(operation="delete", key=proof.key,
-                             internals=proof.internals, leaf=proof.leaf,
+        forged = UpdateProof(internals=proof.internals, leaf=proof.leaf,
                              siblings=tuple(pairs))
         with pytest.raises(ProofError):
             verify_update(mtree.root_digest(), forged, mtree.order, key)
@@ -116,10 +114,9 @@ class TestRangeProofEdges:
         mtree = make_tree()
         proof = build_range_proof(mtree, b"k005", b"k010")
         with pytest.raises(ProofError):
-            forged = RangeProof(low=proof.low, high=proof.high,
-                                root="not a node")
-            verify_range(mtree.root_digest(), forged,
-                         tuple(mtree.range(proof.low, proof.high)))
+            forged = RangeProof(root="not a node")
+            verify_range(mtree.root_digest(), forged, b"k005", b"k010",
+                         tuple(mtree.range(b"k005", b"k010")))
 
     def test_fringe_arity_mismatch_rejected(self):
         mtree = make_tree()
@@ -128,10 +125,10 @@ class TestRangeProofEdges:
             pytest.skip("single-leaf tree")
         forged_root = FringeNode(keys=proof.root.keys + (b"zzz",),
                                  children=proof.root.children)
-        forged = RangeProof(low=proof.low, high=proof.high, root=forged_root)
+        forged = RangeProof(root=forged_root)
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged,
-                         tuple(mtree.range(proof.low, proof.high)))
+            verify_range(mtree.root_digest(), forged, b"k005", b"k010",
+                         tuple(mtree.range(b"k005", b"k010")))
 
 
 class TestDeriveOutcomeEdges:

@@ -95,9 +95,8 @@ class MerkleForestMachine(RuleBasedStateMachine):
         expected = tuple(sorted((k, v) for k, v in self.model.items()
                                 if low <= k <= high))
         assert tuple(self.forest.range(low, high)) == expected
-        assert (proof.low, proof.high) == (low, high)
         assert implied_root_for_forest_range(
-            proof, expected, self.forest.spec) == self.forest.root_digest()
+            proof, low, high, expected, self.forest.spec) == self.forest.root_digest()
 
     @precondition(lambda self: self.forest is not None)
     @rule()

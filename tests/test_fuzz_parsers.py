@@ -165,6 +165,94 @@ class TestWireFuzz:
             assert value == original.answer
 
 
+class TestNodeFieldsFuzz:
+    """A node's front-coded keys and packed digests, malformed: each is
+    a ``WireError`` naming what is wrong, never another exception and
+    never a node built from bytes that do not spell one."""
+
+    DIGEST = b"\x11" * 32
+
+    @staticmethod
+    def leaf(keys_block: bytes, digests_block: bytes) -> bytes:
+        return b"\x20" + keys_block + digests_block
+
+    def test_a_well_formed_leaf_decodes(self):
+        from repro.mtree.proofs import LeafSnapshot
+
+        frame = self.leaf(b"\x02\x00\x02ab\x01\x01c", b"\x02" + self.DIGEST * 2)
+        assert decode(frame) == LeafSnapshot(
+            keys=(b"ab", b"ac"), entry_digests=(decode(b"\x06" + self.DIGEST),) * 2)
+
+    @pytest.mark.parametrize("frame,reason", [
+        # the second key shares 3 bytes of a 2-byte key
+        (b"\x20\x02\x00\x02ab\x03\x01c\x02" + DIGEST * 2,
+         "shares more than the previous key"),
+        # the first key shares a byte with no key at all
+        (b"\x20\x01\x01\x01c\x01" + DIGEST, "shares more than the previous key"),
+        # 40 bytes shared for a one-byte rest: past 16 x (rest + 1)
+        (b"\x20\x02\x00\x28" + b"a" * 40 + b"\x28\x01b\x02" + DIGEST * 2,
+         "shares more than its rest allows"),
+        # "ac" after "ab" spelled as sharing nothing: one spelling per key
+        (b"\x20\x02\x00\x02ab\x00\x02ac\x02" + DIGEST * 2,
+         "shares more than its prefix length says"),
+        # two keys, one digest: the leaf's arity
+        (b"\x20\x02\x00\x01a\x00\x01b\x01" + DIGEST, "arity mismatch"),
+        # an internal node needs one digest more than it has keys
+        (b"\x21\x01\x00\x01m\x01" + DIGEST, "arity mismatch"),
+        # a count whose varint stops at the frame's end
+        (b"\x20\x80", "truncated"),
+        (b"\x20\x01\x00\x01a\x81", "truncated"),
+        # a count spelled longer than it is, or past 63 bits
+        (b"\x20\x81\x00\x00\x01a\x01" + DIGEST, "overlong varint"),
+        (b"\x20" + b"\xff" * 9 + b"\x01", "overlong varint"),
+        (b"\x20\x01\x00\x81\x00a\x01" + DIGEST, "overlong varint"),
+        # counts past the frame's end, for keys and for digests
+        (b"\x20\x7f\x00\x01a", "truncated"),
+        (b"\x20\xff\xff\xff\xff\x0f\x00\x01a", "truncated"),
+        (b"\x20\x01\x00\x01a\x02" + DIGEST, "truncated"),
+        (b"\x20\x01\x00\x05a", "truncated"),
+    ], ids=["prefix-longer-than-previous", "first-key-prefix",
+            "prefix-past-its-cap", "prefix-shorter-than-shared", "digest-count-vs-leaf-arity", "digest-count-vs-internal-arity",
+            "truncated-count", "truncated-length", "overlong-count",
+            "varint-past-63-bits", "overlong-length", "key-count-past-end",
+            "huge-key-count", "digest-count-past-end", "suffix-past-end"])
+    def test_malformed_node_fields_are_wire_errors(self, frame, reason):
+        with pytest.raises(WireError, match=reason):
+            decode(frame)
+
+    def test_a_key_bomb_is_refused_early(self):
+        """n keys each one byte longer than the last would decode to
+        n**2/2 bytes from ~4n: the shared-prefix cap refuses the frame
+        at its 34th key."""
+        def varint(value):
+            out = bytearray()
+            while value >= 0x80:
+                out.append(value & 0x7F | 0x80)
+                value >>= 7
+            return bytes(out) + bytes((value,))
+
+        count = 5_000
+        frame = b"\x20" + varint(count) + b"".join(
+            varint(i) + b"\x01a" for i in range(count))
+        with pytest.raises(WireError, match="shares more than its rest allows"):
+            decode(frame)
+
+    def test_every_mutation_of_a_node_is_refused_or_well_formed(self):
+        """Seeded mutations of a real leaf with shared prefixes: what
+        decodes re-encodes to the mutated bytes -- each node has one
+        spelling."""
+        db = VerifiedDatabase(order=8)
+        for i in range(40):
+            db.execute(WriteQuery(b"src/mod%03d/file%05d.c,v" % (i % 7, i), b"v"))
+        blob = encode(db.execute(ReadQuery(b"src/mod003/file00010.c,v")).proof.leaf)
+        for mutated in mutations(blob, seed=6, count=400):
+            try:
+                leaf = decode(mutated)
+            except WireError:
+                continue
+            assert encode(leaf) == mutated
+
+
 class TestVoTypeFuzz:
     """Type confusion inside a verification object: every value anywhere
     in every proof kind is replaced, on the wire, by a well-formed value
@@ -205,16 +293,29 @@ class TestVoTypeFuzz:
             None, True, 7, b"k07", "insert", leaf.entry_digests[0], (),
             (b"k07",), ((b"k07", b"v7"),), leaf, leaf.entry_digests,
             db.execute(ReadQuery(b"k08")).proof, {b"k": 1})]
-        decoded = refused = 0
+        decoded = refused = whole_refused = 0
         for query in (ReadQuery(b"k07"), ReadQuery(b"nope"),
                       WriteQuery(b"k61", b"v"), DeleteQuery(b"k30"),
                       DeleteQuery(b"nope"), RangeQuery(b"k10", b"k40")):
             result = db.clone().execute(query)
             frame = encode(result)
-            for honest in self.subvalues(result.proof, set()):
-                at = frame.find(honest, len(encode(result.answer)))
+            start = len(encode(result.answer))
+            # the whole proof: QueryResult does not type its proof slot,
+            # so every substitute decodes and the verifier must refuse it
+            whole = encode(result.proof)
+            at = frame.index(whole, start)
+            for substitute in substitutes:
+                if substitute[:1] == whole[:1]:
+                    continue  # the same wire type: not a type mutation
+                forged = decode(frame[:at] + substitute + frame[at + len(whole):])
+                assert isinstance(forged, QueryResult)
+                with pytest.raises(ProofError):
+                    derive_outcome(query, forged, db.spec)
+                whole_refused += 1
+            for honest in self.subvalues(result.proof, {whole}):
+                at = frame.find(honest, start)
                 if at < 0:
-                    continue  # a length-prefixed raw field: it has no wire type
+                    continue  # an untagged field (keys, digests): no wire type
                 for substitute in substitutes:
                     if substitute[:1] == honest[:1]:
                         continue  # the same wire type: not a type mutation
@@ -231,8 +332,10 @@ class TestVoTypeFuzz:
                     except ProofError:
                         pass
         # the classes refuse nearly everything; what decodes is the odd
-        # admissible substitute (a key for a value, None for a sibling)
-        assert refused > 20 * decoded > 0
+        # admissible substitute (None for a sibling, a digest for a
+        # range proof's subtree)
+        assert refused > 10 * decoded > 0
+        assert whole_refused >= 6 * 12  # each query skips at most one
 
 
 class TestVoShapeFuzz:

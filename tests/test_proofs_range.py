@@ -22,38 +22,39 @@ def make_tree(n=60, order=4):
     return mtree
 
 
-def rows(mtree, proof):
-    """The honest answer beside ``proof``: the rows it covers."""
-    return tuple(mtree.range(proof.low, proof.high))
+def proved(mtree, low, high):
+    """``(proof, low, high, rows)``: a range proof and the honest answer
+    beside it."""
+    return (build_range_proof(mtree, low, high), low, high,
+            tuple(mtree.range(low, high)))
 
 
 class TestCorrectness:
     def test_simple_range(self):
         mtree = make_tree()
-        proof = build_range_proof(mtree, b"k010", b"k020")
-        entries = verify_range(mtree.root_digest(), proof, rows(mtree, proof))
+        entries = verify_range(mtree.root_digest(), *proved(mtree, b"k010", b"k020"))
         assert [k for k, _ in entries] == [f"k{i:03d}".encode() for i in range(10, 21)]
 
     def test_empty_range(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"a", b"b")
-        assert verify_range(mtree.root_digest(), proof, ()) == ()
+        assert verify_range(mtree.root_digest(), proof, b"a", b"b", ()) == ()
 
     def test_full_range(self):
         mtree = make_tree(30)
-        proof = build_range_proof(mtree, b"", b"\xff")
-        assert len(verify_range(mtree.root_digest(), proof, rows(mtree, proof))) == 30
+        assert len(verify_range(mtree.root_digest(), *proved(mtree, b"", b"\xff"))) == 30
 
     def test_single_key_range(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"k007", b"k007")
-        entries = verify_range(mtree.root_digest(), proof, ((b"k007", b"v7"),))
+        entries = verify_range(mtree.root_digest(), proof, b"k007", b"k007",
+                               ((b"k007", b"v7"),))
         assert entries == ((b"k007", b"v7"),)
 
     def test_empty_tree(self):
         mtree = MerkleBPlusTree()
         proof = build_range_proof(mtree, b"a", b"z")
-        assert verify_range(mtree.root_digest(), proof, ()) == ()
+        assert verify_range(mtree.root_digest(), proof, b"a", b"z", ()) == ()
 
     def test_inverted_range_rejected_at_build(self):
         mtree = make_tree()
@@ -62,8 +63,8 @@ class TestCorrectness:
 
     def test_implied_root(self):
         mtree = make_tree()
-        proof = build_range_proof(mtree, b"k000", b"k030")
-        assert implied_root_for_range(proof, rows(mtree, proof)) == mtree.root_digest()
+        assert implied_root_for_range(*proved(mtree, b"k000", b"k030")) == \
+            mtree.root_digest()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -77,7 +78,7 @@ class TestCorrectness:
         low, high = f"k{lo:03d}".encode(), f"k{lo + span:03d}".encode()
         proof = build_range_proof(mtree, low, high)
         expected = tuple(mtree.range(low, high))
-        assert verify_range(mtree.root_digest(), proof, expected) == expected
+        assert verify_range(mtree.root_digest(), proof, low, high, expected) == expected
 
 
 class TestCompleteness:
@@ -105,43 +106,49 @@ class TestCompleteness:
 
     def test_hidden_subtree_rejected(self):
         mtree = make_tree(60)
-        proof = build_range_proof(mtree, b"k010", b"k040")
+        proof, low, high, rows = proved(mtree, b"k010", b"k040")
         forged_root, dropped = self._drop_one_leaf(proof.root)
         assert dropped
-        forged = RangeProof(low=proof.low, high=proof.high, root=forged_root)
-        with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged, rows(mtree, proof))
+        forged = RangeProof(root=forged_root)
+        with pytest.raises(ProofError, match="hid a subtree"):
+            verify_range(mtree.root_digest(), forged, low, high, rows)
 
     def test_dropped_entries_rejected(self):
         mtree = make_tree(60)
-        proof = build_range_proof(mtree, b"k010", b"k040")
+        proof, low, high, rows = proved(mtree, b"k010", b"k040")
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), proof, rows(mtree, proof)[:-3])
+            verify_range(mtree.root_digest(), proof, low, high, rows[:-3])
 
     def test_tampered_entry_value_rejected(self):
         mtree = make_tree(60)
-        proof = build_range_proof(mtree, b"k010", b"k040")
-        entries = list(rows(mtree, proof))
+        proof, low, high, rows = proved(mtree, b"k010", b"k040")
+        entries = list(rows)
         entries[2] = (entries[2][0], b"EVIL")
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), proof, tuple(entries))
+            verify_range(mtree.root_digest(), proof, low, high, tuple(entries))
 
     def test_extra_entry_rejected(self):
         mtree = make_tree(60)
-        proof = build_range_proof(mtree, b"k010", b"k012")
+        proof, low, high, rows = proved(mtree, b"k010", b"k012")
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), proof,
-                         rows(mtree, proof) + ((b"k011a", b"ghost"),))
+            verify_range(mtree.root_digest(), proof, low, high,
+                         rows + ((b"k011a", b"ghost"),))
 
     def test_wrong_root_rejected(self):
         mtree = make_tree(60)
-        proof = build_range_proof(mtree, b"k010", b"k040")
         with pytest.raises(ProofError):
-            verify_range(hash_bytes(b"not the root"), proof, rows(mtree, proof))
+            verify_range(hash_bytes(b"not the root"), *proved(mtree, b"k010", b"k040"))
 
     def test_malformed_low_high_rejected(self):
         mtree = make_tree(10)
         proof = build_range_proof(mtree, b"k001", b"k005")
-        forged = RangeProof(low=b"z", high=b"a", root=proof.root)
-        with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged, rows(mtree, proof))
+        with pytest.raises(ProofError, match="empty range"):
+            verify_range(mtree.root_digest(), proof, b"z", b"a", ())
+
+    def test_proof_of_a_narrower_range_rejected(self):
+        """The bounds are the query's: a proof built for part of the
+        range leaves the rest hidden, and completeness refuses it."""
+        mtree = make_tree(60)
+        narrow, _low, _high, rows = proved(mtree, b"k030", b"k040")
+        with pytest.raises(ProofError, match="hid a subtree"):
+            verify_range(mtree.root_digest(), narrow, b"k010", b"k040", rows)

@@ -73,7 +73,6 @@ class TestRejections:
         entry_digests = list(proof.leaf.entry_digests)
         entry_digests[position] = hash_leaf(b"k042", b"EVIL")
         forged = ReadProof(
-            key=proof.key,
             internals=proof.internals,
             leaf=LeafSnapshot(keys=proof.leaf.keys, entry_digests=tuple(entry_digests)),
         )
@@ -97,15 +96,22 @@ class TestRejections:
         """Absence 'proved' with an unrelated leaf fails the routing check."""
         absent = build_read_proof(mtree, b"k001")
         other = build_read_proof(mtree, b"k090")
-        spliced = ReadProof(key=b"k090", internals=other.internals, leaf=absent.leaf)
-        with pytest.raises(ProofError):
+        spliced = ReadProof(internals=other.internals, leaf=absent.leaf)
+        with pytest.raises(ProofError, match="broken digest chain"):
             verify_read(mtree.root_digest(), spliced, b"k090", None)
+
+    def test_proof_for_another_leafs_key_rejected(self, mtree):
+        """The key is the query's: the honest proof for a key in another
+        leaf, offered as absence, fails the routing check."""
+        proof = build_read_proof(mtree, b"k001")
+        with pytest.raises(ProofError, match="broken digest chain"):
+            verify_read(mtree.root_digest(), proof, b"k090", None)
 
     def test_answer_check_standalone(self, mtree):
         proof = build_read_proof(mtree, b"k042")
         check_read_answer(proof, b"k042", b"v42")
         with pytest.raises(ProofError):
-            check_read_answer(proof, b"k040", b"v40")
+            check_read_answer(proof, b"k090", b"v90")
         with pytest.raises(ProofError):
             check_read_answer(proof, b"k042", 42)
 

@@ -129,11 +129,8 @@ class TestDeleteReplay:
         """The no-op holds only for the leaf the key routes to."""
         mtree = make_tree(200)
         elsewhere = build_update_proof(mtree, "delete", b"k001")
-        forged = UpdateProof(operation="delete", key=b"k150x",
-                             internals=elsewhere.internals, leaf=elsewhere.leaf,
-                             siblings=elsewhere.siblings)
-        with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), forged, mtree.order, b"k150x")
+        with pytest.raises(ProofError, match="broken digest chain"):
+            verify_update(mtree.root_digest(), elsewhere, mtree.order, b"k150x")
 
 
 class TestRejections:
@@ -156,10 +153,26 @@ class TestRejections:
             verify_update(mtree.root_digest(), proof, mtree.order, b"k004", b"v")
 
     def test_key_mismatch(self):
+        """The key is the query's: a proof built for a key in another
+        leaf fails the routing check (one for a key in the same leaf is
+        the same proof)."""
         mtree = make_tree(10)
         proof = build_update_proof(mtree, "insert", b"k500")
-        with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), proof, mtree.order, b"k501", b"v")
+        assert build_update_proof(mtree, "insert", b"k501") == proof
+        with pytest.raises(ProofError, match="broken digest chain"):
+            verify_update(mtree.root_digest(), proof, mtree.order, b"k000", b"v")
+
+    def test_insert_proof_carries_no_siblings(self):
+        """The operation is the query's: a delete proof answering an
+        insert, or an insert proof answering a delete, is refused."""
+        mtree = make_tree(10)
+        insert = build_update_proof(mtree, "insert", b"k004")
+        delete = build_update_proof(mtree, "delete", b"k004")
+        assert insert.siblings == () and len(delete.siblings) == len(delete.internals) > 0
+        with pytest.raises(ProofError, match="sibling list length disagrees"):
+            verify_update(mtree.root_digest(), delete, mtree.order, b"k004", b"v")
+        with pytest.raises(ProofError, match="sibling list length disagrees"):
+            verify_update(mtree.root_digest(), insert, mtree.order, b"k004")
 
     def test_unknown_operation_rejected_at_build(self):
         mtree = make_tree(10)
@@ -177,8 +190,6 @@ class TestRejections:
             proof = build_update_proof(mtree, "delete", key)
             rebalances.add(len(proof.leaf.keys) == 1)  # order 3: one is the minimum
             stripped = UpdateProof(
-                operation=proof.operation,
-                key=proof.key,
                 internals=proof.internals,
                 leaf=proof.leaf,
                 siblings=tuple(SiblingPair(left=None, right=None) for _ in proof.siblings),
@@ -209,9 +220,7 @@ class TestRejections:
         else:
             pairs[-1] = SiblingPair(left=last.left, right=tampered_sibling)
         forged = UpdateProof(
-            operation=proof.operation, key=proof.key, internals=proof.internals,
-            leaf=proof.leaf, siblings=tuple(pairs),
-        )
+            internals=proof.internals, leaf=proof.leaf, siblings=tuple(pairs))
         with pytest.raises(ProofError):
             verify_update(mtree.root_digest(), forged, mtree.order, b"k004")
 
@@ -219,9 +228,7 @@ class TestRejections:
         mtree = make_tree(20, order=3)
         proof = build_update_proof(mtree, "delete", b"k004")
         forged = UpdateProof(
-            operation=proof.operation, key=proof.key, internals=proof.internals,
-            leaf=proof.leaf, siblings=proof.siblings[:-1],
-        )
+            internals=proof.internals, leaf=proof.leaf, siblings=proof.siblings[:-1])
         with pytest.raises(ProofError):
             verify_update(mtree.root_digest(), forged, mtree.order, b"k004")
 

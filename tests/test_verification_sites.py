@@ -47,7 +47,8 @@ from repro.mtree.database import (
     WriteQuery,
 )
 from repro.mtree.forest import StoreSpec, shard_for_key
-from repro.mtree.proofs import FringeNode, ProofError
+from repro.mtree.proofs import (
+    FringeNode, ProofError, build_read_proof, build_update_proof)
 from repro.net import (
     IntegrityError,
     RemoteClient,
@@ -522,7 +523,7 @@ def neighbour(key, shards, same_shard):
 VO_OPS = [WriteQuery(b"k05", b"new"), ReadQuery(b"k10"), ReadQuery(b"k10x"),
           RangeQuery(b"k08", b"k70"), WriteQuery(b"k96", b"v"),
           DeleteQuery(b"k00"), DeleteQuery(b"k77x"), ReadQuery(b"k00")]
-VO_WRITE, VO_READ, VO_RANGE, VO_INSERT, VO_DELETE = 0, 1, 3, 4, 5
+VO_WRITE, VO_READ, VO_ABSENT, VO_RANGE, VO_INSERT, VO_DELETE = 0, 1, 2, 3, 4, 5
 
 
 def inner_of(proof):
@@ -541,6 +542,35 @@ def served_for(other_query):
     def mutate(before, query, result, shards):
         return before.execute(other_query(query, shards))
     return mutate
+
+
+def in_another_leaf(before, key, shards):
+    """A stored key in ``key``'s shard, outside the leaf ``key`` routes
+    to: its proof is another path."""
+    leaf = inner_of(before.execute(ReadQuery(key)).proof).leaf
+    return next(k for k in VO_KEYS if k not in leaf.keys
+                and shard_for_key(k, shards) == shard_for_key(key, shards))
+
+
+def absent_out_of_another_leaf(before, query, result, shards):
+    """Absence, shown by the honest proof for a key in another leaf."""
+    other = ReadQuery(in_another_leaf(before, query.key, shards))
+    return QueryResult(None, before.execute(other).proof)
+
+
+def write_in_another_leaf(before, query, result, shards):
+    """The honest answer to the same write of a key in another leaf."""
+    other = in_another_leaf(before, query.key, shards)
+    return before.execute(WriteQuery(other, query.value))
+
+
+def out_of_another_shard(before, query, result, shards):
+    """The inner half built for the queried key itself, in a shard it
+    does not route to (which lacks it), under the honest top half."""
+    tree = before.shard_trees()[(shard_for_key(query.key, shards) + 1) % shards]
+    inner = build_read_proof(tree, query.key) if isinstance(query, ReadQuery) \
+        else build_update_proof(tree, "delete", query.key)
+    return QueryResult(None, replace(result.proof, inner=inner))
 
 
 def stale_top(before, query, result, shards):
@@ -579,15 +609,6 @@ def hide_subtree(before, query, result, shards):
                        replace(proof, shard_proofs=tuple(shard_proofs)))
 
 
-def swapped_operation(operation):
-    def mutate(before, query, result, shards):
-        proof = with_inner(result.proof, operation=operation)
-        if shards > 1:
-            proof = replace(proof, operation=operation)
-        return QueryResult(result.answer, proof)
-    return mutate
-
-
 def other_answer(before, query, result, shards):
     answer = result.answer[1:] if isinstance(query, RangeQuery) else b"forged"
     return QueryResult(answer, result.proof)
@@ -608,17 +629,24 @@ def other_shape(before, query, result, shards):
     return other.execute(query)
 
 
-#: name -> (operation, mutation, reason, the S it applies to)
+#: name -> (operation, mutation, reason, the S it applies to).  A proof
+#: names no key, shard, range or operation: those are the query's, and
+#: a proof built for another one is refused at the op by a check on
+#: what the client derives -- the routing fold, the top entry, range
+#: completeness or the operation's sibling count.
 VO_GALLERY = {
-    "wrong-key-read": (VO_READ, served_for(lambda q, s: ReadQuery(
-        neighbour(q.key, s, True))), "proof is for a different key", VO_SHARDS),
-    "wrong-key-update": (VO_WRITE, served_for(lambda q, s: WriteQuery(
-        neighbour(q.key, s, True), q.value)),
-        "update proof is for a different key", VO_SHARDS),
-    "wrong-shard-read": (VO_READ, served_for(lambda q, s: ReadQuery(
-        neighbour(q.key, s, False))), "served out of the wrong shard", (2, 8)),
-    "wrong-shard-update": (VO_DELETE, served_for(lambda q, s: DeleteQuery(
-        neighbour(q.key, s, False))), "served out of the wrong shard", (2, 8)),
+    "wrong-key-read": (VO_READ, absent_out_of_another_leaf,
+                       "broken digest chain", VO_SHARDS),
+    "wrong-key-absent-read": (VO_ABSENT, absent_out_of_another_leaf,
+                              "broken digest chain", VO_SHARDS),
+    "wrong-key-update": (VO_WRITE, write_in_another_leaf,
+                         "broken digest chain", VO_SHARDS),
+    "wrong-shard-read": (VO_READ, out_of_another_shard,
+                         "top tree entry disagrees with the shard proof", (2, 8)),
+    "wrong-shard-update": (VO_DELETE, out_of_another_shard,
+                           "does not commit the shard's pre-update root", (2, 8)),
+    "wrong-range": (VO_RANGE, served_for(lambda q, s: RangeQuery(b"k00", b"k95")),
+                    "returned keys disagree with revealed leaves", VO_SHARDS),
     "stale-top-entry-read": (VO_READ, stale_top,
                              "top tree entry disagrees with the shard proof", (2, 8)),
     "stale-top-entry-update": (VO_WRITE, stale_top,
@@ -626,9 +654,11 @@ VO_GALLERY = {
     "hidden-in-range-subtree": (VO_RANGE, hide_subtree,
                                 "hid a subtree that intersects", VO_SHARDS),
     "write-answered-with-delete-proof": (
-        VO_WRITE, swapped_operation("delete"), "non-insert proof", VO_SHARDS),
+        VO_WRITE, served_for(lambda q, s: DeleteQuery(q.key)),
+        "sibling list length disagrees with the operation", VO_SHARDS),
     "delete-answered-with-insert-proof": (
-        VO_DELETE, swapped_operation("insert"), "non-delete proof", VO_SHARDS),
+        VO_DELETE, served_for(lambda q, s: WriteQuery(q.key, b"v")),
+        "sibling list length disagrees with the operation", VO_SHARDS),
     "read-answered-with-update-proof": (VO_READ, served_for(
         lambda q, s: WriteQuery(q.key, b"v")), "non-read proof", VO_SHARDS),
     "answer-is-not-the-proofs": (VO_READ, other_answer,
@@ -779,14 +809,11 @@ ILL_TYPED = [
     ("leaf", lambda part: Digest.zero()),
     ("internals", lambda part: 7),
     ("internals", lambda part: (part.leaf,)),
+    ("internals", lambda part: (Digest.zero(),)),
     ("siblings", lambda part: None),
-    ("siblings", lambda part: (None,) * len(part.siblings)),
-    ("value", lambda part: 7),
-    ("operation", lambda part: 7),
+    ("siblings", lambda part: (None,)),
     ("root", lambda part: Digest.zero()),
     ("root", lambda part: None),
-    ("entries", lambda part: ((b"k", 7),)),
-    ("entries", lambda part: 7),
 ]
 
 
