@@ -4,9 +4,10 @@
 update we only need to know O(log n) other digests to recompute the
 root hash."
 
-Regenerates the scaling series: database size n vs VO size (digests),
-client verify time for reads and updates, and the number of node
-re-hashes per update.  The shape must be logarithmic: growing n by
+Regenerates the scaling series: database size n vs VO size (digests)
+-- a read's and a write's VO is the key's path, a delete's adds the
+path nodes' siblings --, client verify time for reads and writes, and
+the number of node re-hashes per update.  The shape must be logarithmic: growing n by
 1024x should grow each cost by a small additive amount.
 """
 
@@ -18,13 +19,9 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from bench_common import emit
 from repro.analysis import format_table
+from repro.mtree.database import ClientVerifier, QueryResult, ReadQuery, WriteQuery
 from repro.mtree.merkle import MerkleBPlusTree
-from repro.mtree.proofs import (
-    build_read_proof,
-    build_update_proof,
-    verify_read,
-    verify_update,
-)
+from repro.mtree.proofs import build_delete_proof, build_path_proof
 
 SIZES = (2 ** 6, 2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16)
 ORDER = 8
@@ -45,6 +42,11 @@ def _time(fn, repeats: int = 200) -> float:
     return (time.perf_counter() - start) / repeats * 1e6  # microseconds
 
 
+def _verify(root, query, result):
+    """What a client does with a response: fold it against its root."""
+    return ClientVerifier(root, ORDER).apply(query, result)
+
+
 def test_fig2_vo_scaling(capsys, benchmark):
     rows = []
     read_sizes = {}
@@ -53,14 +55,14 @@ def test_fig2_vo_scaling(capsys, benchmark):
         root = mtree.root_digest()
         key = f"{n // 2:08d}".encode()
 
-        read_proof = build_read_proof(mtree, key)
-        value = mtree.get(key)
-        read_sizes[n] = read_proof.size_digests()
-        read_us = _time(lambda: verify_read(root, read_proof, key, value))
-
-        update_proof = build_update_proof(mtree, "insert", key)
-        update_us = _time(
-            lambda: verify_update(root, update_proof, ORDER, key, b"y" * 16), repeats=100)
+        path = build_path_proof(mtree, key)
+        read = QueryResult(answer=mtree.get(key), proof=path)
+        read_sizes[n] = path.size_digests()
+        read_us = _time(lambda: _verify(root, ReadQuery(key), read))
+        write = QueryResult(answer=None, proof=path)
+        write_us = _time(
+            lambda: _verify(root, WriteQuery(key, b"y" * 16), write), repeats=100)
+        delete_digests = build_delete_proof(mtree, key).size_digests()
 
         mtree.root_digest()
         before = mtree.digest_recomputations
@@ -68,13 +70,12 @@ def test_fig2_vo_scaling(capsys, benchmark):
         mtree.root_digest()
         rehashes = mtree.digest_recomputations - before
 
-        rows.append([n, mtree.height(), read_proof.size_digests(),
-                     update_proof.size_digests(), round(read_us, 1),
-                     round(update_us, 1), rehashes])
+        rows.append([n, mtree.height(), read_sizes[n], delete_digests,
+                     round(read_us, 1), round(write_us, 1), rehashes])
 
     emit(capsys, "E2_fig2_merkle_vo", format_table(
-        ["n", "height", "read VO (digests)", "update VO (digests)",
-         "verify read (us)", "verify update (us)", "re-hashes/update"],
+        ["n", "height", "read/write VO (digests)", "delete VO (digests)",
+         "verify read (us)", "verify write (us)", "re-hashes/update"],
         rows,
         title="E2 / Figure 2: Merkle B+-tree VO size and verification cost",
     ))
@@ -87,14 +88,13 @@ def test_fig2_vo_scaling(capsys, benchmark):
     mtree = build_tree(2 ** 16)
     root = mtree.root_digest()
     key = b"00032768"
-    proof = build_read_proof(mtree, key)
-    value = mtree.get(key)
-    benchmark(lambda: verify_read(root, proof, key, value))
+    read = QueryResult(answer=mtree.get(key), proof=build_path_proof(mtree, key))
+    benchmark(lambda: _verify(root, ReadQuery(key), read))
 
 
 def test_fig2_update_verify_kernel(capsys, benchmark):
     mtree = build_tree(2 ** 12)
     root = mtree.root_digest()
     key = b"00002048"
-    proof = build_update_proof(mtree, "insert", key)
-    benchmark(lambda: verify_update(root, proof, ORDER, key, b"new value"))
+    write = QueryResult(answer=None, proof=build_path_proof(mtree, key))
+    benchmark(lambda: _verify(root, WriteQuery(key, b"new value"), write))

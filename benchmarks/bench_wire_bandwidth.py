@@ -3,7 +3,7 @@
 "O(log n) digests" made concrete: every message is encoded with the
 binary wire codec and billed.  Two views:
 
-* VO bytes for a point read / update as the database grows (the byte
+* VO bytes for a point read / write as the database grows (the byte
   version of Figure 2's scaling), and at the size of a CVS value: a
   two-revision RCS file of ~1.5 KB, where a read response is the answer
   plus the path -- the value crosses once;
@@ -12,9 +12,11 @@ binary wire codec and billed.  Two views:
   queries and answers.  The naive server ships the same VO as Protocol
   II, so naive-to-answers-only is the VO's price on the wire and
   naive-to-Protocol-II the price of the counters and registers;
-* what one read VO and one update VO are made of, on the end-to-end
-  benchmark's key shape: digests, the key bytes sent, the key prefix
-  bytes front-coding saved, tags and lengths, and copies of the query.
+* what one read, write and delete VO are made of (a read's and a
+  write's are the same path, a delete's adds its siblings), on the
+  end-to-end benchmark's key shape: digests, the key bytes sent, the
+  key prefix bytes front-coding saved, tags and lengths, and copies of
+  the query.
 """
 
 import sys
@@ -27,7 +29,7 @@ from repro import wire
 from repro.analysis import format_table
 from repro.core.scenarios import build_simulation
 from repro.crypto.hashing import Digest
-from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
+from repro.mtree.database import DeleteQuery, ReadQuery, VerifiedDatabase, WriteQuery
 from repro.simulation.channels import Network
 from repro.simulation.workload import steady_workload
 from repro.storage.rcs import RevisionStore
@@ -63,7 +65,7 @@ def test_wire_vo_scaling(capsys, benchmark):
                      round(size / len(read_result.answer), 2)])
 
     emit(capsys, "E13_wire_vo", format_table(
-        ["n", "value (bytes)", "read response (bytes)", "update response (bytes)",
+        ["n", "value (bytes)", "read response (bytes)", "write response (bytes)",
          "read bytes / data bytes", "response bytes / answer bytes"],
         rows,
         title="E13a: verification objects on the wire (logarithmic in n)",
@@ -197,7 +199,8 @@ def test_wire_vo_composition(capsys, benchmark):
         for index in range(2000):
             db.execute(WriteQuery(e2e_key(index), b"x" * 32))
         for kind, query in (("read", ReadQuery(e2e_key(1000))),
-                            ("update", WriteQuery(e2e_key(1000), b"y" * 32))):
+                            ("write", WriteQuery(e2e_key(1000), b"y" * 32)),
+                            ("delete", DeleteQuery(e2e_key(1000)))):
             parts = composition(db.execute(query).proof)
             rows.append([kind, shards] + [parts[name] for name in columns])
             assert parts["query fields"] == 0  # a VO repeats nothing the query says

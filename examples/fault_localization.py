@@ -50,8 +50,8 @@ def main() -> None:
     print(f"first inconsistent prefix at operation        #{result.inconsistent_at}")
     print()
     print(f"=> the fault happened in operations ({lower}, {upper}]")
-    inside = lower <= true_ctr + 1 and upper >= true_ctr
-    print(f"=> ground-truth operation #{true_ctr} inside the bracket: {inside}")
+    print(f"=> ground-truth operation #{true_ctr} inside the bracket: "
+          f"{result.brackets(true_ctr)}")
 
 
 if __name__ == "__main__":

@@ -17,12 +17,13 @@ Run:  python examples/outsourced_database.py
 from repro.crypto.hashing import hash_leaf
 from repro.mtree.database import (
     ClientVerifier,
+    QueryResult,
     RangeQuery,
     ReadQuery,
     VerifiedDatabase,
     WriteQuery,
 )
-from repro.mtree.proofs import LeafSnapshot, ProofError, ReadProof
+from repro.mtree.proofs import LeafSnapshot, PathProof, ProofError
 
 
 def load_customers(db, client):
@@ -62,13 +63,12 @@ def main() -> None:
     position = result.proof.leaf.keys.index(b"cust:0001")
     entry_digests = list(result.proof.leaf.entry_digests)
     entry_digests[position] = hash_leaf(b"cust:0001", forged_value)
-    forged = ReadProof(
+    forged = PathProof(
         internals=result.proof.internals,
         leaf=LeafSnapshot(keys=result.proof.leaf.keys, entry_digests=tuple(entry_digests)),
     )
     try:
-        from repro.mtree.proofs import verify_read
-        verify_read(owner.root_digest, forged, b"cust:0001", forged_value)
+        owner.apply(ReadQuery(b"cust:0001"), QueryResult(forged_value, forged))
         print("attack 1 (tampered row)     : MISSED -- this must never print")
     except ProofError as exc:
         print(f"attack 1 (tampered row)     : caught -> {exc}")
@@ -76,9 +76,8 @@ def main() -> None:
     # -- attack 2: rows hidden from a range scan -------------------------------
     honest = vendor.execute(RangeQuery(b"cust:0001", b"cust:0005"))
     try:
-        from repro.mtree.proofs import verify_range
-        verify_range(owner.root_digest, honest.proof, b"cust:0001", b"cust:0005",
-                     honest.answer[:-2])
+        owner.apply(RangeQuery(b"cust:0001", b"cust:0005"),
+                    QueryResult(honest.answer[:-2], honest.proof))
         print("attack 2 (hidden rows)      : MISSED -- this must never print")
     except ProofError as exc:
         print(f"attack 2 (hidden rows)      : caught -> {exc}")

@@ -6,11 +6,11 @@ Layers, bottom up:
   the one routing rule.
 * :mod:`repro.mtree.merkle` -- per-node digests with lazy O(log n)
   recomputation; the root digest ``M(D)``.
-* :mod:`repro.mtree.proofs` -- verification objects ``v(Q, D)`` for
-  point reads, range reads, and updates, with pure client-side
-  verification (update verification runs the B+-tree's own insert or
-  delete on the nodes the VO reveals and derives the new root digest
-  independently).
+* :mod:`repro.mtree.proofs` -- verification objects ``v(Q, D)``: the
+  path (a read's and a write's), a delete's path and siblings, and a
+  range's revealed subtrees, with pure client-side folds (update
+  verification runs the B+-tree's own insert or delete on the nodes the
+  VO reveals and derives the new root digest independently).
 * :mod:`repro.mtree.forest` -- :class:`MerkleForest`: the store
   partitioned across per-shard Merkle trees whose roots feed a small
   top tree, with two-level verification objects.
@@ -35,21 +35,17 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "VerifiedOutcome": ".database",
     "WriteQuery": ".database",
     "derive_outcome": ".database",
+    "ForestProof": ".forest",
     "ForestRangeProof": ".forest",
-    "ForestReadProof": ".forest",
-    "ForestUpdateProof": ".forest",
     "MerkleForest": ".forest",
     "StoreSpec": ".forest",
     "shard_for_key": ".forest",
     "MerkleBPlusTree": ".merkle",
+    "DeleteProof": ".proofs",
+    "PathProof": ".proofs",
     "ProofError": ".proofs",
     "RangeProof": ".proofs",
-    "ReadProof": ".proofs",
-    "UpdateProof": ".proofs",
+    "build_delete_proof": ".proofs",
+    "build_path_proof": ".proofs",
     "build_range_proof": ".proofs",
-    "build_read_proof": ".proofs",
-    "build_update_proof": ".proofs",
-    "verify_range": ".proofs",
-    "verify_read": ".proofs",
-    "verify_update": ".proofs",
 })

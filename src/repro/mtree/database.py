@@ -19,18 +19,17 @@ verify-and-advance loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.crypto.hashing import Digest
 from repro.mtree.forest import (
     DEFAULT_TOP_ORDER,
+    ForestProof,
     ForestRangeProof,
-    ForestReadProof,
-    ForestUpdateProof,
     MerkleForest,
     StoreSpec,
+    build_forest_proof,
     build_forest_range_proof,
-    build_forest_read_proof,
-    build_forest_update_proof,
     derive_forest_update_roots,
     implied_root_for_forest_range,
     implied_root_for_forest_read,
@@ -38,13 +37,14 @@ from repro.mtree.forest import (
 )
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
+    NOT_A_PATH,
+    DeleteProof,
+    PathProof,
     ProofError,
     RangeProof,
-    ReadProof,
-    UpdateProof,
+    build_delete_proof,
+    build_path_proof,
     build_range_proof,
-    build_read_proof,
-    build_update_proof,
     derive_update_roots,
     implied_root_for_range,
     implied_root_for_read,
@@ -84,8 +84,7 @@ class DeleteQuery:
 
 
 Query = ReadQuery | RangeQuery | WriteQuery | DeleteQuery
-Proof = (ReadProof | RangeProof | UpdateProof
-         | ForestReadProof | ForestRangeProof | ForestUpdateProof)
+Proof = PathProof | RangeProof | DeleteProof | ForestProof | ForestRangeProof
 
 
 def query_defect(query: object) -> str | None:
@@ -114,9 +113,9 @@ class QueryResult:
 
 # -- the server side -----------------------------------------------------------
 
-_PLAIN_BUILDERS = (build_read_proof, build_range_proof, build_update_proof)
-_FOREST_BUILDERS = (build_forest_read_proof, build_forest_range_proof,
-                    build_forest_update_proof)
+_PLAIN_BUILDERS = (build_path_proof, build_range_proof, build_delete_proof)
+_FOREST_BUILDERS = (partial(build_forest_proof, build_path_proof), build_forest_range_proof,
+                    partial(build_forest_proof, build_delete_proof))
 
 
 class VerifiedDatabase:
@@ -152,7 +151,7 @@ class VerifiedDatabase:
             self._spec = StoreSpec(order=mtree.order)
             self._shard_trees = [mtree]
             builders = _PLAIN_BUILDERS
-        self._build_read, self._build_range, self._build_update = builders
+        self._build_path, self._build_range, self._build_delete = builders
 
     @property
     def order(self) -> int:
@@ -191,26 +190,28 @@ class VerifiedDatabase:
     def execute(self, query: Query) -> QueryResult:
         """Execute ``query`` and return the answer with its VO.
 
-        Update proofs snapshot the search path *before* mutating, per
-        Section 4.1 ("recompute the root digest ... before and after
-        the operation").  Deleting an absent key is a *verified no-op*:
-        the ordinary delete proof, no mutation, and the client derives
-        an unchanged root from the leaf that lacks the key.
+        A read and a write are answered with the key's path, a delete
+        with its path and siblings; an update's is snapshotted *before*
+        mutating, per Section 4.1 ("recompute the root digest ... before
+        and after the operation").  Deleting an absent key is a
+        *verified no-op*: the ordinary delete proof, no mutation, and
+        the client derives an unchanged root from the leaf that lacks
+        the key.
         """
         mtree = self._mtree
         if isinstance(query, ReadQuery):
-            proof = self._build_read(mtree, query.key)
+            proof = self._build_path(mtree, query.key)
             return QueryResult(answer=mtree.get(query.key), proof=proof)
         if isinstance(query, RangeQuery):
             proof = self._build_range(mtree, query.low, query.high)
             return QueryResult(answer=tuple(mtree.range(query.low, query.high)),
                                proof=proof)
         if isinstance(query, WriteQuery):
-            proof = self._build_update(mtree, "insert", query.key)
+            proof = self._build_path(mtree, query.key)
             mtree.insert(query.key, query.value)
             return QueryResult(answer=None, proof=proof)
         if isinstance(query, DeleteQuery):
-            proof = self._build_update(mtree, "delete", query.key)
+            proof = self._build_delete(mtree, query.key)
             mtree.delete(query.key)
             return QueryResult(answer=None, proof=proof)
         raise TypeError(f"unknown query type {type(query).__name__}")
@@ -248,7 +249,7 @@ def _range(implied_root):
 
 def _update(derive_roots):
     """A write's value is bytes, a delete has none: the query type is
-    the operation the proof is replayed with."""
+    the operation the proof is replayed with (and must be shaped for)."""
     def reduce(query, proof, answer, spec):
         if answer is not None:
             raise ProofError("an update's answer must be None")
@@ -257,9 +258,9 @@ def _update(derive_roots):
 
 
 _UPDATE = (
-    (UpdateProof, _update(lambda proof, spec, key, value:
-                          derive_update_roots(proof, spec.order, key, value))),
-    (ForestUpdateProof, _update(derive_forest_update_roots)),
+    ((PathProof, DeleteProof), _update(lambda proof, spec, key, value:
+                                       derive_update_roots(proof, spec.order, key, value))),
+    (ForestProof, _update(derive_forest_update_roots)),
 )
 
 #: The client rule of Section 4.1, one row per query kind: what a wrong
@@ -270,10 +271,10 @@ _UPDATE = (
 #: query says: the key, the range and the operation are the query's.
 _RULES = {
     ReadQuery: (
-        "read query answered with a non-read proof",
-        (ReadProof, _read(lambda proof, key, answer, spec:
+        NOT_A_PATH,
+        (PathProof, _read(lambda proof, key, answer, spec:
                           implied_root_for_read(proof, key, answer))),
-        (ForestReadProof, _read(implied_root_for_forest_read))),
+        (ForestProof, _read(implied_root_for_forest_read))),
     RangeQuery: (
         "range query answered with a non-range proof",
         (RangeProof, _range(lambda proof, low, high, answer, spec:

@@ -37,13 +37,12 @@ from repro.mtree.bplus import DEFAULT_ORDER
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
     NOT_ENTRIES,
+    DeleteProof,
+    PathProof,
     ProofError,
     RangeProof,
-    ReadProof,
-    UpdateProof,
+    build_path_proof,
     build_range_proof,
-    build_read_proof,
-    build_update_proof,
     derive_update_roots,
     entries_of,
     fold_path,
@@ -365,38 +364,20 @@ def merkle_store(spec: StoreSpec,
 
 
 @dataclass(frozen=True)
-class ForestReadProof:
-    """Point-read VO: leaf path inside the key's shard + shard-root path
-    in the top tree."""
+class ForestProof:
+    """Point VO: the key's one-tree VO inside its shard + the path to the
+    shard's entry in the top tree, a write's VO whatever the query: the
+    entry is *overwritten* with the new shard root, never created or
+    removed, so the replay never splits the top tree and its shape stays
+    deterministic."""
 
-    inner: ReadProof
-    top: ReadProof
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.inner, ReadProof) and isinstance(self.top, ReadProof)):
-            raise ProofError("malformed forest read proof")
-
-    def size_digests(self) -> int:
-        return self.inner.size_digests() + self.top.size_digests()
-
-
-@dataclass(frozen=True)
-class ForestUpdateProof:
-    """Update VO: pre-update path in the shard + pre-update shard-root
-    path in the top tree.
-
-    The top half is always an insert proof for the shard key -- the
-    shard's entry in the top tree is *overwritten* with the new shard
-    root, never created or removed, so the replay can never split the
-    top tree and its shape stays deterministic.
-    """
-
-    inner: UpdateProof
-    top: UpdateProof
+    inner: PathProof | DeleteProof
+    top: PathProof
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.inner, UpdateProof) and isinstance(self.top, UpdateProof)):
-            raise ProofError("malformed forest update proof")
+        if not (isinstance(self.inner, (PathProof, DeleteProof))
+                and isinstance(self.top, PathProof)):
+            raise ProofError("malformed forest proof")
 
     def size_digests(self) -> int:
         return self.inner.size_digests() + self.top.size_digests()
@@ -422,44 +403,21 @@ class ForestRangeProof:
             raise ProofError("malformed forest range proof")
 
     def size_digests(self) -> int:
-        total = 0
-        for proof in self.shard_proofs:
-            total += _range_proof_digests(proof.root)
-        return total + _range_proof_digests(self.top.root)
-
-
-def _range_proof_digests(node) -> int:
-    """Digest count of a (possibly fringe) range-proof subtree."""
-    if isinstance(node, Digest):
-        return 1
-    if hasattr(node, "entry_digests"):  # LeafSnapshot
-        return len(node.entry_digests)
-    return sum(_range_proof_digests(child) for child in node.children)
-
-
-ForestProof = ForestReadProof | ForestRangeProof | ForestUpdateProof
+        return sum(proof.size_digests() for proof in (*self.shard_proofs, self.top))
 
 
 # -- building (server side) --------------------------------------------------
 
 
-def build_forest_read_proof(forest: MerkleForest, key: bytes) -> ForestReadProof:
+def build_forest_proof(build_inner, forest: MerkleForest, key: bytes) -> ForestProof:
+    """The forest twin of a one-tree point builder (``build_path_proof``
+    or ``build_delete_proof``): its VO in ``key``'s shard under the path
+    to that shard's entry in the top tree."""
     forest._sync_top()
     index = forest._route(key)
-    return ForestReadProof(
-        inner=build_read_proof(forest.shard_tree(index), key),
-        top=build_read_proof(forest.top_tree, shard_key(index)),
-    )
-
-
-def build_forest_update_proof(
-    forest: MerkleForest, operation: str, key: bytes
-) -> ForestUpdateProof:
-    forest._sync_top()
-    index = forest._route(key)
-    return ForestUpdateProof(
-        inner=build_update_proof(forest.shard_tree(index), operation, key),
-        top=build_update_proof(forest.top_tree, "insert", shard_key(index)),
+    return ForestProof(
+        inner=build_inner(forest.shard_tree(index), key),
+        top=build_path_proof(forest.top_tree, shard_key(index)),
     )
 
 
@@ -479,7 +437,7 @@ def build_forest_range_proof(
 # -- verification (client side) ----------------------------------------------
 
 
-def _check_top_entry(top: ReadProof | UpdateProof, skey: bytes,
+def _check_top_entry(top: PathProof, skey: bytes,
                      shard_root: Digest, mismatch: str) -> None:
     """The level binding: the leaf of the top half of a forest VO
     commits ``hash_leaf(skey, shard_root)`` -- the shard root the client
@@ -494,10 +452,10 @@ def _check_top_entry(top: ReadProof | UpdateProof, skey: bytes,
 
 
 def implied_root_for_forest_read(
-    proof: ForestReadProof, key: bytes, value: object, spec: StoreSpec
+    proof: ForestProof, key: bytes, value: object, spec: StoreSpec
 ) -> Digest:
-    """The *top* root a forest read proof vouches for, with ``value``
-    as the answer.
+    """The *top* root a forest proof vouches for, with ``value`` as the
+    answer to a read of ``key``.
 
     Checks (a) the answer against the inner proof's leaf, and its path,
     and (b) the top tree commits exactly the shard root the inner proof
@@ -511,7 +469,7 @@ def implied_root_for_forest_read(
 
 
 def derive_forest_update_roots(
-    proof: ForestUpdateProof,
+    proof: ForestProof,
     spec: StoreSpec,
     key: bytes,
     value: bytes | None = None,

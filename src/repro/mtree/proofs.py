@@ -5,23 +5,17 @@ root hash and the digests of the O(log n) nodes required to compute the
 old and new root digests.  We call these O(log n) digests the
 verification object of update Q, denoted v(Q, D)."
 
-A client that knows only the current root digest ``M(D)`` can:
-
-* :func:`verify_read` -- check a point read (membership *or*
-  non-membership) against ``M(D)``;
-* :func:`verify_range` -- check a range read, including completeness
-  (the server cannot silently drop rows);
-* :func:`verify_update` -- *recompute* the post-update root digest from
-  the pre-update verification object: the verified snapshots become
-  real B+-tree nodes, unrevealed subtrees stay their committed digests,
-  and :class:`~repro.mtree.bplus.BPlusTree`'s own insert or delete
-  (splits, borrows and merges included) runs on that partial tree.  The
-  client never takes the server's word for the new root: it derives the
-  new root itself, with the server's code.
-
-Snapshots are verified bottom-up against the known root digest, so any
-tampering with keys, values, or structure is caught as a digest
-mismatch and raised as :class:`ProofError`.
+Those nodes are the search path a read reveals: :class:`PathProof` is
+the VO of a read and of a write, and :class:`DeleteProof` adds the
+siblings a borrow or merge consults.  The client folds a VO to the
+root(s) it vouches for -- :func:`implied_root_for_read`,
+:func:`implied_root_for_range` (with completeness: no row can be
+silently dropped) and :func:`derive_update_roots`, which *recomputes*
+the new root by running :class:`~repro.mtree.bplus.BPlusTree`'s own
+insert or delete on the verified snapshots, unrevealed subtrees staying
+their committed digests -- all reached through
+:func:`~repro.mtree.database.derive_outcome`.  Any tampering with keys,
+values, or structure is a :class:`ProofError`.
 """
 
 from __future__ import annotations
@@ -65,6 +59,9 @@ class LeafSnapshot:
     def digest(self) -> Digest:
         return hash_leaf_node(self.entry_digests)
 
+    def size_digests(self) -> int:
+        return len(self.entry_digests)
+
     def __post_init__(self) -> None:
         if not (tuple_of(self.keys, bytes)
                 and tuple_of(self.entry_digests, Digest)):
@@ -82,6 +79,9 @@ class InternalSnapshot:
 
     def digest(self) -> Digest:
         return hash_internal_node(self.keys, self.child_digests)
+
+    def size_digests(self) -> int:
+        return len(self.child_digests)
 
     def __post_init__(self) -> None:
         if not (tuple_of(self.keys, bytes)
@@ -102,16 +102,17 @@ def snapshot_internal(mtree: MerkleBPlusTree, node) -> InternalSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Point-read proofs
+# Path proofs: a read's and a write's
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ReadProof:
-    """Membership or non-membership proof for a single key: the path to
-    the leaf the key routes to.  Neither the key nor the value is in it:
-    the key is the query's and the value the answer's, and the verifier
-    takes both as input, binding the value to the leaf's entry digest."""
+class PathProof:
+    """The path to the leaf a key routes to: the VO of a point read
+    (membership or non-membership) and of a write.  Neither the key nor
+    the value is in it: the key is the query's and the value the
+    answer's or the write's, and the verifier takes both as input,
+    binding the value to the leaf's entry digest."""
 
     internals: tuple[InternalSnapshot, ...]  # root first, leaf's parent last
     leaf: LeafSnapshot
@@ -119,18 +120,19 @@ class ReadProof:
     def __post_init__(self) -> None:
         if not (tuple_of(self.internals, InternalSnapshot)
                 and isinstance(self.leaf, LeafSnapshot)):
-            raise ProofError("malformed read proof")
+            raise ProofError("malformed path proof")
 
     def size_digests(self) -> int:
         """Number of digests carried -- the paper's O(log n) VO size."""
-        return sum(len(s.child_digests) for s in self.internals) + len(self.leaf.entry_digests)
+        return sum(s.size_digests() for s in self.internals) + self.leaf.size_digests()
 
 
-def build_read_proof(mtree: MerkleBPlusTree, key: bytes) -> ReadProof:
-    """Server side: assemble the VO for a point read of ``key``."""
+def build_path_proof(mtree: MerkleBPlusTree, key: bytes) -> PathProof:
+    """Server side: the path to ``key``'s leaf, snapshotted (before a
+    write mutates it)."""
     path = mtree.tree.search_path(key)
     internals = tuple([snapshot_internal(mtree, node) for node in path[:-1]])
-    return ReadProof(internals=internals, leaf=snapshot_leaf(mtree, path[-1]))
+    return PathProof(internals=internals, leaf=snapshot_leaf(mtree, path[-1]))
 
 
 def fold_path(
@@ -163,7 +165,7 @@ def fold_path(
     return digest, indices
 
 
-def check_read_answer(proof: ReadProof, key: bytes, value: object) -> None:
+def check_read_answer(proof: PathProof, key: bytes, value: object) -> None:
     """Bind a read's answer to the leaf its proof reveals (independent
     of the root digest): ``None`` to a leaf without ``key``, a value to
     the entry digest ``hash_leaf(key, value)``."""
@@ -181,24 +183,17 @@ def check_read_answer(proof: ReadProof, key: bytes, value: object) -> None:
         raise ProofError("returned value does not match the committed entry digest")
 
 
-def implied_root_for_read(proof: ReadProof, key: bytes, value: object) -> Digest:
-    """The root digest a read proof vouches for, with ``value`` as the
-    answer (after the answer check)."""
+#: why a read answered with anything but a path is refused
+NOT_A_PATH = "read query answered with a non-read proof"
+
+
+def implied_root_for_read(proof: PathProof, key: bytes, value: object) -> Digest:
+    """The root digest a path proof vouches for, with ``value`` as the
+    answer to a read of ``key`` (after the answer check)."""
+    if not isinstance(proof, PathProof):
+        raise ProofError(NOT_A_PATH)
     check_read_answer(proof, key, value)
     return fold_path(proof.internals, proof.leaf, key)[0]
-
-
-def verify_read(root_digest: Digest, proof: ReadProof, key: bytes,
-                value: bytes | None) -> bytes | None:
-    """Client side: validate the answer ``value`` to a read of ``key``
-    (``None`` for absence) and its VO against the known root digest.
-
-    Returns the proven value.  Raises :class:`ProofError` on any
-    inconsistency.
-    """
-    if implied_root_for_read(proof, key, value) != root_digest:
-        raise ProofError("read proof does not match committed root digest")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +243,13 @@ class RangeProof:
         if not isinstance(self.root, (FringeNode, LeafSnapshot)):
             raise ProofError("malformed range proof")
 
+    def size_digests(self) -> int:
+        def count(node) -> int:
+            if isinstance(node, FringeNode):
+                return sum(count(child) for child in node.children)
+            return 1 if isinstance(node, Digest) else node.size_digests()
+        return count(self.root)
+
 
 def build_range_proof(mtree: MerkleBPlusTree, low: bytes, high: bytes) -> RangeProof:
     """Server side: reveal exactly the subtrees intersecting the range."""
@@ -279,26 +281,16 @@ def _intersects(lower: bytes | None, upper: bytes | None, low: bytes, high: byte
     return True
 
 
-def verify_range(root_digest: Digest, proof: RangeProof, low: bytes, high: bytes,
-                 entries: tuple[tuple[bytes, bytes], ...]) -> tuple[tuple[bytes, bytes], ...]:
-    """Client side: validate the answer ``entries`` to a range read of
-    ``[low, high]`` and its VO; returns the proven entries.
+def implied_root_for_range(proof: RangeProof, low: bytes, high: bytes,
+                           entries: object) -> Digest:
+    """The root digest a range proof vouches for, with ``entries`` as
+    the answer to ``[low, high]``.
 
-    Checks (a) every revealed snapshot hashes into the committed root,
+    Checks (a) every revealed snapshot hashes into the implied root,
     (b) every subtree that could intersect the range *is* revealed (so
     no row can be silently dropped), and (c) the entries match the
     revealed leaves exactly.
     """
-    if implied_root_for_range(proof, low, high, entries) != root_digest:
-        raise ProofError("range proof does not match committed root digest")
-    return entries
-
-
-def implied_root_for_range(proof: RangeProof, low: bytes, high: bytes,
-                           entries: object) -> Digest:
-    """The root digest a range proof vouches for, with ``entries`` as
-    the answer to ``[low, high]`` (after completeness and content
-    checks)."""
     if low > high:
         raise ProofError("empty range: low > high")
     if not entries_of(entries):
@@ -339,7 +331,7 @@ def implied_root_for_range(proof: RangeProof, low: bytes, high: bytes,
 
 
 # ---------------------------------------------------------------------------
-# Update proofs (insert / overwrite / delete) with client-side replay
+# Delete proofs, and the client-side replay of an update
 # ---------------------------------------------------------------------------
 
 
@@ -357,68 +349,43 @@ class SiblingPair:
 
 
 @dataclass(frozen=True)
-class UpdateProof:
-    """Pre-update VO from which the client derives the new root digest.
+class DeleteProof:
+    """A delete's VO: the path, and in ``siblings[i]`` the adjacent
+    siblings of the path node at depth ``i + 1`` (the child inside
+    ``path.internals[i]``), which a borrow or merge consults.  A write
+    needs no sibling (splits never consult one): its VO is the path."""
 
-    The key and the operation are the query's.  A delete proof's
-    ``siblings[i]`` carries the adjacent siblings of the path node at
-    depth ``i + 1`` (the child inside ``internals[i]``); an insert
-    proof carries none, since splits never consult siblings.
-    """
-
-    internals: tuple[InternalSnapshot, ...]
-    leaf: LeafSnapshot
+    path: PathProof
     siblings: tuple[SiblingPair, ...]
 
     def __post_init__(self) -> None:
-        if not (tuple_of(self.internals, InternalSnapshot)
-                and isinstance(self.leaf, LeafSnapshot)
+        if not (isinstance(self.path, PathProof)
                 and tuple_of(self.siblings, SiblingPair)):
-            raise ProofError("malformed update proof")
+            raise ProofError("malformed delete proof")
 
     def size_digests(self) -> int:
-        total = sum(len(s.child_digests) for s in self.internals)
-        total += len(self.leaf.entry_digests)
-        for pair in self.siblings:
-            for side in (pair.left, pair.right):
-                if isinstance(side, LeafSnapshot):
-                    total += len(side.entry_digests)
-                elif isinstance(side, InternalSnapshot):
-                    total += len(side.child_digests)
-        return total
+        return self.path.size_digests() + sum(
+            side.size_digests() for pair in self.siblings
+            for side in (pair.left, pair.right) if side is not None)
 
 
 def _snapshot_any(mtree: MerkleBPlusTree, node):
-    if node.is_leaf:
-        return snapshot_leaf(mtree, node)
-    return snapshot_internal(mtree, node)
+    return snapshot_leaf(mtree, node) if node.is_leaf else snapshot_internal(mtree, node)
 
 
-def build_update_proof(mtree: MerkleBPlusTree, operation: str, key: bytes) -> UpdateProof:
-    """Server side: snapshot the search path *before* applying the update.
-
-    For deletes, every adjacent sibling at every level is included so
-    the client can replay borrow/merge rebalancing; a delete proof
-    without one is refused.
-    """
-    if operation not in ("insert", "delete"):
-        raise ValueError(f"unknown update operation {operation!r}")
+def build_delete_proof(mtree: MerkleBPlusTree, key: bytes) -> DeleteProof:
+    """Server side: the path to ``key``'s leaf *before* the delete, and
+    every adjacent sibling at every level, so the client can replay
+    borrow/merge rebalancing; a delete proof without one is refused."""
     path = mtree.tree.search_path(key)
-    internals = tuple(snapshot_internal(mtree, node) for node in path[:-1])
-    leaf = snapshot_leaf(mtree, path[-1])
     siblings = []
-    if operation == "delete":
-        for depth, parent in enumerate(path[:-1]):
-            child = path[depth + 1]
-            index = parent.children.index(child)
-            left = _snapshot_any(mtree, parent.children[index - 1]) if index > 0 else None
-            right = (
-                _snapshot_any(mtree, parent.children[index + 1])
-                if index + 1 < len(parent.children)
-                else None
-            )
-            siblings.append(SiblingPair(left=left, right=right))
-    return UpdateProof(internals=internals, leaf=leaf, siblings=tuple(siblings))
+    for depth, parent in enumerate(path[:-1]):
+        index = parent.children.index(path[depth + 1])
+        left = _snapshot_any(mtree, parent.children[index - 1]) if index > 0 else None
+        right = (_snapshot_any(mtree, parent.children[index + 1])
+                 if index + 1 < len(parent.children) else None)
+        siblings.append(SiblingPair(left=left, right=right))
+    return DeleteProof(path=build_path_proof(mtree, key), siblings=tuple(siblings))
 
 
 def _node_of(snapshot: LeafSnapshot | InternalSnapshot) -> LeafNode | InternalNode:
@@ -463,7 +430,7 @@ def _fold(root: LeafNode | InternalNode) -> Digest:
 
 
 def derive_update_roots(
-    proof: UpdateProof,
+    proof: PathProof | DeleteProof,
     order: int,
     key: bytes,
     value: bytes | None = None,
@@ -475,28 +442,36 @@ def derive_update_roots(
     unrevealed subtrees are their committed digests, and
     :class:`BPlusTree`'s own insert or delete runs on it -- what the root
     must be after an honest server applies exactly this operation.  A
-    delete proof must reveal every adjacent sibling on its path, so a
-    borrow or merge never looks inside a committed subtree, and an
-    insert proof reveals none.  The caller authenticates the old root:
-    against the root it tracks (:func:`verify_update`), or through the
+    write is answered with its path, a delete with a
+    :class:`DeleteProof` revealing every adjacent sibling on its path,
+    so a borrow or merge never looks inside a committed subtree.  The
+    caller authenticates the old root: against the root it tracks
+    (:class:`~repro.mtree.database.ClientVerifier`), or through the
     protocol layer (a signature, or the XOR registers).
 
     ``value`` is the inserted value, or ``None`` for a delete.
     """
-    delete = value is None
-    if not delete and not isinstance(value, bytes):
+    if value is None:
+        if not isinstance(proof, DeleteProof):
+            raise ProofError("a delete's proof lacks its sibling pairs")
+        path, siblings = proof.path, proof.siblings
+        if len(siblings) != len(path.internals):
+            raise ProofError("sibling list length disagrees with the path")
+    elif not isinstance(value, bytes):
         raise ProofError("insert verification requires the new value")
-    if len(proof.siblings) != (len(proof.internals) if delete else 0):
-        raise ProofError("sibling list length disagrees with the operation")
+    elif not isinstance(proof, PathProof):
+        raise ProofError("a write's proof carries sibling pairs")
+    else:
+        path, siblings = proof, ()
 
-    old_root, indices = fold_path(proof.internals, proof.leaf, key)
+    old_root, indices = fold_path(path.internals, path.leaf, key)
 
-    path = [_node_of(snapshot) for snapshot in (*proof.internals, proof.leaf)]
+    nodes = [_node_of(snapshot) for snapshot in (*path.internals, path.leaf)]
     for depth, index in enumerate(indices):
-        path[depth].children[index] = path[depth + 1]
-    for depth, pair in enumerate(proof.siblings):
-        parent, index = path[depth], indices[depth]
-        committed = proof.internals[depth].child_digests
+        nodes[depth].children[index] = nodes[depth + 1]
+    for depth, pair in enumerate(siblings):
+        parent, index = nodes[depth], indices[depth]
+        committed = path.internals[depth].child_digests
         for name, side, at, edge in (("left", pair.left, index - 1, "leftmost"),
                                      ("right", pair.right, index + 1, "rightmost")):
             exists = 0 <= at < len(committed)
@@ -508,35 +483,20 @@ def derive_update_roots(
                 raise ProofError(f"{name} sibling supplied for a {edge} child")
             if side.digest() != committed[at]:
                 raise ProofError(f"{name} sibling snapshot does not match committed digest")
-            if isinstance(side, LeafSnapshot) != path[depth + 1].is_leaf:
+            if isinstance(side, LeafSnapshot) != nodes[depth + 1].is_leaf:
                 raise ProofError(f"{name} sibling is not the kind of node its neighbour is")
             sibling = _node_of(side)
             sibling.digest = committed[at]
             parent.children[at] = sibling
 
     try:
-        tree = BPlusTree(order, root=path[0])
+        tree = BPlusTree(order, root=nodes[0])
     except (TypeError, ValueError) as exc:
         raise ProofError(f"bad tree order: {exc}") from None
-    if not delete:
+    if value is not None:
         tree.insert(key, value)
     elif not tree.delete(key):
         # the path was folded with the routing rule for ``key``, so a
         # leaf without it proves absence: an honest delete changed nothing
         return old_root, old_root
     return old_root, _fold(tree.root)
-
-
-def verify_update(
-    old_root_digest: Digest,
-    proof: UpdateProof,
-    order: int,
-    key: bytes,
-    value: bytes | None = None,
-) -> Digest:
-    """Client side: validate the pre-update VO against the known root
-    digest and return the new root the client derived."""
-    old_root, new_root = derive_update_roots(proof, order, key, value)
-    if old_root != old_root_digest:
-        raise ProofError("update proof does not match committed root digest")
-    return new_root

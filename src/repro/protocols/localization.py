@@ -42,6 +42,13 @@ class Checkpoint:
     last: Digest
 
 
+#: How far the bracket's upper end may sit *below* the judge's first
+#: deviating operation: the judge counts arrival ordinals at the server,
+#: the bracket branch counters, and on a fork the victim's branch lags
+#: the arrival order by the main-branch operations that raced it.
+ORDINAL_SLACK = 3
+
+
 @dataclass(frozen=True)
 class FaultLocalization:
     """The bracket around the first fault.
@@ -66,6 +73,12 @@ class FaultLocalization:
         if self.inconsistent_at is None:
             return None
         return (self.consistent_upto, self.inconsistent_at)
+
+    def brackets(self, first_op: int) -> bool:
+        """Whether the bracket holds ``first_op``, the judge's first
+        deviating operation, up to :data:`ORDINAL_SLACK`."""
+        return self.fault_found and self.consistent_upto <= first_op + 1 \
+            and self.inconsistent_at >= first_op - ORDINAL_SLACK
 
 
 class CheckpointRing:

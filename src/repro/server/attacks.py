@@ -32,11 +32,11 @@ from repro.crypto.hashing import hash_leaf
 from repro.crypto.signatures import Signature
 from repro.mtree.bplus import route_index
 from repro.mtree.database import QueryResult, ReadQuery
-from repro.mtree.forest import ForestReadProof, shard_for_key, shard_key
+from repro.mtree.forest import ForestProof, shard_for_key, shard_key
 from repro.mtree.proofs import (
     InternalSnapshot,
     LeafSnapshot,
-    ReadProof,
+    PathProof,
     implied_root_for_read,
 )
 from repro.protocols.base import Request, Response, ServerState
@@ -174,9 +174,9 @@ class TamperValueAttack(Attack):
             return response
         corrupted = b"/* backdoored */ " + bytes(response.result.answer)
         proof = response.result.proof
-        if self.forge_proof and isinstance(proof, ReadProof):
+        if self.forge_proof and isinstance(proof, PathProof):
             proof = self._forge_read_proof(proof, request.query.key, corrupted)
-        elif self.forge_proof and isinstance(proof, ForestReadProof):
+        elif self.forge_proof and isinstance(proof, ForestProof):
             # Two-level forgery: rebuild the shard proof around the
             # corrupted value, then rebuild the top proof around the
             # shard root the forged shard proof now implies.  Fully
@@ -189,15 +189,15 @@ class TamperValueAttack(Attack):
                                            state.database.shards))
             forged_top = self._forge_read_proof(
                 proof.top, skey, shard_root.to_bytes())
-            proof = ForestReadProof(inner=forged_inner, top=forged_top)
+            proof = ForestProof(inner=forged_inner, top=forged_top)
         return Response(
             result=QueryResult(answer=corrupted, proof=proof),
             extras=response.extras,
         )
 
     @staticmethod
-    def _forge_read_proof(proof: ReadProof, key: bytes, value: bytes) -> ReadProof:
-        """Rebuild a read proof around ``value``, re-chaining the path
+    def _forge_read_proof(proof: PathProof, key: bytes, value: bytes) -> PathProof:
+        """Rebuild a path proof around ``value``, re-chaining the path
         digests so every internal link checks out -- the forgery is only
         exposed when the implied root meets the trusted one."""
         position = proof.leaf.keys.index(key)
@@ -216,7 +216,7 @@ class TamperValueAttack(Attack):
             forged_internals.append(patched)
             digest = patched.digest()
         forged_internals.reverse()
-        return ReadProof(internals=tuple(forged_internals), leaf=forged_leaf)
+        return PathProof(internals=tuple(forged_internals), leaf=forged_leaf)
 
 
 class CounterReplayAttack(Attack):

@@ -8,7 +8,7 @@ them a real byte-level encoding, for two reasons:
   measured in bytes on the wire (benchmark E13);
 * **fidelity** -- a deployable client/server pair needs a codec; this
   one covers the full closed universe of message types: queries,
-  read/range/update proofs (including the recursive range fringe),
+  path, range and delete proofs (including the recursive range fringe),
   signatures, epoch deposits, and the protocol envelopes with their
   extras dictionaries.
 
@@ -37,10 +37,10 @@ from repro.crypto.hashing import DIGEST_SIZE, Digest
 from repro.crypto.signatures import Signature
 from repro.mtree.database import (
     DeleteQuery, QueryResult, RangeQuery, ReadQuery, WriteQuery)
-from repro.mtree.forest import ForestRangeProof, ForestReadProof, ForestUpdateProof
+from repro.mtree.forest import ForestProof, ForestRangeProof
 from repro.mtree.proofs import (
-    FringeNode, InternalSnapshot, LeafSnapshot, ProofError, RangeProof,
-    ReadProof, SiblingPair, UpdateProof)
+    DeleteProof, FringeNode, InternalSnapshot, LeafSnapshot, PathProof,
+    ProofError, RangeProof, SiblingPair)
 from repro.protocols.base import ErrorReply, Followup, Request, Response
 from repro.protocols.protocol3 import EpochDeposit
 
@@ -51,7 +51,7 @@ class WireError(Exception):
 
 #: codec revision, recorded in persisted artefacts (evidence bundles)
 #: so a future decoder can refuse bytes written by an incompatible one.
-CODEC_VERSION = 3
+CODEC_VERSION = 4
 
 _MAX_DEPTH = 256  # how deep lists, dicts and records nest: see decode()
 _TRUNCATED = "truncated wire data"
@@ -457,7 +457,9 @@ from repro.net.replication import RootAttestation, RootDeposit  # noqa: E402
 #: A field is a tagged value unless its kind says otherwise: ``:raw`` is
 #: a length-prefixed byte string, ``:keys`` a node's keys front-coded
 #: and ``:digests`` a node's digests packed, all three with no tag.  A
-#: proof (0x20-0x2F) carries nothing the query it answers says.
+#: proof (0x20-0x2F) carries nothing the query it answers says.  0x29
+#: stays free: it was codec 3's forest update proof, and an old frame
+#: holding one must fail as unknown rather than decode as another record.
 _RECORDS = (
     (ReadQuery, 0x10, "key:raw"),
     (RangeQuery, 0x11, "low:raw high:raw"),
@@ -465,14 +467,13 @@ _RECORDS = (
     (DeleteQuery, 0x13, "key:raw"),
     (LeafSnapshot, 0x20, "keys:keys entry_digests:digests"),
     (InternalSnapshot, 0x21, "keys:keys child_digests:digests"),
-    (ReadProof, 0x22, "internals leaf"),
+    (PathProof, 0x22, "internals leaf"),
     (RangeProof, 0x23, "root"),
     (FringeNode, 0x24, "keys:keys children"),
-    (UpdateProof, 0x25, "internals leaf siblings"),
+    (DeleteProof, 0x25, "path siblings"),
     (SiblingPair, 0x26, "left right"),
     (QueryResult, 0x27, "answer proof"),
-    (ForestReadProof, 0x28, "inner top"),
-    (ForestUpdateProof, 0x29, "inner top"),
+    (ForestProof, 0x28, "inner top"),
     (ForestRangeProof, 0x2A, "shard_proofs top"),
     (Signature, 0x30, "signer_id digest raw:raw"),
     (EpochDeposit, 0x31, "user_id epoch sigma last signature"),

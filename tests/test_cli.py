@@ -468,7 +468,7 @@ class TestStoreInspect:
         assert f"wal.3.log: {logged + 2} bytes, live, 1 record(s) + 2 torn " \
             "tail byte(s)" in lines
         assert "wal.0.log: 0 bytes, unreferenced" in lines
-        assert "bytes (cvs-paged-store 6)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 7)" in lines[lines.index(
             f"pages.db: {size} bytes") + 1]
         # 61 answers given, the window's worth remembered
         assert "user u: 61 remembered response(s), " in text
@@ -518,7 +518,7 @@ class TestStoreInspect:
         size = os.path.getsize(os.path.join(data_dir, "pages.log"))
         lines = text.splitlines()
         assert "backend: file" in lines
-        assert "bytes (cvs-paged-store 6)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 7)" in lines[lines.index(
             f"pages.log: {size} bytes") + 1]
         assert "checkpoint generation: 1" in lines
         assert "shard 0: gen 1, prev gen 0" in text
@@ -689,7 +689,7 @@ class TestCodec1ArtefactsRefused:
         bundle["codec"] = 1
         path = evidence.write_bundle(str(tmp_path / "old.evidence"), bundle)
         text = run(["evidence-inspect", path], expect=2)
-        assert "written by codec 1, this decoder is 3" in text
+        assert "written by codec 1, this decoder is 4" in text
 
 
 class TestCodec2ArtefactsRefused:
@@ -756,4 +756,83 @@ class TestCodec2ArtefactsRefused:
         bundle["codec"] = 2
         path = evidence.write_bundle(str(tmp_path / "old.evidence"), bundle)
         text = run(["evidence-inspect", path], expect=2)
-        assert "written by codec 2, this decoder is 3" in text
+        assert "written by codec 2, this decoder is 4" in text
+
+
+class TestCodec3ArtefactsRefused:
+    """What a codec-3 build wrote -- a write's proof as an update record
+    ``internals leaf siblings`` with an empty sibling list, in a
+    ``cvs-paged-store 6`` directory -- is refused by the name of its
+    format, never reported as corrupt."""
+
+    rewrite_manifest = staticmethod(TestCodec1ArtefactsRefused.rewrite_manifest)
+
+    @staticmethod
+    def codec3_write_response(response):
+        """A write ``Response`` as codec 3 wrote it: tag 0x25, the path's
+        fields, and no sibling pair."""
+        from repro.wire import encode
+
+        path = encode(response.result.proof)
+        assert path[:1] == b"\x22"
+        return (b"\x41\x27" + encode(response.result.answer) + b"\x25" + path[1:]
+                + encode(()) + encode(response.extras))
+
+    def test_format_6_directory_remembering_a_write(self, tmp_path):
+        from repro.mtree.database import WriteQuery
+        from repro.mtree.proofs import PathProof
+        from repro.net import ServerCore
+        from repro.net.wal import WalError
+        from repro.protocols.base import Request
+        from repro.wire import WireError, decode, encode
+
+        data_dir = str(tmp_path / "server")
+        core = ServerCore(order=4, data_dir=data_dir, fsync=False,
+                          snapshot_every=10**9)
+        for seq in range(8):
+            core.apply_request("u", Request(query=WriteQuery(b"f%d.txt" % seq, b"1.1"),
+                                            extras={"user": "u", "rid": f"u:n:{seq}",
+                                                    "ack": seq}))
+        core.snapshot()
+        core.close_store()
+        marker = b"the remembered write response"
+
+        def as_codec3(blob):
+            manifest = decode(blob)
+            (rid, response), = manifest["dedup"]["u"]
+            assert isinstance(response.result.proof, PathProof)
+            assert response.result.proof.internals  # a path, not one leaf
+            manifest["format"] = "cvs-paged-store 6"
+            manifest["dedup"]["u"] = [[rid, marker]]
+            blob = encode(manifest).replace(
+                encode(marker), self.codec3_write_response(response))
+            with pytest.raises(WireError):  # this codec cannot read it at all
+                decode(blob)
+            return blob
+
+        self.rewrite_manifest(data_dir, "file", as_codec3)
+        with pytest.raises(WalError, match="format 'cvs-paged-store 6' is not") as caught:
+            ServerCore(order=4, data_dir=data_dir, fsync=False)
+        assert "corrupt" not in str(caught.value)
+        text = run(["store-inspect", data_dir], expect=2)
+        assert "format 'cvs-paged-store 6'" in text and "corrupt" not in text
+
+    def test_codec_3_evidence_bundle(self, tmp_path):
+        from repro.mtree.database import VerifiedDatabase, WriteQuery
+        from repro.net import evidence
+        from repro.protocols.base import Request, Response
+        from repro.wire import encode
+
+        database = VerifiedDatabase(order=4)
+        query = WriteQuery(b"f.txt", b"1.1 text")
+        response = Response(result=database.execute(query),
+                            extras={"ctr": 1, "last_user": "u"})
+        bundle = evidence.response_bundle(
+            protocol="II", user_id="u", reason="replay", op_index=0, order=4,
+            request_frame=encode(Request(query, {"user": "u"})),
+            response_frame=self.codec3_write_response(response),
+            client_state={}, anchor=evidence.anchor_lineage(None, None))
+        bundle["codec"] = 3
+        path = evidence.write_bundle(str(tmp_path / "old.evidence"), bundle)
+        text = run(["evidence-inspect", path], expect=2)
+        assert "written by codec 3, this decoder is 4" in text

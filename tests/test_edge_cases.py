@@ -11,13 +11,12 @@ from repro.mtree.proofs import (
     LeafSnapshot,
     ProofError,
     RangeProof,
+    DeleteProof,
     SiblingPair,
-    UpdateProof,
+    build_delete_proof,
+    build_path_proof,
     build_range_proof,
-    build_read_proof,
-    build_update_proof,
-    verify_range,
-    verify_update,
+    derive_update_roots,
 )
 from repro.protocols.verify import derive_outcome
 
@@ -59,54 +58,52 @@ class TestSnapshotValidation:
 class TestUpdateProofEdges:
     def test_left_sibling_for_leftmost_child_rejected(self):
         mtree = make_tree()
-        proof = build_update_proof(mtree, "delete", b"k000")  # leftmost path
-        if not proof.internals:
+        proof = build_delete_proof(mtree, b"k000")  # leftmost path
+        if not proof.path.internals:
             pytest.skip("tree too small")
         # force a bogus left sibling at a level where the child is leftmost
-        fake = proof.leaf
+        fake = proof.path.leaf
         pairs = list(proof.siblings)
         level = None
         from repro.mtree.bplus import route_index
 
-        for depth, snapshot in enumerate(proof.internals):
+        for depth, snapshot in enumerate(proof.path.internals):
             if route_index(snapshot.keys, b"k000") == 0:
                 level = depth
                 break
         if level is None:
             pytest.skip("no leftmost level")
         pairs[level] = SiblingPair(left=fake, right=pairs[level].right)
-        forged = UpdateProof(internals=proof.internals, leaf=proof.leaf,
-                             siblings=tuple(pairs))
-        with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), forged, mtree.order, b"k000")
+        forged = DeleteProof(path=proof.path, siblings=tuple(pairs))
+        with pytest.raises(ProofError, match="left sibling supplied for a leftmost child"):
+            derive_update_roots(forged, mtree.order, b"k000")
 
     def test_right_sibling_for_rightmost_child_rejected(self):
         mtree = make_tree()
         key = b"k029"
-        proof = build_update_proof(mtree, "delete", key)
-        if not proof.internals:
+        proof = build_delete_proof(mtree, key)
+        if not proof.path.internals:
             pytest.skip("tree too small")
         from repro.mtree.bplus import route_index
 
         pairs = list(proof.siblings)
         level = None
-        for depth, snapshot in enumerate(proof.internals):
+        for depth, snapshot in enumerate(proof.path.internals):
             if route_index(snapshot.keys, key) == len(snapshot.child_digests) - 1:
                 level = depth
                 break
         if level is None:
             pytest.skip("no rightmost level")
-        pairs[level] = SiblingPair(left=pairs[level].left, right=proof.leaf)
-        forged = UpdateProof(internals=proof.internals, leaf=proof.leaf,
-                             siblings=tuple(pairs))
-        with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), forged, mtree.order, key)
+        pairs[level] = SiblingPair(left=pairs[level].left, right=proof.path.leaf)
+        forged = DeleteProof(path=proof.path, siblings=tuple(pairs))
+        with pytest.raises(ProofError, match="right sibling supplied for a rightmost child"):
+            derive_update_roots(forged, mtree.order, key)
 
     def test_tiny_order_rejected_in_replay(self):
         mtree = make_tree()
-        proof = build_update_proof(mtree, "insert", b"k001")
-        with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), proof, 2, b"k001", b"v")
+        proof = build_path_proof(mtree, b"k001")
+        with pytest.raises(ProofError, match="bad tree order"):
+            derive_update_roots(proof, 2, b"k001", b"v")
 
 
 class TestRangeProofEdges:
@@ -115,8 +112,8 @@ class TestRangeProofEdges:
         proof = build_range_proof(mtree, b"k005", b"k010")
         with pytest.raises(ProofError):
             forged = RangeProof(root="not a node")
-            verify_range(mtree.root_digest(), forged, b"k005", b"k010",
-                         tuple(mtree.range(b"k005", b"k010")))
+            derive_outcome(RangeQuery(b"k005", b"k010"), QueryResult(
+                tuple(mtree.range(b"k005", b"k010")), forged), mtree.order)
 
     def test_fringe_arity_mismatch_rejected(self):
         mtree = make_tree()
@@ -127,8 +124,8 @@ class TestRangeProofEdges:
                                  children=proof.root.children)
         forged = RangeProof(root=forged_root)
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), forged, b"k005", b"k010",
-                         tuple(mtree.range(b"k005", b"k010")))
+            derive_outcome(RangeQuery(b"k005", b"k010"), QueryResult(
+                tuple(mtree.range(b"k005", b"k010")), forged), mtree.order)
 
 
 class TestDeriveOutcomeEdges:
@@ -191,7 +188,7 @@ class TestAgentEdges:
 
     def test_read_proof_size_counts(self):
         mtree = make_tree()
-        proof = build_read_proof(mtree, b"k001")
+        proof = build_path_proof(mtree, b"k001")
         assert proof.size_digests() > 0
-        update = build_update_proof(mtree, "delete", b"k001")
+        update = build_delete_proof(mtree, b"k001")
         assert update.size_digests() >= proof.size_digests()

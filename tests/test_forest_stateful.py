@@ -21,13 +21,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.mtree.forest import (
     MerkleForest,
+    build_forest_proof,
     build_forest_range_proof,
-    build_forest_read_proof,
-    build_forest_update_proof,
     derive_forest_update_roots,
     implied_root_for_forest_range,
     implied_root_for_forest_read,
 )
+from repro.mtree.proofs import build_delete_proof, build_path_proof
 
 KEYS = st.integers(min_value=0, max_value=30).map(lambda i: f"fkey{i:02d}".encode())
 VALUES = st.binary(min_size=0, max_size=8)
@@ -54,8 +54,7 @@ class MerkleForestMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.forest is not None)
     @rule(key=KEYS, value=VALUES)
     def insert(self, key, value):
-        operation = "insert"
-        proof = build_forest_update_proof(self.forest, operation, key)
+        proof = build_forest_proof(build_path_proof, self.forest, key)
         old_root = self.forest.root_digest()
         self.forest.insert(key, value)
         new_root = self.forest.refresh_root()[0]
@@ -68,7 +67,7 @@ class MerkleForestMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def delete_existing(self, data):
         key = data.draw(st.sampled_from(sorted(self.model)))
-        proof = build_forest_update_proof(self.forest, "delete", key)
+        proof = build_forest_proof(build_delete_proof, self.forest, key)
         old_root = self.forest.root_digest()
         self.forest.delete(key)
         new_root = self.forest.refresh_root()[0]
@@ -80,7 +79,7 @@ class MerkleForestMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.forest is not None)
     @rule(key=KEYS)
     def read_with_proof(self, key):
-        proof = build_forest_read_proof(self.forest, key)
+        proof = build_forest_proof(build_path_proof, self.forest, key)
         assert self.forest.get(key) == self.model.get(key)
         assert implied_root_for_forest_read(
             proof, key, self.model.get(key), self.forest.spec) \

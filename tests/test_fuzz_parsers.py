@@ -141,8 +141,8 @@ class TestWireFuzz:
     def test_verification_rejects_surviving_mutants(self):
         """The layered defence: a mutated frame that still decodes must
         then fail proof verification (or be byte-identical)."""
-        from repro.mtree.proofs import ProofError, verify_read
-        from repro.mtree.database import QueryResult
+        from repro.mtree.database import ClientVerifier, QueryResult
+        from repro.mtree.proofs import ProofError
 
         db = VerifiedDatabase(order=4)
         for i in range(15):
@@ -158,7 +158,7 @@ class TestWireFuzz:
             if not isinstance(decoded, QueryResult) or mutated == blob:
                 continue
             try:
-                value = verify_read(root, decoded.proof, b"k07", decoded.answer)
+                value = ClientVerifier(root, 4).apply(ReadQuery(b"k07"), decoded)
             except (ProofError, AttributeError, TypeError):
                 continue
             # verified mutants must agree with the truth
@@ -350,7 +350,7 @@ class TestVoShapeFuzz:
         from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode
         from repro.mtree.merkle import MerkleBPlusTree
         from repro.mtree.proofs import (
-            ProofError, build_update_proof, derive_update_roots)
+            ProofError, build_delete_proof, build_path_proof, derive_update_roots)
 
         rng = random.Random(5)
 
@@ -379,7 +379,8 @@ class TestVoShapeFuzz:
             mtree = MerkleBPlusTree.from_tree(tree)
             key = b"k%04d" % rng.randrange(200)
             operation = rng.choice(["insert", "delete"])
-            proof = build_update_proof(mtree, operation, key)
+            build = build_path_proof if operation == "insert" else build_delete_proof
+            proof = build(mtree, key)
             try:
                 derive_update_roots(proof, rng.choice([3, 4, 5, 8]), key,
                                     b"v" if operation == "insert" else None)

@@ -1,10 +1,14 @@
 """Tests for fault localisation (paper future-work item 1)."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.core.scenarios import build_simulation
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.protocols.localization import (
+    ORDINAL_SLACK,
     Checkpoint,
     CheckpointRing,
     localize_fault,
@@ -155,13 +159,17 @@ class TestEndToEndLocalization:
 
         result = localize_fault(initial, logs)
         assert result.fault_found
-        lower, upper = result.bracket()
-        # The bracket lives in register-counter space while the judge
-        # counts execution-order ordinals; on a fork the victim's branch
-        # counter lags the global ordinal by the main-branch operations
-        # that raced it, so allow a few operations of slack.
-        assert lower <= true_fault_ctr + 1
-        assert upper >= true_fault_ctr - 3
+        # the bracket counts branch counters, the judge arrival ordinals
+        assert result.brackets(true_fault_ctr)
+        assert not result.brackets(result.inconsistent_at + ORDINAL_SLACK + 1)
+
+    def test_the_example_brackets_its_ground_truth(self, capsys):
+        """``examples/fault_localization.py`` runs the scenario above and
+        judges its bracket with the same predicate."""
+        example = Path(__file__).parent.parent / "examples" / "fault_localization.py"
+        runpy.run_path(str(example), run_name="__main__")
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last.endswith("inside the bracket: True"), last
 
     def test_honest_simulation_localizes_nothing(self):
         workload = steady_workload(3, 10, seed=6)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import Digest, hash_bytes
+from repro.mtree.database import ClientVerifier, QueryResult, RangeQuery
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
     FringeNode,
@@ -11,8 +12,13 @@ from repro.mtree.proofs import (
     RangeProof,
     build_range_proof,
     implied_root_for_range,
-    verify_range,
 )
+
+
+def verified_range(root, proof, low, high, entries):
+    """What a client tracking ``root`` makes of ``entries`` and
+    ``proof`` as the answer to a range read of ``[low, high]``."""
+    return ClientVerifier(root).apply(RangeQuery(low, high), QueryResult(entries, proof))
 
 
 def make_tree(n=60, order=4):
@@ -32,29 +38,29 @@ def proved(mtree, low, high):
 class TestCorrectness:
     def test_simple_range(self):
         mtree = make_tree()
-        entries = verify_range(mtree.root_digest(), *proved(mtree, b"k010", b"k020"))
+        entries = verified_range(mtree.root_digest(), *proved(mtree, b"k010", b"k020"))
         assert [k for k, _ in entries] == [f"k{i:03d}".encode() for i in range(10, 21)]
 
     def test_empty_range(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"a", b"b")
-        assert verify_range(mtree.root_digest(), proof, b"a", b"b", ()) == ()
+        assert verified_range(mtree.root_digest(), proof, b"a", b"b", ()) == ()
 
     def test_full_range(self):
         mtree = make_tree(30)
-        assert len(verify_range(mtree.root_digest(), *proved(mtree, b"", b"\xff"))) == 30
+        assert len(verified_range(mtree.root_digest(), *proved(mtree, b"", b"\xff"))) == 30
 
     def test_single_key_range(self):
         mtree = make_tree()
         proof = build_range_proof(mtree, b"k007", b"k007")
-        entries = verify_range(mtree.root_digest(), proof, b"k007", b"k007",
+        entries = verified_range(mtree.root_digest(), proof, b"k007", b"k007",
                                ((b"k007", b"v7"),))
         assert entries == ((b"k007", b"v7"),)
 
     def test_empty_tree(self):
         mtree = MerkleBPlusTree()
         proof = build_range_proof(mtree, b"a", b"z")
-        assert verify_range(mtree.root_digest(), proof, b"a", b"z", ()) == ()
+        assert verified_range(mtree.root_digest(), proof, b"a", b"z", ()) == ()
 
     def test_inverted_range_rejected_at_build(self):
         mtree = make_tree()
@@ -78,7 +84,7 @@ class TestCorrectness:
         low, high = f"k{lo:03d}".encode(), f"k{lo + span:03d}".encode()
         proof = build_range_proof(mtree, low, high)
         expected = tuple(mtree.range(low, high))
-        assert verify_range(mtree.root_digest(), proof, low, high, expected) == expected
+        assert verified_range(mtree.root_digest(), proof, low, high, expected) == expected
 
 
 class TestCompleteness:
@@ -111,13 +117,13 @@ class TestCompleteness:
         assert dropped
         forged = RangeProof(root=forged_root)
         with pytest.raises(ProofError, match="hid a subtree"):
-            verify_range(mtree.root_digest(), forged, low, high, rows)
+            verified_range(mtree.root_digest(), forged, low, high, rows)
 
     def test_dropped_entries_rejected(self):
         mtree = make_tree(60)
         proof, low, high, rows = proved(mtree, b"k010", b"k040")
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), proof, low, high, rows[:-3])
+            verified_range(mtree.root_digest(), proof, low, high, rows[:-3])
 
     def test_tampered_entry_value_rejected(self):
         mtree = make_tree(60)
@@ -125,25 +131,25 @@ class TestCompleteness:
         entries = list(rows)
         entries[2] = (entries[2][0], b"EVIL")
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), proof, low, high, tuple(entries))
+            verified_range(mtree.root_digest(), proof, low, high, tuple(entries))
 
     def test_extra_entry_rejected(self):
         mtree = make_tree(60)
         proof, low, high, rows = proved(mtree, b"k010", b"k012")
         with pytest.raises(ProofError):
-            verify_range(mtree.root_digest(), proof, low, high,
+            verified_range(mtree.root_digest(), proof, low, high,
                          rows + ((b"k011a", b"ghost"),))
 
     def test_wrong_root_rejected(self):
         mtree = make_tree(60)
         with pytest.raises(ProofError):
-            verify_range(hash_bytes(b"not the root"), *proved(mtree, b"k010", b"k040"))
+            verified_range(hash_bytes(b"not the root"), *proved(mtree, b"k010", b"k040"))
 
     def test_malformed_low_high_rejected(self):
         mtree = make_tree(10)
         proof = build_range_proof(mtree, b"k001", b"k005")
         with pytest.raises(ProofError, match="empty range"):
-            verify_range(mtree.root_digest(), proof, b"z", b"a", ())
+            verified_range(mtree.root_digest(), proof, b"z", b"a", ())
 
     def test_proof_of_a_narrower_range_rejected(self):
         """The bounds are the query's: a proof built for part of the
@@ -151,4 +157,4 @@ class TestCompleteness:
         mtree = make_tree(60)
         narrow, _low, _high, rows = proved(mtree, b"k030", b"k040")
         with pytest.raises(ProofError, match="hid a subtree"):
-            verify_range(mtree.root_digest(), narrow, b"k010", b"k040", rows)
+            verified_range(mtree.root_digest(), narrow, b"k010", b"k040", rows)

@@ -8,15 +8,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import hash_bytes
+from repro.mtree.database import ClientVerifier, DeleteQuery, QueryResult, WriteQuery
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
+    DeleteProof,
     ProofError,
     SiblingPair,
-    UpdateProof,
-    build_update_proof,
+    build_delete_proof,
+    build_path_proof,
     derive_update_roots,
-    verify_update,
 )
+
+
+def verified_update(root, proof, order, key, value=None):
+    """The new root a client tracking ``root`` derives from ``proof`` as
+    the VO of writing ``value`` at ``key`` (of deleting ``key`` if
+    ``value`` is None)."""
+    query = DeleteQuery(key) if value is None else WriteQuery(key, value)
+    client = ClientVerifier(root, order)
+    client.apply(query, QueryResult(None, proof))
+    return client.root_digest
 
 
 def make_tree(n, order=4):
@@ -29,16 +40,16 @@ def make_tree(n, order=4):
 def replayed_insert(mtree, key, value):
     """Build proof, verify client-side, apply server-side; return both roots."""
     old_root = mtree.root_digest()
-    proof = build_update_proof(mtree, "insert", key)
-    derived_new = verify_update(old_root, proof, mtree.order, key, value)
+    proof = build_path_proof(mtree, key)
+    derived_new = verified_update(old_root, proof, mtree.order, key, value)
     mtree.insert(key, value)
     return derived_new, mtree.root_digest()
 
 
 def replayed_delete(mtree, key):
     old_root = mtree.root_digest()
-    proof = build_update_proof(mtree, "delete", key)
-    derived_new = verify_update(old_root, proof, mtree.order, key)
+    proof = build_delete_proof(mtree, key)
+    derived_new = verified_update(old_root, proof, mtree.order, key)
     mtree.delete(key)
     return derived_new, mtree.root_digest()
 
@@ -120,64 +131,60 @@ class TestDeleteReplay:
             mtree = make_tree(size)
             root = mtree.root_digest()
             for key in (b"k999", b"", b"k001x"):
-                proof = build_update_proof(mtree, "delete", key)
-                assert verify_update(root, proof, mtree.order, key) == root
+                proof = build_delete_proof(mtree, key)
+                assert verified_update(root, proof, mtree.order, key) == root
                 assert not mtree.delete(key)
                 assert mtree.root_digest() == root
 
     def test_delete_absent_key_proof_out_of_another_leaf_rejected(self):
         """The no-op holds only for the leaf the key routes to."""
         mtree = make_tree(200)
-        elsewhere = build_update_proof(mtree, "delete", b"k001")
+        elsewhere = build_delete_proof(mtree, b"k001")
         with pytest.raises(ProofError, match="broken digest chain"):
-            verify_update(mtree.root_digest(), elsewhere, mtree.order, b"k150x")
+            verified_update(mtree.root_digest(), elsewhere, mtree.order, b"k150x")
 
 
 class TestRejections:
     def test_wrong_old_root(self):
         mtree = make_tree(10)
-        proof = build_update_proof(mtree, "insert", b"k500")
+        proof = build_path_proof(mtree, b"k500")
         with pytest.raises(ProofError):
-            verify_update(hash_bytes(b"bogus"), proof, mtree.order, b"k500", b"v")
+            verified_update(hash_bytes(b"bogus"), proof, mtree.order, b"k500", b"v")
 
     def test_insert_requires_value(self):
         mtree = make_tree(10)
-        proof = build_update_proof(mtree, "insert", b"k500")
+        proof = build_path_proof(mtree, b"k500")
         with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), proof, mtree.order, b"k500")
+            verified_update(mtree.root_digest(), proof, mtree.order, b"k500")
 
     def test_delete_must_not_carry_value(self):
         mtree = make_tree(10)
-        proof = build_update_proof(mtree, "delete", b"k004")
+        proof = build_delete_proof(mtree, b"k004")
         with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), proof, mtree.order, b"k004", b"v")
+            verified_update(mtree.root_digest(), proof, mtree.order, b"k004", b"v")
 
     def test_key_mismatch(self):
         """The key is the query's: a proof built for a key in another
         leaf fails the routing check (one for a key in the same leaf is
         the same proof)."""
         mtree = make_tree(10)
-        proof = build_update_proof(mtree, "insert", b"k500")
-        assert build_update_proof(mtree, "insert", b"k501") == proof
+        proof = build_path_proof(mtree, b"k500")
+        assert build_path_proof(mtree, b"k501") == proof
         with pytest.raises(ProofError, match="broken digest chain"):
-            verify_update(mtree.root_digest(), proof, mtree.order, b"k000", b"v")
+            verified_update(mtree.root_digest(), proof, mtree.order, b"k000", b"v")
 
     def test_insert_proof_carries_no_siblings(self):
-        """The operation is the query's: a delete proof answering an
-        insert, or an insert proof answering a delete, is refused."""
+        """The operation is the query's: a write's proof is the path, a
+        delete's the same path and a sibling pair per level, and either
+        answering the other operation is refused by its type."""
         mtree = make_tree(10)
-        insert = build_update_proof(mtree, "insert", b"k004")
-        delete = build_update_proof(mtree, "delete", b"k004")
-        assert insert.siblings == () and len(delete.siblings) == len(delete.internals) > 0
-        with pytest.raises(ProofError, match="sibling list length disagrees"):
-            verify_update(mtree.root_digest(), delete, mtree.order, b"k004", b"v")
-        with pytest.raises(ProofError, match="sibling list length disagrees"):
-            verify_update(mtree.root_digest(), insert, mtree.order, b"k004")
-
-    def test_unknown_operation_rejected_at_build(self):
-        mtree = make_tree(10)
-        with pytest.raises(ValueError):
-            build_update_proof(mtree, "upsert", b"k000")
+        insert = build_path_proof(mtree, b"k004")
+        delete = build_delete_proof(mtree, b"k004")
+        assert delete.path == insert and len(delete.siblings) == len(insert.internals) > 0
+        with pytest.raises(ProofError, match="a write's proof carries sibling pairs"):
+            verified_update(mtree.root_digest(), delete, mtree.order, b"k004", b"v")
+        with pytest.raises(ProofError, match="a delete's proof lacks its sibling pairs"):
+            verified_update(mtree.root_digest(), insert, mtree.order, b"k004")
 
     def test_missing_sibling_detected(self):
         """Strip the siblings from a delete proof: refused whether or not
@@ -187,20 +194,19 @@ class TestRejections:
         rebalances = set()
         for i in range(9):
             key = f"k{i:03d}".encode()
-            proof = build_update_proof(mtree, "delete", key)
-            rebalances.add(len(proof.leaf.keys) == 1)  # order 3: one is the minimum
-            stripped = UpdateProof(
-                internals=proof.internals,
-                leaf=proof.leaf,
+            proof = build_delete_proof(mtree, key)
+            rebalances.add(len(proof.path.leaf.keys) == 1)  # order 3: one is the minimum
+            stripped = DeleteProof(
+                path=proof.path,
                 siblings=tuple(SiblingPair(left=None, right=None) for _ in proof.siblings),
             )
             with pytest.raises(ProofError, match="sibling missing from a delete proof"):
-                verify_update(mtree.root_digest(), stripped, mtree.order, key)
+                verified_update(mtree.root_digest(), stripped, mtree.order, key)
         assert rebalances == {True, False}
 
     def test_tampered_sibling_rejected(self):
         mtree = make_tree(9, order=3)
-        proof = build_update_proof(mtree, "delete", b"k004")
+        proof = build_delete_proof(mtree, b"k004")
         has_leaf_sibling = proof.siblings and (
             proof.siblings[-1].left is not None or proof.siblings[-1].right is not None
         )
@@ -219,22 +225,20 @@ class TestRejections:
             pairs[-1] = SiblingPair(left=tampered_sibling, right=last.right)
         else:
             pairs[-1] = SiblingPair(left=last.left, right=tampered_sibling)
-        forged = UpdateProof(
-            internals=proof.internals, leaf=proof.leaf, siblings=tuple(pairs))
+        forged = DeleteProof(path=proof.path, siblings=tuple(pairs))
         with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), forged, mtree.order, b"k004")
+            verified_update(mtree.root_digest(), forged, mtree.order, b"k004")
 
     def test_sibling_length_mismatch(self):
         mtree = make_tree(20, order=3)
-        proof = build_update_proof(mtree, "delete", b"k004")
-        forged = UpdateProof(
-            internals=proof.internals, leaf=proof.leaf, siblings=proof.siblings[:-1])
-        with pytest.raises(ProofError):
-            verify_update(mtree.root_digest(), forged, mtree.order, b"k004")
+        proof = build_delete_proof(mtree, b"k004")
+        forged = DeleteProof(path=proof.path, siblings=proof.siblings[:-1])
+        with pytest.raises(ProofError, match="sibling list length disagrees with the path"):
+            verified_update(mtree.root_digest(), forged, mtree.order, b"k004")
 
     def test_derive_update_roots(self):
         mtree = make_tree(10)
-        proof = build_update_proof(mtree, "insert", b"k003")
+        proof = build_path_proof(mtree, b"k003")
         old_root, new_root = derive_update_roots(proof, mtree.order, b"k003", b"changed")
         assert old_root == mtree.root_digest()
         mtree.insert(b"k003", b"changed")
@@ -264,13 +268,14 @@ class TestReplayEquivalenceProperty:
             if kind == "delete" and key not in present:
                 continue
             old_root = mtree.root_digest()
-            proof = build_update_proof(mtree, kind, key)
+            build = build_path_proof if kind == "insert" else build_delete_proof
+            proof = build(mtree, key)
             if kind == "insert":
-                derived = verify_update(old_root, proof, order, key, value)
+                derived = verified_update(old_root, proof, order, key, value)
                 mtree.insert(key, value)
                 present.add(key)
             else:
-                derived = verify_update(old_root, proof, order, key)
+                derived = verified_update(old_root, proof, order, key)
                 mtree.delete(key)
                 present.discard(key)
             assert derived == mtree.root_digest()

@@ -48,7 +48,7 @@ from repro.mtree.database import (
 )
 from repro.mtree.forest import StoreSpec, shard_for_key
 from repro.mtree.proofs import (
-    FringeNode, ProofError, build_read_proof, build_update_proof)
+    FringeNode, ProofError, build_delete_proof, build_path_proof)
 from repro.net import (
     IntegrityError,
     RemoteClient,
@@ -568,8 +568,8 @@ def out_of_another_shard(before, query, result, shards):
     """The inner half built for the queried key itself, in a shard it
     does not route to (which lacks it), under the honest top half."""
     tree = before.shard_trees()[(shard_for_key(query.key, shards) + 1) % shards]
-    inner = build_read_proof(tree, query.key) if isinstance(query, ReadQuery) \
-        else build_update_proof(tree, "delete", query.key)
+    inner = build_path_proof(tree, query.key) if isinstance(query, ReadQuery) \
+        else build_delete_proof(tree, query.key)
     return QueryResult(None, replace(result.proof, inner=inner))
 
 
@@ -633,7 +633,8 @@ def other_shape(before, query, result, shards):
 #: names no key, shard, range or operation: those are the query's, and
 #: a proof built for another one is refused at the op by a check on
 #: what the client derives -- the routing fold, the top entry, range
-#: completeness or the operation's sibling count.
+#: completeness -- or by its type: a read and a write are answered
+#: with the path, a delete with the path and its siblings.
 VO_GALLERY = {
     "wrong-key-read": (VO_READ, absent_out_of_another_leaf,
                        "broken digest chain", VO_SHARDS),
@@ -655,12 +656,17 @@ VO_GALLERY = {
                                 "hid a subtree that intersects", VO_SHARDS),
     "write-answered-with-delete-proof": (
         VO_WRITE, served_for(lambda q, s: DeleteQuery(q.key)),
-        "sibling list length disagrees with the operation", VO_SHARDS),
+        "a write's proof carries sibling pairs", VO_SHARDS),
     "delete-answered-with-insert-proof": (
         VO_DELETE, served_for(lambda q, s: WriteQuery(q.key, b"v")),
-        "sibling list length disagrees with the operation", VO_SHARDS),
+        "a delete's proof lacks its sibling pairs", VO_SHARDS),
+    # a write's proof is the key's path, which is the read's proof: the
+    # write's answer (None) is what gives it away
     "read-answered-with-update-proof": (VO_READ, served_for(
-        lambda q, s: WriteQuery(q.key, b"v")), "non-read proof", VO_SHARDS),
+        lambda q, s: WriteQuery(q.key, b"v")),
+        "server claimed absence but the leaf contains the key", VO_SHARDS),
+    "read-answered-with-delete-proof": (VO_READ, served_for(
+        lambda q, s: DeleteQuery(q.key)), "non-read proof", VO_SHARDS),
     "answer-is-not-the-proofs": (VO_READ, other_answer,
                                  "does not match the committed entry digest",
                                  VO_SHARDS),
@@ -810,6 +816,8 @@ ILL_TYPED = [
     ("internals", lambda part: 7),
     ("internals", lambda part: (part.leaf,)),
     ("internals", lambda part: (Digest.zero(),)),
+    ("path", lambda part: part.path.leaf),
+    ("path", lambda part: None),
     ("siblings", lambda part: None),
     ("siblings", lambda part: (None,)),
     ("root", lambda part: Digest.zero()),
@@ -830,9 +838,10 @@ def ill_typed_frames(shards):
         response = server.handle_request(USER, Request(query), state.clone(), 0)
         frame = encode(response)
         proof = response.result.proof
-        part = proof.shard_proofs[0] if hasattr(proof, "shard_proofs") \
-            else inner_of(proof)
-        for name, bad in ILL_TYPED:
+        parts = [proof.shard_proofs[0] if hasattr(proof, "shard_proofs")
+                 else inner_of(proof)]
+        parts += [part.path for part in parts if hasattr(part, "path")]
+        for part, (name, bad) in ((part, row) for part in parts for row in ILL_TYPED):
             if not hasattr(part, name):
                 continue
             with pytest.raises(ProofError, match="malformed"):

@@ -16,15 +16,15 @@ from repro.mtree.database import (
     VerifiedDatabase,
     WriteQuery,
 )
-from repro.mtree.forest import ForestRangeProof, ForestReadProof, ForestUpdateProof
+from repro.mtree.forest import ForestProof, ForestRangeProof
 from repro.mtree.proofs import (
+    DeleteProof,
     FringeNode,
     InternalSnapshot,
     LeafSnapshot,
+    PathProof,
     RangeProof,
-    ReadProof,
     SiblingPair,
-    UpdateProof,
 )
 from repro.net.replication import RootAttestation, RootDeposit
 from repro.protocols.base import ErrorReply, Followup, Request, Response, ServerState
@@ -154,12 +154,12 @@ class TestQueriesAndProofs:
         roundtrip(db.execute(DeleteQuery(b"k006")))
 
     def test_decoded_proof_still_verifies(self, db):
-        from repro.mtree.proofs import verify_read
+        from repro.mtree.database import ClientVerifier
 
         result = db.execute(ReadQuery(b"k010"))
         decoded = decode(encode(result))
-        assert verify_read(db.root_digest(), decoded.proof, b"k010",
-                           decoded.answer) == db.get(b"k010")
+        client = ClientVerifier(db.root_digest(), db.spec)
+        assert client.apply(ReadQuery(b"k010"), decoded) == db.get(b"k010")
 
 
 class TestVoRoundTrip:
@@ -227,6 +227,38 @@ class TestVoRoundTrip:
         assert frame[28:30] == bytes((17, 7))  # "src/mod000/file00" shared
         assert len(frame) == 2 + (2 + 24) + 2 * (2 + 7) + 1 + 3 * 32
         assert decode(frame) == leaf
+
+
+def digests_in(value) -> int:
+    """The digests a decoded value carries, found by walking its fields."""
+    if isinstance(value, Digest):
+        return 1
+    if isinstance(value, tuple):
+        return sum(digests_in(item) for item in value)
+    if dataclasses.is_dataclass(value):
+        return sum(digests_in(getattr(value, field.name))
+                   for field in dataclasses.fields(value))
+    return 0
+
+
+class TestProofContract:
+    """What the end-to-end trace asks of a response's proof
+    (``benchmarks/e2e/trace_run.py`` adds up ``size_digests()`` per
+    read and write): every point proof ``execute`` answers with counts
+    the digests it encodes and survives the codec unchanged."""
+
+    @pytest.mark.parametrize("shards", [1, 8])
+    @pytest.mark.parametrize("query", [
+        ReadQuery(b"k017"), WriteQuery(b"k023", b"new"), DeleteQuery(b"k029"),
+        DeleteQuery(b"k029x")], ids=["read", "write", "delete", "absent-delete"])
+    def test_size_digests_counts_what_crosses(self, shards, query):
+        database = VerifiedDatabase(order=4, shards=shards)
+        for index in range(80):
+            database.execute(WriteQuery(b"k%03d" % index, b"v"))
+        proof = database.execute(query).proof
+        decoded = decode(encode(proof))
+        assert decoded == proof and type(decoded) is type(proof)
+        assert proof.size_digests() == decoded.size_digests() == digests_in(decoded) > 0
 
 
 class TestAnswerCrossesOnce:
@@ -329,15 +361,13 @@ D1, D2, D3 = (Digest(bytes([i]) * 32) for i in (1, 2, 3))
 
 
 def golden_values() -> dict:
-    """One value whose outermost tag is each of the codec's 33 tags."""
+    """One value whose outermost tag is each of the codec's 32 tags."""
     leaf = LeafSnapshot(keys=(b"a", b"ab", b"b"), entry_digests=(D1, D2, D3))
     internal = InternalSnapshot(keys=(b"m",), child_digests=(D1, D2))
     fringe = FringeNode(keys=(b"f",), children=(leaf, D2))
-    read = ReadProof(internals=(internal,), leaf=leaf)
+    read = PathProof(internals=(internal,), leaf=leaf)
     ranged = RangeProof(root=FringeNode(keys=(b"m",), children=(fringe, D3)))
-    update = UpdateProof(internals=(internal,), leaf=leaf,
-                         siblings=(SiblingPair(left=None, right=leaf),))
-    top = UpdateProof(internals=(), leaf=leaf, siblings=())
+    delete = DeleteProof(path=read, siblings=(SiblingPair(left=None, right=leaf),))
     signature = Signature(signer_id="alice", digest=D3, raw=b"\x5a" * 8)
     deposit = RootDeposit(primary_id="primary", ctr=7, root=D1, signature=signature)
     extras = {"ctr": 7, "last_user": "bob", "share": 0.25, "sig": None,
@@ -350,10 +380,9 @@ def golden_values() -> dict:
         "write_query": WriteQuery(b"k", b"v"), "delete_query": DeleteQuery(b"k"),
         "leaf_snapshot": leaf, "internal_snapshot": internal,
         "read_proof": read, "range_proof": ranged, "fringe_node": fringe,
-        "update_proof": update, "sibling_pair": SiblingPair(left=internal, right=None),
+        "delete_proof": delete, "sibling_pair": SiblingPair(left=internal, right=None),
         "query_result": QueryResult(answer=b"1", proof=read),
-        "forest_read_proof": ForestReadProof(inner=read, top=read),
-        "forest_update_proof": ForestUpdateProof(inner=update, top=top),
+        "forest_read_proof": ForestProof(inner=read, top=read),
         "forest_range_proof": ForestRangeProof(shard_proofs=(ranged,),
                                                top=RangeProof(root=leaf)),
         "signature": signature,
@@ -364,7 +393,7 @@ def golden_values() -> dict:
                                             signature=signature),
         "request": Request(query=WriteQuery(b"k", b"v"),
                            extras={"user": "alice", "rid": "alice:0"}),
-        "response": Response(result=QueryResult(answer=None, proof=update),
+        "response": Response(result=QueryResult(answer=None, proof=delete),
                              extras=extras),
         "followup": Followup(extras={"sig": signature, "turn": 3}),
         "error_reply": ErrorReply(reason="busy", extras={"retryable": False}),
@@ -380,6 +409,12 @@ def golden_values() -> dict:
 #: 0x20-0x2A, and the response around one), which no longer repeat the
 #: query and front-code their keys and pack their digests; the golden
 #: leaf's keys share a prefix so the front-coding is pinned too.
+#: CODEC_VERSION 4 made the read's path record the write's VO too: a
+#: delete's is that path and its siblings (``update_proof`` became
+#: ``delete_proof``, one byte longer, as did the ``response`` around
+#: it), the forest's point proofs are one record, and tag 0x29 (the
+#: retired ``forest_update_proof``) is free.  Every other value,
+#: ``read_proof`` and ``forest_read_proof`` included, kept its bytes.
 GOLDEN_HEX = {
     "none": "00",
     "false": "01",
@@ -435,17 +470,17 @@ GOLDEN_HEX = {
         "0202020202020202020202020202020202020202020203030303030303030303"
         "0303030303030303030303030303030303030303030306020202020202020202"
         "0202020202020202020202020202020202020202020202"),
-    "update_proof": (
-        "250700000001210100016d020101010101010101010101010101010101010101"
+    "delete_proof": (
+        "25220700000001210100016d0201010101010101010101010101010101010101"
+        "0101010101010101010101010102020202020202020202020202020202020202"
+        "0202020202020202020202020220030001610101620001620301010101010101"
+        "0101010101010101010101010101010101010101010101010102020202020202"
+        "0202020202020202020202020202020202020202020202020203030303030303"
+        "0303030303030303030303030303030303030303030303030307000000012600"
+        "2003000161010162000162030101010101010101010101010101010101010101"
         "0101010101010101010101010202020202020202020202020202020202020202"
-        "0202020202020202020202022003000161010162000162030101010101010101"
-        "0101010101010101010101010101010101010101010101010202020202020202"
-        "0202020202020202020202020202020202020202020202020303030303030303"
-        "0303030303030303030303030303030303030303030303030700000001260020"
-        "0300016101016200016203010101010101010101010101010101010101010101"
-        "0101010101010101010101020202020202020202020202020202020202020202"
-        "0202020202020202020202030303030303030303030303030303030303030303"
-        "0303030303030303030303"),
+        "0202020202020202020202020303030303030303030303030303030303030303"
+        "030303030303030303030303"),
     "sibling_pair": (
         "26210100016d0201010101010101010101010101010101010101010101010101"
         "0101010101010102020202020202020202020202020202020202020202020202"
@@ -470,21 +505,6 @@ GOLDEN_HEX = {
         "0101010101010101010101010101010101020202020202020202020202020202"
         "0202020202020202020202020202020202030303030303030303030303030303"
         "0303030303030303030303030303030303"),
-    "forest_update_proof": (
-        "29250700000001210100016d0201010101010101010101010101010101010101"
-        "0101010101010101010101010102020202020202020202020202020202020202"
-        "0202020202020202020202020220030001610101620001620301010101010101"
-        "0101010101010101010101010101010101010101010101010102020202020202"
-        "0202020202020202020202020202020202020202020202020203030303030303"
-        "0303030303030303030303030303030303030303030303030307000000012600"
-        "2003000161010162000162030101010101010101010101010101010101010101"
-        "0101010101010101010101010202020202020202020202020202020202020202"
-        "0202020202020202020202020303030303030303030303030303030303030303"
-        "0303030303030303030303032507000000002003000161010162000162030101"
-        "0101010101010101010101010101010101010101010101010101010101010202"
-        "0202020202020202020202020202020202020202020202020202020202020303"
-        "0303030303030303030303030303030303030303030303030303030303030700"
-        "000000"),
     "forest_range_proof": (
         "2a070000000123240100016d0700000002240100016607000000022003000161"
         "0101620001620301010101010101010101010101010101010101010101010101"
@@ -521,21 +541,21 @@ GOLDEN_HEX = {
         "4012000000016b0000000176080000000204000000037269640400000007616c"
         "6963653a300400000004757365720400000005616c696365"),
     "response": (
-        "412700250700000001210100016d020101010101010101010101010101010101"
+        "41270025220700000001210100016d0201010101010101010101010101010101"
+        "0101010101010101010101010101010102020202020202020202020202020202"
+        "0202020202020202020202020202020220030001610101620001620301010101"
+        "0101010101010101010101010101010101010101010101010101010102020202"
+        "0202020202020202020202020202020202020202020202020202020203030303"
+        "0303030303030303030303030303030303030303030303030303030307000000"
+        "0126002003000161010162000162030101010101010101010101010101010101"
         "0101010101010101010101010101010202020202020202020202020202020202"
-        "0202020202020202020202020202022003000161010162000162030101010101"
-        "0101010101010101010101010101010101010101010101010101010202020202"
-        "0202020202020202020202020202020202020202020202020202020303030303"
-        "0303030303030303030303030303030303030303030303030303030700000001"
-        "2600200300016101016200016203010101010101010101010101010101010101"
-        "0101010101010101010101010101020202020202020202020202020202020202"
-        "0202020202020202020202020202030303030303030303030303030303030303"
-        "0303030303030303030303030303080000000604000000036374720300000000"
-        "0000000704000000096c6173745f757365720400000003626f6204000000066e"
-        "65737465640800000002040000000565706f6368030000000000000002040000"
-        "0005757365727307000000020400000002753104000000027532040000000972"
-        "6574727961626c650204000000057368617265093fd000000000000004000000"
-        "0373696700"),
+        "0202020202020202020202020202020303030303030303030303030303030303"
+        "0303030303030303030303030303030800000006040000000363747203000000"
+        "000000000704000000096c6173745f757365720400000003626f620400000006"
+        "6e65737465640800000002040000000565706f63680300000000000000020400"
+        "0000057573657273070000000204000000027531040000000275320400000009"
+        "726574727961626c650204000000057368617265093fd0000000000000040000"
+        "000373696700"),
     "followup": (
         "4208000000020400000003736967300400000005616c69636506030303030303"
         "0303030303030303030303030303030303030303030303030303000000085a5a"
@@ -549,7 +569,7 @@ class TestGoldenBytes:
     def test_corpus_covers_every_tag(self):
         tags = {bytes.fromhex(hexed)[0] for hexed in GOLDEN_HEX.values()}
         assert tags == set(range(10)) | {tag for _, tag, _ in wire._RECORDS}
-        assert len(tags) == len(GOLDEN_HEX) == 33
+        assert len(tags) == len(GOLDEN_HEX) == 32
 
     @pytest.mark.parametrize("name", list(GOLDEN_HEX))
     def test_encode_writes_the_golden_bytes(self, name):
@@ -635,7 +655,7 @@ class TestMutatedFrames:
         request = Request(query=WriteQuery(b"k010", b"new"),
                           extras={"user": "alice", "rid": "alice:0"})
         response = server.handle_request("alice", request, state, 0)
-        assert isinstance(response.result.proof, ForestUpdateProof)
+        assert isinstance(response.result.proof, ForestProof)
         return encode(response)
 
     def test_every_proper_prefix_is_a_wire_error(self, frame):
@@ -647,9 +667,10 @@ class TestMutatedFrames:
         """A substituted tag byte either still spells a frame (an int
         turned float in the extras) or is a :class:`WireError`: no other
         exception escapes the codec, whatever the byte.  (A node's keys
-        and digests carry no tags: the frame has 20.)"""
+        and digests carry no tags, and a write's proofs no sibling
+        list: the frame has 18.)"""
         positions = tag_positions(frame)
-        assert len(positions) >= 20
+        assert len(positions) >= 18
         refused = 0
         for pos in positions:
             for byte in range(256):
