@@ -428,9 +428,6 @@ class BPlusTree:
         cached :class:`Digest` objects they hold are immutable and
         therefore shared.  Far cheaper than ``copy.deepcopy``.
         """
-        twin = BPlusTree(order=self._order)
-        leaves: list[LeafNode] = []
-
         def copy_node(node):
             if node.is_leaf:
                 leaf = LeafNode()
@@ -438,7 +435,6 @@ class BPlusTree:
                 leaf.values = list(node.values)
                 leaf.entry_digests = list(node.entry_digests)
                 leaf.digest = node.digest
-                leaves.append(leaf)
                 return leaf
             internal = InternalNode()
             internal.keys = list(node.keys)
@@ -446,11 +442,37 @@ class BPlusTree:
             internal.digest = node.digest
             return internal
 
-        twin._root = copy_node(self._root)
+        # A copy of a valid tree is valid: it is linked, not checked.
+        twin = BPlusTree(self._order, copy_node(self._root))
+        twin._link_leaves()
+        return twin
+
+    @classmethod
+    def from_root(cls, order: int,
+                  root: LeafNode | InternalNode) -> "BPlusTree":
+        """The tree whose complete nodes hang under ``root`` -- a loaded
+        one's: links the leaf chain, counts the entries and checks every
+        invariant (an AssertionError if one fails)."""
+        tree = cls(order, root)
+        tree._link_leaves()
+        tree.check_invariants()
+        return tree
+
+    def _link_leaves(self) -> None:
+        """Chain the leaves under the root in key order and count their
+        entries: what a tree built over existing nodes lacks."""
+        leaves: list[LeafNode] = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                leaves.append(node)
+            else:
+                stack.extend(reversed(node.children))
         for left, right in zip(leaves, leaves[1:]):
             left.next_leaf = right
-        twin._size = self._size
-        return twin
+        leaves[-1].next_leaf = None
+        self._size = sum(len(leaf.keys) for leaf in leaves)
 
     def height(self) -> int:
         """Number of levels (a lone leaf root has height 1)."""

@@ -10,7 +10,8 @@ store: ``file``'s append-only ``pages.log``
 ``pages.db``.
 
 Each shard tree is a checksummed ``nodes`` stream plus one page per
-leaf (its keys) and one per entry (its value); a checkpoint writes only
+leaf (its keys) and one per entry (its value), in the codec's records
+(:mod:`repro.storage.engine`); a checkpoint writes only
 the entries and leaves whose Merkle digest the store does not hold and
 commits them with a manifest in one page-store transaction.  A
 shard whose pages fail verification on recovery is quarantined and its
@@ -56,7 +57,6 @@ from repro.crypto.hashing import Digest, hash_bytes
 from repro.mtree.database import DeleteQuery, VerifiedDatabase, WriteQuery
 from repro.mtree.forest import StoreSpec, merkle_store, shard_for_key
 from repro.mtree.merkle import MerkleBPlusTree
-from repro.mtree.persistence import PersistenceError
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import Followup, Request, Response
@@ -86,7 +86,7 @@ RETIRED_FILES = {"state.snapshot": "cvs-server-snapshot 1", "wal.log": "a cvs-pa
 _CHAIN_DOMAIN = b"wal-chain"
 _GENESIS_DOMAIN = b"wal-genesis"
 _MANIFEST_KEY = "checkpoint"
-_MANIFEST_FORMAT = "cvs-paged-store 7"
+_MANIFEST_FORMAT = "cvs-paged-store 8"
 _FORMAT_KEY = encode("format")
 
 _CHECKPOINTS = _registry.counter(
@@ -119,8 +119,9 @@ def load_manifest(blob: bytes) -> dict:
     if manifest.get("format") != _MANIFEST_FORMAT:
         raise WalError(
             f"checkpoint manifest format {manifest.get('format')!r} is "
-            f"not {_MANIFEST_FORMAT!r} (one page per entry, a proof is the "
-            "path, one log per checkpoint generation): "
+            f"not {_MANIFEST_FORMAT!r} (one page per entry, every page a "
+            "codec record, a proof is the path, one log per checkpoint "
+            "generation): "
             "this build does not read directories written by another format")
     return manifest
 
@@ -585,7 +586,7 @@ class ServerStore:
                 tree = load_shard_tree(
                     self.pages, index, shard_gen,
                     expected_root=expected, stats=stats, rows=rows)
-            except (StorageError, PersistenceError) as exc:
+            except StorageError as exc:
                 if _obs.enabled:
                     _QUARANTINES.inc(shard=str(index))
                 tree, rows = self._repair_shard(record, spec, manifest, exc)
@@ -658,7 +659,7 @@ class ServerStore:
                     self.pages, index, prev_gen,
                     expected_root=record["prev_root"], stats=self.load_stats,
                     rows=known)
-            except (StorageError, PersistenceError) as double_fault:
+            except StorageError as double_fault:
                 raise WalError(
                     f"shard {index} is quarantined ({cause}) and its "
                     f"previous state (generation {prev_gen}) is also "

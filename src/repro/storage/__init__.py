@@ -13,9 +13,10 @@ are :class:`repro.core.facade.CvsClient`, keyed into the Merkle tree.)
 * :mod:`repro.storage.pagestore` -- checksummed page stores (sqlite,
   the append-only page file, in-memory) holding per-shard checkpoint
   pages.
-* :mod:`repro.storage.engine` -- streaming shard-tree <-> pages codec
-  (one page per entry and one per Merkle leaf, each written when its
-  digest changed) plus the quarantined-shard repair replay.
+* :mod:`repro.storage.engine` -- streaming shard-tree <-> pages, each a
+  record of the one codec (one page per entry and one per Merkle leaf,
+  each written when its digest changed) plus the quarantined-shard
+  repair replay.
 """
 
 from repro._lazy import exports

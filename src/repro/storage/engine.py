@@ -1,15 +1,19 @@
 """The paged snapshot engine: shard trees <-> pages, one page per entry.
 
-Sits between the Merkle layer and a :class:`~repro.storage.pagestore.PageStore`.
-A shard is stored as
+Sits between the Merkle layer and a :class:`~repro.storage.pagestore.PageStore`,
+and is the one module that knows the page format.  Root digests commit
+to the *tree shape*, not just the entry set (two trees holding the same
+entries but built in different orders hash differently), so a shard is
+stored shape-exact, every page a frame of the one codec
+(:mod:`repro.wire`), as
 
-* one ``"nodes"`` page stream per generation that changed it --
-  :func:`~repro.mtree.persistence.tree_stream_lines`: header, structure
-  and separator keys, chunked at :data:`PAGE_BYTES` -- whose leaf lines
-  name the page holding each leaf,
-* one ``"leaves"`` page per leaf: its keys, each with the ``(page,
-  generation)`` of the page holding its value
-  (:func:`~repro.mtree.persistence.leaf_page_lines`), and
+* one ``"nodes"`` page stream per generation that changed it: the
+  tree's order, then a preorder walk -- a :class:`NodeEntry` per
+  internal node (its separator keys, front-coded as in every VO) and a
+  :class:`LeafEntry` per leaf naming the page that holds it -- chunked
+  at :data:`PAGE_BYTES`,
+* one ``"leaves"`` page per leaf, a :class:`LeafPage`: its keys, each
+  with the ``(page, generation)`` of the page holding its value, and
 * one ``"entries"`` page per entry: the value's raw bytes.
 
 Every page is keyed ``(shard, generation, page id)``, written by the
@@ -30,12 +34,11 @@ function of them: re-running it on the same three reproduces the same
 rows under the same ids, which is what lets recovery *redo* a damaged
 checkpoint through this very function instead of a second serialiser.
 
-Loading feeds the ``nodes`` pages through
-:func:`~repro.mtree.persistence.load_tree_stream` one page at a time
-and, as each leaf line arrives, fetches the leaf's page and then its
-values with one batched read (:meth:`PageStore.read_many`), so restart
-memory is bounded by the tree being rebuilt plus one ``nodes`` page and
-one leaf's pages, never the whole serialised snapshot
+Loading decodes the ``nodes`` pages one at a time and, as each
+:class:`LeafEntry` arrives, fetches the leaf's page and then its values
+with one batched read (:meth:`PageStore.read_many`), so restart memory
+is bounded by the tree being rebuilt plus one ``nodes`` page and one
+leaf's pages, never the whole serialised snapshot
 (:class:`LoadStats.max_resident_page_bytes` proves it).
 
 The engine also owns the verifying half of recovery:
@@ -53,18 +56,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest
+from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode
 from repro.mtree.merkle import MerkleBPlusTree
-from repro.mtree.persistence import (
-    PersistenceError,
-    leaf_page_lines,
-    load_tree_stream,
-    parse_leaf_page,
-    tree_stream_lines,
-)
 from repro.storage.pagestore import PageStore, StorageError
 
-#: target payload size of one ``nodes`` page; a page holds whole lines,
-#: so real pages straddle this by at most one line.  A leaf page holds
+
+# The page records; their layouts are rows of ``repro.wire._RECORDS``.
+
+
+@dataclass(frozen=True)
+class NodeEntry:
+    """An internal node in a ``nodes`` stream: its separator keys.  Its
+    ``len(keys) + 1`` children follow it, in order."""
+
+    keys: tuple
+
+
+@dataclass(frozen=True)
+class LeafEntry:
+    """A leaf in a ``nodes`` stream: ``(entry count, page, generation)``
+    of its ``leaves`` page."""
+
+    place: tuple
+
+
+@dataclass(frozen=True)
+class LeafPage:
+    """A ``leaves`` page: the leaf's keys and, flattened, the ``(page,
+    generation)`` of each one's ``entries`` page."""
+
+    keys: tuple
+    refs: tuple
+
+
+# Imported after the records, which the codec's layout table names.
+from repro.wire import WireError, decode_frames, encode  # noqa: E402
+
+#: target payload size of one ``nodes`` page; a page holds whole frames,
+#: so real pages straddle this by at most one frame.  A leaf page holds
 #: one leaf and an entry page one value, whatever its size.
 PAGE_BYTES = 32 * 1024
 
@@ -76,6 +105,9 @@ _COUNTED = {KIND_NODES: "nodes", KIND_LEAVES: "leaf", KIND_ENTRIES: "value"}
 
 
 _GEN_BITS = 32
+#: no tree of order >= 3 and fewer than 2**63 entries is taller: a
+#: ``nodes`` stream nesting deeper is refused before it exhausts the stack
+_MAX_HEIGHT = 64
 
 
 def _row(kind: str, page: int, gen: int) -> int:
@@ -183,7 +215,7 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
         next_page += 1
         return row
 
-    def place_leaf(leaf) -> tuple[int, int]:
+    def place_leaf(leaf) -> LeafEntry:
         row = known.get(leaf.digest)
         if row is None:
             refs = []
@@ -192,31 +224,25 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
                 if entry is None:
                     entry = new_row(KIND_ENTRIES, digest, value)
                 placed.add(digest)
-                refs.append(row_fields(entry)[1:])
-            row = new_row(KIND_LEAVES, leaf.digest, "".join(
-                line + "\n" for line in leaf_page_lines(leaf.keys, refs)
-            ).encode("ascii"))
+                refs += row_fields(entry)[1:]
+            row = new_row(KIND_LEAVES, leaf.digest,
+                          encode(LeafPage(leaf.keys, refs)))
             rows.members[leaf.digest] = tuple(leaf.entry_digests)
         referenced.add(leaf.digest)
-        return row_fields(row)[1:]
+        return LeafEntry((len(leaf.keys), *row_fields(row)[1:]))
 
-    buffer: list[str] = []
-    size = 0
-
-    def flush() -> None:
-        nonlocal size
-        write(KIND_NODES, counts["nodes_pages"],
-              ("\n".join(buffer) + "\n").encode("ascii"))
-        buffer.clear()
-        size = 0
-
-    for line in tree_stream_lines(mtree.tree, place_leaf):
-        buffer.append(line)
-        size += len(line) + 1
-        if size >= page_bytes:
-            flush()
-    if buffer:
-        flush()
+    page = bytearray(encode(mtree.order))
+    stack = [mtree.tree.root]
+    while stack:  # preorder: a node, then its children left to right
+        node = stack.pop()
+        if node.is_leaf:
+            page += encode(place_leaf(node))
+        else:
+            page += encode(NodeEntry(node.keys))
+            stack.extend(reversed(node.children))
+        if len(page) >= page_bytes or not stack:
+            write(KIND_NODES, counts["nodes_pages"], bytes(page))
+            page.clear()
     counts["leaves"], counts["entries"] = len(referenced), len(mtree)
     # A leaf the tree no longer has drops its row and the rows of those
     # of its entries no written leaf placed: an entry of a referenced
@@ -231,19 +257,15 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
                       sorted(map(row_fields, superseded)), counts)
 
 
-def _page_lines(blob: bytes) -> list[str]:
+def _frames(blob: bytes, what: str) -> list:
     try:
-        text = blob.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise PersistenceError(f"page is not ascii: {exc}") from exc
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+        return decode_frames(blob)
+    except WireError as exc:
+        raise StorageError(f"{what} does not decode: {exc}") from exc
 
 
-def _missing(kind: str, shard: int, gen: int, seq: int) -> PersistenceError:
-    return PersistenceError(
+def _missing(kind: str, shard: int, gen: int, seq: int) -> StorageError:
+    return StorageError(
         f"page ({kind!r}, shard={shard}, gen={gen}, seq={seq}) is missing")
 
 
@@ -256,65 +278,105 @@ def load_shard_tree(store: PageStore, shard: int, gen: int,
     ``rows``, when given, is filled with what the store holds for the
     loaded state (the ``known`` of the next :func:`write_shard_pages`).
 
-    Raises :class:`~repro.storage.pagestore.CorruptPageError` on page
-    rot, :class:`~repro.mtree.persistence.PersistenceError` on a
-    malformed stream or a missing page, and
-    :class:`~repro.storage.pagestore.StorageError` when the recomputed
-    root disagrees with ``expected_root`` -- all three send the caller
-    down the quarantine + repair path.
+    Raises :class:`~repro.storage.pagestore.StorageError` -- a
+    :class:`~repro.storage.pagestore.CorruptPageError` on page rot --
+    on a page that does not decode, is missing or names what it may
+    not, on a tree breaking an invariant, and when the recomputed root
+    disagrees with ``expected_root``: every one sends the caller down
+    the quarantine + repair path.
     """
     stats = stats if stats is not None else LoadStats()
+    stream = f"the nodes stream of generation {gen}"
     named: set[int] = set()
-    #: in chain order, each leaf's row and then its values' rows
-    named_rows: list[int] = []
+    #: each leaf, its page's row and its values' rows
+    placed: list[tuple[LeafNode, int, list[int]]] = []
 
-    def claim(kind: str, refs: list[tuple[int, int]]) -> None:
-        for page, page_gen in refs:
-            if not 0 <= page_gen <= gen:
-                raise PersistenceError(
-                    f"{kind} page {page} claims generation {page_gen}, "
-                    f"outside its stream's 0..{gen}")
-            if page in named:
-                raise PersistenceError(f"page id {page} is named twice")
-            named.add(page)
+    def claim(kind: str, page: int, page_gen: int) -> None:
+        if not 0 <= page_gen <= gen:
+            raise StorageError(
+                f"{kind} page {page} claims generation {page_gen}, "
+                f"outside its stream's 0..{gen}")
+        if page in named:
+            raise StorageError(f"page id {page} is named twice")
+        named.add(page)
 
-    def read_leaf(page: int, page_gen: int):
-        claim(KIND_LEAVES, [(page, page_gen)])
+    def read_leaf(place: tuple) -> LeafNode:
+        if len(place) != 3:
+            raise StorageError(f"a leaf entry of {len(place)} fields")
+        count, page, page_gen = place
+        claim(KIND_LEAVES, page, page_gen)
         blob = store.read_page(KIND_LEAVES, shard, page_gen, page)
         if blob is None:
             raise _missing(KIND_LEAVES, shard, page_gen, page)
-        keys, refs = parse_leaf_page(_page_lines(blob))
-        claim(KIND_ENTRIES, refs)
-        values = store.read_many(
-            KIND_ENTRIES, shard, [(value_gen, value_page)
-                                  for value_page, value_gen in refs])
+        what = f"leaf page {page} (generation {page_gen})"
+        frames = _frames(blob, what)
+        if len(frames) != 1 or type(frames[0]) is not LeafPage:
+            raise StorageError(f"{what} is not one leaf page record")
+        record = frames[0]
+        if len(record.keys) != count or len(record.refs) != 2 * count:
+            raise StorageError(
+                f"{what} holds {len(record.keys)} entries and "
+                f"{len(record.refs)} page fields, its leaf entry says "
+                f"{count} entries")
+        places = list(zip(record.refs[1::2], record.refs[::2]))
+        for value_gen, value_page in places:
+            claim(KIND_ENTRIES, value_page, value_gen)
+        values = store.read_many(KIND_ENTRIES, shard, places)
         if None in values:
-            value_page, value_gen = refs[values.index(None)]
-            raise _missing(KIND_ENTRIES, shard, value_gen, value_page)
-        if rows is not None:
-            named_rows.append(_row(KIND_LEAVES, page, page_gen))
-            named_rows.extend(_row(KIND_ENTRIES, value_page, value_gen)
-                              for value_page, value_gen in refs)
-        # The leaf's page and its values are resident until the parser
-        # has taken the last entry; checksums are verified by the reads.
+            raise _missing(KIND_ENTRIES, shard, *places[values.index(None)])
+        # Checksums were verified by the reads; the leaf's page is
+        # resident only while the leaf is built from it.
         size = len(blob) + sum(map(len, values))
-        stats.acquire(size, pages=1 + len(values))
-        try:
-            yield from zip(keys, values)
-        finally:
-            stats.release(size)
+        stats.acquire(size, pages=1 + count)
+        stats.release(size)
+        leaf = LeafNode()
+        leaf.keys, leaf.values = list(record.keys), values
+        leaf.entry_digests = [None] * count
+        if rows is not None:
+            placed.append((leaf, _row(KIND_LEAVES, page, page_gen), [
+                _row(KIND_ENTRIES, value_page, value_gen)
+                for value_gen, value_page in places]))
+        return leaf
 
-    def nodes_lines():
+    def node_frames():
         # One nodes page resident at a time: checksums are verified
-        # inside the store's reads, page by page, as the parser asks.
+        # inside the store's reads, page by page, as the walk asks.
         for blob in store.read_pages(KIND_NODES, shard, gen):
             stats.acquire(len(blob))
             try:
-                yield from _page_lines(blob)
+                yield from _frames(blob, f"a nodes page of generation {gen}")
             finally:
                 stats.release(len(blob))
 
-    tree = load_tree_stream(nodes_lines(), read_leaf)
+    frames = node_frames()
+    done = object()
+
+    def read_node(depth: int):
+        frame = next(frames, done)
+        if type(frame) is LeafEntry:
+            return read_leaf(frame.place)
+        if type(frame) is not NodeEntry:
+            raise StorageError(f"{stream} ends early" if frame is done
+                               else f"a {type(frame).__name__} in {stream}")
+        if depth >= _MAX_HEIGHT:
+            raise StorageError(f"{stream} nests deeper than any tree")
+        node = InternalNode()
+        node.keys = list(frame.keys)
+        node.children = [read_node(depth + 1)
+                         for _ in range(len(node.keys) + 1)]
+        return node
+
+    order = next(frames, done)
+    if type(order) is not int or order < 3:
+        raise StorageError(f"{stream} does not open with an order")
+    root = read_node(0)
+    if next(frames, done) is not done:
+        raise StorageError(f"trailing data in {stream}")
+    try:
+        tree = BPlusTree.from_root(order, root)
+    except AssertionError as exc:
+        raise StorageError(
+            f"{stream} violates tree invariants: {exc}") from exc
     mtree = MerkleBPlusTree.from_tree(tree)
     if expected_root is not None or rows is not None:
         # Recompute every digest from the loaded entries: binds the
@@ -325,15 +387,8 @@ def load_shard_tree(store: PageStore, shard: int, gen: int,
             raise StorageError(
                 f"shard {shard} gen {gen} hashes to {actual.short()}..., "
                 f"manifest records {expected_root.short()}...")
-    if rows is not None:
-        leaf = tree.root
-        while not leaf.is_leaf:
-            leaf = leaf.children[0]
-        at = 0
-        while leaf is not None:  # leaves arrived in chain order
-            end = at + 1 + len(leaf.keys)
-            rows[leaf.digest] = named_rows[at]
-            rows.update(zip(leaf.entry_digests, named_rows[at + 1:end]))
-            rows.members[leaf.digest] = tuple(leaf.entry_digests)
-            at, leaf = end, leaf.next_leaf
+    for leaf, row, value_rows in placed:
+        rows[leaf.digest] = row
+        rows.update(zip(leaf.entry_digests, value_rows))
+        rows.members[leaf.digest] = tuple(leaf.entry_digests)
     return mtree

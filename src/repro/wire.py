@@ -14,10 +14,13 @@ them a real byte-level encoding, for two reasons:
 
 Format: a tagged, length-prefixed TLV encoding.  Every value is
 ``tag(1B) || payload``; variable-length payloads carry a 4-byte
-big-endian length.  Inside a record a field may instead be one of three
+big-endian length.  Inside a record a field may instead be one of four
 untagged kinds: a raw byte string (4-byte length), a node's keys
-front-coded, or a node's digests packed (both counted by varints).
-Deterministic: equal objects encode identically.
+front-coded, a node's digests packed, or a list of varints (the last
+three counted by a varint).  Deterministic: equal objects encode
+identically.  The paged store's pages are frames of this codec too
+(:mod:`repro.storage.engine`): a ``nodes`` page holds frames back to
+back (:func:`decode_frames`).
 
 The codec is two dispatch tables.  The encoder looks an encoder up by
 the value's exact type and appends into one ``bytearray``; a type seen
@@ -172,6 +175,13 @@ def _put_keys(keys: tuple, out: bytearray) -> None:
         previous = key
 
 
+def _put_varints(values: tuple, out: bytearray) -> None:
+    """A varint count, then the varints: page references."""
+    _put_varint(len(values), out)
+    for value in values:
+        _put_varint(value, out)
+
+
 def _put_digests(digests: tuple, out: bytearray) -> None:
     """A node's digests: a varint count, then the 32-byte digests."""
     _put_varint(len(digests), out)
@@ -314,6 +324,18 @@ def _decode_keys(data: bytes, pos: int, depth: int):
     return tuple(keys), pos
 
 
+def _decode_varints(data: bytes, pos: int, depth: int):
+    """Inverse of :func:`_put_varints`."""
+    count, pos = _take_varint(data, pos)
+    if pos + count > len(data):
+        raise WireError(_TRUNCATED)
+    values = []
+    for _ in range(count):
+        value, pos = _take_varint(data, pos)
+        values.append(value)
+    return tuple(values), pos
+
+
 def _decode_digests(data: bytes, pos: int, depth: int):
     """Inverse of :func:`_put_digests`."""
     count, pos = _take_varint(data, pos)
@@ -422,19 +444,36 @@ def decode(data: bytes) -> object:
     """
     if type(data) is not bytes:
         data = bytes(data)  # decoded digests and fields share no buffer
+    value, pos = _decode_at(data, 0)
+    if pos != len(data):
+        raise WireError("trailing bytes after message")
+    return value
+
+
+def decode_frames(data: bytes) -> list:
+    """The values of frames written back to back (a ``nodes`` page), in
+    order; each is decoded as :func:`decode` decodes one."""
+    if type(data) is not bytes:
+        data = bytes(data)
+    values, pos = [], 0
+    while pos < len(data):
+        value, pos = _decode_at(data, pos)
+        values.append(value)
+    return values
+
+
+def _decode_at(data: bytes, pos: int):
+    """The value of the frame at ``pos`` and the position after it."""
     try:
-        if not data:
+        if pos >= len(data):
             raise WireError(_TRUNCATED)
-        value, pos = _DECODERS[data[0]](data, 1, 0)
+        return _DECODERS[data[pos]](data, pos + 1, 0)
     except WireError:
         raise
     except (TypeError, ValueError, IndexError, struct.error, ProofError) as exc:
         # ProofError: the snapshot and proof classes validate their own
         # invariants with their module's error type
         raise WireError(f"malformed frame: {exc}") from exc
-    if pos != len(data):
-        raise WireError("trailing bytes after message")
-    return value
 
 
 def wire_size(message: object) -> int:
@@ -443,11 +482,14 @@ def wire_size(message: object) -> int:
 
 
 # Imported last: repro.net.replication is reached through the repro.net
-# package, whose __init__ imports modules that import *this* module --
-# deferring until every name above exists keeps either import order
-# (wire first or repro.net first) cycle-safe.  replication itself is
-# codec-free at module level for the same reason.
+# package, whose __init__ imports modules that import *this* module, and
+# repro.storage.engine imports this module too -- deferring until every
+# name above exists keeps either import order (wire first or the other
+# module first) cycle-safe.  replication is codec-free at module level
+# for the same reason, and the engine defines its records before it
+# imports the codec.
 from repro.net.replication import RootAttestation, RootDeposit  # noqa: E402
+from repro.storage.engine import LeafEntry, LeafPage, NodeEntry  # noqa: E402
 
 
 # -- the record layouts: one table, both directions ---------------------------
@@ -455,11 +497,13 @@ from repro.net.replication import RootAttestation, RootDeposit  # noqa: E402
 #: Each record type's tag and fields in wire order (which is also the
 #: dataclass's field order: decoding builds the record positionally).
 #: A field is a tagged value unless its kind says otherwise: ``:raw`` is
-#: a length-prefixed byte string, ``:keys`` a node's keys front-coded
-#: and ``:digests`` a node's digests packed, all three with no tag.  A
-#: proof (0x20-0x2F) carries nothing the query it answers says.  0x29
-#: stays free: it was codec 3's forest update proof, and an old frame
-#: holding one must fail as unknown rather than decode as another record.
+#: a length-prefixed byte string, ``:keys`` a node's keys front-coded,
+#: ``:digests`` a node's digests packed and ``:varints`` a list of
+#: varints, all four with no tag.  A proof (0x20-0x2F) carries nothing
+#: the query it answers says.  0x29 stays free: it was codec 3's forest
+#: update proof, and an old frame holding one must fail as unknown
+#: rather than decode as another record.  The page records (0x50-0x52)
+#: are the paged store's: no message holds one.
 _RECORDS = (
     (ReadQuery, 0x10, "key:raw"),
     (RangeQuery, 0x11, "low:raw high:raw"),
@@ -483,6 +527,9 @@ _RECORDS = (
     (Response, 0x41, "result extras"),
     (Followup, 0x42, "extras"),
     (ErrorReply, 0x43, "reason extras"),
+    (NodeEntry, 0x50, "keys:keys"),
+    (LeafEntry, 0x51, "place:varints"),
+    (LeafPage, 0x52, "keys:keys refs:varints"),
 )
 
 
@@ -511,7 +558,8 @@ _CHECKS = {RootDeposit: _root_deposit, RootAttestation: _root_attestation}
 #: field kind -> (writer, reader); a tagged value has none
 _KINDS = {"": (None, None), "raw": (_put_raw, _decode_bytes),
           "keys": (_put_keys, _decode_keys),
-          "digests": (_put_digests, _decode_digests)}
+          "digests": (_put_digests, _decode_digests),
+          "varints": (_put_varints, _decode_varints)}
 
 for _cls, _tag, _layout in _RECORDS:
     _names, _kinds = zip(*(field.partition(":")[::2] for field in _layout.split()))

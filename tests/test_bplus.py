@@ -160,3 +160,29 @@ class TestModelBased:
         hi = f"key{low + span:03d}".encode()
         expected = sorted((k, v) for k, v in model.items() if lo <= k <= hi)
         assert list(tree.range(lo, hi)) == expected
+
+
+class TestFromRoot:
+    """A tree over existing nodes: a copy is linked and counted, a
+    loaded root is also checked."""
+
+    def _tree(self, n=40, order=4):
+        tree = BPlusTree(order=order)
+        for i in range(n):
+            tree.insert(f"key{i:03d}".encode(), str(i).encode())
+        return tree
+
+    def test_clone_links_the_chain_and_counts(self):
+        tree = self._tree()
+        twin = tree.clone()
+        assert len(twin) == 40 and list(twin.items()) == list(tree.items())
+        twin.insert(b"key999", b"x")
+        assert b"key999" not in tree and len(tree) == 40
+
+    def test_a_root_breaking_an_invariant_is_refused(self):
+        root = self._tree().clone().root
+        del root.children[0].children[0].keys[0]  # a leaf now underfull
+        with pytest.raises(AssertionError):
+            BPlusTree.from_root(4, root)
+        with pytest.raises(AssertionError, match="underfull"):
+            BPlusTree.from_root(16, self._tree(order=4).clone().root)

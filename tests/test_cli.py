@@ -468,7 +468,7 @@ class TestStoreInspect:
         assert f"wal.3.log: {logged + 2} bytes, live, 1 record(s) + 2 torn " \
             "tail byte(s)" in lines
         assert "wal.0.log: 0 bytes, unreferenced" in lines
-        assert "bytes (cvs-paged-store 7)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 8)" in lines[lines.index(
             f"pages.db: {size} bytes") + 1]
         # 61 answers given, the window's worth remembered
         assert "user u: 61 remembered response(s), " in text
@@ -518,7 +518,7 @@ class TestStoreInspect:
         size = os.path.getsize(os.path.join(data_dir, "pages.log"))
         lines = text.splitlines()
         assert "backend: file" in lines
-        assert "bytes (cvs-paged-store 7)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 8)" in lines[lines.index(
             f"pages.log: {size} bytes") + 1]
         assert "checkpoint generation: 1" in lines
         assert "shard 0: gen 1, prev gen 0" in text
@@ -531,6 +531,8 @@ class TestStoreInspect:
         from repro.mtree.database import WriteQuery
         from repro.net import ServerCore
         from repro.protocols.base import Request
+        from repro.storage.engine import LeafPage
+        from repro.wire import encode
 
         data_dir = str(tmp_path / "server")
         core = ServerCore(order=4, data_dir=data_dir, fsync=False,
@@ -552,9 +554,11 @@ class TestStoreInspect:
         leaves = record["counts"]["leaves"]
         leaf_bytes = record["counts"]["leaf_bytes"]
         # held: the bootstrap's empty leaf too, until the next rewrite
+        empty = len(encode(LeafPage((), ())))
         assert lines[at + 2] == (
-            f"  leaf pages: {leaves} live, {leaves + 1} held ({leaf_bytes} "
-            f"bytes); last checkpoint wrote {leaves} ({leaf_bytes} bytes)")
+            f"  leaf pages: {leaves} live, {leaves + 1} held "
+            f"({leaf_bytes + empty} bytes); last checkpoint wrote {leaves} "
+            f"({leaf_bytes} bytes)")
 
     def test_whole_state_snapshot_directory_is_named(self, tmp_path):
         data_dir = tmp_path / "server"
@@ -836,3 +840,50 @@ class TestCodec3ArtefactsRefused:
         path = evidence.write_bundle(str(tmp_path / "old.evidence"), bundle)
         text = run(["evidence-inspect", path], expect=2)
         assert "written by codec 3, this decoder is 4" in text
+
+
+class TestFormat7DirectoryRefused:
+    """A ``cvs-paged-store 7`` directory -- its tree pages the base64
+    text lines of ``bplus-snapshot 2`` -- is refused by the name of its
+    format, by the server and by ``store-inspect``, on either page
+    store; its manifest decodes, so only the name can refuse it."""
+
+    rewrite_manifest = staticmethod(TestCodec1ArtefactsRefused.rewrite_manifest)
+
+    @pytest.mark.parametrize("backend", ["file", "sqlite"])
+    def test_format_7_directory(self, tmp_path, backend):
+        from repro.mtree.database import WriteQuery
+        from repro.net import ServerCore
+        from repro.net.wal import WalError
+        from repro.protocols.base import Request
+        from repro.storage.pagestore import open_page_store
+        from repro.wire import decode, encode
+
+        data_dir = str(tmp_path / "server")
+        core = ServerCore(order=4, data_dir=data_dir, backend=backend,
+                          fsync=False, snapshot_every=10**9)
+        for seq in range(3):
+            core.apply_request("u", Request(
+                query=WriteQuery(b"f%d.txt" % seq, b"1.1"),
+                extras={"user": "u", "rid": f"u:n:{seq}", "ack": seq}))
+        core.snapshot()
+        core.close_store()
+
+        def as_format_7(blob):
+            manifest = decode(blob)
+            manifest["format"] = "cvs-paged-store 7"
+            return encode(manifest)
+
+        self.rewrite_manifest(data_dir, backend, as_format_7)
+        pages = open_page_store(data_dir, fsync=False, backend=backend)
+        gen = max(pages.generations(0))
+        pages.begin()
+        pages.write_page("nodes", 0, gen, 0,
+                         b"bplus-snapshot 2 4 3\nleaf 3 0 0\n")
+        pages.commit()
+        pages.close()
+        with pytest.raises(WalError, match="format 'cvs-paged-store 7' is not") as caught:
+            ServerCore(order=4, data_dir=data_dir, backend=backend, fsync=False)
+        assert "corrupt" not in str(caught.value)
+        text = run(["store-inspect", data_dir], expect=2)
+        assert "format 'cvs-paged-store 7'" in text and "corrupt" not in text

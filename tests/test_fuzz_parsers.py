@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mtree.database import VerifiedDatabase, WriteQuery, ReadQuery
 from repro.mtree.merkle import MerkleBPlusTree
-from repro.mtree.persistence import (
-    PersistenceError, leaf_page_lines, load_tree_stream, parse_leaf_page,
-    tree_stream_lines)
-from repro.storage.engine import _page_lines
+from repro.storage.engine import load_shard_tree, write_shard_pages
+from repro.storage.pagestore import MemoryPageStore, StorageError
 from repro.storage.rcs import RcsError, RevisionStore
-from repro.wire import WireError, decode, encode
+from repro.wire import WireError, decode, decode_frames, encode
 
 N_MUTATIONS = 150
 
@@ -66,62 +64,50 @@ class TestRcsFuzz:
 
 
 class TestSnapshotFuzz:
-    """The paged store's two parsers: a shard's ``nodes`` stream
-    (:func:`load_tree_stream`) and a leaf page (:func:`parse_leaf_page`),
-    each fed mutated bytes as :mod:`repro.storage.engine` reads them."""
+    """The paged store's two page readers: a shard's ``nodes`` stream
+    and a leaf page, each a record of the codec, fed mutated bytes
+    through :func:`load_shard_tree`."""
 
-    def _pages(self):
+    def _store(self):
         tree = MerkleBPlusTree(order=4)
         for i in range(25):
             tree.insert(f"k{i:02d}".encode(), f"v{i}".encode())
-        pages, leaves = {}, []
-
-        def place_leaf(leaf):
-            refs = []
-            for value in leaf.values:
-                pages[len(pages)] = value
-                refs.append((len(pages) - 1, 0))
-            leaves.append(len(pages))
-            pages[len(pages)] = "".join(
-                line + "\n" for line in leaf_page_lines(leaf.keys, refs)
-            ).encode("ascii")
-            return leaves[-1], 0
-
-        nodes = "".join(line + "\n" for line in
-                        tree_stream_lines(tree.tree, place_leaf))
-        return nodes.encode("ascii"), pages, leaves
+        store = MemoryPageStore()
+        store.begin()
+        write_shard_pages(store, 0, 0, tree)
+        store.commit()
+        return store
 
     @staticmethod
-    def _load(nodes: bytes, pages: dict):
-        def read_leaf(page, gen):
-            if page not in pages:
-                raise PersistenceError(f"page {page} is missing")
-            keys, refs = parse_leaf_page(_page_lines(pages[page]))
-            for key, (value_page, _gen) in zip(keys, refs):
-                if value_page not in pages:
-                    raise PersistenceError(f"page {value_page} is missing")
-                yield key, pages[value_page]
-
-        return load_tree_stream(iter(_page_lines(nodes)), read_leaf)
+    def _load(store, kind: str, page: int, blob: bytes):
+        store.begin()
+        store.write_page(kind, 0, 0, page, blob)
+        store.commit()
+        return load_shard_tree(store, 0, 0).tree
 
     def test_corrupted_snapshots_never_crash(self):
-        nodes, pages, leaves = self._pages()
+        store = self._store()
+        (nodes,) = store.read_pages("nodes", 0, 0)
         survivors = []
         for mutated in mutations(nodes, seed=2):
             try:
-                survivors.append(self._load(mutated, pages))
-            except PersistenceError:
+                survivors.append(self._load(store, "nodes", 0, mutated))
+            except StorageError:
                 continue
-        for n, page in enumerate(leaves):
-            for mutated in mutations(pages[page], seed=10 + n, count=30):
+        self._load(store, "nodes", 0, nodes)
+        for n, (_gen, page) in enumerate(store.page_keys("leaves", 0)):
+            blob = store.read_page("leaves", 0, 0, page)
+            for mutated in mutations(blob, seed=10 + n, count=30):
                 try:
-                    survivors.append(self._load(nodes, {**pages, page: mutated}))
-                except PersistenceError:
+                    survivors.append(self._load(store, "leaves", page, mutated))
+                except StorageError:
                     continue
+            self._load(store, "leaves", page, blob)
         # survivors must be structurally valid trees
         for tree in survivors:
             tree.check_invariants()
         assert len(survivors) < N_MUTATIONS / 2
+
 
 class TestWireFuzz:
     def test_corrupted_frames_never_crash(self):
@@ -251,6 +237,39 @@ class TestNodeFieldsFuzz:
             except WireError:
                 continue
             assert encode(leaf) == mutated
+
+
+class TestPageRecordFieldsFuzz:
+    """The page records' counted varints, malformed, are ``WireError``s
+    naming what is wrong, as a node's keys are; a ``nodes`` page is
+    frames back to back, each whole."""
+
+    def test_well_formed_records_decode(self):
+        from repro.storage.engine import LeafEntry, LeafPage
+
+        assert decode(b"\x51\x03\x04\xac\x02\x00") == LeafEntry((4, 300, 0))
+        assert decode(b"\x52\x01\x00\x01a\x02\x07\x01") == \
+            LeafPage((b"a",), (7, 1))
+        assert decode_frames(encode(8) + b"\x51\x03\x00\x01\x00") == \
+            [8, LeafEntry((0, 1, 0))]
+        assert decode_frames(b"") == []
+
+    @pytest.mark.parametrize("frame,reason", [
+        (b"\x51\x03\x01\x02", "truncated"),
+        (b"\x51\x01\x80", "truncated"),
+        (b"\x51\x02\x01\x80", "truncated"),
+        (b"\x51\x7f\x00", "truncated"),
+        (b"\x51\x01\x81\x00", "overlong varint"),
+        (b"\x51\x01" + b"\xff" * 9 + b"\x01", "overlong varint"),
+        (b"\x52\x01\x00\x01a\x02\x07", "truncated"),
+    ], ids=["count-past-end", "value-past-end", "second-value-past-end",
+            "huge-count", "overlong-value", "value-past-63-bits",
+            "leaf-page-refs-past-end"])
+    def test_malformed_varints_are_wire_errors(self, frame, reason):
+        with pytest.raises(WireError, match=reason):
+            decode(frame)
+        with pytest.raises(WireError, match=reason):
+            decode_frames(encode(8) + frame)
 
 
 class TestVoTypeFuzz:

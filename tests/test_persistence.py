@@ -1,10 +1,12 @@
 """Tests for Merkle-tree snapshots (shape-exact persistence).
 
-A tree is persisted as the paged store's ``bplus-snapshot 2`` stream: a
-page per leaf and a page per value, named by the lines of the nodes
-stream.  A database -- one tree or a forest -- is persisted by the
-server store's checkpoint (:class:`~repro.net.wal.ServerStore`), whose
-manifest records the spec and each shard's root.
+A tree is persisted as the paged store's pages, each a record of the
+one codec: a ``nodes`` stream (the order, then a preorder walk naming a
+page per leaf), a page per leaf and a page per value
+(:mod:`repro.storage.engine`).  A database -- one tree or a forest --
+is persisted by the server store's checkpoint
+(:class:`~repro.net.wal.ServerStore`), whose manifest records the spec
+and each shard's root.
 """
 
 import random
@@ -14,17 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mtree.bplus import BPlusTree
 from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery, DeleteQuery, ClientVerifier
-from repro.mtree.persistence import (
-    PersistenceError,
-    leaf_page_lines,
-    load_tree_stream,
-    parse_leaf_page,
-    tree_stream_lines,
-)
+from repro.mtree.merkle import MerkleBPlusTree
 from repro.net.wal import ServerStore, WalError, _MANIFEST_KEY
 from repro.protocols.base import ServerState
-from repro.storage.pagestore import open_page_store
-from repro.wire import decode, encode
+from repro.storage.engine import (
+    LeafEntry, NodeEntry, load_shard_tree, write_shard_pages)
+from repro.storage.pagestore import MemoryPageStore, StorageError, open_page_store
+from repro.wire import decode, decode_frames, encode
 
 
 def build_random_tree(seed: int, ops: int = 200, order: int = 4) -> BPlusTree:
@@ -39,35 +37,38 @@ def build_random_tree(seed: int, ops: int = 200, order: int = 4) -> BPlusTree:
     return tree
 
 
-def stream_of(tree: BPlusTree):
-    """``tree`` as the one parser reads it: the stream's lines plus
-    ``page -> contents`` -- a page per leaf (its lines: keys and the
-    pages of their values) and a page per value (its bytes), numbered
-    from one counter."""
-    pages = {}
-
-    def place_leaf(leaf):
-        refs = []
-        for value in leaf.values:
-            pages[len(pages)] = value
-            refs.append((len(pages) - 1, 0))
-        pages[len(pages)] = leaf_page_lines(leaf.keys, refs)
-        return len(pages) - 1, 0
-
-    return list(tree_stream_lines(tree, place_leaf)), pages
+def stored(tree: BPlusTree) -> MemoryPageStore:
+    """A store holding ``tree`` as shard 0, generation 0."""
+    store = MemoryPageStore()
+    store.begin()
+    write_shard_pages(store, 0, 0, MerkleBPlusTree.from_tree(tree))
+    store.commit()
+    return store
 
 
-def load_stream(lines, pages) -> BPlusTree:
-    def read_leaf(page, gen):
-        keys, refs = parse_leaf_page(pages[page])
-        return [(key, pages[value_page])
-                for key, (value_page, _gen) in zip(keys, refs)]
+def frames_of(store) -> list:
+    """The frames of shard 0's one ``nodes`` page."""
+    (blob,) = store.read_pages("nodes", 0, 0)
+    return decode_frames(blob)
 
-    return load_tree_stream(iter(lines), read_leaf)
+
+def with_nodes(store, blob_or_frames):
+    """``store`` with shard 0's ``nodes`` page replaced by raw bytes or
+    by frames, encoded back to back."""
+    blob = blob_or_frames if isinstance(blob_or_frames, bytes) else \
+        b"".join(map(encode, blob_or_frames))
+    store.begin()
+    store.write_page("nodes", 0, 0, 0, blob)
+    store.commit()
+    return store
+
+
+def load(store) -> BPlusTree:
+    return load_shard_tree(store, 0, 0).tree
 
 
 def roundtrip(tree: BPlusTree) -> BPlusTree:
-    return load_stream(*stream_of(tree))
+    return load(stored(tree))
 
 
 class TestTreeSnapshot:
@@ -80,8 +81,6 @@ class TestTreeSnapshot:
 
     def test_roundtrip_preserves_shape(self):
         """The crucial property: the reloaded tree hashes identically."""
-        from repro.mtree.merkle import MerkleBPlusTree
-
         tree = build_random_tree(2)
         original = MerkleBPlusTree.from_tree(tree)
         restored = MerkleBPlusTree.from_tree(roundtrip(tree))
@@ -106,19 +105,21 @@ class TestTreeSnapshot:
         assert clone.get(b"\x00\xff\n key") == b"\xde\xad\xbe\xef\nvalue"
 
     def test_bad_header(self):
-        with pytest.raises(PersistenceError):
-            load_stream(["not a snapshot"], {})
+        store = stored(build_random_tree(4))
+        with pytest.raises(StorageError, match="does not decode"):
+            load(with_nodes(store, b"not a snapshot"))
 
     def test_truncated(self):
-        lines, pages = stream_of(build_random_tree(4))
-        with pytest.raises(PersistenceError):
-            load_stream(lines[: len(lines) // 2], pages)
+        store = stored(build_random_tree(4))
+        frames = frames_of(store)
+        with pytest.raises(StorageError, match="ends early"):
+            load(with_nodes(store, frames[: len(frames) // 2]))
 
     def test_trailing_data(self):
-        lines, pages = stream_of(build_random_tree(5))
-        with pytest.raises(PersistenceError):
-            load_stream(lines + [f"leaf 0 {len(pages)} 0"],
-                        {**pages, len(pages): []})
+        store = stored(build_random_tree(5))
+        frames = frames_of(store)
+        with pytest.raises(StorageError, match="trailing data"):
+            load(with_nodes(store, frames + [frames[-1]]))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), order=st.integers(3, 8))
@@ -163,8 +164,6 @@ class TestRoundtripAtEveryOrder:
     def test_shape_exact_roundtrip(self, order):
         """Digest-identical reload at every order used anywhere in the
         repo -- the chaos campaign's recovery path depends on this."""
-        from repro.mtree.merkle import MerkleBPlusTree
-
         tree = build_random_tree(seed=order, ops=150, order=order)
         clone = roundtrip(tree)
         clone.check_invariants()
@@ -185,77 +184,87 @@ class TestRoundtripAtEveryOrder:
         assert restored.order == order
 
 
-def empty_leaf():
-    return "leaf 0 0 0", {0: []}
-
-
 class TestCorruptedSnapshotRejected:
-    """Every corruption must surface as PersistenceError -- never a
+    """Every corruption must surface as StorageError -- never a
     silently different tree, never a raw ValueError/struct garbage."""
 
     def test_garbage_header(self):
-        leaf, pages = empty_leaf()
-        for header in ("", "garbage header 4 1", "bplus-snapshot 2",
-                       "bplus-snapshot 2 four 0", "bplus-snapshot 2 4 0 0"):
-            with pytest.raises(PersistenceError):
-                load_stream([header, leaf], pages)
-        with pytest.raises(PersistenceError, match="end of snapshot"):
-            load_stream([], pages)
-        # the retired inline format is refused by name
-        with pytest.raises(PersistenceError, match="'1' is not supported"):
-            load_stream(["bplus-snapshot 1 4 0", "leaf 0"], pages)
-        # the honest header over an inline leaf line
-        with pytest.raises(PersistenceError, match="bad leaf line"):
-            load_stream(["bplus-snapshot 2 4 0", "leaf 0"], pages)
+        """The stream opens with the tree's order: anything else, or
+        nothing, is refused."""
+        store = stored(build_random_tree(6, ops=20))
+        leaf = frames_of(store)[1:]
+        for header in ("4", None, b"\x04", NodeEntry((b"k",))):
+            with pytest.raises(StorageError, match="open with an order"):
+                load(with_nodes(store, [header, *leaf]))
+        with pytest.raises(StorageError, match="open with an order"):
+            load(with_nodes(store, b""))
+        # a format-7 text stream is not a frame of the codec at all
+        with pytest.raises(StorageError, match="does not decode"):
+            load(with_nodes(store, b"bplus-snapshot 2 4 0\nleaf 0 0 0\n"))
 
-    def test_implausible_order_or_size(self):
-        leaf, pages = empty_leaf()
-        for header in ("bplus-snapshot 2 2 0", "bplus-snapshot 2 4 -1"):
-            with pytest.raises(PersistenceError, match="implausible"):
-                load_stream([header, leaf], pages)
+    def test_implausible_order(self):
+        store = stored(build_random_tree(6, ops=20))
+        leaf = frames_of(store)[1:]
+        for order in (2, 0, -1):
+            with pytest.raises(StorageError, match="open with an order"):
+                load(with_nodes(store, [order, *leaf]))
 
-    def test_bad_base64_field(self):
-        lines, pages = stream_of(build_random_tree(6, ops=20))
-        entries = next(page for page in pages.values()
-                       if isinstance(page, list) and page)
-        entries[0] = "!!!notbase64!!! " + entries[0].split(" ", 1)[1]
-        with pytest.raises(PersistenceError, match="base64"):
-            load_stream(lines, pages)
+    def test_undecodable_leaf_page(self):
+        """A leaf page is one LeafPage record: bytes that do not decode,
+        or a frame of another record, are refused."""
+        store = stored(build_random_tree(6, ops=20))
+        (_gen, page), = store.page_keys("leaves", 0)[:1]
+        blob = store.read_page("leaves", 0, 0, page)
+        for bad, match in ((blob[:-1], "does not decode"),
+                           (b"\x00" + blob[1:], "does not decode"),
+                           (encode(LeafEntry((1, 2, 0))),
+                            "not one leaf page record"),
+                           (blob + blob, "not one leaf page record")):
+            store.begin()
+            store.write_page("leaves", 0, 0, page, bad)
+            store.commit()
+            with pytest.raises(StorageError, match=match):
+                load(store)
 
-    def test_wrong_node_count_vs_header(self):
-        """The header's entry count is validated against what the nodes
-        actually hold, so a doctored header cannot smuggle in a tree
-        that disagrees with its own metadata."""
-        lines, pages = stream_of(build_random_tree(7, ops=40))
-        parts = lines[0].split(" ")
-        parts[3] = str(int(parts[3]) + 1)
-        lines[0] = " ".join(parts)
-        with pytest.raises(PersistenceError, match="entries"):
-            load_stream(lines, pages)
+    def test_order_disagreeing_with_the_nodes(self):
+        """The stream's order is checked against the tree it opens:
+        order-3 nodes under an order-8 header are underfull."""
+        store = stored(build_random_tree(7, ops=120, order=3))
+        frames = frames_of(store)
+        assert frames[0] == 3
+        with pytest.raises(StorageError, match="invariants"):
+            load(with_nodes(store, [8, *frames[1:]]))
 
     def test_internal_key_count_mismatch(self):
-        # order 3 guarantees internals
-        lines, pages = stream_of(build_random_tree(8, ops=120, order=3))
-        index = next(i for i, line in enumerate(lines)
-                     if line.startswith("internal "))
-        count = int(lines[index].split(" ")[1])
-        lines[index] = f"internal {count + 1}"
-        with pytest.raises(PersistenceError):
-            load_stream(lines, pages)
+        # order 3 guarantees internals; the byte after an internal
+        # node's tag is its key count, and so its children count
+        store = stored(build_random_tree(8, ops=120, order=3))
+        (blob,) = store.read_pages("nodes", 0, 0)
+        at = blob.index(encode(frames_of(store)[1]))
+        assert blob[at] == 0x50
+        for count in (blob[at + 1] + 1, blob[at + 1] - 1):
+            with pytest.raises(StorageError):
+                load(with_nodes(store, blob[:at + 1] + bytes([count])
+                                + blob[at + 2:]))
 
     def test_truncated_and_trailing_streams(self):
         tree = build_random_tree(9, ops=120, order=3)
-        lines, pages = stream_of(tree)
-        assert dict(load_stream(lines, pages).items()) == dict(tree.items())
-        with pytest.raises(PersistenceError, match="end of snapshot"):
-            load_stream(lines[:-1], pages)
-        with pytest.raises(PersistenceError, match="trailing data"):
-            load_stream(lines + [f"leaf 0 {len(pages)} 0"],
-                        {**pages, len(pages): []})
-        for bad_leaf in ("leaf", "leaf x", "leaf -1 0 0"):
-            with pytest.raises(PersistenceError):
-                load_stream([lines[0].rsplit(" ", 1)[0] + " 0", bad_leaf],
-                            {0: []})
+        store = stored(tree)
+        frames = frames_of(store)
+        assert dict(load(store).items()) == dict(tree.items())
+        with pytest.raises(StorageError, match="ends early"):
+            load(with_nodes(store, frames[:-1]))
+        with pytest.raises(StorageError, match="trailing data"):
+            load(with_nodes(store, frames + [LeafEntry((0, 999, 0))]))
+        (blob,) = store.read_pages("nodes", 0, 0)
+        with pytest.raises(StorageError, match="does not decode"):
+            load(with_nodes(store, blob[:-1]))
+        for bad_leaf, match in ((LeafEntry(()), "a leaf entry of 0 fields"),
+                                (LeafEntry((0, 0)), "a leaf entry of 2 fields"),
+                                (LeafEntry((0, 0, 0, 0)), "a leaf entry of 4 fields"),
+                                (b"leaf", "a bytes in the nodes stream")):
+            with pytest.raises(StorageError, match=match):
+                load(with_nodes(store, [3, bad_leaf]))
 
 
 class TestDatabaseSnapshot:

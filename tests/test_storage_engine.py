@@ -16,18 +16,14 @@ from repro.crypto.hashing import hash_bytes
 from repro.mtree.database import DeleteQuery, VerifiedDatabase, WriteQuery
 from repro.mtree.forest import shard_for_key
 from repro.mtree.merkle import MerkleBPlusTree
-from repro.mtree.persistence import (
-    PersistenceError,
-    leaf_page_lines,
-    load_tree_stream,
-    parse_leaf_page,
-    tree_stream_lines,
-)
 from repro.net.wal import _replay_shard
 from repro.protocols.base import Followup, Request
 from repro.storage.engine import (
     PAGE_BYTES,
+    LeafEntry,
+    LeafPage,
     LoadStats,
+    NodeEntry,
     PageRows,
     load_shard_tree,
     row_fields,
@@ -39,6 +35,7 @@ from repro.storage.pagestore import (
     SqlitePageStore,
     StorageError,
 )
+from repro.wire import decode, decode_frames, encode
 
 
 def _tree(n, order=8, prefix=b"key"):
@@ -48,30 +45,17 @@ def _tree(n, order=8, prefix=b"key"):
     return tree
 
 
-def _stream(tree):
-    """The ``nodes`` lines, ``page -> leaf page lines`` numbering the
-    leaves in walk order under generation 0, and ``page -> value`` for
-    the values those lines name."""
-    pages, values = {}, {}
-
-    def place_leaf(leaf):
-        refs = []
-        for value in leaf.values:
-            values[len(values)] = value
-            refs.append((len(values) - 1, 0))
-        pages[len(pages)] = leaf_page_lines(leaf.keys, refs)
-        return len(pages) - 1, 0
-
-    return list(tree_stream_lines(tree.tree, place_leaf)), pages, values
+def _stored(tree):
+    """A memory store holding ``tree`` as shard 0, generation 0."""
+    store = MemoryPageStore()
+    _checkpoint(store, tree, 0)
+    return store
 
 
-def _reader(pages, values):
-    """``read_leaf`` over :func:`_stream`'s pages."""
-    def read_leaf(page, gen):
-        keys, refs = parse_leaf_page(pages[page])
-        return [(key, values[value_page])
-                for key, (value_page, _gen) in zip(keys, refs)]
-    return read_leaf
+def _rewrite(store, kind, page, blob, gen=0):
+    store.begin()
+    store.write_page(kind, 0, gen, page, blob)
+    store.commit()
 
 
 class TestStreamCodec:
@@ -79,49 +63,67 @@ class TestStreamCodec:
     def test_roundtrip_identical_root(self, n):
         tree = _tree(n)
         expected, _ = tree.refresh_root()
-        nodes, pages, values = _stream(tree)
-        rebuilt = load_tree_stream(iter(nodes), _reader(pages, values))
-        twin = MerkleBPlusTree.from_tree(rebuilt)
-        actual, _ = twin.refresh_root()
+        rebuilt = load_shard_tree(_stored(tree), 0, 0)
+        actual, _ = rebuilt.refresh_root()
         assert actual == expected
         assert len(rebuilt) == n
 
+    def _second_leaf(self, store):
+        """The id and record of the second leaf's page."""
+        (_gen, page), = store.page_keys("leaves", 0)[1:2]
+        return page, decode(store.read_page("leaves", 0, 0, page))
+
     def test_trailing_entries_rejected(self):
-        nodes, pages, values = _stream(_tree(10))
-        pages[1].append(pages[1][-1])  # a spliced-in extra leaf line
-        with pytest.raises(PersistenceError, match="holds 7 entries, its leaf line says 6"):
-            load_tree_stream(iter(nodes), _reader(pages, values))
+        store = _stored(_tree(10))
+        page, leaf = self._second_leaf(store)
+        _rewrite(store, "leaves", page, encode(LeafPage(
+            leaf.keys + leaf.keys[-1:], leaf.refs + leaf.refs[-2:])))
+        with pytest.raises(StorageError, match="holds 7 entries and 14 "
+                           "page fields, its leaf entry says 6"):
+            load_shard_tree(store, 0, 0)
 
     def test_truncated_entries_rejected(self):
-        nodes, pages, values = _stream(_tree(10))
-        pages[1].pop()
-        with pytest.raises(PersistenceError,
-                           match="holds 5 entries, its leaf line says 6"):
-            load_tree_stream(iter(nodes), _reader(pages, values))
+        store = _stored(_tree(10))
+        page, leaf = self._second_leaf(store)
+        _rewrite(store, "leaves", page, encode(LeafPage(
+            leaf.keys[:-1], leaf.refs[:-2])))
+        with pytest.raises(StorageError, match="holds 5 entries and 10 "
+                           "page fields, its leaf entry says 6"):
+            load_shard_tree(store, 0, 0)
 
     def test_trailing_nodes_rejected(self):
-        nodes, pages, values = _stream(_tree(10))
-        with pytest.raises(PersistenceError, match="trailing"):
-            load_tree_stream(iter(nodes + ["leaf 0 9 0"]),
-                             _reader({**pages, 9: []}, values))
+        store = _stored(_tree(10))
+        (blob,) = store.read_pages("nodes", 0, 0)
+        _rewrite(store, "nodes", 0, blob + encode(LeafEntry((0, 9, 0))))
+        with pytest.raises(StorageError, match="trailing"):
+            load_shard_tree(store, 0, 0)
 
     def test_other_stream_version_refused(self):
-        nodes, pages, values = _stream(_tree(3))
-        nodes[0] = nodes[0].replace("bplus-snapshot 2", "bplus-snapshot 1")
-        with pytest.raises(PersistenceError, match="not supported"):
-            load_tree_stream(iter(nodes), _reader(pages, values))
+        """A format-7 stream -- text lines -- is no frame of the codec."""
+        store = _stored(_tree(3))
+        _rewrite(store, "nodes", 0, b"bplus-snapshot 2 8 3\nleaf 3 0 0\n")
+        with pytest.raises(StorageError, match="does not decode"):
+            load_shard_tree(store, 0, 0)
 
     def test_a_leaf_page_holds_keys_and_value_pages(self):
         """A leaf page names each value's page; the value itself is
-        nowhere in it, not even encoded."""
+        nowhere in it."""
         leaf = _tree(5).tree.root
-        refs = [(9, 2), (10, 2), (11, 0), (12, 1), (13, 2)]
-        lines = leaf_page_lines(leaf.keys, refs)
-        assert parse_leaf_page(lines) == (leaf.keys, refs)
-        assert not any("dmFsdWU" in line for line in lines)  # b64 "value"
-        for bad in ("a2V5 1", "a2V5 1 2 3", "a2V5 x 0"):
-            with pytest.raises(PersistenceError, match="bad leaf page line"):
-                parse_leaf_page([bad])
+        refs = (9, 2, 10, 2, 11, 0, 12, 1, 13, 2)
+        blob = encode(LeafPage(leaf.keys, refs))
+        assert decode(blob) == LeafPage(tuple(leaf.keys), refs)
+        assert b"value" not in blob
+        # a tag, the front-coded keys, a count and a varint per field
+        assert len(blob) == 1 + len(encode(LeafPage(leaf.keys, ()))) - 1 \
+            + len(refs)
+        store = _stored(_tree(5))
+        (_gen, page), = store.page_keys("leaves", 0)
+        stored = decode(store.read_page("leaves", 0, 0, page))
+        _rewrite(store, "leaves", page, encode(
+            LeafPage(stored.keys, stored.refs[:-1])))
+        with pytest.raises(StorageError,
+                           match="holds 5 entries and 9 page fields"):
+            load_shard_tree(store, 0, 0)
 
 
 def _flat_pages(store):
@@ -306,7 +308,8 @@ class TestOnePagePerEntry:
         blob = page_store.read_page("leaves", 0, 1, page)
         assert counts["leaf_bytes"] == len(blob) < len(value) // 4
         # the leaf's six unchanged entries are referenced where they lie
-        _keys, named = parse_leaf_page(blob.decode("ascii").split("\n")[:-1])
+        refs = decode(blob).refs
+        named = set(zip(refs[::2], refs[1::2]))
         for digest in others:
             assert second.rows[digest] == first.rows[digest]
             kind, page, gen = row_fields(second.rows[digest])
@@ -324,7 +327,7 @@ class TestOnePagePerEntry:
 
 
 class TestLoaderRejections:
-    """The loader trusts nothing a leaf line says."""
+    """The loader trusts nothing a leaf entry says."""
 
     def _store(self):
         store = MemoryPageStore()
@@ -335,11 +338,8 @@ class TestLoaderRejections:
 
     def _rewrite_nodes(self, store, gen, edit):
         (blob,) = store.read_pages("nodes", 0, gen)
-        lines = blob.decode("ascii").split("\n")
-        store.begin()
-        store.write_page("nodes", 0, gen, 0,
-                         "\n".join(edit(lines)).encode("ascii"))
-        store.commit()
+        _rewrite(store, "nodes", 0,
+                 b"".join(map(encode, edit(decode_frames(blob)))), gen)
 
     def test_leaf_generation_beyond_the_stream(self):
         store, tree = self._store()
@@ -348,52 +348,63 @@ class TestLoaderRejections:
         store.begin()
         store.write_page("nodes", 0, 3, 0, *store.read_pages("nodes", 0, 5))
         store.commit()
-        with pytest.raises(PersistenceError, match="claims generation 5"):
+        with pytest.raises(StorageError, match="claims generation 5"):
             load_shard_tree(store, 0, 3)
 
     def test_negative_leaf_generation(self):
+        """No page can name one: a varint has no spelling for it, and
+        the encoder refuses to write one."""
         store, _tree_ = self._store()
-        self._rewrite_nodes(store, 0, lambda lines: [
-            line[:-1] + "-1" if line.startswith("leaf ") else line
-            for line in lines])
-        with pytest.raises(PersistenceError, match="claims generation -1"):
+        with pytest.raises(ValueError):
+            self._rewrite_nodes(store, 0, lambda frames: [
+                LeafEntry(frame.place[:2] + (-1,))
+                if isinstance(frame, LeafEntry) else frame
+                for frame in frames])
+        # the largest generation a varint spells decodes positive
+        top = decode(b"\x51\x03\x04\x00" + b"\xff" * 8 + b"\x7f").place[2]
+        assert top == 2 ** 63 - 1
+        self._rewrite_nodes(store, 0, lambda frames: [
+            LeafEntry(frame.place[:2] + (top,))
+            if isinstance(frame, LeafEntry) else frame for frame in frames])
+        with pytest.raises(StorageError, match="claims generation"):
             load_shard_tree(store, 0, 0)
 
     def test_two_leaves_on_one_page(self):
         store, _tree_ = self._store()
 
-        def alias(lines):
-            leaves = [i for i, line in enumerate(lines)
-                      if line.startswith("leaf ")]
-            lines[leaves[1]] = lines[leaves[0]]
-            return lines
+        def alias(frames):
+            leaves = [i for i, frame in enumerate(frames)
+                      if isinstance(frame, LeafEntry)]
+            frames[leaves[1]] = frames[leaves[0]]
+            return frames
 
         self._rewrite_nodes(store, 0, alias)
-        with pytest.raises(PersistenceError, match="page id .* named twice"):
+        with pytest.raises(StorageError, match="page id .* named twice"):
             load_shard_tree(store, 0, 0)
 
     def _rewrite_leaf(self, store, edit):
-        """Edit the second leaf's page (its lines, the last one kept
-        newline-terminated); returns the page's id."""
+        """Edit the second leaf's page (its keys and their value pages,
+        as ``(key, page, gen)`` triples); returns the page's id."""
         (_gen, page), = store.page_keys("leaves", 0)[1:2]
-        lines = store.read_page("leaves", 0, 0, page).decode("ascii") \
-            .split("\n")[:-1]
-        store.begin()
-        store.write_page("leaves", 0, 0, page,
-                         "\n".join(edit(lines) + [""]).encode("ascii"))
-        store.commit()
+        leaf = decode(store.read_page("leaves", 0, 0, page))
+        refs = iter(leaf.refs)
+        triples = edit([(key, *next(zip(refs, refs))) for key in leaf.keys])
+        _rewrite(store, "leaves", page, encode(LeafPage(
+            [key for key, _page, _gen in triples],
+            [field for _key, *place in triples for field in place])))
         return page
 
     def test_one_value_page_named_by_two_entries(self):
         store, _tree_ = self._store()
-        self._rewrite_leaf(store, lambda lines: lines[:-1] + lines[-2:-1])
-        with pytest.raises(PersistenceError, match="page id .* named twice"):
+        self._rewrite_leaf(store, lambda triples: triples[:-1] + [
+            (triples[-1][0], *triples[-2][1:])])
+        with pytest.raises(StorageError, match="page id .* named twice"):
             load_shard_tree(store, 0, 0)
 
     @pytest.mark.parametrize("edit,holds", [
-        (lambda lines: lines[:-1], "holds 3 entries, its leaf line says 4"),
-        (lambda lines: lines + [lines[-1].split(" ")[0] + " 999 0"],
-         "holds 5 entries, its leaf line says 4"),
+        (lambda triples: triples[:-1], "holds 3 entries and 6 page fields, its leaf entry says 4"),
+        (lambda triples: triples + [(triples[-1][0] + b"x", 999, 0)],
+         "holds 5 entries and 10 page fields, its leaf entry says 4"),
     ], ids=["short", "over-long"])
     def test_leaf_page_of_the_wrong_length(self, edit, holds):
         store, _tree_ = self._store()
@@ -401,7 +412,7 @@ class TestLoaderRejections:
         store.write_page("entries", 0, 0, 999, b"spliced")
         store.commit()
         self._rewrite_leaf(store, edit)
-        with pytest.raises(PersistenceError, match=holds):
+        with pytest.raises(StorageError, match=holds):
             load_shard_tree(store, 0, 0)
 
     def test_missing_page(self):
@@ -414,9 +425,17 @@ class TestLoaderRejections:
         store.begin()
         store.delete_page(kind, 0, gen, page)
         store.commit()
-        with pytest.raises(PersistenceError,
+        with pytest.raises(StorageError,
                            match=rf"'{kind}', shard=0, gen=0, seq={page}\) "
                                  "is missing"):
+            load_shard_tree(store, 0, 0)
+
+    def test_a_stream_nesting_deeper_than_any_tree(self):
+        """Refused before it exhausts the interpreter's stack."""
+        store, _tree_ = self._store()
+        _rewrite(store, "nodes", 0, encode(8) + encode(
+            NodeEntry((b"k",))) * 10_000)
+        with pytest.raises(StorageError, match="nests deeper"):
             load_shard_tree(store, 0, 0)
 
 
