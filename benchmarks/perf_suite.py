@@ -175,7 +175,10 @@ def measure(quick: bool = False) -> dict[str, float]:
     metrics["state_clone_per_s"] = _rate(lambda: state.clone(), min_time=min_time)
 
     # Codec rows count frames, not bytes: a format that sends fewer
-    # bytes for the same work must not read as a slowdown.
+    # bytes for the same work must not read as a slowdown.  This row
+    # encodes one proof again and again, so every key block comes from
+    # the codec's memo (a 100 % hit row); the distinct-keys row below
+    # starts each window with the memo empty.
     sample_key = b"k00003"
     response = db.execute(ReadQuery(key=sample_key))
     def encode_proof():
@@ -216,6 +219,19 @@ def measure(quick: bool = False) -> dict[str, float]:
         assert loaded[0].root_digest() == paged.root_digest()
     metrics["pagestore_incremental_checkpoint_ms"] = statistics.median(checkpoints)
     metrics["pagestore_load_ms"] = statistics.median(loads)
+
+    # -- wire encoding of proofs of distinct keys on that 8-shard store:
+    # each window of 64 starts with an empty key-block memo, so the
+    # nodes the paths share (the top tree, each shard's upper levels)
+    # hit and every leaf misses once --
+    distinct = [paged.execute(ReadQuery(key=key)).proof
+                for key in page_rng.sample(page_keys, 64)]
+    def encode_distinct():
+        wire._key_blocks.clear()
+        for proof in distinct:
+            wire.encode(proof)
+    metrics["wire_encode_distinct_frames_per_s"] = _rate(
+        encode_distinct, min_time=min_time, batch=len(distinct))
 
     # -- wire decoding: what a p2_mixed_pipelined client reads per op, a
     # Protocol II answer to a point read on that same 8-shard store --

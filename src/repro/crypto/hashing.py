@@ -21,7 +21,7 @@ import hashlib
 from functools import lru_cache
 
 DIGEST_SIZE = 32
-_DIGEST_BITS = DIGEST_SIZE * 8
+_ZERO_BYTES = bytes(DIGEST_SIZE)
 
 # Bound on the tagged/plain state-hash memo tables.  Protocols re-derive
 # the same ``h(M(D) || ctr [|| user])`` values constantly (every client
@@ -53,7 +53,10 @@ class Digest:
     Protocol II maintains per-user registers that accumulate the XOR of
     all database states a user has seen.  ``Digest`` therefore forms an
     abelian group under ``^`` with :meth:`zero` as the identity and
-    every element being its own inverse.
+    every element being its own inverse.  Equality, hashing and truth
+    read the bytes; the 256-bit int XOR runs on is converted the first
+    time a digest is XORed and kept -- most digests (a proof's, a
+    node's) are compared and hashed, never XORed.
     """
 
     __slots__ = ("_value", "_int")
@@ -64,7 +67,7 @@ class Digest:
         if len(value) != DIGEST_SIZE:
             raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(value)}")
         self._value = bytes(value)
-        self._int = int.from_bytes(self._value, "big")
+        self._int = None
 
     @classmethod
     def _from_int(cls, number: int) -> "Digest":
@@ -81,7 +84,7 @@ class Digest:
         public constructor's type/length validation and defensive copy)."""
         digest = object.__new__(cls)
         digest._value = value
-        digest._int = int.from_bytes(value, "big")
+        digest._int = None
         return digest
 
     @classmethod
@@ -96,24 +99,32 @@ class Digest:
 
     def as_int(self) -> int:
         """The digest as a 256-bit big-endian integer (XOR fast path)."""
-        return self._int
+        number = self._int
+        if number is None:
+            number = self._int = int.from_bytes(self._value, "big")
+        return number
 
     def __xor__(self, other: "Digest") -> "Digest":
         if not isinstance(other, Digest):
             return NotImplemented
-        return Digest._from_int(self._int ^ other._int)
+        mine, theirs = self._int, other._int
+        if mine is None:
+            mine = self.as_int()
+        if theirs is None:
+            theirs = other.as_int()
+        return Digest._from_int(mine ^ theirs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digest):
             return NotImplemented
-        return self._int == other._int
+        return self._value == other._value
 
     def __hash__(self) -> int:
-        return hash(self._int)
+        return hash(self._value)
 
     def __bool__(self) -> bool:
         """A digest is falsy only when it is the zero digest."""
-        return self._int != 0
+        return self._value != _ZERO_BYTES
 
     def hex(self) -> str:
         """Hex encoding of the digest, for display and logs."""
@@ -275,9 +286,13 @@ def xor_all(digests) -> Digest:
     """XOR-fold an iterable of digests (identity: :meth:`Digest.zero`).
 
     Accumulates in a single 256-bit int, so a fold of n digests costs n
-    int XORs and exactly one :class:`Digest` construction.
+    int XORs (and a conversion per digest never XORed before) and
+    exactly one :class:`Digest` construction.
     """
     total = 0
     for digest in digests:
-        total ^= digest._int
+        number = digest._int
+        if number is None:
+            number = digest.as_int()
+        total ^= number
     return Digest._from_int(total)

@@ -25,6 +25,7 @@ from repro._lazy import exports
 __getattr__, __dir__, __all__ = exports(__name__, {
     "DEFAULT_ORDER": ".bplus",
     "BPlusTree": ".bplus",
+    "TreeShapeError": ".bplus",
     "ClientVerifier": ".database",
     "DeleteQuery": ".database",
     "Query": ".database",

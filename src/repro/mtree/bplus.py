@@ -26,6 +26,10 @@ from collections.abc import Iterator
 DEFAULT_ORDER = 8
 
 
+class TreeShapeError(ValueError):
+    """A tree breaks a structural invariant (:meth:`BPlusTree.check_invariants`)."""
+
+
 def route_index(keys, key: bytes) -> int:
     """The child a lookup for ``key`` descends into below separator
     ``keys`` (and where an absent ``key`` goes in a leaf): the one
@@ -222,7 +226,6 @@ class BPlusTree:
                 self._root = new_root
                 return
             parent = parents.pop()
-            assert not parent.is_leaf
             parent.digest = None
             child_pos = parent.children.index(node)
             parent.keys.insert(child_pos, separator)
@@ -284,7 +287,6 @@ class BPlusTree:
         parents = path[:-1]
         while parents:
             parent = parents[-1]
-            assert not parent.is_leaf
             if node.is_leaf:
                 underfull = len(node.keys) < self._min_entries
             else:
@@ -368,42 +370,59 @@ class BPlusTree:
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert every structural B+-tree invariant; raises AssertionError.
+        """Check every structural B+-tree invariant; raises
+        :class:`TreeShapeError` naming the first one broken.
 
-        Used heavily by the property-based tests.
+        Used heavily by the property-based tests, and by
+        :meth:`from_root` on every loaded tree.
         """
         leaf_depths: set[int] = set()
         count = self._check_node(self._root, depth=0, is_root=True,
                                  lower=None, upper=None, leaf_depths=leaf_depths)
-        assert count == self._size, f"size mismatch: counted {count}, recorded {self._size}"
-        assert len(leaf_depths) == 1, f"leaves at different depths: {leaf_depths}"
+        if count != self._size:
+            raise TreeShapeError(
+                f"size mismatch: counted {count}, recorded {self._size}")
+        if len(leaf_depths) != 1:
+            raise TreeShapeError(f"leaves at different depths: {leaf_depths}")
         self._check_leaf_chain()
 
     def _check_node(self, node, depth, is_root, lower, upper, leaf_depths) -> int:
+        keys = node.keys
         if node.is_leaf:
             leaf_depths.add(depth)
-            assert node.keys == sorted(node.keys), "leaf keys out of order"
-            assert len(node.keys) == len(set(node.keys)), "duplicate keys in leaf"
-            assert len(node.keys) == len(node.values), "leaf key/value arity mismatch"
-            assert len(node.keys) == len(node.entry_digests), "leaf entry-digest arity mismatch"
-            assert len(node.keys) <= self._max_entries, "overfull leaf"
-            if not is_root:
-                assert len(node.keys) >= self._min_entries, "underfull leaf"
-            for key in node.keys:
-                assert lower is None or key >= lower, "leaf key below subtree lower bound"
-                assert upper is None or key < upper, "leaf key above subtree upper bound"
-            return len(node.keys)
-        assert len(node.children) == len(node.keys) + 1, "internal arity mismatch"
-        assert len(node.children) <= self._order, "overfull internal node"
-        if is_root:
-            assert len(node.children) >= 2, "internal root with a single child"
-        else:
-            assert len(node.children) >= self._min_children, "underfull internal node"
-        assert node.keys == sorted(node.keys), "internal keys out of order"
+            if keys != sorted(keys):
+                raise TreeShapeError("leaf keys out of order")
+            if len(keys) != len(set(keys)):
+                raise TreeShapeError("duplicate keys in leaf")
+            if len(keys) != len(node.values):
+                raise TreeShapeError("leaf key/value arity mismatch")
+            if len(keys) != len(node.entry_digests):
+                raise TreeShapeError("leaf entry-digest arity mismatch")
+            if len(keys) > self._max_entries:
+                raise TreeShapeError("overfull leaf")
+            if not is_root and len(keys) < self._min_entries:
+                raise TreeShapeError("underfull leaf")
+            # The keys are sorted: the first and last bound them all.
+            if keys and lower is not None and keys[0] < lower:
+                raise TreeShapeError("leaf key below subtree lower bound")
+            if keys and upper is not None and keys[-1] >= upper:
+                raise TreeShapeError("leaf key above subtree upper bound")
+            return len(keys)
+        children = node.children
+        if len(children) != len(keys) + 1:
+            raise TreeShapeError("internal arity mismatch")
+        if len(children) > self._order:
+            raise TreeShapeError("overfull internal node")
+        if is_root and len(children) < 2:
+            raise TreeShapeError("internal root with a single child")
+        if not is_root and len(children) < self._min_children:
+            raise TreeShapeError("underfull internal node")
+        if keys != sorted(keys):
+            raise TreeShapeError("internal keys out of order")
         count = 0
-        for index, child in enumerate(node.children):
-            child_lower = node.keys[index - 1] if index > 0 else lower
-            child_upper = node.keys[index] if index < len(node.keys) else upper
+        for index, child in enumerate(children):
+            child_lower = keys[index - 1] if index > 0 else lower
+            child_upper = keys[index] if index < len(keys) else upper
             count += self._check_node(child, depth + 1, False, child_lower, child_upper, leaf_depths)
         return count
 
@@ -416,8 +435,10 @@ class BPlusTree:
         while leaf is not None:
             chained.extend(leaf.keys)
             leaf = leaf.next_leaf
-        assert chained == sorted(chained), "leaf chain out of order"
-        assert len(chained) == self._size, "leaf chain misses entries"
+        if chained != sorted(chained):
+            raise TreeShapeError("leaf chain out of order")
+        if len(chained) != self._size:
+            raise TreeShapeError("leaf chain misses entries")
 
     def clone(self) -> "BPlusTree":
         """Structural copy: fresh nodes, shared immutable contents.
@@ -452,7 +473,7 @@ class BPlusTree:
                   root: LeafNode | InternalNode) -> "BPlusTree":
         """The tree whose complete nodes hang under ``root`` -- a loaded
         one's: links the leaf chain, counts the entries and checks every
-        invariant (an AssertionError if one fails)."""
+        invariant (a :class:`TreeShapeError` if one fails)."""
         tree = cls(order, root)
         tree._link_leaves()
         tree.check_invariants()

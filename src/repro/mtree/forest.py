@@ -33,7 +33,7 @@ from heapq import merge as _sorted_merge
 from typing import Iterator
 
 from repro.crypto.hashing import Digest, hash_leaf
-from repro.mtree.bplus import DEFAULT_ORDER
+from repro.mtree.bplus import DEFAULT_ORDER, TreeShapeError
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
     NOT_ENTRIES,
@@ -263,16 +263,19 @@ class MerkleForest:
         for tree in self._shards:
             tree.check_invariants()
         self._top.check_invariants()
-        assert len(self._top) == self._spec.shards, \
-            "top tree entry count disagrees with the shard count"
+        if len(self._top) != self._spec.shards:
+            raise TreeShapeError(
+                "top tree entry count disagrees with the shard count")
         for index, tree in enumerate(self._shards):
             for key, _value in tree.items():
-                assert self._route(key) == index, \
-                    f"key {key!r} stored in shard {index} but routes elsewhere"
+                if self._route(key) != index:
+                    raise TreeShapeError(f"key {key!r} stored in shard "
+                                         f"{index} but routes elsewhere")
             if index not in self._dirty:
                 committed = self._top.get(shard_key(index))
-                assert committed == tree.root_digest().to_bytes(), \
-                    f"top tree entry for clean shard {index} is stale"
+                if committed != tree.root_digest().to_bytes():
+                    raise TreeShapeError(
+                        f"top tree entry for clean shard {index} is stale")
 
     # -- mutation ----------------------------------------------------------
 

@@ -166,7 +166,8 @@ class AsyncTrustedCvsServer:
 
     @property
     def address(self) -> tuple[str, int]:
-        assert self._server is not None, "server not started"
+        if self._server is None:
+            raise RuntimeError("server not started")
         sock = self._server.sockets[0]
         name = sock.getsockname()
         return name[0], name[1]
@@ -425,9 +426,12 @@ class AsyncTrustedCvsServer:
 
     async def _drain_writers(self, writers: set) -> None:
         """Apply backpressure per batch: one gathered drain, with a
-        timeout so one dead client cannot stall everyone's responses."""
+        timeout so one dead client cannot stall everyone's responses.
+        A writer whose transport took every byte has nothing to drain
+        and costs no task."""
         drains = [self._drain_one(writer) for writer in writers
-                  if not writer.is_closing()]
+                  if not writer.is_closing()
+                  and writer.transport.get_write_buffer_size()]
         if drains:
             await asyncio.gather(*drains)
 

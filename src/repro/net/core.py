@@ -29,6 +29,7 @@ the stamped requests, reconstructs the exact same per-op responses.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
 
 from repro.mtree.database import VerifiedDatabase, query_defect
@@ -135,6 +136,9 @@ class DedupTable:
         #: user -> request id -> (its ``_session_seq``, response)
         self._users: dict[str, OrderedDict[
             str, tuple[tuple[str, int] | None, Response]]] = {}
+        #: (user, session prefix) -> the seqs remembered, ascending: a
+        #: ``user:nonce:seq`` id is its prefix and its seq written out
+        self._sessions: dict[tuple[str, str], list[int]] = {}
 
     def lookup(self, user_id: str, rid: str) -> Response | None:
         entry = self._users.get(user_id, {}).get(rid)
@@ -142,17 +146,20 @@ class DedupTable:
 
     def record(self, user_id: str, rid: str, response: Response) -> None:
         entries = self._users.setdefault(user_id, OrderedDict())
-        entries[rid] = (_session_seq(rid), response)
+        session = _session_seq(rid)
+        if rid not in entries and session is not None:
+            # In order, a session's next seq is the largest: an append.
+            insort(self._sessions.setdefault((user_id, session[0]), []),
+                   session[1])
+        entries[rid] = (session, response)
         entries.move_to_end(rid)
         while len(entries) > self.window:
-            entries.popitem(last=False)
-
-    def _seqs(self, user_id: str, prefix: str) -> list[tuple[int, str]]:
-        """The remembered ``(seq, rid)`` of session ``prefix``."""
-        return [(session[1], rid)
-                for rid, (session, _response) in self._users.get(
-                    user_id, {}).items()
-                if session is not None and session[0] == prefix]
+            _rid, (evicted, _response) = entries.popitem(last=False)
+            if evicted is not None:
+                seqs = self._sessions[(user_id, evicted[0])]
+                seqs.remove(evicted[1])
+                if not seqs:
+                    del self._sessions[(user_id, evicted[0])]
 
     def superseded(self, user_id: str, rid: str) -> bool:
         """Whether a later operation of ``rid``'s session is remembered.
@@ -161,19 +168,27 @@ class DedupTable:
         the frame is a late copy -- off a dead connection -- that
         executing would apply twice."""
         session = _session_seq(rid)
-        return session is not None and any(
-            seq > session[1] for seq, _rid in self._seqs(user_id, session[0]))
+        if session is None:
+            return False
+        seqs = self._sessions.get((user_id, session[0]))
+        return bool(seqs) and seqs[-1] > session[1]
 
     def release(self, user_id: str, prefix: str, ack: int) -> None:
         """Drop the answers of session ``prefix`` (``user:nonce:``)
         numbered below ``ack``: it has verified them and asks for none
         again."""
-        released = [rid for seq, rid in self._seqs(user_id, prefix)
-                    if seq < ack]
-        for rid in released:
-            del self._users[user_id][rid]
-        if released and _obs.enabled:
-            _DEDUP_RELEASED.inc(len(released), user=user_id)
+        seqs = self._sessions.get((user_id, prefix))
+        released = 0 if seqs is None else bisect_left(seqs, ack)
+        if not released:
+            return
+        entries = self._users[user_id]
+        for seq in seqs[:released]:
+            del entries[f"{prefix}{seq}"]
+        del seqs[:released]
+        if not seqs:
+            del self._sessions[(user_id, prefix)]
+        if _obs.enabled:
+            _DEDUP_RELEASED.inc(released, user=user_id)
 
     def export(self) -> dict[str, list[tuple[str, Response]]]:
         """Snapshot-serialisable form: user -> ordered (rid, response)."""
@@ -184,10 +199,15 @@ class DedupTable:
     def load(self, data: dict) -> None:
         """Restore from :meth:`export` output (oldest first per user)."""
         self._users.clear()
+        self._sessions.clear()
         for user, pairs in data.items():
-            self._users[user] = OrderedDict(
+            entries = self._users[user] = OrderedDict(
                 (rid, (_session_seq(rid), response))
                 for rid, response in pairs)
+            for session, _response in entries.values():
+                if session is not None:
+                    insort(self._sessions.setdefault(
+                        (user, session[0]), []), session[1])
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._users.values())

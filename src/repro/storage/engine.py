@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest
-from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode
+from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode, TreeShapeError
 from repro.mtree.merkle import MerkleBPlusTree
 from repro.storage.pagestore import PageStore, StorageError
 
@@ -129,11 +129,14 @@ class PageRows(dict):
     ``leaves`` page, an entry digest the ``entries`` page holding that
     entry's value -- and :attr:`members`, each leaf digest's entry
     digests, so that a checkpoint touches no entry of a leaf it only
-    references."""
+    references -- and :attr:`frames`, the encoded :class:`LeafEntry` of
+    each leaf a walk wrote or referenced, so that the next walk copies
+    it instead of encoding it again."""
 
     def __init__(self, rows=()) -> None:
         super().__init__(rows)
         self.members: dict[Digest, tuple[Digest, ...]] = {}
+        self.frames: dict[Digest, bytes] = {}
 
 
 class LoadStats:
@@ -198,6 +201,7 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
     # ones only the leaves it did not reference named.
     rows = PageRows(known)
     rows.members.update(known.members)
+    rows.frames.update(known.frames)
     referenced: set[Digest] = set()   # leaves of the tree
     placed: set[Digest] = set()       # entries of the leaves written now
     counts = {f"{name}_{unit}": 0 for name in _COUNTED.values()
@@ -215,7 +219,13 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
         next_page += 1
         return row
 
-    def place_leaf(leaf) -> LeafEntry:
+    def place_leaf(leaf) -> bytes:
+        """The leaf's :class:`LeafEntry` frame, its pages written first
+        unless the store holds them."""
+        referenced.add(leaf.digest)
+        frame = known.frames.get(leaf.digest)
+        if frame is not None:
+            return frame
         row = known.get(leaf.digest)
         if row is None:
             refs = []
@@ -228,15 +238,16 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
             row = new_row(KIND_LEAVES, leaf.digest,
                           encode(LeafPage(leaf.keys, refs)))
             rows.members[leaf.digest] = tuple(leaf.entry_digests)
-        referenced.add(leaf.digest)
-        return LeafEntry((len(leaf.keys), *row_fields(row)[1:]))
+        frame = rows.frames[leaf.digest] = encode(
+            LeafEntry((len(leaf.keys), *row_fields(row)[1:])))
+        return frame
 
     page = bytearray(encode(mtree.order))
     stack = [mtree.tree.root]
     while stack:  # preorder: a node, then its children left to right
         node = stack.pop()
         if node.is_leaf:
-            page += encode(place_leaf(node))
+            page += place_leaf(node)
         else:
             page += encode(NodeEntry(node.keys))
             stack.extend(reversed(node.children))
@@ -251,6 +262,7 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
     for leaf in [digest for digest in known.members
                  if digest not in referenced]:
         superseded.append(rows.pop(leaf))
+        rows.frames.pop(leaf, None)
         superseded.extend(rows.pop(digest) for digest
                           in rows.members.pop(leaf) if digest not in placed)
     return ShardWrite(rows, next_page,
@@ -374,7 +386,7 @@ def load_shard_tree(store: PageStore, shard: int, gen: int,
         raise StorageError(f"trailing data in {stream}")
     try:
         tree = BPlusTree.from_root(order, root)
-    except AssertionError as exc:
+    except TreeShapeError as exc:
         raise StorageError(
             f"{stream} violates tree invariants: {exc}") from exc
     mtree = MerkleBPlusTree.from_tree(tree)

@@ -238,6 +238,9 @@ class MemoryPageStore(PageStore):
         #: key -> (value, checksum)
         self._meta: dict[str, tuple[bytes, bytes]] = {}
         self._staged: list | None = None
+        #: what the live pages and meta values take as page-file ops
+        #: (:func:`_op_bytes`), kept as ops apply
+        self._live = 0
 
     def _stage(self, call: str, op: tuple) -> None:
         if self._staged is None:
@@ -267,18 +270,27 @@ class MemoryPageStore(PageStore):
 
     def _apply(self, op: tuple) -> None:
         code, name, shard, gen, seq, body, checksum = op
+        key = (name, shard, gen)
+        stored = None  # what a put replaces or a delete removes
         if code == _META:
+            stored = self._meta.get(name)
             self._meta[name] = (body, checksum)
         elif code == _DROP:
-            self._groups.pop((name, shard, gen), None)
+            for blob, _ in self._groups.pop(key, {}).values():
+                self._live -= _op_bytes(name, blob)
         elif code == _PUT:
-            self._groups.setdefault((name, shard, gen), {})[seq] = \
-                (body, checksum)
+            group = self._groups.setdefault(key, {})
+            stored = group.get(seq)
+            group[seq] = (body, checksum)
         else:
-            group = self._groups.get((name, shard, gen), {})
-            group.pop(seq, None)
+            group = self._groups.get(key, {})
+            stored = group.pop(seq, None)
             if not group:
-                self._groups.pop((name, shard, gen), None)
+                self._groups.pop(key, None)
+        if stored is not None:
+            self._live -= _op_bytes(name, stored[0])
+        if code == _PUT or code == _META:
+            self._live += _op_bytes(name, body)
 
     def _admit_page(self) -> None:
         """Refuse a page the store has no room for (a store on disk)."""
@@ -754,12 +766,8 @@ class FilePageStore(MemoryPageStore):
 
     def rewritten_size(self) -> int:
         """The file's size once rewritten as its live set."""
-        return (len(PAGE_LOG_MAGIC) + 4 + _DIGEST_BYTES
-                + sum(_op_bytes(key, value)
-                      for key, (value, _) in self._meta.items())
-                + sum(_op_bytes(kind, blob)
-                      for (kind, _, _), group in self._groups.items()
-                      for blob, _ in group.values()))
+        return len(PAGE_LOG_MAGIC) + 4 + _DIGEST_BYTES + self._live
+
 
     def _live_ops(self):
         for key in sorted(self._meta):

@@ -152,12 +152,13 @@ def _put_raw(field: bytes, out: bytearray) -> None:
 _SHARE_PER_BYTE = 16
 
 
-def _put_keys(keys: tuple, out: bytearray) -> None:
+def _front_code(keys: tuple) -> bytes:
     """A node's keys, front-coded: a varint count, then per key the
     length of the prefix it shares with the previous key, the length of
     the rest, and the rest.  The shared prefix ends at the top set bit
     of the XOR of the two keys' common-length heads as big-endian ints,
     capped at ``_SHARE_PER_BYTE * (rest + 1)``."""
+    out = bytearray()
     _put_varint(len(keys), out)
     previous = b""
     for key in keys:
@@ -173,6 +174,31 @@ def _put_keys(keys: tuple, out: bytearray) -> None:
         _put_varint(size - shared, out)
         out += key[shared:]
         previous = key
+    return bytes(out)
+
+
+#: how many key tuples :func:`_put_keys` remembers the block of; a full
+#: memo is cleared.  A node's keys outlive its digests (an overwrite
+#: changes the digests on its path, not the keys), so a server encodes
+#: the same blocks again and again: in responses, in the dedup answers a
+#: manifest keeps, and in the page records of every dirty shard.
+_KEY_BLOCKS_MAX = 1 << 14
+_key_blocks: dict[tuple, bytes] = {}
+
+
+def _put_keys(keys: tuple, out: bytearray) -> None:
+    """A node's keys as :func:`_front_code` writes them, remembered by
+    content: the block is a pure function of the keys, so a remembered
+    one cannot go stale.  A list is its tuple."""
+    if type(keys) is not tuple:
+        keys = tuple(keys)
+    block = _key_blocks.get(keys)
+    if block is None:
+        block = _front_code(keys)
+        if len(_key_blocks) >= _KEY_BLOCKS_MAX:
+            _key_blocks.clear()
+        _key_blocks[keys] = block
+    out += block
 
 
 def _put_varints(values: tuple, out: bytearray) -> None:
@@ -301,15 +327,22 @@ def _take_varint(data: bytes, pos: int):
 def _decode_keys(data: bytes, pos: int, depth: int):
     """Inverse of :func:`_put_keys`, which shares the longest prefix
     the cap allows: a longer one is refused, and a shorter one is
-    another spelling of the same keys, refused too."""
+    another spelling of the same keys, refused too.  Both lengths of a
+    key shorter than 128 bytes are one-byte varints, read in line."""
     count, pos = _take_varint(data, pos)
+    size = len(data)
     keys = []
     previous = b""
     for _ in range(count):
-        shared, pos = _take_varint(data, pos)
-        rest, pos = _take_varint(data, pos)
+        if pos + 1 < size and data[pos] < 0x80 and data[pos + 1] < 0x80:
+            shared = data[pos]
+            rest = data[pos + 1]
+            pos += 2
+        else:
+            shared, pos = _take_varint(data, pos)
+            rest, pos = _take_varint(data, pos)
         end = pos + rest
-        if end > len(data):
+        if end > size:
             raise WireError(_TRUNCATED)
         if shared > _SHARE_PER_BYTE * (rest + 1):
             raise WireError("key shares more than its rest allows")

@@ -158,7 +158,8 @@ class TestQuiesceCountsDequeuedWork:
         """One pass dequeues six requests at ``batch_max=2`` and awaits
         the first batch's drain with four still in a local list: the
         queue and the park list are both empty, and the server is not
-        quiescent."""
+        quiescent.  (A pass drains only a writer holding unsent bytes,
+        so the transport here reports some, as a full socket would.)"""
         import asyncio
 
         from repro.net.framing import _frame
@@ -183,6 +184,7 @@ class TestQuiesceCountsDequeuedWork:
                 await drain()
 
             accepted.drain = held_drain
+            accepted.transport.get_write_buffer_size = lambda: 1
             writer.write(b"".join(
                 _frame(Request(query=WriteQuery(b"k%d" % i, b"v"),
                                extras={"user": "alice",

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mtree.bplus import BPlusTree
+from repro.mtree.bplus import BPlusTree, TreeShapeError
 
 
 def fill(tree, count, prefix=b"k"):
@@ -182,7 +182,7 @@ class TestFromRoot:
     def test_a_root_breaking_an_invariant_is_refused(self):
         root = self._tree().clone().root
         del root.children[0].children[0].keys[0]  # a leaf now underfull
-        with pytest.raises(AssertionError):
+        with pytest.raises(TreeShapeError):
             BPlusTree.from_root(4, root)
-        with pytest.raises(AssertionError, match="underfull"):
+        with pytest.raises(TreeShapeError, match="underfull"):
             BPlusTree.from_root(16, self._tree(order=4).clone().root)

@@ -20,6 +20,7 @@ What is pinned here:
 
 import os
 import sqlite3
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from repro.mtree.database import WriteQuery
 from repro.net import (
     RemoteClient, RemoteClientP1, ServerCore, WalError, serve_in_thread)
 from repro.net.client import protocol2_core
-from repro.net.core import DedupTable
+from repro.net.core import DedupTable, _session_seq
 from repro.net.wal import ServerStore
 from repro.protocols.base import DEDUP_WINDOW, ErrorReply, Request
 from repro.wire import decode, encode
@@ -237,6 +238,80 @@ def test_the_table_is_a_window_filtered_by_acks(steps):
     assert restored.export().get("u", []) == model
     for rid in ["u:a:5", "u:b:5", "u:a:0"]:
         assert restored.superseded("u", rid) == table.superseded("u", rid)
+
+
+class _ScanningTable:
+    """The table as it was kept before each session's seqs were held in
+    order: every verdict and release scans the user's whole window."""
+
+    def __init__(self, window):
+        self.window, self.users = window, {}
+
+    def record(self, user, rid, response):
+        entries = self.users.setdefault(user, OrderedDict())
+        entries[rid] = response
+        entries.move_to_end(rid)
+        while len(entries) > self.window:
+            entries.popitem(last=False)
+
+    def _seqs(self, user, prefix):
+        return [(session[1], rid) for rid in self.users.get(user, {})
+                if (session := _session_seq(rid)) is not None
+                and session[0] == prefix]
+
+    def superseded(self, user, rid):
+        session = _session_seq(rid)
+        return session is not None and any(
+            seq > session[1] for seq, _rid in self._seqs(user, session[0]))
+
+    def release(self, user, prefix, ack):
+        released = {rid for seq, rid in self._seqs(user, prefix) if seq < ack}
+        for rid in released:
+            del self.users[user][rid]
+        return released
+
+
+#: ids of two users' sessions, sent in any order, and of no session
+_ANY_RIDS = st.tuples(
+    st.sampled_from(["u", "v"]),
+    st.sampled_from(["{u}:a:", "{u}:a:", "{u}:a:", "{u}:b:", "{u}:",
+                     "{u}:a:0", "{u}:a:07", "{u}:a:x"]),
+    st.integers(0, 7)).map(
+        lambda pick: (pick[0], pick[1].format(u=pick[0])
+                      + ("" if pick[1].endswith(("0", "7", "x"))
+                         else str(pick[2]))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["record", "record", "release", "superseded",
+                     "superseded", "reload"]),
+    _ANY_RIDS, st.integers(0, 8)), max_size=60))
+def test_ordered_sessions_give_the_scanning_tables_verdicts(steps):
+    """Verdicts and released ids equal a whole-window scan's over random
+    streams: two users, seqs recorded out of order, windows overflowing,
+    acks anywhere, and the table reloaded from its export."""
+    table, reference = DedupTable(window=6), _ScanningTable(window=6)
+    for step, (user, rid), ack in steps:
+        if step == "record":
+            table.record(user, rid, rid.upper())
+            reference.record(user, rid, rid.upper())
+        elif step == "release" and _session_seq(rid) is not None:
+            prefix = _session_seq(rid)[0]
+            before = {known for known, _ in table.export().get(user, [])}
+            table.release(user, prefix, ack)
+            after = {known for known, _ in table.export().get(user, [])}
+            assert before - after == reference.release(user, prefix, ack)
+        elif step == "superseded":
+            assert table.superseded(user, rid) == \
+                reference.superseded(user, rid)
+        elif step == "reload":
+            exported = table.export()
+            table = DedupTable(window=6)
+            table.load(exported)
+        assert table.export() == {
+            name: list(entries.items())
+            for name, entries in reference.users.items()}
 
 
 #: an ``ack`` no session sends, beside a rid whose seq is 5

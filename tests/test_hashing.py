@@ -84,6 +84,58 @@ class TestDigest:
         assert xor_all([]) == Digest.zero()
 
 
+class TestDigestHoldsItsBytes:
+    """A digest is its 32 bytes: equality, hashing and truth read them,
+    and the int XOR runs on is made when a digest is first XORed."""
+
+    @given(digests, digests)
+    def test_equality_and_hash_follow_the_bytes(self, a, b):
+        assert (a == b) == (a.value == b.value)
+        assert hash(a) == hash(Digest(a.value)) == hash(a.value)
+
+    @given(digests, digests)
+    def test_xor_is_the_xor_of_the_ints(self, a, b):
+        total = a ^ b
+        assert total.as_int() == a.as_int() ^ b.as_int()
+        assert total.value == (a.as_int() ^ b.as_int()).to_bytes(32, "big")
+        assert total == Digest(total.value)   # made from an int or bytes
+        assert hash(total) == hash(Digest(total.value))
+        assert bool(total) == (a != b)
+
+    def test_zero_is_falsy_however_made(self):
+        one = hash_bytes(b"one")
+        for zero in (Digest.zero(), one ^ one, Digest(bytes(32)),
+                     xor_all([one, one])):
+            assert not zero and zero == Digest.zero()
+        assert Digest(b"\x00" * 31 + b"\x01")
+
+    @given(st.lists(digests, max_size=8))
+    def test_xor_all_of_converted_and_fresh_digests(self, items):
+        expected = 0
+        for item in items:
+            expected ^= int.from_bytes(item.value, "big")
+        fresh = [Digest(item.value) for item in items]
+        assert xor_all(fresh).as_int() == expected
+        assert xor_all(items).as_int() == expected   # converted now
+        assert xor_all(iter(fresh)).as_int() == expected
+
+    def test_a_key_of_a_memo(self):
+        from functools import lru_cache
+
+        calls = []
+
+        @lru_cache(maxsize=8)
+        def memo(digest):
+            calls.append(digest)
+            return digest.hex()
+
+        digest = hash_bytes(b"key")
+        assert memo(digest) == memo(Digest(digest.value)) == digest.hex()
+        assert memo(digest ^ Digest.zero()) == digest.hex()
+        assert calls == [digest]
+        assert len({digest, Digest(digest.value), digest ^ Digest.zero()}) == 1
+
+
 class TestDomainSeparation:
     def test_leaf_vs_raw(self):
         # hash_leaf(k, v) must differ from any raw hash of a concatenation.

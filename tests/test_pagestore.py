@@ -11,6 +11,7 @@ has: the open-time scan, torn tails, failed appends and compaction.
 """
 
 import os
+import random
 import sqlite3
 
 import pytest
@@ -25,6 +26,7 @@ from repro.storage.pagestore import (
     MemoryPageStore,
     SqlitePageStore,
     StorageError,
+    _op_bytes,
     open_page_store,
     page_checksum,
 )
@@ -498,6 +500,52 @@ class TestPageFile:
         assert fresh.page_keys("entries", 0) == [(0, 0), (0, 1), (0, 2)]
         assert fresh.get_meta("checkpoint") == b"gen 59"
         fresh.close()
+
+    def test_compaction_fires_where_a_full_recount_says(self, tmp_path):
+        """The live set's size is kept as ops apply, not recounted at
+        each begin: over a scripted run of puts, overwrites, deletes,
+        dropped generations and meta values it equals a recount of
+        every live page at every commit, and the file is compacted at
+        the commits a recount picked (pinned from a build that
+        recounted)."""
+        rng = random.Random(2024)
+        store = _page_file(tmp_path)
+
+        def recount():
+            return (len(PAGE_LOG_MAGIC) + 4 + 32
+                    + sum(_op_bytes(key, value)
+                          for key, (value, _) in store._meta.items())
+                    + sum(_op_bytes(kind, blob)
+                          for (kind, _, _), group in store._groups.items()
+                          for blob, _ in group.values()))
+
+        fired = []
+        for commit in range(120):
+            before = store._size
+            store.begin()
+            if store._size < before:
+                fired.append(commit)
+            for _ in range(rng.randrange(1, 6)):
+                action = rng.random()
+                kind = rng.choice(("nodes", "leaves", "entries"))
+                gen = rng.randrange(2)
+                if action < 0.6:
+                    store.write_page(kind, 0, gen, rng.randrange(3),
+                                     rng.randbytes(rng.randrange(1, 200)))
+                elif action < 0.8:
+                    store.delete_page(kind, 0, gen, rng.randrange(3))
+                elif action < 0.9:
+                    store.drop_generation(kind, 0, gen)
+                else:
+                    store.put_meta(rng.choice(("manifest", "other")),
+                                   rng.randbytes(rng.randrange(0, 90)))
+            store.commit()
+            assert store.rewritten_size() == recount()
+        assert fired == [19, 31, 44, 58, 79, 89, 103, 110]
+        store.close()
+        reopened = _page_file(tmp_path)  # the open-time scan counts it too
+        assert reopened.rewritten_size() == store.rewritten_size()
+        reopened.close()
 
     def test_a_compacted_file_is_never_looked_up_again(self, tmp_path):
         """After opening, the store keeps its file's size itself: on a

@@ -35,6 +35,7 @@ from repro.storage.pagestore import (
     SqlitePageStore,
     StorageError,
 )
+from repro import wire
 from repro.wire import decode, decode_frames, encode
 
 
@@ -267,6 +268,36 @@ class TestShardPages:
             (second.rows, second.next_page, second.superseded)
         assert {key: page for key, page in _flat_pages(store).items()
                 if key[2] == 1} == written
+
+
+    def test_warm_and_cold_caches_write_the_same_pages(self):
+        """The key-block memo and the ``LeafEntry`` frames the rows hold
+        are caches: checkpoints over overwrites, splits and merges write
+        byte-identical pages with both warm and with both cleared
+        before every walk."""
+        def series(cold):
+            store, tree = MemoryPageStore(), _tree(300, order=4)
+            rows, next_page = None, 0
+            for gen in range(5):
+                if cold:
+                    wire._key_blocks.clear()
+                    if rows is not None:
+                        rows.frames.clear()
+                result = _checkpoint(store, tree, gen, rows, next_page)
+                rows, next_page = result.rows, result.next_page
+                assert set(rows.frames) == set(rows.members)
+                for i in range(gen, 300, 11):
+                    tree.insert(b"key%06d" % i, b"gen-%d" % gen)
+                for i in range(gen * 40, gen * 40 + 25):
+                    tree.delete(b"key%06d" % i)
+                for i in range(30):
+                    tree.insert(b"new%d-%06d" % (gen, i), b"n")
+            return _flat_pages(store), rows
+
+        warm_pages, warm_rows = series(cold=False)
+        cold_pages, cold_rows = series(cold=True)
+        assert warm_pages == cold_pages
+        assert warm_rows == cold_rows and warm_rows.frames == cold_rows.frames
 
 
 @pytest.fixture(params=["memory", "sqlite", "file"])

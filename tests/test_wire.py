@@ -230,6 +230,122 @@ class TestVoRoundTrip:
         assert decode(frame) == leaf
 
 
+def _front_coded(keys) -> bytes:
+    """The key block written out from its definition: per key the
+    longest prefix shared with the previous key, cut to 16 bytes per
+    byte the key carries plus 16, its length, the rest's, the rest."""
+    def varint(value):
+        out = bytearray()
+        while value >= 0x80:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        return bytes(out + bytes((value,)))
+
+    block, previous = bytearray(varint(len(keys))), b""
+    for key in keys:
+        shared = 0
+        while shared < min(len(key), len(previous)) \
+                and key[shared] == previous[shared]:
+            shared += 1
+        shared = min(shared, 16 * (len(key) + 1) // 17)
+        block += varint(shared) + varint(len(key) - shared) + key[shared:]
+        previous = key
+    return bytes(block)
+
+
+#: keys around the share cap: a long run, then keys one byte longer or
+#: shorter that differ late, early, or only in length
+_CAPPED_KEYS = st.lists(st.integers(0, 40).flatmap(
+    lambda run: st.tuples(st.just(b"k" * run),
+                          st.binary(max_size=3)).map(b"".join)), max_size=12)
+
+
+class TestKeyBlockMemo:
+    """A node's key block is front-coded once and remembered by content:
+    a remembered block is the block a fresh encode writes."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        wire._key_blocks.clear()
+        yield
+        wire._key_blocks.clear()
+
+    @staticmethod
+    def put(keys) -> bytes:
+        out = bytearray()
+        wire._put_keys(keys, out)
+        return bytes(out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_CAPPED_KEYS, st.lists(st.binary(max_size=300),
+                                            max_size=10)))
+    def test_remembered_and_fresh_blocks_agree(self, keys):
+        wire._key_blocks.clear()
+        fresh = self.put(tuple(keys))
+        assert fresh == _front_coded(keys)
+        assert self.put(tuple(keys)) == fresh      # from the memo
+        assert self.put(list(keys)) == fresh       # a list is its tuple
+        assert wire._decode_keys(fresh, 0, 0) == (tuple(keys), len(fresh))
+
+    def test_the_share_cap_boundaries(self):
+        """Keys of 16 to 35 bytes after a longer run, differing in
+        their last byte or two: the cap (``16 * (size + 1) // 17``)
+        equals the shared prefix at 17 and 34 bytes and cuts it from
+        34 bytes on."""
+        for size in (16, 17, 33, 34, 35):
+            for differ in (size - 2, size - 1):
+                keys = (b"a" * (size + 5),
+                        b"a" * differ + b"b" * (size - differ))
+                block = self.put(keys)
+                assert block == self.put(keys) == _front_coded(keys)
+                assert wire._decode_keys(block, 0, 0)[0] == keys
+
+    def test_a_full_memo_is_cleared_and_refilled(self, monkeypatch):
+        monkeypatch.setattr(wire, "_KEY_BLOCKS_MAX", 4)
+        tuples = [(b"key%02d" % index, b"key%02d-x" % index)
+                  for index in range(11)]
+        blocks = [self.put(keys) for keys in tuples]
+        assert 1 <= len(wire._key_blocks) <= 4
+        assert [self.put(keys) for keys in tuples] == blocks
+        assert blocks == [_front_coded(keys) for keys in tuples]
+
+    def test_records_share_the_block(self):
+        """A snapshot, a fringe node and the page records write one
+        node's keys alike, from the memo or not."""
+        keys = (b"src/a.c,v", b"src/b.c,v", b"src/c.c,v")
+        block = self.put(keys)
+        for record, head in (
+                (LeafSnapshot(keys=keys, entry_digests=(D1, D2, D3)), b"\x20"),
+                (InternalSnapshot(keys=keys, child_digests=(D1,) * 4), b"\x21"),
+                (FringeNode(keys=keys, children=(D1,) * 4), b"\x24"),
+                (NodeEntry(list(keys)), b"\x50"),
+                (LeafPage(keys, (0, 0) * 3), b"\x52")):
+            assert encode(record).startswith(head + block)
+            wire._key_blocks.clear()
+            assert encode(record).startswith(head + block)
+
+    def test_vos_verify_across_splits_and_merges(self):
+        """Inserts that split nodes and deletes that merge them change
+        the keys of remembered nodes: every VO still round-trips and
+        verifies, with the memo warm throughout."""
+        from repro.mtree import derive_outcome
+
+        database = VerifiedDatabase(order=4, shards=2)
+        key = TestVoRoundTrip.key_for
+        queries = [WriteQuery(key(index), b"v") for index in range(120)]
+        queries += [ReadQuery(key(index)) for index in range(0, 120, 7)]
+        queries += [DeleteQuery(key(index)) for index in range(0, 120, 2)]
+        queries += [WriteQuery(key(index), b"w") for index in range(0, 60, 3)]
+        queries += [DeleteQuery(key(index)) for index in range(120)]
+        for query in queries:
+            before = database.root_digest()
+            frame = encode(database.execute(query))
+            outcome = derive_outcome(query, decode(frame), database.spec)
+            assert outcome.old_root == before
+            assert outcome.new_root == database.root_digest()
+        assert len(database) == 0 and wire._key_blocks
+
+
 def digests_in(value) -> int:
     """The digests a decoded value carries, found by walking its fields."""
     if isinstance(value, Digest):
