@@ -80,7 +80,7 @@ from repro.net import (  # noqa: E402
     sync_check,
 )
 from repro.net.aserver import BATCH_MAX  # noqa: E402
-from repro.net.framing import async_recv_message, async_send_message  # noqa: E402
+from repro.net.framing import async_recv_message, encode_frame  # noqa: E402
 from repro.protocols.protocol2 import XorRegisters  # noqa: E402
 
 ORDER = 8
@@ -246,8 +246,8 @@ async def _async_session(host: str, port: int, user: str,
     try:
         while core.operations < ops:
             while sent < ops and len(core.inflight) < window:
-                await async_send_message(writer, core.submit(WriteQuery(
-                    f"{user}-{sent % 8}".encode(), f"{user}:{sent}".encode())))
+                writer.write(encode_frame(core.submit(WriteQuery(
+                    f"{user}-{sent % 8}".encode(), f"{user}:{sent}".encode()))))
                 started.append(time.perf_counter())
                 sent += 1
             await writer.drain()

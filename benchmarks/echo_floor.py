@@ -1,0 +1,151 @@
+"""The transport floor: what an asyncio echo server costs per
+stop-and-wait round trip, with no Trusted-CVS code on either side.
+
+    python benchmarks/echo_floor.py [--trips 20000] [--repeat 3]
+
+A server process (this file with ``--serve streams`` or ``--serve
+protocol``) pinned to the last CPU answers every length-prefixed
+1,600-byte request with a 2,900-byte response -- the request and
+response sizes of the end-to-end benchmark's operations -- through an
+``asyncio`` stream reader/writer pair or a bare ``asyncio.Protocol``.
+The client, pinned to the first CPU, sends one request at a time on a
+no-delay socket.  Per round trip it reports the median wall time and
+the server's CPU time (the server's own ``process_time`` over the
+timed trips, asked for with an empty frame).  Needs two CPUs for the
+pinning; with one, both sides share it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import asyncio
+import os
+import socket
+import statistics
+import struct
+import subprocess
+import sys
+import time
+
+REQUEST_BYTES = 1600
+RESPONSE_BYTES = 2900
+_LENGTH = struct.Struct(">I")
+_RESPONSE = _LENGTH.pack(RESPONSE_BYTES) + b"r" * RESPONSE_BYTES
+
+
+def _answer(payload: bytes) -> bytes:
+    """An empty frame asks for the server's CPU seconds so far."""
+    if payload:
+        return _RESPONSE
+    text = repr(time.process_time()).encode()
+    return _LENGTH.pack(len(text)) + text
+
+
+async def _streams(reader, writer) -> None:
+    try:
+        while True:
+            (size,) = _LENGTH.unpack(await reader.readexactly(4))
+            writer.write(_answer(await reader.readexactly(size)))
+    except asyncio.IncompleteReadError:
+        writer.close()
+
+
+class _Echo(asyncio.Protocol):
+    def connection_made(self, transport) -> None:
+        self.transport, self.buffer = transport, bytearray()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        while len(self.buffer) >= 4:
+            (size,) = _LENGTH.unpack_from(self.buffer)
+            if len(self.buffer) < 4 + size:
+                return
+            payload = bytes(self.buffer[4:4 + size])
+            del self.buffer[:4 + size]
+            self.transport.write(_answer(payload))
+
+
+async def _serve(kind: str) -> None:
+    loop = asyncio.get_running_loop()
+    if kind == "streams":
+        server = await asyncio.start_server(_streams, "127.0.0.1", 0)
+    else:
+        server = await loop.create_server(_Echo, "127.0.0.1", 0)
+    print(server.sockets[0].getsockname()[1], flush=True)
+    await loop.run_in_executor(None, sys.stdin.read)  # until stdin closes
+
+
+def _pin(cpu: int) -> None:
+    if hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1:
+        os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[cpu]})
+
+
+def _recv_frame(sock: socket.socket) -> bytes:
+    def exactly(size: int) -> bytes:
+        data = bytearray()
+        while len(data) < size:
+            chunk = sock.recv(size - len(data))
+            if not chunk:
+                raise ConnectionError("server closed")
+            data += chunk
+        return bytes(data)
+    (size,) = _LENGTH.unpack(exactly(4))
+    return exactly(size)
+
+
+def measure(kind: str, trips: int) -> dict:
+    """Median round trip (us) and server CPU per round trip (us)."""
+    server = subprocess.Popen([sys.executable, __file__, "--serve", kind],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        port = int(server.stdout.readline())
+        sock = socket.create_connection(("127.0.0.1", port))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        request = _LENGTH.pack(REQUEST_BYTES) + b"q" * REQUEST_BYTES
+        cpu_probe = _LENGTH.pack(0)
+
+        def server_cpu() -> float:
+            sock.sendall(cpu_probe)
+            return float(_recv_frame(sock))
+
+        for _ in range(trips // 10):  # warm-up
+            sock.sendall(request)
+            _recv_frame(sock)
+        rtts = []
+        cpu_before = server_cpu()
+        for _ in range(trips):
+            started = time.perf_counter()
+            sock.sendall(request)
+            _recv_frame(sock)
+            rtts.append(time.perf_counter() - started)
+        cpu = server_cpu() - cpu_before
+        sock.close()
+    finally:
+        server.stdin.close()
+        server.wait(timeout=10)
+    return {"rtt_p50_us": statistics.median(rtts) * 1e6,
+            "server_cpu_us": cpu / trips * 1e6}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--serve", choices=("streams", "protocol"))
+    parser.add_argument("--trips", type=int, default=20000)
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+    if args.serve:
+        _pin(-1)
+        asyncio.run(_serve(args.serve))
+        return 0
+    _pin(0)
+    for run in range(args.repeat):
+        for kind in ("streams", "protocol"):
+            row = measure(kind, args.trips)
+            print(f"run {run + 1}  {kind:8s}  round trip p50 "
+                  f"{row['rtt_p50_us']:6.1f} us  server CPU "
+                  f"{row['server_cpu_us']:5.1f} us per round trip")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

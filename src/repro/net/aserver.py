@@ -28,7 +28,20 @@ stop-and-wait client's request is a batch of one):
 * for Protocol I, a run of pipelined requests from one user becomes a
   *signing run*: all but the last are stamped with the defer-followup
   marker, so the server blocks -- and the client signs -- **once per
-  batch** instead of once per operation.
+  batch** instead of once per operation;
+* answers leave as they are made: the drainer iterates
+  :meth:`~repro.net.core.ServerCore.stream_batch` and writes each
+  response the moment its operation has executed (after the batch's
+  fsync), so the clients decode and verify on their own CPUs while the
+  batch executes on.  Only the batch's last answer waits for the root
+  pass and any checkpoint -- a batch of one is answered as if nothing
+  streamed, and a signing run's one blocking answer leaves last.  There
+  is no ``await`` inside a batch; once it has ended, one gathered drain
+  applies backpressure.  A batch whose fsync has returned runs to its
+  end whatever its connections do; if the protocol raises mid-batch,
+  the answers written stand and the rest of its connections are
+  aborted.  :meth:`AsyncTrustedCvsServer._deliver` is the one place a
+  response frame is written.
 
 Detection guarantees are unchanged: every operation still gets its own
 verification object, counter, and last-user attribution, and the
@@ -76,11 +89,7 @@ from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import ErrorReply, Followup, Request
 from repro.net.core import ServerCore
-from repro.net.framing import (
-    FramingError,
-    async_recv_message,
-    async_send_message,
-)
+from repro.net.framing import FramingError, async_recv_message, encode_frame
 from repro.wire import WireError
 
 #: how long a parked request waits for another client's follow-up
@@ -193,9 +202,9 @@ class AsyncTrustedCvsServer:
         self._stopping = True
         if self._drainer is not None:
             # Wake the drainer with a sentinel so it exits between
-            # batches -- never mid-apply (apply_batch has no awaits, so
-            # cancellation could not split it anyway, but the sentinel
-            # also lets the drainer park cleanly).
+            # batches -- never mid-apply (a batch's loop has no awaits,
+            # so cancellation could not split it anyway, but the
+            # sentinel also lets the drainer park cleanly).
             sentinel = _Shutdown()
             self._queue.put_nowait(sentinel)
             await sentinel.done.wait()
@@ -301,23 +310,30 @@ class AsyncTrustedCvsServer:
         async def flush() -> None:
             if not batch:
                 return
-            entries = [(w.user, w.message) for w in batch]
+            # Each answer is written the moment the core yields it, so
+            # a client verifies it while the batch executes on; no
+            # await until the batch has ended (with_core and quiesce
+            # never see half of one), then one drain for backpressure.
+            answered = 0
             try:
-                responses = core.apply_batch(entries)
+                for response in core.stream_batch(
+                        [(w.user, w.message) for w in batch]):
+                    self._deliver(batch[answered], response)
+                    answered += 1
             except Exception:
-                # A request the protocol cannot execute.  Abort the
-                # batch's connections; the drainer must survive.
-                for work in batch:
+                # A request the protocol cannot execute.  The answers
+                # written stand; abort the connections of the rest.  The
+                # drainer must survive.
+                for work in batch[answered:]:
                     self._inflight -= 1
                     transport = work.writer.transport
                     if transport is not None:
                         transport.abort()
                 if _obs.enabled:
                     _INFLIGHT.set(self._inflight)
-                batch.clear()
-                return
-            await self._send_responses(batch, responses)
+            writers = {work.writer for work in batch}
             batch.clear()
+            await self._drain_writers(writers)
 
         while pending:
             work = pending.pop()
@@ -389,46 +405,37 @@ class AsyncTrustedCvsServer:
             (expired if work.deadline <= now else keep).append(work)
         self._parked = keep
         for work in expired:
-            self._inflight -= 1
             self._observe_block_wait(work)
             if _obs.enabled:
                 _BLOCK_TIMEOUTS.inc()
-                _INFLIGHT.set(self._inflight)
-            if work.writer.is_closing():
-                continue
-            try:
-                await async_send_message(work.writer, ErrorReply(
-                    reason="server blocked awaiting a follow-up signature",
-                    extras={"timeout_s": self.block_timeout,
-                            "retryable": True}))
-            except (OSError, FramingError):
-                continue
-        if expired:
-            await self._drain_writers({w.writer for w in expired})
+            self._deliver(work, ErrorReply(
+                reason="server blocked awaiting a follow-up signature",
+                extras={"timeout_s": self.block_timeout, "retryable": True}))
+        await self._drain_writers({work.writer for work in expired})
 
-    async def _send_responses(self, batch: list[_Work], responses: list) -> None:
-        writers: set[asyncio.StreamWriter] = set()
-        for work, response in zip(batch, responses):
-            self._inflight -= 1
-            if _obs.enabled:
-                _REQUEST_MS.observe(
-                    (time.perf_counter_ns() - work.enqueued_ns) / 1e6,
-                    user=work.user)
-                _INFLIGHT.set(self._inflight)
-            if work.writer.is_closing():
-                continue  # client gone; the op stands, dedup covers retries
-            try:
-                await async_send_message(work.writer, response)
-            except (OSError, FramingError):
-                continue
-            writers.add(work.writer)
-        await self._drain_writers(writers)
+    def _deliver(self, work: _Work, response) -> None:
+        """Answer ``work``: the one place a response frame is written to
+        a connection.  The message leaves the in-flight count whether
+        or not its client is still there to read the answer (the op
+        stands, and dedup covers a retry)."""
+        self._inflight -= 1
+        if _obs.enabled:
+            _REQUEST_MS.observe(
+                (time.perf_counter_ns() - work.enqueued_ns) / 1e6,
+                user=work.user)
+            _INFLIGHT.set(self._inflight)
+        if work.writer.is_closing():
+            return
+        try:
+            work.writer.write(encode_frame(response))
+        except (OSError, FramingError):
+            pass  # a frame too large or a socket gone: the op stands
 
     async def _drain_writers(self, writers: set) -> None:
         """Apply backpressure per batch: one gathered drain, with a
         timeout so one dead client cannot stall everyone's responses.
-        A writer whose transport took every byte has nothing to drain
-        and costs no task."""
+        A closed writer, or one whose transport took every byte, has
+        nothing to drain and costs no task."""
         drains = [self._drain_one(writer) for writer in writers
                   if not writer.is_closing()
                   and writer.transport.get_write_buffer_size()]
@@ -476,8 +483,8 @@ class AsyncTrustedCvsServer:
         """Run ``fn(core)`` on the loop and return its result.
 
         The one way to read or swap server state from another thread:
-        ``apply_batch`` has no ``await`` in it, so ``fn`` runs between
-        batches and never sees one half applied."""
+        the drainer's batch loop has no ``await`` in it, so ``fn`` runs
+        between batches and never sees one half applied."""
         async def _run():
             return fn(self.core)
         return self._call(_run())

@@ -20,6 +20,12 @@ whole batch, appends every fresh request to the WAL with **one** fsync
 (group commit), executes them back to back, and recomputes the Merkle
 root **once** over all dirty paths (:meth:`MerkleBPlusTree.refresh_root`).
 One request is the one-entry batch (:meth:`ServerCore.apply_request`).
+:meth:`ServerCore.stream_batch` is the one batch loop: it yields each
+response, in entry order, as soon as its operation has executed (after
+the fsync, never before), and holds only the batch's last response
+until the root pass and any checkpoint are done, so the event loop can
+put early answers on the wire while the batch still executes;
+``apply_batch`` is that generator run to its end.
 For Protocol I a multi-request batch from one user is a *signing run*:
 every request but the last is stamped with the defer-followup marker
 before it is logged, so the server blocks (and the client signs) once
@@ -438,7 +444,13 @@ class ServerCore:
 
     def apply_batch(self, entries: list[tuple[str, Request]]
                     ) -> list[Response | ErrorReply]:
-        """Execute a batch of requests with amortised durability + hashing.
+        """Execute a batch of requests; the responses aligned with
+        ``entries`` (:meth:`stream_batch`, run to its end)."""
+        return list(self.stream_batch(entries))
+
+    def stream_batch(self, entries: list[tuple[str, Request]]):
+        """Execute a batch of requests with amortised durability +
+        hashing, yielding each entry's response in entry order.
 
         ``entries`` is ``[(user_id, request), ...]`` in execution order.
         Costs amortised across the batch:
@@ -450,13 +462,21 @@ class ServerCore:
         * for a Protocol I signing run (one user, deferred follow-ups)
           the server blocks -- and the operating client signs -- once.
 
-        Returns the responses aligned with ``entries``.  Duplicate
-        request ids (dedup hits and intra-batch retries) are answered
-        from the recorded response, never re-executed.  A request no
-        state could execute (:meth:`refusal`), or one its session has
-        moved past (:meth:`DedupTable.superseded`), is answered with an
-        :class:`ErrorReply`, not logged: every later recovery replays
-        the log, so only what executes may reach it.
+        Duplicate request ids (dedup hits and intra-batch retries) are
+        answered from the recorded response, never re-executed.  A
+        request no state could execute (:meth:`refusal`), or one its
+        session has moved past (:meth:`DedupTable.superseded`), is
+        answered with an :class:`ErrorReply`, not logged: every later
+        recovery replays the log, so only what executes may reach it.
+
+        Nothing is yielded before the fsync.  Every response but the
+        last leaves as soon as its operation has executed, been
+        remembered and been seen by the replicator, so a client
+        verifies it while the rest of the batch executes; the last
+        leaves after the root pass and any checkpoint the batch
+        triggers, so a batch of one is answered only once all of its
+        work is done.  The caller runs the generator to its end: once
+        the fsync has returned, the logged requests must execute.
         """
         plan: list[tuple[str, object]] = []
         staged: dict[tuple[str, str], int] = {}
@@ -513,7 +533,23 @@ class ServerCore:
             self.store.wal_sync()
 
         executed: list[Response] = []
-        for user_id, message in fresh:
+
+        def answer(position: int) -> Response | ErrorReply:
+            kind, payload = plan[position]
+            return executed[payload] if kind == "exec" else payload
+
+        sent = 0  # the answers yielded so far, in entry order
+        held = len(plan) - 1  # the last waits for the batch's end
+        for index in range(len(fresh) + 1):
+            # What is ready leaves: a dedup hit or a refusal at once,
+            # an executed request's answer once ``index`` ops have run.
+            while sent < held and (plan[sent][0] != "exec"
+                                   or plan[sent][1] < index):
+                yield answer(sent)
+                sent += 1
+            if index == len(fresh):
+                break
+            user_id, message = fresh[index]
             response = self._execute_request(user_id, message)
             self._remember(user_id, message, response)
             # Replication deposits are per-operation (a client confirms
@@ -533,8 +569,8 @@ class ServerCore:
                 _DEDUP_ENTRIES.set(len(self.dedup))
             self._after_logged(len(fresh))
 
-        return [executed[payload] if kind == "exec" else payload
-                for kind, payload in plan]
+        if plan:
+            yield answer(held)
 
     def _remember(self, user_id: str, message: Request,
                   response: Response) -> None:

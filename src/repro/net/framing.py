@@ -1,9 +1,10 @@
 """Message framing for socket transport: 4-byte length + wire bytes.
 
 Both the blocking (:func:`send_message`/:func:`recv_message`) and the
-asyncio (:func:`async_send_message`/:func:`async_recv_message`) halves
-speak the identical frame format: the clients are blocking-socket
-classes, the server an event loop.
+asyncio (:func:`async_recv_message`) halves speak the identical frame
+format: the clients are blocking-socket classes, the server an event
+loop, which writes each response's :func:`encode_frame` to its stream
+itself (one write site, ``AsyncTrustedCvsServer._deliver``).
 """
 
 from __future__ import annotations
@@ -50,17 +51,19 @@ def set_nodelay(sock: socket.socket) -> None:
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
-def _frame(message: object) -> bytes:
+def encode_frame(message: object) -> bytes:
+    """``message`` as the frame that carries it -- a 4-byte big-endian
+    length, then its wire bytes -- counted as sent: every caller writes
+    the frame it builds."""
     payload = encode(message)
     if len(payload) > MAX_FRAME:
         raise FramingError(f"frame of {len(payload)} bytes exceeds the maximum")
-    return struct.pack(">I", len(payload)) + payload
-
-
-def _count_sent(frame: bytes) -> None:
-    _FRAMES_SENT.inc()
-    _BYTES_SENT.inc(len(frame))
-    _FRAME_BYTES.observe(len(frame) - 4, direction="out")
+    frame = struct.pack(">I", len(payload)) + payload
+    if _obs.enabled:
+        _FRAMES_SENT.inc()
+        _BYTES_SENT.inc(len(frame))
+        _FRAME_BYTES.observe(len(payload), direction="out")
+    return frame
 
 
 def send_message(sock: socket.socket, message: object) -> None:
@@ -72,11 +75,7 @@ def send_messages(sock: socket.socket, messages) -> None:
     """The frames of one :func:`send_message` per message, in order, in
     one ``sendall``: on a no-delay socket each write is its own segment,
     and a pipelined window should reach the server as one."""
-    frames = [_frame(message) for message in messages]
-    sock.sendall(b"".join(frames))
-    if _obs.enabled:
-        for frame in frames:
-            _count_sent(frame)
+    sock.sendall(b"".join(map(encode_frame, messages)))
 
 
 def recv_message(sock: socket.socket,
@@ -110,16 +109,6 @@ def recv_message(sock: socket.socket,
         _BYTES_RECEIVED.inc(4 + length)
         _FRAME_BYTES.observe(length, direction="in")
     return decode(payload)
-
-
-async def async_send_message(writer: asyncio.StreamWriter,
-                             message: object) -> None:
-    """Encode and send one message on a stream writer (does not drain;
-    the caller decides when to apply backpressure)."""
-    frame = _frame(message)
-    writer.write(frame)
-    if _obs.enabled:
-        _count_sent(frame)
 
 
 async def async_recv_message(reader: asyncio.StreamReader,

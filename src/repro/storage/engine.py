@@ -100,8 +100,10 @@ PAGE_BYTES = 32 * 1024
 KIND_NODES = "nodes"
 KIND_LEAVES = "leaves"
 KIND_ENTRIES = "entries"
-#: the ``counts`` each kind's pages are tallied under
-_COUNTED = {KIND_NODES: "nodes", KIND_LEAVES: "leaf", KIND_ENTRIES: "value"}
+#: the ``counts`` keys each kind's pages and their bytes are tallied under
+_COUNTED = {kind: (f"{name}_pages", f"{name}_bytes") for kind, name
+            in ((KIND_NODES, "nodes"), (KIND_LEAVES, "leaf"),
+                (KIND_ENTRIES, "value"))}
 
 
 _GEN_BITS = 32
@@ -204,13 +206,13 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
     rows.frames.update(known.frames)
     referenced: set[Digest] = set()   # leaves of the tree
     placed: set[Digest] = set()       # entries of the leaves written now
-    counts = {f"{name}_{unit}": 0 for name in _COUNTED.values()
-              for unit in ("pages", "bytes")}
+    counts = {name: 0 for names in _COUNTED.values() for name in names}
 
     def write(kind: str, seq: int, blob: bytes) -> None:
         store.write_page(kind, shard, gen, seq, blob)
-        counts[f"{_COUNTED[kind]}_pages"] += 1
-        counts[f"{_COUNTED[kind]}_bytes"] += len(blob)
+        pages, size = _COUNTED[kind]
+        counts[pages] += 1
+        counts[size] += len(blob)
 
     def new_row(kind: str, digest: Digest, blob: bytes) -> int:
         nonlocal next_page

@@ -160,6 +160,7 @@ def _front_code(keys: tuple) -> bytes:
     capped at ``_SHARE_PER_BYTE * (rest + 1)``."""
     out = bytearray()
     _put_varint(len(keys), out)
+    append = out.append
     previous = b""
     for key in keys:
         size = len(key)
@@ -170,8 +171,13 @@ def _front_code(keys: tuple) -> bytes:
         cap = _SHARE_PER_BYTE * (size + 1) // (_SHARE_PER_BYTE + 1)
         if shared > cap:
             shared = cap
-        _put_varint(shared, out)
-        _put_varint(size - shared, out)
+        rest = size - shared
+        if shared < 0x80 and rest < 0x80:  # one-byte varints, in line
+            append(shared)
+            append(rest)
+        else:
+            _put_varint(shared, out)
+            _put_varint(rest, out)
         out += key[shared:]
         previous = key
     return bytes(out)
@@ -204,8 +210,12 @@ def _put_keys(keys: tuple, out: bytearray) -> None:
 def _put_varints(values: tuple, out: bytearray) -> None:
     """A varint count, then the varints: page references."""
     _put_varint(len(values), out)
+    append = out.append
     for value in values:
-        _put_varint(value, out)
+        if value < 0x80:  # a one-byte varint, in line
+            append(value)
+        else:
+            _put_varint(value, out)
 
 
 def _put_digests(digests: tuple, out: bytearray) -> None:

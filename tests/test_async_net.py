@@ -162,7 +162,7 @@ class TestQuiesceCountsDequeuedWork:
         so the transport here reports some, as a full socket would.)"""
         import asyncio
 
-        from repro.net.framing import _frame
+        from repro.net.framing import encode_frame
         from repro.protocols.base import Request
 
         server = serve_in_thread(order=4, batch_max=2)
@@ -186,9 +186,9 @@ class TestQuiesceCountsDequeuedWork:
             accepted.drain = held_drain
             accepted.transport.get_write_buffer_size = lambda: 1
             writer.write(b"".join(
-                _frame(Request(query=WriteQuery(b"k%d" % i, b"v"),
-                               extras={"user": "alice",
-                                       "rid": f"alice:q:{i}"}))
+                encode_frame(Request(query=WriteQuery(b"k%d" % i, b"v"),
+                                    extras={"user": "alice",
+                                            "rid": f"alice:q:{i}"}))
                 for i in range(6)))
             await writer.drain()
             while server.core.state.ctr < 2:

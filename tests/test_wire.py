@@ -253,6 +253,24 @@ def _front_coded(keys) -> bytes:
     return bytes(block)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1 << 40), max_size=20).map(tuple))
+def test_page_references_are_leb128_varints(refs):
+    """A leaf page's references, one-byte or not: a varint count, then
+    each reference as LEB128 (seven bits a byte, low first)."""
+    def varint(value):
+        out = bytearray()
+        while value >= 0x80:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        return bytes(out + bytes((value,)))
+
+    frame = encode(LeafPage((b"k",), refs))
+    expected = b"".join(map(varint, (len(refs), *refs)))
+    assert frame.endswith(expected)
+    assert decode(frame) == LeafPage((b"k",), refs)
+
+
 #: keys around the share cap: a long run, then keys one byte longer or
 #: shorter that differ late, early, or only in length
 _CAPPED_KEYS = st.lists(st.integers(0, 40).flatmap(
