@@ -20,15 +20,15 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from bench_common import emit
 from repro.analysis import format_table
 from repro.mtree.database import ClientVerifier, QueryResult, ReadQuery, WriteQuery
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 from repro.mtree.proofs import build_delete_proof, build_path_proof
 
 SIZES = (2 ** 6, 2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16)
 ORDER = 8
 
 
-def build_tree(n: int) -> MerkleBPlusTree:
-    mtree = MerkleBPlusTree(order=ORDER)
+def build_tree(n: int) -> BPlusTree:
+    mtree = BPlusTree(order=ORDER)
     for i in range(n):
         mtree.insert(f"{i:08d}".encode(), b"x" * 16)
     mtree.root_digest()
@@ -65,10 +65,8 @@ def test_fig2_vo_scaling(capsys, benchmark):
         delete_digests = build_delete_proof(mtree, key).size_digests()
 
         mtree.root_digest()
-        before = mtree.digest_recomputations
         mtree.insert(key, b"z" * 16)
-        mtree.root_digest()
-        rehashes = mtree.digest_recomputations - before
+        _root, rehashes = mtree.refresh_root()
 
         rows.append([n, mtree.height(), read_sizes[n], delete_digests,
                      round(read_us, 1), round(write_us, 1), rehashes])

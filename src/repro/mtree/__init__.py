@@ -2,10 +2,9 @@
 
 Layers, bottom up:
 
-* :mod:`repro.mtree.bplus` -- the plain B+-tree, and ``route_index``,
-  the one routing rule.
-* :mod:`repro.mtree.merkle` -- per-node digests with lazy O(log n)
-  recomputation; the root digest ``M(D)``.
+* :mod:`repro.mtree.bplus` -- the Merkle B+-tree: per-node digests
+  recomputed lazily by one fold (O(log n) per update), the root digest
+  ``M(D)``, and ``route_index``, the one routing rule.
 * :mod:`repro.mtree.proofs` -- verification objects ``v(Q, D)``: the
   path (a read's and a write's), a delete's path and siblings, and a
   range's revealed subtrees, with pure client-side folds (update
@@ -41,7 +40,6 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "MerkleForest": ".forest",
     "StoreSpec": ".forest",
     "shard_for_key": ".forest",
-    "MerkleBPlusTree": ".merkle",
     "DeleteProof": ".proofs",
     "PathProof": ".proofs",
     "ProofError": ".proofs",

@@ -1,8 +1,8 @@
-"""A B+-tree of byte-string keys and values.
-
-This is the plain search structure underneath the Merkle tree of
-Section 4.1: "a B+-tree [15] where the leaf nodes of the tree contain
-data, and the internal nodes contain keys and tree pointers".
+"""The Merkle B+-tree of Section 4.1, over byte-string keys and values:
+"a B+-tree [15] where the leaf nodes of the tree contain data, and the
+internal nodes contain keys and tree pointers", and "each node also
+stores a digest".  The root digest ``M(D)`` commits to every entry,
+every separator key and the tree's shape.
 
 Design notes
 ------------
@@ -10,10 +10,11 @@ Design notes
   paper's branching factor ``m + 1``).  Leaves hold at most
   ``order - 1`` entries; both node kinds must stay at least half full
   (the root is exempt).
-* Mutating operations clear the cached ``digest`` attribute on every
-  node they touch, so the Merkle layer (:mod:`repro.mtree.merkle`) can
-  recompute digests lazily along dirty paths only -- this is what makes
-  a single update cost O(log n) digest work.
+* Mutating operations clear the cached ``digest`` on every node they
+  touch, and :func:`fold`, the one function that hashes a tree node,
+  hashes only the nodes whose digest is unset: an update costs O(log n)
+  digest work.  A tree counts its re-hashes; the client's replay of an
+  update VO calls :func:`fold` itself and counts nothing.
 * Keys are ``bytes`` and are compared lexicographically, matching how
   they are committed into node digests.
 """
@@ -23,7 +24,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 
+from repro.crypto.hashing import Digest, hash_internal_node, hash_leaf, hash_leaf_node
+from repro.obs import runtime as _obs
+from repro.obs.metrics import REGISTRY as _registry
+
 DEFAULT_ORDER = 8
+
+_RECOMPUTATIONS = _registry.counter(
+    "mtree.node_recomputations", "tree nodes re-hashed, by shard in a forest")
+_CACHE_HITS = _registry.counter(
+    "mtree.digest_cache_hits", "node_digest calls served from the clean cache")
 
 
 class TreeShapeError(ValueError):
@@ -53,7 +63,7 @@ class LeafNode:
         self.keys: list[bytes] = []
         self.values: list[bytes] = []
         self.next_leaf: LeafNode | None = None
-        self.digest = None  # cache managed by the Merkle layer
+        self.digest = None  # set by fold(), cleared by a mutation
         self.entry_digests: list = []  # per-entry cache, same arity as keys
 
     @property
@@ -76,7 +86,7 @@ class InternalNode:
     def __init__(self) -> None:
         self.keys: list[bytes] = []
         self.children: list[LeafNode | InternalNode] = []
-        self.digest = None  # cache managed by the Merkle layer
+        self.digest = None  # set by fold(), cleared by a mutation
 
     @property
     def is_leaf(self) -> bool:
@@ -86,12 +96,52 @@ class InternalNode:
         return f"InternalNode(keys={[k.decode('utf-8', 'replace') for k in self.keys]}, fanout={len(self.children)})"
 
 
+def leaf_entry_digests(node: LeafNode) -> list[Digest]:
+    """Per-entry digests of ``node``, re-hashing only the slots a
+    mutation cleared: an update re-hashes one entry, not ``order - 1``."""
+    cache = node.entry_digests
+    keys = node.keys
+    values = node.values
+    for index, digest in enumerate(cache):
+        if digest is None:
+            cache[index] = hash_leaf(keys[index], values[index])
+    return cache
+
+
+def fold(node: LeafNode | InternalNode) -> int:
+    """Hash every node under ``node`` whose ``digest`` is unset, each
+    once, children first, and return how many it hashed.  An iterative
+    post-order over the dirty region (depth is unbounded): a child
+    whose digest is set -- in the client's replay, an unrevealed
+    subtree's committed one -- is never entered."""
+    rehashed = 0
+    stack = [node]
+    while stack:
+        current = stack[-1]
+        if current.digest is not None:
+            stack.pop()
+            continue
+        if current.is_leaf:
+            current.digest = hash_leaf_node(leaf_entry_digests(current))
+        else:
+            dirty = [child for child in current.children if child.digest is None]
+            if dirty:
+                stack.extend(dirty)
+                continue
+            current.digest = hash_internal_node(
+                current.keys, [child.digest for child in current.children])
+        rehashed += 1
+        stack.pop()
+    return rehashed
+
+
 class BPlusTree:
-    """A B+-tree mapping ``bytes`` keys to ``bytes`` values.
+    """A Merkle B+-tree mapping ``bytes`` keys to ``bytes`` values.
 
     ``root`` runs the tree's operations over existing nodes -- the
     partial tree an update proof reveals, which the client replays the
-    update on; ``len`` then starts from zero.
+    update on; ``len`` then starts from zero.  ``labels`` are what the
+    tree's re-hashes count under: none alone, its ``shard`` in a forest.
     """
 
     def __init__(self, order: int = DEFAULT_ORDER,
@@ -101,6 +151,7 @@ class BPlusTree:
         self._order = order
         self._root: LeafNode | InternalNode = LeafNode() if root is None else root
         self._size = 0
+        self.labels: dict[str, str] = {}
 
     # -- basic properties -------------------------------------------------
 
@@ -129,6 +180,34 @@ class BPlusTree:
     @property
     def _min_children(self) -> int:
         return (self._order + 1) // 2
+
+    # -- digests -----------------------------------------------------------
+
+    def root_digest(self) -> Digest:
+        """The root digest ``M(D)``, recomputing only dirty nodes."""
+        return self.node_digest(self._root)
+
+    def refresh_root(self) -> tuple[Digest, int]:
+        """``(root digest, nodes this call re-hashed)``.  One call after
+        a *batch* of mutations hashes shared path prefixes once for the
+        whole batch -- the amortisation the batched server relies on."""
+        rehashed = fold(self._root)
+        if _obs.enabled:
+            if rehashed:
+                _RECOMPUTATIONS.inc(rehashed, **self.labels)
+            else:
+                _CACHE_HITS.inc()
+        return self._root.digest, rehashed
+
+    def node_digest(self, node: LeafNode | InternalNode) -> Digest:
+        """Digest of ``node`` (one of this tree's), from cache when clean."""
+        if node.digest is None:
+            rehashed = fold(node)
+            if _obs.enabled:
+                _RECOMPUTATIONS.inc(rehashed, **self.labels)
+        elif _obs.enabled:
+            _CACHE_HITS.inc()
+        return node.digest
 
     # -- lookup ------------------------------------------------------------
 
@@ -466,6 +545,7 @@ class BPlusTree:
         # A copy of a valid tree is valid: it is linked, not checked.
         twin = BPlusTree(self._order, copy_node(self._root))
         twin._link_leaves()
+        twin.labels = self.labels
         return twin
 
     @classmethod

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.crypto.hashing import Digest
+from repro.mtree.bplus import BPlusTree
 from repro.mtree.forest import (
     DEFAULT_TOP_ORDER,
     ForestProof,
@@ -35,7 +36,6 @@ from repro.mtree.forest import (
     implied_root_for_forest_read,
     merkle_store,
 )
-from repro.mtree.merkle import MerkleBPlusTree
 from repro.mtree.proofs import (
     NOT_A_PATH,
     DeleteProof,
@@ -133,13 +133,13 @@ class VerifiedDatabase:
             StoreSpec(order=order, shards=shards, top_order=top_order)))
 
     @classmethod
-    def from_mtree(cls, mtree: MerkleBPlusTree | MerkleForest) -> "VerifiedDatabase":
+    def from_mtree(cls, mtree: BPlusTree | MerkleForest) -> "VerifiedDatabase":
         """A database around an existing (loaded or cloned) Merkle store."""
         database = cls.__new__(cls)
         database._adopt(mtree)
         return database
 
-    def _adopt(self, mtree: MerkleBPlusTree | MerkleForest) -> None:
+    def _adopt(self, mtree: BPlusTree | MerkleForest) -> None:
         """The server side's one-tree/forest fork, once per store."""
         self._mtree = mtree
         if isinstance(mtree, MerkleForest):
@@ -166,15 +166,15 @@ class VerifiedDatabase:
         return self._spec.shards
 
     @property
-    def mtree(self) -> MerkleBPlusTree | MerkleForest:
+    def mtree(self) -> BPlusTree | MerkleForest:
         return self._mtree
 
-    def shard_trees(self) -> list[MerkleBPlusTree]:
+    def shard_trees(self) -> list[BPlusTree]:
         """The per-shard trees in shard order (one, for a single tree)."""
         return self._shard_trees
 
     def clone(self) -> "VerifiedDatabase":
-        """Independent copy (see :meth:`MerkleBPlusTree.clone`)."""
+        """Independent copy (see :meth:`BPlusTree.clone`)."""
         return VerifiedDatabase.from_mtree(self._mtree.clone())
 
     def __len__(self) -> int:

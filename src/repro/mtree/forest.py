@@ -2,7 +2,7 @@
 
 One global Merkle B+-tree means one global root and one global
 dirty-path pass per batch.  The forest partitions keys across ``S``
-per-shard :class:`~repro.mtree.merkle.MerkleBPlusTree` instances whose
+per-shard :class:`~repro.mtree.bplus.BPlusTree` instances whose
 root digests are the *entries* of a small top Merkle B+-tree keyed by a
 fixed-width shard label.  Protocols I--III keep signing and checking
 only the top root, so their detection guarantees are untouched, while
@@ -33,8 +33,7 @@ from heapq import merge as _sorted_merge
 from typing import Iterator
 
 from repro.crypto.hashing import Digest, hash_leaf
-from repro.mtree.bplus import DEFAULT_ORDER, TreeShapeError
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import DEFAULT_ORDER, BPlusTree, TreeShapeError
 from repro.mtree.proofs import (
     NOT_ENTRIES,
     DeleteProof,
@@ -50,12 +49,6 @@ from repro.mtree.proofs import (
     implied_root_for_read,
     tuple_of,
 )
-from repro.obs import runtime as _obs
-from repro.obs.metrics import REGISTRY as _registry
-
-_SHARD_RECOMPUTE = _registry.counter(
-    "merkle.recompute", "Merkle nodes re-hashed per refresh, labeled by shard")
-
 #: default branching factor of the top tree; small on purpose so the
 #: top-tree half of a VO stays O(log S) digests rather than O(S).
 DEFAULT_TOP_ORDER = 8
@@ -161,7 +154,7 @@ def shard_key(index: int) -> bytes:
 class MerkleForest:
     """S per-shard Merkle B+-trees under one top Merkle B+-tree.
 
-    Mirrors the :class:`MerkleBPlusTree` surface the rest of the system
+    Mirrors the :class:`BPlusTree` surface the rest of the system
     uses (queries, mutation, ``refresh_root``, ``clone``), plus
     per-shard dirty tracking: mutations mark their shard, and
     :meth:`refresh_root` re-hashes only dirty shard paths before
@@ -174,11 +167,11 @@ class MerkleForest:
 
     def __init__(self, order: int = DEFAULT_ORDER, shards: int = 2,
                  top_order: int = DEFAULT_TOP_ORDER) -> None:
-        self._adopt([MerkleBPlusTree(order=order) for _ in range(shards)],
+        self._adopt([BPlusTree(order=order) for _ in range(shards)],
                     StoreSpec(order=order, shards=shards, top_order=top_order))
 
     @classmethod
-    def from_shards(cls, shard_trees: list[MerkleBPlusTree],
+    def from_shards(cls, shard_trees: list[BPlusTree],
                     top_order: int = DEFAULT_TOP_ORDER) -> "MerkleForest":
         """A forest around loaded shard trees, in shard order.  The top
         tree is never persisted: its shape is a function of the shard
@@ -189,11 +182,15 @@ class MerkleForest:
             top_order=top_order))
         return forest
 
-    def _adopt(self, shard_trees: list[MerkleBPlusTree], spec: StoreSpec) -> None:
+    def _adopt(self, shard_trees: list[BPlusTree], spec: StoreSpec) -> None:
+        """Take the shard trees, tagging each tree's re-hashes with its
+        shard, and build the top tree over their roots."""
         self._spec = spec
         self._shards = shard_trees
-        self._top = MerkleBPlusTree(order=spec.top_order)
+        self._top = BPlusTree(order=spec.top_order)
+        self._top.labels = {"shard": "top"}
         for index, tree in enumerate(shard_trees):
+            tree.labels = {"shard": str(index)}
             self._top.insert(shard_key(index), tree.root_digest().to_bytes())
         self._dirty: set[int] = set()
 
@@ -220,18 +217,12 @@ class MerkleForest:
         """Shards mutated since the last top sync (obs + tests)."""
         return len(self._dirty)
 
-    @property
-    def digest_recomputations(self) -> int:
-        """Total Merkle re-hashes across all shards plus the top tree."""
-        return (self._top.digest_recomputations
-                + sum(tree.digest_recomputations for tree in self._shards))
-
-    def shard_tree(self, index: int) -> MerkleBPlusTree:
+    def shard_tree(self, index: int) -> BPlusTree:
         """The per-shard Merkle tree (proof building + tests)."""
         return self._shards[index]
 
     @property
-    def top_tree(self) -> MerkleBPlusTree:
+    def top_tree(self) -> BPlusTree:
         """The top Merkle tree (proof building + tests)."""
         return self._top
 
@@ -314,12 +305,9 @@ class MerkleForest:
         if not self._dirty:
             return 0
         recomputed = 0
-        observing = _obs.enabled
         for index in sorted(self._dirty):
             root, nodes = self._shards[index].refresh_root()
             recomputed += nodes
-            if observing and nodes:
-                _SHARD_RECOMPUTE.inc(nodes, shard=str(index))
             blob = root.to_bytes()
             if self._top.get(shard_key(index)) != blob:
                 self._top.insert(shard_key(index), blob)
@@ -340,18 +328,16 @@ class MerkleForest:
         """
         recomputed = self._sync_top()
         root, top_nodes = self._top.refresh_root()
-        if _obs.enabled and top_nodes:
-            _SHARD_RECOMPUTE.inc(top_nodes, shard="top")
         return root, recomputed + top_nodes
 
 
 def merkle_store(spec: StoreSpec,
-                 shard_trees: list[MerkleBPlusTree] | None = None,
-                 ) -> "MerkleBPlusTree | MerkleForest":
+                 shard_trees: list[BPlusTree] | None = None,
+                 ) -> "BPlusTree | MerkleForest":
     """The Merkle store of shape ``spec``, empty or around loaded
     ``shard_trees``: the one tree itself, or a forest over them."""
     if shard_trees is None:
-        shard_trees = [MerkleBPlusTree(order=spec.order)
+        shard_trees = [BPlusTree(order=spec.order)
                        for _ in range(spec.shards)]
     if len(shard_trees) != spec.shards or \
             any(tree.order != spec.order for tree in shard_trees):

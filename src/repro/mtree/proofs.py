@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest, hash_internal_node, hash_leaf, hash_leaf_node
-from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode, route_index
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import (
+    BPlusTree, InternalNode, LeafNode, fold, leaf_entry_digests, route_index)
 
 
 class ProofError(Exception):
@@ -91,12 +91,12 @@ class InternalSnapshot:
             raise ProofError("internal snapshot arity mismatch")
 
 
-def snapshot_leaf(mtree: MerkleBPlusTree, node) -> LeafSnapshot:
-    entry_digests = tuple(mtree.leaf_entry_digests(node))
+def snapshot_leaf(node) -> LeafSnapshot:
+    entry_digests = tuple(leaf_entry_digests(node))
     return LeafSnapshot(keys=tuple(node.keys), entry_digests=entry_digests)
 
 
-def snapshot_internal(mtree: MerkleBPlusTree, node) -> InternalSnapshot:
+def snapshot_internal(mtree: BPlusTree, node) -> InternalSnapshot:
     child_digests = tuple([mtree.node_digest(child) for child in node.children])
     return InternalSnapshot(keys=tuple(node.keys), child_digests=child_digests)
 
@@ -127,12 +127,12 @@ class PathProof:
         return sum(s.size_digests() for s in self.internals) + self.leaf.size_digests()
 
 
-def build_path_proof(mtree: MerkleBPlusTree, key: bytes) -> PathProof:
+def build_path_proof(mtree: BPlusTree, key: bytes) -> PathProof:
     """Server side: the path to ``key``'s leaf, snapshotted (before a
     write mutates it)."""
-    path = mtree.tree.search_path(key)
+    path = mtree.search_path(key)
     internals = tuple([snapshot_internal(mtree, node) for node in path[:-1]])
-    return PathProof(internals=internals, leaf=snapshot_leaf(mtree, path[-1]))
+    return PathProof(internals=internals, leaf=snapshot_leaf(path[-1]))
 
 
 def fold_path(
@@ -251,14 +251,14 @@ class RangeProof:
         return count(self.root)
 
 
-def build_range_proof(mtree: MerkleBPlusTree, low: bytes, high: bytes) -> RangeProof:
+def build_range_proof(mtree: BPlusTree, low: bytes, high: bytes) -> RangeProof:
     """Server side: reveal exactly the subtrees intersecting the range."""
     if low > high:
         raise ValueError("empty range: low > high")
 
     def reveal(node):
         if node.is_leaf:
-            return snapshot_leaf(mtree, node)
+            return snapshot_leaf(node)
         children = []
         for index, child in enumerate(node.children):
             lower = node.keys[index - 1] if index > 0 else None
@@ -269,7 +269,7 @@ def build_range_proof(mtree: MerkleBPlusTree, low: bytes, high: bytes) -> RangeP
                 children.append(mtree.node_digest(child))
         return FringeNode(keys=tuple(node.keys), children=tuple(children))
 
-    return RangeProof(root=reveal(mtree.tree.root))
+    return RangeProof(root=reveal(mtree.root))
 
 
 def _intersects(lower: bytes | None, upper: bytes | None, low: bytes, high: bytes) -> bool:
@@ -369,15 +369,15 @@ class DeleteProof:
             for side in (pair.left, pair.right) if side is not None)
 
 
-def _snapshot_any(mtree: MerkleBPlusTree, node):
-    return snapshot_leaf(mtree, node) if node.is_leaf else snapshot_internal(mtree, node)
+def _snapshot_any(mtree: BPlusTree, node):
+    return snapshot_leaf(node) if node.is_leaf else snapshot_internal(mtree, node)
 
 
-def build_delete_proof(mtree: MerkleBPlusTree, key: bytes) -> DeleteProof:
+def build_delete_proof(mtree: BPlusTree, key: bytes) -> DeleteProof:
     """Server side: the path to ``key``'s leaf *before* the delete, and
     every adjacent sibling at every level, so the client can replay
     borrow/merge rebalancing; a delete proof without one is refused."""
-    path = mtree.tree.search_path(key)
+    path = mtree.search_path(key)
     siblings = []
     for depth, parent in enumerate(path[:-1]):
         index = parent.children.index(path[depth + 1])
@@ -392,7 +392,9 @@ def _node_of(snapshot: LeafSnapshot | InternalSnapshot) -> LeafNode | InternalNo
     """A B+-tree node holding what ``snapshot`` reveals.  A leaf keeps
     its entry digests and its values are unknown (``None``), so only an
     entry the update writes is hashed again; an internal node's children
-    are its committed digests until a revealed node takes a slot."""
+    are unrevealed subtrees, nodes known only by their committed digest
+    (which :func:`~repro.mtree.bplus.fold` reads and never enters),
+    until a revealed node takes a slot."""
     if isinstance(snapshot, LeafSnapshot):
         node = LeafNode()
         node.keys = list(snapshot.keys)
@@ -403,30 +405,17 @@ def _node_of(snapshot: LeafSnapshot | InternalSnapshot) -> LeafNode | InternalNo
         raise ProofError("internal snapshot with one child")
     node = InternalNode()
     node.keys = list(snapshot.keys)
-    node.children = list(snapshot.child_digests)
+    node.children = list(map(_Unrevealed, snapshot.child_digests))
     return node
 
 
-def _fold(root: LeafNode | InternalNode) -> Digest:
-    """The root digest of a replayed partial tree.  A bare ``Digest``
-    child is its own digest and a node whose ``digest`` is set is as it
-    was checked, so only the nodes the update cleared are hashed.  Not
-    ``MerkleBPlusTree.node_digest``: its counters count the server's
-    work."""
-    nodes = [root]
-    for node in nodes:  # breadth first, appending as it goes: children follow parents
-        if node.digest is None and not node.is_leaf:
-            nodes += [child for child in node.children if not isinstance(child, Digest)]
-    for node in reversed(nodes):
-        if node.digest is not None:
-            continue
-        if node.is_leaf:
-            node.digest = hash_leaf_node(MerkleBPlusTree.leaf_entry_digests(node))
-        else:
-            node.digest = hash_internal_node(node.keys, [
-                child if isinstance(child, Digest) else child.digest
-                for child in node.children])
-    return root.digest
+class _Unrevealed:
+    """A subtree the VO does not reveal: its committed digest alone."""
+
+    __slots__ = ("digest",)
+
+    def __init__(self, digest: Digest) -> None:
+        self.digest = digest
 
 
 def derive_update_roots(
@@ -499,4 +488,5 @@ def derive_update_roots(
         # the path was folded with the routing rule for ``key``, so a
         # leaf without it proves absence: an honest delete changed nothing
         return old_root, old_root
-    return old_root, _fold(tree.root)
+    fold(tree.root)  # only the nodes the update cleared; counts nothing
+    return old_root, tree.root.digest

@@ -22,7 +22,7 @@ stop-and-wait client's request is a batch of one):
   durable with a **single fsync** (group commit) before any of them
   executes;
 * the Merkle root is recomputed **once per batch** -- one dirty-path
-  pass over all touched leaves (:meth:`MerkleBPlusTree.refresh_root`),
+  pass over all touched leaves (:meth:`BPlusTree.refresh_root`),
   so sibling operations share the hashing of their common path
   prefixes;
 * for Protocol I, a run of pipelined requests from one user becomes a

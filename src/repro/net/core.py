@@ -18,7 +18,7 @@ simulator's round) or, without one, the message tick.
 Requests execute in *batches*: :meth:`ServerCore.apply_batch` dedups a
 whole batch, appends every fresh request to the WAL with **one** fsync
 (group commit), executes them back to back, and recomputes the Merkle
-root **once** over all dirty paths (:meth:`MerkleBPlusTree.refresh_root`).
+root **once** over all dirty paths (:meth:`BPlusTree.refresh_root`).
 One request is the one-entry batch (:meth:`ServerCore.apply_request`).
 :meth:`ServerCore.stream_batch` is the one batch loop: it yields each
 response, in entry order, as soon as its operation has executed (after

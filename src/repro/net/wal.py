@@ -54,9 +54,9 @@ from __future__ import annotations
 import os
 
 from repro.crypto.hashing import Digest, hash_bytes
+from repro.mtree.bplus import BPlusTree
 from repro.mtree.database import DeleteQuery, VerifiedDatabase, WriteQuery
 from repro.mtree.forest import StoreSpec, merkle_store, shard_for_key
-from repro.mtree.merkle import MerkleBPlusTree
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import Followup, Request, Response
@@ -210,7 +210,7 @@ def _verify_records(records: list[tuple[bytes, bytes]], chain: Digest,
     return messages, chain
 
 
-def _replay_shard(tree: MerkleBPlusTree, messages, shard: int,
+def _replay_shard(tree: BPlusTree, messages, shard: int,
                   shards: int) -> None:
     """Re-execute the logged writes and deletes routed to ``shard`` on
     ``tree``, through the server's own :meth:`VerifiedDatabase.execute`."""
@@ -484,7 +484,7 @@ class ServerStore:
         if _obs.enabled:
             _CHECKPOINTS.inc()
 
-    def _write_shard(self, index: int, gen: int, tree: MerkleBPlusTree,
+    def _write_shard(self, index: int, gen: int, tree: BPlusTree,
                      previous: dict | None) -> tuple[dict, PageRows]:
         """One shard's share of a checkpoint transaction: write the
         entries and leaves the store does not hold, delete what its
@@ -576,7 +576,7 @@ class ServerStore:
         stats = LoadStats()
         self.load_stats = stats
         self.repaired_shards = []
-        shard_trees: list[MerkleBPlusTree] = []
+        shard_trees: list[BPlusTree] = []
         for record in shard_records:
             index = int(record["shard"])
             shard_gen = int(record["gen"])
@@ -631,7 +631,7 @@ class ServerStore:
             self.io.remove(path)
 
     def _repair_shard(self, record: dict, spec: StoreSpec, manifest: dict,
-                      cause: Exception) -> tuple[MerkleBPlusTree, PageRows]:
+                      cause: Exception) -> tuple[BPlusTree, PageRows]:
         """Redo a quarantined shard's last checkpoint: load its previous
         state, replay the segment that led from there, and run the same
         walk that wrote the damaged pages.
@@ -666,7 +666,7 @@ class ServerStore:
                     f"damaged ({double_fault}); cannot repair"
                 ) from double_fault
         else:
-            tree = MerkleBPlusTree(order=spec.order)
+            tree = BPlusTree(order=spec.order)
         if os.path.isfile(os.path.join(self.data_dir, log_name(shard_gen))):
             start = dict(manifest["segments"]).get(str(shard_gen))
             if not isinstance(start, Digest):

@@ -1,6 +1,6 @@
 """The paged snapshot engine: shard trees <-> pages, one page per entry.
 
-Sits between the Merkle layer and a :class:`~repro.storage.pagestore.PageStore`,
+Sits between the Merkle tree and a :class:`~repro.storage.pagestore.PageStore`,
 and is the one module that knows the page format.  Root digests commit
 to the *tree shape*, not just the entry set (two trees holding the same
 entries but built in different orders hash differently), so a shard is
@@ -20,7 +20,7 @@ Every page is keyed ``(shard, generation, page id)``, written by the
 checkpoint that last saw its bytes change; page ids come from one
 counter per shard.
 
-**Dirtiness is derived, not marked.**  The Merkle layer already keeps a
+**Dirtiness is derived, not marked.**  The Merkle tree already keeps a
 digest on every entry (``hash_leaf(key, value)``) and on every leaf, and
 each commits to exactly the bytes of its page, so
 :func:`write_shard_pages` takes what the store holds -- ``digest ->
@@ -57,7 +57,6 @@ from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest
 from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode, TreeShapeError
-from repro.mtree.merkle import MerkleBPlusTree
 from repro.storage.pagestore import PageStore, StorageError
 
 
@@ -182,7 +181,7 @@ class ShardWrite:
 
 
 def write_shard_pages(store: PageStore, shard: int, gen: int,
-                      mtree: MerkleBPlusTree, known: PageRows | None = None,
+                      mtree: BPlusTree, known: PageRows | None = None,
                       next_page: int = 0,
                       page_bytes: int = PAGE_BYTES) -> ShardWrite:
     """Write what changed of one shard tree into the store under ``gen``.
@@ -245,7 +244,7 @@ def write_shard_pages(store: PageStore, shard: int, gen: int,
         return frame
 
     page = bytearray(encode(mtree.order))
-    stack = [mtree.tree.root]
+    stack = [mtree.root]
     while stack:  # preorder: a node, then its children left to right
         node = stack.pop()
         if node.is_leaf:
@@ -286,7 +285,7 @@ def _missing(kind: str, shard: int, gen: int, seq: int) -> StorageError:
 def load_shard_tree(store: PageStore, shard: int, gen: int,
                     expected_root: Digest | None = None,
                     stats: LoadStats | None = None,
-                    rows: PageRows | None = None) -> MerkleBPlusTree:
+                    rows: PageRows | None = None) -> BPlusTree:
     """Stream one shard's pages back into a Merkle tree and verify it.
 
     ``rows``, when given, is filled with what the store holds for the
@@ -391,12 +390,11 @@ def load_shard_tree(store: PageStore, shard: int, gen: int,
     except TreeShapeError as exc:
         raise StorageError(
             f"{stream} violates tree invariants: {exc}") from exc
-    mtree = MerkleBPlusTree.from_tree(tree)
     if expected_root is not None or rows is not None:
         # Recompute every digest from the loaded entries: binds the
         # page bytes to the root the WAL chain anchors, so tampered
         # pages with refreshed checksums are still caught here.
-        actual, _nodes = mtree.refresh_root()
+        actual, _nodes = tree.refresh_root()
         if expected_root is not None and actual != expected_root:
             raise StorageError(
                 f"shard {shard} gen {gen} hashes to {actual.short()}..., "
@@ -405,4 +403,4 @@ def load_shard_tree(store: PageStore, shard: int, gen: int,
         rows[leaf.digest] = row
         rows.update(zip(leaf.entry_digests, value_rows))
         rows.members[leaf.digest] = tuple(leaf.entry_digests)
-    return mtree
+    return tree

@@ -86,10 +86,23 @@ class CorruptPageError(StorageError):
 
 def page_checksum(kind: str, shard: int, gen: int, seq: int,
                   blob: bytes) -> bytes:
-    """Domain-separated checksum binding the payload to its full key."""
-    return hashlib.sha256(b"%s%s|%d|%d|%d|%d|%s" % (
-        _CHECKSUM_DOMAIN, kind.encode("ascii"), shard, gen, seq, len(blob),
-        blob)).digest()
+    """Domain-separated checksum binding the payload to its full key:
+    SHA-256 over the key's head, then the payload (never copied)."""
+    digest = hashlib.sha256(b"%s%s|%d|%d|%d|%d|" % (
+        _CHECKSUM_DOMAIN, kind.encode("ascii"), shard, gen, seq, len(blob)))
+    digest.update(blob)
+    return digest.digest()
+
+
+class _WritePoints(dict):
+    """Each page kind's crash point, its name built on first use."""
+
+    def __missing__(self, kind: str) -> str:
+        name = self[kind] = f"pagestore:{kind}-page-write"
+        return name
+
+
+_WRITE_POINTS = _WritePoints()
 
 
 def frame_record(payload: bytes, digest: bytes) -> bytes:
@@ -300,7 +313,7 @@ class MemoryPageStore(PageStore):
         if self._staged is None:
             raise StorageError("write_page outside a transaction")
         self.io.crash_point("pagestore:page-write")
-        self.io.crash_point(f"pagestore:{kind}-page-write")
+        self.io.crash_point(_WRITE_POINTS[kind])
         self._admit_page()
         self._staged.append((_PUT, kind, shard, gen, seq, blob,
                              page_checksum(kind, shard, gen, seq, blob)))
@@ -502,7 +515,7 @@ class SqlitePageStore(PageStore):
                    blob: bytes) -> None:
         self._in_transaction("write_page")
         self.io.crash_point("pagestore:page-write")
-        self.io.crash_point(f"pagestore:{kind}-page-write")
+        self.io.crash_point(_WRITE_POINTS[kind])
         try:
             self.io.commit_gate(self.path)  # ENOSPC surfaces at write time
         except OSError as exc:

@@ -420,7 +420,7 @@ class TestStoreInspect:
         for index in range(2):
             tree = core.state.database.mtree.shard_tree(index)
             entries.append(len(tree))
-            leaf = tree.tree.search_path(b"")[-1]
+            leaf = tree.search_path(b"")[-1]
             leaves.append(0)
             while leaf is not None:
                 leaves[index] += 1

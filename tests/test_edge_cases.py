@@ -5,7 +5,7 @@ import pytest
 from repro.crypto import rsa
 from repro.crypto.hashing import hash_bytes
 from repro.mtree.database import QueryResult, RangeQuery, ReadQuery, VerifiedDatabase, WriteQuery
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 from repro.mtree.proofs import (
     FringeNode,
     LeafSnapshot,
@@ -22,7 +22,7 @@ from repro.protocols.verify import derive_outcome
 
 
 def make_tree(n=30, order=3):
-    mtree = MerkleBPlusTree(order=order)
+    mtree = BPlusTree(order=order)
     for i in range(n):
         mtree.insert(f"k{i:03d}".encode(), f"v{i}".encode())
     return mtree

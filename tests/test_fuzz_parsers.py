@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mtree.database import VerifiedDatabase, WriteQuery, ReadQuery
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 from repro.storage.engine import load_shard_tree, write_shard_pages
 from repro.storage.pagestore import MemoryPageStore, StorageError
 from repro.storage.rcs import RcsError, RevisionStore
@@ -69,7 +69,7 @@ class TestSnapshotFuzz:
     through :func:`load_shard_tree`."""
 
     def _store(self):
-        tree = MerkleBPlusTree(order=4)
+        tree = BPlusTree(order=4)
         for i in range(25):
             tree.insert(f"k{i:02d}".encode(), f"v{i}".encode())
         store = MemoryPageStore()
@@ -83,7 +83,7 @@ class TestSnapshotFuzz:
         store.begin()
         store.write_page(kind, 0, 0, page, blob)
         store.commit()
-        return load_shard_tree(store, 0, 0).tree
+        return load_shard_tree(store, 0, 0)
 
     def test_corrupted_snapshots_never_crash(self):
         store = self._store()
@@ -367,7 +367,6 @@ class TestVoShapeFuzz:
 
     def test_update_replay_over_impossible_trees(self):
         from repro.mtree.bplus import BPlusTree, InternalNode, LeafNode
-        from repro.mtree.merkle import MerkleBPlusTree
         from repro.mtree.proofs import (
             ProofError, build_delete_proof, build_path_proof, derive_update_roots)
 
@@ -393,13 +392,12 @@ class TestVoShapeFuzz:
 
         rejected = set()
         for _ in range(4000):
-            tree = BPlusTree(order=rng.choice([3, 4, 5]))
-            tree._root = grow(rng.randrange(4), 0, 200)
-            mtree = MerkleBPlusTree.from_tree(tree)
+            tree = BPlusTree(order=rng.choice([3, 4, 5]),
+                             root=grow(rng.randrange(4), 0, 200))
             key = b"k%04d" % rng.randrange(200)
             operation = rng.choice(["insert", "delete"])
             build = build_path_proof if operation == "insert" else build_delete_proof
-            proof = build(mtree, key)
+            proof = build(tree, key)
             try:
                 derive_update_roots(proof, rng.choice([3, 4, 5, 8]), key,
                                     b"v" if operation == "insert" else None)

@@ -116,7 +116,7 @@ class TestProportionality:
             traffic.write(core, key, b"rev-2" + b"+" * (40 * n))  # lengths differ
             shard = core.state.database.mtree.shard_tree(
                 shard_for_key(key, 2))
-            touched.add(id(shard.tree.search_path(key)[-1]))
+            touched.add(id(shard.search_path(key)[-1]))
         core.snapshot()
         after = _rows(core.store)
         # Gone: what only the state before the previous one named.  Every

@@ -1,8 +1,8 @@
-"""Tests for the Merkle layer: digest maintenance and O(log n) updates."""
+"""Tests for the Merkle B+-tree's digests: maintenance and O(log n) updates."""
 
 import math
 
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 
 
 def fill(mtree, count):
@@ -12,35 +12,35 @@ def fill(mtree, count):
 
 class TestRootDigest:
     def test_empty_tree_has_stable_digest(self):
-        assert MerkleBPlusTree().root_digest() == MerkleBPlusTree().root_digest()
+        assert BPlusTree().root_digest() == BPlusTree().root_digest()
 
     def test_insert_changes_root(self):
-        mtree = MerkleBPlusTree()
+        mtree = BPlusTree()
         before = mtree.root_digest()
         mtree.insert(b"a", b"1")
         assert mtree.root_digest() != before
 
     def test_overwrite_changes_root(self):
-        mtree = MerkleBPlusTree()
+        mtree = BPlusTree()
         mtree.insert(b"a", b"1")
         before = mtree.root_digest()
         mtree.insert(b"a", b"2")
         assert mtree.root_digest() != before
 
     def test_same_history_same_digest(self):
-        a, b = MerkleBPlusTree(order=4), MerkleBPlusTree(order=4)
+        a, b = BPlusTree(order=4), BPlusTree(order=4)
         fill(a, 50)
         fill(b, 50)
         assert a.root_digest() == b.root_digest()
 
     def test_value_matters(self):
-        a, b = MerkleBPlusTree(), MerkleBPlusTree()
+        a, b = BPlusTree(), BPlusTree()
         a.insert(b"k", b"v1")
         b.insert(b"k", b"v2")
         assert a.root_digest() != b.root_digest()
 
     def test_insert_then_delete_restores_digest(self):
-        mtree = MerkleBPlusTree(order=4)
+        mtree = BPlusTree(order=4)
         fill(mtree, 10)
         before = mtree.root_digest()
         mtree.insert(b"zzz", b"tmp")
@@ -49,7 +49,7 @@ class TestRootDigest:
         assert mtree.root_digest() == before
 
     def test_read_does_not_change_root(self):
-        mtree = MerkleBPlusTree()
+        mtree = BPlusTree()
         fill(mtree, 20)
         before = mtree.root_digest()
         assert mtree.get(b"k00003") == b"v3"
@@ -57,7 +57,7 @@ class TestRootDigest:
         assert mtree.root_digest() == before
 
     def test_delegated_api(self):
-        mtree = MerkleBPlusTree(order=5)
+        mtree = BPlusTree(order=5)
         fill(mtree, 12)
         assert len(mtree) == 12
         assert b"k00000" in mtree
@@ -70,29 +70,24 @@ class TestLazyRecomputation:
     def test_update_rehashes_logarithmically(self):
         """The paper's O(log n) claim: after one update, recomputing the
         root re-hashes only the dirty path, not the whole tree."""
-        mtree = MerkleBPlusTree(order=8)
+        mtree = BPlusTree(order=8)
         fill(mtree, 4096)
         mtree.root_digest()  # make everything clean
-        baseline = mtree.digest_recomputations
         mtree.insert(b"k02048", b"updated")
-        mtree.root_digest()
-        touched = mtree.digest_recomputations - baseline
+        _root, touched = mtree.refresh_root()
         # Path length is height; splits can add a few nodes.
         assert touched <= 3 * mtree.height()
         assert touched <= 4 * math.ceil(math.log2(4096))
 
     def test_cached_root_costs_nothing(self):
-        mtree = MerkleBPlusTree()
+        mtree = BPlusTree()
         fill(mtree, 100)
         mtree.root_digest()
-        before = mtree.digest_recomputations
-        mtree.root_digest()
-        assert mtree.digest_recomputations == before
+        assert mtree.refresh_root() == (mtree.root_digest(), 0)
 
     def test_first_computation_touches_every_node(self):
-        mtree = MerkleBPlusTree(order=4)
+        mtree = BPlusTree(order=4)
         fill(mtree, 64)
-        mtree.digest_recomputations = 0
-        mtree.root_digest()
+        _root, recomputed = mtree.refresh_root()
         # At least one digest per leaf-level entry group; definitely > height.
-        assert mtree.digest_recomputations > mtree.height()
+        assert recomputed > mtree.height()

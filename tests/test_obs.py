@@ -262,10 +262,11 @@ class TestForestObsLabels:
         obs.reset()
         obs.enable()
         forest = MerkleForest(order=4, shards=4)
+        obs.reset()  # building the forest hashes every shard's root too
         for i in range(40):
             forest.insert(b"k%02d" % i, b"v")
         _root, recomputed = forest.refresh_root()
-        counter = REGISTRY.counter("merkle.recompute")
+        counter = REGISTRY.counter("mtree.node_recomputations")
         series = counter.series()
         # every touched shard reports under its own label, plus the top
         assert "shard=top" in series
@@ -327,5 +328,5 @@ class TestForestObsLabels:
         assert all(entry["ok"] for entry in reconciliation.values()), \
             reconciliation
         if shards > 1:
-            series = snap["counters"]["merkle.recompute"]["series"]
+            series = snap["counters"]["mtree.node_recomputations"]["series"]
             assert any(label.startswith("shard=") for label in series)

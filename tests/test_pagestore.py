@@ -10,6 +10,7 @@ signal.  The page file's own tests cover what only an append-only file
 has: the open-time scan, torn tails, failed appends and compaction.
 """
 
+import hashlib
 import os
 import random
 import sqlite3
@@ -189,6 +190,26 @@ class TestChecksums:
         assert page_checksum("nodes", 0, 9, 2, b"payload") != base
         assert page_checksum("nodes", 0, 1, 5, b"payload") != base
         assert page_checksum("nodes", 0, 1, 2, b"payloae") != base
+
+    @pytest.mark.parametrize("kind, shard, gen, seq, blob, pinned", [
+        ("entries", 0, 0, 0, b"",
+         "77e772f98262b87adb0ee9dbb2e2fdacec5ff5f6adab571b95b747aaf886ac25"),
+        ("leaves", 3, 7, 11, b"payload",
+         "4a4515edeb6e051b19364ffb45eaaef495bc48e7f60460955c5bf146d1c1a119"),
+    ])
+    def test_checksum_is_the_concatenated_formula(self, kind, shard, gen, seq,
+                                                  blob, pinned):
+        """Stored pages must keep verifying: the checksum is SHA-256 of
+        ``domain || kind|shard|gen|seq|len|blob``, however it is fed."""
+        def formula(payload: bytes) -> bytes:
+            return hashlib.sha256(b"\x0astorage-page%s|%d|%d|%d|%d|%s" % (
+                kind.encode("ascii"), shard, gen, seq, len(payload),
+                payload)).digest()
+
+        assert formula(blob).hex() == pinned
+        assert page_checksum(kind, shard, gen, seq, blob) == formula(blob)
+        large = bytes(range(256)) * 300  # bigger than any hash block
+        assert page_checksum(kind, shard, gen, seq, large) == formula(large)
 
     def test_bitrot_detected_on_read(self, tmp_path):
         io = FaultyIO(seed=3, bitrot_page=("nodes", 0))

@@ -20,7 +20,7 @@ from repro.crypto.hashing import (
     hash_tagged_state,
     xor_all,
 )
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 
 digests = st.binary(min_size=DIGEST_SIZE, max_size=DIGEST_SIZE).map(Digest)
 
@@ -85,7 +85,7 @@ class TestStateHashMemoisation:
             raise AssertionError("negative counter accepted")
 
 
-def full_leaf_recompute(tree: MerkleBPlusTree) -> Digest:
+def full_leaf_recompute(tree: BPlusTree) -> Digest:
     """Root digest recomputed from scratch, ignoring every cache."""
 
     def recompute(node):
@@ -97,7 +97,7 @@ def full_leaf_recompute(tree: MerkleBPlusTree) -> Digest:
         return hash_internal_node(
             list(node.keys), [recompute(child) for child in node.children])
 
-    return recompute(tree.tree.root)
+    return recompute(tree.root)
 
 
 class TestIncrementalLeafDigests:
@@ -105,7 +105,7 @@ class TestIncrementalLeafDigests:
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=20, max_value=120))
     def test_cache_equals_full_recompute_after_random_ops(self, seed, operations):
         rng = random.Random(seed)
-        tree = MerkleBPlusTree(order=4)
+        tree = BPlusTree(order=4)
         live = set()
         for _ in range(operations):
             key = b"k%03d" % rng.randrange(48)
@@ -120,18 +120,16 @@ class TestIncrementalLeafDigests:
         tree.check_invariants()
 
     def test_update_rehashes_only_touched_path(self):
-        tree = MerkleBPlusTree(order=4)
+        tree = BPlusTree(order=4)
         for index in range(64):
             tree.insert(b"k%03d" % index, b"v")
         tree.root_digest()
-        before = tree.digest_recomputations
         tree.insert(b"k000", b"v2")  # overwrite: one leaf entry changes
-        tree.root_digest()
-        recomputed = tree.digest_recomputations - before
+        _root, recomputed = tree.refresh_root()
         assert recomputed <= tree.height()  # only the dirty path
 
     def test_clone_is_independent(self):
-        tree = MerkleBPlusTree(order=4)
+        tree = BPlusTree(order=4)
         for index in range(32):
             tree.insert(b"k%03d" % index, b"v")
         root = tree.root_digest()
@@ -141,7 +139,7 @@ class TestIncrementalLeafDigests:
         assert twin.root_digest() != root
         assert tree.root_digest() == root
         tree.check_invariants()
-        twin.tree.check_invariants()
+        twin.check_invariants()
 
 
 class TestCrtSigning:

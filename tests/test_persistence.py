@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mtree.bplus import BPlusTree
 from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery, DeleteQuery, ClientVerifier
-from repro.mtree.merkle import MerkleBPlusTree
 from repro.net.wal import ServerStore, WalError, _MANIFEST_KEY
 from repro.protocols.base import ServerState
 from repro.storage.engine import (
@@ -41,7 +40,7 @@ def stored(tree: BPlusTree) -> MemoryPageStore:
     """A store holding ``tree`` as shard 0, generation 0."""
     store = MemoryPageStore()
     store.begin()
-    write_shard_pages(store, 0, 0, MerkleBPlusTree.from_tree(tree))
+    write_shard_pages(store, 0, 0, tree)
     store.commit()
     return store
 
@@ -64,7 +63,7 @@ def with_nodes(store, blob_or_frames):
 
 
 def load(store) -> BPlusTree:
-    return load_shard_tree(store, 0, 0).tree
+    return load_shard_tree(store, 0, 0)
 
 
 def roundtrip(tree: BPlusTree) -> BPlusTree:
@@ -82,9 +81,7 @@ class TestTreeSnapshot:
     def test_roundtrip_preserves_shape(self):
         """The crucial property: the reloaded tree hashes identically."""
         tree = build_random_tree(2)
-        original = MerkleBPlusTree.from_tree(tree)
-        restored = MerkleBPlusTree.from_tree(roundtrip(tree))
-        assert restored.root_digest() == original.root_digest()
+        assert roundtrip(tree).root_digest() == tree.root_digest()
 
     def test_empty_tree(self):
         clone = roundtrip(BPlusTree(order=5))
@@ -168,9 +165,7 @@ class TestRoundtripAtEveryOrder:
         clone = roundtrip(tree)
         clone.check_invariants()
         assert dict(clone.items()) == dict(tree.items())
-        original = MerkleBPlusTree.from_tree(tree)
-        restored = MerkleBPlusTree.from_tree(clone)
-        assert restored.root_digest() == original.root_digest()
+        assert clone.root_digest() == tree.root_digest()
 
     @pytest.mark.parametrize("order", BENCHMARK_ORDERS)
     def test_database_roundtrip(self, order, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.mtree.database import ClientVerifier, QueryResult, RangeQuery
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 from repro.mtree.proofs import (
     FringeNode,
     ProofError,
@@ -22,7 +22,7 @@ def verified_range(root, proof, low, high, entries):
 
 
 def make_tree(n=60, order=4):
-    mtree = MerkleBPlusTree(order=order)
+    mtree = BPlusTree(order=order)
     for i in range(n):
         mtree.insert(f"k{i:03d}".encode(), f"v{i}".encode())
     return mtree
@@ -58,7 +58,7 @@ class TestCorrectness:
         assert entries == ((b"k007", b"v7"),)
 
     def test_empty_tree(self):
-        mtree = MerkleBPlusTree()
+        mtree = BPlusTree()
         proof = build_range_proof(mtree, b"a", b"z")
         assert verified_range(mtree.root_digest(), proof, b"a", b"z", ()) == ()
 

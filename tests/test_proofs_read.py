@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.hashing import hash_bytes, hash_leaf
 from repro.mtree.database import ClientVerifier, QueryResult, ReadQuery
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 from repro.mtree.proofs import (
     LeafSnapshot,
     PathProof,
@@ -25,7 +25,7 @@ def verified_read(root, proof, key, value):
 
 @pytest.fixture
 def mtree():
-    tree = MerkleBPlusTree(order=4)
+    tree = BPlusTree(order=4)
     for i in range(0, 100, 2):  # even keys only
         tree.insert(f"k{i:03d}".encode(), f"v{i}".encode())
     return tree
@@ -48,7 +48,7 @@ class TestMembership:
             assert verified_read(root, build_path_proof(mtree, key), key, value) == value
 
     def test_empty_tree_absence(self):
-        mtree = MerkleBPlusTree()
+        mtree = BPlusTree()
         proof = build_path_proof(mtree, b"anything")
         assert verified_read(mtree.root_digest(), proof, b"anything", None) is None
 
@@ -128,7 +128,7 @@ class TestSize:
         sizes = {}
         for exponent in (6, 10, 14):
             n = 2 ** exponent
-            mtree = MerkleBPlusTree(order=8)
+            mtree = BPlusTree(order=8)
             for i in range(n):
                 mtree.insert(f"{i:06d}".encode(), b"x")
             proof = build_path_proof(mtree, f"{n // 2:06d}".encode())

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import hash_bytes
 from repro.mtree.database import ClientVerifier, DeleteQuery, QueryResult, WriteQuery
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 from repro.mtree.proofs import (
     DeleteProof,
     ProofError,
@@ -31,7 +31,7 @@ def verified_update(root, proof, order, key, value=None):
 
 
 def make_tree(n, order=4):
-    mtree = MerkleBPlusTree(order=order)
+    mtree = BPlusTree(order=order)
     for i in range(n):
         mtree.insert(f"k{i:03d}".encode(), f"v{i}".encode())
     return mtree
@@ -66,19 +66,19 @@ class TestInsertReplay:
         assert derived == actual
 
     def test_insert_into_empty_tree(self):
-        mtree = MerkleBPlusTree(order=4)
+        mtree = BPlusTree(order=4)
         derived, actual = replayed_insert(mtree, b"first", b"!")
         assert derived == actual
 
     def test_leaf_split(self):
-        mtree = MerkleBPlusTree(order=3)
+        mtree = BPlusTree(order=3)
         for i in range(3):
             mtree.insert(f"a{i}".encode(), b"x")
         derived, actual = replayed_insert(mtree, b"a9", b"split-trigger")
         assert derived == actual
 
     def test_root_split_grows_height(self):
-        mtree = MerkleBPlusTree(order=3)
+        mtree = BPlusTree(order=3)
         keys = [f"k{i:02d}".encode() for i in range(2)]
         for key in keys:
             mtree.insert(key, b"x")
@@ -88,7 +88,7 @@ class TestInsertReplay:
         assert mtree.height() >= height_before
 
     def test_cascading_splits(self):
-        mtree = MerkleBPlusTree(order=3)
+        mtree = BPlusTree(order=3)
         for i in range(40):
             derived, actual = replayed_insert(mtree, f"k{i:03d}".encode(), b"x")
             assert derived == actual
@@ -102,7 +102,7 @@ class TestDeleteReplay:
         assert derived == actual
 
     def test_delete_to_empty(self):
-        mtree = MerkleBPlusTree(order=4)
+        mtree = BPlusTree(order=4)
         mtree.insert(b"only", b"x")
         derived, actual = replayed_delete(mtree, b"only")
         assert derived == actual
@@ -262,7 +262,7 @@ class TestReplayEquivalenceProperty:
     @settings(max_examples=50, deadline=None)
     @given(order=st.integers(min_value=3, max_value=7), ops=update_sequences())
     def test_replay_always_matches(self, order, ops):
-        mtree = MerkleBPlusTree(order=order)
+        mtree = BPlusTree(order=order)
         present = set()
         for kind, key, value in ops:
             if kind == "delete" and key not in present:

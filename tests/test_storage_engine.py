@@ -15,7 +15,7 @@ import pytest
 from repro.crypto.hashing import hash_bytes
 from repro.mtree.database import DeleteQuery, VerifiedDatabase, WriteQuery
 from repro.mtree.forest import shard_for_key
-from repro.mtree.merkle import MerkleBPlusTree
+from repro.mtree.bplus import BPlusTree
 from repro.net.wal import _replay_shard
 from repro.protocols.base import Followup, Request
 from repro.storage.engine import (
@@ -40,7 +40,7 @@ from repro.wire import decode, decode_frames, encode
 
 
 def _tree(n, order=8, prefix=b"key"):
-    tree = MerkleBPlusTree(order=order)
+    tree = BPlusTree(order=order)
     for i in range(n):
         tree.insert(b"%s%06d" % (prefix, i), b"value-%d" % i)
     return tree
@@ -109,7 +109,7 @@ class TestStreamCodec:
     def test_a_leaf_page_holds_keys_and_value_pages(self):
         """A leaf page names each value's page; the value itself is
         nowhere in it."""
-        leaf = _tree(5).tree.root
+        leaf = _tree(5).root
         refs = (9, 2, 10, 2, 11, 0, 12, 1, 13, 2)
         blob = encode(LeafPage(leaf.keys, refs))
         assert decode(blob) == LeafPage(tuple(leaf.keys), refs)
@@ -205,7 +205,7 @@ class TestShardPages:
         for i, index in enumerate((3, 150, 151, 399)):
             key = b"key%06d" % index
             tree.insert(key, b"x" * (50 * (i + 1)))
-            touched.add(id(tree.tree.search_path(key)[-1]))
+            touched.add(id(tree.search_path(key)[-1]))
         second = _checkpoint(store, tree, 1, first.rows, first.next_page)
         assert second.counts["leaf_pages"] == len(touched) == 3
         assert second.counts["value_pages"] == 4
@@ -315,7 +315,7 @@ class TestOnePagePerEntry:
     """The entry is the unit of a checkpoint, on every page store."""
 
     def _full_leaf(self, tree):
-        leaf = tree.tree.search_path(b"")[-1]
+        leaf = tree.search_path(b"")[-1]
         while len(leaf.keys) < tree.order - 1:
             leaf = leaf.next_leaf
         return leaf
@@ -490,7 +490,7 @@ class TestReplay:
     def test_replay_mirrors_live_execution(self):
         shards = 4
         shard = 1
-        tree = MerkleBPlusTree(order=8)
+        tree = BPlusTree(order=8)
         messages = [self._request(WriteQuery(b"rk%04d" % i, b"v%d" % i))
                     for i in range(200)]
         messages += [self._request(DeleteQuery(b"rk%04d" % i))
@@ -505,7 +505,7 @@ class TestReplay:
         """Live execution of a delete of an absent key is a verified
         no-op -- so replay must treat it as one, not an error and not a
         tamper signal."""
-        tree = MerkleBPlusTree(order=8)
+        tree = BPlusTree(order=8)
         tree.insert(b"present", b"x")
         before = tree.refresh_root()[0]
         _replay_shard(tree, [self._request(DeleteQuery(b"never-existed"))],
@@ -515,7 +515,7 @@ class TestReplay:
         assert b"present" not in tree
 
     def test_non_data_messages_ignored(self):
-        tree = MerkleBPlusTree(order=8)
+        tree = BPlusTree(order=8)
         messages = [
             Followup(extras={"user": "u"}),
             self._request(None),  # protocol-internal request
@@ -525,7 +525,7 @@ class TestReplay:
         assert dict(tree.items()) == {b"k": b"v"}
 
     def test_overwrite_keeps_latest(self):
-        tree = MerkleBPlusTree(order=8)
+        tree = BPlusTree(order=8)
         messages = [
             self._request(WriteQuery(b"k", b"first")),
             self._request(WriteQuery(b"k", b"second")),
