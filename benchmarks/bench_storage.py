@@ -7,12 +7,14 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
 ``pages.db``), the last two on sqlite:
 
 * **crash matrix** -- kill the server at every announced storage crash
-  point (mid WAL append, mid page write, between a leaf's value pages
-  and its leaf page, either side of the checkpoint commit, between a
-  new log's creation and the directory fsync naming it, mid segment
-  GC...), plus on the page file a commit torn before its fsync, a
-  commit whose fsync lied, and either side of a compaction's rename;
-  restart, and gate on: the crash actually fired, no acknowledged write
+  point (mid WAL append, a group commit written and flushed but not
+  fsynced, mid page write, between a leaf's value pages and its leaf
+  page, either side of the checkpoint commit, between a new log's
+  creation and the directory fsync naming it, mid segment GC...), plus
+  on the page file the bootstrap dying before ``pages.log`` is named, a
+  commit torn before its fsync, a commit whose fsync lied, and either
+  side of a compaction's rename; restart, and gate on: the crash
+  actually fired where it was aimed, no acknowledged write
   was lost, the recovered top root is bit-identical to an uninterrupted
   run of the same prefix, read VOs verify against the recovered root,
   and the store accepts new writes.
@@ -85,10 +87,13 @@ SNAPSHOT_EVERY = 10
 #: nodes page for each empty shard; a new log is first named before any
 #: write (``wal.1.log``), so its cell dies naming ``wal.2.log``, and GC
 #: first fires at checkpoint 2; leaf page 3 is checkpoint 1's first,
-#: written after the value pages it names).  ``acked > 0`` in every cell
-#: checks the landing.
+#: written after the value pages it names; each request is a batch of
+#: one, so ``wal:before-fsync`` 17 is the 17th request's group commit).
+#: ``acked > 0`` checks the landing; a :data:`BOOTSTRAP_POINTS` cell
+#: lands when the server never started.
 CRASH_POINTS = [
     ("wal:append", 17),
+    ("wal:before-fsync", 17),
     ("file:mid-write", 17),
     ("pagestore:page-write", 7),
     ("pagestore:leaves-page-write", 3),
@@ -101,11 +106,13 @@ CRASH_POINTS = [
 ]
 
 #: the cells only an append-only page file has: (name, crash point,
-#: occurrence, further faults, least ops).  Checkpoint 1's commit is the
-#: 14th fsync (after the bootstrap commit, the directory fsyncs naming
+#: occurrence, further faults, least ops).  ``pages.log`` is new only
+#: at the bootstrap checkpoint.  Checkpoint 1's commit is the 14th
+#: fsync (after the bootstrap commit, the directory fsyncs naming
 #: pages.log and wal.1.log, and ten appends); the page file's first
 #: compaction comes at checkpoint 9.
 PAGE_FILE_CELLS = [
+    ("pagelog:new-log", "pagelog:new-log", 1, {}, 0),
     ("torn-page-log-tail", "pagelog:before-fsync", 2, {}, 0),
     ("lying-fsync-on-commit", "checkpoint:after-commit", 2,
      {"lying_fsync": 14}, 0),
@@ -116,6 +123,8 @@ PAGE_FILE_CELLS = [
      100),
 ]
 BACKENDS = ("file", "sqlite")
+#: crash points whose cell dies inside the bootstrap checkpoint
+BOOTSTRAP_POINTS = {"pagelog:new-log"}
 
 
 def _request(key, value, seq):
@@ -160,13 +169,18 @@ def _crash_cell(backend, name, point, occurrence, faults, ops, seed):
     try:
         io = FaultyIO(seed=seed + occurrence, crash_at={point: occurrence},
                       **faults)
-        core = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
-                          fsync=True, shards=SHARDS,
-                          snapshot_every=SNAPSHOT_EVERY, io=io)
-        acked = _run_until_crash(core, ops)
+        try:
+            core = ServerCore(order=ORDER, data_dir=data_dir,
+                              backend=backend, fsync=True, shards=SHARDS,
+                              snapshot_every=SNAPSHOT_EVERY, io=io)
+        except SimulatedCrash:
+            core = None  # the bootstrap checkpoint died
+        acked = [] if core is None else _run_until_crash(core, ops)
         fired = io.crash_count == 1 and all(
             io._hits.get(fault, 0) >= at for fault, at in faults.items())
-        core.store.close()
+        landed = core is None if point in BOOTSTRAP_POINTS else len(acked) > 0
+        if core is not None:
+            core.store.close()
         io.simulate_crash()
 
         fresh = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
@@ -195,7 +209,7 @@ def _crash_cell(backend, name, point, occurrence, faults, ops, seed):
         "vos_verify": vo_ok,
         "writable_after_recovery": post_ok,
     }
-    cell["pass"] = (fired and len(acked) > 0 and not lost
+    cell["pass"] = (fired and landed and not lost
                     and root_match and vo_ok and post_ok)
     return cell
 

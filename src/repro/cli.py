@@ -474,7 +474,8 @@ def cmd_store_inspect(args, out) -> int:
     from repro.net import wal
     from repro.net.wal import _MANIFEST_KEY, log_gens, log_name
     from repro.storage.engine import KIND_ENTRIES, KIND_LEAVES, KIND_NODES
-    from repro.storage.pagestore import open_page_store, parse_records
+    from repro.storage.atomic import RecordLog
+    from repro.storage.pagestore import open_page_store
     from repro.wire import encode as _encode
 
     data_dir = args.data_dir
@@ -495,10 +496,11 @@ def cmd_store_inspect(args, out) -> int:
             name = log_name(gen)
             size = _file_size(name)
             if gen == live:
-                with open(os.path.join(data_dir, name), "rb") as handle:
-                    records, good_end = parse_records(handle.read())
-                torn = "" if good_end == size else \
-                    f" + {size - good_end} torn tail byte(s)"
+                log = RecordLog(os.path.join(data_dir, name), "wal",
+                                readonly=True)
+                records = log.read()
+                torn = "" if log.size == size else \
+                    f" + {size - log.size} torn tail byte(s)"
                 role = f"live, {len(records)} record(s){torn}"
             else:
                 role = "retained segment" if gen in retained \

@@ -111,12 +111,13 @@ def recv_message(sock: socket.socket,
     return decode(payload)
 
 
-async def async_recv_message(reader: asyncio.StreamReader,
-                             capture: list | None = None) -> object | None:
+async def async_recv_message(reader: asyncio.StreamReader) -> object | None:
     """Receive one message; None on clean EOF at a frame boundary.
 
     The async twin of :func:`recv_message`, with identical failure
-    semantics: EOF inside a frame raises :class:`FramingError`.
+    semantics: EOF inside a frame raises :class:`FramingError`.  It
+    captures nothing: evidence bundles hold the bytes a client's
+    blocking read received.
     """
     try:
         header = await reader.readexactly(4)
@@ -138,8 +139,6 @@ async def async_recv_message(reader: asyncio.StreamReader,
         raise FramingError(
             f"connection closed mid-payload: "
             f"{len(exc.partial)} of {length} bytes") from exc
-    if capture is not None:
-        capture.append(payload)
     if _obs.enabled:
         _FRAMES_RECEIVED.inc()
         _BYTES_RECEIVED.inc(4 + length)

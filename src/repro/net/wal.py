@@ -20,18 +20,20 @@ the retained log that led from there -- never trusted as-is, never
 silently rebuilt.
 
 The WAL: one record per request accepted since the last checkpoint,
-appended and fsynced *before* the request is executed.  Each record is
+appended and fsynced *before* the request is executed.  Each log is a
+:class:`~repro.storage.atomic.RecordLog` (no head) whose records are
 ``len(4B) || wire(Request) || chain(32B)`` where
 ``chain_i = h(chain_{i-1} || payload_i)`` anchors the record to the
-checkpoint's recorded chain head.  On recovery the records are
-re-executed in order, which -- execution being deterministic --
+checkpoint's recorded chain head; the log does the writing, syncing,
+naming and trimming, this module the chain.  On recovery the records
+are re-executed in order, which -- execution being deterministic --
 reproduces the pre-crash state bit-for-bit, dedup table included.
 
 A log is never renamed.  The requests that lead to checkpoint ``G`` go
 to ``wal.G.log`` (:func:`log_name`), opened by the first append after
-checkpoint ``G - 1`` committed and named durably (one directory fsync)
-before its first record; once ``G`` commits, that file *is* retained
-segment ``G``.  Failure semantics:
+checkpoint ``G - 1`` committed and, a new file, named durably (one
+directory fsync) before its first record; once ``G`` commits, that
+file *is* retained segment ``G``.  Failure semantics:
 
 * a *truncated tail* record (the process died mid-append) is discarded
   silently -- the request was never acknowledged, so dropping it is
@@ -60,7 +62,7 @@ from repro.mtree.forest import StoreSpec, merkle_store, shard_for_key
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import Followup, Request, Response
-from repro.storage.atomic import DirLock
+from repro.storage.atomic import DirLock, RecordLog
 from repro.storage.engine import (
     KIND_ENTRIES,
     KIND_LEAVES,
@@ -71,12 +73,7 @@ from repro.storage.engine import (
     write_shard_pages,
 )
 from repro.storage.faults import REAL_IO, IoShim
-from repro.storage.pagestore import (
-    StorageError,
-    frame_record,
-    open_page_store,
-    parse_records,
-)
+from repro.storage.pagestore import StorageError, open_page_store
 from repro.wire import WireError, decode, encode
 
 _LOG_PREFIX, _LOG_SUFFIX = "wal.", ".log"
@@ -272,7 +269,7 @@ class ServerStore:
         self.io = io or REAL_IO
         os.makedirs(data_dir, exist_ok=True)
         self._lock = DirLock(data_dir) if lock else None
-        self._wal_handle = None
+        self._log: RecordLog | None = None  # the live log, once appended to
         self._chain = Digest.zero()  # set by load_snapshot/write_snapshot
         self.pages = None
         try:
@@ -324,86 +321,45 @@ class ServerStore:
         :meth:`wal_sync` before any of them executes.  The before-
         execution guarantee is unchanged; only the fsync is amortised.
 
-        Fail-stop on I/O errors (ENOSPC, short writes): the in-memory
-        chain head is rolled back and the file trimmed to the last good
-        record, so a later retry -- or a clean shutdown -- continues
-        from a consistent log instead of corrupting every subsequent
-        append.
+        Fail-stop on I/O errors (ENOSPC, short writes): the log trims
+        the file back to the last good record and the in-memory chain
+        head is rolled back, so a later retry -- or a clean shutdown --
+        continues from a consistent log instead of corrupting every
+        subsequent append.
         """
         payload = encode(message)
-        if self._wal_handle is None:
-            self._wal_handle = self._open_log()
+        if self._log is None:
+            self._log = self._record_log(self.live_gen)
         previous_chain = self._chain
         self._chain = _chain_next(self._chain, payload)
-        handle = self._wal_handle
-        good_size = handle.tell()
-        record = frame_record(payload, self._chain.to_bytes())
-        self.io.crash_point("wal:append")
         try:
-            handle.write(record)
-            if sync:
-                handle.flush()
-                if self.fsync:
-                    handle.fsync()
+            self._log.append(payload, self._chain.to_bytes(), sync=sync)
         except OSError:
-            # Roll back: whatever prefix of the record reached the file
-            # must not poison the next append's chain arithmetic.
             self._chain = previous_chain
-            self._close_log()
-            try:
-                self.io.truncate_file(self.wal_path, good_size)
-            except OSError:
-                pass
             raise
-
-    def _open_log(self):
-        """Open the live log and make its name durable before its first
-        record: a record fsynced into a file a crash can unname was
-        never durable."""
-        handle = self.io.open(self.wal_path, "ab")
-        self.io.crash_point("wal:new-log")
-        if self.fsync:
-            self.io.fsync_dir(self.data_dir)
-        return handle
-
-    def _close_log(self) -> None:
-        if self._wal_handle is not None:
-            try:
-                self._wal_handle.close()
-            except OSError:
-                pass
-            self._wal_handle = None
 
     def wal_sync(self) -> None:
         """Flush (and fsync) everything appended with ``sync=False``."""
-        if self._wal_handle is None:
-            return
-        self._wal_handle.flush()
-        if self.fsync:
-            self._wal_handle.fsync()
+        if self._log is not None:
+            self._log.sync()
+
+    def _record_log(self, gen: int, readonly: bool = False) -> RecordLog:
+        return RecordLog(os.path.join(self.data_dir, log_name(gen)), "wal",
+                         fsync=self.fsync, io=self.io, readonly=readonly)
+
+    def _close_log(self) -> None:
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def wal_records(self, chain: Digest) -> list[Request | Followup]:
-        """Read back the live log's complete, chain-verified records."""
-        messages, self._chain = self._read_log(self.live_gen, chain)
+        """Read back the live log's complete, chain-verified records;
+        the next append goes after them."""
+        self._close_log()
+        self._log = self._record_log(self.live_gen)
+        messages, self._chain = _verify_records(
+            self._log.read(), chain, log_name(self.live_gen))
         return messages
-
-    def _read_log(self, gen: int, chain: Digest
-                  ) -> tuple[list[Request | Followup], Digest]:
-        """Chain-verify log ``gen`` from ``chain``: its messages and the
-        head they end at.  A truncated final record (crash mid-append)
-        is trimmed off the file; any other inconsistency raises
-        :class:`WalError`.  An absent log holds no records."""
-        path = os.path.join(self.data_dir, log_name(gen))
-        if not os.path.isfile(path):
-            return [], chain
-        blob = self.io.read_file(path)
-        records, good_end = parse_records(blob)
-        messages, chain = _verify_records(records, chain, log_name(gen))
-        if good_end < len(blob):
-            # Trim the torn tail so the next append starts at a record
-            # boundary (the request it held was never acknowledged).
-            self.io.truncate_file(path, good_end)
-        return messages, chain
 
     # -- manifest ----------------------------------------------------------
 
@@ -619,8 +575,8 @@ class ServerStore:
         for gen in log_gens(self.data_dir):
             if manifest is not None and gen <= self.live_gen:
                 continue
-            path = os.path.join(self.data_dir, log_name(gen))
-            records, _end = parse_records(self.io.read_file(path))
+            log = self._record_log(gen, readonly=True)
+            records = log.read()
             if records:
                 anchor = "no checkpoint manifest" if manifest is None else \
                     f"the checkpoint manifest (generation {manifest['gen']})"
@@ -628,7 +584,7 @@ class ServerStore:
                     f"{log_name(gen)} holds {len(records)} record(s) newer "
                     f"than {anchor}: the page store lost a checkpoint it "
                     "reported durable")
-            self.io.remove(path)
+            self.io.remove(log.path)
 
     def _repair_shard(self, record: dict, spec: StoreSpec, manifest: dict,
                       cause: Exception) -> tuple[BPlusTree, PageRows]:
@@ -673,7 +629,9 @@ class ServerStore:
                 raise WalError(
                     f"shard {index} needs segment {shard_gen} for repair "
                     "but the manifest records no start chain for it")
-            messages, _chain = self._read_log(shard_gen, start)
+            messages, _chain = _verify_records(
+                self._record_log(shard_gen).read(), start,
+                log_name(shard_gen))
             _replay_shard(tree, messages, index, spec.shards)
         actual, _nodes = tree.refresh_root()
         if actual != expected:

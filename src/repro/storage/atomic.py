@@ -9,6 +9,10 @@ trust-anchor write in the tree therefore goes through
 
     write tmp -> fsync(tmp) -> rename over target -> fsync(directory)
 
+:class:`RecordLog` is the other durable shape, an append-only file of
+:func:`frame_record` records: every ``wal.G.log`` and the page file is
+one, and each caller keeps only what its records' digests mean.
+
 All steps route through an :class:`~repro.storage.faults.IoShim`, so
 the fault-injection harness can crash the sequence at any point and the
 recovery tests can prove each prefix of it is safe.
@@ -21,9 +25,11 @@ that keeps two server processes from opening the same data directory
 from __future__ import annotations
 
 import os
+import struct
 
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
+from repro.storage.faults import REAL_IO
 
 _ATOMIC_WRITES = _registry.counter(
     "storage.atomic_writes", "tmp+rename+dir-fsync file replacements")
@@ -38,15 +44,6 @@ class LockError(Exception):
     """The data directory is already locked by another process."""
 
 
-def fsync_dir(path: str) -> None:
-    """fsync a *directory*, making renames/creates inside it durable."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def atomic_write(path: str, data: bytes, fsync: bool = True, io=None) -> None:
     """Atomically and durably replace ``path`` with ``data``.
 
@@ -55,9 +52,7 @@ def atomic_write(path: str, data: bytes, fsync: bool = True, io=None) -> None:
     :class:`~repro.storage.faults.IoShim`; the default performs real
     filesystem operations.
     """
-    if io is None:
-        from repro.storage.faults import REAL_IO
-        io = REAL_IO
+    io = io or REAL_IO
     tmp = path + ".tmp"
     handle = io.open(tmp, "wb")
     try:
@@ -76,6 +71,135 @@ def atomic_write(path: str, data: bytes, fsync: bool = True, io=None) -> None:
     io.crash_point("atomic:after-dirfsync")
     if _obs.enabled:
         _ATOMIC_WRITES.inc()
+
+
+_LENGTH = struct.Struct(">I")
+_DIGEST_BYTES = 32
+
+
+def frame_record(payload: bytes, digest: bytes) -> bytes:
+    """One log record: ``len(4B) || payload || digest(32B)``."""
+    return _LENGTH.pack(len(payload)) + payload + digest
+
+
+def parse_records(blob) -> tuple[list[tuple[bytes, bytes]], int]:
+    """Split a log blob into complete ``(payload, stored digest)`` records.
+
+    Returns the records plus the offset where the last complete record
+    ends; bytes past it are a torn tail (the process died mid-append).
+    A ``memoryview`` blob yields views into it: nothing is copied.
+    """
+    records: list[tuple[bytes, bytes]] = []
+    position = 0
+    while position + 4 <= len(blob):  # else: torn mid length prefix
+        (length,) = _LENGTH.unpack_from(blob, position)
+        end = position + 4 + length + _DIGEST_BYTES
+        if end > len(blob):
+            break  # torn mid payload or mid digest
+        records.append((blob[position + 4:end - _DIGEST_BYTES],
+                        blob[end - _DIGEST_BYTES:end]))
+        position = end
+    return records, position
+
+
+class RecordLog:
+    """One append-only file of :func:`frame_record` records behind a
+    fixed ``head``: the durability protocol every log of a data
+    directory shares.
+
+    :meth:`read` returns the complete records and trims a torn tail --
+    an append that never returned -- unless the log is ``readonly``.
+    :meth:`append` writes one record, flushed and fsynced unless
+    ``sync=False`` (:meth:`sync` then covers the group).  A new (absent
+    or empty) file's name is made durable before its first record: a
+    record fsynced into a file a crash can unname was never durable.
+    An ``OSError`` closes the file and truncates it back to the last
+    record.  The log keeps its size (one appended to unread reads itself
+    first) and announces ``NAME:new-log``, ``NAME:append`` and
+    ``NAME:before-fsync`` (written and flushed, not yet fsynced).
+    """
+
+    def __init__(self, path: str, name: str, head: bytes = b"",
+                 fsync: bool = True, io=None, readonly: bool = False) -> None:
+        self.path = path
+        self.head = head
+        self.fsync = fsync
+        self.io = io or REAL_IO
+        self.readonly = readonly
+        #: bytes of the file up to its last complete record (``None``
+        #: until the file is read)
+        self.size: int | None = None
+        self._handle = None
+        self._new_log = f"{name}:new-log"
+        self._append = f"{name}:append"
+        self._before_fsync = f"{name}:before-fsync"
+
+    def read(self) -> list:
+        """The complete ``(payload, digest)`` records, oldest first; an
+        absent file holds none.  A file that does not start with the
+        head is a :class:`ValueError`, one holding a torn prefix of it
+        is empty."""
+        if not os.path.isfile(self.path):
+            self.size = 0
+            return []
+        blob = self.io.read_file(self.path)
+        head = self.head
+        if blob.startswith(head):
+            records, end = parse_records(memoryview(blob)[len(head):])
+            self.size = len(head) + end
+        elif head.startswith(blob):
+            records, self.size = [], 0   # the first append died mid-head
+        else:
+            raise ValueError(f"{self.path!r} does not start with {head!r}")
+        if self.size < len(blob) and not self.readonly:
+            self.io.truncate_file(self.path, self.size)
+        return records
+
+    def append(self, payload: bytes, digest: bytes, sync: bool = True) -> None:
+        """Append one record (the head first, on a new file)."""
+        if self.size is None:
+            self.read()  # appends go after the last complete record
+        record = frame_record(payload, digest)
+        if self.size == 0:
+            record = self.head + record
+        try:
+            if self._handle is None:
+                self._handle = self.io.open(self.path, "ab")
+                if self.size == 0:
+                    self.io.crash_point(self._new_log)
+                    if self.fsync:
+                        self.io.fsync_dir(
+                            os.path.dirname(os.path.abspath(self.path)))
+            self.io.crash_point(self._append)
+            self._handle.write(record)
+            if sync:
+                self.sync()
+        except OSError:
+            # Whatever prefix of the record reached the file must not
+            # sit under the next one, and a new file is named again.
+            self.close()
+            try:
+                self.io.truncate_file(self.path, self.size)
+            except OSError:
+                pass
+            raise
+        self.size += len(record)
+
+    def sync(self) -> None:
+        """Flush (and fsync) everything appended with ``sync=False``."""
+        if self._handle is not None:
+            self._handle.flush()
+            self.io.crash_point(self._before_fsync)
+            if self.fsync:
+                self._handle.fsync()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            except OSError:
+                pass
+            self._handle = None
 
 
 class DirLock:

@@ -72,18 +72,8 @@ class _RealFile:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def tell(self) -> int:
-        return self._handle.tell()
-
-    def truncate(self, size: int) -> None:
-        self._handle.truncate(size)
-
     def close(self) -> None:
         self._handle.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._handle.closed
 
 
 class IoShim:
@@ -179,18 +169,8 @@ class _FaultyFile:
         os.fsync(self._handle.fileno())
         io._make_durable(self._path)
 
-    def tell(self) -> int:
-        return self._handle.tell()
-
-    def truncate(self, size: int) -> None:
-        self._handle.truncate(size)
-
     def close(self) -> None:
         self._handle.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._handle.closed
 
 
 class FaultyIO(IoShim):

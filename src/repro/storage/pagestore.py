@@ -31,10 +31,11 @@ Three implementations:
   read-side bit-rot all route through the
   :class:`~repro.storage.faults.IoShim` hooks.
 * :class:`FilePageStore` -- ``--backend file``: that index over an
-  append-only page file where one commit is one record, framed like
-  the WAL's (:func:`frame_record` / :func:`parse_records`).  Every
-  byte it writes, reads, trims or renames goes through the shim, so
-  torn tails, short writes and lying fsyncs reach the whole checkpoint.
+  append-only page file where one commit is one record of a
+  :class:`~repro.storage.atomic.RecordLog`, the log the WAL is written
+  through too.  Every byte it writes, reads, trims or renames goes
+  through the shim, so torn tails, short writes and lying fsyncs reach
+  the whole checkpoint.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import struct
 
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.storage.atomic import atomic_write
+from repro.storage.atomic import RecordLog, atomic_write, frame_record
 from repro.storage.faults import REAL_IO, IoShim
 
 _PAGES_WRITTEN = _registry.counter(
@@ -64,7 +65,6 @@ _COMPACTIONS = _registry.counter(
 
 _CHECKSUM_DOMAIN = b"\x0astorage-page"
 _DIGEST_BYTES = 32
-_LENGTH = struct.Struct(">I")
 
 
 class StorageError(Exception):
@@ -103,34 +103,6 @@ class _WritePoints(dict):
 
 
 _WRITE_POINTS = _WritePoints()
-
-
-def frame_record(payload: bytes, digest: bytes) -> bytes:
-    """One log record: ``len(4B) || payload || digest(32B)``."""
-    return _LENGTH.pack(len(payload)) + payload + digest
-
-
-def parse_records(blob: bytes) -> tuple[list[tuple[bytes, bytes]], int]:
-    """Split a log blob into complete ``(payload, stored digest)`` records.
-
-    Returns the records plus the offset where the last complete record
-    ends; bytes past it are a torn tail (the process died mid-append).
-    The WAL and the page file share this framing and this parser.
-    """
-    records: list[tuple[bytes, bytes]] = []
-    position = 0
-    good_end = 0
-    while position < len(blob):
-        if position + 4 > len(blob):
-            break  # truncated tail: mid length prefix
-        (length,) = _LENGTH.unpack_from(blob, position)
-        end = position + 4 + length + _DIGEST_BYTES
-        if end > len(blob):
-            break  # truncated tail: mid payload or mid digest
-        records.append((blob[position + 4:position + 4 + length],
-                        blob[position + 4 + length:end]))
-        position = good_end = end
-    return records, good_end
 
 
 def _verified(io: IoShim, kind: str, shard: int, gen: int, seq: int,
@@ -650,10 +622,10 @@ def _op_bytes(name: str, body: bytes) -> int:
 
 
 def _record(chain: bytes, ops) -> tuple[bytes, bytes]:
-    """One commit's record and the digest it stores: a hash chain over
-    every op head since the file was written.  The bodies are bound by
-    the checksums in their heads, so the open-time scan hashes heads
-    only; a body is checked where it is used."""
+    """One commit's record payload and the digest it stores: a hash
+    chain over every op head since the file was written.  The bodies are
+    bound by the checksums in their heads, so the open-time scan hashes
+    heads only; a body is checked where it is used."""
     hasher = hashlib.sha256(_PAGE_LOG_DOMAIN + chain)
     parts = []
     for code, name, shard, gen, seq, body, checksum in ops:
@@ -662,8 +634,7 @@ def _record(chain: bytes, ops) -> tuple[bytes, bytes]:
                 + _FIELDS.pack(shard, gen, seq, len(body)) + checksum)
         hasher.update(head)
         parts += (head, body)
-    digest = hasher.digest()
-    return frame_record(b"".join(parts), digest), digest
+    return b"".join(parts), hasher.digest()
 
 
 def _decode_ops(payload: memoryview, hasher):
@@ -693,31 +664,29 @@ def _decode_ops(payload: memoryview, hasher):
 class FilePageStore(MemoryPageStore):
     """Append-only page file: the ``--backend file`` disk engine.
 
-    ``pages.log`` is :data:`PAGE_LOG_MAGIC` followed by records framed
-    like the WAL's, ``len(4B) || payload || digest(32B)``; one commit is
-    one record, appended and fsynced once (the first also fsyncs the
-    directory: the file's name is as durable as its bytes).  The payload
-    is the commit's staged operations in order (put page, delete page,
-    drop generation, put meta), each a head -- what it is, plus the
-    checksum of its body -- and a body (the page's bytes, the meta
-    value).  The digest chains the record's heads to the record before
-    it.  Opening the file scans
-    it once: every record's digest is verified and its operations are
-    applied to the committed index reads are served from (the
-    :class:`MemoryPageStore` this class is); a torn final
-    record -- a commit that never returned -- is trimmed off, and any
-    other mismatch is refused.  The scan hashes heads only: a page is
-    checked against its checksum when it is read (:func:`_verified`,
-    like every read path), so rot in a page is quarantined and repaired
-    as in any page store, and the live meta values are checked once
-    the scan ends.
+    ``pages.log`` is a :class:`~repro.storage.atomic.RecordLog` headed
+    :data:`PAGE_LOG_MAGIC`; one commit is one record, appended and
+    fsynced once (the log names a new file durably before its first
+    record).  The payload is the commit's staged operations in order
+    (put page, delete page, drop generation, put meta), each a head --
+    what it is, plus the checksum of its body -- and a body (the page's
+    bytes, the meta value).  The digest chains the record's heads to the
+    record before it.  Opening the file scans it once: every record's
+    digest is verified and its operations are applied to the committed
+    index reads are served from (the :class:`MemoryPageStore` this class
+    is); the log trims a torn final record -- a commit that never
+    returned -- and any other mismatch is refused.  The scan hashes
+    heads only: a page is checked against its checksum when it is read
+    (:func:`_verified`, like every read path), so rot in a page is
+    quarantined and repaired as in any page store, and the live meta
+    values are checked once the scan ends.
 
     When the file exceeds :data:`PAGE_LOG_COMPACT_RATIO` times the size
     of its live set, the next :meth:`begin` rewrites it as that live set
     (one record) through :func:`~repro.storage.atomic.atomic_write`: a
     crash on either side of the rename leaves a file holding the same
     committed state.  The file is found once, at open; after that the
-    store knows its size and never asks the file system again.
+    log knows its size and the store never asks the file system again.
     """
 
     FILE = "pages.log"
@@ -726,25 +695,18 @@ class FilePageStore(MemoryPageStore):
                  io: IoShim | None = None, readonly: bool = False) -> None:
         super().__init__(io)
         self.path = path
-        self.fsync = fsync
-        self.readonly = readonly
-        self._size = 0          # bytes of the file
-        self._chain = _LOG_GENESIS
-        self._handle = None
-        if os.path.isfile(path):
-            self._scan(self.io.read_file(path))
+        self._log = RecordLog(path, "pagelog", head=PAGE_LOG_MAGIC,
+                              fsync=fsync, io=self.io, readonly=readonly)
+        try:
+            records = self._log.read()
+        except ValueError as exc:
+            raise StorageError(f"{path!r} is not a page file "
+                               f"({PAGE_LOG_MAGIC.strip().decode()})") from exc
+        self._scan(records)
 
-    def _scan(self, blob: bytes) -> None:
-        if not blob.startswith(PAGE_LOG_MAGIC):
-            if PAGE_LOG_MAGIC.startswith(blob):
-                self._trim(0)   # the first commit died mid-write
-                return
-            raise StorageError(f"{self.path!r} is not a page file "
-                               f"({PAGE_LOG_MAGIC.strip().decode()})")
-        start = len(PAGE_LOG_MAGIC)
-        records, good_end = parse_records(memoryview(blob)[start:])
+    def _scan(self, records: list) -> None:
         chain = _LOG_GENESIS
-        offset = start
+        offset = len(PAGE_LOG_MAGIC)
         for index, (payload, stored) in enumerate(records):
             hasher = hashlib.sha256(_PAGE_LOG_DOMAIN + chain)
             try:
@@ -766,21 +728,12 @@ class FilePageStore(MemoryPageStore):
                     f"meta record {key!r} of the page file fails its "
                     "checksum: the page file was corrupted or tampered with")
         self._chain = chain
-        self._size = start + good_end
-        if self._size < len(blob):
-            self._trim(self._size)  # a commit that never returned
-
-    def _trim(self, size: int) -> None:
-        self._size = size
-        if not self.readonly:
-            self.io.truncate_file(self.path, size)
 
     # -- compaction ------------------------------------------------------
 
     def rewritten_size(self) -> int:
         """The file's size once rewritten as its live set."""
         return len(PAGE_LOG_MAGIC) + 4 + _DIGEST_BYTES + self._live
-
 
     def _live_ops(self):
         for key in sorted(self._meta):
@@ -793,60 +746,38 @@ class FilePageStore(MemoryPageStore):
     # -- transactions ----------------------------------------------------
 
     def begin(self) -> None:
-        if self.readonly:
+        if self._log.readonly:
             raise StorageError("page file opened read-only")
-        if self._staged is None and \
-                self._size > PAGE_LOG_COMPACT_RATIO * self.rewritten_size():
+        if self._staged is None and self._log.size > \
+                PAGE_LOG_COMPACT_RATIO * self.rewritten_size():
             self._compact()
         super().begin()
 
     def _compact(self) -> None:
         """Rewrite the file as its live set: one record, same state."""
-        record, chain = _record(_LOG_GENESIS, self._live_ops())
-        blob = PAGE_LOG_MAGIC + record
-        self._close_handle()
+        payload, chain = _record(_LOG_GENESIS, self._live_ops())
+        blob = PAGE_LOG_MAGIC + frame_record(payload, chain)
+        self._log.close()
         try:
-            atomic_write(self.path, blob, fsync=self.fsync, io=self.io)
+            atomic_write(self.path, blob, fsync=self._log.fsync, io=self.io)
         except OSError as exc:
             raise StorageError(f"page file compaction failed: {exc}") from exc
-        self._size = len(blob)
+        self._log.size = len(blob)
         self._chain = chain
         if _obs.enabled:
             _COMPACTIONS.inc()
 
     def _persist(self, ops: list) -> None:
+        """One record, one fsync; on failure the log is trimmed back to
+        the last commit so the next one starts at a record boundary."""
         self.io.pre_commit(self.path)
         try:
             self.io.commit_gate(self.path)
             self.io.crash_point("pagestore:pre-commit")
-            self._append(ops)
+            payload, chain = _record(self._chain, ops)
+            self._log.append(payload, chain)
         except OSError as exc:
             raise StorageError(f"checkpoint commit failed: {exc}") from exc
-
-    def _append(self, ops: list) -> None:
-        """One record, one fsync; on failure the file is trimmed back to
-        the last commit so the next one starts at a record boundary."""
-        record, chain = _record(self._chain, ops)
-        if self._size == 0:
-            record = PAGE_LOG_MAGIC + record
-        try:
-            if self._handle is None:
-                self._handle = self.io.open(self.path, "ab")
-            self._handle.write(record)
-            self._handle.flush()
-            self.io.crash_point("pagelog:before-fsync")
-            if self.fsync:
-                self._handle.fsync()
-                if self._size == 0:  # a new file: its name, too
-                    self.io.fsync_dir(os.path.dirname(self.path) or ".")
-        except OSError:
-            self._close_handle()
-            try:
-                self.io.truncate_file(self.path, self._size)
-            except OSError:
-                pass
-            raise
-        self._size += len(record)
         self._chain = chain
 
     def _admit_page(self) -> None:
@@ -855,17 +786,9 @@ class FilePageStore(MemoryPageStore):
         except OSError as exc:
             raise StorageError(f"page write failed: {exc}") from exc
 
-    def _close_handle(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
-
     def close(self) -> None:
         super().close()
-        self._close_handle()
+        self._log.close()
 
 
 _PAGE_STORES = {"file": FilePageStore, "sqlite": SqlitePageStore}

@@ -532,7 +532,11 @@ class TestWalFaults:
         for i in range(3):  # buffered, never synced
             store.wal_append(_request("u", b"buf%d" % i, b"v", 10 + i),
                              sync=False)
-        store._wal_handle.flush()  # reaches the "page cache", not disk
+        # The group commit flushes them to the "page cache" and dies
+        # before its fsync.
+        io.crash_at["wal:before-fsync"] = 1
+        with pytest.raises(SimulatedCrash):
+            store.wal_sync()
         io.simulate_crash()
 
         fresh = ServerStore(str(tmp_path))
@@ -669,7 +673,9 @@ class TestPagedStoreCrashMatrix:
     are all new: that cell dies between a leaf's value pages and the
     leaf page naming them.  ``wal:new-log`` 2 dies between creating
     ``wal.2.log`` and the directory fsync that names it, after
-    checkpoint 1 committed: the log is lost, and held nothing.  The
+    checkpoint 1 committed: the log is lost, and held nothing.
+    ``wal:before-fsync`` 17 dies in the 17th request's group commit (a
+    batch of one), written and flushed but not fsynced.  The
     sqlite cells keep their bare ids; the page file runs the same ten
     plus the cells only an append-only file has: a commit torn before
     its fsync, a commit whose fsync lied (the 14th fsync is checkpoint
@@ -681,6 +687,7 @@ class TestPagedStoreCrashMatrix:
 
     POINTS = [
         ("wal:append", 17),
+        ("wal:before-fsync", 17),
         ("file:mid-write", 17),
         ("pagestore:page-write", 7),
         ("pagestore:leaves-page-write", 3),
@@ -743,6 +750,63 @@ class TestPagedStoreCrashMatrix:
         # and the store keeps working after recovery
         fresh.apply_request("u", _request("u", b"post", b"crash", 999))
         assert fresh.state.database.get(b"post") == b"crash"
+        fresh.close_store()
+
+
+    def test_bootstrap_dies_before_the_page_file_is_named(self, tmp_path):
+        """``pagelog:new-log``: the bootstrap checkpoint created
+        ``pages.log`` and died before the directory fsync naming it.  The
+        file goes with the crash, nothing was acked, and the next start
+        bootstraps afresh and keeps every write after it."""
+        data_dir = str(tmp_path / "s")
+        options = dict(order=4, data_dir=data_dir, backend="file",
+                       fsync=True, shards=2, snapshot_every=10)
+        io = FaultyIO(seed=11, crash_at={"pagelog:new-log": 1})
+        with pytest.raises(SimulatedCrash):
+            ServerCore(io=io, **options)
+        assert io.crash_count == 1
+        io.simulate_crash()
+        assert not os.path.exists(os.path.join(data_dir, "pages.log"))
+
+        fresh = ServerCore(io=io, **options)
+        assert fresh.state.ctr == 0
+        assert fresh.state.database.root_digest() == \
+            _reference_root(0, _OPS, shards=2)
+        acked = _run_ops(fresh, _OPS)
+        assert len(acked) == len(_OPS)
+        fresh.close_store()
+        again = ServerCore(io=io, **options)
+        assert again.state.database.root_digest() == \
+            _reference_root(len(_OPS), _OPS, shards=2)
+        again.close_store()
+
+    def test_a_group_commit_dead_before_its_fsync_acks_nothing(
+            self, tmp_path):
+        """``wal:before-fsync`` in a batch of four: the records were
+        written and flushed, the fsync never ran.  No answer of the
+        batch left, and recovery keeps a prefix of it at most -- never
+        an acked write lost, never a state off the serial history."""
+        data_dir = str(tmp_path / "s")
+        io = FaultyIO(seed=12)
+        core = ServerCore(order=4, data_dir=data_dir, backend="file",
+                          fsync=True, shards=2, snapshot_every=10, io=io)
+        acked = _run_ops(core, _OPS[:5])
+        io.crash_at["wal:before-fsync"] = 1
+        batch = [("u", _request("u", key, value, seq))
+                 for seq, (key, value) in enumerate(_OPS[5:9], start=5)]
+        answers = core.stream_batch(batch)
+        with pytest.raises(SimulatedCrash):
+            next(answers)
+        core.store.close()
+        io.simulate_crash()
+
+        fresh = ServerCore(order=4, data_dir=data_dir, backend="file",
+                           fsync=True, shards=2, io=io)
+        for key, value in acked:
+            assert fresh.state.database.get(key) == value
+        assert 5 <= fresh.state.ctr <= 9
+        assert fresh.state.database.root_digest() == \
+            _reference_root(fresh.state.ctr, _OPS, shards=2)
         fresh.close_store()
 
 
@@ -860,8 +924,9 @@ class TestPagedStoreCorruption:
 
 #: how each page store loses the bootstrap checkpoint it reported
 #: durable: sqlite's engine lies about its commit, the page file's
-#: first fsync lies
-_LOST_BOOTSTRAP = {"file": {"lying_fsync": 1}, "sqlite": {"lose_commit": 1}}
+#: first commit fsync lies (the second fsync: the directory fsync
+#: naming the new ``pages.log`` comes before its first record)
+_LOST_BOOTSTRAP = {"file": {"lying_fsync": 2}, "sqlite": {"lose_commit": 1}}
 
 
 class TestRefusedDirectories:

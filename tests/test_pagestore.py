@@ -542,9 +542,9 @@ class TestPageFile:
 
         fired = []
         for commit in range(120):
-            before = store._size
+            before = store._log.size
             store.begin()
-            if store._size < before:
+            if store._log.size < before:
                 fired.append(commit)
             for _ in range(rng.randrange(1, 6)):
                 action = rng.random()
