@@ -8,7 +8,7 @@ remaining gap: a *malicious* server (every attack from
 real client fleet over TCP, composed with the chaos proxy's
 drops/truncations/resets/delays, for Protocols I and II.
 
-Pass criteria (all checked, printed as JSON):
+Pass criteria (each checked and named by :func:`failures`):
 
 * **zero false positives** -- honest-but-chaotic runs (faults injected,
   no attack) never raise ``IntegrityError`` and pass every periodic
@@ -31,28 +31,26 @@ it executed): the server tick at which a response first differed from
 the honest run's, converted to global operations.  An alarm is false
 iff the judge found no deviation.
 
-Run ``python benchmarks/bench_byzantine.py --quick --check`` for the CI
-gate or without ``--quick`` for the full campaign (every attack class
-against both protocols).
+``python benchmarks/campaign.py byzantine --quick --check`` is the CI
+gate; without ``--quick`` it runs every attack class against both
+protocols.  ``replication`` is the N-server campaign below, at
+:data:`REPLICAS` witnesses.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
-import json
 import os
 import shutil
-import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from bench_common import failed_checks, progress
 
-from repro.cli import main as cli_main  # noqa: E402
-from repro.mtree.database import VerifiedDatabase  # noqa: E402
-from repro.net import (  # noqa: E402
+from repro.cli import main as cli_main
+from repro.mtree.database import VerifiedDatabase
+from repro.net import (
     ChaosConfig,
     ChaosProxy,
     IntegrityError,
@@ -68,16 +66,16 @@ from repro.net import (  # noqa: E402
     serve_in_thread,
     sync_check,
 )
-from repro.net import evidence  # noqa: E402
-from repro.net.client import RemoteClientP1, ReplicationDivergence  # noqa: E402
-from repro.net.replication import witness_name  # noqa: E402
-from repro.core.scenarios import make_keys  # noqa: E402
-from repro.protocols.base import ServerState  # noqa: E402
-from repro.protocols.protocol1 import (  # noqa: E402
+from repro.net import evidence
+from repro.net.client import RemoteClientP1, ReplicationDivergence
+from repro.net.replication import witness_name
+from repro.core.scenarios import make_keys
+from repro.protocols.base import ServerState
+from repro.protocols.protocol1 import (
     Protocol1Server,
     bootstrap_server_state,
 )
-from repro.server.attacks import (  # noqa: E402
+from repro.server.attacks import (
     CompositeAttack,
     CounterReplayAttack,
     DropCommitAttack,
@@ -89,6 +87,9 @@ from repro.server.attacks import (  # noqa: E402
 
 ORDER = 8
 KEY_SEED = 4096
+SEED = 2203
+#: witnesses behind the primary in the replicated campaign's gallery
+REPLICAS = 3
 
 
 def _genuine(path) -> bool:
@@ -108,7 +109,7 @@ def _deviated(judge) -> bool:
 # -- Protocol I and II runs ------------------------------------------------
 
 def run_fleet(name, protocol, attack_factory, *, seed, k=4, steps,
-              chaos=True, verbose=True) -> dict:
+              chaos=True) -> dict:
     """One seeded run: a round-robin client fleet through the chaos proxy
     against a (possibly Byzantine) server speaking ``protocol`` ("I" or
     "II"), with a register (II) or count (I) sync every ``k`` rounds of
@@ -233,7 +234,7 @@ def run_fleet(name, protocol, attack_factory, *, seed, k=4, steps,
                        false_alarm, global_op, k, len(users),
                        messages_per_op=messages_per_op,
                        sync_rounds=sync_rounds, evidence_dir=evidence_dir,
-                       proxy=proxy, verbose=verbose)
+                       proxy=proxy)
 
 
 # -- replicated (N-server) runs -------------------------------------------
@@ -249,9 +250,9 @@ def _replica_keys(n_witnesses: int):
     return _REPLICA_KEYS[n_witnesses]
 
 
-def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
-                   collusion_mode="fabricate", n_users=3, steps=12,
-                   quorum_every=2, verbose=True) -> dict:
+def run_replicated_fleet(name, attack_factory, *, seed, n_witnesses=3,
+                         colluders=0, collusion_mode="fabricate", n_users=3,
+                         steps=12, quorum_every=2) -> dict:
     """One N-server run: a (possibly Byzantine) primary behind the full
     chaos proxy replicating its signed root lineage to ``n_witnesses``
     witness servers (the first ``colluders`` of which lie on fetches),
@@ -395,14 +396,14 @@ def run_replicated(name, attack_factory, *, seed, n_witnesses=3, colluders=0,
         excluded=excluded, served=served, false_alarm=false_alarm,
         confirm_failures=confirm_failures, halted=halted,
         completed=completed, steps=steps, global_op=global_op,
-        clients=clients, evidence_dir=evidence_dir, verbose=verbose)
+        clients=clients, evidence_dir=evidence_dir)
 
 
 def _replicated_record(name, attack, judge, *, n_witnesses, f, colluders,
                        collusion_mode, detections, witness_detections,
                        excluded, served, false_alarm, confirm_failures,
                        halted, completed, steps, global_op, clients,
-                       evidence_dir, verbose) -> dict:
+                       evidence_dir) -> dict:
     deviated = _deviated(judge)
     colluder_set = set(colluders)
 
@@ -460,23 +461,21 @@ def _replicated_record(name, attack, judge, *, n_witnesses, f, colluders,
         "false_accusations": (len(witness_detections)
                               if not fabricating else 0),
     }
-    if verbose:
-        if false_alarm:
-            print(f"  [{name}] FALSE ALARM")
-        elif deviated and not detections:
-            print(f"  [{name}] MISSED: primary deviated but no client halted")
-        elif deviated:
-            first = detections[0]
-            print(f"  [{name}] {len(detections)} client(s) caught the primary "
-                  f"via {first['kind']} at op {first['op']}; "
-                  f"{len(witness_detections)} fabrication(s) named; "
-                  f"survivors confirmed "
-                  f"{record['confirmed_roots']} roots")
-        else:
-            print(f"  [{name}] clean: {global_op} ops, "
-                  f"{record['quorum_checks']} quorum checks, "
-                  f"{record['confirmed_roots']} roots confirmed, "
-                  f"{len(witness_detections)} fabrication(s) named")
+    if false_alarm:
+        progress(f"  [{name}] FALSE ALARM")
+    elif deviated and not detections:
+        progress(f"  [{name}] MISSED: primary deviated but no client halted")
+    elif deviated:
+        first = detections[0]
+        progress(f"  [{name}] {len(detections)} client(s) caught the primary "
+                 f"via {first['kind']} at op {first['op']}; "
+                 f"{len(witness_detections)} fabrication(s) named; "
+                 f"survivors confirmed {record['confirmed_roots']} roots")
+    else:
+        progress(f"  [{name}] clean: {global_op} ops, "
+                 f"{record['quorum_checks']} quorum checks, "
+                 f"{record['confirmed_roots']} roots confirmed, "
+                 f"{len(witness_detections)} fabrication(s) named")
     shutil.rmtree(evidence_dir, ignore_errors=True)
     return record
 
@@ -485,7 +484,7 @@ def _replicated_record(name, attack, judge, *, n_witnesses, f, colluders,
 
 def _run_record(name, protocol, attack, judge, detection, false_alarm,
                 global_op, k, n_users, messages_per_op, sync_rounds,
-                evidence_dir, proxy, verbose) -> dict:
+                evidence_dir, proxy) -> dict:
     bound = k * n_users + n_users
     deviated = _deviated(judge)
     record = {
@@ -516,18 +515,17 @@ def _run_record(name, protocol, attack, judge, detection, false_alarm,
                 "evidence_bundle": bundle_path,
                 "evidence_genuine": _genuine(bundle_path),
             })
-    if verbose:
-        if detection:
-            print(f"  [{name}] detected via {record['detection_kind']} at op "
-                  f"{record['detection_op']} (deviated at "
-                  f"{record['deviation_op']}, latency "
-                  f"{record['latency_ops']} <= {bound}), evidence "
-                  f"{'re-verified' if record['evidence_genuine'] else 'BAD'}")
-        elif deviated:
-            print(f"  [{name}] MISSED: deviated but never detected")
-        else:
-            print(f"  [{name}] honest run clean: {global_op} ops, "
-                  f"{sync_rounds} sync round(s), no alarms")
+    if detection:
+        progress(f"  [{name}] detected via {record['detection_kind']} at op "
+                 f"{record['detection_op']} (deviated at "
+                 f"{record['deviation_op']}, latency "
+                 f"{record['latency_ops']} <= {bound}), evidence "
+                 f"{'re-verified' if record['evidence_genuine'] else 'BAD'}")
+    elif deviated:
+        progress(f"  [{name}] MISSED: deviated but never detected")
+    else:
+        progress(f"  [{name}] honest run clean: {global_op} ops, "
+                 f"{sync_rounds} sync round(s), no alarms")
     shutil.rmtree(evidence_dir, ignore_errors=True)
     return record
 
@@ -563,34 +561,39 @@ QUICK_P2 = {"p2-fork", "p2-tamper", "p2-counter-replay"}
 QUICK_P1 = {"p1-fork", "p1-sig-forge"}
 
 
-def run_campaign(seed: int = 2203, quick: bool = False,
-                 verbose: bool = True) -> dict:
+def _observed(fleets, counters):
+    """Run each of ``fleets`` with the obs registry zeroed and on; the
+    runs and the totals of ``counters``."""
     from repro import obs
 
     obs.reset()
     obs.enable()
-    runs = []
     try:
-        steps = {"II": 8 if quick else 14, "I": 8 if quick else 12}
-        runs.append(run_fleet("p2-honest-chaotic", "II", None, seed=seed,
-                              steps=steps["II"], verbose=verbose))
-        runs.append(run_fleet("p1-honest-chaotic", "I", None, seed=seed + 1,
-                              steps=steps["I"], verbose=verbose))
-        for protocol, attacks, subset, offset in (
-                ("II", P2_ATTACKS, QUICK_P2, 10), ("I", P1_ATTACKS, QUICK_P1, 50)):
-            for index, (name, factory) in enumerate(attacks):
-                if quick and name not in subset:
-                    continue
-                runs.append(run_fleet(name, protocol, factory,
-                                      seed=seed + offset + index,
-                                      steps=steps[protocol], verbose=verbose))
-        obs_counters = {
-            name: obs.registry.counter(name).total()
-            for name in ("net.attacks_injected", "net.detections",
-                         "net.evidence_bundles", "chaos.resets",
-                         "chaos.conn_drops", "chaos.truncations")}
+        runs = [fleet() for fleet in fleets]
+        return runs, {name: obs.registry.counter(name).total()
+                      for name in counters}
     finally:
         obs.disable()
+
+
+def run(quick: bool = False, seed: int = SEED) -> dict:
+    """Both protocols' honest-but-chaotic runs and their galleries."""
+    steps = {"II": 8 if quick else 14, "I": 8 if quick else 12}
+    fleets = [
+        functools.partial(run_fleet, "p2-honest-chaotic", "II", None,
+                          seed=seed, steps=steps["II"]),
+        functools.partial(run_fleet, "p1-honest-chaotic", "I", None,
+                          seed=seed + 1, steps=steps["I"])]
+    for protocol, attacks, subset, offset in (
+            ("II", P2_ATTACKS, QUICK_P2, 10), ("I", P1_ATTACKS, QUICK_P1, 50)):
+        fleets += [functools.partial(run_fleet, name, protocol, factory,
+                                     seed=seed + offset + index,
+                                     steps=steps[protocol])
+                   for index, (name, factory) in enumerate(attacks)
+                   if not quick or name in subset]
+    runs, obs_counters = _observed(fleets, (
+        "net.attacks_injected", "net.detections", "net.evidence_bundles",
+        "chaos.resets", "chaos.conn_drops", "chaos.truncations"))
 
     honest = [r for r in runs if r["attack"] is None]
     malicious = [r for r in runs if r["attack"] is not None]
@@ -619,16 +622,6 @@ def run_campaign(seed: int = 2203, quick: bool = False,
     }
 
 
-def campaign_passes(results: dict) -> bool:
-    checks = results["checks"]
-    return (checks["false_positives"] == 0
-            and checks["missed_detections"] == 0
-            and checks["out_of_bound_detections"] == 0
-            and checks["unproven_detections"] == 0
-            and checks["attacks_that_never_deviated"] == 0
-            and checks["obs_consistent"])
-
-
 # -- the replicated campaign ----------------------------------------------
 
 # f-of-N colluding-witness sweep: every tolerated minority size at every
@@ -640,52 +633,35 @@ REPL_COLLUSION_CONFIGS = [
 ]
 
 
-def run_replicated_campaign(seed: int = 2203, replicas: int = 3,
-                            quick: bool = False,
-                            verbose: bool = True) -> dict:
+def run_replication(quick: bool = False, seed: int = SEED) -> dict:
     """The N-server gauntlet: the full attack gallery on the primary
-    at ``replicas`` witnesses, the f-of-N colluding-witness sweep, a
+    at :data:`REPLICAS` witnesses, the f-of-N colluding-witness sweep, a
     withholding colluder (must read as noise, never an accusation), and
     a fork composed with a fabricating colluder."""
-    from repro import obs
-
-    obs.reset()
-    obs.enable()
-    runs = []
-    try:
-        steps = 8 if quick else 12
-        runs.append(run_replicated("repl-honest", None, seed=seed,
-                                   n_witnesses=replicas, steps=steps,
-                                   verbose=verbose))
-        for index, (name, factory) in enumerate(P2_ATTACKS):
-            if quick and name not in QUICK_P2:
-                continue
-            runs.append(run_replicated(f"repl-{name}", factory,
-                                       seed=seed + 10 + index,
-                                       n_witnesses=replicas, steps=steps,
-                                       verbose=verbose))
-        configs = [(3, 1)] if quick else REPL_COLLUSION_CONFIGS
-        for index, (n_witnesses, colluders) in enumerate(configs):
-            runs.append(run_replicated(
-                f"repl-collude-{colluders}of{n_witnesses}", None,
-                seed=seed + 40 + index, n_witnesses=n_witnesses,
-                colluders=colluders, steps=steps, verbose=verbose))
-        if not quick:
-            runs.append(run_replicated(
-                "repl-withhold-1of3", None, seed=seed + 70, n_witnesses=3,
-                colluders=1, collusion_mode="withhold", steps=steps,
-                verbose=verbose))
-            runs.append(run_replicated(
-                "repl-fork+collude-1of5",
-                lambda: ForkAttack(victims=["u1"], fork_round=10),
-                seed=seed + 71, n_witnesses=5, colluders=1, steps=steps,
-                verbose=verbose))
-        obs_counters = {
-            name: obs.registry.counter(name).total()
-            for name in ("repl.deposits", "repl.quorum_checks",
-                         "repl.divergences", "net.attacks_injected")}
-    finally:
-        obs.disable()
+    fleet = functools.partial(run_replicated_fleet, steps=8 if quick else 12)
+    fleets = [functools.partial(fleet, "repl-honest", None, seed=seed,
+                                n_witnesses=REPLICAS)]
+    fleets += [functools.partial(fleet, f"repl-{name}", factory,
+                                 seed=seed + 10 + index, n_witnesses=REPLICAS)
+               for index, (name, factory) in enumerate(P2_ATTACKS)
+               if not quick or name in QUICK_P2]
+    configs = [(3, 1)] if quick else REPL_COLLUSION_CONFIGS
+    fleets += [functools.partial(
+        fleet, f"repl-collude-{colluders}of{n_witnesses}", None,
+        seed=seed + 40 + index, n_witnesses=n_witnesses, colluders=colluders)
+        for index, (n_witnesses, colluders) in enumerate(configs)]
+    if not quick:
+        fleets += [
+            functools.partial(fleet, "repl-withhold-1of3", None,
+                              seed=seed + 70, n_witnesses=3, colluders=1,
+                              collusion_mode="withhold"),
+            functools.partial(fleet, "repl-fork+collude-1of5",
+                              lambda: ForkAttack(victims=["u1"],
+                                                 fork_round=10),
+                              seed=seed + 71, n_witnesses=5, colluders=1)]
+    runs, obs_counters = _observed(fleets, (
+        "repl.deposits", "repl.quorum_checks", "repl.divergences",
+        "net.attacks_injected"))
 
     deviating = [r for r in runs if r["deviated"]]
     named = sum(
@@ -715,49 +691,16 @@ def run_replicated_campaign(seed: int = 2203, replicas: int = 3,
     }
     return {
         "config": {"seed": seed, "quick": quick, "order": ORDER,
-                   "replicas": replicas},
+                   "replicas": REPLICAS},
         "runs": runs,
         "obs": obs_counters,
         "checks": checks,
     }
 
 
-def replicated_campaign_passes(results: dict) -> bool:
-    checks = results["checks"]
-    return all(checks[key] == 0 for key in checks if key != "obs_consistent") \
-        and checks["obs_consistent"]
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="subset of attacks, fewer ops (CI gate)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless every criterion holds")
-    parser.add_argument("--seed", type=int, default=2203)
-    parser.add_argument("--json", action="store_true", help="JSON only")
-    parser.add_argument("--replicas", type=int, default=0, metavar="N",
-                        help="run the N-server replicated campaign instead: "
-                             "the gallery on the primary at N witnesses plus "
-                             "the f-of-N colluding-witness sweep")
-    args = parser.parse_args(argv)
-
-    if args.replicas:
-        results = run_replicated_campaign(seed=args.seed,
-                                          replicas=args.replicas,
-                                          quick=args.quick,
-                                          verbose=not args.json)
-        ok = replicated_campaign_passes(results)
-    else:
-        results = run_campaign(seed=args.seed, quick=args.quick,
-                               verbose=not args.json)
-        ok = campaign_passes(results)
-    results["pass"] = ok
-    print(json.dumps(results, indent=2))
-    if args.check and not ok:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def failures(results: dict) -> list[str]:
+    """Either campaign's criteria: no false alarm, no missed or
+    unprovable detection, none out of its bound or misattributed, no
+    attack that never deviated, no honest witness excluded or client
+    stalled, and the obs counters agreeing."""
+    return failed_checks(results["checks"])

@@ -12,7 +12,7 @@ once and measures what the recovery machinery must guarantee:
 * every client is a self-healing :class:`~repro.net.RemoteClient`
   retrying idempotent requests through reconnects.
 
-Pass criteria (all checked, printed as JSON):
+Pass criteria (each checked and named by :func:`failures`):
 
 * **zero integrity false-positives** -- no client ever raises
   ``IntegrityError`` during the honest-but-chaotic run;
@@ -30,26 +30,24 @@ Pass criteria (all checked, printed as JSON):
   ended on a checkpoint, page file) refuses to replay (``WalError``),
   so recovery cannot be used as a forking side door.
 
-Run ``python benchmarks/bench_chaos.py --check`` for the full campaign
-(>= 20 injected connection drops, >= 5 server restarts; two seconds,
-the CI gate, once with stop-and-wait clients and once with
-``--pipeline-depth 8``) or with ``--quick`` for a smaller one.
+The full campaign (>= 20 injected connection drops, >= 5 server
+restarts, two seconds) is the CI gate, once with stop-and-wait clients
+(``python benchmarks/campaign.py chaos --check``) and once with a
+window of 8 in flight (``chaos-pipelined``); ``--quick`` runs a smaller
+one.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import shutil
-import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from bench_common import failed_checks, progress
 
-from repro.mtree.database import VerifiedDatabase, WriteQuery  # noqa: E402
-from repro.net import (  # noqa: E402
+from repro.mtree.database import VerifiedDatabase, WriteQuery
+from repro.net import (
     ChaosConfig,
     ChaosProxy,
     IntegrityError,
@@ -62,6 +60,7 @@ from repro.net import (  # noqa: E402
 )
 
 ORDER = 8
+SEED = 1301
 
 
 def _workload(users: list[str], ops_per_user: int, keyspace: int):
@@ -99,28 +98,24 @@ class HistoryClient(RemoteClient):
 
 
 def _start_server(data_dir: str, port: int, snapshot_every: int):
-    return serve_in_thread(order=ORDER, port=port, data_dir=data_dir,
-                           snapshot_every=snapshot_every)
-
-
-def _restart_server(data_dir: str, port: int, snapshot_every: int):
-    # The freed port can linger in TIME_WAIT bookkeeping for a moment on
-    # some platforms; retry briefly rather than flaking the campaign.
+    # A restart's freed port can linger in TIME_WAIT bookkeeping for a
+    # moment on some platforms; retry briefly rather than flaking the
+    # campaign.
     deadline = time.monotonic() + 10.0
     while True:
         try:
-            return _start_server(data_dir, port, snapshot_every)
+            return serve_in_thread(order=ORDER, port=port, data_dir=data_dir,
+                                   snapshot_every=snapshot_every)
         except OSError:
             if time.monotonic() > deadline:
                 raise
             time.sleep(0.05)
 
 
-def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
-                 restarts: int = 5, seed: int = 1301,
-                 drop_rate: float = 0.012, truncate_rate: float = 0.01,
-                 snapshot_every: int = 40, verbose: bool = True,
-                 pipeline_depth: int = 1) -> dict:
+def run_campaign(users: int, ops_per_user: int, keyspace: int,
+                 restarts: int, seed: int, drop_rate: float,
+                 truncate_rate: float, snapshot_every: int,
+                 pipeline_depth: int) -> dict:
     user_ids = [f"u{i}" for i in range(users)]
     sequence = _workload(user_ids, ops_per_user, keyspace)
     expected_ops = len(sequence)
@@ -170,12 +165,11 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
         for step, (user, key, value) in enumerate(sequence):
             if step in restart_points:
                 server.stop()  # crash: WAL only
-                server = _restart_server(data_dir, server_port,
-                                         snapshot_every)
+                server = _start_server(data_dir, server_port,
+                                       snapshot_every)
                 wal_replays += server.replayed_records
-                if verbose:
-                    print(f"  [step {step}] crash-restart: replayed "
-                          f"{server.replayed_records} WAL record(s)")
+                progress(f"  [step {step}] crash-restart: replayed "
+                         f"{server.replayed_records} WAL record(s)")
             try:
                 if pipeline_depth > 1:
                     # Fire-and-track: submit() blocks only on a full
@@ -270,60 +264,33 @@ def run_campaign(users: int = 3, ops_per_user: int = 60, keyspace: int = 12,
     return results
 
 
-def campaign_passes(results: dict, require_min_faults: bool) -> bool:
-    checks = results["checks"]
-    ok = (checks["integrity_false_positives"] == 0
-          and checks["lost_acked_writes"] == 0
-          and checks["duplicated_writes"] == 0
-          and checks["root_matches_uninterrupted_run"]
-          and checks["sync_check"]
-          and checks["tampered_wal_detected"] is True)
-    if require_min_faults:
-        measured = results["measured"]
-        ok = ok and measured["proxy_faults"]["drops"] \
-            + measured["proxy_faults"]["truncations"] >= 20 \
-            and measured["restarts"] >= 5
-    return ok
+def run(quick: bool = False, seed: int = SEED,
+        pipeline_depth: int = 1) -> dict:
+    """The campaign at CI's size (or ``quick``'s), every client keeping
+    ``pipeline_depth`` requests in flight."""
+    if quick:
+        return run_campaign(users=2, ops_per_user=25, keyspace=8,
+                            restarts=2, seed=seed, drop_rate=0.02,
+                            truncate_rate=0.015, snapshot_every=16,
+                            pipeline_depth=pipeline_depth)
+    # 120 ops per user: a window of 8 crosses the proxy in far fewer
+    # chunks than 8 lone requests, and how responses coalesce into
+    # chunks moves with the host, so at 80 the pipelined run rolled
+    # 19-21 faults against the floor of 20 below.
+    results = run_campaign(users=3, ops_per_user=120, keyspace=12,
+                           restarts=5, seed=seed, drop_rate=0.05,
+                           truncate_rate=0.035, snapshot_every=48,
+                           pipeline_depth=pipeline_depth)
+    faults = results["measured"]["proxy_faults"]
+    results["checks"]["at_least_20_drops_and_truncations"] = \
+        faults["drops"] + faults["truncations"] >= 20
+    results["checks"]["at_least_5_restarts"] = \
+        results["measured"]["restarts"] >= 5
+    return results
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="small N/M (fixed seed)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless every criterion holds")
-    parser.add_argument("--seed", type=int, default=1301)
-    parser.add_argument("--json", action="store_true", help="JSON only")
-    parser.add_argument("--pipeline-depth", type=int, default=1,
-                        help="client pipeline window (1 = stop-and-wait)")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        results = run_campaign(users=2, ops_per_user=25, keyspace=8,
-                               restarts=2, seed=args.seed,
-                               drop_rate=0.02, truncate_rate=0.015,
-                               snapshot_every=16, verbose=not args.json,
-                               pipeline_depth=args.pipeline_depth)
-        require_min_faults = False
-    else:
-        # 120 ops per user: a window of 8 crosses the proxy in far
-        # fewer chunks than 8 lone requests, and how responses coalesce
-        # into chunks moves with the host, so at 80 the pipelined run
-        # rolled 19-21 faults against the floor of 20 below.
-        results = run_campaign(users=3, ops_per_user=120, keyspace=12,
-                               restarts=5, seed=args.seed,
-                               drop_rate=0.05, truncate_rate=0.035,
-                               snapshot_every=48, verbose=not args.json,
-                               pipeline_depth=args.pipeline_depth)
-        require_min_faults = True
-
-    ok = campaign_passes(results, require_min_faults)
-    results["pass"] = ok
-    print(json.dumps(results, indent=2))
-    if args.check and not ok:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def failures(results: dict) -> list[str]:
+    """No false alarm, no acked write lost or doubled, the root of the
+    verified serial history, registers in sync, the tampered log
+    refused -- and, at full size, the faults the campaign promises."""
+    return failed_checks(results["checks"])

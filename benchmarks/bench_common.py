@@ -5,14 +5,15 @@ prints the rows/series to the terminal (bypassing pytest capture) and
 also writes them under ``benchmarks/results/`` so EXPERIMENTS.md can
 cite the measured numbers.  Structured results (lists of row dicts or
 metric mappings) are additionally persisted as JSON so tooling -- the
-perf-regression smoke job in CI in particular -- can diff runs without
-parsing tables.
+campaigns CI gates on (``benchmarks/campaign.py``) in particular -- can
+diff runs without parsing tables.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -20,6 +21,19 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 # future PR can be compared against it (see benchmarks/perf_suite.py).
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERF_BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_perf.json")
+
+
+def progress(line: str) -> None:
+    """A campaign's running commentary: stderr, so stdout stays its
+    results."""
+    print(line, file=sys.stderr, flush=True)
+
+
+def failed_checks(checks: dict) -> list[str]:
+    """The criteria of ``checks`` that do not hold, each named with its
+    value: a bool holds when true, a count when zero."""
+    return [f"{name} = {value}" for name, value in checks.items()
+            if (value is not True if isinstance(value, bool) else value != 0)]
 
 
 def emit(capsys, experiment_id: str, text: str, rows: list[dict] | None = None) -> None:
@@ -39,26 +53,12 @@ def emit(capsys, experiment_id: str, text: str, rows: list[dict] | None = None) 
         print(f"\n{text}\n[saved to {os.path.relpath(path)}]")
 
 
-def emit_json(experiment_id: str, payload: object, path: str | None = None) -> str:
+def emit_json(experiment_id: str, payload: object, path: str | None = None) -> None:
     """Persist a JSON-serialisable payload under ``benchmarks/results/``
-    (or at an explicit ``path``, e.g. the repo-root perf baseline).
-
-    Returns the path written.
-    """
+    (or at an explicit ``path``, e.g. the repo-root perf baseline)."""
     if path is None:
         os.makedirs(RESULTS_DIR, exist_ok=True)
         path = os.path.join(RESULTS_DIR, f"{experiment_id}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
-
-
-def load_json(experiment_id: str, path: str | None = None) -> object | None:
-    """Load a previously emitted JSON payload, or ``None`` if absent."""
-    if path is None:
-        path = os.path.join(RESULTS_DIR, f"{experiment_id}.json")
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)

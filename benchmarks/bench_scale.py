@@ -6,30 +6,24 @@ counts, reporting completed operations, makespan, protocol throughput
 and the broadcast bill -- plus the same sweep for the tree-aggregated
 variant to show the sync cost curve bending.
 
-E12b extends the study to the sharded store: ``--shards`` sweeps a
+E12b extends the study to the sharded store: a shard sweep runs a
 Merkle forest across shard counts, measuring disjoint-shard batched
 write throughput (server executes every write with its full two-level
 VO, one root refresh per batch), mean VO size in digests, and refresh
 work per operation; an untimed verifying client replays *every* VO and
-the sweep fails on any verification miss or root divergence.  The
-``--users`` sweep runs honest end-to-end simulations past E12's 32
-users, in both single-tree and forest mode, checking for detection
-false positives.
+the sweep fails on any verification miss or root divergence.  A user
+sweep runs honest end-to-end simulations past E12's 32 users, in both
+single-tree and forest mode, checking for detection false positives.
 
-Run ``python benchmarks/bench_scale.py --quick --check`` for the CI
-forest-smoke gate, or without ``--quick`` for the full sweep (shard
-counts to 64, user counts to 64).
+``python benchmarks/campaign.py scale --quick --check`` is the CI gate;
+without ``--quick`` it runs the full sweep (shard counts to 64, user
+counts to 64).
 """
 
-import argparse
-import json
 import math
-import sys
 import time
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-
-from bench_common import emit, emit_json
+from bench_common import emit, emit_json, failed_checks, progress
 from repro.analysis import format_table, overhead_metrics
 from repro.core.scenarios import build_simulation
 from repro.mtree.database import ClientVerifier, VerifiedDatabase, WriteQuery
@@ -38,7 +32,8 @@ from repro.simulation.workload import steady_workload
 USER_SWEEP = (4, 8, 16, 32)
 EXTENDED_USER_SWEEP = (4, 8, 16, 32, 48, 64)
 SHARD_SWEEP = (1, 2, 8, 64)
-#: forest mode used in the sharded half of the ``--users`` sweep
+SEED = 9
+#: forest mode used in the sharded half of the user sweep
 SIM_SHARDS = 8
 
 
@@ -201,13 +196,6 @@ def forest_sweep_checks(results: list[dict]) -> dict:
     }
 
 
-def forest_sweep_passes(checks: dict) -> bool:
-    return (checks["verify_failures"] == 0
-            and checks["roots_match"]
-            and checks["vo_growth_olog_s"]
-            and checks["overhead_bounded"])
-
-
 def forest_table(results: list[dict]) -> str:
     rows = [[
         row["shards"],
@@ -235,15 +223,15 @@ def test_forest_shard_sweep(capsys):
                                  batch_size=48, order=8)
     checks = forest_sweep_checks(results)
     emit(capsys, "E12b_forest_scale", forest_table(results), rows=results)
-    assert forest_sweep_passes(checks), (checks, results)
+    assert not failed_checks(checks), (checks, results)
 
 
 # ---------------------------------------------------------------------------
-# CLI: the forest-smoke gate and the full sweep
+# The campaign: the shard sweep and the extended user sweep
 # ---------------------------------------------------------------------------
 
 
-def run_user_sweep(user_counts, seed: int = 9) -> list[dict]:
+def run_user_sweep(user_counts, seed: int = SEED) -> list[dict]:
     """Honest Protocol II simulations past E12's 32 users, single-tree
     vs forest mode side by side; any detection is a false positive."""
     rows = []
@@ -280,59 +268,33 @@ def user_table(rows: list[dict]) -> str:
     )
 
 
-def _parse_sweep(text: str) -> tuple[int, ...]:
-    values = tuple(int(part) for part in text.split(",") if part.strip())
-    if not values:
-        raise argparse.ArgumentTypeError("empty sweep")
-    return values
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller store and sweeps (CI forest smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless every criterion holds")
-    parser.add_argument("--json", action="store_true", help="JSON only")
-    parser.add_argument("--seed", type=int, default=9)
-    parser.add_argument("--shards", type=_parse_sweep, default=None,
-                        help="comma-separated shard sweep (default 1,2,8,64)")
-    parser.add_argument("--users", type=_parse_sweep, default=None,
-                        help="comma-separated user sweep (default to 64 users)")
-    args = parser.parse_args(argv)
-
-    shard_counts = args.shards or ((1, 2, 8) if args.quick else SHARD_SWEEP)
-    user_counts = args.users or ((4, 16, 48) if args.quick
-                                 else EXTENDED_USER_SWEEP)
-    if shard_counts[0] != 1:
-        shard_counts = (1,) + shard_counts
-    sizes = (dict(keys=1024, batches=6, batch_size=48) if args.quick
-             else dict(keys=4096, batches=12, batch_size=64))
-
+def run(quick: bool = False, seed: int = SEED) -> dict:
+    """Both sweeps, at CI's size with ``quick``; their tables go to
+    stderr and the results to ``E12b_forest_scale.json``."""
+    if quick:
+        shard_counts, user_counts = (1, 2, 8), (4, 16, 48)
+        sizes = dict(keys=1024, batches=6, batch_size=48)
+    else:
+        shard_counts, user_counts = SHARD_SWEEP, EXTENDED_USER_SWEEP
+        sizes = dict(keys=4096, batches=12, batch_size=64)
     forest_rows = forest_shard_sweep(shard_counts, order=8, **sizes)
-    user_rows = run_user_sweep(user_counts, seed=args.seed)
-
+    user_rows = run_user_sweep(user_counts, seed=seed)
     checks = forest_sweep_checks(forest_rows)
     checks["sim_false_positives"] = sum(r["false_positives"]
                                         for r in user_rows)
-    ok = forest_sweep_passes(checks) and checks["sim_false_positives"] == 0
     results = {
-        "quick": args.quick,
+        "quick": quick,
         "shard_sweep": forest_rows,
         "user_sweep": user_rows,
         "checks": checks,
-        "pass": ok,
     }
     emit_json("E12b_forest_scale", results)
-    if not args.json:
-        print(forest_table(forest_rows))
-        print()
-        print(user_table(user_rows))
-    print(json.dumps({"checks": checks, "pass": ok}, indent=2))
-    if args.check and not ok:
-        return 1
-    return 0
+    progress(forest_table(forest_rows) + "\n\n" + user_table(user_rows))
+    return results
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def failures(results: dict) -> list[str]:
+    """Every VO verifies and every client root lands on the server's,
+    VOs grow O(log S), the forest's overhead stays bounded, and no
+    honest simulation raises an alarm."""
+    return failed_checks(results["checks"])

@@ -15,14 +15,16 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
   commit torn before its fsync, a commit whose fsync lied, and either
   side of a compaction's rename; restart, and gate on: the crash
   actually fired where it was aimed, no acknowledged write
-  was lost, the recovered top root is bit-identical to an uninterrupted
-  run of the same prefix, read VOs verify against the recovered root,
-  and the store accepts new writes.
+  was lost, the recovered top root and dedup table are those of an
+  uninterrupted run of the same prefix, read VOs verify against the
+  recovered root, and the store accepts new writes.
 * **tamper gallery** -- faults that must be *detected*, never masked:
   a bit-rotted page (quarantined and repaired from the previous
   generation + segment replay, root re-verified), a doctored replay
   segment (refused), a page store that lied about commit durability
-  with appends after it (refused), a garbage manifest (refused).
+  with appends after it (refused), a garbage manifest (refused), and a
+  record length prefix flipped to run past the end of the WAL or of
+  the page file (refused, not trimmed as a torn tail).
 * **streaming restart** -- a million-entry store is checkpointed and
   reloaded; the loader must parse pages as they arrive, never
   materialising the serialised tree (gated on peak resident page
@@ -40,24 +42,19 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
   reported beside it: with entries this small it is the larger number.
   Counts, not times: they repeat exactly.
 
-Run ``python benchmarks/bench_storage.py --quick --check`` for the CI
-gate (fixed seed, abridged matrix workload) or without ``--quick`` for
-the full campaign.
+``python benchmarks/campaign.py storage --quick --check`` is the CI
+gate (fixed seed, abridged matrix workload); without ``--quick`` it
+runs the full campaign.  ``tests/test_crash_recovery.py`` runs the same
+crash cells through :func:`crash_cell`.
 """
 
-import argparse
-import json
 import os
 import shutil
-import sys
 import tempfile
 import time
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from bench_common import emit_json, failed_checks, progress
 
-from bench_common import emit_json
-
-from repro.crypto.hashing import Digest
 from repro.mtree.database import (
     ClientVerifier,
     ReadQuery,
@@ -68,6 +65,7 @@ from repro.net.core import ServerCore
 from repro.net.wal import ServerStore, WalError, log_gens, log_name
 from repro.protocols.base import Request, ServerState
 from repro.protocols.protocol2 import Protocol2Server
+from repro.storage.atomic import frame_record, parse_records
 from repro.storage.engine import (
     PAGE_BYTES,
     PageRows,
@@ -75,11 +73,12 @@ from repro.storage.engine import (
     row_fields,
 )
 from repro.storage.faults import FaultyIO, SimulatedCrash
-from repro.storage.pagestore import open_page_store
+from repro.storage.pagestore import PAGE_LOG_MAGIC, open_page_store
 
 SHARDS = 2
 ORDER = 4
 SNAPSHOT_EVERY = 10
+SEED = 4201
 
 #: every storage crash point, with the occurrence that lands it in the
 #: middle of live traffic (occurrence 1 of the checkpoint points is the
@@ -125,6 +124,14 @@ PAGE_FILE_CELLS = [
 BACKENDS = ("file", "sqlite")
 #: crash points whose cell dies inside the bootstrap checkpoint
 BOOTSTRAP_POINTS = {"pagelog:new-log"}
+#: every crash cell, ``(backend, name, crash point, occurrence, further
+#: faults, least ops)``: the page file's, then the same points on sqlite
+CRASH_CELLS = (
+    [("file", point, point, occurrence, {}, 0)
+     for point, occurrence in CRASH_POINTS]
+    + [("file", *cell) for cell in PAGE_FILE_CELLS]
+    + [("sqlite", point, point, occurrence, {}, 0)
+       for point, occurrence in CRASH_POINTS])
 
 
 def _request(key, value, seq):
@@ -147,13 +154,6 @@ def _run_until_crash(core, ops):
     return acked
 
 
-def _reference_root(n, ops):
-    reference = VerifiedDatabase(order=ORDER, shards=SHARDS)
-    for key, value in ops[:n]:
-        reference.execute(WriteQuery(key, value))
-    return reference.root_digest()
-
-
 def _vos_verify(database, keys):
     """Read VOs for ``keys`` must verify against the recovered root."""
     verifier = ClientVerifier(database.root_digest(), order=database.spec)
@@ -164,7 +164,13 @@ def _vos_verify(database, keys):
     return True
 
 
-def _crash_cell(backend, name, point, occurrence, faults, ops, seed):
+def crash_cell(backend, name, point, occurrence, faults, least, n_ops,
+               seed=SEED):
+    """Kill a server at ``point``'s ``occurrence`` (with ``faults``
+    too) while it applies ``max(n_ops, least)`` writes, restart it, and
+    check the recovery against an uninterrupted run of what it
+    executed."""
+    ops = _ops(max(n_ops, least))
     data_dir = tempfile.mkdtemp(prefix="bench-storage-")
     try:
         io = FaultyIO(seed=seed + occurrence, crash_at={point: occurrence},
@@ -188,9 +194,12 @@ def _crash_cell(backend, name, point, occurrence, faults, ops, seed):
         lost = [key for key, value in acked
                 if fresh.state.database.get(key) != value]
         executed = fresh.state.ctr
+        reference = ServerCore(order=ORDER, shards=SHARDS)
+        _run_until_crash(reference, ops[:executed])
         root_match = (executed >= len(acked)
                       and fresh.state.database.root_digest()
-                      == _reference_root(executed, ops))
+                      == reference.state.database.root_digest())
+        dedup_match = fresh.dedup.export() == reference.dedup.export()
         vo_ok = _vos_verify(fresh.state.database,
                             [key for key, _ in acked[-5:]] or [b"x"])
         fresh.apply_request("bench", _request(b"post", b"crash", len(ops)))
@@ -198,40 +207,31 @@ def _crash_cell(backend, name, point, occurrence, faults, ops, seed):
         fresh.close_store()
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
-    cell = {
-        "backend": backend,
-        "point": name,
+    checks = {
         "fired": fired,
-        "acked": len(acked),
-        "executed": executed,
+        "landed": landed,
         "acked_lost": len(lost),
         "root_matches_reference": root_match,
+        "dedup_matches_reference": dedup_match,
         "vos_verify": vo_ok,
         "writable_after_recovery": post_ok,
     }
-    cell["pass"] = (fired and landed and not lost
-                    and root_match and vo_ok and post_ok)
-    return cell
+    progress(f"  {backend:<6} crash @ {name:<48} acked={len(acked):>3} "
+             f"executed={executed:>3} lost={len(lost)} "
+             f"[{'FAIL' if failed_checks(checks) else 'ok'}]")
+    return {"backend": backend, "point": name, "acked": len(acked),
+            "executed": executed, "checks": checks}
 
 
-def crash_matrix(n_ops, seed, verbose):
-    cells = []
-    for backend in BACKENDS:
-        plan = [(point, point, occurrence, {}, 0)
-                for point, occurrence in CRASH_POINTS]
-        if backend == "file":
-            plan += PAGE_FILE_CELLS
-        for name, point, occurrence, faults, least in plan:
-            cell = _crash_cell(backend, name, point, occurrence, faults,
-                               _ops(max(n_ops, least)), seed)
-            cells.append(cell)
-            if verbose:
-                status = "ok" if cell["pass"] else "FAIL"
-                print(f"  {backend:<6} crash @ {name:<48} "
-                      f"acked={cell['acked']:>3} "
-                      f"executed={cell['executed']:>3} "
-                      f"lost={cell['acked_lost']} [{status}]")
-    return cells
+def flip_length(path, head, index):
+    """Set the top byte of record ``index``'s length prefix to 0x7f: the
+    record then claims ~2 GB, past the end of the file."""
+    with open(path, "r+b") as handle:
+        blob = handle.read()
+        records, _end = parse_records(memoryview(blob)[len(head):])
+        handle.seek(len(head) + sum(len(frame_record(*record))
+                                    for record in records[:index]))
+        handle.write(b"\x7f")
 
 
 def _populated_dir(n_ops, data_dir, backend):
@@ -247,7 +247,7 @@ def _populated_dir(n_ops, data_dir, backend):
     return root
 
 
-def tamper_gallery(n_ops, seed, verbose):
+def tamper_gallery(n_ops, seed):
     rows = []
 
     def scenario(backend, name, run):
@@ -259,9 +259,8 @@ def tamper_gallery(n_ops, seed, verbose):
             shutil.rmtree(data_dir, ignore_errors=True)
         rows.append({"backend": backend, "scenario": name, "pass": ok,
                      "outcome": note})
-        if verbose:
-            print(f"  {backend:<6} tamper: {name:<28} {note} "
-                  f"[{'ok' if ok else 'FAIL'}]")
+        progress(f"  {backend:<6} tamper: {name:<28} {note} "
+                 f"[{'ok' if ok else 'FAIL'}]")
 
     def bitrot(backend, data_dir, root):
         io = FaultyIO(seed=seed, bitrot_page=("any", -1))
@@ -324,11 +323,39 @@ def tamper_gallery(n_ops, seed, verbose):
             return True, "undecodable manifest refused"
         return False, "garbage manifest accepted"
 
+    def refused_flip(backend, data_dir):
+        try:
+            ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
+                       fsync=False, shards=SHARDS)
+        except WalError as exc:
+            if "length prefix was corrupted" in str(exc):
+                return True, "flipped length prefix refused"
+            return False, f"refused, but not by name: {exc}"
+        return False, "records after the flip silently dropped"
+
+    def wal_length_flip(backend, data_dir, root):
+        # every write in the live log: no checkpoint after the bootstrap
+        shutil.rmtree(data_dir)
+        core = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
+                          fsync=False, shards=SHARDS,
+                          snapshot_every=n_ops + 1)
+        _run_until_crash(core, _ops(n_ops))
+        core.close_store()
+        flip_length(os.path.join(data_dir, log_name(1)), b"", 2)
+        return refused_flip(backend, data_dir)
+
+    def page_file_length_flip(backend, data_dir, root):
+        flip_length(os.path.join(data_dir, "pages.log"), PAGE_LOG_MAGIC, 2)
+        return refused_flip(backend, data_dir)
+
     for backend in BACKENDS:
         scenario(backend, "bitrot-page", bitrot)
         scenario(backend, "doctored-segment", segment_tamper)
         scenario(backend, "lying-commit", lost_commit)
         scenario(backend, "garbage-manifest", garbage_manifest)
+        scenario(backend, "wal-length-flip", wal_length_flip)
+        if backend == "file":
+            scenario(backend, "page-file-length-flip", page_file_length_flip)
     return rows
 
 
@@ -356,7 +383,7 @@ def _checkpointed_store(entries, data_dir):
     return root, build_secs, checkpoint_secs
 
 
-def streaming_restart(entries, verbose):
+def streaming_restart(entries):
     """Checkpoint a large store, reload it, gate on bounded residency."""
     data_dir = tempfile.mkdtemp(prefix="bench-storage-big-")
     try:
@@ -390,16 +417,17 @@ def streaming_restart(entries, verbose):
         # million-entry restarts
         "residency_bound_bytes": 4 * PAGE_BYTES,
     }
-    result["pass"] = (result["root_matches"]
-                      and stats.bytes > 10 * PAGE_BYTES
-                      and stats.max_resident_page_bytes
-                      < result["residency_bound_bytes"])
-    if verbose:
-        print(f"  streaming restart: {entries} entries, "
-              f"{result['streamed_mb']} MB streamed in "
-              f"{result['load_secs']}s, peak resident page bytes "
-              f"{stats.max_resident_page_bytes} "
-              f"[{'ok' if result['pass'] else 'FAIL'}]")
+    result["checks"] = {
+        "root_matches": result["root_matches"],
+        "streamed_over_10_pages": stats.bytes > 10 * PAGE_BYTES,
+        "resident_under_bound": stats.max_resident_page_bytes
+        < result["residency_bound_bytes"],
+    }
+    progress(f"  streaming restart: {entries} entries, "
+             f"{result['streamed_mb']} MB streamed in "
+             f"{result['load_secs']}s, peak resident page bytes "
+             f"{stats.max_resident_page_bytes} "
+             f"[{'FAIL' if failed_checks(result['checks']) else 'ok'}]")
     return result
 
 
@@ -425,7 +453,7 @@ def _rows_match_named_pages(store):
 OVERWRITE = b"v1-longer-than-before"
 
 
-def incremental_checkpoint(verbose):
+def incremental_checkpoint():
     """What a checkpoint writes must follow what changed, not what the
     store holds (counts the page store keeps of its own writes)."""
     shards, per_shard, touched = 4, 20_000, 50
@@ -489,88 +517,74 @@ def incremental_checkpoint(verbose):
     # an overwrite writes its value and its leaf's keys; an insert
     # writes its value, and an insert or a delete dirties one leaf, two
     # when it splits or merges one
-    result["pass"] = (
-        root_matches
-        and all(step["rows_match_named_pages"] for step in steps)
-        and overwrite["value_pages_written"] <= touched
-        and overwrite["leaf_pages_written"] <= touched
-        and written(overwrite) <= touched * (len(OVERWRITE) + leaf_page_max)
-        and churn["value_pages_written"] <= touched
-        and churn["leaf_pages_written"] <= 4 * touched
-        and written(churn) < 0.02 * store_bytes)
-    if verbose:
-        for step in steps:
-            print(f"  {step['step']:<24} value pages written "
-                  f"{step['value_pages_written']:>6} "
-                  f"({step['value_bytes_written']} B), leaf pages "
-                  f"{step['leaf_pages_written']:>6} "
-                  f"({step['leaf_bytes_written']} B; together "
-                  f"{100 * written(step) / store_bytes:.2f} % "
-                  f"of the store's {store_bytes} B), nodes streams "
-                  f"{step['nodes_bytes_written']} B, rows == named pages: "
-                  f"{step['rows_match_named_pages']}")
-        print(f"  50 overwrites: {written(overwrite)} B written, bound "
-              f"{touched} x ({len(OVERWRITE)} + {leaf_page_max}) = "
-              f"{touched * (len(OVERWRITE) + leaf_page_max)} B")
-        print(f"  incremental checkpoint [{'ok' if result['pass'] else 'FAIL'}]")
+    result["checks"] = {
+        "root_matches": root_matches,
+        "rows_match_named_pages": all(step["rows_match_named_pages"]
+                                      for step in steps),
+        "overwrites_write_at_most_50_value_pages":
+            overwrite["value_pages_written"] <= touched,
+        "overwrites_write_at_most_50_leaf_pages":
+            overwrite["leaf_pages_written"] <= touched,
+        "overwrites_write_at_most_50_values_and_leaves":
+            written(overwrite) <= touched * (len(OVERWRITE) + leaf_page_max),
+        "churn_writes_at_most_50_value_pages":
+            churn["value_pages_written"] <= touched,
+        "churn_writes_at_most_200_leaf_pages":
+            churn["leaf_pages_written"] <= 4 * touched,
+        "churn_writes_under_2_percent": written(churn) < 0.02 * store_bytes,
+    }
+    for step in steps:
+        progress(f"  {step['step']:<24} value pages written "
+                 f"{step['value_pages_written']:>6} "
+                 f"({step['value_bytes_written']} B), leaf pages "
+                 f"{step['leaf_pages_written']:>6} "
+                 f"({step['leaf_bytes_written']} B; together "
+                 f"{100 * written(step) / store_bytes:.2f} % "
+                 f"of the store's {store_bytes} B), nodes streams "
+                 f"{step['nodes_bytes_written']} B, rows == named pages: "
+                 f"{step['rows_match_named_pages']}")
+    progress(f"  50 overwrites: {written(overwrite)} B written, bound "
+             f"{touched} x ({len(OVERWRITE)} + {leaf_page_max}) = "
+             f"{touched * (len(OVERWRITE) + leaf_page_max)} B")
+    progress("  incremental checkpoint "
+             f"[{'FAIL' if failed_checks(result['checks']) else 'ok'}]")
     return result
 
 
-def run_campaign(n_ops, entries, seed, verbose=True):
-    if verbose:
-        print("crash-point recovery matrix (both page stores):")
-    matrix = crash_matrix(n_ops, seed, verbose)
-    if verbose:
-        print("tamper gallery (detected, never masked):")
-    gallery = tamper_gallery(n_ops, seed, verbose)
-    if verbose:
-        print("streaming restart:")
-    streaming = streaming_restart(entries, verbose)
-    if verbose:
-        print("incremental checkpoint (counts):")
-    incremental = incremental_checkpoint(verbose)
-    return {
+def run(quick: bool = False, seed: int = SEED) -> dict:
+    """The four campaigns, the crash matrix on CI's abridged workload
+    with ``quick``, written to ``storage_recovery.json``."""
+    n_ops, entries = (35 if quick else 120), 1_000_000
+    progress("crash-point recovery matrix (both page stores):")
+    matrix = [crash_cell(*cell, n_ops=n_ops, seed=seed)
+              for cell in CRASH_CELLS]
+    progress("tamper gallery (detected, never masked):")
+    gallery = tamper_gallery(n_ops, seed)
+    progress("streaming restart:")
+    streaming = streaming_restart(entries)
+    progress("incremental checkpoint (counts):")
+    results = {
         "config": {"ops": n_ops, "entries": entries, "seed": seed,
                    "shards": SHARDS, "snapshot_every": SNAPSHOT_EVERY},
         "crash_matrix": matrix,
         "tamper_gallery": gallery,
         "streaming_restart": streaming,
-        "incremental_checkpoint": incremental,
+        "incremental_checkpoint": incremental_checkpoint(),
     }
-
-
-def campaign_passes(results):
-    return (all(cell["pass"] for cell in results["crash_matrix"])
-            and all(row["pass"] for row in results["tamper_gallery"])
-            and results["streaming_restart"]["pass"]
-            and results["incremental_checkpoint"]["pass"])
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="abridged matrix workload for CI (fixed seed)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless every criterion holds")
-    parser.add_argument("--seed", type=int, default=4201)
-    parser.add_argument("--json", action="store_true", help="JSON only")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        results = run_campaign(n_ops=35, entries=1_000_000,
-                               seed=args.seed, verbose=not args.json)
-    else:
-        results = run_campaign(n_ops=120, entries=1_000_000,
-                               seed=args.seed, verbose=not args.json)
-
-    ok = campaign_passes(results)
-    results["pass"] = ok
     emit_json("storage_recovery", results)
-    print(json.dumps(results, indent=2, default=str))
-    if args.check and not ok:
-        return 1
-    return 0
+    return results
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def failures(results: dict) -> list[str]:
+    """Each crash cell's and each campaign's criterion that fails, and
+    each tamper that was masked, by name."""
+    problems = [f"crash {cell['backend']}/{cell['point']}: {problem}"
+                for cell in results["crash_matrix"]
+                for problem in failed_checks(cell["checks"])]
+    problems += [f"tamper {row['backend']}/{row['scenario']}: "
+                 f"{row['outcome']}"
+                 for row in results["tamper_gallery"] if not row["pass"]]
+    for part in ("streaming_restart", "incremental_checkpoint"):
+        problems += [f"{part}: {problem}"
+                     for problem in failed_checks(results[part]["checks"])]
+    return problems

@@ -38,50 +38,41 @@ baseline is signing, verifying, fsync and one blocking round -- not the
 40 ms delayed-ACK stall that used to sit between a client's follow-up
 and its own next request.
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_throughput.py           # full grid
-    PYTHONPATH=src python benchmarks/bench_throughput.py --quick   # CI smoke
-    PYTHONPATH=src python benchmarks/bench_throughput.py --quick --check
-
-``--check`` enforces the gates: Protocol I signatures <= 1 per window
-(plus scheduling slack), pipelined Protocol I >= QUICK_SPEEDUP_GATE x
-the per-op stop-and-wait baseline in quick mode and >=
-FULL_SPEEDUP_GATE x in the full grid, and every cell's sync/count-sync
-predicate passing.  The full run (re)writes the repo-root
-``BENCH_throughput.json`` baseline; ``--quick`` writes only under
-``benchmarks/results/`` so CI cannot clobber the committed numbers.
+``python benchmarks/campaign.py throughput --quick --check`` is the CI
+gate; without ``--quick`` it runs the full grid.  The gates
+(:func:`failures`): Protocol I signatures <= 1 per window (plus
+scheduling slack), pipelined Protocol I >= QUICK_SPEEDUP_GATE x the
+per-op stop-and-wait baseline in quick mode and >= FULL_SPEEDUP_GATE x
+in the full grid, and every cell's sync/count-sync predicate passing.
+The full run (re)writes the repo-root ``BENCH_throughput.json``
+baseline; ``--quick`` writes only under ``benchmarks/results/`` so CI
+cannot clobber the committed numbers.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import json
 import os
 import shutil
-import sys
 import tempfile
 import threading
 import time
 from collections import deque
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.dirname(__file__))
+from bench_common import REPO_ROOT, emit_json, progress
 
-from bench_common import REPO_ROOT, emit_json  # noqa: E402
-
-from repro.mtree.database import WriteQuery  # noqa: E402
-from repro.net import (  # noqa: E402
+from repro.mtree.database import WriteQuery
+from repro.net import (
     RemoteClient,
     RemoteClientP1,
     SessionCore,
     serve_in_thread,
     sync_check,
 )
-from repro.net.aserver import BATCH_MAX  # noqa: E402
-from repro.net.framing import async_recv_message, encode_frame  # noqa: E402
-from repro.protocols.protocol2 import XorRegisters  # noqa: E402
+from repro.net.aserver import BATCH_MAX
+from repro.net.framing import async_recv_message, encode_frame
+from repro.protocols.protocol2 import XorRegisters
 
 ORDER = 8
 BENCH_THROUGHPUT_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
@@ -413,7 +404,9 @@ def run_p1_pair(clients: int, ops_per_client: int, window: int,
 
 # -- grid + gates ---------------------------------------------------------
 
-def run_grid(quick: bool, verbose: bool = True) -> dict:
+def run(quick: bool = False, seed: int | None = None) -> dict:
+    """The grid and the Protocol I pair, written to their results file
+    (``seed`` is unused: every input is fixed)."""
     if quick:
         levels = [16]
         batches = [8]
@@ -437,8 +430,7 @@ def run_grid(quick: bool, verbose: bool = True) -> dict:
         if clients <= thread_cap:
             row = run_stop_and_wait(clients, ops_per_client)
             rows.append(row)
-            if verbose:
-                print(f"  {json.dumps(row)}")
+            progress(f"  {json.dumps(row)}")
         else:
             rows.append({"transport": "stop-and-wait", "clients": clients,
                          "skipped": "a client thread per session is not "
@@ -447,8 +439,7 @@ def run_grid(quick: bool, verbose: bool = True) -> dict:
         for batch in batches:
             row = run_pipelined(clients, ops_per_client, batch)
             rows.append(row)
-            if verbose:
-                print(f"  {json.dumps(row)}")
+            progress(f"  {json.dumps(row)}")
 
     if quick:
         p1 = run_p1_pair(clients=4, ops_per_client=8, window=8,
@@ -456,8 +447,7 @@ def run_grid(quick: bool, verbose: bool = True) -> dict:
     else:
         p1 = run_p1_pair(clients=100, ops_per_client=16, window=16,
                          batch_max=64, bits=1024)
-    if verbose:
-        print(f"  p1 {json.dumps(p1)}")
+    progress(f"  p1 {json.dumps(p1)}")
 
     speedup = {}
     for clients in levels:
@@ -470,12 +460,19 @@ def run_grid(quick: bool, verbose: bool = True) -> dict:
             speedup[f"clients_{clients}"] = round(
                 best["ops_per_s"] / waiting["ops_per_s"], 2)
 
-    return {"suite": "bench_throughput", "mode": "quick" if quick else "full",
-            "order": ORDER, "rows": rows, "protocol1": p1,
-            "p2_pipelining_speedup": speedup, "notes": NOTES}
+    results = {"suite": "bench_throughput",
+               "mode": "quick" if quick else "full", "order": ORDER,
+               "rows": rows, "protocol1": p1,
+               "p2_pipelining_speedup": speedup, "notes": NOTES}
+    if quick:
+        emit_json("throughput_quick", results)
+    else:
+        emit_json("throughput", results)
+        emit_json("BENCH_throughput", results, path=BENCH_THROUGHPUT_PATH)
+    return results
 
 
-def check_gates(results: dict) -> list[str]:
+def failures(results: dict) -> list[str]:
     """The enforced criteria.
 
     The Protocol I pair carries two gates.  The first is a count that
@@ -519,36 +516,3 @@ def check_gates(results: dict) -> list[str]:
             f"per-op baseline {p1['stop_and_wait']['ops_per_s']} -- "
             f"{p1['speedup']}x is below the {gate}x gate")
     return problems
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid for CI (16 clients, batch 8)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless the speedup gates hold")
-    parser.add_argument("--json", action="store_true", help="JSON only")
-    args = parser.parse_args(argv)
-
-    results = run_grid(quick=args.quick, verbose=not args.json)
-    if args.quick:
-        path = emit_json("throughput_quick", results)
-    else:
-        path = emit_json("throughput", results)
-        emit_json("BENCH_throughput", results, path=BENCH_THROUGHPUT_PATH)
-    problems = check_gates(results)
-    results["pass"] = not problems
-    print(json.dumps(results, indent=2))
-    print(f"[results saved to {path}]")
-    if problems:
-        print("THROUGHPUT GATE FAILURES:" if args.check else
-              "throughput gate notes (not enforced without --check):")
-        for line in problems:
-            print("  " + line)
-        if args.check:
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

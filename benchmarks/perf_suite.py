@@ -8,20 +8,11 @@ decoding, the page store's incremental checkpoint and streaming load,
 and an E12-style 32-user Protocol II makespan -- and persists the
 numbers as JSON so the perf trajectory is diffable across PRs.
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/perf_suite.py            # full run
-    PYTHONPATH=src python benchmarks/perf_suite.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/perf_suite.py --check    # fail on >3x
-                                                              # regression vs
-                                                              # BENCH_perf.json
-    PYTHONPATH=src python benchmarks/perf_suite.py \
-        --write-baseline --before benchmarks/results/perf_seed.json
-
-``--write-baseline`` (re)writes the repo-root ``BENCH_perf.json`` with
-the current numbers as ``after``; ``--before FILE`` embeds a previously
-captured run (e.g. the pre-optimisation seed) as ``before`` plus the
-implied speedups.
+``python benchmarks/campaign.py perf --quick --check`` is the CI gate: it
+fails on a row more than :data:`REGRESSION_FACTOR` x worse than the
+repo-root ``BENCH_perf.json``.  ``perf-baseline`` runs the suite and
+records it there as ``after``, the file's previous ``after`` becoming
+``before`` beside the speedups between the two.
 
 Metric naming convention: ``*_per_s`` is a throughput (higher is
 better); ``*_ms`` is a latency/makespan (lower is better).  The
@@ -30,17 +21,13 @@ regression check uses the suffix to orient the comparison.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import statistics
-import sys
 import tempfile
 import time
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-
-from bench_common import PERF_BASELINE_PATH, emit_json
+from bench_common import PERF_BASELINE_PATH, emit_json, progress
 
 from repro.crypto import rsa
 from repro.crypto.hashing import Digest, hash_bytes, hash_tagged_state, xor_all
@@ -347,66 +334,46 @@ def speedups(before: dict, after: dict) -> dict[str, float]:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="smaller workloads (CI smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on >%.0fx regression vs BENCH_perf.json" % REGRESSION_FACTOR)
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write BENCH_perf.json with this run as 'after'")
-    parser.add_argument("--before", metavar="FILE",
-                        help="JSON metrics file to embed as 'before' in the baseline")
-    parser.add_argument("--json", metavar="FILE",
-                        help="also write this run's metrics to FILE")
-    args = parser.parse_args(argv)
-
-    metrics = measure(quick=args.quick)
+def run(quick: bool = False, seed: int | None = None) -> dict:
+    """The suite, written to its results file and returned with the
+    baseline it is judged against (``seed`` is unused: every input is
+    fixed)."""
+    metrics = measure(quick=quick)
     width = max(len(name) for name in metrics)
-    print("perf_suite (%s mode)" % ("quick" if args.quick else "full"))
-    for name in sorted(metrics):
-        print(f"  {name:<{width}}  {metrics[name]:>14,.3f}")
-
-    run_id = "perf_suite_quick" if args.quick else "perf_suite"
-    path = emit_json(run_id, metrics, path=args.json)
-    print(f"[metrics saved to {path}]")
-
-    if args.write_baseline:
-        payload = {"suite": "perf_suite", "mode": "quick" if args.quick else "full",
-                   "after": metrics}
-        if args.before:
-            try:
-                with open(args.before, encoding="utf-8") as handle:
-                    before = json.load(handle)
-            except (OSError, ValueError) as exc:
-                parser.error(f"--before {args.before}: {exc}")
-            payload["before"] = before
-            payload["speedup"] = speedups(before, metrics)
-        emit_json("BENCH_perf", payload, path=PERF_BASELINE_PATH)
-        print(f"[baseline written to {PERF_BASELINE_PATH}]")
-
-    if args.check:
-        try:
-            with open(PERF_BASELINE_PATH, encoding="utf-8") as handle:
-                baseline = json.load(handle)["after"]
-        except (OSError, KeyError, ValueError):
-            print("no usable BENCH_perf.json baseline; skipping regression check")
-            return 0
-        problems = compare(metrics, _gateable(baseline))
-        overhead = metrics.get("obs_disabled_overhead_pct")
-        if overhead is not None and overhead > OBS_OVERHEAD_LIMIT_PCT:
-            problems.append(
-                f"obs_disabled_overhead_pct: {overhead} exceeds the "
-                f"{OBS_OVERHEAD_LIMIT_PCT:.0f}% disabled-hook budget")
-        if problems:
-            print("PERF REGRESSION (> %.0fx):" % REGRESSION_FACTOR)
-            for line in problems:
-                print("  " + line)
-            return 1
-        print("regression check passed (all metrics within "
-              f"{REGRESSION_FACTOR:.0f}x of baseline; obs disabled overhead "
-              f"{overhead}% < {OBS_OVERHEAD_LIMIT_PCT:.0f}%)")
-    return 0
+    progress("\n".join(f"  {name:<{width}}  {metrics[name]:>14,.3f}"
+                       for name in sorted(metrics)))
+    emit_json("perf_suite_quick" if quick else "perf_suite", metrics)
+    try:
+        with open(PERF_BASELINE_PATH, encoding="utf-8") as handle:
+            baseline = json.load(handle)["after"]
+    except (OSError, KeyError, ValueError):
+        baseline = {}
+    return {"mode": "quick" if quick else "full", "metrics": metrics,
+            "baseline": baseline}
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def record_baseline(quick: bool = False, seed: int | None = None) -> dict:
+    """:func:`run`, then ``BENCH_perf.json`` records this run as
+    ``after`` and the baseline it replaces as ``before``."""
+    results = run(quick)
+    before, after = results["baseline"], results["metrics"]
+    emit_json("BENCH_perf", {"suite": "perf_suite", "mode": results["mode"],
+                             "after": after, "before": before,
+                             "speedup": speedups(before, after)},
+              path=PERF_BASELINE_PATH)
+    return results
+
+
+def failures(results: dict) -> list[str]:
+    """Each row more than :data:`REGRESSION_FACTOR` x worse than the
+    baseline, and the disabled obs hooks over their budget."""
+    if not results["baseline"]:
+        return ["no usable BENCH_perf.json baseline"]
+    metrics = results["metrics"]
+    problems = compare(metrics, _gateable(results["baseline"]))
+    overhead = metrics.get("obs_disabled_overhead_pct")
+    if overhead is not None and overhead > OBS_OVERHEAD_LIMIT_PCT:
+        problems.append(
+            f"obs_disabled_overhead_pct: {overhead} exceeds the "
+            f"{OBS_OVERHEAD_LIMIT_PCT:.0f}% disabled-hook budget")
+    return problems

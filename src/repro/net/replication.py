@@ -55,7 +55,7 @@ an answer that proves nothing (a witness signature that fails, a
 deposit for another counter), is replaced in the sample without
 writing evidence -- zero false
 positives under the chaos proxy is a campaign gate
-(``benchmarks/bench_byzantine.py --replicas N``).
+(``benchmarks/campaign.py replication``).
 
 This module moves no frame itself: the sessions connect, resend and
 back off.  Import discipline: :mod:`repro.wire` imports the two message

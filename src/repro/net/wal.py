@@ -37,7 +37,12 @@ file *is* retained segment ``G``.  Failure semantics:
 
 * a *truncated tail* record (the process died mid-append) is discarded
   silently -- the request was never acknowledged, so dropping it is
-  correct, and the file is trimmed back to the last complete record;
+  correct, and the file is trimmed back to the last complete record.
+  A record whose length prefix runs past the end of the file is not
+  always torn: when its codec frame ends inside the file, followed by
+  the chain digest linking it to the record before, the prefix was
+  corrupted, and recovery refuses rather than drop that record and
+  every acked one after it;
 * any *other* corruption (bit flips, edited payloads, spliced records)
   breaks the hash chain and raises :class:`WalError`.  Recovery refuses
   to run, so a tampered log cannot be laundered into a "recovered"
@@ -62,7 +67,7 @@ from repro.mtree.forest import StoreSpec, merkle_store, shard_for_key
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import Followup, Request, Response
-from repro.storage.atomic import DirLock, RecordLog
+from repro.storage.atomic import DirLock, MisframedRecord, RecordLog
 from repro.storage.engine import (
     KIND_ENTRIES,
     KIND_LEAVES,
@@ -74,7 +79,7 @@ from repro.storage.engine import (
 )
 from repro.storage.faults import REAL_IO, IoShim
 from repro.storage.pagestore import StorageError, open_page_store
-from repro.wire import WireError, decode, encode
+from repro.wire import WireError, decode, encode, frame_length
 
 _LOG_PREFIX, _LOG_SUFFIX = "wal.", ".log"
 #: files only an older build writes, with the format they hold
@@ -148,6 +153,18 @@ def chain_genesis(root: Digest) -> Digest:
 
 def _chain_next(head: Digest, payload: bytes) -> Digest:
     return hash_bytes(_CHAIN_DOMAIN + head.to_bytes() + payload)
+
+
+def _reframed(prev: bytes, view) -> bool:
+    """Whether ``view`` starts with one codec frame followed by the
+    chain digest linking it to ``prev``: a whole record, not a torn
+    one (:class:`~repro.storage.atomic.RecordLog`)."""
+    try:
+        length = frame_length(view)
+    except WireError:
+        return False
+    chain = _chain_next(Digest(prev), bytes(view[:length]))
+    return view[length:length + len(prev)] == chain.to_bytes()
 
 
 def log_name(gen: int) -> str:
@@ -345,7 +362,18 @@ class ServerStore:
 
     def _record_log(self, gen: int, readonly: bool = False) -> RecordLog:
         return RecordLog(os.path.join(self.data_dir, log_name(gen)), "wal",
-                         fsync=self.fsync, io=self.io, readonly=readonly)
+                         fsync=self.fsync, io=self.io, readonly=readonly,
+                         reframe=None if readonly else _reframed)
+
+    def _read_log(self, log: RecordLog, chain: Digest):
+        """``log``'s records, chain-verified from ``chain``, and the chain
+        head after them."""
+        name = os.path.basename(log.path)
+        try:
+            records = log.read(chain.to_bytes())
+        except MisframedRecord as exc:
+            raise WalError(str(exc)) from exc
+        return _verify_records(records, chain, name)
 
     def _close_log(self) -> None:
         if self._log is not None:
@@ -357,8 +385,7 @@ class ServerStore:
         the next append goes after them."""
         self._close_log()
         self._log = self._record_log(self.live_gen)
-        messages, self._chain = _verify_records(
-            self._log.read(), chain, log_name(self.live_gen))
+        messages, self._chain = self._read_log(self._log, chain)
         return messages
 
     # -- manifest ----------------------------------------------------------
@@ -629,9 +656,8 @@ class ServerStore:
                 raise WalError(
                     f"shard {index} needs segment {shard_gen} for repair "
                     "but the manifest records no start chain for it")
-            messages, _chain = _verify_records(
-                self._record_log(shard_gen).read(), start,
-                log_name(shard_gen))
+            messages, _chain = self._read_log(
+                self._record_log(shard_gen), start)
             _replay_shard(tree, messages, index, spec.shards)
         actual, _nodes = tree.refresh_root()
         if actual != expected:

@@ -102,6 +102,13 @@ def parse_records(blob) -> tuple[list[tuple[bytes, bytes]], int]:
     return records, position
 
 
+class MisframedRecord(Exception):
+    """A record whose length prefix was corrupted: it runs past the end
+    of the file by its prefix, but its payload ends inside the file by
+    its own format and is followed by the digest chaining it to the
+    record before it."""
+
+
 class RecordLog:
     """One append-only file of :func:`frame_record` records behind a
     fixed ``head``: the durability protocol every log of a data
@@ -109,6 +116,13 @@ class RecordLog:
 
     :meth:`read` returns the complete records and trims a torn tail --
     an append that never returned -- unless the log is ``readonly``.
+    A tail is told from a corrupted length prefix by ``reframe(prev,
+    view)``: ``view`` is what follows the tail's prefix up to the end of
+    the file, ``prev`` the digest the record chains from, and it says
+    whether ``view`` starts with a payload its own format delimits,
+    followed by the digest chaining that payload to ``prev``.  Such a
+    record was written whole, so reading it as torn would drop it and
+    every acked record after it: :class:`MisframedRecord` instead.
     :meth:`append` writes one record, flushed and fsynced unless
     ``sync=False`` (:meth:`sync` then covers the group).  A new (absent
     or empty) file's name is made durable before its first record: a
@@ -120,9 +134,11 @@ class RecordLog:
     """
 
     def __init__(self, path: str, name: str, head: bytes = b"",
-                 fsync: bool = True, io=None, readonly: bool = False) -> None:
+                 fsync: bool = True, io=None, readonly: bool = False,
+                 reframe=None) -> None:
         self.path = path
         self.head = head
+        self.reframe = reframe
         self.fsync = fsync
         self.io = io or REAL_IO
         self.readonly = readonly
@@ -134,19 +150,33 @@ class RecordLog:
         self._append = f"{name}:append"
         self._before_fsync = f"{name}:before-fsync"
 
-    def read(self) -> list:
+    def read(self, start: bytes | None = None) -> list:
         """The complete ``(payload, digest)`` records, oldest first; an
         absent file holds none.  A file that does not start with the
         head is a :class:`ValueError`, one holding a torn prefix of it
-        is empty."""
+        is empty.  ``start`` is the digest the first record chains from
+        (without it, only a later record's prefix is told from a torn
+        tail)."""
         if not os.path.isfile(self.path):
             self.size = 0
             return []
         blob = self.io.read_file(self.path)
         head = self.head
         if blob.startswith(head):
-            records, end = parse_records(memoryview(blob)[len(head):])
+            body = memoryview(blob)[len(head):]
+            records, end = parse_records(body)
             self.size = len(head) + end
+            prev = bytes(records[-1][1]) if records else start
+            if self.reframe is not None and prev is not None \
+                    and len(body) - end >= 4 + _DIGEST_BYTES \
+                    and self.reframe(prev, body[end + 4:]):
+                (length,) = _LENGTH.unpack_from(body, end)
+                raise MisframedRecord(
+                    f"{self.path!r} record {len(records)} (offset "
+                    f"{self.size}) declares {length} payload bytes, past "
+                    "the end of the file, but its payload ends inside the "
+                    "file followed by its chain digest: the length prefix "
+                    "was corrupted")
         elif head.startswith(blob):
             records, self.size = [], 0   # the first append died mid-head
         else:

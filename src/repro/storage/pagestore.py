@@ -47,7 +47,12 @@ import struct
 
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
-from repro.storage.atomic import RecordLog, atomic_write, frame_record
+from repro.storage.atomic import (
+    MisframedRecord,
+    RecordLog,
+    atomic_write,
+    frame_record,
+)
 from repro.storage.faults import REAL_IO, IoShim
 
 _PAGES_WRITTEN = _registry.counter(
@@ -661,6 +666,22 @@ def _decode_ops(payload: memoryview, hasher):
         raise ValueError("last op runs past the record")
 
 
+def _reframed(prev: bytes, view) -> bool:
+    """Whether ``view`` starts with a run of ops followed by the digest
+    chaining their heads to ``prev``: a whole record, not a torn one
+    (:class:`~repro.storage.atomic.RecordLog`)."""
+    hasher = hashlib.sha256(_PAGE_LOG_DOMAIN + prev)
+    position = 0
+    try:
+        for _code, name, *_fields, body, _checksum in _decode_ops(view, hasher):
+            position += _op_bytes(name, body)
+            if view[position:position + _DIGEST_BYTES] == hasher.digest():
+                return True
+    except (ValueError, struct.error, UnicodeDecodeError):
+        pass
+    return False
+
+
 class FilePageStore(MemoryPageStore):
     """Append-only page file: the ``--backend file`` disk engine.
 
@@ -675,7 +696,9 @@ class FilePageStore(MemoryPageStore):
     digest is verified and its operations are applied to the committed
     index reads are served from (the :class:`MemoryPageStore` this class
     is); the log trims a torn final record -- a commit that never
-    returned -- and any other mismatch is refused.  The scan hashes
+    returned -- and any other mismatch is refused, a record whose length
+    prefix runs past the end of the file while its ops end inside it,
+    followed by their digest, included.  The scan hashes
     heads only: a page is checked against its checksum when it is read
     (:func:`_verified`, like every read path), so rot in a page is
     quarantined and repaired as in any page store, and the live meta
@@ -696,9 +719,12 @@ class FilePageStore(MemoryPageStore):
         super().__init__(io)
         self.path = path
         self._log = RecordLog(path, "pagelog", head=PAGE_LOG_MAGIC,
-                              fsync=fsync, io=self.io, readonly=readonly)
+                              fsync=fsync, io=self.io, readonly=readonly,
+                              reframe=_reframed)
         try:
-            records = self._log.read()
+            records = self._log.read(_LOG_GENESIS)
+        except MisframedRecord as exc:
+            raise StorageError(str(exc)) from exc
         except ValueError as exc:
             raise StorageError(f"{path!r} is not a page file "
                                f"({PAGE_LOG_MAGIC.strip().decode()})") from exc

@@ -505,6 +505,14 @@ def decode_frames(data: bytes) -> list:
     return values
 
 
+def frame_length(data) -> int:
+    """Bytes the frame at the start of ``data`` occupies; ``data`` may
+    run on past it.  :class:`WireError` when no whole frame starts it."""
+    if type(data) is not bytes:
+        data = bytes(data)
+    return _decode_at(data, 0)[1]
+
+
 def _decode_at(data: bytes, pos: int):
     """The value of the frame at ``pos`` and the position after it."""
     try:

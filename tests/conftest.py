@@ -1,5 +1,5 @@
-"""Pytest configuration: make the shared helpers importable and expose
-common fixtures.
+"""Pytest configuration: make the shared helpers and the benchmark
+campaigns importable and expose common fixtures.
 
 PKI-dependent tests share one set of deterministic keypairs per session
 instead of regenerating 512/1024-bit RSA keys per module: the fixtures
@@ -13,6 +13,8 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
+# the campaigns' tables and gates (benchmarks/campaign.py)
+sys.path.insert(1, os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
 
 import pytest
 

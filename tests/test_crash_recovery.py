@@ -46,6 +46,9 @@ from repro.protocols.protocol1 import Protocol1Server
 from repro.protocols.protocol2 import Protocol2Server, XorRegisters
 from repro.protocols.protocol3 import EpochDeposit, Protocol3Server
 
+from bench_common import failed_checks
+from bench_storage import CRASH_CELLS, crash_cell
+
 
 def _request(user, key, value, seq):
     return Request(query=WriteQuery(key, value),
@@ -657,101 +660,26 @@ class TestPagedStoreRoundtrip:
         assert 0 < len(segments) <= 3  # <= shards + the freshest
 
 
-#: enough traffic for the page file's first compaction (checkpoint 9)
-_COMPACTING_OPS = [(b"key%04d" % i, b"val%d" % i) for i in range(100)]
-
-
 class TestPagedStoreCrashMatrix:
     """Kill the server at every storage crash point, on both page
-    stores; recovery must lose no acked write and land on the
-    uninterrupted reference root.
+    stores: the storage campaign's crash cells (``bench_storage``'s
+    ``CRASH_CELLS``, run by its :func:`crash_cell`).  Each cell must
+    fire where it was aimed and land in live traffic -- or, for the
+    bootstrap's own cell, before the server started -- and its recovery
+    must keep every acked write, land on the root and the dedup table of
+    an uninterrupted run of what it executed, answer read VOs that
+    verify, and take writes again.  The sqlite cells keep their bare
+    ids; the page file's are ``file/NAME``."""
 
-    Each occurrence is picked to land in live traffic (the bootstrap
-    checkpoint of two empty shards is page writes 1-4: a leaf page and
-    a ``nodes`` page each); ``acked`` below checks that it did.  The
-    third leaf page written is the first of checkpoint 1, whose values
-    are all new: that cell dies between a leaf's value pages and the
-    leaf page naming them.  ``wal:new-log`` 2 dies between creating
-    ``wal.2.log`` and the directory fsync that names it, after
-    checkpoint 1 committed: the log is lost, and held nothing.
-    ``wal:before-fsync`` 17 dies in the 17th request's group commit (a
-    batch of one), written and flushed but not fsynced.  The
-    sqlite cells keep their bare ids; the page file runs the same ten
-    plus the cells only an append-only file has: a commit torn before
-    its fsync, a commit whose fsync lied (the 14th fsync is checkpoint
-    1's -- after the bootstrap commit, the directory fsyncs naming
-    ``pages.log`` and ``wal.1.log`` and ten appends -- and the crash
-    comes before the next log opens), and a crash on either side of a
-    compaction's rename (before it, between it and the directory fsync
-    -- the old file survives -- and after both)."""
-
-    POINTS = [
-        ("wal:append", 17),
-        ("wal:before-fsync", 17),
-        ("file:mid-write", 17),
-        ("pagestore:page-write", 7),
-        ("pagestore:leaves-page-write", 3),
-        ("pagestore:pre-commit", 2),
-        ("pagestore:post-commit", 2),
-        ("checkpoint:before-commit", 2),
-        ("checkpoint:after-commit", 2),
-        ("wal:new-log", 2),
-        ("compaction:mid-segment-gc", 1),
-    ]
-    PAGE_FILE_CELLS = [
-        ("torn-page-log-tail", "pagelog:before-fsync", 2, {}, _OPS),
-        ("lying-fsync-on-commit", "checkpoint:after-commit", 2,
-         {"lying_fsync": 14}, _OPS),
-        ("page-log-compaction:before-rename", "atomic:before-rename", 1, {},
-         _COMPACTING_OPS),
-        ("page-log-compaction:between-rename-and-dirfsync",
-         "atomic:between-rename-and-dirfsync", 1, {}, _COMPACTING_OPS),
-        ("page-log-compaction:after-dirfsync", "atomic:after-dirfsync", 1,
-         {}, _COMPACTING_OPS),
-    ]
-    CELLS = ([(point, "sqlite", point, n, {}, _OPS) for point, n in POINTS]
-             + [(f"file/{point}", "file", point, n, {}, _OPS)
-                for point, n in POINTS]
-             + [(f"file/{name}", "file", *cell)
-                for name, *cell in PAGE_FILE_CELLS])
-
-    @pytest.mark.parametrize("backend,point,occurrence,faults,ops",
-                             [cell[1:] for cell in CELLS],
-                             ids=[cell[0] for cell in CELLS])
-    def test_crash_point_recovers(self, tmp_path, backend, point,
-                                  occurrence, faults, ops):
-        data_dir = str(tmp_path / "s")
-        io = FaultyIO(seed=len(point) * 7 + occurrence,
-                      crash_at={point: occurrence}, **faults)
-        core = ServerCore(order=4, data_dir=data_dir, backend=backend,
-                          fsync=True, shards=2, snapshot_every=10, io=io)
-        acked = _run_ops(core, ops)
-        assert io.crashed is False and io.crash_count == 1, \
-            f"crash point {point} never fired"
-        for fault, at in faults.items():
-            assert io._hits.get(fault, 0) >= at, f"{fault} never fired"
-        assert acked, f"crash point {point} fired before any write was acked"
-        core.store.close()
-        io.simulate_crash()
-
-        fresh = ServerCore(order=4, data_dir=data_dir, backend=backend,
-                           fsync=True, shards=2, io=io)
-        for key, value in acked:
-            assert fresh.state.database.get(key) == value, \
-                f"acked write {key!r} lost after crash at {point}"
-        executed = fresh.state.ctr
-        assert executed >= len(acked)
-        assert fresh.state.database.root_digest() == \
-            _reference_root(executed, ops, shards=2)
-        # every response given before the crash is still remembered
-        uninterrupted = ServerCore(order=4, shards=2)
-        _run_ops(uninterrupted, ops[:executed])
-        assert fresh.dedup.export() == uninterrupted.dedup.export()
-        # and the store keeps working after recovery
-        fresh.apply_request("u", _request("u", b"post", b"crash", 999))
-        assert fresh.state.database.get(b"post") == b"crash"
-        fresh.close_store()
-
+    @pytest.mark.parametrize(
+        "backend,name,point,occurrence,faults,least", CRASH_CELLS,
+        ids=[name if backend == "sqlite" else f"{backend}/{name}"
+             for backend, name, *_ in CRASH_CELLS])
+    def test_crash_point_recovers(self, backend, name, point, occurrence,
+                                  faults, least):
+        cell = crash_cell(backend, name, point, occurrence, faults, least,
+                          n_ops=len(_OPS))
+        assert failed_checks(cell["checks"]) == [], cell
 
     def test_bootstrap_dies_before_the_page_file_is_named(self, tmp_path):
         """``pagelog:new-log``: the bootstrap checkpoint created

@@ -45,15 +45,9 @@ from repro.net import (
 from repro.net.client import RemoteClientP1
 from repro.protocols.base import ServerState
 from repro.protocols.protocol1 import Protocol1Server, bootstrap_server_state
-from repro.server.attacks import (
-    CompositeAttack,
-    CounterReplayAttack,
-    DropCommitAttack,
-    ForkAttack,
-    SignatureForgeAttack,
-    StaleRootReplayAttack,
-    TamperValueAttack,
-)
+from repro.server.attacks import TamperValueAttack
+
+from bench_byzantine import P1_ATTACKS, P2_ATTACKS
 
 ORDER = 4
 SHARD_COUNTS = (1, 2, 8)
@@ -281,36 +275,9 @@ class TestTcpDifferential:
 
 # -- attack-gallery parity -------------------------------------------------
 #
-# The galleries below mirror benchmarks/bench_byzantine.py exactly
-# (names, victims, trigger rounds) so the CI campaign and this harness
-# stay in lock-step.
-
-P2_ATTACKS = [
-    ("p2-fork", lambda: ForkAttack(victims=["u1"], fork_round=10)),
-    ("p2-drop-commit", lambda: DropCommitAttack(victim="u1", drop_round=10)),
-    ("p2-stale-root", lambda: StaleRootReplayAttack(victim="u1",
-                                                    freeze_round=10)),
-    ("p2-tamper", lambda: TamperValueAttack(victim="u0", tamper_round=6)),
-    ("p2-tamper-forged", lambda: TamperValueAttack(victim="u0",
-                                                   tamper_round=6,
-                                                   forge_proof=True)),
-    ("p2-counter-replay", lambda: CounterReplayAttack(victim="u0",
-                                                      replay_round=10)),
-    ("p2-composite", lambda: CompositeAttack([
-        ForkAttack(victims=["u2"], fork_round=12),
-        TamperValueAttack(victim="u0", tamper_round=18),
-    ])),
-]
-
-P1_ATTACKS = [
-    ("p1-fork", lambda: ForkAttack(victims=["bob"], fork_round=8)),
-    ("p1-stale-root", lambda: StaleRootReplayAttack(victim="bob",
-                                                    freeze_round=8)),
-    ("p1-sig-forge", lambda: SignatureForgeAttack(forge_round=8)),
-    ("p1-tamper", lambda: TamperValueAttack(victim="alice", tamper_round=8)),
-    ("p1-counter-replay", lambda: CounterReplayAttack(victim="alice",
-                                                      replay_round=8)),
-]
+# The galleries are the Byzantine campaign's own (names, victims,
+# trigger rounds), so the CI campaign and this harness stay in
+# lock-step.
 
 
 class TestAttackGalleryParity:

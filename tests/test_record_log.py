@@ -3,8 +3,9 @@
 back and trims through :class:`repro.storage.atomic.RecordLog`.
 
 Each property is checked on a log without a head (a WAL) and on one
-headed by ``PAGE_LOG_MAGIC`` (the page file); the last test pins the
-bytes a fixed operation sequence leaves in both.
+headed by ``PAGE_LOG_MAGIC`` (the page file); one test pins the bytes
+a fixed operation sequence leaves in both, and the last ones tell a
+corrupted length prefix from a torn tail in the real logs.
 """
 
 import hashlib
@@ -13,11 +14,14 @@ import os
 import pytest
 
 from repro.mtree.database import DeleteQuery, WriteQuery
-from repro.net import ServerCore
+from repro.net import ServerCore, WalError
+from repro.net.wal import ServerStore
 from repro.protocols.base import Request
-from repro.storage.atomic import RecordLog, frame_record
+from repro.storage.atomic import RecordLog, frame_record, parse_records
 from repro.storage.faults import FaultyIO, IoShim, SimulatedCrash
-from repro.storage.pagestore import PAGE_LOG_MAGIC
+from repro.storage.pagestore import PAGE_LOG_MAGIC, FilePageStore
+
+from bench_storage import flip_length
 
 HEADS = pytest.mark.parametrize("head", [b"", PAGE_LOG_MAGIC],
                                 ids=["wal", "page-file"])
@@ -192,3 +196,78 @@ def test_written_bytes_are_pinned(tmp_path):
         "wal.12.log": (852, "580461ccc678777df390792ee8d5becb"
                             "bad3475aadb88d13629435a016c1615a"),
     }
+
+
+def _writes(data_dir, backend, count=6, snapshot_every=1000):
+    core = ServerCore(order=4, data_dir=data_dir, backend=backend,
+                      fsync=False, snapshot_every=snapshot_every)
+    for seq in range(count):
+        core.apply_request("u", _request(WriteQuery(b"k%d" % seq, b"v"), seq))
+    core.close_store()
+
+
+class TestCorruptedLengthPrefix:
+    """A length prefix flipped to run past the end of the file reads like
+    a torn tail, but the record behind it is whole: its payload ends
+    inside the file by its own format, followed by the digest chaining
+    it to the record before.  Trimming it would drop it and every acked
+    record after it, so recovery refuses, naming the record."""
+
+    @pytest.mark.parametrize("index", [0, 2, 5])
+    @pytest.mark.parametrize("backend", ["file", "sqlite"])
+    def test_a_flipped_wal_length_is_refused(self, tmp_path, backend, index):
+        data_dir = str(tmp_path / "s")
+        _writes(data_dir, backend)
+        path = os.path.join(data_dir, "wal.1.log")
+        size = os.path.getsize(path)
+        flip_length(path, b"", index)
+        with pytest.raises(WalError, match=f"record {index} .*length prefix "
+                                           "was corrupted"):
+            ServerCore(order=4, data_dir=data_dir, backend=backend,
+                       fsync=False)
+        assert os.path.getsize(path) == size  # nothing trimmed
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_a_flipped_page_file_length_is_refused(self, tmp_path, index):
+        data_dir = str(tmp_path / "s")
+        _writes(data_dir, "file", snapshot_every=2)  # 4 commit records
+        path = os.path.join(data_dir, "pages.log")
+        size = os.path.getsize(path)
+        flip_length(path, PAGE_LOG_MAGIC, index)
+        with pytest.raises(WalError, match=f"record {index} .*length prefix "
+                                           "was corrupted"):
+            ServerCore(order=4, data_dir=data_dir, backend="file",
+                       fsync=False)
+        assert os.path.getsize(path) == size
+
+    def test_every_cut_of_the_last_wal_record_still_trims(self, tmp_path):
+        data_dir = str(tmp_path / "s")
+        _writes(data_dir, "sqlite", count=3)
+        path = os.path.join(data_dir, "wal.1.log")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        records, _end = parse_records(memoryview(blob))
+        last = len(blob) - len(frame_record(*records[-1]))
+        for cut in range(last, len(blob)):
+            with open(path, "wb") as handle:
+                handle.write(blob[:cut])
+            store = ServerStore(data_dir, backend="sqlite", fsync=False)
+            chain = store.load_snapshot()[4]
+            assert len(store.wal_records(chain)) == 2, cut
+            store.close()
+            assert os.path.getsize(path) == last
+
+    def test_every_cut_of_the_last_page_file_record_still_trims(
+            self, tmp_path):
+        data_dir = str(tmp_path / "s")
+        _writes(data_dir, "file", count=2, snapshot_every=2)
+        path = os.path.join(data_dir, "pages.log")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        records, _end = parse_records(memoryview(blob)[len(PAGE_LOG_MAGIC):])
+        last = len(blob) - len(frame_record(*records[-1]))
+        for cut in range(last, len(blob)):
+            with open(path, "wb") as handle:
+                handle.write(blob[:cut])
+            FilePageStore(path, fsync=False).close()
+            assert os.path.getsize(path) == last, cut
