@@ -23,8 +23,9 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
   generation + segment replay, root re-verified), a doctored replay
   segment (refused), a page store that lied about commit durability
   with appends after it (refused), a garbage manifest (refused), and a
-  record length prefix flipped to run past the end of the WAL or of
-  the page file (refused, not trimmed as a torn tail).
+  record length prefix flipped to run past the end of the WAL, of the
+  page file, or of each log newer than a lost checkpoint's (refused,
+  not trimmed as a torn tail or deleted as never acked into).
 * **streaming restart** -- a million-entry store is checkpointed and
   reloaded; the loader must parse pages as they arrive, never
   materialising the serialised tree (gated on peak resident page
@@ -62,7 +63,8 @@ from repro.mtree.database import (
     WriteQuery,
 )
 from repro.net.core import ServerCore
-from repro.net.wal import ServerStore, WalError, log_gens, log_name
+from repro.net.wal import (
+    ServerStore, WalError, load_manifest, log_gens, log_name)
 from repro.protocols.base import Request, ServerState
 from repro.protocols.protocol2 import Protocol2Server
 from repro.storage.atomic import frame_record, parse_records
@@ -291,7 +293,7 @@ def tamper_gallery(n_ops, seed):
             return True, "repair refused the doctored segment"
         return False, "tampered segment silently accepted"
 
-    def lost_commit(backend, data_dir, root):
+    def lying_commit(data_dir, backend):
         # re-run traffic with a page store that lies about one commit
         shutil.rmtree(data_dir)
         io = FaultyIO(seed=seed, lose_commit=3)
@@ -301,6 +303,10 @@ def tamper_gallery(n_ops, seed):
         _run_until_crash(core, _ops(n_ops))
         core.store.close()
         io.simulate_crash()
+        return io
+
+    def lost_commit(backend, data_dir, root):
+        io = lying_commit(data_dir, backend)
         try:
             ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
                        fsync=True, shards=SHARDS, io=io)
@@ -344,6 +350,20 @@ def tamper_gallery(n_ops, seed):
         flip_length(os.path.join(data_dir, log_name(1)), b"", 2)
         return refused_flip(backend, data_dir)
 
+    def newer_log_length_flip(backend, data_dir, root):
+        # the logs after the lost checkpoint are read without their
+        # start chain: each one's first length prefix flipped
+        lying_commit(data_dir, backend)
+        pages = open_page_store(data_dir, fsync=False, backend=backend)
+        live = int(load_manifest(pages.get_meta("checkpoint"))["gen"]) + 1
+        pages.close()
+        newer = [gen for gen in log_gens(data_dir) if gen > live]
+        if not newer:
+            return False, "no log newer than the live one to flip"
+        for gen in newer:
+            flip_length(os.path.join(data_dir, log_name(gen)), b"", 0)
+        return refused_flip(backend, data_dir)
+
     def page_file_length_flip(backend, data_dir, root):
         flip_length(os.path.join(data_dir, "pages.log"), PAGE_LOG_MAGIC, 2)
         return refused_flip(backend, data_dir)
@@ -354,6 +374,7 @@ def tamper_gallery(n_ops, seed):
         scenario(backend, "lying-commit", lost_commit)
         scenario(backend, "garbage-manifest", garbage_manifest)
         scenario(backend, "wal-length-flip", wal_length_flip)
+        scenario(backend, "newer-log-length-flip", newer_log_length_flip)
         if backend == "file":
             scenario(backend, "page-file-length-flip", page_file_length_flip)
     return rows

@@ -10,9 +10,14 @@ numbers as JSON so the perf trajectory is diffable across PRs.
 
 ``python benchmarks/campaign.py perf --quick --check`` is the CI gate: it
 fails on a row more than :data:`REGRESSION_FACTOR` x worse than the
-repo-root ``BENCH_perf.json``.  ``perf-baseline`` runs the suite and
-records it there as ``after``, the file's previous ``after`` becoming
-``before`` beside the speedups between the two.
+repo-root ``BENCH_perf.json``, a quick run against the file's ``quick``
+block and a full run against its ``after`` block: the quick suite's
+smaller store and fewer users read up to several times better than the
+full one, so judged against full rows a quick run would hide a
+regression of that size.  ``perf-baseline`` runs the suite and records
+it there as ``after``, the file's previous ``after`` becoming
+``before`` beside the speedups between the two; ``perf-baseline
+--quick`` records the ``quick`` block alone.
 
 Metric naming convention: ``*_per_s`` is a throughput (higher is
 better); ``*_ms`` is a latency/makespan (lower is better).  The
@@ -343,32 +348,48 @@ def run(quick: bool = False, seed: int | None = None) -> dict:
     progress("\n".join(f"  {name:<{width}}  {metrics[name]:>14,.3f}"
                        for name in sorted(metrics)))
     emit_json("perf_suite_quick" if quick else "perf_suite", metrics)
+    return {"mode": "quick" if quick else "full", "metrics": metrics,
+            "baseline": _recorded().get(_block(quick)) or {}}
+
+
+def _block(quick: bool) -> str:
+    """The block of ``BENCH_perf.json`` a run of this mode is judged by."""
+    return "quick" if quick else "after"
+
+
+def _recorded() -> dict:
     try:
         with open(PERF_BASELINE_PATH, encoding="utf-8") as handle:
-            baseline = json.load(handle)["after"]
-    except (OSError, KeyError, ValueError):
-        baseline = {}
-    return {"mode": "quick" if quick else "full", "metrics": metrics,
-            "baseline": baseline}
+            recorded = json.load(handle)
+    except (OSError, ValueError):
+        return {}
+    return recorded if isinstance(recorded, dict) else {}
 
 
 def record_baseline(quick: bool = False, seed: int | None = None) -> dict:
-    """:func:`run`, then ``BENCH_perf.json`` records this run as
-    ``after`` and the baseline it replaces as ``before``."""
+    """:func:`run`, then ``BENCH_perf.json`` records it: a full run as
+    ``after`` (the baseline it replaces as ``before``), a quick one as
+    ``quick``; the other mode's rows stay."""
     results = run(quick)
-    before, after = results["baseline"], results["metrics"]
-    emit_json("BENCH_perf", {"suite": "perf_suite", "mode": results["mode"],
-                             "after": after, "before": before,
-                             "speedup": speedups(before, after)},
-              path=PERF_BASELINE_PATH)
+    recorded = _recorded()
+    if quick:
+        recorded["quick"] = results["metrics"]
+    else:
+        before, after = results["baseline"], results["metrics"]
+        recorded.update(suite="perf_suite", mode="full", after=after,
+                        before=before, speedup=speedups(before, after))
+    emit_json("BENCH_perf", recorded, path=PERF_BASELINE_PATH)
     return results
 
 
 def failures(results: dict) -> list[str]:
     """Each row more than :data:`REGRESSION_FACTOR` x worse than the
-    baseline, and the disabled obs hooks over their budget."""
+    baseline of its own mode, and the disabled obs hooks over their
+    budget."""
     if not results["baseline"]:
-        return ["no usable BENCH_perf.json baseline"]
+        quick = results.get("mode") == "quick"
+        return [f"BENCH_perf.json has no {_block(quick)!r} block: record "
+                f"one with perf-baseline{' --quick' if quick else ''}"]
     metrics = results["metrics"]
     problems = compare(metrics, _gateable(results["baseline"]))
     overhead = metrics.get("obs_disabled_overhead_pct")

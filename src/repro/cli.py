@@ -514,10 +514,10 @@ def cmd_store_inspect(args, out) -> int:
         raise CliError(f"{data_dir!r} holds no page store")
     try:
         store = open_page_store(data_dir, readonly=True, backend=backend)
+        blob = store.get_meta(_MANIFEST_KEY)
     except StorageError as exc:
         raise CliError(str(exc)) from exc
     try:
-        blob = store.get_meta(_MANIFEST_KEY)
         if blob is None:
             print(f"backend: {backend} (no checkpoint committed yet)",
                   file=out)

@@ -10,12 +10,14 @@ needs to re-run the failed verification *offline*:
   payload exactly as it came off the socket -- not a re-encoding);
 * the client's protocol state object as it stood immediately before
   the operation (Protocol I: counters *and* the signing-run head, so an
-  in-run response replays by chain membership as it was judged live);
+  in-run response replays by chain membership as it was judged live;
+  Protocol III: the epoch, the clock's window, the audit in flight,
+  the audited epochs' ends, the users and the epoch length);
 * the trust-anchor lineage (initial tag and, when the client persists
   an anchor file, its raw contents);
-* for Protocol I, the public-key directory the signature was checked
-  against, so the forged-signature verdict is reproducible without the
-  PKI.
+* for Protocols I and III, the public-key directory the signatures
+  were checked against, so a forged-signature verdict is reproducible
+  without the PKI.
 
 A bundle is a single file: an ASCII magic line followed by one
 wire-encoded dict (the codec already covers every type involved, and
@@ -73,6 +75,7 @@ from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import Request
 from repro.protocols.protocol1 import SignedRootChain, count_sync_check
 from repro.protocols.protocol2 import XorRegisters, sync_check
+from repro.protocols.protocol3 import EpochRegisters
 from repro.protocols.verify import derive_outcome
 from repro.storage.atomic import atomic_write
 from repro.wire import CODEC_VERSION, WireError, decode, encode
@@ -269,6 +272,18 @@ def _reverify_count_sync(bundle: dict) -> tuple[bool, str]:
     return True, "no user's gctr accounts for the total of local counters"
 
 
+#: each protocol's state object, built bare from the user, the bundle's
+#: keys and the order; the recorded ``client_state`` restores the rest
+_STATES = {
+    "I": SignedRootChain,
+    "II": lambda user, _keys, order: XorRegisters(user, order),
+    # restore() overwrites every field but the verifier.
+    "III": lambda user, keys, order: EpochRegisters(
+        user, keys, order, user_ids=(), epoch_length=0, initial_tag=None,
+        clock=None),
+}
+
+
 def _reverify_response(bundle: dict) -> tuple[bool, str]:
     """Replay rule: the session core the client ran, restored to the
     state it recorded before the operation with the recorded request in
@@ -283,9 +298,10 @@ def _reverify_response(bundle: dict) -> tuple[bool, str]:
         return True, f"offending frame does not decode: {exc}"
     if not isinstance(request, Request):
         return True, "recorded frames are not a protocol request and response"
+    if bundle["protocol"] not in _STATES:
+        raise EvidenceError(f"no response bundle of protocol {bundle['protocol']!r}")
     user, order = bundle["user"], StoreSpec.coerce(bundle["order"])
-    state = (SignedRootChain(user, _bundle_verifier(bundle), order)
-             if bundle["protocol"] == "I" else XorRegisters(user, order))
+    state = _STATES[bundle["protocol"]](user, _bundle_verifier(bundle), order)
     core = SessionCore(user, state, order, protocol=bundle["protocol"],
                        counted=False)
     core.restore(bundle["client_state"], [request])

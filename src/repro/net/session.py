@@ -4,11 +4,12 @@
 once: the window of in-flight operations, the request ids
 (``user:nonce:seq``), the protocol state object
 (:class:`~repro.protocols.protocol2.XorRegisters`,
-:class:`~repro.protocols.protocol1.SignedRootChain`) with the user's
+:class:`~repro.protocols.protocol1.SignedRootChain`,
+:class:`~repro.protocols.protocol3.EpochRegisters`) with the user's
 signer, and the evidence of a detection.  It reads no socket, clock or
 random source; its callers hand it each message and send what it hands
-back: the TCP sessions (:mod:`repro.net.client`), the simulator's
-Protocol I/II users (:mod:`repro.protocols.syncbase`),
+back: the TCP sessions (:mod:`repro.net.client`), the simulator's users
+of all three protocols (:mod:`repro.protocols.syncbase`),
 :func:`repro.net.evidence.reverify`, which restores a bundle's recorded
 state and request and receives its recorded response, and
 :class:`InlineSession`, the command line's local verbs' in-process driver.
@@ -23,7 +24,9 @@ the window and judges the message as its answer, in this order:
 4. the protocol state object's ``step``.
 
 A verified response then yields the Protocol I follow-up, counts the
-operation and records the quorum's expected lineage entry.  Every
+operation and records the quorum's expected lineage entry; a step
+that yields no outcome (Protocol III's passed audit) answers ``None``
+and counts nothing.  Every
 verdict leaves through :meth:`SessionCore._detected`: it counts
 ``net.detections`` and becomes an :class:`IntegrityError` carrying its
 evidence bundle.
@@ -164,6 +167,8 @@ class SessionCore:
             verdict = self.state.step(query, message)
         except DeviationDetected as exc:
             raise self._detected(exc.reason, request, message, frame) from exc
+        if verdict is None:
+            return None, None
         # Protocol I's step also hands back the digest to sign when the
         # response closes a signing run.
         outcome, to_sign = verdict if isinstance(verdict, tuple) else (verdict, None)

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import os
 
-from repro.crypto.hashing import Digest, hash_bytes
+from repro.crypto.hashing import DIGEST_SIZE, Digest, hash_bytes
 from repro.mtree.bplus import BPlusTree
 from repro.mtree.database import DeleteQuery, VerifiedDatabase, WriteQuery
 from repro.mtree.forest import StoreSpec, merkle_store, shard_for_key
@@ -155,14 +155,18 @@ def _chain_next(head: Digest, payload: bytes) -> Digest:
     return hash_bytes(_CHAIN_DOMAIN + head.to_bytes() + payload)
 
 
-def _reframed(prev: bytes, view) -> bool:
+def _reframed(prev: bytes | None, view) -> bool:
     """Whether ``view`` starts with one codec frame followed by the
     chain digest linking it to ``prev``: a whole record, not a torn
-    one (:class:`~repro.storage.atomic.RecordLog`)."""
+    one (:class:`~repro.storage.atomic.RecordLog`).  With no ``prev``
+    (a newer log's first record, its chain lost with its checkpoint)
+    any digest's worth of bytes after the frame will do."""
     try:
         length = frame_length(view)
     except WireError:
         return False
+    if prev is None:
+        return len(view) >= length + DIGEST_SIZE
     chain = _chain_next(Digest(prev), bytes(view[:length]))
     return view[length:length + len(prev)] == chain.to_bytes()
 
@@ -363,7 +367,7 @@ class ServerStore:
     def _record_log(self, gen: int, readonly: bool = False) -> RecordLog:
         return RecordLog(os.path.join(self.data_dir, log_name(gen)), "wal",
                          fsync=self.fsync, io=self.io, readonly=readonly,
-                         reframe=None if readonly else _reframed)
+                         reframe=_reframed)
 
     def _read_log(self, log: RecordLog, chain: Digest):
         """``log``'s records, chain-verified from ``chain``, and the chain
@@ -597,13 +601,17 @@ class ServerStore:
         lost a checkpoint it reported durable -- with no manifest, every
         log does.  Those acked writes lost the head they chain from:
         refuse loudly instead of silently serving the older root.  A
-        newer log that holds no record was never acked into: drop it."""
+        newer log that holds no record was never acked into: drop it --
+        but not one whose first length prefix was corrupted."""
         manifest = self._manifest
         for gen in log_gens(self.data_dir):
             if manifest is not None and gen <= self.live_gen:
                 continue
             log = self._record_log(gen, readonly=True)
-            records = log.read()
+            try:
+                records = log.read()
+            except MisframedRecord as exc:
+                raise WalError(str(exc)) from exc
             if records:
                 anchor = "no checkpoint manifest" if manifest is None else \
                     f"the checkpoint manifest (generation {manifest['gen']})"

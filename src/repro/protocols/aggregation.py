@@ -105,7 +105,7 @@ class AggregatedProtocol2Client(Protocol2Client):
         self._agg_children_left[tag] = len(self._children())
         self._agg_verdict[tag] = False
         self._verdict_children_left[tag] = len(self._children())
-        if getattr(ctx, "has_pending", None) is not None and ctx.has_pending():
+        if ctx.has_pending():
             self._deferred_data.add(tag)
         else:
             self._send_sync_data(tag, ctx)

@@ -163,7 +163,9 @@ class ClientContext(TypingProtocol):
     """What a protocol client may do while handling an event.
 
     Implemented by the simulator's user agent; a thin fake suffices in
-    unit tests.
+    unit tests.  ``has_pending`` says whether an operation is in flight,
+    ``issue_internal`` sends a request of the protocol's own (an audit
+    fetch, a null turn) that is no workload transaction.
     """
 
     @property
@@ -174,6 +176,10 @@ class ClientContext(TypingProtocol):
     def broadcast(self, payload: dict) -> None: ...
 
     def send_to_user(self, user_id: str, payload: dict) -> None: ...
+
+    def has_pending(self) -> bool: ...
+
+    def issue_internal(self, request: Request) -> None: ...
 
 
 class ProtocolClient:

@@ -7,9 +7,7 @@ which is the status quo the paper sets out to fix.
 
 from __future__ import annotations
 
-from repro.mtree.database import Query
 from repro.protocols.base import (
-    ClientContext,
     ProtocolClient,
     Request,
     Response,
@@ -33,7 +31,3 @@ class NaiveServer(ServerProtocol):
 
 class NaiveClient(ProtocolClient):
     """Believes everything; never detects anything."""
-
-    def handle_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        self.completed_transactions += 1
-        return response.result.answer

@@ -185,9 +185,10 @@ class Protocol2Client(SyncingClient):
         # both memory and how far back a fault can be localised.
         self.checkpoints = CheckpointRing(checkpoint_capacity) if keep_checkpoints else None
 
-    def _verified(self) -> None:
-        if self.checkpoints is not None:
+    def _settled(self, ctx, verified: bool) -> None:
+        if verified and self.checkpoints is not None:
             self.checkpoints.record(self.gctr, self.sigma, self.last)
+        super()._settled(ctx, verified)
 
     # -- sync ------------------------------------------------------------------
 

@@ -25,19 +25,26 @@ chain the auditor reconstructs.
 Clients also keep a p-partially-synchronous local clock and reject
 epoch announcements that are implausible under the drift bound, so the
 server cannot stretch or shrink epochs arbitrarily.
+
+Every check a client makes is one state object, :class:`EpochRegisters`,
+which the user's :class:`~repro.net.session.SessionCore` steps on each
+answer -- an audit fetch is a query-less request in the same window --
+as it steps Protocol II's registers; :class:`Protocol3Client` keeps the
+clock, the audit schedule and the deposits' signatures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from repro.crypto.hashing import Digest, hash_epoch_snapshot, xor_all
 from repro.crypto.signatures import Signature, Signer, Verifier
-from repro.mtree.database import Query, QueryResult
+from repro.mtree.database import Query, QueryResult, VerifiedOutcome
+from repro.mtree.forest import StoreSpec
 from repro.protocols.base import (
     ClientContext,
     DeviationDetected,
-    ProtocolClient,
     Request,
     Response,
     ServerProtocol,
@@ -45,6 +52,7 @@ from repro.protocols.base import (
 )
 from repro.protocols.clock import LocalClock
 from repro.protocols.protocol2 import INITIAL_OWNER, XorRegisters, initial_state_tag
+from repro.protocols.syncbase import SessionClient
 from repro.protocols.verify import register
 
 META_LAST_USER = "p3.last_user"
@@ -121,140 +129,73 @@ class Protocol3Server(ServerProtocol):
         return response
 
 
-class Protocol3Client(ProtocolClient):
-    """Client half: Protocol II registers + epoch deposits + audits."""
+class EpochRegisters(XorRegisters):
+    """One user's Protocol III state -- Protocol II's registers, the
+    epoch they cover, the audit in flight, the audited epochs' ends --
+    and the step its session core runs on every answer: a query's meets
+    the epoch rule, then Protocol II's step (the first of a new epoch
+    leaves the closed epoch's registers ``owed`` and restarts sigma);
+    an audit fetch's (no query) the telescoping check.  ``clock`` has
+    ``plausible_epochs(epoch_length)``: the user's ``LocalClock``, or the
+    window a bundle recorded."""
 
-    sigma = register("sigma")
-    last = register("last")
-    gctr = register("gctr")
-
-    def __init__(
-        self,
-        user_id: str,
-        user_ids: list[str],
-        epoch_length: int,
-        initial_root: Digest,
-        signer: Signer,
-        verifier: Verifier,
-        order: int = 8,
-        p: int = 1,
-        clock_seed: int = 0,
-    ) -> None:
-        super().__init__(user_id)
+    def __init__(self, user_id: str, verifier: Verifier,
+                 order: "int | StoreSpec", *, user_ids, epoch_length: int,
+                 initial_tag: Digest, clock) -> None:
+        super().__init__(user_id, order)
+        self.verifier = verifier
         self.user_ids = sorted(user_ids)
         self.epoch_length = epoch_length
-        self._initial_tag = initial_state_tag(initial_root)
-        self._signer = signer
-        self._verifier = verifier
-        self.state = XorRegisters(user_id, order)
-        self.current_epoch = 0
-        self._pending_deposit: EpochDeposit | None = None
-        self._clock = LocalClock(p=p, tick_probability=1.0 if p == 1 else 0.7, seed=clock_seed)
-        # Audit bookkeeping.
-        self._audited_epochs: set[int] = set()
-        self._audit_in_flight: int | None = None
-        self._verified_epoch_ends: dict[int, Digest] = {-1: self._initial_tag}
+        self.clock = clock
+        self.epoch = 0
+        #: the epoch whose audit fetch is in flight
+        self.audit: int | None = None
+        #: each audited epoch's closing tagged state; -1 is the initial state
+        self.epoch_ends: dict[int, Digest] = {-1: initial_tag}
+        #: the closed epoch's registers until a request deposits them
+        self.owed: EpochDeposit | None = None
 
-    # -- epoch / audit scheduling -------------------------------------------
-
-    def auditor_of(self, epoch: int) -> str:
-        """Round-robin epoch-auditor assignment."""
-        return self.user_ids[epoch % len(self.user_ids)]
-
-    def on_round(self, ctx: ClientContext) -> None:
-        self._clock.advance()
-        if self._audit_in_flight is not None:
-            return
-        due = self._next_audit_due()
-        if due is None:
-            return
-        if getattr(ctx, "has_pending", None) is not None and ctx.has_pending():
-            return
-        self._audit_in_flight = due
-        request = Request(
-            query=None,
-            extras={"fetch_epochs": [due - 1, due] if due > 0 else [due], "audit_epoch": due},
-        )
-        ctx.issue_internal(request)
-
-    def _next_audit_due(self) -> int | None:
-        """The oldest epoch assigned to us that is ready for audit."""
-        for epoch in range(0, self.current_epoch - 1):
-            if epoch in self._audited_epochs:
-                continue
-            if self.auditor_of(epoch) != self.user_id:
-                self._audited_epochs.add(epoch)  # someone else's job
-                continue
-            return epoch
-        return None
-
-    # -- request / response -----------------------------------------------
-
-    def make_request(self, query: Query) -> Request:
-        extras = {}
-        if self._pending_deposit is not None:
-            # Second operation of the new epoch: deposit the signed
-            # snapshot of the previous epoch on the server.
-            extras["deposit"] = self._pending_deposit
-            self._pending_deposit = None
-        return Request(query=query, extras=extras)
-
-    def handle_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
+    def step(self, query: Query, response: Response) -> VerifiedOutcome | None:
         if query is None:
-            answer = self._handle_audit_response(response)
-            return answer
-        self._observe_epoch(response)
-        outcome = self.state.step(query, response)
-        self.completed_transactions += 1
-        return outcome.answer
-
-    def _observe_epoch(self, response: Response) -> None:
+            return self._audit(response)
         epoch = response.extras.get("epoch")
         if not isinstance(epoch, int):
             raise DeviationDetected(self.user_id, "response lacks an epoch number")
-        lo, hi = self._clock.plausible_epochs(self.epoch_length)
+        lo, hi = self.clock.plausible_epochs(self.epoch_length)
         if not (lo - 1 <= epoch <= hi + 1):
             raise DeviationDetected(
                 self.user_id,
                 f"implausible epoch announcement {epoch}: local clock admits "
                 f"only [{lo - 1}, {hi + 1}]",
             )
-        if epoch < self.current_epoch:
-            raise DeviationDetected(self.user_id, f"epoch went backwards: {self.current_epoch} -> {epoch}")
-        if epoch == self.current_epoch:
-            return
-        if epoch > self.current_epoch + 1 and self.completed_transactions > 0:
+        if epoch < self.epoch:
+            raise DeviationDetected(self.user_id, f"epoch went backwards: {self.epoch} -> {epoch}")
+        if epoch > self.epoch + 1 and self.last:
             # With >= 2 operations per epoch a user can never skip a
             # whole epoch between consecutive operations.
             raise DeviationDetected(
                 self.user_id,
-                f"epoch skipped: {self.current_epoch} -> {epoch} between consecutive operations",
+                f"epoch skipped: {self.epoch} -> {epoch} between consecutive operations",
             )
-        # First operation of a new epoch: back up the registers as they
-        # stood at the end of the previous epoch, reset sigma.
-        closed = self.current_epoch
-        snapshot_digest = hash_epoch_snapshot(self.sigma, self.last, closed, self.user_id)
-        self._pending_deposit = EpochDeposit(
-            user_id=self.user_id,
-            epoch=closed,
-            sigma=self.sigma,
-            last=self.last,
-            signature=self._signer.sign(snapshot_digest),
-        )
-        self.sigma = Digest.zero()
-        self.current_epoch = epoch
+        sigma, last = self.sigma, self.last
+        outcome = super().step(query, response)
+        if epoch > self.epoch:
+            # First operation of a new epoch: the registers as they stood
+            # at the end of the previous one are owed; sigma keeps only
+            # this operation's transition.
+            self.owed = EpochDeposit(self.user_id, self.epoch, sigma, last, None)
+            self.sigma ^= sigma
+            self.epoch = epoch
+        return outcome
 
-    # -- the audit itself ---------------------------------------------------
-
-    def _handle_audit_response(self, response: Response) -> None:
-        epoch = self._audit_in_flight
-        self._audit_in_flight = None
+    def _audit(self, response: Response) -> None:
+        epoch = self.audit
         if epoch is None:
             raise DeviationDetected(self.user_id, "unsolicited audit response")
         deposits = response.extras.get("deposits", {})
         current = self._checked_deposits(deposits.get(epoch, {}), epoch)
         if epoch == 0:
-            start_candidates = [self._initial_tag]
+            start_candidates = [self.epoch_ends[-1]]
         else:
             previous = self._checked_deposits(deposits.get(epoch - 1, {}), epoch - 1)
             start_candidates = [deposit.last for deposit in previous.values()]
@@ -265,8 +206,8 @@ class Protocol3Client(ProtocolClient):
         targets = {start ^ sigma_total for start in start_candidates}
         for deposit in current.values():
             if deposit.last in targets:
-                self._audited_epochs.add(epoch)
-                self._verified_epoch_ends[epoch] = deposit.last
+                self.audit = None
+                self.epoch_ends[epoch] = deposit.last
                 return None
         raise DeviationDetected(
             self.user_id,
@@ -287,10 +228,95 @@ class Protocol3Client(ProtocolClient):
                 )
             if deposit.epoch != epoch or deposit.user_id != user_id:
                 raise DeviationDetected(self.user_id, f"epoch {epoch} audit: mislabelled deposit for {user_id!r}")
-            if not self._verifier.verify(deposit.signature, deposit.digest()):
+            if not self.verifier.verify(deposit.signature, deposit.digest()):
                 raise DeviationDetected(self.user_id, f"epoch {epoch} audit: forged deposit signature for {user_id!r}")
             checked[user_id] = deposit
         return checked
+
+    def snapshot(self) -> dict:
+        """The registers and everything else the step reads, the clock
+        as the window it admits now."""
+        return {**super().snapshot(), "epoch": self.epoch, "audit": self.audit,
+                "window": list(self.clock.plausible_epochs(self.epoch_length)),
+                "epoch_ends": dict(self.epoch_ends), "user_ids": list(self.user_ids),
+                "epoch_length": self.epoch_length}
+
+    def restore(self, snapshot: dict) -> None:
+        super().restore(snapshot)
+        window = tuple(snapshot["window"])
+        self.clock = SimpleNamespace(plausible_epochs=lambda _length: window)
+        self.epoch, self.audit = int(snapshot["epoch"]), snapshot["audit"]
+        self.epoch_ends = dict(snapshot["epoch_ends"])
+        self.user_ids = sorted(snapshot["user_ids"])
+        self.epoch_length = int(snapshot["epoch_length"])
+
+
+class Protocol3Client(SessionClient):
+    """Client half: :class:`EpochRegisters` in a session core, the
+    audit schedule, and the signature on each deposit."""
+
+    sigma = register("sigma")
+    last = register("last")
+    gctr = register("gctr")
+
+    def __init__(
+        self,
+        user_id: str,
+        user_ids: list[str],
+        epoch_length: int,
+        initial_root: Digest,
+        signer: Signer,
+        verifier: Verifier,
+        order: int = 8,
+        p: int = 1,
+        clock_seed: int = 0,
+    ) -> None:
+        super().__init__(user_id)
+        self._signer = signer
+        self._clock = LocalClock(p=p, tick_probability=1.0 if p == 1 else 0.7, seed=clock_seed)
+        initial_tag = initial_state_tag(initial_root)
+        # One operation in flight and no resend: no request ids, as for
+        # the Protocol I users.
+        self._open_session(
+            EpochRegisters(user_id, verifier, order, user_ids=user_ids,
+                           epoch_length=epoch_length, initial_tag=initial_tag,
+                           clock=self._clock),
+            order, protocol="III", rids=False, initial_tag=initial_tag)
+
+    def auditor_of(self, epoch: int) -> str:
+        """Round-robin epoch-auditor assignment."""
+        return self.state.user_ids[epoch % len(self.state.user_ids)]
+
+    def on_round(self, ctx: ClientContext) -> None:
+        """Advance the clock; with nothing in flight, fetch the deposits
+        of the oldest epoch assigned to us that is ready for audit."""
+        self._clock.advance()
+        if self.state.audit is not None or ctx.has_pending():
+            return
+        for epoch in range(self.state.epoch - 1):
+            if self.auditor_of(epoch) == self.user_id and epoch not in self.state.epoch_ends:
+                self.state.audit = epoch
+                ctx.issue_internal(self.core.submit(None, {
+                    "fetch_epochs": [epoch - 1, epoch] if epoch > 0 else [epoch]}))
+                return
+
+    def _settled(self, ctx: ClientContext, verified: bool) -> None:
+        """A refused audit fetch withholds the deposits the audit must
+        see within two epochs: the server deviated, as when it withholds
+        a response past the transaction bound b*."""
+        if not verified and self.state.audit is not None:
+            raise DeviationDetected(
+                self.user_id,
+                f"epoch {self.state.audit} audit refused: the server withheld the deposits")
+
+    def _request_extras(self) -> dict | None:
+        """The second operation of a new epoch deposits the previous
+        epoch's registers on the server, signed, so the server cannot
+        forge or alter them."""
+        owed, self.state.owed = self.state.owed, None
+        if owed is not None:
+            return {"deposit": replace(owed, signature=self._signer.sign(owed.digest()))}
+        return None
 
     def state_size(self) -> int:
         # sigma, last, gctr, epoch, one pending deposit: constant.

@@ -1,6 +1,15 @@
-"""Broadcast-channel synchronisation shared by Protocols I and II.
+"""The simulator's session client, and the broadcast-channel
+synchronisation Protocols I and II add to it.
 
-Both protocols run the same sync choreography (Section 4.2/4.3):
+:class:`SessionClient` is the session half every verifying protocol's
+simulated user shares: its answers go through the deployment's session
+core (:class:`~repro.net.session.SessionCore`, opened by the subclass
+with :meth:`SessionClient._open_session`) -- the TCP sessions' window,
+request ids and rules, with one operation in flight -- and a verdict
+becomes :class:`~repro.protocols.base.DeviationDetected`.  Protocol III
+(:class:`~repro.protocols.protocol3.Protocol3Client`) adds its audit
+schedule and deposits to it; :class:`SyncingClient` adds the sync
+choreography Protocols I and II run (Section 4.2/4.3):
 
 1. the first user to complete k operations since the last successful
    sync announces a *sync-up* on the broadcast channel;
@@ -11,14 +20,9 @@ Both protocols run the same sync choreography (Section 4.2/4.3):
 4. if *no* user's predicate holds, everyone terminates and reports an
    error -- the server deviated.
 
-Subclasses provide only the payload (:meth:`_sync_payload`) and the
-predicate (:meth:`_evaluate_sync`); Protocol I contributes operation
-counts, Protocol II contributes XOR registers.
-
-A response goes through the deployment's session core
-(:class:`~repro.net.session.SessionCore`, opened by the subclass with
-:meth:`SyncingClient._open_session`): the TCP sessions' window, request
-ids and rules, with one operation in flight.
+Subclasses provide only the payload (:meth:`SyncingClient._sync_payload`)
+and the predicate (:meth:`SyncingClient._evaluate_sync`); Protocol I
+contributes operation counts, Protocol II contributes XOR registers.
 """
 
 from __future__ import annotations
@@ -40,8 +44,55 @@ _SYNCS_FAILED = _registry.counter(
     "protocol.syncs_failed", "completed syncs with no satisfiable predicate (deviation)")
 
 
-class SyncingClient(ProtocolClient):
-    """A protocol client with the k-operation broadcast sync machinery."""
+class SessionClient(ProtocolClient):
+    """A protocol client whose answers go through a session core."""
+
+    def _open_session(self, state, order, **options) -> None:
+        """Run this user's responses through a session core over
+        ``state``.  Its request-id nonce depends only on the user id, so
+        a run replays and two runs' views compare."""
+        nonce = hashlib.sha256(self.user_id.encode()).hexdigest()[:8]
+        self.core = SessionCore(self.user_id, state, order, nonce=nonce,
+                                **options)
+
+    @property
+    def state(self):
+        """The session core's protocol state object."""
+        return self.core.state
+
+    def _request_extras(self) -> dict | None:
+        """What the next request carries beside the session's fields."""
+        return None
+
+    def _settled(self, ctx: ClientContext, verified: bool) -> None:
+        """The operation in flight left the window: ``verified``, or
+        refused."""
+
+    def make_request(self, query: Query) -> Request:
+        return self.core.submit(query, self._request_extras())
+
+    def handle_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
+        """The core's rules on ``response`` (the in-flight operation's
+        answer), the follow-up out.  A refusal
+        (:class:`~repro.net.session.ServerBusyError`) ends the
+        transaction uncompleted and propagates."""
+        try:
+            answer, followup = self.core.receive(response)
+        except IntegrityError as exc:
+            raise DeviationDetected(self.user_id, str(exc)) from exc
+        except ServerBusyError:
+            self._settled(ctx, False)
+            raise
+        if followup is not None:
+            ctx.send_to_server(followup)
+        if query is not None:
+            self.completed_transactions += 1
+        self._settled(ctx, True)
+        return answer
+
+
+class SyncingClient(SessionClient):
+    """A session client with the k-operation broadcast sync machinery."""
 
     def __init__(self, user_id: str, user_ids: list[str], k: int) -> None:
         super().__init__(user_id)
@@ -67,29 +118,15 @@ class SyncingClient(ProtocolClient):
         # never complete.
         self._finished: set[str] = set()
 
-    def _open_session(self, state, order, **options) -> None:
-        """Run this user's responses through a session core over
-        ``state``.  Its request-id nonce depends only on the user id, so
-        a run replays and two runs' views compare."""
-        nonce = hashlib.sha256(self.user_id.encode()).hexdigest()[:8]
-        self.core = SessionCore(self.user_id, state, order, nonce=nonce,
-                                **options)
-
-    @property
-    def state(self):
-        """The session core's protocol state object."""
-        return self.core.state
-
     # -- hooks for subclasses ------------------------------------------------
 
-    def _verified(self) -> None:
-        """Called once a response verified, before the sync bookkeeping."""
-
-    def _flush_deferred(self, ctx: ClientContext) -> None:
-        """"After completing their current transactions": send the sync
-        data owed while the transaction was in flight (through
-        :meth:`_send_sync_data`, the hook a tree-aggregated sync
-        overrides)."""
+    def _settled(self, ctx: ClientContext, verified: bool) -> None:
+        """"After completing their current transactions": count a
+        verified operation, then send the sync data owed while the
+        transaction was in flight (through :meth:`_send_sync_data`, the
+        hook a tree-aggregated sync overrides)."""
+        if verified:
+            self.ops_since_sync += 1
         for tag in sorted(self._deferred_data):
             self._send_sync_data(tag, ctx)
         self._deferred_data.clear()
@@ -103,29 +140,6 @@ class SyncingClient(ProtocolClient):
         raise NotImplementedError
 
     # -- transaction lifecycle --------------------------------------------
-
-    def make_request(self, query: Query) -> Request:
-        return self.core.submit(query)
-
-    def handle_response(self, query: Query, response: Response, ctx: ClientContext) -> object:
-        """The core's rules on ``response`` (the in-flight operation's
-        answer), the follow-up out, then the sync bookkeeping.  A
-        refusal (:class:`~repro.net.session.ServerBusyError`) ends the
-        transaction uncompleted and propagates."""
-        try:
-            answer, followup = self.core.receive(response)
-        except IntegrityError as exc:
-            raise DeviationDetected(self.user_id, str(exc)) from exc
-        except ServerBusyError:
-            self._flush_deferred(ctx)
-            raise
-        if followup is not None:
-            ctx.send_to_server(followup)
-        self._verified()
-        self.completed_transactions += 1
-        self.ops_since_sync += 1
-        self._flush_deferred(ctx)
-        return answer
 
     def wants_sync(self) -> bool:
         return self.ops_since_sync >= self.k and not self._sync_data
@@ -159,7 +173,7 @@ class SyncingClient(ProtocolClient):
         self._entered.add(tag)
         self._sync_data.setdefault(tag, {})
         self._sync_verdicts.setdefault(tag, {})
-        if getattr(ctx, "has_pending", None) is not None and ctx.has_pending():
+        if ctx.has_pending():
             self._deferred_data.add(tag)
         else:
             self._send_sync_data(tag, ctx)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from repro.crypto.hashing import Digest, hash_state
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.mtree.database import Query, QueryResult
-from repro.mtree.proofs import ProofError
 from repro.protocols.base import (
     ClientContext,
     DeviationDetected,
@@ -33,7 +32,7 @@ from repro.protocols.base import (
     ServerProtocol,
     ServerState,
 )
-from repro.protocols.verify import derive_outcome
+from repro.protocols.verify import verified_outcome
 
 META_SIG = "tp.sig"
 META_TURN = "tp.turn"
@@ -130,15 +129,12 @@ class TokenPassClient(ProtocolClient):
         # Give the workload the first few rounds of the slot; then null-op.
         if ctx.round % self.slot_length < self.slot_length - 2:
             return
-        if getattr(ctx, "has_pending", None) is not None and ctx.has_pending():
+        if ctx.has_pending():
             return
         self._turn_done.add(slot)
         self._last_issue_slot = slot
         self.null_operations += 1
         ctx.issue_internal(Request(query=None, extras={"null": True}))
-
-    def make_request(self, query: Query) -> Request:
-        return Request(query=query)
 
     def on_issue(self, ctx: ClientContext) -> None:
         """A real workload operation was just issued in this slot."""
@@ -172,10 +168,7 @@ class TokenPassClient(ProtocolClient):
             old_root = new_root = root
             answer = None
         else:
-            try:
-                outcome = derive_outcome(query, response.result, self._order)
-            except ProofError as exc:
-                raise DeviationDetected(self.user_id, f"verification object rejected: {exc}") from exc
+            outcome = verified_outcome(self.user_id, query, response, self._order)
             old_root, new_root, answer = outcome.old_root, outcome.new_root, outcome.answer
             self.completed_transactions += 1
 

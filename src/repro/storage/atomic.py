@@ -118,7 +118,8 @@ class RecordLog:
     an append that never returned -- unless the log is ``readonly``.
     A tail is told from a corrupted length prefix by ``reframe(prev,
     view)``: ``view`` is what follows the tail's prefix up to the end of
-    the file, ``prev`` the digest the record chains from, and it says
+    the file, ``prev`` the digest the record chains from (``None`` for
+    a first record read without ``start``), and it says
     whether ``view`` starts with a payload its own format delimits,
     followed by the digest chaining that payload to ``prev``.  Such a
     record was written whole, so reading it as torn would drop it and
@@ -155,8 +156,7 @@ class RecordLog:
         absent file holds none.  A file that does not start with the
         head is a :class:`ValueError`, one holding a torn prefix of it
         is empty.  ``start`` is the digest the first record chains from
-        (without it, only a later record's prefix is told from a torn
-        tail)."""
+        (without it, the first record's ``reframe`` is given ``None``)."""
         if not os.path.isfile(self.path):
             self.size = 0
             return []
@@ -167,7 +167,7 @@ class RecordLog:
             records, end = parse_records(body)
             self.size = len(head) + end
             prev = bytes(records[-1][1]) if records else start
-            if self.reframe is not None and prev is not None \
+            if self.reframe is not None \
                     and len(body) - end >= 4 + _DIGEST_BYTES \
                     and self.reframe(prev, body[end + 4:]):
                 (length,) = _LENGTH.unpack_from(body, end)
@@ -175,8 +175,9 @@ class RecordLog:
                     f"{self.path!r} record {len(records)} (offset "
                     f"{self.size}) declares {length} payload bytes, past "
                     "the end of the file, but its payload ends inside the "
-                    "file followed by its chain digest: the length prefix "
-                    "was corrupted")
+                    "file followed by "
+                    f"{'a digest' if prev is None else 'its chain digest'}: "
+                    "the length prefix was corrupted")
         elif head.startswith(blob):
             records, self.size = [], 0   # the first append died mid-head
         else:

@@ -354,6 +354,12 @@ class MemoryPageStore(PageStore):
 _BATCH_KEYS = 256
 
 
+#: what a statement raises on a failing or corrupted file: a text the
+#: file holds (its schema, named in sqlite's message) that is not UTF-8
+#: escapes as a decode error
+_SQL_ERRORS = (sqlite3.Error, UnicodeDecodeError)
+
+
 def _marks(values: list) -> str:
     return "?" + ",?" * (len(values) - 1)
 
@@ -388,6 +394,14 @@ class SqlitePageStore(PageStore):
                 self._conn = sqlite3.connect(path, isolation_level=None)
         except sqlite3.Error as exc:
             raise StorageError(f"cannot open page store {path!r}: {exc}") from exc
+        columns = [row[1] for row in self._all(
+            f"cannot open page store {path!r}", "PRAGMA table_info(meta)", ())]
+        if columns and "checksum" not in columns:
+            self._conn.close()
+            raise StorageError(
+                f"{path!r} holds meta rows without a checksum, a format "
+                "this build does not read: restore it with the build that "
+                "wrote it, or start from an empty directory")
         if not readonly:
             # FULL + rollback journal: a committed checkpoint survives
             # power loss; OFF is the tests' speed mode.
@@ -396,7 +410,8 @@ class SqlitePageStore(PageStore):
             self._run(what, """
                 CREATE TABLE IF NOT EXISTS meta (
                     key TEXT PRIMARY KEY,
-                    value BLOB NOT NULL)""")
+                    value BLOB NOT NULL,
+                    checksum BLOB NOT NULL)""")
             self._run(what, """
                 CREATE TABLE IF NOT EXISTS pages (
                     kind TEXT NOT NULL,
@@ -423,19 +438,19 @@ class SqlitePageStore(PageStore):
     def _run(self, what: str, sql: str, params: tuple = ()):
         try:
             return self._execute(sql, params)
-        except sqlite3.Error as exc:
+        except _SQL_ERRORS as exc:
             raise StorageError(f"{what}: {exc}") from exc
 
     def _row(self, what: str, sql: str, params: tuple):
         try:
             return self._execute(sql, params).fetchone()
-        except sqlite3.Error as exc:
+        except _SQL_ERRORS as exc:
             raise StorageError(f"{what}: {exc}") from exc
 
     def _all(self, what: str, sql: str, params: tuple) -> list:
         try:
             return self._execute(sql, params).fetchall()
-        except sqlite3.Error as exc:
+        except _SQL_ERRORS as exc:
             raise StorageError(f"{what}: {exc}") from exc
 
     def _rows(self, what: str, sql: str, params: tuple):
@@ -445,7 +460,7 @@ class SqlitePageStore(PageStore):
         while True:
             try:
                 row = next(cursor, None)
-            except sqlite3.Error as exc:
+            except _SQL_ERRORS as exc:
                 raise StorageError(f"{what}: {exc}") from exc
             if row is None:
                 return
@@ -591,14 +606,21 @@ class SqlitePageStore(PageStore):
     def put_meta(self, key: str, value: bytes) -> None:
         self._in_transaction("put_meta")
         self._run("meta write failed",
-                  "INSERT OR REPLACE INTO meta VALUES (?,?)", (key, value))
+                  "INSERT OR REPLACE INTO meta VALUES (?,?,?)",
+                  (key, value, _meta_checksum(key, value)))
         if _obs.enabled:
             _META_BYTES.inc(len(value))
 
     def get_meta(self, key: str) -> bytes | None:
         row = self._row("meta read failed",
-                        "SELECT value FROM meta WHERE key=?", (key,))
-        return None if row is None else bytes(row[0])
+                        "SELECT value, checksum FROM meta WHERE key=?", (key,))
+        if row is None:
+            return None
+        if not isinstance(row[0], bytes) or _meta_checksum(key, row[0]) != row[1]:
+            raise StorageError(
+                f"meta record {key!r} of {self.path!r} fails its checksum: "
+                "the page store was corrupted or tampered with")
+        return row[0]
 
     def close(self) -> None:
         self.rollback()

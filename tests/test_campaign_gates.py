@@ -8,7 +8,9 @@ import json
 
 import pytest
 
+import bench_common
 import campaign
+import perf_suite
 from bench_common import PERF_BASELINE_PATH
 
 
@@ -149,7 +151,67 @@ class TestPerfGate:
 
     def test_no_baseline_is_a_failure(self, baseline):
         failures = _gate("perf")({"metrics": baseline, "baseline": {}})
-        assert failures == ["no usable BENCH_perf.json baseline"]
+        assert failures == ["BENCH_perf.json has no 'after' block: record "
+                            "one with perf-baseline"]
+        failures = _gate("perf")({"mode": "quick", "metrics": baseline,
+                                  "baseline": {}})
+        assert failures == ["BENCH_perf.json has no 'quick' block: record "
+                            "one with perf-baseline --quick"]
+
+
+class TestPerfModes:
+    """A quick run is judged against the quick rows ``perf-baseline
+    --quick`` recorded, a full one against the full rows: the quick
+    suite's smaller store reads several times better than the full
+    one, so against full rows a quick regression that size passes."""
+
+    @pytest.fixture
+    def recorded(self):
+        with open(PERF_BASELINE_PATH, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.fixture
+    def suite(self, monkeypatch, tmp_path):
+        """The suite with ``measure`` returning the recorded rows of the
+        mode asked for, writing into ``tmp_path``."""
+        monkeypatch.setattr(bench_common, "RESULTS_DIR", str(tmp_path))
+        return perf_suite
+
+    @pytest.mark.parametrize("quick,block", [(True, "quick"), (False, "after")])
+    def test_each_mode_is_judged_by_its_own_block(self, suite, recorded,
+                                                  monkeypatch, quick, block):
+        monkeypatch.setattr(suite, "measure",
+                            lambda quick: dict(recorded[block]))
+        results = suite.run(quick)
+        assert results["baseline"] == recorded[block]
+        assert suite.failures(results) == []
+
+    def test_a_quick_row_3x_off_is_named_where_full_rows_hid_it(self, recorded):
+        quick = recorded["quick"]
+        slowed = dict(quick, pagestore_load_ms=quick["pagestore_load_ms"] * 3.2)
+        failures = _gate("perf")({"mode": "quick", "metrics": slowed,
+                                  "baseline": quick})
+        assert len(failures) == 1 and failures[0].startswith("pagestore_load_ms: ")
+        # the comparison this gate replaced: quick rows against full ones
+        assert not any(failure.startswith("pagestore_load_ms: ")
+                       for failure in _gate("perf")({
+                           "metrics": slowed, "baseline": recorded["after"]}))
+
+    def test_recording_one_mode_keeps_the_other(self, suite, recorded,
+                                                monkeypatch, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text(json.dumps(recorded))
+        monkeypatch.setattr(suite, "PERF_BASELINE_PATH", str(path))
+        monkeypatch.setattr(suite, "measure", lambda quick: {"row_ms": 1.0})
+        suite.record_baseline(quick=True)
+        written = json.loads(path.read_text())
+        assert written["quick"] == {"row_ms": 1.0}
+        assert written["after"] == recorded["after"]
+        suite.record_baseline(quick=False)
+        written = json.loads(path.read_text())
+        assert written["after"] == {"row_ms": 1.0}
+        assert written["before"] == recorded["after"]
+        assert written["quick"] == {"row_ms": 1.0}
 
 
 class TestEntryPoint:

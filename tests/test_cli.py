@@ -477,6 +477,7 @@ class TestStoreInspect:
         import sqlite3
 
         from repro.net import ServerCore
+        from repro.storage.pagestore import _meta_checksum
         from repro.wire import decode, encode
 
         data_dir = str(tmp_path / "server")
@@ -488,8 +489,9 @@ class TestStoreInspect:
         manifest = decode(bytes(blob))
         manifest["format"] = "cvs-paged-store 9"
         manifest["dedup"] = {"u": [0, 0, 3]}  # no table this build reads
-        conn.execute("UPDATE meta SET value=? WHERE key='checkpoint'",
-                     (encode(manifest),))
+        doctored = encode(manifest)  # a build of that format signs its row
+        conn.execute("UPDATE meta SET value=?, checksum=? WHERE key='checkpoint'",
+                     (doctored, _meta_checksum("checkpoint", doctored)))
         conn.commit()
         conn.close()
         text = run(["store-inspect", data_dir], expect=2)

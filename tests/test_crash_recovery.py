@@ -470,6 +470,7 @@ from repro.storage.faults import (  # noqa: E402
 from repro.storage.pagestore import (  # noqa: E402
     FilePageStore,
     SqlitePageStore,
+    _meta_checksum,
     page_checksum,
 )
 
@@ -841,8 +842,8 @@ class TestPagedStoreCorruption:
         data_dir, _root = self._populated(tmp_path)
         import sqlite3 as _sqlite3
         conn = _sqlite3.connect(os.path.join(data_dir, "pages.db"))
-        conn.execute("UPDATE meta SET value=? WHERE key='checkpoint'",
-                     (b"garbage",))
+        conn.execute("UPDATE meta SET value=?, checksum=? WHERE key='checkpoint'",
+                     (b"garbage", _meta_checksum("checkpoint", b"garbage")))
         conn.commit()
         conn.close()
         with pytest.raises(WalError, match="manifest"):

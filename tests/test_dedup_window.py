@@ -33,6 +33,7 @@ from repro.net.client import protocol2_core
 from repro.net.core import DedupTable, _session_seq
 from repro.net.wal import ServerStore
 from repro.protocols.base import DEDUP_WINDOW, ErrorReply, Request
+from repro.storage.pagestore import _meta_checksum
 from repro.wire import decode, encode
 
 
@@ -425,8 +426,9 @@ class TestIllTypedEntryRefusedByName:
         pairs = list(manifest["dedup"]["u"])
         pairs[1] = doctor(pairs[1])
         manifest["dedup"] = {"u": pairs}
-        conn.execute("UPDATE meta SET value=? WHERE key='checkpoint'",
-                     (encode(manifest),))
+        doctored = encode(manifest)  # past the row's checksum: the parser's rule
+        conn.execute("UPDATE meta SET value=?, checksum=? WHERE key='checkpoint'",
+                     (doctored, _meta_checksum("checkpoint", doctored)))
         conn.commit()
         conn.close()
         with pytest.raises(WalError, match=r"checkpoint manifest: dedup entry "

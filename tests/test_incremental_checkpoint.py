@@ -31,7 +31,7 @@ from repro.net.wal import open_server_store
 from repro.protocols.base import Request
 from repro.storage.engine import PageRows, load_shard_tree, row_fields
 from repro.storage.faults import FaultyIO
-from repro.storage.pagestore import StorageError
+from repro.storage.pagestore import StorageError, _meta_checksum
 from repro.wire import decode, encode
 
 
@@ -425,8 +425,9 @@ class TestOldFormatRefused:
             "SELECT value FROM meta WHERE key='checkpoint'").fetchone()
         manifest = decode(bytes(blob))
         manifest["format"] = old
-        conn.execute("UPDATE meta SET value=? WHERE key='checkpoint'",
-                     (encode(manifest),))
+        doctored = encode(manifest)  # a build of that format signs its row
+        conn.execute("UPDATE meta SET value=?, checksum=? WHERE key='checkpoint'",
+                     (doctored, _meta_checksum("checkpoint", doctored)))
         conn.commit()
         conn.close()
         with pytest.raises(WalError, match=f"{old}.*one page per entry"):

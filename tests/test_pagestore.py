@@ -27,6 +27,7 @@ from repro.storage.pagestore import (
     MemoryPageStore,
     SqlitePageStore,
     StorageError,
+    _meta_checksum,
     _op_bytes,
     open_page_store,
     page_checksum,
@@ -267,6 +268,96 @@ class TestChecksums:
         _fill(store)
         with pytest.raises(CorruptPageError):
             list(store.read_pages("nodes", 0, 0))
+
+
+class TestSqliteMeta:
+    """A meta row carries a checksum over its key and value, as a page
+    file's meta op does: the manifest cannot rot into another state."""
+
+    def test_a_meta_value_rotted_on_disk_is_refused_by_key(self, tmp_path):
+        store = open_page_store(str(tmp_path), fsync=False)
+        store.begin()
+        store.put_meta("checkpoint", b"manifest")
+        store.commit()
+        for value in (b"manifesT", "text"):  # wrong bytes, and not bytes
+            store._conn.execute("UPDATE meta SET value=?", (value,))
+            with pytest.raises(StorageError, match="meta record 'checkpoint'"):
+                store.get_meta("checkpoint")
+        store.close()
+
+    def test_a_store_without_meta_checksums_is_refused(self, tmp_path):
+        conn = sqlite3.connect(os.path.join(str(tmp_path), SqlitePageStore.FILE))
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value BLOB NOT NULL)")
+        conn.commit()
+        conn.close()
+        for readonly in (False, True):
+            with pytest.raises(StorageError, match="meta rows without a checksum"):
+                open_page_store(str(tmp_path), readonly=readonly)
+
+    def test_a_schema_text_that_is_not_utf8_is_refused_by_name(self, tmp_path):
+        """sqlite names a table whose schema row it cannot parse in its
+        error message: a byte of that name that is not UTF-8 must not
+        escape as a bare ``UnicodeDecodeError``."""
+        open_page_store(str(tmp_path), fsync=False).close()
+        path = os.path.join(str(tmp_path), SqlitePageStore.FILE)
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        blob[blob.index(b"tablepagespages") + len(b"table")] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        with pytest.raises(StorageError, match="cannot open page store"):
+            open_page_store(str(tmp_path), fsync=False)
+
+    def test_every_byte_of_the_stored_manifest_row_is_refused_or_harmless(
+            self, tmp_path):
+        """Each byte of the manifest's row in ``pages.db`` (its record
+        head, key, value and checksum), XORed with 0xff: the restart is
+        refused by a named error, or recovers the same root, dedup table
+        and acked writes.  Without the checksum a flip of the manifest's
+        ``gen`` restarts at an older root, silently dropping the three
+        writes acked after the last checkpoint."""
+        from bench_storage import _ops, _request
+        from repro.net.core import ServerCore
+        from repro.net.wal import WalError
+
+        def restart(data_dir):
+            return ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                              fsync=False, snapshot_every=5)
+
+        origin = str(tmp_path / "origin")
+        core, acked = restart(origin), _ops(13)
+        for seq, (key, value) in enumerate(acked):  # checkpoints at 5 and 10
+            core.apply_request("bench", _request(key, value, seq))
+        root, dedup = core.state.database.root_digest(), core.dedup.export()
+        manifest = core.store.pages.get_meta("checkpoint")
+        core.close_store()
+        files = {name: open(os.path.join(origin, name), "rb").read()
+                 for name in os.listdir(origin)}
+        db = files[SqlitePageStore.FILE]
+        row = b"checkpoint" + manifest
+        start = db.index(row)
+        end = start + len(row) + 32
+        assert db[start + len(row):end] == _meta_checksum("checkpoint", manifest)
+        copy, refused = str(tmp_path / "copy"), 0
+        os.mkdir(copy)
+        for offset in range(start - 8, end):  # 8: the record's head
+            for name, blob in files.items():
+                if name == SqlitePageStore.FILE:
+                    blob = bytearray(blob)
+                    blob[offset] ^= 0xFF
+                with open(os.path.join(copy, name), "wb") as handle:
+                    handle.write(blob)
+            try:
+                core = restart(copy)
+            except WalError:
+                refused += 1
+                continue
+            assert core.state.database.root_digest() == root, offset
+            assert core.dedup.export() == dedup, offset
+            assert all(core.state.database.get(key) == value
+                       for key, value in acked), offset
+            core.close_store()
+        assert refused > len(manifest)
 
 
 class TestCommitFaults:

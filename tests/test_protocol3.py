@@ -7,7 +7,7 @@ from helpers import FakeContext, run_scenario
 from repro.core.scenarios import make_keys
 from repro.crypto.hashing import Digest
 from repro.mtree.database import ReadQuery, VerifiedDatabase, WriteQuery
-from repro.protocols.base import DeviationDetected, Request, Response, ServerState
+from repro.protocols.base import DeviationDetected, ErrorReply, Request, Response, ServerState
 from repro.protocols.protocol3 import EpochDeposit, Protocol3Client, Protocol3Server
 from repro.server.attacks import ForkAttack, StaleRootReplayAttack
 from repro.simulation.workload import epoch_workload
@@ -44,6 +44,20 @@ def roundtrip(state, server, client, query, round_no):
     return answer, request
 
 
+def answer(client, query, response):
+    """``response`` judged as the answer to ``query``, put in flight
+    first."""
+    client.make_request(query)
+    return client.handle_response(query, response, FakeContext())
+
+
+def audit(client, response, epoch=0):
+    """``response`` judged as the answer to an audit of ``epoch``."""
+    client.state.audit = epoch
+    client.core.submit(None)
+    return client.handle_response(None, response, FakeContext())
+
+
 class TestEpochs:
     def test_epoch_length_minimum(self):
         with pytest.raises(ValueError):
@@ -60,7 +74,7 @@ class TestEpochs:
         for _ in range(5):
             client.on_round(FakeContext())  # advance local clock
         roundtrip(state, server, client, ReadQuery(b"file"), 5)
-        assert client.current_epoch == 0
+        assert client.state.epoch == 0
 
     def test_deposit_on_second_op_of_new_epoch(self, rig):
         state, server, clients = rig
@@ -74,7 +88,7 @@ class TestEpochs:
         sigma_end_epoch0 = client.sigma
         last_end_epoch0 = client.last
         _answer, _request = roundtrip(state, server, client, ReadQuery(b"file"), EPOCH + 2)
-        assert client._pending_deposit is not None
+        assert client.state.owed is not None
         # sigma was reset at the boundary, then accumulated exactly the
         # one transition of the new epoch: old_tag ^ new_tag.
         assert client.sigma == last_end_epoch0 ^ client.last
@@ -85,7 +99,7 @@ class TestEpochs:
         assert deposit.epoch == 0
         assert deposit.sigma == sigma_end_epoch0
         assert deposit.last == last_end_epoch0
-        assert client._pending_deposit is None
+        assert client.state.owed is None
 
     def test_server_stores_deposits(self, rig, keys):
         state, server, clients = rig
@@ -110,7 +124,7 @@ class TestEpochs:
         response = server.handle_request("u1", Request(query=ReadQuery(b"file")), state, EPOCH * 2 + 4)
         lying = Response(result=response.result, extras={**response.extras, "epoch": 0})
         with pytest.raises(DeviationDetected, match="implausible|backwards"):
-            client.handle_response(ReadQuery(b"file"), lying, FakeContext())
+            answer(client, ReadQuery(b"file"), lying)
 
     def test_implausible_epoch_detected(self, rig):
         state, server, clients = rig
@@ -120,16 +134,15 @@ class TestEpochs:
         response = server.handle_request("u2", Request(query=ReadQuery(b"file")), state, 4)
         lying = Response(result=response.result, extras={**response.extras, "epoch": 7})
         with pytest.raises(DeviationDetected, match="implausible"):
-            client.handle_response(ReadQuery(b"file"), lying, FakeContext())
+            answer(client, ReadQuery(b"file"), lying)
 
     def test_missing_epoch_field_detected(self, rig):
         state, server, clients = rig
         response = server.handle_request("u0", Request(query=ReadQuery(b"file")), state, 4)
         extras = {k: v for k, v in response.extras.items() if k != "epoch"}
         with pytest.raises(DeviationDetected, match="epoch"):
-            clients["u0"].handle_response(ReadQuery(b"file"),
-                                          Response(result=response.result, extras=extras),
-                                          FakeContext())
+            answer(clients["u0"], ReadQuery(b"file"),
+                   Response(result=response.result, extras=extras))
 
 
 class TestAuditing:
@@ -141,6 +154,25 @@ class TestAuditing:
         assert client.auditor_of(2) == "u2"
         assert client.auditor_of(3) == "u0"
 
+    def test_schedule_follows_rotation(self, rig):
+        """Past epoch 4, each user fetches the oldest unaudited epoch
+        ``auditor_of`` assigns it, and no other."""
+        _state, _server, clients = rig
+        for client in clients.values():
+            client.state.epoch = 5
+            ctx = FakeContext()
+            client.on_round(ctx)
+            assert client.auditor_of(client.state.audit) == client.user_id
+            assert client.state.audit == USERS.index(client.user_id)
+            assert len(ctx.internal_requests) == 1
+
+    def test_refused_audit_detected(self, rig):
+        """A refused audit fetch is a verdict: the deposits it withholds
+        are what detects a fork within two epochs."""
+        _state, _server, clients = rig
+        with pytest.raises(DeviationDetected, match="epoch 0 audit refused"):
+            audit(clients["u0"], ErrorReply(reason="busy"))
+
     def test_fetch_returns_deposits(self, rig):
         state, server, _clients = rig
         response = server.handle_request(
@@ -150,15 +182,13 @@ class TestAuditing:
     def test_missing_deposit_detected(self, rig):
         _state, _server, clients = rig
         client = clients["u0"]
-        client._audit_in_flight = 0
         empty = Response(result=None, extras={"epoch": 2, "deposits": {0: {}}})
         with pytest.raises(DeviationDetected, match="no deposit"):
-            client.handle_response(None, empty, FakeContext())
+            audit(client, empty)
 
     def test_forged_deposit_signature_detected(self, rig, keys):
         _state, _server, clients = rig
         client = clients["u0"]
-        client._audit_in_flight = 0
         deposits = {}
         for u in USERS:
             template = EpochDeposit(user_id=u, epoch=0, sigma=Digest.zero(),
@@ -174,12 +204,11 @@ class TestAuditing:
                                            raw=bytes(len(good.signature.raw))))
         response = Response(result=None, extras={"epoch": 2, "deposits": {0: deposits}})
         with pytest.raises(DeviationDetected, match="forged"):
-            client.handle_response(None, response, FakeContext())
+            audit(client, response)
 
     def test_mislabelled_deposit_detected(self, rig, keys):
         _state, _server, clients = rig
         client = clients["u0"]
-        client._audit_in_flight = 0
         deposits = {}
         for u in USERS:
             template = EpochDeposit(user_id=u, epoch=1, sigma=Digest.zero(),
@@ -190,7 +219,7 @@ class TestAuditing:
         # epoch-1 deposits presented for an epoch-0 audit: replay across epochs
         response = Response(result=None, extras={"epoch": 2, "deposits": {0: deposits}})
         with pytest.raises(DeviationDetected, match="mislabelled"):
-            client.handle_response(None, response, FakeContext())
+            audit(client, response)
 
 
 class TestSimulations:
@@ -213,6 +242,22 @@ class TestSimulations:
         assert not report.false_alarm
         # Theorem 4.3: within two epochs of the fault.
         assert report.detection_round is not None
+        assert report.detection_round - report.first_deviation_round <= 2 * EPOCH + EPOCH // 2
+
+    def test_fork_detected_when_audits_refused(self):
+        """A forking server that refuses every audit fetch is still
+        caught within two epochs."""
+        class RefuseAudits(ForkAttack):
+            def mutate_response(self, user_id, request, response, state, round_no):
+                if request.query is None:
+                    return ErrorReply(reason="busy")
+                return response
+
+        workload = epoch_workload(n_users=3, epoch_length=EPOCH, epochs=9, seed=3)
+        attack = RefuseAudits(victims=["user2"], fork_round=int(EPOCH * 2.5))
+        report = run_scenario("protocol3", workload, attack=attack, epoch_length=EPOCH, seed=3)
+        assert report.detected
+        assert any("audit refused" in alarm.reason for alarm in report.alarms.values())
         assert report.detection_round - report.first_deviation_round <= 2 * EPOCH + EPOCH // 2
 
     def test_stale_replay_detected(self):

@@ -21,6 +21,7 @@ from repro.storage.atomic import RecordLog, frame_record, parse_records
 from repro.storage.faults import FaultyIO, IoShim, SimulatedCrash
 from repro.storage.pagestore import PAGE_LOG_MAGIC, FilePageStore
 
+import bench_storage
 from bench_storage import flip_length
 
 HEADS = pytest.mark.parametrize("head", [b"", PAGE_LOG_MAGIC],
@@ -271,3 +272,55 @@ class TestCorruptedLengthPrefix:
                 handle.write(blob[:cut])
             FilePageStore(path, fsync=False).close()
             assert os.path.getsize(path) == last, cut
+
+
+class TestNewerLogs:
+    """A log newer than the live one is read without its start chain
+    (the checkpoint it chains from was lost).  A record whose length
+    prefix runs past the end of the file while a whole frame and a
+    digest's worth of bytes follow it is misframed, not torn: such a log
+    is refused by name, never deleted as one that was never acked into."""
+
+    def _lost_checkpoint(self, data_dir):
+        """35 writes on sqlite whose third commit lied (the lying-commit
+        tamper cell): wal.3.log and wal.4.log hold acked writes newer
+        than the manifest."""
+        io = FaultyIO(seed=bench_storage.SEED, lose_commit=3)
+        core = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                          fsync=True, shards=bench_storage.SHARDS,
+                          snapshot_every=bench_storage.SNAPSHOT_EVERY, io=io)
+        bench_storage._run_until_crash(core, bench_storage._ops(35))
+        core.store.close()
+        io.simulate_crash()
+        assert sorted(os.listdir(data_dir)) == ["pages.db", "wal.3.log", "wal.4.log"]
+        return io
+
+    def test_newer_logs_with_flipped_first_lengths_are_refused(self, tmp_path):
+        data_dir = str(tmp_path / "s")
+        io = self._lost_checkpoint(data_dir)
+        for name in ("wal.3.log", "wal.4.log"):
+            flip_length(os.path.join(data_dir, name), b"", 0)
+        with pytest.raises(WalError, match="wal.3.log' record 0 .*length "
+                                           "prefix was corrupted"):
+            ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                       fsync=True, shards=bench_storage.SHARDS, io=io)
+        assert sorted(os.listdir(data_dir)) == ["pages.db", "wal.3.log", "wal.4.log"]
+
+    def test_a_newer_log_torn_in_its_first_record_is_dropped(self, tmp_path):
+        """A newer log whose first append never returned holds no acked
+        write: cut anywhere in its one record -- the length prefix, the
+        payload or the digest -- it is deleted and the store opens."""
+        data_dir = str(tmp_path / "s")
+        _writes(data_dir, "sqlite", count=3)
+        with open(os.path.join(data_dir, "wal.1.log"), "rb") as handle:
+            blob = handle.read()
+        first = len(frame_record(*parse_records(memoryview(blob))[0][0]))
+        newer = os.path.join(data_dir, "wal.2.log")
+        for cut in range(1, first):
+            with open(newer, "wb") as handle:
+                handle.write(blob[:cut])
+            core = ServerCore(order=4, data_dir=data_dir, backend="sqlite",
+                              fsync=False)
+            assert core.state.ctr == 3, cut
+            core.close_store()
+            assert not os.path.exists(newer), cut
