@@ -1,8 +1,8 @@
 """Wire-path throughput: stop-and-wait clients vs pipelined windows,
 on the one server.
 
-Measures what batching buys: the server's drainer executes whatever has
-queued as one batch -- one WAL group commit, one Merkle dirty-path root
+Measures what batching buys: the server's pass executes whatever has
+arrived as one batch -- one WAL group commit, one Merkle dirty-path root
 recompute and (Protocol I) one signature per batch instead of one per
 operation -- so clients that keep a window in flight sustain far higher
 verified-operation throughput than clients that wait for each answer.
@@ -19,7 +19,7 @@ not count as throughput.
 Every cell runs durable (WAL + fsync, the server default).  The
 stop-and-wait rows are C ``RemoteClient`` threads, one request in
 flight each: what they share of a batch is whatever C clients happen
-to have queued when the drainer wakes.  The pipelined rows keep a
+to have sent when the server's pass runs.  The pipelined rows keep a
 window per session in flight, so batches fill to the cap.
 
 The Protocol I pair is where waiting for each answer really bleeds: a
@@ -55,6 +55,7 @@ import asyncio
 import json
 import os
 import shutil
+import struct
 import tempfile
 import threading
 import time
@@ -71,8 +72,9 @@ from repro.net import (
     sync_check,
 )
 from repro.net.aserver import BATCH_MAX
-from repro.net.framing import async_recv_message, encode_frame
+from repro.net.framing import MAX_FRAME, FramingError, encode_frame
 from repro.protocols.protocol2 import XorRegisters
+from repro.wire import decode
 
 ORDER = 8
 BENCH_THROUGHPUT_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
@@ -242,7 +244,7 @@ async def _async_session(host: str, port: int, user: str,
                 started.append(time.perf_counter())
                 sent += 1
             await writer.drain()
-            message = await async_recv_message(reader)
+            message = await _recv_message(reader)
             if message is None:
                 raise RuntimeError(f"{user}: server closed mid-window")
             latencies.append((time.perf_counter() - started.popleft()) * 1000.0)
@@ -250,6 +252,26 @@ async def _async_session(host: str, port: int, user: str,
     finally:
         writer.close()
     return {"sigma": core.state.sigma, "last": core.state.last}
+
+
+async def _recv_message(reader: asyncio.StreamReader) -> object | None:
+    """One message off an asyncio stream; None on clean EOF at a frame
+    boundary, :class:`FramingError` on EOF inside a frame.  The
+    thousands of sessions of an async cell read their answers here; the
+    package's own readers are blocking (``repro.net.framing``)."""
+    try:
+        header = await reader.readexactly(4)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise FramingError("connection closed mid-length prefix") from exc
+    (length,) = struct.unpack(">I", header)
+    if length > MAX_FRAME:
+        raise FramingError(f"peer announced a {length}-byte frame")
+    try:
+        return decode(await reader.readexactly(length))
+    except asyncio.IncompleteReadError as exc:
+        raise FramingError("connection closed mid-payload") from exc
 
 
 async def _async_cell(host: str, port: int, clients: int, ops_per_client: int,

@@ -1,18 +1,24 @@
 """The transport floor: what an asyncio echo server costs per
-stop-and-wait round trip, with no Trusted-CVS code on either side.
+stop-and-wait round trip, with no Trusted-CVS code on either side --
+and the front-end floor: what the real server front-end costs over a
+core that does no work.
 
-    python benchmarks/echo_floor.py [--trips 20000] [--repeat 3]
+    PYTHONPATH=src python benchmarks/echo_floor.py [--trips 20000] [--repeat 3]
 
-A server process (this file with ``--serve streams`` or ``--serve
-protocol``) pinned to the last CPU answers every length-prefixed
+A server process (this file with ``--serve streams``, ``protocol`` or
+``frontend``) pinned to the last CPU answers every length-prefixed
 1,600-byte request with a 2,900-byte response -- the request and
 response sizes of the end-to-end benchmark's operations -- through an
-``asyncio`` stream reader/writer pair or a bare ``asyncio.Protocol``.
-The client, pinned to the first CPU, sends one request at a time on a
-no-delay socket.  Per round trip it reports the median wall time and
-the server's CPU time (the server's own ``process_time`` over the
-timed trips, asked for with an empty frame).  Needs two CPUs for the
-pinning; with one, both sides share it.
+``asyncio`` stream reader/writer pair, a bare ``asyncio.Protocol``, or
+(``frontend``) the real :class:`~repro.net.aserver.AsyncTrustedCvsServer`
+over a stand-in core that answers every request at once: frame cutting,
+decoding the request, the pass, encoding and writing the response, and
+nothing of the protocol, the tree or the store.  The client, pinned to
+the first CPU, sends one request at a time on a no-delay socket.  Per
+round trip it reports the median wall time and the server's CPU time
+(the server's own ``process_time`` over the timed trips, asked for with
+an empty frame, or a request marked ``probe`` for the front-end).
+Needs two CPUs for the pinning; with one, both sides share it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ REQUEST_BYTES = 1600
 RESPONSE_BYTES = 2900
 _LENGTH = struct.Struct(">I")
 _RESPONSE = _LENGTH.pack(RESPONSE_BYTES) + b"r" * RESPONSE_BYTES
+KINDS = ("streams", "protocol", "frontend")
 
 
 def _answer(payload: bytes) -> bytes:
@@ -65,12 +72,66 @@ class _Echo(asyncio.Protocol):
             self.transport.write(_answer(payload))
 
 
+class _InstantCore:
+    """What the front-end asks of a ``ServerCore``, with no work behind
+    it: every request is answered at once with the same response."""
+
+    protocol = None  # never blocks
+
+    def __init__(self) -> None:
+        from repro.protocols.base import Response
+
+        self._response = Response
+
+    def stream_batch(self, entries, received=None):
+        for _user, message in entries:
+            if message.extras.get("probe"):
+                yield self._response(result=None, extras={
+                    "cpu": repr(time.process_time())})
+            else:
+                yield _FRONTEND_RESPONSE
+
+    def all_unblocked(self) -> bool:
+        return True
+
+    def close_store(self) -> None:
+        pass
+
+
+def _frontend_messages():
+    """The front-end's request and response, sized as the others'."""
+    from repro.mtree.database import WriteQuery
+    from repro.protocols.base import Request, Response
+    from repro.wire import encode
+
+    def sized(build, size):
+        return build(b"x" * (size - len(encode(build(b"")))))
+    request = sized(lambda pad: Request(query=WriteQuery(b"key", pad),
+                                        extras={"user": "alice"}),
+                    REQUEST_BYTES)
+    response = sized(lambda pad: Response(result=None,
+                                          extras={"ctr": 1, "pad": pad}),
+                     RESPONSE_BYTES)
+    return request, response
+
+
+_FRONTEND_RESPONSE = None
+
+
 async def _serve(kind: str) -> None:
+    global _FRONTEND_RESPONSE
     loop = asyncio.get_running_loop()
     if kind == "streams":
         server = await asyncio.start_server(_streams, "127.0.0.1", 0)
-    else:
+    elif kind == "protocol":
         server = await loop.create_server(_Echo, "127.0.0.1", 0)
+    else:
+        from repro.net.aserver import AsyncTrustedCvsServer
+
+        _request, _FRONTEND_RESPONSE = _frontend_messages()
+        frontend = AsyncTrustedCvsServer(_InstantCore())
+        await frontend.start()
+        server = frontend._server
     print(server.sockets[0].getsockname()[1], flush=True)
     await loop.run_in_executor(None, sys.stdin.read)  # until stdin closes
 
@@ -101,12 +162,25 @@ def measure(kind: str, trips: int) -> dict:
         port = int(server.stdout.readline())
         sock = socket.create_connection(("127.0.0.1", port))
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        request = _LENGTH.pack(REQUEST_BYTES) + b"q" * REQUEST_BYTES
-        cpu_probe = _LENGTH.pack(0)
+        if kind == "frontend":
+            from repro.net.framing import encode_frame
+            from repro.protocols.base import Request
+            from repro.wire import decode
+
+            request = encode_frame(_frontend_messages()[0])
+            cpu_probe = encode_frame(Request(query=None, extras={
+                "user": "alice", "probe": True}))
+
+            def cpu_of(payload: bytes) -> float:
+                return float(decode(payload).extras["cpu"])
+        else:
+            request = _LENGTH.pack(REQUEST_BYTES) + b"q" * REQUEST_BYTES
+            cpu_probe = _LENGTH.pack(0)
+            cpu_of = float
 
         def server_cpu() -> float:
             sock.sendall(cpu_probe)
-            return float(_recv_frame(sock))
+            return cpu_of(_recv_frame(sock))
 
         for _ in range(trips // 10):  # warm-up
             sock.sendall(request)
@@ -129,7 +203,7 @@ def measure(kind: str, trips: int) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--serve", choices=("streams", "protocol"))
+    parser.add_argument("--serve", choices=KINDS)
     parser.add_argument("--trips", type=int, default=20000)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
@@ -139,7 +213,7 @@ def main() -> int:
         return 0
     _pin(0)
     for run in range(args.repeat):
-        for kind in ("streams", "protocol"):
+        for kind in KINDS:
             row = measure(kind, args.trips)
             print(f"run {run + 1}  {kind:8s}  round trip p50 "
                   f"{row['rtt_p50_us']:6.1f} us  server CPU "

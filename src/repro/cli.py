@@ -788,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--snapshot-every", type=int, default=256,
                        help="ops between checkpoints")
     serve.add_argument("--batch-max", type=int, default=64,
-                       help="max ops per drainer batch (one group commit, "
+                       help="max ops per batch (one group commit, "
                             "one root pass, one Protocol I signing run)")
     serve.add_argument("--replicas", type=int, default=0, metavar="N",
                        help="witness count of the replicated deployment "

@@ -11,16 +11,19 @@ nothing: every response carries the verification object clients check
 (:class:`~repro.net.client.RemoteClient`,
 :class:`~repro.net.client.RemoteClientP1`, at any window).
 
-Every connection is multiplexed on a single event loop, and **one
-drainer task** owns the :class:`~repro.net.core.ServerCore` outright --
-the paper's serial execution model, as a single writer: no lock exists
-at all.  Per loop iteration the drainer pulls everything the reader
-tasks have queued and applies it in arrival order as *batches* (a
-stop-and-wait client's request is a batch of one):
+Every connection is one ``asyncio.BufferedProtocol`` on a single event
+loop: each read lands in one receive buffer the server reuses, and the
+connection cuts whole frames out of what it received
+(:class:`~repro.net.framing.FrameInbox`).  **One pass** owns the
+:class:`~repro.net.core.ServerCore` outright -- the paper's serial
+execution model, as a single writer: no lock, queue or task.  Once the
+loop has read everything ready, the pass (``call_soon``) applies what
+arrived, in arrival order, as *batches* (a stop-and-wait client's
+request is a batch of one):
 
-* every fresh request of a batch is appended to the WAL and made
-  durable with a **single fsync** (group commit) before any of them
-  executes;
+* every fresh request of a batch is appended to the WAL (as the bytes
+  its client sent) and made durable with a **single fsync** (group
+  commit) before any of them executes;
 * the Merkle root is recomputed **once per batch** -- one dirty-path
   pass over all touched leaves (:meth:`BPlusTree.refresh_root`),
   so sibling operations share the hashing of their common path
@@ -29,19 +32,23 @@ stop-and-wait client's request is a batch of one):
   *signing run*: all but the last are stamped with the defer-followup
   marker, so the server blocks -- and the client signs -- **once per
   batch** instead of once per operation;
-* answers leave as they are made: the drainer iterates
+* answers leave as they are made: the pass iterates
   :meth:`~repro.net.core.ServerCore.stream_batch` and writes each
   response the moment its operation has executed (after the batch's
   fsync), so the clients decode and verify on their own CPUs while the
   batch executes on.  Only the batch's last answer waits for the root
   pass and any checkpoint -- a batch of one is answered as if nothing
-  streamed, and a signing run's one blocking answer leaves last.  There
-  is no ``await`` inside a batch; once it has ended, one gathered drain
-  applies backpressure.  A batch whose fsync has returned runs to its
+  streamed, and a signing run's one blocking answer leaves last.  A
+  pass is synchronous: a batch whose fsync has returned runs to its
   end whatever its connections do; if the protocol raises mid-batch,
   the answers written stand and the rest of its connections are
   aborted.  :meth:`AsyncTrustedCvsServer._deliver` is the one place a
   response frame is written.
+
+Backpressure is per connection: a client whose answers fill its
+transport's buffer is not read until it takes them, and is aborted
+after :data:`DRAIN_TIMEOUT_SECONDS`; nobody else waits on it.  A bad
+frame closes its own connection only.
 
 Detection guarantees are unchanged: every operation still gets its own
 verification object, counter, and last-user attribution, and the
@@ -52,11 +59,12 @@ policy are the core's.
 
 Blocking semantics (Protocol I): a request that finds its branch
 awaiting another client's follow-up signature is parked, not refused;
-the drainer retries parked requests the moment a follow-up lands and
-refuses them with a retryable :class:`ErrorReply` when
-``block_timeout`` expires, so the waiting client fails fast instead of
-hanging.  Under a Byzantine fork each user waits on *its own* branch's
-outstanding follow-up, like a real forking server would.
+the pass retries parked requests the moment a follow-up lands, and a
+timer brings the pass that refuses them with a retryable
+:class:`ErrorReply` when ``block_timeout`` expires, so the waiting
+client fails fast instead of hanging.  Under a Byzantine fork each
+user waits on *its own* branch's outstanding follow-up, like a real
+forking server would.
 
 Crash safety (``data_dir``): the core keeps a write-ahead log and
 periodic shape-exact paged checkpoints (see :mod:`repro.net.wal`).  A
@@ -83,25 +91,26 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import ErrorReply, Followup, Request
 from repro.net.core import ServerCore
-from repro.net.framing import FramingError, async_recv_message, encode_frame
-from repro.wire import WireError
+from repro.net.framing import FrameInbox, FramingError, encode_frame
+from repro.wire import WireError, decode
 
 #: how long a parked request waits for another client's follow-up
 #: signature before being refused (Protocol I only)
 BLOCK_TIMEOUT_SECONDS = 30.0
 
-#: default per-batch execution cap: the drainer never applies more
-#: than this many requests under one group commit / root pass.
+#: default per-batch execution cap: a pass never applies more than
+#: this many requests under one group commit / root pass.
 BATCH_MAX = 64
 
-#: how long the drainer waits for a connection's send buffer to drain
-#: before declaring the client gone and aborting the transport.
+#: how long a connection whose client stopped reading may keep the
+#: transport's buffer above its high-water mark before the client is
+#: declared gone and the transport aborted.
 DRAIN_TIMEOUT_SECONDS = 10.0
 
 _REQUEST_MS = _registry.histogram(
@@ -118,23 +127,75 @@ _INFLIGHT = _registry.gauge(
     "net.inflight", "messages accepted but not yet executed or refused")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Work:
-    """One queued wire message, waiting for the drainer."""
+    """One received wire message, waiting for the next pass."""
 
     user: str
     message: object  # Request | Followup
-    writer: asyncio.StreamWriter
+    received: bytes  # the payload as the client sent it
+    connection: "_Connection"
     enqueued_ns: int
     deadline: float = 0.0  # set when the item is parked (blocked)
     parked: bool = False
 
 
-@dataclass
-class _Shutdown:
-    """Queue sentinel: wakes the drainer so it can observe stop()."""
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection: cuts whole frames out of what arrives and
+    hands each message to the server's next pass.  A bad length prefix,
+    an undecodable frame or a message that is neither a request nor a
+    follow-up closes this connection and no other."""
 
-    done: asyncio.Event = field(default_factory=asyncio.Event)
+    def __init__(self, server: "AsyncTrustedCvsServer") -> None:
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self._inbox = FrameInbox()
+        self._stalled: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        if self.server._stopping:
+            transport.abort()
+            return
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._received
+
+    def buffer_updated(self, nbytes: int) -> None:
+        server = self.server
+        if server._stopping or self.transport.is_closing():
+            return
+        self._inbox.feed(server._received[:nbytes])
+        try:
+            while (payload := self._inbox.pop()) is not None:
+                message = decode(payload)
+                if not isinstance(message, (Request, Followup)):
+                    raise WireError("neither a request nor a follow-up")
+                server._arrive(_Work(
+                    user=message.extras.get("user", "anonymous"),
+                    message=message, received=payload, connection=self,
+                    enqueued_ns=time.perf_counter_ns()))
+        except (FramingError, WireError):
+            self.transport.abort()
+
+    # Backpressure: a client that stops reading stops being read, and
+    # is gone if it has not taken its answers by DRAIN_TIMEOUT_SECONDS.
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+        self._stalled = self.server.loop.call_later(
+            DRAIN_TIMEOUT_SECONDS, self.transport.abort)
+
+    def resume_writing(self) -> None:
+        if self._stalled is not None:
+            self._stalled.cancel()
+            self._stalled = None
+        if not self.transport.is_closing():
+            self.transport.resume_reading()
 
 
 class AsyncTrustedCvsServer:
@@ -160,13 +221,20 @@ class AsyncTrustedCvsServer:
         self._host, self._port = host, port
         self.block_timeout = block_timeout
         self.batch_max = batch_max
-        self._queue: asyncio.Queue = asyncio.Queue()
+        #: what arrived since the last pass, in arrival order
+        self._arrivals: list[_Work] = []
+        self._pass_due = False
         self._parked: list[_Work] = []
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._parked_timer: asyncio.TimerHandle | None = None
+        self._connections: set[_Connection] = set()
+        #: what every read lands in before its connection's inbox takes
+        #: it: one buffer, reused, instead of a new 256 KiB one per read
+        self._received = memoryview(bytearray(256 * 1024))
+        #: arrivals not yet executed or refused, queued or parked
         self._inflight = 0
+        #: quiesce waiters, woken after every pass
+        self._waiters: list[asyncio.Future] = []
         self._server: asyncio.base_events.Server | None = None
-        self._drainer: asyncio.Task | None = None
-        self._state_changed: asyncio.Condition = asyncio.Condition()
         self._stopping = False
         self.loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -188,42 +256,29 @@ class AsyncTrustedCvsServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, start accepting, and launch the drainer task."""
+        """Bind and start accepting."""
         self.loop = asyncio.get_running_loop()
         self._thread = threading.current_thread()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._port)
-        self._drainer = asyncio.ensure_future(self._drain())
+        self._server = await self.loop.create_server(
+            lambda: _Connection(self), self._host, self._port)
 
     async def shutdown(self) -> None:
         """Stop serving, crash-equivalent: transports are aborted (a
         SIGKILLed process takes its sockets down with it) and nothing is
         flushed beyond what the WAL already holds."""
+        # What has arrived runs (a pass has no awaits, so a batch is
+        # never split); nothing arrives after this.
+        self._run_pass()
         self._stopping = True
-        if self._drainer is not None:
-            # Wake the drainer with a sentinel so it exits between
-            # batches -- never mid-apply (a batch's loop has no awaits,
-            # so cancellation could not split it anyway, but the
-            # sentinel also lets the drainer park cleanly).
-            sentinel = _Shutdown()
-            self._queue.put_nowait(sentinel)
-            await sentinel.done.wait()
-            self._drainer.cancel()
-            try:
-                await self._drainer
-            except asyncio.CancelledError:
-                pass
-        for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+        for connection in list(self._connections):
+            connection.transport.abort()
         # The listener closes last, and only in a step that finds no
         # other task alive.  A connection the loop has accept()ed is a
         # task before it is a transport, and asyncio (3.10-3.12) drops
         # it on the floor if its server closes in between: the peer
         # would hear nothing, neither RST nor FIN, where a SIGKILLed
         # process takes every socket down with it.  Until then a new
-        # arrival's handler sees ``_stopping`` and closes it.  A task
+        # arrival's protocol sees ``_stopping`` and aborts it.  A task
         # that outlives the wait is somebody's quiesce waiter.
         while tasks := asyncio.all_tasks() - {asyncio.current_task()}:
             _done, pending = await asyncio.wait(tasks, timeout=1.0)
@@ -234,119 +289,94 @@ class AsyncTrustedCvsServer:
             await self._server.wait_closed()
         self.core.close_store()
 
-    # -- connection handling -----------------------------------------------
+    # -- the pass ----------------------------------------------------------
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
+    def _arrive(self, work: _Work) -> None:
+        """Queue one received message for the next pass, which runs once
+        the loop has read everything ready in this iteration."""
+        self._arrivals.append(work)
+        self._inflight += 1
+        if _obs.enabled:
+            _INFLIGHT.set(self._inflight)
+        if not self._pass_due:
+            self._pass_due = True
+            self.loop.call_soon(self._run_pass)
+
+    def _run_pass(self) -> None:
+        """The single writer: the only code that touches the core.  It
+        runs everything that arrived since the last pass, refuses the
+        parked requests whose block never cleared, and wakes the
+        quiesce waiters.  Synchronous: no batch is ever split by an
+        ``await``, and ``with_core`` runs between passes."""
+        self._pass_due = False
+        if self._stopping:
+            return
+        arrivals, self._arrivals = self._arrivals, []
         try:
-            while not self._stopping:
-                try:
-                    message = await async_recv_message(reader)
-                except (FramingError, WireError, OSError):
-                    return
-                if message is None:
-                    return  # clean EOF
-                if not isinstance(message, (Request, Followup)):
-                    return  # protocol violation: drop the connection
-                user_id = message.extras.get("user", "anonymous")
-                self._inflight += 1
-                if _obs.enabled:
-                    _INFLIGHT.set(self._inflight)
-                await self._queue.put(_Work(
-                    user=user_id, message=message, writer=writer,
-                    enqueued_ns=time.perf_counter_ns()))
+            self._process(arrivals)
+            self._expire_parked()
         finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
+            if self._parked_timer is not None:
+                self._parked_timer.cancel()
+                self._parked_timer = None
+            if self._parked:
+                # The earliest deadline brings the next pass; a timer
+                # that fires a little early finds nothing expired and
+                # is armed again.
+                self._parked_timer = self.loop.call_at(
+                    min(work.deadline for work in self._parked),
+                    self._run_pass)
+            waiters, self._waiters = self._waiters, []
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.set_result(None)
 
-    # -- the drainer -------------------------------------------------------
-
-    async def _drain(self) -> None:
-        """The single-writer task: the only code that touches the core."""
-        while True:
-            item = await self._next_item()
-            items: list = []
-            if item is not None:
-                items.append(item)
-                while not self._queue.empty():
-                    items.append(self._queue.get_nowait())
-            await self._process(items)
-            await self._expire_parked()
-            async with self._state_changed:
-                self._state_changed.notify_all()
-            for sentinel in [i for i in items if isinstance(i, _Shutdown)]:
-                sentinel.done.set()
-                return
-
-    async def _next_item(self):
-        """Next queued message, or ``None`` when a parked request's
-        deadline expires first."""
-        if not self._parked:
-            return await self._queue.get()
-        delay = max(0.0, min(w.deadline for w in self._parked)
-                    - time.monotonic())
-        try:
-            return await asyncio.wait_for(self._queue.get(), timeout=delay)
-        except asyncio.TimeoutError:
-            return None
-
-    async def _process(self, items: list) -> None:
+    def _process(self, arrivals: list[_Work]) -> None:
         core = self.core
         blocking = getattr(core.protocol, "blocks_after_request", False)
         supports_defer = getattr(core.protocol,
                                  "supports_deferred_followup", False)
-        # Parked requests go first (they arrived before anything queued
-        # now), then this iteration's arrivals, in order.
-        candidates = [w for w in self._parked]
+        # Parked requests go first (they arrived before anything that
+        # arrived since), then this pass's arrivals, in order.
+        pending = self._parked + arrivals
+        pending.reverse()  # pop() from the arrival end
         self._parked = []
-        candidates.extend(i for i in items if not isinstance(i, _Shutdown))
-        pending = list(reversed(candidates))  # pop() from the arrival end
         batch: list[_Work] = []
 
-        async def flush() -> None:
+        def flush() -> None:
             if not batch:
                 return
             # Each answer is written the moment the core yields it, so
-            # a client verifies it while the batch executes on; no
-            # await until the batch has ended (with_core and quiesce
-            # never see half of one), then one drain for backpressure.
+            # a client verifies it while the batch executes on.
             answered = 0
             try:
                 for response in core.stream_batch(
-                        [(w.user, w.message) for w in batch]):
+                        [(work.user, work.message) for work in batch],
+                        [work.received for work in batch]):
                     self._deliver(batch[answered], response)
                     answered += 1
             except Exception:
                 # A request the protocol cannot execute.  The answers
                 # written stand; abort the connections of the rest.  The
-                # drainer must survive.
+                # pass must survive.
                 for work in batch[answered:]:
                     self._inflight -= 1
-                    transport = work.writer.transport
-                    if transport is not None:
-                        transport.abort()
+                    work.connection.transport.abort()
                 if _obs.enabled:
                     _INFLIGHT.set(self._inflight)
-            writers = {work.writer for work in batch}
             batch.clear()
-            await self._drain_writers(writers)
 
         while pending:
             work = pending.pop()
             if isinstance(work.message, Followup):
                 # Order matters: everything that arrived before this
                 # follow-up executes before it is absorbed.
-                await flush()
+                flush()
                 try:
-                    core.apply_followup(work.user, work.message)
+                    core.apply_followup(work.user, work.message,
+                                        work.received)
                 except Exception:
-                    transport = work.writer.transport
-                    if transport is not None:
-                        transport.abort()
+                    work.connection.transport.abort()
                 self._inflight -= 1
                 if _obs.enabled:
                     _FOLLOWUPS.inc(user=work.user)
@@ -354,8 +384,7 @@ class AsyncTrustedCvsServer:
                 # The follow-up may have unblocked a branch: give every
                 # parked request another chance, ahead of newer work.
                 if self._parked:
-                    for parked in reversed(self._parked):
-                        pending.append(parked)
+                    pending.extend(reversed(self._parked))
                     self._parked = []
                 continue
             if blocking:
@@ -375,14 +404,14 @@ class AsyncTrustedCvsServer:
             else:
                 batch.append(work)
                 if len(batch) >= self.batch_max:
-                    await flush()
-        await flush()
+                    flush()
+        flush()
 
     def _park(self, work: _Work) -> None:
         """Hold a request until its branch unblocks (Protocol I)."""
         if not work.parked:
             work.parked = True
-            work.deadline = time.monotonic() + self.block_timeout
+            work.deadline = self.loop.time() + self.block_timeout
             if _obs.enabled:
                 _BLOCK_WAITS.inc()
         self._parked.append(work)
@@ -391,15 +420,15 @@ class AsyncTrustedCvsServer:
         """A once-parked request executes or is refused now."""
         if work.parked and _obs.enabled:
             parked_at = work.deadline - self.block_timeout
-            _BLOCK_WAIT_MS.observe((time.monotonic() - parked_at) * 1e3)
+            _BLOCK_WAIT_MS.observe((self.loop.time() - parked_at) * 1e3)
 
-    async def _expire_parked(self) -> None:
+    def _expire_parked(self) -> None:
         """Refuse parked requests whose block never cleared, with an
         explicit retryable error frame: the waiting client fails fast
         instead of hanging on a silently dropped connection."""
         if not self._parked:
             return
-        now = time.monotonic()
+        now = self.loop.time()
         keep, expired = [], []
         for work in self._parked:
             (expired if work.deadline <= now else keep).append(work)
@@ -411,7 +440,6 @@ class AsyncTrustedCvsServer:
             self._deliver(work, ErrorReply(
                 reason="server blocked awaiting a follow-up signature",
                 extras={"timeout_s": self.block_timeout, "retryable": True}))
-        await self._drain_writers({work.writer for work in expired})
 
     def _deliver(self, work: _Work, response) -> None:
         """Answer ``work``: the one place a response frame is written to
@@ -424,54 +452,36 @@ class AsyncTrustedCvsServer:
                 (time.perf_counter_ns() - work.enqueued_ns) / 1e6,
                 user=work.user)
             _INFLIGHT.set(self._inflight)
-        if work.writer.is_closing():
+        transport = work.connection.transport
+        if transport.is_closing():
             return
         try:
-            work.writer.write(encode_frame(response))
+            transport.write(encode_frame(response))
         except (OSError, FramingError):
             pass  # a frame too large or a socket gone: the op stands
-
-    async def _drain_writers(self, writers: set) -> None:
-        """Apply backpressure per batch: one gathered drain, with a
-        timeout so one dead client cannot stall everyone's responses.
-        A closed writer, or one whose transport took every byte, has
-        nothing to drain and costs no task."""
-        drains = [self._drain_one(writer) for writer in writers
-                  if not writer.is_closing()
-                  and writer.transport.get_write_buffer_size()]
-        if drains:
-            await asyncio.gather(*drains)
-
-    async def _drain_one(self, writer: asyncio.StreamWriter) -> None:
-        try:
-            await asyncio.wait_for(writer.drain(), timeout=DRAIN_TIMEOUT_SECONDS)
-        except (asyncio.TimeoutError, OSError, ConnectionError):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
 
     async def _await_unblocked(self, timeout: float, reader):
         """``reader(main_state)`` at the first instant every accepted
         message has executed (or been refused) and no follow-up is
         outstanding on any branch; ``None`` on timeout.
 
-        Atomic with respect to the drainer: between the predicate
-        turning true and ``reader`` returning there is no ``await``, and
-        the drainer only runs at loop yield points."""
-        deadline = time.monotonic() + timeout
-        async with self._state_changed:
-            # ``_inflight``, not the queue and the park list: a pass
-            # holds what it dequeued in locals across its awaits.
-            while self._inflight or not self.core.all_unblocked():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                try:
-                    await asyncio.wait_for(self._state_changed.wait(),
-                                           timeout=remaining)
-                except asyncio.TimeoutError:
-                    return None
-            return reader(self.core.states["main"])
+        Atomic with respect to the pass: between the predicate turning
+        true and ``reader`` returning there is no ``await``, and a pass
+        runs only at loop yield points."""
+        deadline = self.loop.time() + timeout
+        # ``_inflight``, not the arrivals and the park list: it counts
+        # every message between its frame and its answer.
+        while self._inflight or not self.core.all_unblocked():
+            remaining = deadline - self.loop.time()
+            if remaining <= 0:
+                return None
+            waiter = self.loop.create_future()
+            self._waiters.append(waiter)
+            try:
+                await asyncio.wait_for(waiter, timeout=remaining)
+            except asyncio.TimeoutError:
+                return None
+        return reader(self.core.states["main"])
 
     # -- the synchronous surface (from any thread but the loop's) ----------
 
@@ -483,8 +493,8 @@ class AsyncTrustedCvsServer:
         """Run ``fn(core)`` on the loop and return its result.
 
         The one way to read or swap server state from another thread:
-        the drainer's batch loop has no ``await`` in it, so ``fn`` runs
-        between batches and never sees one half applied."""
+        a pass has no ``await`` in it, so ``fn`` runs between passes and
+        never sees a batch half applied."""
         async def _run():
             return fn(self.core)
         return self._call(_run())

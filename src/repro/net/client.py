@@ -49,7 +49,7 @@ from repro.mtree.database import DeleteQuery, Query, RangeQuery, ReadQuery, Writ
 from repro.mtree.forest import StoreSpec
 from repro.net import evidence
 from repro.net.framing import (
-    FramingError, open_connection, recv_message, send_messages)
+    FrameInbox, FramingError, open_connection, send_messages)
 from repro.net.session import (
     IntegrityError, ServerBusyError, SessionCore, TransientNetworkError)
 from repro.storage.atomic import atomic_write
@@ -213,6 +213,8 @@ class _Session:
         self._connector = EndpointConnector(
             endpoints, connect_timeout, op_timeout)
         self._sock: socket.socket | None = None
+        #: what the connection delivered that no answer has taken yet
+        self._inbox = FrameInbox()
         self._opened = False
         self._evidence_dir = evidence_dir
         self._capture: list[bytes] = []
@@ -244,6 +246,7 @@ class _Session:
         if self._opened and not self.reconnects:
             raise ConnectionError("the session's one connection is gone")
         self._sock = self._connector.connect()
+        self._inbox = FrameInbox()
         if self._opened and _obs.enabled:
             _RECONNECTS.inc(user=self.user_id)
             _RESENDS.inc(len(self.core.inflight), user=self.user_id)
@@ -297,7 +300,8 @@ class _Session:
                 if not read:
                     return None
                 self._capture.clear()
-                message = recv_message(self._sock, capture=self._capture)
+                message = self._inbox.recv_message(self._sock,
+                                                   capture=self._capture)
                 if message is None:
                     raise FramingError("server closed the connection")
             except (OSError, FramingError, WireError) as exc:

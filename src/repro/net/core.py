@@ -6,8 +6,8 @@ Byzantine attack hooks with the judge of their deviation, and the round
 counter -- lives here, with **no
 locking of its own**.  The caller owns serialisation:
 :class:`~repro.net.aserver.AsyncTrustedCvsServer` funnels every call
-through a single event-loop drainer task (single-writer model), so no
-lock is needed at all.
+through one synchronous pass on its event loop (single-writer model),
+so no lock is needed at all.
 
 It is the only code that executes a message, on the wire and in the
 simulator (:class:`~repro.simulation.agents.ServerAgent` adapts it to
@@ -433,10 +433,12 @@ class ServerCore:
         batch (caller serialised)."""
         return self.apply_batch([(user_id, message)])[0]
 
-    def apply_followup(self, user_id: str, message: Followup) -> None:
-        """Log and absorb one follow-up message (caller serialised)."""
+    def apply_followup(self, user_id: str, message: Followup,
+                       received: bytes | None = None) -> None:
+        """Log (as ``received``: :meth:`stream_batch`) and absorb one
+        follow-up message (caller serialised)."""
         if self.store is not None:
-            self.store.wal_append(message)
+            self.store.wal_append(message, received=received)
             if _obs.enabled:
                 _WAL_APPENDS.inc()
         self._execute_followup(user_id, message)
@@ -448,11 +450,15 @@ class ServerCore:
         ``entries`` (:meth:`stream_batch`, run to its end)."""
         return list(self.stream_batch(entries))
 
-    def stream_batch(self, entries: list[tuple[str, Request]]):
+    def stream_batch(self, entries: list[tuple[str, Request]],
+                     received: list[bytes] | None = None):
         """Execute a batch of requests with amortised durability +
         hashing, yielding each entry's response in entry order.
 
-        ``entries`` is ``[(user_id, request), ...]`` in execution order.
+        ``entries`` is ``[(user_id, request), ...]`` in execution order;
+        ``received``, if given, each request's bytes as its client sent
+        them, which the log keeps unless the defer-followup marker below
+        changes the request (encoded then, and without ``received``).
         Costs amortised across the batch:
 
         * **one** WAL flush+fsync covers every fresh request (each is
@@ -481,10 +487,13 @@ class ServerCore:
         plan: list[tuple[str, object]] = []
         staged: dict[tuple[str, str], int] = {}
         fresh: list[tuple[str, Request]] = []
-        for user_id, message in entries:
+        logged: list[bytes | None] = []  # fresh's bytes for the log
+        for position, (user_id, message) in enumerate(entries):
             # The defer-followup marker is the server's to set (below):
             # a client that sets it would skip its signing duty.
-            message.extras.pop(DEFER_FOLLOWUP_KEY, None)
+            changed = DEFER_FOLLOWUP_KEY in message.extras
+            if changed:
+                del message.extras[DEFER_FOLLOWUP_KEY]
             rid = request_id(message)
             if rid is not None:
                 cached = self.dedup.lookup(user_id, rid)
@@ -518,16 +527,19 @@ class ServerCore:
                 staged[(user_id, rid)] = len(fresh)
             plan.append(("exec", len(fresh)))
             fresh.append((user_id, message))
+            logged.append(None if received is None or changed
+                          else received[position])
 
         if fresh and self._is_signing_run(fresh):
             # Stamp every request but the last *before* logging, so WAL
             # replay reconstructs the identical deferred-followup run.
-            for _user, message in fresh[:-1]:
+            for index, (_user, message) in enumerate(fresh[:-1]):
                 message.extras[DEFER_FOLLOWUP_KEY] = True
+                logged[index] = None
 
         if self.store is not None and fresh:
-            for _user, message in fresh:
-                self.store.wal_append(message, sync=False)
+            for (_user, message), payload in zip(fresh, logged):
+                self.store.wal_append(message, sync=False, received=payload)
                 if _obs.enabled:
                     _WAL_APPENDS.inc()
             self.store.wal_sync()

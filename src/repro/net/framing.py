@@ -1,15 +1,18 @@
 """Message framing for socket transport: 4-byte length + wire bytes.
 
-Both the blocking (:func:`send_message`/:func:`recv_message`) and the
-asyncio (:func:`async_recv_message`) halves speak the identical frame
-format: the clients are blocking-socket classes, the server an event
-loop, which writes each response's :func:`encode_frame` to its stream
-itself (one write site, ``AsyncTrustedCvsServer._deliver``).
+One frame cutter, :class:`FrameInbox`, serves both sides: the event
+loop feeds it what each connection delivered
+(``AsyncTrustedCvsServer``'s connection protocol), and a blocking
+client reads through one per connection with
+:meth:`FrameInbox.recv_message` -- one ``sock.recv`` per answer, or
+fewer when several answers arrive together.  :func:`recv_message`
+reads exactly one frame off a socket and nothing past it.  The server
+writes each response's :func:`encode_frame` to its transport itself
+(one write site, ``AsyncTrustedCvsServer._deliver``).
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 
@@ -19,6 +22,12 @@ from repro.wire import decode, encode
 
 MAX_FRAME = 64 * 1024 * 1024  # sanity bound, far above any real VO
 
+#: bytes a client inbox asks of each ``recv`` beyond what completes the
+#: frame it waits for, so answers that arrived together are read at
+#: once; under the allocator's mmap threshold, so no ``recv`` buffer
+#: costs a system call.
+READAHEAD = 64 * 1024
+
 _FRAMES_SENT = _registry.counter("net.frames_sent", "frames written to sockets")
 _FRAMES_RECEIVED = _registry.counter("net.frames_received", "frames read off sockets")
 _BYTES_SENT = _registry.counter(
@@ -27,6 +36,7 @@ _BYTES_RECEIVED = _registry.counter(
     "net.bytes_received", "payload + header bytes read off sockets")
 _FRAME_BYTES = _registry.histogram(
     "net.frame_bytes", "per-frame payload size on the wire", buckets=BYTE_BUCKETS)
+_LENGTH = struct.Struct(">I")
 
 
 class FramingError(Exception):
@@ -58,7 +68,7 @@ def encode_frame(message: object) -> bytes:
     payload = encode(message)
     if len(payload) > MAX_FRAME:
         raise FramingError(f"frame of {len(payload)} bytes exceeds the maximum")
-    frame = struct.pack(">I", len(payload)) + payload
+    frame = _LENGTH.pack(len(payload)) + payload
     if _obs.enabled:
         _FRAMES_SENT.inc()
         _BYTES_SENT.inc(len(frame))
@@ -78,85 +88,82 @@ def send_messages(sock: socket.socket, messages) -> None:
     sock.sendall(b"".join(map(encode_frame, messages)))
 
 
+class FrameInbox:
+    """The bytes one connection delivered that no frame has taken yet:
+    :meth:`feed` appends, :meth:`pop` cuts the next whole frame off the
+    front and returns its payload as the peer sent it (``None`` until
+    one is whole).  A length above :data:`MAX_FRAME` is a
+    :class:`FramingError`: the stream is no longer frame-aligned."""
+
+    def __init__(self, readahead: int = READAHEAD) -> None:
+        self.readahead = readahead
+        self._buffer = bytearray()
+        self._start = 0  # the first byte no frame has taken
+
+    def __len__(self) -> int:
+        return len(self._buffer) - self._start
+
+    def feed(self, data: bytes) -> None:
+        del self._buffer[:self._start]
+        self._start = 0
+        self._buffer += data
+
+    def _wanted(self) -> int:
+        """Bytes still missing from the frame at the front."""
+        if len(self) < 4:
+            return 4 - len(self)
+        (length,) = _LENGTH.unpack_from(self._buffer, self._start)
+        if length > MAX_FRAME:
+            raise FramingError(f"peer announced a {length}-byte frame")
+        return 4 + length - len(self)
+
+    def pop(self) -> bytes | None:
+        if self._wanted() > 0:
+            return None
+        start = self._start + 4
+        self._start = start + _LENGTH.unpack_from(self._buffer, start - 4)[0]
+        payload = bytes(self._buffer[start:self._start])
+        if _obs.enabled:
+            _FRAMES_RECEIVED.inc()
+            _BYTES_RECEIVED.inc(4 + len(payload))
+            _FRAME_BYTES.observe(len(payload), direction="in")
+        return payload
+
+    def recv_message(self, sock: socket.socket,
+                     capture: list | None = None) -> object | None:
+        """The next message off ``sock``; ``None`` on clean EOF at a
+        frame boundary.  Each ``sock.recv`` asks for the bytes that
+        complete the frame plus :attr:`readahead`, so a frame an earlier
+        read brought costs no read at all.
+
+        A peer dying mid-frame -- inside the 4-byte length prefix or
+        inside the payload -- raises :class:`FramingError`, never a bare
+        ``struct.error`` or a short-read artefact.  ``capture``, when
+        given, receives the decoded frame's payload as the peer sent it
+        (forensic evidence needs those bytes, not a re-encoding)."""
+        while (payload := self.pop()) is None:
+            wanted = self._wanted()
+            chunk = sock.recv(max(wanted, self.readahead))
+            if not chunk:
+                held = len(self)
+                if not held:
+                    return None
+                if held < 4:
+                    raise FramingError(
+                        f"connection closed mid-length prefix: {held} of 4 bytes")
+                raise FramingError(
+                    f"connection closed mid-payload: {held - 4} of "
+                    f"{held - 4 + wanted} bytes")
+            self.feed(chunk)
+        if capture is not None:
+            capture.append(payload)
+        return decode(payload)
+
+
 def recv_message(sock: socket.socket,
                  capture: list | None = None) -> object | None:
-    """Receive one message; None on clean EOF at a frame boundary.
-
-    A peer dying mid-frame -- inside the 4-byte length prefix or inside
-    the payload -- raises :class:`FramingError`, never a bare
-    ``struct.error`` or a short-read artefact; callers get exactly one
-    failure type for "the stream is no longer frame-aligned".
-
-    ``capture``, when given, receives the verbatim payload bytes of the
-    decoded frame (appended before decoding) -- forensic evidence
-    capture needs the bytes exactly as the peer sent them, not a
-    re-encoding of the decoded object.
-    """
-    header = _recv_exact(sock, 4, allow_eof=True)
-    if header is None:
-        return None
-    try:
-        (length,) = struct.unpack(">I", header)
-    except struct.error as exc:  # defensive: _recv_exact guarantees 4 bytes
-        raise FramingError(f"unreadable frame header: {exc}") from exc
-    if length > MAX_FRAME:
-        raise FramingError(f"peer announced a {length}-byte frame")
-    payload = _recv_exact(sock, length, allow_eof=False, what="payload")
-    if capture is not None:
-        capture.append(payload)
-    if _obs.enabled:
-        _FRAMES_RECEIVED.inc()
-        _BYTES_RECEIVED.inc(4 + length)
-        _FRAME_BYTES.observe(length, direction="in")
-    return decode(payload)
-
-
-async def async_recv_message(reader: asyncio.StreamReader) -> object | None:
-    """Receive one message; None on clean EOF at a frame boundary.
-
-    The async twin of :func:`recv_message`, with identical failure
-    semantics: EOF inside a frame raises :class:`FramingError`.  It
-    captures nothing: evidence bundles hold the bytes a client's
-    blocking read received.
-    """
-    try:
-        header = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF at a frame boundary
-        raise FramingError(
-            f"connection closed mid-length prefix: "
-            f"{len(exc.partial)} of 4 bytes") from exc
-    try:
-        (length,) = struct.unpack(">I", header)
-    except struct.error as exc:  # defensive: readexactly guarantees 4 bytes
-        raise FramingError(f"unreadable frame header: {exc}") from exc
-    if length > MAX_FRAME:
-        raise FramingError(f"peer announced a {length}-byte frame")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FramingError(
-            f"connection closed mid-payload: "
-            f"{len(exc.partial)} of {length} bytes") from exc
-    if _obs.enabled:
-        _FRAMES_RECEIVED.inc()
-        _BYTES_RECEIVED.inc(4 + length)
-        _FRAME_BYTES.observe(length, direction="in")
-    return decode(payload)
-
-
-def _recv_exact(sock: socket.socket, n: int, allow_eof: bool,
-                what: str = "length prefix") -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == n:
-                return None
-            raise FramingError(
-                f"connection closed mid-{what}: {n - remaining} of {n} bytes")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    """Receive one message (:meth:`FrameInbox.recv_message`), reading
+    exactly its frame's bytes off ``sock`` and none past it, so the
+    next call -- or another reader -- finds the stream at the next
+    frame."""
+    return FrameInbox(readahead=0).recv_message(sock, capture)

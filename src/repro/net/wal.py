@@ -333,8 +333,12 @@ class ServerStore:
         """The live log, which the next checkpoint retains as is."""
         return os.path.join(self.data_dir, log_name(self.live_gen))
 
-    def wal_append(self, message: Request | Followup, sync: bool = True) -> None:
+    def wal_append(self, message: Request | Followup, sync: bool = True,
+                   received: bytes | None = None) -> None:
         """Durably log a request or follow-up *before* it is executed.
+
+        The record's payload is ``received`` (the bytes ``message`` was
+        decoded from) or, without it, ``encode(message)``.
 
         ``sync=False`` buffers the record without forcing it to disk --
         the group-commit half of the batched path: append every request
@@ -348,7 +352,7 @@ class ServerStore:
         continues from a consistent log instead of corrupting every
         subsequent append.
         """
-        payload = encode(message)
+        payload = encode(message) if received is None else received
         if self._log is None:
             self._log = self._record_log(self.live_gen)
         previous_chain = self._chain
@@ -679,8 +683,8 @@ class ServerStore:
         # segment again.  The walk is a pure function of (tree, known
         # rows, id counter), so it rewrites exactly the rows the damaged
         # checkpoint wrote and the manifest stays as it is.
-        self.pages.begin()
         try:
+            self.pages.begin()
             for kind in (KIND_NODES, KIND_LEAVES, KIND_ENTRIES):
                 self.pages.drop_generation(kind, index, shard_gen)
             result = write_shard_pages(
@@ -695,6 +699,11 @@ class ServerStore:
                     "accounting the manifest records: the manifest or the "
                     "previous state were tampered with")
             self.pages.commit()
+        except StorageError as exc:
+            self.pages.rollback()
+            raise WalError(
+                f"shard {index} quarantined ({cause}) and redoing its "
+                f"checkpoint {shard_gen} failed: {exc}") from exc
         except BaseException:
             self.pages.rollback()
             raise

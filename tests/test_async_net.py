@@ -97,7 +97,7 @@ class TestAsyncServerEquivalence:
 
 class TestBatchingAmortization:
     def test_batches_are_actually_batched(self):
-        """With a window of pipelined writers the drainer must group
+        """With a window of pipelined writers the server's pass must group
         ops: strictly fewer batches (root passes / group commits) than
         operations, visible in the obs counters."""
         obs.reset()
@@ -135,7 +135,7 @@ class TestBatchingAmortization:
                 pipelined.submit(WriteQuery(f"a{i % 5}".encode(), b"v"))
             pipelined.drain()
             # One signature per signing run, not per op.  Runs can be
-            # shorter than W when the drainer ticks early, but there
+            # shorter than W when a pass runs early, but there
             # must be real amortization, not per-op signing.
             assert pipelined.followups_sent < total // 2
 
@@ -155,59 +155,53 @@ class TestBatchingAmortization:
 
 class TestQuiesceCountsDequeuedWork:
     def test_a_pass_holding_requests_in_locals_is_not_idle(self):
-        """One pass dequeues six requests at ``batch_max=2`` and awaits
-        the first batch's drain with four still in a local list: the
-        queue and the park list are both empty, and the server is not
-        quiescent.  (A pass drains only a writer holding unsent bytes,
-        so the transport here reports some, as a full socket would.)"""
+        """Six requests cut out of one read wait for the next pass in
+        the server's arrival list, on no socket and in no park list:
+        every branch is unblocked and nothing is parked, yet the server
+        is not quiescent until a pass has run them -- one pass, in
+        three batches at ``batch_max=2``."""
         import asyncio
 
         from repro.net.framing import encode_frame
         from repro.protocols.base import Request
 
         server = serve_in_thread(order=4, batch_max=2)
+        batches = []
+        stream_batch = server.core.stream_batch
 
-        def on_loop(coroutine):
-            return asyncio.run_coroutine_threadsafe(
-                coroutine, server.loop).result(5.0)
+        def counted(entries, received=None):
+            batches.append(len(entries))
+            return stream_batch(entries, received)
 
-        async def hold_six_requests():
+        server.core.stream_batch = counted
+        frames = b"".join(
+            encode_frame(Request(query=WriteQuery(b"k%d" % i, b"v"),
+                                 extras={"user": "alice",
+                                         "rid": f"alice:q:{i}"}))
+            for i in range(6))
+
+        async def feed_the_connection():
             _reader, writer = await asyncio.open_connection(*server.address)
-            while not server._writers:
+            while not server._connections:
                 await asyncio.sleep(0.001)
-            (accepted,) = server._writers
-            release = asyncio.Event()
-            drain = accepted.drain
-
-            async def held_drain():
-                await release.wait()
-                await drain()
-
-            accepted.drain = held_drain
-            accepted.transport.get_write_buffer_size = lambda: 1
-            writer.write(b"".join(
-                encode_frame(Request(query=WriteQuery(b"k%d" % i, b"v"),
-                                    extras={"user": "alice",
-                                            "rid": f"alice:q:{i}"}))
-                for i in range(6)))
-            await writer.drain()
-            while server.core.state.ctr < 2:
-                await asyncio.sleep(0.001)
-            return writer, release
-
-        async def idle_by_queue_and_park_list():
-            return server._queue.empty() and not server._parked
+            (connection,) = server._connections
+            # What the loop does when the six frames arrive in one read;
+            # no pass can run before this coroutine next yields.
+            connection.get_buffer(len(frames))[:len(frames)] = frames
+            connection.buffer_updated(len(frames))
+            idle_by_arrivals_and_park_list = (
+                not server._parked and server.core.all_unblocked()
+                and server.core.state.ctr == 0)
+            quiescent = await server._await_unblocked(0.0, lambda _s: True)
+            return writer, idle_by_arrivals_and_park_list, quiescent
 
         try:
-            writer, release = on_loop(hold_six_requests())
-            # what the queue-and-park-list predicate took for idle
-            assert on_loop(idle_by_queue_and_park_list())
-            assert server.with_core(lambda core: core.all_unblocked())
-            assert not server.quiesce(0.05)
-            assert server.core.state.ctr == 2
-            server.loop.call_soon_threadsafe(release.set)
+            writer, looked_idle, quiescent = asyncio.run_coroutine_threadsafe(
+                feed_the_connection(), server.loop).result(5.0)
+            assert looked_idle and quiescent is None
             assert server.quiesce(5.0)
             assert server.core.state.ctr == 6
+            assert batches == [2, 2, 2]
             server.loop.call_soon_threadsafe(writer.close)
         finally:
             server.stop()

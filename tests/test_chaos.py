@@ -279,8 +279,8 @@ class TestSelfHealingThroughChaos:
         assert server.consistent_view()[1] == 20
 
     def test_client_survives_truncated_frames(self, server):
-        """A truncated frame starves the server's reader mid-message;
-        the severed connection must not wedge the drainer or duplicate
+        """A truncated frame waits in the server's inbox mid-message;
+        the severed connection must not wedge the server's pass or duplicate
         the retried op."""
         host, port = server.address
         genesis = server.initial_root_digest()

@@ -148,6 +148,42 @@ class TestTrustAnchor:
         text = run(["-R", repo, "checkout", "f.txt"], expect=2)
         assert "cannot be opened" in text
 
+    def test_a_repair_that_cannot_commit_is_a_named_refusal(self, repo,
+                                                            monkeypatch):
+        """A rotted page of the last checkpoint is repaired on open by
+        redoing that checkpoint; when the redo cannot commit either, the
+        command refuses the store by name, exit 2 -- not a traceback."""
+        from repro.net.core import ServerCore
+        from repro.storage.pagestore import (
+            FilePageStore, StorageError, page_checksum)
+
+        commit(repo, "f.txt", "v1\n")
+        data_dir = os.path.join(repo, "server")
+        core = ServerCore(data_dir=data_dir)
+        core.snapshot()  # the commit's pages, in the last checkpoint
+        gen = int(core.store._manifest["gen"])
+        shard, seq = max((shard, seq) for shard in range(core.state.database.spec.shards)
+                         for g, seq in core.store.pages.page_keys("entries", shard)
+                         if g == gen)
+        page = core.store.pages.read_page("entries", shard, gen, seq)
+        core.close_store()
+        pages = os.path.join(data_dir, "pages.log")
+        blob = bytearray(open(pages, "rb").read())
+        checksum = page_checksum("entries", shard, gen, seq, page)
+        blob[blob.rfind(checksum) + len(checksum) + len(page) // 2] ^= 0x10
+        open(pages, "wb").write(bytes(blob))
+
+        def refused(_store):
+            raise StorageError("checkpoint commit failed: disk refused")
+
+        monkeypatch.setattr(FilePageStore, "commit", refused)
+        text = run(["-R", repo, "checkout", "f.txt"], expect=2)
+        assert "cannot be opened" in text
+        assert f"shard {shard} quarantined" in text
+        assert f"redoing its checkpoint {gen} failed" in text
+        monkeypatch.undo()
+        assert run(["-R", repo, "checkout", "f.txt"]) == "v1\n"
+
     @pytest.mark.parametrize("crash", ["before-the-core", "after-the-core"])
     def test_a_crash_mid_operation_is_resumed(self, repo, crash, monkeypatch):
         """The anchor records the request before it reaches the core and

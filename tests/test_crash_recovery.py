@@ -470,6 +470,7 @@ from repro.storage.faults import (  # noqa: E402
 from repro.storage.pagestore import (  # noqa: E402
     FilePageStore,
     SqlitePageStore,
+    StorageError,
     _meta_checksum,
     page_checksum,
 )
@@ -773,7 +774,42 @@ class TestPagedStoreCorruption:
         for kind in ("leaves", "entries"):
             self._page_file_rot(str(tmp_path / kind), kind)
 
+    def test_a_failed_redo_checkpoint_is_a_wal_error_naming_the_shard(
+            self, tmp_path):
+        """The redo checkpoint of a repair can fail too -- a disk that
+        refuses the commit, a page store that cannot drop the damaged
+        generation.  That is a store refusal naming the shard and the
+        checkpoint, never a bare storage error the caller cannot place;
+        nothing is served, and a restart on a working disk repairs."""
+        data_dir = str(tmp_path / "s")
+        root, shard, gen = self._rot_a_page_in_the_page_file(data_dir,
+                                                             "entries")
+        with pytest.raises(WalError) as caught:
+            ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4,
+                       io=FaultyIO(fail_commit=ALWAYS))
+        assert f"shard {shard} quarantined" in str(caught.value)
+        assert f"redoing its checkpoint {gen} failed" in str(caught.value)
+        assert isinstance(caught.value.__cause__, StorageError)
+        fresh = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4)
+        assert fresh.store.repaired_shards == [shard]
+        assert fresh.state.database.root_digest() == root
+        fresh.close_store()
+
     def _page_file_rot(self, data_dir, kind):
+        root, shard, _gen = self._rot_a_page_in_the_page_file(data_dir, kind)
+        fresh = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4)
+        assert fresh.state.database.root_digest() == root
+        assert fresh.store.repaired_shards == [shard]
+        fresh.close_store()
+        again = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4)
+        assert again.store.repaired_shards == []
+        assert again.state.database.root_digest() == root
+        again.close_store()
+
+    def _rot_a_page_in_the_page_file(self, data_dir, kind):
+        """Flip a byte of the last ``kind`` page the last checkpoint
+        appended to ``pages.log``; the root, and that page's shard and
+        generation."""
         core = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4,
                           snapshot_every=10)
         _run_ops(core, _OPS)
@@ -795,14 +831,7 @@ class TestPagedStoreCorruption:
             blob[at] ^= 0x10
             handle.seek(0)
             handle.write(blob)
-        fresh = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4)
-        assert fresh.state.database.root_digest() == root
-        assert fresh.store.repaired_shards == [shard]
-        fresh.close_store()
-        again = ServerCore(order=4, data_dir=data_dir, fsync=False, shards=4)
-        assert again.store.repaired_shards == []
-        assert again.state.database.root_digest() == root
-        again.close_store()
+        return root, shard, gen
 
     def test_tampered_segment_fails_repair_loudly(self, tmp_path):
         """Quarantine + a doctored replay segment: the repaired shard

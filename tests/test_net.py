@@ -635,8 +635,8 @@ class TestNoDelaySockets:
         with connect(server, "alice") as alice:
             alice.put(b"k", b"v")
             assert _no_delay(alice._sock)
-            accepted = [writer.get_extra_info("socket")
-                        for writer in server._writers]
+            accepted = [connection.transport.get_extra_info("socket")
+                        for connection in server._connections]
             assert accepted and all(_no_delay(sock) for sock in accepted)
 
     def test_pipelined_client_after_a_forced_reconnect(self, server):

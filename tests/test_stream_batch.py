@@ -137,10 +137,10 @@ def _connect(server, count):
     sockets = [socket.create_connection(server.address, timeout=10.0)
                for _ in range(count)]
     for _ in range(500):
-        if len(server._writers) == count:
+        if len(server._connections) == count:
             break
         time.sleep(0.01)
-    assert len(server._writers) == count
+    assert len(server._connections) == count
     return sockets
 
 
@@ -168,9 +168,9 @@ class TestOnTheWire:
             def count_batches(core):
                 stream = core.stream_batch
 
-                def counted(entries):
+                def counted(entries, received=None):
                     batches.append(len(entries))
-                    return stream(entries)
+                    return stream(entries, received)
                 core.stream_batch = counted
             server.with_core(count_batches)
             held = _HeldLoop(server)
@@ -245,7 +245,7 @@ class TestOnTheWire:
             assert executed == [b"a1", b"a2", b"boom"]
             assert server.quiesce(timeout=5.0)
             assert server._inflight == 0
-            # The drainer survived: the first connection is still served.
+            # The pass survived: the first connection is still served.
             send_messages(first, _writes("alice", [b"a3"]))
             assert isinstance(recv_message(first), Response)
             first.close()
