@@ -7,8 +7,11 @@ root hash."
 Regenerates the scaling series: database size n vs VO size (digests)
 -- a read's and a write's VO is the key's path, a delete's adds the
 path nodes' siblings --, client verify time for reads and writes, and
-the number of node re-hashes per update.  The shape must be logarithmic: growing n by
-1024x should grow each cost by a small additive amount.
+the number of the tree's node re-hashes per update.  The store is the
+system's, a forest of one: its VOs carry no top half (the client
+derives the one-leaf top tree), and its one tree is the paper's.  The
+shape must be logarithmic: growing n by 1024x should grow each cost by
+a small additive amount.
 """
 
 import math
@@ -19,20 +22,20 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from bench_common import emit
 from repro.analysis import format_table
-from repro.mtree.database import ClientVerifier, QueryResult, ReadQuery, WriteQuery
-from repro.mtree.bplus import BPlusTree
-from repro.mtree.proofs import build_delete_proof, build_path_proof
+from repro.mtree.database import (
+    ClientVerifier, QueryResult, ReadQuery, VerifiedDatabase, WriteQuery)
+from repro.mtree.proofs import build_delete_proof
 
 SIZES = (2 ** 6, 2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16)
 ORDER = 8
 
 
-def build_tree(n: int) -> BPlusTree:
-    mtree = BPlusTree(order=ORDER)
+def build_store(n: int) -> VerifiedDatabase:
+    database = VerifiedDatabase(order=ORDER)
     for i in range(n):
-        mtree.insert(f"{i:08d}".encode(), b"x" * 16)
-    mtree.root_digest()
-    return mtree
+        database.mtree.insert(f"{i:08d}".encode(), b"x" * 16)
+    database.root_digest()
+    return database
 
 
 def _time(fn, repeats: int = 200) -> float:
@@ -51,21 +54,20 @@ def test_fig2_vo_scaling(capsys, benchmark):
     rows = []
     read_sizes = {}
     for n in SIZES:
-        mtree = build_tree(n)
-        root = mtree.root_digest()
+        database = build_store(n)
+        mtree = database.shard_trees()[0]
+        root = database.root_digest()
         key = f"{n // 2:08d}".encode()
 
-        path = build_path_proof(mtree, key)
-        read = QueryResult(answer=mtree.get(key), proof=path)
-        read_sizes[n] = path.size_digests()
+        read = database.execute(ReadQuery(key))
+        read_sizes[n] = read.proof.size_digests()
         read_us = _time(lambda: _verify(root, ReadQuery(key), read))
-        write = QueryResult(answer=None, proof=path)
+        write = QueryResult(answer=None, proof=read.proof)
         write_us = _time(
             lambda: _verify(root, WriteQuery(key, b"y" * 16), write), repeats=100)
         delete_digests = build_delete_proof(mtree, key).size_digests()
 
-        mtree.root_digest()
-        mtree.insert(key, b"z" * 16)
+        database.mtree.insert(key, b"z" * 16)
         _root, rehashes = mtree.refresh_root()
 
         rows.append([n, mtree.height(), read_sizes[n], delete_digests,
@@ -83,16 +85,16 @@ def test_fig2_vo_scaling(capsys, benchmark):
     assert read_sizes[2 ** 16] < 2 ** 6  # absurdly smaller than the data
 
     # Timed kernel: client-side read verification at n = 65536.
-    mtree = build_tree(2 ** 16)
-    root = mtree.root_digest()
+    database = build_store(2 ** 16)
+    root = database.root_digest()
     key = b"00032768"
-    read = QueryResult(answer=mtree.get(key), proof=build_path_proof(mtree, key))
+    read = database.execute(ReadQuery(key))
     benchmark(lambda: _verify(root, ReadQuery(key), read))
 
 
 def test_fig2_update_verify_kernel(capsys, benchmark):
-    mtree = build_tree(2 ** 12)
-    root = mtree.root_digest()
+    database = build_store(2 ** 12)
+    root = database.root_digest()
     key = b"00002048"
-    write = QueryResult(answer=None, proof=build_path_proof(mtree, key))
+    write = QueryResult(answer=None, proof=database.execute(ReadQuery(key)).proof)
     benchmark(lambda: _verify(root, WriteQuery(key, b"new value"), write))

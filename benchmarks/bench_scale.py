@@ -111,7 +111,7 @@ def run_forest_writes(shards: int, *, keys: int = 4096, batches: int = 12,
     db.mtree.refresh_root()
 
     client = ClientVerifier(
-        db.root_digest(), order=db.spec if db.spec.sharded else order)
+        db.root_digest(), order=db.spec)
     pending = []
     recompute = 0
     dirty_seen = []
@@ -123,9 +123,7 @@ def run_forest_writes(shards: int, *, keys: int = 4096, batches: int = 12,
             query = WriteQuery(key, b"w%08d" % step)
             pending.append((query, db.execute(query)))
             step += 1
-        dirty = getattr(db.mtree, "dirty_shard_count", None)
-        if dirty is not None:
-            dirty_seen.append(dirty)
+        dirty_seen.append(db.mtree.dirty_shard_count)
         recompute += db.mtree.refresh_root()[1]
     wall = time.perf_counter() - started
 
@@ -144,8 +142,7 @@ def run_forest_writes(shards: int, *, keys: int = 4096, batches: int = 12,
         "ops_per_s": ops / wall,
         "vo_digests_mean": vo_total / ops,
         "recompute_per_op": recompute / ops,
-        "dirty_shards_per_batch": (sum(dirty_seen) / len(dirty_seen)
-                                   if dirty_seen else None),
+        "dirty_shards_per_batch": sum(dirty_seen) / len(dirty_seen),
         "verify_failures": verify_failures,
         "root_match": client.root_digest == db.root_digest(),
     }
@@ -153,7 +150,7 @@ def run_forest_writes(shards: int, *, keys: int = 4096, batches: int = 12,
 
 def forest_shard_sweep(shard_counts, **sizes) -> list[dict]:
     """Per-shard-count table rows; speedup is relative to the first
-    entry (which must be the single-tree baseline, shards == 1)."""
+    entry (which must be the forest-of-one baseline, shards == 1)."""
     results = []
     baseline = None
     for shards in shard_counts:
@@ -183,7 +180,7 @@ def forest_sweep_checks(results: list[dict]) -> dict:
       recompute region and the O(log S) VO, not single-node ops/s.
     """
     base = results[0]
-    assert base["shards"] == 1, "sweep must start at the single-tree baseline"
+    assert base["shards"] == 1, "sweep must start at the forest-of-one baseline"
     vo_ok = all(
         row["vo_digests_mean"]
         <= base["vo_digests_mean"] + 8 * (1 + math.log2(row["shards"]))
@@ -204,8 +201,7 @@ def forest_table(results: list[dict]) -> str:
         round(row["speedup"], 2),
         round(row["vo_digests_mean"], 1),
         round(row["recompute_per_op"], 2),
-        ("-" if row["dirty_shards_per_batch"] is None
-         else round(row["dirty_shards_per_batch"], 1)),
+        round(row["dirty_shards_per_batch"], 1),
         row["verify_failures"],
     ] for row in results]
     return format_table(

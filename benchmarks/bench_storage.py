@@ -1,8 +1,8 @@
-"""Storage robustness -- the crash-point recovery matrix, the
-streaming-restart gate and the incremental-checkpoint counts for the
-paged checkpoint engine.
+"""Storage robustness -- the crash-point recovery matrix, the tamper
+gallery, the whole-directory flip sweep, the streaming-restart gate and
+the incremental-checkpoint counts for the paged checkpoint engine.
 
-Four campaigns; the first two run on both page stores (``--backend
+Five campaigns; the first three run on both page stores (``--backend
 file``, the append-only ``pages.log``, and ``--backend sqlite``,
 ``pages.db``), the last two on sqlite:
 
@@ -26,6 +26,17 @@ file``, the append-only ``pages.log``, and ``--backend sqlite``,
   record length prefix flipped to run past the end of the WAL, of the
   page file, or of each log newer than a lost checkpoint's (refused,
   not trimmed as a torn tail or deleted as never acked into).
+* **flip sweep** -- a small store (13 ops: 11 writes and 2 deletes, at
+  order 4, one shard, a checkpoint every 5 ops, fsync off) is closed,
+  and every byte of every file in its directory is XORed with 0xFF,
+  one at a time, each on a fresh copy that is then restarted.  A flip
+  passes if the restart is refused by a named error (``WalError``,
+  ``StorageError``) or serves the untouched restart's root, dedup
+  table and acked writes; it fails on a silent change of any of them
+  or an unnamed exception.  The per-verdict counts per file are
+  tracked numbers, printed with the byte ranges whose flips change
+  nothing.  The full campaign flips every byte; ``--quick`` every
+  :data:`FLIP_QUICK_STRIDE`-th.
 * **streaming restart** -- a million-entry store is checkpointed and
   reloaded; the loader must parse pages as they arrive, never
   materialising the serialised tree (gated on peak resident page
@@ -53,11 +64,13 @@ import os
 import shutil
 import tempfile
 import time
+from collections import Counter
 
 from bench_common import emit_json, failed_checks, progress
 
 from repro.mtree.database import (
     ClientVerifier,
+    DeleteQuery,
     ReadQuery,
     VerifiedDatabase,
     WriteQuery,
@@ -75,7 +88,8 @@ from repro.storage.engine import (
     row_fields,
 )
 from repro.storage.faults import FaultyIO, SimulatedCrash
-from repro.storage.pagestore import PAGE_LOG_MAGIC, open_page_store
+from repro.storage.pagestore import (
+    PAGE_LOG_MAGIC, StorageError, open_page_store)
 
 SHARDS = 2
 ORDER = 4
@@ -380,6 +394,122 @@ def tamper_gallery(n_ops, seed):
     return rows
 
 
+#: the flip sweep's store: ops, the two of them that delete (each an
+#: earlier key), and the checkpoint interval
+FLIP_OPS, FLIP_DELETES, FLIP_SNAPSHOT_EVERY = 13, (6, 11), 5
+#: ``--quick`` flips every 17th byte of each file -- a prime, so the
+#: flips land at every offset of a record's fields across the file --
+#: ~1,800 restarts in all; the full sweep flips every byte, ~30,000
+FLIP_QUICK_STRIDE = 17
+
+
+def _flip_store(data_dir, backend):
+    """The sweep's store, closed; returns each key's acked final value
+    (``None`` once deleted)."""
+    core = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
+                      fsync=False, snapshot_every=FLIP_SNAPSHOT_EVERY)
+    acked = {}
+    for seq in range(FLIP_OPS):
+        if seq in FLIP_DELETES:
+            key, value = b"key%06d" % (seq - 5), None
+            query = DeleteQuery(key)
+        else:
+            key, value = b"key%06d" % seq, b"val%d" % seq
+            query = WriteQuery(key, value)
+        core.apply_request("bench", Request(query=query, extras={
+            "user": "bench", "rid": f"bench:{seq}"}))
+        acked[key] = value
+    core.close_store()
+    return acked
+
+
+def _served(data_dir, backend, acked):
+    """What a restart of ``data_dir`` serves: its root, its dedup table
+    and whether every acked write holds."""
+    core = ServerCore(order=ORDER, data_dir=data_dir, backend=backend,
+                      fsync=False)
+    try:
+        database = core.state.database
+        return (database.root_digest(), core.dedup.export(),
+                all(database.get(key) == value for key, value in acked.items()))
+    finally:
+        core.close_store()
+
+
+def _flip_verdict(data_dir, backend, acked, untouched):
+    try:
+        served = _served(data_dir, backend, acked)
+    except (WalError, StorageError):
+        return "refused"
+    except Exception as exc:  # noqa: BLE001 -- what the sweep looks for
+        return f"unnamed {type(exc).__name__}"
+    return "same" if served == untouched else "silent"
+
+
+def _ranges(offsets, stride):
+    """``[first, last]`` runs of offsets ``stride`` apart."""
+    runs = []
+    for offset in offsets:
+        if runs and offset - runs[-1][1] == stride:
+            runs[-1][1] = offset
+        else:
+            runs.append([offset, offset])
+    return runs
+
+
+def flip_sweep(stride):
+    """XOR every ``stride``-th byte of every file of the sweep's store
+    with 0xFF, one flip per fresh copy, and restart each copy."""
+    rows = []
+    for backend in BACKENDS:
+        base = tempfile.mkdtemp(prefix="bench-storage-")
+        try:
+            acked = _flip_store(os.path.join(base, "store"), backend)
+            files = {}
+            for name in sorted(os.listdir(os.path.join(base, "store"))):
+                with open(os.path.join(base, "store", name), "rb") as handle:
+                    files[name] = handle.read()
+
+            def laid_out(flipped=None, offset=0):
+                work = os.path.join(base, "work")
+                shutil.rmtree(work, ignore_errors=True)
+                os.mkdir(work)
+                for name, blob in files.items():
+                    if name == flipped:
+                        blob = bytearray(blob)
+                        blob[offset] ^= 0xFF
+                    with open(os.path.join(work, name), "wb") as handle:
+                        handle.write(blob)
+                return work
+
+            untouched = _served(laid_out(), backend, acked)
+            for name, blob in files.items():
+                verdicts, unchanged, failing = Counter(), [], []
+                for offset in range(0, len(blob), stride):
+                    verdict = _flip_verdict(laid_out(name, offset), backend,
+                                            acked, untouched)
+                    verdicts[verdict.split()[0]] += 1
+                    if verdict == "same":
+                        unchanged.append(offset)
+                    elif verdict != "refused":
+                        failing.append(f"{offset}: {verdict}")
+                row = {"backend": backend, "file": name, "bytes": len(blob),
+                       "stride": stride, "refused": verdicts["refused"],
+                       "same": verdicts["same"], "silent": verdicts["silent"],
+                       "unnamed": verdicts["unnamed"], "failing": failing,
+                       "unchanged": _ranges(unchanged, stride)}
+                rows.append(row)
+                progress(f"  {backend:<6} flip {name:<10} {len(blob):>6} bytes: "
+                         f"refused {row['refused']}, same {row['same']}, "
+                         f"silent {row['silent']}, unnamed {row['unnamed']} "
+                         f"[{'FAIL' if failing else 'ok'}]")
+                progress("           unchanged by a flip: " + (", ".join(
+                    f"{low}-{high}" for low, high in row["unchanged"]) or "none"))
+        finally:
+            shutil.rmtree(base, ignore_errors=True)
+    return rows
+
+
 def _checkpointed_store(entries, data_dir):
     """Build an ``entries``-entry store and checkpoint it into
     ``data_dir``; returns ``(root, build_secs, checkpoint_secs)``.  The
@@ -573,14 +703,17 @@ def incremental_checkpoint():
 
 
 def run(quick: bool = False, seed: int = SEED) -> dict:
-    """The four campaigns, the crash matrix on CI's abridged workload
-    with ``quick``, written to ``storage_recovery.json``."""
+    """The five campaigns, the crash matrix on CI's abridged workload
+    and the flip sweep at a stride with ``quick``, written to
+    ``storage_recovery.json``."""
     n_ops, entries = (35 if quick else 120), 1_000_000
     progress("crash-point recovery matrix (both page stores):")
     matrix = [crash_cell(*cell, n_ops=n_ops, seed=seed)
               for cell in CRASH_CELLS]
     progress("tamper gallery (detected, never masked):")
     gallery = tamper_gallery(n_ops, seed)
+    progress("flip sweep (every byte of every file, refused or masked):")
+    sweep = flip_sweep(FLIP_QUICK_STRIDE if quick else 1)
     progress("streaming restart:")
     streaming = streaming_restart(entries)
     progress("incremental checkpoint (counts):")
@@ -589,6 +722,7 @@ def run(quick: bool = False, seed: int = SEED) -> dict:
                    "shards": SHARDS, "snapshot_every": SNAPSHOT_EVERY},
         "crash_matrix": matrix,
         "tamper_gallery": gallery,
+        "flip_sweep": sweep,
         "streaming_restart": streaming,
         "incremental_checkpoint": incremental_checkpoint(),
     }
@@ -597,14 +731,17 @@ def run(quick: bool = False, seed: int = SEED) -> dict:
 
 
 def failures(results: dict) -> list[str]:
-    """Each crash cell's and each campaign's criterion that fails, and
-    each tamper that was masked, by name."""
+    """Each crash cell's and each campaign's criterion that fails, each
+    tamper that was masked, and each flip that changed the served state
+    silently or raised an unnamed error, by name."""
     problems = [f"crash {cell['backend']}/{cell['point']}: {problem}"
                 for cell in results["crash_matrix"]
                 for problem in failed_checks(cell["checks"])]
     problems += [f"tamper {row['backend']}/{row['scenario']}: "
                  f"{row['outcome']}"
                  for row in results["tamper_gallery"] if not row["pass"]]
+    problems += [f"flip {row['backend']}/{row['file']} at {failing}"
+                 for row in results["flip_sweep"] for failing in row["failing"]]
     for part in ("streaming_restart", "incremental_checkpoint"):
         problems += [f"{part}: {problem}"
                      for problem in failed_checks(results[part]["checks"])]

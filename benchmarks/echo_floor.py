@@ -19,6 +19,13 @@ round trip it reports the median wall time and the server's CPU time
 (the server's own ``process_time`` over the timed trips, asked for with
 an empty frame, or a request marked ``probe`` for the front-end).
 Needs two CPUs for the pinning; with one, both sides share it.
+
+The kinds alternate within each of the ``--repeat`` runs, and after the
+last run each kind's server CPU per round trip is summarised across
+the runs: median and quartiles.  A floor comparison uses those medians
+from one such interleaved set, never numbers from sets run apart: on a
+shared host the same trees read medians of 88 and 63 us in two sets
+half an hour apart.
 """
 
 from __future__ import annotations
@@ -212,12 +219,19 @@ def main() -> int:
         asyncio.run(_serve(args.serve))
         return 0
     _pin(0)
+    cpu = {kind: [] for kind in KINDS}
     for run in range(args.repeat):
         for kind in KINDS:
             row = measure(kind, args.trips)
+            cpu[kind].append(row["server_cpu_us"])
             print(f"run {run + 1}  {kind:8s}  round trip p50 "
                   f"{row['rtt_p50_us']:6.1f} us  server CPU "
                   f"{row['server_cpu_us']:5.1f} us per round trip")
+    for kind, values in cpu.items():
+        low, median, high = (statistics.quantiles(values, n=4, method="inclusive")
+                             if len(values) > 1 else values * 3)
+        print(f"over {len(values)} run(s)  {kind:8s}  server CPU per round trip "
+              f"median {median:5.1f} us  quartiles {low:5.1f}-{high:5.1f} us")
     return 0
 
 

@@ -120,7 +120,7 @@ def measure(quick: bool = False) -> dict[str, float]:
     stores = {shards: _populated_db(entries, shards=shards) for shards in (1, 8)}
     for shards, infix in ((1, ""), (8, "forest8_")):
         db = stores[shards]
-        order = db.order if shards == 1 else db.spec
+        order = db.spec
         def read_roundtrip():
             for key in read_keys:
                 result = db.execute(ReadQuery(key=key))
@@ -146,7 +146,7 @@ def measure(quick: bool = False) -> dict[str, float]:
                           write_rng.randbytes(24))
         forest.refresh_root()
     metrics["forest8_refresh_root_per_s"] = _rate(forest_refresh, min_time=min_time)
-    db = stores[1]  # the codec row below encodes a single-tree proof
+    db = stores[1]  # the codec row below encodes a forest-of-one proof
 
     # -- RSA ---------------------------------------------------------------
     key = rsa.generate_keypair(bits=1024, seed=42)
@@ -292,13 +292,16 @@ def measure(quick: bool = False) -> dict[str, float]:
     return {name: round(value, 3) for name, value in metrics.items()}
 
 
-#: Diagnostics the regression check never compares: counts and
-#: obs-instrumentation numbers whose value depends on the run mode
-#: (quick fires far fewer hooks than full, which is not a regression)
-#: or that are gated by their own explicit budget instead.  The baseline
-#: records them all the same, for the overhead trajectory.
-_DIAGNOSTIC_METRICS = frozenset({
-    "obs_hook_fires_e12",
+#: Counts of a fixed workload, compared exactly with their own mode's
+#: block: the same code fires the same hooks every run, so another
+#: count is a change in what the code does, however small.
+_EXACT_METRICS = frozenset({"obs_hook_fires_e12"})
+
+#: Diagnostics the ratio check never compares: the exact counts, and
+#: obs-instrumentation numbers gated by their own explicit budget
+#: instead.  The baseline records them all the same, for the overhead
+#: trajectory.
+_DIAGNOSTIC_METRICS = _EXACT_METRICS | frozenset({
     "obs_disabled_overhead_pct",
     "obs_disabled_inc_ns",
     "obs_disabled_span_ns",
@@ -384,14 +387,18 @@ def record_baseline(quick: bool = False, seed: int | None = None) -> dict:
 
 def failures(results: dict) -> list[str]:
     """Each row more than :data:`REGRESSION_FACTOR` x worse than the
-    baseline of its own mode, and the disabled obs hooks over their
-    budget."""
+    baseline of its own mode, each exact count not equal to it, and the
+    disabled obs hooks over their budget."""
     if not results["baseline"]:
         quick = results.get("mode") == "quick"
         return [f"BENCH_perf.json has no {_block(quick)!r} block: record "
                 f"one with perf-baseline{' --quick' if quick else ''}"]
-    metrics = results["metrics"]
-    problems = compare(metrics, _gateable(results["baseline"]))
+    metrics, baseline = results["metrics"], results["baseline"]
+    problems = compare(metrics, _gateable(baseline))
+    problems += [f"{name}: {metrics.get(name)} vs baseline {baseline[name]} "
+                 "(a count: compared exactly)"
+                 for name in sorted(_EXACT_METRICS)
+                 if name in baseline and metrics.get(name) != baseline[name]]
     overhead = metrics.get("obs_disabled_overhead_pct")
     if overhead is not None and overhead > OBS_OVERHEAD_LIMIT_PCT:
         problems.append(

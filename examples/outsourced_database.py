@@ -23,6 +23,7 @@ from repro.mtree.database import (
     VerifiedDatabase,
     WriteQuery,
 )
+from repro.mtree.forest import ForestProof
 from repro.mtree.proofs import LeafSnapshot, PathProof, ProofError
 
 
@@ -58,15 +59,15 @@ def main() -> None:
     print()
 
     # -- attack 1: tampered row ----------------------------------------------
-    result = vendor.execute(ReadQuery(b"cust:0001"))
+    path = vendor.execute(ReadQuery(b"cust:0001")).proof.inner  # the shard's path
     forged_value = b"Ada Lovelace,London,CANCELLED"
-    position = result.proof.leaf.keys.index(b"cust:0001")
-    entry_digests = list(result.proof.leaf.entry_digests)
+    position = path.leaf.keys.index(b"cust:0001")
+    entry_digests = list(path.leaf.entry_digests)
     entry_digests[position] = hash_leaf(b"cust:0001", forged_value)
-    forged = PathProof(
-        internals=result.proof.internals,
-        leaf=LeafSnapshot(keys=result.proof.leaf.keys, entry_digests=tuple(entry_digests)),
-    )
+    forged = ForestProof(inner=PathProof(
+        internals=path.internals,
+        leaf=LeafSnapshot(keys=path.leaf.keys, entry_digests=tuple(entry_digests)),
+    ), top=None)
     try:
         owner.apply(ReadQuery(b"cust:0001"), QueryResult(forged_value, forged))
         print("attack 1 (tampered row)     : MISSED -- this must never print")

@@ -49,7 +49,6 @@ from collections import Counter
 from repro.core.facade import CvsClient
 from repro.crypto.hashing import Digest
 from repro.mtree.database import VerifiedDatabase
-from repro.mtree.forest import merkle_store
 from repro.net.client import (
     IntegrityError, RemoteClient, TransientNetworkError, protocol2_core,
     read_anchor, write_anchor)
@@ -99,7 +98,7 @@ def _repository(repo_dir: str) -> tuple[str, str]:
 
 def _genesis(spec) -> Digest:
     """The empty repository's root: what every anchor is pinned to."""
-    return VerifiedDatabase.from_mtree(merkle_store(spec)).root_digest()
+    return VerifiedDatabase(spec.order, spec.shards, spec.top_order).root_digest()
 
 
 def _anchors(trust_dir: str) -> list[str]:

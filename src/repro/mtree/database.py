@@ -19,7 +19,6 @@ verify-and-advance loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.crypto.hashing import Digest
 from repro.mtree.bplus import BPlusTree
@@ -38,16 +37,9 @@ from repro.mtree.forest import (
 )
 from repro.mtree.proofs import (
     NOT_A_PATH,
-    DeleteProof,
-    PathProof,
     ProofError,
-    RangeProof,
     build_delete_proof,
     build_path_proof,
-    build_range_proof,
-    derive_update_roots,
-    implied_root_for_range,
-    implied_root_for_read,
 )
 
 # -- queries -----------------------------------------------------------------
@@ -84,7 +76,7 @@ class DeleteQuery:
 
 
 Query = ReadQuery | RangeQuery | WriteQuery | DeleteQuery
-Proof = PathProof | RangeProof | DeleteProof | ForestProof | ForestRangeProof
+Proof = ForestProof | ForestRangeProof
 
 
 def query_defect(query: object) -> str | None:
@@ -113,18 +105,12 @@ class QueryResult:
 
 # -- the server side -----------------------------------------------------------
 
-_PLAIN_BUILDERS = (build_path_proof, build_range_proof, build_delete_proof)
-_FOREST_BUILDERS = (partial(build_forest_proof, build_path_proof), build_forest_range_proof,
-                    partial(build_forest_proof, build_delete_proof))
-
-
 class VerifiedDatabase:
     """Server-side Merkle-backed store answering queries with VOs.
 
-    With ``shards == 1`` the store is the classic single Merkle
-    B+-tree; with ``shards > 1`` it is a :class:`MerkleForest` and
-    every VO becomes two-level.  The signed root is always
-    :meth:`root_digest`, whichever backing store produced it.
+    The store is a :class:`MerkleForest` at every shard count -- a
+    forest of one included -- so every VO is two-level and the signed
+    root is always the top tree's, :meth:`root_digest`.
     """
 
     def __init__(self, order: int = 8, shards: int = 1,
@@ -133,25 +119,17 @@ class VerifiedDatabase:
             StoreSpec(order=order, shards=shards, top_order=top_order)))
 
     @classmethod
-    def from_mtree(cls, mtree: BPlusTree | MerkleForest) -> "VerifiedDatabase":
-        """A database around an existing (loaded or cloned) Merkle store."""
+    def from_mtree(cls, mtree: MerkleForest) -> "VerifiedDatabase":
+        """A database around an existing (loaded or cloned) forest."""
         database = cls.__new__(cls)
         database._adopt(mtree)
         return database
 
-    def _adopt(self, mtree: BPlusTree | MerkleForest) -> None:
-        """The server side's one-tree/forest fork, once per store."""
+    def _adopt(self, mtree: MerkleForest) -> None:
         self._mtree = mtree
-        if isinstance(mtree, MerkleForest):
-            self._spec = mtree.spec
-            self._shard_trees = [mtree.shard_tree(index)
-                                 for index in range(mtree.shard_count)]
-            builders = _FOREST_BUILDERS
-        else:
-            self._spec = StoreSpec(order=mtree.order)
-            self._shard_trees = [mtree]
-            builders = _PLAIN_BUILDERS
-        self._build_path, self._build_range, self._build_delete = builders
+        self._spec = mtree.spec
+        self._shard_trees = [mtree.shard_tree(index)
+                             for index in range(mtree.shard_count)]
 
     @property
     def order(self) -> int:
@@ -166,15 +144,15 @@ class VerifiedDatabase:
         return self._spec.shards
 
     @property
-    def mtree(self) -> BPlusTree | MerkleForest:
+    def mtree(self) -> MerkleForest:
         return self._mtree
 
     def shard_trees(self) -> list[BPlusTree]:
-        """The per-shard trees in shard order (one, for a single tree)."""
+        """The per-shard trees in shard order."""
         return self._shard_trees
 
     def clone(self) -> "VerifiedDatabase":
-        """Independent copy (see :meth:`BPlusTree.clone`)."""
+        """Independent copy (see :meth:`MerkleForest.clone`)."""
         return VerifiedDatabase.from_mtree(self._mtree.clone())
 
     def __len__(self) -> int:
@@ -200,18 +178,18 @@ class VerifiedDatabase:
         """
         mtree = self._mtree
         if isinstance(query, ReadQuery):
-            proof = self._build_path(mtree, query.key)
+            proof = build_forest_proof(build_path_proof, mtree, query.key)
             return QueryResult(answer=mtree.get(query.key), proof=proof)
         if isinstance(query, RangeQuery):
-            proof = self._build_range(mtree, query.low, query.high)
+            proof = build_forest_range_proof(mtree, query.low, query.high)
             return QueryResult(answer=tuple(mtree.range(query.low, query.high)),
                                proof=proof)
         if isinstance(query, WriteQuery):
-            proof = self._build_path(mtree, query.key)
+            proof = build_forest_proof(build_path_proof, mtree, query.key)
             mtree.insert(query.key, query.value)
             return QueryResult(answer=None, proof=proof)
         if isinstance(query, DeleteQuery):
-            proof = self._build_delete(mtree, query.key)
+            proof = build_forest_proof(build_delete_proof, mtree, query.key)
             mtree.delete(query.key)
             return QueryResult(answer=None, proof=proof)
         raise TypeError(f"unknown query type {type(query).__name__}")
@@ -233,60 +211,40 @@ class VerifiedOutcome:
         return self.old_root != self.new_root
 
 
-def _read(implied_root):
-    def reduce(query, proof, answer, spec):
-        root = implied_root(proof, query.key, answer, spec)
-        return root, root
-    return reduce
+def _read(query, proof, answer, spec):
+    root = implied_root_for_forest_read(proof, query.key, answer, spec)
+    return root, root
 
 
-def _range(implied_root):
-    def reduce(query, proof, answer, spec):
-        root = implied_root(proof, query.low, query.high, answer, spec)
-        return root, root
-    return reduce
+def _range(query, proof, answer, spec):
+    root = implied_root_for_forest_range(proof, query.low, query.high, answer, spec)
+    return root, root
 
 
-def _update(derive_roots):
+def _update(query, proof, answer, spec):
     """A write's value is bytes, a delete has none: the query type is
     the operation the proof is replayed with (and must be shaped for)."""
-    def reduce(query, proof, answer, spec):
-        if answer is not None:
-            raise ProofError("an update's answer must be None")
-        return derive_roots(proof, spec, query.key, getattr(query, "value", None))
-    return reduce
+    if answer is not None:
+        raise ProofError("an update's answer must be None")
+    return derive_forest_update_roots(proof, spec, query.key,
+                                      getattr(query, "value", None))
 
-
-_UPDATE = (
-    ((PathProof, DeleteProof), _update(lambda proof, spec, key, value:
-                                       derive_update_roots(proof, spec.order, key, value))),
-    (ForestProof, _update(derive_forest_update_roots)),
-)
 
 #: The client rule of Section 4.1, one row per query kind: what a wrong
-#: proof is called and -- the only one-tree/forest fork of the client
-#: side -- for a single tree and for a forest, the proof type the store
-#: answers with and the function reducing ``(query, proof, answer,
-#: spec)`` to ``(old root, new root)``.  A proof repeats nothing the
-#: query says: the key, the range and the operation are the query's.
+#: proof is called, the proof type the store answers with and the
+#: function reducing ``(query, proof, answer, spec)`` to ``(old root,
+#: new root)``.  A proof repeats nothing the query says: the key, the
+#: range and the operation are the query's.
 _RULES = {
-    ReadQuery: (
-        NOT_A_PATH,
-        (PathProof, _read(lambda proof, key, answer, spec:
-                          implied_root_for_read(proof, key, answer))),
-        (ForestProof, _read(implied_root_for_forest_read))),
-    RangeQuery: (
-        "range query answered with a non-range proof",
-        (RangeProof, _range(lambda proof, low, high, answer, spec:
-                            implied_root_for_range(proof, low, high, answer))),
-        (ForestRangeProof, _range(implied_root_for_forest_range))),
-    WriteQuery: ("write query answered with a non-update proof", *_UPDATE),
-    DeleteQuery: ("delete query answered with a non-update proof", *_UPDATE),
+    ReadQuery: (NOT_A_PATH, ForestProof, _read),
+    RangeQuery: ("range query answered with a non-range proof", ForestRangeProof, _range),
+    WriteQuery: ("write query answered with a non-update proof", ForestProof, _update),
+    DeleteQuery: ("delete query answered with a non-update proof", ForestProof, _update),
 }
 
 
 def derive_outcome(
-    query: Query, result: QueryResult, spec: int | StoreSpec
+    query: Query, result: QueryResult, spec: StoreSpec
 ) -> VerifiedOutcome:
     """From ``Q(D)`` and ``v(Q, D)``: the root they vouch for, the root
     after ``Q`` and the trustworthy answer -- or :class:`ProofError`,
@@ -300,17 +258,16 @@ def derive_outcome(
     root is *recomputed by the client*, never taken from the server.
     The caller authenticates ``old_root`` (:class:`ClientVerifier`
     against the root it tracks, Protocol I through a signature, II/III
-    through the XOR registers).  ``spec`` is a bare order (single tree)
-    or a :class:`StoreSpec`; a sharded store's roots are top roots.
+    through the XOR registers).  ``spec`` is the store's
+    :class:`StoreSpec`, coerced once where the verifier is built; the
+    roots are top roots.
     """
-    spec = StoreSpec.coerce(spec)
     rule = _RULES.get(type(query))
     if rule is None:
         raise ProofError(f"unknown query type {type(query).__name__}")
     if not isinstance(result, QueryResult):
         raise ProofError("the server's answer is not a query result")
-    wrong_proof, plain, forest = rule
-    proof_type, reduce = forest if spec.sharded else plain
+    wrong_proof, proof_type, reduce = rule
     proof = result.proof
     if not isinstance(proof, proof_type):
         raise ProofError(wrong_proof)

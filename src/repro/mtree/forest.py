@@ -18,17 +18,21 @@ recomputes ``shard_for_key`` and checks the inner half against that
 shard's top entry, so a malicious server cannot prove non-membership
 out of a shard the key never routes to.
 
+Every store is a forest, ``shards == 1`` included.  A forest of one's
+only rule of its own is an *implied top half*: its top tree is one leaf
+holding ``shard_key(0) -> shard root``, which the client derives from
+the inner half, so the server sends ``top=None`` at S=1 and a top half
+above.
+
 :class:`StoreSpec` carries ``(order, shards, top_order)`` through every
-parameter slot that used to hold a bare B+-tree order, so the protocol
-layers stay byte-compatible in single-tree mode (``shards == 1`` wires
-as a plain int) and forest-aware everywhere else.
+parameter slot that used to hold a bare B+-tree order; a bare order
+still coerces to a forest of one.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import merge as _sorted_merge
 from typing import Iterator
 
@@ -37,6 +41,7 @@ from repro.mtree.bplus import DEFAULT_ORDER, BPlusTree, TreeShapeError
 from repro.mtree.proofs import (
     NOT_ENTRIES,
     DeleteProof,
+    LeafSnapshot,
     PathProof,
     ProofError,
     RangeProof,
@@ -85,17 +90,13 @@ class StoreSpec:
         if self.top_order < 3:
             raise ValueError("top tree order must be at least 3")
 
-    @property
-    def sharded(self) -> bool:
-        return self.shards > 1
-
     @classmethod
     def coerce(cls, value: "StoreSpec | int | dict") -> "StoreSpec":
         """Accept a spec, a bare order int, or a wire/JSON dict."""
         if isinstance(value, StoreSpec):
             return value
         if isinstance(value, int):
-            return _single_tree_spec(value)
+            return cls(order=value)
         if isinstance(value, dict):
             try:
                 return cls(
@@ -107,20 +108,11 @@ class StoreSpec:
                 raise ValueError(f"store spec dict lacks {exc}") from exc
         raise TypeError(f"cannot build a StoreSpec from {type(value).__name__}")
 
-    def to_wire(self) -> int | dict:
-        """Wire/JSON form: a bare int in single-tree mode (so existing
-        evidence bundles and frames stay byte-identical), a dict when
-        sharded."""
-        if self.shards == 1:
-            return self.order
+    def to_wire(self) -> dict:
+        """Wire/JSON form, at every shard count: manifests, evidence
+        bundles and replication all carry the same three fields."""
         return {"order": self.order, "shards": self.shards,
                 "top_order": self.top_order}
-
-
-@lru_cache(maxsize=64)
-def _single_tree_spec(order: int) -> StoreSpec:
-    """A bare order coerces per verified operation; specs are immutable."""
-    return StoreSpec(order=order)
 
 
 def shard_for_key(key: bytes, shards: int) -> int:
@@ -330,20 +322,26 @@ class MerkleForest:
         root, top_nodes = self._top.refresh_root()
         return root, recomputed + top_nodes
 
+    def top_proof(self, build, *args):
+        """What a VO carries of the top tree: ``build(top tree, *args)``
+        over every shard's current root, or ``None`` for a forest of
+        one, whose one-leaf top tree the client derives itself."""
+        if self._spec.shards == 1:
+            return None
+        self._sync_top()
+        return build(self._top, *args)
+
 
 def merkle_store(spec: StoreSpec,
-                 shard_trees: list[BPlusTree] | None = None,
-                 ) -> "BPlusTree | MerkleForest":
+                 shard_trees: list[BPlusTree] | None = None) -> MerkleForest:
     """The Merkle store of shape ``spec``, empty or around loaded
-    ``shard_trees``: the one tree itself, or a forest over them."""
+    ``shard_trees``."""
     if shard_trees is None:
         shard_trees = [BPlusTree(order=spec.order)
                        for _ in range(spec.shards)]
     if len(shard_trees) != spec.shards or \
             any(tree.order != spec.order for tree in shard_trees):
         raise ValueError("shard trees disagree with the store spec")
-    if spec.shards == 1:
-        return shard_trees[0]
     return MerkleForest.from_shards(shard_trees, spec.top_order)
 
 
@@ -358,18 +356,19 @@ class ForestProof:
     shard's entry in the top tree, a write's VO whatever the query: the
     entry is *overwritten* with the new shard root, never created or
     removed, so the replay never splits the top tree and its shape stays
-    deterministic."""
+    deterministic.  ``top`` is ``None`` for a forest of one: the client
+    derives that one-leaf path itself."""
 
     inner: PathProof | DeleteProof
-    top: PathProof
+    top: PathProof | None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.inner, (PathProof, DeleteProof))
-                and isinstance(self.top, PathProof)):
+                and isinstance(self.top, (PathProof, type(None)))):
             raise ProofError("malformed forest proof")
 
     def size_digests(self) -> int:
-        return self.inner.size_digests() + self.top.size_digests()
+        return sum(half.size_digests() for half in (self.inner, self.top) if half)
 
 
 @dataclass(frozen=True)
@@ -380,19 +379,20 @@ class ForestRangeProof:
     Hash routing scatters adjacent keys across shards, so completeness
     for ``[low, high]`` requires every shard to prove its slice of the
     answer; the top proof pins each shard proof's implied root to the
-    signed top root.
+    signed top root (``None`` for a forest of one, as in
+    :class:`ForestProof`).
     """
 
     shard_proofs: tuple[RangeProof, ...]
-    top: RangeProof
+    top: RangeProof | None
 
     def __post_init__(self) -> None:
         if not (tuple_of(self.shard_proofs, RangeProof)
-                and isinstance(self.top, RangeProof)):
+                and isinstance(self.top, (RangeProof, type(None)))):
             raise ProofError("malformed forest range proof")
 
     def size_digests(self) -> int:
-        return sum(proof.size_digests() for proof in (*self.shard_proofs, self.top))
+        return sum(proof.size_digests() for proof in (*self.shard_proofs, self.top) if proof)
 
 
 # -- building (server side) --------------------------------------------------
@@ -402,28 +402,41 @@ def build_forest_proof(build_inner, forest: MerkleForest, key: bytes) -> ForestP
     """The forest twin of a one-tree point builder (``build_path_proof``
     or ``build_delete_proof``): its VO in ``key``'s shard under the path
     to that shard's entry in the top tree."""
-    forest._sync_top()
     index = forest._route(key)
-    return ForestProof(
-        inner=build_inner(forest.shard_tree(index), key),
-        top=build_path_proof(forest.top_tree, shard_key(index)),
-    )
+    top = forest.top_proof(build_path_proof, shard_key(index))
+    return ForestProof(inner=build_inner(forest.shard_tree(index), key), top=top)
 
 
 def build_forest_range_proof(
     forest: MerkleForest, low: bytes, high: bytes
 ) -> ForestRangeProof:
-    forest._sync_top()
+    top = forest.top_proof(build_range_proof, shard_key(0),
+                           shard_key(forest.shard_count - 1))
     shard_proofs = tuple(
         build_range_proof(tree, low, high)
         for tree in (forest.shard_tree(i) for i in range(forest.shard_count))
     )
-    top = build_range_proof(
-        forest.top_tree, shard_key(0), shard_key(forest.shard_count - 1))
     return ForestRangeProof(shard_proofs=shard_proofs, top=top)
 
 
 # -- verification (client side) ----------------------------------------------
+
+
+def _top_sent(top: object, spec: StoreSpec) -> bool:
+    """Whether the server sent the top half of a forest VO: it must above
+    one shard, and must not for a forest of one."""
+    if (top is None) != (spec.shards == 1):
+        raise ProofError("forest proof lacks its top-tree half" if top is None
+                         else "a forest of one's proof carries a top-tree half")
+    return top is not None
+
+
+def _lone_top_root(skey: bytes, shard_root: bytes) -> Digest:
+    """A forest of one's top root, which the client derives from the
+    shard root the inner half implies: its whole top tree is one leaf
+    holding one entry, ``skey -> shard_root``."""
+    return LeafSnapshot(keys=(skey,), entry_digests=(
+        hash_leaf(skey, shard_root),)).digest()
 
 
 def _check_top_entry(top: PathProof, skey: bytes,
@@ -448,10 +461,13 @@ def implied_root_for_forest_read(
 
     Checks (a) the answer against the inner proof's leaf, and its path,
     and (b) the top tree commits exactly the shard root the inner proof
-    implies at the entry of the shard ``key`` routes to.
+    implies at the entry of the shard ``key`` routes to -- for a forest
+    of one, the top tree the client derives around that root.
     """
     shard_root = implied_root_for_read(proof.inner, key, value)
     skey = shard_key(shard_for_key(key, spec.shards))
+    if not _top_sent(proof.top, spec):
+        return _lone_top_root(skey, shard_root.to_bytes())
     _check_top_entry(proof.top, skey, shard_root,
                      "top tree entry disagrees with the shard proof")
     return fold_path(proof.top.internals, proof.top.leaf, skey)[0]
@@ -470,10 +486,15 @@ def derive_forest_update_roots(
     ``old_shard_root`` is what the inner proof implies -- then the new
     top root is derived by replaying the overwrite of that entry with
     the client-recomputed new shard root.  The top replay is an insert
-    of a key its leaf holds: an overwrite, which never restructures.
+    of a key its leaf holds: an overwrite, which never restructures.  A
+    forest of one's top tree is the one leaf the client derives around
+    each shard root.
     """
     skey = shard_key(shard_for_key(key, spec.shards))
     old_shard, new_shard = derive_update_roots(proof.inner, spec.order, key, value)
+    if not _top_sent(proof.top, spec):
+        return (_lone_top_root(skey, old_shard.to_bytes()),
+                _lone_top_root(skey, new_shard.to_bytes()))
     _check_top_entry(proof.top, skey, old_shard,
                      "top tree does not commit the shard's pre-update root")
     return derive_update_roots(
@@ -507,5 +528,7 @@ def implied_root_for_forest_range(
     for index, shard_proof in enumerate(proof.shard_proofs):
         implied = implied_root_for_range(shard_proof, low, high, tuple(slices[index]))
         shard_roots.append((shard_key(index), implied.to_bytes()))
+    if not _top_sent(proof.top, spec):
+        return _lone_top_root(*shard_roots[0])
     return implied_root_for_range(proof.top, shard_key(0),
                                   shard_key(spec.shards - 1), tuple(shard_roots))

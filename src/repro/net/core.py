@@ -625,17 +625,15 @@ class ServerCore:
         """One batched dirty-path Merkle pass over every state branch;
         returns the number of nodes recomputed.
 
-        In forest mode only dirty shard paths plus the top tree are
-        touched; ``server.dirty_shards`` records how many shards each
-        pass actually had to visit."""
+        Only dirty shard paths plus the top tree are touched;
+        ``server.dirty_shards`` records how many shards each pass
+        actually had to visit."""
         recomputed = 0
         observing = _obs.enabled
         for state in self.states.values():
             mtree = state.database.mtree
             if observing:
-                dirty = getattr(mtree, "dirty_shard_count", None)
-                if dirty is not None:
-                    _DIRTY_SHARDS.observe(dirty)
+                _DIRTY_SHARDS.observe(mtree.dirty_shard_count)
             _root, nodes = mtree.refresh_root()
             recomputed += nodes
         return recomputed

@@ -698,7 +698,6 @@ class QuorumChecker:
         self._rng = random.Random(seed)
         self._retry = retry or RetryPolicy(seed=seed)
         self._evidence_dir = evidence_dir
-        self._order = 8
         self.set_order(order)
         self._sessions: dict = {}  # witness id -> WitnessSession
         self._pending: dict[int, _PendingRoot] = {}

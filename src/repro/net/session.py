@@ -96,7 +96,7 @@ class SessionCore:
                  counted: bool = True) -> None:
         self.user_id = user_id
         self.state = state
-        self.order = order
+        self.order = StoreSpec.coerce(order)
         self.protocol = protocol
         self.nonce = nonce
         self.rids = rids
@@ -201,7 +201,7 @@ class SessionCore:
             error.bundle = evidence.response_bundle(
                 protocol=self.protocol, user_id=self.user_id, reason=reason,
                 op_index=self.operations,
-                order=StoreSpec.coerce(self.order).to_wire(),
+                order=self.order.to_wire(),
                 request_frame=encode(request),
                 response_frame=frame or encode(message),
                 client_state=self.snapshot(),

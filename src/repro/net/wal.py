@@ -88,7 +88,7 @@ RETIRED_FILES = {"state.snapshot": "cvs-server-snapshot 1", "wal.log": "a cvs-pa
 _CHAIN_DOMAIN = b"wal-chain"
 _GENESIS_DOMAIN = b"wal-genesis"
 _MANIFEST_KEY = "checkpoint"
-_MANIFEST_FORMAT = "cvs-paged-store 8"
+_MANIFEST_FORMAT = "cvs-paged-store 9"
 _FORMAT_KEY = encode("format")
 
 _CHECKPOINTS = _registry.counter(
@@ -123,7 +123,7 @@ def load_manifest(blob: bytes) -> dict:
             f"checkpoint manifest format {manifest.get('format')!r} is "
             f"not {_MANIFEST_FORMAT!r} (one page per entry, every page a "
             "codec record, a proof is the path, one log per checkpoint "
-            "generation): "
+            "generation, every store a forest): "
             "this build does not read directories written by another format")
     return manifest
 
@@ -231,13 +231,14 @@ def _verify_records(records: list[tuple[bytes, bytes]], chain: Digest,
 def _replay_shard(tree: BPlusTree, messages, shard: int,
                   shards: int) -> None:
     """Re-execute the logged writes and deletes routed to ``shard`` on
-    ``tree``, through the server's own :meth:`VerifiedDatabase.execute`."""
-    database = VerifiedDatabase.from_mtree(tree)
+    ``tree``: what :meth:`VerifiedDatabase.execute` does to a shard's
+    tree, without the VOs nobody reads."""
     for message in messages:
         query = message.query if isinstance(message, Request) else None
-        if isinstance(query, (WriteQuery, DeleteQuery)) and \
-                shard_for_key(query.key, shards) == shard:
-            database.execute(query)
+        if isinstance(query, WriteQuery) and shard_for_key(query.key, shards) == shard:
+            tree.insert(query.key, query.value)
+        elif isinstance(query, DeleteQuery) and shard_for_key(query.key, shards) == shard:
+            tree.delete(query.key)
 
 
 class ServerStore:

@@ -136,7 +136,7 @@ class SignedRootChain:
                  order: "int | StoreSpec" = 8) -> None:
         self.user_id = user_id
         self.verifier = verifier
-        self.order = order
+        self.order = StoreSpec.coerce(order)
         self.lctr = 0  # total operations performed by this user
         self.gctr = 0  # ctr value the *next* response must meet or exceed
         self.head_expected = True

@@ -91,7 +91,7 @@ class XorRegisters:
 
     def __init__(self, user_id: str, order: "int | StoreSpec" = 8) -> None:
         self.user_id = user_id
-        self.order = order
+        self.order = StoreSpec.coerce(order)
         self.sigma = Digest.zero()
         self.last = Digest.zero()  # zero means "no operation yet"
         self.gctr = 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.crypto.hashing import Digest, hash_state
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.mtree.database import Query, QueryResult
+from repro.mtree.forest import StoreSpec
 from repro.protocols.base import (
     ClientContext,
     DeviationDetected,
@@ -91,7 +92,7 @@ class TokenPassClient(ProtocolClient):
         signer: Signer,
         verifier: Verifier,
         slot_length: int = 4,
-        order: int = 8,
+        order: "int | StoreSpec" = 8,
         quiet_after: int | None = None,
     ) -> None:
         super().__init__(user_id)
@@ -100,7 +101,7 @@ class TokenPassClient(ProtocolClient):
         self._signer = signer
         self._verifier = verifier
         self.slot_length = slot_length
-        self._order = order
+        self._order = StoreSpec.coerce(order)
         self._turn_done: set[int] = set()
         self._last_issue_slot: int | None = None
         self.null_operations = 0

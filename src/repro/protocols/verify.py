@@ -35,7 +35,9 @@ def derive_outcome(
 ) -> VerifiedOutcome:
     """:func:`repro.mtree.database.derive_outcome` -- the rule itself,
     written once, there -- under the ``protocol.verify_vo`` span and the
-    verified / rejected / VO-size counters."""
+    verified / rejected / VO-size counters.  ``order`` is the store's
+    spec, or a bare order: a forest of one."""
+    order = StoreSpec.coerce(order)
     if not _obs.enabled:
         return _derive_outcome(query, result, order)
     kind = type(query).__name__

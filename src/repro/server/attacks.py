@@ -174,21 +174,21 @@ class TamperValueAttack(Attack):
             return response
         corrupted = b"/* backdoored */ " + bytes(response.result.answer)
         proof = response.result.proof
-        if self.forge_proof and isinstance(proof, PathProof):
-            proof = self._forge_read_proof(proof, request.query.key, corrupted)
-        elif self.forge_proof and isinstance(proof, ForestProof):
+        if self.forge_proof and isinstance(proof, ForestProof):
             # Two-level forgery: rebuild the shard proof around the
-            # corrupted value, then rebuild the top proof around the
-            # shard root the forged shard proof now implies.  Fully
-            # internally consistent -- only the final top root betrays it.
-            forged_inner = self._forge_read_proof(
-                proof.inner, request.query.key, corrupted)
-            shard_root = implied_root_for_read(
-                forged_inner, request.query.key, corrupted)
-            skey = shard_key(shard_for_key(request.query.key,
-                                           state.database.shards))
-            forged_top = self._forge_read_proof(
-                proof.top, skey, shard_root.to_bytes())
+            # corrupted value, then -- where a top half is sent at all
+            # (a forest of one's the client derives) -- the top proof
+            # around the shard root the forged shard proof now implies.
+            # Fully internally consistent: only the final top root
+            # betrays it.
+            key = request.query.key
+            forged_inner = self._forge_read_proof(proof.inner, key, corrupted)
+            forged_top = proof.top
+            if forged_top is not None:
+                shard_root = implied_root_for_read(forged_inner, key, corrupted)
+                skey = shard_key(shard_for_key(key, state.database.shards))
+                forged_top = self._forge_read_proof(
+                    forged_top, skey, shard_root.to_bytes())
             proof = ForestProof(inner=forged_inner, top=forged_top)
         return Response(
             result=QueryResult(answer=corrupted, proof=proof),

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from repro.core.scenarios import build_simulation
+from repro.crypto.hashing import hash_leaf
+from repro.mtree.forest import shard_key
+from repro.mtree.proofs import LeafSnapshot
 from repro.protocols.base import Followup, Request
 
 
@@ -39,6 +42,15 @@ class FakeContext:
 
     def issue_internal(self, request: Request) -> None:
         self.internal_requests.append(request)
+
+
+def forest_of_one_root(shard_root):
+    """The signed root of a forest of one whose shard tree has root
+    ``shard_root``: its top tree is one leaf holding one entry,
+    ``shard_key(0) -> shard_root``, which a client derives itself."""
+    skey = shard_key(0)
+    return LeafSnapshot(keys=(skey,), entry_digests=(
+        hash_leaf(skey, shard_root.to_bytes()),)).digest()
 
 
 def run_scenario(protocol, workload, attack=None, max_rounds=4000, **kwargs):

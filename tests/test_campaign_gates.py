@@ -57,6 +57,7 @@ STORAGE = {
         "vos_verify": True, "writable_after_recovery": True}}],
     "tamper_gallery": [{"backend": "file", "scenario": "wal-length-flip",
                         "pass": True, "outcome": "refused"}],
+    "flip_sweep": [{"backend": "sqlite", "file": "pages.db", "failing": []}],
     "streaming_restart": {"checks": {"root_matches": True,
                                      "streamed_over_10_pages": True,
                                      "resident_under_bound": True}},
@@ -89,6 +90,8 @@ BROKEN = [
      "crash file/wal:append: acked_lost = 1"),
     ("storage", STORAGE, ("tamper_gallery", 0, "pass"), False,
      "tamper file/wal-length-flip: refused"),
+    ("storage", STORAGE, ("flip_sweep", 0, "failing"), ["7518: silent"],
+     "flip sqlite/pages.db at 7518: silent"),
     ("storage", STORAGE,
      ("streaming_restart", "checks", "resident_under_bound"), False,
      "streaming_restart: resident_under_bound = False"),
@@ -142,6 +145,16 @@ class TestPerfGate:
         metrics = dict(baseline,
                        rsa_sign_per_s=baseline["rsa_sign_per_s"] / 2.9)
         assert _gate("perf")({"metrics": metrics, "baseline": baseline}) == []
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_count_one_off_is_named(self, baseline, delta):
+        """The hook count of the fixed E12 run is compared exactly: one
+        hook more or fewer is named, where the 3x ratio passed it."""
+        count = baseline["obs_hook_fires_e12"]
+        metrics = dict(baseline, obs_hook_fires_e12=count + delta)
+        failures = _gate("perf")({"metrics": metrics, "baseline": baseline})
+        assert failures == [f"obs_hook_fires_e12: {count + delta} vs baseline "
+                            f"{count} (a count: compared exactly)"]
 
     def test_disabled_hooks_over_budget_are_named(self, baseline):
         metrics = dict(baseline, obs_disabled_overhead_pct=3.5)

@@ -504,7 +504,7 @@ class TestStoreInspect:
         assert f"wal.3.log: {logged + 2} bytes, live, 1 record(s) + 2 torn " \
             "tail byte(s)" in lines
         assert "wal.0.log: 0 bytes, unreferenced" in lines
-        assert "bytes (cvs-paged-store 8)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 9)" in lines[lines.index(
             f"pages.db: {size} bytes") + 1]
         # 61 answers given, the window's worth remembered
         assert "user u: 61 remembered response(s), " in text
@@ -523,7 +523,7 @@ class TestStoreInspect:
         (blob,) = conn.execute(
             "SELECT value FROM meta WHERE key='checkpoint'").fetchone()
         manifest = decode(bytes(blob))
-        manifest["format"] = "cvs-paged-store 9"
+        manifest["format"] = "cvs-paged-store 10"
         manifest["dedup"] = {"u": [0, 0, 3]}  # no table this build reads
         doctored = encode(manifest)  # a build of that format signs its row
         conn.execute("UPDATE meta SET value=?, checksum=? WHERE key='checkpoint'",
@@ -531,7 +531,7 @@ class TestStoreInspect:
         conn.commit()
         conn.close()
         text = run(["store-inspect", data_dir], expect=2)
-        assert "format 'cvs-paged-store 9'" in text
+        assert "format 'cvs-paged-store 10'" in text
 
     def test_not_a_store(self, tmp_path):
         run(["store-inspect", str(tmp_path / "absent")], expect=2)
@@ -556,7 +556,7 @@ class TestStoreInspect:
         size = os.path.getsize(os.path.join(data_dir, "pages.log"))
         lines = text.splitlines()
         assert "backend: file" in lines
-        assert "bytes (cvs-paged-store 8)" in lines[lines.index(
+        assert "bytes (cvs-paged-store 9)" in lines[lines.index(
             f"pages.log: {size} bytes") + 1]
         assert "checkpoint generation: 1" in lines
         assert "shard 0: gen 1, prev gen 0" in text
@@ -633,7 +633,7 @@ class TestCodec1ArtefactsRefused:
 
         answer, proof = response.result.answer, response.result.proof
         old_proof = (b"\x22" + len(key).to_bytes(4, "big") + key
-                     + encode(answer) + cls.old_path(proof))
+                     + encode(answer) + cls.old_path(proof.inner))
         return (b"\x41\x27" + encode(answer) + old_proof
                 + encode(response.extras))
 
@@ -644,7 +644,7 @@ class TestCodec1ArtefactsRefused:
         from repro.wire import encode
 
         old_proof = (b"\x22" + len(key).to_bytes(4, "big") + key
-                     + cls.old_path(response.result.proof))
+                     + cls.old_path(response.result.proof.inner))
         return (b"\x41\x27" + encode(response.result.answer) + old_proof
                 + encode(response.extras))
 
@@ -764,7 +764,7 @@ class TestCodec2ArtefactsRefused:
         def as_codec2(blob):
             manifest = decode(blob)
             (rid, response), = manifest["dedup"]["u"]
-            assert response.result.proof.internals  # a path, not one leaf
+            assert response.result.proof.inner.internals  # a path, not one leaf
             manifest["format"] = "cvs-paged-store 5"
             manifest["dedup"]["u"] = [[rid, marker]]
             blob = encode(manifest).replace(
@@ -815,7 +815,7 @@ class TestCodec3ArtefactsRefused:
         fields, and no sibling pair."""
         from repro.wire import encode
 
-        path = encode(response.result.proof)
+        path = encode(response.result.proof.inner)
         assert path[:1] == b"\x22"
         return (b"\x41\x27" + encode(response.result.answer) + b"\x25" + path[1:]
                 + encode(()) + encode(response.extras))
@@ -842,8 +842,8 @@ class TestCodec3ArtefactsRefused:
         def as_codec3(blob):
             manifest = decode(blob)
             (rid, response), = manifest["dedup"]["u"]
-            assert isinstance(response.result.proof, PathProof)
-            assert response.result.proof.internals  # a path, not one leaf
+            assert isinstance(response.result.proof.inner, PathProof)
+            assert response.result.proof.inner.internals  # a path, not one leaf
             manifest["format"] = "cvs-paged-store 6"
             manifest["dedup"]["u"] = [[rid, marker]]
             blob = encode(manifest).replace(

@@ -47,7 +47,7 @@ from repro.protocols.protocol2 import Protocol2Server, XorRegisters
 from repro.protocols.protocol3 import EpochDeposit, Protocol3Server
 
 from bench_common import failed_checks
-from bench_storage import CRASH_CELLS, crash_cell
+from bench_storage import CRASH_CELLS, crash_cell, flip_sweep
 
 
 def _request(user, key, value, seq):
@@ -738,6 +738,22 @@ class TestPagedStoreCrashMatrix:
         assert fresh.state.database.root_digest() == \
             _reference_root(fresh.state.ctr, _OPS, shards=2)
         fresh.close_store()
+
+
+def test_every_flipped_byte_is_refused_or_changes_nothing():
+    """The storage campaign's flip sweep at a coarse stride, on both
+    page stores and the current manifest format: a flipped byte of any
+    file is refused by name or serves the untouched state, never a
+    silent change or an unnamed exception."""
+    rows = flip_sweep(stride=101)
+    assert {(row["backend"], row["file"]) for row in rows} == {
+        (backend, name) for backend in ("file", "sqlite")
+        for name in ("pages.log" if backend == "file" else "pages.db",
+                     "wal.2.log", "wal.3.log")}
+    assert [failing for row in rows for failing in row["failing"]] == []
+    assert all(row["refused"] + row["same"] == len(range(0, row["bytes"], 101))
+               for row in rows)
+    assert sum(row["refused"] for row in rows) > 0
 
 
 class TestPagedStoreCorruption:

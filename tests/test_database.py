@@ -52,7 +52,7 @@ class TestHappyPath:
         for key in (b"missing", b"k05x", b"", b"zzz"):
             q = DeleteQuery(key)
             result = db.execute(q)
-            assert len(result.proof.siblings) == len(result.proof.path.internals)
+            assert len(result.proof.inner.siblings) == len(result.proof.inner.path.internals)
             assert client.apply(q, result) is None
             assert client.root_digest == db.root_digest() == before
         assert len(db) == 20

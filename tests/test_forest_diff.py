@@ -1,23 +1,25 @@
-"""Differential harness: the Merkle forest is observationally identical
-to the single tree.
+"""Differential harness: a forest of any shard count is observationally
+identical to the forest of one.
 
-The forest changes the *shape* of the committed state (per-shard trees
-plus a top tree) and the *format* of every verification object, but it
-must not change anything a user can observe: answers, verification
-verdicts, or -- critically -- Byzantine detection.  These tests drive
-identical operation sequences through single-tree and forest-backed
-stores (S in {1, 2, 8}) at three levels:
+Every store is a forest; its shard count changes the *shape* of the
+committed state (how many shard trees under the top tree) and of every
+verification object (a top half sent above one shard, implied at
+one), but it must not change anything a user can observe: answers,
+verification verdicts, or -- critically -- Byzantine detection.  These
+tests drive identical operation sequences through stores of S in
+{1, 2, 8} against the forest of one as the reference, at three levels:
 
 * the database layer (``VerifiedDatabase`` + ``ClientVerifier``):
   thousands of randomised ops, every VO verified, answers compared
-  op-for-op against the single-tree reference;
+  op-for-op against the forest-of-one reference;
 * the TCP layer (``serve_in_thread`` + ``RemoteClient``): the wire
   codec, framing, and sync machinery over real sockets;
 * the adversarial layer: every attack in ``bench_byzantine``'s gallery
-  replayed against single-tree and forest servers, asserting detection
-  in both with the *same first-deviation operation* (the ground truth
-  the server core's judge records) and the same detection operation -- no attack may
-  become easier or harder to catch because the store is sharded.
+  replayed against one-shard and eight-shard servers, asserting
+  detection in both with the *same first-deviation operation* (the
+  ground truth the server core's judge records) and the same detection
+  operation -- no attack may become easier or harder to catch because
+  the store is sharded.
 """
 
 import random
@@ -110,21 +112,21 @@ class TestDatabaseDifferential:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_contents_identical_after_workload(self, shards):
         ops = _op_sequence(5, 300)
-        single = VerifiedDatabase(order=ORDER, shards=1)
+        reference = VerifiedDatabase(order=ORDER, shards=1)
         forest = VerifiedDatabase(order=ORDER, shards=shards)
         for query in ops:
-            if isinstance(query, DeleteQuery) and single.get(query.key) is None:
+            if isinstance(query, DeleteQuery) and reference.get(query.key) is None:
                 continue
-            single.execute(query)
+            reference.execute(query)
             forest.execute(query)
-        assert list(forest.mtree.items()) == list(single.mtree.items())
+        assert list(forest.mtree.items()) == list(reference.mtree.items())
 
 
 # -- TCP-level differential ------------------------------------------------
 
 def _client_order(shards: int):
-    """What a client is told about the store: a bare order for the
-    single tree (the pre-forest wire contract), the full spec otherwise."""
+    """What a client is told about the store: a bare order for one
+    shard (which coerces to a forest of one), the full spec otherwise."""
     return StoreSpec(order=ORDER, shards=shards) if shards > 1 else ORDER
 
 
@@ -286,7 +288,7 @@ class TestAttackGalleryParity:
     def test_p2_attack_detected_identically(self, name, factory):
         reference = _p2_wire_run(1, factory)
         forest = _p2_wire_run(8, factory)
-        assert reference["detection"] is not None, f"{name} missed (single)"
+        assert reference["detection"] is not None, f"{name} missed (one shard)"
         assert forest["detection"] is not None, f"{name} missed (forest)"
         assert forest["deviation_op"] == reference["deviation_op"], name
         assert forest["detection"] == reference["detection"], name
@@ -296,17 +298,18 @@ class TestAttackGalleryParity:
     def test_p1_attack_detected_identically(self, name, factory):
         reference = _p1_wire_run(1, factory)
         forest = _p1_wire_run(8, factory)
-        assert reference["detection"] is not None, f"{name} missed (single)"
+        assert reference["detection"] is not None, f"{name} missed (one shard)"
         assert forest["detection"] is not None, f"{name} missed (forest)"
         assert forest["deviation_op"] == reference["deviation_op"], name
         assert forest["detection"] == reference["detection"], name
 
-    @pytest.mark.parametrize("shards", (2, 8))
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_forged_forest_tamper_detected_at_two_shard_counts(self, shards):
-        """The strongest forgery -- a fully re-chained two-level VO --
+        """The strongest forgery -- a fully re-chained two-level VO, at
+        S=1 its inner half alone (the client derives the top half) --
         is internally consistent, so Protocol II can only catch it where
         forged roots meet honest ones: the register sync.  It must be
-        caught there for every shard count."""
+        caught there for every shard count, the forest of one's too."""
         factory = lambda: TamperValueAttack(victim="u0", tamper_round=4,
                                             forge_proof=True)
         run = _p2_wire_run(shards, factory, steps=10)

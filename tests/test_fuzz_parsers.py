@@ -230,7 +230,7 @@ class TestNodeFieldsFuzz:
         db = VerifiedDatabase(order=8)
         for i in range(40):
             db.execute(WriteQuery(b"src/mod%03d/file%05d.c,v" % (i % 7, i), b"v"))
-        blob = encode(db.execute(ReadQuery(b"src/mod003/file00010.c,v")).proof.leaf)
+        blob = encode(db.execute(ReadQuery(b"src/mod003/file00010.c,v")).proof.inner.leaf)
         for mutated in mutations(blob, seed=6, count=400):
             try:
                 leaf = decode(mutated)

@@ -18,6 +18,7 @@ real ``pages.db``:
   name.
 """
 
+import io
 import os
 import random
 import sqlite3
@@ -412,23 +413,34 @@ class TestForeignTrees:
 class TestOldFormatRefused:
     def test_manifest_of_another_format(self, tmp_path):
         # 2: one page per leaf, values inside it; 4: one log renamed
-        # into a retained segment at each checkpoint
+        # into a retained segment at each checkpoint; 8: one shard was a
+        # lone tree, whose root was the store's
         for old in ("cvs-paged-store 1", "cvs-paged-store 2",
-                    "cvs-paged-store 4"):
+                    "cvs-paged-store 4", "cvs-paged-store 8"):
             self._refused(str(tmp_path / old.replace(" ", "-")), old)
 
     def _refused(self, data_dir, old):
+        from repro.cli import main
+
         core = _core(data_dir, shards=1)
+        shard_root = core.state.database.shard_trees()[0].root_digest()
         core.close_store()
         conn = sqlite3.connect(os.path.join(data_dir, "pages.db"))
         (blob,) = conn.execute(
             "SELECT value FROM meta WHERE key='checkpoint'").fetchone()
         manifest = decode(bytes(blob))
-        manifest["format"] = old
+        # every format before 9 wrote one shard as a bare order and the
+        # shard's root
+        manifest.update(format=old, spec=4, root=shard_root)
         doctored = encode(manifest)  # a build of that format signs its row
         conn.execute("UPDATE meta SET value=?, checksum=? WHERE key='checkpoint'",
                      (doctored, _meta_checksum("checkpoint", doctored)))
         conn.commit()
         conn.close()
-        with pytest.raises(WalError, match=f"{old}.*one page per entry"):
+        with pytest.raises(WalError, match=f"{old}.*one page per entry") as caught:
             _core(data_dir, shards=1)
+        assert "corrupt" not in str(caught.value)
+        out = io.StringIO()
+        assert main(["store-inspect", data_dir], out=out) == 2
+        assert f"format {old!r}" in out.getvalue()
+        assert "corrupt" not in out.getvalue()

@@ -293,7 +293,9 @@ class TestForestObsLabels:
         assert hist.count() >= 1
         assert hist.sum() >= 1  # at least one dirty shard was seen
 
-    def test_single_tree_reports_no_dirty_shards(self):
+    def test_forest_of_one_reports_its_one_dirty_shard(self):
+        """S=1 is a forest of one: a batch that wrote observes its one
+        dirty shard, as any forest does."""
         from repro.mtree.database import WriteQuery
         from repro.net.core import ServerCore
         from repro.obs.metrics import REGISTRY
@@ -305,7 +307,8 @@ class TestForestObsLabels:
         core.apply_batch([
             ("alice", Request(query=WriteQuery(b"k", b"v"),
                               extras={"user": "alice", "rid": "r"}))])
-        assert REGISTRY.histogram("server.dirty_shards").count() == 0
+        hist = REGISTRY.histogram("server.dirty_shards")
+        assert (hist.count(), hist.sum()) == (1, 1)
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_obs_report_reconciliation_balances_in_forest_mode(self, shards):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.mtree.database import ClientVerifier, QueryResult, RangeQuery
 from repro.mtree.bplus import BPlusTree
+from repro.mtree.forest import ForestRangeProof
 from repro.mtree.proofs import (
     FringeNode,
     ProofError,
@@ -14,11 +15,16 @@ from repro.mtree.proofs import (
     implied_root_for_range,
 )
 
+from helpers import forest_of_one_root
+
 
 def verified_range(root, proof, low, high, entries):
-    """What a client tracking ``root`` makes of ``entries`` and
-    ``proof`` as the answer to a range read of ``[low, high]``."""
-    return ClientVerifier(root).apply(RangeQuery(low, high), QueryResult(entries, proof))
+    """What a client tracking a forest of one whose shard has root
+    ``root`` makes of ``entries`` and ``proof`` (the VO's shard half)
+    as the answer to a range read of ``[low, high]``."""
+    return ClientVerifier(forest_of_one_root(root)).apply(
+        RangeQuery(low, high),
+        QueryResult(entries, ForestRangeProof(shard_proofs=(proof,), top=None)))
 
 
 def make_tree(n=60, order=4):

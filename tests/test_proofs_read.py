@@ -7,6 +7,7 @@ import pytest
 from repro.crypto.hashing import hash_bytes, hash_leaf
 from repro.mtree.database import ClientVerifier, QueryResult, ReadQuery
 from repro.mtree.bplus import BPlusTree
+from repro.mtree.forest import ForestProof
 from repro.mtree.proofs import (
     LeafSnapshot,
     PathProof,
@@ -16,11 +17,15 @@ from repro.mtree.proofs import (
     implied_root_for_read,
 )
 
+from helpers import forest_of_one_root
+
 
 def verified_read(root, proof, key, value):
-    """What a client tracking ``root`` makes of ``value`` and ``proof``
-    as the answer to a read of ``key``."""
-    return ClientVerifier(root).apply(ReadQuery(key), QueryResult(value, proof))
+    """What a client tracking a forest of one whose shard has root
+    ``root`` makes of ``value`` and ``proof`` (the VO's inner half) as
+    the answer to a read of ``key``."""
+    return ClientVerifier(forest_of_one_root(root)).apply(
+        ReadQuery(key), QueryResult(value, ForestProof(inner=proof, top=None)))
 
 
 @pytest.fixture

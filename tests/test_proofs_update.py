@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.hashing import hash_bytes
 from repro.mtree.database import ClientVerifier, DeleteQuery, QueryResult, WriteQuery
 from repro.mtree.bplus import BPlusTree
+from repro.mtree.forest import ForestProof
 from repro.mtree.proofs import (
     DeleteProof,
     ProofError,
@@ -19,14 +20,17 @@ from repro.mtree.proofs import (
     derive_update_roots,
 )
 
+from helpers import forest_of_one_root
+
 
 def verified_update(root, proof, order, key, value=None):
-    """The new root a client tracking ``root`` derives from ``proof`` as
-    the VO of writing ``value`` at ``key`` (of deleting ``key`` if
-    ``value`` is None)."""
+    """The new root a client tracking a forest of one whose shard has
+    root ``root`` derives from ``proof`` (the VO's inner half) as the VO
+    of writing ``value`` at ``key`` (of deleting ``key`` if ``value`` is
+    None): the forest's, :func:`forest_of_one_root` of the shard's."""
     query = DeleteQuery(key) if value is None else WriteQuery(key, value)
-    client = ClientVerifier(root, order)
-    client.apply(query, QueryResult(None, proof))
+    client = ClientVerifier(forest_of_one_root(root), order)
+    client.apply(query, QueryResult(None, ForestProof(inner=proof, top=None)))
     return client.root_digest
 
 
@@ -43,7 +47,7 @@ def replayed_insert(mtree, key, value):
     proof = build_path_proof(mtree, key)
     derived_new = verified_update(old_root, proof, mtree.order, key, value)
     mtree.insert(key, value)
-    return derived_new, mtree.root_digest()
+    return derived_new, forest_of_one_root(mtree.root_digest())
 
 
 def replayed_delete(mtree, key):
@@ -51,7 +55,7 @@ def replayed_delete(mtree, key):
     proof = build_delete_proof(mtree, key)
     derived_new = verified_update(old_root, proof, mtree.order, key)
     mtree.delete(key)
-    return derived_new, mtree.root_digest()
+    return derived_new, forest_of_one_root(mtree.root_digest())
 
 
 class TestInsertReplay:
@@ -132,7 +136,8 @@ class TestDeleteReplay:
             root = mtree.root_digest()
             for key in (b"k999", b"", b"k001x"):
                 proof = build_delete_proof(mtree, key)
-                assert verified_update(root, proof, mtree.order, key) == root
+                assert verified_update(root, proof, mtree.order, key) == \
+                    forest_of_one_root(root)
                 assert not mtree.delete(key)
                 assert mtree.root_digest() == root
 
@@ -278,15 +283,15 @@ class TestReplayEquivalenceProperty:
                 derived = verified_update(old_root, proof, order, key)
                 mtree.delete(key)
                 present.discard(key)
-            assert derived == mtree.root_digest()
+            assert derived == forest_of_one_root(mtree.root_digest())
             mtree.check_invariants()
 
 
 class TestOnePathFold:
     """An update VO's old root is folded once: every snapshot on the
-    path is hashed exactly once, at one tree and at both levels of a
-    forest (the replay then hashes its own B+-tree nodes for the new
-    root -- those are not snapshots)."""
+    path is hashed exactly once, at a forest of one and at both levels
+    of a larger forest (the replay then hashes its own B+-tree nodes for
+    the new root -- those are not snapshots)."""
 
     @pytest.mark.parametrize("shards", [1, 8])
     def test_update_step_hashes_each_path_snapshot_once(self, shards, monkeypatch):
@@ -301,7 +306,7 @@ class TestOnePathFold:
         query = WriteQuery(b"k150", b"new")
         result = db.execute(query)
         proof = result.proof
-        parts = [proof.inner, proof.top] if shards > 1 else [proof]
+        parts = [part for part in (proof.inner, proof.top) if part is not None]
         assert all(part.internals for part in parts)
 
         calls = Counter()
@@ -317,7 +322,9 @@ class TestOnePathFold:
         assert outcome.new_root == db.root_digest()
         assert calls == {
             "InternalSnapshot": sum(len(part.internals) for part in parts),
-            "LeafSnapshot": len(parts)}
+            # at S=1 the top tree is the one leaf the client derives
+            # around the shard's old root and around its new one
+            "LeafSnapshot": 2 if shards > 1 else 3}
 
 
 class TestClientFoldCountsNoServerWork:

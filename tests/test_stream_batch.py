@@ -91,7 +91,7 @@ class TestEntryOrder:
         seen = []
         for response in core.stream_batch(self.batch()):
             seen.append((core.state.ctr - start,
-                         core.state.database.mtree.root.digest
+                         core.state.database.shard_trees()[0].root.digest
                          is not None))
         assert [executed for executed, _fresh in seen] == [0, 1, 1, 1, 1, 2, 3]
         assert seen[-2][1] is False  # the batch's writes are unhashed

@@ -46,9 +46,9 @@ from repro.mtree.database import (
     VerifiedDatabase,
     WriteQuery,
 )
-from repro.mtree.forest import StoreSpec, shard_for_key
+from repro.mtree.forest import StoreSpec, shard_for_key, shard_key
 from repro.mtree.proofs import (
-    FringeNode, ProofError, build_delete_proof, build_path_proof)
+    FringeNode, ProofError, build_delete_proof, build_path_proof, build_range_proof)
 from repro.net import (
     IntegrityError,
     RemoteClient,
@@ -491,8 +491,8 @@ def test_protocol1_sites_agree(name, shared_keys, monkeypatch, tmp_path):
 # in ``repro.mtree.derive_outcome``.  One gallery of VO deviations goes to
 # everything that runs it -- the function itself, ``ClientVerifier``, both
 # protocol state objects and ``evidence.reverify`` for both protocols -- at
-# one tree and at two forests: the same verdict and reason everywhere, and
-# the same roots after every accepted operation.
+# a forest of one and at two larger forests: the same verdict and reason
+# everywhere, and the same roots after every accepted operation.
 
 VO_SHARDS = (1, 2, 8)
 VO_KEYS = [f"k{i:02d}".encode() for i in range(96)]
@@ -526,15 +526,9 @@ VO_OPS = [WriteQuery(b"k05", b"new"), ReadQuery(b"k10"), ReadQuery(b"k10x"),
 VO_WRITE, VO_READ, VO_ABSENT, VO_RANGE, VO_INSERT, VO_DELETE = 0, 1, 2, 3, 4, 5
 
 
-def inner_of(proof):
-    return getattr(proof, "inner", proof)
-
-
 def with_inner(proof, **changes):
-    """``proof`` with fields of its one-tree part changed, at any S."""
-    if hasattr(proof, "inner"):
-        return replace(proof, inner=replace(proof.inner, **changes))
-    return replace(proof, **changes)
+    """``proof`` with fields of its inner (one-tree) half changed."""
+    return replace(proof, inner=replace(proof.inner, **changes))
 
 
 def served_for(other_query):
@@ -547,7 +541,7 @@ def served_for(other_query):
 def in_another_leaf(before, key, shards):
     """A stored key in ``key``'s shard, outside the leaf ``key`` routes
     to: its proof is another path."""
-    leaf = inner_of(before.execute(ReadQuery(key)).proof).leaf
+    leaf = before.execute(ReadQuery(key)).proof.inner.leaf
     return next(k for k in VO_KEYS if k not in leaf.keys
                 and shard_for_key(k, shards) == shard_for_key(key, shards))
 
@@ -599,8 +593,6 @@ def hide_subtree(before, query, result, shards):
         children[index] = revealed_digest(children[index])
         return replace(proof, root=FringeNode(proof.root.keys, tuple(children)))
     proof = result.proof
-    if shards == 1:
-        return QueryResult(result.answer, hide(proof))
     shard_proofs = list(proof.shard_proofs)
     index = next(i for i, shard_proof in enumerate(shard_proofs)
                  if isinstance(shard_proof.root, FringeNode))
@@ -616,7 +608,7 @@ def other_answer(before, query, result, shards):
 
 def edge_sibling(before, query, result, shards):
     """A left sibling for the leftmost child of the path's first level."""
-    inner = inner_of(result.proof)
+    inner = result.proof.inner
     first = inner.siblings[0]
     assert first.left is None and first.right is not None
     siblings = (replace(first, left=first.right),) + inner.siblings[1:]
@@ -627,6 +619,26 @@ def other_shape(before, query, result, shards):
     """The proof a store of the other shape would answer with."""
     other = vo_store(2 if shards == 1 else 1)
     return other.execute(query)
+
+
+def top_dropped(before, query, result, shards):
+    """The proof without its top half, as a forest of one answers."""
+    return QueryResult(result.answer, replace(result.proof, top=None))
+
+
+def top_sent(before, query, result, shards):
+    """A forest of one's proof with the top half it implies sent anyway:
+    the path to (or a range over) the one shard's entry in the top tree."""
+    mtree, skey = before.mtree, shard_key(0)
+    mtree.root_digest()  # the top tree commits the shard's current root
+    top = build_range_proof(mtree.top_tree, skey, skey) if isinstance(query, RangeQuery) \
+        else build_path_proof(mtree.top_tree, skey)
+    return QueryResult(result.answer, replace(result.proof, top=top))
+
+
+def shard_proof_dropped(before, query, result, shards):
+    return QueryResult(result.answer, replace(
+        result.proof, shard_proofs=result.proof.shard_proofs[:-1]))
 
 
 #: name -> (operation, mutation, reason, the S it applies to).  A proof
@@ -687,15 +699,33 @@ VO_GALLERY = {
     "range-answer-out-of-order": (VO_RANGE, lambda before, query, result, shards:
                                   QueryResult(result.answer[1::-1] + result.answer[2:],
                                               result.proof),
-                                  "range answer is not in key order", (2, 8)),
+                                  "range answer is not in key order", VO_SHARDS),
     "update-answered-with-a-value": (VO_WRITE, lambda before, query, result, shards:
                                      QueryResult(b"v", result.proof),
                                      "an update's answer must be None", VO_SHARDS),
     "sibling-for-an-edge-child": (VO_DELETE, edge_sibling,
                                   "left sibling supplied for a leftmost child",
                                   VO_SHARDS),
+    # one store shape: a top half at S > 1 and none at S = 1, the
+    # range's shard proofs one per shard
     "proof-of-the-other-store-shape": (VO_READ, other_shape,
-                                       "non-read proof", VO_SHARDS),
+                                       "top-tree half", VO_SHARDS),
+    "range-proof-of-the-other-store-shape": (
+        VO_RANGE, other_shape, "range proof does not cover every shard", VO_SHARDS),
+    "top-half-dropped": (VO_READ, top_dropped,
+                         "forest proof lacks its top-tree half", (2, 8)),
+    "update-top-half-dropped": (VO_WRITE, top_dropped,
+                                "forest proof lacks its top-tree half", (2, 8)),
+    "range-top-half-dropped": (VO_RANGE, top_dropped,
+                               "forest proof lacks its top-tree half", (2, 8)),
+    "top-half-sent-for-a-forest-of-one": (
+        VO_READ, top_sent, "a forest of one's proof carries a top-tree half", (1,)),
+    "update-top-half-sent-for-a-forest-of-one": (
+        VO_DELETE, top_sent, "a forest of one's proof carries a top-tree half", (1,)),
+    "range-top-half-sent-for-a-forest-of-one": (
+        VO_RANGE, top_sent, "a forest of one's proof carries a top-tree half", (1,)),
+    "range-missing-a-shard-proof": (VO_RANGE, shard_proof_dropped,
+                                    "range proof does not cover every shard", VO_SHARDS),
 }
 
 
@@ -839,7 +869,7 @@ def ill_typed_frames(shards):
         frame = encode(response)
         proof = response.result.proof
         parts = [proof.shard_proofs[0] if hasattr(proof, "shard_proofs")
-                 else inner_of(proof)]
+                 else proof.inner]
         parts += [part.path for part in parts if hasattr(part, "path")]
         for part, (name, bad) in ((part, row) for part in parts for row in ILL_TYPED):
             if not hasattr(part, name):
